@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"redoop/internal/colfmt"
 	"redoop/internal/core"
 	"redoop/internal/experiments"
 	"redoop/internal/forecast"
@@ -173,7 +174,7 @@ func BenchmarkFig6WorkersMax(b *testing.B) { benchFig6AtWorkers(b, 0) }
 func BenchmarkMapReduceJob(b *testing.B) {
 	wcc := workload.DefaultWCC(1)
 	recs := workload.WCC(wcc, 0, int64(time.Hour), 16000)
-	data := records.Encode(recs)
+	data := colfmt.EncodeRecords(recs)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cfg := experiments.Default()
@@ -288,8 +289,8 @@ func BenchmarkPairEncoding(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc := records.EncodePairs(pairs)
-		dec, err := records.DecodePairs(enc)
+		enc := colfmt.EncodePairs(pairs)
+		dec, err := colfmt.DecodePairs(enc)
 		if err != nil || len(dec) != len(pairs) {
 			b.Fatal("round trip failed")
 		}

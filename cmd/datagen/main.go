@@ -19,6 +19,7 @@ import (
 	"os"
 	"time"
 
+	"redoop/internal/colfmt"
 	"redoop/internal/records"
 	"redoop/internal/workload"
 )
@@ -66,11 +67,9 @@ func main() {
 	}
 	defer w.Flush()
 
-	var bytes int64
 	for _, r := range recs {
 		fmt.Fprintf(w, "%d,%s\n", r.Ts, r.Data)
-		bytes += int64(r.EncodedSize())
 	}
 	fmt.Fprintf(os.Stderr, "datagen: %d %s records over [%v, %v), %d encoded bytes\n",
-		len(recs), *dataset, *start, *start+*span, bytes)
+		len(recs), *dataset, *start, *start+*span, len(colfmt.EncodeRecords(recs)))
 }

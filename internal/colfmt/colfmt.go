@@ -1,8 +1,7 @@
-// Package colfmt is the columnar pane encoding: the zero-copy
-// successor to the row-oriented internal/records framing for pane
-// files and cached reduce intermediates.
+// Package colfmt is the columnar encoding of everything the system
+// stores: pane files and cached reduce intermediates.
 //
-// A row-encoded pane interleaves per-record headers with payloads, so
+// A row layout would interleave per-record headers with payloads, so
 // decoding allocates and copies once per record. The columnar layout
 // instead groups each field into one contiguous block — timestamps,
 // then cumulative payload offsets, then one payload blob — so a
@@ -59,27 +58,11 @@ var (
 )
 
 // ErrCorrupt reports a structurally invalid or checksum-failing
-// segment. Callers treat it exactly like a row-decode error: the pane
-// is unusable and the recovery ladder recomputes it.
+// segment: the pane is unusable and the recovery ladder recomputes it.
 var ErrCorrupt = errors.New("colfmt: corrupt segment")
 
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-}
-
-// IsColumnar reports whether data begins with a columnar segment
-// magic. Empty data is columnar by convention: both encoders emit zero
-// bytes for zero records, so an empty pane decodes on either path.
-func IsColumnar(data []byte) bool {
-	if len(data) == 0 {
-		return true
-	}
-	if len(data) < 4 {
-		return false
-	}
-	var m [4]byte
-	copy(m[:], data)
-	return m == magicRecords || m == magicPairs
 }
 
 // AppendRecords appends one record segment holding recs to dst and
@@ -340,30 +323,9 @@ func DecodePairs(data []byte) ([]records.Pair, error) {
 	return out, nil
 }
 
-// DecodeRecordsAny decodes columnar data zero-copy and falls back to
-// the row format for legacy bytes (the row path copies, as it always
-// did). The dispatch is by magic prefix; the columnar magics are not
-// valid row framing for any pane this system writes.
-func DecodeRecordsAny(data []byte) ([]records.Record, error) {
-	if IsColumnar(data) {
-		return DecodeRecords(data)
-	}
-	return records.Decode(data)
-}
-
-// DecodePairsAny decodes columnar pair data zero-copy, falling back to
-// the row format for legacy bytes.
-func DecodePairsAny(data []byte) ([]records.Pair, error) {
-	if IsColumnar(data) {
-		return DecodePairs(data)
-	}
-	return records.DecodePairs(data)
-}
-
 // VisitRecords walks a file of concatenated record segments calling
 // fn(off, ts, payload) per record, where off is the file offset of the
-// record's payload start — the columnar analogue of the row format's
-// record offset, used for Hadoop-convention split bucketing ("a record
+// record's payload start, used for Hadoop-convention split bucketing ("a record
 // belongs to the split containing its first byte"). Offsets are
 // non-decreasing and always lie inside the record's own segment, so a
 // record is never attributed outside its pane. payload aliases data.

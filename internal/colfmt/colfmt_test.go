@@ -41,8 +41,7 @@ func genPairs(rng *rand.Rand, n int) []records.Pair {
 // TestRecordsRoundTrip is the round-trip property: for random batches
 // — including the zero-record and single-record panes the packer's
 // edge cases produce — encode→decode returns byte- and order-identical
-// records, and the columnar bytes decode to exactly what the row
-// format's decode of the row encoding yields.
+// records.
 func TestRecordsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -64,20 +63,13 @@ func TestRecordsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
-		rowGot, err := records.Decode(records.Encode(recs))
-		if err != nil {
-			t.Fatalf("trial %d: row decode: %v", trial, err)
-		}
-		if len(got) != len(recs) || len(rowGot) != len(recs) {
-			t.Fatalf("trial %d: decoded %d columnar / %d row records, want %d", trial, len(got), len(rowGot), n)
+		if len(got) != len(recs) {
+			t.Fatalf("trial %d: decoded %d records, want %d", trial, len(got), n)
 		}
 		for i := range recs {
 			if got[i].Ts != recs[i].Ts || !bytes.Equal(got[i].Data, recs[i].Data) {
 				t.Fatalf("trial %d: record %d mismatch: got (%d,%q) want (%d,%q)",
 					trial, i, got[i].Ts, got[i].Data, recs[i].Ts, recs[i].Data)
-			}
-			if rowGot[i].Ts != got[i].Ts || !bytes.Equal(rowGot[i].Data, got[i].Data) {
-				t.Fatalf("trial %d: record %d: columnar and row paths disagree", trial, i)
 			}
 		}
 		// Concatenated segments (one per pane in a shared group file)
@@ -93,7 +85,7 @@ func TestRecordsRoundTrip(t *testing.T) {
 }
 
 // TestPairsRoundTrip is the pair-schema half of the round-trip
-// property, against the row path's DecodePairs as the reference.
+// property.
 func TestPairsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -115,19 +107,12 @@ func TestPairsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
-		rowGot, err := records.DecodePairs(records.EncodePairs(pairs))
-		if err != nil {
-			t.Fatalf("trial %d: row decode: %v", trial, err)
-		}
-		if len(got) != len(pairs) || len(rowGot) != len(pairs) {
-			t.Fatalf("trial %d: decoded %d columnar / %d row pairs, want %d", trial, len(got), len(rowGot), n)
+		if len(got) != len(pairs) {
+			t.Fatalf("trial %d: decoded %d pairs, want %d", trial, len(got), n)
 		}
 		for i := range pairs {
 			if !bytes.Equal(got[i].Key, pairs[i].Key) || !bytes.Equal(got[i].Value, pairs[i].Value) {
 				t.Fatalf("trial %d: pair %d mismatch", trial, i)
-			}
-			if !bytes.Equal(rowGot[i].Key, got[i].Key) || !bytes.Equal(rowGot[i].Value, got[i].Value) {
-				t.Fatalf("trial %d: pair %d: columnar and row paths disagree", trial, i)
 			}
 		}
 	}
@@ -201,9 +186,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 
 	check := func(name string, data []byte) {
 		t.Helper()
-		if _, err := DecodeRecords(data); err == nil && !IsColumnar(data) {
-			t.Errorf("%s: DecodeRecords accepted non-columnar bytes", name)
-		} else if err != nil && !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeRecords(data); err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecodeRecords error %v does not wrap ErrCorrupt", name, err)
 		}
 		if _, err := DecodePairs(data); err != nil && !errors.Is(err, ErrCorrupt) {
@@ -269,7 +252,7 @@ func FuzzColumnarPane(f *testing.F) {
 	f.Add([]byte("RCR1"))
 	f.Add([]byte("RCR1\xff\xff\xff\xff"))
 	f.Add([]byte("RCP1\x00\x00\x00\x00"))
-	f.Add(records.Encode(genRecords(rng, 3))) // legacy row bytes
+	f.Add([]byte("\x02\x05alpha\x04\x00")) // varint row framing is not columnar
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, err := DecodeRecords(data)
@@ -318,10 +301,6 @@ func FuzzColumnarPane(f *testing.F) {
 		if (visitErr == nil) != (err == nil) {
 			t.Fatalf("VisitRecords and DecodeRecords disagree: %v vs %v", visitErr, err)
 		}
-		// The Any dispatchers must never panic either; row-fallback
-		// errors need not wrap ErrCorrupt.
-		_, _ = DecodeRecordsAny(data)
-		_, _ = DecodePairsAny(data)
 		_, _ = CountRecords(data)
 	})
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"redoop/internal/account"
 	"redoop/internal/colfmt"
-	"redoop/internal/lineage"
 	"redoop/internal/mapreduce"
 	"redoop/internal/parallel"
 	"redoop/internal/records"
@@ -164,7 +162,6 @@ func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, stats *map
 		mapShare = (mp.Stats.MapTime + rstats.ShuffleTime) / simtime.Duration(live)
 	}
 	refs = make([]cacheRef, R)
-	batches := e.linBatches(0, p)
 	for part := 0; part < R; part++ {
 		home := e.sched.HomeNode(part)
 		if home == nil {
@@ -181,22 +178,30 @@ func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, stats *map
 				recompute: mapShare + e.mr.Cost.Sort(rinBytes) + e.mr.Cost.DiskWrite(rinBytes)}
 			routMeta = cacheMeta{span: rr.Span, recompute: rr.End.Sub(rr.Start)}
 		}
-		rinPID := q.rinPID(0, e.frames[0].Pane, p, part)
-		if e.lin != nil {
-			rinMeta.lin = &linMeta{kind: "pane-rin", pane: int64(p), part: part, job: job.Name, batches: batches}
-		}
-		e.registerCacheFor(rinPID, ReduceInput, node, readyAt, rinData[part], e.rinUsers(0), rinMeta)
-		if e.lin != nil {
-			routMeta.lin = &linMeta{kind: "pane-rout", pane: int64(p), part: part, job: job.Name,
-				inputs: []lineage.InputRef{e.linInput(rinPID, ReduceInput)}}
-		}
-		refs[part] = e.registerCache(q.routPanePID(p, part), ReduceOutput, node, readyAt, routData[part], routMeta)
-		e.publishPaneRout(p, part, refs[part], routMeta.recompute)
+		refs[part] = e.registerAggPart(job.Name, p, part, node, readyAt, rinData[part], routData[part], rinMeta, routMeta)
 	}
 	if err := e.matrix.Update(p); err != nil {
 		return nil, false, recovered, err
 	}
 	return refs, false, recovered, nil
+}
+
+// registerAggPart registers partition part of pane p, freshly built by
+// job: its reduce-input cache, claimed by every query sharing the
+// source, then the reduce-output cache derived from it.
+func (e *Engine) registerAggPart(job string, p window.PaneID, part, node int, readyAt simtime.Time, rinData, routData []byte, rinMeta, routMeta cacheMeta) cacheRef {
+	rinMeta.pane, rinMeta.part, rinMeta.job = p, part, job
+	rin := e.registerCacheFor(e.query.rinPID(0, e.frames[0].Pane, p, part), ReduceInput, node, readyAt, rinData, e.rinUsers(0), rinMeta)
+	routMeta.job, routMeta.inputs = job, []cacheRef{rin}
+	return e.registerAggRout(p, part, node, readyAt, routData, routMeta)
+}
+
+// registerAggRout registers pane p's reduce-output cache for one
+// partition, built from this query's own inputs (meta.inputs) and so
+// advertised for cross-query reuse.
+func (e *Engine) registerAggRout(p window.PaneID, part, node int, readyAt simtime.Time, data []byte, meta cacheMeta) cacheRef {
+	meta.pane, meta.part, meta.publish = p, part, true
+	return e.registerCache(e.query.routPanePID(p, part), ReduceOutput, node, readyAt, data, meta)
 }
 
 // processAggPaneProactive executes one pane at sub-pane granularity
@@ -259,29 +264,17 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 	})
 
 	refs := make([]cacheRef, R)
-	batches := e.linBatches(0, p)
 	for part := 0; part < R; part++ {
 		home := e.sched.HomeNode(part)
 		if home == nil {
 			return nil, fmt.Errorf("core: no alive node to home partition %d", part)
 		}
-		rinPID := q.rinPID(0, e.frames[0].Pane, p, part)
 		if len(subOut[part]) == 0 {
-			var rinMeta, routMeta cacheMeta
-			if e.lin != nil {
-				rinMeta.lin = &linMeta{kind: "pane-rin", pane: int64(p), part: part, job: job.Name, batches: batches}
-			}
-			e.registerCacheFor(rinPID, ReduceInput, home.ID, trigger, nil, e.rinUsers(0), rinMeta)
-			if e.lin != nil {
-				routMeta.lin = &linMeta{kind: "pane-rout", pane: int64(p), part: part, job: job.Name,
-					inputs: []lineage.InputRef{e.linInput(rinPID, ReduceInput)}}
-			}
-			refs[part] = e.registerCache(q.routPanePID(p, part), ReduceOutput, home.ID, trigger, nil, routMeta)
-			e.publishPaneRout(p, part, refs[part], 0)
+			refs[part] = e.registerAggPart(job.Name, p, part, home.ID, trigger, nil, nil, cacheMeta{}, cacheMeta{})
 			continue
 		}
 		inBytes := records.PairsSize(subOut[part])
-		ct := e.runCacheTask(fmt.Sprintf("combine pane %d p%d", int64(p), part), account.PhaseCombine, readyAt[part],
+		ct := e.runCacheTask(fmt.Sprintf("combine pane %d p%d", int64(p), part), phaseCombine, readyAt[part],
 			[]cacheRef{{node: home.ID, bytes: inBytes, readyAt: readyAt[part]}},
 			e.mr.Cost.MergeTask(inBytes, int64(len(routData[part]))))
 		stats.ReduceTime += ct.dur
@@ -295,16 +288,7 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 			recompute: e.mr.Cost.Sort(rinBytes) + e.mr.Cost.DiskWrite(rinBytes)}
 		routMeta := cacheMeta{span: ct.span,
 			recompute: e.mr.Cost.ReduceTask(rinBytes, int64(len(routData[part])))}
-		if e.lin != nil {
-			rinMeta.lin = &linMeta{kind: "pane-rin", pane: int64(p), part: part, job: job.Name, batches: batches}
-		}
-		e.registerCacheFor(rinPID, ReduceInput, ct.node, ct.end, rinData[part], e.rinUsers(0), rinMeta)
-		if e.lin != nil {
-			routMeta.lin = &linMeta{kind: "pane-rout", pane: int64(p), part: part, job: job.Name,
-				inputs: []lineage.InputRef{e.linInput(rinPID, ReduceInput)}}
-		}
-		refs[part] = e.registerCache(q.routPanePID(p, part), ReduceOutput, ct.node, ct.end, routData[part], routMeta)
-		e.publishPaneRout(p, part, refs[part], routMeta.recompute)
+		refs[part] = e.registerAggPart(job.Name, p, part, ct.node, ct.end, rinData[part], routData[part], rinMeta, routMeta)
 		if ct.end > stats.End {
 			stats.End = ct.end
 		}
@@ -339,26 +323,22 @@ func (e *Engine) rebuildAggOutputs(p window.PaneID, trigger simtime.Time, rins [
 		},
 		func(part int) error {
 			rin := rins[part]
-			routMeta := cacheMeta{span: rin.span}
-			if e.lin != nil {
-				routMeta.lin = &linMeta{kind: "pane-rout", pane: int64(p), part: part,
-					inputs: []lineage.InputRef{e.linInput(rin.pid, ReduceInput)}}
-			}
+			// No job: the outputs come from cached inputs, not from a
+			// MapReduce job's task attempts.
+			routMeta := cacheMeta{span: rin.span, inputs: rins[part : part+1]}
 			if rin.bytes == 0 {
-				refs[part] = e.registerCache(q.routPanePID(p, part), ReduceOutput, rin.node, simtime.Max(rin.readyAt, trigger), nil, routMeta)
-				e.publishPaneRout(p, part, refs[part], 0)
+				refs[part] = e.registerAggRout(p, part, rin.node, simtime.Max(rin.readyAt, trigger), nil, routMeta)
 				return nil
 			}
 			outData := rebuilt[part]
-			ct := e.runCacheTask(fmt.Sprintf("rebuild pane %d p%d", int64(p), part), account.PhaseReduce, trigger, []cacheRef{rin},
+			ct := e.runCacheTask(fmt.Sprintf("rebuild pane %d p%d", int64(p), part), phaseReduce, trigger, []cacheRef{rin},
 				e.mr.Cost.ReduceTask(rin.bytes, int64(len(outData))))
 			stats.ReduceTime += ct.dur
 			stats.ReduceTasks++
 			stats.BytesCacheRead += rin.bytes
 			routMeta.span = ct.span
 			routMeta.recompute = ct.dur
-			refs[part] = e.registerCache(q.routPanePID(p, part), ReduceOutput, ct.node, ct.end, outData, routMeta)
-			e.publishPaneRout(p, part, refs[part], routMeta.recompute)
+			refs[part] = e.registerAggRout(p, part, ct.node, ct.end, outData, routMeta)
 			if ct.end > stats.End {
 				stats.End = ct.end
 			}
@@ -420,7 +400,7 @@ func (e *Engine) finalizeAggWindow(lo, hi window.PaneID, trigger simtime.Time, r
 		if len(fp.caches) == 0 {
 			continue
 		}
-		ct := e.runCacheTask(fmt.Sprintf("finalize p%d", part), account.PhaseReduce, trigger, fp.caches, e.mr.Cost.MergeTask(fp.inBytes, fp.outBytes))
+		ct := e.runCacheTask(fmt.Sprintf("finalize p%d", part), phaseReduce, trigger, fp.caches, e.mr.Cost.MergeTask(fp.inBytes, fp.outBytes))
 		stats.ReduceTime += ct.dur
 		stats.ReduceTasks++
 		stats.BytesCacheRead += fp.inBytes

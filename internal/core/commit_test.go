@@ -1,0 +1,368 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"redoop/internal/account"
+	"redoop/internal/lineage"
+	"redoop/internal/mapreduce"
+	"redoop/internal/obs"
+	"redoop/internal/records"
+	"redoop/internal/reuse"
+	"redoop/internal/simtime"
+	"redoop/internal/window"
+)
+
+// Tests of the commit seam: the stream is the same at any worker
+// width, every cache transition appears in it exactly once, and an
+// engine without sidecars pays nothing for it.
+
+func internalJoinQuery(win, slide simtime.Duration) *Query {
+	tag := func(t string) mapreduce.MapFunc {
+		return func(_ int64, payload []byte, emit mapreduce.Emitter) {
+			i := bytes.IndexByte(payload, ':')
+			emit(append([]byte(nil), payload[:i]...), append([]byte(t+"|"), payload[i+1:]...))
+		}
+	}
+	return &Query{
+		Name: "join",
+		Sources: []Source{
+			{Name: "S1", Spec: window.NewTimeSpec(win, slide)},
+			{Name: "S2", Spec: window.NewTimeSpec(win, slide)},
+		},
+		Maps: []mapreduce.MapFunc{tag("A"), tag("B")},
+		Reduce: func(key []byte, values [][]byte, emit mapreduce.Emitter) {
+			var as, bs int
+			for _, v := range values {
+				if v[0] == 'A' {
+					as++
+				} else {
+					bs++
+				}
+			}
+			if as > 0 && bs > 0 {
+				emit(key, []byte(fmt.Sprintf("%d", as*bs)))
+			}
+		},
+		NumReducers: 2,
+	}
+}
+
+func internalKV(seed int64, slide simtime.Duration, slideIdx, n, keys int) []records.Record {
+	rng := rand.New(rand.NewSource(seed + int64(slideIdx)))
+	base := int64(slideIdx) * int64(slide)
+	out := make([]records.Record, n)
+	for i := range out {
+		out[i] = records.Record{
+			Ts:   base + rng.Int63n(int64(slide)),
+			Data: []byte(fmt.Sprintf("k%02d:%d", rng.Intn(keys), i)),
+		}
+	}
+	return out
+}
+
+// seamRun is one engine with every sidecar attached and a recording
+// fold appended behind the real consumers.
+type seamRun struct {
+	eng    *Engine
+	ledger *account.Ledger
+	stream []commit
+}
+
+// recordCommits appends a fold that keeps a copy of every record. Span
+// IDs are zeroed: they are tracer state, not part of the transition.
+func recordCommits(e *Engine, into *[]commit) {
+	e.folds = append(e.folds, func(c *commit) {
+		cp := *c
+		cp.inputs = append([]cacheRef(nil), c.inputs...)
+		for i := range cp.inputs {
+			cp.inputs[i].span = 0
+		}
+		*into = append(*into, cp)
+	})
+}
+
+func newSeamRun(q *Query, workers int, limit int64, withReuse bool, setup func(*Engine)) *seamRun {
+	mr := internalRig(3, 17)
+	mr.Workers = workers
+	r := &seamRun{ledger: account.New()}
+	cfg := Config{MR: mr, Query: q, Obs: obs.New(), Account: r.ledger,
+		Lineage: lineage.New(0), CacheDiskLimit: limit}
+	if withReuse {
+		cfg.Reuse = reuse.NewIndex(0)
+	}
+	r.eng = MustNewEngine(cfg)
+	recordCommits(r.eng, &r.stream)
+	if setup != nil {
+		setup(r.eng)
+	}
+	return r
+}
+
+// drive runs windows recurrences, feeding every source one batch per
+// slide; before, when set, runs ahead of each trigger.
+func (r *seamRun) drive(t *testing.T, windows int, slide simtime.Duration, gen func(src, slideIdx int) []records.Record, before func(rec int)) {
+	t.Helper()
+	q := r.eng.query
+	fed := 0
+	for rec := 0; rec < windows; rec++ {
+		for ; int64(fed)*int64(slide) < q.Spec().WindowClose(rec); fed++ {
+			for src := range q.Sources {
+				if err := r.eng.Ingest(src, gen(src, fed)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if before != nil {
+			before(rec)
+		}
+		if _, err := r.eng.RunNext(); err != nil {
+			t.Fatalf("recurrence %d: %v", rec, err)
+		}
+	}
+}
+
+func kindCounts(stream []commit) map[commitKind]int {
+	n := make(map[commitKind]int)
+	for _, c := range stream {
+		n[c.kind]++
+	}
+	return n
+}
+
+// seamScenarios are the three runs the seam is pinned on: a plain
+// aggregation, a join, and an aggregation under cache loss with a disk
+// limit tight enough that cost-based replacement fires. setup, when
+// set, sees the engine before its first batch.
+var seamScenarios = []struct {
+	name string
+	run  func(t *testing.T, workers int, setup func(*Engine)) *seamRun
+	want []commitKind // kinds the scenario must exercise
+}{
+	{
+		name: "agg",
+		run: func(t *testing.T, workers int, setup func(*Engine)) *seamRun {
+			win, slide := 40*simtime.Second, 10*simtime.Second
+			r := newSeamRun(internalCountQuery(win, slide), workers, 0, true, setup)
+			r.drive(t, 6, slide, func(_, s int) []records.Record { return internalWords(19, slide, s, 300, 8) }, nil)
+			return r
+		},
+		want: []commitKind{kindIngested, kindStart, kindRegistered, kindHit, kindMiss, kindLoaded,
+			kindCharged, kindExpired, kindRetired, kindWindow, kindFinish},
+	},
+	{
+		name: "join",
+		run: func(t *testing.T, workers int, setup func(*Engine)) *seamRun {
+			win, slide := 30*simtime.Second, 10*simtime.Second
+			r := newSeamRun(internalJoinQuery(win, slide), workers, 0, false, setup)
+			r.drive(t, 5, slide, func(src, s int) []records.Record { return internalKV(int64(23+src), slide, s, 120, 6) }, nil)
+			return r
+		},
+		want: []commitKind{kindRegistered, kindHit, kindMiss, kindLoaded, kindCharged, kindExpired, kindWindow},
+	},
+	{
+		name: "chaos",
+		run: func(t *testing.T, workers int, setup func(*Engine)) *seamRun {
+			win, slide := 40*simtime.Second, 10*simtime.Second
+			r := newSeamRun(internalCountQuery(win, slide), workers, 300, false, setup)
+			r.drive(t, 8, slide, func(_, s int) []records.Record { return internalWords(19, slide, s, 300, 8) },
+				func(rec int) {
+					if rec == 3 || rec == 5 {
+						r.eng.mr.Cluster.DropLocal(rec%3, "cache/")
+					}
+				})
+			return r
+		},
+		want: []commitKind{kindLost, kindEvicted, kindRegistered, kindExpired},
+	},
+}
+
+// TestCommitStreamIdenticalAcrossWorkers: the whole stream — kinds,
+// order and every field — does not depend on the compute pool's width.
+func TestCommitStreamIdenticalAcrossWorkers(t *testing.T) {
+	for _, sc := range seamScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			serial, wide := sc.run(t, 1, nil).stream, sc.run(t, 4, nil).stream
+			counts := kindCounts(serial)
+			for _, k := range sc.want {
+				if counts[k] == 0 {
+					t.Errorf("scenario never committed a %v; the check is vacuous for it", k)
+				}
+			}
+			if len(serial) != len(wide) {
+				t.Fatalf("stream lengths differ: %d at 1 worker, %d at 4", len(serial), len(wide))
+			}
+			for i := range serial {
+				if !reflect.DeepEqual(serial[i], wide[i]) {
+					t.Fatalf("commit %d differs:\n1 worker:  %v %+v\n4 workers: %v %+v",
+						i, serial[i].kind, serial[i], wide[i].kind, wide[i])
+				}
+			}
+		})
+	}
+}
+
+// TestCommitExactlyOnce reconciles the stream against the two parties
+// that see cache transitions independently of it: the controller
+// (every ready-state change and purge, through its hooks) and the
+// ledger (every residency opened and closed).
+func TestCommitExactlyOnce(t *testing.T) {
+	type key struct {
+		pid string
+		typ CacheType
+	}
+	for _, sc := range seamScenarios[1:] { // no reuse index: the purge hook is ours
+		t.Run(sc.name, func(t *testing.T) {
+			available := make(map[key]int)
+			rollbacks := make(map[key]int)
+			purges := make(map[key]int)
+			r := sc.run(t, 1, func(e *Engine) {
+				e.ctrl.SetTransitionHook(func(pid string, typ CacheType, from, to Ready) {
+					switch {
+					case to == CacheAvailable:
+						available[key{pid, typ}]++
+					case from == CacheAvailable && to == HDFSAvailable:
+						rollbacks[key{pid, typ}]++
+					}
+				})
+				e.ctrl.SetPurgeHook(func(pid string, typ CacheType) { purges[key{pid, typ}]++ })
+			})
+
+			registered := make(map[key]int)
+			rolled := make(map[key]int)
+			expired := make(map[key]int)
+			open := make(map[key]bool)
+			opens, closes := 0, 0
+			for _, c := range r.stream {
+				k := key{c.pid, c.typ}
+				switch c.kind {
+				case kindRegistered:
+					registered[k]++
+					if open[k] {
+						closes++ // a refresh closes the old residency
+					}
+					open[k] = true
+					opens++
+				case kindLost, kindEvicted:
+					rolled[k]++
+				case kindExpired:
+					expired[k]++
+				}
+				if c.kind == kindLost || c.kind == kindEvicted || c.kind == kindExpired {
+					if open[k] {
+						closes++
+						delete(open, k)
+					}
+				}
+			}
+			if !reflect.DeepEqual(registered, available) {
+				t.Errorf("registered commits %v != controller transitions to cache-available %v", registered, available)
+			}
+			if !reflect.DeepEqual(rolled, rollbacks) {
+				t.Errorf("lost+evicted commits %v != controller 2→1 rollbacks %v", rolled, rollbacks)
+			}
+			if !reflect.DeepEqual(expired, purges) {
+				t.Errorf("expired commits %v != controller purges %v", expired, purges)
+			}
+			costs := r.ledger.Snapshot()
+			if len(costs) != 1 {
+				t.Fatalf("ledger holds %d accounts, want 1", len(costs))
+			}
+			if costs[0].CacheRegistered != opens || costs[0].CacheExpired != closes || costs[0].OpenResidencies != len(open) {
+				t.Errorf("ledger opened/closed/open = %d/%d/%d, stream says %d/%d/%d",
+					costs[0].CacheRegistered, costs[0].CacheExpired, costs[0].OpenResidencies, opens, closes, len(open))
+			}
+			for _, res := range r.ledger.OpenResidencies() {
+				if !open[key{res.PID, CacheType(res.Type)}] {
+					t.Errorf("ledger residency %s|%d is open but the stream closed it", res.PID, res.Type)
+				}
+			}
+		})
+	}
+}
+
+// TestCommitFreeWithoutSidecars: with every Config sidecar nil the only
+// consumer is the engine's private health monitor, which looks at
+// nothing but the recurrence's final commit — a cache transition costs
+// a call and no allocation.
+func TestCommitFreeWithoutSidecars(t *testing.T) {
+	eng := MustNewEngine(Config{MR: internalRig(3, 17), Query: internalCountQuery(40*simtime.Second, 10*simtime.Second)})
+	if len(eng.folds) != 1 {
+		t.Fatalf("engine without sidecars has %d consumers, want only health", len(eng.folds))
+	}
+	data := []byte("payload")
+	inputs := []cacheRef{{pid: "in", typ: ReduceInput}}
+	allocs := testing.AllocsPerRun(200, func() {
+		eng.commit(commit{kind: kindHit, at: 5, pid: "p", typ: ReduceOutput, node: 1, bytes: 7})
+		eng.commit(commit{kind: kindRegistered, at: 5, pid: "p", typ: ReduceOutput, node: 1, from: -1,
+			bytes: 7, cost: 3, data: data, pane: 2, part: 1, inputs: inputs, publish: true})
+		eng.commit(commit{kind: kindCharged, phase: phaseReduce, cost: 9})
+	})
+	if allocs != 0 {
+		t.Fatalf("commit allocates %.1f times per call group with no sidecars attached", allocs)
+	}
+	// The parked record must not outlive the call: it would pin the
+	// payload (or a whole window's output) until the next commit.
+	if eng.pending.data != nil || eng.pending.inputs != nil {
+		t.Fatal("commit left its record parked in the engine")
+	}
+}
+
+// TestReplacementBookkeepingBounded is the regression test for the
+// evictable-set leak: the engine used to remember every reduce-input
+// pid it ever registered and forget them only inside a replacement
+// scan, which never runs without a disk limit or under one that is
+// never exceeded. Replacement candidates are now derived from
+// controller and registry state, so after 200 recurrences at overlap
+// 0.9 everything a scan looks at is proportional to the live panes.
+func TestReplacementBookkeepingBounded(t *testing.T) {
+	win, slide := 100*simtime.Second, 10*simtime.Second
+	const panesPerWindow = 10
+	for _, limit := range []int64{0, 1 << 40} {
+		t.Run(fmt.Sprintf("limit%d", limit), func(t *testing.T) {
+			q := internalCountQuery(win, slide)
+			eng := MustNewEngine(Config{MR: internalRig(3, 17), Query: q, CacheDiskLimit: limit})
+			fed := 0
+			for rec := 0; rec < 200; rec++ {
+				for ; int64(fed)*int64(slide) < q.Spec().WindowClose(rec); fed++ {
+					if err := eng.Ingest(0, internalWords(19, slide, fed, 40, 8)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := eng.RunNext(); err != nil {
+					t.Fatalf("recurrence %d: %v", rec, err)
+				}
+			}
+			live := panesPerWindow * q.NumReducers
+			candidates, rows := 0, 0
+			for _, m := range eng.managers {
+				candidates += len(eng.candidatesOn(m.Registry))
+				rows += len(m.Registry.Entries())
+			}
+			if candidates == 0 || candidates > live {
+				t.Errorf("%d replacement candidates after 200 recurrences, want 1..%d (live panes × reducers)", candidates, live)
+			}
+			if sigs := len(eng.ctrl.Signatures()); sigs > 2*live || rows > 2*live {
+				t.Errorf("%d signatures and %d registry rows after 200 recurrences, want ≤ %d (rin+rout per live pane partition)", sigs, rows, 2*live)
+			}
+			if n := len(eng.EvictionLog()); n != 0 {
+				t.Errorf("limit %d evicted %d caches; the scenario is meant never to hit it", limit, n)
+			}
+		})
+	}
+}
+
+// String names the kind, for test failure messages.
+func (k commitKind) String() string {
+	names := [...]string{"ingested", "start", "registered", "hit", "miss", "lost",
+		"crosshit", "reused", "stale", "loaded", "charged", "expired", "evicted",
+		"retired", "window", "replan", "finish"}
+	if int(k) < len(names) {
+		return names[k]
+	}
+	return fmt.Sprintf("commitKind(%d)", int(k))
+}

@@ -1,0 +1,548 @@
+package core
+
+import (
+	"redoop/internal/account"
+	"redoop/internal/colfmt"
+	"redoop/internal/health"
+	"redoop/internal/lineage"
+	"redoop/internal/obs"
+	"redoop/internal/obs/eventlog"
+	"redoop/internal/records"
+	"redoop/internal/reuse"
+	"redoop/internal/simtime"
+	"redoop/internal/window"
+)
+
+// The commit seam. The engine is a small state machine — a cache moves
+// HDFS-available → cache-available → expired (§4), with the §5 rollback
+// on loss — and every observer wants to hear about exactly those
+// transitions. The engine describes each transition once, as a commit
+// record, at the serial point where it takes effect; every sidecar
+// (metrics + flight recorder, cost ledger, provenance store, reuse
+// index, SLO monitor) is a fold over that stream, and nothing else in
+// the package writes into one. DESIGN.md "Commit seam" has the
+// rationale and the calls that deliberately stay direct.
+
+// commitKind names one transition; the comments list the commit fields
+// that carry it beyond pid/typ/node/bytes/at.
+type commitKind uint8
+
+const (
+	kindIngested commitKind = iota // batch recs delivered to source src
+	kindStart                      // recurrence triggered over panes [pane, paneHi]
+	// kindRegistered: bytes stored on node, signature cache-available.
+	// from is the previous home (-1: no signature), so from != node is
+	// a re-home; cost is the recompute a later hit avoids.
+	kindRegistered
+	kindHit  // lookup found signature and bytes
+	kindMiss // lookup found no cache-available signature
+	// kindLost: lookup found the signature but not the bytes (§5);
+	// committed before the controller rolls the ready bit back.
+	kindLost
+	kindCrossHit // another query's cache pid feeds a reuse copy/merge
+	// kindReused: own pane output pid, just registered, came from
+	// inputs[0], another query's cache on node from; mode exact|subsume.
+	kindReused
+	kindStale   // a reuse advertisement of pid has no resident bytes behind it
+	kindLoaded  // cache task on node read pid ("" = uncached intermediate) at cost
+	kindCharged // cost of phase work; bytes of traffic on a phaseShuffle charge
+	kindExpired // controller purged pid: this query retired it, no consumer remains
+	kindEvicted // replacement removed unexpired pid; cost is the recompute it ranked on
+	kindRetired // panes [pane, paneHi) of source src left every window
+	kindWindow  // recurrence emitted its window (res, forecast)
+	kindReplan  // source src re-planned (subPanes, proactive, forecast, deadline)
+	kindFinish  // recurrence settled: expiry, purge, replacement, re-plan all done
+)
+
+// phase labels the compute bucket of a kindCharged commit; the values
+// are the ledger's own, so its fold passes them straight through.
+type phase = account.Phase
+
+const (
+	phaseCombine   = account.PhaseCombine
+	phaseShuffle   = account.PhaseShuffle
+	phaseSort      = account.PhaseSort
+	phaseReduce    = account.PhaseReduce
+	phaseCacheLoad = account.PhaseCacheLoad
+)
+
+// commit is one record of the seam: the union of what the consumers
+// read. Which fields are meaningful depends on kind; the rest stay
+// zero.
+type commit struct {
+	kind commitKind
+	at   simtime.Time // the transition's virtual instant
+	rec  int          // recurrence in flight, stamped by Engine.commit
+
+	// Cache identity, placement and cost (recompute, load or charge).
+	pid   string
+	typ   CacheType
+	node  int
+	from  int
+	bytes int64
+	cost  simtime.Duration
+	local bool
+	phase phase
+
+	// Provenance of a registration: the source pane and partition the
+	// bytes belong to, the job that built them, the caches they derive
+	// from, the payload, and whether the entry is a fresh build worth
+	// advertising for cross-query reuse.
+	src          int
+	pane, paneHi window.PaneID
+	part         int
+	job          string
+	inputs       []cacheRef
+	data         []byte
+	publish      bool
+	mode         string
+
+	recs []records.Record
+
+	// Recurrence summary. forecast is the Holt forecast made for this
+	// recurrence (-1 before warm-up) or the one driving a re-plan;
+	// newest and covered are the ingestion watermark and the window's
+	// close unit.
+	res             *RecurrenceResult
+	forecast        simtime.Duration
+	deadline        simtime.Duration
+	subPanes        int
+	proactive       bool
+	replanned       bool
+	newest, covered int64
+}
+
+// commit hands one transition to every consumer, in the fixed order
+// attachConsumers built. It must only be called from the engine's
+// serial commit points: the order of calls is the order of flight-
+// recorder sequence numbers, ledger sums and lineage seqs, which is
+// what makes them independent of the worker count. The record is
+// parked in the engine so handing its address to the folds does not
+// heap-allocate one per commit, and cleared afterwards so it does not
+// pin a window's output until the next one.
+func (e *Engine) commit(c commit) {
+	c.rec = e.next
+	e.pending = c
+	for _, f := range e.folds {
+		f(&e.pending)
+	}
+	e.pending = commit{}
+}
+
+// attachConsumers wires the Config's sidecars to the engine and builds
+// the fold list. The order — observer, ledger, lineage, reuse, health —
+// is load-bearing: the flight recorder's sequence numbers are shared,
+// and a registration's cache.register precedes the lineage fold's
+// lineage.derived; the ledger has opened a residency before the reuse
+// index consults the query's cache ROI while publishing it, and has
+// advanced its accrual watermark before the health sample reads the
+// query's byte·seconds.
+func (e *Engine) attachConsumers(cfg Config, dataDir string) {
+	q, mr := e.query, e.mr
+	if e.obs != nil {
+		e.folds = append(e.folds, e.obsFold())
+	}
+	// A shared ledger keeps whatever observer it already has; an engine
+	// only fills in a missing one. The engine claims its DFS data
+	// directory so reads/writes/replication under it are attributed to
+	// this query, and propagates the ledger to the MapReduce runtime so
+	// task execution charges land on the same accounts.
+	e.acct = cfg.Account
+	e.acctName = e.acct.Register(q.Name, q.TenantID)
+	e.residency = residencyOf(e.acct)
+	if l := e.acct; l != nil {
+		if l.Observer() == nil && e.obs != nil {
+			l.SetObserver(e.obs)
+		}
+		if mr.Account == nil {
+			mr.Account = l
+		}
+		mr.DFS.SetAccount(l)
+		mr.DFS.AttributePrefix(dataDir+"/", e.acctName)
+		e.folds = append(e.folds, e.ledgerFold(l))
+	}
+	// The plan fingerprints are computed unconditionally — they are the
+	// reuse seam — but only recorded when a store is attached. The store
+	// is propagated to the MapReduce runtime (task-attempt provenance)
+	// and the DFS (pane-file replica history, bounded to this query's
+	// data directory).
+	plan := lineagePlan(q, e.frames)
+	e.planFP = lineage.Fingerprint(plan)
+	e.opFP = lineage.OpFingerprint(plan)
+	e.lin = cfg.Lineage
+	if s := e.lin; s != nil {
+		s.RecordPlan(e.planFP, plan)
+		if mr.Lineage == nil {
+			mr.Lineage = s
+		}
+		mr.DFS.SetLineage(s)
+		mr.DFS.LineagePrefix(dataDir + "/")
+		e.folds = append(e.folds, e.lineageFold(s))
+	}
+	// Engines sharing one controller share one index, and each install
+	// of the purge hook / ROI signal replaces an equivalent closure. The
+	// hook keeps the index honest — a purged or dropped signature can
+	// never linger as an advertised reuse source.
+	if idx := cfg.Reuse; idx != nil {
+		e.reuseIdx = idx
+		e.ctrl.SetPurgeHook(func(pid string, typ CacheType) {
+			idx.DropPID(pid, int(typ))
+		})
+		if l := e.acct; l != nil {
+			idx.SetROI(func(query string) float64 { return l.CacheROI(query) })
+		}
+		e.folds = append(e.folds, e.reuseFold(idx))
+	}
+	// The SLO monitor follows the same sharing rules. The deadline is
+	// the slide — the instant the next window is due — for time-based
+	// windows; count-based windows carry none.
+	mon := cfg.Health
+	if mon == nil {
+		mon = health.NewMonitor(health.DefaultConfig())
+	}
+	if mon.Observer() == nil && e.obs != nil {
+		mon.SetObserver(e.obs)
+	}
+	e.healthMon = mon
+	var deadline simtime.Duration
+	if q.Spec().Kind == window.TimeBased {
+		deadline = simtime.Duration(q.Spec().Slide)
+	}
+	e.healthTrk = mon.Register(q.Name, deadline)
+	e.folds = append(e.folds, e.healthFold())
+}
+
+// residencyOf adapts the ledger's open-residency features — the
+// recompute cost stored at registration and the hits since — to the
+// function value cost-based replacement ranks victims on. A missing
+// residency, or a nil ledger, yields zeros.
+func residencyOf(l *account.Ledger) func(pid string, typ CacheType) (recomputeNS int64, hits int) {
+	return func(pid string, typ CacheType) (int64, int) {
+		f, _ := l.Residency(pid, int(typ))
+		return f.RecomputeNS, f.Hits
+	}
+}
+
+// cacheData renders a cache commit as the flight recorder's payload.
+func (c *commit) cacheData() eventlog.CacheData {
+	return eventlog.CacheData{
+		PID: c.pid, CacheType: c.typ.String(), Node: c.node,
+		Bytes: c.bytes, Recurrence: c.rec, RecomputeNS: int64(c.cost),
+	}
+}
+
+// obsFold counts the transitions and writes them to the flight
+// recorder. Trace spans and instants are not here: span IDs are data
+// the engine threads through cacheRef, so the tracer is called
+// directly where the task is scheduled.
+func (e *Engine) obsFold() func(*commit) {
+	o, qname := e.obs, e.query.Name
+	lookup := func(c *commit, result string, typ eventlog.Type) {
+		o.Counter("redoop_cache_lookups_total",
+			obs.L("result", result), obs.L("type", c.typ.String())).Inc()
+		o.Emit(c.at, typ, qname, c.cacheData())
+	}
+	return func(c *commit) {
+		switch c.kind {
+		case kindStart:
+			o.Emit(c.at, eventlog.RecurrenceStart, qname, eventlog.RecurrenceStartData{
+				Recurrence: c.rec, WindowLo: int64(c.pane), WindowHi: int64(c.paneHi),
+			})
+		case kindRegistered:
+			o.Emit(c.at, eventlog.CacheRegister, qname, c.cacheData())
+		case kindHit:
+			lookup(c, "hit", eventlog.CacheHit)
+		case kindMiss:
+			lookup(c, "miss", eventlog.CacheMiss)
+		case kindLost:
+			lookup(c, "lost", eventlog.CacheLost)
+		case kindReused:
+			o.Counter("redoop_reuse_hits_total",
+				obs.L("query", qname), obs.L("kind", c.mode)).Inc()
+			o.Emit(c.at, eventlog.CacheHit, qname, c.cacheData())
+		case kindLoaded:
+			locality := "remote"
+			if c.local {
+				locality = "local"
+			}
+			o.Counter("redoop_cache_read_bytes_total", obs.L("locality", locality)).Add(float64(c.bytes))
+			if c.pid != "" {
+				o.Emit(c.at, eventlog.CacheLoad, qname, eventlog.CacheLoadData{
+					PID: c.pid, Node: c.node, Local: c.local, Bytes: c.bytes,
+					LoadNS: int64(c.cost), Recurrence: c.rec,
+				})
+			}
+		case kindEvicted:
+			o.Counter("redoop_cache_evictions_total").Inc()
+			o.Emit(c.at, eventlog.CacheEvict, qname, c.cacheData())
+		case kindRetired:
+			if o.EmitEnabled() {
+				panes := make([]int64, 0, int(c.paneHi-c.pane))
+				for p := c.pane; p < c.paneHi; p++ {
+					panes = append(panes, int64(p))
+				}
+				o.Emit(c.at, eventlog.PaneRetire, qname, eventlog.PaneRetireData{Source: c.src, Panes: panes})
+			}
+		case kindWindow:
+			res := c.res
+			mode := "reactive"
+			if res.Proactive {
+				mode = "proactive"
+			}
+			o.Counter("redoop_recurrences_total", obs.L("query", qname), obs.L("mode", mode)).Inc()
+			o.Histogram("redoop_recurrence_seconds", obs.L("query", qname)).Observe(res.ResponseTime.Seconds())
+			o.Counter("redoop_panes_total", obs.L("query", qname), obs.L("kind", "new")).Add(float64(res.NewPanes))
+			o.Counter("redoop_panes_total", obs.L("query", qname), obs.L("kind", "reused")).Add(float64(res.ReusedPanes))
+			o.Counter("redoop_pane_pairs_total", obs.L("query", qname), obs.L("kind", "new")).Add(float64(res.NewPairs))
+			o.Counter("redoop_pane_pairs_total", obs.L("query", qname), obs.L("kind", "reused")).Add(float64(res.ReusedPairs))
+			o.Counter("redoop_cache_recoveries_total", obs.L("query", qname)).Add(float64(res.CacheRecoveries))
+			o.Emit(c.at, eventlog.RecurrenceFinish, qname, eventlog.RecurrenceFinishData{
+				Recurrence:      c.rec,
+				ResponseNS:      int64(res.ResponseTime),
+				ForecastNS:      int64(c.forecast),
+				NewPanes:        res.NewPanes,
+				ReusedPanes:     res.ReusedPanes,
+				NewPairs:        res.NewPairs,
+				ReusedPairs:     res.ReusedPairs,
+				CacheRecoveries: res.CacheRecoveries,
+				Proactive:       res.Proactive,
+				SubPanes:        res.SubPanes,
+			})
+		case kindReplan:
+			o.Counter("redoop_replans_total", obs.L("query", qname)).Inc()
+			o.Emit(c.at, eventlog.Replan, qname, eventlog.ReplanData{
+				Recurrence: c.rec,
+				Source:     c.src,
+				SubPanes:   c.subPanes,
+				Proactive:  c.proactive,
+				ForecastNS: int64(c.forecast),
+				DeadlineNS: int64(c.deadline),
+			})
+		}
+	}
+}
+
+// ledgerFold attributes costs: residency intervals open and close with
+// the cache lifecycle, hits credit the stored recompute cost net of the
+// load actually paid, and charges land in their phase buckets.
+func (e *Engine) ledgerFold(l *account.Ledger) func(*commit) {
+	name := e.acctName
+	return func(c *commit) {
+		switch c.kind {
+		case kindRegistered:
+			// A refresh or re-homing of the same pid closes the old
+			// interval ledger-side, so byte·seconds never double-count.
+			l.CacheRegistered(name, c.pid, int(c.typ), c.bytes, c.at, c.cost)
+		case kindHit:
+			l.CacheHit(name, c.pid, int(c.typ), c.at)
+		case kindCrossHit:
+			l.CacheHitCross(name, c.pid, int(c.typ), c.at)
+		case kindLoaded:
+			// Nets a hit's saving by the load actually paid (no-op for
+			// caches that were not hit this recurrence).
+			if c.pid != "" {
+				l.CacheLoaded(c.pid, int(c.typ), c.cost)
+			}
+		case kindCharged:
+			l.AddCompute(name, c.phase, c.cost)
+			l.AddIO(name, account.IOShuffle, c.bytes)
+		case kindLost, kindExpired, kindEvicted:
+			// A loss closes the residency at discovery time — the
+			// earliest instant the runtime can know about it.
+			l.CacheExpired(c.pid, int(c.typ), c.at)
+		case kindFinish:
+			// Open residencies accrue byte·seconds through the work
+			// just done.
+			l.Advance(c.at)
+		}
+	}
+}
+
+// lineageFold records provenance: a derivation node per cache
+// registration and emitted window, with the raw batches (reduce inputs)
+// or upstream derivations (everything else) it was built from resolved
+// here from the commit's source/pane/inputs, and a copy history that
+// follows the cache through hits, re-homes, losses and expiry.
+func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
+	q, o := e.query, e.obs
+	// Every partition of a pane claims the same batches; remember the
+	// last answer until ingestion (or another engine's, seen at the next
+	// trigger) can have changed it.
+	var memo []lineage.BatchRef
+	memoSrc, memoPane := -1, window.PaneID(0)
+	batches := func(src int, p window.PaneID) []lineage.BatchRef {
+		if memoSrc != src || memoPane != p {
+			memo = s.BatchesForPane(e.acctName, q.Sources[src].Name, int64(p))
+			memoSrc, memoPane = src, p
+		}
+		return memo
+	}
+	// input references an upstream derivation, carrying its insertion
+	// seq so closure checks can tell a legitimately evicted input from
+	// a bookkeeping hole.
+	input := func(pid string, typ CacheType) lineage.InputRef {
+		id := lineage.DerivID(pid, int(typ))
+		seq, _ := s.Seq(id)
+		return lineage.InputRef{ID: id, Seq: seq}
+	}
+	derivID := func(c *commit) string { return lineage.DerivID(c.pid, int(c.typ)) }
+	return func(c *commit) {
+		switch c.kind {
+		case kindIngested:
+			// Which contiguous record-index runs land in which pane.
+			// Ingest calls are serial per the data model, so the per-
+			// source batch sequence is deterministic.
+			frame := e.frames[c.src]
+			var runs []lineage.PaneRange
+			start, cur := 0, frame.PaneOf(c.recs[0].Ts)
+			for i := 1; i < len(c.recs); i++ {
+				if p := frame.PaneOf(c.recs[i].Ts); p != cur {
+					runs = append(runs, lineage.PaneRange{Pane: int64(cur), R: lineage.Range{Lo: start, Hi: i}})
+					start, cur = i, p
+				}
+			}
+			runs = append(runs, lineage.PaneRange{Pane: int64(cur), R: lineage.Range{Lo: start, Hi: len(c.recs)}})
+			s.RecordBatch(e.acctName, q.Sources[c.src].Name, len(c.recs), runs)
+			memoSrc = -1
+		case kindStart:
+			memoSrc = -1
+		case kindRegistered:
+			id := derivID(c)
+			d := lineage.Derivation{
+				ID: id, Query: e.acctName, Fingerprint: e.planFP,
+				Recurrence: c.rec, Pane: int64(c.pane), Part: c.part,
+				Bytes: c.bytes, SHA: lineage.SHA(c.data),
+				CostNS: int64(c.cost), Job: c.job,
+			}
+			switch {
+			case c.typ == ReduceInput:
+				d.Kind, d.Batches = "pane-rin", batches(c.src, c.pane)
+			case len(q.Sources) == 1:
+				d.Kind = "pane-rout"
+			default:
+				d.Kind = "tuple-rout"
+			}
+			for _, in := range c.inputs {
+				d.Inputs = append(d.Inputs, input(in.pid, in.typ))
+			}
+			rebuilt, cause := s.RecordDerivation(d)
+			ev := lineage.CopyEvent{Kind: "register", Node: c.node, AtNS: int64(c.at)}
+			if c.from >= 0 && c.from != c.node {
+				ev = lineage.CopyEvent{Kind: "rehome", Node: c.node, From: c.from, AtNS: int64(c.at)}
+				o.Emit(c.at, eventlog.LineageCopyRehome, q.Name, eventlog.LineageRehomeData{
+					ID: id, From: c.from, To: c.node,
+				})
+			}
+			s.AddCopy(id, ev)
+			if rebuilt {
+				o.Emit(c.at, eventlog.LineageRebuild, q.Name, eventlog.LineageRebuildData{
+					ID: id, Kind: d.Kind, Cause: cause,
+				})
+			} else {
+				o.Emit(c.at, eventlog.LineageDerived, q.Name, eventlog.LineageDerivedData{
+					ID: id, Kind: d.Kind, Pane: d.Pane, Part: d.Part,
+					Bytes: d.Bytes, Fingerprint: e.planFP,
+				})
+			}
+		case kindHit:
+			s.AddCopy(derivID(c), lineage.CopyEvent{Kind: "hit", Node: c.node, AtNS: int64(c.at)})
+		case kindReused:
+			// The derivation was just recorded by the registration, with
+			// the producer's derivation as its input; stamp both copy
+			// histories with the reuse.
+			prod := c.inputs[0]
+			s.AddCopy(derivID(c), lineage.CopyEvent{Kind: "reuse", Node: c.node, From: c.from, AtNS: int64(c.at)})
+			s.AddCopy(lineage.DerivID(prod.pid, int(prod.typ)),
+				lineage.CopyEvent{Kind: "hit", Node: c.from, AtNS: int64(c.at)})
+		case kindLost:
+			// Matched against the most recent recorded fault so the
+			// rebuild that follows can name its cause.
+			s.MarkLost(derivID(c), c.node, int64(c.at))
+		case kindExpired, kindEvicted:
+			s.MarkExpired(derivID(c), int64(c.at))
+		case kindWindow:
+			// The window consumes its pane (or pane-tuple) output
+			// caches. Window nodes are born expired: their bytes go to
+			// the consumer rather than a cache, so they must not pin the
+			// store's bounded eviction the way resident caches do.
+			res := c.res
+			var inputs []lineage.InputRef
+			if len(q.Sources) == 1 {
+				for p := res.WindowLo; p <= res.WindowHi; p++ {
+					for part := 0; part < q.NumReducers; part++ {
+						inputs = append(inputs, input(q.routPanePID(p, part), ReduceOutput))
+					}
+				}
+			} else {
+				los, his := e.windowRanges(c.rec)
+				forEachTupleRanges(los, his, func(t paneTuple) {
+					for part := 0; part < q.NumReducers; part++ {
+						inputs = append(inputs, input(q.routTuplePID(t, part), ReduceOutput))
+					}
+				})
+			}
+			data := colfmt.EncodePairs(res.Output)
+			wid := lineage.WindowID(e.acctName, c.rec)
+			s.RecordDerivation(lineage.Derivation{
+				ID: wid, Kind: "window", Query: e.acctName,
+				Fingerprint: e.planFP, Recurrence: c.rec, Pane: int64(res.WindowLo),
+				Bytes: int64(len(data)), SHA: lineage.SHA(data),
+				CostNS: int64(res.ResponseTime), Inputs: inputs, Expired: true,
+			})
+			o.Emit(c.at, eventlog.LineageDerived, q.Name, eventlog.LineageDerivedData{
+				ID: wid, Kind: "window",
+				Pane: int64(res.WindowLo), Bytes: int64(len(data)), Fingerprint: e.planFP,
+			})
+		}
+	}
+}
+
+// reuseFold keeps the cross-query index in step with the caches behind
+// it: a freshly built pane output of an eligible query is advertised
+// right after its registration, with the recompute figure the ledger
+// stores, and an advertisement is retracted as soon as its bytes are
+// known gone. (Signature removals reach the index through the
+// controller's purge hook, which also covers Drop.)
+func (e *Engine) reuseFold(idx *reuse.Index) func(*commit) {
+	eligible := e.reuseEligible()
+	unit := int64(e.frames[0].Pane)
+	return func(c *commit) {
+		switch c.kind {
+		case kindRegistered:
+			if c.publish && eligible {
+				idx.Publish(reuse.Entry{
+					OpFP: e.opFP, Unit: unit, Pane: int64(c.pane), Part: c.part,
+					Query: e.acctName, PID: c.pid, Type: int(c.typ), Node: c.node,
+					Bytes: c.bytes, ReadyAtNS: int64(c.at), RecomputeNS: int64(c.cost),
+				})
+			}
+		case kindLost, kindEvicted, kindStale:
+			// The §5 rollback is not a signature removal, so the purge
+			// hook never fires for it.
+			idx.DropPID(c.pid, int(c.typ))
+		}
+	}
+}
+
+// healthFold judges the recurrence once everything about it is settled
+// — after the adaptive decision, so the anomaly detector can cross-
+// check whether the re-planner reacted to what it saw.
+func (e *Engine) healthFold() func(*commit) {
+	return func(c *commit) {
+		if c.kind != kindFinish {
+			return
+		}
+		e.healthTrk.Observe(health.Sample{
+			Recurrence:       c.rec,
+			TriggerAt:        c.res.TriggerAt,
+			CompletedAt:      c.res.CompletedAt,
+			Response:         c.res.ResponseTime,
+			Forecast:         max(c.forecast, 0),
+			HaveForecast:     c.forecast >= 0,
+			ReplanFired:      c.replanned,
+			NewestPackedUnit: c.newest,
+			CoveredUnit:      c.covered,
+			CacheByteSeconds: e.acct.ByteSeconds(e.acctName),
+		})
+	}
+}

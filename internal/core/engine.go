@@ -12,7 +12,6 @@ import (
 	"redoop/internal/lineage"
 	"redoop/internal/mapreduce"
 	"redoop/internal/obs"
-	"redoop/internal/obs/eventlog"
 	"redoop/internal/parallel"
 	"redoop/internal/records"
 	"redoop/internal/reuse"
@@ -73,14 +72,14 @@ type Config struct {
 	Health *health.Monitor
 	// Account optionally attaches a cost ledger, usually shared between
 	// engines so per-query costs land in one place. The engine registers
-	// its query (and tenant) at construction, hooks every slot, cache
-	// and shuffle charge, and claims its DFS data directory so the DFS
-	// attributes read/write/replication bytes to it. Nil disables
+	// its query (and tenant) at construction, commits every slot, cache
+	// and shuffle charge to it, and claims its DFS data directory so the
+	// DFS attributes read/write/replication bytes to it. Nil disables
 	// accounting at ~zero cost.
 	Account *account.Ledger
 	// Lineage optionally attaches a provenance store, usually shared
 	// between engines so one store holds every query's derivation DAG.
-	// The engine records, at its serial commit points, a derivation node
+	// The engine records, through its commit seam, a derivation node
 	// for every pane cache and emitted window — input batches down to
 	// record-offset ranges, the plan fingerprint, cache copy history,
 	// and downstream consumers — and propagates the store to the
@@ -213,22 +212,26 @@ type Engine struct {
 	// call sites have no better notion of "now".
 	curTrigger simtime.Time
 
-	// cacheLimit mirrors Config.CacheDiskLimit; evictable tracks the
-	// pids this engine registered that cost-based replacement may
-	// target (unexpired agg reduce-input caches); evictLog records
-	// every replacement decision in order, for determinism audits.
+	// folds are the consumers of the commit seam, in the order
+	// attachConsumers built; pending is the record being handed to them
+	// (see Engine.commit).
+	folds   []func(*commit)
+	pending commit
+
+	// cacheLimit mirrors Config.CacheDiskLimit; residency returns the
+	// ledger's features (recompute cost, hits) of a cache's open
+	// residency — zeros without a ledger — for ranking replacement
+	// victims; evictLog records every replacement decision in order,
+	// for determinism audits.
 	cacheLimit int64
-	evictable  map[string]bool
+	residency  func(pid string, typ CacheType) (recomputeNS int64, hits int)
 	evictLog   []string
 
 	qIdx      int
 	adaptive  bool
 	proactive bool
 	noReuse   bool
-	// brokenRecovery disables the §5 cache-loss recovery path (see
-	// BreakRecoveryForTest); never set outside oracle self-validation.
-	brokenRecovery bool
-	next           int // next recurrence to run
+	next      int // next recurrence to run
 
 	expiredBound []window.PaneID // per source: panes below are retired
 }
@@ -286,7 +289,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		noReuse:  cfg.DisableCacheReuse,
 
 		cacheLimit: cfg.CacheDiskLimit,
-		evictable:  make(map[string]bool),
 	}
 	// Retirement scans start at pane zero: a source whose window is
 	// smaller than the query's largest (positive frame offset) may
@@ -316,74 +318,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Logger != nil {
 		ctrl.SetLogger(cfg.Logger)
 	}
-	// The SLO monitor follows the controller's sharing rules: a shared
-	// monitor keeps whatever observer it already has; an engine only
-	// fills in a missing one. The per-recurrence deadline is the slide
-	// — the instant the next window is due — for time-based windows;
-	// count-based windows carry no deadline.
-	mon := cfg.Health
-	if mon == nil {
-		mon = health.NewMonitor(health.DefaultConfig())
-	}
-	if mon.Observer() == nil && e.obs != nil {
-		mon.SetObserver(e.obs)
-	}
-	e.healthMon = mon
-	var deadline simtime.Duration
-	if q.Spec().Kind == window.TimeBased {
-		deadline = simtime.Duration(q.Spec().Slide)
-	}
-	e.healthTrk = mon.Register(q.Name, deadline)
-	// The cost ledger follows the same sharing rules: fill in a missing
-	// observer, never detach one. The engine claims its DFS data
-	// directory so reads/writes/replication under it are attributed to
-	// this query, and propagates the ledger to the MapReduce runtime so
-	// task execution charges land on the same accounts.
-	e.acct = cfg.Account
-	e.acctName = e.acct.Register(q.Name, q.TenantID)
-	if e.acct != nil {
-		if e.acct.Observer() == nil && e.obs != nil {
-			e.acct.SetObserver(e.obs)
-		}
-		if cfg.MR.Account == nil {
-			cfg.MR.Account = e.acct
-		}
-		cfg.MR.DFS.SetAccount(e.acct)
-		cfg.MR.DFS.AttributePrefix(dataDir+"/", e.acctName)
-	}
-	// The provenance store follows the same sharing rules: propagate it
-	// to the MapReduce runtime (task-attempt provenance) and the DFS
-	// (pane-file replica history, bounded to this query's data
-	// directory). The plan fingerprint is computed unconditionally — it
-	// is the reuse seam — but only recorded when a store is attached.
-	plan := lineagePlan(q, frames)
-	e.planFP = lineage.Fingerprint(plan)
-	e.opFP = lineage.OpFingerprint(plan)
-	e.lin = cfg.Lineage
-	if e.lin != nil {
-		e.lin.RecordPlan(e.planFP, plan)
-		if cfg.MR.Lineage == nil {
-			cfg.MR.Lineage = e.lin
-		}
-		cfg.MR.DFS.SetLineage(e.lin)
-		cfg.MR.DFS.LineagePrefix(dataDir + "/")
-	}
-	// The reuse index follows the controller's sharing rules: engines
-	// sharing one controller share one index, and each install of the
-	// purge hook / ROI signal replaces an equivalent closure. The hook
-	// keeps the index honest — a purged or dropped signature can never
-	// linger as an advertised reuse source.
-	if cfg.Reuse != nil {
-		e.reuseIdx = cfg.Reuse
-		idx := cfg.Reuse
-		ctrl.SetPurgeHook(func(pid string, typ CacheType) {
-			idx.DropPID(pid, int(typ))
-		})
-		if e.acct != nil {
-			ledger := e.acct
-			idx.SetROI(func(query string) float64 { return ledger.CacheROI(query) })
-		}
-	}
+	e.attachConsumers(cfg, dataDir)
 	matrix.SetObserver(e.obs, q.Name)
 	e.qIdx = ctrl.RegisterQuery(q.Name)
 	for i, src := range q.Sources {
@@ -450,13 +385,6 @@ func (e *Engine) Query() *Query { return e.query }
 
 // MR returns the underlying MapReduce runtime.
 func (e *Engine) MR() *mapreduce.Engine { return e.mr }
-
-// BreakRecoveryForTest sabotages the §5 cache-loss recovery path: a
-// lost cache is treated as a hit (no ready 2→1 rollback, no dependent
-// task re-insertion) and its missing bytes read back empty. It exists
-// solely to prove the differential oracle detects a broken recovery
-// path; production code must never call it.
-func (e *Engine) BreakRecoveryForTest() { e.brokenRecovery = true }
 
 // ForceProactive overrides the adaptive decision, pinning the engine to
 // proactive mode with the given sub-pane factor (1 restores whole
@@ -561,22 +489,10 @@ func (e *Engine) Ingest(src int, recs []records.Record) error {
 	if src < 0 || src >= len(e.srcs) {
 		return fmt.Errorf("core: query %q has no source %d", e.query.Name, src)
 	}
-	if e.lin != nil && len(recs) > 0 {
-		// Record the batch's provenance before delivery: which
-		// contiguous record-index runs land in which pane. Ingest calls
-		// are serial per the data model, so the per-source batch
-		// sequence is deterministic.
-		frame := e.frames[src]
-		var runs []lineage.PaneRange
-		start, cur := 0, frame.PaneOf(recs[0].Ts)
-		for i := 1; i < len(recs); i++ {
-			if p := frame.PaneOf(recs[i].Ts); p != cur {
-				runs = append(runs, lineage.PaneRange{Pane: int64(cur), R: lineage.Range{Lo: start, Hi: i}})
-				start, cur = i, p
-			}
-		}
-		runs = append(runs, lineage.PaneRange{Pane: int64(cur), R: lineage.Range{Lo: start, Hi: len(recs)}})
-		e.lin.RecordBatch(e.acctName, e.query.Sources[src].Name, len(recs), runs)
+	if len(recs) > 0 {
+		// Committed before delivery, so the batch's provenance exists by
+		// the time its panes can be built.
+		e.commit(commit{kind: kindIngested, src: src, recs: recs})
 	}
 	return e.srcs[src].Ingest(recs)
 }
@@ -613,16 +529,14 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	e.sched.SetRecurrence(r)
 	// The forecast made for THIS recurrence at the end of the previous
 	// one, captured before the profiler moves on — paired with the
-	// realized response time in the recurrence.finish event so forecast
-	// error is auditable per recurrence.
-	prevForecast := int64(-1)
+	// realized response time in the window commit so forecast error is
+	// auditable per recurrence.
+	prevForecast := simtime.Duration(-1)
 	if e.haveForecast {
-		prevForecast = int64(e.lastForecast)
+		prevForecast = e.lastForecast
 	}
 	winLo, winHi := e.frames[0].WindowRange(r)
-	e.obs.Emit(trigger, eventlog.RecurrenceStart, e.query.Name, eventlog.RecurrenceStartData{
-		Recurrence: r, WindowLo: int64(winLo), WindowHi: int64(winHi),
-	})
+	e.commit(commit{kind: kindStart, at: trigger, pane: winLo, paneHi: winHi})
 	// Reserve the recurrence's root span up front so every task span of
 	// this recurrence can parent-link to it; the root itself is recorded
 	// at the end once CompletedAt is known.
@@ -646,13 +560,6 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	if res.Proactive {
 		mode = "proactive"
 	}
-	e.obs.Counter("redoop_recurrences_total", obs.L("query", qname), obs.L("mode", mode)).Inc()
-	e.obs.Histogram("redoop_recurrence_seconds", obs.L("query", qname)).Observe(res.ResponseTime.Seconds())
-	e.obs.Counter("redoop_panes_total", obs.L("query", qname), obs.L("kind", "new")).Add(float64(res.NewPanes))
-	e.obs.Counter("redoop_panes_total", obs.L("query", qname), obs.L("kind", "reused")).Add(float64(res.ReusedPanes))
-	e.obs.Counter("redoop_pane_pairs_total", obs.L("query", qname), obs.L("kind", "new")).Add(float64(res.NewPairs))
-	e.obs.Counter("redoop_pane_pairs_total", obs.L("query", qname), obs.L("kind", "reused")).Add(float64(res.ReusedPairs))
-	e.obs.Counter("redoop_cache_recoveries_total", obs.L("query", qname)).Add(float64(res.CacheRecoveries))
 	e.obs.Task(obs.TaskSpan{
 		Track: obs.QueryTrack(qname), Cat: "recurrence",
 		Name:  fmt.Sprintf("recurrence %d", r),
@@ -662,18 +569,7 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 			obs.L("newPanes", fmt.Sprint(res.NewPanes)),
 			obs.L("reusedPanes", fmt.Sprint(res.ReusedPanes))},
 	})
-	e.obs.Emit(res.CompletedAt, eventlog.RecurrenceFinish, qname, eventlog.RecurrenceFinishData{
-		Recurrence:      r,
-		ResponseNS:      int64(res.ResponseTime),
-		ForecastNS:      prevForecast,
-		NewPanes:        res.NewPanes,
-		ReusedPanes:     res.ReusedPanes,
-		NewPairs:        res.NewPairs,
-		ReusedPairs:     res.ReusedPairs,
-		CacheRecoveries: res.CacheRecoveries,
-		Proactive:       res.Proactive,
-		SubPanes:        res.SubPanes,
-	})
+	e.commit(commit{kind: kindWindow, at: res.CompletedAt, res: res, forecast: prevForecast})
 	if e.log != nil {
 		e.log.Info("recurrence complete",
 			"query", e.query.Name, "recurrence", r,
@@ -687,7 +583,6 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 		}
 	}
 
-	e.linRecordWindow(r, res)
 	e.retireExpired(r, res.CompletedAt)
 	purged := 0
 	for _, m := range e.managers {
@@ -697,15 +592,9 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	if e.log != nil && purged > 0 {
 		e.log.Debug("purged expired caches", "query", e.query.Name, "count", purged)
 	}
-	if evicted := e.evictOverCap(r, res.CompletedAt); evicted > 0 {
-		e.obs.Counter("redoop_cache_evictions_total").Add(float64(evicted))
-		if e.log != nil {
-			e.log.Debug("evicted caches over disk limit", "query", e.query.Name, "count", evicted)
-		}
+	if evicted := e.evictOverCap(r, res.CompletedAt); evicted > 0 && e.log != nil {
+		e.log.Debug("evicted caches over disk limit", "query", e.query.Name, "count", evicted)
 	}
-	// Move the ledger's accrual watermark to the recurrence's end so
-	// open residencies accrue byte·seconds through the work just done.
-	e.acct.Advance(res.CompletedAt)
 
 	// Profile and adapt for the next recurrence (§3.3).
 	var windowBytes int64
@@ -749,19 +638,12 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 					return nil, err
 				}
 				replanned = true
-				e.obs.Counter("redoop_replans_total", obs.L("query", qname)).Inc()
 				e.obs.Instant(obs.QueryTrack(qname), "adapt", "re-plan", res.CompletedAt,
 					obs.L("source", fmt.Sprint(i)),
 					obs.L("subPanes", fmt.Sprint(plan.SubPanes)),
 					obs.L("proactive", fmt.Sprint(proactive)))
-				e.obs.Emit(res.CompletedAt, eventlog.Replan, qname, eventlog.ReplanData{
-					Recurrence: r,
-					Source:     i,
-					SubPanes:   plan.SubPanes,
-					Proactive:  proactive,
-					ForecastNS: int64(forecast),
-					DeadlineNS: int64(deadline),
-				})
+				e.commit(commit{kind: kindReplan, at: res.CompletedAt, src: i,
+					subPanes: plan.SubPanes, proactive: proactive, forecast: forecast, deadline: deadline})
 				if e.log != nil {
 					e.log.Info("adaptive re-plan",
 						"query", e.query.Name, "source", i,
@@ -778,27 +660,16 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 		}
 	}
 
-	// Health is judged last, after the adaptive decision, so the
-	// anomaly detector can cross-check whether the re-planner actually
-	// reacted to what it saw.
+	// The recurrence is settled: the ledger accrues through it and
+	// health is judged last, after the adaptive decision.
 	var newest int64
 	for _, src := range e.srcs {
 		if u := src.NewestUnit(); u > newest {
 			newest = u
 		}
 	}
-	e.healthTrk.Observe(health.Sample{
-		Recurrence:       r,
-		TriggerAt:        trigger,
-		CompletedAt:      res.CompletedAt,
-		Response:         res.ResponseTime,
-		Forecast:         simtime.Duration(max(prevForecast, int64(0))),
-		HaveForecast:     prevForecast >= 0,
-		ReplanFired:      replanned,
-		NewestPackedUnit: newest,
-		CoveredUnit:      closeUnit,
-		CacheByteSeconds: e.acct.ByteSeconds(e.acctName),
-	})
+	e.commit(commit{kind: kindFinish, at: res.CompletedAt, res: res, forecast: prevForecast,
+		replanned: replanned, newest: newest, covered: closeUnit})
 
 	e.mu.Lock()
 	e.next++
@@ -830,48 +701,24 @@ type cacheRef struct {
 // loc converts the reference into the scheduler's cost term.
 func (c cacheRef) loc() CacheLoc { return CacheLoc{Node: c.node, Bytes: c.bytes} }
 
-// cacheMeta is the provenance recorded with a cache registration: the
-// task span that produced the bytes, and the recompute cost a future
-// hit on this entry avoids — actual task durations where the cold run
-// measured them, iocost-modeled otherwise. The profiler's cache-benefit
-// ledger subtracts load costs from it.
+// cacheMeta is what a registration knows beyond the bytes and their
+// home: the task span that produced them, the recompute cost a future
+// hit on the entry avoids — actual task durations where the cold run
+// measured them, iocost-modeled otherwise — and the entry's provenance:
+// the source pane and partition it belongs to, the job that built it,
+// and the caches it was derived from (none for a reduce input, which
+// derives from the pane's raw batches). publish marks a pane output
+// built from the query's own inputs, worth advertising for cross-query
+// reuse; copies of another query's output are not re-advertised.
 type cacheMeta struct {
 	span      obs.SpanID
 	recompute simtime.Duration
-	// lin, when non-nil, carries the registration's lineage context: the
-	// derivation node recorded for the cached bytes at this serial
-	// commit point.
-	lin *linMeta
-}
-
-// linMeta is the lineage context of one cache registration: what kind
-// of derivation the bytes are, which pane/partition they belong to, and
-// which raw batches / upstream derivations produced them.
-type linMeta struct {
-	kind    string
-	pane    int64
-	part    int
-	job     string
-	batches []lineage.BatchRef
-	inputs  []lineage.InputRef
-}
-
-// linBatches returns the retained raw-batch claims on pane p of source
-// src (nil when lineage is disabled).
-func (e *Engine) linBatches(src int, p window.PaneID) []lineage.BatchRef {
-	if e.lin == nil {
-		return nil
-	}
-	return e.lin.BatchesForPane(e.acctName, e.query.Sources[src].Name, int64(p))
-}
-
-// linInput references the derivation of cache pid/typ as an upstream
-// input, carrying its insertion seq so closure checks can tell a
-// legitimately evicted input from a bookkeeping hole.
-func (e *Engine) linInput(pid string, typ CacheType) lineage.InputRef {
-	id := lineage.DerivID(pid, int(typ))
-	seq, _ := e.lin.Seq(id)
-	return lineage.InputRef{ID: id, Seq: seq}
+	src       int
+	pane      window.PaneID
+	part      int
+	job       string
+	inputs    []cacheRef
+	publish   bool
 }
 
 // registerCache persists bytes as a cache on a node and registers its
@@ -891,9 +738,9 @@ func (e *Engine) registerCacheFor(pid string, typ CacheType, node int, readyAt s
 	// node's copy — the signature moves with the rebuild, so bytes
 	// left behind would otherwise be orphaned forever: unexpired,
 	// undiscoverable, and invisible to every future purge notice.
-	prevNode, hadPrev := -1, false
+	prevNode := -1
 	if old, ok := e.ctrl.Lookup(pid, typ); ok {
-		prevNode, hadPrev = old.NID, true
+		prevNode = old.NID
 		if old.NID != node {
 			if oldReg := e.ctrl.Registry(old.NID); oldReg != nil {
 				oldReg.MarkExpired(pid, typ)
@@ -903,52 +750,9 @@ func (e *Engine) registerCacheFor(pid string, typ CacheType, node int, readyAt s
 	reg := e.ctrl.Registry(node)
 	reg.Add(pid, typ, data)
 	e.ctrl.Register(pid, typ, node, CacheAvailable, readyAt, int64(len(data)), usedBy)
-	// Only single-source reduce-input caches are replacement
-	// candidates: the oracle pins the window's routs (and a join's
-	// rins and tuple routs) as resident after every recurrence, while
-	// an agg rin is rebuildable from its retained pane files via
-	// map+shuffle, exactly like a §5 cache loss.
-	if typ == ReduceInput && len(e.query.Sources) == 1 {
-		e.evictable[pid] = true
-	}
-	e.obs.Emit(readyAt, eventlog.CacheRegister, e.query.Name, eventlog.CacheData{
-		PID: pid, CacheType: typ.String(), Node: node,
-		Bytes: int64(len(data)), Recurrence: e.NextRecurrence(),
-		RecomputeNS: int64(meta.recompute),
-	})
-	if e.lin != nil && meta.lin != nil {
-		m := meta.lin
-		id := lineage.DerivID(pid, int(typ))
-		rebuilt, cause := e.lin.RecordDerivation(lineage.Derivation{
-			ID: id, Kind: m.kind, Query: e.acctName, Fingerprint: e.planFP,
-			Recurrence: e.NextRecurrence(), Pane: m.pane, Part: m.part,
-			Bytes: int64(len(data)), SHA: lineage.SHA(data),
-			CostNS: int64(meta.recompute), Job: m.job,
-			Batches: m.batches, Inputs: m.inputs,
-		})
-		ev := lineage.CopyEvent{Kind: "register", Node: node, AtNS: int64(readyAt)}
-		if hadPrev && prevNode != node {
-			ev = lineage.CopyEvent{Kind: "rehome", Node: node, From: prevNode, AtNS: int64(readyAt)}
-			e.obs.Emit(readyAt, eventlog.LineageCopyRehome, e.query.Name, eventlog.LineageRehomeData{
-				ID: id, From: prevNode, To: node,
-			})
-		}
-		e.lin.AddCopy(id, ev)
-		if rebuilt {
-			e.obs.Emit(readyAt, eventlog.LineageRebuild, e.query.Name, eventlog.LineageRebuildData{
-				ID: id, Kind: m.kind, Cause: cause,
-			})
-		} else {
-			e.obs.Emit(readyAt, eventlog.LineageDerived, e.query.Name, eventlog.LineageDerivedData{
-				ID: id, Kind: m.kind, Pane: m.pane, Part: m.part,
-				Bytes: int64(len(data)), Fingerprint: e.planFP,
-			})
-		}
-	}
-	// Open the ledger's residency interval (a refresh or re-homing of
-	// the same pid closes the old interval ledger-side, so byte·seconds
-	// never double-count).
-	e.acct.CacheRegistered(e.acctName, pid, int(typ), int64(len(data)), readyAt, meta.recompute)
+	e.commit(commit{kind: kindRegistered, at: readyAt, pid: pid, typ: typ, node: node, from: prevNode,
+		bytes: int64(len(data)), cost: meta.recompute, data: data,
+		src: meta.src, pane: meta.pane, part: meta.part, job: meta.job, inputs: meta.inputs, publish: meta.publish})
 	return cacheRef{pid: pid, typ: typ, node: node, readyAt: readyAt, bytes: int64(len(data)), span: meta.span}
 }
 
@@ -973,60 +777,26 @@ func (e *Engine) rinUsers(src int) []int {
 func (e *Engine) lookupCache(pid string, typ CacheType) (cacheRef, bool) {
 	sig, ok := e.ctrl.Lookup(pid, typ)
 	if !ok || sig.Ready != CacheAvailable {
-		e.obs.Counter("redoop_cache_lookups_total",
-			obs.L("result", "miss"), obs.L("type", typ.String())).Inc()
-		e.obs.Emit(e.curTrigger, eventlog.CacheMiss, e.query.Name, eventlog.CacheData{
-			PID: pid, CacheType: typ.String(), Node: -1, Recurrence: e.NextRecurrence(),
-		})
+		e.commit(commit{kind: kindMiss, at: e.curTrigger, pid: pid, typ: typ, node: -1})
 		return cacheRef{}, false
 	}
 	reg := e.ctrl.Registry(sig.NID)
 	if reg == nil || !reg.Has(pid, typ) {
-		if e.brokenRecovery {
-			// Deliberately wrong: trust the stale CacheAvailable bit and
-			// skip the §5 rollback. Exists only so tests can prove the
-			// differential oracle catches a recovery-path regression.
-			e.ctrl.ClaimUser(pid, typ, e.qIdx)
-			return cacheRef{pid: pid, typ: typ, node: sig.NID, readyAt: sig.ReadyAt, bytes: sig.Bytes}, true
-		}
 		// Cache loss: roll back the ready bit and pull dependent
 		// tasks; the caller re-inserts the rebuild into the map list.
-		e.obs.Counter("redoop_cache_lookups_total",
-			obs.L("result", "lost"), obs.L("type", typ.String())).Inc()
+		// The bytes stopped being resident when chaos destroyed them,
+		// but §5 discovers the loss lazily — here, at the trigger.
 		e.obs.Instant(obs.NodeTrack(sig.NID), "failure", "cache lost "+pid,
 			sig.ReadyAt, obs.L("type", typ.String()))
-		e.obs.Emit(e.curTrigger, eventlog.CacheLost, e.query.Name, eventlog.CacheData{
-			PID: pid, CacheType: typ.String(), Node: sig.NID,
-			Bytes: sig.Bytes, Recurrence: e.NextRecurrence(),
-		})
+		e.commit(commit{kind: kindLost, at: e.curTrigger, pid: pid, typ: typ, node: sig.NID, bytes: sig.Bytes})
 		e.ctrl.SetReady(pid, typ, HDFSAvailable, sig.ReadyAt, sig.NID)
 		e.sched.ReduceTasks.RemoveMatching(func(id string) bool {
 			return containsPID(id, pid)
 		})
-		// The bytes stopped being resident when chaos destroyed them,
-		// but §5 discovers the loss lazily — here, at the trigger. The
-		// ledger closes the residency at discovery time, the earliest
-		// instant the runtime can know about it. The lineage store
-		// matches the loss against the most recent recorded fault so the
-		// rebuild that follows can name its cause.
-		e.acct.CacheExpired(pid, int(typ), e.curTrigger)
-		e.lin.MarkLost(lineage.DerivID(pid, int(typ)), sig.NID, int64(e.curTrigger))
-		// The §5 rollback is not a signature removal, so the purge hook
-		// never fires for it — retract any reuse advertisement of the
-		// lost bytes explicitly.
-		e.reuseIdx.DropPID(pid, int(typ))
 		return cacheRef{}, false
 	}
-	e.obs.Counter("redoop_cache_lookups_total",
-		obs.L("result", "hit"), obs.L("type", typ.String())).Inc()
-	e.obs.Emit(e.curTrigger, eventlog.CacheHit, e.query.Name, eventlog.CacheData{
-		PID: pid, CacheType: typ.String(), Node: sig.NID,
-		Bytes: sig.Bytes, Recurrence: e.NextRecurrence(),
-	})
 	e.ctrl.ClaimUser(pid, typ, e.qIdx)
-	e.acct.CacheHit(e.acctName, pid, int(typ), e.curTrigger)
-	e.lin.AddCopy(lineage.DerivID(pid, int(typ)),
-		lineage.CopyEvent{Kind: "hit", Node: sig.NID, AtNS: int64(e.curTrigger)})
+	e.commit(commit{kind: kindHit, at: e.curTrigger, pid: pid, typ: typ, node: sig.NID, bytes: sig.Bytes})
 	return cacheRef{pid: pid, typ: typ, node: sig.NID, readyAt: sig.ReadyAt, bytes: sig.Bytes}, true
 }
 
@@ -1035,18 +805,12 @@ func (e *Engine) readCache(ref cacheRef) ([]records.Pair, error) {
 	reg := e.ctrl.Registry(ref.node)
 	data, ok := reg.Get(ref.pid, ref.typ)
 	if !ok {
-		if e.brokenRecovery {
-			// Deliberately wrong (see BreakRecoveryForTest): a lost
-			// cache reads back as empty instead of erroring.
-			return nil, nil
-		}
 		return nil, fmt.Errorf("core: cache %s (%v) lost from node %d mid-recurrence", ref.pid, ref.typ, ref.node)
 	}
 	// Cache bytes are columnar; the decode is zero-copy over the
 	// registry's private copy (Registry.Get copies out of the node
-	// store, so the views cannot observe later cache mutations). The
-	// Any dispatch keeps legacy row-encoded test fixtures readable.
-	return colfmt.DecodePairsAny(data)
+	// store, so the views cannot observe later cache mutations).
+	return colfmt.DecodePairs(data)
 }
 
 // runPaneMapPhase maps one pane's physical segments. In proactive mode
@@ -1128,10 +892,10 @@ type cacheTask struct {
 // on the spans that produced the caches this recurrence (a carried-over
 // cache contributes no edge — the hit short-circuits the walk), and
 // each named cache's load cost is emitted as a cache.load event for the
-// profiler's benefit ledger. The slot time is split for the cost
-// ledger: the cache-load share under PhaseCacheLoad, the supplied work
-// under the caller's phase, summing exactly to the node's AddLoad.
-func (e *Engine) runCacheTask(name string, phase account.Phase, ready simtime.Time, caches []cacheRef, work simtime.Duration) cacheTask {
+// profiler's benefit ledger. The slot time is charged in two parts:
+// the cache-load share under phaseCacheLoad, the supplied work under
+// the caller's phase, summing exactly to the node's AddLoad.
+func (e *Engine) runCacheTask(name string, ph phase, ready simtime.Time, caches []cacheRef, work simtime.Duration) cacheTask {
 	locs := make([]CacheLoc, len(caches))
 	deps := make([]obs.SpanID, 0, len(caches))
 	for i, c := range caches {
@@ -1146,26 +910,12 @@ func (e *Engine) runCacheTask(name string, phase account.Phase, ready simtime.Ti
 	dur := load + work
 	start, end := node.Reduce.Acquire(ready, dur)
 	node.AddLoad(dur)
-	e.acct.AddCompute(e.acctName, account.PhaseCacheLoad, load)
-	e.acct.AddCompute(e.acctName, phase, work)
+	e.commit(commit{kind: kindCharged, phase: phaseCacheLoad, cost: load})
+	e.commit(commit{kind: kindCharged, phase: ph, cost: work})
 	for _, c := range caches {
 		local := c.node == node.ID
-		locality := "remote"
-		if local {
-			locality = "local"
-		}
-		e.obs.Counter("redoop_cache_read_bytes_total", obs.L("locality", locality)).Add(float64(c.bytes))
-		if c.pid != "" {
-			loadNS := e.mr.Cost.CacheRead(c.bytes, local)
-			e.obs.Emit(start, eventlog.CacheLoad, e.query.Name, eventlog.CacheLoadData{
-				PID: c.pid, Node: node.ID, Local: local, Bytes: c.bytes,
-				LoadNS:     int64(loadNS),
-				Recurrence: e.NextRecurrence(),
-			})
-			// Net a hit's saving by the load actually paid (no-op for
-			// caches that were not hit this recurrence).
-			e.acct.CacheLoaded(c.pid, int(c.typ), loadNS)
-		}
+		e.commit(commit{kind: kindLoaded, at: start, pid: c.pid, typ: c.typ, node: node.ID, local: local,
+			bytes: c.bytes, cost: e.mr.Cost.CacheRead(c.bytes, local)})
 	}
 	span := e.obs.Task(obs.TaskSpan{
 		Track: obs.NodeTrack(node.ID), Cat: "cachetask", Name: name,
@@ -1189,6 +939,11 @@ func (e *Engine) runCacheTask(name string, phase account.Phase, ready simtime.Ti
 func (e *Engine) retireExpired(r int, at simtime.Time) {
 	R := e.query.NumReducers
 	n := len(e.query.Sources)
+	retire := func(pid string, typ CacheType) {
+		if e.ctrl.MarkQueryDone(pid, typ, e.qIdx) {
+			e.commit(commit{kind: kindExpired, at: at, pid: pid, typ: typ})
+		}
+	}
 	for d := 0; d < n; d++ {
 		nextLo, _ := e.frames[d].WindowRange(r + 1)
 		p := e.expiredBound[d]
@@ -1197,17 +952,9 @@ func (e *Engine) retireExpired(r int, at simtime.Time) {
 				break
 			}
 			for part := 0; part < R; part++ {
-				rin := e.query.rinPID(d, e.frames[d].Pane, p, part)
-				if e.ctrl.MarkQueryDone(rin, ReduceInput, e.qIdx) {
-					e.acct.CacheExpired(rin, int(ReduceInput), at)
-					e.lin.MarkExpired(lineage.DerivID(rin, int(ReduceInput)), int64(at))
-				}
+				retire(e.query.rinPID(d, e.frames[d].Pane, p, part), ReduceInput)
 				if n == 1 {
-					rout := e.query.routPanePID(p, part)
-					if e.ctrl.MarkQueryDone(rout, ReduceOutput, e.qIdx) {
-						e.acct.CacheExpired(rout, int(ReduceOutput), at)
-						e.lin.MarkExpired(lineage.DerivID(rout, int(ReduceOutput)), int64(at))
-					}
+					retire(e.query.routPanePID(p, part), ReduceOutput)
 				}
 			}
 			if n > 1 {
@@ -1217,11 +964,7 @@ func (e *Engine) retireExpired(r int, at simtime.Time) {
 				// coordinate (partners within p's lifespan) is dead.
 				e.forEachLifespanTuple(d, p, func(t paneTuple) {
 					for part := 0; part < R; part++ {
-						rout := e.query.routTuplePID(t, part)
-						if e.ctrl.MarkQueryDone(rout, ReduceOutput, e.qIdx) {
-							e.acct.CacheExpired(rout, int(ReduceOutput), at)
-							e.lin.MarkExpired(lineage.DerivID(rout, int(ReduceOutput)), int64(at))
-						}
+						retire(e.query.routTuplePID(t, part), ReduceOutput)
 					}
 				})
 			}
@@ -1234,14 +977,7 @@ func (e *Engine) retireExpired(r int, at simtime.Time) {
 			_ = e.srcs[d].DropPaneFiles(p)
 		}
 		if p > e.expiredBound[d] {
-			if e.obs.EmitEnabled() {
-				panes := make([]int64, 0, int(p-e.expiredBound[d]))
-				for q := e.expiredBound[d]; q < p; q++ {
-					panes = append(panes, int64(q))
-				}
-				e.obs.Emit(e.curTrigger, eventlog.PaneRetire, e.query.Name,
-					eventlog.PaneRetireData{Source: d, Panes: panes})
-			}
+			e.commit(commit{kind: kindRetired, at: e.curTrigger, src: d, pane: e.expiredBound[d], paneHi: p})
 			e.mu.Lock()
 			e.expiredBound[d] = p
 			e.mu.Unlock()
@@ -1269,49 +1005,6 @@ func (e *Engine) forEachLifespanTuple(dim int, p window.PaneID, fn func(paneTupl
 		los[d], his[d] = lo, hi
 	}
 	forEachTupleRanges(los, his, fn)
-}
-
-// linRecordWindow records the emitted window of recurrence r as a
-// derivation node consuming the window's pane (or pane-tuple) output
-// caches. Window nodes are born expired: their bytes go to the consumer
-// rather than a cache, so they must not pin the store's bounded
-// eviction the way resident caches do.
-func (e *Engine) linRecordWindow(r int, res *RecurrenceResult) {
-	if e.lin == nil {
-		return
-	}
-	q := e.query
-	var inputs []lineage.InputRef
-	if len(q.Sources) == 1 {
-		for p := res.WindowLo; p <= res.WindowHi; p++ {
-			for part := 0; part < q.NumReducers; part++ {
-				inputs = append(inputs, e.linInput(q.routPanePID(p, part), ReduceOutput))
-			}
-		}
-	} else {
-		n := len(q.Sources)
-		los := make([]window.PaneID, n)
-		his := make([]window.PaneID, n)
-		for d := 0; d < n; d++ {
-			los[d], his[d] = e.frames[d].WindowRange(r)
-		}
-		forEachTupleRanges(los, his, func(t paneTuple) {
-			for part := 0; part < q.NumReducers; part++ {
-				inputs = append(inputs, e.linInput(q.routTuplePID(t, part), ReduceOutput))
-			}
-		})
-	}
-	data := colfmt.EncodePairs(res.Output)
-	e.lin.RecordDerivation(lineage.Derivation{
-		ID: lineage.WindowID(e.acctName, r), Kind: "window", Query: e.acctName,
-		Fingerprint: e.planFP, Recurrence: r, Pane: int64(res.WindowLo),
-		Bytes: int64(len(data)), SHA: lineage.SHA(data),
-		CostNS: int64(res.ResponseTime), Inputs: inputs, Expired: true,
-	})
-	e.obs.Emit(res.CompletedAt, eventlog.LineageDerived, q.Name, eventlog.LineageDerivedData{
-		ID: lineage.WindowID(e.acctName, r), Kind: "window",
-		Pane: int64(res.WindowLo), Bytes: int64(len(data)), Fingerprint: e.planFP,
-	})
 }
 
 // containsPID reports whether a task-list entry ID references the pid.

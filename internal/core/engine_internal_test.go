@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"redoop/internal/cluster"
@@ -142,6 +143,9 @@ func TestCachePIDNamespaces(t *testing.T) {
 	shared := q.rinPID(0, q.Spec().PaneUnit(), 3, 1)
 	if private == shared {
 		t.Error("shared and private rin PIDs must differ")
+	}
+	if prefix := q.rinPrefix(0, q.Spec().PaneUnit()); !strings.HasPrefix(shared, prefix) || strings.HasPrefix(private, prefix) {
+		t.Errorf("rinPrefix %q must match exactly its own scope's rin PIDs (%q, not %q)", prefix, shared, private)
 	}
 	if got := q.routPanePID(3, 1); got == private || got == shared {
 		t.Error("output PIDs must not collide with input PIDs")

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 
-	"redoop/internal/account"
-	"redoop/internal/lineage"
-	"redoop/internal/obs/eventlog"
 	"redoop/internal/simtime"
 )
 
@@ -87,7 +85,7 @@ func rankVictims(cands []EvictCandidate) []EvictCandidate {
 // number of caches evicted. Runs in RunNext's serial tail, so the
 // decision sequence is independent of the worker count.
 func (e *Engine) evictOverCap(r int, at simtime.Time) int {
-	if e.cacheLimit <= 0 || len(e.evictable) == 0 {
+	if e.cacheLimit <= 0 || len(e.query.Sources) != 1 {
 		return 0
 	}
 	evicted := 0
@@ -107,43 +105,26 @@ func (e *Engine) evictOverCap(r int, at simtime.Time) int {
 	return evicted
 }
 
-// candidatesOn collects this engine's evictable caches resident on one
-// node's registry, joined with their ledger features. Entries whose
-// registry row or signature is gone are dropped from the evictable set
-// so it cannot grow without bound.
+// candidatesOn collects the evictable caches resident on one node:
+// the registry's unexpired reduce-input rows of this query's source
+// whose signature still vouches for bytes on this node, joined with
+// their ledger features. Derived from controller and registry state on
+// every scan, so there is no per-engine set to keep in step with the
+// cache lifecycle. (An expired row is already queued for the next
+// purge tick; replacement must not double-close its residency.)
 func (e *Engine) candidatesOn(reg *Registry) []EvictCandidate {
-	pids := make([]string, 0, len(e.evictable))
-	for pid := range e.evictable {
-		pids = append(pids, pid)
-	}
-	sort.Strings(pids)
+	prefix := e.query.rinPrefix(0, e.frames[0].Pane)
 	var cands []EvictCandidate
-	for _, pid := range pids {
-		sig, ok := e.ctrl.Lookup(pid, ReduceInput)
-		if !ok || sig.Ready != CacheAvailable {
-			delete(e.evictable, pid)
+	for _, row := range reg.Entries() {
+		if row.Type != ReduceInput || row.Expired || !strings.HasPrefix(row.PID, prefix) {
 			continue
 		}
-		if sig.NID != reg.NodeID() || !reg.Has(pid, ReduceInput) {
+		sig, ok := e.ctrl.Lookup(row.PID, ReduceInput)
+		if !ok || sig.Ready != CacheAvailable || sig.NID != reg.NodeID() || !reg.Has(row.PID, ReduceInput) {
 			continue
 		}
-		expired := true
-		for _, row := range reg.Entries() {
-			if row.PID == pid && row.Type == ReduceInput {
-				expired = row.Expired
-				break
-			}
-		}
-		if expired {
-			// Already queued for the next purge tick; replacement
-			// must not double-close its ledger residency.
-			delete(e.evictable, pid)
-			continue
-		}
-		c := EvictCandidate{PID: pid, Node: sig.NID, Bytes: sig.Bytes, ReadyAt: sig.ReadyAt}
-		if f, ok := e.acct.Residency(pid, int(ReduceInput)); ok {
-			c.RecomputeNS, c.Hits = f.RecomputeNS, f.Hits
-		}
+		c := EvictCandidate{PID: row.PID, Node: sig.NID, Bytes: sig.Bytes, ReadyAt: sig.ReadyAt}
+		c.RecomputeNS, c.Hits = e.residency(row.PID, ReduceInput)
 		cands = append(cands, c)
 	}
 	return cands
@@ -152,29 +133,21 @@ func (e *Engine) candidatesOn(reg *Registry) []EvictCandidate {
 // evictOne applies the §5-shaped transition for one victim: the
 // signature rolls back to HDFS-available (the pane files survive, so
 // the cache is rebuildable, not gone), the registry drops the bytes,
-// the ledger closes the residency, lineage ends the derivation's cache
-// interval, and any cross-query reuse advertisement is retracted —
-// the same sequence the lazy loss-discovery path runs, minus the
-// fault. Returns the bytes freed.
+// and the eviction is committed — the same sequence the lazy
+// loss-discovery path runs, minus the fault. Returns the bytes freed.
 func (e *Engine) evictOne(r int, c EvictCandidate, at simtime.Time) int64 {
 	e.ctrl.SetReady(c.PID, ReduceInput, HDFSAvailable, c.ReadyAt, c.Node)
 	e.sched.ReduceTasks.RemoveMatching(func(id string) bool {
 		return containsPID(id, c.PID)
 	})
 	freed := e.ctrl.Registry(c.Node).Evict(c.PID, ReduceInput)
-	e.acct.CacheExpired(c.PID, int(ReduceInput), at)
-	e.lin.MarkExpired(lineage.DerivID(c.PID, int(ReduceInput)), int64(at))
-	e.reuseIdx.DropPID(c.PID, int(ReduceInput))
-	delete(e.evictable, c.PID)
 	e.mu.Lock()
 	e.evictLog = append(e.evictLog, fmt.Sprintf(
 		"r=%d node=%d pid=%s bytes=%d recompute=%d hits=%d",
 		r, c.Node, c.PID, c.Bytes, c.RecomputeNS, c.Hits))
 	e.mu.Unlock()
-	e.obs.Emit(at, eventlog.CacheEvict, e.query.Name, eventlog.CacheData{
-		PID: c.PID, CacheType: ReduceInput.String(), Node: c.Node,
-		Bytes: c.Bytes, Recurrence: r, RecomputeNS: c.RecomputeNS,
-	})
+	e.commit(commit{kind: kindEvicted, at: at, pid: c.PID, typ: ReduceInput, node: c.Node,
+		bytes: c.Bytes, cost: simtime.Duration(c.RecomputeNS)})
 	return freed
 }
 
@@ -185,14 +158,4 @@ func (e *Engine) EvictionLog() []string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]string(nil), e.evictLog...)
-}
-
-// Features is the ledger join evictOverCap performs, exported for
-// policy tests: the candidate annotated with the open residency's
-// recompute cost and hit count.
-func Features(c EvictCandidate, l *account.Ledger) EvictCandidate {
-	if f, ok := l.Residency(c.PID, int(ReduceInput)); ok {
-		c.RecomputeNS, c.Hits = f.RecomputeNS, f.Hits
-	}
-	return c
 }

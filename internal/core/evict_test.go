@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"redoop/internal/account"
-	"redoop/internal/simtime"
 )
 
 // TestRankVictimsPolicy is the replacement-policy table test: crafted
@@ -118,27 +117,23 @@ func TestRankVictimsBeatsExpiryROI(t *testing.T) {
 	}
 }
 
-// TestFeaturesJoinsLedger pins the candidate↔ledger join: an open
-// residency's recompute cost and hit count land on the candidate, and
-// a missing residency leaves the zero vector.
-func TestFeaturesJoinsLedger(t *testing.T) {
+// TestResidencyJoinsLedger pins the candidate↔ledger join: an open
+// residency's recompute cost and hit count reach the ranking, and a
+// missing residency or ledger yields the zero vector.
+func TestResidencyJoinsLedger(t *testing.T) {
 	l := account.New()
 	l.Register("q", "")
 	l.CacheRegistered("q", "S1P0#0", int(ReduceInput), 500, 10, 7000)
 	l.CacheHit("q", "S1P0#0", int(ReduceInput), 20)
 	l.CacheHit("q", "S1P0#0", int(ReduceInput), 30)
 
-	c := Features(EvictCandidate{PID: "S1P0#0", Bytes: 500}, l)
-	if c.RecomputeNS != 7000 || c.Hits != 2 {
-		t.Fatalf("features = recompute %d hits %d, want 7000/2", c.RecomputeNS, c.Hits)
+	if rc, hits := residencyOf(l)("S1P0#0", ReduceInput); rc != 7000 || hits != 2 {
+		t.Fatalf("features = recompute %d hits %d, want 7000/2", rc, hits)
 	}
-	miss := Features(EvictCandidate{PID: "absent", Bytes: 1}, l)
-	if miss.RecomputeNS != 0 || miss.Hits != 0 {
-		t.Fatalf("absent residency should leave zero features, got %+v", miss)
+	if rc, hits := residencyOf(l)("absent", ReduceInput); rc != 0 || hits != 0 {
+		t.Fatalf("absent residency should leave zero features, got %d/%d", rc, hits)
 	}
-	var nilLedger *account.Ledger
-	if got := Features(EvictCandidate{PID: "x"}, nilLedger); got.Hits != 0 {
-		t.Fatalf("nil ledger must be a zero join, got %+v", got)
+	if rc, hits := residencyOf(nil)("x", ReduceInput); rc != 0 || hits != 0 {
+		t.Fatalf("nil ledger must be a zero join, got %d/%d", rc, hits)
 	}
-	_ = simtime.Time(0)
 }

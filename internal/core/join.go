@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"redoop/internal/account"
 	"redoop/internal/colfmt"
-	"redoop/internal/lineage"
 	"redoop/internal/mapreduce"
 	"redoop/internal/obs"
 	"redoop/internal/parallel"
@@ -37,13 +35,8 @@ func (t paneTuple) key() string {
 
 // runJoin executes recurrence r of a multi-source query.
 func (e *Engine) runJoin(r int, trigger simtime.Time) (*RecurrenceResult, error) {
-	q := e.query
-	n := len(q.Sources)
-	los := make([]window.PaneID, n)
-	his := make([]window.PaneID, n)
-	for d := 0; d < n; d++ {
-		los[d], his[d] = e.frames[d].WindowRange(r)
-	}
+	n := len(e.query.Sources)
+	los, his := e.windowRanges(r)
 	res := &RecurrenceResult{Recurrence: r, WindowLo: los[0], WindowHi: his[0], TriggerAt: trigger}
 	res.Stats.Start = trigger
 	res.Stats.End = trigger
@@ -110,6 +103,17 @@ func (e *Engine) runJoin(r int, trigger simtime.Time) (*RecurrenceResult, error)
 	res.CompletedAt = res.Stats.End
 	res.ResponseTime = res.Stats.End.Sub(trigger)
 	return res, nil
+}
+
+// windowRanges returns the inclusive pane range of recurrence r's
+// window in every source's frame.
+func (e *Engine) windowRanges(r int) (los, his []window.PaneID) {
+	los = make([]window.PaneID, len(e.frames))
+	his = make([]window.PaneID, len(e.frames))
+	for d, f := range e.frames {
+		los[d], his[d] = f.WindowRange(r)
+	}
+	return los, his
 }
 
 // forEachTupleRanges enumerates the pane tuples of the per-dimension
@@ -196,7 +200,6 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 	if live > 0 {
 		mapShare = mp.Stats.MapTime / simtime.Duration(live)
 	}
-	batches := e.linBatches(src, p)
 	jobName := fmt.Sprintf("%s/%s", q.Name, q.Sources[src].Name)
 	for part := 0; part < R; part++ {
 		home := e.sched.HomeNode(part)
@@ -208,12 +211,9 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 		if e.proactive {
 			readyAt = mp.LastMapEnd
 		}
-		var rinLin *linMeta
-		if e.lin != nil {
-			rinLin = &linMeta{kind: "pane-rin", pane: int64(p), part: part, job: jobName, batches: batches}
-		}
+		rinMeta := cacheMeta{src: src, pane: p, part: part, job: jobName}
 		if inBytes == 0 {
-			refs[part] = e.registerCacheFor(q.rinPID(src, e.frames[src].Pane, p, part), ReduceInput, home.ID, readyAt, nil, e.rinUsers(src), cacheMeta{lin: rinLin})
+			refs[part] = e.registerCacheFor(q.rinPID(src, e.frames[src].Pane, p, part), ReduceInput, home.ID, readyAt, nil, e.rinUsers(src), rinMeta)
 			continue
 		}
 		// The reducer-side copy: bytes from maps colocated with the
@@ -236,13 +236,12 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 		stats.ShuffleTime += availAt.Sub(shuffleStart)
 		stats.ReduceTime += spill
 		stats.BytesShuffled += inBytes
-		// Ledger: the copy is shuffle (elapsed, not slot time); the
-		// slot-held spill splits into its sort and disk-write (reduce)
-		// shares, summing exactly to the AddLoad above.
-		e.acct.AddCompute(e.acctName, account.PhaseShuffle, availAt.Sub(shuffleStart))
-		e.acct.AddCompute(e.acctName, account.PhaseSort, e.mr.Cost.Sort(inBytes))
-		e.acct.AddCompute(e.acctName, account.PhaseReduce, spill-e.mr.Cost.Sort(inBytes))
-		e.acct.AddIO(e.acctName, account.IOShuffle, inBytes)
+		// The copy is shuffle (elapsed, not slot time); the slot-held
+		// spill splits into its sort and disk-write (reduce) shares,
+		// summing exactly to the AddLoad above.
+		e.commit(commit{kind: kindCharged, phase: phaseShuffle, cost: availAt.Sub(shuffleStart), bytes: inBytes})
+		e.commit(commit{kind: kindCharged, phase: phaseSort, cost: e.mr.Cost.Sort(inBytes)})
+		e.commit(commit{kind: kindCharged, phase: phaseReduce, cost: spill - e.mr.Cost.Sort(inBytes)})
 		shuffleSpan := e.obs.Task(obs.TaskSpan{
 			Track: obs.NodeTrack(home.ID), Cat: "shuffle",
 			Name:  fmt.Sprintf("shuffle %s pane %d p%d", q.Sources[src].Name, int64(p), part),
@@ -257,9 +256,9 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 			Parent: e.mr.SpanParent, Deps: []obs.SpanID{shuffleSpan},
 			Args: []obs.Label{obs.L("query", q.Name)},
 		})
+		rinMeta.span, rinMeta.recompute = spillSpan, mapShare+availAt.Sub(shuffleStart)+spill
 		refs[part] = e.registerCacheFor(q.rinPID(src, e.frames[src].Pane, p, part), ReduceInput, home.ID,
-			end, sortedData[part], e.rinUsers(src),
-			cacheMeta{span: spillSpan, recompute: mapShare + availAt.Sub(shuffleStart) + spill, lin: rinLin})
+			end, sortedData[part], e.rinUsers(src), rinMeta)
 		if end > stats.End {
 			stats.End = end
 		}
@@ -412,15 +411,12 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 	}
 	// Phase 2 (serial, partition order): Eq. 4 scheduling, cache
 	// registration and stats.
-	linTuple := func(t paneTuple, part int) *linMeta {
-		if e.lin == nil {
-			return nil
+	tupleMeta := func(t paneTuple, part int) cacheMeta {
+		ins := make([]cacheRef, n)
+		for d := range ins {
+			ins[d] = rins[d][t[d]][part]
 		}
-		ins := make([]lineage.InputRef, 0, n)
-		for d := 0; d < n; d++ {
-			ins = append(ins, e.linInput(q.rinPID(d, e.frames[d].Pane, t[d], part), ReduceInput))
-		}
-		return &linMeta{kind: "tuple-rout", pane: int64(t[0]), part: part, inputs: ins}
+		return cacheMeta{pane: t[0], part: part, inputs: ins}
 	}
 	for part := 0; part < R; part++ {
 		caches := computed[part].caches
@@ -432,11 +428,11 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 			home := e.sched.HomeNode(part)
 			for i, to := range outs {
 				out[to.key][part] = e.registerCache(q.routTuplePID(group.tuples[i], part),
-					ReduceOutput, home.ID, baseReady, nil, cacheMeta{lin: linTuple(group.tuples[i], part)})
+					ReduceOutput, home.ID, baseReady, nil, tupleMeta(group.tuples[i], part))
 			}
 			continue
 		}
-		ct := e.runCacheTask(fmt.Sprintf("join %s p%d", id, part), account.PhaseReduce, baseReady, caches,
+		ct := e.runCacheTask(fmt.Sprintf("join %s p%d", id, part), phaseReduce, baseReady, caches,
 			e.mr.Cost.CachedReduceTask(inBytes, outBytes))
 		stats.ReduceTasks++
 		stats.ReduceTime += ct.dur
@@ -444,10 +440,10 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 		for i, to := range outs {
 			// A hit on a tuple's output skips re-joining its inputs: the
 			// modeled cached-reduce over this tuple's share of the batch.
+			meta := tupleMeta(group.tuples[i], part)
+			meta.span, meta.recompute = ct.span, e.mr.Cost.CachedReduceTask(to.inBytes, int64(len(to.data)))
 			out[to.key][part] = e.registerCache(q.routTuplePID(group.tuples[i], part),
-				ReduceOutput, ct.node, ct.end, to.data,
-				cacheMeta{span: ct.span, recompute: e.mr.Cost.CachedReduceTask(to.inBytes, int64(len(to.data))),
-					lin: linTuple(group.tuples[i], part)})
+				ReduceOutput, ct.node, ct.end, to.data, meta)
 		}
 		if ct.end > stats.End {
 			stats.End = ct.end
@@ -552,7 +548,7 @@ func (e *Engine) finalizeJoinWindow(los, his []window.PaneID, trigger simtime.Ti
 		start, end := node.Reduce.Acquire(ready, dur)
 		node.AddLoad(dur)
 		stats.ReduceTime += dur
-		e.acct.AddCompute(e.acctName, account.PhaseReduce, dur)
+		e.commit(commit{kind: kindCharged, phase: phaseReduce, cost: dur})
 		e.obs.Task(obs.TaskSpan{
 			Track: obs.NodeTrack(node.ID), Cat: "cachetask", Name: "publish manifest",
 			Start: start, End: end, Ready: ready,
@@ -613,7 +609,7 @@ func (e *Engine) finalizeJoinWindow(los, his []window.PaneID, trigger simtime.Ti
 		if len(fp.caches) == 0 {
 			continue
 		}
-		ct := e.runCacheTask(fmt.Sprintf("finalize p%d", part), account.PhaseReduce, trigger, fp.caches, e.mr.Cost.MergeTask(fp.inBytes, fp.outBytes))
+		ct := e.runCacheTask(fmt.Sprintf("finalize p%d", part), phaseReduce, trigger, fp.caches, e.mr.Cost.MergeTask(fp.inBytes, fp.outBytes))
 		stats.ReduceTime += ct.dur
 		stats.ReduceTasks++
 		stats.BytesCacheRead += fp.inBytes

@@ -269,73 +269,52 @@ func TestDropPaneFiles(t *testing.T) {
 	}
 }
 
-// TestPaneSliceColumnarRowAgreement is the shared-file half of the
-// round-trip property: a §3.2 group file built from columnar segments
-// and one built from row segments over the same per-pane batches must
-// agree pane by pane — PaneSlice over each header yields bytes that
-// decode to identical records, including an empty pane (zero bytes in
-// both framings) and a single-record pane.
-func TestPaneSliceColumnarRowAgreement(t *testing.T) {
+// TestPaneSliceRoundTrip is the shared-file half of the round-trip
+// property: over a §3.2 group file of concatenated pane segments,
+// PaneSlice over the header yields, pane by pane, bytes that decode to
+// exactly that pane's batch — including an empty pane (zero bytes) and
+// a single-record pane.
+func TestPaneSliceRoundTrip(t *testing.T) {
 	batches := map[int64][]records.Record{
 		0: mkRecs([]int64{1, 3, 7}),
 		1: nil,                 // empty pane: zero-length range
 		2: mkRecs([]int64{21}), // single-record pane
 		3: mkRecs([]int64{30, 31, 32, 33}),
 	}
-	build := func(enc func([]records.Record) []byte) ([]byte, []HeaderEntry) {
-		var body []byte
-		var hdr []HeaderEntry
-		for pane := int64(0); pane < 4; pane++ {
-			start := int64(len(body))
-			body = append(body, enc(batches[pane])...)
-			hdr = append(hdr, HeaderEntry{Pane: pane, Offset: start, Length: int64(len(body)) - start})
-		}
-		return body, hdr
+	var body []byte
+	var hdr []HeaderEntry
+	for pane := int64(0); pane < 4; pane++ {
+		start := int64(len(body))
+		body = append(body, colfmt.EncodeRecords(batches[pane])...)
+		hdr = append(hdr, HeaderEntry{Pane: pane, Offset: start, Length: int64(len(body)) - start})
 	}
-	colBody, colHdr := build(colfmt.EncodeRecords)
-	rowBody, rowHdr := build(records.Encode)
-	colEntries, err := ParsePaneHeader(mustJSON(t, colHdr), int64(len(colBody)))
+	entries, err := ParsePaneHeader(mustJSON(t, hdr), int64(len(body)))
 	if err != nil {
-		t.Fatalf("columnar header: %v", err)
-	}
-	rowEntries, err := ParsePaneHeader(mustJSON(t, rowHdr), int64(len(rowBody)))
-	if err != nil {
-		t.Fatalf("row header: %v", err)
+		t.Fatalf("header: %v", err)
 	}
 	for pane := int64(0); pane < 4; pane++ {
-		colSeg, ok := PaneSlice(colBody, colEntries, pane)
+		seg, ok := PaneSlice(body, entries, pane)
 		if !ok {
-			t.Fatalf("pane %d missing from columnar slice", pane)
+			t.Fatalf("pane %d missing from slice", pane)
 		}
-		rowSeg, ok := PaneSlice(rowBody, rowEntries, pane)
-		if !ok {
-			t.Fatalf("pane %d missing from row slice", pane)
-		}
-		colRecs, err := colfmt.DecodeRecordsAny(colSeg)
+		recs, err := colfmt.DecodeRecords(seg)
 		if err != nil {
-			t.Fatalf("pane %d columnar decode: %v", pane, err)
+			t.Fatalf("pane %d decode: %v", pane, err)
 		}
-		rowRecs, err := colfmt.DecodeRecordsAny(rowSeg)
-		if err != nil {
-			t.Fatalf("pane %d row decode: %v", pane, err)
+		want := batches[pane]
+		if len(recs) != len(want) {
+			t.Fatalf("pane %d: %d records, want %d", pane, len(recs), len(want))
 		}
-		if len(colRecs) != len(rowRecs) || len(colRecs) != len(batches[pane]) {
-			t.Fatalf("pane %d: %d columnar vs %d row records, want %d",
-				pane, len(colRecs), len(rowRecs), len(batches[pane]))
-		}
-		for i := range colRecs {
-			if colRecs[i].Ts != rowRecs[i].Ts || string(colRecs[i].Data) != string(rowRecs[i].Data) {
-				t.Fatalf("pane %d record %d: columnar (%d,%q) vs row (%d,%q)",
-					pane, i, colRecs[i].Ts, colRecs[i].Data, rowRecs[i].Ts, rowRecs[i].Data)
+		for i := range recs {
+			if recs[i].Ts != want[i].Ts || string(recs[i].Data) != string(want[i].Data) {
+				t.Fatalf("pane %d record %d: (%d,%q), want (%d,%q)",
+					pane, i, recs[i].Ts, recs[i].Data, want[i].Ts, want[i].Data)
 			}
 		}
 	}
-	// A pane neither header mentions is attributed no bytes by either.
-	if _, ok := PaneSlice(colBody, colEntries, 9); ok {
-		t.Error("columnar PaneSlice produced bytes for an absent pane")
-	}
-	if _, ok := PaneSlice(rowBody, rowEntries, 9); ok {
-		t.Error("row PaneSlice produced bytes for an absent pane")
+	// A pane the header does not mention is attributed no bytes.
+	if _, ok := PaneSlice(body, entries, 9); ok {
+		t.Error("PaneSlice produced bytes for an absent pane")
 	}
 }
 

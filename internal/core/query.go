@@ -160,6 +160,12 @@ func (q *Query) rinPID(src int, unit int64, pane window.PaneID, part int) string
 		q.rinScope(src), q.Sources[src].Name, unit, int64(pane), part)
 }
 
+// rinPrefix is the prefix shared by every rinPID of one source at one
+// pane unit — how a registry row is recognized as that source's.
+func (q *Query) rinPrefix(src int, unit int64) string {
+	return fmt.Sprintf("%s/%s/u%d/P", q.rinScope(src), q.Sources[src].Name, unit)
+}
+
 // routPanePID identifies an aggregation pane's reduce-output cache.
 func (q *Query) routPanePID(pane window.PaneID, part int) string {
 	return fmt.Sprintf("query/%s/P%d/r%d", q.Name, int64(pane), part)

@@ -3,12 +3,8 @@ package core
 import (
 	"fmt"
 
-	"redoop/internal/account"
 	"redoop/internal/colfmt"
-	"redoop/internal/lineage"
 	"redoop/internal/mapreduce"
-	"redoop/internal/obs"
-	"redoop/internal/obs/eventlog"
 	"redoop/internal/records"
 	"redoop/internal/reuse"
 	"redoop/internal/simtime"
@@ -21,7 +17,8 @@ import (
 // protocol:
 //
 //   - publish: every freshly built pane rout of an eligible query is
-//     advertised right after its serial cache registration;
+//     advertised by the reuse fold (consumers.go) as its serial cache
+//     registration commits;
 //   - probe: before computing a pane, the engine asks for an exact hit
 //     (same pane unit — copy the producer's bytes) or a subsumption
 //     hit (finer unit dividing ours — compose with Merge, the same
@@ -44,20 +41,6 @@ func (e *Engine) reuseEligible() bool {
 		e.query.Merge != nil
 }
 
-// publishPaneRout advertises one freshly built pane reduce-output in
-// the reuse index. Called right after the serial cache registration
-// that produced ref, with the same recompute figure the ledger stores.
-func (e *Engine) publishPaneRout(p window.PaneID, part int, ref cacheRef, recompute simtime.Duration) {
-	if !e.reuseEligible() {
-		return
-	}
-	e.reuseIdx.Publish(reuse.Entry{
-		OpFP: e.opFP, Unit: int64(e.frames[0].Pane), Pane: int64(p), Part: part,
-		Query: e.acctName, PID: ref.pid, Type: int(ref.typ), Node: ref.node,
-		Bytes: ref.bytes, ReadyAtNS: int64(ref.readyAt), RecomputeNS: int64(recompute),
-	})
-}
-
 // verifyReuseEntry cross-checks one advertised entry against the
 // controller and the node registry: the signature must still vouch for
 // cache-available bytes that are really resident. A stale
@@ -67,16 +50,13 @@ func (e *Engine) publishPaneRout(p window.PaneID, part int, ref cacheRef, recomp
 func (e *Engine) verifyReuseEntry(en reuse.Entry) (cacheRef, bool) {
 	typ := CacheType(en.Type)
 	sig, ok := e.ctrl.Lookup(en.PID, typ)
-	if !ok || sig.Ready != CacheAvailable {
-		e.reuseIdx.DropPID(en.PID, en.Type)
-		return cacheRef{}, false
+	if ok && sig.Ready == CacheAvailable {
+		if reg := e.ctrl.Registry(sig.NID); reg != nil && reg.Has(en.PID, typ) {
+			return cacheRef{pid: en.PID, typ: typ, node: sig.NID, readyAt: sig.ReadyAt, bytes: sig.Bytes}, true
+		}
 	}
-	reg := e.ctrl.Registry(sig.NID)
-	if reg == nil || !reg.Has(en.PID, typ) {
-		e.reuseIdx.DropPID(en.PID, en.Type)
-		return cacheRef{}, false
-	}
-	return cacheRef{pid: en.PID, typ: typ, node: sig.NID, readyAt: sig.ReadyAt, bytes: sig.Bytes}, true
+	e.commit(commit{kind: kindStale, at: e.curTrigger, pid: en.PID, typ: typ})
+	return cacheRef{}, false
 }
 
 // tryReuseAggPane probes the reuse index for pane p and, on a hit,
@@ -151,28 +131,23 @@ func (e *Engine) copyReusedPane(p window.PaneID, trigger simtime.Time, entries [
 	for part := 0; part < q.NumReducers; part++ {
 		en, prod := entries[part], prods[part]
 		routPID := q.routPanePID(p, part)
-		routMeta := cacheMeta{recompute: simtime.Duration(en.RecomputeNS)}
-		if e.lin != nil {
-			routMeta.lin = &linMeta{kind: "pane-rout", pane: int64(p), part: part,
-				inputs: []lineage.InputRef{e.linInput(prod.pid, ReduceOutput)}}
-		}
+		routMeta := cacheMeta{recompute: simtime.Duration(en.RecomputeNS),
+			pane: p, part: part, inputs: prods[part : part+1]}
 		if prod.bytes == 0 {
-			refs[part] = e.registerCache(routPID, ReduceOutput, prod.node, simtime.Max(prod.readyAt, trigger), nil, routMeta)
-			e.recordReuseEdge(routPID, prod, prod.node, simtime.Max(prod.readyAt, trigger), "exact")
+			refs[part] = e.registerReused(routPID, prod, prod.node, simtime.Max(prod.readyAt, trigger), nil, routMeta, "exact")
 			continue
 		}
 		data, ok := e.ctrl.Registry(prod.node).Get(prod.pid, ReduceOutput)
 		if !ok {
 			return nil, fmt.Errorf("core: reused cache %s lost from node %d mid-recurrence", prod.pid, prod.node)
 		}
-		e.acct.CacheHitCross(e.acctName, prod.pid, int(prod.typ), e.curTrigger)
-		ct := e.runCacheTask(fmt.Sprintf("reuse pane %d p%d", int64(p), part), account.PhaseReduce,
+		e.commit(commit{kind: kindCrossHit, at: e.curTrigger, pid: prod.pid, typ: prod.typ})
+		ct := e.runCacheTask(fmt.Sprintf("reuse pane %d p%d", int64(p), part), phaseReduce,
 			trigger, []cacheRef{prod}, e.mr.Cost.DiskWrite(prod.bytes))
 		stats.ReduceTime += ct.dur
 		stats.BytesCacheRead += prod.bytes
 		routMeta.span = ct.span
-		refs[part] = e.registerCache(routPID, ReduceOutput, ct.node, ct.end, data, routMeta)
-		e.recordReuseEdge(routPID, prod, ct.node, ct.end, "exact")
+		refs[part] = e.registerReused(routPID, prod, ct.node, ct.end, data, routMeta, "exact")
 		if ct.end > stats.End {
 			stats.End = ct.end
 		}
@@ -211,34 +186,25 @@ func (e *Engine) composeReusedPane(p window.PaneID, u int64, trigger simtime.Tim
 			if err != nil {
 				return nil, err
 			}
-			e.acct.CacheHitCross(e.acctName, prod.pid, int(prod.typ), e.curTrigger)
+			e.commit(commit{kind: kindCrossHit, at: e.curTrigger, pid: prod.pid, typ: prod.typ})
 			pairs = append(pairs, ps...)
 			caches = append(caches, prod)
 			inBytes += prod.bytes
 		}
 		routPID := q.routPanePID(p, part)
-		routMeta := cacheMeta{recompute: recompute}
-		if e.lin != nil {
-			inputs := make([]lineage.InputRef, 0, len(prods[part]))
-			for _, prod := range prods[part] {
-				inputs = append(inputs, e.linInput(prod.pid, ReduceOutput))
-			}
-			routMeta.lin = &linMeta{kind: "pane-rout", pane: int64(p), part: part, inputs: inputs}
-		}
+		routMeta := cacheMeta{recompute: recompute, pane: p, part: part, inputs: prods[part]}
 		if len(caches) == 0 {
-			refs[part] = e.registerCache(routPID, ReduceOutput, prods[part][0].node, readyAt, nil, routMeta)
-			e.recordReuseEdge(routPID, prods[part][0], prods[part][0].node, readyAt, "subsume")
+			refs[part] = e.registerReused(routPID, prods[part][0], prods[part][0].node, readyAt, nil, routMeta, "subsume")
 			continue
 		}
 		merged := mapreduce.ReduceGroups(q.Merge, mapreduce.GroupPairs(pairs))
 		outData := colfmt.EncodePairs(merged)
-		ct := e.runCacheTask(fmt.Sprintf("reuse-merge pane %d p%d", int64(p), part), account.PhaseReduce,
+		ct := e.runCacheTask(fmt.Sprintf("reuse-merge pane %d p%d", int64(p), part), phaseReduce,
 			trigger, caches, e.mr.Cost.MergeTask(inBytes, int64(len(outData))))
 		stats.ReduceTime += ct.dur
 		stats.BytesCacheRead += inBytes
 		routMeta.span = ct.span
-		refs[part] = e.registerCache(routPID, ReduceOutput, ct.node, ct.end, outData, routMeta)
-		e.recordReuseEdge(routPID, caches[0], ct.node, ct.end, "subsume")
+		refs[part] = e.registerReused(routPID, caches[0], ct.node, ct.end, outData, routMeta, "subsume")
 		if ct.end > stats.End {
 			stats.End = ct.end
 		}
@@ -249,21 +215,12 @@ func (e *Engine) composeReusedPane(p window.PaneID, u int64, trigger simtime.Tim
 	return refs, nil
 }
 
-// recordReuseEdge stamps the consumer derivation's copy history with a
-// reuse event (the derivation itself was just recorded by
-// registerCache, with the producer derivation as its input) and emits
-// the observability event. kind is "exact" or "subsume".
-func (e *Engine) recordReuseEdge(routPID string, prod cacheRef, node int, at simtime.Time, kind string) {
-	if e.lin != nil {
-		e.lin.AddCopy(lineage.DerivID(routPID, int(ReduceOutput)),
-			lineage.CopyEvent{Kind: "reuse", Node: node, From: prod.node, AtNS: int64(at)})
-		e.lin.AddCopy(lineage.DerivID(prod.pid, int(ReduceOutput)),
-			lineage.CopyEvent{Kind: "hit", Node: prod.node, AtNS: int64(at)})
-	}
-	e.obs.Counter("redoop_reuse_hits_total",
-		obs.L("query", e.query.Name), obs.L("kind", kind)).Inc()
-	e.obs.Emit(at, eventlog.CacheHit, e.query.Name, eventlog.CacheData{
-		PID: routPID, CacheType: ReduceOutput.String(), Node: node,
-		Bytes: prod.bytes, Recurrence: e.NextRecurrence(),
-	})
+// registerReused registers pane output routPID as materialized from
+// another query's caches (meta.inputs) and commits the reuse edge to
+// prod, the producer it is attributed to. mode is "exact" or "subsume".
+func (e *Engine) registerReused(routPID string, prod cacheRef, node int, at simtime.Time, data []byte, meta cacheMeta, mode string) cacheRef {
+	ref := e.registerCache(routPID, ReduceOutput, node, at, data, meta)
+	e.commit(commit{kind: kindReused, at: at, pid: routPID, typ: ReduceOutput, node: node, from: prod.node,
+		bytes: prod.bytes, inputs: []cacheRef{prod}, mode: mode})
+	return ref
 }

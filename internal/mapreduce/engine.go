@@ -622,30 +622,18 @@ func (e *Engine) decodeForSplits(splits []Split) (map[string][]records.Record, e
 			ids[j] = s.ID()
 		}
 		local := make(map[string][]records.Record)
-		visit := func(off int, ts int64, payload []byte) bool {
+		// Pane files decode zero-copy: the payload views alias data,
+		// which this call owns outright (DFS.Read returns a private
+		// copy), so no per-record copy is needed. The buffer is retained
+		// by the emitted records and must never be pooled or reused.
+		err = colfmt.VisitRecords(data, func(off int, ts int64, payload []byte) bool {
 			for j, s := range ss {
 				if int64(off) >= s.Lo && int64(off) < s.Hi {
 					local[ids[j]] = append(local[ids[j]], records.Record{Ts: ts, Data: payload})
 				}
 			}
 			return true
-		}
-		if colfmt.IsColumnar(data) {
-			// Columnar pane files decode zero-copy: the payload views
-			// alias data, which this call owns outright (DFS.Read
-			// returns a private copy), so no per-record copy is needed.
-			// The buffer is retained by the emitted records and must
-			// never be pooled or reused.
-			err = colfmt.VisitRecords(data, visit)
-		} else {
-			// Legacy row framing interleaves headers with payloads, so
-			// each payload is copied out of the walk buffer.
-			err = records.VisitOffsets(data, func(off int, ts int64, payload []byte) bool {
-				p := make([]byte, len(payload))
-				copy(p, payload)
-				return visit(off, ts, p)
-			})
-		}
+		})
 		if err != nil {
 			return err
 		}

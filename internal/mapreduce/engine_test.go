@@ -49,7 +49,7 @@ func writeWords(t *testing.T, e *Engine, path string, vocab []string, count int)
 		recs[i] = records.Record{Ts: int64(i), Data: []byte(w)}
 		want[w]++
 	}
-	if err := e.DFS.Write(path, records.Encode(recs)); err != nil {
+	if err := e.DFS.Write(path, colfmt.EncodeRecords(recs)); err != nil {
 		t.Fatal(err)
 	}
 	return want
@@ -480,7 +480,7 @@ func TestWordCountEquivalenceProperty(t *testing.T) {
 			recs[i] = records.Record{Ts: int64(i), Data: []byte(w)}
 			want[w]++
 		}
-		if err := e.DFS.Write("/in", records.Encode(recs)); err != nil {
+		if err := e.DFS.Write("/in", colfmt.EncodeRecords(recs)); err != nil {
 			return false
 		}
 		res, err := e.Run(wordCountJob([]string{"/in"}, reducers), 0)

@@ -5,26 +5,32 @@ import (
 	"testing"
 
 	"redoop/internal/cluster"
+	"redoop/internal/colfmt"
 	"redoop/internal/dfs"
 	"redoop/internal/iocost"
 	"redoop/internal/records"
 	"redoop/internal/simtime"
 )
 
-// writeRangedWords stores count records and returns the encoded sizes
-// so tests can compute range boundaries.
+// writeRanged stores count records and returns each record's file
+// offset (the offset split bucketing attributes it to), plus the file
+// length as a final entry, so tests can compute range boundaries.
 func writeRanged(t *testing.T, e *Engine, path string, count int) []int {
 	t.Helper()
 	recs := make([]records.Record, count)
-	offsets := make([]int, count+1)
-	off := 0
 	for i := 0; i < count; i++ {
 		recs[i] = records.Record{Ts: int64(i), Data: []byte("word" + strconv.Itoa(i%7))}
-		offsets[i] = off
-		off += recs[i].EncodedSize()
 	}
-	offsets[count] = off
-	if err := e.DFS.Write(path, records.Encode(recs)); err != nil {
+	data := colfmt.EncodeRecords(recs)
+	offsets := make([]int, 0, count+1)
+	if err := colfmt.VisitRecords(data, func(off int, _ int64, _ []byte) bool {
+		offsets = append(offsets, off)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	offsets = append(offsets, len(data))
+	if err := e.DFS.Write(path, data); err != nil {
 		t.Fatal(err)
 	}
 	return offsets

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"redoop/internal/cluster"
+	"redoop/internal/colfmt"
 	"redoop/internal/core"
 	"redoop/internal/dfs"
 	"redoop/internal/iocost"
@@ -115,37 +116,49 @@ func TestOracleCleanRun(t *testing.T) {
 	}
 }
 
-// TestOracleCatchesBrokenRecovery is the oracle's self-validation: the
-// same cache-loss fault is survived by a correct engine and must be
-// flagged on an engine whose §5 recovery path is deliberately broken
-// (stale CacheAvailable bit trusted, no 2→1 rollback, lost bytes read
-// back empty).
-func TestOracleCatchesBrokenRecovery(t *testing.T) {
-	dropAll := func(mr *mapreduce.Engine) {
-		for _, id := range mr.Cluster.NodeIDs() {
-			mr.Cluster.DropLocal(id, "cache/")
-		}
-	}
-
+// TestOracleCatchesBadRecovery is the oracle's self-validation: a
+// cache-loss fault is survived by a correct engine, and a recovery that
+// leaves well-formed but wrong bytes behind — planted here through the
+// public registry, exactly where a buggy rebuild would put them — must
+// be flagged on the next window that reuses the pane.
+func TestOracleCatchesBadRecovery(t *testing.T) {
 	good := startAgg(t, newMR(t, 4, 7), nil, "q-good", "")
 	requireOK(t, good.window(0))
-	dropAll(good.mr)
-	v := good.window(1)
-	requireOK(t, v)
+	for _, id := range good.mr.Cluster.NodeIDs() {
+		good.mr.Cluster.DropLocal(id, "cache/")
+	}
+	requireOK(t, good.window(1))
 	if good.lastRes.CacheRecoveries == 0 {
 		t.Fatalf("control run rebuilt nothing — the drop did not exercise recovery")
 	}
 
-	broken := startAgg(t, newMR(t, 4, 7), nil, "q-broken", "")
-	broken.eng.BreakRecoveryForTest()
-	requireOK(t, broken.window(0))
-	dropAll(broken.mr)
-	bv := broken.window(1)
-	if bv.OK() {
-		t.Fatalf("oracle passed a window computed with a broken recovery path: %+v", bv)
+	bad := startAgg(t, newMR(t, 4, 7), nil, "q-bad", "")
+	requireOK(t, bad.window(0))
+	// The first window's newest pane stays in the second: replace one of
+	// its output partitions with half of its pairs, re-encoded.
+	ctrl := bad.eng.Controller()
+	planted := false
+	for part := 0; part < bad.q.NumReducers && !planted; part++ {
+		pid := bad.q.ReduceOutputPanePID(bad.lastRes.WindowHi, part)
+		sig, ok := ctrl.Lookup(pid, core.ReduceOutput)
+		if !ok || sig.Bytes == 0 {
+			continue
+		}
+		reg := ctrl.Registry(sig.NID)
+		data, _ := reg.Get(pid, core.ReduceOutput)
+		pairs, err := colfmt.DecodePairs(data)
+		if err != nil || len(pairs) < 2 {
+			t.Fatalf("cache %s: %d pairs, err %v", pid, len(pairs), err)
+		}
+		reg.Add(pid, core.ReduceOutput, colfmt.EncodePairs(pairs[:len(pairs)/2]))
+		planted = true
 	}
-	if bv.Match {
-		t.Logf("note: output matched by luck; invariants caught it: %v", bv.Violations)
+	if !planted {
+		t.Fatalf("no non-empty pane output to corrupt")
+	}
+	bv := bad.window(1)
+	if bv.OK() || bv.Match {
+		t.Fatalf("oracle passed a window served from a wrong cache: %+v", bv)
 	}
 }
 

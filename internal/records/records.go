@@ -1,20 +1,18 @@
-// Package records defines the on-"disk" record representation shared by
-// the DFS, the MapReduce runtime and the workload generators.
+// Package records defines the record and pair types shared by the DFS,
+// the MapReduce runtime and the workload generators.
 //
 // A Record is one timestamped tuple of an evolving data source. Batch
 // files in HDFS hold sequences of records; per the paper's data model
 // (§2.1) the time ranges covered by successive batch files do not
 // overlap and are in order, but records *within* a file are unordered.
 //
-// The encoding is a simple length-prefixed binary format (varint
-// timestamp, varint payload length, payload bytes) so that encoded size
-// tracks real data volume — the quantity the I/O cost model charges for.
+// Everything the system stores — pane files, reduce-input and
+// reduce-output caches — is encoded by internal/colfmt. The only
+// encoding here is EncodePairs, the canonical byte form of a result
+// that the oracle and the determinism tests compare and digest.
 package records
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Record is one tuple: a timestamp on the source's unit axis plus an
 // opaque payload that the query's map function parses.
@@ -23,149 +21,15 @@ type Record struct {
 	Data []byte
 }
 
-// EncodedSize returns the number of bytes Encode will append for r.
-func (r Record) EncodedSize() int {
-	return varintLen(r.Ts) + uvarintLen(uint64(len(r.Data))) + len(r.Data)
-}
-
-func varintLen(v int64) int {
-	var buf [binary.MaxVarintLen64]byte
-	return binary.PutVarint(buf[:], v)
+// Pair is one intermediate or output key/value pair of a MapReduce job.
+type Pair struct {
+	Key   []byte
+	Value []byte
 }
 
 func uvarintLen(v uint64) int {
 	var buf [binary.MaxVarintLen64]byte
 	return binary.PutUvarint(buf[:], v)
-}
-
-// Append encodes r onto dst and returns the extended slice.
-func (r Record) Append(dst []byte) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], r.Ts)
-	dst = append(dst, buf[:n]...)
-	n = binary.PutUvarint(buf[:], uint64(len(r.Data)))
-	dst = append(dst, buf[:n]...)
-	return append(dst, r.Data...)
-}
-
-// Encode serializes a batch of records into one byte slice.
-func Encode(recs []Record) []byte {
-	size := 0
-	for _, r := range recs {
-		size += r.EncodedSize()
-	}
-	out := make([]byte, 0, size)
-	for _, r := range recs {
-		out = r.Append(out)
-	}
-	return out
-}
-
-// Decode parses every record from data. It returns an error on any
-// truncation or malformed prefix, identifying the byte offset.
-func Decode(data []byte) ([]Record, error) {
-	var out []Record
-	off := 0
-	for off < len(data) {
-		rec, n, err := DecodeOne(data[off:])
-		if err != nil {
-			return nil, fmt.Errorf("records: at offset %d: %w", off, err)
-		}
-		out = append(out, rec)
-		off += n
-	}
-	return out, nil
-}
-
-// DecodeOne parses a single record from the front of data, returning it
-// and the number of bytes consumed.
-func DecodeOne(data []byte) (Record, int, error) {
-	ts, n := binary.Varint(data)
-	if n <= 0 {
-		return Record{}, 0, fmt.Errorf("bad timestamp varint")
-	}
-	off := n
-	l, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return Record{}, 0, fmt.Errorf("bad length varint")
-	}
-	off += n
-	if uint64(len(data)-off) < l {
-		return Record{}, 0, fmt.Errorf("truncated payload: want %d bytes, have %d", l, len(data)-off)
-	}
-	payload := make([]byte, l)
-	copy(payload, data[off:off+int(l)])
-	return Record{Ts: ts, Data: payload}, off + int(l), nil
-}
-
-// Visit decodes data record by record, invoking fn for each without
-// materializing the whole slice. The payload passed to fn aliases data
-// and must not be retained. Visit stops early if fn returns false.
-func Visit(data []byte, fn func(ts int64, payload []byte) bool) error {
-	off := 0
-	for off < len(data) {
-		ts, n := binary.Varint(data[off:])
-		if n <= 0 {
-			return fmt.Errorf("records: bad timestamp varint at offset %d", off)
-		}
-		off += n
-		l, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return fmt.Errorf("records: bad length varint at offset %d", off)
-		}
-		off += n
-		if uint64(len(data)-off) < l {
-			return fmt.Errorf("records: truncated payload at offset %d", off)
-		}
-		if !fn(ts, data[off:off+int(l)]) {
-			return nil
-		}
-		off += int(l)
-	}
-	return nil
-}
-
-// VisitOffsets is Visit with each record's starting byte offset supplied
-// to fn. The MapReduce runtime uses it to assign records to block splits
-// by start offset (a record straddling a block boundary belongs to the
-// split containing its first byte, Hadoop's input-split convention).
-func VisitOffsets(data []byte, fn func(off int, ts int64, payload []byte) bool) error {
-	off := 0
-	for off < len(data) {
-		start := off
-		ts, n := binary.Varint(data[off:])
-		if n <= 0 {
-			return fmt.Errorf("records: bad timestamp varint at offset %d", off)
-		}
-		off += n
-		l, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return fmt.Errorf("records: bad length varint at offset %d", off)
-		}
-		off += n
-		if uint64(len(data)-off) < l {
-			return fmt.Errorf("records: truncated payload at offset %d", off)
-		}
-		if !fn(start, ts, data[off:off+int(l)]) {
-			return nil
-		}
-		off += int(l)
-	}
-	return nil
-}
-
-// Count returns the number of records in an encoded buffer, or an error
-// if the buffer is malformed.
-func Count(data []byte) (int, error) {
-	n := 0
-	err := Visit(data, func(int64, []byte) bool { n++; return true })
-	return n, err
-}
-
-// Pair is one intermediate or output key/value pair of a MapReduce job.
-type Pair struct {
-	Key   []byte
-	Value []byte
 }
 
 // PairSize returns the modelled byte size of a pair (key + value plus a
@@ -183,9 +47,9 @@ func PairsSize(ps []Pair) int64 {
 	return n
 }
 
-// EncodePairs serializes pairs with the same varint framing as records;
-// cached reduce inputs and outputs are stored in this form on task
-// nodes' local file systems.
+// EncodePairs serializes pairs with varint length framing: an
+// unambiguous byte form of a result, PairsSize(ps) bytes long, for
+// comparing and digesting outputs.
 func EncodePairs(ps []Pair) []byte {
 	var size int64
 	for _, p := range ps {
@@ -202,33 +66,4 @@ func EncodePairs(ps []Pair) []byte {
 		out = append(out, p.Value...)
 	}
 	return out
-}
-
-// DecodePairs parses an EncodePairs buffer.
-func DecodePairs(data []byte) ([]Pair, error) {
-	var out []Pair
-	off := 0
-	for off < len(data) {
-		kl, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("records: bad key length at offset %d", off)
-		}
-		off += n
-		vl, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return nil, fmt.Errorf("records: bad value length at offset %d", off)
-		}
-		off += n
-		if uint64(len(data)-off) < kl+vl {
-			return nil, fmt.Errorf("records: truncated pair at offset %d", off)
-		}
-		k := make([]byte, kl)
-		copy(k, data[off:off+int(kl)])
-		off += int(kl)
-		v := make([]byte, vl)
-		copy(v, data[off:off+int(vl)])
-		off += int(vl)
-		out = append(out, Pair{Key: k, Value: v})
-	}
-	return out, nil
 }

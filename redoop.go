@@ -589,7 +589,7 @@ func (h *QueryHandle) ReadOutput(recurrence int) ([]Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	ps, err := colfmt.DecodePairsAny(data)
+	ps, err := colfmt.DecodePairs(data)
 	if err != nil {
 		return nil, err
 	}

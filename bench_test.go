@@ -17,9 +17,11 @@ package redoop
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"redoop/internal/colfmt"
 	"redoop/internal/core"
@@ -27,7 +29,9 @@ import (
 	"redoop/internal/forecast"
 	"redoop/internal/mapreduce"
 	"redoop/internal/obs"
+	"redoop/internal/queries"
 	"redoop/internal/records"
+	"redoop/internal/simtime"
 	"redoop/internal/window"
 	"redoop/internal/workload"
 )
@@ -256,6 +260,113 @@ func BenchmarkHoltForecast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(100 + i%17))
 		_ = h.Forecast(1)
+	}
+}
+
+// joinHiOverlap is the Figure-7 headline case at the geometry of the
+// host-time benchmark's join-hi-overlap workload: Q2 over a 60-minute
+// window sliding by 6 minutes (overlap 0.9, ten panes per source), 3000
+// readings and 750 events per pane, 20 reducers, the default cluster,
+// one executor worker.
+// Each recurrence joins the 19 new pane pairs and assembles the window
+// from them plus 81 cached pair outputs.
+type joinHiOverlap struct {
+	eng  *core.Engine
+	ffg  workload.FFGConfig
+	pane int64
+	fed  int64 // panes ingested so far
+}
+
+// newJoinHiOverlap builds the engine and runs it into steady state:
+// past the first full window and the first expiries.
+func newJoinHiOverlap(tb testing.TB) *joinHiOverlap {
+	tb.Helper()
+	q := queries.FFGJoin("q2", 60*simtime.Minute, 6*simtime.Minute, 20)
+	cfg := experiments.Default()
+	cfg.ExecWorkers = 1
+	eng, err := core.NewEngine(core.Config{MR: cfg.NewRuntime(1), Query: q})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	j := &joinHiOverlap{eng: eng, ffg: workload.DefaultFFG(42), pane: q.Spec().PaneUnit()}
+	for r := 0; r < 12; r++ {
+		j.step(tb, j.slide())
+	}
+	return j
+}
+
+// slide generates the batches the next recurrence is waiting for — ten
+// panes per source before the first window, one after.
+func (j *joinHiOverlap) slide() [][2][]records.Record {
+	var out [][2][]records.Record
+	for p := j.fed; p*j.pane < j.eng.Query().Spec().WindowClose(j.eng.NextRecurrence()); p++ {
+		out = append(out, [2][]records.Record{
+			workload.FFGReadings(j.ffg, p*j.pane, (p+1)*j.pane, 3000),
+			workload.FFGEvents(j.ffg, p*j.pane, (p+1)*j.pane, 750),
+		})
+	}
+	return out
+}
+
+// step is the measured operation: ingest the slide, run the recurrence.
+func (j *joinHiOverlap) step(tb testing.TB, slide [][2][]records.Record) *core.RecurrenceResult {
+	for _, batches := range slide {
+		for src, recs := range batches {
+			if err := j.eng.Ingest(src, recs); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		j.fed++
+	}
+	res, err := j.eng.RunNext()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// BenchmarkJoinHiOverlapRecurrence measures one steady recurrence of
+// the high-overlap join on the host: ns/op, B/op and allocs/op of
+// ingest + RunNext, with input generation outside the timer.
+func BenchmarkJoinHiOverlapRecurrence(b *testing.B) {
+	j := newJoinHiOverlap(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		slide := j.slide()
+		b.StartTimer()
+		if res := j.step(b, slide); res.ReusedPairs != 81 || res.NewPairs != 19 {
+			b.Fatalf("recurrence reused %d and joined %d pane pairs, want 81 and 19", res.ReusedPairs, res.NewPairs)
+		}
+	}
+}
+
+// TestJoinWindowAssemblyAllocs guards the cache read path's allocation
+// budget: a steady high-overlap join recurrence allocates less than
+// four times the bytes of the pair headers it returns (one allocation
+// for the output, the rest for mapping and joining the new panes).
+// Re-copying cached results on the way to the output costs ~15x.
+func TestJoinWindowAssemblyAllocs(t *testing.T) {
+	j := newJoinHiOverlap(t)
+	var alloc, headers uint64
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		slide := j.slide()
+		runtime.ReadMemStats(&before)
+		res := j.step(t, slide)
+		runtime.ReadMemStats(&after)
+		alloc += after.TotalAlloc - before.TotalAlloc
+		headers += uint64(len(res.Output)) * uint64(unsafe.Sizeof(records.Pair{}))
+	}
+	if headers == 0 {
+		t.Fatal("join produced no output")
+	}
+	if ratio := float64(alloc) / float64(headers); ratio >= 4 {
+		t.Errorf("steady join recurrences allocate %.1fx their output's pair headers (%d MB for %d MB), want < 4x",
+			ratio, alloc>>20, headers>>20)
+	} else {
+		t.Logf("steady join recurrences allocate %.2fx their output's pair headers", ratio)
 	}
 }
 

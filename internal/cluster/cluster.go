@@ -83,7 +83,10 @@ func (n *Node) Load() simtime.Duration {
 	return n.busy
 }
 
-// PutLocal stores bytes on the node's local file system.
+// PutLocal stores a private copy of data on the node's local file
+// system. Stored bytes are never written again — a later PutLocal of
+// the same key replaces the map entry, failures and deletes drop it —
+// which is what lets GetLocal hand out views.
 func (n *Node) PutLocal(key string, data []byte) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -93,15 +96,15 @@ func (n *Node) PutLocal(key string, data []byte) {
 	n.local[key] = append([]byte(nil), data...)
 }
 
-// GetLocal retrieves bytes from the node's local file system.
+// GetLocal retrieves bytes from the node's local file system. The
+// result is a read-only view of the stored bytes, not a copy: it stays
+// valid and unchanged after the key is replaced, deleted or lost with
+// the node, and the caller must not write through it.
 func (n *Node) GetLocal(key string) ([]byte, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	d, ok := n.local[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), d...), true
+	return d, ok
 }
 
 // HasLocal reports whether a key is present.

@@ -93,10 +93,24 @@ func TestPutLocalCopies(t *testing.T) {
 	if got, _ := n.GetLocal("k"); string(got) != "abc" {
 		t.Error("PutLocal must copy its input")
 	}
-	got, _ := n.GetLocal("k")
-	got[0] = 'q'
-	if again, _ := n.GetLocal("k"); string(again) != "abc" {
-		t.Error("GetLocal must return a copy")
+}
+
+// GetLocal hands out a view of immutable stored bytes: replacing or
+// deleting the key, or losing the node, must leave an earlier view
+// intact.
+func TestGetLocalViewSurvivesStoreChanges(t *testing.T) {
+	c := testCluster(t)
+	n := c.Node(0)
+	n.PutLocal("k", []byte("abc"))
+	view, _ := n.GetLocal("k")
+	n.PutLocal("k", []byte("xyz"))
+	if got, _ := n.GetLocal("k"); string(got) != "xyz" {
+		t.Errorf("replaced key reads %q", got)
+	}
+	n.DeleteLocal("k")
+	c.FailNode(0)
+	if string(view) != "abc" {
+		t.Errorf("view changed to %q after replace, delete and node failure", view)
 	}
 }
 

@@ -46,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"redoop/internal/records"
@@ -207,36 +208,51 @@ func recSegment(data []byte) (count int, ts, offs, blob []byte, segLen int, err 
 	return int(n), data[8 : 8+8*n], offs[:4*(n+1)], seg[fixed : fixed+uint64(blobLen)], int(total), nil
 }
 
+// pairHeader reads the fixed-width header of the pair segment at the
+// head of data — magic, count and the two offset columns' final entries
+// — and bounds-checks the segment's stated length against data. It
+// touches neither blob nor checksum.
+func pairHeader(data []byte) (n uint32, fixed, kb, vb, total uint64, err error) {
+	if len(data) < 8 {
+		return 0, 0, 0, 0, 0, corruptf("pair segment header truncated (%d bytes)", len(data))
+	}
+	if [4]byte(data) != magicPairs {
+		return 0, 0, 0, 0, 0, corruptf("bad pair segment magic %q", data[:4])
+	}
+	n = binary.LittleEndian.Uint32(data[4:])
+	if n == 0 {
+		return 0, 0, 0, 0, 0, corruptf("pair segment with zero count")
+	}
+	fixed = uint64(8) + 2*4*(uint64(n)+1)
+	if fixed+4 > uint64(len(data)) {
+		return 0, 0, 0, 0, 0, corruptf("pair columns truncated: need %d fixed bytes, have %d", fixed+4, len(data))
+	}
+	kb = uint64(binary.LittleEndian.Uint32(data[8+4*uint64(n):]))
+	vb = uint64(binary.LittleEndian.Uint32(data[fixed-4:]))
+	total = fixed + kb + vb + 4
+	if total > uint64(len(data)) {
+		return 0, 0, 0, 0, 0, corruptf("pair payload truncated: need %d bytes, have %d", total, len(data))
+	}
+	return n, fixed, kb, vb, total, nil
+}
+
 // pairSegment validates the pair segment at the head of data and
 // returns its count, column views and total length.
 func pairSegment(data []byte) (count int, koff, voff, keys, vals []byte, segLen int, err error) {
-	if len(data) < 8 {
-		return 0, nil, nil, nil, nil, 0, corruptf("pair segment header truncated (%d bytes)", len(data))
-	}
-	n := binary.LittleEndian.Uint32(data[4:])
-	if n == 0 {
-		return 0, nil, nil, nil, nil, 0, corruptf("pair segment with zero count")
-	}
-	fixed := uint64(8) + 2*4*(uint64(n)+1)
-	if fixed+4 > uint64(len(data)) {
-		return 0, nil, nil, nil, nil, 0, corruptf("pair columns truncated: need %d fixed bytes, have %d", fixed+4, len(data))
-	}
-	koff = data[8:]
-	voff = data[8+4*(n+1):]
-	kb := binary.LittleEndian.Uint32(koff[4*n:])
-	vb := binary.LittleEndian.Uint32(voff[4*n:])
-	total := fixed + uint64(kb) + uint64(vb) + 4
-	if total > uint64(len(data)) {
-		return 0, nil, nil, nil, nil, 0, corruptf("pair payload truncated: need %d bytes, have %d", total, len(data))
+	n, fixed, kb, vb, total, err := pairHeader(data)
+	if err != nil {
+		return 0, nil, nil, nil, nil, 0, err
 	}
 	seg := data[:total]
 	if got, want := crc32.ChecksumIEEE(seg[:total-4]), binary.LittleEndian.Uint32(seg[total-4:]); got != want {
 		return 0, nil, nil, nil, nil, 0, corruptf("pair segment checksum mismatch (%08x != %08x)", got, want)
 	}
+	koff = seg[8 : 8+4*(uint64(n)+1)]
+	voff = seg[8+4*(uint64(n)+1) : fixed]
 	for _, c := range []struct {
 		name string
 		col  []byte
-	}{{"key", koff[:4*(n+1)]}, {"value", voff[:4*(n+1)]}} {
+	}{{"key", koff}, {"value", voff}} {
 		name, col := c.name, c.col
 		if binary.LittleEndian.Uint32(col) != 0 {
 			return 0, nil, nil, nil, nil, 0, corruptf("pair %s offsets do not start at zero", name)
@@ -250,9 +266,7 @@ func pairSegment(data []byte) (count int, koff, voff, keys, vals []byte, segLen 
 			prev = o
 		}
 	}
-	keys = seg[fixed : fixed+uint64(kb)]
-	vals = seg[fixed+uint64(kb) : fixed+uint64(kb)+uint64(vb)]
-	return int(n), koff[:4*(n+1)], voff[:4*(n+1)], keys, vals, int(total), nil
+	return int(n), koff, voff, seg[fixed : fixed+kb], seg[fixed+kb : fixed+kb+vb], int(total), nil
 }
 
 // DecodeRecords decodes a file of concatenated record segments. The
@@ -292,22 +306,20 @@ func DecodeRecords(data []byte) ([]records.Record, error) {
 // DecodePairs decodes a file of concatenated pair segments. The
 // returned pairs alias data (zero-copy) via three-index views.
 func DecodePairs(data []byte) ([]records.Pair, error) {
-	var out []records.Pair
+	return AppendDecodedPairs(nil, data)
+}
+
+// AppendDecodedPairs is DecodePairs appending to dst: a caller that has
+// counted its inputs (CountPairs) decodes them all into one presized
+// slice. On error dst is returned as passed in.
+func AppendDecodedPairs(dst []records.Pair, data []byte) ([]records.Pair, error) {
+	out := dst
 	for len(data) > 0 {
-		if len(data) >= 4 {
-			var m [4]byte
-			copy(m[:], data)
-			if m != magicPairs {
-				return nil, corruptf("bad pair segment magic %q", m[:])
-			}
-		}
 		n, koff, voff, keys, vals, segLen, err := pairSegment(data)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		if out == nil {
-			out = make([]records.Pair, 0, n)
-		}
+		out = slices.Grow(out, n)
 		for i := 0; i < n; i++ {
 			klo := binary.LittleEndian.Uint32(koff[4*i:])
 			khi := binary.LittleEndian.Uint32(koff[4*(i+1):])
@@ -321,6 +333,23 @@ func DecodePairs(data []byte) ([]records.Pair, error) {
 		data = data[segLen:]
 	}
 	return out, nil
+}
+
+// CountPairs returns the number of pairs in a file of concatenated
+// pair segments by walking segment headers only: lengths are
+// bounds-checked, blobs and checksums are not read, so a fault inside
+// a segment's body surfaces at decode, not here.
+func CountPairs(data []byte) (int, error) {
+	total := 0
+	for len(data) > 0 {
+		n, _, _, _, segLen, err := pairHeader(data)
+		if err != nil {
+			return 0, err
+		}
+		total += int(n)
+		data = data[segLen:]
+	}
+	return total, nil
 }
 
 // VisitRecords walks a file of concatenated record segments calling

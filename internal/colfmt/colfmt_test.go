@@ -84,6 +84,49 @@ func TestRecordsRoundTrip(t *testing.T) {
 	}
 }
 
+// checkPairReaders asserts that the append decoder and the header-only
+// counter agree with DecodePairs on data. Accepted input: the append
+// decoder keeps a non-empty dst prefix and appends exactly DecodePairs'
+// views, and the counter returns their number. Rejected input: the
+// append decoder fails with ErrCorrupt and hands dst back unextended;
+// the counter reads no blob or checksum, so it may still count a file
+// whose fault lies inside a segment body, but any error it returns is
+// ErrCorrupt.
+func checkPairReaders(t *testing.T, data []byte) {
+	t.Helper()
+	want, wantErr := DecodePairs(data)
+	prefix := records.Pair{Key: []byte("pre"), Value: []byte("fix")}
+	dst := append(make([]records.Pair, 0, 4), prefix)
+	got, err := AppendDecodedPairs(dst, data)
+	n, countErr := CountPairs(data)
+	if len(got) == 0 || !bytes.Equal(got[0].Key, prefix.Key) || !bytes.Equal(got[0].Value, prefix.Value) {
+		t.Fatalf("AppendDecodedPairs lost the dst prefix")
+	}
+	if wantErr != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("DecodePairs rejects (%v) but AppendDecodedPairs returns %v", wantErr, err)
+		}
+		if len(got) != len(dst) {
+			t.Fatalf("AppendDecodedPairs extended dst by %d on error", len(got)-len(dst))
+		}
+		if countErr != nil && !errors.Is(countErr, ErrCorrupt) {
+			t.Fatalf("CountPairs error %v does not wrap ErrCorrupt", countErr)
+		}
+		return
+	}
+	if err != nil || countErr != nil {
+		t.Fatalf("DecodePairs accepts but AppendDecodedPairs: %v, CountPairs: %v", err, countErr)
+	}
+	if n != len(want) || len(got) != 1+len(want) {
+		t.Fatalf("DecodePairs %d pairs, CountPairs %d, AppendDecodedPairs %d", len(want), n, len(got)-1)
+	}
+	for i, w := range want {
+		if g := got[1+i]; !bytes.Equal(g.Key, w.Key) || !bytes.Equal(g.Value, w.Value) {
+			t.Fatalf("pair %d: append decoder and DecodePairs differ", i)
+		}
+	}
+}
+
 // TestPairsRoundTrip is the pair-schema half of the round-trip
 // property.
 func TestPairsRoundTrip(t *testing.T) {
@@ -114,6 +157,16 @@ func TestPairsRoundTrip(t *testing.T) {
 			if !bytes.Equal(got[i].Key, pairs[i].Key) || !bytes.Equal(got[i].Value, pairs[i].Value) {
 				t.Fatalf("trial %d: pair %d mismatch", trial, i)
 			}
+		}
+		// A file is any concatenation of segments: all three readers
+		// must see one, two and three copies alike.
+		file := enc
+		for copies := 1; copies <= 3; copies++ {
+			checkPairReaders(t, file)
+			if c, _ := CountPairs(file); c != copies*n {
+				t.Fatalf("trial %d: %d concatenated segments count %d pairs, want %d", trial, copies, c, copies*n)
+			}
+			file = append(append([]byte(nil), file...), enc...)
 		}
 	}
 }
@@ -201,13 +254,34 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := DecodePairs(pairEnc[:len(pairEnc)/2]); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncated pair segment: got %v, want ErrCorrupt", err)
 	}
+	// Every truncation of a two-segment pair file off a segment
+	// boundary is rejected by all three pair readers — the counter too,
+	// since a cut always leaves the last header promising more bytes
+	// than remain.
+	twoSegs := append(append([]byte(nil), pairEnc...), pairEnc...)
+	for cut := 1; cut < len(twoSegs); cut++ {
+		if cut == len(pairEnc) {
+			continue
+		}
+		checkPairReaders(t, twoSegs[:cut])
+		if _, err := DecodePairs(twoSegs[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("pair file cut at %d: DecodePairs got %v, want ErrCorrupt", cut, err)
+		}
+		if _, err := CountPairs(twoSegs[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("pair file cut at %d: CountPairs got %v, want ErrCorrupt", cut, err)
+		}
+	}
 	// Chaos PaneCorrupt: XOR 0xA5 over the middle third.
-	for name, enc := range map[string][]byte{"records": recEnc, "pairs": pairEnc} {
+	for name, enc := range map[string][]byte{"records": recEnc, "pairs": pairEnc, "pairs-2seg": twoSegs} {
 		flipped := append([]byte(nil), enc...)
 		for i := len(flipped) / 3; i < 2*len(flipped)/3; i++ {
 			flipped[i] ^= 0xA5
 		}
 		check("xor-"+name, flipped)
+		checkPairReaders(t, flipped)
+		if _, err := DecodePairs(flipped); name != "records" && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("xor-corrupted %s: DecodePairs got %v, want ErrCorrupt", name, err)
+		}
 		if _, err := DecodeRecords(flipped); name == "records" && !errors.Is(err, ErrCorrupt) {
 			t.Errorf("xor-corrupted record segment: got %v, want ErrCorrupt", err)
 		}
@@ -221,6 +295,14 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			t.Fatalf("bit flip at byte %d accepted", i)
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("bit flip at byte %d: error %v does not wrap ErrCorrupt", i, err)
+		}
+	}
+	for i := 0; i < len(pairEnc); i++ {
+		mut := append([]byte(nil), pairEnc...)
+		mut[i] ^= 1 << uint(i%8)
+		checkPairReaders(t, mut)
+		if _, err := DecodePairs(mut); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("pair bit flip at byte %d: got %v, want ErrCorrupt", i, err)
 		}
 	}
 	check("zero count", append(append([]byte(nil), "RCR1"...), 0, 0, 0, 0))
@@ -242,7 +324,14 @@ func FuzzColumnarPane(f *testing.F) {
 	f.Add(good)
 	f.Add(goodPairs)
 	f.Add(append(append([]byte(nil), good...), goodPairs...)) // mixed magics
-	f.Add(good[:len(good)/2])                                 // chaos PaneTruncate
+	f.Add(append(append([]byte(nil), goodPairs...), goodPairs...))
+	f.Add(goodPairs[:len(goodPairs)/2])
+	xoredPairs := append([]byte(nil), goodPairs...)
+	for i := len(xoredPairs) / 3; i < 2*len(xoredPairs)/3; i++ {
+		xoredPairs[i] ^= 0xA5
+	}
+	f.Add(xoredPairs)
+	f.Add(good[:len(good)/2]) // chaos PaneTruncate
 	xored := append([]byte(nil), good...)
 	for i := len(xored) / 3; i < 2*len(xored)/3; i++ {
 		xored[i] ^= 0xA5 // chaos PaneCorrupt
@@ -274,6 +363,7 @@ func FuzzColumnarPane(f *testing.F) {
 				}
 			}
 		}
+		checkPairReaders(t, data)
 		if pairs, err := DecodePairs(data); err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("DecodePairs error %v does not wrap ErrCorrupt", err)

@@ -353,62 +353,16 @@ func (e *Engine) rebuildAggOutputs(p window.PaneID, trigger simtime.Time, rins [
 }
 
 // finalizeAggWindow runs the per-partition finalization merge over the
-// window's cached pane outputs. The merge is scheduled by Equation 4
-// (it usually lands on the partition's home node, where every pane
-// output is local) and cannot complete before the window closes.
+// window's cached pane outputs; it usually lands on the partition's
+// home node, where every pane output is local.
 func (e *Engine) finalizeAggWindow(lo, hi window.PaneID, trigger simtime.Time, routRefs map[window.PaneID][]cacheRef, stats *mapreduce.Stats) ([]records.Pair, simtime.Time, error) {
-	q := e.query
-	endMax := trigger
-	var output []records.Pair
-	// Phase 1 (parallel): gather each partition's cached pane outputs
-	// and run the finalization merge — pure compute.
-	type finalPart struct {
-		caches   []cacheRef
-		out      []records.Pair
-		inBytes  int64
-		outBytes int64
-	}
-	parts := make([]finalPart, q.NumReducers)
-	if err := parallel.ForErr(e.mr.WorkerCount(), q.NumReducers, func(part int) error {
-		fp := &parts[part]
-		var pairs []records.Pair
-		for p := lo; p <= hi; p++ {
-			ref := routRefs[p][part]
-			if ref.bytes == 0 {
-				continue
+	caches := make([][]cacheRef, e.query.NumReducers)
+	for p := lo; p <= hi; p++ {
+		for part, ref := range routRefs[p] {
+			if ref.bytes != 0 {
+				caches[part] = append(caches[part], ref)
 			}
-			fp.caches = append(fp.caches, ref)
-			ps, err := e.readCache(ref)
-			if err != nil {
-				return err
-			}
-			pairs = append(pairs, ps...)
 		}
-		if len(fp.caches) == 0 {
-			return nil
-		}
-		fp.out = mapreduce.ReduceGroups(q.Merge, mapreduce.GroupPairs(pairs))
-		fp.inBytes = records.PairsSize(pairs)
-		fp.outBytes = records.PairsSize(fp.out)
-		return nil
-	}); err != nil {
-		return nil, endMax, err
 	}
-	// Phase 2 (serial, partition order): Eq. 4 scheduling and stats.
-	for part := 0; part < q.NumReducers; part++ {
-		fp := parts[part]
-		if len(fp.caches) == 0 {
-			continue
-		}
-		ct := e.runCacheTask(fmt.Sprintf("finalize p%d", part), phaseReduce, trigger, fp.caches, e.mr.Cost.MergeTask(fp.inBytes, fp.outBytes))
-		stats.ReduceTime += ct.dur
-		stats.ReduceTasks++
-		stats.BytesCacheRead += fp.inBytes
-		stats.BytesOutput += fp.outBytes
-		if ct.end > endMax {
-			endMax = ct.end
-		}
-		output = append(output, fp.out...)
-	}
-	return output, endMax, nil
+	return e.finalizeMerged(caches, trigger, stats)
 }

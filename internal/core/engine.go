@@ -113,6 +113,8 @@ type RecurrenceResult struct {
 	WindowLo, WindowHi window.PaneID
 	// Output is the window's final result, deterministic order
 	// (partitions ascending, keys ascending within each merge group).
+	// Its payload bytes may alias cache bytes and are read-only; the
+	// slice itself may be re-ordered (see cacheBytes).
 	Output []records.Pair
 	// Stats aggregates all MapReduce work of this recurrence.
 	Stats mapreduce.Stats
@@ -800,17 +802,117 @@ func (e *Engine) lookupCache(pid string, typ CacheType) (cacheRef, bool) {
 	return cacheRef{pid: pid, typ: typ, node: sig.NID, readyAt: sig.ReadyAt, bytes: sig.Bytes}, true
 }
 
-// readCache loads a cache's pairs from its node.
-func (e *Engine) readCache(ref cacheRef) ([]records.Pair, error) {
-	reg := e.ctrl.Registry(ref.node)
-	data, ok := reg.Get(ref.pid, ref.typ)
+// cacheBytes returns a cache's stored bytes on its node. Ownership:
+// writers copy in (Registry.Add), stored bytes are immutable from then
+// on, and readers get views — these are the stored bytes themselves and
+// decoded pairs alias them. A view survives expiry, eviction,
+// re-registration and node loss of its cache unchanged, so a window's
+// Output may be kept across recurrences, its payload bytes read-only.
+func (e *Engine) cacheBytes(ref cacheRef) ([]byte, error) {
+	data, ok := e.ctrl.Registry(ref.node).Get(ref.pid, ref.typ)
 	if !ok {
 		return nil, fmt.Errorf("core: cache %s (%v) lost from node %d mid-recurrence", ref.pid, ref.typ, ref.node)
 	}
-	// Cache bytes are columnar; the decode is zero-copy over the
-	// registry's private copy (Registry.Get copies out of the node
-	// store, so the views cannot observe later cache mutations).
+	return data, nil
+}
+
+// readCache decodes one cache's pairs as views of its stored bytes.
+func (e *Engine) readCache(ref cacheRef) ([]records.Pair, error) {
+	data, err := e.cacheBytes(ref)
+	if err != nil {
+		return nil, err
+	}
 	return colfmt.DecodePairs(data)
+}
+
+// gatherCaches decodes groups of non-empty caches, returning for each
+// group its caches' pairs concatenated in order. Pairs are counted from
+// segment headers first, so all groups share one allocation and the
+// workers decode each cache into its own sub-range; every result is
+// capacity-limited, safe to reorder independently.
+func (e *Engine) gatherCaches(groups [][]cacheRef) ([][]records.Pair, error) {
+	type source struct {
+		data   []byte
+		lo, hi int
+	}
+	var srcs []source
+	ends := make([]int, len(groups))
+	total := 0
+	for g, refs := range groups {
+		for _, ref := range refs {
+			data, err := e.cacheBytes(ref)
+			if err != nil {
+				return nil, err
+			}
+			n, err := colfmt.CountPairs(data)
+			if err != nil {
+				return nil, err
+			}
+			srcs = append(srcs, source{data, total, total + n})
+			total += n
+		}
+		ends[g] = total
+	}
+	all := make([]records.Pair, total)
+	if err := parallel.ForErr(e.mr.WorkerCount(), len(srcs), func(i int) error {
+		s := srcs[i]
+		_, err := colfmt.AppendDecodedPairs(all[s.lo:s.lo:s.hi], s.data)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	out := make([][]records.Pair, len(groups))
+	lo := 0
+	for g, hi := range ends {
+		out[g] = all[lo:hi:hi]
+		lo = hi
+	}
+	return out, nil
+}
+
+// finalizeMerged runs the window's finalization merge: partition
+// part's result is q.Merge over the grouped pairs of caches[part] (the
+// partition's non-empty partial outputs, in window order). Each merge
+// is scheduled by Equation 4 and cannot complete before the trigger.
+func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats *mapreduce.Stats) ([]records.Pair, simtime.Time, error) {
+	// Phase 1 (parallel): gather each partition's caches and merge —
+	// pure compute.
+	ins, err := e.gatherCaches(caches)
+	if err != nil {
+		return nil, trigger, err
+	}
+	type finalPart struct {
+		out               []records.Pair
+		inBytes, outBytes int64
+	}
+	parts := make([]finalPart, len(caches))
+	parallel.For(e.mr.WorkerCount(), len(caches), func(part int) {
+		if len(caches[part]) == 0 {
+			return
+		}
+		fp := &parts[part]
+		fp.inBytes = records.PairsSize(ins[part])
+		fp.out = mapreduce.ReduceGroups(e.query.Merge, mapreduce.GroupPairs(ins[part]))
+		fp.outBytes = records.PairsSize(fp.out)
+	})
+	// Phase 2 (serial, partition order): Eq. 4 scheduling and stats.
+	endMax := trigger
+	var output []records.Pair
+	for part, fp := range parts {
+		if len(caches[part]) == 0 {
+			continue
+		}
+		ct := e.runCacheTask(fmt.Sprintf("finalize p%d", part), phaseReduce, trigger, caches[part], e.mr.Cost.MergeTask(fp.inBytes, fp.outBytes))
+		stats.ReduceTime += ct.dur
+		stats.ReduceTasks++
+		stats.BytesCacheRead += fp.inBytes
+		stats.BytesOutput += fp.outBytes
+		if ct.end > endMax {
+			endMax = ct.end
+		}
+		output = append(output, fp.out...)
+	}
+	return output, endMax, nil
 }
 
 // runPaneMapPhase maps one pane's physical segments. In proactive mode

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"redoop/internal/colfmt"
@@ -24,7 +26,9 @@ import (
 // paneTuple is one coordinate of the n-dimensional pane space.
 type paneTuple []window.PaneID
 
-// key is the map key / identifier form of a tuple.
+// key is the identifier form of a tuple, for PIDs and event strings;
+// code that indexes per-tuple state uses the tuple's ordinal in
+// forEachTupleRanges order instead.
 func (t paneTuple) key() string {
 	parts := make([]string, len(t))
 	for i, p := range t {
@@ -65,34 +69,37 @@ func (e *Engine) runJoin(r int, trigger simtime.Time) (*RecurrenceResult, error)
 	// Phase 2: join every pane tuple of the window exactly once.
 	// Tuples already computed in earlier windows are reused from their
 	// output caches; the rest are grouped into batched tasks that
-	// share one cached pane per slot occupancy.
-	tupleRefs := make(map[string][]cacheRef)
-	var needed []paneTuple
+	// share one cached pane per slot occupancy. tuples and tupleRefs
+	// are in forEachTupleRanges order: a tuple's index is its ordinal.
+	var tuples []paneTuple
+	var tupleRefs [][]cacheRef
+	var needed []int
 	forEachTupleRanges(los, his, func(t paneTuple) {
 		refs, reused, recovered := e.reuseJoinTuple(t)
 		if reused {
-			tupleRefs[t.key()] = refs
 			res.ReusedPairs++
 		} else {
-			needed = append(needed, append(paneTuple(nil), t...))
+			needed = append(needed, len(tuples))
 			res.NewPairs++
 		}
 		if recovered {
 			res.CacheRecoveries++
 		}
+		tuples = append(tuples, append(paneTuple(nil), t...))
+		tupleRefs = append(tupleRefs, refs)
 	})
-	for _, group := range groupTuples(needed) {
-		refsByTuple, err := e.joinTupleGroup(group, trigger, rins, &res.Stats)
+	for _, group := range groupTuples(tuples, needed) {
+		refs, err := e.joinTupleGroup(group, trigger, rins, &res.Stats)
 		if err != nil {
 			return nil, err
 		}
-		for key, refs := range refsByTuple {
-			tupleRefs[key] = refs
+		for i, ord := range group.ords {
+			tupleRefs[ord] = refs[i]
 		}
 	}
 
 	// Phase 3: combine the window's tuple outputs into the final result.
-	out, endMax, err := e.finalizeJoinWindow(los, his, trigger, tupleRefs, &res.Stats)
+	out, endMax, err := e.finalizeJoinWindow(trigger, tupleRefs, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +180,9 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 	// The per-partition sort + encode is pure compute; fan it out
 	// before the serial shuffle-accounting pass. The cache is stored
 	// sorted so pane-tuple joins later merge sorted runs instead of
-	// re-sorting: the sort is paid once here, at cache-build time.
+	// re-sorting: the sort is paid once here, at cache-build time. It
+	// runs in place — mp is this call's own merged map result and
+	// nothing reads its partitions afterwards.
 	sortedData := make([][]byte, R)
 	inSizes := make([]int64, R)
 	parallel.For(e.mr.WorkerCount(), R, func(part int) {
@@ -182,9 +191,8 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 		if inSizes[part] == 0 {
 			return
 		}
-		sorted := append([]records.Pair(nil), input...)
-		mapreduce.SortPairs(sorted)
-		sortedData[part] = colfmt.EncodePairs(sorted)
+		mapreduce.SortPairs(input)
+		sortedData[part] = colfmt.EncodePairs(input)
 	})
 
 	// Map cost is paid once for the whole pane; each live partition's
@@ -286,35 +294,40 @@ func (e *Engine) reuseJoinTuple(t paneTuple) (refs []cacheRef, reused, recovered
 	return refs, true, false
 }
 
-// tupleGroup is a batch of pane tuples sharing one (dimension, pane)
-// coordinate that one reducer slot occupancy processes.
-type tupleGroup struct {
-	tuples []paneTuple
+// paneCoord names one source pane: a coordinate value of the pane space.
+type paneCoord struct {
+	dim  int
+	pane window.PaneID
 }
 
-// groupTuples buckets the needed tuples so that tuples sharing a hot
-// coordinate run in one batched task: each tuple joins the bucket of
-// whichever of its coordinates participates in the most needed tuples,
-// so the hot new pane's cache is read once per partition rather than
-// once per tuple.
-func groupTuples(needed []paneTuple) []tupleGroup {
-	type coord struct {
-		dim  int
-		pane window.PaneID
-	}
-	count := make(map[coord]int)
-	for _, t := range needed {
-		for d, p := range t {
-			count[coord{d, p}]++
+// tupleGroup is a batch of pane tuples sharing one (dimension, pane)
+// coordinate that one reducer slot occupancy processes; ords are the
+// tuples' ordinals in the window's forEachTupleRanges order.
+type tupleGroup struct {
+	tuples []paneTuple
+	ords   []int
+}
+
+// groupTuples buckets the needed tuples (ordinals into tuples) so that
+// tuples sharing a hot coordinate run in one batched task: each tuple
+// joins the bucket of whichever of its coordinates participates in the
+// most needed tuples, so joinTupleGroup decodes the hot new pane's
+// cache once per partition for the whole bucket, not once per tuple.
+func groupTuples(tuples []paneTuple, needed []int) []tupleGroup {
+	count := make(map[paneCoord]int)
+	for _, o := range needed {
+		for d, p := range tuples[o] {
+			count[paneCoord{d, p}]++
 		}
 	}
-	buckets := make(map[coord]*tupleGroup)
-	var order []coord
-	for _, t := range needed {
-		best := coord{0, t[0]}
+	buckets := make(map[paneCoord]*tupleGroup)
+	var order []paneCoord
+	for _, o := range needed {
+		t := tuples[o]
+		best := paneCoord{0, t[0]}
 		for d, p := range t {
-			if count[coord{d, p}] > count[best] {
-				best = coord{d, p}
+			if count[paneCoord{d, p}] > count[best] {
+				best = paneCoord{d, p}
 			}
 		}
 		g, ok := buckets[best]
@@ -324,6 +337,7 @@ func groupTuples(needed []paneTuple) []tupleGroup {
 			order = append(order, best)
 		}
 		g.tuples = append(g.tuples, t)
+		g.ords = append(g.ords, o)
 	}
 	out := make([]tupleGroup, 0, len(order))
 	for _, k := range order {
@@ -333,10 +347,13 @@ func groupTuples(needed []paneTuple) []tupleGroup {
 }
 
 // joinTupleGroup computes a batch of pane-tuple joins per partition in
-// one slot occupancy: distinct input caches are loaded once, each
-// tuple's output is computed and cached separately (preserving
-// tuple-granular reuse and expiry), and the status matrix is updated.
-func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []map[window.PaneID][]cacheRef, stats *mapreduce.Stats) (map[string][]cacheRef, error) {
+// one slot occupancy and returns each tuple's per-partition output
+// references, in group order. Per partition every distinct input cache
+// is decoded once for the whole group and, the caches being stored
+// key-sorted, a tuple's reduce input is a merge of its panes' runs,
+// grouped without sorting. Each tuple's output is cached separately
+// (tuple-granular reuse and expiry); the status matrix is updated.
+func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []map[window.PaneID][]cacheRef, stats *mapreduce.Stats) ([][]cacheRef, error) {
 	q := e.query
 	R := q.NumReducers
 	n := len(q.Sources)
@@ -348,63 +365,77 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 	e.sched.ReduceTasks.Push(id, nil)
 	defer e.sched.ReduceTasks.Remove(id)
 
-	out := make(map[string][]cacheRef, len(group.tuples))
-	for _, t := range group.tuples {
-		out[t.key()] = make([]cacheRef, R)
+	out := make([][]cacheRef, len(group.tuples))
+	for i := range out {
+		out[i] = make([]cacheRef, R)
 	}
 	// Phase 1 (parallel): per partition, load the batch's distinct
 	// input caches and compute every tuple's join — pure compute.
 	type tupleOut struct {
-		key string
 		// inBytes is the tuple's summed input-cache bytes — the basis of
 		// the ledger's modeled recompute for the tuple's output cache.
 		inBytes int64
 		data    []byte
 	}
 	type partCompute struct {
-		caches   []cacheRef
-		outs     []tupleOut
-		inBytes  int64
-		outBytes int64
+		caches     []cacheRef
+		cacheBytes int64
+		outs       []tupleOut // aligned with group.tuples
+		inBytes    int64
+		outBytes   int64
 	}
 	computed := make([]partCompute, R)
 	if err := parallel.ForErr(e.mr.WorkerCount(), R, func(part int) error {
-		pc := &partCompute{}
-		seen := make(map[string]bool)
-		addCache := func(c cacheRef) {
-			if c.bytes == 0 || seen[c.pid] {
-				return
-			}
-			seen[c.pid] = true
-			pc.caches = append(pc.caches, c)
-		}
+		pc := &computed[part]
+		pc.outs = make([]tupleOut, len(group.tuples))
+		runs := make(map[paneCoord][]records.Pair)
 		for _, t := range group.tuples {
-			var tupleIn int64
-			var pairs []records.Pair
-			for d := 0; d < n; d++ {
-				c := rins[d][t[d]][part]
-				addCache(c)
-				tupleIn += c.bytes
-				if c.bytes == 0 {
+			for d, p := range t {
+				c := rins[d][p][part]
+				if _, seen := runs[paneCoord{d, p}]; seen || c.bytes == 0 {
 					continue
 				}
-				ps, err := e.readCache(c)
+				run, err := e.readCache(c)
 				if err != nil {
 					return err
 				}
-				pairs = append(pairs, ps...)
+				// A reduce input registered by an aggregation sibling over
+				// a shared source is in map-output order, not sorted.
+				if !slices.IsSortedFunc(run, func(a, b records.Pair) int { return bytes.Compare(a.Key, b.Key) }) {
+					mapreduce.SortPairs(run)
+				}
+				runs[paneCoord{d, p}] = run
+				pc.caches = append(pc.caches, c)
+				pc.cacheBytes += c.bytes
+			}
+		}
+		// Scratch reused across the tuples: groups and emitted pairs alias
+		// cache bytes, never these slices, and each output is encoded at once.
+		tupleRuns := make([][]records.Pair, 0, n)
+		var input, joined []records.Pair
+		emit := func(k, v []byte) { joined = append(joined, records.Pair{Key: k, Value: v}) }
+		for i, t := range group.tuples {
+			tupleRuns = tupleRuns[:0]
+			var tupleIn int64
+			for d, p := range t {
+				if c := rins[d][p][part]; c.bytes != 0 {
+					tupleIn += c.bytes
+					tupleRuns = append(tupleRuns, runs[paneCoord{d, p}])
+				}
 			}
 			if tupleIn == 0 {
-				pc.outs = append(pc.outs, tupleOut{key: t.key(), data: nil})
 				continue
 			}
-			joined := mapreduce.ReduceGroups(q.Reduce, mapreduce.GroupPairs(pairs))
+			input = mapreduce.MergeSortedRuns(input[:0], tupleRuns...)
+			joined = joined[:0]
+			for _, g := range mapreduce.GroupSorted(input) {
+				q.Reduce(g.Key, g.Values, emit)
+			}
 			data := colfmt.EncodePairs(joined)
 			pc.inBytes += tupleIn
 			pc.outBytes += int64(len(data))
-			pc.outs = append(pc.outs, tupleOut{key: t.key(), inBytes: tupleIn, data: data})
+			pc.outs[i] = tupleOut{inBytes: tupleIn, data: data}
 		}
-		computed[part] = *pc
 		return nil
 	}); err != nil {
 		return nil, err
@@ -418,31 +449,28 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 		}
 		return cacheMeta{pane: t[0], part: part, inputs: ins}
 	}
-	for part := 0; part < R; part++ {
-		caches := computed[part].caches
-		outs := computed[part].outs
-		inBytes := computed[part].inBytes
-		outBytes := computed[part].outBytes
-		if len(caches) == 0 {
+	for part, pc := range computed {
+		if len(pc.caches) == 0 {
 			// Entirely empty partition: register empty outputs.
 			home := e.sched.HomeNode(part)
-			for i, to := range outs {
-				out[to.key][part] = e.registerCache(q.routTuplePID(group.tuples[i], part),
-					ReduceOutput, home.ID, baseReady, nil, tupleMeta(group.tuples[i], part))
+			for i, t := range group.tuples {
+				out[i][part] = e.registerCache(q.routTuplePID(t, part),
+					ReduceOutput, home.ID, baseReady, nil, tupleMeta(t, part))
 			}
 			continue
 		}
-		ct := e.runCacheTask(fmt.Sprintf("join %s p%d", id, part), phaseReduce, baseReady, caches,
-			e.mr.Cost.CachedReduceTask(inBytes, outBytes))
+		ct := e.runCacheTask(fmt.Sprintf("join %s p%d", id, part), phaseReduce, baseReady, pc.caches,
+			e.mr.Cost.CachedReduceTask(pc.inBytes, pc.outBytes))
 		stats.ReduceTasks++
 		stats.ReduceTime += ct.dur
-		stats.BytesCacheRead += sumCacheBytes(caches)
-		for i, to := range outs {
+		stats.BytesCacheRead += pc.cacheBytes
+		for i, t := range group.tuples {
 			// A hit on a tuple's output skips re-joining its inputs: the
 			// modeled cached-reduce over this tuple's share of the batch.
-			meta := tupleMeta(group.tuples[i], part)
+			to := pc.outs[i]
+			meta := tupleMeta(t, part)
 			meta.span, meta.recompute = ct.span, e.mr.Cost.CachedReduceTask(to.inBytes, int64(len(to.data)))
-			out[to.key][part] = e.registerCache(q.routTuplePID(group.tuples[i], part),
+			out[i][part] = e.registerCache(q.routTuplePID(t, part),
 				ReduceOutput, ct.node, ct.end, to.data, meta)
 		}
 		if ct.end > stats.End {
@@ -457,14 +485,6 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 	return out, nil
 }
 
-func sumCacheBytes(cs []cacheRef) int64 {
-	var n int64
-	for _, c := range cs {
-		n += c.bytes
-	}
-	return n
-}
-
 // groupID names a batched tuple task for the reduce task list, e.g.
 // "S1P3+S2P4" or "S1P3+8 tuples".
 func groupID(q *Query, g tupleGroup) string {
@@ -476,148 +496,66 @@ func groupID(q *Query, g tupleGroup) string {
 }
 
 // finalizeJoinWindow assembles the window's result from the cached
-// tuple outputs. With no finalization function the result is the union
-// of the already-materialized tuple outputs — the new tuples' results
-// "combined with the cached reducer outputs from last occurrence"
-// (§6.2.2) — so the finalize step publishes a manifest referencing
-// those output files rather than physically rewriting them (Hadoop
-// outputs are directories of part files; a Redoop recurrence's output
-// directory lists its tuples' part files). With a Merge function the
-// partial outputs are genuinely re-read and merged per partition.
-func (e *Engine) finalizeJoinWindow(los, his []window.PaneID, trigger simtime.Time, tupleRefs map[string][]cacheRef, stats *mapreduce.Stats) ([]records.Pair, simtime.Time, error) {
+// tuple outputs, tupleRefs[ordinal][partition]. With no finalization
+// function the result is the union of the already-materialized tuple
+// outputs — the new tuples' results "combined with the cached reducer
+// outputs from last occurrence" (§6.2.2) — so the finalize step
+// publishes a manifest referencing those output files rather than
+// physically rewriting them (Hadoop outputs are directories of part
+// files; a Redoop recurrence's output directory lists its tuples' part
+// files): the returned pairs are views decoded from the caches. With a
+// Merge function the partial outputs are re-read and merged per partition.
+func (e *Engine) finalizeJoinWindow(trigger simtime.Time, tupleRefs [][]cacheRef, stats *mapreduce.Stats) ([]records.Pair, simtime.Time, error) {
 	q := e.query
-	endMax := trigger
-	var output []records.Pair
-
-	if q.Merge == nil {
-		// Manifest publication: one metadata task covering the whole
-		// window; the output bytes themselves are already on disk.
-		// Cache reads fan out per tuple; the manifest accounting and
-		// output concatenation then replay in tuple order.
-		var tuples []paneTuple
-		forEachTupleRanges(los, his, func(t paneTuple) {
-			tuples = append(tuples, append(paneTuple(nil), t...))
-		})
-		type tupleRead struct {
-			pairs    []records.Pair
-			bytes    int64
-			manifest int64
-			ready    simtime.Time
-			spans    []obs.SpanID
-		}
-		reads := make([]tupleRead, len(tuples))
-		if err := parallel.ForErr(e.mr.WorkerCount(), len(tuples), func(i int) error {
-			tr := &reads[i]
-			for part := 0; part < q.NumReducers; part++ {
-				ref := tupleRefs[tuples[i].key()][part]
-				if ref.readyAt > tr.ready {
-					tr.ready = ref.readyAt
+	if q.Merge != nil {
+		caches := make([][]cacheRef, q.NumReducers)
+		for _, refs := range tupleRefs {
+			for part, ref := range refs {
+				if ref.bytes != 0 {
+					caches[part] = append(caches[part], ref)
 				}
-				if ref.span != 0 {
-					tr.spans = append(tr.spans, ref.span)
-				}
-				if ref.bytes == 0 {
-					continue
-				}
-				tr.manifest += int64(len(ref.pid)) + 16
-				ps, err := e.readCache(ref)
-				if err != nil {
-					return err
-				}
-				tr.pairs = append(tr.pairs, ps...)
-				tr.bytes += ref.bytes
 			}
-			return nil
-		}); err != nil {
-			return nil, endMax, err
 		}
-		ready := trigger
-		var manifestBytes int64
-		var deps []obs.SpanID
-		for _, tr := range reads {
-			if tr.ready > ready {
-				ready = tr.ready
-			}
-			manifestBytes += tr.manifest
-			deps = append(deps, tr.spans...)
-			output = append(output, tr.pairs...)
-			stats.BytesOutput += tr.bytes
-		}
-		node := e.sched.PickCacheTaskNode(ready, nil)
-		dur := e.mr.Cost.ConcatTask(manifestBytes)
-		start, end := node.Reduce.Acquire(ready, dur)
-		node.AddLoad(dur)
-		stats.ReduceTime += dur
-		e.commit(commit{kind: kindCharged, phase: phaseReduce, cost: dur})
-		e.obs.Task(obs.TaskSpan{
-			Track: obs.NodeTrack(node.ID), Cat: "cachetask", Name: "publish manifest",
-			Start: start, End: end, Ready: ready,
-			Parent: e.mr.SpanParent, Deps: deps,
-			Args: []obs.Label{obs.L("query", q.Name), obs.L("tuples", fmt.Sprint(len(tuples)))},
-		})
-		if end > endMax {
-			endMax = end
-		}
-		return output, endMax, nil
+		return e.finalizeMerged(caches, trigger, stats)
 	}
 
-	// Phase 1 (parallel): per partition, gather tuple outputs and run
-	// the finalization merge — pure compute.
-	type finalPart struct {
-		caches   []cacheRef
-		out      []records.Pair
-		inBytes  int64
-		outBytes int64
-	}
-	parts := make([]finalPart, q.NumReducers)
-	if err := parallel.ForErr(e.mr.WorkerCount(), q.NumReducers, func(part int) error {
-		fp := &parts[part]
-		var pairs []records.Pair
-		var ferr error
-		forEachTupleRanges(los, his, func(t paneTuple) {
-			if ferr != nil {
-				return
+	// Manifest publication: one metadata task covering the whole
+	// window; the output bytes themselves are already on disk.
+	ready := trigger
+	var manifestBytes int64
+	var deps []obs.SpanID
+	caches := make([]cacheRef, 0, len(tupleRefs)*q.NumReducers)
+	for _, refs := range tupleRefs {
+		for _, ref := range refs {
+			if ref.readyAt > ready {
+				ready = ref.readyAt
 			}
-			ref := tupleRefs[t.key()][part]
+			if ref.span != 0 {
+				deps = append(deps, ref.span)
+			}
 			if ref.bytes == 0 {
-				return
+				continue
 			}
-			fp.caches = append(fp.caches, ref)
-			ps, err := e.readCache(ref)
-			if err != nil {
-				ferr = err
-				return
-			}
-			pairs = append(pairs, ps...)
-		})
-		if ferr != nil {
-			return ferr
+			manifestBytes += int64(len(ref.pid)) + 16
+			stats.BytesOutput += ref.bytes
+			caches = append(caches, ref)
 		}
-		if len(fp.caches) == 0 {
-			return nil
-		}
-		fp.out = mapreduce.ReduceGroups(q.Merge, mapreduce.GroupPairs(pairs))
-		fp.inBytes = records.PairsSize(pairs)
-		fp.outBytes = records.PairsSize(fp.out)
-		return nil
-	}); err != nil {
-		return nil, endMax, err
 	}
-	// Phase 2 (serial, partition order): Eq. 4 scheduling and stats.
-	for part := 0; part < q.NumReducers; part++ {
-		fp := parts[part]
-		if len(fp.caches) == 0 {
-			continue
-		}
-		ct := e.runCacheTask(fmt.Sprintf("finalize p%d", part), phaseReduce, trigger, fp.caches, e.mr.Cost.MergeTask(fp.inBytes, fp.outBytes))
-		stats.ReduceTime += ct.dur
-		stats.ReduceTasks++
-		stats.BytesCacheRead += fp.inBytes
-		stats.BytesOutput += fp.outBytes
-		if ct.end > endMax {
-			endMax = ct.end
-		}
-		output = append(output, fp.out...)
+	outs, err := e.gatherCaches([][]cacheRef{caches})
+	if err != nil {
+		return nil, trigger, err
 	}
-	return output, endMax, nil
+	node := e.sched.PickCacheTaskNode(ready, nil)
+	dur := e.mr.Cost.ConcatTask(manifestBytes)
+	start, end := node.Reduce.Acquire(ready, dur)
+	node.AddLoad(dur)
+	stats.ReduceTime += dur
+	e.commit(commit{kind: kindCharged, phase: phaseReduce, cost: dur})
+	e.obs.Task(obs.TaskSpan{
+		Track: obs.NodeTrack(node.ID), Cat: "cachetask", Name: "publish manifest",
+		Start: start, End: end, Ready: ready,
+		Parent: e.mr.SpanParent, Deps: deps,
+		Args: []obs.Label{obs.L("query", q.Name), obs.L("tuples", fmt.Sprint(len(tupleRefs)))},
+	})
+	return outs[0], simtime.Max(end, trigger), nil
 }

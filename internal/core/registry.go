@@ -85,7 +85,10 @@ func (r *Registry) Add(pid string, typ CacheType, data []byte) {
 // Get loads a cached entry's bytes from the node's local file system.
 // The second result is false when the cache is absent — either never
 // created here or lost to a failure; callers treat that as a cache miss
-// and trigger recovery.
+// and trigger recovery. Ownership: Add copies the writer's bytes in and
+// they are immutable from then on, so Get returns a read-only view, not
+// a copy. The view outlives expiry, eviction, re-registration and node
+// loss of the entry unchanged; the caller must not write through it.
 func (r *Registry) Get(pid string, typ CacheType) ([]byte, bool) {
 	return r.node.GetLocal(localKey(pid, typ))
 }

@@ -5,7 +5,6 @@ import (
 
 	"redoop/internal/colfmt"
 	"redoop/internal/mapreduce"
-	"redoop/internal/records"
 	"redoop/internal/reuse"
 	"redoop/internal/simtime"
 	"redoop/internal/window"
@@ -168,9 +167,19 @@ func (e *Engine) copyReusedPane(p window.PaneID, trigger simtime.Time, entries [
 func (e *Engine) composeReusedPane(p window.PaneID, u int64, trigger simtime.Time, rows [][]reuse.Entry, prods [][]cacheRef, stats *mapreduce.Stats) ([]cacheRef, error) {
 	q := e.query
 	refs := make([]cacheRef, q.NumReducers)
-	for part := 0; part < q.NumReducers; part++ {
-		var pairs []records.Pair
-		var caches []cacheRef
+	live := make([][]cacheRef, q.NumReducers)
+	for part := range live {
+		for _, prod := range prods[part] {
+			if prod.bytes != 0 {
+				live[part] = append(live[part], prod)
+			}
+		}
+	}
+	ins, err := e.gatherCaches(live)
+	if err != nil {
+		return nil, err
+	}
+	for part, caches := range live {
 		var inBytes int64
 		var recompute simtime.Duration
 		readyAt := trigger
@@ -182,13 +191,7 @@ func (e *Engine) composeReusedPane(p window.PaneID, u int64, trigger simtime.Tim
 			if prod.bytes == 0 {
 				continue
 			}
-			ps, err := e.readCache(prod)
-			if err != nil {
-				return nil, err
-			}
 			e.commit(commit{kind: kindCrossHit, at: e.curTrigger, pid: prod.pid, typ: prod.typ})
-			pairs = append(pairs, ps...)
-			caches = append(caches, prod)
 			inBytes += prod.bytes
 		}
 		routPID := q.routPanePID(p, part)
@@ -197,7 +200,7 @@ func (e *Engine) composeReusedPane(p window.PaneID, u int64, trigger simtime.Tim
 			refs[part] = e.registerReused(routPID, prods[part][0], prods[part][0].node, readyAt, nil, routMeta, "subsume")
 			continue
 		}
-		merged := mapreduce.ReduceGroups(q.Merge, mapreduce.GroupPairs(pairs))
+		merged := mapreduce.ReduceGroups(q.Merge, mapreduce.GroupPairs(ins[part]))
 		outData := colfmt.EncodePairs(merged)
 		ct := e.runCacheTask(fmt.Sprintf("reuse-merge pane %d p%d", int64(p), part), phaseReduce,
 			trigger, caches, e.mr.Cost.MergeTask(inBytes, int64(len(outData))))

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -432,6 +434,80 @@ func TestGroupPairs(t *testing.T) {
 	}
 	if GroupPairs(nil) != nil {
 		t.Error("empty input should group to nil")
+	}
+}
+
+// valueMultisets flattens groups into key -> sorted values, the form in
+// which two groupings are equal regardless of within-key value order.
+func valueMultisets(t *testing.T, groups []Group) map[string][]string {
+	t.Helper()
+	out := make(map[string][]string, len(groups))
+	for i, g := range groups {
+		if i > 0 && bytes.Compare(groups[i-1].Key, g.Key) >= 0 {
+			t.Fatalf("group keys not strictly ascending at %d: %q then %q", i, groups[i-1].Key, g.Key)
+		}
+		vals := make([]string, len(g.Values))
+		for j, v := range g.Values {
+			vals[j] = string(v)
+		}
+		sort.Strings(vals)
+		out[string(g.Key)] = vals
+	}
+	return out
+}
+
+// TestMergeSortedRunsGroupsLikeGroupPairs is the property the join
+// relies on: merging 1-4 sorted runs and grouping without a sort gives
+// the same key -> value-multiset map as GroupPairs over their
+// concatenation — with duplicate keys within and across runs, empty
+// runs, and keys that only one run holds.
+func TestMergeSortedRunsGroupsLikeGroupPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		runs := make([][]records.Pair, 1+rng.Intn(4))
+		var concat []records.Pair
+		for r := range runs {
+			n := rng.Intn(30)
+			if rng.Intn(4) == 0 {
+				n = 0
+			}
+			for i := 0; i < n; i++ {
+				key := fmt.Sprintf("k%02d", rng.Intn(8))
+				if rng.Intn(3) == 0 {
+					key = fmt.Sprintf("only%d-%d", r, rng.Intn(3)) // held by run r alone
+				}
+				runs[r] = append(runs[r], records.Pair{Key: []byte(key), Value: []byte(fmt.Sprintf("r%d-%d", r, rng.Intn(5)))})
+			}
+			SortPairs(runs[r])
+			concat = append(concat, runs[r]...)
+		}
+		prefix := records.Pair{Key: []byte("a-prefix"), Value: []byte("kept")}
+		merged := MergeSortedRuns([]records.Pair{prefix}, runs...)
+		if len(merged) != 1+len(concat) || string(merged[0].Key) != "a-prefix" {
+			t.Fatalf("trial %d: merged %d pairs onto a 1-pair dst, want %d with the prefix kept", trial, len(merged), 1+len(concat))
+		}
+		got := valueMultisets(t, GroupSorted(merged[1:]))
+		want := valueMultisets(t, GroupPairs(concat))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d runs): merge+GroupSorted = %v, GroupPairs(concat) = %v", trial, len(runs), got, want)
+		}
+	}
+	if MergeSortedRuns(nil) != nil || GroupSorted(nil) != nil {
+		t.Error("no input should merge and group to nil")
+	}
+}
+
+// TestGroupSortedValuesDoNotOverlap pins that the groups' Values, views
+// of one shared array, are capacity-limited: a reducer appending to its
+// values cannot write into the next group's.
+func TestGroupSortedValuesDoNotOverlap(t *testing.T) {
+	groups := GroupSorted([]records.Pair{
+		{Key: []byte("a"), Value: []byte("1")},
+		{Key: []byte("b"), Value: []byte("2")},
+	})
+	_ = append(groups[0].Values, []byte("x"))
+	if string(groups[1].Values[0]) != "2" {
+		t.Errorf("append to group a's values clobbered group b: %q", groups[1].Values[0])
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"redoop/internal/dfs"
@@ -229,20 +230,64 @@ func GroupPairs(pairs []records.Pair) []Group {
 	sort.Slice(pairs, func(i, j int) bool {
 		return bytes.Compare(pairs[i].Key, pairs[j].Key) < 0
 	})
-	var groups []Group
+	return GroupSorted(pairs)
+}
+
+// GroupSorted groups key-sorted pairs without sorting: the groups are
+// counted first, so the group slice and the one values array every
+// group's Values is a capacity-limited view of are each allocated once.
+func GroupSorted(pairs []records.Pair) []Group {
+	if len(pairs) == 0 {
+		return nil
+	}
+	n := 1
+	for i := 1; i < len(pairs); i++ {
+		if !bytes.Equal(pairs[i].Key, pairs[i-1].Key) {
+			n++
+		}
+	}
+	groups := make([]Group, 0, n)
+	vals := make([][]byte, len(pairs))
 	for i := 0; i < len(pairs); {
-		j := i + 1
-		for j < len(pairs) && bytes.Equal(pairs[j].Key, pairs[i].Key) {
-			j++
+		j := i
+		for ; j < len(pairs) && bytes.Equal(pairs[j].Key, pairs[i].Key); j++ {
+			vals[j] = pairs[j].Value
 		}
-		g := Group{Key: pairs[i].Key, Values: make([][]byte, 0, j-i)}
-		for k := i; k < j; k++ {
-			g.Values = append(g.Values, pairs[k].Value)
-		}
-		groups = append(groups, g)
+		groups = append(groups, Group{Key: pairs[i].Key, Values: vals[i:j:j]})
 		i = j
 	}
 	return groups
+}
+
+// MergeSortedRuns merges key-sorted runs into dst (append-style) by an
+// n-way merge, ties going to the lower-numbered run, so the result is
+// key-sorted and deterministic. The runs are not modified.
+func MergeSortedRuns(dst []records.Pair, runs ...[]records.Pair) []records.Pair {
+	live := make([][]records.Pair, 0, len(runs))
+	total := 0
+	for _, r := range runs {
+		if len(r) > 0 {
+			live = append(live, r)
+			total += len(r)
+		}
+	}
+	dst = slices.Grow(dst, total)
+	for len(live) > 1 {
+		lo := 0
+		for i := 1; i < len(live); i++ {
+			if bytes.Compare(live[i][0].Key, live[lo][0].Key) < 0 {
+				lo = i
+			}
+		}
+		dst = append(dst, live[lo][0])
+		if live[lo] = live[lo][1:]; len(live[lo]) == 0 {
+			live = append(live[:lo], live[lo+1:]...)
+		}
+	}
+	if len(live) == 1 {
+		dst = append(dst, live[0]...)
+	}
+	return dst
 }
 
 // ReduceGroups applies a reduce function to grouped input, returning the
@@ -256,13 +301,15 @@ func ReduceGroups(fn ReduceFunc, groups []Group) []records.Pair {
 	return out
 }
 
-// SortPairs orders pairs by key (then value) for deterministic output
-// comparison in tests and experiments.
+// SortPairs orders pairs by key then value — a total order up to
+// byte-identical pairs, so the result does not depend on the sort
+// algorithm: reduce-input caches are stored in it, and tests and
+// experiments compare outputs in it.
 func SortPairs(ps []records.Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if c := bytes.Compare(ps[i].Key, ps[j].Key); c != 0 {
-			return c < 0
+	slices.SortFunc(ps, func(a, b records.Pair) int {
+		if c := bytes.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-		return bytes.Compare(ps[i].Value, ps[j].Value) < 0
+		return bytes.Compare(a.Value, b.Value)
 	})
 }

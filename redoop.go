@@ -478,7 +478,9 @@ func toStats(m mapreduce.Stats, response time.Duration) Stats {
 type Result struct {
 	// Recurrence is the execution's 0-based index.
 	Recurrence int
-	// Output is the window's result in deterministic order.
+	// Output is the window's result in deterministic order. Keys and
+	// values may alias the engine's cached bytes: read them, re-order
+	// the slice freely, but do not write through them.
 	Output []Pair
 	// Stats is the measured work and timing.
 	Stats Stats

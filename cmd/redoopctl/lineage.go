@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"redoop/internal/account"
-	"redoop/internal/chaos"
 	"redoop/internal/core"
 	"redoop/internal/experiments"
 	"redoop/internal/lineage"
@@ -27,12 +26,11 @@ const maxTraceEdges = 24
 // fingerprint and the final window's derivation DAG with per-edge
 // virtual-time build costs joined against the ledger's attributed
 // compute; the store totals close the report.
-func runLineage(tableW, reportW io.Writer, cfg experiments.Config, overlap float64, adaptive bool, failNode int, dropCache bool, spikeWin int, spikeFac float64, chaosSched *chaos.Schedule) error {
-	for _, wl := range []struct{ kind, tenant string }{
-		{"agg", "tenant-a"},
-		{"join", "tenant-b"},
-	} {
-		eng, err := run(tableW, cfg, wl.kind, overlap, adaptive, false, failNode, dropCache, 0, spikeWin, spikeFac, chaosSched, true, wl.tenant)
+func runLineage(tableW, reportW io.Writer, cfg experiments.Config, o runOpts) error {
+	o.Baseline, o.topK, cfg.OracleCheck = false, 0, true
+	for _, wl := range figureWorkloads {
+		o.Kind, o.Tenant = wl.kind, wl.tenant
+		eng, err := run(tableW, cfg, o)
 		if err != nil {
 			return err
 		}

@@ -131,6 +131,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -142,7 +143,6 @@ import (
 	"time"
 
 	"redoop/internal/account"
-	"redoop/internal/baseline"
 	"redoop/internal/chaos"
 	"redoop/internal/core"
 	"redoop/internal/experiments"
@@ -156,55 +156,76 @@ import (
 	"redoop/internal/oracle"
 	"redoop/internal/profile"
 	"redoop/internal/queries"
-	"redoop/internal/records"
 	"redoop/internal/simtime"
-	"redoop/internal/workload"
+	"redoop/internal/window"
 )
 
-func main() {
+func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// runOpts are the flags that shape one query run; the embedded
+// QueryRun's hooks are filled in by run.
+type runOpts struct {
+	experiments.QueryRun
+	failNode  int
+	dropCache bool
+	topK      int
+	spikeWin  int
+	spikeFac  float64
+}
+
+// realMain is main with its process boundary injected: the arguments
+// after the program name, the two output streams, and the exit code as
+// the return value.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("redoopctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o runOpts
+	fs.StringVar(&o.Kind, "query", "agg", "query to run: agg (Q1, WCC) or join (Q2, FFG)")
+	fs.Float64Var(&o.Overlap, "overlap", 0.9, "window overlap factor (win-slide)/win")
+	fs.BoolVar(&o.Adaptive, "adaptive", false, "enable adaptive input partitioning")
+	fs.BoolVar(&o.Baseline, "baseline", false, "run the plain-Hadoop baseline instead of Redoop")
+	fs.IntVar(&o.failNode, "failnode", -1, "kill this node before window 3")
+	fs.BoolVar(&o.dropCache, "dropcaches", false, "drop one node's caches before every window")
+	fs.IntVar(&o.topK, "top", 5, "print the top-K results of the final window")
+	fs.IntVar(&o.spikeWin, "spikewin", -1, "multiply this window's input volume by -spikefactor (oversized-batch fault)")
+	fs.Float64Var(&o.spikeFac, "spikefactor", 10, "input volume multiplier for -spikewin")
 	var (
-		queryKind   = flag.String("query", "agg", "query to run: agg (Q1, WCC) or join (Q2, FFG)")
-		overlap     = flag.Float64("overlap", 0.9, "window overlap factor (win-slide)/win")
-		windows     = flag.Int("windows", 10, "number of recurrences")
-		recs        = flag.Int("records", 120000, "records per window")
-		adaptive    = flag.Bool("adaptive", false, "enable adaptive input partitioning")
-		useBase     = flag.Bool("baseline", false, "run the plain-Hadoop baseline instead of Redoop")
-		failNode    = flag.Int("failnode", -1, "kill this node before window 3")
-		dropCache   = flag.Bool("dropcaches", false, "drop one node's caches before every window")
-		chaosArg    = flag.String("chaos", "", "run under a seeded deterministic fault schedule with the oracle verifying every window: SEED[:profile] (profiles: mixed, crash, cacheloss, corrupt, delay, straggle, speculative, none)")
-		topK        = flag.Int("top", 5, "print the top-K results of the final window")
-		seed        = flag.Int64("seed", 42, "generator seed")
-		workers     = flag.Int("workers", 0, "parallel compute pool: 0 = GOMAXPROCS, 1 = serial (simulated results are identical either way)")
-		spikeWin    = flag.Int("spikewin", -1, "multiply this window's input volume by -spikefactor (oversized-batch fault)")
-		spikeFac    = flag.Float64("spikefactor", 10, "input volume multiplier for -spikewin")
-		deadline    = flag.Duration("deadline", 0, "override the SLO deadline (default: the query's slide, in virtual time)")
-		cacheBudget = flag.Float64("cache-budget", 0, "flag queries whose cumulative cache occupancy exceeds this many byte·seconds as AT_RISK (0 disables)")
-		metricsOut  = flag.String("metrics-out", "", "write a Prometheus text exposition of the run's metrics to this file")
-		traceOut    = flag.String("trace-out", "", "write a Perfetto-loadable Chrome trace JSON of the run to this file")
-		foldedOut   = flag.String("folded-out", "", "write flamegraph folded stacks of the run's task spans to this file")
-		critpathOut = flag.String("critpath-out", "", "write a Chrome trace JSON with the critical-path overlay to this file")
-		dotOut      = flag.String("dot-out", "", "write the run's derivation DAG as a Graphviz digraph to this file (attaches a provenance store)")
-		lineageOut  = flag.String("lineage-out", "", "write the run's provenance store (stats, plans, derivation DAG) as JSON to this file")
-		serveAddr   = flag.String("serve", "", "serve the live introspection HTTP endpoints on this address (e.g. :8080) during the run, then until interrupted")
+		windows     = fs.Int("windows", 10, "number of recurrences")
+		recs        = fs.Int("records", 120000, "records per window")
+		chaosArg    = fs.String("chaos", "", "run under a seeded deterministic fault schedule with the oracle verifying every window: SEED[:profile] (profiles: mixed, crash, cacheloss, corrupt, delay, straggle, speculative, none)")
+		seed        = fs.Int64("seed", 42, "generator seed")
+		workers     = fs.Int("workers", 0, "parallel compute pool: 0 = GOMAXPROCS, 1 = serial (simulated results are identical either way)")
+		deadline    = fs.Duration("deadline", 0, "override the SLO deadline (default: the query's slide, in virtual time)")
+		cacheBudget = fs.Float64("cache-budget", 0, "flag queries whose cumulative cache occupancy exceeds this many byte·seconds as AT_RISK (0 disables)")
+		metricsOut  = fs.String("metrics-out", "", "write a Prometheus text exposition of the run's metrics to this file")
+		traceOut    = fs.String("trace-out", "", "write a Perfetto-loadable Chrome trace JSON of the run to this file")
+		foldedOut   = fs.String("folded-out", "", "write flamegraph folded stacks of the run's task spans to this file")
+		critpathOut = fs.String("critpath-out", "", "write a Chrome trace JSON with the critical-path overlay to this file")
+		dotOut      = fs.String("dot-out", "", "write the run's derivation DAG as a Graphviz digraph to this file (attaches a provenance store)")
+		lineageOut  = fs.String("lineage-out", "", "write the run's provenance store (stats, plans, derivation DAG) as JSON to this file")
+		serveAddr   = fs.String("serve", "", "serve the live introspection HTTP endpoints on this address (e.g. :8080) during the run, then until interrupted")
 	)
-	args := os.Args[1:]
-	metricsMode := len(args) > 0 && args[0] == "metrics"
-	explainMode := len(args) > 0 && args[0] == "explain"
-	healthMode := len(args) > 0 && args[0] == "health"
-	profileMode := len(args) > 0 && args[0] == "profile"
-	costsMode := len(args) > 0 && args[0] == "costs"
-	lineageMode := len(args) > 0 && args[0] == "lineage"
-	reuseMode := len(args) > 0 && args[0] == "reuse"
-	if metricsMode || explainMode || healthMode || profileMode || costsMode || lineageMode || reuseMode {
-		args = args[1:]
-	} else if len(args) > 0 && len(args[0]) > 0 && args[0][0] != '-' {
-		fmt.Fprintf(os.Stderr, "redoopctl: unknown subcommand %q (want metrics, explain, health, profile, costs, lineage or reuse)\n", args[0])
-		os.Exit(2)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "redoopctl: "+format+"\n", a...)
+		return 2
 	}
-	flag.CommandLine.Parse(args)
-	if flag.CommandLine.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "redoopctl: unexpected argument %q\n", flag.CommandLine.Arg(0))
-		os.Exit(2)
+	mode := "" // the subcommand; empty for a plain run
+	if len(args) > 0 && args[0] != "" && args[0][0] != '-' {
+		switch args[0] {
+		case "metrics", "explain", "health", "profile", "costs", "lineage", "reuse":
+			mode, args = args[0], args[1:]
+		default:
+			return usage("unknown subcommand %q (want metrics, explain, health, profile, costs, lineage or reuse)", args[0])
+		}
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected argument %q", fs.Arg(0))
 	}
 
 	cfg := experiments.Default()
@@ -213,31 +234,25 @@ func main() {
 	cfg.Seed = *seed
 	cfg.ExecWorkers = *workers
 
-	var chaosSched *chaos.Schedule
 	if *chaosArg != "" {
-		if *useBase {
-			fmt.Fprintln(os.Stderr, "redoopctl: -chaos cannot be combined with -baseline (the oracle verifies the Redoop engine against baseline semantics)")
-			os.Exit(2)
+		if o.Baseline {
+			return usage("-chaos cannot be combined with -baseline (the oracle verifies the Redoop engine against baseline semantics)")
 		}
 		_, cseed, cprofile, err := chaos.ParseSpec(*chaosArg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "redoopctl: %v\n", err)
-			os.Exit(2)
+			return usage("%v", err)
 		}
-		chaosSched, err = chaos.Generate(cseed, cprofile, cfg.Windows, cfg.Workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "redoopctl: %v\n", err)
-			os.Exit(2)
+		if cfg.Chaos, err = chaos.Generate(cseed, cprofile, cfg.Windows, cfg.Workers); err != nil {
+			return usage("%v", err)
 		}
 	}
 
-	if profileMode && *useBase {
-		fmt.Fprintln(os.Stderr, "redoopctl: profile needs the instrumented Redoop engine; it cannot be combined with -baseline")
-		os.Exit(2)
+	wantLineage := mode == "lineage" || *dotOut != "" || *lineageOut != ""
+	if mode == "profile" && o.Baseline {
+		return usage("profile needs the instrumented Redoop engine; it cannot be combined with -baseline")
 	}
-	if (lineageMode || *dotOut != "" || *lineageOut != "") && *useBase {
-		fmt.Fprintln(os.Stderr, "redoopctl: the baseline driver records no provenance; lineage cannot be combined with -baseline")
-		os.Exit(2)
+	if wantLineage && o.Baseline {
+		return usage("the baseline driver records no provenance; lineage cannot be combined with -baseline")
 	}
 
 	// Lineage mode (and the standalone DAG artifacts) attach a shared
@@ -245,15 +260,18 @@ func main() {
 	// DAG against the cost ledger, so it needs one. -serve attaches
 	// one too (baseline excepted — it records no provenance), so
 	// /debug/lineage has a live store to show.
-	if lineageMode || *dotOut != "" || *lineageOut != "" || (*serveAddr != "" && !*useBase) {
+	if wantLineage || (*serveAddr != "" && !o.Baseline) {
 		cfg.Lineage = lineage.New(0)
 	}
-	if lineageMode && cfg.Account == nil {
+	// The lineage report joins the DAG against the cost ledger, and the
+	// health budget check reads cache occupancy from one, so both modes
+	// attach a ledger for the numbers to be non-zero.
+	if mode == "lineage" || mode == "health" {
 		cfg.Account = account.New()
 	}
 
 	var ob *obs.Observer
-	if metricsMode || explainMode || healthMode || profileMode ||
+	if mode == "metrics" || mode == "explain" || mode == "health" || mode == "profile" ||
 		*serveAddr != "" || *metricsOut != "" || *traceOut != "" || *foldedOut != "" || *critpathOut != "" {
 		ob = obs.New()
 		cfg.Obs = ob
@@ -264,11 +282,6 @@ func main() {
 	hcfg := health.DefaultConfig()
 	hcfg.DeadlineOverride = simtime.Duration(*deadline)
 	hcfg.CacheByteSecondBudget = *cacheBudget
-	// The budget check reads cache occupancy from the cost ledger, so
-	// health mode needs one attached for the numbers to be non-zero.
-	if healthMode && cfg.Account == nil {
-		cfg.Account = account.New()
-	}
 	mon := health.NewMonitor(hcfg)
 	if ob != nil {
 		mon.SetObserver(ob)
@@ -280,19 +293,18 @@ func main() {
 		srv = obsserver.New(ob)
 		addr, err := srv.Start(*serveAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "redoopctl: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "redoopctl: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "[introspection server on http://%s]\n", addr)
+		fmt.Fprintf(stderr, "[introspection server on http://%s]\n", addr)
 		cfg.OnEngine = func(e *core.Engine) { srv.Attach(e) }
 	}
 
-	// In metrics, explain, health, profile, costs and lineage mode the
-	// report owns stdout; the table moves to stderr so both remain
-	// usable.
-	tableOut := io.Writer(os.Stdout)
-	if metricsMode || explainMode || healthMode || profileMode || costsMode || lineageMode || reuseMode {
-		tableOut = os.Stderr
+	// Under a subcommand the report owns stdout; the table moves to
+	// stderr so both remain usable.
+	tableOut := stdout
+	if mode != "" {
+		tableOut = stderr
 	}
 
 	// The profile subcommand measures an Amdahl reference point first: an
@@ -301,31 +313,33 @@ func main() {
 	// results are byte-identical across pool widths, so comparing the two
 	// host wall-clocks isolates parallel-execution speedup.
 	var serialElapsed time.Duration
-	if profileMode {
+	if mode == "profile" {
 		scfg := cfg
 		scfg.ExecWorkers = 1
 		scfg.Obs = nil
 		scfg.Health = health.NewMonitor(hcfg)
 		scfg.OnEngine = nil
+		so := o
+		so.topK = 0
 		t0 := time.Now()
-		if _, err := run(io.Discard, scfg, *queryKind, *overlap, *adaptive, *useBase, *failNode, *dropCache, 0, *spikeWin, *spikeFac, chaosSched, false, ""); err != nil {
-			fmt.Fprintf(os.Stderr, "redoopctl: serial reference run: %v\n", err)
-			os.Exit(1)
+		if _, err := run(io.Discard, scfg, so); err != nil {
+			fmt.Fprintf(stderr, "redoopctl: serial reference run: %v\n", err)
+			return 1
 		}
 		serialElapsed = time.Since(t0)
 	}
 
 	t0 := time.Now()
 	var runErr error
-	switch {
-	case costsMode:
-		runErr = runCosts(tableOut, os.Stdout, cfg, *overlap, *adaptive, *failNode, *dropCache, *topK, *spikeWin, *spikeFac, chaosSched)
-	case lineageMode:
-		runErr = runLineage(tableOut, os.Stdout, cfg, *overlap, *adaptive, *failNode, *dropCache, *spikeWin, *spikeFac, chaosSched)
-	case reuseMode:
-		runErr = runReuse(os.Stdout, cfg, chaosSched)
+	switch mode {
+	case "costs":
+		runErr = runCosts(tableOut, stdout, cfg, o)
+	case "lineage":
+		runErr = runLineage(tableOut, stdout, cfg, o)
+	case "reuse":
+		runErr = runReuse(stdout, cfg)
 	default:
-		_, runErr = run(tableOut, cfg, *queryKind, *overlap, *adaptive, *useBase, *failNode, *dropCache, *topK, *spikeWin, *spikeFac, chaosSched, false, "")
+		_, runErr = run(tableOut, cfg, o)
 	}
 	parallelElapsed := time.Since(t0)
 
@@ -334,56 +348,35 @@ func main() {
 	// artifact write is itself a failure: scripts must not read a
 	// clean exit as "the artifact exists".
 	artifactErr := false
-	if ob != nil {
-		if metricsMode {
-			if err := ob.Metrics.WritePrometheus(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "redoopctl: metrics dump: %v\n", err)
-				artifactErr = true
-			}
-			fmt.Fprintln(os.Stderr)
-			if err := ob.Metrics.WriteQuantileTable(os.Stderr); err != nil {
-				fmt.Fprintf(os.Stderr, "redoopctl: quantile table: %v\n", err)
-				artifactErr = true
-			}
-		}
-		if explainMode {
-			rep := explain.FromLog(ob.Events, queryName(*queryKind))
-			if err := rep.Write(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "redoopctl: explain: %v\n", err)
-				artifactErr = true
-			}
-		}
-	}
-	if healthMode {
-		if *useBase {
-			fmt.Fprintln(os.Stderr, "redoopctl: the baseline driver has no health monitor; showing an empty table")
-		}
-		if err := mon.WriteText(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "redoopctl: health: %v\n", err)
+	check := func(what string, err error) {
+		if err != nil {
+			fmt.Fprintf(stderr, "redoopctl: %s%v\n", what, err)
 			artifactErr = true
 		}
 	}
-	if ob != nil {
-		if *metricsOut != "" {
-			if err := ob.Metrics.WriteMetricsFile(*metricsOut); err != nil {
-				fmt.Fprintf(os.Stderr, "redoopctl: metrics-out: %v\n", err)
-				artifactErr = true
-			}
+	switch mode {
+	case "metrics":
+		check("metrics dump: ", ob.Metrics.WritePrometheus(stdout))
+		fmt.Fprintln(stderr)
+		check("quantile table: ", ob.Metrics.WriteQuantileTable(stderr))
+	case "explain":
+		check("explain: ", explain.FromLog(ob.Events, queryName(o.Kind)).Write(stdout))
+	case "health":
+		if o.Baseline {
+			fmt.Fprintln(stderr, "redoopctl: the baseline driver has no health monitor; showing an empty table")
 		}
-		if *traceOut != "" {
-			if err := ob.Tracer.WriteTraceFile(*traceOut); err != nil {
-				fmt.Fprintf(os.Stderr, "redoopctl: trace-out: %v\n", err)
-				artifactErr = true
-			}
-		}
+		check("health: ", mon.WriteText(stdout))
 	}
-	if ob != nil && (profileMode || *foldedOut != "" || *critpathOut != "") {
+	if ob != nil && *metricsOut != "" {
+		check("metrics-out: ", ob.Metrics.WriteMetricsFile(*metricsOut))
+	}
+	if ob != nil && *traceOut != "" {
+		check("trace-out: ", ob.Tracer.WriteTraceFile(*traceOut))
+	}
+	if ob != nil && (mode == "profile" || *foldedOut != "" || *critpathOut != "") {
 		p := profile.Analyze(ob.Tracer.Events(), ob.Events.Events())
-		if profileMode {
-			if err := p.Text(os.Stdout, *topK); err != nil {
-				fmt.Fprintf(os.Stderr, "redoopctl: profile report: %v\n", err)
-				artifactErr = true
-			}
+		if mode == "profile" {
+			check("profile report: ", p.Text(stdout, o.topK))
 			poolN := *workers
 			if poolN <= 0 {
 				poolN = runtime.GOMAXPROCS(0)
@@ -392,49 +385,38 @@ func main() {
 			if parallelElapsed > 0 {
 				speedup = float64(serialElapsed) / float64(parallelElapsed)
 			}
-			fmt.Printf("parallel execution: serial %v vs %d-worker %v → speedup %.2fx, Amdahl serial fraction %.3f\n",
+			fmt.Fprintf(stdout, "parallel execution: serial %v vs %d-worker %v → speedup %.2fx, Amdahl serial fraction %.3f\n",
 				serialElapsed.Round(time.Millisecond), poolN, parallelElapsed.Round(time.Millisecond),
 				speedup, profile.SerialFraction(speedup, poolN))
 		}
 		if *foldedOut != "" {
-			if err := p.WriteFoldedFile(*foldedOut); err != nil {
-				fmt.Fprintf(os.Stderr, "redoopctl: folded-out: %v\n", err)
-				artifactErr = true
-			}
+			check("folded-out: ", p.WriteFoldedFile(*foldedOut))
 		}
 		if *critpathOut != "" {
-			if err := p.WriteCritPathTraceFile(*critpathOut); err != nil {
-				fmt.Fprintf(os.Stderr, "redoopctl: critpath-out: %v\n", err)
-				artifactErr = true
-			}
+			check("critpath-out: ", p.WriteCritPathTraceFile(*critpathOut))
 		}
 		// The profiler's structural guarantees are part of the contract:
 		// a critical path that does not tile its recurrence, or a cache
 		// reuse that cost more than it saved, fails the invocation.
-		if err := p.CheckInvariants(); err != nil {
-			fmt.Fprintf(os.Stderr, "redoopctl: %v\n", err)
-			artifactErr = true
-		}
+		check("", p.CheckInvariants())
 	}
 	if cfg.Lineage != nil && (*dotOut != "" || *lineageOut != "") {
-		if err := writeLineageArtifacts(cfg.Lineage, *dotOut, *lineageOut); err != nil {
-			fmt.Fprintf(os.Stderr, "redoopctl: %v\n", err)
-			artifactErr = true
-		}
+		check("", writeLineageArtifacts(cfg.Lineage, *dotOut, *lineageOut))
 	}
 	if runErr != nil {
-		fmt.Fprintf(os.Stderr, "redoopctl: %v\n", runErr)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "redoopctl: %v\n", runErr)
+		return 1
 	}
 	if artifactErr {
-		os.Exit(1)
+		return 1
 	}
 	if srv != nil {
-		fmt.Fprintf(os.Stderr, "[run finished; introspection server still up — Ctrl-C to exit]\n")
+		fmt.Fprintf(stderr, "[run finished; introspection server still up — Ctrl-C to exit]\n")
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 		<-ch
 	}
+	return 0
 }
 
 // queryName maps the -query flag onto the query name the run
@@ -446,18 +428,25 @@ func queryName(kind string) string {
 	return "q1"
 }
 
+// figureWorkloads are the two runs the costs and lineage subcommands
+// share one ledger (and provenance store) across.
+var figureWorkloads = []struct{ kind, tenant string }{
+	{"agg", "tenant-a"},
+	{"join", "tenant-b"},
+}
+
 // runCosts is the costs subcommand: both figure workloads, different
 // tenants, one shared ledger; prints the accounting report to reportW
 // and fails when any conservation invariant is violated.
-func runCosts(tableW, reportW io.Writer, cfg experiments.Config, overlap float64, adaptive bool, failNode int, dropCache bool, topK, spikeWin int, spikeFac float64, chaosSched *chaos.Schedule) error {
+func runCosts(tableW, reportW io.Writer, cfg experiments.Config, o runOpts) error {
 	acct := account.New()
 	cfg.Account = acct
+	topK := o.topK
+	o.Baseline, o.topK = false, 0
 	var violations []string
-	for _, wl := range []struct{ kind, tenant string }{
-		{"agg", "tenant-a"},
-		{"join", "tenant-b"},
-	} {
-		eng, err := run(tableW, cfg, wl.kind, overlap, adaptive, false, failNode, dropCache, 0, spikeWin, spikeFac, chaosSched, false, wl.tenant)
+	for _, wl := range figureWorkloads {
+		o.Kind, o.Tenant = wl.kind, wl.tenant
+		eng, err := run(tableW, cfg, o)
 		if err != nil {
 			return err
 		}
@@ -489,142 +478,61 @@ func runCosts(tableW, reportW io.Writer, cfg experiments.Config, overlap float64
 	return nil
 }
 
-func run(w io.Writer, cfg experiments.Config, kind string, overlap float64, adaptive, useBase bool, failNode int, dropCache bool, topK, spikeWin int, spikeFac float64, chaosSched *chaos.Schedule, forceOracle bool, tenant string) (*core.Engine, error) {
-	mr := cfg.NewRuntime(7)
-	slide := cfg.SlideFor(overlap)
-
-	var q *core.Query
-	var gen func(src int, start, end int64, n int) []records.Record
-	sources := 1
-	switch kind {
-	case "agg":
-		q = queries.WCCAggregation("q1", cfg.WindowDur, slide, cfg.Reducers)
-		wcc := workload.DefaultWCC(cfg.Seed)
-		gen = func(_ int, start, end int64, n int) []records.Record {
-			return workload.WCC(wcc, start, end, n)
-		}
-	case "join":
-		q = queries.FFGJoin("q2", cfg.WindowDur, slide, cfg.Reducers)
-		ffg := workload.DefaultFFG(cfg.Seed)
-		sources = 2
-		gen = func(src int, start, end int64, n int) []records.Record {
-			if src == 0 {
-				return workload.FFGReadings(ffg, start, end, n)
-			}
-			return workload.FFGEvents(ffg, start, end, n/4)
-		}
-	default:
-		return nil, fmt.Errorf("unknown query %q (want agg or join)", kind)
+// run drives one query through the experiments run driver, printing
+// the per-window table and the final window's top results to w. It
+// returns the engine (nil under -baseline).
+func run(w io.Writer, cfg experiments.Config, o runOpts) (*core.Engine, error) {
+	ws := window.NewTimeSpec(cfg.WindowDur, cfg.SlideFor(o.Overlap))
+	system := "redoop"
+	if o.Baseline {
+		system = "hadoop-baseline"
 	}
-
-	q.TenantID = tenant
-
-	spec := q.Spec()
-	pane := spec.PaneUnit()
-	perPane := int(float64(cfg.RecordsPerWindow) / float64(spec.PanesPerWindow()))
 	fmt.Fprintf(w, "query=%s overlap=%.2f win=%v slide=%v pane=%v records/window=%d system=%s adaptive=%v\n\n",
-		kind, overlap, time.Duration(spec.Win), time.Duration(spec.Slide),
-		time.Duration(pane), cfg.RecordsPerWindow, systemName(useBase), adaptive)
+		o.Kind, o.Overlap, time.Duration(ws.Win), time.Duration(ws.Slide),
+		time.Duration(ws.PaneUnit()), cfg.RecordsPerWindow, system, o.Adaptive)
 
-	var eng *core.Engine
-	var drv *baseline.Driver
-	var err error
-	if useBase {
-		drv, err = baseline.NewDriver(mr, q)
-	} else {
-		eng, err = core.NewEngine(core.Config{MR: mr, Query: q, Adaptive: adaptive, Health: cfg.Health, Account: cfg.Account, Lineage: cfg.Lineage})
-	}
-	if err != nil {
-		return nil, err
-	}
-	if eng != nil && cfg.OnEngine != nil {
-		cfg.OnEngine(eng)
-	}
-
-	ingest := func(src int, rs []records.Record) error {
-		if useBase {
-			return drv.Ingest(src, rs)
-		}
-		return eng.Ingest(src, rs)
-	}
-	// Under -chaos, batches tee into the oracle on their way to the
-	// engine, and the injector's delay gate wraps the whole chain so a
-	// held batch is still observed by the oracle when released. The
-	// lineage subcommand forces the oracle on even without chaos — its
-	// lineage pass is the machine check the subcommand exists for.
-	var ora *oracle.Oracle
-	var inj *chaos.Injector
-	var oracleInner func(src int, rs []records.Record) error
-	if chaosSched != nil || forceOracle {
-		ora, err = oracle.New(eng)
-		if err != nil {
-			return nil, err
-		}
-		oracleInner = ora.WrapIngest(eng.Ingest)
-		ingest = oracleInner
-	}
-	if chaosSched != nil {
-		inj = chaos.NewInjector(chaosSched, mr)
-		inj.OnCorrupt = ora.ExcludePath
-		ingest = inj.WrapIngest(eng, oracleInner)
+	// Under -chaos the driver tees batches into the oracle and gates
+	// them through the injector; every window is then verified.
+	if cfg.Chaos != nil {
+		cfg.OracleCheck = true
 		fmt.Fprintf(w, "chaos: seed %d profile %s, %d scheduled faults\n\n",
-			chaosSched.Seed, chaosSched.Profile, len(chaosSched.Actions))
+			cfg.Chaos.Seed, cfg.Chaos.Profile, len(cfg.Chaos.Actions))
+	}
+	verdict := ""
+	cfg.OnVerdict = func(_ string, v oracle.Verdict) {
+		verdict = " oracle=FAIL"
+		if v.OK() {
+			verdict = " oracle=ok"
+		}
 	}
 
 	fmt.Fprintf(w, "%-7s %14s %12s %12s %12s %s\n", "window", "response", "shuffle", "reduce", "read(B)", "notes")
-	fed := 0
-	var lastOut []records.Pair
-	for r := 0; r < cfg.Windows; r++ {
-		close := spec.WindowClose(r)
-		// The oversized-batch fault: the slides first consumed by
-		// window -spikewin carry -spikefactor times the volume.
-		n := perPane
-		if r == spikeWin {
-			n = int(float64(perPane) * spikeFac)
+	// The oversized-batch fault: the panes first consumed by window
+	// -spikewin carry -spikefactor times the volume.
+	o.Rate = func(start int64) float64 {
+		if first, _ := ws.WindowsOfPane(ws.PaneOf(start)); first == o.spikeWin {
+			return o.spikeFac
 		}
-		for ; int64(fed)*pane < close; fed++ {
-			start := int64(fed) * pane
-			for src := 0; src < sources; src++ {
-				if err := ingest(src, gen(src, start, start+pane, n)); err != nil {
-					return nil, err
-				}
-			}
+		return 1
+	}
+	o.Before = func(r int, mr *mapreduce.Engine) {
+		if o.failNode >= 0 && r == 2 {
+			at := simtime.Time(ws.WindowClose(r - 1))
+			mr.DFS.FailNodeAt(o.failNode, at)
+			mr.Cluster.FailNode(o.failNode)
+			cfg.Obs.Emit(at, eventlog.NodeFailure, queryName(o.Kind), eventlog.NodeFailureData{Node: o.failNode})
 		}
-		if failNode >= 0 && r == 2 {
-			mr.DFS.FailNodeAt(failNode, simtime.Time(spec.WindowClose(r-1)))
-			mr.Cluster.FailNode(failNode)
-			cfg.Obs.Emit(simtime.Time(spec.WindowClose(r-1)), eventlog.NodeFailure, q.Name,
-				eventlog.NodeFailureData{Node: failNode})
-		}
-		if dropCache && r > 0 && !useBase {
+		if o.dropCache && r > 0 && !o.Baseline {
 			mr.Cluster.DropLocal(r%mr.Cluster.Config().Workers, "cache/")
 		}
-		if inj != nil {
-			if err := inj.BeforeRecurrence(r, eng, oracleInner); err != nil {
-				return nil, err
-			}
-		}
-
-		var resp, shuffle, reduce simtime.Duration
-		var read int64
-		var verdictErr error
+	}
+	var last *core.RecurrenceResult
+	o.Window = func(res *core.RecurrenceResult) {
+		last = res
 		notes := ""
-		if useBase {
-			res, err := drv.RunNext()
-			if err != nil {
-				return nil, err
-			}
-			resp, shuffle, reduce, read = res.ResponseTime, res.Stats.ShuffleTime, res.Stats.ReduceTime, res.Stats.BytesRead
-			lastOut = res.Output
-		} else {
-			res, err := eng.RunNext()
-			if err != nil {
-				return nil, err
-			}
-			resp, shuffle, reduce, read = res.ResponseTime, res.Stats.ShuffleTime, res.Stats.ReduceTime, res.Stats.BytesRead
-			lastOut = res.Output
+		if !o.Baseline {
 			notes = fmt.Sprintf("panes %d/%d", res.NewPanes, res.ReusedPanes)
-			if sources == 2 {
+			if o.Kind == "join" {
 				notes += fmt.Sprintf(" pairs %d/%d", res.NewPairs, res.ReusedPairs)
 			}
 			if res.CacheRecoveries > 0 {
@@ -633,34 +541,28 @@ func run(w io.Writer, cfg experiments.Config, kind string, overlap float64, adap
 			if res.Proactive {
 				notes += fmt.Sprintf(" proactive(sub=%d)", res.SubPanes)
 			}
-			if ora != nil {
-				if ver := ora.Check(res); ver.OK() {
-					notes += " oracle=ok"
-				} else {
-					notes += " oracle=FAIL"
-					verdictErr = ver.Err()
-				}
-			}
+			notes += verdict
 		}
-		fmt.Fprintf(w, "%-7d %14s %12s %12s %12d %s\n", r+1,
-			fmtMS(resp), fmtMS(shuffle), fmtMS(reduce), read, notes)
-		if verdictErr != nil {
-			return nil, verdictErr
-		}
+		fmt.Fprintf(w, "%-7d %14s %12s %12s %12d %s\n", res.Recurrence+1,
+			fmtMS(res.ResponseTime), fmtMS(res.Stats.ShuffleTime), fmtMS(res.Stats.ReduceTime), res.Stats.BytesRead, notes)
+	}
+	eng, err := cfg.RunQuery(o.QueryRun)
+	if err != nil {
+		return nil, err
 	}
 
-	if topK > 0 && len(lastOut) > 0 {
-		fmt.Fprintf(w, "\nfinal window: %d output pairs", len(lastOut))
-		if kind == "agg" {
-			fmt.Fprintf(w, "; top %d by count:\n", topK)
-			for _, r := range queries.RankTopK(lastOut, topK) {
+	if o.topK > 0 && last != nil && len(last.Output) > 0 {
+		fmt.Fprintf(w, "\nfinal window: %d output pairs", len(last.Output))
+		if o.Kind == "agg" {
+			fmt.Fprintf(w, "; top %d by count:\n", o.topK)
+			for _, r := range queries.RankTopK(last.Output, o.topK) {
 				fmt.Fprintf(w, "  %-12s %d\n", r.Key, r.Count)
 			}
 		} else {
 			fmt.Fprintf(w, "; a sample:\n")
-			mapreduce.SortPairs(lastOut)
-			for i := 0; i < topK && i < len(lastOut); i++ {
-				fmt.Fprintf(w, "  %s = %s\n", lastOut[i].Key, lastOut[i].Value)
+			mapreduce.SortPairs(last.Output)
+			for i := 0; i < o.topK && i < len(last.Output); i++ {
+				fmt.Fprintf(w, "  %s = %s\n", last.Output[i].Key, last.Output[i].Value)
 			}
 		}
 	}
@@ -669,11 +571,4 @@ func run(w io.Writer, cfg experiments.Config, kind string, overlap float64, adap
 
 func fmtMS(d simtime.Duration) string {
 	return fmt.Sprintf("%.2fms", float64(d)/1e6)
-}
-
-func systemName(useBase bool) string {
-	if useBase {
-		return "hadoop-baseline"
-	}
-	return "redoop"
 }

@@ -1,0 +1,88 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestUsageErrorsExit2: every rejected invocation exits 2 with a
+// diagnostic on stderr and nothing on stdout, before any run starts.
+func TestUsageErrorsExit2(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // substring of the diagnostic
+	}{
+		{"unknown subcommand", []string{"bogus"}, `unknown subcommand "bogus"`},
+		{"chaos with baseline", []string{"-chaos", "3", "-baseline"}, "-chaos cannot be combined with -baseline"},
+		{"profile with baseline", []string{"profile", "-baseline"}, "profile needs the instrumented Redoop engine"},
+		{"lineage with baseline", []string{"lineage", "-baseline"}, "lineage cannot be combined with -baseline"},
+		{"stray positional", []string{"-windows", "3", "stray"}, `unexpected argument "stray"`},
+		{"unknown flag", []string{"-no-such-flag"}, "flag provided but not defined"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := realMain(tc.args, &stdout, &stderr); code != 2 {
+				t.Errorf("exit code %d, want 2", code)
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("stderr %q lacks %q", stderr.String(), tc.want)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("usage error wrote to stdout: %q", stdout.String())
+			}
+		})
+	}
+}
+
+// TestRunGolden pins the per-window table and final-window report of
+// the plain run on both systems and under each fault flag. The files
+// under testdata/ are the stdout of the binary built at the commit
+// before the run driver existed, when redoopctl carried its own ingest
+// chain and recurrence loop.
+func TestRunGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"agg", []string{"-query", "agg"}},
+		{"join", []string{"-query", "join"}},
+		{"baseline", []string{"-baseline"}},
+		{"failnode-dropcaches", []string{"-failnode", "2", "-dropcaches"}},
+		{"spikewin", []string{"-spikewin", "2"}},
+		{"chaos", []string{"-chaos", "3"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			args := append(tc.args, "-windows", "3", "-records", "6000")
+			if code := realMain(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Errorf("stdout diverges from testdata/%s.golden\n--- got ---\n%s\n--- want ---\n%s", tc.golden, stdout.String(), want)
+			}
+		})
+	}
+}
+
+// TestSubcommandsMoveTableToStderr: under a subcommand the report owns
+// stdout and the per-window table lands on stderr.
+func TestSubcommandsMoveTableToStderr(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := realMain([]string{"health", "-windows", "3", "-records", "6000"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "panes 10/0") {
+		t.Errorf("per-window table missing from stderr: %q", stderr.String())
+	}
+	if !strings.HasPrefix(stdout.String(), "query") || strings.Contains(stdout.String(), "panes 10/0") {
+		t.Errorf("stdout is not the health table alone: %q", stdout.String())
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"redoop/internal/chaos"
 	"redoop/internal/experiments"
 	"redoop/internal/simtime"
 )
@@ -19,8 +18,7 @@ import (
 // byte-for-byte between the variants or if the identical-geometry
 // sibling still computed panes of its own (the CI smoke step relies on
 // both checks).
-func runReuse(w io.Writer, cfg experiments.Config, chaosSched *chaos.Schedule) error {
-	cfg.Chaos = chaosSched
+func runReuse(w io.Writer, cfg experiments.Config) error {
 	cfg.OracleCheck = true
 	off, err := experiments.RunCrossQueryReuse(cfg, false)
 	if err != nil {

@@ -36,9 +36,6 @@ type Config struct {
 	// schedules window-aware; it just never subdivides panes or starts
 	// early.
 	Adaptive bool
-	// Analyzer overrides the default analyzer (block size taken from
-	// the DFS, default adaptation thresholds).
-	Analyzer *Analyzer
 	// DisableCacheReuse is an ablation knob: the engine still
 	// partitions into panes and runs pane-granular tasks, but never
 	// reuses a cache from an earlier recurrence — isolating how much
@@ -254,13 +251,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if ctrl == nil {
 		ctrl = NewController()
 	}
-	analyzer := cfg.Analyzer
-	if analyzer == nil {
-		var err error
-		analyzer, err = NewAnalyzer(cfg.MR.DFS.BlockSize())
-		if err != nil {
-			return nil, err
-		}
+	analyzer, err := NewAnalyzer(cfg.MR.DFS.BlockSize())
+	if err != nil {
+		return nil, err
 	}
 	profiler, err := NewProfiler(DefaultAlpha, DefaultBeta)
 	if err != nil {

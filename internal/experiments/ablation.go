@@ -3,13 +3,11 @@ package experiments
 import (
 	"fmt"
 
-	"redoop/internal/baseline"
 	"redoop/internal/core"
 	"redoop/internal/mapreduce"
 	"redoop/internal/queries"
 	"redoop/internal/records"
 	"redoop/internal/simtime"
-	"redoop/internal/workload"
 )
 
 // The ablation experiments isolate the design choices DESIGN.md calls
@@ -18,90 +16,16 @@ import (
 // (Equation 4) versus slot-availability placement. They extend the
 // paper's evaluation — the paper reports only end-to-end comparisons.
 
-// ablationVariant parameterizes one Redoop configuration under test.
-type ablationVariant struct {
-	name           string
-	disableReuse   bool
-	cacheOblivious bool
-}
-
-// runVariant measures one Redoop variant on the spec.
-func (c Config) runVariant(spec runSpec, v ablationVariant) (Series, error) {
-	mr := c.NewRuntime(3)
-	q := spec.query()
-	eng, err := core.NewEngine(core.Config{
-		MR:                      mr,
-		Query:                   q,
-		Adaptive:                spec.adaptive,
-		DisableCacheReuse:       v.disableReuse,
-		CacheObliviousPlacement: v.cacheOblivious,
-	})
-	if err != nil {
-		return Series{}, err
-	}
-	c.notifyEngine(eng)
-	f := newFeeder(c, spec)
-	series := Series{System: v.name, Overlap: spec.overlap}
-	winSpec := q.Spec()
-	for r := 0; r < spec.windows; r++ {
-		if err := f.feedThrough(winSpec.WindowClose(r), eng.Ingest); err != nil {
-			return Series{}, err
-		}
-		res, err := eng.RunNext()
-		if err != nil {
-			return Series{}, fmt.Errorf("%s window %d: %w", v.name, r+1, err)
-		}
-		series.Windows = append(series.Windows, WindowTiming{
-			Window:   r + 1,
-			Response: res.ResponseTime,
-			Shuffle:  res.Stats.ShuffleTime,
-			Reduce:   res.Stats.ReduceTime,
-		})
-	}
-	return series, nil
-}
-
 // AblationCaching compares, at overlap 0.9 on the Q1 aggregation:
 // plain Hadoop, Redoop with cache reuse disabled (pane-shaped
 // execution but every pane reprocessed), and full Redoop. The gap
 // between the last two is the value of window-aware caching itself.
 func AblationCaching(cfg Config) (*FigResult, error) {
 	cfg = cfg.withDefaults()
-	const overlap = 0.9
-	wcc := workload.DefaultWCC(cfg.Seed)
-	spec := runSpec{
-		queryName: "Q1-ablation",
-		sources:   1,
-		overlap:   overlap,
-		windows:   cfg.Windows,
-		sched:     workload.SteadyRate,
-		gen: func(_ int, start, end int64, n int) []records.Record {
-			return workload.WCC(wcc, start, end, n)
-		},
-		query: func() *core.Query {
-			return queries.WCCAggregation("q1a", cfg.WindowDur, cfg.SlideFor(overlap), cfg.Reducers)
-		},
-	}
-	hadoop, err := cfg.runHadoop(spec, "Hadoop")
-	if err != nil {
-		return nil, err
-	}
-	noReuse, err := cfg.runVariant(spec, ablationVariant{name: "Redoop (no cache reuse)", disableReuse: true})
-	if err != nil {
-		return nil, err
-	}
-	full, err := cfg.runRedoop(spec, "Redoop")
-	if err != nil {
-		return nil, err
-	}
-	return &FigResult{
-		Name:  "Ablation A",
-		Query: "window-aware caching (Q1, overlap 0.9)",
-		Panels: []Panel{{
-			Overlap: overlap,
-			Series:  []Series{hadoop, noReuse, full},
-		}},
-	}, nil
+	return cfg.ablation("Ablation A", "window-aware caching (Q1, overlap 0.9)", cfg.aggSpec("q1a", 0.9),
+		hadoop("Hadoop"),
+		system{name: "Redoop (no cache reuse)", seedShift: 3, disableReuse: true},
+		redoop("Redoop"))
 }
 
 // AblationScheduling compares, at overlap 0.9 on the Q2 join (whose
@@ -112,40 +36,18 @@ func AblationCaching(cfg Config) (*FigResult, error) {
 func AblationScheduling(cfg Config) (*FigResult, error) {
 	cfg = cfg.withDefaults()
 	cfg.RecordsPerWindow /= 4 // join volume, as in Fig7
-	const overlap = 0.9
-	ffg := workload.DefaultFFG(cfg.Seed)
-	spec := runSpec{
-		queryName: "Q2-ablation",
-		sources:   2,
-		overlap:   overlap,
-		windows:   cfg.Windows,
-		sched:     workload.SteadyRate,
-		gen: func(src int, start, end int64, n int) []records.Record {
-			if src == 0 {
-				return workload.FFGReadings(ffg, start, end, n)
-			}
-			return workload.FFGEvents(ffg, start, end, n/4)
-		},
-		query: func() *core.Query {
-			return queries.FFGJoin("q2a", cfg.WindowDur, cfg.SlideFor(overlap), cfg.Reducers)
-		},
-	}
-	oblivious, err := cfg.runVariant(spec, ablationVariant{name: "Redoop (cache-oblivious)", cacheOblivious: true})
+	return cfg.ablation("Ablation B", "cache-aware scheduling, Eq. 4 (Q2, overlap 0.9)", cfg.joinSpec("q2a", 0.9),
+		system{name: "Redoop (cache-oblivious)", seedShift: 3, cacheOblivious: true},
+		redoop("Redoop"))
+}
+
+// ablation is a one-panel figure: spec measured on each system.
+func (c Config) ablation(name, query string, spec runSpec, systems ...system) (*FigResult, error) {
+	series, err := c.measure(spec, systems...)
 	if err != nil {
 		return nil, err
 	}
-	full, err := cfg.runRedoop(spec, "Redoop")
-	if err != nil {
-		return nil, err
-	}
-	return &FigResult{
-		Name:  "Ablation B",
-		Query: "cache-aware scheduling, Eq. 4 (Q2, overlap 0.9)",
-		Panels: []Panel{{
-			Overlap: overlap,
-			Series:  []Series{oblivious, full},
-		}},
-	}, nil
+	return &FigResult{Name: name, Query: query, Panels: []Panel{{Overlap: spec.overlap, Series: series}}}, nil
 }
 
 // OverlapSweep extends the paper's three overlap settings to a finer
@@ -153,34 +55,9 @@ func AblationScheduling(cfg Config) (*FigResult, error) {
 // fraction.
 func OverlapSweep(cfg Config) (*FigResult, error) {
 	cfg = cfg.withDefaults()
-	wcc := workload.DefaultWCC(cfg.Seed)
-	res := &FigResult{Name: "Overlap sweep", Query: "Q1 aggregation speedup vs overlap"}
-	for _, overlap := range []float64{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1} {
-		overlap := overlap
-		spec := runSpec{
-			queryName: "Q1-sweep",
-			sources:   1,
-			overlap:   overlap,
-			windows:   cfg.Windows,
-			sched:     workload.SteadyRate,
-			gen: func(_ int, start, end int64, n int) []records.Record {
-				return workload.WCC(wcc, start, end, n)
-			},
-			query: func() *core.Query {
-				return queries.WCCAggregation("q1s", cfg.WindowDur, cfg.SlideFor(overlap), cfg.Reducers)
-			},
-		}
-		hadoop, err := cfg.runHadoop(spec, "Hadoop")
-		if err != nil {
-			return nil, err
-		}
-		redoop, err := cfg.runRedoop(spec, "Redoop")
-		if err != nil {
-			return nil, err
-		}
-		res.Panels = append(res.Panels, Panel{Overlap: overlap, Series: []Series{hadoop, redoop}})
-	}
-	return res, nil
+	return cfg.overlapPanels(&FigResult{Name: "Overlap sweep", Query: "Q1 aggregation speedup vs overlap"},
+		[]float64{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1},
+		func(overlap float64) runSpec { return cfg.aggSpec("q1s", overlap) })
 }
 
 // AblationSpeculation measures the configuration choice of §6.1
@@ -193,110 +70,21 @@ func OverlapSweep(cfg Config) (*FigResult, error) {
 // is what the four series let one measure.
 func AblationSpeculation(cfg Config) (*FigResult, error) {
 	cfg = cfg.withDefaults()
-	const overlap = 0.9
-	wcc := workload.DefaultWCC(cfg.Seed)
-	mkSpec := func() runSpec {
-		return runSpec{
-			queryName: "Q1-spec",
-			sources:   1,
-			overlap:   overlap,
-			windows:   cfg.Windows,
-			sched:     workload.SteadyRate,
-			gen: func(_ int, start, end int64, n int) []records.Record {
-				return workload.WCC(wcc, start, end, n)
-			},
-			query: func() *core.Query {
-				return queries.WCCAggregation("q1sp", cfg.WindowDur, cfg.SlideFor(overlap), cfg.Reducers)
-			},
+	stragglers := func(sys system, speculative bool) system {
+		sys.tune = func(mr *mapreduce.Engine) {
+			mr.Jitter = 0.3
+			mr.StragglerProb = 0.08
+			mr.StragglerFactor = 6
+			mr.JitterSeed = cfg.Seed
+			mr.Speculative = speculative
 		}
+		return sys
 	}
-	jitterize := func(mr *mapreduce.Engine) {
-		mr.Jitter = 0.3
-		mr.StragglerProb = 0.08
-		mr.StragglerFactor = 6
-		mr.JitterSeed = cfg.Seed
-	}
-
-	runH := func(speculative bool, name string) (Series, error) {
-		mr := cfg.NewRuntime(4)
-		jitterize(mr)
-		mr.Speculative = speculative
-		drv, err := baseline.NewDriver(mr, mkSpec().query())
-		if err != nil {
-			return Series{}, err
-		}
-		f := newFeeder(cfg, mkSpec())
-		s := Series{System: name, Overlap: overlap}
-		spec := mkSpec()
-		winSpec := spec.query().Spec()
-		for r := 0; r < spec.windows; r++ {
-			if err := f.feedThrough(winSpec.WindowClose(r), drv.Ingest); err != nil {
-				return Series{}, err
-			}
-			res, err := drv.RunNext()
-			if err != nil {
-				return Series{}, err
-			}
-			s.Windows = append(s.Windows, WindowTiming{
-				Window: r + 1, Response: res.ResponseTime,
-				Shuffle: res.Stats.ShuffleTime, Reduce: res.Stats.ReduceTime,
-			})
-		}
-		return s, nil
-	}
-	runR := func(speculative bool, name string) (Series, error) {
-		mr := cfg.NewRuntime(5)
-		jitterize(mr)
-		mr.Speculative = speculative
-		eng, err := core.NewEngine(core.Config{MR: mr, Query: mkSpec().query()})
-		if err != nil {
-			return Series{}, err
-		}
-		cfg.notifyEngine(eng)
-		f := newFeeder(cfg, mkSpec())
-		s := Series{System: name, Overlap: overlap}
-		spec := mkSpec()
-		winSpec := spec.query().Spec()
-		for r := 0; r < spec.windows; r++ {
-			if err := f.feedThrough(winSpec.WindowClose(r), eng.Ingest); err != nil {
-				return Series{}, err
-			}
-			res, err := eng.RunNext()
-			if err != nil {
-				return Series{}, err
-			}
-			s.Windows = append(s.Windows, WindowTiming{
-				Window: r + 1, Response: res.ResponseTime,
-				Shuffle: res.Stats.ShuffleTime, Reduce: res.Stats.ReduceTime,
-			})
-		}
-		return s, nil
-	}
-
-	hadoopOff, err := runH(false, "Hadoop")
-	if err != nil {
-		return nil, err
-	}
-	hadoopOn, err := runH(true, "Hadoop (speculative)")
-	if err != nil {
-		return nil, err
-	}
-	redoopOff, err := runR(false, "Redoop")
-	if err != nil {
-		return nil, err
-	}
-	redoopOn, err := runR(true, "Redoop (speculative)")
-	if err != nil {
-		return nil, err
-	}
-	return &FigResult{
-		Name:  "Ablation C",
-		Query: "speculative execution under stragglers (Q1, overlap 0.9)",
-		Panels: []Panel{{
-			Overlap: overlap,
-			Series:  []Series{hadoopOff, hadoopOn, redoopOff, redoopOn},
-		}},
-	}, nil
+	return cfg.ablation("Ablation C", "speculative execution under stragglers (Q1, overlap 0.9)", cfg.aggSpec("q1sp", 0.9),
+		stragglers(system{name: "Hadoop", seedShift: 4, baseline: true}, false),
+		stragglers(system{name: "Hadoop (speculative)", seedShift: 4, baseline: true}, true),
+		stragglers(system{name: "Redoop", seedShift: 5}, false),
+		stragglers(system{name: "Redoop (speculative)", seedShift: 5}, true))
 }
 
 // MultiQuerySharing measures the multi-query Semantic Analyzer end to
@@ -308,10 +96,10 @@ func AblationSpeculation(cfg Config) (*FigResult, error) {
 // with k.
 func MultiQuerySharing(cfg Config) (*FigResult, error) {
 	cfg = cfg.withDefaults()
-	wcc := workload.DefaultWCC(cfg.Seed)
+	// The one WCC stream every query consumes. Windows are slide
+	// multiples, so the stream's pane is the slide.
+	stream := cfg.aggSpec("spec", 0.9)
 	slide := cfg.SlideFor(0.9)
-	paneUnit := int64(slide) // windows are slide multiples => pane = slide
-	perPane := int(float64(cfg.RecordsPerWindow) / float64(int64(cfg.WindowDur)/paneUnit))
 
 	mkQuery := func(i int, shared bool) *core.Query {
 		// Window sizes spread across slide multiples.
@@ -329,84 +117,51 @@ func MultiQuerySharing(cfg Config) (*FigResult, error) {
 		hub := core.NewSourceHub(mr.DFS, mr.DFS.BlockSize())
 		hub.SetObserver(cfg.Obs)
 		if shared {
-			if err := hub.Share("wcc", "wcc", queries.WCCAggregation("spec", cfg.WindowDur, slide, cfg.Reducers).Sources[0].Spec, 0); err != nil {
+			if err := hub.Share("wcc", "wcc", stream.query().Sources[0].Spec, 0); err != nil {
 				return Series{}, err
 			}
 		}
-		var engines []*core.Engine
-		for i := 0; i < k; i++ {
+		lanes := make([]lane, k)
+		for i := range lanes {
 			eng, err := core.NewEngine(core.Config{MR: mr, Query: mkQuery(i, shared), Controller: ctrl, Hub: hub})
 			if err != nil {
 				return Series{}, err
 			}
 			cfg.notifyEngine(eng)
-			engines = append(engines, eng)
+			lanes[i] = redoopLane(eng.Query().Name, eng)
 		}
-		series := Series{System: name}
+		sink := func(_ int, batch []records.Record) error { return hub.Ingest("wcc", batch) }
+		if !shared {
+			sink = func(src int, batch []records.Record) error {
+				for _, l := range lanes {
+					if err := l.ingest(src, batch); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		}
 		wts := make([]WindowTiming, cfg.Windows)
 		for r := range wts {
 			wts[r].Window = r + 1
 		}
-		fedPanes := 0
-		feed := func(throughUnit int64) error {
-			for ; int64(fedPanes)*paneUnit < throughUnit; fedPanes++ {
-				start := int64(fedPanes) * paneUnit
-				batch := workload.WCC(wcc, start, start+paneUnit, perPane)
-				if shared {
-					if err := hub.Ingest("wcc", batch); err != nil {
-						return err
-					}
-				} else {
-					for _, eng := range engines {
-						if err := eng.Ingest(0, batch); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			return nil
-		}
-		// Engines sharing one runtime must execute in global trigger
-		// order: slot timelines advance monotonically, so a recurrence
-		// whose window closes earlier must run first even if it
-		// belongs to a different query.
-		closes := make([]func(int) int64, k)
-		for i, eng := range engines {
-			frames, err := eng.Query().Frames()
-			if err != nil {
-				return Series{}, err
-			}
-			closes[i] = frames[0].WindowClose
-		}
-		for done := 0; done < k*cfg.Windows; done++ {
-			best := -1
-			var bestClose int64
-			for i, eng := range engines {
-				r := eng.NextRecurrence()
-				if r >= cfg.Windows {
-					continue
-				}
-				if c := closes[i](r); best < 0 || c < bestClose {
-					best, bestClose = i, c
-				}
-			}
-			if err := feed(bestClose); err != nil {
-				return Series{}, err
-			}
-			res, err := engines[best].RunNext()
-			if err != nil {
-				return Series{}, err
-			}
-			wt := &wts[res.Recurrence]
-			wt.Response += res.ResponseTime
-			// Reuse the Shuffle column for read volume (ms fields
-			// carry bytes/1e6 here; Format prints raw series, the
-			// caller interprets).
-			wt.Shuffle += simtime.Duration(res.Stats.BytesRead)
-			wt.Reduce += simtime.Duration(res.Stats.BytesShuffled)
-		}
-		series.Windows = wts
-		return series, nil
+		err := cfg.run(drive{
+			mr:      mr,
+			lanes:   lanes,
+			windows: cfg.Windows,
+			sink:    sink,
+			feed:    cfg.paneFeed(stream),
+			window: func(_ int, res *core.RecurrenceResult) {
+				wt := &wts[res.Recurrence]
+				wt.Response += res.ResponseTime
+				// Reuse the Shuffle column for read volume (ms fields
+				// carry bytes/1e6 here; Format prints raw series, the
+				// caller interprets).
+				wt.Shuffle += simtime.Duration(res.Stats.BytesRead)
+				wt.Reduce += simtime.Duration(res.Stats.BytesShuffled)
+			},
+		})
+		return Series{System: name, Windows: wts}, err
 	}
 
 	res := &FigResult{

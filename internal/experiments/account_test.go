@@ -74,7 +74,7 @@ func TestLedgerSerialParallelIdentical(t *testing.T) {
 		cfg.RecordsPerWindow /= 4
 		cfg.ExecWorkers = workers
 		cfg.Account = account.New()
-		if _, err := cfg.runRedoop(mkSpec(cfg), "det"); err != nil {
+		if _, err := cfg.series(mkSpec(cfg), redoop("det")); err != nil {
 			t.Fatal(err)
 		}
 		return cfg.Account.Snapshot()

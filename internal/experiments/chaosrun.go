@@ -10,11 +10,7 @@ import (
 	"fmt"
 
 	"redoop/internal/chaos"
-	"redoop/internal/core"
 	"redoop/internal/oracle"
-	"redoop/internal/queries"
-	"redoop/internal/records"
-	"redoop/internal/workload"
 )
 
 // ChaosRegimes lists the engine regimes the soak matrix verifies:
@@ -33,61 +29,26 @@ func ProfileForRegime(regime string) string {
 	return chaos.ProfileMixed
 }
 
-// chaosSpec builds the fixed verification workload of one regime, at
-// the configured scale. Overlap 0.75 keeps several panes shared
-// between consecutive windows, so cache reuse — the thing chaos
-// attacks — is always in play.
-func (c Config) chaosSpec(regime string) (runSpec, error) {
-	const overlap = 0.75
-	switch regime {
-	case "agg", "adaptive", "speculative":
-		wcc := workload.DefaultWCC(c.Seed)
-		return runSpec{
-			queryName: "chaos-" + regime,
-			sources:   1,
-			overlap:   overlap,
-			windows:   c.Windows,
-			sched:     workload.SteadyRate,
-			adaptive:  regime == "adaptive",
-			gen: func(_ int, start, end int64, n int) []records.Record {
-				return workload.WCC(wcc, start, end, n)
-			},
-			query: func() *core.Query {
-				return queries.WCCAggregation("qchaos", c.WindowDur, c.SlideFor(overlap), c.Reducers)
-			},
-		}, nil
-	case "join":
-		ffg := workload.DefaultFFG(c.Seed)
-		return runSpec{
-			queryName: "chaos-join",
-			sources:   2,
-			overlap:   overlap,
-			windows:   c.Windows,
-			sched:     workload.SteadyRate,
-			gen: func(src int, start, end int64, n int) []records.Record {
-				if src == 0 {
-					return workload.FFGReadings(ffg, start, end, n)
-				}
-				return workload.FFGEvents(ffg, start, end, n/4)
-			},
-			query: func() *core.Query {
-				return queries.FFGJoin("qchaosj", c.WindowDur, c.SlideFor(overlap), c.Reducers)
-			},
-		}, nil
-	default:
-		return runSpec{}, fmt.Errorf("experiments: unknown chaos regime %q (want one of %v)", regime, ChaosRegimes)
-	}
-}
-
 // RunChaosRegime runs one regime's Redoop series under c.Chaos with
 // the oracle enabled and returns every per-recurrence verdict. The
 // returned error is non-nil when any window diverged or violated an
 // invariant (the first failure aborts the series).
 func (c Config) RunChaosRegime(regime string) ([]oracle.Verdict, error) {
 	c = c.withDefaults()
-	spec, err := c.chaosSpec(regime)
-	if err != nil {
-		return nil, err
+	// The fixed verification workload of the regime, at the configured
+	// scale. Overlap 0.75 keeps several panes shared between
+	// consecutive windows, so cache reuse — the thing chaos attacks —
+	// is always in play.
+	const overlap = 0.75
+	var spec runSpec
+	switch regime {
+	case "agg", "adaptive", "speculative":
+		spec = c.aggSpec("qchaos", overlap)
+		spec.adaptive = regime == "adaptive"
+	case "join":
+		spec = c.joinSpec("qchaosj", overlap)
+	default:
+		return nil, fmt.Errorf("experiments: unknown chaos regime %q (want one of %v)", regime, ChaosRegimes)
 	}
 	var verdicts []oracle.Verdict
 	prev := c.OnVerdict
@@ -98,6 +59,6 @@ func (c Config) RunChaosRegime(regime string) ([]oracle.Verdict, error) {
 			prev(system, v)
 		}
 	}
-	_, err = c.runRedoop(spec, "Redoop/"+regime)
+	_, err := c.series(spec, redoop("Redoop/"+regime))
 	return verdicts, err
 }

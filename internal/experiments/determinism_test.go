@@ -13,13 +13,10 @@ import (
 	"runtime"
 	"testing"
 
-	"redoop/internal/baseline"
 	"redoop/internal/core"
 	"redoop/internal/mapreduce"
-	"redoop/internal/queries"
 	"redoop/internal/records"
 	"redoop/internal/simtime"
-	"redoop/internal/workload"
 )
 
 // windowCapture is one recurrence's full observable outcome.
@@ -36,109 +33,23 @@ func detConfig() Config {
 	return cfg
 }
 
-func aggSpec(cfg Config, overlap float64) runSpec {
-	wcc := workload.DefaultWCC(cfg.Seed)
-	return runSpec{
-		queryName: "Q1-det",
-		sources:   1,
-		overlap:   overlap,
-		windows:   cfg.Windows,
-		sched:     workload.SteadyRate,
-		gen: func(_ int, start, end int64, n int) []records.Record {
-			return workload.WCC(wcc, start, end, n)
-		},
-		query: func() *core.Query {
-			return queries.WCCAggregation("q1d", cfg.WindowDur, cfg.SlideFor(overlap), cfg.Reducers)
-		},
-	}
-}
+func aggSpec(cfg Config, overlap float64) runSpec  { return cfg.aggSpec("q1d", overlap) }
+func joinSpec(cfg Config, overlap float64) runSpec { return cfg.joinSpec("q2d", overlap) }
 
-func joinSpec(cfg Config, overlap float64) runSpec {
-	ffg := workload.DefaultFFG(cfg.Seed)
-	return runSpec{
-		queryName: "Q2-det",
-		sources:   2,
-		overlap:   overlap,
-		windows:   cfg.Windows,
-		sched:     workload.SteadyRate,
-		gen: func(src int, start, end int64, n int) []records.Record {
-			if src == 0 {
-				return workload.FFGReadings(ffg, start, end, n)
-			}
-			return workload.FFGEvents(ffg, start, end, n/4)
-		},
-		query: func() *core.Query {
-			return queries.FFGJoin("q2d", cfg.WindowDur, cfg.SlideFor(overlap), cfg.Reducers)
-		},
-	}
-}
-
-// runRedoopCapture runs the Redoop engine over the spec and captures
-// each window's output bytes, virtual completion time, and Stats.
-func runRedoopCapture(t *testing.T, cfg Config, spec runSpec, tune func(*mapreduce.Engine)) []windowCapture {
+// capture runs spec on sys through the run driver and records each
+// window's output bytes, virtual completion time, and Stats.
+func capture(t *testing.T, cfg Config, spec runSpec, sys system) []windowCapture {
 	t.Helper()
-	mr := cfg.NewRuntime(1)
-	mr.Faults = spec.faults
-	if tune != nil {
-		tune(mr)
-	}
-	q := spec.query()
-	eng, err := core.NewEngine(core.Config{MR: mr, Query: q, Adaptive: spec.adaptive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := newFeeder(cfg, spec)
-	winSpec := q.Spec()
 	var caps []windowCapture
-	for r := 0; r < spec.windows; r++ {
-		if err := f.feedThrough(winSpec.WindowClose(r), eng.Ingest); err != nil {
-			t.Fatal(err)
-		}
-		if spec.redoopBefore != nil {
-			spec.redoopBefore(r, eng)
-		}
-		res, err := eng.RunNext()
-		if err != nil {
-			t.Fatalf("redoop window %d: %v", r+1, err)
-		}
+	_, err := cfg.runOne(spec, sys, func(res *core.RecurrenceResult) {
 		caps = append(caps, windowCapture{
 			Output:      records.EncodePairs(res.Output),
 			CompletedAt: res.CompletedAt,
 			Stats:       res.Stats,
 		})
-	}
-	return caps
-}
-
-// runHadoopCapture is runRedoopCapture for the plain-Hadoop baseline.
-func runHadoopCapture(t *testing.T, cfg Config, spec runSpec, tune func(*mapreduce.Engine)) []windowCapture {
-	t.Helper()
-	mr := cfg.NewRuntime(2)
-	mr.Faults = spec.faults
-	if tune != nil {
-		tune(mr)
-	}
-	q := spec.query()
-	drv, err := baseline.NewDriver(mr, q)
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	f := newFeeder(cfg, spec)
-	winSpec := q.Spec()
-	var caps []windowCapture
-	for r := 0; r < spec.windows; r++ {
-		if err := f.feedThrough(winSpec.WindowClose(r), drv.Ingest); err != nil {
-			t.Fatal(err)
-		}
-		res, err := drv.RunNext()
-		if err != nil {
-			t.Fatalf("hadoop window %d: %v", r+1, err)
-		}
-		caps = append(caps, windowCapture{
-			Output:      records.EncodePairs(res.Output),
-			CompletedAt: res.CompletedAt,
-			Stats:       res.Stats,
-		})
 	}
 	return caps
 }
@@ -172,100 +83,67 @@ func parWorkers() int {
 	return w
 }
 
-// jitterize gives every configuration non-trivial, seeded duration
-// noise plus stragglers — the regime where accounting-order mistakes
-// would show up as timeline divergence.
-func jitterize(cfg Config) func(*mapreduce.Engine) {
-	return func(mr *mapreduce.Engine) {
-		mr.Jitter = 0.3
-		mr.StragglerProb = 0.08
-		mr.StragglerFactor = 6
-		mr.JitterSeed = cfg.Seed
+// jitterize gives a system non-trivial, seeded duration noise plus
+// stragglers — the regime where accounting-order mistakes would show
+// up as timeline divergence.
+func jitterize(speculative bool) func(Config, system) system {
+	return func(c Config, sys system) system {
+		sys.tune = func(mr *mapreduce.Engine) {
+			mr.Jitter = 0.3
+			mr.StragglerProb = 0.08
+			mr.StragglerFactor = 6
+			mr.JitterSeed = c.Seed
+			mr.Speculative = speculative
+		}
+		return sys
 	}
 }
 
 func TestSerialParallelDeterminism(t *testing.T) {
 	base := detConfig()
+	joinCfg := base
+	joinCfg.RecordsPerWindow /= 4
+	agg := func(overlap float64) func(Config) runSpec {
+		return func(c Config) runSpec { return aggSpec(c, overlap) }
+	}
 	cases := []struct {
 		name string
+		cfg  Config
 		spec func(Config) runSpec
-		cfg  func() Config
-		tune func(Config) func(*mapreduce.Engine)
+		sys  func(Config, system) system // nil: the system as is
 	}{
-		{
-			name: "aggregation",
-			spec: func(c Config) runSpec { return aggSpec(c, 0.9) },
-			cfg:  func() Config { return base },
-		},
-		{
-			name: "join",
-			spec: func(c Config) runSpec { return joinSpec(c, 0.5) },
-			cfg: func() Config {
-				c := base
-				c.RecordsPerWindow /= 4
-				return c
-			},
-		},
-		{
-			name: "jitter-stragglers",
-			spec: func(c Config) runSpec { return aggSpec(c, 0.9) },
-			cfg:  func() Config { return base },
-			tune: jitterize,
-		},
-		{
-			name: "speculative",
-			spec: func(c Config) runSpec { return aggSpec(c, 0.9) },
-			cfg:  func() Config { return base },
-			tune: func(c Config) func(*mapreduce.Engine) {
-				j := jitterize(c)
-				return func(mr *mapreduce.Engine) {
-					j(mr)
-					mr.Speculative = true
-				}
-			},
-		},
-		{
-			name: "fault-injection",
-			spec: func(c Config) runSpec {
-				s := aggSpec(c, 0.5)
-				s.faults = newFig9FaultPlan()
-				s.redoopBefore = func(r int, eng *core.Engine) { dropCaches(eng, r, 4) }
-				return s
-			},
-			cfg: func() Config { return base },
-		},
-		{
-			name: "adaptive-proactive",
-			spec: func(c Config) runSpec {
-				s := aggSpec(c, 0.9)
-				s.adaptive = true
-				return s
-			},
-			cfg: func() Config { return base },
-		},
+		{"aggregation", base, agg(0.9), nil},
+		{"join", joinCfg, func(c Config) runSpec { return joinSpec(c, 0.5) }, nil},
+		{"jitter-stragglers", base, agg(0.9), jitterize(false)},
+		{"speculative", base, agg(0.9), jitterize(true)},
+		{"fault-injection", base, agg(0.5), func(_ Config, sys system) system {
+			sys.tune = func(mr *mapreduce.Engine) { mr.Faults = fig9FaultPlan{} }
+			sys.before = func(r int, mr *mapreduce.Engine) { dropCaches(mr, r, 4) }
+			return sys
+		}},
+		{"adaptive-proactive", base, func(c Config) runSpec {
+			s := aggSpec(c, 0.9)
+			s.adaptive = true
+			return s
+		}, nil},
 	}
 
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg()
-			var tune func(*mapreduce.Engine)
-			if tc.tune != nil {
-				tune = tc.tune(cfg)
-			}
-
-			serialCfg := cfg
+			serialCfg := tc.cfg
 			serialCfg.ExecWorkers = 1
-			parCfg := cfg
+			parCfg := tc.cfg
 			parCfg.ExecWorkers = parWorkers()
 
-			serialR := runRedoopCapture(t, serialCfg, tc.spec(serialCfg), tune)
-			parR := runRedoopCapture(t, parCfg, tc.spec(parCfg), tune)
-			assertCapturesEqual(t, tc.name+"/redoop", serialR, parR)
-
-			serialH := runHadoopCapture(t, serialCfg, tc.spec(serialCfg), tune)
-			parH := runHadoopCapture(t, parCfg, tc.spec(parCfg), tune)
-			assertCapturesEqual(t, tc.name+"/hadoop", serialH, parH)
+			for _, sys := range []system{redoop("redoop"), hadoop("hadoop")} {
+				if tc.sys != nil {
+					sys = tc.sys(tc.cfg, sys)
+				}
+				serial := capture(t, serialCfg, tc.spec(serialCfg), sys)
+				par := capture(t, parCfg, tc.spec(parCfg), sys)
+				assertCapturesEqual(t, tc.name+"/"+sys.name, serial, par)
+			}
 		})
 	}
 }

@@ -29,7 +29,7 @@ func TestEvictionFiresAndStaysCorrect(t *testing.T) {
 	cfg.OracleCheck = true
 	var engines []*core.Engine
 	cfg.OnEngine = func(e *core.Engine) { engines = append(engines, e) }
-	if _, err := cfg.runRedoop(aggSpec(cfg, 0.9), "evict"); err != nil {
+	if _, err := cfg.series(aggSpec(cfg, 0.9), redoop("evict")); err != nil {
 		t.Fatal(err)
 	}
 	if len(engines) != 1 {
@@ -68,7 +68,7 @@ func TestEvictionLogSerialParallelIdentical(t *testing.T) {
 		cfg.OracleCheck = true
 		var engines []*core.Engine
 		cfg.OnEngine = func(e *core.Engine) { engines = append(engines, e) }
-		if _, err := cfg.runRedoop(aggSpec(cfg, 0.9), "det"); err != nil {
+		if _, err := cfg.series(aggSpec(cfg, 0.9), redoop("det")); err != nil {
 			t.Fatal(err)
 		}
 		if len(engines) != 1 {

@@ -13,12 +13,10 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"redoop/internal/account"
-	"redoop/internal/baseline"
 	"redoop/internal/chaos"
 	"redoop/internal/cluster"
 	"redoop/internal/core"
@@ -29,9 +27,11 @@ import (
 	"redoop/internal/mapreduce"
 	"redoop/internal/obs"
 	"redoop/internal/oracle"
+	"redoop/internal/queries"
 	"redoop/internal/records"
 	"redoop/internal/reuse"
 	"redoop/internal/simtime"
+	"redoop/internal/window"
 	"redoop/internal/workload"
 )
 
@@ -290,23 +290,56 @@ type FigResult struct {
 	Panels []Panel
 }
 
-// runSpec bundles what varies between figures.
+// runSpec is one single-query workload: what is fed and what is asked.
 type runSpec struct {
-	queryName string
-	sources   int
-	query     func() *core.Query
+	sources int
+	query   func() *core.Query
 	// gen generates source src's batch for [startUnit, endUnit).
-	gen      func(src int, startUnit, endUnit int64, n int) []records.Record
-	sched    workload.RateSchedule
+	gen func(src int, startUnit, endUnit int64, n int) []records.Record
+	// rate, when non-nil, scales the volume of the pane starting at
+	// the given unit; nil is a steady load.
+	rate     func(startUnit int64) float64
 	overlap  float64
 	windows  int
 	adaptive bool
-	// redoopBefore runs before each Redoop recurrence (fault
-	// injection hooks).
-	redoopBefore func(r int, eng *core.Engine)
-	// faults optionally injects task-attempt failures into either
-	// system's runtime.
-	faults mapreduce.FaultPlan
+}
+
+// aggSpec is the WCC click-count aggregation (the paper's Q1) at one
+// overlap, steady load, c.Windows recurrences.
+func (c Config) aggSpec(name string, overlap float64) runSpec {
+	wcc := workload.DefaultWCC(c.Seed)
+	return runSpec{
+		sources: 1,
+		overlap: overlap,
+		windows: c.Windows,
+		gen: func(_ int, start, end int64, n int) []records.Record {
+			return workload.WCC(wcc, start, end, n)
+		},
+		query: func() *core.Query {
+			return queries.WCCAggregation(name, c.WindowDur, c.SlideFor(overlap), c.Reducers)
+		},
+	}
+}
+
+// joinSpec is the FFG readings ⋈ events join (the paper's Q2). The
+// event side is sparse — game events are rare relative to position
+// samples, which keeps the join selective.
+func (c Config) joinSpec(name string, overlap float64) runSpec {
+	ffg := workload.DefaultFFG(c.Seed)
+	return runSpec{
+		sources: 2,
+		overlap: overlap,
+		windows: c.Windows,
+		gen: func(src int, start, end int64, n int) []records.Record {
+			if src == 0 {
+				return workload.FFGReadings(ffg, start, end, n)
+			}
+			return workload.FFGEvents(ffg, start, end, n/4)
+		},
+		query: func() *core.Query {
+			return queries.FFGJoin(name, c.WindowDur, c.SlideFor(overlap), c.Reducers)
+		},
+	}
 }
 
 // NewRuntime builds an isolated cluster+DFS+runtime for the
@@ -333,155 +366,28 @@ func (c Config) NewRuntime(seedShift int64) *mapreduce.Engine {
 	return mr
 }
 
-// feeder incrementally delivers batches to a consumer. Batches arrive
-// at pane granularity — the periodic log-collection uploads of §2.1 —
-// so the baseline driver's file selection aligns with window edges the
-// way the paper's Hadoop setup does. The fluctuation schedule is still
-// indexed by slide: every pane inside one slide interval carries that
-// slide's multiplier.
-type feeder struct {
-	cfg   Config
-	spec  runSpec
-	slide simtime.Duration
-	pane  simtime.Duration
-	base  int // records per pane at multiplier 1
-	fed   int // panes delivered
-}
-
-func newFeeder(cfg Config, spec runSpec) *feeder {
-	slide := cfg.SlideFor(spec.overlap)
-	pane := simtime.Duration(windowGCD(int64(cfg.WindowDur), int64(slide)))
-	panesPerWin := float64(cfg.WindowDur) / float64(pane)
-	base := int(float64(cfg.RecordsPerWindow) / panesPerWin)
-	return &feeder{cfg: cfg, spec: spec, slide: slide, pane: pane, base: base}
-}
-
-func windowGCD(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// feedThrough delivers every pane batch whose range starts before the
-// given unit bound.
-func (f *feeder) feedThrough(unit int64, deliver func(src int, recs []records.Record) error) error {
-	for ; int64(f.fed)*int64(f.pane) < unit; f.fed++ {
-		start := int64(f.fed) * int64(f.pane)
-		end := start + int64(f.pane)
-		slideIdx := int(start / int64(f.slide))
-		n := int(float64(f.base) * f.spec.sched(slideIdx))
-		for src := 0; src < f.spec.sources; src++ {
-			if err := deliver(src, f.spec.gen(src, start, end, n)); err != nil {
-				return err
+// paneFeed returns a run's feed callback: each call delivers every
+// batch of spec whose range starts before the given unit bound.
+// Batches arrive at pane granularity — the periodic log-collection
+// uploads of §2.1 — so the baseline driver's file selection aligns with
+// window edges the way the paper's Hadoop setup does.
+func (c Config) paneFeed(spec runSpec) func(through int64, deliver ingestFunc) error {
+	pane := window.GCD(int64(c.WindowDur), int64(c.SlideFor(spec.overlap)))
+	// base is the records per pane at rate 1; fed counts panes delivered.
+	base := int(float64(c.RecordsPerWindow) / (float64(c.WindowDur) / float64(pane)))
+	fed := int64(0)
+	return func(through int64, deliver ingestFunc) error {
+		for ; fed*pane < through; fed++ {
+			start, n := fed*pane, base
+			if spec.rate != nil {
+				n = int(float64(base) * spec.rate(start))
+			}
+			for src := 0; src < spec.sources; src++ {
+				if err := deliver(src, spec.gen(src, start, start+pane, n)); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
 	}
-	return nil
-}
-
-// runRedoop measures the Redoop engine on the spec.
-func (c Config) runRedoop(spec runSpec, systemName string) (Series, error) {
-	mr := c.NewRuntime(1)
-	mr.Faults = spec.faults
-	q := spec.query()
-	lin := c.Lineage
-	if lin == nil && c.OracleCheck {
-		lin = lineage.New(0)
-	}
-	eng, err := core.NewEngine(core.Config{MR: mr, Query: q, Adaptive: spec.adaptive, Health: c.Health, Account: c.Account, Lineage: lin, Reuse: c.Reuse, CacheDiskLimit: c.CacheDiskLimit})
-	if err != nil {
-		return Series{}, err
-	}
-	c.notifyEngine(eng)
-
-	// Ingest chain, innermost first: engine ← oracle tee ← chaos
-	// delay gate. Batches a DelayBatch action holds bypass the tee
-	// until the injector releases them through `inner`, so the oracle
-	// always retains exactly what the engine eventually receives.
-	inner := eng.Ingest
-	var ora *oracle.Oracle
-	if c.OracleCheck {
-		ora, err = oracle.New(eng)
-		if err != nil {
-			return Series{}, err
-		}
-		inner = ora.WrapIngest(inner)
-	}
-	ingest := inner
-	var inj *chaos.Injector
-	if c.Chaos != nil {
-		inj = chaos.NewInjector(c.Chaos, mr)
-		if ora != nil {
-			inj.OnCorrupt = ora.ExcludePath
-		}
-		ingest = inj.WrapIngest(eng, inner)
-	}
-
-	f := newFeeder(c, spec)
-	series := Series{System: systemName, Overlap: spec.overlap}
-	winSpec := q.Spec()
-	for r := 0; r < spec.windows; r++ {
-		if err := f.feedThrough(winSpec.WindowClose(r), ingest); err != nil {
-			return Series{}, err
-		}
-		if inj != nil {
-			if err := inj.BeforeRecurrence(r, eng, inner); err != nil {
-				return Series{}, fmt.Errorf("%s window %d: %w", systemName, r+1, err)
-			}
-		}
-		if spec.redoopBefore != nil {
-			spec.redoopBefore(r, eng)
-		}
-		res, err := eng.RunNext()
-		if err != nil {
-			return Series{}, fmt.Errorf("%s window %d: %w", systemName, r+1, err)
-		}
-		if ora != nil {
-			ver := ora.Check(res)
-			if c.OnVerdict != nil {
-				c.OnVerdict(systemName, ver)
-			}
-			if verr := ver.Err(); verr != nil {
-				return Series{}, fmt.Errorf("%s window %d: %w", systemName, r+1, verr)
-			}
-		}
-		series.Windows = append(series.Windows, WindowTiming{
-			Window:   r + 1,
-			Response: res.ResponseTime,
-			Shuffle:  res.Stats.ShuffleTime,
-			Reduce:   res.Stats.ReduceTime,
-		})
-	}
-	return series, nil
-}
-
-// runHadoop measures the plain-Hadoop baseline on the spec.
-func (c Config) runHadoop(spec runSpec, systemName string) (Series, error) {
-	mr := c.NewRuntime(2)
-	mr.Faults = spec.faults
-	q := spec.query()
-	drv, err := baseline.NewDriver(mr, q)
-	if err != nil {
-		return Series{}, err
-	}
-	f := newFeeder(c, spec)
-	series := Series{System: systemName, Overlap: spec.overlap}
-	winSpec := q.Spec()
-	for r := 0; r < spec.windows; r++ {
-		if err := f.feedThrough(winSpec.WindowClose(r), drv.Ingest); err != nil {
-			return Series{}, err
-		}
-		res, err := drv.RunNext()
-		if err != nil {
-			return Series{}, fmt.Errorf("%s window %d: %w", systemName, r+1, err)
-		}
-		series.Windows = append(series.Windows, WindowTiming{
-			Window:   r + 1,
-			Response: res.ResponseTime,
-			Shuffle:  res.Stats.ShuffleTime,
-			Reduce:   res.Stats.ReduceTime,
-		})
-	}
-	return series, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"redoop/internal/core"
 	"redoop/internal/mapreduce"
-	"redoop/internal/queries"
 	"redoop/internal/records"
 	"redoop/internal/simtime"
 	"redoop/internal/workload"
@@ -21,31 +20,31 @@ var Overlaps = []float64{0.9, 0.5, 0.1}
 // totals at overlaps 0.9, 0.5 and 0.1.
 func Fig6(cfg Config) (*FigResult, error) {
 	cfg = cfg.withDefaults()
-	res := &FigResult{Name: "Figure 6", Query: "Q1 aggregation (WCC)"}
-	wcc := workload.DefaultWCC(cfg.Seed)
-	for _, overlap := range Overlaps {
-		spec := runSpec{
-			queryName: "Q1",
-			sources:   1,
-			overlap:   overlap,
-			windows:   cfg.Windows,
-			sched:     workload.SteadyRate,
-			gen: func(_ int, start, end int64, n int) []records.Record {
-				return workload.WCC(wcc, start, end, n)
-			},
-			query: func() *core.Query {
-				return queries.WCCAggregation("q1", cfg.WindowDur, cfg.SlideFor(overlap), cfg.Reducers)
-			},
-		}
-		hadoop, err := cfg.runHadoop(spec, "Hadoop")
+	return cfg.overlapPanels(&FigResult{Name: "Figure 6", Query: "Q1 aggregation (WCC)"}, Overlaps,
+		func(overlap float64) runSpec { return cfg.aggSpec("q1", overlap) })
+}
+
+// measure runs spec on each system in turn, over identical input.
+func (c Config) measure(spec runSpec, systems ...system) ([]Series, error) {
+	var out []Series
+	for _, sys := range systems {
+		s, err := c.series(spec, sys)
 		if err != nil {
 			return nil, err
 		}
-		redoop, err := cfg.runRedoop(spec, "Redoop")
+		out = append(out, s)
+	}
+	return out, nil
+}
+
+// overlapPanels appends one Hadoop-vs-Redoop panel per overlap to res.
+func (c Config) overlapPanels(res *FigResult, overlaps []float64, spec func(overlap float64) runSpec) (*FigResult, error) {
+	for _, overlap := range overlaps {
+		pair, err := c.measure(spec(overlap), hadoop("Hadoop"), redoop("Redoop"))
 		if err != nil {
 			return nil, err
 		}
-		res.Panels = append(res.Panels, Panel{Overlap: overlap, Series: []Series{hadoop, redoop}})
+		res.Panels = append(res.Panels, Panel{Overlap: overlap, Series: pair})
 	}
 	return res, nil
 }
@@ -58,39 +57,8 @@ func Fig7(cfg Config) (*FigResult, error) {
 	// aggregation volume keeps the window-1 cross product (all K²
 	// pane pairs) tractable while preserving the phase ratios.
 	cfg.RecordsPerWindow /= 4
-	res := &FigResult{Name: "Figure 7", Query: "Q2 join (FFG)"}
-	ffg := workload.DefaultFFG(cfg.Seed)
-	for _, overlap := range Overlaps {
-		spec := runSpec{
-			queryName: "Q2",
-			sources:   2,
-			overlap:   overlap,
-			windows:   cfg.Windows,
-			sched:     workload.SteadyRate,
-			gen: func(src int, start, end int64, n int) []records.Record {
-				if src == 0 {
-					return workload.FFGReadings(ffg, start, end, n)
-				}
-				// The event side is sparse — game events are rare
-				// relative to position samples, which keeps the
-				// join selective.
-				return workload.FFGEvents(ffg, start, end, n/4)
-			},
-			query: func() *core.Query {
-				return queries.FFGJoin("q2", cfg.WindowDur, cfg.SlideFor(overlap), cfg.Reducers)
-			},
-		}
-		hadoop, err := cfg.runHadoop(spec, "Hadoop")
-		if err != nil {
-			return nil, err
-		}
-		redoop, err := cfg.runRedoop(spec, "Redoop")
-		if err != nil {
-			return nil, err
-		}
-		res.Panels = append(res.Panels, Panel{Overlap: overlap, Series: []Series{hadoop, redoop}})
-	}
-	return res, nil
+	return cfg.overlapPanels(&FigResult{Name: "Figure 7", Query: "Q2 join (FFG)"}, Overlaps,
+		func(overlap float64) runSpec { return cfg.joinSpec("q2", overlap) })
 }
 
 // Fig8 regenerates Figure 8: adaptive input partitioning under the
@@ -114,25 +82,9 @@ func Fig8(cfg Config) (*FigResult, error) {
 	cfg.WindowDur = 10 * simtime.Minute
 	cfg.RecordsPerWindow /= 2
 	res := &FigResult{Name: "Figure 8", Query: "Q1 aggregation (WCC), fluctuating load"}
-	wcc := workload.DefaultWCC(cfg.Seed)
 	for _, overlap := range Overlaps {
 		slide := cfg.SlideFor(overlap)
-		slidesPerWin := int((cfg.WindowDur + slide - 1) / slide)
-		mkSpec := func(windows int, sched workload.RateSchedule) runSpec {
-			return runSpec{
-				queryName: "Q1-fluct",
-				sources:   1,
-				overlap:   overlap,
-				windows:   windows,
-				sched:     sched,
-				gen: func(_ int, start, end int64, n int) []records.Record {
-					return workload.WCC(wcc, start, end, n)
-				},
-				query: func() *core.Query {
-					return queries.WCCAggregation("q1f", cfg.WindowDur, slide, cfg.Reducers)
-				},
-			}
-		}
+		spec := cfg.aggSpec("q1f", overlap)
 
 		// Calibration: slow the cluster until non-adaptive Redoop's
 		// steady-state response is ~60% of the slide. The per-task
@@ -141,9 +93,10 @@ func Fig8(cfg Config) (*FigResult, error) {
 		// speed until the target holds.
 		panelCfg := cfg
 		target := 0.6 * float64(slide)
+		probeSpec := spec
+		probeSpec.windows = 3
 		for pass := 0; pass < 4; pass++ {
-			probeCfg := panelCfg
-			probe, err := probeCfg.runRedoop(mkSpec(3, workload.SteadyRate), "probe")
+			probe, err := panelCfg.series(probeSpec, redoop("probe"))
 			if err != nil {
 				return nil, err
 			}
@@ -170,25 +123,20 @@ func Fig8(cfg Config) (*FigResult, error) {
 			panelCfg.Cost = slow
 		}
 
-		spec := mkSpec(cfg.Windows, workload.PaperFluctuation(slidesPerWin))
-		hadoop, err := panelCfg.runHadoop(spec, "Hadoop")
+		// The fluctuation schedule is indexed by slide: every pane
+		// inside one slide interval carries that slide's multiplier.
+		fluct := workload.PaperFluctuation(int((cfg.WindowDur + slide - 1) / slide))
+		spec.rate = func(start int64) float64 { return fluct(int(start / int64(slide))) }
+		series, err := panelCfg.measure(spec, hadoop("Hadoop"), redoop("Redoop"))
 		if err != nil {
 			return nil, err
 		}
-		redoop, err := panelCfg.runRedoop(spec, "Redoop")
+		spec.adaptive = true
+		adaptive, err := panelCfg.series(spec, redoop("Adaptive Redoop"))
 		if err != nil {
 			return nil, err
 		}
-		adaptiveSpec := spec
-		adaptiveSpec.adaptive = true
-		adaptive, err := panelCfg.runRedoop(adaptiveSpec, "Adaptive Redoop")
-		if err != nil {
-			return nil, err
-		}
-		res.Panels = append(res.Panels, Panel{
-			Overlap: overlap,
-			Series:  []Series{hadoop, redoop, adaptive},
-		})
+		res.Panels = append(res.Panels, Panel{Overlap: overlap, Series: append(series, adaptive)})
 	}
 	return res, nil
 }
@@ -199,10 +147,8 @@ func Fig8(cfg Config) (*FigResult, error) {
 // partition loses its first attempt, forcing a re-shuffle.
 type fig9FaultPlan struct{}
 
-func newFig9FaultPlan() *fig9FaultPlan { return &fig9FaultPlan{} }
-
 // MapAttemptFails implements mapreduce.FaultPlan.
-func (f *fig9FaultPlan) MapAttemptFails(jobName, splitID string, attempt int) bool {
+func (fig9FaultPlan) MapAttemptFails(jobName, splitID string, attempt int) bool {
 	if attempt > 0 {
 		return false
 	}
@@ -212,7 +158,7 @@ func (f *fig9FaultPlan) MapAttemptFails(jobName, splitID string, attempt int) bo
 }
 
 // ReduceAttemptFails implements mapreduce.FaultPlan.
-func (f *fig9FaultPlan) ReduceAttemptFails(_ string, part, attempt int) bool {
+func (fig9FaultPlan) ReduceAttemptFails(_ string, part, attempt int) bool {
 	return part == 0 && attempt == 0
 }
 
@@ -220,13 +166,13 @@ func (f *fig9FaultPlan) ReduceAttemptFails(_ string, part, attempt int) bool {
 // rotating with the window index) from the cluster's local file
 // systems — the pane-granular cache loss of §6.4, which Redoop repairs
 // by re-executing only the affected panes' tasks.
-func dropCaches(eng *core.Engine, window, count int) {
+func dropCaches(mr *mapreduce.Engine, window, count int) {
 	type loc struct {
 		node int
 		key  string
 	}
 	var all []loc
-	for _, n := range eng.MR().Cluster.Nodes() {
+	for _, n := range mr.Cluster.Nodes() {
 		for _, k := range n.LocalKeys("cache/") {
 			all = append(all, loc{node: n.ID, key: k})
 		}
@@ -242,7 +188,7 @@ func dropCaches(eng *core.Engine, window, count int) {
 	})
 	for i := 0; i < count; i++ {
 		l := all[(window*13+i*7)%len(all)]
-		eng.MR().Cluster.Node(l.node).DeleteLocal(l.key)
+		mr.Cluster.Node(l.node).DeleteLocal(l.key)
 	}
 }
 
@@ -257,34 +203,25 @@ func Fig9(cfg Config) (*FigResult, error) {
 	cfg = cfg.withDefaults()
 	const overlap = 0.5
 	ffg := workload.DefaultFFG(cfg.Seed)
-	mkSpec := func() runSpec {
-		return runSpec{
-			queryName: "Q1-ffg",
-			sources:   1,
-			overlap:   overlap,
-			windows:   cfg.Windows,
-			sched:     workload.SteadyRate,
-			gen: func(_ int, start, end int64, n int) []records.Record {
-				return workload.FFGReadings(ffg, start, end, n)
-			},
-			query: func() *core.Query {
-				return ffgAggregation(cfg, overlap)
-			},
-		}
+	spec := cfg.aggSpec("q9", overlap)
+	spec.gen = func(_ int, start, end int64, n int) []records.Record {
+		return workload.FFGReadings(ffg, start, end, n)
+	}
+	wccAgg := spec.query
+	spec.query = func() *core.Query {
+		q := wccAgg()
+		q.Maps = []mapreduce.MapFunc{sensorCountMap}
+		return q
 	}
 
-	hadoop, err := cfg.runHadoop(mkSpec(), "Hadoop")
-	if err != nil {
-		return nil, err
-	}
-	redoop, err := cfg.runRedoop(mkSpec(), "Redoop")
+	clean, err := cfg.measure(spec, hadoop("Hadoop"), redoop("Redoop"))
 	if err != nil {
 		return nil, err
 	}
 
-	specHF := mkSpec()
-	specHF.faults = newFig9FaultPlan()
-	hadoopF, err := cfg.runHadoop(specHF, "Hadoop(f)")
+	hf := hadoop("Hadoop(f)")
+	hf.tune = func(mr *mapreduce.Engine) { mr.Faults = fig9FaultPlan{} }
+	hadoopF, err := cfg.series(spec, hf)
 	if err != nil {
 		return nil, err
 	}
@@ -293,12 +230,12 @@ func Fig9(cfg Config) (*FigResult, error) {
 	// failure where the cached data is lost from a given node");
 	// Hadoop, having no caches, suffers the equivalent failures as
 	// task re-executions instead.
-	specRF := mkSpec()
-	specRF.redoopBefore = func(r int, eng *core.Engine) {
+	rf := redoop("Redoop(f)")
+	rf.before = func(r int, mr *mapreduce.Engine) {
 		// Cache removal injected at the beginning of each window.
-		dropCaches(eng, r, 4)
+		dropCaches(mr, r, 4)
 	}
-	redoopF, err := cfg.runRedoop(specRF, "Redoop(f)")
+	redoopF, err := cfg.series(spec, rf)
 	if err != nil {
 		return nil, err
 	}
@@ -308,24 +245,20 @@ func Fig9(cfg Config) (*FigResult, error) {
 		Query: "aggregation (FFG), overlap 0.5, cache-failure injection",
 		Panels: []Panel{{
 			Overlap: overlap,
-			Series:  []Series{hadoop, hadoopF, redoop, redoopF},
+			Series:  []Series{clean[0], hadoopF, clean[1], redoopF},
 		}},
 	}, nil
 }
 
-// ffgAggregation counts readings per sensor — the FFG-flavoured
+// sensorCountMap keys an FFG reading by its sensor id (field 0), so
+// the Q1 reducers count readings per sensor — the FFG-flavoured
 // aggregation §6.4 uses as middle ground.
-func ffgAggregation(cfg Config, overlap float64) *core.Query {
-	q := queries.WCCAggregation("q9", cfg.WindowDur, cfg.SlideFor(overlap), cfg.Reducers)
-	q.Maps = []mapreduce.MapFunc{func(_ int64, payload []byte, emit mapreduce.Emitter) {
-		// Key by the sensor id (field 0 of an FFG reading).
-		i := 0
-		for i < len(payload) && payload[i] != ',' {
-			i++
-		}
-		emit(append([]byte(nil), payload[:i]...), []byte("1"))
-	}}
-	return q
+func sensorCountMap(_ int64, payload []byte, emit mapreduce.Emitter) {
+	i := 0
+	for i < len(payload) && payload[i] != ',' {
+		i++
+	}
+	emit(append([]byte(nil), payload[:i]...), []byte("1"))
 }
 
 // Headline computes the paper's headline claim — "up to 9× speedup

@@ -20,25 +20,11 @@ import (
 // provenance store attached and returns the store's final snapshot.
 func runRedoopLineage(t *testing.T, cfg Config, spec runSpec) lineage.Snapshot {
 	t.Helper()
-	lin := lineage.New(0)
-	mr := cfg.NewRuntime(1)
-	mr.Faults = spec.faults
-	q := spec.query()
-	eng, err := core.NewEngine(core.Config{MR: mr, Query: q, Lineage: lin})
-	if err != nil {
+	cfg.Lineage = lineage.New(0)
+	if _, err := cfg.series(spec, redoop("redoop")); err != nil {
 		t.Fatal(err)
 	}
-	f := newFeeder(cfg, spec)
-	winSpec := q.Spec()
-	for r := 0; r < spec.windows; r++ {
-		if err := f.feedThrough(winSpec.WindowClose(r), eng.Ingest); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.RunNext(); err != nil {
-			t.Fatalf("redoop window %d: %v", r+1, err)
-		}
-	}
-	return lin.Snapshot()
+	return cfg.Lineage.Snapshot()
 }
 
 // TestLineageWorkersDeepEqual asserts the whole provenance store —
@@ -124,10 +110,10 @@ func auditCatchesBadSHA(t *testing.T, cfg Config, spec runSpec, kind string) {
 		t.Fatal(err)
 	}
 	ingest := ora.WrapIngest(eng.Ingest)
-	f := newFeeder(cfg, spec)
+	feed := cfg.paneFeed(spec)
 	winSpec := q.Spec()
 	for r := 0; r < spec.windows; r++ {
-		if err := f.feedThrough(winSpec.WindowClose(r), ingest); err != nil {
+		if err := feed(winSpec.WindowClose(r), ingest); err != nil {
 			t.Fatal(err)
 		}
 		res, err := eng.RunNext()

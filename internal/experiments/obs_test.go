@@ -6,11 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"redoop/internal/core"
 	"redoop/internal/obs"
-	"redoop/internal/queries"
-	"redoop/internal/records"
-	"redoop/internal/workload"
 )
 
 // TestObservedRunProducesKeySeries runs a small instrumented Redoop
@@ -22,22 +18,7 @@ func TestObservedRunProducesKeySeries(t *testing.T) {
 	cfg := tinyConfig()
 	ob := obs.New()
 	cfg.Obs = ob
-	wcc := workload.DefaultWCC(cfg.Seed)
-	overlap := 0.9
-	spec := runSpec{
-		queryName: "Q1",
-		sources:   1,
-		overlap:   overlap,
-		windows:   cfg.Windows,
-		sched:     workload.SteadyRate,
-		gen: func(_ int, start, end int64, n int) []records.Record {
-			return workload.WCC(wcc, start, end, n)
-		},
-		query: func() *core.Query {
-			return queries.WCCAggregation("q1", cfg.WindowDur, cfg.SlideFor(overlap), cfg.Reducers)
-		},
-	}
-	if _, err := cfg.runRedoop(spec, "Redoop"); err != nil {
+	if _, err := cfg.series(cfg.aggSpec("q1", 0.9), redoop("Redoop")); err != nil {
 		t.Fatal(err)
 	}
 

@@ -4,11 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"time"
-
-	"redoop/internal/core"
-	"redoop/internal/queries"
-	"redoop/internal/records"
-	"redoop/internal/workload"
 )
 
 // ParallelSpeedupResult reports the host wall-clock comparison of the
@@ -31,30 +26,12 @@ type ParallelSpeedupResult struct {
 	Series []Series
 }
 
-// parallelSpec is the Figure-6 overlap-0.9 aggregation workload — the
-// heaviest steady-state map volume of the paper's figures, and the
-// benchmark the ≥2× parallel speedup acceptance target is measured on.
-func parallelSpec(cfg Config) runSpec {
-	wcc := workload.DefaultWCC(cfg.Seed)
-	const overlap = 0.9
-	return runSpec{
-		queryName: "Q1-par",
-		sources:   1,
-		overlap:   overlap,
-		windows:   cfg.Windows,
-		sched:     workload.SteadyRate,
-		gen: func(_ int, start, end int64, n int) []records.Record {
-			return workload.WCC(wcc, start, end, n)
-		},
-		query: func() *core.Query {
-			return queries.WCCAggregation("q1p", cfg.WindowDur, cfg.SlideFor(overlap), cfg.Reducers)
-		},
-	}
-}
-
-// ParallelSpeedup runs the Figure-6-scale workload (Hadoop + Redoop
-// series) twice — ExecWorkers=1, then ExecWorkers=workers — and
-// reports the wall-clock ratio plus a virtual-equality check.
+// ParallelSpeedup runs the Figure-6 overlap-0.9 aggregation workload
+// (Hadoop + Redoop series) — the heaviest steady-state map volume of
+// the paper's figures, and the benchmark the ≥2× parallel speedup
+// acceptance target is measured on — twice: ExecWorkers=1, then
+// ExecWorkers=workers. It reports the wall-clock ratio plus a
+// virtual-equality check.
 func (c Config) ParallelSpeedup(workers int) (*ParallelSpeedupResult, error) {
 	c = c.withDefaults()
 	if workers <= 0 {
@@ -63,17 +40,9 @@ func (c Config) ParallelSpeedup(workers int) (*ParallelSpeedupResult, error) {
 	run := func(execWorkers int) ([]Series, time.Duration, error) {
 		cfg := c
 		cfg.ExecWorkers = execWorkers
-		spec := parallelSpec(cfg)
 		start := time.Now()
-		hadoop, err := cfg.runHadoop(spec, "Hadoop")
-		if err != nil {
-			return nil, 0, err
-		}
-		redoop, err := cfg.runRedoop(spec, "Redoop")
-		if err != nil {
-			return nil, 0, err
-		}
-		return []Series{hadoop, redoop}, time.Since(start), nil
+		pair, err := cfg.measure(cfg.aggSpec("q1p", 0.9), hadoop("Hadoop"), redoop("Redoop"))
+		return pair, time.Since(start), err
 	}
 
 	serialSeries, serialWall, err := run(1)

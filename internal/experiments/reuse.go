@@ -6,16 +6,12 @@ import (
 	"fmt"
 
 	"redoop/internal/account"
-	"redoop/internal/chaos"
 	"redoop/internal/core"
-	"redoop/internal/lineage"
 	"redoop/internal/mapreduce"
-	"redoop/internal/oracle"
 	"redoop/internal/queries"
 	"redoop/internal/records"
 	"redoop/internal/reuse"
 	"redoop/internal/simtime"
-	"redoop/internal/workload"
 )
 
 // This file measures cross-query pane reuse (internal/reuse): the two
@@ -97,19 +93,24 @@ func reuseWorkloadQueries(cfg Config, slide simtime.Duration) []*core.Query {
 // with or without the reuse index attached, and reports per-query map
 // task counts, pane accounting, savings attribution and output
 // digests. With cfg.OracleCheck set, every recurrence of every query
-// is additionally verified against the differential oracle.
+// is additionally verified against the differential oracle; cfg.Chaos
+// composes with the shared stream — node crashes, cache drops and pane
+// corruptions land between a window's batches and its trigger, exactly
+// as in the single-engine soak.
 func RunCrossQueryReuse(cfg Config, enabled bool) (*ReuseReport, error) {
-	cfg = cfg.withDefaults()
-	slide := cfg.SlideFor(0.75)
-	wcc := workload.DefaultWCC(cfg.Seed)
-	paneUnit := int64(slide)
-	perPane := int(float64(cfg.RecordsPerWindow) / (float64(cfg.WindowDur) / float64(slide)))
+	return cfg.withDefaults().crossQueryReuse(enabled, nil)
+}
 
-	mr := cfg.NewRuntime(3)
+// crossQueryReuse is RunCrossQueryReuse with an optional scripted
+// fault hook, run before each recurrence's trigger.
+func (c Config) crossQueryReuse(enabled bool, before func(r int, mr *mapreduce.Engine)) (*ReuseReport, error) {
+	const overlap = 0.75
+	slide := c.SlideFor(overlap)
+	mr := c.NewRuntime(3)
 	ctrl := core.NewController()
 	hub := core.NewSourceHub(mr.DFS, mr.DFS.BlockSize())
-	hub.SetObserver(cfg.Obs)
-	qs := reuseWorkloadQueries(cfg, slide)
+	hub.SetObserver(c.Obs)
+	qs := reuseWorkloadQueries(c, slide)
 	if err := hub.Share("wcc", "wcc", qs[0].Sources[0].Spec, 0); err != nil {
 		return nil, err
 	}
@@ -118,136 +119,52 @@ func RunCrossQueryReuse(cfg Config, enabled bool) (*ReuseReport, error) {
 	if enabled {
 		idx = reuse.NewIndex(0)
 	}
-	acct := cfg.Account
+	acct := c.Account
 	if acct == nil {
 		acct = account.New()
 	}
-	lin := cfg.Lineage
-	if lin == nil && cfg.OracleCheck {
-		lin = lineage.New(0)
-	}
+	lin := c.provenance()
 
-	engines := make([]*core.Engine, len(qs))
-	oracles := make([]*oracle.Oracle, len(qs))
+	report := &ReuseReport{Enabled: enabled, Queries: make([]ReuseQueryStats, len(qs))}
+	lanes := make([]lane, len(qs))
+	digests := make([]digestWriter, len(qs))
 	for i, q := range qs {
 		eng, err := core.NewEngine(core.Config{
 			MR: mr, Query: q, Controller: ctrl, Hub: hub,
-			Reuse: idx, Account: acct, Lineage: lin, Health: cfg.Health,
+			Reuse: idx, Account: acct, Lineage: lin, Health: c.Health,
 		})
 		if err != nil {
 			return nil, err
 		}
-		cfg.notifyEngine(eng)
-		engines[i] = eng
-		if cfg.OracleCheck {
-			oracles[i], err = oracle.New(eng)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// One hub feed; every engine's oracle observes the same batches.
-	deliver := func(_ int, batch []records.Record) error {
-		for _, ora := range oracles {
-			if ora != nil {
-				ora.Observe(0, batch)
-			}
-		}
-		return hub.Ingest("wcc", batch)
-	}
-	fedPanes := 0
-	feed := func(throughUnit int64) error {
-		for ; int64(fedPanes)*paneUnit < throughUnit; fedPanes++ {
-			start := int64(fedPanes) * paneUnit
-			batch := workload.WCC(wcc, start, start+paneUnit, perPane)
-			if err := deliver(0, batch); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Chaos composes with the shared stream: node crashes, cache drops
-	// and pane corruptions land between a window's batches and its
-	// trigger, exactly as in the single-engine soak. (Batch-delay
-	// actions are ingest-path gates and do not apply to the hub's
-	// single shared feed.)
-	var inj *chaos.Injector
-	if cfg.Chaos != nil {
-		inj = chaos.NewInjector(cfg.Chaos, mr)
-		inj.OnCorrupt = func(path string) {
-			for _, ora := range oracles {
-				if ora != nil {
-					ora.ExcludePath(path)
-				}
-			}
-		}
-	}
-
-	// Engines sharing one runtime execute in global window-close order
-	// (slot timelines are monotonic); the strict < keeps ties on the
-	// lowest engine index, so fig6-a always leads its identical sibling
-	// and the reuse direction is deterministic.
-	closes := make([]func(int) int64, len(engines))
-	for i, eng := range engines {
-		frames, err := eng.Query().Frames()
-		if err != nil {
-			return nil, err
-		}
-		closes[i] = frames[0].WindowClose
-	}
-	report := &ReuseReport{Enabled: enabled, Queries: make([]ReuseQueryStats, len(engines))}
-	digests := make([]*digestWriter, len(engines))
-	for i, q := range qs {
+		c.notifyEngine(eng)
+		lanes[i] = redoopLane(q.Name, eng)
 		report.Queries[i].Query = q.Name
-		digests[i] = newDigestWriter()
 	}
-	for done := 0; done < len(engines)*cfg.Windows; done++ {
-		best := -1
-		var bestClose int64
-		for i, eng := range engines {
-			r := eng.NextRecurrence()
-			if r >= cfg.Windows {
-				continue
-			}
-			if c := closes[i](r); best < 0 || c < bestClose {
-				best, bestClose = i, c
-			}
-		}
-		if err := feed(bestClose); err != nil {
-			return nil, err
-		}
-		if inj != nil {
-			if err := inj.BeforeRecurrence(engines[best].NextRecurrence(), engines[best], deliver); err != nil {
-				return nil, fmt.Errorf("%s: %w", qs[best].Name, err)
-			}
-		}
-		res, err := engines[best].RunNext()
-		if err != nil {
-			return nil, fmt.Errorf("%s window %d: %w", qs[best].Name, res.Recurrence+1, err)
-		}
-		if ora := oracles[best]; ora != nil {
-			ver := ora.Check(res)
-			if cfg.OnVerdict != nil {
-				cfg.OnVerdict(qs[best].Name, ver)
-			}
-			if verr := ver.Err(); verr != nil {
-				return nil, fmt.Errorf("%s window %d: %w", qs[best].Name, res.Recurrence+1, verr)
-			}
-		}
-		st := &report.Queries[best]
-		st.Windows++
-		st.MapTasks += res.Stats.MapTasks
-		st.NewPanes += res.NewPanes
-		st.ReusedPanes += res.ReusedPanes
-		digests[best].addWindow(res.Output)
-		st.Timings = append(st.Timings, WindowTiming{
-			Window:   res.Recurrence + 1,
-			Response: res.ResponseTime,
-			Shuffle:  res.Stats.ShuffleTime,
-			Reduce:   res.Stats.ReduceTime,
-		})
+
+	// One hub feed (the Q1 spec's WCC stream; its query is not run)
+	// that every lane's oracle observes. Lane order makes fig6-a lead
+	// its identical sibling on every tied window close, so the reuse
+	// direction is deterministic.
+	err := c.run(drive{
+		mr:       mr,
+		lanes:    lanes,
+		windows:  c.Windows,
+		sink:     func(_ int, batch []records.Record) error { return hub.Ingest("wcc", batch) },
+		feed:     c.paneFeed(c.aggSpec("stream", overlap)),
+		verified: true,
+		before:   before,
+		window: func(l int, res *core.RecurrenceResult) {
+			st := &report.Queries[l]
+			st.Windows++
+			st.MapTasks += res.Stats.MapTasks
+			st.NewPanes += res.NewPanes
+			st.ReusedPanes += res.ReusedPanes
+			digests[l].addWindow(res.Output)
+			st.Timings = append(st.Timings, timingOf(res))
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i := range report.Queries {
 		report.Queries[i].OutputDigest = digests[i].sum()
@@ -269,16 +186,13 @@ func RunCrossQueryReuse(cfg Config, enabled bool) (*ReuseReport, error) {
 }
 
 // digestWriter folds canonicalized window outputs into one SHA-256.
-type digestWriter struct{ h [32]byte; any bool }
-
-func newDigestWriter() *digestWriter { return &digestWriter{} }
+type digestWriter struct{ h [32]byte }
 
 func (d *digestWriter) addWindow(out []records.Pair) {
 	cp := append([]records.Pair(nil), out...)
 	mapreduce.SortPairs(cp)
 	payload := append(d.h[:], records.EncodePairs(cp)...)
 	d.h = sha256.Sum256(payload)
-	d.any = true
 }
 
 func (d *digestWriter) sum() string { return hex.EncodeToString(d.h[:]) }

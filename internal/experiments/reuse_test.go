@@ -3,9 +3,11 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"redoop/internal/chaos"
+	"redoop/internal/mapreduce"
 	"redoop/internal/reuse"
 	"redoop/internal/simtime"
 )
@@ -173,5 +175,25 @@ func TestChaosReuseSoak(t *testing.T) {
 				t.Errorf("join published into the reuse index: %+v", s)
 			}
 		})
+	}
+}
+
+// TestCrossQueryReuseReportsEngineFailure: an engine failure must
+// surface as an error naming the query and window. The loop this
+// replaced formatted its message from the nil result RunNext returns
+// alongside an error, so any failure became a nil-pointer panic.
+func TestCrossQueryReuseReportsEngineFailure(t *testing.T) {
+	failAll := func(_ int, mr *mapreduce.Engine) {
+		for _, id := range mr.Cluster.NodeIDs() {
+			mr.Cluster.FailNode(id)
+		}
+	}
+	_, err := reuseTestConfig().withDefaults().crossQueryReuse(true, failAll)
+	if err == nil {
+		t.Fatal("a run on a cluster with every node failed reported success")
+	}
+	// The 2x tumbling roll-up's first window closes before fig6-a's.
+	if !strings.HasPrefix(err.Error(), "rollup-2x window 1:") {
+		t.Errorf("error %q does not name the failing query and window", err)
 	}
 }

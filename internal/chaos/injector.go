@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 
 	"redoop/internal/core"
 	"redoop/internal/lineage"
@@ -238,6 +239,9 @@ func (in *Injector) corruptPane(r int, eng *core.Engine, a Action) error {
 	if err != nil || len(data) == 0 {
 		return err
 	}
+	// Read returns a view of the stored file, which decoded records and
+	// emitted pairs may still alias: damage a copy.
+	data = slices.Clone(data)
 	detail := ""
 	if a.Kind == PaneTruncate {
 		data = data[:len(data)/2]

@@ -83,17 +83,19 @@ func (n *Node) Load() simtime.Duration {
 	return n.busy
 }
 
-// PutLocal stores a private copy of data on the node's local file
-// system. Stored bytes are never written again — a later PutLocal of
-// the same key replaces the map entry, failures and deletes drop it —
-// which is what lets GetLocal hand out views.
+// PutLocal stores data on the node's local file system and takes
+// ownership of it: the caller hands over an exactly-sized buffer it
+// will never write again (it may keep reading it). Stored bytes are
+// never written either — a later PutLocal of the same key replaces the
+// map entry, failures and deletes drop it — which is what lets GetLocal
+// hand out views.
 func (n *Node) PutLocal(key string, data []byte) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.alive {
 		return // writes to a dead node are lost
 	}
-	n.local[key] = append([]byte(nil), data...)
+	n.local[key] = data
 }
 
 // GetLocal retrieves bytes from the node's local file system. The

@@ -84,14 +84,17 @@ func TestLocalFS(t *testing.T) {
 	n.DeleteLocal("cache/S1P1") // idempotent
 }
 
-func TestPutLocalCopies(t *testing.T) {
+// PutLocal takes ownership: the stored bytes are the caller's buffer,
+// not a copy of it, so an exactly-sized encode is stored without a
+// second allocation.
+func TestPutLocalTakesOwnership(t *testing.T) {
 	c := testCluster(t)
 	n := c.Node(0)
 	buf := []byte("abc")
 	n.PutLocal("k", buf)
-	buf[0] = 'z'
-	if got, _ := n.GetLocal("k"); string(got) != "abc" {
-		t.Error("PutLocal must copy its input")
+	got, _ := n.GetLocal("k")
+	if string(got) != "abc" || &got[0] != &buf[0] {
+		t.Error("PutLocal must store the buffer it is handed, not a copy")
 	}
 }
 

@@ -38,10 +38,13 @@
 // Zero-copy lifetime rule: decoded records, pairs and visited payloads
 // alias the input buffer. The buffer must stay immutable and live for
 // as long as any view into it; in particular a pooled buffer must
-// never be recycled while decoded views escape (see PutBuf).
+// never be recycled while decoded views escape (see PutBuf). Encode*
+// return exactly-sized buffers, which a node-local cache store takes
+// ownership of (Node.PutLocal).
 package colfmt
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -167,45 +170,70 @@ func grow(dst []byte, need int) []byte {
 	return out
 }
 
+// recHeader reads the fixed-width header of the record segment at the
+// head of data — magic, count and the offset column's final entry — and
+// bounds-checks the segment's stated length against data. It touches
+// neither blob nor checksum.
+func recHeader(data []byte) (n uint32, fixed, blobLen, total uint64, err error) {
+	if len(data) < 8 {
+		return 0, 0, 0, 0, corruptf("record segment header truncated (%d bytes)", len(data))
+	}
+	if [4]byte(data) != magicRecords {
+		return 0, 0, 0, 0, corruptf("bad record segment magic %q", data[:4])
+	}
+	n = binary.LittleEndian.Uint32(data[4:])
+	if n == 0 {
+		return 0, 0, 0, 0, corruptf("record segment with zero count")
+	}
+	// Fixed-width prefix: magic+count, ts column, offset column.
+	fixed = uint64(8) + 8*uint64(n) + 4*(uint64(n)+1)
+	if fixed+4 > uint64(len(data)) {
+		return 0, 0, 0, 0, corruptf("record columns truncated: need %d fixed bytes, have %d", fixed+4, len(data))
+	}
+	blobLen = uint64(binary.LittleEndian.Uint32(data[fixed-4:]))
+	total = fixed + blobLen + 4
+	if total > uint64(len(data)) {
+		return 0, 0, 0, 0, corruptf("record payload truncated: need %d bytes, have %d", total, len(data))
+	}
+	return n, fixed, blobLen, total, nil
+}
+
 // recSegment validates the record segment at the head of data and
 // returns its count, column views and total length. Every bound is
 // checked before any column is touched, so malformed input yields
 // ErrCorrupt, never a panic.
 func recSegment(data []byte) (count int, ts, offs, blob []byte, segLen int, err error) {
-	if len(data) < 8 {
-		return 0, nil, nil, nil, 0, corruptf("record segment header truncated (%d bytes)", len(data))
-	}
-	n := binary.LittleEndian.Uint32(data[4:])
-	if n == 0 {
-		return 0, nil, nil, nil, 0, corruptf("record segment with zero count")
-	}
-	// Fixed-width prefix: magic+count, ts column, offset column.
-	fixed := uint64(8) + 8*uint64(n) + 4*(uint64(n)+1)
-	if fixed+4 > uint64(len(data)) {
-		return 0, nil, nil, nil, 0, corruptf("record columns truncated: need %d fixed bytes, have %d", fixed+4, len(data))
-	}
-	offs = data[8+8*n:]
-	blobLen := binary.LittleEndian.Uint32(offs[4*n:])
-	total := fixed + uint64(blobLen) + 4
-	if total > uint64(len(data)) {
-		return 0, nil, nil, nil, 0, corruptf("record payload truncated: need %d bytes, have %d", total, len(data))
+	n, fixed, blobLen, total, err := recHeader(data)
+	if err != nil {
+		return 0, nil, nil, nil, 0, err
 	}
 	seg := data[:total]
 	if got, want := crc32.ChecksumIEEE(seg[:total-4]), binary.LittleEndian.Uint32(seg[total-4:]); got != want {
 		return 0, nil, nil, nil, 0, corruptf("record segment checksum mismatch (%08x != %08x)", got, want)
 	}
-	if binary.LittleEndian.Uint32(offs) != 0 {
-		return 0, nil, nil, nil, 0, corruptf("record offsets do not start at zero")
+	tsEnd := 8 + 8*uint64(n)
+	offs = seg[tsEnd:fixed]
+	if err := checkOffsets("record", offs, n); err != nil {
+		return 0, nil, nil, nil, 0, err
+	}
+	return int(n), seg[8:tsEnd], offs, seg[fixed : fixed+blobLen], int(total), nil
+}
+
+// checkOffsets validates a cumulative offset column of n+1 entries: it
+// starts at zero and never decreases.
+func checkOffsets(what string, col []byte, n uint32) error {
+	if binary.LittleEndian.Uint32(col) != 0 {
+		return corruptf("%s offsets do not start at zero", what)
 	}
 	prev := uint32(0)
 	for i := uint32(1); i <= n; i++ {
-		o := binary.LittleEndian.Uint32(offs[4*i:])
+		o := binary.LittleEndian.Uint32(col[4*i:])
 		if o < prev {
-			return 0, nil, nil, nil, 0, corruptf("record offsets decrease at %d", i)
+			return corruptf("%s offsets decrease at %d", what, i)
 		}
 		prev = o
 	}
-	return int(n), data[8 : 8+8*n], offs[:4*(n+1)], seg[fixed : fixed+uint64(blobLen)], int(total), nil
+	return nil
 }
 
 // pairHeader reads the fixed-width header of the pair segment at the
@@ -249,22 +277,8 @@ func pairSegment(data []byte) (count int, koff, voff, keys, vals []byte, segLen 
 	}
 	koff = seg[8 : 8+4*(uint64(n)+1)]
 	voff = seg[8+4*(uint64(n)+1) : fixed]
-	for _, c := range []struct {
-		name string
-		col  []byte
-	}{{"key", koff}, {"value", voff}} {
-		name, col := c.name, c.col
-		if binary.LittleEndian.Uint32(col) != 0 {
-			return 0, nil, nil, nil, nil, 0, corruptf("pair %s offsets do not start at zero", name)
-		}
-		prev := uint32(0)
-		for i := uint32(1); i <= n; i++ {
-			o := binary.LittleEndian.Uint32(col[4*i:])
-			if o < prev {
-				return 0, nil, nil, nil, nil, 0, corruptf("pair %s offsets decrease at %d", name, i)
-			}
-			prev = o
-		}
+	if err := cmp.Or(checkOffsets("pair key", koff, n), checkOffsets("pair value", voff, n)); err != nil {
+		return 0, nil, nil, nil, nil, 0, err
 	}
 	return int(n), koff, voff, seg[fixed : fixed+kb], seg[fixed+kb : fixed+kb+vb], int(total), nil
 }
@@ -276,20 +290,11 @@ func pairSegment(data []byte) (count int, koff, voff, keys, vals []byte, segLen 
 func DecodeRecords(data []byte) ([]records.Record, error) {
 	var out []records.Record
 	for len(data) > 0 {
-		if len(data) >= 4 {
-			var m [4]byte
-			copy(m[:], data)
-			if m != magicRecords {
-				return nil, corruptf("bad record segment magic %q", m[:])
-			}
-		}
 		n, ts, offs, blob, segLen, err := recSegment(data)
 		if err != nil {
 			return nil, err
 		}
-		if out == nil {
-			out = make([]records.Record, 0, n)
-		}
+		out = slices.Grow(out, n)
 		for i := 0; i < n; i++ {
 			lo := binary.LittleEndian.Uint32(offs[4*i:])
 			hi := binary.LittleEndian.Uint32(offs[4*(i+1):])
@@ -362,15 +367,7 @@ func CountPairs(data []byte) (int, error) {
 func VisitRecords(data []byte, fn func(off int, ts int64, payload []byte) bool) error {
 	base := 0
 	for base < len(data) {
-		rest := data[base:]
-		if len(rest) >= 4 {
-			var m [4]byte
-			copy(m[:], rest)
-			if m != magicRecords {
-				return corruptf("bad record segment magic %q at offset %d", m[:], base)
-			}
-		}
-		n, ts, offs, blob, segLen, err := recSegment(rest)
+		n, ts, offs, blob, segLen, err := recSegment(data[base:])
 		if err != nil {
 			return err
 		}
@@ -387,24 +384,32 @@ func VisitRecords(data []byte, fn func(off int, ts int64, payload []byte) bool) 
 	return nil
 }
 
-// CountRecords returns the number of records in a columnar file
-// without materializing views.
-func CountRecords(data []byte) (int, error) {
+// CountRecords returns the number of records in a columnar file.
+func CountRecords(data []byte) (int, error) { return CountRecordsIn(data, 0, len(data)) }
+
+// CountRecordsIn returns the number of records in those segments of a
+// columnar file that overlap the byte range [lo, hi): what a decoder of
+// the range sizes its output from. It walks segment headers only, as
+// CountPairs does, and no further than hi; a fault inside a segment's
+// body surfaces at the decode that follows.
+func CountRecordsIn(data []byte, lo, hi int) (int, error) {
 	total := 0
-	for len(data) > 0 {
-		n, _, _, _, segLen, err := recSegment(data)
+	for base := 0; base < min(hi, len(data)); {
+		n, _, _, segLen, err := recHeader(data[base:])
 		if err != nil {
 			return 0, err
 		}
-		total += n
-		data = data[segLen:]
+		if base+int(segLen) > lo {
+			total += int(n)
+		}
+		base += int(segLen)
 	}
 	return total, nil
 }
 
 // bufPool recycles encode scratch buffers for the hot encode paths
-// whose sinks copy (DFS writes, node-local cache stores). Pooled
-// buffers hold no references after PutBuf resets their length.
+// whose sinks copy (DFS writes). Pooled buffers hold no references
+// after PutBuf resets their length.
 var bufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 16<<10)
@@ -421,9 +426,10 @@ func GetBuf() *[]byte {
 
 // PutBuf returns a scratch buffer to the pool. The caller must
 // guarantee no decoded view or retained slice still aliases the
-// buffer: sinks that copy (dfs.Write/WriteAt, Node.PutLocal) satisfy
-// this; decoded pane views handed to user map functions do not — those
-// buffers must never be pooled (see the aliasing regression test).
+// buffer: sinks that copy (dfs.Write/WriteAt) satisfy this; a sink
+// that takes ownership (Node.PutLocal, Registry.Add) and decoded pane
+// views handed to user map functions do not — those buffers must never
+// be pooled (see the aliasing regression test).
 func PutBuf(b *[]byte) {
 	*b = (*b)[:0]
 	bufPool.Put(b)

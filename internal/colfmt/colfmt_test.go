@@ -226,6 +226,20 @@ func TestVisitRecordsOffsets(t *testing.T) {
 	if err != nil || n != count {
 		t.Fatalf("CountRecords = %d, %v; visit saw %d", n, err, count)
 	}
+	// A range counts the segments it touches, whole: the third segment
+	// alone from one byte of it, the second and third from a range that
+	// crosses their boundary, none from an empty range.
+	perSeg := func(i int) int { n, _ := CountRecords(file[bounds[i]:bounds[i+1]]); return n }
+	for _, c := range []struct{ lo, hi, want int }{
+		{bounds[2], bounds[2] + 1, perSeg(2)},
+		{bounds[2] - 1, bounds[2] + 1, perSeg(1) + perSeg(2)},
+		{bounds[1], bounds[1], 0},
+		{0, len(file) + 100, count},
+	} {
+		if n, err := CountRecordsIn(file, c.lo, c.hi); err != nil || n != c.want {
+			t.Errorf("CountRecordsIn(%d, %d) = %d, %v; want %d", c.lo, c.hi, n, err, c.want)
+		}
+	}
 }
 
 // TestDecodeRejectsCorruption pins the validator's error cases the way
@@ -410,7 +424,7 @@ func TestPooledBufferAliasing(t *testing.T) {
 
 	buf := GetBuf()
 	*buf = AppendRecords((*buf)[:0], recs)
-	// The sink copies — exactly what dfs.Write and Node.PutLocal do.
+	// The sink copies — exactly what dfs.Write does.
 	stored := append([]byte(nil), *buf...)
 	PutBuf(buf)
 

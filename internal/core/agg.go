@@ -22,9 +22,11 @@ func (e *Engine) runAggregation(r int, trigger simtime.Time) (*RecurrenceResult,
 	res.Stats.Start = trigger
 	res.Stats.End = trigger
 
+	ahead := e.prepareNewPanes(lo, hi)
 	routRefs := make(map[window.PaneID][]cacheRef, int(hi-lo)+1)
 	for p := lo; p <= hi; p++ {
-		refs, reused, recovered, err := e.ensureAggPane(p, trigger, &res.Stats)
+		refs, reused, recovered, err := e.ensureAggPane(p, trigger, ahead[p-lo], &res.Stats)
+		ahead[p-lo] = nil // the pane's map output is garbage once committed
 		if err != nil {
 			return nil, err
 		}
@@ -52,15 +54,56 @@ func (e *Engine) runAggregation(r int, trigger simtime.Time) (*RecurrenceResult,
 	return res, nil
 }
 
+// willMapPane reports that ensureAggPane is certain to take pane p to
+// its map rung: no sibling can offer the pane's output (reuseEligible),
+// and either caches are off or the status matrix has not seen the pane
+// and it has no reduce-input signature. These are side-effect-free
+// reads that no other pane's commit changes; the ladder checks its
+// outcome against them on every pane.
+func (e *Engine) willMapPane(p window.PaneID) bool {
+	if e.reuseEligible() {
+		return false
+	}
+	done, _ := e.matrix.Done(p)
+	_, known := e.ctrl.Lookup(e.query.rinPID(0, e.frames[0].Pane, p, 0), ReduceInput)
+	return e.noReuse || !(done || known)
+}
+
+// prepareNewPanes runs ahead, across the executor's workers, the map
+// compute of those panes of [lo, hi] that willMapPane. The serial ladder
+// consumes the result in pane order, so commit records, slot
+// acquisitions and ledger charges fall exactly where they do when a
+// pane prepares in line, as every other pane (and every pane of a
+// one-worker engine) does.
+func (e *Engine) prepareNewPanes(lo, hi window.PaneID) []*panePrep {
+	ahead := make([]*panePrep, hi-lo+1) // by pane; nil: prepare in line
+	workers := e.mr.WorkerCount()
+	var fresh []window.PaneID
+	for p := lo; workers > 1 && p <= hi; p++ {
+		if e.willMapPane(p) {
+			fresh = append(fresh, p)
+		}
+	}
+	parallel.For(workers, len(fresh), func(i int) { ahead[fresh[i]-lo] = e.preparePane(0, fresh[i]) })
+	return ahead
+}
+
 // ensureAggPane guarantees pane p's per-partition reduce-output caches
 // exist, reusing them when present, rebuilding the reduce outputs from
 // surviving reduce-input caches when only the outputs were lost, and
 // re-running the pane's full map+shuffle+reduce when the inputs are
-// gone too (the recovery ladder of §5).
-func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, stats *mapreduce.Stats) (refs []cacheRef, reused, recovered bool, err error) {
+// gone too (the recovery ladder of §5). pp is the pane's map compute
+// when prepareNewPanes ran it ahead, nil otherwise.
+func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, pp *panePrep, stats *mapreduce.Stats) (refs []cacheRef, reused, recovered bool, err error) {
 	q := e.query
 	R := q.NumReducers
 
+	certain, mapped := pp != nil || e.willMapPane(p), false
+	defer func() {
+		if err == nil && certain && !mapped {
+			err = fmt.Errorf("core: pane %d was certain to be mapped, yet a cache rung served it", int64(p))
+		}
+	}()
 	paneDone, _ := e.matrix.Done(p)
 	if e.noReuse {
 		paneDone = false
@@ -115,19 +158,23 @@ func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, stats *map
 	}
 
 	// New (or fully lost) pane: map + shuffle + per-pane reduce.
+	mapped = true
 	id := fmt.Sprintf("%sP%d", q.Sources[0].Name, int64(p))
 	e.sched.MapTasks.Push(id, nil)
 	defer e.sched.MapTasks.Remove(id)
 
-	if segs, ok := e.srcs[0].PaneInputs(p); ok && e.proactive && len(segs) > 1 {
-		refs, err = e.processAggPaneProactive(p, trigger, segs, stats)
+	if pp == nil {
+		pp = e.preparePane(0, p)
+	}
+	if e.proactive && len(pp.ins) > 1 {
+		refs, err = e.processAggPaneProactive(p, trigger, pp, stats)
 		if err != nil {
 			return nil, false, recovered, err
 		}
 		return refs, false, recovered, nil
 	}
 
-	mp, err := e.runPaneMapPhase(0, p, trigger, stats)
+	mp, err := e.commitPaneMapPhase(0, p, trigger, pp, stats)
 	if err != nil {
 		return nil, false, recovered, err
 	}
@@ -138,19 +185,12 @@ func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, stats *map
 	}
 	stats.Accumulate(rstats)
 
-	byPart := make(map[int]mapreduce.ReducerResult, len(rres))
-	for _, rr := range rres {
-		byPart[rr.Part] = rr
-	}
 	// Encode the cache payloads in parallel (pure compute); cache
 	// registration below stays serial in partition order.
-	rinData := make([][]byte, R)
-	routData := make([][]byte, R)
-	parallel.For(e.mr.WorkerCount(), R, func(part int) {
-		if rr, ok := byPart[part]; ok {
-			rinData[part] = colfmt.EncodePairs(rr.Input)
-			routData[part] = colfmt.EncodePairs(rr.Output)
-		}
+	rinData, routData := make([][]byte, R), make([][]byte, R)
+	parallel.For(e.mr.WorkerCount(), len(rres), func(i int) {
+		rr := rres[i]
+		rinData[rr.Part], routData[rr.Part] = colfmt.EncodePairs(rr.Input), colfmt.EncodePairs(rr.Output)
 	})
 	// Recompute attribution for the benefit ledger: the map phase (and
 	// shuffle) ran once for the whole pane, so each live partition's
@@ -162,7 +202,7 @@ func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, stats *map
 		mapShare = (mp.Stats.MapTime + rstats.ShuffleTime) / simtime.Duration(live)
 	}
 	refs = make([]cacheRef, R)
-	for part := 0; part < R; part++ {
+	for part, next := 0, 0; part < R; part++ { // rres[next:] is in partition order
 		home := e.sched.HomeNode(part)
 		if home == nil {
 			return nil, false, recovered, fmt.Errorf("core: no alive node to home partition %d", part)
@@ -170,7 +210,9 @@ func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, stats *map
 		node := home.ID
 		readyAt := simtime.Max(mp.LastMapEnd, trigger)
 		var rinMeta, routMeta cacheMeta
-		if rr, ok := byPart[part]; ok {
+		if next < len(rres) && rres[next].Part == part {
+			rr := rres[next]
+			next++
 			node = rr.Node
 			readyAt = rr.End
 			rinBytes := int64(len(rinData[part]))
@@ -210,27 +252,22 @@ func (e *Engine) registerAggRout(p window.PaneID, part, node int, readyAt simtim
 // work remains after the window closes; a cheap pane-level combine of
 // the sub-pane partials then forms the pane's caches at the usual
 // pane granularity, keeping reuse and expiry unchanged.
-func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, segs []PaneInput, stats *mapreduce.Stats) ([]cacheRef, error) {
+func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, pp *panePrep, stats *mapreduce.Stats) ([]cacheRef, error) {
+	if pp.err != nil {
+		return nil, pp.err
+	}
 	q := e.query
 	R := q.NumReducers
 	job := e.paneJob(0)
 
-	// Segment compute (decode + user map) overlaps across sub-panes;
-	// each segment's scheduling then commits serially in arrival order.
-	preps := make([]*mapreduce.MapPhasePrep, len(segs))
-	if err := parallel.ForErr(e.mr.WorkerCount(), len(segs), func(i int) error {
-		var err error
-		preps[i], err = e.mr.PrepareMapPhase(job, []mapreduce.Input{segs[i].Input})
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	subIn := make([][]records.Pair, R)
+	// Each segment's scheduling commits serially in arrival order;
+	// subIn collects, per partition, the sub-panes' sorted reduce inputs.
+	subIn := make([][][]records.Pair, R)
 	subOut := make([][]records.Pair, R)
 	readyAt := make([]simtime.Time, R)
-	for i, seg := range segs {
+	for i, seg := range pp.ins {
 		ready := simtime.Max(seg.AvailableAt, 0)
-		mp, err := e.mr.CommitMapPhase(preps[i], ready)
+		mp, err := e.mr.CommitMapPhase(pp.preps[i], ready)
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +279,7 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 		}
 		stats.Accumulate(rstats)
 		for _, rr := range rres {
-			subIn[rr.Part] = append(subIn[rr.Part], rr.Input...)
+			subIn[rr.Part] = append(subIn[rr.Part], rr.Input)
 			subOut[rr.Part] = append(subOut[rr.Part], rr.Output...)
 			if rr.End > readyAt[rr.Part] {
 				readyAt[rr.Part] = rr.End
@@ -260,7 +297,7 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 		}
 		combined := mapreduce.ReduceGroups(q.Merge, mapreduce.GroupPairs(subOut[part]))
 		routData[part] = colfmt.EncodePairs(combined)
-		rinData[part] = colfmt.EncodePairs(subIn[part])
+		rinData[part] = colfmt.EncodePairs(mapreduce.MergeSortedRuns(nil, subIn[part]...))
 	})
 
 	refs := make([]cacheRef, R)
@@ -274,7 +311,7 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 			continue
 		}
 		inBytes := records.PairsSize(subOut[part])
-		ct := e.runCacheTask(fmt.Sprintf("combine pane %d p%d", int64(p), part), phaseCombine, readyAt[part],
+		ct := e.runCacheTask(func() string { return fmt.Sprintf("combine pane %d p%d", int64(p), part) }, phaseCombine, readyAt[part],
 			[]cacheRef{{node: home.ID, bytes: inBytes, readyAt: readyAt[part]}},
 			e.mr.Cost.MergeTask(inBytes, int64(len(routData[part]))))
 		stats.ReduceTime += ct.dur
@@ -317,7 +354,8 @@ func (e *Engine) rebuildAggOutputs(p window.PaneID, trigger simtime.Time, rins [
 			if err != nil {
 				return err
 			}
-			out := mapreduce.ReduceGroups(q.Reduce, mapreduce.GroupPairs(pairs))
+			// Every reduce-input cache is stored key-sorted.
+			out := mapreduce.ReduceGroups(q.Reduce, mapreduce.GroupSorted(pairs))
 			rebuilt[part] = colfmt.EncodePairs(out)
 			return nil
 		},
@@ -331,7 +369,7 @@ func (e *Engine) rebuildAggOutputs(p window.PaneID, trigger simtime.Time, rins [
 				return nil
 			}
 			outData := rebuilt[part]
-			ct := e.runCacheTask(fmt.Sprintf("rebuild pane %d p%d", int64(p), part), phaseReduce, trigger, []cacheRef{rin},
+			ct := e.runCacheTask(func() string { return fmt.Sprintf("rebuild pane %d p%d", int64(p), part) }, phaseReduce, trigger, []cacheRef{rin},
 				e.mr.Cost.ReduceTask(rin.bytes, int64(len(outData))))
 			stats.ReduceTime += ct.dur
 			stats.ReduceTasks++

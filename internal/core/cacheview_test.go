@@ -8,12 +8,13 @@ import (
 
 	"redoop/internal/colfmt"
 	"redoop/internal/core"
+	"redoop/internal/mapreduce"
 	"redoop/internal/records"
 )
 
-// Tests of the cache read path's ownership rule: writers copy in,
-// stored bytes are immutable, readers (and so window outputs) hold
-// views of them.
+// Tests of the cache paths' ownership rule: writers hand exactly-sized
+// encodings over, stored bytes are immutable, readers (and so window
+// outputs) hold views of them, and nothing cached is a view of an input.
 
 // deepCopyPairs copies headers and payload bytes.
 func deepCopyPairs(ps []records.Pair) []records.Pair {
@@ -139,4 +140,183 @@ func TestJoinMergesUnsortedSharedInputs(t *testing.T) {
 		t.Fatal("no reduce input was out of order after reversal")
 	}
 	assertSameOutputs(t, rres, bres)
+}
+
+// residentReduceInputs decodes every non-empty resident reduce-input
+// cache of eng's controller.
+func residentReduceInputs(t *testing.T, eng *core.Engine) map[string][]records.Pair {
+	t.Helper()
+	out := map[string][]records.Pair{}
+	ctrl := eng.Controller()
+	for _, sig := range ctrl.Signatures() {
+		if sig.Type != core.ReduceInput || sig.Ready != core.CacheAvailable || sig.Bytes == 0 {
+			continue
+		}
+		data, ok := ctrl.Registry(sig.NID).Get(sig.PID, sig.Type)
+		if !ok {
+			continue
+		}
+		pairs, err := colfmt.DecodePairs(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[sig.PID] = pairs
+	}
+	return out
+}
+
+// TestReduceInputsAreStoredSorted: the join merges its panes' cached
+// reduce inputs as sorted runs and the aggregation's rebuild rung groups
+// them without sorting, whoever registered them. So every path that
+// stores one — the aggregation's pane reduce, its proactive sub-pane
+// merge, the join's pane shuffle — must store it key-sorted, and the
+// two whole-pane paths in the (key, value) order the oracle audits.
+func TestReduceInputsAreStoredSorted(t *testing.T) {
+	byKey := func(a, b records.Pair) int { return bytes.Compare(a.Key, b.Key) }
+	cases := []struct {
+		name      string
+		q         *core.Query
+		subPanes  int
+		totalSort bool
+	}{
+		{"agg", countQuery("agg", testWin, testSlide, ""), 1, true},
+		{"agg-proactive", countQuery("aggp", testWin, testSlide, ""), 3, false},
+		{"join", joinQuery("join", testWin, testSlide), 1, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng := core.MustNewEngine(core.Config{MR: newRig(4, 1), Query: c.q})
+			if err := eng.ForceProactive(c.subPanes); err != nil {
+				t.Fatal(err)
+			}
+			checked := 0
+			for r, fed := 0, 0; r < 4; r++ {
+				for ; int64(fed)*int64(testSlide) < c.q.Spec().WindowClose(r); fed++ {
+					for src := range c.q.Sources {
+						if err := eng.Ingest(src, genKV(int64(src*1000+29), testSlide, fed, 200, 6)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if _, err := eng.RunNext(); err != nil {
+					t.Fatal(err)
+				}
+				for pid, pairs := range residentReduceInputs(t, eng) {
+					checked++
+					if !slices.IsSortedFunc(pairs, byKey) {
+						t.Fatalf("recurrence %d: reduce input %s is not key-sorted", r, pid)
+					}
+					if c.totalSort && !pairsEqual(pairs, sortedClone(pairs)) {
+						t.Fatalf("recurrence %d: reduce input %s is not in SortPairs order", r, pid)
+					}
+				}
+			}
+			if checked == 0 {
+				t.Fatal("scenario is vacuous: no resident reduce input")
+			}
+		})
+	}
+}
+
+// TestCachesOwnNothingOfTheirInputs: the write path hands views along —
+// pane-file bytes to decoded records to emitted keys — and copies only
+// into the cache encodings. After a recurrence, overwriting and
+// deleting every pane file and scribbling over the record headers the
+// caller ingested must leave the cached bytes and the window's Output
+// exactly as they were, and the next window must still be right.
+func TestCachesOwnNothingOfTheirInputs(t *testing.T) {
+	viewQuery := func(name string) *core.Query {
+		q := countQuery(name, testWin, testSlide, "")
+		one := []byte("1")
+		// Emits views, as queries.WCCMap does.
+		q.Maps[0] = func(_ int64, payload []byte, emit mapreduce.Emitter) { emit(payload, one) }
+		q.Combine = nil
+		return q
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			mr, twinMR := newRig(4, 1), newRig(4, 1)
+			mr.Workers, twinMR.Workers = workers, workers
+			q := viewQuery("agg")
+			eng := core.MustNewEngine(core.Config{MR: mr, Query: q})
+			twin := core.MustNewEngine(core.Config{MR: twinMR, Query: viewQuery("agg")}) // never disturbed
+			fed := 0
+			feed := func(r int, scribble bool) {
+				for ; int64(fed)*int64(testSlide) < q.Spec().WindowClose(r); fed++ {
+					batch := genWords(23, testSlide, fed, 300, 20)
+					if err := twin.Ingest(0, slices.Clone(batch)); err != nil {
+						t.Fatal(err)
+					}
+					if err := eng.Ingest(0, batch); err != nil {
+						t.Fatal(err)
+					}
+					if scribble {
+						for i := range batch {
+							batch[i] = records.Record{Ts: -1, Data: []byte("scribbled")}
+						}
+					}
+				}
+			}
+			feed(0, true)
+			res, err := eng.RunNext()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := twin.RunNext(); err != nil {
+				t.Fatal(err)
+			}
+			wantOut := deepCopyPairs(res.Output)
+			views := residentReduceInputs(t, eng)
+			wantIn := map[string][]records.Pair{}
+			for pid, pairs := range views {
+				wantIn[pid] = deepCopyPairs(pairs)
+			}
+			if len(views) == 0 || len(wantOut) == 0 {
+				t.Fatal("scenario is vacuous: nothing cached or nothing output")
+			}
+
+			churned := 0
+			for p := res.WindowLo; p <= res.WindowHi; p++ {
+				ins, _ := eng.PaneInputs(0, p)
+				for _, in := range ins {
+					size, err := mr.DFS.Size(in.Input.Path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := mr.DFS.Write(in.Input.Path, bytes.Repeat([]byte{0xA5}, int(size))); err != nil {
+						t.Fatal(err)
+					}
+					if err := mr.DFS.Delete(in.Input.Path); err != nil {
+						t.Fatal(err)
+					}
+					churned++
+				}
+			}
+			if churned == 0 {
+				t.Fatal("scenario is vacuous: no pane file to destroy")
+			}
+
+			if !pairsEqual(res.Output, wantOut) {
+				t.Fatalf("window output changed under input churn:\n got  %s\n want %s", dumpPairs(res.Output, 8), dumpPairs(wantOut, 8))
+			}
+			for pid, pairs := range views {
+				if !pairsEqual(pairs, wantIn[pid]) {
+					t.Fatalf("cached reduce input %s changed under input churn", pid)
+				}
+			}
+			// The next window needs only its new pane's file.
+			feed(1, false)
+			got, err := eng.RunNext()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.RunNext()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pairsEqual(sortedClone(got.Output), sortedClone(want.Output)) {
+				t.Fatal("window after the churn differs from an undisturbed engine's")
+			}
+		})
+	}
 }

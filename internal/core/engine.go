@@ -796,11 +796,12 @@ func (e *Engine) lookupCache(pid string, typ CacheType) (cacheRef, bool) {
 }
 
 // cacheBytes returns a cache's stored bytes on its node. Ownership:
-// writers copy in (Registry.Add), stored bytes are immutable from then
-// on, and readers get views — these are the stored bytes themselves and
-// decoded pairs alias them. A view survives expiry, eviction,
-// re-registration and node loss of its cache unchanged, so a window's
-// Output may be kept across recurrences, its payload bytes read-only.
+// writers hand their buffer over (Registry.Add), stored bytes are
+// immutable from then on, and readers get views — these are the stored
+// bytes themselves and decoded pairs alias them. A view survives expiry,
+// eviction, re-registration and node loss of its cache unchanged, so a
+// window's Output may be kept across recurrences, its payload bytes
+// read-only.
 func (e *Engine) cacheBytes(ref cacheRef) ([]byte, error) {
 	data, ok := e.ctrl.Registry(ref.node).Get(ref.pid, ref.typ)
 	if !ok {
@@ -895,7 +896,7 @@ func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats
 		if len(caches[part]) == 0 {
 			continue
 		}
-		ct := e.runCacheTask(fmt.Sprintf("finalize p%d", part), phaseReduce, trigger, caches[part], e.mr.Cost.MergeTask(fp.inBytes, fp.outBytes))
+		ct := e.runCacheTask(func() string { return fmt.Sprintf("finalize p%d", part) }, phaseReduce, trigger, caches[part], e.mr.Cost.MergeTask(fp.inBytes, fp.outBytes))
 		stats.ReduceTime += ct.dur
 		stats.ReduceTasks++
 		stats.BytesCacheRead += fp.inBytes
@@ -908,30 +909,45 @@ func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats
 	return output, endMax, nil
 }
 
-// runPaneMapPhase maps one pane's physical segments. In proactive mode
-// each segment becomes schedulable as its data arrives; otherwise the
-// whole pane waits for the trigger. Header lookups for shared
-// multi-pane files are charged as extra read bytes. Segment compute
-// (decode + user map) overlaps across segments via PrepareMapPhase;
-// commits then replay serially in segment order so the timeline is
-// identical to a serial run.
-func (e *Engine) runPaneMapPhase(src int, p window.PaneID, trigger simtime.Time, stats *mapreduce.Stats) (*mapreduce.MapPhaseResult, error) {
+// panePrep is the compute half of one pane's map phase: its physical
+// segments and each one's prepared map output, or what went wrong.
+type panePrep struct {
+	ins   []PaneInput
+	preps []*mapreduce.MapPhasePrep
+	err   error
+}
+
+// preparePane decodes and maps every physical segment of pane p of
+// source src, overlapped across segments: pure compute over the pane's
+// DFS files, so panes may be prepared at once and ahead of their commit.
+func (e *Engine) preparePane(src int, p window.PaneID) *panePrep {
 	ins, ok := e.srcs[src].PaneInputs(p)
 	if !ok {
-		return nil, fmt.Errorf("core: query %q: pane %d of source %d not flushed", e.query.Name, p, src)
+		return &panePrep{err: fmt.Errorf("core: query %q: pane %d of source %d not flushed", e.query.Name, p, src)}
 	}
 	job := e.paneJob(src)
 	preps := make([]*mapreduce.MapPhasePrep, len(ins))
-	if err := parallel.ForErr(e.mr.WorkerCount(), len(ins), func(i int) error {
+	err := parallel.ForErr(e.mr.WorkerCount(), len(ins), func(i int) error {
 		var err error
 		preps[i], err = e.mr.PrepareMapPhase(job, []mapreduce.Input{ins[i].Input})
 		return err
-	}); err != nil {
-		return nil, err
+	})
+	return &panePrep{ins: ins, preps: preps, err: err}
+}
+
+// commitPaneMapPhase schedules a prepared pane's map tasks. In
+// proactive mode each segment becomes schedulable as its data arrives;
+// otherwise the whole pane waits for the trigger. Header lookups for
+// shared multi-pane files are charged as extra read bytes. Commits
+// replay serially in segment order so the timeline is identical to a
+// serial run.
+func (e *Engine) commitPaneMapPhase(src int, p window.PaneID, trigger simtime.Time, pp *panePrep, stats *mapreduce.Stats) (*mapreduce.MapPhaseResult, error) {
+	if pp.err != nil {
+		return nil, pp.err
 	}
 	var parts []*mapreduce.MapPhaseResult
 	earliest := trigger
-	for i, seg := range ins {
+	for i, seg := range pp.ins {
 		ready := trigger
 		if e.proactive {
 			ready = simtime.Max(seg.AvailableAt, 0)
@@ -939,7 +955,7 @@ func (e *Engine) runPaneMapPhase(src int, p window.PaneID, trigger simtime.Time,
 		if i == 0 || ready < earliest {
 			earliest = ready
 		}
-		mp, err := e.mr.CommitMapPhase(preps[i], ready)
+		mp, err := e.mr.CommitMapPhase(pp.preps[i], ready)
 		if err != nil {
 			return nil, err
 		}
@@ -948,10 +964,12 @@ func (e *Engine) runPaneMapPhase(src int, p window.PaneID, trigger simtime.Time,
 	}
 	merged := mapreduce.MergeMapPhases(parts, e.query.NumReducers, earliest)
 	stats.Accumulate(merged.Stats)
-	e.obs.Span(obs.QueryTrack(e.query.Name), "phase",
-		fmt.Sprintf("map %s pane %d", e.query.Sources[src].Name, p),
-		earliest, merged.LastMapEnd,
-		obs.L("segments", fmt.Sprint(len(ins))))
+	if e.obs != nil {
+		e.obs.Span(obs.QueryTrack(e.query.Name), "phase",
+			fmt.Sprintf("map %s pane %d", e.query.Sources[src].Name, p),
+			earliest, merged.LastMapEnd,
+			obs.L("segments", fmt.Sprint(len(pp.ins))))
+	}
 	return merged, nil
 }
 
@@ -983,22 +1001,21 @@ type cacheTask struct {
 
 // runCacheTask schedules one cache-fed reduce-style task: the node is
 // chosen by Equation 4, the caches are charged local/remote reads, and
-// work is the supplied extra duration. The recorded task span depends
-// on the spans that produced the caches this recurrence (a carried-over
-// cache contributes no edge — the hit short-circuits the walk), and
+// work is the supplied extra duration. name labels the task's span and
+// is called only when an observer records one. The span depends on the
+// spans that produced the caches this recurrence (a carried-over cache
+// contributes no edge — the hit short-circuits the walk), and
 // each named cache's load cost is emitted as a cache.load event for the
 // profiler's benefit ledger. The slot time is charged in two parts:
 // the cache-load share under phaseCacheLoad, the supplied work under
 // the caller's phase, summing exactly to the node's AddLoad.
-func (e *Engine) runCacheTask(name string, ph phase, ready simtime.Time, caches []cacheRef, work simtime.Duration) cacheTask {
+func (e *Engine) runCacheTask(name func() string, ph phase, ready simtime.Time, caches []cacheRef, work simtime.Duration) cacheTask {
 	locs := make([]CacheLoc, len(caches))
-	deps := make([]obs.SpanID, 0, len(caches))
 	for i, c := range caches {
 		locs[i] = c.loc()
 		if c.readyAt > ready {
 			ready = c.readyAt
 		}
-		deps = append(deps, c.span)
 	}
 	node := e.sched.PickCacheTaskNode(ready, locs)
 	load := e.sched.CacheCost(node.ID, locs)
@@ -1012,12 +1029,19 @@ func (e *Engine) runCacheTask(name string, ph phase, ready simtime.Time, caches 
 		e.commit(commit{kind: kindLoaded, at: start, pid: c.pid, typ: c.typ, node: node.ID, local: local,
 			bytes: c.bytes, cost: e.mr.Cost.CacheRead(c.bytes, local)})
 	}
-	span := e.obs.Task(obs.TaskSpan{
-		Track: obs.NodeTrack(node.ID), Cat: "cachetask", Name: name,
-		Start: start, End: end, Ready: ready,
-		Parent: e.mr.SpanParent, Deps: deps,
-		Args: []obs.Label{obs.L("caches", fmt.Sprint(len(caches))), obs.L("query", e.query.Name)},
-	})
+	var span obs.SpanID
+	if e.obs != nil {
+		deps := make([]obs.SpanID, len(caches))
+		for i, c := range caches {
+			deps[i] = c.span
+		}
+		span = e.obs.Task(obs.TaskSpan{
+			Track: obs.NodeTrack(node.ID), Cat: "cachetask", Name: name(),
+			Start: start, End: end, Ready: ready,
+			Parent: e.mr.SpanParent, Deps: deps,
+			Args: []obs.Label{obs.L("caches", fmt.Sprint(len(caches))), obs.L("query", e.query.Name)},
+		})
+	}
 	return cacheTask{node: node.ID, start: start, end: end, dur: dur, span: span}
 }
 

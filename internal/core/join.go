@@ -172,7 +172,7 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 	e.sched.MapTasks.Push(id, nil)
 	defer e.sched.MapTasks.Remove(id)
 
-	mp, err := e.runPaneMapPhase(src, p, trigger, stats)
+	mp, err := e.commitPaneMapPhase(src, p, trigger, e.preparePane(src, p), stats)
 	if err != nil {
 		return nil, false, recovered, err
 	}
@@ -399,8 +399,9 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 				if err != nil {
 					return err
 				}
-				// A reduce input registered by an aggregation sibling over
-				// a shared source is in map-output order, not sorted.
+				// Every writer stores its reduce inputs key-sorted; the
+				// merge below silently mis-orders a run that is not, so one
+				// linear check guards it against a foreign registration.
 				if !slices.IsSortedFunc(run, func(a, b records.Pair) int { return bytes.Compare(a.Key, b.Key) }) {
 					mapreduce.SortPairs(run)
 				}
@@ -459,7 +460,7 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 			}
 			continue
 		}
-		ct := e.runCacheTask(fmt.Sprintf("join %s p%d", id, part), phaseReduce, baseReady, pc.caches,
+		ct := e.runCacheTask(func() string { return fmt.Sprintf("join %s p%d", id, part) }, phaseReduce, baseReady, pc.caches,
 			e.mr.Cost.CachedReduceTask(pc.inBytes, pc.outBytes))
 		stats.ReduceTasks++
 		stats.ReduceTime += ct.dur

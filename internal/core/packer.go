@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -65,8 +67,9 @@ type Packer struct {
 	// count-based windows the caller supplies the arrival mapping.
 	timeOfUnit func(int64) simtime.Time
 
-	pending map[window.PaneID]map[int][]records.Record // pane -> sub -> records
-	paneSub map[window.PaneID]int                      // sub-pane factor bound per pane
+	// pending buffers each open pane's records per sub-pane; its length
+	// is the sub-pane factor the pane was bound to by its first record.
+	pending map[window.PaneID][][]records.Record
 	flushed map[window.PaneID][]PaneInput
 	// group accumulates undersized panes awaiting a shared file.
 	groupPanes []window.PaneID
@@ -98,8 +101,7 @@ func NewPacker(d *dfs.DFS, sourceName, dir string, frame window.Frame, plan Part
 		dir:     dir,
 		frame:   frame,
 		plan:    plan,
-		pending: make(map[window.PaneID]map[int][]records.Record),
-		paneSub: make(map[window.PaneID]int),
+		pending: make(map[window.PaneID][][]records.Record),
 		flushed: make(map[window.PaneID][]PaneInput),
 		maxTs:   -1,
 	}
@@ -159,43 +161,56 @@ func (p *Packer) SourceName() string { return p.name }
 // Ingest buffers a batch of records, assigning each to its pane and
 // sub-pane by timestamp. Records at or below the flushed bound are
 // rejected: the data model (paper §2.1) guarantees in-order,
-// non-overlapping batch files.
+// non-overlapping batch files. A batch is taken in maximal runs of
+// records of one (pane, sub-pane) cell, each appended at once, and only
+// the record headers are copied: the caller keeps recs, the packer the
+// payloads. The records ahead of a rejected one stay ingested.
 func (p *Packer) Ingest(recs []records.Record) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, r := range recs {
-		if r.Ts < p.flushedThrough {
-			return fmt.Errorf("core: packer %s: record at unit %d arrives after flush bound %d",
-				p.name, r.Ts, p.flushedThrough)
+	for i := 0; i < len(recs); {
+		pane, subIdx, lo, hi, err := p.cellOf(recs[i].Ts)
+		if err != nil {
+			return err
 		}
-		pane := p.frame.PaneOf(r.Ts)
-		if pane < 0 {
-			return fmt.Errorf("core: packer %s: record before the unit origin (ts %d)", p.name, r.Ts)
+		newest := recs[i].Ts
+		j := i + 1
+		for ; j < len(recs) && recs[j].Ts >= lo && recs[j].Ts < hi; j++ {
+			newest = max(newest, recs[j].Ts)
 		}
-		sub, ok := p.paneSub[pane]
-		if !ok {
-			sub = p.plan.SubPanes
-			p.paneSub[pane] = sub
-		}
-		subIdx := 0
-		if sub > 1 {
-			within := r.Ts - p.frame.PaneStart(pane)
-			subIdx = int(within * int64(sub) / p.frame.Pane)
-			if subIdx >= sub {
-				subIdx = sub - 1
-			}
-		}
-		bySub, ok := p.pending[pane]
-		if !ok {
-			bySub = make(map[int][]records.Record)
-			p.pending[pane] = bySub
-		}
-		bySub[subIdx] = append(bySub[subIdx], r)
-		if r.Ts > p.maxTs {
-			p.maxTs = r.Ts
-		}
+		bySub := p.pending[pane]
+		bySub[subIdx] = append(bySub[subIdx], recs[i:j]...)
+		p.maxTs = max(p.maxTs, newest)
+		i = j
 	}
 	return nil
+}
+
+// cellOf places a record at unit ts: its pane (bound to the plan's
+// current sub-pane factor by its first record), its sub-pane, and the
+// unit range [lo, hi) of acceptable records sharing both.
+func (p *Packer) cellOf(ts int64) (pane window.PaneID, subIdx int, lo, hi int64, err error) {
+	if ts < p.flushedThrough {
+		return 0, 0, 0, 0, fmt.Errorf("core: packer %s: record at unit %d arrives after flush bound %d",
+			p.name, ts, p.flushedThrough)
+	}
+	pane = p.frame.PaneOf(ts)
+	if pane < 0 {
+		return 0, 0, 0, 0, fmt.Errorf("core: packer %s: record before the unit origin (ts %d)", p.name, ts)
+	}
+	if _, ok := p.pending[pane]; !ok {
+		p.pending[pane] = make([][]records.Record, p.plan.SubPanes)
+	}
+	sub := len(p.pending[pane])
+	start, width := p.frame.PaneStart(pane), p.frame.Pane
+	lo, hi = start, start+width
+	if sub > 1 {
+		// Sub-pane s holds the offsets w with w*sub/width == s.
+		n := int64(sub)
+		subIdx = int((ts - start) * n / width)
+		lo, hi = start+(int64(subIdx)*width+n-1)/n, start+((int64(subIdx)+1)*width+n-1)/n
+	}
+	return pane, subIdx, max(lo, p.flushedThrough), hi, nil
 }
 
 // NewestUnit returns the exclusive upper unit bound of the newest pane
@@ -262,10 +277,7 @@ func (p *Packer) FlushThrough(unit int64) error {
 func (p *Packer) flushPane(pane window.PaneID) error {
 	bySub := p.pending[pane]
 	delete(p.pending, pane)
-	sub := p.paneSub[pane]
-	if sub < 1 {
-		sub = 1
-	}
+	sub := len(bySub)
 
 	if p.plan.PanesPerFile <= 1 || sub > 1 {
 		// Oversize case (or adaptively subdivided): one file per pane
@@ -294,16 +306,8 @@ func (p *Packer) flushPane(pane window.PaneID) error {
 			if err := p.dfs.WriteAt(path, data, availAt); err != nil {
 				return err
 			}
-			p.flushed[pane] = append(p.flushed[pane], PaneInput{
-				Input:       mapreduce.WholeFile(path),
-				Pane:        pane,
-				SubPane:     s,
-				AvailableAt: availAt,
-			})
-			p.obs.Emit(availAt, eventlog.PaneIngest, p.obsQuery, eventlog.PaneIngestData{
-				Source: p.name, Pane: int64(pane), SubPane: s,
-				Path: path, Bytes: int64(len(data)),
-			})
+			p.addSegment(PaneInput{Input: mapreduce.WholeFile(path), Pane: pane, SubPane: s, AvailableAt: availAt},
+				int64(len(data)))
 		}
 		if _, ok := p.flushed[pane]; !ok {
 			p.flushed[pane] = []PaneInput{}
@@ -311,12 +315,10 @@ func (p *Packer) flushPane(pane window.PaneID) error {
 		return nil
 	}
 
-	// Undersized case: accumulate the pane into the current group;
-	// emit the shared file when the group fills.
-	var recs []records.Record
-	for s := 0; s < sub; s++ {
-		recs = append(recs, bySub[s]...)
-	}
+	// Undersized case (never subdivided, so sub-pane 0 is the pane):
+	// accumulate the pane into the current group; emit the shared file
+	// when the group fills.
+	recs := bySub[0]
 	sortByTs(recs)
 	p.groupPanes = append(p.groupPanes, pane)
 	p.groupRecs[pane] = recs
@@ -422,15 +424,12 @@ func (p *Packer) flushGroup() error {
 	defer colfmt.PutBuf(bodyBuf)
 	body := (*bodyBuf)[:0]
 	var hdr []HeaderEntry
-	ranges := make(map[window.PaneID][2]int64)
 	for _, pane := range panes {
 		recs := p.groupRecs[pane]
 		delete(p.groupRecs, pane)
 		start := int64(len(body))
 		body = colfmt.AppendRecords(body, recs)
-		length := int64(len(body)) - start
-		ranges[pane] = [2]int64{start, length}
-		hdr = append(hdr, HeaderEntry{Pane: int64(pane), Offset: start, Length: length})
+		hdr = append(hdr, HeaderEntry{Pane: int64(pane), Offset: start, Length: int64(len(body)) - start})
 	}
 	*bodyBuf = body
 	// The shared file is complete when its newest pane's data is — its
@@ -445,28 +444,29 @@ func (p *Packer) flushGroup() error {
 	if err := p.dfs.Write(path+".hdr", hdrBytes); err != nil {
 		return err
 	}
-	for _, pane := range panes {
-		rng := ranges[pane]
-		if rng[1] == 0 {
+	for _, h := range hdr {
+		pane := window.PaneID(h.Pane)
+		if h.Length == 0 {
 			if _, ok := p.flushed[pane]; !ok {
 				p.flushed[pane] = []PaneInput{}
 			}
 			continue
 		}
-		availAt := p.timeOfUnit(p.frame.PaneEnd(pane))
-		p.flushed[pane] = append(p.flushed[pane], PaneInput{
-			Input:       mapreduce.Input{Path: path, Offset: rng[0], Length: rng[1]},
-			Pane:        pane,
-			SubPane:     0,
-			AvailableAt: availAt,
-			HeaderBytes: int64(len(hdrBytes)),
-		})
-		p.obs.Emit(availAt, eventlog.PaneIngest, p.obsQuery, eventlog.PaneIngestData{
-			Source: p.name, Pane: int64(pane),
-			Path: path, Bytes: rng[1],
-		})
+		p.addSegment(PaneInput{
+			Input: mapreduce.Input{Path: path, Offset: h.Offset, Length: h.Length}, Pane: pane,
+			AvailableAt: p.timeOfUnit(p.frame.PaneEnd(pane)), HeaderBytes: int64(len(hdrBytes)),
+		}, h.Length)
 	}
 	return nil
+}
+
+// addSegment records one written segment of a pane and announces it to
+// the flight recorder.
+func (p *Packer) addSegment(in PaneInput, size int64) {
+	p.flushed[in.Pane] = append(p.flushed[in.Pane], in)
+	p.obs.Emit(in.AvailableAt, eventlog.PaneIngest, p.obsQuery, eventlog.PaneIngestData{
+		Source: p.name, Pane: int64(in.Pane), SubPane: in.SubPane, Path: in.Input.Path, Bytes: size,
+	})
 }
 
 // PaneInputs returns the flushed physical segments of a pane, sub-pane
@@ -523,6 +523,11 @@ func (p *Packer) DropPaneFiles(pane window.PaneID) error {
 	return nil
 }
 
+// sortByTs orders a pane's records by timestamp, stably; the usual
+// pane arrived in order and costs one linear check.
 func sortByTs(recs []records.Record) {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Ts < recs[j].Ts })
+	byTs := func(a, b records.Record) int { return cmp.Compare(a.Ts, b.Ts) }
+	if !slices.IsSortedFunc(recs, byTs) {
+		slices.SortStableFunc(recs, byTs)
+	}
 }

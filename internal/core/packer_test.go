@@ -326,3 +326,59 @@ func mustJSON(t *testing.T, v any) []byte {
 	}
 	return b
 }
+
+// TestIngestAllocatesPerRunNotPerRecord: a batch is appended in maximal
+// (pane, sub-pane) runs, so one in-order pane batch costs a constant
+// number of allocations however many records it holds; and a batch that
+// wanders between sub-panes still lands every record in its own cell.
+func TestIngestAllocatesPerRunNotPerRecord(t *testing.T) {
+	const pane = 1000
+	spec := window.NewCountSpec(3*pane, 2*pane)
+	allocs := func(perPane int) float64 {
+		pk, err := NewPacker(packerDFS(t), "S1", "/d", window.FrameOf(spec),
+			PartitionPlan{PaneUnit: pane, FilesPerPane: 1, PanesPerFile: 1, SubPanes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := []byte("x")
+		batches := make([][]records.Record, 12)
+		for p := range batches {
+			batches[p] = make([]records.Record, perPane)
+			for i := range batches[p] {
+				batches[p][i] = records.Record{Ts: int64(p*pane + i*pane/perPane), Data: payload}
+			}
+		}
+		next := 0
+		return testing.AllocsPerRun(len(batches)-1, func() {
+			if err := pk.Ingest(batches[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	small, large := allocs(100), allocs(1000)
+	if large > small+1 || large > 8 {
+		t.Fatalf("Ingest of one in-order pane batch allocates %.1f times for 100 records, %.1f for 1000", small, large)
+	}
+
+	pk, err := NewPacker(packerDFS(t), "S1", "/d", window.FrameOf(spec),
+		PartitionPlan{PaneUnit: pane, FilesPerPane: 1, PanesPerFile: 1, SubPanes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sub-pane s of a pane holds the offsets w with w*3/1000 == s.
+	ts := []int64{0, 333, 334, 5, 666, 667, 999, 1000, 340, 1333, 1334}
+	if err := pk.Ingest(mkRecs(ts)); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range ts {
+		p, s := window.PaneID(u/pane), int(u%pane*3/pane)
+		found := false
+		for _, r := range pk.pending[p][s] {
+			found = found || r.Ts == u
+		}
+		if !found {
+			t.Errorf("record at unit %d is not buffered in pane %d sub-pane %d", u, p, s)
+		}
+	}
+}

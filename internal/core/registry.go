@@ -73,8 +73,9 @@ func entryKey(pid string, typ CacheType) string {
 func (r *Registry) NodeID() int { return r.node.ID }
 
 // Add registers a newly created cache and stores its bytes on the
-// node's local file system. The new entry starts unexpired; existing
-// entries are untouched (adding is append-only, §4.1).
+// node's local file system, taking ownership of data: the caller must
+// not write it again. The new entry starts unexpired; existing entries
+// are untouched (adding is append-only, §4.1).
 func (r *Registry) Add(pid string, typ CacheType, data []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -85,7 +86,7 @@ func (r *Registry) Add(pid string, typ CacheType, data []byte) {
 // Get loads a cached entry's bytes from the node's local file system.
 // The second result is false when the cache is absent — either never
 // created here or lost to a failure; callers treat that as a cache miss
-// and trigger recovery. Ownership: Add copies the writer's bytes in and
+// and trigger recovery. Ownership: Add takes the writer's bytes over and
 // they are immutable from then on, so Get returns a read-only view, not
 // a copy. The view outlives expiry, eviction, re-registration and node
 // loss of the entry unchanged; the caller must not write through it.

@@ -141,7 +141,7 @@ func (e *Engine) copyReusedPane(p window.PaneID, trigger simtime.Time, entries [
 			return nil, fmt.Errorf("core: reused cache %s lost from node %d mid-recurrence", prod.pid, prod.node)
 		}
 		e.commit(commit{kind: kindCrossHit, at: e.curTrigger, pid: prod.pid, typ: prod.typ})
-		ct := e.runCacheTask(fmt.Sprintf("reuse pane %d p%d", int64(p), part), phaseReduce,
+		ct := e.runCacheTask(func() string { return fmt.Sprintf("reuse pane %d p%d", int64(p), part) }, phaseReduce,
 			trigger, []cacheRef{prod}, e.mr.Cost.DiskWrite(prod.bytes))
 		stats.ReduceTime += ct.dur
 		stats.BytesCacheRead += prod.bytes
@@ -202,7 +202,7 @@ func (e *Engine) composeReusedPane(p window.PaneID, u int64, trigger simtime.Tim
 		}
 		merged := mapreduce.ReduceGroups(q.Merge, mapreduce.GroupPairs(ins[part]))
 		outData := colfmt.EncodePairs(merged)
-		ct := e.runCacheTask(fmt.Sprintf("reuse-merge pane %d p%d", int64(p), part), phaseReduce,
+		ct := e.runCacheTask(func() string { return fmt.Sprintf("reuse-merge pane %d p%d", int64(p), part) }, phaseReduce,
 			trigger, caches, e.mr.Cost.MergeTask(inBytes, int64(len(outData))))
 		stats.ReduceTime += ct.dur
 		stats.BytesCacheRead += inBytes

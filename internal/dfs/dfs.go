@@ -64,6 +64,9 @@ type Block struct {
 	Replicas []int
 }
 
+// file is one stored file. data is a private copy of what its writer
+// passed and is never written again — a later write of the path installs
+// a new file — which is what lets Read hand out views.
 type file struct {
 	data   []byte
 	blocks []Block
@@ -283,10 +286,11 @@ func (d *DFS) placeReplicas(exclude map[int]bool, want int) []int {
 	return chosen
 }
 
-// Write stores data at path, splitting it into blocks and placing
-// replicas. Writing to an existing path replaces it (matching the
-// runtime's "unique output path per recurrence" usage; HDFS itself is
-// write-once, which the higher layers respect by construction).
+// Write stores a private copy of data at path, splitting it into blocks
+// and placing replicas. Writing to an existing path replaces it
+// (matching the runtime's "unique output path per recurrence" usage;
+// HDFS itself is write-once, which the higher layers respect by
+// construction).
 func (d *DFS) Write(path string, data []byte) error {
 	return d.write(path, data, 0)
 }
@@ -377,7 +381,10 @@ func (d *DFS) WriteAt(path string, data []byte, at simtime.Time) error {
 	return nil
 }
 
-// Read returns a copy of the file's contents.
+// Read returns the file's contents as a read-only view of the stored
+// bytes, not a copy: it stays valid and unchanged after the path is
+// rewritten or deleted, and the caller must not write through it (clone
+// first to modify).
 func (d *DFS) Read(path string) ([]byte, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -388,7 +395,7 @@ func (d *DFS) Read(path string) ([]byte, error) {
 	d.obs.Counter("redoop_dfs_reads_total").Inc()
 	d.obs.Counter("redoop_dfs_read_bytes_total").Add(float64(len(f.data)))
 	d.acct.AddIO(d.accountFor(path), account.IODFSRead, int64(len(f.data)))
-	return append([]byte(nil), f.data...), nil
+	return f.data[:len(f.data):len(f.data)], nil
 }
 
 // ReadBlock returns a copy of one block's bytes.

@@ -105,6 +105,40 @@ func TestReadBlock(t *testing.T) {
 	}
 }
 
+// Write copies in and stored bytes are never written again, so Read
+// hands out a view of them: scribbling on the writer's buffer, rewriting
+// the path or deleting it must leave an earlier view intact.
+func TestReadViewSurvivesRewriteAndDelete(t *testing.T) {
+	d := MustNew(testConfig())
+	buf := []byte("first contents")
+	if err := d.Write("/a", buf); err != nil {
+		t.Fatal(err)
+	}
+	view, err := d.Read("/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := d.Read("/a"); &view[0] != &again[0] {
+		t.Error("Read must return a view of the stored bytes, not a copy")
+	}
+	buf[0] = 'X'
+	if err := d.Write("/a", []byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := d.Read("/a"); string(got) != "second" {
+		t.Errorf("rewritten file reads %q", got)
+	}
+	if err := d.Delete("/a"); err != nil {
+		t.Fatal(err)
+	}
+	if string(view) != "first contents" {
+		t.Errorf("view changed to %q", view)
+	}
+	if cap(view) != len(view) {
+		t.Error("a view must not leave room to append into the stored file")
+	}
+}
+
 func TestEmptyFile(t *testing.T) {
 	d := MustNew(testConfig())
 	if err := d.Write("/empty", nil); err != nil {

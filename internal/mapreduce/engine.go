@@ -1,10 +1,13 @@
 package mapreduce
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 
 	"redoop/internal/account"
@@ -131,20 +134,16 @@ func MustNew(c *cluster.Cluster, d *dfs.DFS, cost iocost.Model) *Engine {
 	return e
 }
 
-func (e *Engine) placement() Placement {
-	if e.Place != nil {
-		return e.Place
-	}
-	return DefaultPlacement{}
-}
-
 // placementFor resolves the effective placement for a job: the job's
 // override first, then the engine's, then the default.
 func (e *Engine) placementFor(job *Job) Placement {
-	if job != nil && job.Place != nil {
+	switch {
+	case job != nil && job.Place != nil:
 		return job.Place
+	case e.Place != nil:
+		return e.Place
 	}
-	return e.placement()
+	return DefaultPlacement{}
 }
 
 // WorkerCount resolves the effective parallel-compute width: Workers
@@ -163,15 +162,16 @@ func (e *Engine) maxAttempts() int {
 	return 4
 }
 
-// jittered scales a modelled duration by a per-key jitter factor; with
-// Jitter zero it is the identity. Keying by task identity keeps each
-// attempt's duration stable across runs that schedule differently.
-func (e *Engine) jittered(key string, d simtime.Duration) simtime.Duration {
+// jittered scales a modelled duration by a jitter factor keyed by the
+// attempt's identity — kind, job, task, attempt number; with Jitter zero
+// it is the identity and formats nothing. Keying by task identity keeps
+// each attempt's duration stable across runs that schedule differently.
+func (e *Engine) jittered(d simtime.Duration, kind, job, task string, attempt int) simtime.Duration {
 	if e.Jitter <= 0 {
 		return d
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", e.JitterSeed, key)
+	fmt.Fprintf(h, "%d|%s|%s|%s|%d", e.JitterSeed, kind, job, task, attempt)
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
 	factor := 1 + e.Jitter*rng.Float64()
 	prob := e.StragglerProb
@@ -193,35 +193,6 @@ func (e *Engine) jittered(key string, d simtime.Duration) simtime.Duration {
 // watches for tasks well behind their peers' progress rate).
 const speculationThreshold = 1.5
 
-// placeBackup picks the node for a speculative backup attempt: the
-// earliest-starting alive node other than the straggler's (preferring
-// replica holders, as map placement does). It returns nil when the
-// straggler's node is the only alive node — a backup there would just
-// queue behind the straggler — and the caller must then keep the
-// original attempt.
-func (e *Engine) placeBackup(s Split, ready simtime.Time, exclude int) *cluster.Node {
-	var bestLocal, bestAny *cluster.Node
-	var bestLocalT, bestAnyT simtime.Time
-	for _, n := range e.Cluster.AliveNodes() {
-		if n.ID == exclude {
-			continue
-		}
-		t := n.Map.EarliestStart(ready)
-		if bestAny == nil || t < bestAnyT {
-			bestAny, bestAnyT = n, t
-		}
-		if e.DFS.HasLocalReplica(s.Path, s.Block.Index, n.ID) {
-			if bestLocal == nil || t < bestLocalT {
-				bestLocal, bestLocalT = n, t
-			}
-		}
-	}
-	if bestLocal != nil && bestLocalT <= bestAnyT.Add(e.Cost.TaskOverhead) {
-		return bestLocal
-	}
-	return bestAny
-}
-
 // Splits enumerates the block-granular map splits of the given input
 // paths, in path-then-block order.
 func (e *Engine) Splits(paths []string) ([]Split, error) {
@@ -242,30 +213,16 @@ func (e *Engine) SplitsOf(inputs []Input) ([]Split, error) {
 		if err != nil {
 			return nil, err
 		}
-		lo := in.Offset
-		hi := size
+		lo, hi := max(in.Offset, 0), size
 		if in.Length >= 0 {
-			hi = in.Offset + in.Length
-		}
-		if hi > size {
-			hi = size
-		}
-		if lo < 0 {
-			lo = 0
+			hi = min(size, in.Offset+in.Length)
 		}
 		for _, b := range blocks {
-			blo, bhi := b.Offset, b.Offset+b.Size
-			if bhi <= lo || blo >= hi {
-				continue
+			sp := Split{Path: in.Path, Block: b, Lo: max(b.Offset, lo), Hi: min(b.Offset+b.Size, hi)}
+			if sp.Lo < sp.Hi {
+				sp.id = sp.ID()
+				out = append(out, sp)
 			}
-			slo, shi := blo, bhi
-			if slo < lo {
-				slo = lo
-			}
-			if shi > hi {
-				shi = hi
-			}
-			out = append(out, Split{Path: in.Path, Block: b, Lo: slo, Hi: shi})
 		}
 	}
 	return out, nil
@@ -274,11 +231,13 @@ func (e *Engine) SplitsOf(inputs []Input) ([]Split, error) {
 // MapPhaseResult carries the output of RunMapPhase into the shuffle and
 // reduce phases.
 type MapPhaseResult struct {
-	// Parts holds, per reduce partition, the concatenated map output.
+	// Parts holds, per reduce partition, the concatenated map output in
+	// split order. RunReducePhase sorts each partition in place.
 	Parts [][]records.Pair
 	// PartSrcBytes records, per partition, how many intermediate bytes
 	// each mapper node produced — the matrix the shuffle model charges
-	// network transfer from.
+	// network transfer from. A partition's entries sum to the encoded
+	// size of its Parts, which is where the reduce phase reads it.
 	PartSrcBytes []map[int]int64
 	// FirstMapEnd and LastMapEnd bound the map wave; reducers start
 	// copying at FirstMapEnd and cannot finish before LastMapEnd.
@@ -291,71 +250,107 @@ type MapPhaseResult struct {
 	Spans []obs.SpanID
 }
 
-// MergeMapPhases combines several map-phase results into one, as if a
-// single map wave had produced them: partitions are concatenated,
-// source-byte matrices summed, and the wave bounds widened. Redoop uses
-// it to fuse per-segment (proactive sub-pane) map phases; the baseline
-// driver uses it to fuse per-source map phases of a join.
-func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *MapPhaseResult {
-	out := &MapPhaseResult{
+// newMapPhaseResult returns the result of a map wave with no task yet.
+func newMapPhaseResult(reducers int, ready simtime.Time) *MapPhaseResult {
+	res := &MapPhaseResult{
 		Parts:        make([][]records.Pair, reducers),
 		PartSrcBytes: make([]map[int]int64, reducers),
 		FirstMapEnd:  ready,
 		LastMapEnd:   ready,
 	}
-	for i := range out.PartSrcBytes {
-		out.PartSrcBytes[i] = make(map[int]int64)
+	for r := range res.PartSrcBytes {
+		res.PartSrcBytes[r] = make(map[int]int64)
 	}
-	out.Stats.Start = ready
-	out.Stats.End = ready
-	firstSet := false
+	res.Stats.Start = ready
+	res.Stats.End = ready
+	return res
+}
+
+// MergeMapPhases combines several map-phase results into one, as if a
+// single map wave had produced them: partitions are concatenated,
+// source-byte matrices summed, and the wave bounds widened. Redoop uses
+// it to fuse per-segment (proactive sub-pane) map phases; the baseline
+// driver uses it to fuse per-source map phases of a join. The result
+// shares the partitions and matrix of a sole phase that ran any task;
+// otherwise each merged partition is sized first and written once.
+func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *MapPhaseResult {
+	out := newMapPhaseResult(reducers, ready)
+	var live []*MapPhaseResult
 	for _, mp := range rs {
 		if mp.Stats.MapTasks == 0 {
 			continue
 		}
-		if !firstSet || mp.FirstMapEnd < out.FirstMapEnd {
+		if len(live) == 0 || mp.FirstMapEnd < out.FirstMapEnd {
 			out.FirstMapEnd = mp.FirstMapEnd
-			firstSet = true
 		}
 		if mp.LastMapEnd > out.LastMapEnd {
 			out.LastMapEnd = mp.LastMapEnd
 		}
-		for r := range mp.Parts {
+		out.Stats.Accumulate(mp.Stats)
+		live = append(live, mp)
+	}
+	if len(live) == 1 {
+		out.Parts, out.PartSrcBytes, out.Spans = live[0].Parts, live[0].PartSrcBytes, live[0].Spans
+		return out
+	}
+	for r := range out.Parts {
+		n := 0
+		for _, mp := range live {
+			n += len(mp.Parts[r])
+		}
+		if n > 0 {
+			out.Parts[r] = make([]records.Pair, 0, n)
+		}
+		for _, mp := range live {
 			out.Parts[r] = append(out.Parts[r], mp.Parts[r]...)
-			for n, b := range mp.PartSrcBytes[r] {
-				out.PartSrcBytes[r][n] += b
+			for node, b := range mp.PartSrcBytes[r] {
+				out.PartSrcBytes[r][node] += b
 			}
 		}
-		out.Stats.Accumulate(mp.Stats)
+	}
+	for _, mp := range live {
 		out.Spans = append(out.Spans, mp.Spans...)
 	}
 	return out
 }
 
-// preparedSplit is one split's compute-phase output: the partitioned
-// (and combined) map emissions, ready for deterministic commit.
-type preparedSplit struct {
-	split    Split
-	parts    [][]records.Pair
-	outBytes int64
-	// worker is the pool worker that prepared the split (0 in serial
-	// mode) — observability-only attribution carried onto the map span.
-	worker int
-}
-
 // MapPhasePrep is the compute half of a map phase: every split's user
 // map has run (and combined, partitioned), but no virtual time has been
-// charged and nothing has been scheduled. Feed it to CommitMapPhase.
+// charged and nothing has been scheduled. Feed it to CommitMapPhase,
+// once: the commit hands the partitions over to its result.
 type MapPhasePrep struct {
-	job      *Job
-	prepared []preparedSplit
+	job    *Job
+	splits []Split
+	// parts is the map output per reduce partition, every split's share
+	// in split order: views of one array sized from the emission counts.
+	parts [][]records.Pair
+	// partBytes[i*R+r] is the encoded size of what split i emitted
+	// (after combining) into partition r.
+	partBytes []int64
+	// workers[i] is the pool worker that prepared split i (0 in serial
+	// mode) — observability-only attribution carried onto the map span.
+	workers []int
 }
+
+// staged is one emitted pair and the reduce partition it goes to. Each
+// pool worker appends its emissions to a recycled stage of them until
+// the phase's counts are complete.
+type staged struct {
+	records.Pair
+	part int32
+}
+
+var stagePool = sync.Pool{New: func() any { return new([]staged) }}
 
 // PrepareMapPhase runs phase 1 of a map phase: split enumeration,
 // record decode (parallel per input file), and the user map + combine +
 // partition per split (parallel per split, up to Workers goroutines).
-// It touches no node timeline and emits no metrics, so distinct
-// prepares may overlap; all scheduling happens later in CommitMapPhase.
+// Emissions are staged and counted per (split, partition); once every
+// split has run, the whole output is allocated as one array and each
+// pair placed where it stays — nothing downstream appends to it or
+// measures it again. It touches no node timeline and emits no metrics,
+// so distinct prepares may overlap; all scheduling happens later in
+// CommitMapPhase.
 func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
@@ -364,7 +359,7 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 	if err != nil {
 		return nil, err
 	}
-	prep := &MapPhasePrep{job: job}
+	prep := &MapPhasePrep{job: job, splits: splits}
 	if len(splits) == 0 {
 		return prep, nil
 	}
@@ -377,33 +372,86 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 		return nil, err
 	}
 
+	R := job.NumReducers
 	part := job.partitioner()
-	prep.prepared = make([]preparedSplit, len(splits))
-	parallel.ForWorker(e.WorkerCount(), len(splits), func(worker, i int) {
-		s := splits[i]
-		recs := bySplit[s.ID()]
-		// Execute the user map once; attempts re-charge time only.
-		parts := make([][]records.Pair, job.NumReducers)
-		emit := func(k, v []byte) {
-			r := part(k, job.NumReducers)
-			parts[r] = append(parts[r], records.Pair{Key: k, Value: v})
+	workers := e.WorkerCount()
+	stages := make([]*[]staged, max(workers, 1))
+	from := make([][2]int, len(splits)) // split i's range of its worker's stage
+	counts := make([]int, len(splits)*R)
+	prep.partBytes = make([]int64, len(splits)*R)
+	prep.workers = make([]int, len(splits))
+	parallel.ForWorker(workers, len(splits), func(worker, i int) {
+		if stages[worker] == nil {
+			stages[worker] = stagePool.Get().(*[]staged)
 		}
-		for _, rec := range recs {
+		stage := stages[worker]
+		lo := len(*stage)
+		cnt, size := counts[i*R:(i+1)*R], prep.partBytes[i*R:(i+1)*R]
+		var whole [][]records.Pair // a combiner needs each partition whole
+		if job.Combine != nil {
+			whole = make([][]records.Pair, R)
+		}
+		emit := func(k, v []byte) {
+			p, r := records.Pair{Key: k, Value: v}, part(k, R)
+			if whole != nil {
+				whole[r] = append(whole[r], p)
+				return
+			}
+			*stage = append(*stage, staged{p, int32(r)})
+			cnt[r]++
+			size[r] += records.PairSize(p)
+		}
+		// Execute the user map once; attempts re-charge time only.
+		for _, rec := range bySplit[i] {
 			job.Map(rec.Ts, rec.Data, emit)
 		}
-		if job.Combine != nil {
-			for r := range parts {
-				if len(parts[r]) > 1 {
-					parts[r] = ReduceGroups(job.Combine, GroupPairs(parts[r]))
-				}
+		for r, ps := range whole {
+			if len(ps) > 1 {
+				ps = ReduceGroups(job.Combine, GroupPairs(ps))
+			}
+			for _, p := range ps { // combined pairs stay in their partition
+				*stage = append(*stage, staged{p, int32(r)})
+				cnt[r]++
+				size[r] += records.PairSize(p)
 			}
 		}
-		var outBytes int64
-		for r := range parts {
-			outBytes += records.PairsSize(parts[r])
-		}
-		prep.prepared[i] = preparedSplit{split: s, parts: parts, outBytes: outBytes, worker: worker}
+		prep.workers[i], from[i] = worker, [2]int{lo, len(*stage)}
 	})
+
+	// Lay the output out: partition r's pairs start where partition
+	// r-1's end, split i's share of them where split i-1's ends. counts
+	// turns from lengths into those start positions.
+	ends := make([]int, R)
+	total := 0
+	for r := range ends {
+		for i := range splits {
+			c := counts[i*R+r]
+			counts[i*R+r] = total
+			total += c
+		}
+		ends[r] = total
+	}
+	all := make([]records.Pair, total)
+	prep.parts = make([][]records.Pair, R)
+	for r, lo := 0, 0; r < R; lo, r = ends[r], r+1 {
+		if hi := ends[r]; hi > lo {
+			prep.parts[r] = all[lo:hi:hi]
+		}
+	}
+	parallel.For(workers, len(splits), func(i int) {
+		next := counts[i*R : (i+1)*R] // a stable counting-sort pass by partition
+		for _, s := range (*stages[prep.workers[i]])[from[i][0]:from[i][1]] {
+			all[next[s.part]] = s.Pair
+			next[s.part]++
+		}
+	})
+	for _, stage := range stages {
+		if stage != nil {
+			clear(*stage) // a recycled stage must not pin this phase's keys and values
+			*stage = (*stage)[:0]
+			stagePool.Put(stage)
+		}
+	}
 	return prep, nil
 }
 
@@ -414,29 +462,20 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 // is identical to what a fully serial run would have produced.
 func (e *Engine) CommitMapPhase(prep *MapPhasePrep, ready simtime.Time) (*MapPhaseResult, error) {
 	job := prep.job
-	res := &MapPhaseResult{
-		Parts:        make([][]records.Pair, job.NumReducers),
-		PartSrcBytes: make([]map[int]int64, job.NumReducers),
-		FirstMapEnd:  ready,
-		LastMapEnd:   ready,
-	}
-	for r := range res.PartSrcBytes {
-		res.PartSrcBytes[r] = make(map[int]int64)
-	}
-	res.Stats.Start = ready
-	res.Stats.End = ready
-	if len(prep.prepared) == 0 {
+	R := job.NumReducers
+	res := newMapPhaseResult(R, ready)
+	if len(prep.splits) == 0 {
 		return res, nil
 	}
+	res.Parts = prep.parts
+	for i, s := range prep.splits {
+		sizes := prep.partBytes[i*R : (i+1)*R]
+		var outBytes int64
+		for _, b := range sizes {
+			outBytes += b
+		}
 
-	first := simtime.Time(0)
-	firstSet := false
-	for _, ps := range prep.prepared {
-		s := ps.split
-		parts := ps.parts
-		outBytes := ps.outBytes
-
-		node, end, attempts, spent, span, err := e.runMapAttempts(job, s, outBytes, ready, ps.worker)
+		node, end, attempts, spent, span, err := e.runMapAttempts(job, s, outBytes, ready, prep.workers[i])
 		if err != nil {
 			return nil, err
 		}
@@ -460,22 +499,17 @@ func (e *Engine) CommitMapPhase(prep *MapPhasePrep, ready simtime.Time) (*MapPha
 		e.Obs.Counter("redoop_dfs_block_reads_total", obs.L("locality", locality)).Inc()
 		e.Obs.Counter("redoop_map_input_bytes_total", obs.L("locality", locality)).Add(float64(s.Size()))
 		e.Obs.Counter("redoop_spill_bytes_total").Add(float64(outBytes))
-		if !firstSet || end < first {
-			first, firstSet = end, true
+		if i == 0 || end < res.FirstMapEnd {
+			res.FirstMapEnd = end
 		}
 		if end > res.LastMapEnd {
 			res.LastMapEnd = end
 		}
-		for r := range parts {
-			if len(parts[r]) == 0 {
-				continue
+		for r, b := range sizes {
+			if b > 0 {
+				res.PartSrcBytes[r][node.ID] += b
 			}
-			res.Parts[r] = append(res.Parts[r], parts[r]...)
-			res.PartSrcBytes[r][node.ID] += records.PairsSize(parts[r])
 		}
-	}
-	if firstSet {
-		res.FirstMapEnd = first
 	}
 	res.Stats.End = res.LastMapEnd
 	return res, nil
@@ -514,7 +548,7 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 			local = s.Size()
 		}
 		base := e.Cost.MapTask(s.Size(), local, outBytes)
-		dur := e.jittered(fmt.Sprintf("map|%s|%s|%d", job.Name, s.ID(), attempt), base)
+		dur := e.jittered(base, "map", job.Name, s.ID(), attempt)
 		start, end := node.Map.Acquire(ready, dur)
 		node.AddLoad(dur)
 		spent += dur
@@ -524,7 +558,7 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 				Track: obs.NodeTrack(node.ID), Cat: "map", Name: "map " + s.ID(),
 				Start: start, End: end, Ready: ready,
 				Parent: e.SpanParent, Deps: []obs.SpanID{prev},
-				Args: []obs.Label{obs.L("attempt", fmt.Sprintf("%d", attempt+1)), obs.L("result", "failed")},
+				Args: []obs.Label{obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("result", "failed")},
 			})
 			e.Obs.Emit(end, eventlog.TaskRetry, job.Name, eventlog.TaskRetryData{
 				Job: job.Name, Task: s.ID(), Phase: "map", Attempt: attempt + 1,
@@ -545,29 +579,32 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 			Job: job.Name, Task: s.ID(), Phase: "map", Node: node.ID,
 			Attempt: attempt + 1, OK: true, StartNS: int64(start), EndNS: int64(end),
 		})
-		span := e.Obs.Task(obs.TaskSpan{
-			Track: obs.NodeTrack(node.ID), Cat: "map", Name: "map " + s.ID(),
-			Start: start, End: end, Ready: ready,
-			Parent: e.SpanParent, Deps: []obs.SpanID{prev},
-			Args: []obs.Label{
-				obs.L("attempt", fmt.Sprintf("%d", attempt+1)), obs.L("job", job.Name),
-				obs.L("worker", fmt.Sprintf("%d", worker)),
-			},
-		})
+		var span obs.SpanID
+		if e.Obs != nil {
+			span = e.Obs.Task(obs.TaskSpan{
+				Track: obs.NodeTrack(node.ID), Cat: "map", Name: "map " + s.ID(),
+				Start: start, End: end, Ready: ready,
+				Parent: e.SpanParent, Deps: []obs.SpanID{prev},
+				Args: []obs.Label{
+					obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("job", job.Name),
+					obs.L("worker", strconv.Itoa(worker)),
+				},
+			})
+		}
 		if e.Speculative && float64(dur) > speculationThreshold*float64(base) {
 			// A straggler: launch a backup attempt once the original
 			// has clearly fallen behind; the earlier finisher wins,
 			// but both occupy slots (the cost the paper avoided by
 			// disabling speculation).
 			detect := start.Add(simtime.Duration(speculationThreshold * float64(base)))
-			backup := e.placeBackup(s, detect, node.ID)
+			backup := pickMapNode(e, s, detect, node.ID)
 			if backup == nil {
-				// The straggler's node is the only alive node:
-				// placeBackup has nowhere else to schedule, so the
+				// The straggler's node is the only alive node: a backup
+				// there would just queue behind the straggler, so the
 				// original attempt stands and its end time is final.
 				return node, end, attempt + 1, spent, span, nil
 			}
-			bdur := e.jittered(fmt.Sprintf("backup|%s|%s|%d", job.Name, s.ID(), attempt), base)
+			bdur := e.jittered(base, "backup", job.Name, s.ID(), attempt)
 			bstart, bend := backup.Map.Acquire(detect, bdur)
 			backup.AddLoad(bdur)
 			spent += bdur
@@ -591,76 +628,89 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 	return nil, 0, 0, spent, 0, fmt.Errorf("mapreduce: job %q: map task %s failed %d attempts", job.Name, s.ID(), e.maxAttempts())
 }
 
-// decodeForSplits reads every referenced file once and buckets its
-// records into the splits by start offset. A record is delivered to
-// each split whose byte range contains its first byte; splits within
-// one map phase are expected not to overlap. Files decode in parallel
-// (the varint walk can't seek, so the file — not the split — is the
-// unit of parallelism); each file's records land in a private map that
-// is merged serially.
-func (e *Engine) decodeForSplits(splits []Split) (map[string][]records.Record, error) {
-	var paths []string
-	byPath := make(map[string][]*Split)
+// decodeForSplits reads every referenced file once and returns, aligned
+// with splits, the records each split maps: those whose first payload
+// byte lies in its range. Records are visited in offset order, so one
+// cursor walks them and a file's splits together, and the splits share
+// one record array sized from the count of the segments they touch.
+// Files decode in parallel (the file, not the split, is the unit: the
+// columnar walk can't seek) and are validated whole. Payloads are views
+// of the stored file bytes (DFS.Read), immutable while anything holds
+// them.
+func (e *Engine) decodeForSplits(splits []Split) ([][]records.Record, error) {
+	var files [][]int // per file, in order of first appearance: its splits' indices
+	fileOf := make(map[string]int)
 	for i := range splits {
-		p := splits[i].Path
-		if _, ok := byPath[p]; !ok {
-			paths = append(paths, p)
+		f, ok := fileOf[splits[i].Path]
+		if !ok {
+			f = len(files)
+			fileOf[splits[i].Path] = f
+			files = append(files, nil)
 		}
-		byPath[p] = append(byPath[p], &splits[i])
+		files[f] = append(files[f], i)
 	}
-	perPath := make([]map[string][]records.Record, len(paths))
-	err := parallel.ForErr(e.WorkerCount(), len(paths), func(i int) error {
-		ss := byPath[paths[i]]
-		data, err := e.DFS.Read(paths[i])
+	out := make([][]records.Record, len(splits))
+	err := parallel.ForErr(e.WorkerCount(), len(files), func(f int) error {
+		ss := files[f]
+		slices.SortStableFunc(ss, func(a, b int) int { return cmp.Compare(splits[a].Lo, splits[b].Lo) })
+		data, err := e.DFS.Read(splits[ss[0]].Path)
 		if err != nil {
 			return err
 		}
-		// Split IDs are loop-invariant; formatting them per record
-		// would dominate the decode walk.
-		ids := make([]string, len(ss))
-		for j, s := range ss {
-			ids[j] = s.ID()
-		}
-		local := make(map[string][]records.Record)
-		// Pane files decode zero-copy: the payload views alias data,
-		// which this call owns outright (DFS.Read returns a private
-		// copy), so no per-record copy is needed. The buffer is retained
-		// by the emitted records and must never be pooled or reused.
-		err = colfmt.VisitRecords(data, func(off int, ts int64, payload []byte) bool {
-			for j, s := range ss {
-				if int64(off) >= s.Lo && int64(off) < s.Hi {
-					local[ids[j]] = append(local[ids[j]], records.Record{Ts: ts, Data: payload})
+		// A walk serves disjoint ranges. The splits of one input are; a
+		// split overlapping one already taken (a range listed twice) waits
+		// for another walk, so each still maps every record in its range.
+		for len(ss) > 0 {
+			var walk, rest []int
+			for _, i := range ss {
+				if len(walk) == 0 || splits[i].Lo >= splits[walk[len(walk)-1]].Hi {
+					walk = append(walk, i)
+				} else {
+					rest = append(rest, i)
 				}
 			}
-			return true
-		})
-		if err != nil {
-			return err
+			if err := decodeWalk(data, splits, walk, out); err != nil {
+				return err
+			}
+			ss = rest
 		}
-		perPath[i] = local
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string][]records.Record)
-	for _, local := range perPath {
-		for id, recs := range local {
-			out[id] = append(out[id], recs...)
-		}
-	}
 	return out, nil
 }
 
-// pairScratch recycles the per-partition sort copies of
-// RunReducePhase: GroupPairs sorts in place, and nothing downstream
-// references the scratch array itself (only the byte slices its
-// entries point at), so the array is safe to reuse across tasks.
-var pairScratch = sync.Pool{
-	New: func() any {
-		s := make([]records.Pair, 0, 1024)
-		return &s
-	},
+// decodeWalk decodes data once for the splits indexed by walk, which are
+// disjoint and in offset order, and sets each one's records in out.
+func decodeWalk(data []byte, splits []Split, walk []int, out [][]records.Record) error {
+	n, err := colfmt.CountRecordsIn(data, int(splits[walk[0]].Lo), int(splits[walk[len(walk)-1]].Hi))
+	if err != nil {
+		return err
+	}
+	recs := make([]records.Record, 0, n)
+	// walk[cur] is the first split a record at the visit's offset can
+	// still belong to; its records start at recs[start].
+	cur, start := 0, 0
+	closeSplit := func() {
+		out[walk[cur]] = recs[start:len(recs):len(recs)]
+		start = len(recs)
+		cur++
+	}
+	err = colfmt.VisitRecords(data, func(off int, ts int64, payload []byte) bool {
+		for cur < len(walk) && int64(off) >= splits[walk[cur]].Hi {
+			closeSplit()
+		}
+		if cur < len(walk) && int64(off) >= splits[walk[cur]].Lo {
+			recs = append(recs, records.Record{Ts: ts, Data: payload})
+		}
+		return true
+	})
+	for cur < len(walk) {
+		closeSplit()
+	}
+	return err
 }
 
 // ReducerResult is the outcome of one reduce partition's task.
@@ -669,8 +719,8 @@ type ReducerResult struct {
 	Node  int
 	Start simtime.Time
 	End   simtime.Time
-	// Input is the partition's shuffled (ungrouped) input; Redoop
-	// persists it as the pane's reduce-input cache.
+	// Input is the partition's shuffled input, sorted (SortPairs) but
+	// ungrouped; Redoop persists it as the pane's reduce-input cache.
 	Input []records.Pair
 	// Output is what the reduce function emitted.
 	Output   []records.Pair
@@ -684,24 +734,14 @@ type ReducerResult struct {
 	ShuffleSpan obs.SpanID
 }
 
-// reduceCompute is one partition's compute-phase output: the user
-// reduce has run over the sorted, grouped input, but nothing has been
-// scheduled or charged.
-type reduceCompute struct {
-	input    []records.Pair
-	output   []records.Pair
-	inBytes  int64
-	outBytes int64
-	worker   int // pool worker that ran the compute (observability only)
-}
-
 // RunReducePhase shuffles the map output to reducers, then sorts,
 // groups and reduces each non-empty partition. ready is the earliest
 // instant reduce tasks may be scheduled (normally the map phase's
 // ready time; slots and shuffle completion push actual starts later).
 // The sort/group/reduce compute fans out across Workers goroutines;
 // placement, shuffle modelling, and slot accounting then replay
-// serially in partition order.
+// serially in partition order. Each partition of mp is sorted in place
+// (SortPairs) and becomes its reducer's Input.
 func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time) ([]ReducerResult, Stats, error) {
 	if err := job.Validate(); err != nil {
 		return nil, Stats{}, err
@@ -717,36 +757,26 @@ func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time
 			live = append(live, r)
 		}
 	}
-	computed := make([]reduceCompute, len(live))
+	results := make([]ReducerResult, len(live))
+	workers := make([]int, len(live)) // pool worker of each compute (observability only)
 	parallel.ForWorker(e.WorkerCount(), len(live), func(worker, i int) {
-		input := mp.Parts[live[i]]
-		// GroupPairs sorts its argument in place, so each partition
-		// sorts a scratch copy. The scratch array holds only slice
-		// headers — groups and reduce output alias the input's byte
-		// arrays, never the scratch — so it is pooled per task.
-		sp := pairScratch.Get().(*[]records.Pair)
-		scratch := append((*sp)[:0], input...)
-		grouped := GroupPairs(scratch)
-		output := ReduceGroups(job.Reduce, grouped)
-		*sp = scratch[:0]
-		pairScratch.Put(sp)
-		computed[i] = reduceCompute{
-			input:    input,
-			output:   output,
-			inBytes:  records.PairsSize(input),
-			outBytes: records.PairsSize(output),
-			worker:   worker,
+		rr := &results[i]
+		rr.Part, rr.Input = live[i], mp.Parts[live[i]]
+		rr.Output = ReduceGroups(job.Reduce, GroupPairs(rr.Input))
+		for _, b := range mp.PartSrcBytes[rr.Part] {
+			rr.InBytes += b
 		}
+		rr.OutBytes, workers[i] = records.PairsSize(rr.Output), worker
 	})
 
 	// Phase 2: deterministic accounting, serial in partition order.
-	var results []ReducerResult
-	for i, r := range live {
-		node := e.placementFor(job).PlaceReduce(e, job, r, ready)
+	for i := range results {
+		rr := &results[i]
+		node := e.placementFor(job).PlaceReduce(e, job, rr.Part, ready)
 		if node == nil {
-			return nil, stats, fmt.Errorf("mapreduce: job %q: no alive node for reduce %d", job.Name, r)
+			return nil, stats, fmt.Errorf("mapreduce: job %q: no alive node for reduce %d", job.Name, rr.Part)
 		}
-		rr, shuffleDur, spent, err := e.runReduceAttempts(job, r, node, mp, computed[i], ready)
+		shuffleDur, spent, err := e.runReduceAttempts(job, rr, node, mp, workers[i], ready)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -772,29 +802,30 @@ func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time
 		if rr.End > stats.End {
 			stats.End = rr.End
 		}
-		results = append(results, rr)
 	}
 	return results, stats, nil
 }
 
-// runReduceAttempts schedules one reduce partition's attempts. The
-// first attempt runs on the placed node; a failed attempt re-places.
-// The user reduce has already executed (once, in the parallel compute
-// phase); attempts charge time only. spent sums every attempt's slot
+// runReduceAttempts schedules one reduce partition's attempts and
+// completes rr, which arrives holding the compute phase's share, with
+// where and when the winning attempt ran. The first attempt runs on the
+// placed node; a failed attempt re-places. The user reduce has already
+// executed; attempts charge time only. spent sums every attempt's slot
 // occupancy — failed attempts burn slots too — matching the AddLoad
 // charges exactly.
-func (e *Engine) runReduceAttempts(job *Job, part int, node *cluster.Node, mp *MapPhaseResult, rc reduceCompute, ready simtime.Time) (rres ReducerResult, shuffle, spent simtime.Duration, err error) {
-	input := rc.input
-	output := rc.output
-	inBytes := rc.inBytes
-	outBytes := rc.outBytes
-
+func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.Node, mp *MapPhaseResult, worker int, ready simtime.Time) (shuffle, spent simtime.Duration, err error) {
+	part, inBytes, outBytes := rr.Part, rr.InBytes, rr.OutBytes
+	// task names the partition in spans, events and provenance.
+	var task string
+	if e.Obs != nil || e.Lineage != nil {
+		task = "p" + strconv.Itoa(part)
+	}
 	var prev obs.SpanID // failed-attempt chain, as in runMapAttempts
 	for attempt := 0; attempt < e.maxAttempts(); attempt++ {
 		if node == nil || !node.Alive() {
 			node = e.placementFor(job).PlaceReduce(e, job, part, ready)
 			if node == nil {
-				return ReducerResult{}, 0, spent, fmt.Errorf("mapreduce: job %q: no alive node for reduce %d", job.Name, part)
+				return 0, spent, fmt.Errorf("mapreduce: job %q: no alive node for reduce %d", job.Name, part)
 			}
 		}
 		// Shuffle: the reducer starts copying when the first map ends
@@ -827,23 +858,23 @@ func (e *Engine) runReduceAttempts(job *Job, part int, node *cluster.Node, mp *M
 			// network (pipeline to the replica nodes).
 			dur += e.Cost.NetTransfer(outBytes)
 		}
-		dur = e.jittered(fmt.Sprintf("reduce|%s|%d|%d", job.Name, part, attempt), dur)
+		dur = e.jittered(dur, "reduce", job.Name, strconv.Itoa(part), attempt)
 		start, end := node.Reduce.Acquire(shuffleEnd, dur)
 		node.AddLoad(dur)
 		spent += dur
 		if e.Faults != nil && e.Faults.ReduceAttemptFails(job.Name, part, attempt) {
 			e.Obs.Counter("redoop_reduce_attempts_total", obs.L("result", "failed")).Inc()
 			prev = e.Obs.Task(obs.TaskSpan{
-				Track: obs.NodeTrack(node.ID), Cat: "reduce", Name: fmt.Sprintf("reduce p%d", part),
+				Track: obs.NodeTrack(node.ID), Cat: "reduce", Name: "reduce " + task,
 				Start: start, End: end, Ready: shuffleEnd,
 				Parent: e.SpanParent, Deps: append(append([]obs.SpanID{}, mp.Spans...), prev),
-				Args: []obs.Label{obs.L("attempt", fmt.Sprintf("%d", attempt+1)), obs.L("result", "failed")},
+				Args: []obs.Label{obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("result", "failed")},
 			})
 			e.Obs.Emit(end, eventlog.TaskRetry, job.Name, eventlog.TaskRetryData{
-				Job: job.Name, Task: fmt.Sprintf("p%d", part), Phase: "reduce", Attempt: attempt + 1,
+				Job: job.Name, Task: task, Phase: "reduce", Attempt: attempt + 1,
 			})
 			e.Lineage.RecordAttempt(lineage.Attempt{
-				Job: job.Name, Task: fmt.Sprintf("p%d", part), Phase: "reduce", Node: node.ID,
+				Job: job.Name, Task: task, Phase: "reduce", Node: node.ID,
 				Attempt: attempt + 1, StartNS: int64(start), EndNS: int64(end),
 			})
 			// A reduce failure entails retrieving the map outputs
@@ -855,52 +886,44 @@ func (e *Engine) runReduceAttempts(job *Job, part int, node *cluster.Node, mp *M
 		}
 		e.Obs.Counter("redoop_reduce_attempts_total", obs.L("result", "ok")).Inc()
 		e.Lineage.RecordAttempt(lineage.Attempt{
-			Job: job.Name, Task: fmt.Sprintf("p%d", part), Phase: "reduce", Node: node.ID,
+			Job: job.Name, Task: task, Phase: "reduce", Node: node.ID,
 			Attempt: attempt + 1, OK: true, StartNS: int64(start), EndNS: int64(end),
 		})
 		e.Obs.Counter("redoop_shuffle_bytes_total", obs.L("locality", "local")).Add(float64(local))
 		e.Obs.Counter("redoop_shuffle_bytes_total", obs.L("locality", "remote")).Add(float64(remote))
 		e.Obs.Histogram("redoop_shuffle_seconds").Observe(shuffleDur.Seconds())
 		e.Obs.Histogram("redoop_reduce_task_seconds").Observe(dur.Seconds())
-		var shuffleSpan obs.SpanID
-		if shuffleDur > 0 {
-			// The shuffle's readiness is when the first map finished (it
-			// can't copy earlier); it depends on every map span of the
-			// wave because sorting can't start before the last one.
-			shuffleSpan = e.Obs.Task(obs.TaskSpan{
-				Track: obs.NodeTrack(node.ID), Cat: "shuffle", Name: fmt.Sprintf("shuffle p%d", part),
-				Start: shuffleStart, End: shuffleEnd, Ready: shuffleStart,
-				Parent: e.SpanParent, Deps: append(append([]obs.SpanID{}, mp.Spans...), prev),
-				Args: []obs.Label{obs.L("job", job.Name)},
+		var shuffleSpan, span obs.SpanID
+		if e.Obs != nil {
+			if shuffleDur > 0 {
+				// The shuffle's readiness is when the first map finished (it
+				// can't copy earlier); it depends on every map span of the
+				// wave because sorting can't start before the last one.
+				shuffleSpan = e.Obs.Task(obs.TaskSpan{
+					Track: obs.NodeTrack(node.ID), Cat: "shuffle", Name: "shuffle " + task,
+					Start: shuffleStart, End: shuffleEnd, Ready: shuffleStart,
+					Parent: e.SpanParent, Deps: append(append([]obs.SpanID{}, mp.Spans...), prev),
+					Args: []obs.Label{obs.L("job", job.Name)},
+				})
+			}
+			deps := []obs.SpanID{shuffleSpan, prev}
+			if shuffleSpan == 0 {
+				deps = append(append([]obs.SpanID{}, mp.Spans...), prev)
+			}
+			span = e.Obs.Task(obs.TaskSpan{
+				Track: obs.NodeTrack(node.ID), Cat: "reduce", Name: "reduce " + task,
+				Start: start, End: end, Ready: shuffleEnd,
+				Parent: e.SpanParent, Deps: deps,
+				Args: []obs.Label{
+					obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("job", job.Name),
+					obs.L("worker", strconv.Itoa(worker)),
+				},
 			})
 		}
-		deps := []obs.SpanID{shuffleSpan, prev}
-		if shuffleSpan == 0 {
-			deps = append(append([]obs.SpanID{}, mp.Spans...), prev)
-		}
-		span := e.Obs.Task(obs.TaskSpan{
-			Track: obs.NodeTrack(node.ID), Cat: "reduce", Name: fmt.Sprintf("reduce p%d", part),
-			Start: start, End: end, Ready: shuffleEnd,
-			Parent: e.SpanParent, Deps: deps,
-			Args: []obs.Label{
-				obs.L("attempt", fmt.Sprintf("%d", attempt+1)), obs.L("job", job.Name),
-				obs.L("worker", fmt.Sprintf("%d", rc.worker)),
-			},
-		})
-		return ReducerResult{
-			Part:        part,
-			Node:        node.ID,
-			Start:       start,
-			End:         end,
-			Input:       input,
-			Output:      output,
-			InBytes:     inBytes,
-			OutBytes:    outBytes,
-			Span:        span,
-			ShuffleSpan: shuffleSpan,
-		}, shuffleDur, spent, nil
+		rr.Node, rr.Start, rr.End, rr.Span, rr.ShuffleSpan = node.ID, start, end, span, shuffleSpan
+		return shuffleDur, spent, nil
 	}
-	return ReducerResult{}, 0, spent, fmt.Errorf("mapreduce: job %q: reduce %d failed %d attempts", job.Name, part, e.maxAttempts())
+	return 0, spent, fmt.Errorf("mapreduce: job %q: reduce %d failed %d attempts", job.Name, part, e.maxAttempts())
 }
 
 // Result is the outcome of a complete job run.
@@ -922,9 +945,6 @@ func (e *Engine) Run(job *Job, start simtime.Time) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Fold summed map-attempt durations into MapTime via the slot
-	// model: approximate as tasks × mean attempt duration is avoided —
-	// recompute exactly from stats captured below.
 	reducers, rstats, err := e.RunReducePhase(job, mp, start)
 	if err != nil {
 		return nil, err

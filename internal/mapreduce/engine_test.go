@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -275,6 +277,7 @@ func TestCorruptColumnarInputFailsDeterministically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		data = slices.Clone(data) // Read is a view of the stored file
 		if mode == "xor" {
 			for i := len(data) / 3; i < 2*len(data)/3; i++ {
 				data[i] ^= 0xA5
@@ -523,6 +526,20 @@ func TestSortPairsDeterministic(t *testing.T) {
 		if got := fmt.Sprintf("%s:%s", p.Key, p.Value); got != want[i] {
 			t.Errorf("pos %d = %s, want %s", i, got, want[i])
 		}
+	}
+}
+
+// The inlined FNV-1a must assign every key where hash/fnv did: cached
+// reduce inputs stay aligned with reducers only while it does.
+func TestDefaultPartitionerIsFNV1a(t *testing.T) {
+	f := func(key []byte, rU uint8) bool {
+		r := int(rU%32) + 1
+		h := fnv.New32a()
+		h.Write(key)
+		return DefaultPartitioner(key, r) == int(h.Sum32()%uint32(r))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -1,0 +1,323 @@
+package mapreduce
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"redoop/internal/cluster"
+	"redoop/internal/colfmt"
+	"redoop/internal/dfs"
+	"redoop/internal/iocost"
+	"redoop/internal/records"
+	"redoop/internal/simtime"
+)
+
+// recordingPlacement is DefaultPlacement that remembers where each map
+// task went, in placement order, so a reference can rebuild the
+// source-byte matrix.
+type recordingPlacement struct {
+	DefaultPlacement
+	order []string
+	node  map[string]int
+}
+
+func (p *recordingPlacement) PlaceMap(e *Engine, s Split, ready simtime.Time) *cluster.Node {
+	n := p.DefaultPlacement.PlaceMap(e, s, ready)
+	p.order = append(p.order, s.ID())
+	p.node[s.ID()] = n.ID
+	return n
+}
+
+// layoutCase is one random geometry: files of concatenated segments on a
+// DFS whose blocks may be smaller than a record, disjoint input ranges
+// over them in shuffled order, and a mapper emitting zero, one or many
+// pairs per record over few enough keys to leave partitions empty.
+type layoutCase struct {
+	blockSize int64
+	files     map[string][]byte
+	inputs    []Input
+	reducers  int
+	combine   bool
+}
+
+func randomLayoutCase(rng *rand.Rand) layoutCase {
+	c := layoutCase{
+		blockSize: []int64{16, 64, 700, 4 << 10}[rng.Intn(4)],
+		files:     map[string][]byte{},
+		reducers:  1 + rng.Intn(9),
+		combine:   rng.Intn(3) == 0,
+	}
+	for f := 0; f < 1+rng.Intn(3); f++ {
+		path := fmt.Sprintf("/in/f%d", f)
+		var data []byte
+		for seg := 0; seg < 1+rng.Intn(4); seg++ { // a shared multi-pane file
+			recs := make([]records.Record, 1+rng.Intn(60))
+			for i := range recs {
+				payload := fmt.Sprintf("%d,k%d,%s", rng.Intn(3), rng.Intn(4), "padding-padding-padding"[:2+rng.Intn(22)])
+				recs[i] = records.Record{Ts: int64(i), Data: []byte(payload)}
+			}
+			data = colfmt.AppendRecords(data, recs)
+		}
+		c.files[path] = data
+		// Disjoint ranges between random cut points, about half of them
+		// taken: some start mid-file, mid-segment, even mid-record.
+		cuts := []int64{0, int64(len(data))}
+		for i := 0; i < rng.Intn(5); i++ {
+			cuts = append(cuts, rng.Int63n(int64(len(data))+1))
+		}
+		slices.Sort(cuts)
+		for i := 1; i < len(cuts); i++ {
+			if cuts[i] > cuts[i-1] && (len(cuts) == 2 || rng.Intn(2) == 0) {
+				c.inputs = append(c.inputs, Input{Path: path, Offset: cuts[i-1], Length: cuts[i] - cuts[i-1]})
+			}
+		}
+	}
+	rng.Shuffle(len(c.inputs), func(i, j int) { c.inputs[i], c.inputs[j] = c.inputs[j], c.inputs[i] })
+	return c
+}
+
+// layoutMap emits as many pairs as the payload's first field says:
+// none, one, or five.
+func layoutMap(_ int64, payload []byte, emit Emitter) {
+	key := payload[2:4]
+	switch payload[0] {
+	case '1':
+		emit(key, payload)
+	case '2':
+		for i := 0; i < 5; i++ {
+			emit(key, payload[:4+i%3])
+		}
+	}
+}
+
+func layoutCombine(key []byte, values [][]byte, emit Emitter) {
+	emit(key, []byte(fmt.Sprint(len(values))))
+}
+
+func (c layoutCase) run(t *testing.T, workers int) (*MapPhaseResult, *recordingPlacement, *Engine, *Job) {
+	t.Helper()
+	cl := cluster.MustNew(cluster.Config{Workers: 3, MapSlots: 2, ReduceSlots: 1})
+	d := dfs.MustNew(dfs.Config{BlockSize: c.blockSize, Replication: 2, Nodes: rangeInts(3), Seed: 7})
+	e := MustNew(cl, d, iocost.Default())
+	e.Workers = workers
+	for f := 0; f < len(c.files); f++ { // in a fixed order: placement is seeded
+		path := fmt.Sprintf("/in/f%d", f)
+		if err := d.Write(path, c.files[path]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	place := &recordingPlacement{node: map[string]int{}}
+	job := &Job{
+		Name: "layout", Map: layoutMap, NumReducers: c.reducers, Place: place,
+		Reduce: func(k []byte, vs [][]byte, emit Emitter) { emit(k, vs[0]) },
+	}
+	if c.combine {
+		job.Combine = layoutCombine
+	}
+	prep, err := e.PrepareMapPhase(job, c.inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp, err := e.CommitMapPhase(prep, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mp, place, e, job
+}
+
+// naiveMapPhase is the deliberately simple reference: every record of a
+// split's file is tested against the split, every emission appended to
+// its partition's slice, every size measured by walking the result.
+func naiveMapPhase(t *testing.T, e *Engine, job *Job, inputs []Input, nodeOf map[string]int) (parts [][]records.Pair, src []map[int]int64, splitIDs []string, stats Stats) {
+	t.Helper()
+	splits, err := e.SplitsOf(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	R := job.NumReducers
+	parts = make([][]records.Pair, R)
+	src = make([]map[int]int64, R)
+	for r := range src {
+		src[r] = map[int]int64{}
+	}
+	for _, s := range splits {
+		splitIDs = append(splitIDs, s.ID())
+		data, err := e.DFS.Read(s.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mine := make([][]records.Pair, R)
+		if err := colfmt.VisitRecords(data, func(off int, ts int64, payload []byte) bool {
+			if int64(off) >= s.Lo && int64(off) < s.Hi {
+				job.Map(ts, payload, func(k, v []byte) {
+					r := DefaultPartitioner(k, R)
+					mine[r] = append(mine[r], records.Pair{Key: k, Value: v})
+				})
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		stats.MapTasks++
+		stats.BytesRead += s.Size()
+		for r := range mine {
+			if job.Combine != nil && len(mine[r]) > 1 {
+				mine[r] = ReduceGroups(job.Combine, GroupPairs(mine[r]))
+			}
+			if size := records.PairsSize(mine[r]); size > 0 {
+				parts[r] = append(parts[r], mine[r]...)
+				src[r][nodeOf[s.ID()]] += size
+				stats.BytesSpilled += size
+			}
+		}
+	}
+	return parts, src, splitIDs, stats
+}
+
+func samePairs(a, b []records.Pair) bool {
+	return slices.EqualFunc(a, b, func(x, y records.Pair) bool {
+		return string(x.Key) == string(y.Key) && string(x.Value) == string(y.Value)
+	})
+}
+
+// TestMapLayoutMatchesNaiveReference: the counted, placed-once map
+// output must be what the naive reference builds by appending — the same
+// pairs in the same order in every partition, the same source-byte
+// matrix and volume stats, tasks committed in split order — at one
+// worker and at four, over random geometries.
+func TestMapLayoutMatchesNaiveReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260927))
+	emptyParts, midFile, tinyBlocks := 0, 0, 0
+	for trial := 0; trial < 150; trial++ {
+		c := randomLayoutCase(rng)
+		if len(c.inputs) == 0 {
+			continue
+		}
+		var serial *MapPhaseResult
+		for _, workers := range []int{1, 4} {
+			mp, place, e, job := c.run(t, workers)
+			want, wantSrc, wantOrder, wantStats := naiveMapPhase(t, e, job, c.inputs, place.node)
+			for r := range want {
+				if !samePairs(mp.Parts[r], want[r]) {
+					t.Fatalf("trial %d workers %d: partition %d holds %d pairs, reference %d (or another order)",
+						trial, workers, r, len(mp.Parts[r]), len(want[r]))
+				}
+				if len(want[r]) == 0 {
+					emptyParts++
+				}
+			}
+			if !reflect.DeepEqual(mp.PartSrcBytes, wantSrc) {
+				t.Fatalf("trial %d workers %d: PartSrcBytes %v, reference %v", trial, workers, mp.PartSrcBytes, wantSrc)
+			}
+			if !slices.Equal(place.order, wantOrder) {
+				t.Fatalf("trial %d workers %d: tasks committed as %v, splits are %v", trial, workers, place.order, wantOrder)
+			}
+			got := mp.Stats
+			if got.MapTasks != wantStats.MapTasks || got.BytesRead != wantStats.BytesRead ||
+				got.BytesSpilled != wantStats.BytesSpilled || got.FailedAttempts != 0 {
+				t.Fatalf("trial %d workers %d: stats %+v, reference %+v", trial, workers, got, wantStats)
+			}
+			if workers == 1 {
+				serial = mp
+			} else if !reflect.DeepEqual(mp, serial) {
+				t.Fatalf("trial %d: the four-worker result differs from the serial one", trial)
+			}
+		}
+		for _, in := range c.inputs {
+			if in.Offset > 0 {
+				midFile++
+			}
+		}
+		if c.blockSize == 16 {
+			tinyBlocks++
+		}
+	}
+	if emptyParts == 0 || midFile == 0 || tinyBlocks == 0 {
+		t.Fatalf("geometries are vacuous: %d empty partitions, %d mid-file inputs, %d sub-record block sizes",
+			emptyParts, midFile, tinyBlocks)
+	}
+}
+
+// TestOverlappingInputsMapEveryRange: splits that overlap within a file
+// (a range listed twice, a range inside another) each map every record
+// in their range, as when each split scanned the file for itself.
+func TestOverlappingInputsMapEveryRange(t *testing.T) {
+	c := randomLayoutCase(rand.New(rand.NewSource(5)))
+	size := int64(len(c.files["/in/f0"]))
+	c.inputs = []Input{WholeFile("/in/f0"), {Path: "/in/f0", Offset: size / 3, Length: size / 2}, WholeFile("/in/f0")}
+	for _, workers := range []int{1, 4} {
+		mp, place, e, job := c.run(t, workers)
+		want, _, wantOrder, wantStats := naiveMapPhase(t, e, job, c.inputs, place.node)
+		pairs := 0
+		for r := range want {
+			pairs += len(want[r])
+			if !samePairs(mp.Parts[r], want[r]) {
+				t.Fatalf("workers %d: partition %d holds %d pairs, reference %d (or another order)",
+					workers, r, len(mp.Parts[r]), len(want[r]))
+			}
+		}
+		if pairs == 0 || !slices.Equal(place.order, wantOrder) || mp.Stats.BytesSpilled != wantStats.BytesSpilled {
+			t.Fatalf("workers %d: %d pairs, tasks %v (splits %v), stats %+v (reference %+v)",
+				workers, pairs, place.order, wantOrder, mp.Stats, wantStats)
+		}
+	}
+}
+
+// TestMapPhaseAllocationsFollowSplitsNotRecords: the map phase sizes its
+// storage from counts, so what it allocates is a function of how many
+// splits and partitions there are. Doubling the records (longer
+// payloads would add splits; more records per split do not) must leave
+// the allocation count where it was.
+func TestMapPhaseAllocationsFollowSplitsNotRecords(t *testing.T) {
+	allocs := func(recsPerSplit int) (perRun float64, splits int) {
+		cl := cluster.MustNew(cluster.Config{Workers: 3, MapSlots: 2, ReduceSlots: 1})
+		// One block holds any of the files below: one split per file.
+		d := dfs.MustNew(dfs.Config{BlockSize: 1 << 20, Replication: 2, Nodes: rangeInts(3), Seed: 7})
+		e := MustNew(cl, d, iocost.Default())
+		e.Workers = 1
+		var inputs []Input
+		for f := 0; f < 8; f++ {
+			recs := make([]records.Record, recsPerSplit)
+			for i := range recs {
+				recs[i] = records.Record{Ts: int64(i), Data: []byte(fmt.Sprintf("1,k%d,x", i%4))}
+			}
+			path := fmt.Sprintf("/in/f%d", f)
+			if err := d.Write(path, colfmt.EncodeRecords(recs)); err != nil {
+				t.Fatal(err)
+			}
+			inputs = append(inputs, WholeFile(path))
+		}
+		job := &Job{Name: "allocs", Map: layoutMap, NumReducers: 5,
+			Reduce: func(k []byte, vs [][]byte, emit Emitter) { emit(k, vs[0]) }}
+		run := func() {
+			prep, err := e.PrepareMapPhase(job, inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mp, err := e.CommitMapPhase(prep, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			splits = mp.Stats.MapTasks
+		}
+		run() // grow the pooled stage to this phase's size first
+		return testing.AllocsPerRun(20, run), splits
+	}
+	small, splits := allocs(500)
+	large, _ := allocs(1000)
+	t.Logf("allocations per map phase of %d splits: %.0f at 500 records per split, %.0f at 1000", splits, small, large)
+	if splits != 8 {
+		t.Fatalf("geometry drifted: %d splits, want 8", splits)
+	}
+	// A pooled stage the collector emptied mid-run regrows in a few
+	// allocations; doubling 4 000 records to 8 000 must cost no more.
+	if large > small+16 {
+		t.Fatalf("map phase allocations grew with records: %.0f for 500 per split, %.0f for 1000", small, large)
+	}
+	if small > 40*float64(splits) {
+		t.Fatalf("map phase allocates %.0f times for %d splits and 5 partitions", small, splits)
+	}
+}

@@ -25,13 +25,20 @@ type DefaultPlacement struct{}
 
 // PlaceMap implements Placement.
 func (DefaultPlacement) PlaceMap(e *Engine, s Split, ready simtime.Time) *cluster.Node {
-	alive := e.Cluster.AliveNodes()
-	if len(alive) == 0 {
-		return nil
-	}
+	return pickMapNode(e, s, ready, -1)
+}
+
+// pickMapNode returns the alive node, other than exclude, whose map
+// slot frees earliest, preferring a holder of a local replica of the
+// split; nil when there is none. A speculative backup excludes its
+// straggler's node this way.
+func pickMapNode(e *Engine, s Split, ready simtime.Time, exclude int) *cluster.Node {
 	var bestLocal, bestAny *cluster.Node
 	var bestLocalT, bestAnyT simtime.Time
-	for _, n := range alive {
+	for _, n := range e.Cluster.AliveNodes() {
+		if n.ID == exclude {
+			continue
+		}
 		t := n.Map.EarliestStart(ready)
 		if bestAny == nil || t < bestAnyT {
 			bestAny, bestAnyT = n, t

@@ -54,6 +54,10 @@ func TestSplitsOfWholeFileEqualsSplits(t *testing.T) {
 		if a[i].ID() != b[i].ID() || a[i].Lo != b[i].Lo || a[i].Hi != b[i].Hi {
 			t.Errorf("split %d differs: %+v vs %+v", i, a[i], b[i])
 		}
+		// SplitsOf formats the ID once; a hand-built split formats the same.
+		if bare := (Split{Path: a[i].Path, Block: a[i].Block, Lo: a[i].Lo, Hi: a[i].Hi}); bare.ID() != a[i].ID() {
+			t.Errorf("split %d: cached ID %q, formatted %q", i, a[i].ID(), bare.ID())
+		}
 	}
 	// Whole-file splits tile the file.
 	var covered int64

@@ -19,9 +19,8 @@ package mapreduce
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"slices"
-	"sort"
+	"strconv"
 
 	"redoop/internal/dfs"
 	"redoop/internal/records"
@@ -29,10 +28,15 @@ import (
 )
 
 // Emitter receives one key/value pair from a user function. The slices
-// are retained, so callers must not reuse their backing arrays.
+// are retained as they are — never copied, never written — so a caller
+// must not reuse or modify their backing arrays; many pairs may share
+// one immutable array (a constant, a sub-slice of a map payload).
 type Emitter func(key, value []byte)
 
 // MapFunc is the user map function, invoked once per input record.
+// payload is an immutable view of the stored input that outlives every
+// pair of the job: a mapper may emit sub-slices of it instead of copies,
+// and must not write through it.
 type MapFunc func(ts int64, payload []byte, emit Emitter)
 
 // ReduceFunc is the user reduce function, invoked once per distinct key
@@ -47,9 +51,11 @@ type Partitioner func(key []byte, r int) int
 // fixed across recurrences so cached reduce inputs remain aligned with
 // reducer assignments (paper §4.3).
 func DefaultPartitioner(key []byte, r int) int {
-	h := fnv.New32a()
-	h.Write(key)
-	return int(h.Sum32() % uint32(r))
+	h := uint32(2166136261)
+	for _, b := range key {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	return int(h % uint32(r))
 }
 
 // Job describes one MapReduce job.
@@ -145,13 +151,19 @@ type Split struct {
 	// Lo and Hi bound the split's byte range within the file
 	// (clipped to both the block and the input range).
 	Lo, Hi int64
+	id     string // ID(), formatted once by SplitsOf; empty on a hand-built split
 }
 
 // Size returns the split's byte length.
 func (s Split) Size() int64 { return s.Hi - s.Lo }
 
 // ID returns a stable identifier for fault plans and logs.
-func (s Split) ID() string { return fmt.Sprintf("%s#%d@%d", s.Path, s.Block.Index, s.Lo) }
+func (s Split) ID() string {
+	if s.id != "" {
+		return s.id
+	}
+	return s.Path + "#" + strconv.Itoa(s.Block.Index) + "@" + strconv.FormatInt(s.Lo, 10)
+}
 
 // Stats aggregates the timing and volume accounting of one job (or one
 // phase-level operation). Phase durations are summed task durations, the
@@ -224,12 +236,10 @@ type Group struct {
 	Values [][]byte
 }
 
-// GroupPairs sorts pairs by key and groups equal keys, the sort/group
-// stage preceding the reduce function. The input slice is reordered.
+// GroupPairs sorts pairs (SortPairs, in place) and groups equal keys,
+// the sort/group stage preceding the reduce function.
 func GroupPairs(pairs []records.Pair) []Group {
-	sort.Slice(pairs, func(i, j int) bool {
-		return bytes.Compare(pairs[i].Key, pairs[j].Key) < 0
-	})
+	SortPairs(pairs)
 	return GroupSorted(pairs)
 }
 
@@ -291,9 +301,13 @@ func MergeSortedRuns(dst []records.Pair, runs ...[]records.Pair) []records.Pair 
 }
 
 // ReduceGroups applies a reduce function to grouped input, returning the
-// emitted pairs.
+// emitted pairs. The result is sized for one pair per group, what an
+// aggregate emits.
 func ReduceGroups(fn ReduceFunc, groups []Group) []records.Pair {
-	var out []records.Pair
+	if len(groups) == 0 {
+		return nil
+	}
+	out := make([]records.Pair, 0, len(groups))
 	emit := func(k, v []byte) { out = append(out, records.Pair{Key: k, Value: v}) }
 	for _, g := range groups {
 		fn(g.Key, g.Values, emit)
@@ -303,8 +317,8 @@ func ReduceGroups(fn ReduceFunc, groups []Group) []records.Pair {
 
 // SortPairs orders pairs by key then value — a total order up to
 // byte-identical pairs, so the result does not depend on the sort
-// algorithm: reduce-input caches are stored in it, and tests and
-// experiments compare outputs in it.
+// algorithm: reduce partitions are sorted in it, reduce-input caches
+// stored in it, and tests and experiments compare outputs in it.
 func SortPairs(ps []records.Pair) {
 	slices.SortFunc(ps, func(a, b records.Pair) int {
 		if c := bytes.Compare(a.Key, b.Key); c != 0 {

@@ -56,8 +56,10 @@ func field(payload []byte, i int) ([]byte, bool) {
 	}
 }
 
-// WCCMap is Q1's mapper: emit (requested object, 1) per log line. It
-// is a named package-level function — not a closure — because the
+// WCCMap is Q1's mapper: emit (requested object, 1) per log line. The
+// key is a view of the payload, which the MapFunc contract keeps
+// immutable and alive for as long as the pair, so nothing is copied.
+// It is a named package-level function — not a closure — because the
 // lineage plan identifies operators by function symbol, and the
 // compiler names an inlined closure after its call site, which would
 // give two otherwise-identical queries different plan fingerprints
@@ -67,8 +69,12 @@ func WCCMap(_ int64, payload []byte, emit mapreduce.Emitter) {
 	if !ok {
 		return // malformed log line; Hadoop jobs skip these too
 	}
-	emit(append([]byte(nil), obj...), []byte("1"))
+	emit(obj, one)
 }
+
+// one is the count every WCC log line contributes, shared by all of
+// WCCMap's emissions (emitted values are never written).
+var one = []byte("1")
 
 // WCCAggregation builds Q1: count clicks per requested object over the
 // sliding window. win and slide are virtual-time window constraints;
@@ -110,17 +116,17 @@ func FFGJoin(name string, win, slide simtime.Duration, reducers int) *core.Query
 }
 
 // ffgTag emits (sensor id, prefix|payload) — the shared body of Q2's
-// two side-tagging mappers.
+// two side-tagging mappers. The key is a view of the payload (see
+// WCCMap).
 func ffgTag(prefix byte, payload []byte, emit mapreduce.Emitter) {
 	sensor, ok := field(payload, 0)
 	if !ok {
 		return
 	}
-	key := append([]byte(nil), sensor...)
 	val := make([]byte, 0, len(payload)+2)
 	val = append(val, prefix, '|')
 	val = append(val, payload...)
-	emit(key, val)
+	emit(sensor, val)
 }
 
 // FFGTagReadings / FFGTagEvents are Q2's mappers, named package-level

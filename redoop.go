@@ -39,6 +39,7 @@ package redoop
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"time"
 
 	"redoop/internal/baseline"
@@ -586,12 +587,14 @@ func (h *QueryHandle) OutputPath(recurrence int) string {
 }
 
 // ReadOutput loads a past recurrence's committed output from the DFS.
+// The result is the caller's own: its pairs are views of a private copy
+// of the stored file, not of the file.
 func (h *QueryHandle) ReadOutput(recurrence int) ([]Pair, error) {
 	data, err := h.sys.mr.DFS.Read(h.OutputPath(recurrence))
 	if err != nil {
 		return nil, err
 	}
-	ps, err := colfmt.DecodePairs(data)
+	ps, err := colfmt.DecodePairs(slices.Clone(data))
 	if err != nil {
 		return nil, err
 	}

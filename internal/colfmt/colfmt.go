@@ -37,10 +37,8 @@
 //
 // Zero-copy lifetime rule: decoded records, pairs and visited payloads
 // alias the input buffer. The buffer must stay immutable and live for
-// as long as any view into it; in particular a pooled buffer must
-// never be recycled while decoded views escape (see PutBuf). Encode*
-// return exactly-sized buffers, which a node-local cache store takes
-// ownership of (Node.PutLocal).
+// as long as any view into it. Encode* return exactly-sized buffers,
+// which the stores take ownership of (Node.PutLocal, dfs.Write).
 package colfmt
 
 import (
@@ -50,7 +48,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sync"
 
 	"redoop/internal/records"
 )
@@ -69,19 +66,27 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
+// RecordsSize returns the length of the segment AppendRecords writes for
+// recs: what a caller packing several into one buffer sizes it from.
+func RecordsSize(recs []records.Record) int {
+	if len(recs) == 0 {
+		return 0
+	}
+	var blob int
+	for _, r := range recs {
+		blob += len(r.Data)
+	}
+	return 8 + 8*len(recs) + 4*(len(recs)+1) + blob + 4
+}
+
 // AppendRecords appends one record segment holding recs to dst and
 // returns the extended slice. Zero records append nothing.
 func AppendRecords(dst []byte, recs []records.Record) []byte {
 	if len(recs) == 0 {
 		return dst
 	}
-	var blob int
-	for _, r := range recs {
-		blob += len(r.Data)
-	}
 	base := len(dst)
-	need := 8 + 8*len(recs) + 4*(len(recs)+1) + blob + 4
-	dst = grow(dst, need)
+	dst = append(dst, make([]byte, RecordsSize(recs))...)
 	copy(dst[base:], magicRecords[:])
 	binary.LittleEndian.PutUint32(dst[base+4:], uint32(len(recs)))
 	p := base + 8
@@ -104,28 +109,25 @@ func AppendRecords(dst []byte, recs []records.Record) []byte {
 	return dst
 }
 
-// EncodeRecords encodes recs as one columnar segment.
+// EncodeRecords encodes recs as one exactly-sized columnar segment.
 func EncodeRecords(recs []records.Record) []byte {
-	return AppendRecords(nil, recs)
+	return AppendRecords(make([]byte, 0, RecordsSize(recs)), recs)
 }
 
-// AppendPairs appends one pair segment holding pairs to dst and
-// returns the extended slice. Zero pairs append nothing.
-func AppendPairs(dst []byte, pairs []records.Pair) []byte {
+// EncodePairs encodes pairs as one exactly-sized columnar segment.
+func EncodePairs(pairs []records.Pair) []byte {
 	if len(pairs) == 0 {
-		return dst
+		return nil
 	}
 	var kb, vb int
 	for _, pr := range pairs {
 		kb += len(pr.Key)
 		vb += len(pr.Value)
 	}
-	base := len(dst)
-	need := 8 + 2*4*(len(pairs)+1) + kb + vb + 4
-	dst = grow(dst, need)
-	copy(dst[base:], magicPairs[:])
-	binary.LittleEndian.PutUint32(dst[base+4:], uint32(len(pairs)))
-	p := base + 8
+	dst := make([]byte, 8+2*4*(len(pairs)+1)+kb+vb+4)
+	copy(dst, magicPairs[:])
+	binary.LittleEndian.PutUint32(dst[4:], uint32(len(pairs)))
+	p := 8
 	off := uint32(0)
 	binary.LittleEndian.PutUint32(dst[p:], 0)
 	p += 4
@@ -148,26 +150,8 @@ func AppendPairs(dst []byte, pairs []records.Pair) []byte {
 	for _, pr := range pairs {
 		p += copy(dst[p:], pr.Value)
 	}
-	binary.LittleEndian.PutUint32(dst[p:], crc32.ChecksumIEEE(dst[base:p]))
+	binary.LittleEndian.PutUint32(dst[p:], crc32.ChecksumIEEE(dst[:p]))
 	return dst
-}
-
-// EncodePairs encodes pairs as one columnar segment.
-func EncodePairs(pairs []records.Pair) []byte {
-	return AppendPairs(nil, pairs)
-}
-
-// grow extends dst by need bytes, reallocating only when capacity
-// falls short (pooled buffers amortize this to zero). The segment
-// size is known exactly up front, so a miss allocates exactly — the
-// common one-shot Encode call never over-commits.
-func grow(dst []byte, need int) []byte {
-	if n := len(dst) + need; n <= cap(dst) {
-		return dst[:n]
-	}
-	out := make([]byte, len(dst)+need)
-	copy(out, dst)
-	return out
 }
 
 // recHeader reads the fixed-width header of the record segment at the
@@ -405,32 +389,4 @@ func CountRecordsIn(data []byte, lo, hi int) (int, error) {
 		base += int(segLen)
 	}
 	return total, nil
-}
-
-// bufPool recycles encode scratch buffers for the hot encode paths
-// whose sinks copy (DFS writes). Pooled buffers hold no references
-// after PutBuf resets their length.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 16<<10)
-		return &b
-	},
-}
-
-// GetBuf returns a zero-length scratch buffer from the pool. Append
-// into it (AppendRecords/AppendPairs), hand the result to a sink that
-// copies, then release it with PutBuf.
-func GetBuf() *[]byte {
-	return bufPool.Get().(*[]byte)
-}
-
-// PutBuf returns a scratch buffer to the pool. The caller must
-// guarantee no decoded view or retained slice still aliases the
-// buffer: sinks that copy (dfs.Write/WriteAt) satisfy this; a sink
-// that takes ownership (Node.PutLocal, Registry.Add) and decoded pane
-// views handed to user map functions do not — those buffers must never
-// be pooled (see the aliasing regression test).
-func PutBuf(b *[]byte) {
-	*b = (*b)[:0]
-	bufPool.Put(b)
 }

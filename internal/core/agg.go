@@ -291,11 +291,12 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 	// cache encodes are pure compute, fanned out per partition.
 	routData := make([][]byte, R)
 	rinData := make([][]byte, R)
-	parallel.For(e.mr.WorkerCount(), R, func(part int) {
+	groupers := make([]mapreduce.Grouper, e.mr.WorkerCount())
+	parallel.ForWorker(len(groupers), R, func(worker, part int) {
 		if len(subOut[part]) == 0 {
 			return
 		}
-		combined := mapreduce.ReduceGroups(q.Merge, mapreduce.GroupPairs(subOut[part]))
+		combined := mapreduce.ReduceGroups(q.Merge, groupers[worker].Group(subOut[part]))
 		routData[part] = colfmt.EncodePairs(combined)
 		rinData[part] = colfmt.EncodePairs(mapreduce.MergeSortedRuns(nil, subIn[part]...))
 	})

@@ -880,13 +880,14 @@ func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats
 		inBytes, outBytes int64
 	}
 	parts := make([]finalPart, len(caches))
-	parallel.For(e.mr.WorkerCount(), len(caches), func(part int) {
+	groupers := make([]mapreduce.Grouper, e.mr.WorkerCount())
+	parallel.ForWorker(len(groupers), len(caches), func(worker, part int) {
 		if len(caches[part]) == 0 {
 			return
 		}
 		fp := &parts[part]
 		fp.inBytes = records.PairsSize(ins[part])
-		fp.out = mapreduce.ReduceGroups(e.query.Merge, mapreduce.GroupPairs(ins[part]))
+		fp.out = mapreduce.ReduceGroups(e.query.Merge, groupers[worker].Group(ins[part]))
 		fp.outBytes = records.PairsSize(fp.out)
 	})
 	// Phase 2 (serial, partition order): Eq. 4 scheduling and stats.

@@ -185,13 +185,14 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 	// nothing reads its partitions afterwards.
 	sortedData := make([][]byte, R)
 	inSizes := make([]int64, R)
-	parallel.For(e.mr.WorkerCount(), R, func(part int) {
+	groupers := make([]mapreduce.Grouper, e.mr.WorkerCount())
+	parallel.ForWorker(len(groupers), R, func(worker, part int) {
 		input := mp.Parts[part]
 		inSizes[part] = records.PairsSize(input)
 		if inSizes[part] == 0 {
 			return
 		}
-		mapreduce.SortPairs(input)
+		groupers[worker].Group(input) // into SortPairs order; the groups are not needed
 		sortedData[part] = colfmt.EncodePairs(input)
 	})
 
@@ -385,61 +386,81 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 		outBytes   int64
 	}
 	computed := make([]partCompute, R)
-	if err := parallel.ForErr(e.mr.WorkerCount(), R, func(part int) error {
-		pc := &computed[part]
+	// Scratch per pool worker, reused across its partitions and tuples:
+	// groups and emitted pairs alias cache bytes, never these slices, and
+	// each output is encoded at once.
+	type scratch struct {
+		spans         map[paneCoord][2]int // each distinct input cache's range of decoded
+		decoded       []records.Pair       // the partition's input caches, each decoded once for the group
+		runs          [][]records.Pair
+		input, joined []records.Pair // one tuple's merged reduce input and its output
+		grouper       mapreduce.Grouper
+	}
+	scratches := make([]scratch, e.mr.WorkerCount())
+	errs := make([]error, R)
+	parallel.ForWorker(len(scratches), R, func(worker, part int) {
+		pc, s := &computed[part], &scratches[worker]
 		pc.outs = make([]tupleOut, len(group.tuples))
-		runs := make(map[paneCoord][]records.Pair)
+		if s.spans == nil {
+			s.spans = make(map[paneCoord][2]int)
+		}
+		clear(s.spans)
+		s.decoded = s.decoded[:0]
 		for _, t := range group.tuples {
 			for d, p := range t {
 				c := rins[d][p][part]
-				if _, seen := runs[paneCoord{d, p}]; seen || c.bytes == 0 {
+				if _, seen := s.spans[paneCoord{d, p}]; seen || c.bytes == 0 {
 					continue
 				}
-				run, err := e.readCache(c)
+				data, err := e.cacheBytes(c)
+				lo := len(s.decoded)
+				if err == nil {
+					s.decoded, err = colfmt.AppendDecodedPairs(s.decoded, data)
+				}
 				if err != nil {
-					return err
+					errs[part] = err
+					return
 				}
 				// Every writer stores its reduce inputs key-sorted; the
 				// merge below silently mis-orders a run that is not, so one
 				// linear check guards it against a foreign registration.
-				if !slices.IsSortedFunc(run, func(a, b records.Pair) int { return bytes.Compare(a.Key, b.Key) }) {
+				if run := s.decoded[lo:]; !slices.IsSortedFunc(run, func(a, b records.Pair) int { return bytes.Compare(a.Key, b.Key) }) {
 					mapreduce.SortPairs(run)
 				}
-				runs[paneCoord{d, p}] = run
+				s.spans[paneCoord{d, p}] = [2]int{lo, len(s.decoded)}
 				pc.caches = append(pc.caches, c)
 				pc.cacheBytes += c.bytes
 			}
 		}
-		// Scratch reused across the tuples: groups and emitted pairs alias
-		// cache bytes, never these slices, and each output is encoded at once.
-		tupleRuns := make([][]records.Pair, 0, n)
-		var input, joined []records.Pair
-		emit := func(k, v []byte) { joined = append(joined, records.Pair{Key: k, Value: v}) }
+		emit := func(k, v []byte) { s.joined = append(s.joined, records.Pair{Key: k, Value: v}) }
 		for i, t := range group.tuples {
-			tupleRuns = tupleRuns[:0]
+			s.runs = s.runs[:0]
 			var tupleIn int64
 			for d, p := range t {
 				if c := rins[d][p][part]; c.bytes != 0 {
 					tupleIn += c.bytes
-					tupleRuns = append(tupleRuns, runs[paneCoord{d, p}])
+					span := s.spans[paneCoord{d, p}]
+					s.runs = append(s.runs, s.decoded[span[0]:span[1]])
 				}
 			}
 			if tupleIn == 0 {
 				continue
 			}
-			input = mapreduce.MergeSortedRuns(input[:0], tupleRuns...)
-			joined = joined[:0]
-			for _, g := range mapreduce.GroupSorted(input) {
+			s.input = mapreduce.MergeSortedRuns(s.input[:0], s.runs...)
+			s.joined = s.joined[:0]
+			for _, g := range s.grouper.Sorted(s.input) {
 				q.Reduce(g.Key, g.Values, emit)
 			}
-			data := colfmt.EncodePairs(joined)
+			data := colfmt.EncodePairs(s.joined)
 			pc.inBytes += tupleIn
 			pc.outBytes += int64(len(data))
 			pc.outs[i] = tupleOut{inBytes: tupleIn, data: data}
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+	})
+	for _, err := range errs { // the lowest partition's, whichever worker hit it
+		if err != nil {
+			return nil, err
+		}
 	}
 	// Phase 2 (serial, partition order): Eq. 4 scheduling, cache
 	// registration and stats.

@@ -281,11 +281,8 @@ func (p *Packer) flushPane(pane window.PaneID) error {
 
 	if p.plan.PanesPerFile <= 1 || sub > 1 {
 		// Oversize case (or adaptively subdivided): one file per pane
-		// segment, named S#P# — with a sub-pane suffix when split. The
-		// encode buffer is pooled: WriteAt copies, so the scratch is
-		// free for the next flush the moment the write returns.
-		buf := colfmt.GetBuf()
-		defer colfmt.PutBuf(buf)
+		// segment, named S#P# — with a sub-pane suffix when split. Each
+		// exactly-sized encode is handed to WriteAt and becomes the file.
 		for s := 0; s < sub; s++ {
 			recs := bySub[s]
 			if len(recs) == 0 {
@@ -296,8 +293,7 @@ func (p *Packer) flushPane(pane window.PaneID) error {
 			if sub > 1 {
 				path = fmt.Sprintf("%s.%d", path, s)
 			}
-			*buf = colfmt.AppendRecords((*buf)[:0], recs)
-			data := *buf
+			data := colfmt.EncodeRecords(recs)
 			availUnit := p.frame.PaneStart(pane) + (int64(s)+1)*p.frame.Pane/int64(sub)
 			if s == sub-1 {
 				availUnit = p.frame.PaneEnd(pane)
@@ -419,10 +415,12 @@ func (p *Packer) flushGroup() error {
 
 	// Each pane becomes one self-delimiting columnar segment of the
 	// shared body, so PaneSlice yields independently decodable bytes.
-	// The body buffer is pooled: both writes below copy.
-	bodyBuf := colfmt.GetBuf()
-	defer colfmt.PutBuf(bodyBuf)
-	body := (*bodyBuf)[:0]
+	// The body is sized before it is encoded and handed to WriteAt.
+	size := 0
+	for _, pane := range panes {
+		size += colfmt.RecordsSize(p.groupRecs[pane])
+	}
+	body := make([]byte, 0, size)
 	var hdr []HeaderEntry
 	for _, pane := range panes {
 		recs := p.groupRecs[pane]
@@ -431,7 +429,6 @@ func (p *Packer) flushGroup() error {
 		body = colfmt.AppendRecords(body, recs)
 		hdr = append(hdr, HeaderEntry{Pane: int64(pane), Offset: start, Length: int64(len(body)) - start})
 	}
-	*bodyBuf = body
 	// The shared file is complete when its newest pane's data is — its
 	// replication fan-out is stamped at that instant.
 	if err := p.dfs.WriteAt(path, body, p.timeOfUnit(p.frame.PaneEnd(hi))); err != nil {

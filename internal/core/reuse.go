@@ -179,6 +179,7 @@ func (e *Engine) composeReusedPane(p window.PaneID, u int64, trigger simtime.Tim
 	if err != nil {
 		return nil, err
 	}
+	var grouper mapreduce.Grouper // this loop is serial: one scratch for every partition
 	for part, caches := range live {
 		var inBytes int64
 		var recompute simtime.Duration
@@ -200,7 +201,7 @@ func (e *Engine) composeReusedPane(p window.PaneID, u int64, trigger simtime.Tim
 			refs[part] = e.registerReused(routPID, prods[part][0], prods[part][0].node, readyAt, nil, routMeta, "subsume")
 			continue
 		}
-		merged := mapreduce.ReduceGroups(q.Merge, mapreduce.GroupPairs(ins[part]))
+		merged := mapreduce.ReduceGroups(q.Merge, grouper.Group(ins[part]))
 		outData := colfmt.EncodePairs(merged)
 		ct := e.runCacheTask(func() string { return fmt.Sprintf("reuse-merge pane %d p%d", int64(p), part) }, phaseReduce,
 			trigger, caches, e.mr.Cost.MergeTask(inBytes, int64(len(outData))))

@@ -64,9 +64,9 @@ type Block struct {
 	Replicas []int
 }
 
-// file is one stored file. data is a private copy of what its writer
-// passed and is never written again — a later write of the path installs
-// a new file — which is what lets Read hand out views.
+// file is one stored file. data is the buffer its writer handed over and
+// is never written again — a later write of the path installs a new file
+// — which is what lets Read hand out views.
 type file struct {
 	data   []byte
 	blocks []Block
@@ -286,11 +286,12 @@ func (d *DFS) placeReplicas(exclude map[int]bool, want int) []int {
 	return chosen
 }
 
-// Write stores a private copy of data at path, splitting it into blocks
-// and placing replicas. Writing to an existing path replaces it
-// (matching the runtime's "unique output path per recurrence" usage;
-// HDFS itself is write-once, which the higher layers respect by
-// construction).
+// Write stores data at path, splitting it into blocks and placing
+// replicas. It takes ownership of data, as Node.PutLocal does: the buffer
+// becomes the stored file and the caller must not write to it again.
+// Writing to an existing path replaces it (matching the runtime's "unique
+// output path per recurrence" usage; HDFS itself is write-once, which the
+// higher layers respect by construction).
 func (d *DFS) Write(path string, data []byte) error {
 	return d.write(path, data, 0)
 }
@@ -313,7 +314,7 @@ func (d *DFS) write(path string, data []byte, at simtime.Time) error {
 	d.obs.Counter("redoop_dfs_write_bytes_total").Add(float64(len(data)))
 	d.obs.Gauge("redoop_dfs_bytes").Add(float64(int64(len(data)) - replaced))
 	d.acct.AddIO(d.accountFor(path), account.IODFSWrite, int64(len(data)))
-	f := &file{data: append([]byte(nil), data...)}
+	f := &file{data: data}
 	for off := int64(0); off < int64(len(data)); off += d.cfg.BlockSize {
 		size := d.cfg.BlockSize
 		if off+size > int64(len(data)) {
@@ -355,11 +356,11 @@ func replicaUnion(blocks []Block) []int {
 	return out
 }
 
-// WriteAt is Write stamped with the virtual instant the data became
-// available: when a transfer-cost model is installed, the write's
-// replication fan-out (Replication−1 pipelined copies) is recorded as a
-// span on the ReplicationTrack so otherwise-invisible DFS traffic shows
-// up in traces. Virtual timelines are unaffected.
+// WriteAt is Write (data handed over likewise) stamped with the virtual
+// instant the data became available: when a transfer-cost model is
+// installed, the write's replication fan-out (Replication−1 pipelined
+// copies) is recorded as a span on the ReplicationTrack so unseen DFS
+// traffic shows up in traces. Virtual timelines are unaffected.
 func (d *DFS) WriteAt(path string, data []byte, at simtime.Time) error {
 	if err := d.write(path, data, at); err != nil {
 		return err

@@ -105,13 +105,35 @@ func TestReadBlock(t *testing.T) {
 	}
 }
 
-// Write copies in and stored bytes are never written again, so Read
-// hands out a view of them: scribbling on the writer's buffer, rewriting
-// the path or deleting it must leave an earlier view intact.
+// TestWriteTakesOwnership: the buffer handed to Write (and WriteAt) is
+// the stored file — no copy is made on the way in, so the writer's
+// exactly-sized encode is the one array every reader views.
+func TestWriteTakesOwnership(t *testing.T) {
+	d := MustNew(testConfig())
+	for i, write := range []func(string, []byte) error{
+		d.Write,
+		func(path string, data []byte) error { return d.WriteAt(path, data, 5) },
+	} {
+		buf := bytes.Repeat([]byte("0123456789"), 20) // 4 blocks of 64
+		if err := write("/owned", buf); err != nil {
+			t.Fatal(err)
+		}
+		view, err := d.Read("/owned")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &view[0] != &buf[0] || len(view) != len(buf) {
+			t.Errorf("writer %d: the stored file is not the buffer that was handed over", i)
+		}
+	}
+}
+
+// Stored bytes are never written again, so Read hands out a view of
+// them: rewriting the path or deleting it must leave an earlier view
+// intact.
 func TestReadViewSurvivesRewriteAndDelete(t *testing.T) {
 	d := MustNew(testConfig())
-	buf := []byte("first contents")
-	if err := d.Write("/a", buf); err != nil {
+	if err := d.Write("/a", []byte("first contents")); err != nil {
 		t.Fatal(err)
 	}
 	view, err := d.Read("/a")
@@ -121,7 +143,6 @@ func TestReadViewSurvivesRewriteAndDelete(t *testing.T) {
 	if again, _ := d.Read("/a"); &view[0] != &again[0] {
 		t.Error("Read must return a view of the stored bytes, not a copy")
 	}
-	buf[0] = 'X'
 	if err := d.Write("/a", []byte("second")); err != nil {
 		t.Fatal(err)
 	}

@@ -333,7 +333,7 @@ type MapPhasePrep struct {
 }
 
 // staged is one emitted pair and the reduce partition it goes to. Each
-// pool worker appends its emissions to a recycled stage of them until
+// split's emissions are staged, in its share of a recycled array, until
 // the phase's counts are complete.
 type staged struct {
 	records.Pair
@@ -375,17 +375,31 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 	R := job.NumReducers
 	part := job.partitioner()
 	workers := e.WorkerCount()
-	stages := make([]*[]staged, max(workers, 1))
-	from := make([][2]int, len(splits)) // split i's range of its worker's stage
 	counts := make([]int, len(splits)*R)
 	prep.partBytes = make([]int64, len(splits)*R)
 	prep.workers = make([]int, len(splits))
-	parallel.ForWorker(workers, len(splits), func(worker, i int) {
-		if stages[worker] == nil {
-			stages[worker] = stagePool.Get().(*[]staged)
+	// Each split stages into its own share of one array sized, before the
+	// first Map call, for the common mapper: one emission per record. A
+	// split that emits more outgrows its share; a combiner's starts empty.
+	stages := make([][]staged, len(splits))
+	shared, n := stagePool.Get().(*[]staged), 0
+	var groupers []Grouper // one per worker, for the combiner
+	if job.Combine != nil {
+		groupers = make([]Grouper, workers)
+	} else {
+		for _, recs := range bySplit {
+			n += len(recs)
 		}
-		stage := stages[worker]
-		lo := len(*stage)
+		if cap(*shared) < n { // the collector empties the pool: sized exactly, not regrown
+			*shared = make([]staged, n)
+		}
+		rest := (*shared)[:n]
+		for i, recs := range bySplit {
+			stages[i], rest = rest[:0:len(recs)], rest[len(recs):]
+		}
+	}
+	parallel.ForWorker(workers, len(splits), func(worker, i int) {
+		stage := &stages[i]
 		cnt, size := counts[i*R:(i+1)*R], prep.partBytes[i*R:(i+1)*R]
 		var whole [][]records.Pair // a combiner needs each partition whole
 		if job.Combine != nil {
@@ -407,7 +421,7 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 		}
 		for r, ps := range whole {
 			if len(ps) > 1 {
-				ps = ReduceGroups(job.Combine, GroupPairs(ps))
+				ps = ReduceGroups(job.Combine, groupers[worker].Group(ps))
 			}
 			for _, p := range ps { // combined pairs stay in their partition
 				*stage = append(*stage, staged{p, int32(r)})
@@ -415,7 +429,7 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 				size[r] += records.PairSize(p)
 			}
 		}
-		prep.workers[i], from[i] = worker, [2]int{lo, len(*stage)}
+		prep.workers[i] = worker
 	})
 
 	// Lay the output out: partition r's pairs start where partition
@@ -440,18 +454,13 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 	}
 	parallel.For(workers, len(splits), func(i int) {
 		next := counts[i*R : (i+1)*R] // a stable counting-sort pass by partition
-		for _, s := range (*stages[prep.workers[i]])[from[i][0]:from[i][1]] {
+		for _, s := range stages[i] {
 			all[next[s.part]] = s.Pair
 			next[s.part]++
 		}
 	})
-	for _, stage := range stages {
-		if stage != nil {
-			clear(*stage) // a recycled stage must not pin this phase's keys and values
-			*stage = (*stage)[:0]
-			stagePool.Put(stage)
-		}
-	}
+	clear((*shared)[:n]) // a recycled stage must not pin this phase's keys and values
+	stagePool.Put(shared)
 	return prep, nil
 }
 
@@ -738,10 +747,10 @@ type ReducerResult struct {
 // groups and reduces each non-empty partition. ready is the earliest
 // instant reduce tasks may be scheduled (normally the map phase's
 // ready time; slots and shuffle completion push actual starts later).
-// The sort/group/reduce compute fans out across Workers goroutines;
-// placement, shuffle modelling, and slot accounting then replay
-// serially in partition order. Each partition of mp is sorted in place
-// (SortPairs) and becomes its reducer's Input.
+// The sort/group/reduce compute fans out across Workers goroutines, one
+// Grouper each; placement, shuffle modelling, and slot accounting then
+// replay serially in partition order. Each partition of mp is sorted in
+// place (SortPairs order) and becomes its reducer's Input.
 func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time) ([]ReducerResult, Stats, error) {
 	if err := job.Validate(); err != nil {
 		return nil, Stats{}, err
@@ -759,10 +768,11 @@ func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time
 	}
 	results := make([]ReducerResult, len(live))
 	workers := make([]int, len(live)) // pool worker of each compute (observability only)
-	parallel.ForWorker(e.WorkerCount(), len(live), func(worker, i int) {
+	groupers := make([]Grouper, e.WorkerCount())
+	parallel.ForWorker(len(groupers), len(live), func(worker, i int) {
 		rr := &results[i]
 		rr.Part, rr.Input = live[i], mp.Parts[live[i]]
-		rr.Output = ReduceGroups(job.Reduce, GroupPairs(rr.Input))
+		rr.Output = ReduceGroups(job.Reduce, groupers[worker].Group(rr.Input))
 		for _, b := range mp.PartSrcBytes[rr.Part] {
 			rr.InBytes += b
 		}
@@ -957,18 +967,13 @@ func (e *Engine) Run(job *Job, start simtime.Time) (*Result, error) {
 		res.Output = append(res.Output, rr.Output...)
 	}
 	if job.OutputPath != "" {
-		// Pooled columnar encode: DFS.Write copies, freeing the
-		// scratch for the next job's commit.
-		buf := colfmt.GetBuf()
-		*buf = colfmt.AppendPairs((*buf)[:0], res.Output)
-		enc := *buf
-		err := e.DFS.Write(job.OutputPath, enc)
-		// Committing output to DFS costs a write charged to the span.
-		res.Stats.End = res.Stats.End.Add(e.Cost.DiskWrite(int64(len(enc))))
-		colfmt.PutBuf(buf)
-		if err != nil {
+		// The exactly-sized encode becomes the stored file.
+		enc := colfmt.EncodePairs(res.Output)
+		if err := e.DFS.Write(job.OutputPath, enc); err != nil {
 			return nil, err
 		}
+		// Committing output to DFS costs a write charged to the span.
+		res.Stats.End = res.Stats.End.Add(e.Cost.DiskWrite(int64(len(enc))))
 	}
 	return res, nil
 }

@@ -1,0 +1,158 @@
+package mapreduce
+
+import (
+	"bytes"
+	"hash/maphash"
+	"math/bits"
+	"slices"
+
+	"redoop/internal/records"
+)
+
+// Grouper is the scratch of the sort/group stage that precedes every
+// reduce. A reduce partition is mostly equal keys, so instead of
+// comparison-sorting its pairs a Grouper finds each pair's group by
+// hashing the key, orders only the distinct keys, and places every pair
+// at its group's rank. The zero value is ready; a hot loop holds one per
+// pool worker and reuses it across that worker's partitions. Positions
+// are 32-bit: a partition's columnar encoding holds no more pairs either.
+type Grouper struct {
+	seed   maphash.Seed
+	hash   func(key []byte) uint64 // replaces maphash under seed when set: tests force collisions
+	table  []slot                  // open addressing, linear probing, a power of two >= 1.5n slots
+	ints   []uint32                // per pair its group (gid), then per group its count or position (next)
+	keys   []keyed                 // per group its key, in order of first appearance, then sorted
+	vals   [][]byte                // every value, group after group: what the groups' Values view
+	groups []Group
+}
+
+// slot is a table entry: the hash's upper half, tried before the key
+// bytes, and the group's number + 1 (0 is free). keyed is a group's key
+// — the Key slice of the first pair that had it — and its number.
+type slot struct{ tag, gid uint32 }
+type keyed struct {
+	key []byte
+	id  uint32
+}
+
+// Group reorders ps in place into SortPairs order and returns its
+// groups, keys strictly ascending. Every pair of a group leaves with the
+// group's one key slice (identical bytes, fewer arrays for the encoder to
+// read); a group's values are compared only to check, linearly, that they
+// are already in order, and sorted when not. The result depends on key
+// and value bytes alone — not on the hash seed, the table size or an
+// earlier call. The groups view the scratch, valid until the next call.
+func (g *Grouper) Group(ps []records.Pair) []Group {
+	n := len(ps)
+	if n == 0 {
+		return nil
+	}
+	if g.seed == (maphash.Seed{}) {
+		g.seed = maphash.MakeSeed()
+	}
+	size := max(8, 1<<bits.Len(uint(n+n/2-1)))
+	if cap(g.table) < size {
+		g.table = make([]slot, size)
+	}
+	table := g.table[:size]
+	clear(table)
+	if len(g.ints) < 2*n { // with a quarter of headroom: a worker's partitions are about one size
+		g.ints = make([]uint32, 2*(n+n/4))
+	}
+	if g.keys == nil { // room for a pane's few dozen keys without regrowing
+		g.keys, g.groups = make([]keyed, 0, min(n, 64)), make([]Group, 0, min(n, 64))
+	}
+	// A group number is below n, so n entries serve next as well.
+	gid, next, vals, keys := g.ints[:n], g.ints[n:2*n], g.values(n), g.keys[:0]
+
+	// Number the groups and count their pairs.
+	mask := uint64(size - 1)
+	for i := range ps {
+		k := ps[i].Key
+		h := maphash.Bytes(g.seed, k)
+		if g.hash != nil {
+			h = g.hash(k)
+		}
+		tag, j := uint32(h>>32), h&mask
+		for table[j].gid != 0 && (table[j].tag != tag || !bytes.Equal(keys[table[j].gid-1].key, k)) {
+			j = (j + 1) & mask
+		}
+		if table[j].gid == 0 { // the first pair of a new group
+			id := uint32(len(keys))
+			table[j], next[id], keys = slot{tag, id + 1}, 0, append(keys, keyed{k, id})
+		}
+		gid[i] = table[j].gid - 1
+		next[gid[i]]++
+	}
+
+	// Order the distinct keys; counts become each group's first position.
+	slices.SortFunc(keys, func(a, b keyed) int { return bytes.Compare(a.key, b.key) })
+	pos := uint32(0)
+	for _, k := range keys {
+		pos, next[k.id] = pos+next[k.id], pos
+	}
+	// A stable counting pass places the values; each group's end up in
+	// arrival order, which is sorted order for a mapper's constant.
+	for i, id := range gid {
+		vals[next[id]] = ps[i].Value
+		next[id]++
+	}
+	groups := g.groups[:0]
+	lo := uint32(0)
+	for _, k := range keys {
+		hi := next[k.id]
+		vs := vals[lo:hi:hi]
+		if !slices.IsSortedFunc(vs, bytes.Compare) {
+			slices.SortFunc(vs, bytes.Compare)
+		}
+		for j, v := range vs {
+			ps[int(lo)+j] = records.Pair{Key: k.key, Value: v}
+		}
+		groups = append(groups, Group{Key: k.key, Values: vs})
+		lo = hi
+	}
+	g.keys, g.groups = keys, groups
+	return groups
+}
+
+// values is the scratch's values array cut to n, regrown with the same
+// headroom when it is too small.
+func (g *Grouper) values(n int) [][]byte {
+	if cap(g.vals) < n {
+		g.vals = make([][]byte, n+n/4)
+	}
+	return g.vals[:n]
+}
+
+// Sorted is Group for pairs already in key order — a merge of cached,
+// key-sorted runs: one linear pass, no hashing, nothing reordered, values
+// left in the order they came. The groups view the scratch likewise.
+func (g *Grouper) Sorted(ps []records.Pair) []Group {
+	vals, groups := g.values(len(ps)), g.groups[:0]
+	for i := 0; i < len(ps); {
+		j := i
+		for ; j < len(ps) && bytes.Equal(ps[j].Key, ps[i].Key); j++ {
+			vals[j] = ps[j].Value
+		}
+		groups = append(groups, Group{Key: ps[i].Key, Values: vals[i:j:j]})
+		i = j
+	}
+	g.groups = groups
+	return groups
+}
+
+// GroupSorted is Sorted on a scratch of its own, for one-off callers.
+func GroupSorted(pairs []records.Pair) []Group { return new(Grouper).Sorted(pairs) }
+
+// GroupPairs is Group on a scratch of its own, for one-off callers: sized
+// exactly, since no second partition follows.
+func GroupPairs(pairs []records.Pair) []Group {
+	g := Grouper{ints: make([]uint32, 2*len(pairs)), vals: make([][]byte, len(pairs))}
+	return g.Group(pairs)
+}
+
+// SortPairs orders pairs by key then value — a total order up to
+// byte-identical pairs, so the result does not depend on how it is
+// reached: reduce partitions are sorted in it, reduce-input caches stored
+// in it, outputs compared in it. It is Group with the groups dropped.
+func SortPairs(ps []records.Pair) { GroupPairs(ps) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -272,7 +273,7 @@ func TestOverlappingInputsMapEveryRange(t *testing.T) {
 // payloads would add splits; more records per split do not) must leave
 // the allocation count where it was.
 func TestMapPhaseAllocationsFollowSplitsNotRecords(t *testing.T) {
-	allocs := func(recsPerSplit int) (perRun float64, splits int) {
+	allocs := func(recsPerSplit int) (perRun, cold float64, splits int) {
 		cl := cluster.MustNew(cluster.Config{Workers: 3, MapSlots: 2, ReduceSlots: 1})
 		// One block holds any of the files below: one split per file.
 		d := dfs.MustNew(dfs.Config{BlockSize: 1 << 20, Replication: 2, Nodes: rangeInts(3), Seed: 7})
@@ -303,19 +304,35 @@ func TestMapPhaseAllocationsFollowSplitsNotRecords(t *testing.T) {
 			}
 			splits = mp.Stats.MapTasks
 		}
-		run() // grow the pooled stage to this phase's size first
-		return testing.AllocsPerRun(20, run), splits
+		perRun = testing.AllocsPerRun(20, run)
+		// And one phase right after the collector emptied the stage pool.
+		runtime.GC()
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		return perRun, float64(m1.Mallocs - m0.Mallocs), splits
 	}
-	small, splits := allocs(500)
-	large, _ := allocs(1000)
-	t.Logf("allocations per map phase of %d splits: %.0f at 500 records per split, %.0f at 1000", splits, small, large)
+	small, _, splits := allocs(500)
+	large, cold, _ := allocs(1000)
+	t.Logf("allocations per map phase of %d splits: %.0f at 500 records per split, %.0f at 1000, %.0f at 1000 from an empty pool",
+		splits, small, large, cold)
 	if splits != 8 {
 		t.Fatalf("geometry drifted: %d splits, want 8", splits)
 	}
-	// A pooled stage the collector emptied mid-run regrows in a few
-	// allocations; doubling 4 000 records to 8 000 must cost no more.
-	if large > small+16 {
+	// The stage is one array sized from the decoded record count before
+	// the first Map call, recycled or — when the pool dropped it, as it
+	// does at random under -race — allocated once with its header:
+	// doubling 4 000 records to 8 000 makes it larger, never regrown.
+	if large > small+2 {
 		t.Fatalf("map phase allocations grew with records: %.0f for 500 per split, %.0f for 1000", small, large)
+	}
+	// From an empty pool the stage is allocated once, at its size (plus the
+	// pool's header for it and whatever else the collection emptied, fmt's
+	// buffers for one); regrown by doubling, 8 000 entries cost over 20.
+	if cold > large+6 {
+		t.Fatalf("a map phase from an empty stage pool allocates %.0f times, %.0f with a recycled stage: the stage is regrown", cold, large)
 	}
 	if small > 40*float64(splits) {
 		t.Fatalf("map phase allocates %.0f times for %d splits and 5 partitions", small, splits)

@@ -40,7 +40,10 @@ type Emitter func(key, value []byte)
 type MapFunc func(ts int64, payload []byte, emit Emitter)
 
 // ReduceFunc is the user reduce function, invoked once per distinct key
-// with all of that key's values.
+// with all of that key's values. The values container is valid only for
+// the duration of the call, as Hadoop's value iterator is: it views the
+// caller's grouping scratch. The byte slices in it are immutable and
+// outlive the job; a reducer may retain or emit them, never write them.
 type ReduceFunc func(key []byte, values [][]byte, emit Emitter)
 
 // Partitioner assigns a key to one of r reduce partitions.
@@ -230,43 +233,11 @@ func (s *Stats) Accumulate(o Stats) {
 	s.BytesOutput += o.BytesOutput
 }
 
-// Group is one reduce invocation's input: a key and its values.
+// Group is one reduce invocation's input: a key and its values, a view of
+// its producer's array (a Grouper's scratch) under ReduceFunc's rule.
 type Group struct {
 	Key    []byte
 	Values [][]byte
-}
-
-// GroupPairs sorts pairs (SortPairs, in place) and groups equal keys,
-// the sort/group stage preceding the reduce function.
-func GroupPairs(pairs []records.Pair) []Group {
-	SortPairs(pairs)
-	return GroupSorted(pairs)
-}
-
-// GroupSorted groups key-sorted pairs without sorting: the groups are
-// counted first, so the group slice and the one values array every
-// group's Values is a capacity-limited view of are each allocated once.
-func GroupSorted(pairs []records.Pair) []Group {
-	if len(pairs) == 0 {
-		return nil
-	}
-	n := 1
-	for i := 1; i < len(pairs); i++ {
-		if !bytes.Equal(pairs[i].Key, pairs[i-1].Key) {
-			n++
-		}
-	}
-	groups := make([]Group, 0, n)
-	vals := make([][]byte, len(pairs))
-	for i := 0; i < len(pairs); {
-		j := i
-		for ; j < len(pairs) && bytes.Equal(pairs[j].Key, pairs[i].Key); j++ {
-			vals[j] = pairs[j].Value
-		}
-		groups = append(groups, Group{Key: pairs[i].Key, Values: vals[i:j:j]})
-		i = j
-	}
-	return groups
 }
 
 // MergeSortedRuns merges key-sorted runs into dst (append-style) by an
@@ -313,17 +284,4 @@ func ReduceGroups(fn ReduceFunc, groups []Group) []records.Pair {
 		fn(g.Key, g.Values, emit)
 	}
 	return out
-}
-
-// SortPairs orders pairs by key then value — a total order up to
-// byte-identical pairs, so the result does not depend on the sort
-// algorithm: reduce partitions are sorted in it, reduce-input caches
-// stored in it, and tests and experiments compare outputs in it.
-func SortPairs(ps []records.Pair) {
-	slices.SortFunc(ps, func(a, b records.Pair) int {
-		if c := bytes.Compare(a.Key, b.Key); c != 0 {
-			return c
-		}
-		return bytes.Compare(a.Value, b.Value)
-	})
 }

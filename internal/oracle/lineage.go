@@ -188,9 +188,8 @@ func (o *Oracle) recomputePane(src int, recs []records.Record, kind string, part
 	// columnar encoder the engine's cache registration uses — the SHA
 	// comparison is only meaningful when both sides share the framing.
 	if kind == "pane-rin" {
-		mapreduce.SortPairs(pairs)
+		sortPairs(pairs)
 		return colfmt.EncodePairs(pairs)
 	}
-	out := mapreduce.ReduceGroups(o.q.Reduce, mapreduce.GroupPairs(pairs))
-	return colfmt.EncodePairs(out)
+	return colfmt.EncodePairs(reduceSorted(o.q.Reduce, pairs))
 }

@@ -36,7 +36,9 @@ package oracle
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"redoop/internal/core"
@@ -191,8 +193,32 @@ func (o *Oracle) Check(res *core.RecurrenceResult) Verdict {
 // permutations of the same multiset iff results agree).
 func canonical(pairs []records.Pair) []records.Pair {
 	cp := append([]records.Pair(nil), pairs...)
-	mapreduce.SortPairs(cp)
+	sortPairs(cp)
 	return cp
+}
+
+// sortPairs and reduceSorted are the oracle's own sort/group stage: a
+// library sort by (key, value) and a linear scan, deliberately naive, so a
+// defect in mapreduce's grouping — two keys merged on a collision, a value
+// dropped in placement — cannot agree with itself here.
+func sortPairs(ps []records.Pair) {
+	slices.SortFunc(ps, func(a, b records.Pair) int {
+		return cmp.Or(bytes.Compare(a.Key, b.Key), bytes.Compare(a.Value, b.Value))
+	})
+}
+
+// reduceSorted sorts ps in place and applies fn to each run of one key.
+func reduceSorted(fn mapreduce.ReduceFunc, ps []records.Pair) (out []records.Pair) {
+	sortPairs(ps)
+	for i := 0; i < len(ps); {
+		var values [][]byte
+		key := ps[i].Key
+		for ; i < len(ps) && bytes.Equal(ps[i].Key, key); i++ {
+			values = append(values, ps[i].Value)
+		}
+		fn(key, values, func(k, v []byte) { out = append(out, records.Pair{Key: k, Value: v}) })
+	}
+	return out
 }
 
 func firstDiff(eng, oc []records.Pair) *Diff {
@@ -253,7 +279,7 @@ func (o *Oracle) recompute(r int) []records.Pair {
 	}
 	var out []records.Pair
 	for p := 0; p < nR; p++ {
-		out = append(out, mapreduce.ReduceGroups(reduceFn, mapreduce.GroupPairs(buckets[p]))...)
+		out = append(out, reduceSorted(reduceFn, buckets[p])...)
 	}
 	return out
 }

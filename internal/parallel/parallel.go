@@ -23,42 +23,15 @@ import (
 // plain serial loop on the calling goroutine, so a Workers=1 engine
 // never spawns a goroutine. For returns when every fn has returned.
 func For(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	ForWorker(workers, n, func(_, i int) { fn(i) })
 }
 
 // ForWorker is For with the executing worker's index passed to the
 // body (0 in serial mode, [0, workers) otherwise). Engines use it to
-// attribute prepared work to pool workers in profiles; which worker
-// handles which index is nondeterministic in parallel mode, so the
-// attribution is observability-only and must never feed back into
-// results or virtual time.
+// give each worker a scratch of its own and to attribute prepared work
+// to pool workers in profiles; which worker handles which index is
+// nondeterministic in parallel mode, so the index must never feed back
+// into results or virtual time.
 func ForWorker(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return

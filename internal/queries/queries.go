@@ -31,10 +31,27 @@ import (
 func SumCounts(key []byte, values [][]byte, emit mapreduce.Emitter) {
 	total := int64(0)
 	for _, v := range values {
-		n, _ := strconv.ParseInt(string(v), 10, 64)
-		total += n
+		total += parseCount(v)
 	}
-	emit(key, []byte(strconv.FormatInt(total, 10)))
+	var buf [20]byte // formatted on the stack, emitted exactly sized
+	b := strconv.AppendInt(buf[:0], total, 10)
+	emit(key, append(make([]byte, 0, len(b)), b...))
+}
+
+// parseCount is strconv.ParseInt(string(v), 10, 64) with its error
+// dropped, reading plain ASCII digits straight from the bytes. A sign, a
+// non-digit or more than the 18 digits that always fit go to ParseInt
+// itself, so every result is the one it gives (0 for an empty value).
+func parseCount(v []byte) int64 {
+	n := int64(0)
+	for _, c := range v {
+		if c < '0' || c > '9' || len(v) > 18 {
+			n, _ = strconv.ParseInt(string(v), 10, 64)
+			return n
+		}
+		n = n*10 + int64(c-'0')
+	}
+	return n
 }
 
 // field extracts the i-th comma-separated field of a payload without

@@ -2,6 +2,7 @@ package queries
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +22,53 @@ func TestSumCounts(t *testing.T) {
 	SumCounts([]byte("k"), [][]byte{[]byte("3"), []byte("4"), []byte("10")}, emitInto(&out))
 	if len(out) != 1 || string(out[0].Value) != "17" {
 		t.Errorf("SumCounts = %v", out)
+	}
+}
+
+// sumCountsByParseInt is SumCounts as it was before it read digits from
+// the bytes: the reference every value, well-formed or not, must match.
+func sumCountsByParseInt(key []byte, values [][]byte, emit mapreduce.Emitter) {
+	total := int64(0)
+	for _, v := range values {
+		n, _ := strconv.ParseInt(string(v), 10, 64)
+		total += n
+	}
+	emit(key, []byte(strconv.FormatInt(total, 10)))
+}
+
+func TestSumCountsMatchesParseInt(t *testing.T) {
+	cases := [][]string{
+		{"0"}, {"1"}, {"007"}, {"9", "99", "999"}, {"1", "1", "1", "1"},
+		{"-5"}, {"+5"}, {"-0"}, {"-5", "12"}, {"+", "-", ""},
+		{"12a", "3"}, {"a12", "3"}, {" 1", "1 "}, {"1_000", "3"}, {"0x10", "3"}, {"१२", "3"}, {"1.5", "2"},
+		{"999999999999999999"},                      // 18 digits: the longest the fast path takes
+		{"1000000000000000000"},                     // 19 digits, fits
+		{"9223372036854775807"},                     // MaxInt64
+		{"9223372036854775808", "-3"},               // overflows: ParseInt clamps to MaxInt64
+		{"-9223372036854775808"},                    // MinInt64
+		{"-9223372036854775809", "3"},               // clamps to MinInt64
+		{"99999999999999999999999"},                 // far past the range
+		{"9223372036854775807", "1"},                // the sum wraps, as it did
+		{"000000000000000000000000000000000000012"}, // long, small
+		{},
+	}
+	for _, c := range cases {
+		values := make([][]byte, len(c))
+		for i, v := range c {
+			values[i] = []byte(v)
+		}
+		var got, want []records.Pair
+		SumCounts([]byte("k"), values, emitInto(&got))
+		sumCountsByParseInt([]byte("k"), values, emitInto(&want))
+		if len(got) != 1 || string(got[0].Key) != "k" || string(got[0].Value) != string(want[0].Value) {
+			t.Errorf("SumCounts(%q) = %v, ParseInt gives %q", c, got, want[0].Value)
+		}
+		if cap(got[0].Value) != len(got[0].Value) {
+			t.Errorf("SumCounts(%q) emitted %d bytes in a buffer of %d", c, len(got[0].Value), cap(got[0].Value))
+		}
+	}
+	if parseCount(nil) != 0 {
+		t.Error("a nil value counts as zero")
 	}
 }
 

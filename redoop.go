@@ -76,7 +76,9 @@ type Emitter func(key, value []byte)
 type MapFunc func(ts int64, payload []byte, emit Emitter)
 
 // ReduceFunc is a user reduce function, invoked once per distinct key
-// with all of that key's values.
+// with all of that key's values. The values slice itself is valid only
+// for the duration of the call, like Hadoop's value iterator; the byte
+// slices in it (and key) are immutable and stay valid to retain or emit.
 type ReduceFunc func(key []byte, values [][]byte, emit Emitter)
 
 // Partitioner assigns a key to one of n reduce partitions. It must be

@@ -79,8 +79,8 @@ func (s *Signature) allDone() bool {
 type Controller struct {
 	mu         sync.Mutex
 	queries    []string
-	groups     map[string][]int      // cache-sharing groups: scope -> query indices
-	sigs       map[string]*Signature // keyed by pid|type
+	groups     map[string][]int // cache-sharing groups: scope -> query indices
+	sigs       map[entryKey]*Signature
 	registries map[int]*Registry
 
 	// obs counts signature registrations, purge notifications, ready
@@ -108,7 +108,7 @@ type Controller struct {
 func NewController() *Controller {
 	return &Controller{
 		groups:     make(map[string][]int),
-		sigs:       make(map[string]*Signature),
+		sigs:       make(map[entryKey]*Signature),
 		registries: make(map[int]*Registry),
 	}
 }
@@ -221,14 +221,14 @@ func (c *Controller) Queries() []string {
 func (c *Controller) Register(pid string, typ CacheType, nid int, ready Ready, readyAt simtime.Time, bytes int64, usedBy []int) *Signature {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.sigs[entryKey(pid, typ)]
+	s, ok := c.sigs[entryKey{pid, typ}]
 	if !ok {
 		mask := make([]bool, len(c.queries))
 		for i := range mask {
 			mask[i] = true
 		}
 		s = &Signature{PID: pid, Type: typ, doneQueryMask: mask}
-		c.sigs[entryKey(pid, typ)] = s
+		c.sigs[entryKey{pid, typ}] = s
 	}
 	if c.onTransition != nil {
 		from := NotAvailable
@@ -257,7 +257,7 @@ func (c *Controller) Register(pid string, typ CacheType, nid int, ready Ready, r
 func (c *Controller) ClaimUser(pid string, typ CacheType, q int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.sigs[entryKey(pid, typ)]
+	s, ok := c.sigs[entryKey{pid, typ}]
 	if !ok {
 		return false
 	}
@@ -271,7 +271,7 @@ func (c *Controller) ClaimUser(pid string, typ CacheType, q int) bool {
 func (c *Controller) Lookup(pid string, typ CacheType) (*Signature, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.sigs[entryKey(pid, typ)]
+	s, ok := c.sigs[entryKey{pid, typ}]
 	return s, ok
 }
 
@@ -297,7 +297,7 @@ func (c *Controller) Signatures() []*Signature {
 func (c *Controller) SetReady(pid string, typ CacheType, ready Ready, at simtime.Time, nid int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s, ok := c.sigs[entryKey(pid, typ)]; ok {
+	if s, ok := c.sigs[entryKey{pid, typ}]; ok {
 		if c.onTransition != nil {
 			c.onTransition(pid, typ, s.Ready, ready)
 		}
@@ -329,7 +329,7 @@ func (c *Controller) SetReady(pid string, typ CacheType, ready Ready, at simtime
 func (c *Controller) MarkQueryDone(pid string, typ CacheType, q int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.sigs[entryKey(pid, typ)]
+	s, ok := c.sigs[entryKey{pid, typ}]
 	if !ok {
 		return false
 	}
@@ -348,7 +348,7 @@ func (c *Controller) MarkQueryDone(pid string, typ CacheType, q int) bool {
 	for _, reg := range c.registries {
 		reg.MarkExpired(pid, typ)
 	}
-	delete(c.sigs, entryKey(pid, typ))
+	delete(c.sigs, entryKey{pid, typ})
 	if c.onPurge != nil {
 		c.onPurge(pid, typ)
 	}
@@ -369,11 +369,11 @@ func (c *Controller) MarkQueryDone(pid string, typ CacheType, q int) bool {
 func (c *Controller) Drop(pid string, typ CacheType) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.sigs[entryKey(pid, typ)]; ok {
+	if _, ok := c.sigs[entryKey{pid, typ}]; ok {
 		c.obs.Counter("redoop_cache_drops_total", obs.L("type", typ.String())).Inc()
 		if c.onPurge != nil {
 			c.onPurge(pid, typ)
 		}
 	}
-	delete(c.sigs, entryKey(pid, typ))
+	delete(c.sigs, entryKey{pid, typ})
 }

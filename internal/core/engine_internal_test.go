@@ -154,3 +154,77 @@ func TestCachePIDNamespaces(t *testing.T) {
 		t.Error("pair PIDs must be order-sensitive")
 	}
 }
+
+// The PID builders append to a stack buffer; the formats they replaced
+// are kept here as the reference. PIDs are compared as strings by the
+// oracle, the lineage store and every golden, so the bytes must not move.
+func TestPIDsMatchTheirFormatStrings(t *testing.T) {
+	oldKey := func(t paneTuple) string {
+		parts := make([]string, len(t))
+		for i, p := range t {
+			parts[i] = fmt.Sprintf("%d", int64(p))
+		}
+		return strings.Join(parts, "_")
+	}
+	panes := []window.PaneID{0, 9, 10, 255, 256, 1 << 40}
+	names := []string{"agg", strings.Repeat("a-long-query-name/", 12)} // the second outgrows pidBuf
+	for _, name := range names {
+		for _, cacheKey := range []string{"", "clicks"} {
+			q := &Query{Name: name, Sources: []Source{{Name: "S1"}, {Name: "events", CacheKey: cacheKey}}}
+			for src := range q.Sources {
+				scope := "query/" + name
+				if k := q.Sources[src].CacheKey; k != "" {
+					scope = "shared/" + k
+				}
+				if got := q.rinScope(src); got != scope {
+					t.Fatalf("rinScope(%d) = %q, want %q", src, got, scope)
+				}
+				for _, unit := range []int64{1, 360e9} {
+					wantPrefix := fmt.Sprintf("%s/%s/u%d/P", scope, q.Sources[src].Name, unit)
+					if got := q.rinPrefix(src, unit); got != wantPrefix {
+						t.Fatalf("rinPrefix = %q, want %q", got, wantPrefix)
+					}
+					for _, p := range panes {
+						for part := 0; part < 20; part++ {
+							want := fmt.Sprintf("%s/%s/u%d/P%d/r%d", scope, q.Sources[src].Name, unit, int64(p), part)
+							if got := q.ReduceInputPID(src, unit, p, part); got != want {
+								t.Fatalf("ReduceInputPID = %q, want %q", got, want)
+							}
+						}
+					}
+				}
+			}
+			for _, p := range panes {
+				for part := 0; part < 20; part++ {
+					want := fmt.Sprintf("query/%s/P%d/r%d", name, int64(p), part)
+					if got := q.ReduceOutputPanePID(p, part); got != want {
+						t.Fatalf("ReduceOutputPanePID = %q, want %q", got, want)
+					}
+					for arity := 1; arity <= 3; arity++ {
+						for _, p2 := range panes {
+							tuple := paneTuple{p, p2, 1 << 40}[:arity]
+							want := fmt.Sprintf("query/%s/P%s/r%d", name, oldKey(tuple), part)
+							if got := q.ReduceOutputTuplePID(tuple, part); got != want {
+								t.Fatalf("ReduceOutputTuplePID(%v) = %q, want %q", tuple, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// One allocation per PID: the string itself.
+	q := &Query{Name: "join", Sources: []Source{{Name: "S1"}, {Name: "S2", CacheKey: "clicks"}}}
+	var sink string
+	for name, build := range map[string]func(){
+		"rinPID private": func() { sink = q.rinPID(0, 360e9, 1<<40, 19) },
+		"rinPID shared":  func() { sink = q.rinPID(1, 360e9, 1<<40, 19) },
+		"routPanePID":    func() { sink = q.routPanePID(1<<40, 19) },
+		"routTuplePID":   func() { sink = q.routTuplePID(paneTuple{1 << 40, 255, 9}, 19) },
+	} {
+		if n := testing.AllocsPerRun(100, build); n != 1 {
+			t.Errorf("%s: %v allocations, want 1 (%q)", name, n, sink)
+		}
+	}
+}

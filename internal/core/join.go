@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"strings"
 
 	"redoop/internal/colfmt"
 	"redoop/internal/mapreduce"
@@ -25,17 +24,6 @@ import (
 
 // paneTuple is one coordinate of the n-dimensional pane space.
 type paneTuple []window.PaneID
-
-// key is the identifier form of a tuple, for PIDs and event strings;
-// code that indexes per-tuple state uses the tuple's ordinal in
-// forEachTupleRanges order instead.
-func (t paneTuple) key() string {
-	parts := make([]string, len(t))
-	for i, p := range t {
-		parts[i] = fmt.Sprintf("%d", int64(p))
-	}
-	return strings.Join(parts, "_")
-}
 
 // runJoin executes recurrence r of a multi-source query.
 func (e *Engine) runJoin(r int, trigger simtime.Time) (*RecurrenceResult, error) {
@@ -153,10 +141,11 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 	all := !e.noReuse
 	anyKnown := false
 	for part := 0; all && part < R; part++ {
-		if _, known := e.ctrl.Lookup(q.rinPID(src, e.frames[src].Pane, p, part), ReduceInput); known {
+		pid := q.rinPID(src, e.frames[src].Pane, p, part)
+		if _, known := e.ctrl.Lookup(pid, ReduceInput); known {
 			anyKnown = true
 		}
-		ref, ok := e.lookupCache(q.rinPID(src, e.frames[src].Pane, p, part), ReduceInput)
+		ref, ok := e.lookupCache(pid, ReduceInput)
 		if !ok {
 			all = false
 			break

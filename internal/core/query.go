@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"redoop/internal/mapreduce"
 	"redoop/internal/window"
@@ -142,38 +143,74 @@ func (q *Query) partitioner() mapreduce.Partitioner {
 	return mapreduce.DefaultPartitioner
 }
 
-// rinScope returns the namespace prefix of a source's reduce-input
-// caches: the shared CacheKey when sharing is opted into, otherwise a
-// query-private scope.
-func (q *Query) rinScope(src int) string {
+// pidBuf is the stack space a cache identifier (PID) is appended into,
+// so that building one allocates only the returned string; a longer PID
+// spills to the heap.
+type pidBuf [128]byte
+
+// pidString ends a PID with its partition, "/r<part>".
+func pidString(b []byte, part int) string {
+	return string(strconv.AppendInt(append(b, "/r"...), int64(part), 10))
+}
+
+// appendRinScope appends the namespace prefix of a source's
+// reduce-input caches: the shared CacheKey when sharing is opted into,
+// otherwise a query-private scope.
+func (q *Query) appendRinScope(b []byte, src int) []byte {
 	if k := q.Sources[src].CacheKey; k != "" {
-		return "shared/" + k
+		return append(append(b, "shared/"...), k...)
 	}
-	return "query/" + q.Name
+	return append(append(b, "query/"...), q.Name...)
+}
+
+// rinScope is appendRinScope as a string: the name of the source's
+// cache-sharing group in the controller.
+func (q *Query) rinScope(src int) string {
+	var buf pidBuf
+	return string(q.appendRinScope(buf[:0], src))
+}
+
+// appendRinPrefix appends "<scope>/<source>/u<unit>/P", the prefix
+// shared by every rinPID of one source at one pane unit.
+func (q *Query) appendRinPrefix(b []byte, src int, unit int64) []byte {
+	b = append(append(q.appendRinScope(b, src), '/'), q.Sources[src].Name...)
+	return append(strconv.AppendInt(append(b, "/u"...), unit, 10), "/P"...)
 }
 
 // rinPID identifies a reduce-input cache: one source pane's shuffled
-// partition. The effective pane unit is embedded so sources shared
-// between queries with different window constraints never collide.
+// partition, "<scope>/<source>/u<unit>/P<pane>/r<part>". The effective
+// pane unit is embedded so sources shared between queries with
+// different window constraints never collide.
 func (q *Query) rinPID(src int, unit int64, pane window.PaneID, part int) string {
-	return fmt.Sprintf("%s/%s/u%d/P%d/r%d",
-		q.rinScope(src), q.Sources[src].Name, unit, int64(pane), part)
+	var buf pidBuf
+	return pidString(strconv.AppendInt(q.appendRinPrefix(buf[:0], src, unit), int64(pane), 10), part)
 }
 
-// rinPrefix is the prefix shared by every rinPID of one source at one
-// pane unit — how a registry row is recognized as that source's.
+// rinPrefix is how a registry row is recognized as one source's at one
+// pane unit.
 func (q *Query) rinPrefix(src int, unit int64) string {
-	return fmt.Sprintf("%s/%s/u%d/P", q.rinScope(src), q.Sources[src].Name, unit)
+	var buf pidBuf
+	return string(q.appendRinPrefix(buf[:0], src, unit))
 }
 
-// routPanePID identifies an aggregation pane's reduce-output cache.
+// routPanePID identifies an aggregation pane's reduce-output cache,
+// "query/<name>/P<pane>/r<part>".
 func (q *Query) routPanePID(pane window.PaneID, part int) string {
-	return fmt.Sprintf("query/%s/P%d/r%d", q.Name, int64(pane), part)
+	return q.routTuplePID(paneTuple{pane}, part)
 }
 
-// routTuplePID identifies a join pane-tuple's reduce-output cache.
+// routTuplePID identifies a join pane-tuple's reduce-output cache,
+// "query/<name>/P<p1>_<p2>.../r<part>".
 func (q *Query) routTuplePID(t paneTuple, part int) string {
-	return fmt.Sprintf("query/%s/P%s/r%d", q.Name, t.key(), part)
+	var buf pidBuf
+	b := append(append(append(buf[:0], "query/"...), q.Name...), "/P"...)
+	for i, p := range t {
+		if i > 0 {
+			b = append(b, '_')
+		}
+		b = strconv.AppendInt(b, int64(p), 10)
+	}
+	return pidString(b, part)
 }
 
 // routPairPID is the binary-join special case of routTuplePID.

@@ -57,16 +57,19 @@ type RegistryEntry struct {
 type Registry struct {
 	mu      sync.Mutex
 	node    *cluster.Node
-	entries map[string]*RegistryEntry // keyed by pid|type
+	entries map[entryKey]*RegistryEntry
 }
 
 // NewRegistry builds the registry for one node.
 func NewRegistry(node *cluster.Node) *Registry {
-	return &Registry{node: node, entries: make(map[string]*RegistryEntry)}
+	return &Registry{node: node, entries: make(map[entryKey]*RegistryEntry)}
 }
 
-func entryKey(pid string, typ CacheType) string {
-	return fmt.Sprintf("%s|%d", pid, int(typ))
+// entryKey is a cache's identity, on a node (Registry.entries) and on
+// the master (Controller.sigs): its PID and its stage, compared by value.
+type entryKey struct {
+	pid string
+	typ CacheType
 }
 
 // NodeID returns the owning node's ID.
@@ -79,7 +82,7 @@ func (r *Registry) NodeID() int { return r.node.ID }
 func (r *Registry) Add(pid string, typ CacheType, data []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.entries[entryKey(pid, typ)] = &RegistryEntry{PID: pid, Type: typ}
+	r.entries[entryKey{pid, typ}] = &RegistryEntry{PID: pid, Type: typ}
 	r.node.PutLocal(localKey(pid, typ), data)
 }
 
@@ -112,7 +115,7 @@ func (r *Registry) Size(pid string, typ CacheType) int64 {
 func (r *Registry) MarkExpired(pid string, typ CacheType) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.entries[entryKey(pid, typ)]; ok {
+	if e, ok := r.entries[entryKey{pid, typ}]; ok {
 		e.Expired = true
 	}
 }
@@ -163,7 +166,7 @@ func (r *Registry) Evict(pid string, typ CacheType) int64 {
 	defer r.mu.Unlock()
 	sz := r.node.LocalSize(localKey(pid, typ))
 	r.node.DeleteLocal(localKey(pid, typ))
-	delete(r.entries, entryKey(pid, typ))
+	delete(r.entries, entryKey{pid, typ})
 	if sz < 0 {
 		return 0
 	}

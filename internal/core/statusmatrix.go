@@ -117,8 +117,9 @@ func (m *StatusMatrix) index(coords []window.PaneID) int {
 	return idx
 }
 
-// ensure grows tracked ranges (at the high end only) to cover coords.
-func (m *StatusMatrix) ensure(coords []window.PaneID) {
+// ensure grows tracked ranges (at the high end only) to cover coords; a
+// coordinate below a shifted base is an error and changes nothing.
+func (m *StatusMatrix) ensure(coords []window.PaneID) error {
 	grow := false
 	newN := make([]int, m.dims)
 	for d := 0; d < m.dims; d++ {
@@ -128,12 +129,12 @@ func (m *StatusMatrix) ensure(coords []window.PaneID) {
 			grow = true
 		}
 		if coords[d] < m.base[d] {
-			panic(fmt.Sprintf("core: status matrix coordinate %d below shifted base %d in dim %d",
-				coords[d], m.base[d], d))
+			return fmt.Errorf("core: status matrix coordinate %d below shifted base %d in dim %d",
+				coords[d], m.base[d], d)
 		}
 	}
 	if !grow {
-		return
+		return nil
 	}
 	size := 1
 	for d := 0; d < m.dims; d++ {
@@ -150,6 +151,7 @@ func (m *StatusMatrix) ensure(coords []window.PaneID) {
 	})
 	m.n = newN
 	m.done = fresh
+	return nil
 }
 
 // each walks every tracked coordinate with its flat index.
@@ -178,7 +180,9 @@ func (m *StatusMatrix) Update(coords ...window.PaneID) error {
 	if len(coords) != m.dims {
 		return fmt.Errorf("core: status matrix update with %d coords, want %d", len(coords), m.dims)
 	}
-	m.ensure(coords)
+	if err := m.ensure(coords); err != nil {
+		return err
+	}
 	m.done[m.index(coords)] = true
 	m.obs.Counter("redoop_statusmatrix_updates_total", obs.L("query", m.obsQuery)).Inc()
 	return nil

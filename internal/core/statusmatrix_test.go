@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -143,6 +144,32 @@ func TestShiftPaperFigure4(t *testing.T) {
 	}
 	if done, _ := m.Done(5, 6); done {
 		t.Error("pending entry appeared done after shift")
+	}
+}
+
+// An update below a shifted base (a late task completion for a retired
+// pane) is refused with an error, in either dimension, and leaves the
+// matrix as it was: the caller degrades, the process does not die.
+func TestUpdateBelowShiftedBaseIsAnError(t *testing.T) {
+	m, _ := NewStatusMatrix(2, fig4Spec())
+	for p1 := window.PaneID(0); p1 <= 4; p1++ {
+		for p2 := window.PaneID(0); p2 <= 4; p2++ {
+			m.Update(p1, p2)
+		}
+	}
+	m.Shift(2) // retires panes 0..3 of both dimensions
+	before := m.String()
+	for _, c := range [][2]window.PaneID{{3, 4}, {4, 3}, {0, 0}, {3, 9}} {
+		err := m.Update(c[0], c[1])
+		if err == nil || !strings.Contains(err.Error(), "below shifted base") {
+			t.Errorf("Update(%d,%d) below base 4: err = %v, want a below-shifted-base error", c[0], c[1], err)
+		}
+	}
+	if after := m.String(); after != before {
+		t.Errorf("refused updates changed the matrix:\n%s\nwas:\n%s", after, before)
+	}
+	if err := m.Update(4, 6); err != nil {
+		t.Errorf("in-range update after refused ones: %v", err)
 	}
 }
 

@@ -20,6 +20,7 @@ package obs
 
 import (
 	"fmt"
+	"strconv"
 
 	"redoop/internal/obs/eventlog"
 	"redoop/internal/simtime"
@@ -33,21 +34,25 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// labelString serializes labels in Prometheus form, e.g.
-// `{locality="local",source="S1"}`; empty input yields "".
-func labelString(labels []Label) string {
+// appendLabels appends labels in Prometheus form, e.g.
+// `{locality="local",source="S1"}`; empty input appends nothing.
+func appendLabels(b []byte, labels []Label) []byte {
 	if len(labels) == 0 {
-		return ""
+		return b
 	}
-	s := "{"
 	for i, l := range labels {
-		if i > 0 {
-			s += ","
+		sep := byte(',')
+		if i == 0 {
+			sep = '{'
 		}
-		s += fmt.Sprintf("%s=%q", l.Key, l.Value)
+		b = append(append(append(b, sep), l.Key...), '=')
+		b = strconv.AppendQuote(b, l.Value)
 	}
-	return s + "}"
+	return append(b, '}')
 }
+
+// labelString is appendLabels as a string.
+func labelString(labels []Label) string { return string(appendLabels(nil, labels)) }
 
 // NodeTrack names the trace track of one cluster node's task slots.
 func NodeTrack(id int) string { return fmt.Sprintf("node:%d", id) }

@@ -27,9 +27,16 @@ func NewRegistry() *Registry {
 	}
 }
 
-// seriesKey is the map key of one (name, labels) series.
+// appendSeries appends the map key of one (name, labels) series. A
+// lookup builds it on the stack and indexes with m[string(key)], which
+// does not allocate; only a series' first use makes the string.
+func appendSeries(b []byte, name string, labels []Label) []byte {
+	return appendLabels(append(b, name...), labels)
+}
+
+// seriesKey is appendSeries as a string.
 func seriesKey(name string, labels []Label) string {
-	return name + labelString(labels)
+	return string(appendSeries(nil, name, labels))
 }
 
 // Counter returns the counter for (name, labels), creating it on first
@@ -38,18 +45,19 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	key := seriesKey(name, labels)
+	var buf [128]byte
+	key := appendSeries(buf[:0], name, labels)
 	r.mu.RLock()
-	c := r.counters[key]
+	c := r.counters[string(key)]
 	r.mu.RUnlock()
 	if c != nil {
 		return c
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c = r.counters[key]; c == nil {
+	if c = r.counters[string(key)]; c == nil {
 		c = &Counter{name: name, labels: append([]Label(nil), labels...)}
-		r.counters[key] = c
+		r.counters[string(key)] = c
 	}
 	return c
 }
@@ -60,18 +68,19 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	key := seriesKey(name, labels)
+	var buf [128]byte
+	key := appendSeries(buf[:0], name, labels)
 	r.mu.RLock()
-	g := r.gauges[key]
+	g := r.gauges[string(key)]
 	r.mu.RUnlock()
 	if g != nil {
 		return g
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g = r.gauges[key]; g == nil {
+	if g = r.gauges[string(key)]; g == nil {
 		g = &Gauge{name: name, labels: append([]Label(nil), labels...)}
-		r.gauges[key] = g
+		r.gauges[string(key)] = g
 	}
 	return g
 }
@@ -90,21 +99,22 @@ func (r *Registry) HistogramBuckets(name string, bounds []float64, labels ...Lab
 	if r == nil {
 		return nil
 	}
-	key := seriesKey(name, labels)
+	var buf [128]byte
+	key := appendSeries(buf[:0], name, labels)
 	r.mu.RLock()
-	h := r.hists[key]
+	h := r.hists[string(key)]
 	r.mu.RUnlock()
 	if h != nil {
 		return h
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.hists[key]; h == nil {
+	if h = r.hists[string(key)]; h == nil {
 		if bounds == nil {
 			bounds = DefBuckets
 		}
 		h = newHistogram(name, labels, bounds)
-		r.hists[key] = h
+		r.hists[string(key)] = h
 	}
 	return h
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -119,5 +120,39 @@ func TestGaugeSet(t *testing.T) {
 	g.Add(-1)
 	if got := g.Value(); got != 1 {
 		t.Errorf("gauge = %v, want 1", got)
+	}
+}
+
+// A series' key is built on the stack and looked up with m[string(key)]:
+// resolving a registered instrument allocates nothing, whatever its kind,
+// and the key is byte for byte what fmt's %q built (the exported name).
+func TestSeriesLookupDoesNotAllocate(t *testing.T) {
+	r := NewRegistry()
+	values := []string{"hit", `quo"te\`, "new\nline", "ünï", ""}
+	for _, v := range values {
+		labels := []Label{L("type", "reduce-output"), L("result", v)}
+		want := "redoop_cache_lookups_total" + fmt.Sprintf("{%s=%q,%s=%q}", "type", "reduce-output", "result", v)
+		if got := r.Counter("redoop_cache_lookups_total", labels...).Series(); got != want {
+			t.Errorf("series = %s, want %s", got, want)
+		}
+	}
+	if got := r.Counter("plain").Series(); got != "plain" {
+		t.Errorf("unlabeled series = %q", got)
+	}
+	r.Gauge("redoop_cache_bytes", L("node", "3"), L("type", "reduce-input"))
+	r.Histogram("redoop_task_seconds", L("phase", "map"), L("query", "q1"))
+	for name, lookup := range map[string]func(){
+		"counter": func() {
+			r.Counter("redoop_cache_lookups_total", L("type", "reduce-output"), L("result", "hit")).Inc()
+		},
+		"gauge":     func() { r.Gauge("redoop_cache_bytes", L("node", "3"), L("type", "reduce-input")).Set(1) },
+		"histogram": func() { r.Histogram("redoop_task_seconds", L("phase", "map"), L("query", "q1")).Observe(1) },
+	} {
+		if n := testing.AllocsPerRun(100, lookup); n != 0 {
+			t.Errorf("%s lookup of a registered series: %v allocations, want 0", name, n)
+		}
+	}
+	if n := len(r.Counters()); n != len(values)+1 {
+		t.Errorf("lookups registered new series: %d counters, want %d", n, len(values)+1)
 	}
 }

@@ -924,8 +924,8 @@ func TestReuseEndpoint(t *testing.T) {
 	}
 	var doc struct {
 		Indexes []struct {
-			Stats   reuse.Stats `json:"stats"`
-			Entries []reuse.Entry    `json:"entries"`
+			Stats   reuse.Stats   `json:"stats"`
+			Entries []reuse.Entry `json:"entries"`
 		} `json:"indexes"`
 		Engines []struct {
 			Query string `json:"query"`

@@ -153,28 +153,52 @@ func FFGTagReadings(_ int64, payload []byte, emit mapreduce.Emitter) { ffgTag('R
 // FFGTagEvents tags game events (see FFGTagReadings).
 func FFGTagEvents(_ int64, payload []byte, emit mapreduce.Emitter) { ffgTag('E', payload, emit) }
 
+// joinSide returns which side a tagged value belongs to, 'R' or 'E',
+// or 0 for a value JoinReduce skips: untagged, or of an unknown tag.
+func joinSide(v []byte) byte {
+	if len(v) < 2 || v[1] != '|' || (v[0] != 'R' && v[0] != 'E') {
+		return 0
+	}
+	return v[0]
+}
+
 // JoinReduce is Q2's reducer: an in-memory cross join of the R-tagged
-// and E-tagged values of one key.
+// and E-tagged values of one key, R-major. It counts the sides first, so
+// a key group costs two allocations however many pairs it yields: the
+// two sides' payload views, and one exactly-sized array backing every
+// emitted value. Each value is a capacity-limited view of that array, so
+// a consumer's append cannot reach its neighbour.
 func JoinReduce(key []byte, values [][]byte, emit mapreduce.Emitter) {
-	var rs, es [][]byte
+	var nr, ne, rb, eb int
 	for _, v := range values {
-		if len(v) < 2 || v[1] != '|' {
-			continue
+		switch joinSide(v) {
+		case 'R':
+			nr++
+			rb += len(v) - 2
+		case 'E':
+			ne++
+			eb += len(v) - 2
 		}
-		switch v[0] {
+	}
+	if nr == 0 || ne == 0 {
+		return
+	}
+	sides := make([][]byte, nr+ne)
+	rs, es := sides[:0:nr], sides[nr:nr]
+	for _, v := range values {
+		switch joinSide(v) {
 		case 'R':
 			rs = append(rs, v[2:])
 		case 'E':
 			es = append(es, v[2:])
 		}
 	}
+	buf := make([]byte, 0, rb*ne+eb*nr+nr*ne)
 	for _, r := range rs {
 		for _, e := range es {
-			out := make([]byte, 0, len(r)+len(e)+1)
-			out = append(out, r...)
-			out = append(out, ';')
-			out = append(out, e...)
-			emit(key, out)
+			lo := len(buf)
+			buf = append(append(append(buf, r...), ';'), e...)
+			emit(key, buf[lo:len(buf):len(buf)])
 		}
 	}
 }

@@ -165,6 +165,113 @@ func TestJoinReduceNoMatch(t *testing.T) {
 	}
 }
 
+// joinReduceNestedLoops is JoinReduce as it was before it counted its
+// sides first — one make per output pair — kept as the reference.
+func joinReduceNestedLoops(key []byte, values [][]byte, emit mapreduce.Emitter) {
+	var rs, es [][]byte
+	for _, v := range values {
+		if len(v) < 2 || v[1] != '|' {
+			continue
+		}
+		switch v[0] {
+		case 'R':
+			rs = append(rs, v[2:])
+		case 'E':
+			es = append(es, v[2:])
+		}
+	}
+	for _, r := range rs {
+		for _, e := range es {
+			out := make([]byte, 0, len(r)+len(e)+1)
+			out = append(out, r...)
+			out = append(out, ';')
+			out = append(out, e...)
+			emit(key, out)
+		}
+	}
+}
+
+// joinGroup builds nr R-values and ne E-values of varying length,
+// interleaved, with the values JoinReduce must skip mixed in.
+func joinGroup(nr, ne int, noise bool) [][]byte {
+	var vs [][]byte
+	for i := 0; i < nr || i < ne; i++ {
+		if i < nr {
+			vs = append(vs, []byte(fmt.Sprintf("R|s%d,%0*d", i, i%7, i)))
+		}
+		if noise && i%3 == 0 {
+			vs = append(vs, nil, []byte("R"), []byte("E"), []byte("|"), []byte("X|tagged"), []byte("untagged"), []byte("RE|"))
+		}
+		if i < ne {
+			vs = append(vs, []byte(fmt.Sprintf("E|%0*d;ev", i%5, i)))
+		}
+	}
+	return vs
+}
+
+func TestJoinReduceMatchesNestedLoops(t *testing.T) {
+	groups := map[string][][]byte{
+		"empty":           nil,
+		"R only":          joinGroup(4, 0, false),
+		"E only":          joinGroup(0, 4, false),
+		"untagged":        {[]byte("untagged"), []byte("x"), nil, []byte("X|y")},
+		"one byte":        {[]byte("R"), []byte("E"), []byte("|")},
+		"empty payloads":  {[]byte("R|"), []byte("E|"), []byte("R|"), []byte("E|e")},
+		"skipped between": {[]byte("E|e1"), []byte("bogus"), []byte("R|r1"), []byte("E"), []byte("R|r2")},
+	}
+	for _, dim := range [][2]int{{1, 1}, {1, 15}, {40, 1}, {2, 3}, {7, 7}, {40, 15}} {
+		groups[fmt.Sprintf("%dx%d", dim[0], dim[1])] = joinGroup(dim[0], dim[1], false)
+		groups[fmt.Sprintf("%dx%d noisy", dim[0], dim[1])] = joinGroup(dim[0], dim[1], true)
+	}
+	key := []byte("sensor")
+	for name, values := range groups {
+		var got, want []records.Pair
+		JoinReduce(key, values, emitInto(&got))
+		joinReduceNestedLoops(key, values, emitInto(&want))
+		if len(got) != len(want) {
+			t.Errorf("%s: %d pairs, reference %d", name, len(got), len(want))
+			continue
+		}
+		for i := range got {
+			if string(got[i].Key) != string(want[i].Key) || string(got[i].Value) != string(want[i].Value) {
+				t.Errorf("%s: pair %d = %s=%q, reference %s=%q", name, i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
+				break
+			}
+			if cap(got[i].Value) != len(got[i].Value) {
+				t.Errorf("%s: pair %d has cap %d over len %d: an append would reach its neighbour",
+					name, i, cap(got[i].Value), len(got[i].Value))
+				break
+			}
+		}
+		// The values share one array; growing one must leave the next intact.
+		if len(got) > 1 {
+			_ = append(got[0].Value, "overrun"...)
+			if string(got[1].Value) != string(want[1].Value) {
+				t.Errorf("%s: appending to pair 0 changed pair 1 to %q", name, got[1].Value)
+			}
+		}
+	}
+}
+
+func TestJoinReduceAllocatesPerGroupNotPerOutput(t *testing.T) {
+	n, key := 0, []byte("k")
+	count := func(_, _ []byte) { n++ }
+	for _, c := range []struct {
+		nr, ne int
+		max    float64
+	}{{30, 8, 2}, {300, 80, 2}, {30, 0, 0}, {0, 8, 0}} {
+		values := joinGroup(c.nr, c.ne, true)
+		n = 0
+		allocs := testing.AllocsPerRun(10, func() { JoinReduce(key, values, count) })
+		if allocs > c.max {
+			t.Errorf("%dx%d group: %v allocations, want <= %v", c.nr, c.ne, allocs, c.max)
+		}
+		if want := 11 * c.nr * c.ne; n != want { // AllocsPerRun warms up once
+			t.Errorf("%dx%d group emitted %d pairs over 11 runs, want %d", c.nr, c.ne, n, want)
+		}
+	}
+}
+
 func TestRankTopK(t *testing.T) {
 	out := []records.Pair{
 		{Key: []byte("b"), Value: []byte("5")},

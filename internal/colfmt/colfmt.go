@@ -35,10 +35,17 @@
 // pane, and PaneSlice over the packer's header yields exactly one
 // decodable segment per pane.
 //
-// Zero-copy lifetime rule: decoded records, pairs and visited payloads
-// alias the input buffer. The buffer must stay immutable and live for
-// as long as any view into it. Encode* return exactly-sized buffers,
-// which the stores take ownership of (Node.PutLocal, dfs.Write).
+// A record file has one reader, ViewRecords: it validates the whole file
+// and returns a RecordFile, from which record i of a segment and the
+// first record at or after a file offset are read off the columns. The
+// mapper maps from the view by index — a split's records are two binary
+// searches per segment, no record is turned back into a struct — and
+// DecodeRecords materializes the same view for callers that want a slice.
+//
+// Zero-copy lifetime rule: views, decoded records and pairs alias the
+// input buffer. The buffer must stay immutable and live for as long as
+// anything read from it. Encode* return exactly-sized buffers, which the
+// stores take ownership of (Node.PutLocal, dfs.Write).
 package colfmt
 
 import (
@@ -48,6 +55,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"sort"
 
 	"redoop/internal/records"
 )
@@ -82,36 +90,44 @@ func RecordsSize(recs []records.Record) int {
 // AppendRecords appends one record segment holding recs to dst and
 // returns the extended slice. Zero records append nothing.
 func AppendRecords(dst []byte, recs []records.Record) []byte {
-	if len(recs) == 0 {
-		return dst
-	}
 	base := len(dst)
 	dst = append(dst, make([]byte, RecordsSize(recs))...)
-	copy(dst[base:], magicRecords[:])
-	binary.LittleEndian.PutUint32(dst[base+4:], uint32(len(recs)))
-	p := base + 8
-	for _, r := range recs {
-		binary.LittleEndian.PutUint64(dst[p:], uint64(r.Ts))
-		p += 8
-	}
-	off := uint32(0)
-	binary.LittleEndian.PutUint32(dst[p:], 0)
-	p += 4
-	for _, r := range recs {
-		off += uint32(len(r.Data))
-		binary.LittleEndian.PutUint32(dst[p:], off)
-		p += 4
-	}
-	for _, r := range recs {
-		p += copy(dst[p:], r.Data)
-	}
-	binary.LittleEndian.PutUint32(dst[p:], crc32.ChecksumIEEE(dst[base:p]))
+	putRecords(dst[base:], recs)
 	return dst
 }
 
-// EncodeRecords encodes recs as one exactly-sized columnar segment.
+// EncodeRecords encodes recs as one exactly-sized columnar segment: the
+// headers are walked for the size once and the buffer is cleared once.
 func EncodeRecords(recs []records.Record) []byte {
-	return AppendRecords(make([]byte, 0, RecordsSize(recs)), recs)
+	dst := make([]byte, RecordsSize(recs))
+	putRecords(dst, recs)
+	return dst
+}
+
+// putRecords writes the segment holding recs over seg, RecordsSize(recs)
+// bytes long.
+func putRecords(seg []byte, recs []records.Record) {
+	if len(recs) == 0 {
+		return
+	}
+	copy(seg, magicRecords[:])
+	binary.LittleEndian.PutUint32(seg[4:], uint32(len(recs)))
+	p := 8
+	for _, r := range recs {
+		binary.LittleEndian.PutUint64(seg[p:], uint64(r.Ts))
+		p += 8
+	}
+	off := uint32(0)
+	p += 4 // off[0] == 0
+	for _, r := range recs {
+		off += uint32(len(r.Data))
+		binary.LittleEndian.PutUint32(seg[p:], off)
+		p += 4
+	}
+	for _, r := range recs {
+		p += copy(seg[p:], r.Data)
+	}
+	binary.LittleEndian.PutUint32(seg[p:], crc32.ChecksumIEEE(seg[:p]))
 }
 
 // EncodePairs encodes pairs as one exactly-sized columnar segment.
@@ -154,53 +170,102 @@ func EncodePairs(pairs []records.Pair) []byte {
 	return dst
 }
 
-// recHeader reads the fixed-width header of the record segment at the
-// head of data — magic, count and the offset column's final entry — and
-// bounds-checks the segment's stated length against data. It touches
-// neither blob nor checksum.
-func recHeader(data []byte) (n uint32, fixed, blobLen, total uint64, err error) {
-	if len(data) < 8 {
-		return 0, 0, 0, 0, corruptf("record segment header truncated (%d bytes)", len(data))
-	}
-	if [4]byte(data) != magicRecords {
-		return 0, 0, 0, 0, corruptf("bad record segment magic %q", data[:4])
-	}
-	n = binary.LittleEndian.Uint32(data[4:])
-	if n == 0 {
-		return 0, 0, 0, 0, corruptf("record segment with zero count")
-	}
-	// Fixed-width prefix: magic+count, ts column, offset column.
-	fixed = uint64(8) + 8*uint64(n) + 4*(uint64(n)+1)
-	if fixed+4 > uint64(len(data)) {
-		return 0, 0, 0, 0, corruptf("record columns truncated: need %d fixed bytes, have %d", fixed+4, len(data))
-	}
-	blobLen = uint64(binary.LittleEndian.Uint32(data[fixed-4:]))
-	total = fixed + blobLen + 4
-	if total > uint64(len(data)) {
-		return 0, 0, 0, 0, corruptf("record payload truncated: need %d bytes, have %d", total, len(data))
-	}
-	return n, fixed, blobLen, total, nil
+// RecordFile is the validated, random-access view of a file of
+// concatenated record segments, and the one reader of the record format:
+// the mapper maps straight from it, by index, and DecodeRecords
+// materializes it.
+type RecordFile struct{ segs []RecordSegment }
+
+// RecordSegment is one segment of a RecordFile: its record count, the
+// file offset of its blob's first byte and views of its three columns.
+type RecordSegment struct {
+	n, base        int
+	ts, offs, blob []byte
 }
 
-// recSegment validates the record segment at the head of data and
-// returns its count, column views and total length. Every bound is
-// checked before any column is touched, so malformed input yields
-// ErrCorrupt, never a panic.
-func recSegment(data []byte) (count int, ts, offs, blob []byte, segLen int, err error) {
-	n, fixed, blobLen, total, err := recHeader(data)
-	if err != nil {
-		return 0, nil, nil, nil, 0, err
+// Span is records [Lo, Hi) of one segment.
+type Span struct {
+	Seg    *RecordSegment
+	Lo, Hi int
+}
+
+// ViewRecords validates a whole file of concatenated record segments and
+// returns its view. Every bound is checked before any column is touched,
+// then the checksum and the offset column, so malformed input yields
+// ErrCorrupt — never a panic, never a partial view.
+func ViewRecords(data []byte) (RecordFile, error) {
+	var f RecordFile
+	for base := 0; base < len(data); {
+		seg := data[base:]
+		if len(seg) < 8 {
+			return RecordFile{}, corruptf("record segment header truncated (%d bytes)", len(seg))
+		}
+		if [4]byte(seg) != magicRecords {
+			return RecordFile{}, corruptf("bad record segment magic %q", seg[:4])
+		}
+		n := binary.LittleEndian.Uint32(seg[4:])
+		if n == 0 {
+			return RecordFile{}, corruptf("record segment with zero count")
+		}
+		// Fixed-width prefix: magic+count, ts column, offset column.
+		tsEnd := uint64(8) + 8*uint64(n)
+		fixed := tsEnd + 4*(uint64(n)+1)
+		if fixed+4 > uint64(len(seg)) {
+			return RecordFile{}, corruptf("record columns truncated: need %d fixed bytes, have %d", fixed+4, len(seg))
+		}
+		end := fixed + uint64(binary.LittleEndian.Uint32(seg[fixed-4:])) // of the blob
+		if end+4 > uint64(len(seg)) {
+			return RecordFile{}, corruptf("record payload truncated: need %d bytes, have %d", end+4, len(seg))
+		}
+		if got, want := crc32.ChecksumIEEE(seg[:end]), binary.LittleEndian.Uint32(seg[end:]); got != want {
+			return RecordFile{}, corruptf("record segment checksum mismatch (%08x != %08x)", got, want)
+		}
+		if err := checkOffsets("record", seg[tsEnd:fixed], n); err != nil {
+			return RecordFile{}, err
+		}
+		f.segs = append(f.segs, RecordSegment{int(n), base + int(fixed), seg[8:tsEnd], seg[tsEnd:fixed], seg[fixed:end]})
+		base += int(end) + 4
 	}
-	seg := data[:total]
-	if got, want := crc32.ChecksumIEEE(seg[:total-4]), binary.LittleEndian.Uint32(seg[total-4:]); got != want {
-		return 0, nil, nil, nil, 0, corruptf("record segment checksum mismatch (%08x != %08x)", got, want)
+	return f, nil
+}
+
+// Record returns record i of the segment: its timestamp and its payload,
+// a capacity-limited view of the file, so an append by the caller cannot
+// clobber the next record.
+func (s *RecordSegment) Record(i int) (ts int64, payload []byte) {
+	lo, hi := binary.LittleEndian.Uint32(s.offs[4*i:]), binary.LittleEndian.Uint32(s.offs[4*i+4:])
+	return int64(binary.LittleEndian.Uint64(s.ts[8*i:])), s.blob[lo:hi:hi]
+}
+
+// Offset returns the file offset record i's payload starts at; for i the
+// record count, where the blob ends. Offsets never decrease and never
+// leave the record's own segment.
+func (s *RecordSegment) Offset(i int) int {
+	return s.base + int(binary.LittleEndian.Uint32(s.offs[4*i:]))
+}
+
+// Search returns the first record of the segment whose payload starts at
+// or after file offset x, the record count when none does: a binary
+// search on the cumulative offset column.
+func (s *RecordSegment) Search(x int64) int {
+	return sort.Search(s.n, func(i int) bool { return int64(s.Offset(i)) >= x })
+}
+
+// AppendRange appends to dst the records whose payload starts in the file
+// byte range [lo, hi) — Hadoop's split rule, "a record belongs to the
+// split holding its first payload byte", empty payloads included — as one
+// span per segment that has any, in file order. Each call searches for
+// itself, so ranges that overlap each get every record of theirs.
+func (f RecordFile) AppendRange(dst []Span, lo, hi int64) []Span {
+	// Segments whose blob ends before lo hold no such record.
+	i := sort.Search(len(f.segs), func(i int) bool { return int64(f.segs[i].Offset(f.segs[i].n)) >= lo })
+	for ; i < len(f.segs) && int64(f.segs[i].base) < hi; i++ {
+		s := &f.segs[i]
+		if a, b := s.Search(lo), s.Search(hi); a < b {
+			dst = append(dst, Span{s, a, b})
+		}
 	}
-	tsEnd := 8 + 8*uint64(n)
-	offs = seg[tsEnd:fixed]
-	if err := checkOffsets("record", offs, n); err != nil {
-		return 0, nil, nil, nil, 0, err
-	}
-	return int(n), seg[8:tsEnd], offs, seg[fixed : fixed+blobLen], int(total), nil
+	return dst
 }
 
 // checkOffsets validates a cumulative offset column of n+1 entries: it
@@ -267,27 +332,24 @@ func pairSegment(data []byte) (count int, koff, voff, keys, vals []byte, segLen 
 	return int(n), koff, voff, seg[fixed : fixed+kb], seg[fixed+kb : fixed+kb+vb], int(total), nil
 }
 
-// DecodeRecords decodes a file of concatenated record segments. The
-// returned records alias data (zero-copy): each Data slice is a
-// three-index view into the payload blob, so appends by callers cannot
-// clobber neighbouring records.
+// DecodeRecords materializes the view of a file of concatenated record
+// segments as one exactly-sized slice. The returned records alias data
+// (zero-copy), as the view's do.
 func DecodeRecords(data []byte) ([]records.Record, error) {
-	var out []records.Record
-	for len(data) > 0 {
-		n, ts, offs, blob, segLen, err := recSegment(data)
-		if err != nil {
-			return nil, err
+	f, err := ViewRecords(data)
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, s := range f.segs {
+		n += s.n
+	}
+	out := slices.Grow([]records.Record(nil), n)
+	for _, s := range f.segs {
+		for j := 0; j < s.n; j++ {
+			ts, payload := s.Record(j)
+			out = append(out, records.Record{Ts: ts, Data: payload})
 		}
-		out = slices.Grow(out, n)
-		for i := 0; i < n; i++ {
-			lo := binary.LittleEndian.Uint32(offs[4*i:])
-			hi := binary.LittleEndian.Uint32(offs[4*(i+1):])
-			out = append(out, records.Record{
-				Ts:   int64(binary.LittleEndian.Uint64(ts[8*i:])),
-				Data: blob[lo:hi:hi],
-			})
-		}
-		data = data[segLen:]
 	}
 	return out, nil
 }
@@ -337,56 +399,6 @@ func CountPairs(data []byte) (int, error) {
 		}
 		total += int(n)
 		data = data[segLen:]
-	}
-	return total, nil
-}
-
-// VisitRecords walks a file of concatenated record segments calling
-// fn(off, ts, payload) per record, where off is the file offset of the
-// record's payload start, used for Hadoop-convention split bucketing ("a record
-// belongs to the split containing its first byte"). Offsets are
-// non-decreasing and always lie inside the record's own segment, so a
-// record is never attributed outside its pane. payload aliases data.
-// fn returning false stops the walk early.
-func VisitRecords(data []byte, fn func(off int, ts int64, payload []byte) bool) error {
-	base := 0
-	for base < len(data) {
-		n, ts, offs, blob, segLen, err := recSegment(data[base:])
-		if err != nil {
-			return err
-		}
-		blobBase := base + segLen - 4 - len(blob)
-		for i := 0; i < n; i++ {
-			lo := binary.LittleEndian.Uint32(offs[4*i:])
-			hi := binary.LittleEndian.Uint32(offs[4*(i+1):])
-			if !fn(blobBase+int(lo), int64(binary.LittleEndian.Uint64(ts[8*i:])), blob[lo:hi:hi]) {
-				return nil
-			}
-		}
-		base += segLen
-	}
-	return nil
-}
-
-// CountRecords returns the number of records in a columnar file.
-func CountRecords(data []byte) (int, error) { return CountRecordsIn(data, 0, len(data)) }
-
-// CountRecordsIn returns the number of records in those segments of a
-// columnar file that overlap the byte range [lo, hi): what a decoder of
-// the range sizes its output from. It walks segment headers only, as
-// CountPairs does, and no further than hi; a fault inside a segment's
-// body surfaces at the decode that follows.
-func CountRecordsIn(data []byte, lo, hi int) (int, error) {
-	total := 0
-	for base := 0; base < min(hi, len(data)); {
-		n, _, _, segLen, err := recHeader(data[base:])
-		if err != nil {
-			return 0, err
-		}
-		if base+int(segLen) > lo {
-			total += int(n)
-		}
-		base += int(segLen)
 	}
 	return total, nil
 }

@@ -186,23 +186,63 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
-// TestVisitRecordsOffsets pins the split-bucketing contract: visited
-// offsets are non-decreasing, lie inside the file, and each record's
-// payload is readable at its offset — so a record can never be
-// attributed to a byte range outside its own segment (pane).
-func TestVisitRecordsOffsets(t *testing.T) {
+// recRef names one record of a view.
+type recRef struct {
+	seg *RecordSegment
+	i   int
+}
+
+// flatten lists the records of spans in order.
+func flatten(spans []Span) (out []recRef) {
+	for _, sp := range spans {
+		for i := sp.Lo; i < sp.Hi; i++ {
+			out = append(out, recRef{sp.Seg, i})
+		}
+	}
+	return out
+}
+
+// TestViewRecordsOffsets pins the split-bucketing contract on the view:
+// every record is there, in order, with the timestamp and payload it was
+// encoded from; payload offsets are non-decreasing, lie inside the file
+// and the record's payload is readable at its offset — so a record can
+// never be attributed to a byte range outside its own segment (pane).
+// Search agrees with a linear scan of those offsets, and a range yields
+// exactly the records whose payload starts inside it.
+func TestViewRecordsOffsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var file []byte
+	var all []records.Record
 	var bounds []int // segment boundaries, ascending
 	for seg := 0; seg < 4; seg++ {
 		bounds = append(bounds, len(file))
-		file = AppendRecords(file, genRecords(rng, 1+rng.Intn(20)))
+		recs := genRecords(rng, 1+rng.Intn(20))
+		for i := range recs {
+			if rng.Intn(4) == 0 {
+				recs[i].Data = nil // empty payloads share an offset with their successor
+			}
+		}
+		all = append(all, recs...)
+		file = AppendRecords(file, recs)
 	}
 	bounds = append(bounds, len(file))
-	prev := -1
-	seg := 0
-	count := 0
-	err := VisitRecords(file, func(off int, ts int64, payload []byte) bool {
+	view, err := ViewRecords(file)
+	if err != nil {
+		t.Fatalf("view: %v", err)
+	}
+	whole := flatten(view.AppendRange(nil, 0, int64(len(file))))
+	if len(whole) != len(all) {
+		t.Fatalf("the whole-file range holds %d records, encoded %d", len(whole), len(all))
+	}
+	prev, seg := -1, 0
+	offs := make([]int, len(whole))
+	for k, r := range whole {
+		ts, payload := r.seg.Record(r.i)
+		off := r.seg.Offset(r.i)
+		offs[k] = off
+		if ts != all[k].Ts || !bytes.Equal(payload, all[k].Data) {
+			t.Fatalf("record %d reads (%d, %q), encoded (%d, %q)", k, ts, payload, all[k].Ts, all[k].Data)
+		}
 		if off < prev {
 			t.Fatalf("offsets decrease: %d after %d", off, prev)
 		}
@@ -216,28 +256,47 @@ func TestVisitRecordsOffsets(t *testing.T) {
 		if !bytes.Equal(file[off:off+len(payload)], payload) {
 			t.Fatalf("payload at %d does not match file bytes", off)
 		}
-		count++
-		return true
-	})
-	if err != nil {
-		t.Fatalf("visit: %v", err)
+		if cap(payload) != len(payload) {
+			t.Fatalf("record %d leaves room to append into its neighbour", k)
+		}
 	}
-	n, err := CountRecords(file)
-	if err != nil || n != count {
-		t.Fatalf("CountRecords = %d, %v; visit saw %d", n, err, count)
+	// Search is the linear scan's answer, at every offset of every segment.
+	for si := range view.segs {
+		s := &view.segs[si]
+		for x := bounds[si] - 1; x <= bounds[si+1]+1; x++ {
+			want := 0
+			for want < s.n && s.Offset(want) < x {
+				want++
+			}
+			if got := s.Search(int64(x)); got != want {
+				t.Fatalf("segment %d: Search(%d) = %d, a scan finds %d", si, x, got, want)
+			}
+		}
 	}
-	// A range counts the segments it touches, whole: the third segment
-	// alone from one byte of it, the second and third from a range that
-	// crosses their boundary, none from an empty range.
-	perSeg := func(i int) int { n, _ := CountRecords(file[bounds[i]:bounds[i+1]]); return n }
-	for _, c := range []struct{ lo, hi, want int }{
-		{bounds[2], bounds[2] + 1, perSeg(2)},
-		{bounds[2] - 1, bounds[2] + 1, perSeg(1) + perSeg(2)},
-		{bounds[1], bounds[1], 0},
-		{0, len(file) + 100, count},
+	// A range holds the records whose payload starts inside it: the third
+	// segment alone from its blob, nothing of a segment from its columns,
+	// records of two segments across their boundary, none from an empty
+	// range, all from one beyond the file — and a range asked for twice or
+	// overlapping another is answered for itself.
+	thirdBlob := view.segs[2].base
+	for _, c := range [][2]int{
+		{thirdBlob, bounds[3]}, {bounds[2], thirdBlob}, {bounds[2] - 9, thirdBlob + 9}, {bounds[2] - 9, thirdBlob + 9},
+		{bounds[1], bounds[1]}, {-5, len(file) + 100}, {offs[3], offs[7]}, {offs[3], offs[3] + 1}, {offs[5] + 1, offs[len(offs)-2]},
 	} {
-		if n, err := CountRecordsIn(file, c.lo, c.hi); err != nil || n != c.want {
-			t.Errorf("CountRecordsIn(%d, %d) = %d, %v; want %d", c.lo, c.hi, n, err, c.want)
+		var want []int
+		for k, off := range offs {
+			if off >= c[0] && off < c[1] {
+				want = append(want, k)
+			}
+		}
+		got := flatten(view.AppendRange(nil, int64(c[0]), int64(c[1])))
+		if len(got) != len(want) {
+			t.Fatalf("range [%d,%d) holds %d records, a scan finds %d", c[0], c[1], len(got), len(want))
+		}
+		for k, r := range got {
+			if w := whole[want[k]]; r != w {
+				t.Fatalf("range [%d,%d): record %d is not the scan's", c[0], c[1], k)
+			}
 		}
 	}
 }
@@ -327,7 +386,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // FuzzColumnarPane mirrors FuzzParsePaneHeader for the columnar
 // decoders: arbitrary bytes may be rejected but must never panic, and
 // any input a decoder accepts must be internally consistent — records
-// re-encode to the identical bytes, and visited offsets stay inside
+// re-encode to the identical bytes, and the view's offsets stay inside
 // the file in non-decreasing order, so a damaged pane can never be
 // silently mis-attributed or misread. Corrupt inputs must fail with
 // ErrCorrupt so the recovery ladder (not garbage output) handles them.
@@ -393,19 +452,20 @@ func FuzzColumnarPane(f *testing.F) {
 				}
 			}
 		}
+		view, viewErr := ViewRecords(data)
+		if (viewErr == nil) != (err == nil) {
+			t.Fatalf("ViewRecords and DecodeRecords disagree: %v vs %v", viewErr, err)
+		}
 		prev := -1
-		visitErr := VisitRecords(data, func(off int, ts int64, payload []byte) bool {
-			if off < prev || off < 0 || off+len(payload) > len(data) {
-				t.Fatalf("visit offset %d (payload %d) out of order or bounds (prev %d, len %d)",
+		for _, r := range flatten(view.AppendRange(nil, 0, int64(len(data)))) {
+			off := r.seg.Offset(r.i)
+			_, payload := r.seg.Record(r.i)
+			if off < prev || off < 0 || off+len(payload) > len(data) || r.seg.Search(int64(off)) > r.i {
+				t.Fatalf("record offset %d (payload %d) out of order, bounds or reach of its search (prev %d, len %d)",
 					off, len(payload), prev, len(data))
 			}
 			prev = off
-			return true
-		})
-		if (visitErr == nil) != (err == nil) {
-			t.Fatalf("VisitRecords and DecodeRecords disagree: %v vs %v", visitErr, err)
 		}
-		_, _ = CountRecords(data)
 	})
 }
 

@@ -291,7 +291,7 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 	// cache encodes are pure compute, fanned out per partition.
 	routData := make([][]byte, R)
 	rinData := make([][]byte, R)
-	groupers := make([]mapreduce.Grouper, e.mr.WorkerCount())
+	groupers := mapreduce.Groupers(e.mr.WorkerCount(), subOut)
 	parallel.ForWorker(len(groupers), R, func(worker, part int) {
 		if len(subOut[part]) == 0 {
 			return

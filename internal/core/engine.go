@@ -880,7 +880,7 @@ func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats
 		inBytes, outBytes int64
 	}
 	parts := make([]finalPart, len(caches))
-	groupers := make([]mapreduce.Grouper, e.mr.WorkerCount())
+	groupers := mapreduce.Groupers(e.mr.WorkerCount(), ins)
 	parallel.ForWorker(len(groupers), len(caches), func(worker, part int) {
 		if len(caches[part]) == 0 {
 			return

@@ -174,7 +174,7 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 	// nothing reads its partitions afterwards.
 	sortedData := make([][]byte, R)
 	inSizes := make([]int64, R)
-	groupers := make([]mapreduce.Grouper, e.mr.WorkerCount())
+	groupers := mapreduce.Groupers(e.mr.WorkerCount(), mp.Parts)
 	parallel.ForWorker(len(groupers), R, func(worker, part int) {
 		input := mp.Parts[part]
 		inSizes[part] = records.PairsSize(input)

@@ -168,18 +168,18 @@ func (s *Scheduler) CacheCost(node int, caches []CacheLoc) simtime.Duration {
 // cache-fed reduce-style task that becomes ready at `ready` and must
 // load `caches`. Ties break toward the lower node ID for determinism.
 func (s *Scheduler) PickCacheTaskNode(ready simtime.Time, caches []CacheLoc) *cluster.Node {
-	alive := s.cl.AliveNodes()
-	if len(alive) == 0 {
-		return nil
-	}
+	nodes := s.cl.Nodes()
 	var best *cluster.Node
 	var bestCost, bestLoad simtime.Duration
-	loads := make(map[int]simtime.Duration, len(alive))
+	loads := make(map[int]simtime.Duration, len(nodes))
 	var audit []eventlog.PlacementCandidate
 	if s.obs.EmitEnabled() {
-		audit = make([]eventlog.PlacementCandidate, 0, len(alive))
+		audit = make([]eventlog.PlacementCandidate, 0, len(nodes))
 	}
-	for _, n := range alive {
+	for _, n := range nodes {
+		if !n.Alive() {
+			continue
+		}
 		load := n.Reduce.EarliestStart(ready).Sub(ready)
 		loads[n.ID] = load
 		cost := load
@@ -199,6 +199,9 @@ func (s *Scheduler) PickCacheTaskNode(ready simtime.Time, caches []CacheLoc) *cl
 		if best == nil || cost < bestCost || (cost == bestCost && n.ID < best.ID) {
 			best, bestCost, bestLoad = n, cost, load
 		}
+	}
+	if best == nil {
+		return nil
 	}
 	outcome := s.classifyPlacement(best.ID, caches, loads)
 	s.obs.Counter("redoop_placements_total", obs.L("outcome", outcome)).Inc()

@@ -225,6 +225,8 @@ func New(cfg Config) (*DFS, error) {
 	if len(alive) != len(cfg.Nodes) {
 		return nil, fmt.Errorf("dfs: duplicate node IDs in config")
 	}
+	cfg.Nodes = append([]int(nil), cfg.Nodes...) // placement walks them in ascending order
+	sort.Ints(cfg.Nodes)
 	return &DFS{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
@@ -249,31 +251,18 @@ func (d *DFS) BlockSize() int64 { return d.cfg.BlockSize }
 // Replication returns the configured replication factor.
 func (d *DFS) Replication() int { return d.cfg.Replication }
 
-// aliveNodes returns the currently-alive node IDs (caller holds lock).
-func (d *DFS) aliveNodes() []int {
-	out := make([]int, 0, len(d.alive))
-	for n, ok := range d.alive {
-		if ok {
-			out = append(out, n)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // placeReplicas chooses up to d.cfg.Replication distinct alive nodes
 // (caller holds lock). Placement is uniform pseudo-random, standing in
 // for HDFS's rack-aware policy, which the experiments do not exercise.
+// The candidates, alive nodes in ascending order, are gathered on the
+// stack: one is placed per block written.
 func (d *DFS) placeReplicas(exclude map[int]bool, want int) []int {
-	candidates := d.aliveNodes()
-	if exclude != nil {
-		kept := candidates[:0]
-		for _, n := range candidates {
-			if !exclude[n] {
-				kept = append(kept, n)
-			}
+	var buf [32]int
+	candidates := buf[:0]
+	for _, n := range d.cfg.Nodes {
+		if d.alive[n] && !exclude[n] {
+			candidates = append(candidates, n)
 		}
-		candidates = kept
 	}
 	d.rng.Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]

@@ -1,12 +1,10 @@
 package mapreduce
 
 import (
-	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -342,9 +340,10 @@ type staged struct {
 
 var stagePool = sync.Pool{New: func() any { return new([]staged) }}
 
-// PrepareMapPhase runs phase 1 of a map phase: split enumeration,
-// record decode (parallel per input file), and the user map + combine +
-// partition per split (parallel per split, up to Workers goroutines).
+// PrepareMapPhase runs phase 1 of a map phase: split enumeration, file
+// validation (parallel per input file), and the user map + combine +
+// partition per split (parallel per split, up to Workers goroutines),
+// each record read off the file's columns as it is mapped.
 // Emissions are staged and counted per (split, partition); once every
 // split has run, the whole output is allocated as one array and each
 // pair placed where it stays — nothing downstream appends to it or
@@ -364,10 +363,10 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 		return prep, nil
 	}
 
-	// Decode each input file once, bucketing records into splits by
-	// start offset; executing the user map per split then follows the
-	// same record set Hadoop's record readers would produce.
-	bySplit, err := e.decodeForSplits(splits)
+	// View each input file once; a split maps the records whose payload
+	// starts in its range, the record set Hadoop's record readers would
+	// produce: spans[starts[i]:starts[i+1]].
+	spans, starts, err := e.viewSplits(splits)
 	if err != nil {
 		return nil, err
 	}
@@ -387,15 +386,19 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 	if job.Combine != nil {
 		groupers = make([]Grouper, workers)
 	} else {
-		for _, recs := range bySplit {
-			n += len(recs)
+		for _, sp := range spans {
+			n += sp.Hi - sp.Lo
 		}
 		if cap(*shared) < n { // the collector empties the pool: sized exactly, not regrown
 			*shared = make([]staged, n)
 		}
 		rest := (*shared)[:n]
-		for i, recs := range bySplit {
-			stages[i], rest = rest[:0:len(recs)], rest[len(recs):]
+		for i := range splits {
+			m := 0
+			for _, sp := range spans[starts[i]:starts[i+1]] {
+				m += sp.Hi - sp.Lo
+			}
+			stages[i], rest = rest[:0:m], rest[m:]
 		}
 	}
 	parallel.ForWorker(workers, len(splits), func(worker, i int) {
@@ -416,8 +419,11 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 			size[r] += records.PairSize(p)
 		}
 		// Execute the user map once; attempts re-charge time only.
-		for _, rec := range bySplit[i] {
-			job.Map(rec.Ts, rec.Data, emit)
+		for _, sp := range spans[starts[i]:starts[i+1]] {
+			for j := sp.Lo; j < sp.Hi; j++ {
+				ts, payload := sp.Seg.Record(j)
+				job.Map(ts, payload, emit)
+			}
 		}
 		for r, ps := range whole {
 			if len(ps) > 1 {
@@ -637,89 +643,41 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 	return nil, 0, 0, spent, 0, fmt.Errorf("mapreduce: job %q: map task %s failed %d attempts", job.Name, s.ID(), e.maxAttempts())
 }
 
-// decodeForSplits reads every referenced file once and returns, aligned
-// with splits, the records each split maps: those whose first payload
-// byte lies in its range. Records are visited in offset order, so one
-// cursor walks them and a file's splits together, and the splits share
-// one record array sized from the count of the segments they touch.
-// Files decode in parallel (the file, not the split, is the unit: the
-// columnar walk can't seek) and are validated whole. Payloads are views
-// of the stored file bytes (DFS.Read), immutable while anything holds
-// them.
-func (e *Engine) decodeForSplits(splits []Split) ([][]records.Record, error) {
-	var files [][]int // per file, in order of first appearance: its splits' indices
+// viewSplits reads every referenced file once, validates it whole
+// (files in parallel) and returns the records each split maps as spans of
+// the files' views: split i maps spans[starts[i]:starts[i+1]], found by
+// binary search on the offset columns. Every split searches for itself,
+// so splits that overlap (a range listed twice) each map every record in
+// their range, and the ranges of the whole phase share one array.
+// Payloads are views of the stored file bytes (DFS.Read), immutable while
+// anything holds them.
+func (e *Engine) viewSplits(splits []Split) (spans []colfmt.Span, starts []int, err error) {
+	var paths []string // in order of first appearance
 	fileOf := make(map[string]int)
 	for i := range splits {
-		f, ok := fileOf[splits[i].Path]
-		if !ok {
-			f = len(files)
-			fileOf[splits[i].Path] = f
-			files = append(files, nil)
+		if _, ok := fileOf[splits[i].Path]; !ok {
+			fileOf[splits[i].Path] = len(paths)
+			paths = append(paths, splits[i].Path)
 		}
-		files[f] = append(files[f], i)
 	}
-	out := make([][]records.Record, len(splits))
-	err := parallel.ForErr(e.WorkerCount(), len(files), func(f int) error {
-		ss := files[f]
-		slices.SortStableFunc(ss, func(a, b int) int { return cmp.Compare(splits[a].Lo, splits[b].Lo) })
-		data, err := e.DFS.Read(splits[ss[0]].Path)
+	views := make([]colfmt.RecordFile, len(paths))
+	err = parallel.ForErr(e.WorkerCount(), len(paths), func(f int) error {
+		data, err := e.DFS.Read(paths[f])
 		if err != nil {
 			return err
 		}
-		// A walk serves disjoint ranges. The splits of one input are; a
-		// split overlapping one already taken (a range listed twice) waits
-		// for another walk, so each still maps every record in its range.
-		for len(ss) > 0 {
-			var walk, rest []int
-			for _, i := range ss {
-				if len(walk) == 0 || splits[i].Lo >= splits[walk[len(walk)-1]].Hi {
-					walk = append(walk, i)
-				} else {
-					rest = append(rest, i)
-				}
-			}
-			if err := decodeWalk(data, splits, walk, out); err != nil {
-				return err
-			}
-			ss = rest
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// decodeWalk decodes data once for the splits indexed by walk, which are
-// disjoint and in offset order, and sets each one's records in out.
-func decodeWalk(data []byte, splits []Split, walk []int, out [][]records.Record) error {
-	n, err := colfmt.CountRecordsIn(data, int(splits[walk[0]].Lo), int(splits[walk[len(walk)-1]].Hi))
-	if err != nil {
+		views[f], err = colfmt.ViewRecords(data)
 		return err
-	}
-	recs := make([]records.Record, 0, n)
-	// walk[cur] is the first split a record at the visit's offset can
-	// still belong to; its records start at recs[start].
-	cur, start := 0, 0
-	closeSplit := func() {
-		out[walk[cur]] = recs[start:len(recs):len(recs)]
-		start = len(recs)
-		cur++
-	}
-	err = colfmt.VisitRecords(data, func(off int, ts int64, payload []byte) bool {
-		for cur < len(walk) && int64(off) >= splits[walk[cur]].Hi {
-			closeSplit()
-		}
-		if cur < len(walk) && int64(off) >= splits[walk[cur]].Lo {
-			recs = append(recs, records.Record{Ts: ts, Data: payload})
-		}
-		return true
 	})
-	for cur < len(walk) {
-		closeSplit()
+	if err != nil {
+		return nil, nil, err
 	}
-	return err
+	spans, starts = make([]colfmt.Span, 0, len(splits)), make([]int, len(splits)+1)
+	for i, s := range splits {
+		spans = views[fileOf[s.Path]].AppendRange(spans, s.Lo, s.Hi)
+		starts[i+1] = len(spans)
+	}
+	return spans, starts, nil
 }
 
 // ReducerResult is the outcome of one reduce partition's task.
@@ -768,7 +726,7 @@ func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time
 	}
 	results := make([]ReducerResult, len(live))
 	workers := make([]int, len(live)) // pool worker of each compute (observability only)
-	groupers := make([]Grouper, e.WorkerCount())
+	groupers := Groupers(e.WorkerCount(), mp.Parts)
 	parallel.ForWorker(len(groupers), len(live), func(worker, i int) {
 		rr := &results[i]
 		rr.Part, rr.Input = live[i], mp.Parts[live[i]]

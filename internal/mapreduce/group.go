@@ -17,6 +17,7 @@ import (
 // pool worker and reuses it across that worker's partitions. Positions
 // are 32-bit: a partition's columnar encoding holds no more pairs either.
 type Grouper struct {
+	most   int // the largest partition announced (Groupers): what a first use sizes the scratch for
 	seed   maphash.Seed
 	hash   func(key []byte) uint64 // replaces maphash under seed when set: tests force collisions
 	table  []slot                  // open addressing, linear probing, a power of two >= 1.5n slots
@@ -50,14 +51,14 @@ func (g *Grouper) Group(ps []records.Pair) []Group {
 	if g.seed == (maphash.Seed{}) {
 		g.seed = maphash.MakeSeed()
 	}
-	size := max(8, 1<<bits.Len(uint(n+n/2-1)))
+	size := tableSize(n)
 	if cap(g.table) < size {
-		g.table = make([]slot, size)
+		g.table = make([]slot, tableSize(max(n, g.most)))
 	}
 	table := g.table[:size]
 	clear(table)
-	if len(g.ints) < 2*n { // with a quarter of headroom: a worker's partitions are about one size
-		g.ints = make([]uint32, 2*(n+n/4))
+	if len(g.ints) < 2*n {
+		g.ints = make([]uint32, 2*g.room(n))
 	}
 	if g.keys == nil { // room for a pane's few dozen keys without regrowing
 		g.keys, g.groups = make([]keyed, 0, min(n, 64)), make([]Group, 0, min(n, 64))
@@ -115,13 +116,40 @@ func (g *Grouper) Group(ps []records.Pair) []Group {
 	return groups
 }
 
-// values is the scratch's values array cut to n, regrown with the same
-// headroom when it is too small.
+// tableSize is the table's length for n pairs.
+func tableSize(n int) int { return max(8, 1<<bits.Len(uint(n+n/2-1))) }
+
+// room is what an array too small for n pairs is regrown to: the largest
+// partition announced, or without one n and a quarter of headroom — a
+// worker's partitions are about one size.
+func (g *Grouper) room(n int) int {
+	if n <= g.most {
+		return g.most
+	}
+	return n + n/4
+}
+
+// values is the scratch's values array cut to n, regrown when too small.
 func (g *Grouper) values(n int) [][]byte {
 	if cap(g.vals) < n {
-		g.vals = make([][]byte, n+n/4)
+		g.vals = make([][]byte, g.room(n))
 	}
 	return g.vals[:n]
+}
+
+// Groupers returns one scratch per pool worker for grouping parts: a
+// worker's first use sizes its scratch for the largest of them, once,
+// instead of regrowing it as larger partitions arrive.
+func Groupers(workers int, parts [][]records.Pair) []Grouper {
+	most := 0
+	for _, ps := range parts {
+		most = max(most, len(ps))
+	}
+	gs := make([]Grouper, workers)
+	for i := range gs {
+		gs[i].most = most
+	}
+	return gs
 }
 
 // Sorted is Group for pairs already in key order — a merge of cached,
@@ -147,7 +175,7 @@ func GroupSorted(pairs []records.Pair) []Group { return new(Grouper).Sorted(pair
 // GroupPairs is Group on a scratch of its own, for one-off callers: sized
 // exactly, since no second partition follows.
 func GroupPairs(pairs []records.Pair) []Group {
-	g := Grouper{ints: make([]uint32, 2*len(pairs)), vals: make([][]byte, len(pairs))}
+	g := Grouper{most: len(pairs)}
 	return g.Group(pairs)
 }
 

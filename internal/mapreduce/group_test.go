@@ -251,6 +251,23 @@ func TestGrouperAllocatesPerScratchNotPerPartition(t *testing.T) {
 	if again := testing.AllocsPerRun(10, func() { pane(&warm, len(base)) }); again != 0 {
 		t.Errorf("a warmed scratch allocates %.0f times per pane, want 0", again)
 	}
+	// Skewed partitions arriving smallest first regrow a scratch that starts
+	// at the first one's size; one told the largest (Groupers) allocates as
+	// for that one alone.
+	skewed := [][]records.Pair{work[0][:100], work[1][:400], work[2][:900], work[3]}
+	group := func(g *Grouper, parts [][]records.Pair) {
+		for p, ps := range parts {
+			copy(ps, base[len(skewed)-len(parts)+p])
+			g.Group(ps)
+		}
+	}
+	told := testing.AllocsPerRun(10, func() { group(&Groupers(1, skewed)[0], skewed) })
+	largest := testing.AllocsPerRun(10, func() { group(&Groupers(1, skewed[3:])[0], skewed[3:]) })
+	untold := testing.AllocsPerRun(10, func() { group(new(Grouper), skewed) })
+	t.Logf("four partitions, smallest first: %.0f allocations told the largest, %.0f for the largest alone, %.0f untold", told, largest, untold)
+	if told != largest || untold <= told {
+		t.Errorf("a scratch told its largest partition allocates %.0f times (%.0f for that partition alone, %.0f untold): it is regrown", told, largest, untold)
+	}
 }
 
 // FuzzGroupPairs decodes arbitrary bytes into pairs — keys and values

@@ -151,17 +151,14 @@ func naiveMapPhase(t *testing.T, e *Engine, job *Job, inputs []Input, nodeOf map
 			t.Fatal(err)
 		}
 		mine := make([][]records.Pair, R)
-		if err := colfmt.VisitRecords(data, func(off int, ts int64, payload []byte) bool {
+		visitRecords(data, func(off int, ts int64, payload []byte) {
 			if int64(off) >= s.Lo && int64(off) < s.Hi {
 				job.Map(ts, payload, func(k, v []byte) {
 					r := DefaultPartitioner(k, R)
 					mine[r] = append(mine[r], records.Pair{Key: k, Value: v})
 				})
 			}
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 		stats.MapTasks++
 		stats.BytesRead += s.Size()
 		for r := range mine {
@@ -271,28 +268,45 @@ func TestOverlappingInputsMapEveryRange(t *testing.T) {
 // storage from counts, so what it allocates is a function of how many
 // splits and partitions there are. Doubling the records (longer
 // payloads would add splits; more records per split do not) must leave
-// the allocation count where it was.
+// the allocation count where it was — and the bytes too, for a mapper
+// that emits nothing: records are read off the file's columns, not
+// turned back into 32-byte structs first.
 func TestMapPhaseAllocationsFollowSplitsNotRecords(t *testing.T) {
-	allocs := func(recsPerSplit int) (perRun, cold float64, splits int) {
+	allocs := func(recsPerSplit int) (perRun, cold, silentBytes float64, splits int) {
 		cl := cluster.MustNew(cluster.Config{Workers: 3, MapSlots: 2, ReduceSlots: 1})
 		// One block holds any of the files below: one split per file.
 		d := dfs.MustNew(dfs.Config{BlockSize: 1 << 20, Replication: 2, Nodes: rangeInts(3), Seed: 7})
 		e := MustNew(cl, d, iocost.Default())
 		e.Workers = 1
-		var inputs []Input
+		var inputs, silent []Input // the same records, emitting one pair each and none
 		for f := 0; f < 8; f++ {
-			recs := make([]records.Record, recsPerSplit)
-			for i := range recs {
-				recs[i] = records.Record{Ts: int64(i), Data: []byte(fmt.Sprintf("1,k%d,x", i%4))}
+			for emits, ins := range []*[]Input{&silent, &inputs} {
+				recs := make([]records.Record, recsPerSplit)
+				for i := range recs {
+					recs[i] = records.Record{Ts: int64(i), Data: []byte(fmt.Sprintf("%d,k%d,x", emits, i%4))}
+				}
+				path := fmt.Sprintf("/in/f%d-%d", f, emits)
+				if err := d.Write(path, colfmt.EncodeRecords(recs)); err != nil {
+					t.Fatal(err)
+				}
+				*ins = append(*ins, WholeFile(path))
 			}
-			path := fmt.Sprintf("/in/f%d", f)
-			if err := d.Write(path, colfmt.EncodeRecords(recs)); err != nil {
-				t.Fatal(err)
-			}
-			inputs = append(inputs, WholeFile(path))
 		}
 		job := &Job{Name: "allocs", Map: layoutMap, NumReducers: 5,
 			Reduce: func(k []byte, vs [][]byte, emit Emitter) { emit(k, vs[0]) }}
+		// Bytes of a prepare that emits nothing, its stage recycled: the
+		// least of several, since under -race the pool drops stages at random.
+		var m0, m1 runtime.MemStats
+		for i := 0; i < 8; i++ {
+			runtime.ReadMemStats(&m0)
+			if _, err := e.PrepareMapPhase(job, silent); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			if b := float64(m1.TotalAlloc - m0.TotalAlloc); i == 1 || (i > 1 && b < silentBytes) {
+				silentBytes = b
+			}
+		}
 		run := func() {
 			prep, err := e.PrepareMapPhase(job, inputs)
 			if err != nil {
@@ -308,14 +322,13 @@ func TestMapPhaseAllocationsFollowSplitsNotRecords(t *testing.T) {
 		// And one phase right after the collector emptied the stage pool.
 		runtime.GC()
 		runtime.GC()
-		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		run()
 		runtime.ReadMemStats(&m1)
-		return perRun, float64(m1.Mallocs - m0.Mallocs), splits
+		return perRun, float64(m1.Mallocs - m0.Mallocs), silentBytes, splits
 	}
-	small, _, splits := allocs(500)
-	large, cold, _ := allocs(1000)
+	small, _, smallBytes, splits := allocs(500)
+	large, cold, largeBytes, _ := allocs(1000)
 	t.Logf("allocations per map phase of %d splits: %.0f at 500 records per split, %.0f at 1000, %.0f at 1000 from an empty pool",
 		splits, small, large, cold)
 	if splits != 8 {
@@ -336,5 +349,11 @@ func TestMapPhaseAllocationsFollowSplitsNotRecords(t *testing.T) {
 	}
 	if small > 40*float64(splits) {
 		t.Fatalf("map phase allocates %.0f times for %d splits and 5 partitions", small, splits)
+	}
+	// 4 000 more input records, nothing emitted: a record array would be
+	// 128 000 bytes more.
+	t.Logf("bytes per silent map phase: %.0f at 500 records per split, %.0f at 1000", smallBytes, largeBytes)
+	if grown := largeBytes - smallBytes; grown > 16*4000 {
+		t.Fatalf("a map phase that emits nothing allocates %.0f bytes more for 4000 more records: %.0f per record", grown, grown/4000)
 	}
 }

@@ -35,8 +35,8 @@ func (DefaultPlacement) PlaceMap(e *Engine, s Split, ready simtime.Time) *cluste
 func pickMapNode(e *Engine, s Split, ready simtime.Time, exclude int) *cluster.Node {
 	var bestLocal, bestAny *cluster.Node
 	var bestLocalT, bestAnyT simtime.Time
-	for _, n := range e.Cluster.AliveNodes() {
-		if n.ID == exclude {
+	for _, n := range e.Cluster.Nodes() { // in place, ascending ID: one placement per split
+		if n.ID == exclude || !n.Alive() {
 			continue
 		}
 		t := n.Map.EarliestStart(ready)
@@ -59,14 +59,13 @@ func pickMapNode(e *Engine, s Split, ready simtime.Time, exclude int) *cluster.N
 
 // PlaceReduce implements Placement.
 func (DefaultPlacement) PlaceReduce(e *Engine, job *Job, part int, ready simtime.Time) *cluster.Node {
-	alive := e.Cluster.AliveNodes()
-	if len(alive) == 0 {
-		return nil
-	}
-	best := alive[0]
-	bestT := best.Reduce.EarliestStart(ready)
-	for _, n := range alive[1:] {
-		if t := n.Reduce.EarliestStart(ready); t < bestT {
+	var best *cluster.Node
+	var bestT simtime.Time
+	for _, n := range e.Cluster.Nodes() {
+		if !n.Alive() {
+			continue
+		}
+		if t := n.Reduce.EarliestStart(ready); best == nil || t < bestT {
 			best, bestT = n, t
 		}
 	}

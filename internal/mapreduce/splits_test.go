@@ -23,12 +23,7 @@ func writeRanged(t *testing.T, e *Engine, path string, count int) []int {
 	}
 	data := colfmt.EncodeRecords(recs)
 	offsets := make([]int, 0, count+1)
-	if err := colfmt.VisitRecords(data, func(off int, _ int64, _ []byte) bool {
-		offsets = append(offsets, off)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
+	visitRecords(data, func(off int, _ int64, _ []byte) { offsets = append(offsets, off) })
 	offsets = append(offsets, len(data))
 	if err := e.DFS.Write(path, data); err != nil {
 		t.Fatal(err)

@@ -19,10 +19,11 @@ package workload
 
 import (
 	"bytes"
-	"fmt"
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 
 	"redoop/internal/records"
 	"redoop/internal/simtime"
@@ -60,19 +61,46 @@ func WCC(cfg WCCConfig, startUnit, endUnit int64, n int) []records.Record {
 	objects := newZipf(rng, cfg.Objects, cfg.Skew)
 	methods := []string{"GET", "GET", "GET", "HEAD", "POST"}
 	types := []string{"HTML", "IMAGE", "IMAGE", "DYNAMIC", "DIRECTORY"}
-	statuses := []int{200, 200, 200, 200, 304, 404}
+	statuses := []int64{200, 200, 200, 200, 304, 404}
+	return batch(rng, startUnit, endUnit, n, 48, func(b []byte) []byte {
+		b = strconv.AppendUint(append(b, 'c'), clients.Uint64(), 10)
+		b = strconv.AppendUint(append(b, ",obj"...), objects.Uint64(), 10)
+		b = strconv.AppendInt(append(b, ','), int64(200+rng.Intn(20000)), 10)
+		b = append(append(b, ','), methods[rng.Intn(len(methods))]...)
+		b = strconv.AppendInt(append(b, ','), statuses[rng.Intn(len(statuses))], 10)
+		b = append(append(b, ','), types[rng.Intn(len(types))]...)
+		return strconv.AppendInt(append(b, ",srv"...), int64(rng.Intn(30)), 10)
+	})
+}
+
+// batch draws n records with timestamps uniform in [startUnit, endUnit):
+// per record the timestamp, then whatever payload draws as it appends the
+// record's payload to the batch's one blob, presized at size bytes a
+// record (payloads are capacity-limited views of it; a blob that outgrows
+// the guess moves on and leaves earlier views where they are). The batch
+// is ordered by (timestamp, payload), so it is a function of the seed.
+func batch(rng *rand.Rand, startUnit, endUnit int64, n, size int, payload func(b []byte) []byte) []records.Record {
 	out := make([]records.Record, n)
+	blob := make([]byte, 0, n*size)
 	span := endUnit - startUnit
 	for i := range out {
-		ts := startUnit + rng.Int63n(span)
-		payload := fmt.Sprintf("c%d,obj%d,%d,%s,%d,%s,srv%d",
-			clients.Uint64(), objects.Uint64(), 200+rng.Intn(20000),
-			methods[rng.Intn(len(methods))], statuses[rng.Intn(len(statuses))],
-			types[rng.Intn(len(types))], rng.Intn(30))
-		out[i] = records.Record{Ts: ts, Data: []byte(payload)}
+		ts, lo := startUnit+rng.Int63n(span), len(blob)
+		blob = payload(blob)
+		out[i] = records.Record{Ts: ts, Data: blob[lo:len(blob):len(blob)]}
 	}
-	sortByTs(out)
+	slices.SortStableFunc(out, func(a, b records.Record) int {
+		return cmp.Or(cmp.Compare(a.Ts, b.Ts), bytes.Compare(a.Data, b.Data))
+	})
 	return out
+}
+
+// appendSensor appends "s%03d" of a sensor number.
+func appendSensor(b []byte, id int) []byte {
+	b = append(b, 's')
+	for pad := 100; pad > 1 && id < pad; pad /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(id), 10)
 }
 
 // FFGConfig parameterizes the football-sensor generator.
@@ -99,18 +127,13 @@ func FFGReadings(cfg FFGConfig, startUnit, endUnit int64, n int) []records.Recor
 		return nil
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ (startUnit * 31)))
-	out := make([]records.Record, n)
-	span := endUnit - startUnit
-	for i := range out {
-		ts := startUnit + rng.Int63n(span)
-		payload := fmt.Sprintf("s%03d,%.2f,%.2f,%.2f,%.2f,%.2f",
-			rng.Intn(cfg.Sensors),
-			rng.Float64()*105, rng.Float64()*68, rng.Float64()*5,
-			rng.Float64()*12, rng.Float64()*40)
-		out[i] = records.Record{Ts: ts, Data: []byte(payload)}
-	}
-	sortByTs(out)
-	return out
+	return batch(rng, startUnit, endUnit, n, 40, func(b []byte) []byte {
+		b = appendSensor(b, rng.Intn(cfg.Sensors))
+		for _, scale := range [...]float64{105, 68, 5, 12, 40} { // x, y, z, |v|, |a| as %.2f
+			b = strconv.AppendFloat(append(b, ','), rng.Float64()*scale, 'f', 2, 64)
+		}
+		return b
+	})
 }
 
 // FFGEvents generates n game events (possession, shot, pass) keyed by
@@ -127,16 +150,11 @@ func FFGEvents(cfg FFGConfig, startUnit, endUnit int64, n int) []records.Record 
 	if keys <= 0 || keys > cfg.Sensors {
 		keys = cfg.Sensors
 	}
-	out := make([]records.Record, n)
-	span := endUnit - startUnit
-	for i := range out {
-		ts := startUnit + rng.Int63n(span)
-		payload := fmt.Sprintf("s%03d,%s,%d",
-			rng.Intn(keys), events[rng.Intn(len(events))], rng.Intn(100))
-		out[i] = records.Record{Ts: ts, Data: []byte(payload)}
-	}
-	sortByTs(out)
-	return out
+	return batch(rng, startUnit, endUnit, n, 24, func(b []byte) []byte {
+		b = appendSensor(b, rng.Intn(keys))
+		b = append(append(b, ','), events[rng.Intn(len(events))]...)
+		return strconv.AppendInt(append(b, ','), int64(rng.Intn(100)), 10)
+	})
 }
 
 // RateSchedule yields the per-slide workload multiplier for the
@@ -182,17 +200,6 @@ func Batches(slides int, slide simtime.Duration, base int, sched RateSchedule,
 		out[s] = gen(start, end, n)
 	}
 	return out
-}
-
-// sortByTs orders a batch by (timestamp, payload) so generated batches
-// are fully deterministic per seed.
-func sortByTs(recs []records.Record) {
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].Ts != recs[j].Ts {
-			return recs[i].Ts < recs[j].Ts
-		}
-		return bytes.Compare(recs[i].Data, recs[j].Data) < 0
-	})
 }
 
 // newZipf builds a seeded Zipf sampler over [0, n).

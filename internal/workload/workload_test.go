@@ -2,6 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -206,5 +210,68 @@ func TestDiurnal(t *testing.T) {
 	// Degenerate inputs clamp.
 	if Diurnal(0, -1, 0)(5) != 1 {
 		t.Error("degenerate schedule should be flat 1")
+	}
+}
+
+// batchDigest hashes every timestamp and every payload byte of a batch,
+// lengths included, in order.
+func batchDigest(recs []records.Record) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, r := range recs {
+		binary.LittleEndian.PutUint64(b[:], uint64(r.Ts))
+		h.Write(b[:])
+		binary.LittleEndian.PutUint64(b[:], uint64(len(r.Data)))
+		h.Write(b[:])
+		h.Write(r.Data)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// TestGeneratorsPinnedToTheByte: every published number is a function of
+// these batches, so the generators may change how they build a payload,
+// never what it is. The digests were recorded from the fmt.Sprintf
+// generators (the commit before they appended with strconv), over the
+// shapes their formats distinguish.
+func TestGeneratorsPinnedToTheByte(t *testing.T) {
+	for _, c := range []struct {
+		seed, lo, hi          int64
+		n, sensors, eventKeys int
+		wcc, readings, events string
+	}{
+		{1, 0, 1000, 1, 1000, 1000, "063f4aecc28277f5", "d41fc4c6de3a13f8", "8f2953a53feef7be"},
+		// A narrow range: equal timestamps, ordered by payload.
+		{7, 100, 200, 500, 1000, 1000, "780603d2db59c2f6", "4dfd25759c2fadfd", "a0b4a3f0479c1923"},
+		// Two panes of the benchmark's size, the second joining on few keys.
+		{42, 0, 60000000000, 4000, 1000, 1000, "219878eee9fe060a", "77ae0676a96aeab6", "6b5034f9d4aa2433"},
+		{42, 60000000000, 120000000000, 4000, 1000, 40, "061da81d2f2f7cd2", "75bddaf54568ab03", "41d11211a1a91782"},
+		// One-digit sensors padded to three; a negative range and seed.
+		{-3, -500, 500, 300, 7, 0, "af17da5e1c0c07e2", "4706f9a3d892fb9e", "b547a90618f155fe"},
+		// Five-digit sensors, past the pad; every record at one timestamp.
+		{99, 5, 6, 64, 25000, 12000, "4a6b3cfb5bd8bc53", "f6001d1df2395859", "882321ebefc434e6"},
+		// EventKeys above Sensors.
+		{2026, 1099511627776, 1099511628753, 2500, 1234, 5000, "904e5f524a079134", "3a97b3f089018930", "c7adb02e41f68cde"},
+	} {
+		ffg := FFGConfig{Seed: c.seed, Sensors: c.sensors, EventKeys: c.eventKeys}
+		for name, got := range map[string][2]string{
+			"WCC":         {batchDigest(WCC(DefaultWCC(c.seed), c.lo, c.hi, c.n)), c.wcc},
+			"FFGReadings": {batchDigest(FFGReadings(ffg, c.lo, c.hi, c.n)), c.readings},
+			"FFGEvents":   {batchDigest(FFGEvents(ffg, c.lo, c.hi, c.n)), c.events},
+		} {
+			if got[0] != got[1] {
+				t.Errorf("%s(seed %d, [%d,%d), n %d, %d sensors, %d event keys) digests to %s, recorded %s",
+					name, c.seed, c.lo, c.hi, c.n, c.sensors, c.eventKeys, got[0], got[1])
+			}
+		}
+	}
+	// The blob's size is a guess: one that is outgrown changes nothing.
+	draw := func(size int) string {
+		rng := rand.New(rand.NewSource(5))
+		return batchDigest(batch(rng, 0, 50, 200, size, func(b []byte) []byte {
+			return append(b, "a-payload-of-some-length"[:1+rng.Intn(20)]...)
+		}))
+	}
+	if draw(0) != draw(32) || draw(3) != draw(32) {
+		t.Error("a batch depends on the size its blob was guessed at")
 	}
 }

@@ -256,7 +256,10 @@ func BenchmarkStatusMatrix(b *testing.B) {
 // BenchmarkHoltForecast measures the profiler's smoothing update and
 // forecast.
 func BenchmarkHoltForecast(b *testing.B) {
-	h := forecast.MustNewHolt(0.5, 0.3)
+	h, err := forecast.NewHolt(0.5, 0.3)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(100 + i%17))
 		_ = h.Forecast(1)

@@ -80,15 +80,6 @@ func NewDriver(mr *mapreduce.Engine, q *core.Query) (*Driver, error) {
 	}, nil
 }
 
-// MustNewDriver is NewDriver that panics on error.
-func MustNewDriver(mr *mapreduce.Engine, q *core.Query) *Driver {
-	d, err := NewDriver(mr, q)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // NextRecurrence returns the next recurrence RunNext will execute.
 func (d *Driver) NextRecurrence() int { return d.next }
 

@@ -58,6 +58,15 @@ func slideBatch(slideIdx, n int) []records.Record {
 	return recs
 }
 
+func newDriver(t *testing.T, mr *mapreduce.Engine, q *core.Query) *Driver {
+	t.Helper()
+	d, err := NewDriver(mr, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestDriverValidation(t *testing.T) {
 	if _, err := NewDriver(nil, countQuery()); err == nil {
 		t.Error("nil runtime should fail")
@@ -70,7 +79,7 @@ func TestDriverValidation(t *testing.T) {
 }
 
 func TestWindowSelectionAndCounts(t *testing.T) {
-	drv := MustNewDriver(rig(3), countQuery())
+	drv := newDriver(t, rig(3), countQuery())
 	// Each slide batch holds 120 records; a window spans 3 slides.
 	for s := 0; s < 5; s++ {
 		if err := drv.Ingest(0, slideBatch(s, 120)); err != nil {
@@ -103,7 +112,7 @@ func TestWindowSelectionAndCounts(t *testing.T) {
 }
 
 func TestIngestValidation(t *testing.T) {
-	drv := MustNewDriver(rig(2), countQuery())
+	drv := newDriver(t, rig(2), countQuery())
 	if err := drv.Ingest(2, slideBatch(0, 5)); err == nil {
 		t.Error("bad source index should fail")
 	}
@@ -116,7 +125,7 @@ func TestIngestValidation(t *testing.T) {
 // volume per window stays constant while the window's data is
 // constant.
 func TestBaselineRereadsEverything(t *testing.T) {
-	drv := MustNewDriver(rig(3), countQuery())
+	drv := newDriver(t, rig(3), countQuery())
 	for s := 0; s < 6; s++ {
 		drv.Ingest(0, slideBatch(s, 200))
 	}
@@ -163,7 +172,7 @@ func TestMergeComposition(t *testing.T) {
 		}
 		emit(key, []byte(fmt.Sprintf("avg=%d/%d", sum, count)))
 	}
-	drv := MustNewDriver(rig(2), q)
+	drv := newDriver(t, rig(2), q)
 	for s := 0; s < 3; s++ {
 		drv.Ingest(0, slideBatch(s, 40))
 	}

@@ -25,8 +25,7 @@ func (e *Engine) runAggregation(r int, trigger simtime.Time) (*RecurrenceResult,
 	ahead := e.prepareNewPanes(lo, hi)
 	routRefs := make(map[window.PaneID][]cacheRef, int(hi-lo)+1)
 	for p := lo; p <= hi; p++ {
-		refs, reused, recovered, err := e.ensureAggPane(p, trigger, ahead[p-lo], &res.Stats)
-		ahead[p-lo] = nil // the pane's map output is garbage once committed
+		refs, reused, recovered, err := e.ensureAggPane(p, trigger, ahead(p), &res.Stats)
 		if err != nil {
 			return nil, err
 		}
@@ -69,14 +68,14 @@ func (e *Engine) willMapPane(p window.PaneID) bool {
 	return e.noReuse || !(done || known)
 }
 
-// prepareNewPanes runs ahead, across the executor's workers, the map
-// compute of those panes of [lo, hi] that willMapPane. The serial ladder
-// consumes the result in pane order, so commit records, slot
-// acquisitions and ledger charges fall exactly where they do when a
-// pane prepares in line, as every other pane (and every pane of a
-// one-worker engine) does.
-func (e *Engine) prepareNewPanes(lo, hi window.PaneID) []*panePrep {
-	ahead := make([]*panePrep, hi-lo+1) // by pane; nil: prepare in line
+// prepareNewPanes returns, for the serial ladder asking in pane order,
+// each pane's map compute: nil for a pane to prepare in line (every pane
+// of a one-worker engine); for a pane of [lo, hi] that willMapPane, the
+// compute run ahead together with the next such panes, one per executor
+// worker. The ladder has released a group's map outputs before the next
+// group borrows their arrays, and commit records, slot acquisitions and
+// ledger charges fall exactly where they do when a pane prepares in line.
+func (e *Engine) prepareNewPanes(lo, hi window.PaneID) func(window.PaneID) *panePrep {
 	workers := e.mr.WorkerCount()
 	var fresh []window.PaneID
 	for p := lo; workers > 1 && p <= hi; p++ {
@@ -84,8 +83,20 @@ func (e *Engine) prepareNewPanes(lo, hi window.PaneID) []*panePrep {
 			fresh = append(fresh, p)
 		}
 	}
-	parallel.For(workers, len(fresh), func(i int) { ahead[fresh[i]-lo] = e.preparePane(0, fresh[i]) })
-	return ahead
+	var group []*panePrep // prepared, for fresh[:len(group)]
+	return func(p window.PaneID) *panePrep {
+		if len(fresh) == 0 || p != fresh[0] {
+			return nil
+		}
+		if len(group) == 0 {
+			next := fresh[:min(workers, len(fresh))]
+			group = make([]*panePrep, len(next))
+			parallel.For(workers, len(next), func(i int) { group[i] = e.preparePane(0, next[i]) })
+		}
+		pp := group[0]
+		fresh, group[0], group = fresh[1:], nil, group[1:] // garbage once committed
+		return pp
+	}
 }
 
 // ensureAggPane guarantees pane p's per-partition reduce-output caches
@@ -192,6 +203,7 @@ func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, pp *panePr
 		rr := rres[i]
 		rinData[rr.Part], routData[rr.Part] = colfmt.EncodePairs(rr.Input), colfmt.EncodePairs(rr.Output)
 	})
+	mp.Release() // the caches exist: the map output, and every Input viewing it, is dead
 	// Recompute attribution for the benefit ledger: the map phase (and
 	// shuffle) ran once for the whole pane, so each live partition's
 	// reduce-input entry carries an even share of it plus its own
@@ -271,6 +283,7 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 		if err != nil {
 			return nil, err
 		}
+		defer mp.Release() // once the combine below has read its partitions (subIn)
 		mp.Stats.BytesRead += seg.HeaderBytes
 		stats.Accumulate(mp.Stats)
 		rres, rstats, err := e.mr.RunReducePhase(job, mp, mp.FirstMapEnd)
@@ -291,7 +304,7 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 	// cache encodes are pure compute, fanned out per partition.
 	routData := make([][]byte, R)
 	rinData := make([][]byte, R)
-	groupers := mapreduce.Groupers(e.mr.WorkerCount(), subOut)
+	groupers := e.mr.Groupers(subOut)
 	parallel.ForWorker(len(groupers), R, func(worker, part int) {
 		if len(subOut[part]) == 0 {
 			return
@@ -300,6 +313,7 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 		routData[part] = colfmt.EncodePairs(combined)
 		rinData[part] = colfmt.EncodePairs(mapreduce.MergeSortedRuns(nil, subIn[part]...))
 	})
+	e.mr.PutGroupers(groupers)
 
 	refs := make([]cacheRef, R)
 	for part := 0; part < R; part++ {

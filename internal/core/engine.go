@@ -479,7 +479,8 @@ func (e *Engine) NextRecurrence() int {
 
 // Ingest feeds a batch of records into source src's packer. Per the
 // data model (§2.1), batches arrive in timestamp order with
-// non-overlapping ranges.
+// non-overlapping ranges. The caller hands recs over (Packer.Ingest):
+// the engine reads them until their panes flush and never writes them.
 func (e *Engine) Ingest(src int, recs []records.Record) error {
 	if src < 0 || src >= len(e.srcs) {
 		return fmt.Errorf("core: query %q has no source %d", e.query.Name, src)
@@ -509,6 +510,7 @@ func (e *Engine) timeOfUnit(u int64) simtime.Time {
 // timelines advance monotonically, so running a later-closing window
 // first would push an earlier one's tasks behind it.
 func (e *Engine) RunNext() (*RecurrenceResult, error) {
+	defer e.mr.DropScratch() // a recurrence's scratch is dead at its end
 	r := e.next
 	spec := e.query.Spec()
 	closeUnit := e.frames[0].WindowClose(r) // shared trigger of all sources
@@ -880,7 +882,7 @@ func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats
 		inBytes, outBytes int64
 	}
 	parts := make([]finalPart, len(caches))
-	groupers := mapreduce.Groupers(e.mr.WorkerCount(), ins)
+	groupers := e.mr.Groupers(ins)
 	parallel.ForWorker(len(groupers), len(caches), func(worker, part int) {
 		if len(caches[part]) == 0 {
 			return
@@ -890,6 +892,7 @@ func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats
 		fp.out = mapreduce.ReduceGroups(e.query.Merge, groupers[worker].Group(ins[part]))
 		fp.outBytes = records.PairsSize(fp.out)
 	})
+	e.mr.PutGroupers(groupers)
 	// Phase 2 (serial, partition order): Eq. 4 scheduling and stats.
 	endMax := trigger
 	var output []records.Pair

@@ -207,7 +207,10 @@ func runBoth(t *testing.T, q *core.Query, qb *core.Query, windows int, adaptive 
 	between func(r int, eng *core.Engine)) ([]*core.RecurrenceResult, []*baseline.Result) {
 	t.Helper()
 	eng := core.MustNewEngine(core.Config{MR: newRig(4, 1), Query: q, Adaptive: adaptive})
-	drv := baseline.MustNewDriver(newRig(4, 1), qb)
+	drv, err := baseline.NewDriver(newRig(4, 1), qb)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	spec := q.Spec()
 	frames, err := q.Frames()

@@ -115,7 +115,7 @@ func (h *SourceHub) Has(key string) bool {
 }
 
 // Ingest feeds a batch into a shared source — exactly once per batch,
-// regardless of how many queries consume it.
+// regardless of how many queries consume it (handed over: Packer.Ingest).
 func (h *SourceHub) Ingest(key string, recs []records.Record) error {
 	h.mu.Lock()
 	src, ok := h.sources[key]

@@ -174,7 +174,7 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 	// nothing reads its partitions afterwards.
 	sortedData := make([][]byte, R)
 	inSizes := make([]int64, R)
-	groupers := mapreduce.Groupers(e.mr.WorkerCount(), mp.Parts)
+	groupers := e.mr.Groupers(mp.Parts)
 	parallel.ForWorker(len(groupers), R, func(worker, part int) {
 		input := mp.Parts[part]
 		inSizes[part] = records.PairsSize(input)
@@ -184,6 +184,8 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 		groupers[worker].Group(input) // into SortPairs order; the groups are not needed
 		sortedData[part] = colfmt.EncodePairs(input)
 	})
+	e.mr.PutGroupers(groupers)
+	mp.Release() // the encodes are the caches; the matrix and wave bounds below stay
 
 	// Map cost is paid once for the whole pane; each live partition's
 	// reduce-input entry carries an even share of it in its ledger

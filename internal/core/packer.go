@@ -162,9 +162,10 @@ func (p *Packer) SourceName() string { return p.name }
 // sub-pane by timestamp. Records at or below the flushed bound are
 // rejected: the data model (paper §2.1) guarantees in-order,
 // non-overlapping batch files. A batch is taken in maximal runs of
-// records of one (pane, sub-pane) cell, each appended at once, and only
-// the record headers are copied: the caller keeps recs, the packer the
-// payloads. The records ahead of a rejected one stay ingested.
+// records of one (pane, sub-pane) cell, a cell's first run kept as a
+// capacity-limited view that a later run appends to as a copy: the
+// caller hands recs over, to be read until its panes flush and never
+// written. The records ahead of a rejected one stay ingested.
 func (p *Packer) Ingest(recs []records.Record) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -178,8 +179,11 @@ func (p *Packer) Ingest(recs []records.Record) error {
 		for ; j < len(recs) && recs[j].Ts >= lo && recs[j].Ts < hi; j++ {
 			newest = max(newest, recs[j].Ts)
 		}
-		bySub := p.pending[pane]
-		bySub[subIdx] = append(bySub[subIdx], recs[i:j]...)
+		if bySub := p.pending[pane]; len(bySub[subIdx]) == 0 {
+			bySub[subIdx] = recs[i:j:j]
+		} else {
+			bySub[subIdx] = append(bySub[subIdx], recs[i:j]...)
+		}
 		p.maxTs = max(p.maxTs, newest)
 		i = j
 	}
@@ -284,11 +288,10 @@ func (p *Packer) flushPane(pane window.PaneID) error {
 		// segment, named S#P# — with a sub-pane suffix when split. Each
 		// exactly-sized encode is handed to WriteAt and becomes the file.
 		for s := 0; s < sub; s++ {
-			recs := bySub[s]
+			recs := sortByTs(bySub[s])
 			if len(recs) == 0 {
 				continue
 			}
-			sortByTs(recs)
 			path := fmt.Sprintf("%s/%sP%d", p.dir, p.name, int64(pane))
 			if sub > 1 {
 				path = fmt.Sprintf("%s.%d", path, s)
@@ -314,10 +317,8 @@ func (p *Packer) flushPane(pane window.PaneID) error {
 	// Undersized case (never subdivided, so sub-pane 0 is the pane):
 	// accumulate the pane into the current group; emit the shared file
 	// when the group fills.
-	recs := bySub[0]
-	sortByTs(recs)
 	p.groupPanes = append(p.groupPanes, pane)
-	p.groupRecs[pane] = recs
+	p.groupRecs[pane] = sortByTs(bySub[0])
 	if len(p.groupPanes) >= p.plan.PanesPerFile {
 		return p.flushGroup()
 	}
@@ -520,11 +521,13 @@ func (p *Packer) DropPaneFiles(pane window.PaneID) error {
 	return nil
 }
 
-// sortByTs orders a pane's records by timestamp, stably; the usual
+// sortByTs returns a pane's records in timestamp order, stably; the usual
 // pane arrived in order and costs one linear check.
-func sortByTs(recs []records.Record) {
+func sortByTs(recs []records.Record) []records.Record {
 	byTs := func(a, b records.Record) int { return cmp.Compare(a.Ts, b.Ts) }
 	if !slices.IsSortedFunc(recs, byTs) {
+		recs = slices.Clone(recs) // recs may view a batch the packer must not write
 		slices.SortStableFunc(recs, byTs)
 	}
+	return recs
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"redoop/internal/colfmt"
@@ -327,14 +329,15 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// TestIngestAllocatesPerRunNotPerRecord: a batch is appended in maximal
-// (pane, sub-pane) runs, so one in-order pane batch costs a constant
-// number of allocations however many records it holds; and a batch that
+// TestIngestAllocatesPerRunNotPerRecord: a batch is taken in maximal
+// (pane, sub-pane) runs, and a cell's first run is a view of the batch,
+// so one in-order pane batch costs a constant number of allocations and
+// no record header bytes however many records it holds; and a batch that
 // wanders between sub-panes still lands every record in its own cell.
 func TestIngestAllocatesPerRunNotPerRecord(t *testing.T) {
 	const pane = 1000
 	spec := window.NewCountSpec(3*pane, 2*pane)
-	allocs := func(perPane int) float64 {
+	allocs := func(perPane int) (n, bytes float64) {
 		pk, err := NewPacker(packerDFS(t), "S1", "/d", window.FrameOf(spec),
 			PartitionPlan{PaneUnit: pane, FilesPerPane: 1, PanesPerFile: 1, SubPanes: 1})
 		if err != nil {
@@ -349,16 +352,40 @@ func TestIngestAllocatesPerRunNotPerRecord(t *testing.T) {
 			}
 		}
 		next := 0
-		return testing.AllocsPerRun(len(batches)-1, func() {
+		n = testing.AllocsPerRun(len(batches)-1, func() {
 			if err := pk.Ingest(batches[next]); err != nil {
 				t.Fatal(err)
 			}
 			next++
 		})
+		for p, b := range batches {
+			if run := pk.pending[window.PaneID(p)][0]; &run[0] != &b[0] {
+				t.Fatalf("pane %d is buffered as a copy of its batch, not a view", p)
+			}
+		}
+		// The same twelve panes again, into a fresh packer, bytes counted.
+		pk, _ = NewPacker(packerDFS(t), "S1", "/d", window.FrameOf(spec), pk.Plan())
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for _, b := range batches {
+			if err := pk.Ingest(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return n, float64(m1.TotalAlloc-m0.TotalAlloc) / float64(len(batches))
 	}
-	small, large := allocs(100), allocs(1000)
+	small, smallBytes := allocs(100)
+	large, largeBytes := allocs(1000)
+	t.Logf("Ingest of one in-order pane batch: %.1f allocations and %.0f bytes for 100 records, %.1f and %.0f for 1000",
+		small, smallBytes, large, largeBytes)
 	if large > small+1 || large > 8 {
 		t.Fatalf("Ingest of one in-order pane batch allocates %.1f times for 100 records, %.1f for 1000", small, large)
+	}
+	// 900 more record headers would be 28 800 bytes more.
+	if largeBytes > smallBytes+64 {
+		t.Fatalf("Ingest of one in-order pane batch allocates %.0f bytes for 100 records, %.0f for 1000: it copies headers",
+			smallBytes, largeBytes)
 	}
 
 	pk, err := NewPacker(packerDFS(t), "S1", "/d", window.FrameOf(spec),
@@ -380,5 +407,58 @@ func TestIngestAllocatesPerRunNotPerRecord(t *testing.T) {
 		if !found {
 			t.Errorf("record at unit %d is not buffered in pane %d sub-pane %d", u, p, s)
 		}
+	}
+}
+
+// TestIngestNeverWritesTheBatch: the packer keeps views of the batches it
+// is handed, so nothing it does may write through them. An out-of-order
+// batch flushes as a sorted pane file while the batch stays as it was
+// handed over, and a second batch for the same cell grows a copy, not
+// the first batch's spare capacity.
+func TestIngestNeverWritesTheBatch(t *testing.T) {
+	d := packerDFS(t)
+	pk, err := NewPacker(d, "S1", "/data", window.FrameOf(packerSpec()), oversizePlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing := mkRecs([]int64{7, 2, 9, 0, 100, 101}) // the last two: spare capacity of first
+	first, second := backing[:4], mkRecs([]int64{5, 1})
+	wantBacking, wantSecond := slices.Clone(backing), slices.Clone(second)
+	for _, b := range [][]records.Record{first, second} {
+		if err := pk.Ingest(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pk.FlushThrough(10); err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b records.Record) bool {
+		return a.Ts == b.Ts && &a.Data[0] == &b.Data[0] && len(a.Data) == len(b.Data)
+	}
+	if !slices.EqualFunc(backing, wantBacking, same) || !slices.EqualFunc(second, wantSecond, same) {
+		t.Fatalf("Ingest wrote to the caller's batches: %v and %v, handed over as %v and %v",
+			backing, second, wantBacking, wantSecond)
+	}
+	ins, ok := pk.PaneInputs(0)
+	if !ok || len(ins) != 1 {
+		t.Fatalf("pane 0 inputs = %v, %v", ins, ok)
+	}
+	data, err := d.Read(ins[0].Input.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := colfmt.DecodeRecords(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ts []int64
+	for _, r := range recs {
+		ts = append(ts, r.Ts)
+		if string(r.Data) != fmt.Sprintf("rec@%d", r.Ts) {
+			t.Errorf("record at %d holds %q", r.Ts, r.Data)
+		}
+	}
+	if want := []int64{0, 1, 2, 5, 7, 9}; !slices.Equal(ts, want) {
+		t.Fatalf("pane file holds timestamps %v, want %v", ts, want)
 	}
 }

@@ -39,16 +39,6 @@ func NewHolt(alpha, beta float64) (*Holt, error) {
 	return &Holt{alpha: alpha, beta: beta}, nil
 }
 
-// MustNewHolt is NewHolt that panics on invalid parameters; intended for
-// package-level defaults with constant arguments.
-func MustNewHolt(alpha, beta float64) *Holt {
-	h, err := NewHolt(alpha, beta)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // N returns the number of observations absorbed so far.
 func (h *Holt) N() int { return h.n }
 

@@ -19,17 +19,18 @@ func TestNewHoltValidation(t *testing.T) {
 	}
 }
 
-func TestMustNewHoltPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNewHolt should panic on invalid params")
-		}
-	}()
-	MustNewHolt(0, 0)
+// newHolt is the profiler's default estimator, α=0.5, β=0.3.
+func newHolt(t *testing.T) *Holt {
+	t.Helper()
+	h, err := NewHolt(0.5, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 func TestInitialization(t *testing.T) {
-	h := MustNewHolt(0.5, 0.3)
+	h := newHolt(t)
 	if h.Forecast(1) != 0 {
 		t.Error("forecast before any observation should be zero")
 	}
@@ -55,7 +56,7 @@ func TestInitialization(t *testing.T) {
 func TestLinearTrendForecastIsExact(t *testing.T) {
 	// For a perfectly linear series the smoothed level and trend lock
 	// onto the line, so the k-step forecast is exact.
-	h := MustNewHolt(0.5, 0.3)
+	h := newHolt(t)
 	for i := 0; i < 20; i++ {
 		h.Observe(50 + 10*float64(i))
 	}
@@ -67,7 +68,7 @@ func TestLinearTrendForecastIsExact(t *testing.T) {
 }
 
 func TestConstantSeries(t *testing.T) {
-	h := MustNewHolt(0.5, 0.3)
+	h := newHolt(t)
 	for i := 0; i < 10; i++ {
 		h.Observe(42)
 	}
@@ -79,7 +80,7 @@ func TestConstantSeries(t *testing.T) {
 func TestSpikeDetection(t *testing.T) {
 	// The profiler's use case: execution times double; the forecast
 	// should move decisively toward the new regime.
-	h := MustNewHolt(0.5, 0.3)
+	h := newHolt(t)
 	for i := 0; i < 5; i++ {
 		h.Observe(100)
 	}
@@ -91,7 +92,7 @@ func TestSpikeDetection(t *testing.T) {
 }
 
 func TestForecastKClamped(t *testing.T) {
-	h := MustNewHolt(0.5, 0.3)
+	h := newHolt(t)
 	h.Observe(10)
 	h.Observe(20)
 	if h.Forecast(0) != h.Forecast(1) || h.Forecast(-3) != h.Forecast(1) {
@@ -100,7 +101,7 @@ func TestForecastKClamped(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	h := MustNewHolt(0.5, 0.3)
+	h := newHolt(t)
 	h.Observe(10)
 	h.Observe(20)
 	h.Reset()
@@ -118,7 +119,7 @@ func TestReset(t *testing.T) {
 // the constant.
 func TestForecastStabilityProperty(t *testing.T) {
 	f := func(vals []uint16, tail uint16) bool {
-		h := MustNewHolt(0.5, 0.3)
+		h := newHolt(t)
 		for _, v := range vals {
 			h.Observe(float64(v%1000) + 1)
 		}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"strconv"
-	"sync"
 
 	"redoop/internal/account"
 	"redoop/internal/cluster"
@@ -109,6 +108,8 @@ type Engine struct {
 	// join against the exact attempts that produced them. Nil disables
 	// attempt provenance.
 	Lineage *lineage.Store
+
+	scratch scratch // free lists of the arrays phases borrow (DropScratch)
 }
 
 // New constructs an engine over the given substrates with default
@@ -246,6 +247,23 @@ type MapPhaseResult struct {
 	// the dependency edges downstream shuffle/reduce spans record.
 	// Empty when no observer is attached.
 	Spans []obs.SpanID
+	out   []records.Pair // the array Parts views, owned until Release or a merge takes it
+	from  *Engine        // whose free list out goes back to
+}
+
+// Release hands the map-output array back, cleared, for a later
+// PrepareMapPhase of the same engine once nothing reads Parts or a view
+// of them (a reducer's Input). Parts becomes nil; optional, idempotent
+// and nil-safe.
+func (mp *MapPhaseResult) Release() {
+	if mp == nil {
+		return
+	}
+	if mp.out != nil {
+		clear(mp.out)
+		mp.from.scratch.outs.put(mp.out)
+	}
+	mp.out, mp.Parts = nil, nil
 }
 
 // newMapPhaseResult returns the result of a map wave with no task yet.
@@ -269,8 +287,9 @@ func newMapPhaseResult(reducers int, ready simtime.Time) *MapPhaseResult {
 // source-byte matrices summed, and the wave bounds widened. Redoop uses
 // it to fuse per-segment (proactive sub-pane) map phases; the baseline
 // driver uses it to fuse per-source map phases of a join. The result
-// shares the partitions and matrix of a sole phase that ran any task;
-// otherwise each merged partition is sized first and written once.
+// takes over the array, partitions and matrix of a sole phase that ran
+// any task; otherwise each merged partition is sized first and written
+// once, and the phases keep their arrays.
 func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *MapPhaseResult {
 	out := newMapPhaseResult(reducers, ready)
 	var live []*MapPhaseResult
@@ -289,6 +308,7 @@ func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *Map
 	}
 	if len(live) == 1 {
 		out.Parts, out.PartSrcBytes, out.Spans = live[0].Parts, live[0].PartSrcBytes, live[0].Spans
+		out.out, out.from, live[0].out = live[0].out, live[0].from, nil
 		return out
 	}
 	for r := range out.Parts {
@@ -320,8 +340,9 @@ type MapPhasePrep struct {
 	job    *Job
 	splits []Split
 	// parts is the map output per reduce partition, every split's share
-	// in split order: views of one array sized from the emission counts.
+	// in split order: views of out, sized from the emission counts.
 	parts [][]records.Pair
+	out   []records.Pair
 	// partBytes[i*R+r] is the encoded size of what split i emitted
 	// (after combining) into partition r.
 	partBytes []int64
@@ -338,18 +359,16 @@ type staged struct {
 	part int32
 }
 
-var stagePool = sync.Pool{New: func() any { return new([]staged) }}
-
 // PrepareMapPhase runs phase 1 of a map phase: split enumeration, file
 // validation (parallel per input file), and the user map + combine +
 // partition per split (parallel per split, up to Workers goroutines),
 // each record read off the file's columns as it is mapped.
 // Emissions are staged and counted per (split, partition); once every
-// split has run, the whole output is allocated as one array and each
-// pair placed where it stays — nothing downstream appends to it or
-// measures it again. It touches no node timeline and emits no metrics,
-// so distinct prepares may overlap; all scheduling happens later in
-// CommitMapPhase.
+// split has run, the whole output is borrowed as one array (see
+// Release) and each pair placed where it stays — nothing downstream
+// appends to it or measures it again. It touches no node timeline and
+// emits no metrics, so distinct prepares may overlap; all scheduling
+// happens later in CommitMapPhase.
 func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
@@ -381,7 +400,7 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 	// first Map call, for the common mapper: one emission per record. A
 	// split that emits more outgrows its share; a combiner's starts empty.
 	stages := make([][]staged, len(splits))
-	shared, n := stagePool.Get().(*[]staged), 0
+	shared, n := e.scratch.stages.get(0), 0
 	var groupers []Grouper // one per worker, for the combiner
 	if job.Combine != nil {
 		groupers = make([]Grouper, workers)
@@ -389,10 +408,10 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 		for _, sp := range spans {
 			n += sp.Hi - sp.Lo
 		}
-		if cap(*shared) < n { // the collector empties the pool: sized exactly, not regrown
-			*shared = make([]staged, n)
+		if cap(shared) < n { // a recurrence's first phase: sized exactly, not regrown
+			shared = make([]staged, n)
 		}
-		rest := (*shared)[:n]
+		rest := shared[:n]
 		for i := range splits {
 			m := 0
 			for _, sp := range spans[starts[i]:starts[i+1]] {
@@ -451,7 +470,8 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 		}
 		ends[r] = total
 	}
-	all := make([]records.Pair, total)
+	prep.out = e.scratch.outs.get(total)
+	all := prep.out
 	prep.parts = make([][]records.Pair, R)
 	for r, lo := 0, 0; r < R; lo, r = ends[r], r+1 {
 		if hi := ends[r]; hi > lo {
@@ -465,8 +485,8 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 			next[s.part]++
 		}
 	})
-	clear((*shared)[:n]) // a recycled stage must not pin this phase's keys and values
-	stagePool.Put(shared)
+	clear(shared[:n]) // a recycled stage must not pin this phase's keys and values
+	e.scratch.stages.put(shared)
 	return prep, nil
 }
 
@@ -482,7 +502,7 @@ func (e *Engine) CommitMapPhase(prep *MapPhasePrep, ready simtime.Time) (*MapPha
 	if len(prep.splits) == 0 {
 		return res, nil
 	}
-	res.Parts = prep.parts
+	res.Parts, res.out, res.from, prep.out = prep.parts, prep.out, e, nil
 	for i, s := range prep.splits {
 		sizes := prep.partBytes[i*R : (i+1)*R]
 		var outBytes int64
@@ -726,7 +746,7 @@ func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time
 	}
 	results := make([]ReducerResult, len(live))
 	workers := make([]int, len(live)) // pool worker of each compute (observability only)
-	groupers := Groupers(e.WorkerCount(), mp.Parts)
+	groupers := e.Groupers(mp.Parts)
 	parallel.ForWorker(len(groupers), len(live), func(worker, i int) {
 		rr := &results[i]
 		rr.Part, rr.Input = live[i], mp.Parts[live[i]]
@@ -736,6 +756,7 @@ func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time
 		}
 		rr.OutBytes, workers[i] = records.PairsSize(rr.Output), worker
 	})
+	e.PutGroupers(groupers)
 
 	// Phase 2: deterministic accounting, serial in partition order.
 	for i := range results {

@@ -137,19 +137,31 @@ func (g *Grouper) values(n int) [][]byte {
 	return g.vals[:n]
 }
 
-// Groupers returns one scratch per pool worker for grouping parts: a
+// Groupers borrows one scratch per pool worker for grouping parts: a
 // worker's first use sizes its scratch for the largest of them, once,
-// instead of regrowing it as larger partitions arrive.
-func Groupers(workers int, parts [][]records.Pair) []Grouper {
+// instead of regrowing it as larger partitions arrive. Hand it back with
+// PutGroupers once no group it returned is read.
+func (e *Engine) Groupers(parts [][]records.Pair) []Grouper {
 	most := 0
 	for _, ps := range parts {
 		most = max(most, len(ps))
 	}
-	gs := make([]Grouper, workers)
+	gs := e.scratch.groupers.get(e.WorkerCount())
 	for i := range gs {
 		gs[i].most = most
 	}
 	return gs
+}
+
+// PutGroupers hands scratch back, first clearing its views of the pass's
+// keys and values (no more than it announced) so that the free list pins none.
+func (e *Engine) PutGroupers(gs []Grouper) {
+	for _, g := range gs { // copies sharing the arrays they clear
+		clear(g.vals[:min(g.most, len(g.vals))])
+		clear(g.keys[:min(g.most, cap(g.keys))])
+		clear(g.groups[:min(g.most, cap(g.groups))])
+	}
+	e.scratch.groupers.put(gs)
 }
 
 // Sorted is Group for pairs already in key order — a merge of cached,

@@ -261,8 +261,14 @@ func TestGrouperAllocatesPerScratchNotPerPartition(t *testing.T) {
 			g.Group(ps)
 		}
 	}
-	told := testing.AllocsPerRun(10, func() { group(&Groupers(1, skewed)[0], skewed) })
-	largest := testing.AllocsPerRun(10, func() { group(&Groupers(1, skewed[3:])[0], skewed[3:]) })
+	e := &Engine{Workers: 1}
+	gs := e.Groupers(skewed)
+	if most := gs[0].most; most != len(skewed[3]) {
+		t.Fatalf("Groupers announced %d pairs, the largest partition has %d", most, len(skewed[3]))
+	}
+	e.PutGroupers(gs)
+	told := testing.AllocsPerRun(10, func() { group(&Grouper{most: len(skewed[3])}, skewed) })
+	largest := testing.AllocsPerRun(10, func() { group(&Grouper{most: len(skewed[3])}, skewed[3:]) })
 	untold := testing.AllocsPerRun(10, func() { group(new(Grouper), skewed) })
 	t.Logf("four partitions, smallest first: %.0f allocations told the largest, %.0f for the largest alone, %.0f untold", told, largest, untold)
 	if told != largest || untold <= told {
@@ -302,4 +308,34 @@ func FuzzGroupPairs(f *testing.F) {
 			checkGrouped(t, "collide", input[:len(input)/2], got, collide.Group(got))
 		}
 	})
+}
+
+// TestPutGroupersPinsNothing: scratch handed back to the pool holds no
+// view of the keys and values it grouped, however many partitions each
+// worker grouped.
+func TestPutGroupersPinsNothing(t *testing.T) {
+	parts := panePartitions(rand.New(rand.NewSource(5)))
+	e := &Engine{Workers: 2}
+	gs := e.Groupers(parts)
+	for p, ps := range parts {
+		gs[p%2].Group(ps)
+	}
+	e.PutGroupers(gs)
+	for w, g := range gs {
+		for i, v := range g.vals[:cap(g.vals)] {
+			if v != nil {
+				t.Fatalf("worker %d's scratch still holds value %d", w, i)
+			}
+		}
+		for i, k := range g.keys[:cap(g.keys)] {
+			if k.key != nil {
+				t.Fatalf("worker %d's scratch still holds key %d", w, i)
+			}
+		}
+		for i, gr := range g.groups[:cap(g.groups)] {
+			if gr.Key != nil || gr.Values != nil {
+				t.Fatalf("worker %d's scratch still holds group %d", w, i)
+			}
+		}
+	}
 }

@@ -218,6 +218,7 @@ func TestMapLayoutMatchesNaiveReference(t *testing.T) {
 				got.BytesSpilled != wantStats.BytesSpilled || got.FailedAttempts != 0 {
 				t.Fatalf("trial %d workers %d: stats %+v, reference %+v", trial, workers, got, wantStats)
 			}
+			mp.from = nil // which engine's free list the array goes back to
 			if workers == 1 {
 				serial = mp
 			} else if !reflect.DeepEqual(mp, serial) {

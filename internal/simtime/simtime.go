@@ -64,21 +64,6 @@ func Min(a, b Time) Time {
 	return b
 }
 
-// MaxAll returns the latest of the given instants; it panics on an empty
-// argument list because there is no sensible identity for "latest".
-func MaxAll(ts ...Time) Time {
-	if len(ts) == 0 {
-		panic("simtime: MaxAll of no instants")
-	}
-	m := ts[0]
-	for _, t := range ts[1:] {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
-
 // Timeline tracks the availability of a set of identical execution slots
 // (for example the map slots of one node). Acquire returns the earliest
 // instant at which a slot is free at-or-after a requested start time and

@@ -31,18 +31,6 @@ func TestMaxMin(t *testing.T) {
 	if Min(a, b) != a || Min(b, a) != a {
 		t.Error("Min wrong")
 	}
-	if MaxAll(a, b, Time(7)) != b {
-		t.Error("MaxAll wrong")
-	}
-}
-
-func TestMaxAllEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MaxAll() should panic on empty input")
-		}
-	}()
-	MaxAll()
 }
 
 func TestNewTimelineRejectsNonPositive(t *testing.T) {

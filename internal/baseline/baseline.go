@@ -14,6 +14,7 @@
 package baseline
 
 import (
+	"bytes"
 	"fmt"
 
 	"redoop/internal/colfmt"
@@ -160,12 +161,14 @@ func (d *Driver) RunNext() (*Result, error) {
 	// The baseline reduce composes the query's Reduce with its Merge
 	// finalization so one full-window job computes exactly what
 	// Redoop's pane-reduce + finalize pipeline computes (aggregates
-	// emit under their input key, so the composition is per-group).
+	// emit under their input key, so the composition is per-group). The
+	// partials are collected as a reduce emit collects: copied, since a
+	// reducer may reuse its buffers.
 	reduceFn := q.Reduce
 	if q.Merge != nil {
 		reduceFn = func(key []byte, values [][]byte, emit mapreduce.Emitter) {
 			var partials [][]byte
-			q.Reduce(key, values, func(_, v []byte) { partials = append(partials, v) })
+			q.Reduce(key, values, func(_, v []byte) { partials = append(partials, bytes.Clone(v)) })
 			q.Merge(key, partials, emit)
 		}
 	}

@@ -41,11 +41,14 @@
 // mapper maps from the view by index — a split's records are two binary
 // searches per segment, no record is turned back into a struct — and
 // DecodeRecords materializes the same view for callers that want a slice.
+// A pair segment's view is a PairRun (ViewPairs), read by index the same
+// way; PairWriter writes one as pairs are added, copying each.
 //
 // Zero-copy lifetime rule: views, decoded records and pairs alias the
 // input buffer. The buffer must stay immutable and live for as long as
-// anything read from it. Encode* return exactly-sized buffers, which the
-// stores take ownership of (Node.PutLocal, dfs.Write).
+// anything read from it. Encode* and PairWriter.Encode return
+// exactly-sized buffers, which the stores take ownership of
+// (Node.PutLocal, dfs.Write).
 package colfmt
 
 import (
@@ -313,23 +316,117 @@ func pairHeader(data []byte) (n uint32, fixed, kb, vb, total uint64, err error) 
 	return n, fixed, kb, vb, total, nil
 }
 
-// pairSegment validates the pair segment at the head of data and
-// returns its count, column views and total length.
-func pairSegment(data []byte) (count int, koff, voff, keys, vals []byte, segLen int, err error) {
-	n, fixed, kb, vb, total, err := pairHeader(data)
+// PairRun is the validated view of one pair segment: pair i's key and
+// value are read off its columns, as capacity-limited views of the
+// segment. The zero value is an empty run.
+type PairRun struct {
+	n                      int
+	koff, voff, keys, vals []byte
+}
+
+// ViewPairs validates the pair segment at the head of data — bounds,
+// checksum, offset columns — and returns its view and the bytes after it,
+// the file's further segments.
+func ViewPairs(data []byte) (run PairRun, rest []byte, err error) {
+	n, _, kb, vb, total, err := pairHeader(data)
 	if err != nil {
-		return 0, nil, nil, nil, nil, 0, err
+		return PairRun{}, nil, err
 	}
 	seg := data[:total]
 	if got, want := crc32.ChecksumIEEE(seg[:total-4]), binary.LittleEndian.Uint32(seg[total-4:]); got != want {
-		return 0, nil, nil, nil, nil, 0, corruptf("pair segment checksum mismatch (%08x != %08x)", got, want)
+		return PairRun{}, nil, corruptf("pair segment checksum mismatch (%08x != %08x)", got, want)
 	}
-	koff = seg[8 : 8+4*(uint64(n)+1)]
-	voff = seg[8+4*(uint64(n)+1) : fixed]
-	if err := cmp.Or(checkOffsets("pair key", koff, n), checkOffsets("pair value", voff, n)); err != nil {
-		return 0, nil, nil, nil, nil, 0, err
+	run = viewColumns(seg, int(n), int(kb), int(vb))
+	if err := cmp.Or(checkOffsets("pair key", run.koff, n), checkOffsets("pair value", run.voff, n)); err != nil {
+		return PairRun{}, nil, err
 	}
-	return int(n), koff, voff, seg[fixed : fixed+kb], seg[fixed+kb : fixed+kb+vb], int(total), nil
+	return run, data[total:], nil
+}
+
+// viewColumns cuts the columns of a pair segment of n pairs, kb key and
+// vb value bytes.
+func viewColumns(seg []byte, n, kb, vb int) PairRun {
+	fixed := 8 + 2*4*(n+1)
+	return PairRun{n, seg[8 : 8+4*(n+1)], seg[8+4*(n+1) : fixed], seg[fixed : fixed+kb], seg[fixed+kb : fixed+kb+vb]}
+}
+
+// Len returns the run's pair count.
+func (r *PairRun) Len() int { return r.n }
+
+// Key returns pair i's key.
+func (r *PairRun) Key(i int) []byte {
+	lo, hi := binary.LittleEndian.Uint32(r.koff[4*i:]), binary.LittleEndian.Uint32(r.koff[4*i+4:])
+	return r.keys[lo:hi:hi]
+}
+
+// Value returns pair i's value.
+func (r *PairRun) Value(i int) []byte {
+	lo, hi := binary.LittleEndian.Uint32(r.voff[4*i:]), binary.LittleEndian.Uint32(r.voff[4*i+4:])
+	return r.vals[lo:hi:hi]
+}
+
+// AppendTo appends the run's pairs to dst.
+func (r *PairRun) AppendTo(dst []records.Pair) []records.Pair {
+	dst = slices.Grow(dst, r.n)
+	for i := 0; i < r.n; i++ {
+		dst = append(dst, records.Pair{Key: r.Key(i), Value: r.Value(i)})
+	}
+	return dst
+}
+
+// PairWriter encodes pairs as they are added. Add copies key and value
+// into the writer's column scratch, so a caller may reuse its buffers as
+// soon as Add returns — the collect of a reducer, Hadoop's
+// context.write. Encode writes what was added since the last Reset as one
+// exactly-sized segment, byte for byte what EncodePairs writes for the
+// same pairs. The zero value is ready; the scratch is kept across Reset.
+type PairWriter struct {
+	koff, voff []byte // per pair its cumulative key and value end, little-endian
+	keys, vals []byte
+}
+
+// Reset empties the writer, keeping its scratch.
+func (w *PairWriter) Reset() {
+	w.koff, w.voff, w.keys, w.vals = w.koff[:0], w.voff[:0], w.keys[:0], w.vals[:0]
+}
+
+// Add copies one pair in.
+func (w *PairWriter) Add(key, value []byte) {
+	w.keys = append(w.keys, key...)
+	w.vals = append(w.vals, value...)
+	w.koff = binary.LittleEndian.AppendUint32(w.koff, uint32(len(w.keys)))
+	w.voff = binary.LittleEndian.AppendUint32(w.voff, uint32(len(w.vals)))
+}
+
+// Encode returns the pairs added since the last Reset as one
+// exactly-sized segment, nil when there are none.
+func (w *PairWriter) Encode() []byte {
+	n := len(w.koff) / 4
+	if n == 0 {
+		return nil
+	}
+	seg := make([]byte, 8+2*4*(n+1)+len(w.keys)+len(w.vals)+4)
+	copy(seg, magicPairs[:])
+	binary.LittleEndian.PutUint32(seg[4:], uint32(n))
+	p := 12 // koff[0] == 0
+	p += copy(seg[p:], w.koff)
+	p += 4 // voff[0] == 0
+	p += copy(seg[p:], w.voff)
+	p += copy(seg[p:], w.keys)
+	p += copy(seg[p:], w.vals)
+	binary.LittleEndian.PutUint32(seg[p:], crc32.ChecksumIEEE(seg[:p]))
+	return seg
+}
+
+// Segment is Encode plus the segment's pairs, views of it in the order
+// they were added.
+func (w *PairWriter) Segment() ([]byte, []records.Pair) {
+	seg := w.Encode()
+	if seg == nil {
+		return nil, nil
+	}
+	run := viewColumns(seg, len(w.koff)/4, len(w.keys), len(w.vals))
+	return seg, run.AppendTo(nil)
 }
 
 // DecodeRecords materializes the view of a file of concatenated record
@@ -366,22 +463,11 @@ func DecodePairs(data []byte) ([]records.Pair, error) {
 func AppendDecodedPairs(dst []records.Pair, data []byte) ([]records.Pair, error) {
 	out := dst
 	for len(data) > 0 {
-		n, koff, voff, keys, vals, segLen, err := pairSegment(data)
+		run, rest, err := ViewPairs(data)
 		if err != nil {
 			return dst, err
 		}
-		out = slices.Grow(out, n)
-		for i := 0; i < n; i++ {
-			klo := binary.LittleEndian.Uint32(koff[4*i:])
-			khi := binary.LittleEndian.Uint32(koff[4*(i+1):])
-			vlo := binary.LittleEndian.Uint32(voff[4*i:])
-			vhi := binary.LittleEndian.Uint32(voff[4*(i+1):])
-			out = append(out, records.Pair{
-				Key:   keys[klo:khi:khi],
-				Value: vals[vlo:vhi:vhi],
-			})
-		}
-		data = data[segLen:]
+		out, data = run.AppendTo(out), rest
 	}
 	return out, nil
 }

@@ -521,3 +521,108 @@ func TestRecordsSizeIsTheEncodedLength(t *testing.T) {
 		t.Fatalf("packed body is %d bytes (cap %d), sized %d", len(body), cap(body), size)
 	}
 }
+
+// writeAll adds pairs to w the way a reducer reusing one buffer emits
+// them: each key and value is copied into buf, handed to Add, and
+// overwritten by the next pair, so a writer that kept a view would
+// encode garbage.
+func writeAll(w *PairWriter, pairs []records.Pair) {
+	var buf []byte
+	for _, p := range pairs {
+		buf = append(append(buf[:0], p.Key...), p.Value...)
+		w.Add(buf[:len(p.Key)], buf[len(p.Key):])
+		clear(buf)
+	}
+}
+
+// checkPairWriter holds one writer, reused after a Reset, to EncodePairs
+// of the same pairs, and its Segment's pairs to views of the segment
+// equal to the pairs added; ViewPairs must read the segment back.
+func checkPairWriter(t *testing.T, w *PairWriter, pairs []records.Pair) {
+	t.Helper()
+	w.Reset()
+	writeAll(w, pairs)
+	want := EncodePairs(pairs)
+	if got := w.Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("%d pairs: Encode differs from EncodePairs (%d vs %d bytes)", len(pairs), len(got), len(want))
+	}
+	seg, views := w.Segment()
+	if !bytes.Equal(seg, want) || len(views) != len(pairs) || (seg == nil) != (len(pairs) == 0) {
+		t.Fatalf("%d pairs: Segment gives %d bytes and %d pairs", len(pairs), len(seg), len(views))
+	}
+	for i, p := range pairs {
+		v := views[i]
+		if !bytes.Equal(v.Key, p.Key) || !bytes.Equal(v.Value, p.Value) {
+			t.Fatalf("pair %d: Segment reads %q=%q, added %q=%q", i, v.Key, v.Value, p.Key, p.Value)
+		}
+		if (len(v.Key) > 0 && !aliases(seg, v.Key)) || (len(v.Value) > 0 && !aliases(seg, v.Value)) {
+			t.Fatalf("pair %d is not a view of the segment", i)
+		}
+	}
+	if len(pairs) == 0 {
+		return
+	}
+	run, rest, err := ViewPairs(append(seg, seg...))
+	if err != nil || len(rest) != len(seg) || run.Len() != len(pairs) {
+		t.Fatalf("ViewPairs of two segments: %d pairs, %d bytes after, %v", run.Len(), len(rest), err)
+	}
+	for i, p := range pairs {
+		if !bytes.Equal(run.Key(i), p.Key) || !bytes.Equal(run.Value(i), p.Value) {
+			t.Fatalf("pair %d: ViewPairs reads %q=%q", i, run.Key(i), run.Value(i))
+		}
+	}
+}
+
+// TestPairWriterMatchesEncodePairs: a reduce emit's writer copies what
+// it is handed and encodes, byte for byte, what EncodePairs writes for
+// the same pairs — the caches it produces are the ones EncodePairs did.
+func TestPairWriterMatchesEncodePairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var w PairWriter
+	for trial := 0; trial < 200; trial++ {
+		n := []int{0, 1, 1 + rng.Intn(8), 1 + rng.Intn(300)}[trial%4]
+		pairs := genPairs(rng, n)
+		if trial%5 == 0 && n > 0 { // empty keys and values encode too
+			pairs[0] = records.Pair{}
+		}
+		checkPairWriter(t, &w, pairs)
+	}
+}
+
+// FuzzPairWriter splits arbitrary bytes into pairs (a length byte
+// before each key and value) and holds the writer to EncodePairs.
+func FuzzPairWriter(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{3, 'k', 'e', 'y', 1, 'v', 2, 'k', '2', 0})
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 4; i++ {
+		var seed []byte
+		for _, p := range genPairs(rng, 1+rng.Intn(6)) {
+			seed = append(append(append(seed, byte(len(p.Key))), p.Key...), byte(len(p.Value)))
+			seed = append(seed, p.Value...)
+		}
+		f.Add(seed)
+	}
+	var w PairWriter
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var pairs []records.Pair
+		next := func() []byte {
+			n := int(data[0])
+			data = data[1:]
+			n = min(n, len(data))
+			b := data[:n:n]
+			data = data[n:]
+			return b
+		}
+		for len(data) > 0 {
+			k := next()
+			var v []byte
+			if len(data) > 0 {
+				v = next()
+			}
+			pairs = append(pairs, records.Pair{Key: k, Value: v})
+		}
+		checkPairWriter(t, &w, pairs)
+	})
+}

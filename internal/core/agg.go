@@ -64,7 +64,8 @@ func (e *Engine) willMapPane(p window.PaneID) bool {
 		return false
 	}
 	done, _ := e.matrix.Done(p)
-	_, known := e.ctrl.Lookup(e.query.rinPID(0, e.frames[0].Pane, p, 0), ReduceInput)
+	var buf pidBuf
+	_, known := e.ctrl.lookup(e.query.appendRinPID(buf[:0], 0, e.frames[0].Pane, p, 0), ReduceInput)
 	return e.noReuse || !(done || known)
 }
 
@@ -119,11 +120,12 @@ func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, pp *panePr
 	if e.noReuse {
 		paneDone = false
 	}
+	var buf pidBuf
 	if paneDone {
 		refs = make([]cacheRef, R)
 		allOut := true
 		for part := 0; part < R; part++ {
-			ref, ok := e.lookupCache(q.routPanePID(p, part), ReduceOutput)
+			ref, ok := e.lookupCache(q.appendRoutTuplePID(buf[:0], paneTuple{p}, part), ReduceOutput)
 			if !ok {
 				allOut = false
 				break
@@ -153,7 +155,7 @@ func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, pp *panePr
 	rins := make([]cacheRef, R)
 	allIn := !e.noReuse
 	for part := 0; allIn && part < R; part++ {
-		ref, ok := e.lookupCache(q.rinPID(0, e.frames[0].Pane, p, part), ReduceInput)
+		ref, ok := e.lookupCache(q.appendRinPID(buf[:0], 0, e.frames[0].Pane, p, part), ReduceInput)
 		if !ok {
 			allIn = false
 			break
@@ -196,12 +198,13 @@ func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, pp *panePr
 	}
 	stats.Accumulate(rstats)
 
-	// Encode the cache payloads in parallel (pure compute); cache
+	// Encode the reduce-input caches in parallel (pure compute; the
+	// outputs were encoded as the reducers emitted them); cache
 	// registration below stays serial in partition order.
 	rinData, routData := make([][]byte, R), make([][]byte, R)
 	parallel.For(e.mr.WorkerCount(), len(rres), func(i int) {
 		rr := rres[i]
-		rinData[rr.Part], routData[rr.Part] = colfmt.EncodePairs(rr.Input), colfmt.EncodePairs(rr.Output)
+		rinData[rr.Part], routData[rr.Part] = colfmt.EncodePairs(rr.Input), rr.OutData
 	})
 	mp.Release() // the caches exist: the map output, and every Input viewing it, is dead
 	// Recompute attribution for the benefit ledger: the map phase (and
@@ -309,8 +312,8 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 		if len(subOut[part]) == 0 {
 			return
 		}
-		combined := mapreduce.ReduceGroups(q.Merge, groupers[worker].Group(subOut[part]))
-		routData[part] = colfmt.EncodePairs(combined)
+		g := &groupers[worker]
+		routData[part], _ = g.Reduce(q.Merge, g.Group(subOut[part]))
 		rinData[part] = colfmt.EncodePairs(mapreduce.MergeSortedRuns(nil, subIn[part]...))
 	})
 	e.mr.PutGroupers(groupers)
@@ -370,8 +373,8 @@ func (e *Engine) rebuildAggOutputs(p window.PaneID, trigger simtime.Time, rins [
 				return err
 			}
 			// Every reduce-input cache is stored key-sorted.
-			out := mapreduce.ReduceGroups(q.Reduce, mapreduce.GroupSorted(pairs))
-			rebuilt[part] = colfmt.EncodePairs(out)
+			var g mapreduce.Grouper
+			rebuilt[part], _ = g.Reduce(q.Reduce, g.Sorted(pairs))
 			return nil
 		},
 		func(part int) error {

@@ -275,6 +275,16 @@ func (c *Controller) Lookup(pid string, typ CacheType) (*Signature, bool) {
 	return s, ok
 }
 
+// lookup is Lookup by the PID's bytes, which the caller may build on its
+// stack: the map index converts them without a copy, and the signature
+// carries the PID's stored string.
+func (c *Controller) lookup(pid []byte, typ CacheType) (*Signature, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.sigs[entryKey{string(pid), typ}]
+	return s, ok
+}
+
 // Signatures returns all signatures sorted by pid then type.
 func (c *Controller) Signatures() []*Signature {
 	c.mu.Lock()
@@ -329,10 +339,26 @@ func (c *Controller) SetReady(pid string, typ CacheType, ready Ready, at simtime
 func (c *Controller) MarkQueryDone(pid string, typ CacheType, q int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.sigs[entryKey{pid, typ}]
-	if !ok {
+	return c.markDoneLocked(c.sigs[entryKey{pid, typ}], q)
+}
+
+// markQueryDone is MarkQueryDone by the PID's bytes (see lookup); a
+// purged cache is reported by its stored PID.
+func (c *Controller) markQueryDone(pid []byte, typ CacheType, q int) (string, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s := c.sigs[entryKey{string(pid), typ}]; c.markDoneLocked(s, q) {
+		return s.PID, true
+	}
+	return "", false
+}
+
+// markDoneLocked is MarkQueryDone on signature s, nil when there is none.
+func (c *Controller) markDoneLocked(s *Signature, q int) bool {
+	if s == nil {
 		return false
 	}
+	pid, typ := s.PID, s.Type
 	if q >= 0 && q < len(s.doneQueryMask) {
 		s.doneQueryMask[q] = true
 	}
@@ -353,10 +379,12 @@ func (c *Controller) MarkQueryDone(pid string, typ CacheType, q int) bool {
 		c.onPurge(pid, typ)
 	}
 	c.obs.Counter("redoop_cache_purge_notices_total", obs.L("type", typ.String())).Inc()
-	c.obs.Emit(s.ReadyAt, eventlog.CachePurge, "", eventlog.CacheData{
-		PID: pid, CacheType: typ.String(), Node: s.NID,
-		Bytes: s.Bytes, Recurrence: -1,
-	})
+	if c.obs != nil { // the event escapes to the heap before Emit can see a nil observer
+		c.obs.Emit(s.ReadyAt, eventlog.CachePurge, "", eventlog.CacheData{
+			PID: pid, CacheType: typ.String(), Node: s.NID,
+			Bytes: s.Bytes, Recurrence: -1,
+		})
+	}
 	if c.log != nil {
 		c.log.Debug("cache purge notification sent",
 			"pid", pid, "type", typ.String(), "node", s.NID, "bytes", s.Bytes)

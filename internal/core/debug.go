@@ -50,30 +50,13 @@ type ControllerDump struct {
 	Registries []RegistryDump  `json:"registries"`
 }
 
-// Dump snapshots the controller for the debug server.
+// Dump snapshots the controller for the debug server. The signature rows
+// are copied while the lock is held: MarkQueryDone, SetReady and
+// Register write a signature's fields under it.
 func (c *Controller) Dump() ControllerDump {
 	c.mu.Lock()
-	queries := append([]string(nil), c.queries...)
-	sigs := make([]*Signature, 0, len(c.sigs))
+	d := ControllerDump{Queries: append([]string(nil), c.queries...)}
 	for _, s := range c.sigs {
-		sigs = append(sigs, s)
-	}
-	regs := make([]*Registry, 0, len(c.registries))
-	for _, r := range c.registries {
-		regs = append(regs, r)
-	}
-	c.mu.Unlock()
-
-	sort.Slice(sigs, func(i, j int) bool {
-		if sigs[i].PID != sigs[j].PID {
-			return sigs[i].PID < sigs[j].PID
-		}
-		return sigs[i].Type < sigs[j].Type
-	})
-	sort.Slice(regs, func(i, j int) bool { return regs[i].NodeID() < regs[j].NodeID() })
-
-	d := ControllerDump{Queries: queries}
-	for _, s := range sigs {
 		d.Signatures = append(d.Signatures, SignatureDump{
 			PID:           s.PID,
 			Type:          s.Type.String(),
@@ -84,6 +67,21 @@ func (c *Controller) Dump() ControllerDump {
 			DoneQueryMask: s.DoneMask(),
 		})
 	}
+	regs := make([]*Registry, 0, len(c.registries))
+	for _, r := range c.registries {
+		regs = append(regs, r)
+	}
+	c.mu.Unlock()
+
+	sort.Slice(d.Signatures, func(i, j int) bool {
+		a, b := d.Signatures[i], d.Signatures[j]
+		if a.PID != b.PID {
+			return a.PID < b.PID
+		}
+		return a.Type < b.Type
+	})
+	sort.Slice(regs, func(i, j int) bool { return regs[i].NodeID() < regs[j].NodeID() })
+
 	for _, r := range regs {
 		rd := RegistryDump{Node: r.NodeID(), CachedBytes: r.CachedBytes()}
 		for _, e := range r.Entries() {

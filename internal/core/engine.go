@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"strings"
 	"sync"
 
@@ -770,13 +771,16 @@ func (e *Engine) rinUsers(src int) []int {
 // cache-available AND its bytes are really present on the node (a lost
 // cache is the failure Figure 9 injects). On loss it rolls the
 // controller back to HDFS-available and removes any scheduled tasks
-// that depended on the cache, per §5.
-func (e *Engine) lookupCache(pid string, typ CacheType) (cacheRef, bool) {
-	sig, ok := e.ctrl.Lookup(pid, typ)
+// that depended on the cache, per §5. The PID comes as bytes the caller
+// may build on its stack; a found cache is named by its signature's
+// stored string, so only a miss copies them.
+func (e *Engine) lookupCache(pidBytes []byte, typ CacheType) (cacheRef, bool) {
+	sig, ok := e.ctrl.lookup(pidBytes, typ)
 	if !ok || sig.Ready != CacheAvailable {
-		e.commit(commit{kind: kindMiss, at: e.curTrigger, pid: pid, typ: typ, node: -1})
+		e.commit(commit{kind: kindMiss, at: e.curTrigger, pid: string(pidBytes), typ: typ, node: -1})
 		return cacheRef{}, false
 	}
+	pid := sig.PID
 	reg := e.ctrl.Registry(sig.NID)
 	if reg == nil || !reg.Has(pid, typ) {
 		// Cache loss: roll back the ready bit and pull dependent
@@ -821,40 +825,60 @@ func (e *Engine) readCache(ref cacheRef) ([]records.Pair, error) {
 	return colfmt.DecodePairs(data)
 }
 
-// gatherCaches decodes groups of non-empty caches, returning for each
-// group its caches' pairs concatenated in order. Pairs are counted from
-// segment headers first, so all groups share one allocation and the
-// workers decode each cache into its own sub-range; every result is
-// capacity-limited, safe to reorder independently.
-func (e *Engine) gatherCaches(groups [][]cacheRef) ([][]records.Pair, error) {
-	type source struct {
-		data   []byte
-		lo, hi int
+// gatherCaches decodes the non-empty caches of groups into one array,
+// group after group, each group's caches in order, and returns it with
+// the end of each group in it. Pairs are counted from segment headers
+// first, so the array is allocated once and the workers decode each
+// cache into its own sub-range.
+func (e *Engine) gatherCaches(groups [][]cacheRef) (all []records.Pair, ends []int, err error) {
+	type source struct { // a cache's bytes and where its pairs go: up to the next one's lo
+		data []byte
+		lo   int
 	}
-	var srcs []source
-	ends := make([]int, len(groups))
+	n := 0
+	for _, refs := range groups {
+		n += len(refs)
+	}
+	srcs := make([]source, 0, n)
+	ends = make([]int, len(groups))
 	total := 0
 	for g, refs := range groups {
 		for _, ref := range refs {
+			if ref.bytes == 0 {
+				continue
+			}
 			data, err := e.cacheBytes(ref)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			n, err := colfmt.CountPairs(data)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			srcs = append(srcs, source{data, total, total + n})
+			srcs = append(srcs, source{data, total})
 			total += n
 		}
 		ends[g] = total
 	}
-	all := make([]records.Pair, total)
+	all = make([]records.Pair, total)
 	if err := parallel.ForErr(e.mr.WorkerCount(), len(srcs), func(i int) error {
-		s := srcs[i]
-		_, err := colfmt.AppendDecodedPairs(all[s.lo:s.lo:s.hi], s.data)
+		hi := total
+		if i+1 < len(srcs) {
+			hi = srcs[i+1].lo
+		}
+		_, err := colfmt.AppendDecodedPairs(all[srcs[i].lo:srcs[i].lo:hi], srcs[i].data)
 		return err
 	}); err != nil {
+		return nil, nil, err
+	}
+	return all, ends, nil
+}
+
+// gatherGroups is gatherCaches cut into its groups, each
+// capacity-limited, safe to reorder independently.
+func (e *Engine) gatherGroups(groups [][]cacheRef) ([][]records.Pair, error) {
+	all, ends, err := e.gatherCaches(groups)
+	if err != nil {
 		return nil, err
 	}
 	out := make([][]records.Pair, len(groups))
@@ -873,7 +897,7 @@ func (e *Engine) gatherCaches(groups [][]cacheRef) ([][]records.Pair, error) {
 func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats *mapreduce.Stats) ([]records.Pair, simtime.Time, error) {
 	// Phase 1 (parallel): gather each partition's caches and merge —
 	// pure compute.
-	ins, err := e.gatherCaches(caches)
+	ins, err := e.gatherGroups(caches)
 	if err != nil {
 		return nil, trigger, err
 	}
@@ -887,15 +911,19 @@ func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats
 		if len(caches[part]) == 0 {
 			return
 		}
-		fp := &parts[part]
+		fp, g := &parts[part], &groupers[worker]
 		fp.inBytes = records.PairsSize(ins[part])
-		fp.out = mapreduce.ReduceGroups(e.query.Merge, groupers[worker].Group(ins[part]))
+		_, fp.out = g.Reduce(e.query.Merge, g.Group(ins[part]))
 		fp.outBytes = records.PairsSize(fp.out)
 	})
 	e.mr.PutGroupers(groupers)
 	// Phase 2 (serial, partition order): Eq. 4 scheduling and stats.
 	endMax := trigger
-	var output []records.Pair
+	n := 0
+	for _, fp := range parts {
+		n += len(fp.out)
+	}
+	output := slices.Grow([]records.Pair(nil), n)
 	for part, fp := range parts {
 		if len(caches[part]) == 0 {
 			continue
@@ -1062,9 +1090,10 @@ func (e *Engine) runCacheTask(name func() string, ph phase, ready simtime.Time, 
 func (e *Engine) retireExpired(r int, at simtime.Time) {
 	R := e.query.NumReducers
 	n := len(e.query.Sources)
-	retire := func(pid string, typ CacheType) {
-		if e.ctrl.MarkQueryDone(pid, typ, e.qIdx) {
-			e.commit(commit{kind: kindExpired, at: at, pid: pid, typ: typ})
+	var buf pidBuf
+	retire := func(pid []byte, typ CacheType) {
+		if stored, ok := e.ctrl.markQueryDone(pid, typ, e.qIdx); ok {
+			e.commit(commit{kind: kindExpired, at: at, pid: stored, typ: typ})
 		}
 	}
 	for d := 0; d < n; d++ {
@@ -1075,9 +1104,9 @@ func (e *Engine) retireExpired(r int, at simtime.Time) {
 				break
 			}
 			for part := 0; part < R; part++ {
-				retire(e.query.rinPID(d, e.frames[d].Pane, p, part), ReduceInput)
+				retire(e.query.appendRinPID(buf[:0], d, e.frames[d].Pane, p, part), ReduceInput)
 				if n == 1 {
-					retire(e.query.routPanePID(p, part), ReduceOutput)
+					retire(e.query.appendRoutTuplePID(buf[:0], paneTuple{p}, part), ReduceOutput)
 				}
 			}
 			if n > 1 {
@@ -1087,7 +1116,7 @@ func (e *Engine) retireExpired(r int, at simtime.Time) {
 				// coordinate (partners within p's lifespan) is dead.
 				e.forEachLifespanTuple(d, p, func(t paneTuple) {
 					for part := 0; part < R; part++ {
-						retire(e.query.routTuplePID(t, part), ReduceOutput)
+						retire(e.query.appendRoutTuplePID(buf[:0], t, part), ReduceOutput)
 					}
 				})
 			}

@@ -112,6 +112,52 @@ func TestExpiredCachesArePurged(t *testing.T) {
 	}
 }
 
+// TestDumpDuringRetirement: the debug server dumps the controller while
+// a recurrence retires expired caches, whose signatures MarkQueryDone
+// writes (done mask) and drops. Dump must copy every row under the
+// controller's lock; run under -race (CI repeats it twenty times).
+func TestDumpDuringRetirement(t *testing.T) {
+	win, slide := 30*simtime.Second, 10*simtime.Second
+	q := internalCountQuery(win, slide)
+	eng := MustNewEngine(Config{MR: internalRig(3, 9), Query: q})
+	stop, done := make(chan struct{}), make(chan struct{})
+	dumps := 0
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, s := range eng.ctrl.Dump().Signatures {
+				if len(s.DoneQueryMask) != 1 {
+					t.Errorf("signature %s dumped with %d done bits", s.PID, len(s.DoneQueryMask))
+					return
+				}
+			}
+			dumps++
+		}
+	}()
+	retired := 0
+	for r, fed := 0, 0; r < 6; r++ {
+		for ; fed < 3+r; fed++ {
+			if err := eng.Ingest(0, internalWords(61, slide, fed, 200, 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := eng.RunNext(); err != nil { // retireExpired runs as it ends
+			t.Fatal(err)
+		}
+		retired = int(eng.expiredBound[0])
+	}
+	close(stop)
+	<-done
+	if dumps == 0 || retired == 0 {
+		t.Fatalf("scenario is vacuous: %d dumps, %d panes retired", dumps, retired)
+	}
+}
+
 // The paper's task lists must drain: after a recurrence completes, no
 // stale map or reduce entries remain queued.
 func TestTaskListsDrainAfterRecurrence(t *testing.T) {

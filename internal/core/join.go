@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"slices"
 
 	"redoop/internal/colfmt"
 	"redoop/internal/mapreduce"
@@ -59,30 +57,34 @@ func (e *Engine) runJoin(r int, trigger simtime.Time) (*RecurrenceResult, error)
 	// output caches; the rest are grouped into batched tasks that
 	// share one cached pane per slot occupancy. tuples and tupleRefs
 	// are in forEachTupleRanges order: a tuple's index is its ordinal.
-	var tuples []paneTuple
-	var tupleRefs [][]cacheRef
+	// Their panes and their per-partition references are each one array.
+	R, count := e.query.NumReducers, 1
+	for d := range los {
+		count *= max(0, int(his[d]-los[d])+1)
+	}
+	panes, refs := make([]window.PaneID, 0, count*n), make([]cacheRef, count*R)
+	tuples, tupleRefs := make([]paneTuple, 0, count), make([][]cacheRef, 0, count)
 	var needed []int
 	forEachTupleRanges(los, his, func(t paneTuple) {
-		refs, reused, recovered := e.reuseJoinTuple(t)
+		ord := len(tuples)
+		tr := refs[ord*R : (ord+1)*R : (ord+1)*R]
+		reused, recovered := e.reuseJoinTuple(t, tr)
 		if reused {
 			res.ReusedPairs++
 		} else {
-			needed = append(needed, len(tuples))
+			needed = append(needed, ord)
 			res.NewPairs++
 		}
 		if recovered {
 			res.CacheRecoveries++
 		}
-		tuples = append(tuples, append(paneTuple(nil), t...))
-		tupleRefs = append(tupleRefs, refs)
+		panes = append(panes, t...)
+		tuples = append(tuples, panes[ord*n:(ord+1)*n:(ord+1)*n])
+		tupleRefs = append(tupleRefs, tr)
 	})
 	for _, group := range groupTuples(tuples, needed) {
-		refs, err := e.joinTupleGroup(group, trigger, rins, &res.Stats)
-		if err != nil {
+		if err := e.joinTupleGroup(group, trigger, rins, tupleRefs, &res.Stats); err != nil {
 			return nil, err
-		}
-		for i, ord := range group.ords {
-			tupleRefs[ord] = refs[i]
 		}
 	}
 
@@ -140,9 +142,10 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 	refs = make([]cacheRef, R)
 	all := !e.noReuse
 	anyKnown := false
+	var buf pidBuf
 	for part := 0; all && part < R; part++ {
-		pid := q.rinPID(src, e.frames[src].Pane, p, part)
-		if _, known := e.ctrl.Lookup(pid, ReduceInput); known {
+		pid := q.appendRinPID(buf[:0], src, e.frames[src].Pane, p, part)
+		if _, known := e.ctrl.lookup(pid, ReduceInput); known {
 			anyKnown = true
 		}
 		ref, ok := e.lookupCache(pid, ReduceInput)
@@ -266,24 +269,25 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 	return refs, false, recovered, nil
 }
 
-// reuseJoinTuple returns pane tuple t's cached per-partition output
-// references when the tuple was computed in an earlier window and
-// every cache survives. recovered reports a detected cache loss.
-func (e *Engine) reuseJoinTuple(t paneTuple) (refs []cacheRef, reused, recovered bool) {
+// reuseJoinTuple fills refs with pane tuple t's cached per-partition
+// output references when the tuple was computed in an earlier window and
+// every cache survives. recovered reports a detected cache loss; refs
+// are then overwritten by the tuple's join.
+func (e *Engine) reuseJoinTuple(t paneTuple, refs []cacheRef) (reused, recovered bool) {
 	q := e.query
 	done, _ := e.matrix.Done(t...)
 	if !done || e.noReuse {
-		return nil, false, false
+		return false, false
 	}
-	refs = make([]cacheRef, q.NumReducers)
-	for part := 0; part < q.NumReducers; part++ {
-		ref, ok := e.lookupCache(q.routTuplePID(t, part), ReduceOutput)
+	var buf pidBuf
+	for part := range refs {
+		ref, ok := e.lookupCache(q.appendRoutTuplePID(buf[:0], t, part), ReduceOutput)
 		if !ok {
-			return nil, false, true
+			return false, true
 		}
 		refs[part] = ref
 	}
-	return refs, true, false
+	return true, false
 }
 
 // paneCoord names one source pane: a coordinate value of the pane space.
@@ -303,7 +307,7 @@ type tupleGroup struct {
 // groupTuples buckets the needed tuples (ordinals into tuples) so that
 // tuples sharing a hot coordinate run in one batched task: each tuple
 // joins the bucket of whichever of its coordinates participates in the
-// most needed tuples, so joinTupleGroup decodes the hot new pane's
+// most needed tuples, so joinTupleGroup validates the hot new pane's
 // cache once per partition for the whole bucket, not once per tuple.
 func groupTuples(tuples []paneTuple, needed []int) []tupleGroup {
 	count := make(map[paneCoord]int)
@@ -339,13 +343,15 @@ func groupTuples(tuples []paneTuple, needed []int) []tupleGroup {
 }
 
 // joinTupleGroup computes a batch of pane-tuple joins per partition in
-// one slot occupancy and returns each tuple's per-partition output
-// references, in group order. Per partition every distinct input cache
-// is decoded once for the whole group and, the caches being stored
-// key-sorted, a tuple's reduce input is a merge of its panes' runs,
-// grouped without sorting. Each tuple's output is cached separately
-// (tuple-granular reuse and expiry); the status matrix is updated.
-func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []map[window.PaneID][]cacheRef, stats *mapreduce.Stats) ([][]cacheRef, error) {
+// one slot occupancy and stores each tuple's per-partition output
+// references at tupleRefs[its ordinal]. Per partition every distinct
+// input cache is validated once for the whole group and read in place:
+// the caches being stored key-sorted, a tuple's reduce input is a merge
+// of its panes' runs, grouped as it is merged, and the reducer's emits
+// are the tuple's output cache as they come (Grouper.ReduceRuns). Each
+// tuple's output is cached separately (tuple-granular reuse and expiry);
+// the status matrix is updated.
+func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []map[window.PaneID][]cacheRef, tupleRefs [][]cacheRef, stats *mapreduce.Stats) error {
 	q := e.query
 	R := q.NumReducers
 	n := len(q.Sources)
@@ -357,12 +363,24 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 	e.sched.ReduceTasks.Push(id, nil)
 	defer e.sched.ReduceTasks.Remove(id)
 
-	out := make([][]cacheRef, len(group.tuples))
-	for i := range out {
-		out[i] = make([]cacheRef, R)
+	// The batch's distinct input panes in order of first use, and each
+	// tuple's as indexes of them (at[i*n+d]): the same in every partition.
+	var coords []paneCoord
+	index := make(map[paneCoord]int)
+	at := make([]int, len(group.tuples)*n)
+	for i, t := range group.tuples {
+		for d, p := range t {
+			k, ok := index[paneCoord{d, p}]
+			if !ok {
+				k = len(coords)
+				index[paneCoord{d, p}] = k
+				coords = append(coords, paneCoord{d, p})
+			}
+			at[i*n+d] = k
+		}
 	}
-	// Phase 1 (parallel): per partition, load the batch's distinct
-	// input caches and compute every tuple's join — pure compute.
+	// Phase 1 (parallel): per partition, view the batch's distinct input
+	// caches and compute every tuple's join — pure compute.
 	type tupleOut struct {
 		// inBytes is the tuple's summed input-cache bytes — the basis of
 		// the ledger's modeled recompute for the tuple's output cache.
@@ -370,120 +388,103 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 		data    []byte
 	}
 	type partCompute struct {
-		caches     []cacheRef
-		cacheBytes int64
-		outs       []tupleOut // aligned with group.tuples
-		inBytes    int64
-		outBytes   int64
+		outs     []tupleOut // aligned with group.tuples
+		inBytes  int64
+		outBytes int64
 	}
 	computed := make([]partCompute, R)
-	// Scratch per pool worker, reused across its partitions and tuples:
-	// groups and emitted pairs alias cache bytes, never these slices, and
-	// each output is encoded at once.
-	type scratch struct {
-		spans         map[paneCoord][2]int // each distinct input cache's range of decoded
-		decoded       []records.Pair       // the partition's input caches, each decoded once for the group
-		runs          [][]records.Pair
-		input, joined []records.Pair // one tuple's merged reduce input and its output
-		grouper       mapreduce.Grouper
-	}
-	scratches := make([]scratch, e.mr.WorkerCount())
+	T := len(group.tuples)
+	outs := make([]tupleOut, R*T) // each partition's share, pc.outs
+	// Per pool worker a Grouper from the engine's free list (the reduce
+	// emit's writer and the merge's cursors) and a share of one array of
+	// run views: the partition's input caches, then one tuple's runs.
+	groupers := e.mr.Groupers(nil)
+	stride := len(coords) + n
+	views := make([]colfmt.PairRun, len(groupers)*stride)
 	errs := make([]error, R)
-	parallel.ForWorker(len(scratches), R, func(worker, part int) {
-		pc, s := &computed[part], &scratches[worker]
-		pc.outs = make([]tupleOut, len(group.tuples))
-		if s.spans == nil {
-			s.spans = make(map[paneCoord][2]int)
-		}
-		clear(s.spans)
-		s.decoded = s.decoded[:0]
-		for _, t := range group.tuples {
-			for d, p := range t {
-				c := rins[d][p][part]
-				if _, seen := s.spans[paneCoord{d, p}]; seen || c.bytes == 0 {
-					continue
-				}
-				data, err := e.cacheBytes(c)
-				lo := len(s.decoded)
-				if err == nil {
-					s.decoded, err = colfmt.AppendDecodedPairs(s.decoded, data)
-				}
-				if err != nil {
-					errs[part] = err
-					return
-				}
-				// Every writer stores its reduce inputs key-sorted; the
-				// merge below silently mis-orders a run that is not, so one
-				// linear check guards it against a foreign registration.
-				if run := s.decoded[lo:]; !slices.IsSortedFunc(run, func(a, b records.Pair) int { return bytes.Compare(a.Key, b.Key) }) {
-					mapreduce.SortPairs(run)
-				}
-				s.spans[paneCoord{d, p}] = [2]int{lo, len(s.decoded)}
-				pc.caches = append(pc.caches, c)
-				pc.cacheBytes += c.bytes
+	parallel.ForWorker(len(groupers), R, func(worker, part int) {
+		pc, g := &computed[part], &groupers[worker]
+		ins := views[worker*stride : worker*stride+len(coords)]
+		runs := views[worker*stride+len(coords) : (worker+1)*stride : (worker+1)*stride]
+		for k, c := range coords {
+			ref := rins[c.dim][c.pane][part]
+			if ref.bytes == 0 {
+				continue
+			}
+			data, err := e.cacheBytes(ref)
+			if err == nil {
+				ins[k], err = mapreduce.SortedRun(data)
+			}
+			if err != nil {
+				errs[part] = err
+				return
 			}
 		}
-		emit := func(k, v []byte) { s.joined = append(s.joined, records.Pair{Key: k, Value: v}) }
+		pc.outs = outs[part*T : (part+1)*T]
 		for i, t := range group.tuples {
-			s.runs = s.runs[:0]
+			runs = runs[:0]
 			var tupleIn int64
 			for d, p := range t {
-				if c := rins[d][p][part]; c.bytes != 0 {
-					tupleIn += c.bytes
-					span := s.spans[paneCoord{d, p}]
-					s.runs = append(s.runs, s.decoded[span[0]:span[1]])
+				if ref := rins[d][p][part]; ref.bytes != 0 {
+					tupleIn += ref.bytes
+					runs = append(runs, ins[at[i*n+d]])
 				}
 			}
 			if tupleIn == 0 {
 				continue
 			}
-			s.input = mapreduce.MergeSortedRuns(s.input[:0], s.runs...)
-			s.joined = s.joined[:0]
-			for _, g := range s.grouper.Sorted(s.input) {
-				q.Reduce(g.Key, g.Values, emit)
-			}
-			data := colfmt.EncodePairs(s.joined)
+			data := g.ReduceRuns(q.Reduce, runs)
 			pc.inBytes += tupleIn
 			pc.outBytes += int64(len(data))
 			pc.outs[i] = tupleOut{inBytes: tupleIn, data: data}
 		}
 	})
+	e.mr.PutGroupers(groupers)
 	for _, err := range errs { // the lowest partition's, whichever worker hit it
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// Phase 2 (serial, partition order): Eq. 4 scheduling, cache
-	// registration and stats.
+	// registration and stats. Every output's inputs share one array.
+	inputs := make([]cacheRef, 0, R*len(group.tuples)*n)
 	tupleMeta := func(t paneTuple, part int) cacheMeta {
-		ins := make([]cacheRef, n)
-		for d := range ins {
-			ins[d] = rins[d][t[d]][part]
+		lo := len(inputs)
+		for d, p := range t {
+			inputs = append(inputs, rins[d][p][part])
 		}
-		return cacheMeta{pane: t[0], part: part, inputs: ins}
+		return cacheMeta{pane: t[0], part: part, inputs: inputs[lo:len(inputs):len(inputs)]}
 	}
+	caches := make([]cacheRef, 0, len(coords)) // a partition's distinct non-empty inputs
 	for part, pc := range computed {
-		if len(pc.caches) == 0 {
+		caches = caches[:0]
+		var cacheBytes int64
+		for _, c := range coords {
+			if ref := rins[c.dim][c.pane][part]; ref.bytes != 0 {
+				caches, cacheBytes = append(caches, ref), cacheBytes+ref.bytes
+			}
+		}
+		if len(caches) == 0 {
 			// Entirely empty partition: register empty outputs.
 			home := e.sched.HomeNode(part)
 			for i, t := range group.tuples {
-				out[i][part] = e.registerCache(q.routTuplePID(t, part),
+				tupleRefs[group.ords[i]][part] = e.registerCache(q.routTuplePID(t, part),
 					ReduceOutput, home.ID, baseReady, nil, tupleMeta(t, part))
 			}
 			continue
 		}
-		ct := e.runCacheTask(func() string { return fmt.Sprintf("join %s p%d", id, part) }, phaseReduce, baseReady, pc.caches,
+		ct := e.runCacheTask(func() string { return fmt.Sprintf("join %s p%d", id, part) }, phaseReduce, baseReady, caches,
 			e.mr.Cost.CachedReduceTask(pc.inBytes, pc.outBytes))
 		stats.ReduceTasks++
 		stats.ReduceTime += ct.dur
-		stats.BytesCacheRead += pc.cacheBytes
+		stats.BytesCacheRead += cacheBytes
 		for i, t := range group.tuples {
 			// A hit on a tuple's output skips re-joining its inputs: the
 			// modeled cached-reduce over this tuple's share of the batch.
 			to := pc.outs[i]
 			meta := tupleMeta(t, part)
 			meta.span, meta.recompute = ct.span, e.mr.Cost.CachedReduceTask(to.inBytes, int64(len(to.data)))
-			out[i][part] = e.registerCache(q.routTuplePID(t, part),
+			tupleRefs[group.ords[i]][part] = e.registerCache(q.routTuplePID(t, part),
 				ReduceOutput, ct.node, ct.end, to.data, meta)
 		}
 		if ct.end > stats.End {
@@ -492,10 +493,10 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 	}
 	for _, t := range group.tuples {
 		if err := e.matrix.Update(t...); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // groupID names a batched tuple task for the reduce task list, e.g.
@@ -537,7 +538,6 @@ func (e *Engine) finalizeJoinWindow(trigger simtime.Time, tupleRefs [][]cacheRef
 	ready := trigger
 	var manifestBytes int64
 	var deps []obs.SpanID
-	caches := make([]cacheRef, 0, len(tupleRefs)*q.NumReducers)
 	for _, refs := range tupleRefs {
 		for _, ref := range refs {
 			if ref.readyAt > ready {
@@ -551,10 +551,9 @@ func (e *Engine) finalizeJoinWindow(trigger simtime.Time, tupleRefs [][]cacheRef
 			}
 			manifestBytes += int64(len(ref.pid)) + 16
 			stats.BytesOutput += ref.bytes
-			caches = append(caches, ref)
 		}
 	}
-	outs, err := e.gatherCaches([][]cacheRef{caches})
+	out, _, err := e.gatherCaches(tupleRefs)
 	if err != nil {
 		return nil, trigger, err
 	}
@@ -570,5 +569,5 @@ func (e *Engine) finalizeJoinWindow(trigger simtime.Time, tupleRefs [][]cacheRef
 		Parent: e.mr.SpanParent, Deps: deps,
 		Args: []obs.Label{obs.L("query", q.Name), obs.L("tuples", fmt.Sprint(len(tupleRefs)))},
 	})
-	return outs[0], simtime.Max(end, trigger), nil
+	return out, simtime.Max(end, trigger), nil
 }

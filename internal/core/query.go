@@ -144,13 +144,13 @@ func (q *Query) partitioner() mapreduce.Partitioner {
 }
 
 // pidBuf is the stack space a cache identifier (PID) is appended into,
-// so that building one allocates only the returned string; a longer PID
-// spills to the heap.
+// so that building one allocates only the returned string — or nothing,
+// for a lookup (Engine.lookupCache); a longer PID spills to the heap.
 type pidBuf [128]byte
 
-// pidString ends a PID with its partition, "/r<part>".
-func pidString(b []byte, part int) string {
-	return string(strconv.AppendInt(append(b, "/r"...), int64(part), 10))
+// appendPart ends a PID with its partition, "/r<part>".
+func appendPart(b []byte, part int) []byte {
+	return strconv.AppendInt(append(b, "/r"...), int64(part), 10)
 }
 
 // appendRinScope appends the namespace prefix of a source's
@@ -183,7 +183,12 @@ func (q *Query) appendRinPrefix(b []byte, src int, unit int64) []byte {
 // different window constraints never collide.
 func (q *Query) rinPID(src int, unit int64, pane window.PaneID, part int) string {
 	var buf pidBuf
-	return pidString(strconv.AppendInt(q.appendRinPrefix(buf[:0], src, unit), int64(pane), 10), part)
+	return string(q.appendRinPID(buf[:0], src, unit, pane, part))
+}
+
+// appendRinPID appends rinPID's bytes to b.
+func (q *Query) appendRinPID(b []byte, src int, unit int64, pane window.PaneID, part int) []byte {
+	return appendPart(strconv.AppendInt(q.appendRinPrefix(b, src, unit), int64(pane), 10), part)
 }
 
 // rinPrefix is how a registry row is recognized as one source's at one
@@ -203,14 +208,19 @@ func (q *Query) routPanePID(pane window.PaneID, part int) string {
 // "query/<name>/P<p1>_<p2>.../r<part>".
 func (q *Query) routTuplePID(t paneTuple, part int) string {
 	var buf pidBuf
-	b := append(append(append(buf[:0], "query/"...), q.Name...), "/P"...)
+	return string(q.appendRoutTuplePID(buf[:0], t, part))
+}
+
+// appendRoutTuplePID appends routTuplePID's bytes to b.
+func (q *Query) appendRoutTuplePID(b []byte, t paneTuple, part int) []byte {
+	b = append(append(append(b, "query/"...), q.Name...), "/P"...)
 	for i, p := range t {
 		if i > 0 {
 			b = append(b, '_')
 		}
 		b = strconv.AppendInt(b, int64(p), 10)
 	}
-	return pidString(b, part)
+	return appendPart(b, part)
 }
 
 // routPairPID is the binary-join special case of routTuplePID.

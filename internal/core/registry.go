@@ -57,12 +57,28 @@ type RegistryEntry struct {
 type Registry struct {
 	mu      sync.Mutex
 	node    *cluster.Node
-	entries map[entryKey]*RegistryEntry
+	entries map[entryKey]*registryRow
+}
+
+// registryRow is a registry row and the node-local key of its bytes,
+// built once, when the cache is added: only Add writes a cache's bytes
+// and every removal of a row deletes them, so a cache whose row is gone
+// has no bytes either, and a read needs no key of its own.
+type registryRow struct {
+	RegistryEntry
+	key string
 }
 
 // NewRegistry builds the registry for one node.
 func NewRegistry(node *cluster.Node) *Registry {
-	return &Registry{node: node, entries: make(map[entryKey]*RegistryEntry)}
+	return &Registry{node: node, entries: make(map[entryKey]*registryRow)}
+}
+
+// row returns the cache's row, nil when it has none.
+func (r *Registry) row(pid string, typ CacheType) *registryRow {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.entries[entryKey{pid, typ}]
 }
 
 // entryKey is a cache's identity, on a node (Registry.entries) and on
@@ -82,8 +98,9 @@ func (r *Registry) NodeID() int { return r.node.ID }
 func (r *Registry) Add(pid string, typ CacheType, data []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.entries[entryKey{pid, typ}] = &RegistryEntry{PID: pid, Type: typ}
-	r.node.PutLocal(localKey(pid, typ), data)
+	key := localKey(pid, typ)
+	r.entries[entryKey{pid, typ}] = &registryRow{RegistryEntry{PID: pid, Type: typ}, key}
+	r.node.PutLocal(key, data)
 }
 
 // Get loads a cached entry's bytes from the node's local file system.
@@ -94,19 +111,28 @@ func (r *Registry) Add(pid string, typ CacheType, data []byte) {
 // a copy. The view outlives expiry, eviction, re-registration and node
 // loss of the entry unchanged; the caller must not write through it.
 func (r *Registry) Get(pid string, typ CacheType) ([]byte, bool) {
-	return r.node.GetLocal(localKey(pid, typ))
+	row := r.row(pid, typ)
+	if row == nil {
+		return nil, false
+	}
+	return r.node.GetLocal(row.key)
 }
 
 // Has reports whether the cache's bytes are actually present on the
 // local file system (registry entries can outlive lost data after a
 // fault injection).
 func (r *Registry) Has(pid string, typ CacheType) bool {
-	return r.node.HasLocal(localKey(pid, typ))
+	row := r.row(pid, typ)
+	return row != nil && r.node.HasLocal(row.key)
 }
 
 // Size returns the cached bytes' length, or -1 when absent.
 func (r *Registry) Size(pid string, typ CacheType) int64 {
-	return r.node.LocalSize(localKey(pid, typ))
+	row := r.row(pid, typ)
+	if row == nil {
+		return -1
+	}
+	return r.node.LocalSize(row.key)
 }
 
 // MarkExpired flips the expiration flag of an entry in response to a
@@ -127,7 +153,7 @@ func (r *Registry) Entries() []RegistryEntry {
 	defer r.mu.Unlock()
 	out := make([]RegistryEntry, 0, len(r.entries))
 	for _, e := range r.entries {
-		out = append(out, *e)
+		out = append(out, e.RegistryEntry)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].PID != out[j].PID {
@@ -148,7 +174,7 @@ func (r *Registry) PurgeExpired() int {
 	n := 0
 	for k, e := range r.entries {
 		if e.Expired {
-			r.node.DeleteLocal(localKey(e.PID, e.Type))
+			r.node.DeleteLocal(e.key)
 			delete(r.entries, k)
 			n++
 		}
@@ -164,8 +190,12 @@ func (r *Registry) PurgeExpired() int {
 func (r *Registry) Evict(pid string, typ CacheType) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sz := r.node.LocalSize(localKey(pid, typ))
-	r.node.DeleteLocal(localKey(pid, typ))
+	row, ok := r.entries[entryKey{pid, typ}]
+	if !ok {
+		return 0
+	}
+	sz := r.node.LocalSize(row.key)
+	r.node.DeleteLocal(row.key)
 	delete(r.entries, entryKey{pid, typ})
 	if sz < 0 {
 		return 0
@@ -187,7 +217,7 @@ func (r *Registry) CachedBytes() int64 {
 	var total int64
 	for _, e := range r.entries {
 		if !e.Expired {
-			if sz := r.node.LocalSize(localKey(e.PID, e.Type)); sz > 0 {
+			if sz := r.node.LocalSize(e.key); sz > 0 {
 				total += sz
 			}
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"redoop/internal/colfmt"
 	"redoop/internal/mapreduce"
 	"redoop/internal/reuse"
 	"redoop/internal/simtime"
@@ -175,7 +174,7 @@ func (e *Engine) composeReusedPane(p window.PaneID, u int64, trigger simtime.Tim
 			}
 		}
 	}
-	ins, err := e.gatherCaches(live)
+	ins, err := e.gatherGroups(live)
 	if err != nil {
 		return nil, err
 	}
@@ -201,8 +200,7 @@ func (e *Engine) composeReusedPane(p window.PaneID, u int64, trigger simtime.Tim
 			refs[part] = e.registerReused(routPID, prods[part][0], prods[part][0].node, readyAt, nil, routMeta, "subsume")
 			continue
 		}
-		merged := mapreduce.ReduceGroups(q.Merge, grouper.Group(ins[part]))
-		outData := colfmt.EncodePairs(merged)
+		outData, _ := grouper.Reduce(q.Merge, grouper.Group(ins[part]))
 		ct := e.runCacheTask(func() string { return fmt.Sprintf("reuse-merge pane %d p%d", int64(p), part) }, phaseReduce,
 			trigger, caches, e.mr.Cost.MergeTask(inBytes, int64(len(outData))))
 		stats.ReduceTime += ct.dur

@@ -446,7 +446,8 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 		}
 		for r, ps := range whole {
 			if len(ps) > 1 {
-				ps = ReduceGroups(job.Combine, groupers[worker].Group(ps))
+				g := &groupers[worker]
+				_, ps = g.Reduce(job.Combine, g.Group(ps))
 			}
 			for _, p := range ps { // combined pairs stay in their partition
 				*stage = append(*stage, staged{p, int32(r)})
@@ -709,8 +710,13 @@ type ReducerResult struct {
 	// Input is the partition's shuffled input, sorted (SortPairs) but
 	// ungrouped; Redoop persists it as the pane's reduce-input cache.
 	Input []records.Pair
-	// Output is what the reduce function emitted.
-	Output   []records.Pair
+	// Output is what the reduce function emitted, views of OutData.
+	Output []records.Pair
+	// OutData is Output encoded as one exactly-sized pair segment (what
+	// colfmt.EncodePairs(Output) gives), nil when Output is empty: the
+	// reduce emit wrote it as the pairs came, and Redoop stores it as the
+	// pane's reduce-output cache.
+	OutData  []byte
 	InBytes  int64
 	OutBytes int64
 	// Span is the winning reduce attempt's span ID and ShuffleSpan its
@@ -728,7 +734,8 @@ type ReducerResult struct {
 // The sort/group/reduce compute fans out across Workers goroutines, one
 // Grouper each; placement, shuffle modelling, and slot accounting then
 // replay serially in partition order. Each partition of mp is sorted in
-// place (SortPairs order) and becomes its reducer's Input.
+// place (SortPairs order) and becomes its reducer's Input; the reducer's
+// emits are encoded as they come (Grouper.Reduce), its OutData.
 func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time) ([]ReducerResult, Stats, error) {
 	if err := job.Validate(); err != nil {
 		return nil, Stats{}, err
@@ -748,9 +755,9 @@ func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time
 	workers := make([]int, len(live)) // pool worker of each compute (observability only)
 	groupers := e.Groupers(mp.Parts)
 	parallel.ForWorker(len(groupers), len(live), func(worker, i int) {
-		rr := &results[i]
+		rr, g := &results[i], &groupers[worker]
 		rr.Part, rr.Input = live[i], mp.Parts[live[i]]
-		rr.Output = ReduceGroups(job.Reduce, groupers[worker].Group(rr.Input))
+		rr.OutData, rr.Output = g.Reduce(job.Reduce, g.Group(rr.Input))
 		for _, b := range mp.PartSrcBytes[rr.Part] {
 			rr.InBytes += b
 		}

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"redoop/internal/colfmt"
 	"redoop/internal/records"
 )
 
@@ -16,6 +17,8 @@ import (
 // at its group's rank. The zero value is ready; a hot loop holds one per
 // pool worker and reuses it across that worker's partitions. Positions
 // are 32-bit: a partition's columnar encoding holds no more pairs either.
+// It also holds the reduce's emit, a writer that copies what the reducer
+// emits and encodes it (Reduce, ReduceRuns).
 type Grouper struct {
 	most   int // the largest partition announced (Groupers): what a first use sizes the scratch for
 	seed   maphash.Seed
@@ -25,6 +28,8 @@ type Grouper struct {
 	keys   []keyed                 // per group its key, in order of first appearance, then sorted
 	vals   [][]byte                // every value, group after group: what the groups' Values view
 	groups []Group
+	w      colfmt.PairWriter // the reduce emit (Reduce, ReduceRuns): copies what a reducer emits
+	at     []int             // ReduceRuns' cursor per run
 }
 
 // slot is a table entry: the hash's upper half, tried before the key
@@ -179,6 +184,100 @@ func (g *Grouper) Sorted(ps []records.Pair) []Group {
 	}
 	g.groups = groups
 	return groups
+}
+
+// Reduce applies fn to each group in order with the Grouper's writer as
+// the emit, which copies (see Emitter), and returns the output as one
+// exactly-sized segment — what EncodePairs writes for the emitted pairs
+// — and the pairs as views of it; nil, nil when fn emitted nothing. The
+// groups may be this Grouper's own (Group, Sorted): the writer is
+// separate scratch.
+func (g *Grouper) Reduce(fn ReduceFunc, groups []Group) ([]byte, []records.Pair) {
+	g.w.Reset()
+	emit := g.w.Add // bound per call: the free list copies Groupers, so a stored one would go stale
+	for _, gr := range groups {
+		fn(gr.Key, gr.Values, emit)
+	}
+	return g.w.Segment()
+}
+
+// ReduceRuns is MergeSortedRuns, Sorted and Reduce in one pass over the
+// runs' columns, with no merged array: runs are key-sorted (SortedRun), a
+// key's values come run after run in run order, each run's in its own,
+// and fn is applied to each key as its group closes. It returns the
+// encoded output alone, nil when fn emitted nothing.
+func (g *Grouper) ReduceRuns(fn ReduceFunc, runs []colfmt.PairRun) []byte {
+	if cap(g.at) < len(runs) {
+		g.at = make([]int, len(runs))
+	}
+	at := g.at[:len(runs)]
+	clear(at)
+	g.w.Reset()
+	emit := g.w.Add
+	vals, most := g.vals[:0], 0
+	for {
+		lo, key := -1, []byte(nil)
+		for j := range runs {
+			if at[j] < runs[j].Len() {
+				if k := runs[j].Key(at[j]); lo < 0 || bytes.Compare(k, key) < 0 {
+					lo, key = j, k
+				}
+			}
+		}
+		if lo < 0 {
+			break
+		}
+		vals = vals[:0]
+		for j := lo; j < len(runs); j++ { // runs before lo are past key
+			r := &runs[j]
+			for ; at[j] < r.Len() && bytes.Equal(r.Key(at[j]), key); at[j]++ {
+				vals = append(vals, r.Value(at[j]))
+			}
+		}
+		most = max(most, len(vals))
+		fn(key, vals, emit)
+	}
+	clear(vals[:most]) // pin no cache through the free list
+	g.vals = vals
+	return g.w.Encode()
+}
+
+// SortedRun returns the run ReduceRuns merges for a reduce-input cache:
+// the view of its one segment when that is key-sorted, as every writer
+// stores it. A cache that is not — out of order, or several segments — is
+// decoded, sorted when its pairs are out of key order (SortPairs) and
+// encoded afresh, so the result is what merging its decoded pairs gave.
+// Empty data is an empty run.
+func SortedRun(data []byte) (colfmt.PairRun, error) {
+	if len(data) == 0 {
+		return colfmt.PairRun{}, nil
+	}
+	run, rest, err := colfmt.ViewPairs(data)
+	if err != nil {
+		return colfmt.PairRun{}, err
+	}
+	if len(rest) == 0 && keysSorted(&run) {
+		return run, nil
+	}
+	pairs, err := colfmt.DecodePairs(data)
+	if err != nil {
+		return colfmt.PairRun{}, err
+	}
+	if !slices.IsSortedFunc(pairs, func(a, b records.Pair) int { return bytes.Compare(a.Key, b.Key) }) {
+		SortPairs(pairs)
+	}
+	run, _, err = colfmt.ViewPairs(colfmt.EncodePairs(pairs))
+	return run, err
+}
+
+// keysSorted reports whether a run's keys never decrease.
+func keysSorted(r *colfmt.PairRun) bool {
+	for i := 1; i < r.Len(); i++ {
+		if bytes.Compare(r.Key(i-1), r.Key(i)) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // GroupSorted is Sorted on a scratch of its own, for one-off callers.

@@ -2,12 +2,15 @@ package mapreduce
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
+	"redoop/internal/colfmt"
 	"redoop/internal/records"
 )
 
@@ -337,5 +340,142 @@ func TestPutGroupersPinsNothing(t *testing.T) {
 				t.Fatalf("worker %d's scratch still holds group %d", w, i)
 			}
 		}
+	}
+}
+
+// reuseReduce is a reducer that writes every output into one buffer it
+// reuses — what a reduce emit's copy allows: per value "key#i=value",
+// then the count. An emit that kept views would read only its last write.
+func reuseReduce(key []byte, values [][]byte, emit Emitter) {
+	var buf []byte
+	for i, v := range values {
+		buf = append(append(strconv.AppendInt(append(append(buf[:0], key...), '#'), int64(i), 10), '='), v...)
+		emit(key, buf)
+	}
+	emit(append(buf[:0], "count:"...), strconv.AppendInt(buf[len(buf):], int64(len(values)), 10))
+}
+
+// collect is the reference reduce emit: a collector that copies.
+func collect(out *[]records.Pair) Emitter {
+	return func(k, v []byte) {
+		*out = append(*out, records.Pair{Key: bytes.Clone(k), Value: bytes.Clone(v)})
+	}
+}
+
+// TestGrouperReduceCopiesEachEmit: Grouper.Reduce and ReduceGroups
+// encode exactly what a copying collector gathers, and their pairs are
+// those, views of the segment.
+func TestGrouperReduceCopiesEachEmit(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var g Grouper
+	for name, input := range groupingShapes(rng) {
+		var want []records.Pair
+		for _, gr := range GroupPairs(slices.Clone(input)) {
+			reuseReduce(gr.Key, gr.Values, collect(&want))
+		}
+		seg, pairs := g.Reduce(reuseReduce, g.Group(slices.Clone(input)))
+		if !bytes.Equal(seg, colfmt.EncodePairs(want)) || !pairsEqual(pairs, want) {
+			t.Fatalf("%s: Grouper.Reduce differs from a copying collector", name)
+		}
+		if got := ReduceGroups(reuseReduce, GroupPairs(slices.Clone(input))); !pairsEqual(got, want) {
+			t.Fatalf("%s: ReduceGroups differs from a copying collector", name)
+		}
+	}
+}
+
+func pairsEqual(a, b []records.Pair) bool {
+	return slices.EqualFunc(a, b, func(x, y records.Pair) bool {
+		return bytes.Equal(x.Key, y.Key) && bytes.Equal(x.Value, y.Value)
+	})
+}
+
+// storedRun encodes one run of pairs as a reduce-input cache in one of
+// the shapes a cache may have: key-sorted as every writer stores it, out
+// of order (a foreign registration), or as several segments.
+func storedRun(rng *rand.Rand, ps []records.Pair, shape int) []byte {
+	switch shape {
+	case 0: // SortPairs order
+		SortPairs(ps)
+	case 1: // key-sorted, values in arrival order
+		slices.SortStableFunc(ps, func(a, b records.Pair) int { return bytes.Compare(a.Key, b.Key) })
+	case 2: // out of order
+		rng.Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
+	case 3, 4: // two segments, key-sorted overall (3) or each on its own (4)
+		SortPairs(ps)
+		mid := len(ps) / 2
+		if shape == 4 {
+			return append(colfmt.EncodePairs(ps[mid:]), colfmt.EncodePairs(ps[:mid])...)
+		}
+		return append(colfmt.EncodePairs(ps[:mid]), colfmt.EncodePairs(ps[mid:])...)
+	}
+	return colfmt.EncodePairs(ps)
+}
+
+// TestReduceRunsMatchesMergeThenSorted holds the join's columnar
+// merge-group (SortedRun + Grouper.ReduceRuns) to what it replaced:
+// decode each cache, sort it when its keys are out of order,
+// MergeSortedRuns, Grouper.Sorted, reduce, EncodePairs — over 1-4 runs
+// in every stored shape, empty runs and keys one run holds alone.
+func TestReduceRunsMatchesMergeThenSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	byKey := func(a, b records.Pair) int { return bytes.Compare(a.Key, b.Key) }
+	var g, ref Grouper // reused across trials, as a worker's are
+	for trial := 0; trial < 400; trial++ {
+		datas := make([][]byte, 1+rng.Intn(4))
+		for r := range datas {
+			var ps []records.Pair
+			for i, n := 0, rng.Intn(40); i < n; i++ {
+				key := fmt.Sprintf("k%02d", rng.Intn(10))
+				if rng.Intn(4) == 0 {
+					key = fmt.Sprintf("only%d-%d", r, rng.Intn(3))
+				}
+				ps = append(ps, records.Pair{Key: []byte(key), Value: []byte(fmt.Sprintf("r%d-%d", r, rng.Intn(6)))})
+			}
+			datas[r] = storedRun(rng, ps, rng.Intn(5))
+		}
+
+		var decoded [][]records.Pair
+		runs := make([]colfmt.PairRun, 0, len(datas))
+		for _, data := range datas {
+			ps, err := colfmt.DecodePairs(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.IsSortedFunc(ps, byKey) {
+				SortPairs(ps)
+			}
+			decoded = append(decoded, ps)
+			run, err := SortedRun(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, run)
+		}
+		var want []records.Pair
+		for _, gr := range ref.Sorted(MergeSortedRuns(nil, decoded...)) {
+			reuseReduce(gr.Key, gr.Values, collect(&want))
+		}
+		if got := g.ReduceRuns(reuseReduce, runs); !bytes.Equal(got, colfmt.EncodePairs(want)) {
+			t.Fatalf("trial %d (%d runs): ReduceRuns encodes %d bytes, the merge reference %d", trial, len(runs), len(got), len(colfmt.EncodePairs(want)))
+		}
+	}
+	if g.ReduceRuns(reuseReduce, nil) != nil {
+		t.Error("no runs should reduce to nothing")
+	}
+}
+
+// TestSortedRunRejectsCorruption: the columnar view keeps the checks
+// decoding made — a flipped byte anywhere in a cache is ErrCorrupt.
+func TestSortedRunRejectsCorruption(t *testing.T) {
+	data := colfmt.EncodePairs([]records.Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b"), Value: []byte("2")}})
+	for i := range data {
+		bad := slices.Clone(data)
+		bad[i] ^= 0x40
+		if _, err := SortedRun(bad); !errors.Is(err, colfmt.ErrCorrupt) {
+			t.Fatalf("byte %d flipped: SortedRun returned %v", i, err)
+		}
+	}
+	if _, err := SortedRun(append(slices.Clone(data), 'R')); !errors.Is(err, colfmt.ErrCorrupt) {
+		t.Fatalf("trailing garbage after a segment: SortedRun returned %v", err)
 	}
 }

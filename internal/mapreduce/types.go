@@ -27,10 +27,20 @@ import (
 	"redoop/internal/simtime"
 )
 
-// Emitter receives one key/value pair from a user function. The slices
-// are retained as they are — never copied, never written — so a caller
-// must not reuse or modify their backing arrays; many pairs may share
-// one immutable array (a constant, a sub-slice of a map payload).
+// Emitter receives one key/value pair from a user function. What it does
+// with the slices depends on who calls it:
+//
+//   - a map emit retains them as they are — never copied, never written —
+//     so a mapper must not reuse or modify their backing arrays; many
+//     pairs may share one immutable array (a constant, a sub-slice of the
+//     payload);
+//   - a reduce emit copies them before it returns, as Hadoop's
+//     context.write serializes the pair at once, so a reducer (and a
+//     combiner, and a Merge) may reuse its buffers for the next emit.
+//
+// Every Emitter the runtime and the engine hand a ReduceFunc copies
+// (Grouper.Reduce, Grouper.ReduceRuns, ReduceGroups); so must any other
+// collector that calls one.
 type Emitter func(key, value []byte)
 
 // MapFunc is the user map function, invoked once per input record.
@@ -44,6 +54,8 @@ type MapFunc func(ts int64, payload []byte, emit Emitter)
 // the duration of the call, as Hadoop's value iterator is: it views the
 // caller's grouping scratch. The byte slices in it are immutable and
 // outlive the job; a reducer may retain or emit them, never write them.
+// Its emit copies (see Emitter), so what it emits may be a buffer it
+// reuses.
 type ReduceFunc func(key []byte, values [][]byte, emit Emitter)
 
 // Partitioner assigns a key to one of r reduce partitions.
@@ -271,17 +283,9 @@ func MergeSortedRuns(dst []records.Pair, runs ...[]records.Pair) []records.Pair 
 	return dst
 }
 
-// ReduceGroups applies a reduce function to grouped input, returning the
-// emitted pairs. The result is sized for one pair per group, what an
-// aggregate emits.
+// ReduceGroups is Grouper.Reduce on a writer of its own, for one-off
+// callers: the emitted pairs, views of one exactly-sized segment.
 func ReduceGroups(fn ReduceFunc, groups []Group) []records.Pair {
-	if len(groups) == 0 {
-		return nil
-	}
-	out := make([]records.Pair, 0, len(groups))
-	emit := func(k, v []byte) { out = append(out, records.Pair{Key: k, Value: v}) }
-	for _, g := range groups {
-		fn(g.Key, g.Values, emit)
-	}
+	_, out := new(Grouper).Reduce(fn, groups)
 	return out
 }

@@ -207,7 +207,8 @@ func sortPairs(ps []records.Pair) {
 	})
 }
 
-// reduceSorted sorts ps in place and applies fn to each run of one key.
+// reduceSorted sorts ps in place and applies fn to each run of one key,
+// copying what fn emits (a reducer may reuse its buffers).
 func reduceSorted(fn mapreduce.ReduceFunc, ps []records.Pair) (out []records.Pair) {
 	sortPairs(ps)
 	for i := 0; i < len(ps); {
@@ -216,7 +217,7 @@ func reduceSorted(fn mapreduce.ReduceFunc, ps []records.Pair) (out []records.Pai
 		for ; i < len(ps) && bytes.Equal(ps[i].Key, key); i++ {
 			values = append(values, ps[i].Value)
 		}
-		fn(key, values, func(k, v []byte) { out = append(out, records.Pair{Key: k, Value: v}) })
+		fn(key, values, func(k, v []byte) { out = append(out, records.Pair{Key: bytes.Clone(k), Value: bytes.Clone(v)}) })
 	}
 	return out
 }
@@ -273,7 +274,7 @@ func (o *Oracle) recompute(r int) []records.Pair {
 	if o.q.Merge != nil {
 		reduceFn = func(key []byte, values [][]byte, emit mapreduce.Emitter) {
 			var partials [][]byte
-			o.q.Reduce(key, values, func(_, v []byte) { partials = append(partials, v) })
+			o.q.Reduce(key, values, func(_, v []byte) { partials = append(partials, bytes.Clone(v)) })
 			o.q.Merge(key, partials, emit)
 		}
 	}

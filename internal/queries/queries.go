@@ -163,28 +163,32 @@ func joinSide(v []byte) byte {
 }
 
 // JoinReduce is Q2's reducer: an in-memory cross join of the R-tagged
-// and E-tagged values of one key, R-major. It counts the sides first, so
-// a key group costs two allocations however many pairs it yields: the
-// two sides' payload views, and one exactly-sized array backing every
-// emitted value. Each value is a capacity-limited view of that array, so
-// a consumer's append cannot reach its neighbour.
+// and E-tagged values of one key, R-major. A reduce emit copies (see
+// mapreduce.Emitter), so a key group costs one allocation however many
+// pairs it yields: one value buffer, sized for the longest "r;e", which
+// every output is written into in turn. The two sides' payload views
+// live on the stack up to 32 values.
 func JoinReduce(key []byte, values [][]byte, emit mapreduce.Emitter) {
-	var nr, ne, rb, eb int
+	var nr, ne, rmax, emax int
 	for _, v := range values {
 		switch joinSide(v) {
 		case 'R':
 			nr++
-			rb += len(v) - 2
+			rmax = max(rmax, len(v)-2)
 		case 'E':
 			ne++
-			eb += len(v) - 2
+			emax = max(emax, len(v)-2)
 		}
 	}
 	if nr == 0 || ne == 0 {
 		return
 	}
-	sides := make([][]byte, nr+ne)
-	rs, es := sides[:0:nr], sides[nr:nr]
+	var stack [32][]byte
+	sides := stack[:0]
+	if nr+ne > len(stack) {
+		sides = make([][]byte, 0, nr+ne)
+	}
+	rs, es := sides[:0:nr], sides[nr:nr:nr+ne]
 	for _, v := range values {
 		switch joinSide(v) {
 		case 'R':
@@ -193,12 +197,12 @@ func JoinReduce(key []byte, values [][]byte, emit mapreduce.Emitter) {
 			es = append(es, v[2:])
 		}
 	}
-	buf := make([]byte, 0, rb*ne+eb*nr+nr*ne)
+	buf := make([]byte, 0, rmax+1+emax)
 	for _, r := range rs {
+		buf = append(append(buf[:0], r...), ';')
+		prefix := len(buf)
 		for _, e := range es {
-			lo := len(buf)
-			buf = append(append(append(buf, r...), ';'), e...)
-			emit(key, buf[lo:len(buf):len(buf)])
+			emit(key, append(buf[:prefix], e...))
 		}
 	}
 }

@@ -67,8 +67,10 @@ type Pair struct {
 	Value []byte
 }
 
-// Emitter receives one key/value pair from a user function. Emitted
-// slices are retained; do not reuse their backing arrays.
+// Emitter receives one key/value pair from a user function. A map emit
+// retains the slices: a mapper must not reuse their backing arrays. A
+// reduce emit (Reduce, Combine, Merge) copies them before it returns,
+// like Hadoop's context.write: a reducer may reuse its buffers.
 type Emitter func(key, value []byte)
 
 // MapFunc is a user map function, invoked once per input record — the
@@ -79,6 +81,8 @@ type MapFunc func(ts int64, payload []byte, emit Emitter)
 // with all of that key's values. The values slice itself is valid only
 // for the duration of the call, like Hadoop's value iterator; the byte
 // slices in it (and key) are immutable and stay valid to retain or emit.
+// Its emit copies, so what it emits may be a buffer it writes again for
+// the next pair.
 type ReduceFunc func(key []byte, values [][]byte, emit Emitter)
 
 // Partitioner assigns a key to one of n reduce partitions. It must be

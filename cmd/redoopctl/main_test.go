@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,6 +69,61 @@ func TestRunGolden(t *testing.T) {
 			}
 			if !bytes.Equal(stdout.Bytes(), want) {
 				t.Errorf("stdout diverges from testdata/%s.golden\n--- got ---\n%s\n--- want ---\n%s", tc.golden, stdout.String(), want)
+			}
+		})
+	}
+}
+
+// TestSidecarReportsGolden pins what the sidecars report: the costs and
+// reuse subcommands' stdout, the -metrics-out exposition of both
+// queries, and, as a sha256 because the file runs to megabytes, the
+// lineage subcommand's -lineage-out JSON. Each repeats byte for byte
+// across runs and -workers settings, so a diff means a fold changed
+// what it records, not only what it costs.
+func TestSidecarReportsGolden(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		golden string
+		args   []string
+		file   string // the artifact compared instead of stdout, if any
+		sha    bool   // compare the artifact's sha256, hex, newline-ended
+	}{
+		{golden: "costs", args: []string{"costs"}},
+		{golden: "reuse", args: []string{"reuse"}},
+		{golden: "metrics-agg", args: []string{"-query", "agg", "-metrics-out"}, file: "agg.prom"},
+		{golden: "metrics-join", args: []string{"-query", "join", "-metrics-out"}, file: "join.prom"},
+		{golden: "lineage-out.sha256", args: []string{"lineage", "-lineage-out"}, file: "lineage.json", sha: true},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			name := tc.golden
+			if !tc.sha {
+				name += ".golden"
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			args := tc.args
+			if tc.file != "" {
+				args = append(args, filepath.Join(dir, tc.file))
+			}
+			var stdout, stderr bytes.Buffer
+			args = append(args, "-windows", "3", "-records", "6000")
+			if code := realMain(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+			}
+			got := stdout.Bytes()
+			if tc.file != "" {
+				if got, err = os.ReadFile(filepath.Join(dir, tc.file)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.sha {
+				sum := sha256.Sum256(got)
+				got = []byte(hex.EncodeToString(sum[:]) + "\n")
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("output diverges from testdata/%s\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 			}
 		})
 	}

@@ -36,6 +36,7 @@ package account
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"redoop/internal/obs"
@@ -82,6 +83,9 @@ var IOKinds = []IOKind{IODFSRead, IODFSWrite, IODFSRepl, IOShuffle}
 // owner since `since`. recompute is the modeled cost to rebuild it,
 // credited to a consumer on hit.
 type residency struct {
+	// key is the interval's map key in open and pending, "<pid>|<typ>",
+	// made once when the interval opens.
+	key       string
 	owner     string
 	pid       string
 	typ       int
@@ -187,12 +191,15 @@ type Ledger struct {
 	obs     *obs.Observer
 	queries map[string]*queryAcct
 	order   []string
-	open    map[string]*residency // key: pid|typ
+	open    map[string]*residency // key: resKey(pid, typ)
 	// pending maps a hit cache's key to the consumer query whose
 	// saving must be netted by that cache's next load cost. Armed by
 	// CacheHit, consumed by the first subsequent CacheLoaded for the
 	// same key; loads of caches never hit leave savings untouched.
 	pending map[string]string
+	// keys is byteSecondsLocked's sort scratch, kept because the
+	// health sample reads byte·seconds every recurrence.
+	keys []string
 	// watermark is the latest virtual instant the ledger has been
 	// advanced to; open residencies accrue byte·seconds up to it when
 	// read.
@@ -230,7 +237,18 @@ func (l *Ledger) Observer() *obs.Observer {
 	return l.obs
 }
 
-func resKey(pid string, typ int) string { return fmt.Sprintf("%s|%d", pid, typ) }
+// keyBuf is the stack space a residency key is built in; a longer key
+// spills to the heap and stays correct.
+type keyBuf [128]byte
+
+// resKey appends pid/typ's residency key, "<pid>|<typ>", to b. Callers
+// build it in a keyBuf and index open and pending with string(key),
+// which does not allocate; only a new residency makes it a string. The
+// keys stay strings rather than a struct because byteSecondsLocked sums
+// in their sorted order.
+func resKey(b []byte, pid string, typ int) []byte {
+	return strconv.AppendInt(append(append(b, pid...), '|'), int64(typ), 10)
+}
 
 // Register adds a query to the ledger and returns the account name to
 // attribute its costs under — the given name, or a "#2"-style suffixed
@@ -308,12 +326,12 @@ func (l *Ledger) AddIO(query string, k IOKind, bytes int64) {
 }
 
 // closeLocked accrues and removes an open residency. Caller holds l.mu.
-func (l *Ledger) closeLocked(key string, at simtime.Time) {
-	r, ok := l.open[key]
+func (l *Ledger) closeLocked(key []byte, at simtime.Time) {
+	r, ok := l.open[string(key)]
 	if !ok {
 		return
 	}
-	delete(l.open, key)
+	delete(l.open, r.key)
 	a := l.acct(r.owner)
 	if at.After(r.since) {
 		a.byteSeconds += float64(r.bytes) * at.Sub(r.since).Seconds()
@@ -336,10 +354,12 @@ func (l *Ledger) CacheRegistered(query, pid string, typ int, bytes int64, at sim
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	key := resKey(pid, typ)
+	var buf keyBuf
+	key := resKey(buf[:0], pid, typ)
 	l.closeLocked(key, at)
-	l.open[key] = &residency{
-		owner: query, pid: pid, typ: typ,
+	k := string(key)
+	l.open[k] = &residency{
+		key: k, owner: query, pid: pid, typ: typ,
 		bytes: bytes, since: at, recompute: recompute,
 	}
 	a := l.acct(query)
@@ -370,7 +390,8 @@ func (l *Ledger) CacheExpired(pid string, typ int, at simtime.Time) {
 	if at.After(l.watermark) {
 		l.watermark = at
 	}
-	l.closeLocked(resKey(pid, typ), at)
+	var buf keyBuf
+	l.closeLocked(resKey(buf[:0], pid, typ), at)
 }
 
 // Residency returns the feature vector of pid/typ's still-open
@@ -383,7 +404,8 @@ func (l *Ledger) Residency(pid string, typ int) (ResidencyFeatures, bool) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	r, ok := l.open[resKey(pid, typ)]
+	var buf keyBuf
+	r, ok := l.open[string(resKey(buf[:0], pid, typ))]
 	if !ok {
 		return ResidencyFeatures{}, false
 	}
@@ -413,8 +435,8 @@ func (l *Ledger) cacheHit(query, pid string, typ int, at simtime.Time, cross boo
 		return
 	}
 	l.mu.Lock()
-	key := resKey(pid, typ)
-	r, ok := l.open[key]
+	var buf keyBuf
+	r, ok := l.open[string(resKey(buf[:0], pid, typ))]
 	var o *obs.Observer
 	var saved simtime.Duration
 	if ok {
@@ -426,7 +448,7 @@ func (l *Ledger) cacheHit(query, pid string, typ int, at simtime.Time, cross boo
 			a.crossSaved += r.recompute
 			a.crossHits++
 		}
-		l.pending[key] = query
+		l.pending[r.key] = query
 		saved = a.saved
 		o = l.obs
 	}
@@ -451,12 +473,13 @@ func (l *Ledger) CacheLoaded(pid string, typ int, load simtime.Duration) {
 		return
 	}
 	l.mu.Lock()
-	key := resKey(pid, typ)
+	var buf keyBuf
+	key := resKey(buf[:0], pid, typ)
 	var o *obs.Observer
 	var saved simtime.Duration
-	query, ok := l.pending[key]
+	query, ok := l.pending[string(key)]
 	if ok {
-		delete(l.pending, key)
+		delete(l.pending, string(key))
 		a := l.acct(query)
 		a.saved -= load
 		saved = a.saved
@@ -488,7 +511,7 @@ func (l *Ledger) Advance(at simtime.Time) {
 // and map iteration order would make the total nondeterministic.
 // Caller holds l.mu.
 func (l *Ledger) byteSecondsLocked(a *queryAcct) float64 {
-	keys := make([]string, 0, len(l.open))
+	keys := l.keys[:0]
 	for k, r := range l.open {
 		if r.owner == a.name && l.watermark.After(r.since) {
 			keys = append(keys, k)
@@ -500,6 +523,7 @@ func (l *Ledger) byteSecondsLocked(a *queryAcct) float64 {
 		r := l.open[k]
 		bs += float64(r.bytes) * l.watermark.Sub(r.since).Seconds()
 	}
+	l.keys = keys
 	return bs
 }
 

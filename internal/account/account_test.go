@@ -2,9 +2,11 @@ package account
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
+	"redoop/internal/obs"
 	"redoop/internal/simtime"
 )
 
@@ -223,5 +225,44 @@ func TestOpenResidenciesSorted(t *testing.T) {
 	rs := l.OpenResidencies()
 	if len(rs) != 2 || rs[0].PID != "a" || rs[1].PID != "b" {
 		t.Fatalf("residencies = %+v", rs)
+	}
+}
+
+// TestSteadyFoldPathsDoNotAllocate: the calls the engine's ledger fold
+// makes on an open residency — a hit and the load that nets it, an
+// expiry, the replacement policy's feature read and the health
+// sample's byte·seconds — build their keys on the stack and allocate
+// nothing, observer attached.
+func TestSteadyFoldPathsDoNotAllocate(t *testing.T) {
+	const runs = 100
+	l := New()
+	l.SetObserver(obs.New())
+	q := l.Register("q", "")
+	// Each expiry closes a residency of its own, so every one is open
+	// when it closes; AllocsPerRun makes one extra, warm-up call.
+	pids := make([]string, runs+1)
+	for i := range pids {
+		pids[i] = "query/q/P" + strconv.Itoa(i) + "/r0"
+		l.CacheRegistered(q, pids[i], 1, 100, simtime.Time(i), simtime.Second)
+	}
+	hot, at, next := pids[0], simtime.Time(runs+1), 0
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"CacheHit+CacheLoaded", func() {
+			l.CacheHit(q, hot, 1, at)
+			l.CacheLoaded(hot, 1, simtime.Millisecond)
+		}},
+		{"Residency", func() { l.Residency(hot, 1) }},
+		{"ByteSeconds", func() { l.ByteSeconds(q) }},
+		{"CacheExpired", func() { l.CacheExpired(pids[next], 1, at); next++ }},
+	} {
+		if n := testing.AllocsPerRun(runs, tc.f); n != 0 {
+			t.Errorf("%s allocates %v times per call", tc.name, n)
+		}
+	}
+	if open := l.OpenResidencies(); next != len(pids) || len(open) != 0 {
+		t.Fatalf("expired %d of %d residencies, %d still open", next, len(pids), len(open))
 	}
 }

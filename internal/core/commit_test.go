@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"redoop/internal/account"
@@ -365,4 +366,41 @@ func (k commitKind) String() string {
 		return names[k]
 	}
 	return fmt.Sprintf("commitKind(%d)", int(k))
+}
+
+// TestRejectedBatchLeavesNoProvenance is the regression test for a
+// batch recorded as ingested before the packer had accepted it: a late
+// batch failed with "arrives after flush bound", yet the provenance
+// store kept it, and a later pane's derivation could claim records that
+// were never packed. Only an accepted batch is committed.
+func TestRejectedBatchLeavesNoProvenance(t *testing.T) {
+	win, slide := 40*simtime.Second, 10*simtime.Second
+	r := newSeamRun(internalCountQuery(win, slide), 1, 0, false, nil)
+	gen := func(_, s int) []records.Record { return internalWords(19, slide, s, 300, 8) }
+	r.drive(t, 2, slide, gen, nil)
+	batches, ingested := r.eng.lin.Stats().Batches, kindCounts(r.stream)[kindIngested]
+	if err := r.eng.Ingest(0, gen(0, 0)); err == nil || !strings.Contains(err.Error(), "after flush bound") {
+		t.Fatalf("late batch: err = %v, want a flush-bound rejection", err)
+	}
+	if got := r.eng.lin.Stats().Batches; got != batches {
+		t.Errorf("provenance store holds %d batches after a rejected one, want %d", got, batches)
+	}
+	if got := kindCounts(r.stream)[kindIngested]; got != ingested {
+		t.Errorf("%d ingested commits after a rejected batch, want %d", got, ingested)
+	}
+	// The engine carries on: the next slide's batch is accepted and
+	// recorded, and the window over it closes over claims that resolve.
+	// (One source, one batch per slide: slides 0..batches-1 are in.)
+	if err := r.eng.Ingest(0, gen(0, batches)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.eng.RunNext(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.eng.lin.Stats().Batches; got != batches+1 {
+		t.Errorf("provenance store holds %d batches after one more slide, want %d", got, batches+1)
+	}
+	if bad := r.eng.lin.Closure(nil); len(bad) != 0 {
+		t.Errorf("closure violations: %v", bad)
+	}
 }

@@ -377,16 +377,16 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 		}
 		return memo
 	}
-	// input references an upstream derivation, carrying its insertion
-	// seq so closure checks can tell a legitimately evicted input from
-	// a bookkeeping hole.
-	input := func(pid string, typ CacheType) lineage.InputRef {
-		id := lineage.DerivID(pid, int(typ))
-		seq, _ := s.Seq(id)
-		return lineage.InputRef{ID: id, Seq: seq}
-	}
-	derivID := func(c *commit) string { return lineage.DerivID(c.pid, int(c.typ)) }
+	// Derivation IDs are appended into a stack buffer and looked up as
+	// bytes; a registration makes the one string its derivation keeps.
+	// An input reference shares the stored ID and carries the input's
+	// insertion seq, so closure checks can tell a legitimately evicted
+	// input from a bookkeeping hole. RecordDerivation copies Inputs, so
+	// the references are gathered in one scratch slice.
+	var inputs []lineage.InputRef
+	input := func(id []byte) { inputs = append(inputs, s.Input(id)) }
 	return func(c *commit) {
+		var buf pidBuf
 		switch c.kind {
 		case kindIngested:
 			// Which contiguous record-index runs land in which pane.
@@ -407,7 +407,8 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 		case kindStart:
 			memoSrc = -1
 		case kindRegistered:
-			id := derivID(c)
+			idBytes := lineage.AppendDerivID(buf[:0], c.pid, int(c.typ))
+			id := string(idBytes)
 			d := lineage.Derivation{
 				ID: id, Query: e.acctName, Fingerprint: e.planFP,
 				Recurrence: c.rec, Pane: int64(c.pane), Part: c.part,
@@ -422,9 +423,12 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 			default:
 				d.Kind = "tuple-rout"
 			}
+			inputs = inputs[:0]
+			var inBuf pidBuf
 			for _, in := range c.inputs {
-				d.Inputs = append(d.Inputs, input(in.pid, in.typ))
+				input(lineage.AppendDerivID(inBuf[:0], in.pid, int(in.typ)))
 			}
+			d.Inputs = inputs
 			rebuilt, cause := s.RecordDerivation(d)
 			ev := lineage.CopyEvent{Kind: "register", Node: c.node, AtNS: int64(c.at)}
 			if c.from >= 0 && c.from != c.node {
@@ -433,7 +437,7 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 					ID: id, From: c.from, To: c.node,
 				})
 			}
-			s.AddCopy(id, ev)
+			s.AddCopy(idBytes, ev)
 			if rebuilt {
 				o.Emit(c.at, eventlog.LineageRebuild, q.Name, eventlog.LineageRebuildData{
 					ID: id, Kind: d.Kind, Cause: cause,
@@ -445,41 +449,43 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 				})
 			}
 		case kindHit:
-			s.AddCopy(derivID(c), lineage.CopyEvent{Kind: "hit", Node: c.node, AtNS: int64(c.at)})
+			s.AddCopy(lineage.AppendDerivID(buf[:0], c.pid, int(c.typ)),
+				lineage.CopyEvent{Kind: "hit", Node: c.node, AtNS: int64(c.at)})
 		case kindReused:
 			// The derivation was just recorded by the registration, with
 			// the producer's derivation as its input; stamp both copy
 			// histories with the reuse.
 			prod := c.inputs[0]
-			s.AddCopy(derivID(c), lineage.CopyEvent{Kind: "reuse", Node: c.node, From: c.from, AtNS: int64(c.at)})
-			s.AddCopy(lineage.DerivID(prod.pid, int(prod.typ)),
+			s.AddCopy(lineage.AppendDerivID(buf[:0], c.pid, int(c.typ)),
+				lineage.CopyEvent{Kind: "reuse", Node: c.node, From: c.from, AtNS: int64(c.at)})
+			s.AddCopy(lineage.AppendDerivID(buf[:0], prod.pid, int(prod.typ)),
 				lineage.CopyEvent{Kind: "hit", Node: c.from, AtNS: int64(c.at)})
 		case kindLost:
 			// Matched against the most recent recorded fault so the
 			// rebuild that follows can name its cause.
-			s.MarkLost(derivID(c), c.node, int64(c.at))
+			s.MarkLost(lineage.AppendDerivID(buf[:0], c.pid, int(c.typ)), c.node, int64(c.at))
 		case kindExpired, kindEvicted:
-			s.MarkExpired(derivID(c), int64(c.at))
+			s.MarkExpired(lineage.AppendDerivID(buf[:0], c.pid, int(c.typ)), int64(c.at))
 		case kindWindow:
 			// The window consumes its pane (or pane-tuple) output
 			// caches. Window nodes are born expired: their bytes go to
 			// the consumer rather than a cache, so they must not pin the
 			// store's bounded eviction the way resident caches do.
 			res := c.res
-			var inputs []lineage.InputRef
+			inputs = inputs[:0]
+			tupleInputs := func(t paneTuple) {
+				var pid pidBuf
+				for part := 0; part < q.NumReducers; part++ {
+					input(lineage.AppendDerivType(q.appendRoutTuplePID(pid[:0], t, part), int(ReduceOutput)))
+				}
+			}
 			if len(q.Sources) == 1 {
 				for p := res.WindowLo; p <= res.WindowHi; p++ {
-					for part := 0; part < q.NumReducers; part++ {
-						inputs = append(inputs, input(q.routPanePID(p, part), ReduceOutput))
-					}
+					tupleInputs(paneTuple{p})
 				}
 			} else {
 				los, his := e.windowRanges(c.rec)
-				forEachTupleRanges(los, his, func(t paneTuple) {
-					for part := 0; part < q.NumReducers; part++ {
-						inputs = append(inputs, input(q.routTuplePID(t, part), ReduceOutput))
-					}
-				})
+				forEachTupleRanges(los, his, tupleInputs)
 			}
 			data := colfmt.EncodePairs(res.Output)
 			wid := lineage.WindowID(e.acctName, c.rec)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -486,12 +487,18 @@ func (e *Engine) Ingest(src int, recs []records.Record) error {
 	if src < 0 || src >= len(e.srcs) {
 		return fmt.Errorf("core: query %q has no source %d", e.query.Name, src)
 	}
+	if err := e.srcs[src].Ingest(recs); err != nil {
+		return err
+	}
 	if len(recs) > 0 {
-		// Committed before delivery, so the batch's provenance exists by
-		// the time its panes can be built.
+		// Committed once the packer has accepted the batch, so a rejected
+		// batch leaves no provenance for a later pane to claim. Ingest
+		// builds no pane, so the provenance still precedes every pane
+		// the batch lands in. A batch rejected partway (unsorted, see
+		// Packer.Ingest) leaves its packed prefix with no recorded batch.
 		e.commit(commit{kind: kindIngested, src: src, recs: recs})
 	}
-	return e.srcs[src].Ingest(recs)
+	return nil
 }
 
 // timeOfUnit converts a window-unit offset to a virtual instant:
@@ -1000,7 +1007,7 @@ func (e *Engine) commitPaneMapPhase(src int, p window.PaneID, trigger simtime.Ti
 		e.obs.Span(obs.QueryTrack(e.query.Name), "phase",
 			fmt.Sprintf("map %s pane %d", e.query.Sources[src].Name, p),
 			earliest, merged.LastMapEnd,
-			obs.L("segments", fmt.Sprint(len(pp.ins))))
+			obs.L("segments", strconv.Itoa(len(pp.ins))))
 	}
 	return merged, nil
 }
@@ -1071,7 +1078,7 @@ func (e *Engine) runCacheTask(name func() string, ph phase, ready simtime.Time, 
 			Track: obs.NodeTrack(node.ID), Cat: "cachetask", Name: name(),
 			Start: start, End: end, Ready: ready,
 			Parent: e.mr.SpanParent, Deps: deps,
-			Args: []obs.Label{obs.L("caches", fmt.Sprint(len(caches))), obs.L("query", e.query.Name)},
+			Args: []obs.Label{obs.L("caches", strconv.Itoa(len(caches))), obs.L("query", e.query.Name)},
 		})
 	}
 	return cacheTask{node: node.ID, start: start, end: end, dur: dur, span: span}

@@ -95,7 +95,8 @@ func SHA(data []byte) string {
 		return ""
 	}
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	var buf [2 * sha256.Size]byte
+	return string(hex.AppendEncode(buf[:0], sum[:]))
 }
 
 // Fingerprint returns the canonical plan fingerprint: a hex SHA-256 of

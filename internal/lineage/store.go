@@ -3,6 +3,7 @@ package lineage
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -26,7 +27,7 @@ type PaneRange struct {
 	R    Range `json:"r"`
 }
 
-// Batch is one serial Engine.Ingest call: which source delivered it,
+// Batch is one accepted Engine.Ingest call: which source delivered it,
 // its per-source sequence number, and which index runs landed in which
 // pane.
 type Batch struct {
@@ -143,15 +144,36 @@ type Derivation struct {
 }
 
 // DerivID is the derivation ID of cache pid/typ (typ is the engine's
-// CacheType ordinal).
-func DerivID(pid string, typ int) string { return fmt.Sprintf("%s|%d", pid, typ) }
+// CacheType ordinal), "<pid>|<typ>".
+func DerivID(pid string, typ int) string { return string(AppendDerivID(nil, pid, typ)) }
+
+// AppendDerivID appends DerivID(pid, typ) to b. Callers on a steady path
+// append into a stack buffer and hand the bytes to the by-ID methods
+// (Input, AddCopy, MarkExpired, MarkLost), which look them up without
+// making a string.
+func AppendDerivID(b []byte, pid string, typ int) []byte {
+	return AppendDerivType(append(b, pid...), typ)
+}
+
+// AppendDerivType appends the "|<typ>" that turns a cache PID already
+// in b into its derivation ID.
+func AppendDerivType(b []byte, typ int) []byte {
+	return strconv.AppendInt(append(b, '|'), int64(typ), 10)
+}
 
 // WindowID is the derivation ID of query's recurrence-r window output.
-func WindowID(query string, r int) string { return fmt.Sprintf("window/%s/r%d", query, r) }
+func WindowID(query string, r int) string { return "window/" + query + "/r" + strconv.Itoa(r) }
 
 // BatchID is the node ID of one ingested batch.
 func BatchID(query, source string, seq int) string {
-	return fmt.Sprintf("batch/%s/%s/%d", query, source, seq)
+	return "batch/" + query + "/" + source + "/" + strconv.Itoa(seq)
+}
+
+// batchKey names a batch by value, as BatchID does by string, so
+// counting a claim on it builds no string.
+type batchKey struct {
+	query, source string
+	seq           int
 }
 
 // Stats summarizes a store for bench output.
@@ -184,10 +206,10 @@ type Store struct {
 	batchOrder []string
 	batchSeq   map[string]int // per query|source: next seq
 	batchFloor map[string]int // per query|source: lowest retained seq
-	// batchClaims counts, per BatchID, how many live (unexpired)
-	// derivations claim the batch; claimed batches are never evicted
-	// by the bound, mirroring evictLocked's stop-at-resident rule.
-	batchClaims map[string]int
+	// batchClaims counts, per batch, how many live (unexpired)
+	// derivations claim it; claimed batches are never evicted by the
+	// bound, mirroring evictLocked's stop-at-resident rule.
+	batchClaims map[batchKey]int
 
 	attempts map[string][]Attempt // per job, bounded
 	jobOrder []string
@@ -216,7 +238,7 @@ func New(cap int) *Store {
 		batches:     map[string]*Batch{},
 		batchSeq:    map[string]int{},
 		batchFloor:  map[string]int{},
-		batchClaims: map[string]int{},
+		batchClaims: map[batchKey]int{},
 		attempts:    map[string][]Attempt{},
 		files:       map[string][]FileEvent{},
 		plans:       map[string]string{},
@@ -243,7 +265,8 @@ func (s *Store) RecordBatch(query, source string, records int, panes []PaneRange
 	s.batchOrder = append(s.batchOrder, id)
 	for len(s.batchOrder) > s.cap {
 		oldID := s.batchOrder[0]
-		if s.batchClaims[oldID] > 0 {
+		old := s.batches[oldID]
+		if s.batchClaims[batchKey{old.Query, old.Source, old.Seq}] > 0 {
 			// The oldest batch is still claimed by a live derivation:
 			// evicting it would turn a provable claim into a silent
 			// hole the floor check masks as a legitimate eviction.
@@ -252,7 +275,6 @@ func (s *Store) RecordBatch(query, source string, records int, panes []PaneRange
 			break
 		}
 		s.batchOrder = s.batchOrder[1:]
-		old := s.batches[oldID]
 		delete(s.batches, oldID)
 		ok := srcKey(old.Query, old.Source)
 		if old.Seq >= s.batchFloor[ok] {
@@ -267,13 +289,13 @@ func (s *Store) RecordBatch(query, source string, records int, panes []PaneRange
 // each referenced batch by delta. Caller holds s.mu.
 func (s *Store) adjustBatchClaimsLocked(query string, refs []BatchRef, delta int) {
 	for _, b := range refs {
-		id := BatchID(query, b.Source, b.Seq)
-		n := s.batchClaims[id] + delta
+		k := batchKey{query, b.Source, b.Seq}
+		n := s.batchClaims[k] + delta
 		if n <= 0 {
-			delete(s.batchClaims, id)
+			delete(s.batchClaims, k)
 			continue
 		}
-		s.batchClaims[id] = n
+		s.batchClaims[k] = n
 	}
 }
 
@@ -467,42 +489,48 @@ func (s *Store) evictLocked() {
 	}
 }
 
-// Seq returns a retained derivation's insertion sequence (0, false
-// when absent).
-func (s *Store) Seq(id string) (uint64, bool) {
+// The by-ID methods below take a derivation ID as bytes — typically
+// AppendDerivID into the caller's stack buffer — and index the store
+// with them directly, so a call on a retained derivation makes no
+// string.
+
+// Input returns the reference a consumer's Inputs carry to derivation
+// id: when retained, its stored ID string (shared, not copied) and its
+// insertion seq; otherwise a fresh string and seq 0.
+func (s *Store) Input(id []byte) InputRef {
 	if s == nil {
-		return 0, false
+		return InputRef{ID: string(id)}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d, ok := s.derivs[id]
+	d, ok := s.derivs[string(id)]
 	if !ok {
-		return 0, false
+		return InputRef{ID: string(id)}
 	}
-	return d.Seq, true
+	return InputRef{ID: d.ID, Seq: d.Seq}
 }
 
 // AddCopy appends a copy event to a retained derivation's history.
-func (s *Store) AddCopy(id string, ev CopyEvent) {
+func (s *Store) AddCopy(id []byte, ev CopyEvent) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if d, ok := s.derivs[id]; ok {
+	if d, ok := s.derivs[string(id)]; ok {
 		d.Copies = append(d.Copies, ev)
 	}
 }
 
 // MarkExpired closes a derivation's cache residency (retirement) with
 // an expire copy event.
-func (s *Store) MarkExpired(id string, atNS int64) {
+func (s *Store) MarkExpired(id []byte, atNS int64) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if d, ok := s.derivs[id]; ok && !d.Expired {
+	if d, ok := s.derivs[string(id)]; ok && !d.Expired {
 		d.Expired = true
 		s.adjustBatchClaimsLocked(d.Query, d.Batches, -1)
 		d.Copies = append(d.Copies, CopyEvent{Kind: "expire", AtNS: atNS})
@@ -513,13 +541,13 @@ func (s *Store) MarkExpired(id string, atNS int64) {
 // the derivation is expired with a lost copy event and the most recent
 // fault touching its home node or claimed paths is returned as the
 // presumed cause ("" when no fault matches).
-func (s *Store) MarkLost(id string, node int, atNS int64) (cause string) {
+func (s *Store) MarkLost(id []byte, node int, atNS int64) (cause string) {
 	if s == nil {
 		return ""
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d, ok := s.derivs[id]
+	d, ok := s.derivs[string(id)]
 	if !ok {
 		return ""
 	}
@@ -530,7 +558,7 @@ func (s *Store) MarkLost(id string, node int, atNS int64) (cause string) {
 	d.Copies = append(d.Copies, CopyEvent{Kind: "lost", Node: node, AtNS: atNS})
 	d.Cause = s.matchFaultLocked(*d)
 	if d.Cause == "" {
-		d.Cause = fmt.Sprintf("lost on node %d", node)
+		d.Cause = "lost on node " + strconv.Itoa(node)
 	}
 	return d.Cause
 }

@@ -2,8 +2,10 @@ package lineage
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestNilStoreIsSafe(t *testing.T) {
@@ -13,9 +15,12 @@ func TestNilStoreIsSafe(t *testing.T) {
 	}
 	s.RecordPlan("fp", Plan{})
 	s.RecordDerivation(Derivation{ID: "x"})
-	s.AddCopy("x", CopyEvent{})
-	s.MarkExpired("x", 0)
-	s.MarkLost("x", 1, 0)
+	s.AddCopy([]byte("x"), CopyEvent{})
+	s.MarkExpired([]byte("x"), 0)
+	s.MarkLost([]byte("x"), 1, 0)
+	if ref := s.Input([]byte("x")); ref != (InputRef{ID: "x"}) {
+		t.Fatalf("nil Input = %+v", ref)
+	}
 	s.RecordAttempt(Attempt{Job: "j"})
 	s.RecordFault(Fault{})
 	s.RecordFileEvent("p", FileEvent{})
@@ -49,13 +54,12 @@ func TestDerivationLifecycleAndClosure(t *testing.T) {
 	if rebuilt {
 		t.Fatal("first build reported as rebuild")
 	}
-	s.AddCopy(rinID, CopyEvent{Kind: "register", Node: 2, AtNS: 100})
+	s.AddCopy([]byte(rinID), CopyEvent{Kind: "register", Node: 2, AtNS: 100})
 
 	routID := DerivID("query/q/P0/r3", 1)
-	seq, _ := s.Seq(rinID)
 	s.RecordDerivation(Derivation{
 		ID: routID, Kind: "pane-rout", Query: "q", Pane: 0,
-		Inputs: []InputRef{{ID: rinID, Seq: seq}},
+		Inputs: []InputRef{s.Input(AppendDerivID(nil, "query/q/S1/u900/P0/r3", 0))},
 	})
 	if d, _ := s.Lookup(rinID); len(d.Consumers) != 1 || d.Consumers[0] != routID {
 		t.Fatalf("consumer edge missing: %+v", d.Consumers)
@@ -72,7 +76,7 @@ func TestDerivationLifecycleAndClosure(t *testing.T) {
 
 	// Loss then rebuild: cause comes from the recorded fault.
 	s.RecordFault(Fault{Kind: "node-crash", Node: 2, Recurrence: 4, AtNS: 500})
-	cause := s.MarkLost(rinID, 2, 600)
+	cause := s.MarkLost([]byte(rinID), 2, 600)
 	if !strings.Contains(cause, "node-crash") {
 		t.Fatalf("MarkLost cause = %q", cause)
 	}
@@ -113,7 +117,7 @@ func TestAliasedWriteIsNotARebuild(t *testing.T) {
 	s := New(0)
 	id := DerivID("query/q1/P0/r0", 1)
 	s.RecordDerivation(Derivation{ID: id, Kind: "pane-rout", Query: "q1", Bytes: 10})
-	s.AddCopy(id, CopyEvent{Kind: "register", Node: 1, AtNS: 50})
+	s.AddCopy([]byte(id), CopyEvent{Kind: "register", Node: 1, AtNS: 50})
 
 	rebuilt, cause := s.RecordDerivation(Derivation{ID: id, Kind: "pane-rout", Query: "q1#2", Bytes: 12})
 	if rebuilt || cause != "" {
@@ -152,7 +156,7 @@ func TestBoundedEvictionKeepsResidentNodes(t *testing.T) {
 		id := DerivID("p", i)
 		s.RecordDerivation(Derivation{ID: id, Kind: "pane-rin", Query: "q"})
 		if i < 8 {
-			s.MarkExpired(id, int64(i))
+			s.MarkExpired([]byte(id), int64(i))
 		}
 	}
 	st := s.Stats()
@@ -196,7 +200,7 @@ func TestSnapshotDeepEqualAndIndependence(t *testing.T) {
 		s.RecordPlan("fp", Plan{Reduce: "r"})
 		s.RecordDerivation(Derivation{ID: "a", Kind: "pane-rin", Query: "q",
 			Batches: s.BatchesForPane("q", "S1", 0)})
-		s.AddCopy("a", CopyEvent{Kind: "register", Node: 1, AtNS: 10})
+		s.AddCopy([]byte("a"), CopyEvent{Kind: "register", Node: 1, AtNS: 10})
 		s.RecordAttempt(Attempt{Job: "j", Task: "t", Phase: "map", Node: 1, OK: true})
 		s.RecordFileEvent("/data/f", FileEvent{Kind: "place", Nodes: []int{1, 2}})
 		return s
@@ -247,7 +251,7 @@ func TestBatchEvictionFloorHonorsLiveClaims(t *testing.T) {
 	}
 
 	// Once the claim expires the bound resumes on the next ingest.
-	s.MarkExpired("d0", 100)
+	s.MarkExpired([]byte("d0"), 100)
 	s.RecordBatch("q", "S1", 1, nil)
 	st = s.Stats()
 	if st.Batches != 4 {
@@ -263,8 +267,61 @@ func TestBatchEvictionFloorHonorsLiveClaims(t *testing.T) {
 	c2 := s.BatchesForPane("q2", "S1", 0)
 	s.RecordDerivation(Derivation{ID: "d2", Kind: "pane-rin", Query: "q2", Pane: 0, Batches: c2})
 	s.RecordDerivation(Derivation{ID: "d2", Kind: "pane-rin", Query: "q2", Pane: 0, Batches: c2})
-	s.MarkLost("d2", 1, 200)
-	if n := s.batchClaims[BatchID("q2", "S1", 0)]; n != 0 {
+	s.MarkLost([]byte("d2"), 1, 200)
+	if n := s.batchClaims[batchKey{"q2", "S1", 0}]; n != 0 {
 		t.Fatalf("claim count leaked across rebuild: %d", n)
+	}
+}
+
+// TestByIDCallsDoNotAllocate: the calls the engine's lineage fold makes
+// per hit, expiry and window input take the derivation ID as bytes
+// built on the caller's stack, and on a retained derivation make no
+// string. An input reference shares the stored ID string.
+func TestByIDCallsDoNotAllocate(t *testing.T) {
+	const runs = 100
+	s := New(0)
+	// Each expiry retires a derivation of its own, whose copy history
+	// (register and two hits) has room for the expire event, as a
+	// resident cache's usually does; AllocsPerRun makes one extra,
+	// warm-up call.
+	pids := make([]string, runs+1)
+	for i := range pids {
+		pids[i] = "query/q/P" + strconv.Itoa(i) + "/r0"
+		id := AppendDerivID(nil, pids[i], 1)
+		s.RecordDerivation(Derivation{ID: string(id), Kind: "pane-rout", Query: "q"})
+		for _, kind := range []string{"register", "hit", "hit"} {
+			s.AddCopy(id, CopyEvent{Kind: kind})
+		}
+	}
+	hot, next := pids[0], 0
+	var ref InputRef
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"Input", func() {
+			var buf [64]byte
+			ref = s.Input(AppendDerivID(buf[:0], hot, 1))
+		}},
+		{"AddCopy", func() {
+			var buf [64]byte
+			s.AddCopy(AppendDerivID(buf[:0], hot, 1), CopyEvent{Kind: "hit"})
+		}},
+		{"MarkExpired", func() {
+			var buf [64]byte
+			s.MarkExpired(AppendDerivID(buf[:0], pids[next], 1), 9)
+			next++
+		}},
+	} {
+		if n := testing.AllocsPerRun(runs, tc.f); n != 0 {
+			t.Errorf("%s allocates %v times per call", tc.name, n)
+		}
+	}
+	d, _ := s.Lookup(DerivID(hot, 1))
+	if ref.ID != d.ID || unsafe.StringData(ref.ID) != unsafe.StringData(s.derivs[d.ID].ID) || ref.Seq != d.Seq {
+		t.Errorf("Input = %+v, want the stored ID string and seq %d", ref, d.Seq)
+	}
+	if !d.Expired || d.Copies[len(d.Copies)-1].Kind != "expire" {
+		t.Errorf("MarkExpired left %s resident: %+v", d.ID, d.Copies)
 	}
 }

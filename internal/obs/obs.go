@@ -19,7 +19,6 @@
 package obs
 
 import (
-	"fmt"
 	"strconv"
 
 	"redoop/internal/obs/eventlog"
@@ -54,8 +53,22 @@ func appendLabels(b []byte, labels []Label) []byte {
 // labelString is appendLabels as a string.
 func labelString(labels []Label) string { return string(appendLabels(nil, labels)) }
 
+// nodeTracks holds the track names of the first node IDs, so naming the
+// track of a task costs an index.
+var nodeTracks = func() (t [64]string) {
+	for id := range t {
+		t[id] = "node:" + strconv.Itoa(id)
+	}
+	return t
+}()
+
 // NodeTrack names the trace track of one cluster node's task slots.
-func NodeTrack(id int) string { return fmt.Sprintf("node:%d", id) }
+func NodeTrack(id int) string {
+	if id >= 0 && id < len(nodeTracks) {
+		return nodeTracks[id]
+	}
+	return "node:" + strconv.Itoa(id)
+}
 
 // QueryTrack names the trace track of one query's recurrence/phase
 // spans.

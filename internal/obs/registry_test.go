@@ -156,3 +156,20 @@ func TestSeriesLookupDoesNotAllocate(t *testing.T) {
 		t.Errorf("lookups registered new series: %d counters, want %d", n, len(values)+1)
 	}
 }
+
+// TestNodeTrackDoesNotAllocate: a task span names its node's track on
+// every call, so the track names of the first 64 nodes come from a
+// table; a larger ID is still named, by formatting.
+func TestNodeTrackDoesNotAllocate(t *testing.T) {
+	for id := 0; id < 64; id++ {
+		if got, want := NodeTrack(id), fmt.Sprintf("node:%d", id); got != want {
+			t.Fatalf("NodeTrack(%d) = %q, want %q", id, got, want)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = NodeTrack(id) }); n != 0 {
+			t.Fatalf("NodeTrack(%d) allocates %v times", id, n)
+		}
+	}
+	if got := NodeTrack(1234); got != "node:1234" {
+		t.Fatalf("NodeTrack(1234) = %q", got)
+	}
+}

@@ -126,14 +126,14 @@ func (t *Tracer) Task(ts TaskSpan) SpanID {
 	// Drop zero deps (a "no producing span" sentinel, e.g. a cache
 	// carried over from an earlier recurrence) so consumers never see
 	// edges to nowhere.
-	deps := make([]SpanID, 0, len(ts.Deps))
+	var deps []SpanID
 	for _, d := range ts.Deps {
 		if d != 0 {
+			if deps == nil {
+				deps = make([]SpanID, 0, len(ts.Deps))
+			}
 			deps = append(deps, d)
 		}
-	}
-	if len(deps) == 0 {
-		deps = nil
 	}
 	t.events = append(t.events, Event{
 		Track: ts.Track, Cat: ts.Cat, Name: ts.Name,

@@ -34,7 +34,6 @@
 package reuse
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -102,7 +101,7 @@ type Index struct {
 	units map[string]map[int64]bool
 	// byPID indexes live entry keys by producer cache identity so
 	// purge/loss notifications can drop them without a scan.
-	byPID map[string][]key
+	byPID map[pidKey][]key
 
 	roi func(query string) float64
 
@@ -124,7 +123,7 @@ func NewIndex(cap int) *Index {
 		cap:     cap,
 		entries: map[key]*Entry{},
 		units:   map[string]map[int64]bool{},
-		byPID:   map[string][]key{},
+		byPID:   map[pidKey][]key{},
 	}
 }
 
@@ -140,9 +139,12 @@ func (x *Index) SetROI(fn func(query string) float64) {
 	x.roi = fn
 }
 
-func pidKey(pid string, typ int) string {
-	// Mirrors the controller's pid|type signature key.
-	return fmt.Sprintf("%s|%d", pid, typ)
+// pidKey is a producer cache's identity, compared by value like the
+// controller's entryKey{pid, typ}, so a purge or loss notice for a cache
+// the index never saw costs a lookup and nothing else.
+type pidKey struct {
+	pid string
+	typ int
 }
 
 // Publish inserts (or refreshes) one pane cache entry. Called only
@@ -161,7 +163,8 @@ func (x *Index) Publish(e Entry) {
 	x.seq++
 	e.Seq = x.seq
 	x.entries[k] = &e
-	x.byPID[pidKey(e.PID, e.Type)] = append(x.byPID[pidKey(e.PID, e.Type)], k)
+	pk := pidKey{e.PID, e.Type}
+	x.byPID[pk] = append(x.byPID[pk], k)
 	if x.units[e.OpFP] == nil {
 		x.units[e.OpFP] = map[int64]bool{}
 	}
@@ -173,7 +176,7 @@ func (x *Index) Publish(e Entry) {
 // unlinkPIDLocked removes k from the PID reverse index. Caller holds
 // x.mu.
 func (x *Index) unlinkPIDLocked(e *Entry, k key) {
-	pk := pidKey(e.PID, e.Type)
+	pk := pidKey{e.PID, e.Type}
 	keys := x.byPID[pk]
 	for i, kk := range keys {
 		if kk == k {
@@ -290,7 +293,7 @@ func (x *Index) DropPID(pid string, typ int) {
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	pk := pidKey(pid, typ)
+	pk := pidKey{pid, typ}
 	keys := x.byPID[pk]
 	if len(keys) == 0 {
 		return

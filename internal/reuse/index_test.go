@@ -174,3 +174,24 @@ func TestNilIndexSafe(t *testing.T) {
 		t.Fatalf("nil snapshot: %+v", snap)
 	}
 }
+
+// TestDropAbsentPIDDoesNotAllocate: the controller's purge hook calls
+// DropPID for every purged cache, most of which were never published;
+// for those it is a lookup and nothing else. A published entry is still
+// found by its PID and dropped.
+func TestDropAbsentPIDDoesNotAllocate(t *testing.T) {
+	x := NewIndex(0)
+	x.Publish(Entry{OpFP: "fp", Unit: 10, Pane: 3, Query: "q1", PID: "shared/S1/P3/r0", Type: 1})
+	pid := "query/q1/P3/r0"
+	if n := testing.AllocsPerRun(100, func() { x.DropPID(pid, 1) }); n != 0 {
+		t.Errorf("DropPID of an absent PID allocates %v times per call", n)
+	}
+	x.DropPID("shared/S1/P3/r0", 0) // same PID, other cache type
+	if st := x.Stats(); st.Entries != 1 {
+		t.Fatalf("entries = %d after dropping other caches, want 1", st.Entries)
+	}
+	x.DropPID("shared/S1/P3/r0", 1)
+	if st := x.Stats(); st.Entries != 0 || st.Dropped != 1 {
+		t.Fatalf("stats after dropping the published PID: %+v", st)
+	}
+}

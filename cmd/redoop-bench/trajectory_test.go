@@ -153,26 +153,19 @@ func TestRegressReportHealthLines(t *testing.T) {
 
 func TestCompareProfile(t *testing.T) {
 	sf := func(v float64) *float64 { return &v }
-	old := summaryJSON{Profile: &profileJSON{
-		CritPathNS: 1000, TimeSavedNS: 500, LedgerOK: true, SerialFraction: sf(0.2),
-	}}
-	cur := summaryJSON{Profile: &profileJSON{
-		CritPathNS: 1200, TimeSavedNS: 400, LedgerOK: true, SerialFraction: sf(0.3),
-	}}
+	old := summaryJSON{Profile: &profileJSON{CritPathNS: 1000, SerialFraction: sf(0.2)}}
+	cur := summaryJSON{Profile: &profileJSON{CritPathNS: 1200, SerialFraction: sf(0.3)}}
 	notes := compareProfile(old, cur)
 	joined := strings.Join(notes, "\n")
-	for _, want := range []string{"critical path", "+20.0%", "cache time saved", "-20.0%", "serial fraction 0.200 -> 0.300"} {
+	for _, want := range []string{"critical path", "+20.0%", "serial fraction 0.200 -> 0.300"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("notes missing %q:\n%s", want, joined)
 		}
 	}
 
-	// A ledger violation in the new entry is reported even with no
-	// prior profile to compare against.
-	cur.Profile.LedgerOK = false
-	notes = compareProfile(summaryJSON{}, cur)
-	if len(notes) != 1 || !strings.Contains(notes[0], "VIOLATED") {
-		t.Errorf("violation notes = %v", notes)
+	// No prior profile: nothing to compare against.
+	if notes := compareProfile(summaryJSON{}, cur); notes != nil {
+		t.Errorf("missing old profile produced notes: %v", notes)
 	}
 
 	// No profile on the new side: nothing to say.
@@ -281,7 +274,7 @@ func TestTrajectoryToleratesOldFormatEntries(t *testing.T) {
 	}
 
 	cur := mkSummary("modern", 1000, 100)
-	cur.Profile = &profileJSON{CritPathNS: 1200, LedgerOK: true}
+	cur.Profile = &profileJSON{CritPathNS: 1200}
 	cur.Costs = &costsJSON{ConservationOK: true, Queries: []costQueryJSON{{Query: "q1", TotalComputeNS: 900}}}
 	cur.Lineage = &lineageJSON{Nodes: 100, Edges: 200, DistinctFingerprints: 1}
 
@@ -309,6 +302,51 @@ func TestTrajectoryToleratesOldFormatEntries(t *testing.T) {
 	}
 	if notes := compareLineage(old, cur); len(notes) != 0 {
 		t.Errorf("old entry without lineage produced comparison notes: %v", notes)
+	}
+}
+
+// TestTrajectoryToleratesRetiredProfileFields: entries written while
+// the profile block still carried its own cache-saving figures
+// (timeSavedNS, reusedPanes, ledgerOK) load and compare cleanly; the
+// retired fields are ignored, even a false ledgerOK.
+func TestTrajectoryToleratesRetiredProfileFields(t *testing.T) {
+	dir := t.TempDir()
+	oldJSON := `{
+		"tool": "redoop-bench",
+		"rev": "ledger-era",
+		"figures": [{
+			"name": "Figure 6", "query": "q1",
+			"panels": [{"overlap": 0.9, "series": [{
+				"system": "Redoop", "makespanNS": 1000, "meanSteadyNS": 100
+			}]}]
+		}],
+		"profile": {
+			"critPathNS": 1000, "timeSavedNS": 500, "reusedPanes": 7, "ledgerOK": false,
+			"queries": [{"query": "q1", "recurrences": 4, "critPathNS": 1000, "timeSavedNS": 500}]
+		}
+	}`
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_ledger-era.json"), []byte(oldJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := readSummary(filepath.Join(dir, "BENCH_ledger-era.json"))
+	if err != nil {
+		t.Fatalf("entry with retired profile fields failed to load: %v", err)
+	}
+	cur := mkSummary("current", 1000, 100)
+	cur.Profile = &profileJSON{CritPathNS: 1200}
+	notes := compareProfile(old, cur)
+	if len(notes) != 1 || !strings.Contains(notes[0], "critical path") {
+		t.Errorf("profile notes = %v, want the critical-path line alone", notes)
+	}
+
+	time.Sleep(10 * time.Millisecond)
+	var buf bytes.Buffer
+	hard, err := runTrajectory(&buf, dir, "current", cur, 5, 15, true)
+	if err != nil {
+		t.Fatalf("comparison against an entry with retired fields errored: %v", err)
+	}
+	if hard || !strings.Contains(buf.String(), "ledger-era -> current") {
+		t.Errorf("hard=%v, report:\n%s", hard, buf.String())
 	}
 }
 

@@ -53,13 +53,12 @@
 // compute pool, once on the -workers pool (default GOMAXPROCS) — and
 // prints the critical-path profile of the parallel run: per-query
 // critical-path length, phase and wait breakdowns, the top-K
-// critical-path segments, the cache-benefit ledger total, and an
-// Amdahl serial fraction inverted from the two runs' host wall-clock
-// speedup (the virtual results are byte-identical by construction, so
-// the comparison isolates host-side parallelism). The run fails with a
-// non-zero exit if any profiler invariant is violated: a critical path
-// that does not tile its recurrence's wall-clock exactly, or a ledger
-// entry whose cache-load cost exceeds the recompute cost it avoided.
+// critical-path segments, and an Amdahl serial fraction inverted from
+// the two runs' host wall-clock speedup (the virtual results are
+// byte-identical by construction, so the comparison isolates host-side
+// parallelism). The run fails with a non-zero exit if a critical path
+// does not tile its recurrence's wall-clock exactly. The time cache
+// reuse saved is the "costs" subcommand's.
 // -folded-out writes the flamegraph folded stacks and -critpath-out
 // the Chrome-trace critical-path overlay (both also work outside the
 // profile subcommand, from the same instrumented run).
@@ -374,7 +373,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		check("trace-out: ", ob.Tracer.WriteTraceFile(*traceOut))
 	}
 	if ob != nil && (mode == "profile" || *foldedOut != "" || *critpathOut != "") {
-		p := profile.Analyze(ob.Tracer.Events(), ob.Events.Events())
+		p := profile.Analyze(ob.Tracer.Events())
 		if mode == "profile" {
 			check("profile report: ", p.Text(stdout, o.topK))
 			poolN := *workers
@@ -395,9 +394,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		if *critpathOut != "" {
 			check("critpath-out: ", p.WriteCritPathTraceFile(*critpathOut))
 		}
-		// The profiler's structural guarantees are part of the contract:
-		// a critical path that does not tile its recurrence, or a cache
-		// reuse that cost more than it saved, fails the invocation.
+		// The profiler's structural guarantee is part of the contract: a
+		// critical path that does not tile its recurrence fails the
+		// invocation.
 		check("", p.CheckInvariants())
 	}
 	if cfg.Lineage != nil && (*dotOut != "" || *lineageOut != "") {

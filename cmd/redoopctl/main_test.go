@@ -129,6 +129,29 @@ func TestSidecarReportsGolden(t *testing.T) {
 	}
 }
 
+// TestProfileGolden pins the profile subcommand's report at the golden
+// geometry. The "parallel execution:" line measures host wall-clock, so
+// it is dropped before comparing.
+func TestProfileGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "profile.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := realMain([]string{"profile", "-windows", "3", "-records", "6000"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+	}
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(stdout.String(), "\n") {
+		if !strings.HasPrefix(line, "parallel execution:") {
+			got.WriteString(line)
+		}
+	}
+	if got.String() != string(want) {
+		t.Errorf("stdout diverges from testdata/profile.golden\n--- got ---\n%s\n--- want ---\n%s", got.String(), want)
+	}
+}
+
 // TestSubcommandsMoveTableToStderr: under a subcommand the report owns
 // stdout and the per-window table lands on stderr.
 func TestSubcommandsMoveTableToStderr(t *testing.T) {

@@ -17,8 +17,8 @@
 //   - IO bytes (DFS read/write/replication, shuffle), fed by
 //     internal/dfs and the shuffle accounting;
 //   - recompute nanoseconds saved by cache hits, net of the cache
-//     load cost actually paid (mirroring the critical-path profiler's
-//     pane-benefit model).
+//     load cost actually paid — the repo's one figure for the time
+//     Redoop's caches save.
 //
 // Determinism: every duration- or float-valued method is called only
 // from the engines' serial commit paths, so attribution is
@@ -30,7 +30,8 @@
 // busy time the engines charge to cluster nodes via AddLoad, so
 // SlotComputeNS(all queries) ≤ Σ Node.Load() always — the oracle
 // asserts it after every recurrence, and CheckConservation packages
-// the same test for CLIs.
+// the same test for CLIs, together with the reuse invariant: a hit's
+// load never costs more than the recompute it avoided.
 package account
 
 import (
@@ -139,6 +140,17 @@ type queryAcct struct {
 	crossHits  int
 	registered int
 	expired    int
+
+	// overrun is the first cache load that cost more than the recompute
+	// its hit credited; CheckConservation reports it.
+	overrun error
+}
+
+// pendingHit is an armed net-of-load adjustment: the consumer a hit
+// credited and the recompute it was credited with.
+type pendingHit struct {
+	query     string
+	recompute simtime.Duration
 }
 
 // QueryCosts is one query's ledger snapshot.
@@ -164,7 +176,7 @@ type QueryCosts struct {
 	CurResidentBytes  int64   `json:"curResidentBytes"`
 
 	// SavedNS is recompute time cache hits avoided, net of the cache
-	// loads actually paid — the profiler's pane-benefit, per query.
+	// loads actually paid.
 	SavedNS int64 `json:"savedNS"`
 	// CrossSavedNS is the subset of SavedNS credited by cross-query
 	// reuse hits (gross: the net-of-load adjustment lands on SavedNS).
@@ -192,11 +204,11 @@ type Ledger struct {
 	queries map[string]*queryAcct
 	order   []string
 	open    map[string]*residency // key: resKey(pid, typ)
-	// pending maps a hit cache's key to the consumer query whose
-	// saving must be netted by that cache's next load cost. Armed by
-	// CacheHit, consumed by the first subsequent CacheLoaded for the
-	// same key; loads of caches never hit leave savings untouched.
-	pending map[string]string
+	// pending maps a hit cache's key to the consumer whose saving must
+	// be netted by that cache's next load cost. Armed by CacheHit,
+	// consumed by the first subsequent CacheLoaded for the same key;
+	// loads of caches never hit leave savings untouched.
+	pending map[string]pendingHit
 	// keys is byteSecondsLocked's sort scratch, kept because the
 	// health sample reads byte·seconds every recurrence.
 	keys []string
@@ -211,7 +223,7 @@ func New() *Ledger {
 	return &Ledger{
 		queries: map[string]*queryAcct{},
 		open:    map[string]*residency{},
-		pending: map[string]string{},
+		pending: map[string]pendingHit{},
 	}
 }
 
@@ -448,7 +460,7 @@ func (l *Ledger) cacheHit(query, pid string, typ int, at simtime.Time, cross boo
 			a.crossSaved += r.recompute
 			a.crossHits++
 		}
-		l.pending[r.key] = query
+		l.pending[r.key] = pendingHit{query, r.recompute}
 		saved = a.saved
 		o = l.obs
 	}
@@ -467,7 +479,8 @@ func (l *Ledger) cacheHit(query, pid string, typ int, at simtime.Time, cross boo
 // CacheLoaded nets the cost of reading cache pid/typ into its consumer
 // out of that consumer's saving — but only when a hit armed the
 // adjustment for this key. Loads of freshly built caches carry no
-// pending hit and leave SavedNS untouched.
+// pending hit and leave SavedNS untouched. A load that costs more than
+// the recompute its hit credited is recorded as the consumer's overrun.
 func (l *Ledger) CacheLoaded(pid string, typ int, load simtime.Duration) {
 	if l == nil {
 		return
@@ -477,17 +490,21 @@ func (l *Ledger) CacheLoaded(pid string, typ int, load simtime.Duration) {
 	key := resKey(buf[:0], pid, typ)
 	var o *obs.Observer
 	var saved simtime.Duration
-	query, ok := l.pending[string(key)]
+	h, ok := l.pending[string(key)]
 	if ok {
 		delete(l.pending, string(key))
-		a := l.acct(query)
+		a := l.acct(h.query)
 		a.saved -= load
+		if load > h.recompute && a.overrun == nil {
+			a.overrun = fmt.Errorf("account: query %s: loading cache %s (type %d) cost %v, more than the %v recompute its hit avoided",
+				h.query, pid, typ, load, h.recompute)
+		}
 		saved = a.saved
 		o = l.obs
 	}
 	l.mu.Unlock()
 	if ok {
-		o.Gauge("redoop_query_saved_seconds", obs.L("query", query)).Set(saved.Seconds())
+		o.Gauge("redoop_query_saved_seconds", obs.L("query", h.query)).Set(saved.Seconds())
 	}
 }
 
@@ -616,9 +633,11 @@ func (l *Ledger) SlotComputeNS(queries ...string) int64 {
 //     named) must not exceed busyNS — the cluster cannot have been
 //     busy for less time than the ledger attributed to queries;
 //  2. per query, registered == expired + open residencies — every
-//     byte·second interval is closed exactly once or still open.
+//     byte·second interval is closed exactly once or still open;
+//  3. per query, no cache load cost more than the recompute its hit
+//     credited — a reuse never costs more than it avoided.
 //
-// Returns nil when both hold.
+// Returns nil when all three hold.
 func (l *Ledger) CheckConservation(busyNS int64, queries ...string) error {
 	if l == nil {
 		return nil
@@ -633,6 +652,9 @@ func (l *Ledger) CheckConservation(busyNS int64, queries ...string) error {
 		openBy[r.owner]++
 	}
 	check := func(a *queryAcct) error {
+		if a.overrun != nil {
+			return a.overrun
+		}
 		if a.registered != a.expired+openBy[a.name] {
 			return fmt.Errorf("account: query %s: %d residencies registered but %d expired + %d open",
 				a.name, a.registered, a.expired, openBy[a.name])

@@ -192,6 +192,26 @@ func TestConservationCatchesLeakedResidency(t *testing.T) {
 	}
 }
 
+// A reuse must never cost more than the recompute it avoided: a hit
+// followed by a larger load fails conservation, an equal load does not.
+func TestConservationCatchesLoadAboveRecompute(t *testing.T) {
+	l := New()
+	l.Register("q", "")
+	l.CacheRegistered("q", "p1", 0, 100, 0, 10)
+	l.CacheHit("q", "p1", 0, 0)
+	l.CacheLoaded("p1", 0, 10)
+	if err := l.CheckConservation(1<<60, "q"); err != nil {
+		t.Fatalf("a load equal to the recompute must pass: %v", err)
+	}
+	l.CacheHit("q", "p1", 0, 0)
+	l.CacheLoaded("p1", 0, 50)
+	if err := l.CheckConservation(1<<60, "q"); err == nil {
+		t.Fatal("a load above the recompute its hit avoided must fail conservation")
+	} else if !strings.Contains(err.Error(), "p1 (type 0)") {
+		t.Fatalf("error does not name the cache: %v", err)
+	}
+}
+
 func TestROIAndIO(t *testing.T) {
 	l := New()
 	l.Register("q", "ten")

@@ -207,7 +207,7 @@ func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, pp *panePr
 		rinData[rr.Part], routData[rr.Part] = colfmt.EncodePairs(rr.Input), rr.OutData
 	})
 	mp.Release() // the caches exist: the map output, and every Input viewing it, is dead
-	// Recompute attribution for the benefit ledger: the map phase (and
+	// Recompute attribution for the cost ledger: the map phase (and
 	// shuffle) ran once for the whole pane, so each live partition's
 	// reduce-input entry carries an even share of it plus its own
 	// sort+spill cost; the reduce-output entry carries the partition's

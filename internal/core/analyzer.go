@@ -229,9 +229,16 @@ func (a *Analyzer) Replan(plan PartitionPlan, forecastExec, deadline simtime.Dur
 // execution time with Holt double exponential smoothing, feeding the
 // Semantic Analyzer's adaptive re-planning.
 type Profiler struct {
-	holt    *forecast.Holt
+	holt *forecast.Holt
+	// history rings the newest historyLen observations; once it is full,
+	// next is the slot the next observation overwrites (the oldest).
 	history []Observation
+	next    int
 }
+
+// historyLen bounds History, so a query that recurs forever keeps
+// constant memory. The forecast reads none of it.
+const historyLen = 256
 
 // Observation is one recurrence's execution record.
 type Observation struct {
@@ -260,7 +267,13 @@ func NewProfiler(alpha, beta float64) (*Profiler, error) {
 // Observe records recurrence r's execution time and input volume.
 func (p *Profiler) Observe(r int, exec simtime.Duration, inputBytes int64) {
 	p.holt.Observe(float64(exec))
-	p.history = append(p.history, Observation{Recurrence: r, Exec: exec, InputBytes: inputBytes})
+	o := Observation{Recurrence: r, Exec: exec, InputBytes: inputBytes}
+	if len(p.history) < historyLen {
+		p.history = append(p.history, o)
+		return
+	}
+	p.history[p.next] = o
+	p.next = (p.next + 1) % historyLen
 }
 
 // Forecast predicts the execution time k recurrences ahead (Equation 3).
@@ -272,9 +285,9 @@ func (p *Profiler) Forecast(k int) simtime.Duration {
 // forecast to drive adaptation decisions.
 func (p *Profiler) Ready() bool { return p.holt.Ready() }
 
-// History returns the recorded observations, oldest first.
+// History returns the newest historyLen observations, oldest first.
 func (p *Profiler) History() []Observation {
-	return append([]Observation(nil), p.history...)
+	return append(append([]Observation(nil), p.history[p.next:]...), p.history[:p.next]...)
 }
 
 // Reset clears the profiler; the engine resets it when the partition
@@ -282,5 +295,5 @@ func (p *Profiler) History() []Observation {
 // the new plan's behaviour.
 func (p *Profiler) Reset() {
 	p.holt.Reset()
-	p.history = nil
+	p.history, p.next = nil, 0
 }

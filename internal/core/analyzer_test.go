@@ -149,6 +149,22 @@ func TestProfilerForecastAndHistory(t *testing.T) {
 	}
 }
 
+func TestProfilerHistoryIsBounded(t *testing.T) {
+	p, _ := NewProfiler(DefaultAlpha, DefaultBeta)
+	for i := 0; i < historyLen+5; i++ {
+		p.Observe(i, simtime.Second, int64(i))
+	}
+	h := p.History()
+	if len(h) != historyLen {
+		t.Fatalf("history holds %d observations, want %d", len(h), historyLen)
+	}
+	for i, o := range h {
+		if o.Recurrence != i+5 {
+			t.Fatalf("history[%d] is recurrence %d, want %d (newest kept, oldest first)", i, o.Recurrence, i+5)
+		}
+	}
+}
+
 func TestNewProfilerValidation(t *testing.T) {
 	if _, err := NewProfiler(0, 0.3); err == nil {
 		t.Error("invalid alpha should be rejected")

@@ -227,7 +227,7 @@ func residencyOf(l *account.Ledger) func(pid string, typ CacheType) (recomputeNS
 func (c *commit) cacheData() eventlog.CacheData {
 	return eventlog.CacheData{
 		PID: c.pid, CacheType: c.typ.String(), Node: c.node,
-		Bytes: c.bytes, Recurrence: c.rec, RecomputeNS: int64(c.cost),
+		Bytes: c.bytes, Recurrence: c.rec,
 	}
 }
 
@@ -266,12 +266,6 @@ func (e *Engine) obsFold() func(*commit) {
 				locality = "local"
 			}
 			o.Counter("redoop_cache_read_bytes_total", obs.L("locality", locality)).Add(float64(c.bytes))
-			if c.pid != "" {
-				o.Emit(c.at, eventlog.CacheLoad, qname, eventlog.CacheLoadData{
-					PID: c.pid, Node: c.node, Local: c.local, Bytes: c.bytes,
-					LoadNS: int64(c.cost), Recurrence: c.rec,
-				})
-			}
 		case kindEvicted:
 			o.Counter("redoop_cache_evictions_total").Inc()
 			o.Emit(c.at, eventlog.CacheEvict, qname, c.cacheData())

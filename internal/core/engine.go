@@ -565,8 +565,11 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	if res.Proactive {
 		mode = "proactive"
 	}
+	// The query's tracks carry its account name, so queries sharing a
+	// name and a ledger (the Figure-6 panels) profile apart, as they
+	// are costed apart.
 	e.obs.Task(obs.TaskSpan{
-		Track: obs.QueryTrack(qname), Cat: "recurrence",
+		Track: obs.QueryTrack(e.acctName), Cat: "recurrence",
 		Name:  fmt.Sprintf("recurrence %d", r),
 		Start: trigger, End: res.CompletedAt, Ready: trigger, ID: root,
 		Args: []obs.Label{
@@ -643,7 +646,7 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 					return nil, err
 				}
 				replanned = true
-				e.obs.Instant(obs.QueryTrack(qname), "adapt", "re-plan", res.CompletedAt,
+				e.obs.Instant(obs.QueryTrack(e.acctName), "adapt", "re-plan", res.CompletedAt,
 					obs.L("source", fmt.Sprint(i)),
 					obs.L("subPanes", fmt.Sprint(plan.SubPanes)),
 					obs.L("proactive", fmt.Sprint(proactive)))
@@ -1004,7 +1007,7 @@ func (e *Engine) commitPaneMapPhase(src int, p window.PaneID, trigger simtime.Ti
 	merged := mapreduce.MergeMapPhases(parts, e.query.NumReducers, earliest)
 	stats.Accumulate(merged.Stats)
 	if e.obs != nil {
-		e.obs.Span(obs.QueryTrack(e.query.Name), "phase",
+		e.obs.Span(obs.QueryTrack(e.acctName), "phase",
 			fmt.Sprintf("map %s pane %d", e.query.Sources[src].Name, p),
 			earliest, merged.LastMapEnd,
 			obs.L("segments", strconv.Itoa(len(pp.ins))))
@@ -1044,8 +1047,8 @@ type cacheTask struct {
 // is called only when an observer records one. The span depends on the
 // spans that produced the caches this recurrence (a carried-over cache
 // contributes no edge — the hit short-circuits the walk), and
-// each named cache's load cost is emitted as a cache.load event for the
-// profiler's benefit ledger. The slot time is charged in two parts:
+// each named cache's load cost is committed, for the cost ledger to net
+// out of the hit's saving. The slot time is charged in two parts:
 // the cache-load share under phaseCacheLoad, the supplied work under
 // the caller's phase, summing exactly to the node's AddLoad.
 func (e *Engine) runCacheTask(name func() string, ph phase, ready simtime.Time, caches []cacheRef, work simtime.Duration) cacheTask {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-	"unsafe"
 
 	"redoop/internal/records"
 	"redoop/internal/simtime"
@@ -12,9 +11,7 @@ import (
 
 // soakSize is what a long-running query must hold flat: the master's
 // signatures, the nodes' registry rows, the status matrix's extents and
-// the live heap — less the one record the engine keeps per recurrence on
-// purpose, the profiler's History (24 B each, public API), so that
-// anything else kept per recurrence shows.
+// the live heap, so that anything kept per recurrence shows.
 type soakSize struct {
 	signatures, entries int
 	extents             []int64 // hi-lo+1 per matrix dimension
@@ -34,7 +31,7 @@ func measureSoak(eng *Engine) soakSize {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	s.heap = ms.HeapAlloc - uint64(cap(eng.profiler.history))*uint64(unsafe.Sizeof(Observation{}))
+	s.heap = ms.HeapAlloc
 	runtime.KeepAlive(eng) // measured with the engine live, also after its last use
 	return s
 }

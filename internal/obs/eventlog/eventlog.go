@@ -38,12 +38,7 @@ const (
 	CacheMiss        Type = "cache.miss"
 	// CacheLost is a lookup that found the signature but not the bytes
 	// (the §5 failure path); it is always followed by a rollback.
-	CacheLost Type = "cache.lost"
-	// CacheLoad is one cached artifact being read into a cache task:
-	// the load-side cost of reuse (CacheLoadData), paired against the
-	// RecomputeNS recorded at registration to form the profiler's
-	// cache-benefit ledger.
-	CacheLoad     Type = "cache.load"
+	CacheLost     Type = "cache.lost"
 	CachePurge    Type = "cache.purge"
 	CacheRollback Type = "cache.rollback"
 	// CacheEvict is one unexpired cache removed by cost-based
@@ -147,24 +142,6 @@ type CacheData struct {
 	// Recurrence is the recurrence during which the event fired; -1
 	// when unknown (controller-side purges).
 	Recurrence int `json:"recurrence"`
-	// RecomputeNS, on register events, is the cost of producing this
-	// cache entry from scratch: the actual map+shuffle+reduce share on
-	// cold builds, the iocost-modeled rebuild cost otherwise. It is
-	// what a later hit on this entry avoids paying.
-	RecomputeNS int64 `json:"recomputeNS,omitempty"`
-}
-
-// CacheLoadData is the payload of a cache.load event: one cached
-// artifact read into a cache task, with its modeled load cost. Local
-// records whether the read avoided a network transfer (the cache lived
-// on the node Equation 4 chose).
-type CacheLoadData struct {
-	PID        string `json:"pid"`
-	Node       int    `json:"node"`
-	Local      bool   `json:"local"`
-	Bytes      int64  `json:"bytes"`
-	LoadNS     int64  `json:"loadNS"`
-	Recurrence int    `json:"recurrence"`
 }
 
 // PlacementCandidate is one node's Equation 4 cost breakdown:

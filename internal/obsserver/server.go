@@ -17,8 +17,8 @@
 //	GET /debug/health   per-query SLO health: deadline headroom, window
 //	                    lag, miss streaks, forecast anomalies
 //	GET /debug/profile  critical-path profile of the run so far: per-
-//	                    recurrence phase/wait breakdowns plus the
-//	                    cache-benefit ledger (?query= filters)
+//	                    recurrence phase/wait breakdowns (?query=
+//	                    filters)
 //	GET /debug/critpath just the critical-path segment tilings
 //	                    (?query= and ?recurrence= filter)
 //	GET /debug/costs    per-query resource costs from the accounting
@@ -134,7 +134,7 @@ func (s *Server) endpoints() []endpoint {
 		{"/debug/cache", "cache controller signatures and node registries", s.handleCache},
 		{"/debug/panes", "partition plans, pane files, homes and status matrix", s.handlePanes},
 		{"/debug/health", "per-query SLO health: headroom, lag, streaks, anomalies", s.handleHealth},
-		{"/debug/profile", "critical-path profile + cache-benefit ledger (?query=)", s.handleProfile},
+		{"/debug/profile", "critical-path profile (?query=)", s.handleProfile},
 		{"/debug/critpath", "critical-path segment tilings (?query=&recurrence=)", s.handleCritPath},
 		{"/debug/costs", "per-query resource costs, cache ROI and tenant rollups", s.handleCosts},
 		{"/debug/lineage", "provenance store: derivation DAG, plans, stats (?query=&pane=&fingerprint=&id=&format=dot)", s.handleLineage},
@@ -518,22 +518,20 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// snapshotProfile analyzes the observer's current span and event
-// streams. Both snapshots are taken under their own locks, so the
-// profile is consistent even while recurrences execute.
+// snapshotProfile analyzes the observer's current span stream. The
+// snapshot is taken under the tracer's lock, so the profile is
+// consistent even while recurrences execute.
 func (s *Server) snapshotProfile() *profile.Profile {
 	var spans []obs.Event
-	var events []eventlog.Event
 	if s.obs != nil {
 		spans = s.obs.Tracer.Events()
-		events = s.obs.Events.Events()
 	}
-	return profile.Analyze(spans, events)
+	return profile.Analyze(spans)
 }
 
 // handleProfile serves the full critical-path profile of the run so
 // far: per-recurrence walls, phase and wait breakdowns, node and
-// worker attribution, and the cache-benefit ledger.
+// worker attribution. The time caches saved is /debug/costs'.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	p := s.snapshotProfile()
 	if q := r.URL.Query().Get("query"); q != "" {
@@ -542,20 +540,12 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "unknown query "+q, http.StatusNotFound)
 			return
 		}
-		ledger := []profile.PaneBenefit{}
-		for _, e := range p.Ledger {
-			if e.Query == q {
-				ledger = append(ledger, e)
-			}
-		}
-		writeJSON(w, map[string]any{"query": qp, "ledger": ledger})
+		writeJSON(w, map[string]any{"query": qp})
 		return
 	}
 	writeJSON(w, map[string]any{
 		"queries":         p.Queries,
-		"ledger":          p.Ledger,
 		"critPathTotalNS": int64(p.CritPathTotal()),
-		"timeSavedNS":     int64(p.TimeSaved()),
 	})
 }
 

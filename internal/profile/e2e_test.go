@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"redoop/internal/account"
 	"redoop/internal/chaos"
 	"redoop/internal/experiments"
 	"redoop/internal/obs"
@@ -15,7 +16,8 @@ import (
 
 // profCfg is the fixed small-scale shape of one profiled run: big
 // enough for multi-wave maps and real cache reuse across the 0.75
-// window overlap, small enough for test-suite time.
+// window overlap, small enough for test-suite time. The cost ledger is
+// attached so the oracle checks its conservation after every window.
 func profCfg(seed int64) experiments.Config {
 	return experiments.Config{
 		Workers:          6,
@@ -28,19 +30,20 @@ func profCfg(seed int64) experiments.Config {
 		Reducers:         4,
 		Seed:             seed,
 		Obs:              obs.New(),
+		Account:          account.New(),
 	}
 }
 
 // TestProfileRealRun analyzes a clean oracle-checked aggregation run:
 // every recurrence's critical path must tile its measured wall-clock
-// exactly, the steady-state windows must show cache benefit, and the
+// exactly, the cost ledger must show cache benefit, and the
 // report/flamegraph exporters must produce non-trivial output.
 func TestProfileRealRun(t *testing.T) {
 	cfg := profCfg(42)
 	if _, err := cfg.RunChaosRegime("agg"); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	p := profile.Analyze(cfg.Obs.Tracer.Events(), cfg.Obs.Events.Events())
+	p := profile.Analyze(cfg.Obs.Tracer.Events())
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
@@ -59,23 +62,16 @@ func TestProfileRealRun(t *testing.T) {
 		}
 	}
 	// With 75% window overlap, every window after the first reuses
-	// cached panes; the ledger must show strictly positive savings.
-	if len(p.Ledger) == 0 {
-		t.Fatal("no cache-benefit ledger entries despite overlapping windows")
-	}
-	var saved simtime.Duration
-	for _, rec := range p.Recurrences[1:] {
-		saved += rec.TimeSaved
-	}
-	if saved <= 0 {
-		t.Fatalf("steady-state recurrences saved %v, want > 0", saved)
+	// cached panes; the cost ledger must show strictly positive savings.
+	if saved := cfg.Account.SavedNS(p.Recurrences[0].Query); saved <= 0 {
+		t.Fatalf("query %s saved %v ns, want > 0", p.Recurrences[0].Query, saved)
 	}
 
 	var report bytes.Buffer
 	if err := p.Text(&report, 5); err != nil {
 		t.Fatalf("Text: %v", err)
 	}
-	for _, want := range []string{"critical path", "cache time saved", "top 5 critical-path segments"} {
+	for _, want := range []string{"critical path", "top 5 critical-path segments"} {
 		if !strings.Contains(report.String(), want) {
 			t.Fatalf("report missing %q:\n%s", want, report.String())
 		}
@@ -92,8 +88,10 @@ func TestProfileRealRun(t *testing.T) {
 // TestLedgerInvariantChaosSoak sweeps eight chaos seeds through the
 // aggregation and join regimes: whatever the fault storm does —
 // crashes, cache drops, stragglers, delayed batches — every pane
-// served from cache must still save time (modeled recompute ≥ load)
-// and every critical path must still tile its recurrence exactly.
+// served from cache must still save time (the cost ledger's
+// conservation check, run by the oracle after every window, fails the
+// run when a load exceeds its recompute) and every critical path must
+// still tile its recurrence exactly.
 func TestLedgerInvariantChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
@@ -110,7 +108,7 @@ func TestLedgerInvariantChaosSoak(t *testing.T) {
 				if _, err := cfg.RunChaosRegime(regime); err != nil {
 					t.Fatalf("%s under %s: %v", regime, sched, err)
 				}
-				p := profile.Analyze(cfg.Obs.Tracer.Events(), cfg.Obs.Events.Events())
+				p := profile.Analyze(cfg.Obs.Tracer.Events())
 				if err := p.CheckInvariants(); err != nil {
 					t.Errorf("seed %d %s: %v", seed, regime, err)
 				}

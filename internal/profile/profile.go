@@ -6,12 +6,8 @@
 // of task / schedule-wait / gap segments whose durations sum to the
 // recurrence's measured wall-clock by construction.
 //
-// Alongside the critical path it builds the cache-benefit ledger from
-// the flight recorder: every pane served from cache pairs the
-// recompute cost recorded at registration (actual task costs on cold
-// builds, iocost-modeled costs on rebuilds) against the modeled cost
-// of loading the cached bytes, yielding the time each reuse avoided —
-// rolled up per pane, per recurrence and per query.
+// The time cache reuse saves is not computed here: the cost ledger
+// (internal/account) is the one place that figure lives.
 //
 // Exporters (export.go) serialize the result as folded flamegraph
 // stacks, Chrome trace JSON with a critical-path overlay track, and a
@@ -23,7 +19,6 @@ import (
 	"sort"
 
 	"redoop/internal/obs"
-	"redoop/internal/obs/eventlog"
 	"redoop/internal/simtime"
 )
 
@@ -58,8 +53,8 @@ type Segment struct {
 func (s Segment) Dur() simtime.Duration { return s.End.Sub(s.Start) }
 
 // Recurrence is the profile of one recurrence: its critical path, a
-// per-phase busy breakdown, per-node busy/idle attribution, per-worker
-// busy attribution, and its share of the cache-benefit ledger.
+// per-phase busy breakdown, per-node busy/idle attribution and per-worker
+// busy attribution.
 type Recurrence struct {
 	Query string       `json:"query"`
 	Index int          `json:"index"`
@@ -89,29 +84,8 @@ type Recurrence struct {
 	// WorkerBusy sums task durations by the compute-pool worker that
 	// executed the winning attempt (observability-only attribution).
 	WorkerBusy map[string]simtime.Duration `json:"workerBusy,omitempty"`
-	// TimeSaved is the ledger's total for panes served from cache
-	// during this recurrence.
-	TimeSaved simtime.Duration `json:"timeSavedNS"`
 	// Tasks counts the recurrence's task spans.
 	Tasks int `json:"tasks"`
-}
-
-// PaneBenefit is one cache-benefit ledger entry: a pane (or pane
-// tuple) served from cache during one recurrence. Recompute is the
-// cost of building the artifact from scratch recorded when it was
-// registered; Load is the summed modeled cost of every read of its
-// bytes during the recurrence; Saved is their difference.
-type PaneBenefit struct {
-	Query      string           `json:"query"`
-	PID        string           `json:"pid"`
-	Recurrence int              `json:"recurrence"`
-	Bytes      int64            `json:"bytes"`
-	Recompute  simtime.Duration `json:"recomputeNS"`
-	Load       simtime.Duration `json:"loadNS"`
-	Saved      simtime.Duration `json:"savedNS"`
-	// Loads counts cache.load events folded into Load (an artifact can
-	// feed several cache tasks in one recurrence).
-	Loads int `json:"loads"`
 }
 
 // QueryProfile rolls a query's recurrences up.
@@ -120,26 +94,23 @@ type QueryProfile struct {
 	Recurrences []*Recurrence `json:"recurrences"`
 	// CritPath is the summed wall-clock of all recurrences — equal to
 	// the summed critical-path lengths by the tiling invariant.
-	CritPath  simtime.Duration            `json:"critPathNS"`
-	TimeSaved simtime.Duration            `json:"timeSavedNS"`
-	Phases    map[string]simtime.Duration `json:"phases"`
+	CritPath simtime.Duration            `json:"critPathNS"`
+	Phases   map[string]simtime.Duration `json:"phases"`
 }
 
-// Profile is the full analysis of one run's span + event streams.
+// Profile is the full analysis of one run's span stream.
 type Profile struct {
 	Queries map[string]*QueryProfile `json:"queries"`
 	// Recurrences lists every recurrence in span-record order.
 	Recurrences []*Recurrence `json:"recurrences"`
-	Ledger      []PaneBenefit `json:"ledger"`
 
 	spans []obs.Event // retained for trace export
 }
 
-// Analyze reconstructs the task DAGs from a tracer's span snapshot and
-// a flight-recorder snapshot and returns the full profile. Both inputs
-// are the in-memory snapshots (obs.Tracer.Events, eventlog.Log
-// Snapshot); Analyze never mutates them.
-func Analyze(spans []obs.Event, log []eventlog.Event) *Profile {
+// Analyze reconstructs the task DAGs from a tracer's span snapshot
+// (obs.Tracer.Events) and returns the full profile. It never mutates
+// the snapshot.
+func Analyze(spans []obs.Event) *Profile {
 	p := &Profile{Queries: map[string]*QueryProfile{}, spans: spans}
 
 	byID := make(map[obs.SpanID]*obs.Event, len(spans))
@@ -172,8 +143,6 @@ func Analyze(spans []obs.Event, log []eventlog.Event) *Profile {
 			q.Phases[cat] += d
 		}
 	}
-
-	p.buildLedger(log)
 	return p
 }
 
@@ -355,100 +324,6 @@ func latestEnd(tasks []*obs.Event) *obs.Event {
 	return best
 }
 
-// buildLedger replays the flight recorder in sequence order. A
-// cache.register event records the artifact's recompute cost; a
-// cache.hit opens a ledger entry for (query, pid, recurrence) with the
-// recompute cost current at that point; cache.load events then
-// accumulate the modeled load cost into the open entry. Loads of
-// artifacts that were never hit (freshly built this recurrence and
-// immediately consumed) carry no avoided recompute and are skipped.
-func (p *Profile) buildLedger(log []eventlog.Event) {
-	type regInfo struct {
-		recompute int64
-		bytes     int64
-	}
-	regs := map[string]regInfo{}
-	type entryKey struct {
-		query string
-		pid   string
-		rec   int
-	}
-	entries := map[entryKey]*PaneBenefit{}
-	var order []entryKey
-
-	for _, ev := range log {
-		switch ev.Type {
-		case eventlog.CacheRegister:
-			d, ok := ev.Data.(eventlog.CacheData)
-			if !ok {
-				continue
-			}
-			regs[ev.Query+"\x00"+d.PID] = regInfo{recompute: d.RecomputeNS, bytes: d.Bytes}
-		case eventlog.CacheHit:
-			d, ok := ev.Data.(eventlog.CacheData)
-			if !ok {
-				continue
-			}
-			k := entryKey{ev.Query, d.PID, d.Recurrence}
-			if _, seen := entries[k]; seen {
-				continue
-			}
-			// A hit whose registration fell off the bounded ring has no
-			// recompute cost to pair against — skip it rather than
-			// report a spurious zero-benefit (or negative) entry.
-			ri, registered := regs[ev.Query+"\x00"+d.PID]
-			if !registered {
-				continue
-			}
-			bytes := d.Bytes
-			if bytes == 0 {
-				bytes = ri.bytes
-			}
-			entries[k] = &PaneBenefit{
-				Query: ev.Query, PID: d.PID, Recurrence: d.Recurrence,
-				Bytes: bytes, Recompute: simtime.Duration(ri.recompute),
-			}
-			order = append(order, k)
-		case eventlog.CacheLoad:
-			d, ok := ev.Data.(eventlog.CacheLoadData)
-			if !ok {
-				continue
-			}
-			k := entryKey{ev.Query, d.PID, d.Recurrence}
-			e, seen := entries[k]
-			if !seen {
-				continue
-			}
-			e.Load += simtime.Duration(d.LoadNS)
-			e.Loads++
-		}
-	}
-
-	for _, k := range order {
-		e := entries[k]
-		e.Saved = e.Recompute - e.Load
-		p.Ledger = append(p.Ledger, *e)
-		if q := p.Queries[e.Query]; q != nil {
-			q.TimeSaved += e.Saved
-		}
-		for _, rec := range p.Recurrences {
-			if rec.Query == e.Query && rec.Index == e.Recurrence {
-				rec.TimeSaved += e.Saved
-				break
-			}
-		}
-	}
-}
-
-// TimeSaved totals the ledger across all queries.
-func (p *Profile) TimeSaved() simtime.Duration {
-	var total simtime.Duration
-	for _, e := range p.Ledger {
-		total += e.Saved
-	}
-	return total
-}
-
 // CritPathTotal sums every recurrence's wall-clock (== the summed
 // critical-path lengths).
 func (p *Profile) CritPathTotal() simtime.Duration {
@@ -459,12 +334,9 @@ func (p *Profile) CritPathTotal() simtime.Duration {
 	return total
 }
 
-// CheckInvariants verifies the profiler's two structural guarantees:
-// every recurrence's critical-path segments tile its wall-clock
-// exactly, and every ledger entry's saved time is non-negative (reuse
-// never costs more than the recompute it avoided — the Eq. 4 placement
-// and the iocost model's Sort+DiskWrite floor guarantee this). Returns
-// the first violation found.
+// CheckInvariants verifies the profiler's structural guarantee: every
+// recurrence's critical-path segments tile its wall-clock exactly.
+// Returns the first violation found.
 func (p *Profile) CheckInvariants() error {
 	for _, rec := range p.Recurrences {
 		var sum simtime.Duration
@@ -484,12 +356,6 @@ func (p *Profile) CheckInvariants() error {
 		if prev != rec.End || sum != rec.Wall {
 			return fmt.Errorf("profile: %s recurrence %d: critical path sums to %v, wall-clock is %v",
 				rec.Query, rec.Index, sum, rec.Wall)
-		}
-	}
-	for _, e := range p.Ledger {
-		if e.Saved < 0 {
-			return fmt.Errorf("profile: ledger violation: %s pane %s recurrence %d: load %v exceeds modeled recompute %v",
-				e.Query, e.PID, e.Recurrence, e.Load, e.Recompute)
 		}
 	}
 	return nil

@@ -629,7 +629,8 @@ type Observation struct {
 }
 
 // History returns the Execution Profiler's observations (§3.3), oldest
-// first. The cold first recurrence is not observed.
+// first. The cold first recurrence is not observed, and only the newest
+// 256 are kept, so a query that recurs forever holds constant memory.
 func (h *QueryHandle) History() []Observation {
 	hist := h.eng.Profiler().History()
 	out := make([]Observation, len(hist))

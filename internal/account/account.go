@@ -149,8 +149,8 @@ type queryAcct struct {
 // pendingHit is an armed net-of-load adjustment: the consumer a hit
 // credited and the recompute it was credited with.
 type pendingHit struct {
-	query     string
-	recompute simtime.Duration
+	key, query string
+	recompute  simtime.Duration
 }
 
 // QueryCosts is one query's ledger snapshot.
@@ -206,8 +206,9 @@ type Ledger struct {
 	open    map[string]*residency // key: resKey(pid, typ)
 	// pending maps a hit cache's key to the consumer whose saving must
 	// be netted by that cache's next load cost. Armed by CacheHit,
-	// consumed by the first subsequent CacheLoaded for the same key;
-	// loads of caches never hit leave savings untouched.
+	// consumed by the first subsequent CacheLoaded for the same key or
+	// dropped when the residency expires; loads of caches never hit
+	// leave savings untouched.
 	pending map[string]pendingHit
 	// keys is byteSecondsLocked's sort scratch, kept because the
 	// health sample reads byte·seconds every recurrence.
@@ -337,11 +338,12 @@ func (l *Ledger) AddIO(query string, k IOKind, bytes int64) {
 		obs.L("query", query), obs.L("kind", string(k))).Add(float64(bytes))
 }
 
-// closeLocked accrues and removes an open residency. Caller holds l.mu.
-func (l *Ledger) closeLocked(key []byte, at simtime.Time) {
+// closeLocked accrues and removes an open residency and returns its
+// key, "" when none was open. Caller holds l.mu.
+func (l *Ledger) closeLocked(key []byte, at simtime.Time) string {
 	r, ok := l.open[string(key)]
 	if !ok {
-		return
+		return ""
 	}
 	delete(l.open, r.key)
 	a := l.acct(r.owner)
@@ -354,6 +356,7 @@ func (l *Ledger) closeLocked(key []byte, at simtime.Time) {
 		o.Gauge("redoop_query_resident_bytes", obs.L("query", r.owner)).Set(float64(a.curResident))
 		o.Gauge("redoop_query_cache_byte_seconds", obs.L("query", r.owner)).Set(a.byteSeconds)
 	}
+	return r.key
 }
 
 // CacheRegistered opens a residency interval for pid/typ, owned by
@@ -392,7 +395,7 @@ func (l *Ledger) CacheRegistered(query, pid string, typ int, bytes int64, at sim
 // CacheExpired closes pid/typ's residency at `at` (purge notification,
 // loss discovery, or retirement). Unknown keys are ignored — chaos may
 // destroy bytes the ledger closed already, and double expiry must not
-// double-count.
+// double-count. A hit no load has netted goes with the residency.
 func (l *Ledger) CacheExpired(pid string, typ int, at simtime.Time) {
 	if l == nil {
 		return
@@ -403,7 +406,7 @@ func (l *Ledger) CacheExpired(pid string, typ int, at simtime.Time) {
 		l.watermark = at
 	}
 	var buf keyBuf
-	l.closeLocked(resKey(buf[:0], pid, typ), at)
+	delete(l.pending, l.closeLocked(resKey(buf[:0], pid, typ), at))
 }
 
 // Residency returns the feature vector of pid/typ's still-open
@@ -460,7 +463,7 @@ func (l *Ledger) cacheHit(query, pid string, typ int, at simtime.Time, cross boo
 			a.crossSaved += r.recompute
 			a.crossHits++
 		}
-		l.pending[r.key] = pendingHit{query, r.recompute}
+		l.pending[r.key] = pendingHit{r.key, query, r.recompute}
 		saved = a.saved
 		o = l.obs
 	}
@@ -492,7 +495,7 @@ func (l *Ledger) CacheLoaded(pid string, typ int, load simtime.Duration) {
 	var saved simtime.Duration
 	h, ok := l.pending[string(key)]
 	if ok {
-		delete(l.pending, string(key))
+		delete(l.pending, h.key)
 		a := l.acct(h.query)
 		a.saved -= load
 		if load > h.recompute && a.overrun == nil {
@@ -635,9 +638,10 @@ func (l *Ledger) SlotComputeNS(queries ...string) int64 {
 //  2. per query, registered == expired + open residencies — every
 //     byte·second interval is closed exactly once or still open;
 //  3. per query, no cache load cost more than the recompute its hit
-//     credited — a reuse never costs more than it avoided.
+//     credited — a reuse never costs more than it avoided;
+//  4. every hit still waiting for its load has an open residency.
 //
-// Returns nil when all three hold.
+// Returns nil when all four hold.
 func (l *Ledger) CheckConservation(busyNS int64, queries ...string) error {
 	if l == nil {
 		return nil
@@ -654,6 +658,11 @@ func (l *Ledger) CheckConservation(busyNS int64, queries ...string) error {
 	check := func(a *queryAcct) error {
 		if a.overrun != nil {
 			return a.overrun
+		}
+		for k, h := range l.pending {
+			if _, ok := l.open[k]; !ok && h.query == a.name {
+				return fmt.Errorf("account: query %s: the hit on cache %s waits for a load, but its residency is closed", a.name, k)
+			}
 		}
 		if a.registered != a.expired+openBy[a.name] {
 			return fmt.Errorf("account: query %s: %d residencies registered but %d expired + %d open",

@@ -212,6 +212,50 @@ func TestConservationCatchesLoadAboveRecompute(t *testing.T) {
 	}
 }
 
+// A hit whose load is never committed (the join's manifest finalization
+// reads its tuple outputs without one) must not outlive its residency:
+// the credit stands, the armed netting leaves with the expired interval,
+// and a rebuilt cache's first load nets nothing. A re-registration of
+// the key (refresh or re-home) keeps the netting for the load that
+// follows. A pending hit with no open residency fails conservation.
+func TestHitCreditClosesWithResidency(t *testing.T) {
+	l := New()
+	l.Register("q", "")
+	for i := 0; i < 100; i++ {
+		pid := "query/q/tuple" + strconv.Itoa(i)
+		l.CacheRegistered("q", pid, 1, 100, 0, 10)
+		l.CacheHit("q", pid, 1, 0)
+		l.CacheExpired(pid, 1, 5)
+	}
+	if n := len(l.pending); n != 0 {
+		t.Fatalf("%d hits still pending after every residency closed", n)
+	}
+	if got, want := l.SavedNS("q"), int64(100*10); got != want {
+		t.Fatalf("saved = %d, want the %d credited by the hits", got, want)
+	}
+	l.CacheRegistered("q", "query/q/tuple0", 1, 100, 6, 10)
+	l.CacheLoaded("query/q/tuple0", 1, 4)
+	if got, want := l.SavedNS("q"), int64(100*10); got != want {
+		t.Fatalf("saved = %d after a rebuilt cache's load, want %d", got, want)
+	}
+	l.CacheHit("q", "query/q/tuple0", 1, 7)
+	l.CacheRegistered("q", "query/q/tuple0", 1, 100, 8, 10)
+	l.CacheLoaded("query/q/tuple0", 1, 4)
+	if got, want := l.SavedNS("q"), int64(101*10-4); got != want {
+		t.Fatalf("saved = %d after hit, re-home and load, want %d", got, want)
+	}
+	if err := l.CheckConservation(1<<60, "q"); err != nil {
+		t.Fatalf("closed hits must pass conservation: %v", err)
+	}
+	// Simulate the leak: a hit left armed on a closed residency.
+	l.mu.Lock()
+	l.pending["query/q/gone|1"] = pendingHit{"query/q/gone|1", "q", 10}
+	l.mu.Unlock()
+	if err := l.CheckConservation(1<<60, "q"); err == nil || !strings.Contains(err.Error(), "query/q/gone|1") {
+		t.Fatalf("a pending hit without a residency must fail conservation naming it, got %v", err)
+	}
+}
+
 func TestROIAndIO(t *testing.T) {
 	l := New()
 	l.Register("q", "ten")
@@ -259,10 +303,12 @@ func TestSteadyFoldPathsDoNotAllocate(t *testing.T) {
 	l.SetObserver(obs.New())
 	q := l.Register("q", "")
 	// Each expiry closes a residency of its own, so every one is open
-	// when it closes; AllocsPerRun makes one extra, warm-up call.
+	// when it closes; AllocsPerRun makes one extra, warm-up call. The
+	// keys are as long as the engine's, past the 32 bytes a string
+	// conversion may borrow from the stack.
 	pids := make([]string, runs+1)
 	for i := range pids {
-		pids[i] = "query/q/P" + strconv.Itoa(i) + "/r0"
+		pids[i] = "query/q1/S1/u360000000000/P" + strconv.Itoa(i) + "/r0"
 		l.CacheRegistered(q, pids[i], 1, 100, simtime.Time(i), simtime.Second)
 	}
 	hot, at, next := pids[0], simtime.Time(runs+1), 0

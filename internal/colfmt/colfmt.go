@@ -57,6 +57,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"slices"
 	"sort"
 
@@ -133,31 +134,34 @@ func putRecords(seg []byte, recs []records.Record) {
 	binary.LittleEndian.PutUint32(seg[p:], crc32.ChecksumIEEE(seg[:p]))
 }
 
+// PairsSize returns the length of the segment EncodePairs writes for
+// pairs.
+func PairsSize(pairs []records.Pair) int {
+	if len(pairs) == 0 {
+		return 0
+	}
+	n := 8 + 2*4*(len(pairs)+1) + 4
+	for _, pr := range pairs {
+		n += len(pr.Key) + len(pr.Value)
+	}
+	return n
+}
+
 // EncodePairs encodes pairs as one exactly-sized columnar segment.
 func EncodePairs(pairs []records.Pair) []byte {
 	if len(pairs) == 0 {
 		return nil
 	}
-	var kb, vb int
-	for _, pr := range pairs {
-		kb += len(pr.Key)
-		vb += len(pr.Value)
-	}
-	dst := make([]byte, 8+2*4*(len(pairs)+1)+kb+vb+4)
+	dst := make([]byte, PairsSize(pairs))
 	copy(dst, magicPairs[:])
 	binary.LittleEndian.PutUint32(dst[4:], uint32(len(pairs)))
-	p := 8
-	off := uint32(0)
-	binary.LittleEndian.PutUint32(dst[p:], 0)
-	p += 4
+	p, off := 12, uint32(0) // koff[0] == 0
 	for _, pr := range pairs {
 		off += uint32(len(pr.Key))
 		binary.LittleEndian.PutUint32(dst[p:], off)
 		p += 4
 	}
-	off = 0
-	binary.LittleEndian.PutUint32(dst[p:], 0)
-	p += 4
+	p, off = p+4, 0 // voff[0] == 0
 	for _, pr := range pairs {
 		off += uint32(len(pr.Value))
 		binary.LittleEndian.PutUint32(dst[p:], off)
@@ -171,6 +175,63 @@ func EncodePairs(pairs []records.Pair) []byte {
 	}
 	binary.LittleEndian.PutUint32(dst[p:], crc32.ChecksumIEEE(dst[:p]))
 	return dst
+}
+
+// PairStream writes what EncodePairs returns a 4 KB chunk at a time, so
+// a caller that only hashes a segment never holds it. Keep one to reuse.
+type PairStream struct {
+	w   io.Writer
+	crc uint32
+	n   int
+	buf [4096]byte
+}
+
+// WritePairs writes pairs' segment to w, a hash: errors go unreported.
+func (s *PairStream) WritePairs(w io.Writer, pairs []records.Pair) {
+	if len(pairs) == 0 {
+		return
+	}
+	s.w, s.crc, s.n = w, 0, 0
+	s.put(magicPairs[:])
+	s.u32(uint32(len(pairs)))
+	var koff, voff uint32
+	s.u32(0)
+	for _, pr := range pairs {
+		koff += uint32(len(pr.Key))
+		s.u32(koff)
+	}
+	s.u32(0)
+	for _, pr := range pairs {
+		voff += uint32(len(pr.Value))
+		s.u32(voff)
+	}
+	for _, pr := range pairs {
+		s.put(pr.Key)
+	}
+	for _, pr := range pairs {
+		s.put(pr.Value)
+	}
+	s.flush()
+	w.Write(binary.LittleEndian.AppendUint32(s.buf[:0], s.crc))
+}
+
+// put copies b into buf; a full buf goes to w and into the running CRC.
+func (s *PairStream) put(b []byte) {
+	for len(b) > 0 {
+		if s.n == len(s.buf) {
+			s.flush()
+		}
+		c := copy(s.buf[s.n:], b)
+		s.n, b = s.n+c, b[c:]
+	}
+}
+
+func (s *PairStream) u32(v uint32) { s.put(binary.LittleEndian.AppendUint32(make([]byte, 0, 4), v)) }
+
+func (s *PairStream) flush() {
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, s.buf[:s.n])
+	s.w.Write(s.buf[:s.n])
+	s.n = 0
 }
 
 // RecordFile is the validated, random-access view of a file of

@@ -522,6 +522,42 @@ func TestRecordsSizeIsTheEncodedLength(t *testing.T) {
 	}
 }
 
+// chunkRecorder keeps what is written to it and the largest write.
+type chunkRecorder struct {
+	bytes.Buffer
+	largest int
+}
+
+func (c *chunkRecorder) Write(p []byte) (int, error) {
+	c.largest = max(c.largest, len(p))
+	return c.Buffer.Write(p)
+}
+
+// TestPairStreamWritesEncodePairs: one PairStream, reused, writes
+// exactly the segment EncodePairs builds, PairsSize long, in writes no
+// larger than its scratch, however large the pairs; keys longer than
+// the scratch and segments of many scratches included.
+func TestPairStreamWritesEncodePairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var s PairStream
+	for trial := 0; trial < 60; trial++ {
+		pairs := genPairs(rng, []int{0, 1, 1 + rng.Intn(8), 1 + rng.Intn(3000)}[trial%4])
+		if trial%6 == 5 {
+			pairs[0].Key = bytes.Repeat([]byte{'k'}, 10000)
+		}
+		var c chunkRecorder
+		s.WritePairs(&c, pairs)
+		want := EncodePairs(pairs)
+		if !bytes.Equal(c.Bytes(), want) || PairsSize(pairs) != len(want) {
+			t.Fatalf("%d pairs: WritePairs wrote %d bytes, PairsSize says %d, EncodePairs %d",
+				len(pairs), c.Len(), PairsSize(pairs), len(want))
+		}
+		if c.largest > 4096 {
+			t.Fatalf("%d pairs: one write of %d bytes", len(pairs), c.largest)
+		}
+	}
+}
+
 // writeAll adds pairs to w the way a reducer reusing one buffer emits
 // them: each key and value is copied into buf, handed to Add, and
 // overwritten by the next pair, so a writer that kept a view would

@@ -379,6 +379,7 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 	// the references are gathered in one scratch slice.
 	var inputs []lineage.InputRef
 	input := func(id []byte) { inputs = append(inputs, s.Input(id)) }
+	var windows lineage.PairsHasher
 	return func(c *commit) {
 		var buf pidBuf
 		switch c.kind {
@@ -481,17 +482,17 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 				los, his := e.windowRanges(c.rec)
 				forEachTupleRanges(los, his, tupleInputs)
 			}
-			data := colfmt.EncodePairs(res.Output)
+			size := int64(colfmt.PairsSize(res.Output))
 			wid := lineage.WindowID(e.acctName, c.rec)
 			s.RecordDerivation(lineage.Derivation{
 				ID: wid, Kind: "window", Query: e.acctName,
 				Fingerprint: e.planFP, Recurrence: c.rec, Pane: int64(res.WindowLo),
-				Bytes: int64(len(data)), SHA: lineage.SHA(data),
+				Bytes: size, SHA: windows.SHA(res.Output),
 				CostNS: int64(res.ResponseTime), Inputs: inputs, Expired: true,
 			})
 			o.Emit(c.at, eventlog.LineageDerived, q.Name, eventlog.LineageDerivedData{
 				ID: wid, Kind: "window",
-				Pane: int64(res.WindowLo), Bytes: int64(len(data)), Fingerprint: e.planFP,
+				Pane: int64(res.WindowLo), Bytes: size, Fingerprint: e.planFP,
 			})
 		}
 	}

@@ -5,7 +5,12 @@ import (
 	"runtime"
 	"testing"
 
+	"redoop/internal/account"
+	"redoop/internal/health"
+	"redoop/internal/lineage"
+	"redoop/internal/obs"
 	"redoop/internal/records"
+	"redoop/internal/reuse"
 	"redoop/internal/simtime"
 )
 
@@ -48,12 +53,30 @@ func padded(recs []records.Record) []records.Record {
 
 var soakPad = bytes.Repeat([]byte{'.'}, 250)
 
+// observed attaches every sidecar to cfg, as the benchmark's observed
+// workload does: one observer for the runtime, the DFS and a health
+// monitor, a cost ledger, a provenance store and a reuse index, which
+// an aggregation publishes into.
+func observed(cfg Config) Config {
+	o := obs.New()
+	cfg.MR.Obs = o
+	cfg.MR.DFS.SetObserver(o)
+	cfg.Health = health.NewMonitor(health.DefaultConfig())
+	cfg.Health.SetObserver(o)
+	cfg.Account, cfg.Lineage, cfg.Reuse = account.New(), lineage.New(0), reuse.NewIndex(0)
+	if len(cfg.Query.Sources) == 1 {
+		cfg.Query.Sources[0].CacheKey = cfg.Query.Sources[0].Name
+	}
+	return cfg
+}
+
 // Flat-size soak: 2 000 recurrences of a tiny aggregation and a tiny
-// join at overlap 0.9 (ten panes per window, one new per recurrence).
-// Every cache that is registered must be purged by exactly the key it
-// was registered under, on the master and on every node, or these
-// counts creep; the heap bound catches whatever else is kept per
-// recurrence. First step of the 10 k-recurrence nightly (ROADMAP,
+// join at overlap 0.9 (ten panes per window, one new per recurrence),
+// bare and with every sidecar attached. Every cache that is registered
+// must be purged by exactly the key it was registered under, on the
+// master and on every node, or these counts creep; the heap bound
+// catches whatever else is kept per recurrence, the sidecars' records
+// included. First step of the 10 k-recurrence nightly (ROADMAP,
 // "Smaller findings").
 func TestSoakStaysFlat(t *testing.T) {
 	if testing.Short() {
@@ -61,15 +84,22 @@ func TestSoakStaysFlat(t *testing.T) {
 	}
 	win, slide := 100*simtime.Second, 10*simtime.Second
 	for _, c := range []struct {
-		name string
-		q    *Query
-		gen  func(slideIdx int) []records.Record
+		name     string
+		q        *Query
+		gen      func(slideIdx int) []records.Record
+		observed bool
 	}{
-		{"agg", internalCountQuery(win, slide), func(i int) []records.Record { return padded(internalWords(7, slide, i, 300, 12)) }},
-		{"join", internalJoinQuery(win, slide), func(i int) []records.Record { return padded(internalKV(7, slide, i, 200, 8)) }},
+		{"agg", internalCountQuery(win, slide), func(i int) []records.Record { return padded(internalWords(7, slide, i, 300, 12)) }, false},
+		{"join", internalJoinQuery(win, slide), func(i int) []records.Record { return padded(internalKV(7, slide, i, 200, 8)) }, false},
+		{"agg-observed", internalCountQuery(win, slide), func(i int) []records.Record { return padded(internalWords(7, slide, i, 300, 12)) }, true},
+		{"join-observed", internalJoinQuery(win, slide), func(i int) []records.Record { return padded(internalKV(7, slide, i, 200, 8)) }, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			eng := MustNewEngine(Config{MR: internalRig(3, 9), Query: c.q})
+			cfg := Config{MR: internalRig(3, 9), Query: c.q}
+			if c.observed {
+				cfg = observed(cfg)
+			}
+			eng := MustNewEngine(cfg)
 			var at1000 soakSize
 			fed := 0
 			for rec := 0; rec < 2000; rec++ {

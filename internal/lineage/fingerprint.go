@@ -25,7 +25,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"strings"
+
+	"redoop/internal/colfmt"
+	"redoop/internal/records"
 )
 
 // PlanSource describes one data source of a plan: its name, the
@@ -97,6 +101,28 @@ func SHA(data []byte) string {
 	sum := sha256.Sum256(data)
 	var buf [2 * sha256.Size]byte
 	return string(hex.AppendEncode(buf[:0], sum[:]))
+}
+
+// PairsHasher computes SHA(colfmt.EncodePairs(pairs)) without building
+// the segment; one kept across calls allocates only the SHA string.
+type PairsHasher struct {
+	h   hash.Hash
+	sum [sha256.Size]byte
+	s   colfmt.PairStream
+}
+
+// SHA returns the hex SHA-256 of pairs' encoded segment ("" for none).
+func (p *PairsHasher) SHA(pairs []records.Pair) string {
+	if len(pairs) == 0 {
+		return ""
+	}
+	if p.h == nil {
+		p.h = sha256.New()
+	}
+	p.h.Reset()
+	p.s.WritePairs(p.h, pairs)
+	var buf [2 * sha256.Size]byte
+	return string(hex.AppendEncode(buf[:0], p.h.Sum(p.sum[:0])))
 }
 
 // Fingerprint returns the canonical plan fingerprint: a hex SHA-256 of

@@ -1,7 +1,11 @@
 package lineage
 
 import (
+	"math/rand"
 	"testing"
+
+	"redoop/internal/colfmt"
+	"redoop/internal/records"
 )
 
 func basePlan() Plan {
@@ -162,5 +166,44 @@ func TestOpFingerprintGeometryIndependent(t *testing.T) {
 			t.Errorf("op-fingerprint near-miss %q collides with %q", name, prev)
 		}
 		seen[got] = name
+	}
+}
+
+// randomPairs builds n pairs of random keys and values, some empty.
+func randomPairs(rng *rand.Rand, n int) []records.Pair {
+	pairs := make([]records.Pair, n)
+	for i := range pairs {
+		k, v := make([]byte, rng.Intn(40)), make([]byte, rng.Intn(90))
+		rng.Read(k)
+		rng.Read(v)
+		pairs[i] = records.Pair{Key: k, Value: v}
+	}
+	return pairs
+}
+
+// A PairsHasher, reused, gives the SHA of the window's encoded segment
+// though it never builds one: for any pairs, from none to segments of
+// many kilobytes.
+func TestPairsHasherIsTheEncodedSegmentsSHA(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var h PairsHasher
+	for trial := 0; trial < 80; trial++ {
+		pairs := randomPairs(rng, []int{0, 1, rng.Intn(20), rng.Intn(5000)}[trial%4])
+		if got, want := h.SHA(pairs), SHA(colfmt.EncodePairs(pairs)); got != want {
+			t.Fatalf("%d pairs: PairsHasher.SHA = %q, SHA of the segment = %q", len(pairs), got, want)
+		}
+	}
+}
+
+// Hashing a window allocates its SHA string and nothing else, whatever
+// its size: nothing the size of the window.
+func TestPairsHasherAllocatesOnlyTheSHA(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	small, large := randomPairs(rng, 1), randomPairs(rng, 20000)
+	var h PairsHasher
+	for _, pairs := range [][]records.Pair{small, large} {
+		if n := testing.AllocsPerRun(20, func() { h.SHA(pairs) }); n != 1 {
+			t.Fatalf("hashing %d pairs allocates %v times", len(pairs), n)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package lineage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -12,6 +13,11 @@ import (
 // are evicted oldest-first; the eviction watermark lets closure checks
 // distinguish "evicted" from "missing".
 const DefaultCap = 8192
+
+// KeepRecurrences is the age bound (DESIGN.md, "Sidecar retention"):
+// what is recorded this many recurrences before its query's latest
+// window is evicted, in order, unless still resident or claimed.
+const KeepRecurrences = 16
 
 // Range is a half-open record-index range [Lo, Hi) within one batch.
 type Range struct {
@@ -202,10 +208,15 @@ type Store struct {
 	// retained one has Seq >= watermark.
 	watermark uint64
 
+	// The age axis: per query, the recurrence after its latest window,
+	// and the largest of them for file histories, which name no query.
+	next  map[string]int
+	clock int
+
 	batches    map[string]*Batch // key BatchID
-	batchOrder []string
-	batchSeq   map[string]int // per query|source: next seq
-	batchFloor map[string]int // per query|source: lowest retained seq
+	batchOrder []stamped
+	batchSeq   map[srcKey]int // per query and source: next seq
+	batchFloor map[srcKey]int // per query and source: lowest retained seq
 	// batchClaims counts, per batch, how many live (unexpired)
 	// derivations claim it; claimed batches are never evicted by the
 	// bound, mirroring evictLocked's stop-at-resident rule.
@@ -215,7 +226,7 @@ type Store struct {
 	jobOrder []string
 
 	files     map[string][]FileEvent // per DFS path, bounded
-	fileOrder []string
+	fileOrder []stamped
 
 	faults []Fault
 
@@ -224,6 +235,12 @@ type Store struct {
 
 	rebuilds int
 	evicted  int
+}
+
+// stamped is a batch ID or file path and its age axis when recorded.
+type stamped struct {
+	key string
+	rec int
 }
 
 // New builds an empty store retaining up to cap derivations (cap <= 0
@@ -235,9 +252,10 @@ func New(cap int) *Store {
 	return &Store{
 		cap:         cap,
 		derivs:      map[string]*Derivation{},
+		next:        map[string]int{},
 		batches:     map[string]*Batch{},
-		batchSeq:    map[string]int{},
-		batchFloor:  map[string]int{},
+		batchSeq:    map[srcKey]int{},
+		batchFloor:  map[srcKey]int{},
 		batchClaims: map[batchKey]int{},
 		attempts:    map[string][]Attempt{},
 		files:       map[string][]FileEvent{},
@@ -245,7 +263,8 @@ func New(cap int) *Store {
 	}
 }
 
-func srcKey(query, source string) string { return query + "|" + source }
+// srcKey names one query's source, the scope of batch sequence numbers.
+type srcKey struct{ query, source string }
 
 // RecordBatch records one serial ingest call and returns its per-source
 // sequence number (-1 on a nil store).
@@ -255,17 +274,21 @@ func (s *Store) RecordBatch(query, source string, records int, panes []PaneRange
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := srcKey(query, source)
+	k := srcKey{query, source}
 	seq := s.batchSeq[k]
 	s.batchSeq[k] = seq + 1
 	b := &Batch{Query: query, Source: source, Seq: seq, Records: records,
 		Panes: append([]PaneRange(nil), panes...)}
 	id := BatchID(query, source, seq)
 	s.batches[id] = b
-	s.batchOrder = append(s.batchOrder, id)
-	for len(s.batchOrder) > s.cap {
-		oldID := s.batchOrder[0]
-		old := s.batches[oldID]
+	s.batchOrder = append(s.batchOrder, stamped{id, s.next[query]})
+	n := 0
+	for ; n < len(s.batchOrder); n++ {
+		head := s.batchOrder[n]
+		old := s.batches[head.key]
+		if len(s.batchOrder)-n <= s.cap && s.next[old.Query]-head.rec <= KeepRecurrences {
+			break
+		}
 		if s.batchClaims[batchKey{old.Query, old.Source, old.Seq}] > 0 {
 			// The oldest batch is still claimed by a live derivation:
 			// evicting it would turn a provable claim into a silent
@@ -274,14 +297,14 @@ func (s *Store) RecordBatch(query, source string, records int, panes []PaneRange
 			// expires.
 			break
 		}
-		s.batchOrder = s.batchOrder[1:]
-		delete(s.batches, oldID)
-		ok := srcKey(old.Query, old.Source)
+		delete(s.batches, head.key)
+		ok := srcKey{old.Query, old.Source}
 		if old.Seq >= s.batchFloor[ok] {
 			s.batchFloor[ok] = old.Seq + 1
 		}
 		s.evicted++
 	}
+	s.batchOrder = slices.Delete(s.batchOrder, 0, n)
 	return seq
 }
 
@@ -308,8 +331,8 @@ func (s *Store) BatchesForPane(query, source string, pane int64) []BatchRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []BatchRef
-	for _, id := range s.batchOrder {
-		b := s.batches[id]
+	for _, o := range s.batchOrder {
+		b := s.batches[o.key]
 		if b.Query != query || b.Source != source {
 			continue
 		}
@@ -324,33 +347,6 @@ func (s *Store) BatchesForPane(query, source string, pane int64) []BatchRef {
 		}
 	}
 	return out
-}
-
-// LookupBatch returns a copy of a retained batch.
-func (s *Store) LookupBatch(query, source string, seq int) (Batch, bool) {
-	if s == nil {
-		return Batch{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.batches[BatchID(query, source, seq)]
-	if !ok {
-		return Batch{}, false
-	}
-	out := *b
-	out.Panes = append([]PaneRange(nil), b.Panes...)
-	return out, true
-}
-
-// BatchFloor returns the lowest retained batch seq of query/source —
-// references below it point at legitimately evicted batches.
-func (s *Store) BatchFloor(query, source string) int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.batchFloor[srcKey(query, source)]
 }
 
 // RecordPlan registers a plan under its fingerprint. Two distinct
@@ -406,6 +402,10 @@ func (s *Store) RecordDerivation(d Derivation) (rebuilt bool, cause string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if d.Kind == "window" && d.Recurrence >= s.next[d.Query] {
+		s.next[d.Query] = d.Recurrence + 1
+		s.clock = max(s.clock, d.Recurrence+1)
+	}
 	if old, ok := s.derivs[d.ID]; ok {
 		if !old.Expired {
 			s.adjustBatchClaimsLocked(old.Query, old.Batches, -1)
@@ -470,23 +470,24 @@ func (s *Store) linkConsumersLocked(d Derivation) {
 	}
 }
 
-// evictLocked drops the oldest expired derivations while over
-// capacity, advancing the watermark. Resident (unexpired) nodes are
-// never evicted. Caller holds s.mu.
+// evictLocked drops the oldest expired derivations while over capacity
+// or past the age bound, advancing the watermark and moving the rest
+// down in place. Resident (unexpired) nodes are never evicted. Caller
+// holds s.mu.
 func (s *Store) evictLocked() {
-	for len(s.order) > s.cap {
-		id := s.order[0]
-		d := s.derivs[id]
-		if !d.Expired {
-			return // oldest is still resident; closure must keep it
+	n := 0
+	for ; n < len(s.order); n++ {
+		d := s.derivs[s.order[n]]
+		if !d.Expired || len(s.order)-n <= s.cap && s.next[d.Query]-d.Recurrence <= KeepRecurrences {
+			break
 		}
-		s.order = s.order[1:]
-		delete(s.derivs, id)
+		delete(s.derivs, d.ID)
 		if d.Seq >= s.watermark {
 			s.watermark = d.Seq + 1
 		}
 		s.evicted++
 	}
+	s.order = slices.Delete(s.order, 0, n)
 }
 
 // The by-ID methods below take a derivation ID as bytes — typically
@@ -612,16 +613,6 @@ func (s *Store) RecordAttempt(a Attempt) {
 	s.attempts[a.Job] = list
 }
 
-// Attempts returns a copy of a job's retained attempts.
-func (s *Store) Attempts(job string) []Attempt {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Attempt(nil), s.attempts[job]...)
-}
-
 // RecordFileEvent appends one replica-history event for a DFS path.
 func (s *Store) RecordFileEvent(path string, ev FileEvent) {
 	if s == nil {
@@ -630,26 +621,16 @@ func (s *Store) RecordFileEvent(path string, ev FileEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.files[path]; !ok {
-		s.fileOrder = append(s.fileOrder, path)
-		for len(s.fileOrder) > s.cap {
-			drop := s.fileOrder[0]
-			s.fileOrder = s.fileOrder[1:]
-			delete(s.files, drop)
+		s.fileOrder = append(s.fileOrder, stamped{path, s.clock})
+		n := 0
+		for ; len(s.fileOrder)-n > s.cap || s.clock-s.fileOrder[n].rec > KeepRecurrences; n++ {
+			delete(s.files, s.fileOrder[n].key)
 			s.evicted++
 		}
+		s.fileOrder = slices.Delete(s.fileOrder, 0, n)
 	}
 	ev.Nodes = append([]int(nil), ev.Nodes...)
 	s.files[path] = append(s.files[path], ev)
-}
-
-// FileEvents returns a copy of a path's replica history.
-func (s *Store) FileEvents(path string) []FileEvent {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]FileEvent(nil), s.files[path]...)
 }
 
 // RecordFault logs one applied chaos action for cause attribution.
@@ -749,9 +730,9 @@ func (s *Store) Snapshot() Snapshot {
 	for _, id := range s.order {
 		snap.Derivations = append(snap.Derivations, copyDeriv(s.derivs[id]))
 	}
-	for _, id := range s.batchOrder {
-		b := *s.batches[id]
-		b.Panes = append([]PaneRange(nil), s.batches[id].Panes...)
+	for _, o := range s.batchOrder {
+		b := *s.batches[o.key]
+		b.Panes = append([]PaneRange(nil), b.Panes...)
 		snap.Batches = append(snap.Batches, b)
 	}
 	if len(s.attempts) > 0 {
@@ -762,13 +743,13 @@ func (s *Store) Snapshot() Snapshot {
 	}
 	if len(s.files) > 0 {
 		snap.Files = map[string][]FileEvent{}
-		for _, p := range s.fileOrder {
-			evs := make([]FileEvent, len(s.files[p]))
-			for i, ev := range s.files[p] {
+		for _, o := range s.fileOrder {
+			evs := make([]FileEvent, len(s.files[o.key]))
+			for i, ev := range s.files[o.key] {
 				ev.Nodes = append([]int(nil), ev.Nodes...)
 				evs[i] = ev
 			}
-			snap.Files[p] = evs
+			snap.Files[o.key] = evs
 		}
 	}
 	snap.Faults = append([]Fault(nil), s.faults...)
@@ -823,7 +804,7 @@ func (s *Store) Closure(resident []ResidentRef) []string {
 			if _, ok := s.batches[BatchID(d.Query, b.Source, b.Seq)]; ok {
 				continue
 			}
-			if b.Seq < s.batchFloor[srcKey(d.Query, b.Source)] {
+			if b.Seq < s.batchFloor[srcKey{d.Query, b.Source}] {
 				continue // evicted
 			}
 			bad = append(bad, fmt.Sprintf("derivation %s claims missing batch %s/%d", id, b.Source, b.Seq))

@@ -271,6 +271,30 @@ func TestBatchEvictionFloorHonorsLiveClaims(t *testing.T) {
 	if n := s.batchClaims[batchKey{"q2", "S1", 0}]; n != 0 {
 		t.Fatalf("claim count leaked across rebuild: %d", n)
 	}
+
+	// The age bound stops at a claim the same way: an unclaimed batch
+	// KeepRecurrences windows old goes, a claimed one of the same age
+	// stays until its claim expires.
+	a := New(0)
+	a.RecordBatch("q", "S1", 1, []PaneRange{{Pane: 0, R: Range{0, 1}}})
+	a.RecordBatch("q", "S1", 1, []PaneRange{{Pane: 1, R: Range{0, 1}}})
+	a.RecordDerivation(Derivation{ID: "d1", Kind: "pane-rin", Query: "q", Pane: 1,
+		Batches: a.BatchesForPane("q", "S1", 1)})
+	for r := 0; r <= KeepRecurrences; r++ {
+		a.RecordDerivation(Derivation{ID: WindowID("q", r), Kind: "window", Query: "q", Recurrence: r, Expired: true})
+	}
+	a.RecordBatch("q", "S1", 1, nil)
+	if st := a.Stats(); st.Evicted != 1 || st.Batches != 2 {
+		t.Fatalf("age bound evicted %d, kept %d batches; want the unclaimed one gone, the claimed one kept", st.Evicted, st.Batches)
+	}
+	if bad := a.Closure([]ResidentRef{{ID: "d1"}}); len(bad) != 0 {
+		t.Fatalf("closure violations with an aged claimed batch retained: %v", bad)
+	}
+	a.MarkExpired([]byte("d1"), 100)
+	a.RecordBatch("q", "S1", 1, nil)
+	if st := a.Stats(); st.Evicted != 2 || st.Batches != 2 {
+		t.Fatalf("after the claim expired: evicted %d, kept %d batches; want 2 and 2", st.Evicted, st.Batches)
+	}
 }
 
 // TestByIDCallsDoNotAllocate: the calls the engine's lineage fold makes
@@ -323,5 +347,99 @@ func TestByIDCallsDoNotAllocate(t *testing.T) {
 	}
 	if !d.Expired || d.Copies[len(d.Copies)-1].Kind != "expire" {
 		t.Errorf("MarkExpired left %s resident: %+v", d.ID, d.Copies)
+	}
+}
+
+// A query recurring far past KeepRecurrences with a three-pane window:
+// what aged out is gone, and what is kept is either young or still
+// needed, with the store's structure closed. Derivations, batches and
+// file histories all follow the one rule.
+func TestAgeEvictionKeepsClosure(t *testing.T) {
+	const win, recs = 3, 40
+	s := New(0)
+	rin := func(p int) string { return DerivID("query/q/S1/P"+strconv.Itoa(p), 0) }
+	rout := func(p int) string { return DerivID("query/q/P"+strconv.Itoa(p), 1) }
+	for r := 0; r < recs; r++ {
+		// Pane r arrives and is built; the window of panes r-2..r is
+		// emitted; pane r-2 then leaves every window.
+		s.RecordBatch("q", "S1", 4, []PaneRange{{Pane: int64(r), R: Range{0, 4}}})
+		s.RecordFileEvent("/redoop/q/S1/P"+strconv.Itoa(r), FileEvent{Kind: "place", Nodes: []int{1, 2}})
+		s.RecordDerivation(Derivation{ID: rin(r), Kind: "pane-rin", Query: "q", Recurrence: r,
+			Pane: int64(r), Batches: s.BatchesForPane("q", "S1", int64(r))})
+		s.RecordDerivation(Derivation{ID: rout(r), Kind: "pane-rout", Query: "q", Recurrence: r,
+			Pane: int64(r), Inputs: []InputRef{s.Input([]byte(rin(r)))}})
+		var inputs []InputRef
+		for p := max(r-win+1, 0); p <= r; p++ {
+			inputs = append(inputs, s.Input([]byte(rout(p))))
+		}
+		s.RecordDerivation(Derivation{ID: WindowID("q", r), Kind: "window", Query: "q",
+			Recurrence: r, Inputs: inputs, Expired: true})
+		if p := r - win + 1; p >= 0 {
+			s.MarkExpired([]byte(rin(p)), int64(r))
+			s.MarkExpired([]byte(rout(p)), int64(r))
+		}
+	}
+	var resident []ResidentRef
+	for p := recs - win + 1; p < recs; p++ {
+		resident = append(resident, ResidentRef{ID: rin(p)}, ResidentRef{ID: rout(p)})
+	}
+	if bad := s.Closure(resident); len(bad) != 0 {
+		t.Fatalf("closure violations after age eviction: %v", bad)
+	}
+	snap := s.Snapshot()
+	windows := 0
+	for _, d := range snap.Derivations {
+		if recs-1-d.Recurrence >= KeepRecurrences {
+			t.Errorf("%s, built at recurrence %d, kept at %d", d.ID, d.Recurrence, recs-1)
+		}
+		if d.Kind == "window" {
+			windows++
+		}
+	}
+	if windows != KeepRecurrences {
+		t.Errorf("%d windows kept, want the newest %d", windows, KeepRecurrences)
+	}
+	// Batches and files are stamped when recorded, before their
+	// recurrence's window: one more of them is young enough.
+	if n := len(snap.Batches); n != KeepRecurrences+1 || snap.Batches[0].Seq != recs-KeepRecurrences-1 {
+		t.Errorf("%d batches kept from seq %d, want the newest %d", n, snap.Batches[0].Seq, KeepRecurrences+1)
+	}
+	if n := len(snap.Files); n != KeepRecurrences+1 {
+		t.Errorf("%d file histories kept, want the newest %d", n, KeepRecurrences+1)
+	}
+	if snap.Watermark == 0 || snap.Stats.Evicted == 0 {
+		t.Errorf("nothing evicted: watermark %d, evicted %d", snap.Watermark, snap.Stats.Evicted)
+	}
+}
+
+// A resident derivation at the head of the order holds every younger
+// one, however old, until it expires: eviction never skips past it, so
+// the watermark still splits evicted from retained.
+func TestResidentHeadBlocksAgeEviction(t *testing.T) {
+	const recs = 40
+	s := New(0)
+	s.RecordDerivation(Derivation{ID: "pinned", Kind: "pane-rout", Query: "q"})
+	for r := 0; r < recs; r++ {
+		id := DerivID("p", r)
+		s.RecordDerivation(Derivation{ID: id, Kind: "pane-rout", Query: "q", Recurrence: r})
+		s.MarkExpired([]byte(id), int64(r))
+		s.RecordDerivation(Derivation{ID: WindowID("q", r), Kind: "window", Query: "q",
+			Recurrence: r, Inputs: []InputRef{s.Input([]byte(id))}, Expired: true})
+	}
+	if st := s.Stats(); st.Evicted != 0 || st.Nodes != 1+2*recs {
+		t.Fatalf("evicted %d of %d past a resident head", st.Evicted, st.Nodes)
+	}
+	s.MarkExpired([]byte("pinned"), recs)
+	s.RecordDerivation(Derivation{ID: WindowID("q", recs), Kind: "window", Query: "q", Recurrence: recs, Expired: true})
+	// Window recs makes recurrences 0..recs-KeepRecurrences old enough:
+	// the head and their derivation and window each.
+	if st, want := s.Stats(), 1+2*(recs-KeepRecurrences+1); st.Evicted != want {
+		t.Fatalf("evicted %d once the head expired, want %d", st.Evicted, want)
+	}
+	if bad := s.Closure(nil); len(bad) != 0 {
+		t.Fatalf("closure violations: %v", bad)
+	}
+	if _, ok := s.Lookup(DerivID("p", recs-KeepRecurrences+1)); !ok {
+		t.Fatal("a derivation younger than the age bound was evicted")
 	}
 }

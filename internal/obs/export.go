@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 )
 
@@ -225,7 +226,7 @@ type traceDoc struct {
 
 const tracePid = 1
 
-// WriteTraceJSON serializes the recorded events as a Chrome trace
+// WriteTraceJSON serializes the retained events as a Chrome trace
 // document: one metadata event names each track, then every span as a
 // complete ("X") event and every marker as an instant ("i") event on
 // its track's tid. A nil tracer writes an empty but valid document.
@@ -233,27 +234,19 @@ func (t *Tracer) WriteTraceJSON(w io.Writer) error {
 	doc := traceDoc{TraceEvents: []traceEventJSON{}, DisplayTimeUnit: "ms"}
 	if t != nil {
 		t.mu.Lock()
-		tracks := append([]string(nil), t.tracks...)
-		events := append([]Event(nil), t.events...)
-		tids := make(map[string]int, len(t.tids))
-		for k, v := range t.tids {
-			tids[k] = v
-		}
-		t.mu.Unlock()
-
 		doc.TraceEvents = append(doc.TraceEvents, traceEventJSON{
 			Name: "process_name", Ph: "M", Pid: tracePid,
 			Args: map[string]any{"name": "redoop (virtual time)"},
 		})
-		for tid, track := range tracks {
+		for tid, track := range t.tracks {
 			doc.TraceEvents = append(doc.TraceEvents, traceEventJSON{
 				Name: "thread_name", Ph: "M", Pid: tracePid, Tid: tid,
 				Args: map[string]any{"name": track},
 			})
 		}
-		for _, e := range events {
+		for _, e := range append(slices.Concat(t.segs...), t.open...) {
 			ev := traceEventJSON{
-				Name: e.Name, Cat: e.Cat, Pid: tracePid, Tid: tids[e.Track],
+				Name: e.Name, Cat: e.Cat, Pid: tracePid, Tid: t.tids[e.Track],
 				Ts: float64(e.Start) / 1e3,
 			}
 			if e.Instant {
@@ -272,6 +265,7 @@ func (t *Tracer) WriteTraceJSON(w io.Writer) error {
 			}
 			doc.TraceEvents = append(doc.TraceEvents, ev)
 		}
+		t.mu.Unlock()
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)

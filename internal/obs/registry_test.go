@@ -101,7 +101,7 @@ func TestNilSafety(t *testing.T) {
 
 	tr.Span("t", "cat", "s", 0, 10)
 	tr.Instant("t", "cat", "i", 5)
-	if tr.Len() != 0 || tr.Events() != nil || tr.Tracks() != nil {
+	if tr.Len() != 0 || tr.Events() != nil {
 		t.Error("nil tracer must be empty")
 	}
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 
 	"redoop/internal/simtime"
@@ -17,13 +18,20 @@ import (
 // events); nesting inside a track follows virtual-time containment, so
 // a recurrence span contains its phase spans, which contain their task
 // spans when recorded on the same track.
+//
+// Retention is window-scoped (DESIGN.md, "Sidecar retention"): each
+// track keeps the segments of its newest KeepRecurrences recurrences.
 type Tracer struct {
 	mu     sync.Mutex
 	tids   map[string]int
-	tracks []string // tid order
-	events []Event
-	nextID SpanID // last allocated task-span ID
+	tracks []string  // tid order
+	segs   [][]Event // closed segments, oldest first
+	open   []Event   // recorded since the last root
+	nextID SpanID    // last allocated task-span ID
 }
+
+// KeepRecurrences is how many recurrences a Tracer keeps per track.
+const KeepRecurrences = 16
 
 // SpanID identifies one recorded task span within a Tracer. IDs are
 // allocated in record order (serial accounting order), so they are
@@ -117,7 +125,6 @@ func (t *Tracer) Task(ts TaskSpan) SpanID {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.tid(ts.Track)
 	id := ts.ID
 	if id == 0 {
 		t.nextID++
@@ -135,7 +142,7 @@ func (t *Tracer) Task(ts TaskSpan) SpanID {
 			deps = append(deps, d)
 		}
 	}
-	t.events = append(t.events, Event{
+	t.recordLocked(Event{
 		Track: ts.Track, Cat: ts.Cat, Name: ts.Name,
 		Start: ts.Start, End: ts.End, Ready: ts.Ready,
 		ID: id, Parent: ts.Parent, Deps: deps, Args: ts.Args,
@@ -143,14 +150,32 @@ func (t *Tracer) Task(ts TaskSpan) SpanID {
 	return id
 }
 
-func (t *Tracer) tid(track string) int {
-	id, ok := t.tids[track]
-	if !ok {
-		id = len(t.tracks)
-		t.tids[track] = id
-		t.tracks = append(t.tracks, track)
+// recordLocked gives a new track the next tid and appends ev to the
+// open segment, which a recurrence root closes as its track's: the root
+// and all recorded since the last one. A track's segments past
+// KeepRecurrences go oldest first, the cleared array becoming the next
+// open segment. Caller holds t.mu.
+func (t *Tracer) recordLocked(ev Event) {
+	if _, ok := t.tids[ev.Track]; !ok {
+		t.tids[ev.Track] = len(t.tracks)
+		t.tracks = append(t.tracks, ev.Track)
 	}
-	return id
+	t.open = append(t.open, ev)
+	if ev.Cat != "recurrence" {
+		return
+	}
+	t.segs, t.open = append(t.segs, t.open), nil
+	oldest, owned := 0, 0
+	for i := len(t.segs) - 1; i >= 0; i-- {
+		if seg := t.segs[i]; seg[len(seg)-1].Track == ev.Track {
+			oldest, owned = i, owned+1
+		}
+	}
+	if owned > KeepRecurrences {
+		t.open = t.segs[oldest][:0]
+		clear(t.segs[oldest])
+		t.segs = slices.Delete(t.segs, oldest, oldest+1)
+	}
 }
 
 // Span records a completed span on a track. Spans whose end precedes
@@ -165,8 +190,7 @@ func (t *Tracer) Span(track, cat, name string, start, end simtime.Time, args ...
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.tid(track)
-	t.events = append(t.events, Event{
+	t.recordLocked(Event{
 		Track: track, Cat: cat, Name: name,
 		Start: start, End: end, Args: args,
 	})
@@ -180,41 +204,23 @@ func (t *Tracer) Instant(track, cat, name string, at simtime.Time, args ...Label
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.tid(track)
-	t.events = append(t.events, Event{
+	t.recordLocked(Event{
 		Track: track, Cat: cat, Name: name,
 		Start: at, End: at, Instant: true, Args: args,
 	})
 }
 
-// Len returns the number of recorded events.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
+// Len returns the number of retained events.
+func (t *Tracer) Len() int { return len(t.Events()) }
 
-// Events returns a snapshot of the recorded events in record order.
+// Events returns a snapshot of the retained events in record order.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
-}
-
-// Tracks returns the track names in tid order.
-func (t *Tracer) Tracks() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]string(nil), t.tracks...)
+	return append(slices.Concat(t.segs...), t.open...)
 }
 
 // Span records a completed span via the bundled tracer; nil-safe.

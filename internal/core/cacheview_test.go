@@ -44,7 +44,7 @@ func TestRetainedOutputSurvivesCacheChurn(t *testing.T) {
 				q := mk()
 				mr := newRig(4, 1)
 				mr.Workers = workers
-				eng := core.MustNewEngine(core.Config{MR: mr, Query: q, CacheDiskLimit: 1})
+				eng := mustEngine(t, core.Config{MR: mr, Query: q, CacheDiskLimit: 1})
 				var kept, want []records.Pair
 				recoveries, fed := 0, 0
 				for r := 0; r < 10; r++ {
@@ -185,7 +185,7 @@ func TestReduceInputsAreStoredSorted(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			eng := core.MustNewEngine(core.Config{MR: newRig(4, 1), Query: c.q})
+			eng := mustEngine(t, core.Config{MR: newRig(4, 1), Query: c.q})
 			if err := eng.ForceProactive(c.subPanes); err != nil {
 				t.Fatal(err)
 			}
@@ -239,8 +239,8 @@ func TestCachesOwnNothingOfTheirInputs(t *testing.T) {
 			mr, twinMR := newRig(4, 1), newRig(4, 1)
 			mr.Workers, twinMR.Workers = workers, workers
 			q := viewQuery("agg")
-			eng := core.MustNewEngine(core.Config{MR: mr, Query: q})
-			twin := core.MustNewEngine(core.Config{MR: twinMR, Query: viewQuery("agg")}) // never disturbed
+			eng := mustEngine(t, core.Config{MR: mr, Query: q})
+			twin := mustEngine(t, core.Config{MR: twinMR, Query: viewQuery("agg")}) // never disturbed
 			fed := 0
 			feed := func(r int) {
 				for ; int64(fed)*int64(testSlide) < q.Spec().WindowClose(r); fed++ {

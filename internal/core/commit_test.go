@@ -87,7 +87,7 @@ func recordCommits(e *Engine, into *[]commit) {
 	})
 }
 
-func newSeamRun(q *Query, workers int, limit int64, withReuse bool, setup func(*Engine)) *seamRun {
+func newSeamRun(t testing.TB, q *Query, workers int, limit int64, withReuse bool, setup func(*Engine)) *seamRun {
 	mr := internalRig(3, 17)
 	mr.Workers = workers
 	r := &seamRun{ledger: account.New()}
@@ -96,7 +96,7 @@ func newSeamRun(q *Query, workers int, limit int64, withReuse bool, setup func(*
 	if withReuse {
 		cfg.Reuse = reuse.NewIndex(0)
 	}
-	r.eng = MustNewEngine(cfg)
+	r.eng = mustEngine(t, cfg)
 	recordCommits(r.eng, &r.stream)
 	if setup != nil {
 		setup(r.eng)
@@ -148,7 +148,7 @@ var seamScenarios = []struct {
 		name: "agg",
 		run: func(t *testing.T, workers int, setup func(*Engine)) *seamRun {
 			win, slide := 40*simtime.Second, 10*simtime.Second
-			r := newSeamRun(internalCountQuery(win, slide), workers, 0, true, setup)
+			r := newSeamRun(t, internalCountQuery(win, slide), workers, 0, true, setup)
 			r.drive(t, 6, slide, func(_, s int) []records.Record { return internalWords(19, slide, s, 300, 8) }, nil)
 			return r
 		},
@@ -159,7 +159,7 @@ var seamScenarios = []struct {
 		name: "join",
 		run: func(t *testing.T, workers int, setup func(*Engine)) *seamRun {
 			win, slide := 30*simtime.Second, 10*simtime.Second
-			r := newSeamRun(internalJoinQuery(win, slide), workers, 0, false, setup)
+			r := newSeamRun(t, internalJoinQuery(win, slide), workers, 0, false, setup)
 			r.drive(t, 5, slide, func(src, s int) []records.Record { return internalKV(int64(23+src), slide, s, 120, 6) }, nil)
 			return r
 		},
@@ -169,7 +169,7 @@ var seamScenarios = []struct {
 		name: "chaos",
 		run: func(t *testing.T, workers int, setup func(*Engine)) *seamRun {
 			win, slide := 40*simtime.Second, 10*simtime.Second
-			r := newSeamRun(internalCountQuery(win, slide), workers, 300, false, setup)
+			r := newSeamRun(t, internalCountQuery(win, slide), workers, 300, false, setup)
 			r.drive(t, 8, slide, func(_, s int) []records.Record { return internalWords(19, slide, s, 300, 8) },
 				func(rec int) {
 					if rec == 3 || rec == 5 {
@@ -291,7 +291,7 @@ func TestCommitExactlyOnce(t *testing.T) {
 // nothing but the recurrence's final commit — a cache transition costs
 // a call and no allocation.
 func TestCommitFreeWithoutSidecars(t *testing.T) {
-	eng := MustNewEngine(Config{MR: internalRig(3, 17), Query: internalCountQuery(40*simtime.Second, 10*simtime.Second)})
+	eng := mustEngine(t, Config{MR: internalRig(3, 17), Query: internalCountQuery(40*simtime.Second, 10*simtime.Second)})
 	if len(eng.folds) != 1 {
 		t.Fatalf("engine without sidecars has %d consumers, want only health", len(eng.folds))
 	}
@@ -326,7 +326,7 @@ func TestReplacementBookkeepingBounded(t *testing.T) {
 	for _, limit := range []int64{0, 1 << 40} {
 		t.Run(fmt.Sprintf("limit%d", limit), func(t *testing.T) {
 			q := internalCountQuery(win, slide)
-			eng := MustNewEngine(Config{MR: internalRig(3, 17), Query: q, CacheDiskLimit: limit})
+			eng := mustEngine(t, Config{MR: internalRig(3, 17), Query: q, CacheDiskLimit: limit})
 			fed := 0
 			for rec := 0; rec < 200; rec++ {
 				for ; int64(fed)*int64(slide) < q.Spec().WindowClose(rec); fed++ {
@@ -375,7 +375,7 @@ func (k commitKind) String() string {
 // were never packed. Only an accepted batch is committed.
 func TestRejectedBatchLeavesNoProvenance(t *testing.T) {
 	win, slide := 40*simtime.Second, 10*simtime.Second
-	r := newSeamRun(internalCountQuery(win, slide), 1, 0, false, nil)
+	r := newSeamRun(t, internalCountQuery(win, slide), 1, 0, false, nil)
 	gen := func(_, s int) []records.Record { return internalWords(19, slide, s, 300, 8) }
 	r.drive(t, 2, slide, gen, nil)
 	batches, ingested := r.eng.lin.Stats().Batches, kindCounts(r.stream)[kindIngested]

@@ -368,15 +368,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// MustNewEngine is NewEngine that panics on error.
-func MustNewEngine(cfg Config) *Engine {
-	e, err := NewEngine(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // Query returns the engine's query.
 func (e *Engine) Query() *Query { return e.query }
 

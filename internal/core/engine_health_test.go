@@ -46,7 +46,7 @@ func TestEngineHealthTracking(t *testing.T) {
 	o := obs.New()
 	mon.SetObserver(o)
 	q := countQuery("hq", testWin, testSlide, "")
-	eng := core.MustNewEngine(core.Config{MR: newRig(4, 3), Query: q, Health: mon})
+	eng := mustEngine(t, core.Config{MR: newRig(4, 3), Query: q, Health: mon})
 	gen := func(_, s int) []records.Record { return genWords(50, testSlide, s, 400, 25) }
 	feedAndRun(t, eng, q, 5, gen)
 
@@ -95,7 +95,7 @@ func TestEngineHealthTracking(t *testing.T) {
 func TestEngineHealthTumblingWindow(t *testing.T) {
 	// slide == win: every pane is new, none reused, deadline == win.
 	q := countQuery("tumble", testSlide, testSlide, "")
-	eng := core.MustNewEngine(core.Config{MR: newRig(4, 4), Query: q})
+	eng := mustEngine(t, core.Config{MR: newRig(4, 4), Query: q})
 	gen := func(_, s int) []records.Record { return genWords(60, testSlide, s, 200, 20) }
 	rres := feedAndRun(t, eng, q, 4, gen)
 	for i, rr := range rres {
@@ -120,7 +120,7 @@ func TestEngineHealthWindowLagBacklog(t *testing.T) {
 	// packed pane outruns the covered unit, so the watermark distance
 	// is positive after recurrence 0.
 	q := countQuery("lagq", testWin, testSlide, "")
-	eng := core.MustNewEngine(core.Config{MR: newRig(4, 5), Query: q})
+	eng := mustEngine(t, core.Config{MR: newRig(4, 5), Query: q})
 	spec := q.Spec()
 	// 9 slides = 3 windows of data, but only window 0 runs.
 	for s := 0; s < 9; s++ {
@@ -143,7 +143,7 @@ func TestEngineHealthDefaultMonitor(t *testing.T) {
 	// Without a Config.Health the engine still tracks health on a
 	// private monitor reachable via Health().
 	q := countQuery("solo", testWin, testSlide, "")
-	eng := core.MustNewEngine(core.Config{MR: newRig(2, 6), Query: q})
+	eng := mustEngine(t, core.Config{MR: newRig(2, 6), Query: q})
 	gen := func(_, s int) []records.Record { return genWords(80, testSlide, s, 150, 10) }
 	feedAndRun(t, eng, q, 2, gen)
 	mon := eng.Health()
@@ -165,8 +165,8 @@ func TestEngineHealthSharedMonitorAcrossEngines(t *testing.T) {
 	mon := health.NewMonitor(health.DefaultConfig())
 	qa := countQuery("dup", testWin, testSlide, "")
 	qb := countQuery("dup", testWin, testSlide, "")
-	ea := core.MustNewEngine(core.Config{MR: newRig(2, 7), Query: qa, Health: mon})
-	eb := core.MustNewEngine(core.Config{MR: newRig(2, 8), Query: qb, Health: mon})
+	ea := mustEngine(t, core.Config{MR: newRig(2, 7), Query: qa, Health: mon})
+	eb := mustEngine(t, core.Config{MR: newRig(2, 8), Query: qb, Health: mon})
 	gen := func(_, s int) []records.Record { return genWords(90, testSlide, s, 120, 10) }
 	feedAndRun(t, ea, qa, 2, gen)
 	feedAndRun(t, eb, qb, 3, gen)
@@ -201,7 +201,7 @@ func TestEngineHealthSlowRecurrenceEscalates(t *testing.T) {
 	o := obs.New()
 	mon.SetObserver(o)
 	q := countQuery("spiky", testWin, testSlide, "")
-	eng := core.MustNewEngine(core.Config{MR: newRig(2, 9), Query: q, Health: mon})
+	eng := mustEngine(t, core.Config{MR: newRig(2, 9), Query: q, Health: mon})
 	gen := func(_, s int) []records.Record {
 		n := 200
 		if s >= 6 {
@@ -258,7 +258,7 @@ func TestEngineHealthCountBasedNoDeadline(t *testing.T) {
 		Merge:       sumReduce,
 		NumReducers: 1,
 	}
-	eng := core.MustNewEngine(core.Config{MR: newRig(2, 10), Query: q})
+	eng := mustEngine(t, core.Config{MR: newRig(2, 10), Query: q})
 	// Count-based units are record indexes, not timestamps.
 	rec := func(i int) records.Record {
 		return records.Record{Ts: int64(i), Data: []byte("w" + string(rune('a'+i%5)))}

@@ -30,6 +30,16 @@ func internalRig(workers int, seed int64) *mapreduce.Engine {
 	return mapreduce.MustNew(cl, d, iocost.Default())
 }
 
+// mustEngine is NewEngine for a configuration the test knows is valid.
+func mustEngine(t testing.TB, cfg Config) *Engine {
+	t.Helper()
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func internalCountQuery(win, slide simtime.Duration) *Query {
 	sum := func(key []byte, values [][]byte, emit mapreduce.Emitter) {
 		total := 0
@@ -65,13 +75,57 @@ func internalWords(seed int64, slide simtime.Duration, slideIdx, n, vocab int) [
 	return out
 }
 
+// TestSegmentPhasesKeepTheSortedMark: a proactive pane is several
+// segments. Each segment's committed map phase, what a sub-pane reduce
+// runs on, keeps the map side's sorted mark; the pane's merge of them,
+// what the join's cache build and a whole-pane reduce read, drops it.
+func TestSegmentPhasesKeepTheSortedMark(t *testing.T) {
+	win, slide := 30*simtime.Second, 10*simtime.Second
+	eng := mustEngine(t, Config{MR: internalRig(3, 9), Query: internalCountQuery(win, slide)})
+	if err := eng.ForceProactive(3); err != nil {
+		t.Fatal(err)
+	}
+	for fed := 0; fed < 3; fed++ {
+		if err := eng.Ingest(0, internalWords(61, slide, fed, 200, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := eng.RunNext()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp := eng.preparePane(0, res.WindowHi)
+	if pp.err != nil || len(pp.preps) < 2 {
+		t.Fatalf("pane %d: %d segments (%v), want several", res.WindowHi, len(pp.preps), pp.err)
+	}
+	for i, prep := range pp.preps {
+		mp, err := eng.mr.CommitMapPhase(prep, res.TriggerAt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mp.PartsSorted() {
+			t.Fatalf("segment %d's map phase is not marked sorted", i)
+		}
+		mp.Release()
+	}
+	var stats mapreduce.Stats
+	merged, err := eng.commitPaneMapPhase(0, res.WindowHi, res.TriggerAt, eng.preparePane(0, res.WindowHi), &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.PartsSorted() {
+		t.Fatal("the merge of a pane's segments kept the sorted mark")
+	}
+	merged.Release()
+}
+
 // Expired caches must actually leave the task nodes: run enough
 // windows and verify early panes' caches are purged while the current
 // window's survive.
 func TestExpiredCachesArePurged(t *testing.T) {
 	win, slide := 30*simtime.Second, 10*simtime.Second
 	q := internalCountQuery(win, slide)
-	eng := MustNewEngine(Config{MR: internalRig(3, 9), Query: q})
+	eng := mustEngine(t, Config{MR: internalRig(3, 9), Query: q})
 	fed := 0
 	for r := 0; r < 6; r++ {
 		for ; fed < 3+r; fed++ {
@@ -119,7 +173,7 @@ func TestExpiredCachesArePurged(t *testing.T) {
 func TestDumpDuringRetirement(t *testing.T) {
 	win, slide := 30*simtime.Second, 10*simtime.Second
 	q := internalCountQuery(win, slide)
-	eng := MustNewEngine(Config{MR: internalRig(3, 9), Query: q})
+	eng := mustEngine(t, Config{MR: internalRig(3, 9), Query: q})
 	stop, done := make(chan struct{}), make(chan struct{})
 	dumps := 0
 	go func() {
@@ -163,7 +217,7 @@ func TestDumpDuringRetirement(t *testing.T) {
 func TestTaskListsDrainAfterRecurrence(t *testing.T) {
 	win, slide := 30*simtime.Second, 10*simtime.Second
 	q := internalCountQuery(win, slide)
-	eng := MustNewEngine(Config{MR: internalRig(2, 2), Query: q})
+	eng := mustEngine(t, Config{MR: internalRig(2, 2), Query: q})
 	for s := 0; s < 3; s++ {
 		if err := eng.Ingest(0, internalWords(5, slide, s, 100, 6)); err != nil {
 			t.Fatal(err)

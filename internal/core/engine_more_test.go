@@ -31,7 +31,7 @@ func TestEngineWithUndersizedPlan(t *testing.T) {
 func TestUndersizedPlanActuallyShares(t *testing.T) {
 	q := countQuery("agg", testWin, testSlide, "")
 	q.Sources[0].RateBytesPerUnit = 100.0 / float64(testSlide)
-	eng := core.MustNewEngine(core.Config{MR: newRig(3, 21), Query: q})
+	eng := mustEngine(t, core.Config{MR: newRig(3, 21), Query: q})
 	if got := eng.Plans()[0].PanesPerFile; got < 2 {
 		t.Fatalf("plan should pack panes, got %d per file", got)
 	}
@@ -73,7 +73,7 @@ func TestCountBasedWindows(t *testing.T) {
 		}
 		return out
 	}
-	eng := core.MustNewEngine(core.Config{MR: newRig(3, 31), Query: mkQuery()})
+	eng := mustEngine(t, core.Config{MR: newRig(3, 31), Query: mkQuery()})
 	fed := 0
 	for r := 0; r < 4; r++ {
 		for ; fed < 3+r; fed++ {
@@ -142,8 +142,8 @@ func TestSharedKeyDifferentWindowsIsolated(t *testing.T) {
 	ctrl := core.NewController()
 	q1 := countQuery("agg1", 30*simtime.Second, 10*simtime.Second, "src")
 	q2 := countQuery("agg2", 40*simtime.Second, 20*simtime.Second, "src")
-	e1 := core.MustNewEngine(core.Config{MR: mr, Query: q1, Controller: ctrl})
-	e2 := core.MustNewEngine(core.Config{MR: mr, Query: q2, Controller: ctrl})
+	e1 := mustEngine(t, core.Config{MR: mr, Query: q1, Controller: ctrl})
+	e2 := mustEngine(t, core.Config{MR: mr, Query: q2, Controller: ctrl})
 
 	gen := func(s int) []records.Record { return genWords(91, 10*simtime.Second, s, 200, 9) }
 	for s := 0; s < 4; s++ {
@@ -185,7 +185,7 @@ func TestSharedKeyDifferentWindowsIsolated(t *testing.T) {
 // without unbounded growth.
 func TestLongRunBoundedCaches(t *testing.T) {
 	q := countQuery("agg", testWin, testSlide, "")
-	eng := core.MustNewEngine(core.Config{MR: newRig(3, 61), Query: q})
+	eng := mustEngine(t, core.Config{MR: newRig(3, 61), Query: q})
 	gen := func(s int) []records.Record { return genWords(95, testSlide, s, 150, 8) }
 	fed := 0
 	var sizes []int64
@@ -548,7 +548,7 @@ func TestCustomPartitioner(t *testing.T) {
 // Engine accessors exist for operational tooling; smoke them.
 func TestEngineAccessors(t *testing.T) {
 	q := countQuery("acc", testWin, testSlide, "")
-	eng := core.MustNewEngine(core.Config{MR: newRig(2, 71), Query: q})
+	eng := mustEngine(t, core.Config{MR: newRig(2, 71), Query: q})
 	if eng.Query() != q || eng.Controller() == nil || eng.Scheduler() == nil ||
 		eng.Profiler() == nil || eng.Matrix() == nil {
 		t.Error("accessors should be wired")

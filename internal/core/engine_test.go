@@ -31,6 +31,16 @@ func newRig(workers int, seed int64) *mapreduce.Engine {
 	return newRigCost(workers, seed, cost)
 }
 
+// mustEngine is core.NewEngine for a configuration the test knows is valid.
+func mustEngine(t testing.TB, cfg core.Config) *core.Engine {
+	t.Helper()
+	eng, err := core.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func newRigCost(workers int, seed int64, cost iocost.Model) *mapreduce.Engine {
 	// Two map and two reduce slots per worker with 32 KiB blocks keep
 	// the slot count well below the window's block count, so map waves
@@ -206,7 +216,7 @@ func runBoth(t *testing.T, q *core.Query, qb *core.Query, windows int, adaptive 
 	gen func(src, slideIdx int) []records.Record,
 	between func(r int, eng *core.Engine)) ([]*core.RecurrenceResult, []*baseline.Result) {
 	t.Helper()
-	eng := core.MustNewEngine(core.Config{MR: newRig(4, 1), Query: q, Adaptive: adaptive})
+	eng := mustEngine(t, core.Config{MR: newRig(4, 1), Query: q, Adaptive: adaptive})
 	drv, err := baseline.NewDriver(newRig(4, 1), qb)
 	if err != nil {
 		t.Fatal(err)
@@ -419,7 +429,7 @@ func TestAdaptiveEngineSubdividesUnderSpike(t *testing.T) {
 	slow.ReduceCPUBps /= 20000
 	slow.SortBps /= 20000
 	slow.TaskOverhead = 10 * time.Millisecond
-	eng := core.MustNewEngine(core.Config{MR: newRigCost(2, 3, slow), Query: q, Adaptive: true})
+	eng := mustEngine(t, core.Config{MR: newRigCost(2, 3, slow), Query: q, Adaptive: true})
 	spec := q.Spec()
 	slidesPerWin := int(spec.PanesPerWindow() / spec.PanesPerSlide())
 	fed := 0
@@ -469,8 +479,8 @@ func TestCrossQueryCacheSharing(t *testing.T) {
 	ctrl := core.NewController()
 	q1 := countQuery("agg1", testWin, testSlide, "clicks")
 	q2 := countQuery("agg2", testWin, testSlide, "clicks")
-	e1 := core.MustNewEngine(core.Config{MR: mr, Query: q1, Controller: ctrl})
-	e2 := core.MustNewEngine(core.Config{MR: mr, Query: q2, Controller: ctrl})
+	e1 := mustEngine(t, core.Config{MR: mr, Query: q1, Controller: ctrl})
+	e2 := mustEngine(t, core.Config{MR: mr, Query: q2, Controller: ctrl})
 
 	gen := func(s int) []records.Record { return genWords(53, testSlide, s, 300, 10) }
 	for s := 0; s < 3; s++ {
@@ -518,7 +528,7 @@ func TestEngineValidation(t *testing.T) {
 }
 
 func TestIngestValidation(t *testing.T) {
-	eng := core.MustNewEngine(core.Config{MR: newRig(2, 1), Query: countQuery("agg", testWin, testSlide, "")})
+	eng := mustEngine(t, core.Config{MR: newRig(2, 1), Query: countQuery("agg", testWin, testSlide, "")})
 	if err := eng.Ingest(5, nil); err == nil {
 		t.Error("bad source index should fail")
 	}
@@ -526,7 +536,7 @@ func TestIngestValidation(t *testing.T) {
 
 func TestRecurrenceMetadata(t *testing.T) {
 	q := countQuery("agg", testWin, testSlide, "")
-	eng := core.MustNewEngine(core.Config{MR: newRig(2, 7), Query: q})
+	eng := mustEngine(t, core.Config{MR: newRig(2, 7), Query: q})
 	for s := 0; s < 3; s++ {
 		eng.Ingest(0, genWords(3, testSlide, s, 100, 5))
 	}

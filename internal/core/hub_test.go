@@ -153,8 +153,8 @@ func TestSharedSourceTwoEngines(t *testing.T) {
 		q.Sources[0].CacheKey = "clicks"
 		return q
 	}
-	e1 := MustNewEngine(Config{MR: mr, Query: mkQuery("q1", 30*simtime.Second), Controller: ctrl, Hub: hub})
-	e2 := MustNewEngine(Config{MR: mr, Query: mkQuery("q2", 50*simtime.Second), Controller: ctrl, Hub: hub})
+	e1 := mustEngine(t, Config{MR: mr, Query: mkQuery("q1", 30*simtime.Second), Controller: ctrl, Hub: hub})
+	e2 := mustEngine(t, Config{MR: mr, Query: mkQuery("q2", 50*simtime.Second), Controller: ctrl, Hub: hub})
 
 	if err := e1.Ingest(0, nil); err == nil {
 		t.Fatal("direct ingest into a shared source must fail")

@@ -169,25 +169,23 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 		return nil, false, recovered, err
 	}
 
-	// The per-partition sort + encode is pure compute; fan it out
-	// before the serial shuffle-accounting pass. The cache is stored
-	// sorted so pane-tuple joins later merge sorted runs instead of
-	// re-sorting: the sort is paid once here, at cache-build time. It
-	// runs in place — mp is this call's own merged map result and
-	// nothing reads its partitions afterwards.
+	// The per-partition encode is pure compute; fan it out before the
+	// serial shuffle-accounting pass. The cache is stored sorted, as a pane
+	// of one segment is mapped, so pane-tuple joins merge sorted runs; a
+	// merge of segments is sorted here, in place (nothing reads mp after).
 	sortedData := make([][]byte, R)
 	inSizes := make([]int64, R)
-	groupers := e.mr.Groupers(mp.Parts)
-	parallel.ForWorker(len(groupers), R, func(worker, part int) {
+	parallel.For(e.mr.WorkerCount(), R, func(part int) {
 		input := mp.Parts[part]
 		inSizes[part] = records.PairsSize(input)
 		if inSizes[part] == 0 {
 			return
 		}
-		groupers[worker].Group(input) // into SortPairs order; the groups are not needed
+		if !mp.PartsSorted() {
+			mapreduce.SortPairs(input)
+		}
 		sortedData[part] = colfmt.EncodePairs(input)
 	})
-	e.mr.PutGroupers(groupers)
 	mp.Release() // the encodes are the caches; the matrix and wave bounds below stay
 
 	// Map cost is paid once for the whole pane; each live partition's

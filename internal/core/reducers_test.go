@@ -98,7 +98,7 @@ func residentCaches(ctrl *core.Controller) map[string][]byte {
 func runEmitTrace(t *testing.T, q, qb *core.Query, subPanes int, between func(r int, mr *mapreduce.Engine)) emitTrace {
 	t.Helper()
 	mr := newRig(4, 1)
-	eng := core.MustNewEngine(core.Config{MR: mr, Query: q, Lineage: lineage.New(0)})
+	eng := mustEngine(t, core.Config{MR: mr, Query: q, Lineage: lineage.New(0)})
 	if err := eng.ForceProactive(subPanes); err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +251,8 @@ func runReuseMerge(t *testing.T, rs reducers) (emitTrace, int) {
 		t.Fatal(err)
 	}
 	engs := []*core.Engine{
-		core.MustNewEngine(core.Config{MR: mr, Query: fine, Controller: ctrl, Hub: hub, Reuse: idx, Account: acct}),
-		core.MustNewEngine(core.Config{MR: mr, Query: roll, Controller: ctrl, Hub: hub, Reuse: idx, Account: acct}),
+		mustEngine(t, core.Config{MR: mr, Query: fine, Controller: ctrl, Hub: hub, Reuse: idx, Account: acct}),
+		mustEngine(t, core.Config{MR: mr, Query: roll, Controller: ctrl, Hub: hub, Reuse: idx, Account: acct}),
 	}
 	var tr emitTrace
 	fed := 0

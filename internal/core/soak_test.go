@@ -99,7 +99,7 @@ func TestSoakStaysFlat(t *testing.T) {
 			if c.observed {
 				cfg = observed(cfg)
 			}
-			eng := MustNewEngine(cfg)
+			eng := mustEngine(t, cfg)
 			var at1000 soakSize
 			fed := 0
 			for rec := 0; rec < 2000; rec++ {

@@ -230,8 +230,9 @@ func (e *Engine) SplitsOf(inputs []Input) ([]Split, error) {
 // MapPhaseResult carries the output of RunMapPhase into the shuffle and
 // reduce phases.
 type MapPhaseResult struct {
-	// Parts holds, per reduce partition, the concatenated map output in
-	// split order. RunReducePhase sorts each partition in place.
+	// Parts holds, per reduce partition, the map output: in SortPairs
+	// order when PartsSorted, else a merge's phases one after another,
+	// which RunReducePhase sorts in place.
 	Parts [][]records.Pair
 	// PartSrcBytes records, per partition, how many intermediate bytes
 	// each mapper node produced — the matrix the shuffle model charges
@@ -246,10 +247,15 @@ type MapPhaseResult struct {
 	// Spans are the winning map attempts' span IDs, in split order —
 	// the dependency edges downstream shuffle/reduce spans record.
 	// Empty when no observer is attached.
-	Spans []obs.SpanID
-	out   []records.Pair // the array Parts views, owned until Release or a merge takes it
-	from  *Engine        // whose free list out goes back to
+	Spans  []obs.SpanID
+	out    []records.Pair // the array Parts views, owned until Release or a merge takes it
+	from   *Engine        // whose free list out goes back to
+	sorted bool           // PartsSorted
 }
+
+// PartsSorted reports whether every partition is in SortPairs order, as a
+// committed phase and a merge that took over a sole live phase leave it.
+func (mp *MapPhaseResult) PartsSorted() bool { return mp.sorted }
 
 // Release hands the map-output array back, cleared, for a later
 // PrepareMapPhase of the same engine once nothing reads Parts or a view
@@ -287,9 +293,9 @@ func newMapPhaseResult(reducers int, ready simtime.Time) *MapPhaseResult {
 // source-byte matrices summed, and the wave bounds widened. Redoop uses
 // it to fuse per-segment (proactive sub-pane) map phases; the baseline
 // driver uses it to fuse per-source map phases of a join. The result
-// takes over the array, partitions and matrix of a sole phase that ran
-// any task; otherwise each merged partition is sized first and written
-// once, and the phases keep their arrays.
+// takes over the array, partitions, matrix and PartsSorted of a sole
+// phase that ran any task; otherwise each merged partition is sized first
+// and written once, unsorted, and the phases keep their arrays.
 func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *MapPhaseResult {
 	out := newMapPhaseResult(reducers, ready)
 	var live []*MapPhaseResult
@@ -308,7 +314,7 @@ func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *Map
 	}
 	if len(live) == 1 {
 		out.Parts, out.PartSrcBytes, out.Spans = live[0].Parts, live[0].PartSrcBytes, live[0].Spans
-		out.out, out.from, live[0].out = live[0].out, live[0].from, nil
+		out.out, out.from, out.sorted, live[0].out = live[0].out, live[0].from, live[0].sorted, nil
 		return out
 	}
 	for r := range out.Parts {
@@ -339,10 +345,8 @@ func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *Map
 type MapPhasePrep struct {
 	job    *Job
 	splits []Split
-	// parts is the map output per reduce partition, every split's share
-	// in split order: views of out, sized from the emission counts.
-	parts [][]records.Pair
-	out   []records.Pair
+	parts  [][]records.Pair // per reduce partition in SortPairs order: views of out
+	out    []records.Pair
 	// partBytes[i*R+r] is the encoded size of what split i emitted
 	// (after combining) into partition r.
 	partBytes []int64
@@ -351,24 +355,15 @@ type MapPhasePrep struct {
 	workers []int
 }
 
-// staged is one emitted pair and the reduce partition it goes to. Each
-// split's emissions are staged, in its share of a recycled array, until
-// the phase's counts are complete.
-type staged struct {
-	records.Pair
-	part int32
-}
-
 // PrepareMapPhase runs phase 1 of a map phase: split enumeration, file
 // validation (parallel per input file), and the user map + combine +
 // partition per split (parallel per split, up to Workers goroutines),
-// each record read off the file's columns as it is mapped.
-// Emissions are staged and counted per (split, partition); once every
-// split has run, the whole output is borrowed as one array (see
-// Release) and each pair placed where it stays — nothing downstream
-// appends to it or measures it again. It touches no node timeline and
-// emits no metrics, so distinct prepares may overlap; all scheduling
-// happens later in CommitMapPhase.
+// each record read off the file's columns as it is mapped, each key
+// looked up once in its worker's keyTable and staged as a number. Then the
+// output is borrowed as one array (see Release) and each pair placed where
+// it stays, in SortPairs order: Hadoop's map-side sort (place). It touches
+// no node timeline and emits no metrics, so distinct prepares may overlap;
+// all scheduling happens later in CommitMapPhase.
 func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
@@ -390,52 +385,31 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 		return nil, err
 	}
 
-	R := job.NumReducers
-	part := job.partitioner()
-	workers := e.WorkerCount()
-	counts := make([]int, len(splits)*R)
+	R, workers := job.NumReducers, e.WorkerCount()
 	prep.partBytes = make([]int64, len(splits)*R)
 	prep.workers = make([]int, len(splits))
-	// Each split stages into its own share of one array sized, before the
-	// first Map call, for the common mapper: one emission per record. A
-	// split that emits more outgrows its share; a combiner's starts empty.
-	stages := make([][]staged, len(splits))
-	shared, n := e.scratch.stages.get(0), 0
-	var groupers []Grouper // one per worker, for the combiner
-	if job.Combine != nil {
-		groupers = make([]Grouper, workers)
-	} else {
-		for _, sp := range spans {
-			n += sp.Hi - sp.Lo
-		}
-		if cap(shared) < n { // a recurrence's first phase: sized exactly, not regrown
-			shared = make([]staged, n)
-		}
-		rest := shared[:n]
-		for i := range splits {
-			m := 0
-			for _, sp := range spans[starts[i]:starts[i+1]] {
-				m += sp.Hi - sp.Lo
-			}
-			stages[i], rest = rest[:0:m], rest[m:]
+	// Split i stages into its share, share[i] to share[i+1], of an array
+	// of key numbers sized for one emission per record; more outgrows it.
+	stages, share := make([]stage, len(splits)), make([]int, len(splits)+1)
+	for i := 0; job.Combine == nil && i < len(splits); i++ { // a combiner's shares are empty
+		share[i+1] = share[i]
+		for _, sp := range spans[starts[i]:starts[i+1]] {
+			share[i+1] += sp.Hi - sp.Lo
 		}
 	}
+	n := share[len(splits)]
+	ids, tabs := e.scratch.ids.get(n), e.scratch.tables.get(workers)
+	for w := range tabs { // sized for as many keys as records, up to a pane's thousand or so
+		tabs[w].part, tabs[w].r, tabs[w].hint = job.partitioner(), R, min(n, 1024)
+	}
 	parallel.ForWorker(workers, len(splits), func(worker, i int) {
-		stage := &stages[i]
-		cnt, size := counts[i*R:(i+1)*R], prep.partBytes[i*R:(i+1)*R]
-		var whole [][]records.Pair // a combiner needs each partition whole
-		if job.Combine != nil {
-			whole = make([][]records.Pair, R)
-		}
+		st, tab, lo, hi := &stages[i], &tabs[worker], share[i], share[i+1]
+		st.ids, st.worker = ids[lo:lo:hi], worker
+		size := prep.partBytes[i*R : (i+1)*R]
 		emit := func(k, v []byte) {
-			p, r := records.Pair{Key: k, Value: v}, part(k, R)
-			if whole != nil {
-				whole[r] = append(whole[r], p)
-				return
-			}
-			*stage = append(*stage, staged{p, int32(r)})
-			cnt[r]++
-			size[r] += records.PairSize(p)
+			id := tab.id(k, i)
+			st.add(id, v)
+			size[tab.keys[id].part] += records.PairSize(records.Pair{Key: k, Value: v})
 		}
 		// Execute the user map once; attempts re-charge time only.
 		for _, sp := range spans[starts[i]:starts[i+1]] {
@@ -444,50 +418,35 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 				job.Map(ts, payload, emit)
 			}
 		}
-		for r, ps := range whole {
-			if len(ps) > 1 {
-				g := &groupers[worker]
-				_, ps = g.Reduce(job.Combine, g.Group(ps))
-			}
-			for _, p := range ps { // combined pairs stay in their partition
-				*stage = append(*stage, staged{p, int32(r)})
-				cnt[r]++
-				size[r] += records.PairSize(p)
+		if job.Combine != nil { // the split's pairs give way to what the combiner makes of them
+			raw := *st
+			raw.worker, *st = 0, stage{ids: st.ids[:0], worker: worker}
+			clear(size)
+			for _, part := range place([]stage{raw}, tabs[worker:worker+1], R, make([]records.Pair, len(raw.ids))) {
+				if len(part) > 1 { // a partition the split gave one pair keeps it as it is
+					part = ReduceGroups(job.Combine, GroupSorted(part))
+				}
+				for _, p := range part {
+					emit(p.Key, p.Value)
+				}
 			}
 		}
 		prep.workers[i] = worker
 	})
 
-	// Lay the output out: partition r's pairs start where partition
-	// r-1's end, split i's share of them where split i-1's ends. counts
-	// turns from lengths into those start positions.
-	ends := make([]int, R)
 	total := 0
-	for r := range ends {
-		for i := range splits {
-			c := counts[i*R+r]
-			counts[i*R+r] = total
-			total += c
-		}
-		ends[r] = total
+	for _, st := range stages {
+		total += len(st.ids)
 	}
 	prep.out = e.scratch.outs.get(total)
-	all := prep.out
-	prep.parts = make([][]records.Pair, R)
-	for r, lo := 0, 0; r < R; lo, r = ends[r], r+1 {
-		if hi := ends[r]; hi > lo {
-			prep.parts[r] = all[lo:hi:hi]
-		}
+	prep.parts = place(stages, tabs, R, prep.out)
+	for w := range tabs { // recycled tables must not pin this phase's keys
+		clear(tabs[w].keys)
+		clear(tabs[w].slots)
+		tabs[w].keys = tabs[w].keys[:0]
 	}
-	parallel.For(workers, len(splits), func(i int) {
-		next := counts[i*R : (i+1)*R] // a stable counting-sort pass by partition
-		for _, s := range stages[i] {
-			all[next[s.part]] = s.Pair
-			next[s.part]++
-		}
-	})
-	clear(shared[:n]) // a recycled stage must not pin this phase's keys and values
-	e.scratch.stages.put(shared)
+	e.scratch.ids.put(ids)
+	e.scratch.tables.put(tabs)
 	return prep, nil
 }
 
@@ -503,7 +462,7 @@ func (e *Engine) CommitMapPhase(prep *MapPhasePrep, ready simtime.Time) (*MapPha
 	if len(prep.splits) == 0 {
 		return res, nil
 	}
-	res.Parts, res.out, res.from, prep.out = prep.parts, prep.out, e, nil
+	res.Parts, res.out, res.from, res.sorted, prep.out = prep.parts, prep.out, e, true, nil
 	for i, s := range prep.splits {
 		sizes := prep.partBytes[i*R : (i+1)*R]
 		var outBytes int64
@@ -733,8 +692,8 @@ type ReducerResult struct {
 // ready time; slots and shuffle completion push actual starts later).
 // The sort/group/reduce compute fans out across Workers goroutines, one
 // Grouper each; placement, shuffle modelling, and slot accounting then
-// replay serially in partition order. Each partition of mp is sorted in
-// place (SortPairs order) and becomes its reducer's Input; the reducer's
+// replay serially in partition order. Each partition of mp, sorted in
+// place unless PartsSorted, becomes its reducer's Input; the reducer's
 // emits are encoded as they come (Grouper.Reduce), its OutData.
 func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time) ([]ReducerResult, Stats, error) {
 	if err := job.Validate(); err != nil {
@@ -757,7 +716,11 @@ func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time
 	parallel.ForWorker(len(groupers), len(live), func(worker, i int) {
 		rr, g := &results[i], &groupers[worker]
 		rr.Part, rr.Input = live[i], mp.Parts[live[i]]
-		rr.OutData, rr.Output = g.Reduce(job.Reduce, g.Group(rr.Input))
+		group := g.Group
+		if mp.sorted {
+			group = g.Sorted
+		}
+		rr.OutData, rr.Output = g.Reduce(job.Reduce, group(rr.Input))
 		for _, b := range mp.PartSrcBytes[rr.Part] {
 			rr.InBytes += b
 		}

@@ -2,9 +2,12 @@ package mapreduce
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"hash/maphash"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"redoop/internal/colfmt"
 	"redoop/internal/records"
@@ -34,11 +37,24 @@ type Grouper struct {
 
 // slot is a table entry: the hash's upper half, tried before the key
 // bytes, and the group's number + 1 (0 is free). keyed is a group's key
-// — the Key slice of the first pair that had it — and its number.
+// — the Key slice of the first pair that had it — and its number; a
+// keyTable's id is the split that first emitted the key, part its
+// partition.
 type slot struct{ tag, gid uint32 }
 type keyed struct {
-	key []byte
-	id  uint32
+	key      []byte
+	id, part uint32
+}
+
+// probe finds key's slot in table, whose occupied slots hold keys[gid-1]:
+// the slot that holds key, or the free one where it goes. h is key's hash.
+func probe(table []slot, keys []keyed, key []byte, h uint64) (j uint64, tag uint32) {
+	mask := uint64(len(table) - 1)
+	tag, j = uint32(h>>32), h&mask
+	for table[j].gid != 0 && (table[j].tag != tag || !bytes.Equal(keys[table[j].gid-1].key, key)) {
+		j = (j + 1) & mask
+	}
+	return j, tag
 }
 
 // Group reorders ps in place into SortPairs order and returns its
@@ -72,20 +88,16 @@ func (g *Grouper) Group(ps []records.Pair) []Group {
 	gid, next, vals, keys := g.ints[:n], g.ints[n:2*n], g.values(n), g.keys[:0]
 
 	// Number the groups and count their pairs.
-	mask := uint64(size - 1)
 	for i := range ps {
 		k := ps[i].Key
 		h := maphash.Bytes(g.seed, k)
 		if g.hash != nil {
 			h = g.hash(k)
 		}
-		tag, j := uint32(h>>32), h&mask
-		for table[j].gid != 0 && (table[j].tag != tag || !bytes.Equal(keys[table[j].gid-1].key, k)) {
-			j = (j + 1) & mask
-		}
+		j, tag := probe(table, keys, k, h)
 		if table[j].gid == 0 { // the first pair of a new group
 			id := uint32(len(keys))
-			table[j], next[id], keys = slot{tag, id + 1}, 0, append(keys, keyed{k, id})
+			table[j], next[id], keys = slot{tag, id + 1}, 0, append(keys, keyed{key: k, id: id})
 		}
 		gid[i] = table[j].gid - 1
 		next[gid[i]]++
@@ -167,6 +179,133 @@ func (e *Engine) PutGroupers(gs []Grouper) {
 		clear(g.groups[:min(g.most, cap(g.groups))])
 	}
 	e.scratch.groupers.put(gs)
+}
+
+// keyTable numbers the distinct keys one pool worker's map emits, over
+// every split it maps, and partitions each once, as it first arrives:
+// key id is keys[id] (see keyed). It starts with room for hint keys and
+// doubles when two thirds full; n is place's scratch.
+type keyTable struct {
+	slots   []slot
+	keys    []keyed
+	n       []uint32
+	part    Partitioner
+	r, hint int
+}
+
+var tableSeed = maphash.MakeSeed()
+
+// id returns key's number, numbering it for split i if it is new.
+func (t *keyTable) id(key []byte, i int) uint32 {
+	if 3*len(t.keys) >= 2*len(t.slots) {
+		t.slots = make([]slot, max(tableSize(t.hint), 2*len(t.slots)))
+		t.keys = slices.Grow(t.keys, 2*len(t.slots)/3+1-len(t.keys))
+		for id, k := range t.keys {
+			j, tag := probe(t.slots, t.keys, k.key, maphash.Bytes(tableSeed, k.key))
+			t.slots[j] = slot{tag, uint32(id) + 1}
+		}
+	}
+	j, tag := probe(t.slots, t.keys, key, maphash.Bytes(tableSeed, key))
+	if t.slots[j].gid == 0 {
+		t.slots[j] = slot{tag, uint32(len(t.keys)) + 1}
+		t.keys = append(t.keys, keyed{key, uint32(i), uint32(t.part(key, t.r))})
+	}
+	return t.slots[j].gid - 1
+}
+
+// stage is one split's pairs as emitted: per pair its key's number in its
+// worker's table; the first value, then a run from each pair whose value
+// is not the slice before it (none for WCCMap's one shared value).
+type stage struct {
+	ids         []uint32
+	first, last []byte
+	runs        []valRun
+	worker      int
+}
+
+type valRun struct {
+	from uint32 // the run's first pair
+	v    []byte
+}
+
+func (st *stage) add(id uint32, v []byte) {
+	if len(st.ids) == 0 {
+		st.first = v
+	} else if !same(v, st.last) {
+		if st.runs == nil { // room for a change at every pair left in the split's share
+			st.runs = make([]valRun, 0, cap(st.ids)-len(st.ids))
+		}
+		st.runs = append(st.runs, valRun{uint32(len(st.ids)), v})
+	}
+	st.ids, st.last = append(st.ids, id), v
+}
+
+// same reports whether a and b are one slice: one array, length and capacity.
+func same(a, b []byte) bool {
+	return unsafe.SliceData(a) == unsafe.SliceData(b) && len(a) == len(b) && cap(a) == cap(b)
+}
+
+// place writes the stages' pairs to out, numbered by tabs[stage.worker],
+// and returns its partitions in SortPairs order: keys rank by partition,
+// then bytes, each pair goes to its rank's next position under the key's
+// first-emitted slice, and a rank's values, in emit order, are sorted
+// only when out of order. That is Group's result, without hashing again.
+func place(stages []stage, tabs []keyTable, R int, out []records.Pair) [][]records.Pair {
+	type ref struct {
+		part uint32
+		pre  uint64 // the key's first eight bytes, big-endian: most comparisons end here
+		k    *keyed
+		n    *uint32
+	}
+	for w := range tabs {
+		tabs[w].n = append(tabs[w].n[:0], make([]uint32, len(tabs[w].keys))...)
+	}
+	ents := make([]ref, 0, len(tabs[0].keys)) // all of them for one worker
+	for _, st := range stages {
+		n := tabs[st.worker].n
+		for _, id := range st.ids {
+			if n[id]++; n[id] == 1 {
+				k, pre := &tabs[st.worker].keys[id], [8]byte{}
+				copy(pre[:], k.key)
+				ents = append(ents, ref{k.part, binary.BigEndian.Uint64(pre[:]), k, &n[id]})
+			}
+		}
+	}
+	slices.SortFunc(ents, func(a, b ref) int {
+		if c := cmp.Or(cmp.Compare(a.part, b.part), cmp.Compare(a.pre, b.pre)); c != 0 {
+			return c
+		}
+		return cmp.Or(bytes.Compare(a.k.key, b.k.key), cmp.Compare(a.k.id, b.k.id))
+	})
+	// The tables' counts become ranks, at each rank's first position, and
+	// every table's entry of a key takes the slice the first split emitted.
+	at, parts, pos := make([]uint32, 0, len(ents)), make([][]records.Pair, R), 0
+	var first *keyed
+	for _, e := range ents {
+		k, end := e.k, pos+int(*e.n)
+		if first == nil || k.part != first.part || !bytes.Equal(k.key, first.key) {
+			first, at = k, append(at, uint32(pos))
+		}
+		parts[e.part] = out[pos-len(parts[e.part]) : end : end] // the partition so far and this entry
+		k.key, *e.n, pos = first.key, uint32(len(at)-1), end
+	}
+	for _, st := range stages {
+		t, v, next := &tabs[st.worker], st.first, 0
+		for j, id := range st.ids {
+			if next < len(st.runs) && st.runs[next].from == uint32(j) {
+				v, next = st.runs[next].v, next+1
+			}
+			out[at[t.n[id]]] = records.Pair{Key: t.keys[id].key, Value: v}
+			at[t.n[id]]++
+		}
+	}
+	byValue := func(a, b records.Pair) int { return bytes.Compare(a.Value, b.Value) }
+	for g, lo := 0, uint32(0); g < len(at); lo, g = at[g], g+1 {
+		if ps := out[lo:at[g]]; !slices.IsSortedFunc(ps, byValue) {
+			slices.SortFunc(ps, byValue)
+		}
+	}
+	return parts
 }
 
 // Sorted is Group for pairs already in key order — a merge of cached,

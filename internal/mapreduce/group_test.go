@@ -341,6 +341,21 @@ func TestPutGroupersPinsNothing(t *testing.T) {
 			}
 		}
 	}
+	// Nor do a map phase's key tables and value runs, the combiner's
+	// tables included, once it has been reduced through the same scratch.
+	for _, combine := range []ReduceFunc{nil, reuseReduce} {
+		e := testRig(t, 3)
+		e.Workers = 2
+		writeRanged(t, e, "/in", 900)
+		job := &Job{Name: "pin", Map: stampMap, Reduce: concatReduce, Combine: combine, NumReducers: 3}
+		mp, err := e.RunMapPhase(job, WholeFiles([]string{"/in"}), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encodedReduce(t, e, job, mp)
+		mp.Release()
+		checkScratchPinsNothing(t, e)
+	}
 }
 
 // reuseReduce is a reducer that writes every output into one buffer it

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"redoop/internal/cluster"
 	"redoop/internal/colfmt"
@@ -42,6 +43,9 @@ type layoutCase struct {
 	inputs    []Input
 	reducers  int
 	combine   bool
+	values    int  // what the mapper emits as values (mapper)
+	emptyKeys bool // key k0 is emitted as an empty key
+	partition bool // the job's partitioner is layoutPartition
 }
 
 func randomLayoutCase(rng *rand.Rand) layoutCase {
@@ -50,6 +54,9 @@ func randomLayoutCase(rng *rand.Rand) layoutCase {
 		files:     map[string][]byte{},
 		reducers:  1 + rng.Intn(9),
 		combine:   rng.Intn(3) == 0,
+		values:    rng.Intn(3),
+		emptyKeys: rng.Intn(2) == 0,
+		partition: rng.Intn(2) == 0,
 	}
 	for f := 0; f < 1+rng.Intn(3); f++ {
 		path := fmt.Sprintf("/in/f%d", f)
@@ -80,22 +87,54 @@ func randomLayoutCase(rng *rand.Rand) layoutCase {
 	return c
 }
 
-// layoutMap emits as many pairs as the payload's first field says:
-// none, one, or five.
-func layoutMap(_ int64, payload []byte, emit Emitter) {
-	key := payload[2:4]
-	switch payload[0] {
-	case '1':
-		emit(key, payload)
-	case '2':
-		for i := 0; i < 5; i++ {
-			emit(key, payload[:4+i%3])
+// mapper emits as many pairs as the payload's first field says — none,
+// one, or five — under the key field, k0 as an empty key when the case
+// says so. Its values are views of the payload, five of them out of value
+// order; with values 1 every emit shares one slice, as WCCMap's one; with
+// values 2 key k1 shares that slice, k2 emits one empty value, and the
+// others emit views, so a split's value runs start anywhere.
+func (c layoutCase) mapper() MapFunc {
+	return func(_ int64, payload []byte, emit Emitter) {
+		key, digit := payload[2:4], payload[3]
+		if c.emptyKeys && digit == '0' {
+			key = payload[2:2]
+		}
+		value := func(v []byte) []byte {
+			switch {
+			case c.values == 1 || c.values == 2 && digit == '1':
+				return layoutShared
+			case c.values == 2 && digit == '2':
+				return payload[:0]
+			}
+			return v
+		}
+		switch payload[0] {
+		case '1':
+			emit(key, value(payload))
+		case '2':
+			for i := 0; i < 5; i++ {
+				emit(key, value(payload[:4+i%3]))
+			}
 		}
 	}
 }
 
+var (
+	layoutMap    = layoutCase{}.mapper()
+	layoutShared = []byte("1")
+)
+
 func layoutCombine(key []byte, values [][]byte, emit Emitter) {
 	emit(key, []byte(fmt.Sprint(len(values))))
+}
+
+// layoutPartition is a custom partitioner, pure in the key: by its last
+// byte, the empty key to the last partition.
+func layoutPartition(key []byte, r int) int {
+	if len(key) == 0 {
+		return r - 1
+	}
+	return int(key[len(key)-1]) % r
 }
 
 func (c layoutCase) run(t *testing.T, workers int) (*MapPhaseResult, *recordingPlacement, *Engine, *Job) {
@@ -112,11 +151,14 @@ func (c layoutCase) run(t *testing.T, workers int) (*MapPhaseResult, *recordingP
 	}
 	place := &recordingPlacement{node: map[string]int{}}
 	job := &Job{
-		Name: "layout", Map: layoutMap, NumReducers: c.reducers, Place: place,
+		Name: "layout", Map: c.mapper(), NumReducers: c.reducers, Place: place,
 		Reduce: func(k []byte, vs [][]byte, emit Emitter) { emit(k, vs[0]) },
 	}
 	if c.combine {
 		job.Combine = layoutCombine
+	}
+	if c.partition {
+		job.Partition = layoutPartition
 	}
 	prep, err := e.PrepareMapPhase(job, c.inputs)
 	if err != nil {
@@ -130,8 +172,9 @@ func (c layoutCase) run(t *testing.T, workers int) (*MapPhaseResult, *recordingP
 }
 
 // naiveMapPhase is the deliberately simple reference: every record of a
-// split's file is tested against the split, every emission appended to
-// its partition's slice, every size measured by walking the result.
+// split's file is tested against the split, every emission partitioned
+// and appended to its partition's slice, every size measured by walking
+// the result, and each partition put in SortPairs order at the end.
 func naiveMapPhase(t *testing.T, e *Engine, job *Job, inputs []Input, nodeOf map[string]int) (parts [][]records.Pair, src []map[int]int64, splitIDs []string, stats Stats) {
 	t.Helper()
 	splits, err := e.SplitsOf(inputs)
@@ -154,7 +197,7 @@ func naiveMapPhase(t *testing.T, e *Engine, job *Job, inputs []Input, nodeOf map
 		visitRecords(data, func(off int, ts int64, payload []byte) {
 			if int64(off) >= s.Lo && int64(off) < s.Hi {
 				job.Map(ts, payload, func(k, v []byte) {
-					r := DefaultPartitioner(k, R)
+					r := job.partitioner()(k, R)
 					mine[r] = append(mine[r], records.Pair{Key: k, Value: v})
 				})
 			}
@@ -172,6 +215,9 @@ func naiveMapPhase(t *testing.T, e *Engine, job *Job, inputs []Input, nodeOf map
 			}
 		}
 	}
+	for _, ps := range parts {
+		SortPairs(ps)
+	}
 	return parts, src, splitIDs, stats
 }
 
@@ -181,48 +227,75 @@ func samePairs(a, b []records.Pair) bool {
 	})
 }
 
-// TestMapLayoutMatchesNaiveReference: the counted, placed-once map
-// output must be what the naive reference builds by appending — the same
-// pairs in the same order in every partition, the same source-byte
-// matrix and volume stats, tasks committed in split order — at one
-// worker and at four, over random geometries.
+// checkLayout maps c at one worker and at four: each partition must hold
+// what the naive reference holds, in SortPairs order and marked so, each
+// pair under the slice its key was first emitted as (Group's rule), with
+// the same source-byte matrix and volume stats and tasks committed in
+// split order, and the two results must be equal. It returns how many
+// partitions came out empty.
+func checkLayout(t *testing.T, what string, c layoutCase) (emptyParts int) {
+	t.Helper()
+	var serial *MapPhaseResult
+	for _, workers := range []int{1, 4} {
+		mp, place, e, job := c.run(t, workers)
+		want, wantSrc, wantOrder, wantStats := naiveMapPhase(t, e, job, c.inputs, place.node)
+		for r := range want {
+			if !samePairs(mp.Parts[r], want[r]) {
+				t.Fatalf("%s workers %d: partition %d holds %d pairs, reference %d (or another order)",
+					what, workers, r, len(mp.Parts[r]), len(want[r]))
+			}
+			if len(want[r]) == 0 {
+				emptyParts++
+			}
+			for i := 0; !c.combine && i < len(want[r]); i++ { // combined keys are copies
+				if unsafe.SliceData(mp.Parts[r][i].Key) != unsafe.SliceData(want[r][i].Key) { // the reference reads its own caps
+					t.Fatalf("%s workers %d: partition %d pair %d is not under its key's first-emitted slice", what, workers, r, i)
+				}
+			}
+		}
+		if !mp.PartsSorted() {
+			t.Fatalf("%s workers %d: a committed phase is not marked sorted", what, workers)
+		}
+		if !reflect.DeepEqual(mp.PartSrcBytes, wantSrc) {
+			t.Fatalf("%s workers %d: PartSrcBytes %v, reference %v", what, workers, mp.PartSrcBytes, wantSrc)
+		}
+		if !slices.Equal(place.order, wantOrder) {
+			t.Fatalf("%s workers %d: tasks committed as %v, splits are %v", what, workers, place.order, wantOrder)
+		}
+		got := mp.Stats
+		if got.MapTasks != wantStats.MapTasks || got.BytesRead != wantStats.BytesRead ||
+			got.BytesSpilled != wantStats.BytesSpilled || got.FailedAttempts != 0 {
+			t.Fatalf("%s workers %d: stats %+v, reference %+v", what, workers, got, wantStats)
+		}
+		mp.from = nil // which engine's free list the array goes back to
+		if workers == 1 {
+			serial = mp
+		} else if !reflect.DeepEqual(mp, serial) {
+			t.Fatalf("%s: the four-worker result differs from the serial one", what)
+		}
+	}
+	return emptyParts
+}
+
+// TestMapLayoutMatchesNaiveReference: the map output, grouped as it is
+// emitted and placed once, must be the naive reference's in SortPairs
+// order, over random geometries: values out of order within a key,
+// shared by every emit or fresh per emit, empty keys and values, a
+// custom partitioner, the combiner.
 func TestMapLayoutMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260927))
 	emptyParts, midFile, tinyBlocks := 0, 0, 0
+	kinds := map[string]int{}
 	for trial := 0; trial < 150; trial++ {
 		c := randomLayoutCase(rng)
 		if len(c.inputs) == 0 {
 			continue
 		}
-		var serial *MapPhaseResult
-		for _, workers := range []int{1, 4} {
-			mp, place, e, job := c.run(t, workers)
-			want, wantSrc, wantOrder, wantStats := naiveMapPhase(t, e, job, c.inputs, place.node)
-			for r := range want {
-				if !samePairs(mp.Parts[r], want[r]) {
-					t.Fatalf("trial %d workers %d: partition %d holds %d pairs, reference %d (or another order)",
-						trial, workers, r, len(mp.Parts[r]), len(want[r]))
-				}
-				if len(want[r]) == 0 {
-					emptyParts++
-				}
-			}
-			if !reflect.DeepEqual(mp.PartSrcBytes, wantSrc) {
-				t.Fatalf("trial %d workers %d: PartSrcBytes %v, reference %v", trial, workers, mp.PartSrcBytes, wantSrc)
-			}
-			if !slices.Equal(place.order, wantOrder) {
-				t.Fatalf("trial %d workers %d: tasks committed as %v, splits are %v", trial, workers, place.order, wantOrder)
-			}
-			got := mp.Stats
-			if got.MapTasks != wantStats.MapTasks || got.BytesRead != wantStats.BytesRead ||
-				got.BytesSpilled != wantStats.BytesSpilled || got.FailedAttempts != 0 {
-				t.Fatalf("trial %d workers %d: stats %+v, reference %+v", trial, workers, got, wantStats)
-			}
-			mp.from = nil // which engine's free list the array goes back to
-			if workers == 1 {
-				serial = mp
-			} else if !reflect.DeepEqual(mp, serial) {
-				t.Fatalf("trial %d: the four-worker result differs from the serial one", trial)
+		emptyParts += checkLayout(t, fmt.Sprintf("trial %d", trial), c)
+		kinds[fmt.Sprintf("values %d", c.values)]++
+		for kind, on := range map[string]bool{"combiner": c.combine, "empty keys": c.emptyKeys, "partitioner": c.partition} {
+			if on {
+				kinds[kind]++
 			}
 		}
 		for _, in := range c.inputs {
@@ -234,10 +307,27 @@ func TestMapLayoutMatchesNaiveReference(t *testing.T) {
 			tinyBlocks++
 		}
 	}
-	if emptyParts == 0 || midFile == 0 || tinyBlocks == 0 {
-		t.Fatalf("geometries are vacuous: %d empty partitions, %d mid-file inputs, %d sub-record block sizes",
-			emptyParts, midFile, tinyBlocks)
+	if emptyParts == 0 || midFile == 0 || tinyBlocks == 0 || len(kinds) != 6 {
+		t.Fatalf("geometries are vacuous: %d empty partitions, %d mid-file inputs, %d sub-record block sizes, cases %v",
+			emptyParts, midFile, tinyBlocks, kinds)
 	}
+}
+
+// FuzzMapLayout is TestMapLayoutMatchesNaiveReference over geometries the
+// fuzzer steers: a seed draws the files and ranges, and the other inputs
+// pick the block size, the reducers and the mapper's options.
+func FuzzMapLayout(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint16([]int64{16, 64, 700, 4 << 10}[seed%4]), uint8(1+seed), uint8(seed*5))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, blockSize uint16, reducers, options uint8) {
+		c := randomLayoutCase(rand.New(rand.NewSource(seed)))
+		c.blockSize, c.reducers = 16+int64(blockSize%(8<<10)), 1+int(reducers%16)
+		c.values, c.combine, c.emptyKeys, c.partition = int(options%3), options&4 != 0, options&8 != 0, options&16 != 0
+		if len(c.inputs) > 0 {
+			checkLayout(t, fmt.Sprintf("seed %d", seed), c)
+		}
+	})
 }
 
 // TestOverlappingInputsMapEveryRange: splits that overlap within a file

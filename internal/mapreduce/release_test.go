@@ -58,6 +58,10 @@ func TestReleasedPhaseLeaksNothing(t *testing.T) {
 			if a.Parts != nil || a.out != nil {
 				t.Fatal("a released phase still holds its partitions")
 			}
+			if len(e.scratch.tables.spare) == 0 {
+				t.Fatal("the phase handed back no key tables")
+			}
+			checkScratchPinsNothing(t, e)
 			for i, p := range buf[:cap(buf)] {
 				if p.Key != nil || p.Value != nil {
 					t.Fatalf("the released array still holds pair %d (%q, %q)", i, p.Key, p.Value)
@@ -107,6 +111,11 @@ func TestReleasedPhaseLeaksNothing(t *testing.T) {
 			checkParts("second merged phase after the merge's release", x, wantB)
 			for _, mp := range []*MapPhaseResult{a, x, y} {
 				mp.Release()
+			}
+			checkScratchPinsNothing(t, e)
+			e.DropScratch()
+			if len(e.scratch.tables.spare)+len(e.scratch.ids.spare) != 0 {
+				t.Fatal("DropScratch left a key table or stage array on the free lists")
 			}
 		})
 	}

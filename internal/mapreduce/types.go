@@ -3,10 +3,10 @@
 //
 // It reproduces the structure of Hadoop's execution (paper §2.2): input
 // files are split at DFS block granularity; map tasks run on node map
-// slots, partition their output by key hash and spill it to the
+// slots, partition and sort their output by key and spill it to the
 // mapper's local disk; reducers copy their partitions as mappers finish
-// (the shuffle), sort and group them, and run the user reduce function
-// on node reduce slots. A centralized job tracker (the Engine) performs
+// (the shuffle), group them, and run the user reduce function on node
+// reduce slots. A centralized job tracker (the Engine) performs
 // list scheduling against per-node slot timelines; task durations come
 // from the iocost model while the user map/reduce functions really
 // execute, so outputs are exact and timings are deterministic.
@@ -58,7 +58,9 @@ type MapFunc func(ts int64, payload []byte, emit Emitter)
 // reuses.
 type ReduceFunc func(key []byte, values [][]byte, emit Emitter)
 
-// Partitioner assigns a key to one of r reduce partitions.
+// Partitioner assigns a key to one of r reduce partitions. It must be
+// pure in the key: the runtime may call it only once per distinct key
+// per pool worker, for every pair of that key.
 type Partitioner func(key []byte, r int) int
 
 // DefaultPartitioner hashes the key with FNV-1a, Hadoop's
@@ -84,7 +86,8 @@ type Job struct {
 	// Reduce is the user reduce function (required).
 	Reduce ReduceFunc
 	// Combine optionally pre-aggregates map output per partition
-	// before the spill, Hadoop's combiner.
+	// before the spill, Hadoop's combiner; what it emits is partitioned
+	// by key, as map output is.
 	Combine ReduceFunc
 	// NumReducers is the number of reduce partitions (required > 0).
 	NumReducers int

@@ -86,7 +86,9 @@ type MapFunc func(ts int64, payload []byte, emit Emitter)
 type ReduceFunc func(key []byte, values [][]byte, emit Emitter)
 
 // Partitioner assigns a key to one of n reduce partitions. It must be
-// deterministic and fixed for a query's lifetime (§4.3).
+// deterministic and fixed for a query's lifetime (§4.3), and pure in the
+// key: the runtime may call it only once per distinct key per executor
+// worker and give every pair of that key the answer.
 type Partitioner func(key []byte, n int) int
 
 // CostModel parameterizes the virtual-time task cost model; all rates

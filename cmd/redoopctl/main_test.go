@@ -41,10 +41,12 @@ func TestUsageErrorsExit2(t *testing.T) {
 }
 
 // TestRunGolden pins the per-window table and final-window report of
-// the plain run on both systems and under each fault flag. The files
-// under testdata/ are the stdout of the binary built at the commit
-// before the run driver existed, when redoopctl carried its own ingest
-// chain and recurrence loop.
+// the plain run on both systems and under each fault flag, on a serial
+// and a 4-wide compute pool. The files under testdata/ are the stdout of
+// the binary built at the commit before the run driver existed, when
+// redoopctl carried its own ingest chain and recurrence loop, except
+// chaos-failnode, recorded later: the injector's faults landing before
+// the scripted flags' (the order every figure uses).
 func TestRunGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -56,19 +58,24 @@ func TestRunGolden(t *testing.T) {
 		{"failnode-dropcaches", []string{"-failnode", "2", "-dropcaches"}},
 		{"spikewin", []string{"-spikewin", "2"}},
 		{"chaos", []string{"-chaos", "3"}},
+		{"chaos-failnode", []string{"-chaos", "3", "-failnode", "2", "-dropcaches"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var stdout, stderr bytes.Buffer
-			args := append(tc.args, "-windows", "3", "-records", "6000")
-			if code := realMain(args, &stdout, &stderr); code != 0 {
-				t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
-			}
-			if !bytes.Equal(stdout.Bytes(), want) {
-				t.Errorf("stdout diverges from testdata/%s.golden\n--- got ---\n%s\n--- want ---\n%s", tc.golden, stdout.String(), want)
+			for _, workers := range []string{"1", "4"} {
+				t.Run("workers="+workers, func(t *testing.T) {
+					var stdout, stderr bytes.Buffer
+					args := append(tc.args, "-windows", "3", "-records", "6000", "-workers", workers)
+					if code := realMain(args, &stdout, &stderr); code != 0 {
+						t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+					}
+					if !bytes.Equal(stdout.Bytes(), want) {
+						t.Errorf("stdout diverges from testdata/%s.golden\n--- got ---\n%s\n--- want ---\n%s", tc.golden, stdout.String(), want)
+					}
+				})
 			}
 		})
 	}

@@ -36,7 +36,6 @@ package oracle
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -203,7 +202,10 @@ func canonical(pairs []records.Pair) []records.Pair {
 // dropped in placement — cannot agree with itself here.
 func sortPairs(ps []records.Pair) {
 	slices.SortFunc(ps, func(a, b records.Pair) int {
-		return cmp.Or(bytes.Compare(a.Key, b.Key), bytes.Compare(a.Value, b.Value))
+		if c := bytes.Compare(a.Key, b.Key); c != 0 {
+			return c
+		}
+		return bytes.Compare(a.Value, b.Value)
 	})
 }
 

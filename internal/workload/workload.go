@@ -19,7 +19,6 @@ package workload
 
 import (
 	"bytes"
-	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -78,7 +77,8 @@ func WCC(cfg WCCConfig, startUnit, endUnit int64, n int) []records.Record {
 // record's payload to the batch's one blob, presized at size bytes a
 // record (payloads are capacity-limited views of it; a blob that outgrows
 // the guess moves on and leaves earlier views where they are). The batch
-// is ordered by (timestamp, payload), so it is a function of the seed.
+// is ordered by (timestamp, payload), and which of two byte-identical
+// records comes first is unobservable, so it is a function of the seed.
 func batch(rng *rand.Rand, startUnit, endUnit int64, n, size int, payload func(b []byte) []byte) []records.Record {
 	out := make([]records.Record, n)
 	blob := make([]byte, 0, n*size)
@@ -88,10 +88,40 @@ func batch(rng *rand.Rand, startUnit, endUnit int64, n, size int, payload func(b
 		blob = payload(blob)
 		out[i] = records.Record{Ts: ts, Data: blob[lo:len(blob):len(blob)]}
 	}
-	slices.SortStableFunc(out, func(a, b records.Record) int {
-		return cmp.Or(cmp.Compare(a.Ts, b.Ts), bytes.Compare(a.Data, b.Data))
-	})
+	out = sortByOffset(out, startUnit, span)
+	for i := 0; i < n; { // then by payload in each run of one timestamp, rare and short
+		j := i + 1
+		for j < n && out[j].Ts == out[i].Ts {
+			j++
+		}
+		slices.SortStableFunc(out[i:j], func(a, b records.Record) int { return bytes.Compare(a.Data, b.Data) })
+		i = j
+	}
 	return out
+}
+
+// sortByOffset orders recs by timestamp, stably, with an LSD radix sort
+// of the offsets ts-startUnit in [0, span): one byte a pass, and only as
+// many passes as span-1 has bytes. It returns whichever of recs and its
+// scratch copy holds the result.
+func sortByOffset(recs []records.Record, startUnit, span int64) []records.Record {
+	tmp := make([]records.Record, len(recs))
+	for shift := 0; uint64(span-1)>>shift != 0; shift += 8 {
+		var next [256]int
+		for _, r := range recs {
+			next[uint8(uint64(r.Ts-startUnit)>>shift)]++
+		}
+		for d, at := 0, 0; d < 256; d++ {
+			next[d], at = at, at+next[d]
+		}
+		for _, r := range recs {
+			d := uint8(uint64(r.Ts-startUnit) >> shift)
+			tmp[next[d]] = r
+			next[d]++
+		}
+		recs, tmp = tmp, recs
+	}
+	return recs
 }
 
 // appendSensor appends "s%03d" of a sensor number.
@@ -130,10 +160,30 @@ func FFGReadings(cfg FFGConfig, startUnit, endUnit int64, n int) []records.Recor
 	return batch(rng, startUnit, endUnit, n, 40, func(b []byte) []byte {
 		b = appendSensor(b, rng.Intn(cfg.Sensors))
 		for _, scale := range [...]float64{105, 68, 5, 12, 40} { // x, y, z, |v|, |a| as %.2f
-			b = strconv.AppendFloat(append(b, ','), rng.Float64()*scale, 'f', 2, 64)
+			b = appendFixed2(append(b, ','), rng.Float64()*scale)
 		}
 		return b
 	})
+}
+
+// appendFixed2 appends v with two decimals, byte for byte what
+// strconv.AppendFloat(b, v, 'f', 2, 64) appends, for 0 ≤ v < 2^52: it
+// rounds v·100, computed exactly from v's 53-bit mantissa, half to even.
+// Below 2^-8, v·100 < 0.5, so such v are "0.00".
+func appendFixed2(b []byte, v float64) []byte {
+	bits := math.Float64bits(v)
+	exp := int(bits >> 52 & 0x7ff) // v = mant · 2^(exp-1075)
+	if exp < 1023-8 {
+		return append(b, "0.00"...)
+	}
+	shift := uint(1075 - exp) // 1 ≤ shift ≤ 60 on the domain
+	x := (bits&(1<<52-1) | 1<<52) * 100
+	q, rem, half := x>>shift, x&(1<<shift-1), uint64(1)<<(shift-1)
+	if rem > half || rem == half && q&1 == 1 {
+		q++
+	}
+	b = strconv.AppendUint(b, q/100, 10)
+	return append(b, '.', byte('0'+q/10%10), byte('0'+q%10))
 }
 
 // FFGEvents generates n game events (possession, shot, pass) keyed by

@@ -5,10 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"redoop/internal/records"
 	"redoop/internal/simtime"
@@ -251,6 +254,12 @@ func TestGeneratorsPinnedToTheByte(t *testing.T) {
 		{99, 5, 6, 64, 25000, 12000, "4a6b3cfb5bd8bc53", "f6001d1df2395859", "882321ebefc434e6"},
 		// EventKeys above Sensors.
 		{2026, 1099511627776, 1099511628753, 2500, 1234, 5000, "904e5f524a079134", "3a97b3f089018930", "c7adb02e41f68cde"},
+		// Spans whose offsets take one byte, two, and eight.
+		{11, 0, 256, 3000, 1000, 1000, "8567b7b2a8769fd1", "5ec05c203596d0d7", "1d75683208336102"},
+		{12, 1000, 1257, 3000, 1000, 1000, "a6c49c931dbae5f2", "b55fc1e308847e13", "37e7fa361f4dd4cb"},
+		{13, -1 << 61, 1 << 61, 2000, 1000, 1000, "002db55334199d69", "5e3c613915a93596", "0a7db23a6539b0a3"},
+		// 70 000 records over a 6-minute pane.
+		{42, 360000000000, 720000000000, 70000, 1000, 1000, "f9bc3408f179b704", "6707c2ff8be5352a", "7382d7c626bc9215"},
 	} {
 		ffg := FFGConfig{Seed: c.seed, Sensors: c.sensors, EventKeys: c.eventKeys}
 		for name, got := range map[string][2]string{
@@ -273,5 +282,103 @@ func TestGeneratorsPinnedToTheByte(t *testing.T) {
 	}
 	if draw(0) != draw(32) || draw(3) != draw(32) {
 		t.Error("a batch depends on the size its blob was guessed at")
+	}
+	// Two letters over three timestamps: byte-identical records are
+	// common, and where each one's payload sits in the blob pins their
+	// draw order too.
+	rng := rand.New(rand.NewSource(8))
+	ab := batch(rng, 0, 3, 600, 3, func(b []byte) []byte {
+		for k := rng.Intn(3); k >= 0; k-- {
+			b = append(b, "ab"[rng.Intn(2)])
+		}
+		return b
+	})
+	at := func(r records.Record) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(r.Data))) }
+	base := at(ab[0])
+	for _, r := range ab {
+		base = min(base, at(r))
+	}
+	h := sha256.New()
+	for _, r := range ab {
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(at(r)-base)))
+	}
+	if got := fmt.Sprintf("%s %x", batchDigest(ab), h.Sum(nil)[:8]); got != "a04103f7b23144c7 5d22236995d189ac" {
+		t.Errorf("two-letter batch digests to %s, recorded a04103f7b23144c7 5d22236995d189ac", got)
+	}
+}
+
+// eachFixed2Case calls check on every value appendFixed2 is checked on
+// against strconv, with its case's name: the edges, the rounding ties and
+// their neighbours, and the generator's own draws.
+func eachFixed2Case(check func(name string, v float64)) {
+	around := func(name string, v float64) {
+		check(name, math.Nextafter(v, 0))
+		check(name, v)
+		check(name, math.Nextafter(v, math.Inf(1)))
+	}
+	check("zero", 0)
+	check("smallest subnormal", math.SmallestNonzeroFloat64)
+	for _, v := range []float64{9.995, 99.995, 104.995} {
+		check("x.995 next to a carry", v)
+	}
+	for k := 0; k <= 105*8000; k++ { // every exact tie m/8 among them
+		around("k/8000", float64(k)/8000)
+	}
+	for k := 1; k < 105*200; k += 2 {
+		around("x.xx5", float64(k)/200)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, scale := range [...]float64{105, 68, 5, 12, 40} {
+		name := fmt.Sprintf("draws at scale %v", scale)
+		for i := 0; i < 1_000_000; i++ {
+			check(name, rng.Float64()*scale)
+		}
+	}
+}
+
+func TestAppendFixed2MatchesStrconv(t *testing.T) {
+	var got, want []byte
+	eachFixed2Case(func(name string, v float64) {
+		got, want = appendFixed2(got[:0], v), strconv.AppendFloat(want[:0], v, 'f', 2, 64)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: appendFixed2(%v) = %s, strconv gives %s", name, v, got, want)
+		}
+	})
+}
+
+func FuzzAppendFixed2(f *testing.F) {
+	seeded := map[string]int{}
+	eachFixed2Case(func(name string, v float64) {
+		if seeded[name]++; seeded[name] <= 6 {
+			f.Add(v)
+		}
+	})
+	f.Fuzz(func(t *testing.T, v float64) {
+		if !(v >= 0 && v < 1<<52) {
+			t.Skip("outside appendFixed2's domain")
+		}
+		if got, want := appendFixed2(nil, v), strconv.AppendFloat(nil, v, 'f', 2, 64); !bytes.Equal(got, want) {
+			t.Fatalf("appendFixed2(%v) = %s, strconv gives %s", v, got, want)
+		}
+	})
+}
+
+var sink []records.Record
+
+// BenchmarkWCCPane generates one pane of the benchmark's aggregation
+// input: 24 000 records over 6 minutes.
+func BenchmarkWCCPane(b *testing.B) {
+	pane := int64(6 * simtime.Minute)
+	for i := 0; i < b.N; i++ {
+		sink = WCC(DefaultWCC(42), pane, 2*pane, 24000)
+	}
+}
+
+// BenchmarkFFGReadingsPane generates one pane of the benchmark's join
+// readings: 3 000 records over 6 minutes.
+func BenchmarkFFGReadingsPane(b *testing.B) {
+	pane := int64(6 * simtime.Minute)
+	for i := 0; i < b.N; i++ {
+		sink = FFGReadings(DefaultFFG(42), pane, 2*pane, 3000)
 	}
 }

@@ -10,6 +10,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"sync"
@@ -176,13 +177,12 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{cfg: cfg}
 	for i := 0; i < cfg.Workers; i++ {
-		c.nodes = append(c.nodes, &Node{
-			ID:     i,
-			Map:    simtime.NewTimeline(cfg.MapSlots),
-			Reduce: simtime.NewTimeline(cfg.ReduceSlots),
-			local:  make(map[string][]byte),
-			alive:  true,
-		})
+		m, merr := simtime.NewTimeline(cfg.MapSlots)
+		r, rerr := simtime.NewTimeline(cfg.ReduceSlots)
+		if err := cmp.Or(merr, rerr); err != nil {
+			return nil, err
+		}
+		c.nodes = append(c.nodes, &Node{ID: i, Map: m, Reduce: r, local: make(map[string][]byte), alive: true})
 	}
 	return c, nil
 }

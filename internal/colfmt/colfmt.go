@@ -389,19 +389,27 @@ type PairRun struct {
 // checksum, offset columns — and returns its view and the bytes after it,
 // the file's further segments.
 func ViewPairs(data []byte) (run PairRun, rest []byte, err error) {
+	if run, rest, err = checkedColumns(data); err == nil {
+		err = cmp.Or(checkOffsets("pair key", run.koff, uint32(run.n)), checkOffsets("pair value", run.voff, uint32(run.n)))
+	}
+	if err != nil {
+		return PairRun{}, nil, err
+	}
+	return run, rest, nil
+}
+
+// checkedColumns is ViewPairs short of the offset columns: it checks the
+// bounds and the checksum of the pair segment at the head of data and
+// cuts its columns, leaving the offsets to the caller's walk.
+func checkedColumns(data []byte) (PairRun, []byte, error) {
 	n, _, kb, vb, total, err := pairHeader(data)
 	if err != nil {
 		return PairRun{}, nil, err
 	}
-	seg := data[:total]
-	if got, want := crc32.ChecksumIEEE(seg[:total-4]), binary.LittleEndian.Uint32(seg[total-4:]); got != want {
+	if got, want := crc32.ChecksumIEEE(data[:total-4]), binary.LittleEndian.Uint32(data[total-4:]); got != want {
 		return PairRun{}, nil, corruptf("pair segment checksum mismatch (%08x != %08x)", got, want)
 	}
-	run = viewColumns(seg, int(n), int(kb), int(vb))
-	if err := cmp.Or(checkOffsets("pair key", run.koff, n), checkOffsets("pair value", run.voff, n)); err != nil {
-		return PairRun{}, nil, err
-	}
-	return run, data[total:], nil
+	return viewColumns(data[:total], int(n), int(kb), int(vb)), data[total:], nil
 }
 
 // viewColumns cuts the columns of a pair segment of n pairs, kb key and
@@ -428,11 +436,41 @@ func (r *PairRun) Value(i int) []byte {
 
 // AppendTo appends the run's pairs to dst.
 func (r *PairRun) AppendTo(dst []records.Pair) []records.Pair {
-	dst = slices.Grow(dst, r.n)
-	for i := 0; i < r.n; i++ {
-		dst = append(dst, records.Pair{Key: r.Key(i), Value: r.Value(i)})
+	if r.n > 0 { // the empty run has no columns; a view's offsets are valid
+		dst, _ = r.appendChecked(dst)
 	}
 	return dst
+}
+
+// Size returns records.PairsSize of the run's pairs.
+func (r *PairRun) Size() int64 {
+	var n int64
+	for i := range r.n {
+		n += records.PairSize(records.Pair{Key: r.Key(i), Value: r.Value(i)})
+	}
+	return n
+}
+
+// appendChecked is AppendTo checking the offset columns as it cuts the
+// pairs, each offset read once: it rejects what checkOffsets does, an
+// offset past its column's last where it stands, not at the decrease.
+func (r *PairRun) appendChecked(dst []records.Pair) ([]records.Pair, error) {
+	if binary.LittleEndian.Uint32(r.koff) != 0 || binary.LittleEndian.Uint32(r.voff) != 0 {
+		return dst, corruptf("pair offsets do not start at zero")
+	}
+	dst = slices.Grow(dst, r.n)
+	ps := dst[len(dst) : len(dst)+r.n]
+	kb, vb := uint32(len(r.keys)), uint32(len(r.vals))
+	var k0, v0 uint32
+	for i := range ps {
+		k1, v1 := binary.LittleEndian.Uint32(r.koff[4*i+4:]), binary.LittleEndian.Uint32(r.voff[4*i+4:])
+		if k1 < k0 || v1 < v0 || k1 > kb || v1 > vb {
+			return dst, corruptf("pair offsets decrease at %d", i+1)
+		}
+		ps[i] = records.Pair{Key: r.keys[k0:k1:k1], Value: r.vals[v0:v1:v1]}
+		k0, v0 = k1, v1
+	}
+	return dst[:len(dst)+r.n], nil
 }
 
 // PairWriter encodes pairs as they are added. Add copies key and value
@@ -479,15 +517,14 @@ func (w *PairWriter) Encode() []byte {
 	return seg
 }
 
-// Segment is Encode plus the segment's pairs, views of it in the order
-// they were added.
-func (w *PairWriter) Segment() ([]byte, []records.Pair) {
+// Segment is Encode plus the segment's view, its pairs in the order they
+// were added; the empty run when there are none.
+func (w *PairWriter) Segment() ([]byte, PairRun) {
 	seg := w.Encode()
 	if seg == nil {
-		return nil, nil
+		return nil, PairRun{}
 	}
-	run := viewColumns(seg, len(w.koff)/4, len(w.keys), len(w.vals))
-	return seg, run.AppendTo(nil)
+	return seg, viewColumns(seg, len(w.koff)/4, len(w.keys), len(w.vals))
 }
 
 // DecodeRecords materializes the view of a file of concatenated record
@@ -520,15 +557,20 @@ func DecodePairs(data []byte) ([]records.Pair, error) {
 
 // AppendDecodedPairs is DecodePairs appending to dst: a caller that has
 // counted its inputs (CountPairs) decodes them all into one presized
-// slice. On error dst is returned as passed in.
+// slice. Each segment is checked as ViewPairs checks it, its offset
+// columns in the walk that cuts its pairs. On error dst is returned as
+// passed in.
 func AppendDecodedPairs(dst []records.Pair, data []byte) ([]records.Pair, error) {
 	out := dst
 	for len(data) > 0 {
-		run, rest, err := ViewPairs(data)
+		run, rest, err := checkedColumns(data)
+		if err == nil {
+			out, err = run.appendChecked(out)
+		}
 		if err != nil {
 			return dst, err
 		}
-		out, data = run.AppendTo(out), rest
+		data = rest
 	}
 	return out, nil
 }

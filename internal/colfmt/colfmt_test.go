@@ -2,8 +2,11 @@ package colfmt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"redoop/internal/records"
@@ -469,6 +472,107 @@ func FuzzColumnarPane(f *testing.F) {
 	})
 }
 
+// pairCorruptions damages a segment of two or more pairs, each with
+// non-empty keys, in every way a pair reader must refuse, the damage
+// inside the checksummed bytes resealed with a valid checksum so that
+// only the offset checks stand between it and a decode.
+func pairCorruptions(enc []byte) map[string][]byte {
+	n := int(binary.LittleEndian.Uint32(enc[4:]))
+	koff, voff := 8, 8+4*(n+1)
+	kb := binary.LittleEndian.Uint32(enc[koff+4*n:])
+	damaged := func(at int, v uint32) []byte {
+		b := slices.Clone(enc)
+		binary.LittleEndian.PutUint32(b[at:], v)
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+		return b
+	}
+	flipped := slices.Clone(enc)
+	flipped[len(flipped)-1] ^= 1
+	return map[string][]byte{
+		"key offsets decrease":       damaged(koff+4, binary.LittleEndian.Uint32(enc[koff+8:])+1),
+		"value offsets decrease":     damaged(voff+4, binary.LittleEndian.Uint32(enc[voff+8:])+1),
+		"key offset past the keys":   damaged(koff+4, kb+1),
+		"nonzero first key offset":   damaged(koff, 1),
+		"nonzero first value offset": damaged(voff, 1),
+		"truncated by a byte":        enc[:len(enc)-1],
+		"truncated by half":          enc[:len(enc)/2],
+		"flipped checksum":           flipped,
+	}
+}
+
+// viewDecode is the decode AppendDecodedPairs replaced: ViewPairs checks
+// each segment whole, then AppendTo reads its offsets again.
+func viewDecode(dst []records.Pair, data []byte) ([]records.Pair, error) {
+	out := dst
+	for len(data) > 0 {
+		run, rest, err := ViewPairs(data)
+		if err != nil {
+			return dst, err
+		}
+		out, data = run.AppendTo(out), rest
+	}
+	return out, nil
+}
+
+// TestPairCorruptionsAreRejected: each damage pairCorruptions makes is
+// refused by both pair decoders, alone and after a good segment.
+func TestPairCorruptionsAreRejected(t *testing.T) {
+	enc := EncodePairs(genPairs(rand.New(rand.NewSource(41)), 6))
+	for name, bad := range pairCorruptions(enc) {
+		for _, data := range [][]byte{bad, append(slices.Clone(enc), bad...)} {
+			if _, err := viewDecode(nil, data); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: ViewPairs accepts it (%v)", name, err)
+			}
+			if _, err := AppendDecodedPairs(nil, data); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: AppendDecodedPairs accepts it (%v)", name, err)
+			}
+		}
+	}
+}
+
+// FuzzAppendDecodedPairs holds the one-walk decode to the ViewPairs +
+// AppendTo decode it replaced: it accepts exactly what that accepted,
+// appending the same pairs after dst, and rejects everything else with
+// ErrCorrupt, handing dst back unchanged.
+func FuzzAppendDecodedPairs(f *testing.F) {
+	rng := rand.New(rand.NewSource(43))
+	for _, n := range []int{1, 2, 7} {
+		enc := EncodePairs(genPairs(rng, n))
+		f.Add(enc)
+		f.Add(append(slices.Clone(enc), enc...))
+		if n > 1 {
+			for _, bad := range pairCorruptions(enc) {
+				f.Add(bad)
+				f.Add(append(slices.Clone(enc), bad...))
+			}
+		}
+	}
+	f.Add(EncodePairs([]records.Pair{{}, {Key: []byte("k")}}))
+	f.Add([]byte{})
+	prefix := records.Pair{Key: []byte("pre"), Value: []byte("fix")}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := viewDecode([]records.Pair{prefix}, data)
+		dst := append(make([]records.Pair, 0, 1+len(data)/8), prefix)
+		got, err := AppendDecodedPairs(dst, data)
+		if wantErr != nil {
+			if !errors.Is(err, ErrCorrupt) || len(got) != 1 || &got[0] != &dst[0] ||
+				!bytes.Equal(dst[0].Key, prefix.Key) || !bytes.Equal(dst[0].Value, prefix.Value) {
+				t.Fatalf("ViewPairs rejects (%v); AppendDecodedPairs returns %d pairs, %v", wantErr, len(got), err)
+			}
+			return
+		}
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("ViewPairs decodes %d pairs; AppendDecodedPairs %d, %v", len(want)-1, len(got)-1, err)
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if !bytes.Equal(g.Key, w.Key) || !bytes.Equal(g.Value, w.Value) || cap(g.Key) != len(g.Key) || cap(g.Value) != len(g.Value) {
+				t.Fatalf("pair %d: AppendDecodedPairs reads %q=%q, ViewPairs %q=%q", i, g.Key, g.Value, w.Key, w.Value)
+			}
+		}
+	})
+}
+
 // TestDecodedViewsAliasTheInput pins the zero-copy contract the stores
 // rely on when they take ownership of an encode: decoded payloads are
 // views of the buffer handed in, capacity-limited, not copies.
@@ -582,9 +686,13 @@ func checkPairWriter(t *testing.T, w *PairWriter, pairs []records.Pair) {
 	if got := w.Encode(); !bytes.Equal(got, want) {
 		t.Fatalf("%d pairs: Encode differs from EncodePairs (%d vs %d bytes)", len(pairs), len(got), len(want))
 	}
-	seg, views := w.Segment()
+	seg, run := w.Segment()
+	views := run.AppendTo(nil)
 	if !bytes.Equal(seg, want) || len(views) != len(pairs) || (seg == nil) != (len(pairs) == 0) {
 		t.Fatalf("%d pairs: Segment gives %d bytes and %d pairs", len(pairs), len(seg), len(views))
+	}
+	if run.Size() != records.PairsSize(pairs) {
+		t.Fatalf("%d pairs: the run sizes to %d, records.PairsSize to %d", len(pairs), run.Size(), records.PairsSize(pairs))
 	}
 	for i, p := range pairs {
 		v := views[i]

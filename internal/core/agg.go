@@ -368,13 +368,12 @@ func (e *Engine) rebuildAggOutputs(p window.PaneID, trigger simtime.Time, rins [
 			if rins[part].bytes == 0 {
 				return nil
 			}
-			pairs, err := e.readCache(rins[part])
+			runs, err := e.sortedRuns(nil, rins[part:part+1])
 			if err != nil {
 				return err
 			}
-			// Every reduce-input cache is stored key-sorted.
 			var g mapreduce.Grouper
-			rebuilt[part], _ = g.Reduce(q.Reduce, g.Sorted(pairs))
+			rebuilt[part], _ = g.ReduceRuns(q.Reduce, runs)
 			return nil
 		},
 		func(part int) error {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"log/slog"
 	"slices"
@@ -817,21 +818,28 @@ func (e *Engine) cacheBytes(ref cacheRef) ([]byte, error) {
 	return data, nil
 }
 
-// readCache decodes one cache's pairs as views of its stored bytes.
-func (e *Engine) readCache(ref cacheRef) ([]records.Pair, error) {
-	data, err := e.cacheBytes(ref)
-	if err != nil {
-		return nil, err
+// sortedRuns appends to runs each cache of refs as the run ReduceRuns
+// merges (SortedRun): the view of its stored bytes, once validated.
+func (e *Engine) sortedRuns(runs []colfmt.PairRun, refs []cacheRef) ([]colfmt.PairRun, error) {
+	for _, ref := range refs {
+		data, err := e.cacheBytes(ref)
+		if err != nil {
+			return runs, err
+		}
+		run, err := mapreduce.SortedRun(data)
+		if err != nil {
+			return runs, err
+		}
+		runs = append(runs, run)
 	}
-	return colfmt.DecodePairs(data)
+	return runs, nil
 }
 
 // gatherCaches decodes the non-empty caches of groups into one array,
-// group after group, each group's caches in order, and returns it with
-// the end of each group in it. Pairs are counted from segment headers
-// first, so the array is allocated once and the workers decode each
-// cache into its own sub-range.
-func (e *Engine) gatherCaches(groups [][]cacheRef) (all []records.Pair, ends []int, err error) {
+// group after group, each group's caches in order. Pairs are counted
+// from segment headers first, so the array is allocated once and the
+// workers decode each cache into its own sub-range.
+func (e *Engine) gatherCaches(groups [][]cacheRef) ([]records.Pair, error) {
 	type source struct { // a cache's bytes and where its pairs go: up to the next one's lo
 		data []byte
 		lo   int
@@ -841,27 +849,25 @@ func (e *Engine) gatherCaches(groups [][]cacheRef) (all []records.Pair, ends []i
 		n += len(refs)
 	}
 	srcs := make([]source, 0, n)
-	ends = make([]int, len(groups))
 	total := 0
-	for g, refs := range groups {
+	for _, refs := range groups {
 		for _, ref := range refs {
 			if ref.bytes == 0 {
 				continue
 			}
 			data, err := e.cacheBytes(ref)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			n, err := colfmt.CountPairs(data)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			srcs = append(srcs, source{data, total})
 			total += n
 		}
-		ends[g] = total
 	}
-	all = make([]records.Pair, total)
+	all := make([]records.Pair, total)
 	if err := parallel.ForErr(e.mr.WorkerCount(), len(srcs), func(i int) error {
 		hi := total
 		if i+1 < len(srcs) {
@@ -870,59 +876,56 @@ func (e *Engine) gatherCaches(groups [][]cacheRef) (all []records.Pair, ends []i
 		_, err := colfmt.AppendDecodedPairs(all[srcs[i].lo:srcs[i].lo:hi], srcs[i].data)
 		return err
 	}); err != nil {
-		return nil, nil, err
-	}
-	return all, ends, nil
-}
-
-// gatherGroups is gatherCaches cut into its groups, each
-// capacity-limited, safe to reorder independently.
-func (e *Engine) gatherGroups(groups [][]cacheRef) ([][]records.Pair, error) {
-	all, ends, err := e.gatherCaches(groups)
-	if err != nil {
 		return nil, err
 	}
-	out := make([][]records.Pair, len(groups))
-	lo := 0
-	for g, hi := range ends {
-		out[g] = all[lo:hi:hi]
-		lo = hi
-	}
-	return out, nil
+	return all, nil
 }
 
 // finalizeMerged runs the window's finalization merge: partition
-// part's result is q.Merge over the grouped pairs of caches[part] (the
-// partition's non-empty partial outputs, in window order). Each merge
-// is scheduled by Equation 4 and cannot complete before the trigger.
+// part's result is q.Merge over the runs of caches[part] (the
+// partition's non-empty partial outputs, in window order), merged off
+// their columns (Grouper.ReduceRuns). Each merge is scheduled by
+// Equation 4 and cannot complete before the trigger.
 func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats *mapreduce.Stats) ([]records.Pair, simtime.Time, error) {
-	// Phase 1 (parallel): gather each partition's caches and merge —
-	// pure compute.
-	ins, err := e.gatherGroups(caches)
-	if err != nil {
-		return nil, trigger, err
-	}
+	// Phase 1 (parallel): view each partition's caches and merge them —
+	// pure compute. inBytes is what the pairs read would size to.
 	type finalPart struct {
-		out               []records.Pair
+		out               colfmt.PairRun
 		inBytes, outBytes int64
 	}
 	parts := make([]finalPart, len(caches))
-	groupers := e.mr.Groupers(ins)
+	errs := make([]error, len(caches))
+	stride := 0
+	for _, refs := range caches {
+		stride = max(stride, len(refs))
+	}
+	groupers := e.mr.Groupers(nil)
+	views := make([]colfmt.PairRun, len(groupers)*stride) // a share per pool worker: one partition's runs
 	parallel.ForWorker(len(groupers), len(caches), func(worker, part int) {
 		if len(caches[part]) == 0 {
 			return
 		}
 		fp, g := &parts[part], &groupers[worker]
-		fp.inBytes = records.PairsSize(ins[part])
-		_, fp.out = g.Reduce(e.query.Merge, g.Group(ins[part]))
-		fp.outBytes = records.PairsSize(fp.out)
+		runs, err := e.sortedRuns(views[worker*stride:worker*stride:(worker+1)*stride], caches[part])
+		if err != nil {
+			errs[part] = err
+			return
+		}
+		for i := range runs {
+			fp.inBytes += runs[i].Size()
+		}
+		_, fp.out = g.ReduceRuns(e.query.Merge, runs)
+		fp.outBytes = fp.out.Size()
 	})
 	e.mr.PutGroupers(groupers)
-	// Phase 2 (serial, partition order): Eq. 4 scheduling and stats.
+	if err := cmp.Or(errs...); err != nil { // the lowest partition's, whichever worker hit it
+		return nil, trigger, err
+	}
+	// Phase 2 (serial, partition order): Eq. 4 scheduling, stats, pairs.
 	endMax := trigger
 	n := 0
 	for _, fp := range parts {
-		n += len(fp.out)
+		n += fp.out.Len()
 	}
 	output := slices.Grow([]records.Pair(nil), n)
 	for part, fp := range parts {
@@ -937,7 +940,7 @@ func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats
 		if ct.end > endMax {
 			endMax = ct.end
 		}
-		output = append(output, fp.out...)
+		output = fp.out.AppendTo(output)
 	}
 	return output, endMax, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 
 	"redoop/internal/colfmt"
@@ -431,17 +432,15 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 			if tupleIn == 0 {
 				continue
 			}
-			data := g.ReduceRuns(q.Reduce, runs)
+			data, _ := g.ReduceRuns(q.Reduce, runs)
 			pc.inBytes += tupleIn
 			pc.outBytes += int64(len(data))
 			pc.outs[i] = tupleOut{inBytes: tupleIn, data: data}
 		}
 	})
 	e.mr.PutGroupers(groupers)
-	for _, err := range errs { // the lowest partition's, whichever worker hit it
-		if err != nil {
-			return err
-		}
+	if err := cmp.Or(errs...); err != nil { // the lowest partition's, whichever worker hit it
+		return err
 	}
 	// Phase 2 (serial, partition order): Eq. 4 scheduling, cache
 	// registration and stats. Every output's inputs share one array.
@@ -551,7 +550,7 @@ func (e *Engine) finalizeJoinWindow(trigger simtime.Time, tupleRefs [][]cacheRef
 			stats.BytesOutput += ref.bytes
 		}
 	}
-	out, _, err := e.gatherCaches(tupleRefs)
+	out, err := e.gatherCaches(tupleRefs)
 	if err != nil {
 		return nil, trigger, err
 	}

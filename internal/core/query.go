@@ -55,9 +55,11 @@ type Query struct {
 	Combine mapreduce.ReduceFunc
 	// Merge is the finalization function: it merges the per-pane (or
 	// per-pair) partial outputs of one window into the window's final
-	// output, invoked once per key over the partial values. Nil means
-	// concatenation — correct for joins, whose window result is the
-	// union of its pane-pair results.
+	// output, invoked once per key over the partial values. The values
+	// arrive in window order, pane after pane, and must be combined
+	// independently of their order. Nil means concatenation — correct
+	// for joins, whose window result is the union of its pane-pair
+	// results.
 	Merge mapreduce.ReduceFunc
 	// NumReducers fixes the number of reduce partitions; it must not
 	// change across recurrences (§4.3).

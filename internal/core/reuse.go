@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"redoop/internal/colfmt"
 	"redoop/internal/mapreduce"
 	"redoop/internal/reuse"
 	"redoop/internal/simtime"
@@ -167,16 +168,17 @@ func (e *Engine) composeReusedPane(p window.PaneID, u int64, trigger simtime.Tim
 	q := e.query
 	refs := make([]cacheRef, q.NumReducers)
 	live := make([][]cacheRef, q.NumReducers)
+	runs := make([][]colfmt.PairRun, q.NumReducers) // every partition's, validated before any is registered
 	for part := range live {
 		for _, prod := range prods[part] {
 			if prod.bytes != 0 {
 				live[part] = append(live[part], prod)
 			}
 		}
-	}
-	ins, err := e.gatherGroups(live)
-	if err != nil {
-		return nil, err
+		var err error
+		if runs[part], err = e.sortedRuns(nil, live[part]); err != nil {
+			return nil, err
+		}
 	}
 	var grouper mapreduce.Grouper // this loop is serial: one scratch for every partition
 	for part, caches := range live {
@@ -200,7 +202,7 @@ func (e *Engine) composeReusedPane(p window.PaneID, u int64, trigger simtime.Tim
 			refs[part] = e.registerReused(routPID, prods[part][0], prods[part][0].node, readyAt, nil, routMeta, "subsume")
 			continue
 		}
-		outData, _ := grouper.Reduce(q.Merge, grouper.Group(ins[part]))
+		outData, _ := grouper.ReduceRuns(q.Merge, runs[part])
 		ct := e.runCacheTask(func() string { return fmt.Sprintf("reuse-merge pane %d p%d", int64(p), part) }, phaseReduce,
 			trigger, caches, e.mr.Cost.MergeTask(inBytes, int64(len(outData))))
 		stats.ReduceTime += ct.dur

@@ -337,15 +337,17 @@ func (g *Grouper) Reduce(fn ReduceFunc, groups []Group) ([]byte, []records.Pair)
 	for _, gr := range groups {
 		fn(gr.Key, gr.Values, emit)
 	}
-	return g.w.Segment()
+	seg, run := g.w.Segment()
+	return seg, run.AppendTo(nil)
 }
 
 // ReduceRuns is MergeSortedRuns, Sorted and Reduce in one pass over the
 // runs' columns, with no merged array: runs are key-sorted (SortedRun), a
 // key's values come run after run in run order, each run's in its own,
 // and fn is applied to each key as its group closes. It returns the
-// encoded output alone, nil when fn emitted nothing.
-func (g *Grouper) ReduceRuns(fn ReduceFunc, runs []colfmt.PairRun) []byte {
+// encoded output and its view, nil and the empty run when fn emitted
+// nothing.
+func (g *Grouper) ReduceRuns(fn ReduceFunc, runs []colfmt.PairRun) ([]byte, colfmt.PairRun) {
 	if cap(g.at) < len(runs) {
 		g.at = make([]int, len(runs))
 	}
@@ -378,14 +380,14 @@ func (g *Grouper) ReduceRuns(fn ReduceFunc, runs []colfmt.PairRun) []byte {
 	}
 	clear(vals[:most]) // pin no cache through the free list
 	g.vals = vals
-	return g.w.Encode()
+	return g.w.Segment()
 }
 
-// SortedRun returns the run ReduceRuns merges for a reduce-input cache:
-// the view of its one segment when that is key-sorted, as every writer
-// stores it. A cache that is not — out of order, or several segments — is
-// decoded, sorted when its pairs are out of key order (SortPairs) and
-// encoded afresh, so the result is what merging its decoded pairs gave.
+// SortedRun returns the run ReduceRuns merges for a cache: the view of
+// its one segment when that is key-sorted, as every writer stores it. A
+// cache that is not — out of order, or several segments — is decoded,
+// sorted when its pairs are out of key order (SortPairs) and encoded
+// afresh, so the result is what merging its decoded pairs gave.
 // Empty data is an empty run.
 func SortedRun(data []byte) (colfmt.PairRun, error) {
 	if len(data) == 0 {

@@ -470,11 +470,15 @@ func TestReduceRunsMatchesMergeThenSorted(t *testing.T) {
 		for _, gr := range ref.Sorted(MergeSortedRuns(nil, decoded...)) {
 			reuseReduce(gr.Key, gr.Values, collect(&want))
 		}
-		if got := g.ReduceRuns(reuseReduce, runs); !bytes.Equal(got, colfmt.EncodePairs(want)) {
+		got, view := g.ReduceRuns(reuseReduce, runs)
+		if !bytes.Equal(got, colfmt.EncodePairs(want)) {
 			t.Fatalf("trial %d (%d runs): ReduceRuns encodes %d bytes, the merge reference %d", trial, len(runs), len(got), len(colfmt.EncodePairs(want)))
 		}
+		if !pairsEqual(view.AppendTo(nil), want) {
+			t.Fatalf("trial %d: ReduceRuns' view is not its output", trial)
+		}
 	}
-	if g.ReduceRuns(reuseReduce, nil) != nil {
+	if got, view := g.ReduceRuns(reuseReduce, nil); got != nil || view.Len() != 0 {
 		t.Error("no runs should reduce to nothing")
 	}
 }

@@ -76,11 +76,11 @@ type Timeline struct {
 }
 
 // NewTimeline returns a timeline with n slots, all free at the epoch.
-func NewTimeline(n int) *Timeline {
+func NewTimeline(n int) (*Timeline, error) {
 	if n <= 0 {
-		panic(fmt.Sprintf("simtime: timeline must have at least one slot, got %d", n))
+		return nil, fmt.Errorf("simtime: timeline must have at least one slot, got %d", n)
 	}
-	return &Timeline{free: make([]Time, n)}
+	return &Timeline{free: make([]Time, n)}, nil
 }
 
 // Slots returns the number of slots managed by the timeline.

@@ -35,19 +35,24 @@ func TestMaxMin(t *testing.T) {
 
 func TestNewTimelineRejectsNonPositive(t *testing.T) {
 	for _, n := range []int{0, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewTimeline(%d) should panic", n)
-				}
-			}()
-			NewTimeline(n)
-		}()
+		if tl, err := NewTimeline(n); err == nil || tl != nil {
+			t.Errorf("NewTimeline(%d) = %v, %v; want an error", n, tl, err)
+		}
 	}
 }
 
+// newTimeline is NewTimeline for a slot count the test knows is valid.
+func newTimeline(t *testing.T, n int) *Timeline {
+	t.Helper()
+	tl, err := NewTimeline(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tl
+}
+
 func TestTimelineSingleSlotSerializes(t *testing.T) {
-	tl := NewTimeline(1)
+	tl := newTimeline(t, 1)
 	s1, e1 := tl.Acquire(0, 10)
 	s2, e2 := tl.Acquire(0, 10)
 	if s1 != 0 || e1 != 10 {
@@ -59,7 +64,7 @@ func TestTimelineSingleSlotSerializes(t *testing.T) {
 }
 
 func TestTimelineParallelSlots(t *testing.T) {
-	tl := NewTimeline(2)
+	tl := newTimeline(t, 2)
 	_, e1 := tl.Acquire(0, 10)
 	_, e2 := tl.Acquire(0, 10)
 	if e1 != 10 || e2 != 10 {
@@ -72,7 +77,7 @@ func TestTimelineParallelSlots(t *testing.T) {
 }
 
 func TestTimelineReadyDelaysStart(t *testing.T) {
-	tl := NewTimeline(3)
+	tl := newTimeline(t, 3)
 	s, e := tl.Acquire(100, 50)
 	if s != 100 || e != 150 {
 		t.Errorf("task ready at 100 should run [100,150], got [%v,%v]", s, e)
@@ -80,7 +85,7 @@ func TestTimelineReadyDelaysStart(t *testing.T) {
 }
 
 func TestTimelineEarliestAndBusy(t *testing.T) {
-	tl := NewTimeline(2)
+	tl := newTimeline(t, 2)
 	tl.Acquire(0, 10)
 	tl.Acquire(0, 30)
 	if got := tl.EarliestFree(); got != 10 {
@@ -98,7 +103,7 @@ func TestTimelineEarliestAndBusy(t *testing.T) {
 }
 
 func TestTimelineResetAndClone(t *testing.T) {
-	tl := NewTimeline(2)
+	tl := newTimeline(t, 2)
 	tl.Acquire(0, 100)
 	c := tl.Clone()
 	c.Acquire(0, 100) // consumes the clone's second slot
@@ -120,7 +125,7 @@ func TestTimelineResetAndClone(t *testing.T) {
 func TestTimelineCapacityProperty(t *testing.T) {
 	f := func(slots uint8, readies, durs []uint16) bool {
 		n := int(slots%8) + 1
-		tl := NewTimeline(n)
+		tl := newTimeline(t, n)
 		type iv struct{ s, e Time }
 		var ivs []iv
 		count := len(readies)

@@ -255,9 +255,10 @@ type Query struct {
 	// Combine optionally pre-aggregates map output (Hadoop combiner).
 	Combine ReduceFunc
 	// Merge is the finalization function (§5) merging per-pane
-	// partial outputs into a window's output. Required for
-	// single-source queries; nil for joins means the window's result
-	// is the union of its pane-pair results.
+	// partial outputs into a window's output. A key's values arrive
+	// in window order and must be combined independently of their
+	// order. Required for single-source queries; nil for joins means
+	// the window's result is the union of its pane-pair results.
 	Merge ReduceFunc
 	// Reducers fixes the number of reduce partitions.
 	Reducers int

@@ -11,56 +11,15 @@ import (
 	"redoop/internal/window"
 )
 
-// runAggregation executes recurrence r of a single-source query: every
-// pane is mapped, shuffled and reduced exactly once (its partial output
-// cached per partition), and the window's answer is the finalization
-// merge over the pane outputs in range — pane-based, not tuple-based
-// (paper §6.2.1).
-func (e *Engine) runAggregation(r int, trigger simtime.Time) (*RecurrenceResult, error) {
-	lo, hi := e.frames[0].WindowRange(r)
-	res := &RecurrenceResult{Recurrence: r, WindowLo: lo, WindowHi: hi, TriggerAt: trigger}
-	res.Stats.Start = trigger
-	res.Stats.End = trigger
-
-	ahead := e.prepareNewPanes(lo, hi)
-	routRefs := make(map[window.PaneID][]cacheRef, int(hi-lo)+1)
-	for p := lo; p <= hi; p++ {
-		refs, reused, recovered, err := e.ensureAggPane(p, trigger, ahead(p), &res.Stats)
-		if err != nil {
-			return nil, err
-		}
-		routRefs[p] = refs
-		if reused {
-			res.ReusedPanes++
-		} else {
-			res.NewPanes++
-		}
-		if recovered {
-			res.CacheRecoveries++
-		}
-	}
-
-	out, endMax, err := e.finalizeAggWindow(lo, hi, trigger, routRefs, &res.Stats)
-	if err != nil {
-		return nil, err
-	}
-	res.Output = out
-	if endMax > res.Stats.End {
-		res.Stats.End = endMax
-	}
-	res.CompletedAt = res.Stats.End
-	res.ResponseTime = res.Stats.End.Sub(trigger)
-	return res, nil
-}
-
-// willMapPane reports that ensureAggPane is certain to take pane p to
-// its map rung: no sibling can offer the pane's output (reuseEligible),
-// and either caches are off or the status matrix has not seen the pane
-// and it has no reduce-input signature. These are side-effect-free
-// reads that no other pane's commit changes; the ladder checks its
-// outcome against them on every pane.
+// willMapPane reports that ensurePane is certain to take aggregation
+// pane p to its map rung: no sibling can offer the pane's output
+// (reuseEligible), and either caches are off or the status matrix has
+// not seen the pane and it has no reduce-input signature. These are
+// side-effect-free reads that no other pane's commit changes; the ladder
+// checks its outcome against them on every pane. A join's panes are
+// never reported, so never prepared ahead.
 func (e *Engine) willMapPane(p window.PaneID) bool {
-	if e.reuseEligible() {
+	if len(e.query.Sources) > 1 || e.reuseEligible() {
 		return false
 	}
 	done, _ := e.matrix.Done(p)
@@ -100,107 +59,26 @@ func (e *Engine) prepareNewPanes(lo, hi window.PaneID) func(window.PaneID) *pane
 	}
 }
 
-// ensureAggPane guarantees pane p's per-partition reduce-output caches
-// exist, reusing them when present, rebuilding the reduce outputs from
-// surviving reduce-input caches when only the outputs were lost, and
-// re-running the pane's full map+shuffle+reduce when the inputs are
-// gone too (the recovery ladder of §5). pp is the pane's map compute
-// when prepareNewPanes ran it ahead, nil otherwise.
-func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, pp *panePrep, stats *mapreduce.Stats) (refs []cacheRef, reused, recovered bool, err error) {
-	q := e.query
-	R := q.NumReducers
-
-	certain, mapped := pp != nil || e.willMapPane(p), false
-	defer func() {
-		if err == nil && certain && !mapped {
-			err = fmt.Errorf("core: pane %d was certain to be mapped, yet a cache rung served it", int64(p))
-		}
-	}()
-	paneDone, _ := e.matrix.Done(p)
-	if e.noReuse {
-		paneDone = false
-	}
-	var buf pidBuf
-	if paneDone {
-		refs = make([]cacheRef, R)
-		allOut := true
-		for part := 0; part < R; part++ {
-			ref, ok := e.lookupCache(q.appendRoutTuplePID(buf[:0], paneTuple{p}, part), ReduceOutput)
-			if !ok {
-				allOut = false
-				break
-			}
-			refs[part] = ref
-		}
-		if allOut {
-			return refs, true, false, nil
-		}
-		recovered = true
-	}
-	// Cross-query reuse probe (ReStore-style): before walking the §5
-	// recovery ladder, ask the reuse index whether another query over
-	// the same shared stream already materialized this pane — exactly,
-	// or at a finer pane unit the Merge can compose. A hit
-	// short-circuits map+shuffle+reduce into a cheap copy/merge task
-	// and counts as a reused pane, not a rebuild.
-	if refs, hit, err := e.tryReuseAggPane(p, trigger, stats); err != nil {
-		return nil, false, recovered, err
-	} else if hit {
-		return refs, true, recovered, nil
-	}
-	// Before re-mapping, try building the outputs from reduce-input
-	// caches: they survive output-cache loss (§5's cheap recovery
-	// rung) and may have been created by a sibling query sharing this
-	// source's CacheKey.
-	rins := make([]cacheRef, R)
-	allIn := !e.noReuse
-	for part := 0; allIn && part < R; part++ {
-		ref, ok := e.lookupCache(q.appendRinPID(buf[:0], 0, e.frames[0].Pane, p, part), ReduceInput)
-		if !ok {
-			allIn = false
-			break
-		}
-		rins[part] = ref
-	}
-	if allIn {
-		refs, err = e.rebuildAggOutputs(p, trigger, rins, stats)
-		if err != nil {
-			return nil, false, recovered, err
-		}
-		return refs, false, recovered, nil
-	}
-
-	// New (or fully lost) pane: map + shuffle + per-pane reduce.
-	mapped = true
-	id := fmt.Sprintf("%sP%d", q.Sources[0].Name, int64(p))
-	e.sched.MapTasks.Push(id, nil)
-	defer e.sched.MapTasks.Remove(id)
-
-	if pp == nil {
-		pp = e.preparePane(0, p)
-	}
-	if e.proactive && len(pp.ins) > 1 {
-		refs, err = e.processAggPaneProactive(p, trigger, pp, stats)
-		if err != nil {
-			return nil, false, recovered, err
-		}
-		return refs, false, recovered, nil
-	}
-
+// buildAggPane is the map rung of an aggregation pane: its prepared map
+// output is committed, shuffled and reduced per partition, and refs gets
+// the reduce-output caches, each registered after the reduce-input cache
+// it derives from.
+func (e *Engine) buildAggPane(p window.PaneID, trigger simtime.Time, pp *panePrep, refs []cacheRef, stats *mapreduce.Stats) error {
 	mp, err := e.commitPaneMapPhase(0, p, trigger, pp, stats)
 	if err != nil {
-		return nil, false, recovered, err
+		return err
 	}
 	job := e.paneJob(0)
 	rres, rstats, err := e.mr.RunReducePhase(job, mp, mp.FirstMapEnd)
 	if err != nil {
-		return nil, false, recovered, err
+		return err
 	}
 	stats.Accumulate(rstats)
 
 	// Encode the reduce-input caches in parallel (pure compute; the
 	// outputs were encoded as the reducers emitted them); cache
 	// registration below stays serial in partition order.
+	R := e.query.NumReducers
 	rinData, routData := make([][]byte, R), make([][]byte, R)
 	parallel.For(e.mr.WorkerCount(), len(rres), func(i int) {
 		rr := rres[i]
@@ -216,11 +94,10 @@ func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, pp *panePr
 	if live := len(rres); live > 0 {
 		mapShare = (mp.Stats.MapTime + rstats.ShuffleTime) / simtime.Duration(live)
 	}
-	refs = make([]cacheRef, R)
 	for part, next := 0, 0; part < R; part++ { // rres[next:] is in partition order
-		home := e.sched.HomeNode(part)
-		if home == nil {
-			return nil, false, recovered, fmt.Errorf("core: no alive node to home partition %d", part)
+		home, err := e.home(part)
+		if err != nil {
+			return err
 		}
 		node := home.ID
 		readyAt := simtime.Max(mp.LastMapEnd, trigger)
@@ -237,10 +114,7 @@ func (e *Engine) ensureAggPane(p window.PaneID, trigger simtime.Time, pp *panePr
 		}
 		refs[part] = e.registerAggPart(job.Name, p, part, node, readyAt, rinData[part], routData[part], rinMeta, routMeta)
 	}
-	if err := e.matrix.Update(p); err != nil {
-		return nil, false, recovered, err
-	}
-	return refs, false, recovered, nil
+	return nil
 }
 
 // registerAggPart registers partition part of pane p, freshly built by
@@ -267,9 +141,9 @@ func (e *Engine) registerAggRout(p window.PaneID, part, node int, readyAt simtim
 // work remains after the window closes; a cheap pane-level combine of
 // the sub-pane partials then forms the pane's caches at the usual
 // pane granularity, keeping reuse and expiry unchanged.
-func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, pp *panePrep, stats *mapreduce.Stats) ([]cacheRef, error) {
+func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, pp *panePrep, refs []cacheRef, stats *mapreduce.Stats) error {
 	if pp.err != nil {
-		return nil, pp.err
+		return pp.err
 	}
 	q := e.query
 	R := q.NumReducers
@@ -284,14 +158,14 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 		ready := simtime.Max(seg.AvailableAt, 0)
 		mp, err := e.mr.CommitMapPhase(pp.preps[i], ready)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer mp.Release() // once the combine below has read its partitions (subIn)
 		mp.Stats.BytesRead += seg.HeaderBytes
 		stats.Accumulate(mp.Stats)
 		rres, rstats, err := e.mr.RunReducePhase(job, mp, mp.FirstMapEnd)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		stats.Accumulate(rstats)
 		for _, rr := range rres {
@@ -318,11 +192,10 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 	})
 	e.mr.PutGroupers(groupers)
 
-	refs := make([]cacheRef, R)
 	for part := 0; part < R; part++ {
-		home := e.sched.HomeNode(part)
-		if home == nil {
-			return nil, fmt.Errorf("core: no alive node to home partition %d", part)
+		home, err := e.home(part)
+		if err != nil {
+			return err
 		}
 		if len(subOut[part]) == 0 {
 			refs[part] = e.registerAggPart(job.Name, p, part, home.ID, trigger, nil, nil, cacheMeta{}, cacheMeta{})
@@ -331,8 +204,7 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 		inBytes := records.PairsSize(subOut[part])
 		ct := e.runCacheTask(func() string { return fmt.Sprintf("combine pane %d p%d", int64(p), part) }, phaseCombine, readyAt[part],
 			[]cacheRef{{node: home.ID, bytes: inBytes, readyAt: readyAt[part]}},
-			e.mr.Cost.MergeTask(inBytes, int64(len(routData[part]))))
-		stats.ReduceTime += ct.dur
+			e.mr.Cost.MergeTask(inBytes, int64(len(routData[part]))), stats)
 		stats.BytesCacheRead += inBytes
 		// A hit on these entries skips the modeled rebuild-from-inputs
 		// reduce (outputs) or the sub-pane sort+spill work (inputs); the
@@ -344,73 +216,47 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 		routMeta := cacheMeta{span: ct.span,
 			recompute: e.mr.Cost.ReduceTask(rinBytes, int64(len(routData[part])))}
 		refs[part] = e.registerAggPart(job.Name, p, part, ct.node, ct.end, rinData[part], routData[part], rinMeta, routMeta)
-		if ct.end > stats.End {
-			stats.End = ct.end
-		}
 	}
-	if err := e.matrix.Update(p); err != nil {
-		return nil, err
-	}
-	return refs, nil
+	return nil
 }
 
-// rebuildAggOutputs re-runs only the per-pane reduce over cached
-// reduce inputs (no re-load, no re-shuffle), restoring lost output
-// caches.
-func (e *Engine) rebuildAggOutputs(p window.PaneID, trigger simtime.Time, rins []cacheRef, stats *mapreduce.Stats) ([]cacheRef, error) {
-	q := e.query
-	refs := make([]cacheRef, q.NumReducers)
-	// Re-reducing cached inputs is pure compute; the serial commit pass
-	// does the scheduling, cache registration, and ledger charges.
-	rebuilt := make([][]byte, len(rins))
-	if err := parallel.CommitOrderErr(e.mr.WorkerCount(), len(rins),
-		func(part int) error {
-			if rins[part].bytes == 0 {
-				return nil
-			}
-			runs, err := e.sortedRuns(nil, rins[part:part+1])
-			if err != nil {
-				return err
-			}
-			var g mapreduce.Grouper
-			rebuilt[part], _ = g.ReduceRuns(q.Reduce, runs)
-			return nil
-		},
-		func(part int) error {
-			rin := rins[part]
-			// No job: the outputs come from cached inputs, not from a
-			// MapReduce job's task attempts.
-			routMeta := cacheMeta{span: rin.span, inputs: rins[part : part+1]}
-			if rin.bytes == 0 {
-				refs[part] = e.registerAggRout(p, part, rin.node, simtime.Max(rin.readyAt, trigger), nil, routMeta)
-				return nil
-			}
-			outData := rebuilt[part]
-			ct := e.runCacheTask(func() string { return fmt.Sprintf("rebuild pane %d p%d", int64(p), part) }, phaseReduce, trigger, []cacheRef{rin},
-				e.mr.Cost.ReduceTask(rin.bytes, int64(len(outData))))
-			stats.ReduceTime += ct.dur
-			stats.ReduceTasks++
-			stats.BytesCacheRead += rin.bytes
-			routMeta.span = ct.span
-			routMeta.recompute = ct.dur
-			refs[part] = e.registerAggRout(p, part, ct.node, ct.end, outData, routMeta)
-			if ct.end > stats.End {
-				stats.End = ct.end
-			}
-			return nil
-		}); err != nil {
-		return nil, err
+// rebuildAggOutputs is the rebuild rung: it re-runs only the per-pane
+// reduce over the pane's cached reduce inputs, rins (no re-load, no
+// re-shuffle), restoring the lost output caches into refs.
+func (e *Engine) rebuildAggOutputs(p window.PaneID, trigger simtime.Time, rins, refs []cacheRef, stats *mapreduce.Stats) error {
+	caches := make([][]cacheRef, len(rins))
+	for part := range rins {
+		if rins[part].bytes != 0 {
+			caches[part] = rins[part : part+1]
+		}
 	}
-	if err := e.matrix.Update(p); err != nil {
-		return nil, err
+	rebuilt, err := e.reduceCached(e.query.Reduce, caches)
+	if err != nil {
+		return err
 	}
-	return refs, nil
+	for part, rin := range rins {
+		// No job: the outputs come from cached inputs, not from a
+		// MapReduce job's task attempts.
+		routMeta := cacheMeta{span: rin.span, inputs: rins[part : part+1]}
+		if rin.bytes == 0 {
+			refs[part] = e.registerAggRout(p, part, rin.node, simtime.Max(rin.readyAt, trigger), nil, routMeta)
+			continue
+		}
+		outData := rebuilt[part].data
+		ct := e.runCacheTask(func() string { return fmt.Sprintf("rebuild pane %d p%d", int64(p), part) }, phaseReduce, trigger, caches[part],
+			e.mr.Cost.ReduceTask(rin.bytes, int64(len(outData))), stats)
+		stats.ReduceTasks++
+		stats.BytesCacheRead += rin.bytes
+		routMeta.span, routMeta.recompute = ct.span, ct.dur
+		refs[part] = e.registerAggRout(p, part, ct.node, ct.end, outData, routMeta)
+	}
+	return nil
 }
 
 // finalizeAggWindow runs the per-partition finalization merge over the
 // window's cached pane outputs; it usually lands on the partition's
 // home node, where every pane output is local.
-func (e *Engine) finalizeAggWindow(lo, hi window.PaneID, trigger simtime.Time, routRefs map[window.PaneID][]cacheRef, stats *mapreduce.Stats) ([]records.Pair, simtime.Time, error) {
+func (e *Engine) finalizeAggWindow(lo, hi window.PaneID, trigger simtime.Time, routRefs map[window.PaneID][]cacheRef, stats *mapreduce.Stats) ([]records.Pair, error) {
 	caches := make([][]cacheRef, e.query.NumReducers)
 	for p := lo; p <= hi; p++ {
 		for part, ref := range routRefs[p] {

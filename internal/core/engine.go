@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"redoop/internal/account"
+	"redoop/internal/cluster"
 	"redoop/internal/colfmt"
 	"redoop/internal/health"
 	"redoop/internal/lineage"
@@ -540,13 +541,7 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	root := e.obs.ReserveSpanID()
 	e.mr.SpanParent = root
 
-	var res *RecurrenceResult
-	var err error
-	if len(e.query.Sources) == 1 {
-		res, err = e.runAggregation(r, trigger)
-	} else {
-		res, err = e.runJoin(r, trigger)
-	}
+	res, err := e.runRecurrence(r, trigger)
 	if err != nil {
 		return nil, err
 	}
@@ -677,6 +672,133 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	return res, nil
 }
 
+// runRecurrence executes recurrence r: every pane of every source in
+// the window goes down the §5 ladder once (ensurePane), then the window
+// is finalized. An aggregation merges its pane outputs — pane-based, not
+// tuple-based (paper §6.2.1); a join joins its pane tuples over the
+// panes' reduce inputs and combines their outputs (joinWindow).
+func (e *Engine) runRecurrence(r int, trigger simtime.Time) (*RecurrenceResult, error) {
+	los, his := e.windowRanges(r)
+	res := &RecurrenceResult{Recurrence: r, WindowLo: los[0], WindowHi: his[0], TriggerAt: trigger}
+	res.Stats.Start = trigger
+	res.Stats.End = trigger
+	panes := make([]map[window.PaneID][]cacheRef, len(los))
+	for src := range los {
+		panes[src] = make(map[window.PaneID][]cacheRef, int(his[src]-los[src])+1)
+		ahead := e.prepareNewPanes(los[src], his[src])
+		for p := los[src]; p <= his[src]; p++ {
+			refs, reused, recovered, err := e.ensurePane(src, p, trigger, ahead(p), &res.Stats)
+			if err != nil {
+				return nil, err
+			}
+			panes[src][p] = refs
+			if reused {
+				res.ReusedPanes++
+			} else {
+				res.NewPanes++
+			}
+			if recovered {
+				res.CacheRecoveries++
+			}
+		}
+	}
+	var err error
+	if len(los) == 1 {
+		res.Output, err = e.finalizeAggWindow(los[0], his[0], trigger, panes[0], &res.Stats)
+	} else {
+		res.Output, err = e.joinWindow(res, los, his, panes)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.CompletedAt = res.Stats.End
+	res.ResponseTime = res.Stats.End.Sub(trigger)
+	return res, nil
+}
+
+// ensurePane takes pane p of source src down the §5 recovery ladder and
+// fills the per-partition caches the window reads from it: an
+// aggregation pane's reduce outputs, a join source pane's reduce inputs.
+// The rungs, cheapest first:
+//
+//  1. the pane's cached outputs (an aggregation's only; reused);
+//  2. another query's outputs of the pane (tryReuseAggPane; reused);
+//  3. the pane's cached reduce inputs, which survive output loss and may
+//     have been built by a sibling sharing the source's CacheKey: an
+//     aggregation re-reduces them (rebuildAggOutputs), a join reads them
+//     as they are (reused);
+//  4. the map rung: the pane's DFS files mapped, shuffled and, for an
+//     aggregation, reduced.
+//
+// An aggregation pane that a rung below the first built is marked done
+// in the status matrix. recovered reports, for an aggregation, that an
+// output was lost; for a join, that a probed input had a signature, so
+// its bytes were lost. pp is the pane's map compute when
+// prepareNewPanes ran it ahead, nil otherwise.
+func (e *Engine) ensurePane(src int, p window.PaneID, trigger simtime.Time, pp *panePrep, stats *mapreduce.Stats) (refs []cacheRef, reused, recovered bool, err error) {
+	q := e.query
+	agg := len(q.Sources) == 1 // only an aggregation has a pane output to probe and a reduce to redo
+	certain, mapped := pp != nil || e.willMapPane(p), false
+	defer func() {
+		if err == nil && certain && !mapped {
+			err = fmt.Errorf("core: pane %d was certain to be mapped, yet a cache rung served it", int64(p))
+		}
+	}()
+	refs = make([]cacheRef, q.NumReducers)
+	if agg && !e.noReuse {
+		if done, _ := e.matrix.Done(p); done {
+			if all, _ := e.probeParts(refs, ReduceOutput, src, paneTuple{p}); all {
+				return refs, true, false, nil
+			}
+			recovered = true
+		}
+	}
+	if reused, err = e.tryReuseAggPane(p, trigger, refs, stats); err != nil {
+		return nil, false, recovered, err
+	}
+	rins, all := refs, false
+	if !reused && !e.noReuse {
+		if agg {
+			rins = make([]cacheRef, len(refs))
+		}
+		var known bool
+		all, known = e.probeParts(rins, ReduceInput, src, paneTuple{p})
+		if !agg {
+			recovered = known // a join pane has no output rung: its loss is found here
+		}
+	}
+	switch {
+	case reused: // by the reuse rung
+	case all && !agg:
+		return refs, true, false, nil
+	case all:
+		err = e.rebuildAggOutputs(p, trigger, rins, refs, stats)
+	default:
+		mapped = true
+		id := fmt.Sprintf("%sP%d", q.Sources[src].Name, int64(p))
+		e.sched.MapTasks.Push(id, nil)
+		defer e.sched.MapTasks.Remove(id)
+		if pp == nil {
+			pp = e.preparePane(src, p)
+		}
+		switch {
+		case !agg:
+			err = e.buildJoinInputs(src, p, trigger, pp, refs, stats)
+		case e.proactive && len(pp.ins) > 1:
+			err = e.processAggPaneProactive(p, trigger, pp, refs, stats)
+		default:
+			err = e.buildAggPane(p, trigger, pp, refs, stats)
+		}
+	}
+	if err != nil {
+		return nil, false, recovered, err
+	}
+	if agg {
+		err = e.matrix.Update(p)
+	}
+	return refs, reused, recovered, err
+}
+
 // Health returns the engine's SLO monitor (shared or private; never
 // nil after NewEngine) — the source of /debug/health snapshots.
 func (e *Engine) Health() *health.Monitor { return e.healthMon }
@@ -775,12 +897,13 @@ func (e *Engine) rinUsers(src int) []int {
 // controller back to HDFS-available and removes any scheduled tasks
 // that depended on the cache, per §5. The PID comes as bytes the caller
 // may build on its stack; a found cache is named by its signature's
-// stored string, so only a miss copies them.
-func (e *Engine) lookupCache(pidBytes []byte, typ CacheType) (cacheRef, bool) {
-	sig, ok := e.ctrl.lookup(pidBytes, typ)
-	if !ok || sig.Ready != CacheAvailable {
+// stored string, so only a miss copies them. known reports that the
+// signature exists, whatever its ready bit.
+func (e *Engine) lookupCache(pidBytes []byte, typ CacheType) (ref cacheRef, ok, known bool) {
+	sig, known := e.ctrl.lookup(pidBytes, typ)
+	if !known || sig.Ready != CacheAvailable {
 		e.commit(commit{kind: kindMiss, at: e.curTrigger, pid: string(pidBytes), typ: typ, node: -1})
-		return cacheRef{}, false
+		return cacheRef{}, false, known
 	}
 	pid := sig.PID
 	reg := e.ctrl.Registry(sig.NID)
@@ -796,11 +919,45 @@ func (e *Engine) lookupCache(pidBytes []byte, typ CacheType) (cacheRef, bool) {
 		e.sched.ReduceTasks.RemoveMatching(func(id string) bool {
 			return containsPID(id, pid)
 		})
-		return cacheRef{}, false
+		return cacheRef{}, false, true
 	}
 	e.ctrl.ClaimUser(pid, typ, e.qIdx)
 	e.commit(commit{kind: kindHit, at: e.curTrigger, pid: pid, typ: typ, node: sig.NID, bytes: sig.Bytes})
-	return cacheRef{pid: pid, typ: typ, node: sig.NID, readyAt: sig.ReadyAt, bytes: sig.Bytes}, true
+	return cacheRef{pid: pid, typ: typ, node: sig.NID, readyAt: sig.ReadyAt, bytes: sig.Bytes}, true, true
+}
+
+// probeParts fills refs with the partition caches of one pane's reduce
+// input (typ ReduceInput: pane t[0] of source src) or of one pane tuple's
+// reduce output (ReduceOutput), looking them up in partition order and
+// stopping at the first miss. known reports that a probed signature
+// existed, so a miss after it was a loss.
+func (e *Engine) probeParts(refs []cacheRef, typ CacheType, src int, t paneTuple) (all, known bool) {
+	q := e.query
+	var buf pidBuf
+	for part := range refs {
+		var pid []byte
+		if typ == ReduceInput {
+			pid = q.appendRinPID(buf[:0], src, e.frames[src].Pane, t[0], part)
+		} else {
+			pid = q.appendRoutTuplePID(buf[:0], t, part)
+		}
+		ref, ok, sig := e.lookupCache(pid, typ)
+		known = known || sig
+		if !ok {
+			return false, known
+		}
+		refs[part] = ref
+	}
+	return true, known
+}
+
+// home returns partition part's home node, where a pane's caches go
+// when no task placed them.
+func (e *Engine) home(part int) (*cluster.Node, error) {
+	if n := e.sched.HomeNode(part); n != nil {
+		return n, nil
+	}
+	return nil, fmt.Errorf("core: no alive node to home partition %d", part)
 }
 
 // cacheBytes returns a cache's stored bytes on its node. Ownership:
@@ -881,19 +1038,23 @@ func (e *Engine) gatherCaches(groups [][]cacheRef) ([]records.Pair, error) {
 	return all, nil
 }
 
-// finalizeMerged runs the window's finalization merge: partition
-// part's result is q.Merge over the runs of caches[part] (the
-// partition's non-empty partial outputs, in window order), merged off
-// their columns (Grouper.ReduceRuns). Each merge is scheduled by
-// Equation 4 and cannot complete before the trigger.
-func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats *mapreduce.Stats) ([]records.Pair, simtime.Time, error) {
-	// Phase 1 (parallel): view each partition's caches and merge them —
-	// pure compute. inBytes is what the pairs read would size to.
-	type finalPart struct {
-		out               colfmt.PairRun
-		inBytes, outBytes int64
-	}
-	parts := make([]finalPart, len(caches))
+// cachedReduce is one partition's reduce over its caches: the encoded
+// output, its view, and the size of the pairs read.
+type cachedReduce struct {
+	data    []byte
+	out     colfmt.PairRun
+	inBytes int64
+}
+
+// reduceCached reduces each partition's caches, caches[part], with fn,
+// merged off their columns (SortedRun + Grouper.ReduceRuns) — pure
+// compute, fanned out with one pooled Grouper per worker; a partition
+// with no caches stays zero. Every partition's caches are read and
+// validated before it returns, so a caller registers nothing of a
+// damaged set; the error is the lowest partition's, whichever worker
+// met it.
+func (e *Engine) reduceCached(fn mapreduce.ReduceFunc, caches [][]cacheRef) ([]cachedReduce, error) {
+	parts := make([]cachedReduce, len(caches))
 	errs := make([]error, len(caches))
 	stride := 0
 	for _, refs := range caches {
@@ -905,44 +1066,51 @@ func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats
 		if len(caches[part]) == 0 {
 			return
 		}
-		fp, g := &parts[part], &groupers[worker]
+		cr, g := &parts[part], &groupers[worker]
 		runs, err := e.sortedRuns(views[worker*stride:worker*stride:(worker+1)*stride], caches[part])
 		if err != nil {
 			errs[part] = err
 			return
 		}
 		for i := range runs {
-			fp.inBytes += runs[i].Size()
+			cr.inBytes += runs[i].Size()
 		}
-		_, fp.out = g.ReduceRuns(e.query.Merge, runs)
-		fp.outBytes = fp.out.Size()
+		cr.data, cr.out = g.ReduceRuns(fn, runs)
 	})
 	e.mr.PutGroupers(groupers)
-	if err := cmp.Or(errs...); err != nil { // the lowest partition's, whichever worker hit it
-		return nil, trigger, err
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
 	}
-	// Phase 2 (serial, partition order): Eq. 4 scheduling, stats, pairs.
-	endMax := trigger
+	return parts, nil
+}
+
+// finalizeMerged runs the window's finalization merge: partition
+// part's result is q.Merge over caches[part] (the partition's non-empty
+// partial outputs, in window order). Each merge is scheduled by
+// Equation 4 and cannot complete before the trigger.
+func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats *mapreduce.Stats) ([]records.Pair, error) {
+	parts, err := e.reduceCached(e.query.Merge, caches)
+	if err != nil {
+		return nil, err
+	}
 	n := 0
-	for _, fp := range parts {
-		n += fp.out.Len()
+	for _, cr := range parts {
+		n += cr.out.Len()
 	}
 	output := slices.Grow([]records.Pair(nil), n)
-	for part, fp := range parts {
+	for part, cr := range parts {
 		if len(caches[part]) == 0 {
 			continue
 		}
-		ct := e.runCacheTask(func() string { return fmt.Sprintf("finalize p%d", part) }, phaseReduce, trigger, caches[part], e.mr.Cost.MergeTask(fp.inBytes, fp.outBytes))
-		stats.ReduceTime += ct.dur
+		outBytes := cr.out.Size()
+		e.runCacheTask(func() string { return fmt.Sprintf("finalize p%d", part) }, phaseReduce, trigger, caches[part],
+			e.mr.Cost.MergeTask(cr.inBytes, outBytes), stats)
 		stats.ReduceTasks++
-		stats.BytesCacheRead += fp.inBytes
-		stats.BytesOutput += fp.outBytes
-		if ct.end > endMax {
-			endMax = ct.end
-		}
-		output = fp.out.AppendTo(output)
+		stats.BytesCacheRead += cr.inBytes
+		stats.BytesOutput += outBytes
+		output = cr.out.AppendTo(output)
 	}
-	return output, endMax, nil
+	return output, nil
 }
 
 // panePrep is the compute half of one pane's map phase: its physical
@@ -1025,14 +1193,13 @@ func (e *Engine) paneJob(src int) *mapreduce.Job {
 	}
 }
 
-// cacheTask reports one scheduled cache-fed task: where it ran, its
-// slot occupancy, and the task span recorded for it.
+// cacheTask reports one scheduled cache-fed task: where it ran, when it
+// ended, its slot occupancy, and the task span recorded for it.
 type cacheTask struct {
-	node  int
-	start simtime.Time
-	end   simtime.Time
-	dur   simtime.Duration
-	span  obs.SpanID
+	node int
+	end  simtime.Time
+	dur  simtime.Duration
+	span obs.SpanID
 }
 
 // runCacheTask schedules one cache-fed reduce-style task: the node is
@@ -1044,8 +1211,9 @@ type cacheTask struct {
 // each named cache's load cost is committed, for the cost ledger to net
 // out of the hit's saving. The slot time is charged in two parts:
 // the cache-load share under phaseCacheLoad, the supplied work under
-// the caller's phase, summing exactly to the node's AddLoad.
-func (e *Engine) runCacheTask(name func() string, ph phase, ready simtime.Time, caches []cacheRef, work simtime.Duration) cacheTask {
+// the caller's phase, summing exactly to the node's AddLoad, and is
+// added to stats' ReduceTime; the task's end bounds stats' End.
+func (e *Engine) runCacheTask(name func() string, ph phase, ready simtime.Time, caches []cacheRef, work simtime.Duration, stats *mapreduce.Stats) cacheTask {
 	locs := make([]CacheLoc, len(caches))
 	for i, c := range caches {
 		locs[i] = c.loc()
@@ -1058,6 +1226,8 @@ func (e *Engine) runCacheTask(name func() string, ph phase, ready simtime.Time, 
 	dur := load + work
 	start, end := node.Reduce.Acquire(ready, dur)
 	node.AddLoad(dur)
+	stats.ReduceTime += dur
+	stats.End = simtime.Max(stats.End, end)
 	e.commit(commit{kind: kindCharged, phase: phaseCacheLoad, cost: load})
 	e.commit(commit{kind: kindCharged, phase: ph, cost: work})
 	for _, c := range caches {
@@ -1078,7 +1248,7 @@ func (e *Engine) runCacheTask(name func() string, ph phase, ready simtime.Time, 
 			Args: []obs.Label{obs.L("caches", strconv.Itoa(len(caches))), obs.L("query", e.query.Name)},
 		})
 	}
-	return cacheTask{node: node.ID, start: start, end: end, dur: dur, span: span}
+	return cacheTask{node: node.ID, end: end, dur: dur, span: span}
 }
 
 // retireExpired marks panes that have slid out of every window (as of

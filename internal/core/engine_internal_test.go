@@ -250,7 +250,7 @@ func TestCachePIDNamespaces(t *testing.T) {
 	if got := q.routPanePID(3, 1); got == private || got == shared {
 		t.Error("output PIDs must not collide with input PIDs")
 	}
-	if q.routPairPID(1, 2, 0) == q.routPairPID(2, 1, 0) {
+	if q.routTuplePID(paneTuple{1, 2}, 0) == q.routTuplePID(paneTuple{2, 1}, 0) {
 		t.Error("pair PIDs must be order-sensitive")
 	}
 }

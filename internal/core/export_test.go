@@ -20,6 +20,6 @@ func FinalizeCaches(e *Engine, data [][][]byte) ([]records.Pair, mapreduce.Stats
 		}
 	}
 	var stats mapreduce.Stats
-	out, _, err := e.finalizeMerged(caches, 0, &stats)
+	out, err := e.finalizeMerged(caches, 0, &stats)
 	return out, stats, err
 }

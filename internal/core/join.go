@@ -24,42 +24,16 @@ import (
 // paneTuple is one coordinate of the n-dimensional pane space.
 type paneTuple []window.PaneID
 
-// runJoin executes recurrence r of a multi-source query.
-func (e *Engine) runJoin(r int, trigger simtime.Time) (*RecurrenceResult, error) {
-	n := len(e.query.Sources)
-	los, his := e.windowRanges(r)
-	res := &RecurrenceResult{Recurrence: r, WindowLo: los[0], WindowHi: his[0], TriggerAt: trigger}
-	res.Stats.Start = trigger
-	res.Stats.End = trigger
-
-	// Phase 1: reduce-input caches for every pane of every source.
-	rins := make([]map[window.PaneID][]cacheRef, n)
-	for src := 0; src < n; src++ {
-		rins[src] = make(map[window.PaneID][]cacheRef, int(his[src]-los[src])+1)
-		for p := los[src]; p <= his[src]; p++ {
-			refs, reused, recovered, err := e.ensureJoinPaneInputs(src, p, trigger, &res.Stats)
-			if err != nil {
-				return nil, err
-			}
-			rins[src][p] = refs
-			if reused {
-				res.ReusedPanes++
-			} else {
-				res.NewPanes++
-			}
-			if recovered {
-				res.CacheRecoveries++
-			}
-		}
-	}
-
-	// Phase 2: join every pane tuple of the window exactly once.
-	// Tuples already computed in earlier windows are reused from their
-	// output caches; the rest are grouped into batched tasks that
-	// share one cached pane per slot occupancy. tuples and tupleRefs
-	// are in forEachTupleRanges order: a tuple's index is its ordinal.
-	// Their panes and their per-partition references are each one array.
-	R, count := e.query.NumReducers, 1
+// joinWindow computes the window of recurrence res from its source
+// panes' reduce inputs, rins[src][pane]: every pane tuple in the window
+// is joined exactly once. Tuples already computed in earlier windows are
+// reused from their output caches; the rest are grouped into batched
+// tasks that share one cached pane per slot occupancy. tuples and
+// tupleRefs are in forEachTupleRanges order: a tuple's index is its
+// ordinal. Their panes and their per-partition references are each one
+// array. The window's tuple outputs are then combined into its result.
+func (e *Engine) joinWindow(res *RecurrenceResult, los, his []window.PaneID, rins []map[window.PaneID][]cacheRef) ([]records.Pair, error) {
+	n, R, count := len(los), e.query.NumReducers, 1
 	for d := range los {
 		count *= max(0, int(his[d]-los[d])+1)
 	}
@@ -69,38 +43,28 @@ func (e *Engine) runJoin(r int, trigger simtime.Time) (*RecurrenceResult, error)
 	forEachTupleRanges(los, his, func(t paneTuple) {
 		ord := len(tuples)
 		tr := refs[ord*R : (ord+1)*R : (ord+1)*R]
-		reused, recovered := e.reuseJoinTuple(t, tr)
+		reused := false
+		if done, _ := e.matrix.Done(t...); done && !e.noReuse {
+			if reused, _ = e.probeParts(tr, ReduceOutput, 0, t); !reused {
+				res.CacheRecoveries++ // tr is overwritten by the tuple's join
+			}
+		}
 		if reused {
 			res.ReusedPairs++
 		} else {
 			needed = append(needed, ord)
 			res.NewPairs++
 		}
-		if recovered {
-			res.CacheRecoveries++
-		}
 		panes = append(panes, t...)
 		tuples = append(tuples, panes[ord*n:(ord+1)*n:(ord+1)*n])
 		tupleRefs = append(tupleRefs, tr)
 	})
 	for _, group := range groupTuples(tuples, needed) {
-		if err := e.joinTupleGroup(group, trigger, rins, tupleRefs, &res.Stats); err != nil {
+		if err := e.joinTupleGroup(group, res.TriggerAt, rins, tupleRefs, &res.Stats); err != nil {
 			return nil, err
 		}
 	}
-
-	// Phase 3: combine the window's tuple outputs into the final result.
-	out, endMax, err := e.finalizeJoinWindow(trigger, tupleRefs, &res.Stats)
-	if err != nil {
-		return nil, err
-	}
-	res.Output = out
-	if endMax > res.Stats.End {
-		res.Stats.End = endMax
-	}
-	res.CompletedAt = res.Stats.End
-	res.ResponseTime = res.Stats.End.Sub(trigger)
-	return res, nil
+	return e.finalizeJoinWindow(res.TriggerAt, tupleRefs, &res.Stats)
 }
 
 // windowRanges returns the inclusive pane range of recurrence r's
@@ -133,41 +97,15 @@ func forEachTupleRanges(los, his []window.PaneID, fn func(paneTuple)) {
 	rec(0)
 }
 
-// ensureJoinPaneInputs guarantees the per-partition reduce-input caches
-// of pane p of source src: reused when present, rebuilt by re-running
-// the pane's map and shuffle when lost.
-func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.Time, stats *mapreduce.Stats) (refs []cacheRef, reused, recovered bool, err error) {
+// buildJoinInputs is the map rung of a join source pane: its prepared
+// map output is committed and each partition shuffled to its home node
+// and spilled there, sorted, as the reduce-input cache refs gets.
+func (e *Engine) buildJoinInputs(src int, p window.PaneID, trigger simtime.Time, pp *panePrep, refs []cacheRef, stats *mapreduce.Stats) error {
 	q := e.query
 	R := q.NumReducers
-
-	refs = make([]cacheRef, R)
-	all := !e.noReuse
-	anyKnown := false
-	var buf pidBuf
-	for part := 0; all && part < R; part++ {
-		pid := q.appendRinPID(buf[:0], src, e.frames[src].Pane, p, part)
-		if _, known := e.ctrl.lookup(pid, ReduceInput); known {
-			anyKnown = true
-		}
-		ref, ok := e.lookupCache(pid, ReduceInput)
-		if !ok {
-			all = false
-			break
-		}
-		refs[part] = ref
-	}
-	if all {
-		return refs, true, false, nil
-	}
-	recovered = anyKnown // signatures existed but bytes were lost
-
-	id := fmt.Sprintf("%sP%d", q.Sources[src].Name, int64(p))
-	e.sched.MapTasks.Push(id, nil)
-	defer e.sched.MapTasks.Remove(id)
-
-	mp, err := e.commitPaneMapPhase(src, p, trigger, e.preparePane(src, p), stats)
+	mp, err := e.commitPaneMapPhase(src, p, trigger, pp, stats)
 	if err != nil {
-		return nil, false, recovered, err
+		return err
 	}
 
 	// The per-partition encode is pure compute; fan it out before the
@@ -204,9 +142,9 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 	}
 	jobName := fmt.Sprintf("%s/%s", q.Name, q.Sources[src].Name)
 	for part := 0; part < R; part++ {
-		home := e.sched.HomeNode(part)
-		if home == nil {
-			return nil, false, recovered, fmt.Errorf("core: no alive node to home partition %d", part)
+		home, err := e.home(part)
+		if err != nil {
+			return err
 		}
 		inBytes := inSizes[part]
 		readyAt := simtime.Max(mp.LastMapEnd, trigger)
@@ -218,20 +156,9 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 			refs[part] = e.registerCacheFor(q.rinPID(src, e.frames[src].Pane, p, part), ReduceInput, home.ID, readyAt, nil, e.rinUsers(src), rinMeta)
 			continue
 		}
-		// The reducer-side copy: bytes from maps colocated with the
-		// home are disk reads, the rest cross the network; the spill
-		// to the reduce-input cache is a local write.
-		var local, remote int64
-		for srcNode, b := range mp.PartSrcBytes[part] {
-			if srcNode == home.ID {
-				local += b
-			} else {
-				remote += b
-			}
-		}
-		shuffleStart := mp.FirstMapEnd
-		copyDone := shuffleStart.Add(e.mr.Cost.NetTransfer(remote) + e.mr.Cost.DiskRead(local))
-		availAt := simtime.Max(copyDone, mp.LastMapEnd)
+		// The reducer-side copy to the home; the spill to the
+		// reduce-input cache is a local write.
+		_, _, shuffleStart, availAt := mp.Shuffle(e.mr.Cost, part, home.ID, mp.FirstMapEnd)
 		spill := e.mr.Cost.Sort(inBytes) + e.mr.Cost.DiskWrite(inBytes)
 		start, end := home.Reduce.Acquire(availAt, spill)
 		home.AddLoad(spill)
@@ -265,28 +192,7 @@ func (e *Engine) ensureJoinPaneInputs(src int, p window.PaneID, trigger simtime.
 			stats.End = end
 		}
 	}
-	return refs, false, recovered, nil
-}
-
-// reuseJoinTuple fills refs with pane tuple t's cached per-partition
-// output references when the tuple was computed in an earlier window and
-// every cache survives. recovered reports a detected cache loss; refs
-// are then overwritten by the tuple's join.
-func (e *Engine) reuseJoinTuple(t paneTuple, refs []cacheRef) (reused, recovered bool) {
-	q := e.query
-	done, _ := e.matrix.Done(t...)
-	if !done || e.noReuse {
-		return false, false
-	}
-	var buf pidBuf
-	for part := range refs {
-		ref, ok := e.lookupCache(q.appendRoutTuplePID(buf[:0], t, part), ReduceOutput)
-		if !ok {
-			return false, true
-		}
-		refs[part] = ref
-	}
-	return true, false
+	return nil
 }
 
 // paneCoord names one source pane: a coordinate value of the pane space.
@@ -463,7 +369,10 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 		}
 		if len(caches) == 0 {
 			// Entirely empty partition: register empty outputs.
-			home := e.sched.HomeNode(part)
+			home, err := e.home(part)
+			if err != nil {
+				return err
+			}
 			for i, t := range group.tuples {
 				tupleRefs[group.ords[i]][part] = e.registerCache(q.routTuplePID(t, part),
 					ReduceOutput, home.ID, baseReady, nil, tupleMeta(t, part))
@@ -471,9 +380,8 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 			continue
 		}
 		ct := e.runCacheTask(func() string { return fmt.Sprintf("join %s p%d", id, part) }, phaseReduce, baseReady, caches,
-			e.mr.Cost.CachedReduceTask(pc.inBytes, pc.outBytes))
+			e.mr.Cost.CachedReduceTask(pc.inBytes, pc.outBytes), stats)
 		stats.ReduceTasks++
-		stats.ReduceTime += ct.dur
 		stats.BytesCacheRead += cacheBytes
 		for i, t := range group.tuples {
 			// A hit on a tuple's output skips re-joining its inputs: the
@@ -483,9 +391,6 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 			meta.span, meta.recompute = ct.span, e.mr.Cost.CachedReduceTask(to.inBytes, int64(len(to.data)))
 			tupleRefs[group.ords[i]][part] = e.registerCache(q.routTuplePID(t, part),
 				ReduceOutput, ct.node, ct.end, to.data, meta)
-		}
-		if ct.end > stats.End {
-			stats.End = ct.end
 		}
 	}
 	for _, t := range group.tuples {
@@ -516,7 +421,7 @@ func groupID(q *Query, g tupleGroup) string {
 // files; a Redoop recurrence's output directory lists its tuples' part
 // files): the returned pairs are views decoded from the caches. With a
 // Merge function the partial outputs are re-read and merged per partition.
-func (e *Engine) finalizeJoinWindow(trigger simtime.Time, tupleRefs [][]cacheRef, stats *mapreduce.Stats) ([]records.Pair, simtime.Time, error) {
+func (e *Engine) finalizeJoinWindow(trigger simtime.Time, tupleRefs [][]cacheRef, stats *mapreduce.Stats) ([]records.Pair, error) {
 	q := e.query
 	if q.Merge != nil {
 		caches := make([][]cacheRef, q.NumReducers)
@@ -552,13 +457,14 @@ func (e *Engine) finalizeJoinWindow(trigger simtime.Time, tupleRefs [][]cacheRef
 	}
 	out, err := e.gatherCaches(tupleRefs)
 	if err != nil {
-		return nil, trigger, err
+		return nil, err
 	}
 	node := e.sched.PickCacheTaskNode(ready, nil)
 	dur := e.mr.Cost.ConcatTask(manifestBytes)
 	start, end := node.Reduce.Acquire(ready, dur)
 	node.AddLoad(dur)
 	stats.ReduceTime += dur
+	stats.End = simtime.Max(stats.End, end)
 	e.commit(commit{kind: kindCharged, phase: phaseReduce, cost: dur})
 	e.obs.Task(obs.TaskSpan{
 		Track: obs.NodeTrack(node.ID), Cat: "cachetask", Name: "publish manifest",
@@ -566,5 +472,5 @@ func (e *Engine) finalizeJoinWindow(trigger simtime.Time, tupleRefs [][]cacheRef
 		Parent: e.mr.SpanParent, Deps: deps,
 		Args: []obs.Label{obs.L("query", q.Name), obs.L("tuples", fmt.Sprint(len(tupleRefs)))},
 	})
-	return out, simtime.Max(end, trigger), nil
+	return out, nil
 }

@@ -225,11 +225,6 @@ func (q *Query) appendRoutTuplePID(b []byte, t paneTuple, part int) []byte {
 	return appendPart(b, part)
 }
 
-// routPairPID is the binary-join special case of routTuplePID.
-func (q *Query) routPairPID(p1, p2 window.PaneID, part int) string {
-	return q.routTuplePID(paneTuple{p1, p2}, part)
-}
-
 // Exported cache-identifier accessors for external verification
 // tooling (the differential oracle cross-checks controller and
 // registry state against the identifiers the engine uses internally).

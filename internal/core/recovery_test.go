@@ -134,7 +134,7 @@ func TestReadyBitRollback(t *testing.T) {
 	}
 	// Lose just that one cache file.
 	eng.mr.Cluster.Node(sig.NID).DeleteLocal(localKey(pid, ReduceOutput))
-	if _, found := eng.lookupCache([]byte(pid), ReduceOutput); found {
+	if _, found, _ := eng.lookupCache([]byte(pid), ReduceOutput); found {
 		t.Fatal("lookup should detect the loss")
 	}
 	sig, _ = eng.ctrl.Lookup(pid, ReduceOutput)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"redoop/internal/colfmt"
 	"redoop/internal/mapreduce"
 	"redoop/internal/reuse"
 	"redoop/internal/simtime"
@@ -24,8 +23,8 @@ import (
 //     decomposition contract the proactive sub-pane path relies on).
 //
 // All of it runs at the serial per-pane commit point inside
-// ensureAggPane, so index contents and reuse decisions are
-// byte-identical across -workers settings.
+// ensurePane (the ladder's second rung), so index contents and reuse
+// decisions are byte-identical across -workers settings.
 
 // reuseEligible reports whether this engine participates in cross-query
 // reuse: an index is attached, reuse is not ablated away, and the query
@@ -58,64 +57,50 @@ func (e *Engine) verifyReuseEntry(en reuse.Entry) (cacheRef, bool) {
 	return cacheRef{}, false
 }
 
+// verifyReuseEntries verifies ens in order (verifyReuseEntry), stopping
+// at the first that is unusable.
+func (e *Engine) verifyReuseEntries(ens []reuse.Entry) ([]cacheRef, bool) {
+	prods := make([]cacheRef, len(ens))
+	for i, en := range ens {
+		ref, ok := e.verifyReuseEntry(en)
+		if !ok {
+			return nil, false
+		}
+		prods[i] = ref
+	}
+	return prods, true
+}
+
 // tryReuseAggPane probes the reuse index for pane p and, on a hit,
-// materializes the consumer's own per-partition reduce-output caches
-// from the producer's — a copy task for an exact hit, a Merge task
-// over the finer panes for a subsumption hit. Returns hit=false (and
-// no side effects beyond retracting stale advertisements) when the
+// materializes the consumer's own per-partition reduce-output caches,
+// refs, from the producer's — a copy task for an exact hit, a Merge
+// task over the finer panes for a subsumption hit. Returns hit=false
+// (and no side effects beyond retracting stale advertisements) when the
 // index has nothing usable, sending the caller down the ordinary
 // recovery ladder.
-func (e *Engine) tryReuseAggPane(p window.PaneID, trigger simtime.Time, stats *mapreduce.Stats) ([]cacheRef, bool, error) {
+func (e *Engine) tryReuseAggPane(p window.PaneID, trigger simtime.Time, refs []cacheRef, stats *mapreduce.Stats) (bool, error) {
 	if !e.reuseEligible() {
-		return nil, false, nil
+		return false, nil
 	}
-	q := e.query
-	R := q.NumReducers
+	R := e.query.NumReducers
 	unit := int64(e.frames[0].Pane)
 
 	if entries, ok := e.reuseIdx.ProbeExact(e.opFP, unit, int64(p), R, e.acctName); ok {
-		prods := make([]cacheRef, R)
-		valid := true
-		for part := range entries {
-			ref, ok := e.verifyReuseEntry(entries[part])
-			if !ok {
-				valid = false
-				break
-			}
-			prods[part] = ref
-		}
-		if valid {
-			refs, err := e.copyReusedPane(p, trigger, entries, prods, stats)
-			if err != nil {
-				return nil, false, err
-			}
-			return refs, true, nil
+		if prods, ok := e.verifyReuseEntries(entries); ok {
+			return true, e.copyReusedPane(p, trigger, entries, prods, refs, stats)
 		}
 	}
-
-	if rows, u, ok := e.reuseIdx.ProbeSubsume(e.opFP, unit, int64(p), R, e.acctName); ok {
+	if rows, _, ok := e.reuseIdx.ProbeSubsume(e.opFP, unit, int64(p), R, e.acctName); ok {
 		prods := make([][]cacheRef, R)
 		valid := true
 		for part := 0; valid && part < R; part++ {
-			prods[part] = make([]cacheRef, len(rows[part]))
-			for i := range rows[part] {
-				ref, ok := e.verifyReuseEntry(rows[part][i])
-				if !ok {
-					valid = false
-					break
-				}
-				prods[part][i] = ref
-			}
+			prods[part], valid = e.verifyReuseEntries(rows[part])
 		}
 		if valid {
-			refs, err := e.composeReusedPane(p, u, trigger, rows, prods, stats)
-			if err != nil {
-				return nil, false, err
-			}
-			return refs, true, nil
+			return true, e.composeReusedPane(p, trigger, rows, prods, refs, stats)
 		}
 	}
-	return nil, false, nil
+	return false, nil
 }
 
 // copyReusedPane satisfies an exact hit: each partition's bytes are
@@ -124,10 +109,9 @@ func (e *Engine) tryReuseAggPane(p window.PaneID, trigger simtime.Time, stats *m
 // cost as a cross-query saving (net of the copy's load, via the usual
 // CacheLoaded adjustment) and records the new derivation as a reuse
 // edge — its input is the producer's derivation, not raw batches.
-func (e *Engine) copyReusedPane(p window.PaneID, trigger simtime.Time, entries []reuse.Entry, prods []cacheRef, stats *mapreduce.Stats) ([]cacheRef, error) {
+func (e *Engine) copyReusedPane(p window.PaneID, trigger simtime.Time, entries []reuse.Entry, prods, refs []cacheRef, stats *mapreduce.Stats) error {
 	q := e.query
-	refs := make([]cacheRef, q.NumReducers)
-	for part := 0; part < q.NumReducers; part++ {
+	for part := range refs {
 		en, prod := entries[part], prods[part]
 		routPID := q.routPanePID(p, part)
 		routMeta := cacheMeta{recompute: simtime.Duration(en.RecomputeNS),
@@ -138,49 +122,39 @@ func (e *Engine) copyReusedPane(p window.PaneID, trigger simtime.Time, entries [
 		}
 		data, ok := e.ctrl.Registry(prod.node).Get(prod.pid, ReduceOutput)
 		if !ok {
-			return nil, fmt.Errorf("core: reused cache %s lost from node %d mid-recurrence", prod.pid, prod.node)
+			return fmt.Errorf("core: reused cache %s lost from node %d mid-recurrence", prod.pid, prod.node)
 		}
 		e.commit(commit{kind: kindCrossHit, at: e.curTrigger, pid: prod.pid, typ: prod.typ})
 		ct := e.runCacheTask(func() string { return fmt.Sprintf("reuse pane %d p%d", int64(p), part) }, phaseReduce,
-			trigger, []cacheRef{prod}, e.mr.Cost.DiskWrite(prod.bytes))
-		stats.ReduceTime += ct.dur
+			trigger, prods[part:part+1], e.mr.Cost.DiskWrite(prod.bytes), stats)
 		stats.BytesCacheRead += prod.bytes
 		routMeta.span = ct.span
 		refs[part] = e.registerReused(routPID, prod, ct.node, ct.end, data, routMeta, "exact")
-		if ct.end > stats.End {
-			stats.End = ct.end
-		}
 	}
-	if err := e.matrix.Update(p); err != nil {
-		return nil, err
-	}
-	return refs, nil
+	return nil
 }
 
 // composeReusedPane satisfies a subsumption hit: each partition's
-// unit/u finer pane routs are loaded and folded with the query's Merge
+// finer pane routs that tile pane p are loaded and folded with the query's Merge
 // — the same partial-aggregate decomposition the proactive sub-pane
 // path applies — into the consumer's pane rout. Only single-source
 // queries with a Merge reach here (reuseEligible), and the engine
 // already requires Merge∘Reduce ≡ Reduce over concatenated inputs for
 // such queries, so composed bytes equal recomputed bytes.
-func (e *Engine) composeReusedPane(p window.PaneID, u int64, trigger simtime.Time, rows [][]reuse.Entry, prods [][]cacheRef, stats *mapreduce.Stats) ([]cacheRef, error) {
+func (e *Engine) composeReusedPane(p window.PaneID, trigger simtime.Time, rows [][]reuse.Entry, prods [][]cacheRef, refs []cacheRef, stats *mapreduce.Stats) error {
 	q := e.query
-	refs := make([]cacheRef, q.NumReducers)
-	live := make([][]cacheRef, q.NumReducers)
-	runs := make([][]colfmt.PairRun, q.NumReducers) // every partition's, validated before any is registered
+	live := make([][]cacheRef, len(refs))
 	for part := range live {
 		for _, prod := range prods[part] {
 			if prod.bytes != 0 {
 				live[part] = append(live[part], prod)
 			}
 		}
-		var err error
-		if runs[part], err = e.sortedRuns(nil, live[part]); err != nil {
-			return nil, err
-		}
 	}
-	var grouper mapreduce.Grouper // this loop is serial: one scratch for every partition
+	composed, err := e.reduceCached(q.Merge, live)
+	if err != nil {
+		return err
+	}
 	for part, caches := range live {
 		var inBytes int64
 		var recompute simtime.Duration
@@ -202,21 +176,14 @@ func (e *Engine) composeReusedPane(p window.PaneID, u int64, trigger simtime.Tim
 			refs[part] = e.registerReused(routPID, prods[part][0], prods[part][0].node, readyAt, nil, routMeta, "subsume")
 			continue
 		}
-		outData, _ := grouper.ReduceRuns(q.Merge, runs[part])
+		outData := composed[part].data
 		ct := e.runCacheTask(func() string { return fmt.Sprintf("reuse-merge pane %d p%d", int64(p), part) }, phaseReduce,
-			trigger, caches, e.mr.Cost.MergeTask(inBytes, int64(len(outData))))
-		stats.ReduceTime += ct.dur
+			trigger, caches, e.mr.Cost.MergeTask(inBytes, int64(len(outData))), stats)
 		stats.BytesCacheRead += inBytes
 		routMeta.span = ct.span
 		refs[part] = e.registerReused(routPID, caches[0], ct.node, ct.end, outData, routMeta, "subsume")
-		if ct.end > stats.End {
-			stats.End = ct.end
-		}
 	}
-	if err := e.matrix.Update(p); err != nil {
-		return nil, err
-	}
-	return refs, nil
+	return nil
 }
 
 // registerReused registers pane output routPID as materialized from

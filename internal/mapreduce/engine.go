@@ -257,6 +257,24 @@ type MapPhaseResult struct {
 // committed phase and a merge that took over a sole live phase leave it.
 func (mp *MapPhaseResult) PartsSorted() bool { return mp.sorted }
 
+// Shuffle is partition part's copy to a reducer on node, which may not
+// start before ready: the copy starts when the first map ends, and the
+// reducer cannot start sorting before the last map ends or before its
+// copies complete. Bytes from maps colocated with the reducer are disk
+// reads (local); the rest cross the network (remote).
+func (mp *MapPhaseResult) Shuffle(cost iocost.Model, part, node int, ready simtime.Time) (local, remote int64, start, end simtime.Time) {
+	for src, b := range mp.PartSrcBytes[part] {
+		if src == node {
+			local += b
+		} else {
+			remote += b
+		}
+	}
+	start = simtime.Max(mp.FirstMapEnd, ready)
+	end = simtime.Max(start.Add(cost.NetTransfer(remote)+cost.DiskRead(local)), simtime.Max(mp.LastMapEnd, ready))
+	return local, remote, start, end
+}
+
 // Release hands the map-output array back, cleared, for a later
 // PrepareMapPhase of the same engine once nothing reads Parts or a view
 // of them (a reducer's Input). Parts becomes nil; optional, idempotent
@@ -787,21 +805,7 @@ func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.No
 				return 0, spent, fmt.Errorf("mapreduce: job %q: no alive node for reduce %d", job.Name, part)
 			}
 		}
-		// Shuffle: the reducer starts copying when the first map ends
-		// and cannot start sorting before the last map ends or before
-		// its copies complete. Bytes from maps colocated with the
-		// reducer are disk reads; the rest cross the network.
-		var local, remote int64
-		for src, b := range mp.PartSrcBytes[part] {
-			if src == node.ID {
-				local += b
-			} else {
-				remote += b
-			}
-		}
-		shuffleStart := simtime.Max(mp.FirstMapEnd, ready)
-		copyDone := shuffleStart.Add(e.Cost.NetTransfer(remote) + e.Cost.DiskRead(local))
-		shuffleEnd := simtime.Max(copyDone, simtime.Max(mp.LastMapEnd, ready))
+		local, remote, shuffleStart, shuffleEnd := mp.Shuffle(e.Cost, part, node.ID, ready)
 		shuffleDur := shuffleEnd.Sub(shuffleStart)
 		if inBytes == 0 {
 			shuffleDur = 0

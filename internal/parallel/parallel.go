@@ -92,24 +92,3 @@ func ForErr(workers, n int, fn func(i int) error) error {
 	}
 	return nil
 }
-
-// CommitOrderErr is the two-phase pattern as one primitive: prepare(i)
-// fans out across workers (pure compute), then — only if every prepare
-// succeeded — commit(i) runs serially in ascending index order on the
-// calling goroutine. The commit half is where accounting lives: slot
-// acquisition, virtual-time arithmetic, cost-ledger charges, metrics.
-// Because commits replay in index order regardless of workers, anything
-// metered there is byte-identical between serial and parallel runs.
-// The error surfaced is the lowest-index prepare error, else the first
-// commit error (commit fails fast; later commits do not run).
-func CommitOrderErr(workers, n int, prepare func(i int) error, commit func(i int) error) error {
-	if err := ForErr(workers, n, prepare); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		if err := commit(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -55,71 +55,6 @@ func TestForErrNilOnSuccess(t *testing.T) {
 	}
 }
 
-func TestCommitOrderErrCommitsInOrder(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var prepared [8]atomic.Int32
-		var order []int
-		err := CommitOrderErr(workers, 8,
-			func(i int) error { prepared[i].Add(1); return nil },
-			func(i int) error { order = append(order, i); return nil })
-		if err != nil {
-			t.Fatalf("workers=%d: unexpected error %v", workers, err)
-		}
-		for i := range prepared {
-			if got := prepared[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: prepare(%d) ran %d times", workers, i, got)
-			}
-		}
-		for i, v := range order {
-			if v != i {
-				t.Fatalf("workers=%d: commits out of order: %v", workers, order)
-			}
-		}
-		if len(order) != 8 {
-			t.Fatalf("workers=%d: %d commits ran, want 8", workers, len(order))
-		}
-	}
-}
-
-func TestCommitOrderErrSkipsCommitOnPrepareError(t *testing.T) {
-	boom := errors.New("boom")
-	committed := 0
-	err := CommitOrderErr(4, 6,
-		func(i int) error {
-			if i == 2 {
-				return boom
-			}
-			return nil
-		},
-		func(i int) error { committed++; return nil })
-	if err != boom {
-		t.Fatalf("got %v, want %v", err, boom)
-	}
-	if committed != 0 {
-		t.Fatalf("%d commits ran after prepare failure, want 0", committed)
-	}
-}
-
-func TestCommitOrderErrCommitFailsFast(t *testing.T) {
-	boom := errors.New("boom")
-	var order []int
-	err := CommitOrderErr(2, 5,
-		func(int) error { return nil },
-		func(i int) error {
-			order = append(order, i)
-			if i == 2 {
-				return boom
-			}
-			return nil
-		})
-	if err != boom {
-		t.Fatalf("got %v, want %v", err, boom)
-	}
-	if len(order) != 3 || order[2] != 2 {
-		t.Fatalf("commit order %v, want [0 1 2]", order)
-	}
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

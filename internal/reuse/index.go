@@ -27,9 +27,10 @@
 // is dropped first, oldest-first within a tie.
 //
 // Determinism: all writes and probes come from the engines' serial
-// commit paths (pane registration in ensureAggPane and friends), so the
-// index contents — and Snapshot — are byte-identical across -workers
-// settings; the experiments suite asserts DeepEqual at -workers 1 vs 4.
+// commit paths (pane registration on the core engine's recovery ladder,
+// Engine.ensurePane), so the index contents — and Snapshot — are
+// byte-identical across -workers settings; the experiments suite
+// asserts DeepEqual at -workers 1 vs 4.
 // All methods are nil-safe so call sites hook in unconditionally.
 package reuse
 

@@ -191,10 +191,10 @@ func BenchmarkMapReduceJob(b *testing.B) {
 			Name:   "bench",
 			Inputs: []string{"/in"},
 			Map: func(_ int64, payload []byte, emit mapreduce.Emitter) {
-				emit(append([]byte(nil), payload...), []byte("1"))
+				emit.Emit(append([]byte(nil), payload...), []byte("1"))
 			},
 			Reduce: func(key []byte, values [][]byte, emit mapreduce.Emitter) {
-				emit(key, []byte(fmt.Sprintf("%d", len(values))))
+				emit.Emit(key, []byte(fmt.Sprintf("%d", len(values))))
 			},
 			NumReducers: 8,
 		}

@@ -2,6 +2,9 @@ package redoop_test
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"redoop"
@@ -24,13 +27,13 @@ func ExampleSystem_Register() {
 			}
 			total += n
 		}
-		emit(key, []byte(fmt.Sprintf("%d", total)))
+		emit.Emit(key, []byte(fmt.Sprintf("%d", total)))
 	}
 	q := &redoop.Query{
 		Name:    "events",
 		Sources: []redoop.Source{{Name: "S1", Window: redoop.TimeWindow(30*time.Second, 10*time.Second)}},
 		Maps: []redoop.MapFunc{func(_ int64, payload []byte, emit redoop.Emitter) {
-			emit(append([]byte(nil), payload...), []byte("1"))
+			emit.Emit(payload, []byte("1"))
 		}},
 		Reduce:   sum,
 		Merge:    sum,
@@ -72,6 +75,46 @@ func ExampleSystem_Register() {
 	// window 1: click=30 (new panes 3, reused 0)
 	// window 2: click=30 (new panes 1, reused 2)
 	// window 3: click=30 (new panes 1, reused 2)
+}
+
+// ExampleCollector calls a map and a reduce function directly, outside
+// any query, as a unit test of them would. Both build every pair in one
+// buffer they overwrite: each emit copies.
+func ExampleCollector() {
+	words := func(_ int64, payload []byte, emit redoop.Emitter) {
+		var buf [16]byte
+		for _, w := range strings.Fields(string(payload)) {
+			emit.Emit(append(buf[:0], strings.ToUpper(w)...), []byte("1"))
+		}
+	}
+	count := func(key []byte, values [][]byte, emit redoop.Emitter) {
+		var buf [20]byte
+		emit.Emit(key, strconv.AppendInt(buf[:0], int64(len(values)), 10))
+	}
+
+	var mapped redoop.Collector
+	words(0, []byte("to be or not to be"), mapped.Emitter())
+	groups, keys := map[string][][]byte{}, []string(nil)
+	for _, p := range mapped.Pairs() {
+		if _, ok := groups[string(p.Key)]; !ok {
+			keys = append(keys, string(p.Key))
+		}
+		groups[string(p.Key)] = append(groups[string(p.Key)], p.Value)
+	}
+	slices.Sort(keys)
+
+	var reduced redoop.Collector
+	for _, k := range keys {
+		count([]byte(k), groups[k], reduced.Emitter())
+	}
+	for _, p := range reduced.Pairs() {
+		fmt.Printf("%s=%s\n", p.Key, p.Value)
+	}
+	// Output:
+	// BE=2
+	// NOT=1
+	// OR=1
+	// TO=2
 }
 
 // ExampleTimeWindow shows the pane unit derived from a window

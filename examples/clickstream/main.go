@@ -69,8 +69,8 @@ func ctrQuery() *redoop.Query {
 		if last < 0 {
 			return
 		}
-		key := append([]byte(nil), payload[:last]...)
-		emit(key, append([]byte("1,"), payload[last+1:]...))
+		key := payload[:last] // the emit copies it
+		emit.Emit(key, append([]byte("1,"), payload[last+1:]...))
 	}
 	agg := func(key []byte, values [][]byte, emit redoop.Emitter) {
 		var imps, clicks int64
@@ -80,7 +80,7 @@ func ctrQuery() *redoop.Query {
 			imps += i
 			clicks += c
 		}
-		emit(key, []byte(fmt.Sprintf("%d,%d", imps, clicks)))
+		emit.Emit(key, []byte(fmt.Sprintf("%d,%d", imps, clicks)))
 	}
 	return &redoop.Query{
 		Name:     "ctr-model",

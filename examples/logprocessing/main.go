@@ -53,7 +53,7 @@ func logQuery() *redoop.Query {
 	byCountry := func(_ int64, payload []byte, emit redoop.Emitter) {
 		for i, c := range payload {
 			if c == ',' {
-				emit(append([]byte(nil), payload[:i]...), []byte("1"))
+				emit.Emit(payload[:i], []byte("1"))
 				return
 			}
 		}
@@ -67,7 +67,7 @@ func logQuery() *redoop.Query {
 			}
 			total += n
 		}
-		emit(key, []byte(fmt.Sprintf("%d", total)))
+		emit.Emit(key, []byte(fmt.Sprintf("%d", total)))
 	}
 	return &redoop.Query{
 		Name:     "geo-traffic",

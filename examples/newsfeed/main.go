@@ -66,9 +66,9 @@ func digestQuery() *redoop.Query {
 			if i < 0 {
 				return
 			}
-			key := append([]byte(nil), payload[:i]...)
+			key := payload[:i] // the emit copies it
 			val := append([]byte{prefix, '|'}, payload[i+1:]...)
-			emit(key, val)
+			emit.Emit(key, val)
 		}
 	}
 	join := func(key []byte, values [][]byte, emit redoop.Emitter) {
@@ -92,7 +92,7 @@ func digestQuery() *redoop.Query {
 				entry = append(entry, c...)
 				entry = append(entry, '+')
 				entry = append(entry, v...)
-				emit(key, entry)
+				emit.Emit(key, entry)
 			}
 		}
 	}

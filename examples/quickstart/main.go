@@ -48,7 +48,7 @@ func batch(slideIdx int) []redoop.Record {
 
 func wordCountQuery() *redoop.Query {
 	count := func(_ int64, payload []byte, emit redoop.Emitter) {
-		emit(append([]byte(nil), payload...), []byte("1"))
+		emit.Emit(payload, []byte("1"))
 	}
 	sum := func(key []byte, values [][]byte, emit redoop.Emitter) {
 		total := 0
@@ -59,7 +59,7 @@ func wordCountQuery() *redoop.Query {
 			}
 			total += n
 		}
-		emit(key, []byte(fmt.Sprintf("%d", total)))
+		emit.Emit(key, []byte(fmt.Sprintf("%d", total)))
 	}
 	return &redoop.Query{
 		Name:     "wordcount",

@@ -63,9 +63,9 @@ func fusionQuery() *redoop.Query {
 			if i < 0 {
 				return
 			}
-			key := append([]byte(nil), payload[:i]...)
+			key := payload[:i] // the emit copies it
 			val := append([]byte{prefix, '|'}, payload[i+1:]...)
-			emit(key, val)
+			emit.Emit(key, val)
 		}
 	}
 	return &redoop.Query{
@@ -102,7 +102,7 @@ func fusionQuery() *redoop.Query {
 						out = append(out, b...)
 						out = append(out, '+')
 						out = append(out, r...)
-						emit(key, out)
+						emit.Emit(key, out)
 					}
 				}
 			}

@@ -14,7 +14,6 @@
 package baseline
 
 import (
-	"bytes"
 	"fmt"
 
 	"redoop/internal/colfmt"
@@ -162,13 +161,14 @@ func (d *Driver) RunNext() (*Result, error) {
 	// finalization so one full-window job computes exactly what
 	// Redoop's pane-reduce + finalize pipeline computes (aggregates
 	// emit under their input key, so the composition is per-group). The
-	// partials are collected as a reduce emit collects: copied, since a
-	// reducer may reuse its buffers.
+	// partials are collected as every emit collects: copied.
 	reduceFn := q.Reduce
 	if q.Merge != nil {
 		reduceFn = func(key []byte, values [][]byte, emit mapreduce.Emitter) {
 			var partials [][]byte
-			q.Reduce(key, values, func(_, v []byte) { partials = append(partials, bytes.Clone(v)) })
+			for _, p := range mapreduce.ReduceGroups(q.Reduce, []mapreduce.Group{{Key: key, Values: values}}) {
+				partials = append(partials, p.Value)
+			}
 			q.Merge(key, partials, emit)
 		}
 	}

@@ -32,13 +32,13 @@ func countQuery() *core.Query {
 			n, _ := strconv.Atoi(string(v))
 			total += n
 		}
-		emit(key, []byte(strconv.Itoa(total)))
+		emit.Emit(key, []byte(strconv.Itoa(total)))
 	}
 	return &core.Query{
 		Name:    "agg",
 		Sources: []core.Source{{Name: "S1", Spec: window.NewTimeSpec(30*simtime.Second, 10*simtime.Second)}},
 		Maps: []mapreduce.MapFunc{func(_ int64, payload []byte, emit mapreduce.Emitter) {
-			emit(append([]byte(nil), payload...), []byte("1"))
+			emit.Emit(append([]byte(nil), payload...), []byte("1"))
 		}},
 		Reduce:      sum,
 		Merge:       sum,
@@ -160,7 +160,7 @@ func TestMergeComposition(t *testing.T) {
 			sum += n
 			count++
 		}
-		emit(key, []byte(fmt.Sprintf("%d,%d", sum, count)))
+		emit.Emit(key, []byte(fmt.Sprintf("%d,%d", sum, count)))
 	}
 	q.Merge = func(key []byte, values [][]byte, emit mapreduce.Emitter) {
 		sum, count := 0, 0
@@ -170,7 +170,7 @@ func TestMergeComposition(t *testing.T) {
 			sum += s
 			count += c
 		}
-		emit(key, []byte(fmt.Sprintf("avg=%d/%d", sum, count)))
+		emit.Emit(key, []byte(fmt.Sprintf("avg=%d/%d", sum, count)))
 	}
 	drv := newDriver(t, rig(2), q)
 	for s := 0; s < 3; s++ {

@@ -230,7 +230,7 @@ func TestCachesOwnNothingOfTheirInputs(t *testing.T) {
 		q := countQuery(name, testWin, testSlide, "")
 		one := []byte("1")
 		// Emits views, as queries.WCCMap does.
-		q.Maps[0] = func(_ int64, payload []byte, emit mapreduce.Emitter) { emit(payload, one) }
+		q.Maps[0] = func(_ int64, payload []byte, emit mapreduce.Emitter) { emit.Emit(payload, one) }
 		q.Combine = nil
 		return q
 	}

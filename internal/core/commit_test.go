@@ -26,7 +26,7 @@ func internalJoinQuery(win, slide simtime.Duration) *Query {
 	tag := func(t string) mapreduce.MapFunc {
 		return func(_ int64, payload []byte, emit mapreduce.Emitter) {
 			i := bytes.IndexByte(payload, ':')
-			emit(append([]byte(nil), payload[:i]...), append([]byte(t+"|"), payload[i+1:]...))
+			emit.Emit(append([]byte(nil), payload[:i]...), append([]byte(t+"|"), payload[i+1:]...))
 		}
 	}
 	return &Query{
@@ -46,7 +46,7 @@ func internalJoinQuery(win, slide simtime.Duration) *Query {
 				}
 			}
 			if as > 0 && bs > 0 {
-				emit(key, []byte(fmt.Sprintf("%d", as*bs)))
+				emit.Emit(key, []byte(fmt.Sprintf("%d", as*bs)))
 			}
 		},
 		NumReducers: 2,

@@ -252,7 +252,7 @@ func TestEngineHealthCountBasedNoDeadline(t *testing.T) {
 			Spec: window.NewCountSpec(30, 10),
 		}},
 		Maps: []mapreduce.MapFunc{func(_ int64, payload []byte, emit mapreduce.Emitter) {
-			emit(append([]byte(nil), payload...), []byte("1"))
+			emit.Emit(append([]byte(nil), payload...), []byte("1"))
 		}},
 		Reduce:      sumReduce,
 		Merge:       sumReduce,

@@ -47,13 +47,13 @@ func internalCountQuery(win, slide simtime.Duration) *Query {
 			n, _ := strconv.Atoi(string(v))
 			total += n
 		}
-		emit(key, []byte(strconv.Itoa(total)))
+		emit.Emit(key, []byte(strconv.Itoa(total)))
 	}
 	return &Query{
 		Name:    "agg",
 		Sources: []Source{{Name: "S1", Spec: window.NewTimeSpec(win, slide)}},
 		Maps: []mapreduce.MapFunc{func(_ int64, payload []byte, emit mapreduce.Emitter) {
-			emit(append([]byte(nil), payload...), []byte("1"))
+			emit.Emit(append([]byte(nil), payload...), []byte("1"))
 		}},
 		Reduce:      sum,
 		Combine:     sum,

@@ -267,7 +267,7 @@ func TestDistinctMergeSemantics(t *testing.T) {
 	mk := func() *core.Query {
 		q := countQuery("avg", testWin, testSlide, "")
 		q.Maps = []mapreduce.MapFunc{func(ts int64, payload []byte, emit mapreduce.Emitter) {
-			emit(append([]byte(nil), payload...), []byte(strconv.FormatInt(ts%100, 10)))
+			emit.Emit(append([]byte(nil), payload...), []byte(strconv.FormatInt(ts%100, 10)))
 		}}
 		q.Combine = nil
 		q.Reduce = func(key []byte, values [][]byte, emit mapreduce.Emitter) {
@@ -277,7 +277,7 @@ func TestDistinctMergeSemantics(t *testing.T) {
 				sum += x
 				n++
 			}
-			emit(key, []byte(fmt.Sprintf("%d,%d", sum, n)))
+			emit.Emit(key, []byte(fmt.Sprintf("%d,%d", sum, n)))
 		}
 		q.Merge = func(key []byte, values [][]byte, emit mapreduce.Emitter) {
 			sum, n := 0, 0
@@ -287,7 +287,7 @@ func TestDistinctMergeSemantics(t *testing.T) {
 				sum += s
 				n += c
 			}
-			emit(key, []byte(fmt.Sprintf("%d,%d", sum, n)))
+			emit.Emit(key, []byte(fmt.Sprintf("%d,%d", sum, n)))
 		}
 		return q
 	}
@@ -310,7 +310,7 @@ func threeWayQuery(name string) *core.Query {
 			}
 			key := append([]byte(nil), payload[:i]...)
 			val := append([]byte{prefix, '|'}, payload[i+1:]...)
-			emit(key, val)
+			emit.Emit(key, val)
 		}
 	}
 	return &core.Query{
@@ -345,7 +345,7 @@ func threeWayQuery(name string) *core.Query {
 						out = append(out, b...)
 						out = append(out, ',')
 						out = append(out, c...)
-						emit(key, out)
+						emit.Emit(key, out)
 					}
 				}
 			}
@@ -511,7 +511,7 @@ func TestJoinWithMergeFinalization(t *testing.T) {
 		q := joinQuery("jm", testWin, testSlide)
 		q.Merge = func(key []byte, values [][]byte, emit mapreduce.Emitter) {
 			// Count the window's join matches per key.
-			emit(key, []byte(strconv.Itoa(len(values))))
+			emit.Emit(key, []byte(strconv.Itoa(len(values))))
 		}
 		return q
 	}

@@ -72,7 +72,7 @@ func sumReduce(key []byte, values [][]byte, emit mapreduce.Emitter) {
 		n, _ := strconv.Atoi(string(v))
 		total += n
 	}
-	emit(key, []byte(strconv.Itoa(total)))
+	emit.Emit(key, []byte(strconv.Itoa(total)))
 }
 
 // countQuery is a recurring word-count aggregation over one source.
@@ -86,7 +86,7 @@ func countQuery(name string, win, slide simtime.Duration, cacheKey string) *core
 			RateBytesPerUnit: 0,
 		}},
 		Maps: []mapreduce.MapFunc{func(_ int64, payload []byte, emit mapreduce.Emitter) {
-			emit(append([]byte(nil), payload...), []byte("1"))
+			emit.Emit(append([]byte(nil), payload...), []byte("1"))
 		}},
 		Reduce:      sumReduce,
 		Combine:     sumReduce,
@@ -107,7 +107,7 @@ func joinQuery(name string, win, slide simtime.Duration) *core.Query {
 			}
 			k := append([]byte(nil), payload[:i]...)
 			v := append([]byte(tag+"|"), payload[i+1:]...)
-			emit(k, v)
+			emit.Emit(k, v)
 		}
 	}
 	return &core.Query{
@@ -140,7 +140,7 @@ func crossJoinReduce(key []byte, values [][]byte, emit mapreduce.Emitter) {
 			out = append(out, a...)
 			out = append(out, ',')
 			out = append(out, b...)
-			emit(key, out)
+			emit.Emit(key, out)
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // maxMerge keeps a key's byte-wise largest value: like a sum, a Merge
 // whose result does not depend on the order its values come in.
 func maxMerge(key []byte, values [][]byte, emit mapreduce.Emitter) {
-	emit(key, slices.MaxFunc(values, bytes.Compare))
+	emit.Emit(key, slices.MaxFunc(values, bytes.Compare))
 }
 
 // randomWindow builds parts partitions' cached partial outputs: none, one

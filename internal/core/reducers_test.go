@@ -3,11 +3,13 @@ package core_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"testing"
 
 	"redoop/internal/account"
 	"redoop/internal/baseline"
+	"redoop/internal/colfmt"
 	"redoop/internal/core"
 	"redoop/internal/lineage"
 	"redoop/internal/mapreduce"
@@ -16,9 +18,9 @@ import (
 	"redoop/internal/reuse"
 )
 
-// Tests of the reduce emit's contract: it copies, as Hadoop's
-// context.write does, so a reducer may write every output into one
-// buffer it reuses.
+// Tests of the emit's contract: it copies, as Hadoop's collect and
+// context.write do, so a mapper or a reducer may write every pair into
+// one buffer it reuses.
 
 // scribble overwrites a buffer once emit has returned: what an emit that
 // kept a view would read from then on.
@@ -37,7 +39,7 @@ func reusingSum(key []byte, values [][]byte, emit mapreduce.Emitter) {
 		total += n
 	}
 	buf := strconv.AppendInt(append(make([]byte, 0, len(key)+20), key...), int64(total), 10)
-	emit(buf[:len(key)], buf[len(key):])
+	emit.Emit(buf[:len(key)], buf[len(key):])
 	scribble(buf)
 }
 
@@ -57,7 +59,7 @@ func reusingJoin(key []byte, values [][]byte, emit mapreduce.Emitter) {
 	for _, a := range as {
 		for _, b := range bs {
 			buf = append(append(append(buf[:0], a...), ','), b...)
-			emit(key, buf)
+			emit.Emit(key, buf)
 			scribble(buf)
 		}
 	}
@@ -94,10 +96,12 @@ func residentCaches(ctrl *core.Controller) map[string][]byte {
 // runEmitTrace runs q for six windows with the differential oracle and a
 // lineage store attached — every recurrence must pass the oracle's
 // recompute and its lineage audit — next to a baseline driver running
-// qb on the same batches. between runs before each trigger.
-func runEmitTrace(t *testing.T, q, qb *core.Query, subPanes int, between func(r int, mr *mapreduce.Engine)) emitTrace {
+// qb on the same batches, both on workers executor workers (0: the
+// default). between runs before each trigger.
+func runEmitTrace(t *testing.T, q, qb *core.Query, subPanes, workers int, between func(r int, mr *mapreduce.Engine)) emitTrace {
 	t.Helper()
-	mr := newRig(4, 1)
+	mr, mrb := newRig(4, 1), newRig(4, 1)
+	mr.Workers, mrb.Workers = workers, workers
 	eng := mustEngine(t, core.Config{MR: mr, Query: q, Lineage: lineage.New(0)})
 	if err := eng.ForceProactive(subPanes); err != nil {
 		t.Fatal(err)
@@ -106,7 +110,7 @@ func runEmitTrace(t *testing.T, q, qb *core.Query, subPanes int, between func(r 
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv, err := baseline.NewDriver(newRig(4, 1), qb)
+	drv, err := baseline.NewDriver(mrb, qb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +210,8 @@ func TestReducersMayReuseTheirBuffers(t *testing.T) {
 		{"join tuples", join, 1, nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			want := runEmitTrace(t, c.query(fresh), c.query(fresh), c.subPanes, c.between)
-			got := runEmitTrace(t, c.query(reusing), c.query(reusing), c.subPanes, c.between)
+			want := runEmitTrace(t, c.query(fresh), c.query(fresh), c.subPanes, 0, c.between)
+			got := runEmitTrace(t, c.query(reusing), c.query(reusing), c.subPanes, 0, c.between)
 			sameTraces(t, got, want)
 			if c.between != nil && got.recoveries == 0 {
 				t.Fatal("scenario is vacuous: no cache was rebuilt")
@@ -225,11 +229,125 @@ func TestReducersMayReuseTheirBuffers(t *testing.T) {
 	})
 }
 
+// freshWords emits (word, "1") and (word#, "2") per record, each key and
+// value an array of its own.
+func freshWords(_ int64, payload []byte, emit mapreduce.Emitter) {
+	emit.Emit(append([]byte(nil), payload...), []byte("1"))
+	emit.Emit(append(append([]byte(nil), payload...), '#'), []byte("2"))
+}
+
+// reusingWords is freshWords writing both pairs into one buffer, which it
+// scribbles over after each emit.
+func reusingWords(_ int64, payload []byte, emit mapreduce.Emitter) {
+	var buf [64]byte
+	b := append(append(buf[:0], payload...), '1')
+	emit.Emit(b[:len(payload)], b[len(payload):])
+	scribble(b)
+	b = append(append(buf[:0], payload...), '#', '2')
+	emit.Emit(b[:len(payload)+1], b[len(payload)+1:])
+	scribble(b)
+}
+
+// freshTag and reusingTag are joinQuery's side-tagging mapper written
+// both ways: "key:value" becomes (key, side|value).
+func freshTag(side string) mapreduce.MapFunc {
+	return func(_ int64, payload []byte, emit mapreduce.Emitter) {
+		if i := bytes.IndexByte(payload, ':'); i >= 0 {
+			emit.Emit(append([]byte(nil), payload[:i]...), append([]byte(side+"|"), payload[i+1:]...))
+		}
+	}
+}
+
+func reusingTag(side string) mapreduce.MapFunc {
+	return func(_ int64, payload []byte, emit mapreduce.Emitter) {
+		if i := bytes.IndexByte(payload, ':'); i >= 0 {
+			var buf [64]byte
+			b := append(append(append(append(buf[:0], payload[:i]...), side...), '|'), payload[i+1:]...)
+			emit.Emit(b[:i], b[i:])
+			scribble(b)
+		}
+	}
+}
+
+// mappedParts maps every batch of q's source src as one map phase on
+// workers executor workers and returns its partitions encoded.
+func mappedParts(t *testing.T, q *core.Query, src, workers int, batches [][]records.Record) [][]byte {
+	t.Helper()
+	mr := newRig(4, 1)
+	mr.Workers = workers
+	var paths []string
+	for i, b := range batches {
+		paths = append(paths, fmt.Sprintf("/in/%d", i))
+		if err := mr.DFS.Write(paths[i], colfmt.EncodeRecords(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job := &mapreduce.Job{Name: "parts", Map: q.Maps[src], Reduce: q.Reduce, Combine: q.Combine, NumReducers: q.NumReducers}
+	mp, err := mr.RunMapPhase(job, mapreduce.WholeFiles(paths), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([][]byte, len(mp.Parts))
+	for r, ps := range mp.Parts {
+		parts[r] = records.EncodePairs(ps)
+	}
+	return parts
+}
+
+// TestMappersMayReuseTheirBuffers mirrors TestReducersMayReuseTheirBuffers
+// on the map side: a mapper that writes every key and value into one
+// buffer, scribbled over after each emit, gives the map phase's
+// partitions, every cache and every window output a fresh-allocating
+// twin gives, at one executor worker and at four, with and without a
+// combiner, and for the join's two tagging mappers.
+func TestMappersMayReuseTheirBuffers(t *testing.T) {
+	agg := func(m mapreduce.MapFunc, combine bool) *core.Query {
+		q := countQuery("agg", testWin, testSlide, "")
+		q.Maps[0] = m
+		if !combine {
+			q.Combine = nil
+		}
+		return q
+	}
+	join := func(tag func(string) mapreduce.MapFunc) *core.Query {
+		q := joinQuery("join", testWin, testSlide)
+		q.Maps = []mapreduce.MapFunc{tag("A"), tag("B")}
+		return q
+	}
+	var words, kvs [][]records.Record
+	for fed := 0; fed < 4; fed++ {
+		words = append(words, genWords(23, testSlide, fed, 300, 20))
+		kvs = append(kvs, genKV(29, testSlide, fed, 60, 6))
+	}
+	for _, workers := range []int{1, 4} {
+		for _, combine := range []bool{false, true} {
+			t.Run(fmt.Sprintf("aggregation, workers %d, combiner %v", workers, combine), func(t *testing.T) {
+				fresh, reusing := agg(freshWords, combine), agg(reusingWords, combine)
+				if got, want := mappedParts(t, reusing, 0, workers, words), mappedParts(t, fresh, 0, workers, words); !slices.EqualFunc(got, want, bytes.Equal) {
+					t.Fatal("map phase partitions differ from the fresh-allocating twin's")
+				}
+				sameTraces(t, runEmitTrace(t, reusing, agg(reusingWords, combine), 1, workers, nil),
+					runEmitTrace(t, fresh, agg(freshWords, combine), 1, workers, nil))
+			})
+		}
+		t.Run(fmt.Sprintf("join, workers %d", workers), func(t *testing.T) {
+			fresh, reusing := join(freshTag), join(reusingTag)
+			for src := range fresh.Maps {
+				if got, want := mappedParts(t, reusing, src, workers, kvs), mappedParts(t, fresh, src, workers, kvs); !slices.EqualFunc(got, want, bytes.Equal) {
+					t.Fatalf("source %d: map phase partitions differ from the fresh-allocating twin's", src)
+				}
+			}
+			sameTraces(t, runEmitTrace(t, reusing, join(reusingTag), 1, workers, nil),
+				runEmitTrace(t, fresh, join(freshTag), 1, workers, nil))
+		})
+	}
+}
+
 // wordOnes is countQuery's mapper as a named function: the reuse index
 // matches queries by their operators' symbols, and a closure inlined at
 // two call sites would have two.
 func wordOnes(_ int64, payload []byte, emit mapreduce.Emitter) {
-	emit(append([]byte(nil), payload...), []byte("1"))
+	emit.Emit(append([]byte(nil), payload...), []byte("1"))
 }
 
 // runReuseMerge runs a fine aggregation and a tumbling roll-up at twice

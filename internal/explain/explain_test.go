@@ -33,7 +33,7 @@ func sumReduce(key []byte, values [][]byte, emit mapreduce.Emitter) {
 		n, _ := strconv.Atoi(string(v))
 		total += n
 	}
-	emit(key, []byte(strconv.Itoa(total)))
+	emit.Emit(key, []byte(strconv.Itoa(total)))
 }
 
 // runObserved drives a word-count query for n recurrences under a
@@ -54,7 +54,7 @@ func runObserved(t *testing.T, n int, adaptive bool) (*obs.Observer, *core.Engin
 			Spec: window.NewTimeSpec(testWin, testSlide),
 		}},
 		Maps: []mapreduce.MapFunc{func(_ int64, payload []byte, emit mapreduce.Emitter) {
-			emit(append([]byte(nil), payload...), []byte("1"))
+			emit.Emit(append([]byte(nil), payload...), []byte("1"))
 		}},
 		Reduce:      sumReduce,
 		Combine:     sumReduce,

@@ -249,7 +249,8 @@ type MapPhaseResult struct {
 	// Empty when no observer is attached.
 	Spans  []obs.SpanID
 	out    []records.Pair // the array Parts views, owned until Release or a merge takes it
-	from   *Engine        // whose free list out goes back to
+	arenas [][]byte       // the chunks its pairs' bytes are in, owned with out
+	from   *Engine        // whose free lists out and arenas go back to
 	sorted bool           // PartsSorted
 }
 
@@ -275,10 +276,10 @@ func (mp *MapPhaseResult) Shuffle(cost iocost.Model, part, node int, ready simti
 	return local, remote, start, end
 }
 
-// Release hands the map-output array back, cleared, for a later
-// PrepareMapPhase of the same engine once nothing reads Parts or a view
-// of them (a reducer's Input). Parts becomes nil; optional, idempotent
-// and nil-safe.
+// Release hands the map-output array back, cleared, and the arena chunks
+// its keys and values were copied into, for a later PrepareMapPhase of
+// the same engine once nothing reads Parts or a view of them (a reducer's
+// Input). Parts becomes nil; optional, idempotent and nil-safe.
 func (mp *MapPhaseResult) Release() {
 	if mp == nil {
 		return
@@ -287,7 +288,10 @@ func (mp *MapPhaseResult) Release() {
 		clear(mp.out)
 		mp.from.scratch.outs.put(mp.out)
 	}
-	mp.out, mp.Parts = nil, nil
+	for _, a := range mp.arenas {
+		mp.from.scratch.arenas.put(a[:0])
+	}
+	mp.out, mp.arenas, mp.Parts = nil, nil, nil
 }
 
 // newMapPhaseResult returns the result of a map wave with no task yet.
@@ -332,7 +336,8 @@ func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *Map
 	}
 	if len(live) == 1 {
 		out.Parts, out.PartSrcBytes, out.Spans = live[0].Parts, live[0].PartSrcBytes, live[0].Spans
-		out.out, out.from, out.sorted, live[0].out = live[0].out, live[0].from, live[0].sorted, nil
+		out.out, out.arenas, out.from, out.sorted = live[0].out, live[0].arenas, live[0].from, live[0].sorted
+		live[0].out, live[0].arenas = nil, nil
 		return out
 	}
 	for r := range out.Parts {
@@ -365,6 +370,7 @@ type MapPhasePrep struct {
 	splits []Split
 	parts  [][]records.Pair // per reduce partition in SortPairs order: views of out
 	out    []records.Pair
+	arenas [][]byte // the chunks the pairs' keys and values are in
 	// partBytes[i*R+r] is the encoded size of what split i emitted
 	// (after combining) into partition r.
 	partBytes []int64
@@ -419,33 +425,33 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 	ids, tabs := e.scratch.ids.get(n), e.scratch.tables.get(workers)
 	for w := range tabs { // sized for as many keys as records, up to a pane's thousand or so
 		tabs[w].part, tabs[w].r, tabs[w].hint = job.partitioner(), R, min(n, 1024)
+		tabs[w].arena = e.scratch.arenas.get(0)
 	}
+	sinks := make([]mapSink, len(splits))
 	parallel.ForWorker(workers, len(splits), func(worker, i int) {
 		st, tab, lo, hi := &stages[i], &tabs[worker], share[i], share[i+1]
 		st.ids, st.worker = ids[lo:lo:hi], worker
-		size := prep.partBytes[i*R : (i+1)*R]
-		emit := func(k, v []byte) {
-			id := tab.id(k, i)
-			st.add(id, v)
-			size[tab.keys[id].part] += records.PairSize(records.Pair{Key: k, Value: v})
-		}
+		sinks[i] = mapSink{tab: tab, st: st, size: prep.partBytes[i*R : (i+1)*R], split: i}
+		emit := Emitter{m: &sinks[i]}
 		// Execute the user map once; attempts re-charge time only.
 		for _, sp := range spans[starts[i]:starts[i+1]] {
 			for j := sp.Lo; j < sp.Hi; j++ {
 				ts, payload := sp.Seg.Record(j)
+				tab.payload = payload
 				job.Map(ts, payload, emit)
 			}
 		}
-		if job.Combine != nil { // the split's pairs give way to what the combiner makes of them
+		if job.Combine != nil { // the split's pairs give way to what the combiner emits of them
 			raw := *st
 			raw.worker, *st = 0, stage{ids: st.ids[:0], worker: worker}
-			clear(size)
+			clear(sinks[i].size)
 			for _, part := range place([]stage{raw}, tabs[worker:worker+1], R, make([]records.Pair, len(raw.ids))) {
-				if len(part) > 1 { // a partition the split gave one pair keeps it as it is
-					part = ReduceGroups(job.Combine, GroupSorted(part))
+				if len(part) == 1 { // a partition the split gave one pair keeps it as it is
+					emit.Emit(part[0].Key, part[0].Value)
+					continue
 				}
-				for _, p := range part {
-					emit(p.Key, p.Value)
+				for _, g := range GroupSorted(part) {
+					job.Combine(g.Key, g.Values, emit)
 				}
 			}
 		}
@@ -462,6 +468,12 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 		clear(tabs[w].keys)
 		clear(tabs[w].slots)
 		tabs[w].keys = tabs[w].keys[:0]
+		if len(tabs[w].arena) > 0 { // the pairs view it: it goes back with them
+			prep.arenas = append(prep.arenas, tabs[w].arena)
+		} else {
+			e.scratch.arenas.put(tabs[w].arena)
+		}
+		tabs[w].arena, tabs[w].payload, tabs[w].last = nil, nil, nil
 	}
 	e.scratch.ids.put(ids)
 	e.scratch.tables.put(tabs)
@@ -480,7 +492,8 @@ func (e *Engine) CommitMapPhase(prep *MapPhasePrep, ready simtime.Time) (*MapPha
 	if len(prep.splits) == 0 {
 		return res, nil
 	}
-	res.Parts, res.out, res.from, res.sorted, prep.out = prep.parts, prep.out, e, true, nil
+	res.Parts, res.out, res.arenas, res.from, res.sorted = prep.parts, prep.out, prep.arenas, e, true
+	prep.out, prep.arenas = nil, nil
 	for i, s := range prep.splits {
 		sizes := prep.partBytes[i*R : (i+1)*R]
 		var outBytes int64

@@ -64,7 +64,7 @@ func wordCountJob(inputs []string, reducers int) *Job {
 		Name:   "wordcount",
 		Inputs: inputs,
 		Map: func(_ int64, payload []byte, emit Emitter) {
-			emit(append([]byte(nil), payload...), []byte("1"))
+			emit.Emit(append([]byte(nil), payload...), []byte("1"))
 		},
 		Reduce: func(key []byte, values [][]byte, emit Emitter) {
 			total := 0
@@ -72,7 +72,7 @@ func wordCountJob(inputs []string, reducers int) *Job {
 				n, _ := strconv.Atoi(string(v))
 				total += n
 			}
-			emit(key, []byte(strconv.Itoa(total)))
+			emit.Emit(key, []byte(strconv.Itoa(total)))
 		},
 		NumReducers: reducers,
 	}

@@ -7,7 +7,6 @@ import (
 	"hash/maphash"
 	"math/bits"
 	"slices"
-	"unsafe"
 
 	"redoop/internal/colfmt"
 	"redoop/internal/records"
@@ -184,18 +183,24 @@ func (e *Engine) PutGroupers(gs []Grouper) {
 // keyTable numbers the distinct keys one pool worker's map emits, over
 // every split it maps, and partitions each once, as it first arrives:
 // key id is keys[id] (see keyed). It starts with room for hint keys and
-// doubles when two thirds full; n is place's scratch.
+// doubles when two thirds full; n is place's scratch. arena is the chunk
+// the worker's map emit copies keys and values into, payload the record
+// it is mapping (keep).
 type keyTable struct {
 	slots   []slot
 	keys    []keyed
 	n       []uint32
+	arena   []byte
+	last    []byte // the value it kept last (stage.add)
+	payload []byte
 	part    Partitioner
 	r, hint int
 }
 
 var tableSeed = maphash.MakeSeed()
 
-// id returns key's number, numbering it for split i if it is new.
+// id returns key's number, numbering it for split i if it is new: a new
+// key is kept (keep) and partitioned, once.
 func (t *keyTable) id(key []byte, i int) uint32 {
 	if 3*len(t.keys) >= 2*len(t.slots) {
 		t.slots = make([]slot, max(tableSize(t.hint), 2*len(t.slots)))
@@ -207,20 +212,45 @@ func (t *keyTable) id(key []byte, i int) uint32 {
 	}
 	j, tag := probe(t.slots, t.keys, key, maphash.Bytes(tableSeed, key))
 	if t.slots[j].gid == 0 {
+		kept := t.keep(key)
 		t.slots[j] = slot{tag, uint32(len(t.keys)) + 1}
-		t.keys = append(t.keys, keyed{key, uint32(i), uint32(t.part(key, t.r))})
+		t.keys = append(t.keys, keyed{kept, uint32(i), uint32(t.part(kept, t.r))})
 	}
 	return t.slots[j].gid - 1
 }
 
+// minChunk is the size of an arena's first chunk: a pane's distinct keys
+// and values are a few hundred short ones.
+const minChunk = 512
+
+// keep returns what the map output keeps of b, its capacity its length,
+// never nil: the payload's own bytes when b is a slice of it (a key cut
+// from the record: stored input never changes and outlives the phase),
+// else a copy in the arena. A slice of the payload starts where its
+// capacity says, which one pointer comparison confirms. A chunk without
+// room for b is left to the slices that view it, and one at least twice
+// its size begun; the copies never move.
+func (t *keyTable) keep(b []byte) []byte {
+	if i := cap(t.payload) - cap(b); len(b) > 0 && i >= 0 && i <= len(t.payload)-len(b) && &t.payload[i] == &b[0] {
+		return t.payload[i : i+len(b) : i+len(b)]
+	}
+	if cap(t.arena) == 0 || cap(t.arena)-len(t.arena) < len(b) {
+		t.arena = make([]byte, 0, max(2*cap(t.arena), len(b), minChunk))
+	}
+	n := len(t.arena)
+	t.arena = append(t.arena, b...)
+	return t.arena[n:len(t.arena):len(t.arena)]
+}
+
 // stage is one split's pairs as emitted: per pair its key's number in its
 // worker's table; the first value, then a run from each pair whose value
-// is not the slice before it (none for WCCMap's one shared value).
+// has other bytes than the one before it (none for WCCMap's one), each
+// value as its worker's table keeps it (keep).
 type stage struct {
-	ids         []uint32
-	first, last []byte
-	runs        []valRun
-	worker      int
+	ids    []uint32
+	first  []byte
+	runs   []valRun
+	worker int
 }
 
 type valRun struct {
@@ -228,28 +258,50 @@ type valRun struct {
 	v    []byte
 }
 
-func (st *stage) add(id uint32, v []byte) {
-	if len(st.ids) == 0 {
-		st.first = v
-	} else if !same(v, st.last) {
-		if st.runs == nil { // room for a change at every pair left in the split's share
-			st.runs = make([]valRun, 0, cap(st.ids)-len(st.ids))
+// add stages one pair: its key's number, and its value. A value with the
+// bytes of the one its worker kept last is that slice, not a new copy, so
+// a mapper's constant is one slice over all of a worker's splits, as it
+// was in the mapper, and the value-order checks of place and Group find
+// it equal to itself without reading it.
+func (st *stage) add(id uint32, v []byte, t *keyTable) {
+	if t.last == nil || !bytes.Equal(v, t.last) {
+		t.last = t.keep(v)
+		if len(st.ids) > 0 {
+			if st.runs == nil { // room for a change at every pair left in the split's share
+				st.runs = make([]valRun, 0, cap(st.ids)-len(st.ids))
+			}
+			st.runs = append(st.runs, valRun{uint32(len(st.ids)), t.last})
 		}
-		st.runs = append(st.runs, valRun{uint32(len(st.ids)), v})
 	}
-	st.ids, st.last = append(st.ids, id), v
+	if len(st.ids) == 0 {
+		st.first = t.last
+	}
+	st.ids = append(st.ids, id)
 }
 
-// same reports whether a and b are one slice: one array, length and capacity.
-func same(a, b []byte) bool {
-	return unsafe.SliceData(a) == unsafe.SliceData(b) && len(a) == len(b) && cap(a) == cap(b)
+// mapSink is the map side's emit for one split: a pair's key numbered in
+// its worker's table, its value staged, and its encoded size counted to
+// its partition. It holds on to no slice it is handed: the table and the
+// stage keep copies, or views of the payload (keep).
+type mapSink struct {
+	tab   *keyTable
+	st    *stage
+	size  []int64 // per partition
+	split int
+}
+
+func (s *mapSink) emit(key, value []byte) {
+	id := s.tab.id(key, s.split)
+	s.st.add(id, value, s.tab)
+	s.size[s.tab.keys[id].part] += records.PairSize(records.Pair{Key: key, Value: value})
 }
 
 // place writes the stages' pairs to out, numbered by tabs[stage.worker],
 // and returns its partitions in SortPairs order: keys rank by partition,
-// then bytes, each pair goes to its rank's next position under the key's
-// first-emitted slice, and a rank's values, in emit order, are sorted
-// only when out of order. That is Group's result, without hashing again.
+// then bytes, each pair goes to its rank's next position under the slice
+// the key's first split kept, and a rank's values, in emit order, are
+// sorted only when out of order. That is Group's result, without hashing
+// again.
 func place(stages []stage, tabs []keyTable, R int, out []records.Pair) [][]records.Pair {
 	type ref struct {
 		part uint32
@@ -278,7 +330,7 @@ func place(stages []stage, tabs []keyTable, R int, out []records.Pair) [][]recor
 		return cmp.Or(bytes.Compare(a.k.key, b.k.key), cmp.Compare(a.k.id, b.k.id))
 	})
 	// The tables' counts become ranks, at each rank's first position, and
-	// every table's entry of a key takes the slice the first split emitted.
+	// every table's entry of a key takes the slice the first split kept.
 	at, parts, pos := make([]uint32, 0, len(ents)), make([][]records.Pair, R), 0
 	var first *keyed
 	for _, e := range ents {
@@ -333,7 +385,7 @@ func (g *Grouper) Sorted(ps []records.Pair) []Group {
 // separate scratch.
 func (g *Grouper) Reduce(fn ReduceFunc, groups []Group) ([]byte, []records.Pair) {
 	g.w.Reset()
-	emit := g.w.Add // bound per call: the free list copies Groupers, so a stored one would go stale
+	emit := EmitTo(&g.w) // made per call: the free list copies Groupers, so a stored one would go stale
 	for _, gr := range groups {
 		fn(gr.Key, gr.Values, emit)
 	}
@@ -354,7 +406,7 @@ func (g *Grouper) ReduceRuns(fn ReduceFunc, runs []colfmt.PairRun) ([]byte, colf
 	at := g.at[:len(runs)]
 	clear(at)
 	g.w.Reset()
-	emit := g.w.Add
+	emit := EmitTo(&g.w)
 	vals, most := g.vals[:0], 0
 	for {
 		lo, key := -1, []byte(nil)

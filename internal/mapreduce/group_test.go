@@ -365,29 +365,39 @@ func reuseReduce(key []byte, values [][]byte, emit Emitter) {
 	var buf []byte
 	for i, v := range values {
 		buf = append(append(strconv.AppendInt(append(append(buf[:0], key...), '#'), int64(i), 10), '='), v...)
-		emit(key, buf)
+		emit.Emit(key, buf)
 	}
-	emit(append(buf[:0], "count:"...), strconv.AppendInt(buf[len(buf):], int64(len(values)), 10))
+	emit.Emit([]byte("count:"), strconv.AppendInt(buf[:0], int64(len(values)), 10))
 }
 
-// collect is the reference reduce emit: a collector that copies.
-func collect(out *[]records.Pair) Emitter {
-	return func(k, v []byte) {
-		*out = append(*out, records.Pair{Key: bytes.Clone(k), Value: bytes.Clone(v)})
+// freshReduce is reuseReduce with a new array per emit, so that what it
+// emits is never written again: the reference.
+func freshReduce(key []byte, values [][]byte, emit Emitter) {
+	for i, v := range values {
+		emit.Emit(key, fmt.Appendf(nil, "%s#%d=%s", key, i, v))
 	}
+	emit.Emit([]byte("count:"), strconv.AppendInt(nil, int64(len(values)), 10))
 }
 
-// TestGrouperReduceCopiesEachEmit: Grouper.Reduce and ReduceGroups
-// encode exactly what a copying collector gathers, and their pairs are
-// those, views of the segment.
+// collect is what fn emits over groups, in a writer of its own.
+func collect(fn ReduceFunc, groups []Group) []records.Pair {
+	var w colfmt.PairWriter
+	for _, gr := range groups {
+		fn(gr.Key, gr.Values, EmitTo(&w))
+	}
+	_, run := w.Segment()
+	return run.AppendTo(nil)
+}
+
+// TestGrouperReduceCopiesEachEmit: Grouper.Reduce and ReduceGroups over
+// a reducer that reuses its buffer encode exactly what the reference
+// reducer's fresh arrays give, and their pairs are those, views of the
+// segment.
 func TestGrouperReduceCopiesEachEmit(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var g Grouper
 	for name, input := range groupingShapes(rng) {
-		var want []records.Pair
-		for _, gr := range GroupPairs(slices.Clone(input)) {
-			reuseReduce(gr.Key, gr.Values, collect(&want))
-		}
+		want := collect(freshReduce, GroupPairs(slices.Clone(input)))
 		seg, pairs := g.Reduce(reuseReduce, g.Group(slices.Clone(input)))
 		if !bytes.Equal(seg, colfmt.EncodePairs(want)) || !pairsEqual(pairs, want) {
 			t.Fatalf("%s: Grouper.Reduce differs from a copying collector", name)
@@ -466,10 +476,7 @@ func TestReduceRunsMatchesMergeThenSorted(t *testing.T) {
 			}
 			runs = append(runs, run)
 		}
-		var want []records.Pair
-		for _, gr := range ref.Sorted(MergeSortedRuns(nil, decoded...)) {
-			reuseReduce(gr.Key, gr.Values, collect(&want))
-		}
+		want := collect(freshReduce, ref.Sorted(MergeSortedRuns(nil, decoded...)))
 		got, view := g.ReduceRuns(reuseReduce, runs)
 		if !bytes.Equal(got, colfmt.EncodePairs(want)) {
 			t.Fatalf("trial %d (%d runs): ReduceRuns encodes %d bytes, the merge reference %d", trial, len(runs), len(got), len(colfmt.EncodePairs(want)))

@@ -153,8 +153,8 @@ func checkSearchedRanges(t testing.TB, block byte, lens, cuts []byte) (nrecs, ns
 	}
 	var calls []int64
 	job := &Job{Name: "ranges", NumReducers: 1,
-		Map:    func(ts int64, _ []byte, emit Emitter) { calls = append(calls, ts); emit([]byte("k"), nil) },
-		Reduce: func(k []byte, vs [][]byte, emit Emitter) { emit(k, vs[0]) }}
+		Map:    func(ts int64, _ []byte, emit Emitter) { calls = append(calls, ts); emit.Emit([]byte("k"), nil) },
+		Reduce: func(k []byte, vs [][]byte, emit Emitter) { emit.Emit(k, vs[0]) }}
 	if _, err := e.PrepareMapPhase(job, inputs); err != nil {
 		t.Fatal(err)
 	}

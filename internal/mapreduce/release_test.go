@@ -28,8 +28,8 @@ func TestReleasedPhaseLeaksNothing(t *testing.T) {
 			}
 			job := &Job{
 				Name:        "release",
-				Map:         func(ts int64, payload []byte, emit Emitter) { emit(payload, []byte(strconv.FormatInt(ts, 10))) },
-				Reduce:      func(k []byte, vs [][]byte, emit Emitter) { emit(k, vs[0]) },
+				Map:         func(ts int64, payload []byte, emit Emitter) { emit.Emit(payload, []byte(strconv.FormatInt(ts, 10))) },
+				Reduce:      func(k []byte, vs [][]byte, emit Emitter) { emit.Emit(k, vs[0]) },
 				NumReducers: 3,
 			}
 			phase := func(e *Engine, paths ...string) *MapPhaseResult {
@@ -132,8 +132,8 @@ func TestFreeListsShareAcrossGoroutines(t *testing.T) {
 	writeWords(t, e, "/b", []string{"ant", "bee", "cat", "dog", "eel"}, 700)
 	job := &Job{
 		Name:        "share",
-		Map:         func(ts int64, payload []byte, emit Emitter) { emit(payload, []byte(strconv.FormatInt(ts, 10))) },
-		Reduce:      func(k []byte, vs [][]byte, emit Emitter) { emit(k, vs[0]) },
+		Map:         func(ts int64, payload []byte, emit Emitter) { emit.Emit(payload, []byte(strconv.FormatInt(ts, 10))) },
+		Reduce:      func(k []byte, vs [][]byte, emit Emitter) { emit.Emit(k, vs[0]) },
 		NumReducers: 3,
 	}
 	paths := []string{"/a", "/b", "/a", "/b", "/a"}

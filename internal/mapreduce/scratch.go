@@ -7,12 +7,14 @@ import (
 )
 
 // scratch is an engine's free lists of the arrays its phases borrow and
-// hand back: map outputs (Release), key numbers, key tables and Groupers.
+// hand back: map outputs and the arena chunks their pairs' bytes are in
+// (Release), key numbers, key tables and Groupers.
 // Unlike sync.Pool they keep what they are handed until DropScratch, so
 // what a recurrence allocates depends on neither the scheduler (a Put into
 // sync.Pool is private to its P) nor where a collection falls.
 type scratch struct {
 	outs     scratchPool[records.Pair]
+	arenas   scratchPool[byte]
 	ids      scratchPool[uint32]
 	tables   scratchPool[keyTable]
 	groupers scratchPool[Grouper]
@@ -62,6 +64,7 @@ func (p *scratchPool[T]) drop() {
 // busiest moment.
 func (e *Engine) DropScratch() {
 	e.scratch.outs.drop()
+	e.scratch.arenas.drop()
 	e.scratch.ids.drop()
 	e.scratch.tables.drop()
 	e.scratch.groupers.drop()

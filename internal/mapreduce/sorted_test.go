@@ -12,12 +12,12 @@ import (
 
 // concatReduce emits each key with its values joined in the order they
 // came, so a reducer's output shows the order the grouping gave it.
-func concatReduce(k []byte, vs [][]byte, emit Emitter) { emit(k, bytes.Join(vs, []byte("|"))) }
+func concatReduce(k []byte, vs [][]byte, emit Emitter) { emit.Emit(k, bytes.Join(vs, []byte("|"))) }
 
 // stampMap emits the payload as the key and the timestamp as a fresh
 // value, so values come out of byte order (ts 10 after ts 9).
 func stampMap(ts int64, payload []byte, emit Emitter) {
-	emit(payload, []byte(strconv.FormatInt(ts%23, 10)))
+	emit.Emit(payload, []byte(strconv.FormatInt(ts%23, 10)))
 }
 
 // encodedReduce is what RunReducePhase hands Redoop per partition: the

@@ -75,8 +75,8 @@ func TestRangedInputRestrictsRecords(t *testing.T) {
 	var mapped int
 	job := &Job{
 		Name:   "ranged",
-		Map:    func(ts int64, _ []byte, emit Emitter) { emit([]byte("k"), []byte(strconv.FormatInt(ts, 10))) },
-		Reduce: func(key []byte, values [][]byte, emit Emitter) { emit(key, []byte(strconv.Itoa(len(values)))) },
+		Map:    func(ts int64, _ []byte, emit Emitter) { emit.Emit([]byte("k"), []byte(strconv.FormatInt(ts, 10))) },
+		Reduce: func(key []byte, values [][]byte, emit Emitter) { emit.Emit(key, []byte(strconv.Itoa(len(values)))) },
 
 		NumReducers: 1,
 	}
@@ -124,8 +124,8 @@ func TestMergeMapPhases(t *testing.T) {
 	offs := writeRanged(t, e, "/in", 600)
 	job := &Job{
 		Name:        "m",
-		Map:         func(_ int64, payload []byte, emit Emitter) { emit(append([]byte(nil), payload...), []byte("1")) },
-		Reduce:      func(k []byte, vs [][]byte, emit Emitter) { emit(k, []byte(strconv.Itoa(len(vs)))) },
+		Map:         func(_ int64, payload []byte, emit Emitter) { emit.Emit(append([]byte(nil), payload...), []byte("1")) },
+		Reduce:      func(k []byte, vs [][]byte, emit Emitter) { emit.Emit(k, []byte(strconv.Itoa(len(vs)))) },
 		NumReducers: 2,
 	}
 	half := int64(offs[300])
@@ -179,8 +179,8 @@ func TestJobCostFlags(t *testing.T) {
 		job := &Job{
 			Name:             "flags",
 			Inputs:           []string{"/in"},
-			Map:              func(_ int64, payload []byte, emit Emitter) { emit(append([]byte(nil), payload...), payload) },
-			Reduce:           func(k []byte, vs [][]byte, emit Emitter) { emit(k, vs[0]) },
+			Map:              func(_ int64, payload []byte, emit Emitter) { emit.Emit(append([]byte(nil), payload...), payload) },
+			Reduce:           func(k []byte, vs [][]byte, emit Emitter) { emit.Emit(k, vs[0]) },
 			NumReducers:      2,
 			CacheReduceInput: cacheInput,
 			LocalOutput:      localOutput,
@@ -225,9 +225,9 @@ func TestSpeculativeExecution(t *testing.T) {
 			Name:   "spec",
 			Inputs: []string{"/in"},
 			Map: func(_ int64, payload []byte, emit Emitter) {
-				emit(append([]byte(nil), payload...), []byte("1"))
+				emit.Emit(append([]byte(nil), payload...), []byte("1"))
 			},
-			Reduce:      func(k []byte, vs [][]byte, emit Emitter) { emit(k, []byte(strconv.Itoa(len(vs)))) },
+			Reduce:      func(k []byte, vs [][]byte, emit Emitter) { emit.Emit(k, []byte(strconv.Itoa(len(vs)))) },
 			NumReducers: 2,
 		}
 		mp, err := e.RunMapPhase(job, WholeFiles(job.Inputs), 0)
@@ -252,9 +252,9 @@ func TestNoJitterIsDeterministic(t *testing.T) {
 			Name:   "det",
 			Inputs: []string{"/in"},
 			Map: func(_ int64, payload []byte, emit Emitter) {
-				emit(append([]byte(nil), payload...), []byte("1"))
+				emit.Emit(append([]byte(nil), payload...), []byte("1"))
 			},
-			Reduce:      func(k []byte, vs [][]byte, emit Emitter) { emit(k, []byte(strconv.Itoa(len(vs)))) },
+			Reduce:      func(k []byte, vs [][]byte, emit Emitter) { emit.Emit(k, []byte(strconv.Itoa(len(vs)))) },
 			NumReducers: 2,
 		}
 		res, err := e.Run(job, 0)
@@ -279,9 +279,9 @@ func TestJitterSeedReproducible(t *testing.T) {
 			Name:   "jit",
 			Inputs: []string{"/in"},
 			Map: func(_ int64, payload []byte, emit Emitter) {
-				emit(append([]byte(nil), payload...), []byte("1"))
+				emit.Emit(append([]byte(nil), payload...), []byte("1"))
 			},
-			Reduce:      func(k []byte, vs [][]byte, emit Emitter) { emit(k, []byte(strconv.Itoa(len(vs)))) },
+			Reduce:      func(k []byte, vs [][]byte, emit Emitter) { emit.Emit(k, []byte(strconv.Itoa(len(vs)))) },
 			NumReducers: 2,
 		}
 		res, err := e.Run(job, 0)

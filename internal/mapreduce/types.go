@@ -22,40 +22,49 @@ import (
 	"slices"
 	"strconv"
 
+	"redoop/internal/colfmt"
 	"redoop/internal/dfs"
 	"redoop/internal/records"
 	"redoop/internal/simtime"
 )
 
-// Emitter receives one key/value pair from a user function. What it does
-// with the slices depends on who calls it:
+// Emitter is where a user function emits its pairs. An emit copies, so
+// the caller may reuse its buffers at once: Emit copies key and value
+// before it returns, on the map side as on the reduce side, as Hadoop's
+// collect and context.write serialize a pair at once.
 //
-//   - a map emit retains them as they are — never copied, never written —
-//     so a mapper must not reuse or modify their backing arrays; many
-//     pairs may share one immutable array (a constant, a sub-slice of the
-//     payload);
-//   - a reduce emit copies them before it returns, as Hadoop's
-//     context.write serializes the pair at once, so a reducer (and a
-//     combiner, and a Merge) may reuse its buffers for the next emit.
-//
-// Every Emitter the runtime and the engine hand a ReduceFunc copies
-// (Grouper.Reduce, Grouper.ReduceRuns, ReduceGroups); so must any other
-// collector that calls one.
-type Emitter func(key, value []byte)
+// Emitter is a concrete type, not a func, so that a call to Emit is
+// static: the compiler sees that key and value do not escape, and a
+// buffer a user function builds a pair in may stay on its stack. The
+// runtime hands a MapFunc one that stages into the map output and a
+// ReduceFunc one that encodes into the reducer's segment; EmitTo makes
+// one for any other caller. The zero Emitter is not usable.
+type Emitter struct {
+	w *colfmt.PairWriter // the reduce sink
+	m *mapSink           // the map sink, when set
+}
+
+// EmitTo returns the Emitter that adds every pair to w.
+func EmitTo(w *colfmt.PairWriter) Emitter { return Emitter{w: w} }
+
+// Emit copies one pair into the sink.
+func (e Emitter) Emit(key, value []byte) {
+	if e.m != nil {
+		e.m.emit(key, value)
+		return
+	}
+	e.w.Add(key, value)
+}
 
 // MapFunc is the user map function, invoked once per input record.
-// payload is an immutable view of the stored input that outlives every
-// pair of the job: a mapper may emit sub-slices of it instead of copies,
-// and must not write through it.
+// payload is an immutable view of the stored input, valid for the call.
 type MapFunc func(ts int64, payload []byte, emit Emitter)
 
 // ReduceFunc is the user reduce function, invoked once per distinct key
-// with all of that key's values. The values container is valid only for
-// the duration of the call, as Hadoop's value iterator is: it views the
-// caller's grouping scratch. The byte slices in it are immutable and
-// outlive the job; a reducer may retain or emit them, never write them.
-// Its emit copies (see Emitter), so what it emits may be a buffer it
-// reuses.
+// with all of that key's values. key, values and the bytes in them are
+// valid only for the call, as Hadoop's value iterator is: they view the
+// caller's grouping scratch and the map output, which the runtime
+// recycles. A reducer must not write them.
 type ReduceFunc func(key []byte, values [][]byte, emit Emitter)
 
 // Partitioner assigns a key to one of r reduce partitions. It must be

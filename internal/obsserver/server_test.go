@@ -56,7 +56,7 @@ func sumReduce(key []byte, values [][]byte, emit mapreduce.Emitter) {
 		n, _ := strconv.Atoi(string(v))
 		total += n
 	}
-	emit(key, []byte(strconv.Itoa(total)))
+	emit.Emit(key, []byte(strconv.Itoa(total)))
 }
 
 func countQuery(name string) *core.Query {
@@ -67,7 +67,7 @@ func countQuery(name string) *core.Query {
 			Spec: window.NewTimeSpec(testWin, testSlide),
 		}},
 		Maps: []mapreduce.MapFunc{func(_ int64, payload []byte, emit mapreduce.Emitter) {
-			emit(append([]byte(nil), payload...), []byte("1"))
+			emit.Emit(append([]byte(nil), payload...), []byte("1"))
 		}},
 		Reduce:      sumReduce,
 		Combine:     sumReduce,

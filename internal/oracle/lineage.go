@@ -175,14 +175,16 @@ func (o *Oracle) recomputePane(src int, recs []records.Record, kind string, part
 	if pf == nil {
 		pf = mapreduce.DefaultPartitioner
 	}
-	var pairs []records.Pair
-	emit := func(k, val []byte) {
-		if pf(k, nR) == part {
-			pairs = append(pairs, records.Pair{Key: k, Value: val})
-		}
-	}
+	var w colfmt.PairWriter
+	emit := mapreduce.EmitTo(&w)
 	for _, rec := range recs {
 		o.q.Maps[src](rec.Ts, rec.Data, emit)
+	}
+	var pairs []records.Pair
+	for _, p := range written(&w) {
+		if pf(p.Key, nR) == part {
+			pairs = append(pairs, p)
+		}
 	}
 	// Cache bytes are columnar, so the audit re-encodes with the same
 	// columnar encoder the engine's cache registration uses — the SHA

@@ -40,6 +40,7 @@ import (
 	"slices"
 	"sync"
 
+	"redoop/internal/colfmt"
 	"redoop/internal/core"
 	"redoop/internal/mapreduce"
 	"redoop/internal/records"
@@ -210,18 +211,26 @@ func sortPairs(ps []records.Pair) {
 }
 
 // reduceSorted sorts ps in place and applies fn to each run of one key,
-// copying what fn emits (a reducer may reuse its buffers).
-func reduceSorted(fn mapreduce.ReduceFunc, ps []records.Pair) (out []records.Pair) {
+// returning what fn emitted, copied into a writer's segment.
+func reduceSorted(fn mapreduce.ReduceFunc, ps []records.Pair) []records.Pair {
 	sortPairs(ps)
+	var w colfmt.PairWriter
+	emit := mapreduce.EmitTo(&w)
 	for i := 0; i < len(ps); {
 		var values [][]byte
 		key := ps[i].Key
 		for ; i < len(ps) && bytes.Equal(ps[i].Key, key); i++ {
 			values = append(values, ps[i].Value)
 		}
-		fn(key, values, func(k, v []byte) { out = append(out, records.Pair{Key: bytes.Clone(k), Value: bytes.Clone(v)}) })
+		fn(key, values, emit)
 	}
-	return out
+	return written(&w)
+}
+
+// written is what was added to w, as pairs viewing its segment.
+func written(w *colfmt.PairWriter) []records.Pair {
+	_, run := w.Segment()
+	return run.AppendTo(nil)
 }
 
 func firstDiff(eng, oc []records.Pair) *Diff {
@@ -262,21 +271,25 @@ func (o *Oracle) recompute(r int) []records.Pair {
 	for d, frame := range o.frames {
 		lo, hi := frame.WindowRange(r)
 		start, end := frame.PaneStart(lo), frame.PaneEnd(hi)
-		emit := func(k, val []byte) {
-			p := part(k, nR)
-			buckets[p] = append(buckets[p], records.Pair{Key: k, Value: val})
-		}
+		var w colfmt.PairWriter
+		emit := mapreduce.EmitTo(&w)
 		for _, rec := range o.recs[d] {
 			if rec.Ts >= start && rec.Ts < end {
 				o.q.Maps[d](rec.Ts, rec.Data, emit)
 			}
+		}
+		for _, p := range written(&w) {
+			b := part(p.Key, nR)
+			buckets[b] = append(buckets[b], p)
 		}
 	}
 	reduceFn := o.q.Reduce
 	if o.q.Merge != nil {
 		reduceFn = func(key []byte, values [][]byte, emit mapreduce.Emitter) {
 			var partials [][]byte
-			o.q.Reduce(key, values, func(_, v []byte) { partials = append(partials, bytes.Clone(v)) })
+			for _, p := range mapreduce.ReduceGroups(o.q.Reduce, []mapreduce.Group{{Key: key, Values: values}}) {
+				partials = append(partials, p.Value)
+			}
 			o.q.Merge(key, partials, emit)
 		}
 	}

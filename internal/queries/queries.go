@@ -33,9 +33,8 @@ func SumCounts(key []byte, values [][]byte, emit mapreduce.Emitter) {
 	for _, v := range values {
 		total += parseCount(v)
 	}
-	var buf [20]byte // formatted on the stack, emitted exactly sized
-	b := strconv.AppendInt(buf[:0], total, 10)
-	emit(key, append(make([]byte, 0, len(b)), b...))
+	var buf [20]byte // formatted on the stack: the emit copies it
+	emit.Emit(key, strconv.AppendInt(buf[:0], total, 10))
 }
 
 // parseCount is strconv.ParseInt(string(v), 10, 64) with its error
@@ -74,23 +73,22 @@ func field(payload []byte, i int) ([]byte, bool) {
 }
 
 // WCCMap is Q1's mapper: emit (requested object, 1) per log line. The
-// key is a view of the payload, which the MapFunc contract keeps
-// immutable and alive for as long as the pair, so nothing is copied.
-// It is a named package-level function — not a closure — because the
-// lineage plan identifies operators by function symbol, and the
-// compiler names an inlined closure after its call site, which would
-// give two otherwise-identical queries different plan fingerprints
-// and defeat fingerprint-keyed cross-query reuse.
+// key is a view of the payload, which the map side keeps as it is, once
+// per worker and key: stored input never changes. It is a named
+// package-level function — not a closure — because the lineage plan
+// identifies operators by function symbol, and the compiler names an
+// inlined closure after its call site, which would give two
+// otherwise-identical queries different plan fingerprints and defeat
+// fingerprint-keyed cross-query reuse.
 func WCCMap(_ int64, payload []byte, emit mapreduce.Emitter) {
 	obj, ok := field(payload, 1)
 	if !ok {
 		return // malformed log line; Hadoop jobs skip these too
 	}
-	emit(obj, one)
+	emit.Emit(obj, one)
 }
 
-// one is the count every WCC log line contributes, shared by all of
-// WCCMap's emissions (emitted values are never written).
+// one is the count every WCC log line contributes.
 var one = []byte("1")
 
 // WCCAggregation builds Q1: count clicks per requested object over the
@@ -134,16 +132,15 @@ func FFGJoin(name string, win, slide simtime.Duration, reducers int) *core.Query
 
 // ffgTag emits (sensor id, prefix|payload) — the shared body of Q2's
 // two side-tagging mappers. The key is a view of the payload (see
-// WCCMap).
+// WCCMap); the value is built on the stack up to 256 bytes, which the
+// emit copies.
 func ffgTag(prefix byte, payload []byte, emit mapreduce.Emitter) {
 	sensor, ok := field(payload, 0)
 	if !ok {
 		return
 	}
-	val := make([]byte, 0, len(payload)+2)
-	val = append(val, prefix, '|')
-	val = append(val, payload...)
-	emit(sensor, val)
+	var buf [256]byte
+	emit.Emit(sensor, append(append(buf[:0], prefix, '|'), payload...))
 }
 
 // FFGTagReadings / FFGTagEvents are Q2's mappers, named package-level
@@ -163,11 +160,11 @@ func joinSide(v []byte) byte {
 }
 
 // JoinReduce is Q2's reducer: an in-memory cross join of the R-tagged
-// and E-tagged values of one key, R-major. A reduce emit copies (see
-// mapreduce.Emitter), so a key group costs one allocation however many
-// pairs it yields: one value buffer, sized for the longest "r;e", which
-// every output is written into in turn. The two sides' payload views
-// live on the stack up to 32 values.
+// and E-tagged values of one key, R-major. The emit copies (see
+// mapreduce.Emitter), so every output "r;e" is written in turn into one
+// value buffer on the stack, and the two sides' payload views live on
+// the stack too: a key group allocates only past 256 bytes of "r;e" or
+// 32 values.
 func JoinReduce(key []byte, values [][]byte, emit mapreduce.Emitter) {
 	var nr, ne, rmax, emax int
 	for _, v := range values {
@@ -197,12 +194,16 @@ func JoinReduce(key []byte, values [][]byte, emit mapreduce.Emitter) {
 			es = append(es, v[2:])
 		}
 	}
-	buf := make([]byte, 0, rmax+1+emax)
+	var out [256]byte
+	buf := out[:0]
+	if n := rmax + 1 + emax; n > len(out) {
+		buf = make([]byte, 0, n)
+	}
 	for _, r := range rs {
 		buf = append(append(buf[:0], r...), ';')
 		prefix := len(buf)
 		for _, e := range es {
-			emit(key, append(buf[:prefix], e...))
+			emit.Emit(key, append(buf[:prefix], e...))
 		}
 	}
 }

@@ -7,22 +7,34 @@ import (
 	"testing"
 	"testing/quick"
 
+	"redoop/internal/colfmt"
 	"redoop/internal/mapreduce"
 	"redoop/internal/records"
 	"redoop/internal/simtime"
 )
 
-// emitInto collects pairs the way every reduce emit does: it copies, so
-// a reducer that reuses its buffers is read right.
-func emitInto(out *[]records.Pair) mapreduce.Emitter {
-	return func(k, v []byte) {
-		*out = append(*out, records.Pair{Key: bytes.Clone(k), Value: bytes.Clone(v)})
-	}
+// reduced is what fn emits for one key group, collected as every emit
+// collects: copied into a writer.
+func reduced(fn mapreduce.ReduceFunc, key []byte, values [][]byte) []records.Pair {
+	var w colfmt.PairWriter
+	fn(key, values, mapreduce.EmitTo(&w))
+	return written(&w)
+}
+
+// mapped is what fn emits for one record, collected likewise.
+func mapped(fn mapreduce.MapFunc, payload []byte) []records.Pair {
+	var w colfmt.PairWriter
+	fn(0, payload, mapreduce.EmitTo(&w))
+	return written(&w)
+}
+
+func written(w *colfmt.PairWriter) []records.Pair {
+	_, run := w.Segment()
+	return run.AppendTo(nil)
 }
 
 func TestSumCounts(t *testing.T) {
-	var out []records.Pair
-	SumCounts([]byte("k"), [][]byte{[]byte("3"), []byte("4"), []byte("10")}, emitInto(&out))
+	out := reduced(SumCounts, []byte("k"), [][]byte{[]byte("3"), []byte("4"), []byte("10")})
 	if len(out) != 1 || string(out[0].Value) != "17" {
 		t.Errorf("SumCounts = %v", out)
 	}
@@ -36,7 +48,7 @@ func sumCountsByParseInt(key []byte, values [][]byte, emit mapreduce.Emitter) {
 		n, _ := strconv.ParseInt(string(v), 10, 64)
 		total += n
 	}
-	emit(key, []byte(strconv.FormatInt(total, 10)))
+	emit.Emit(key, []byte(strconv.FormatInt(total, 10)))
 }
 
 func TestSumCountsMatchesParseInt(t *testing.T) {
@@ -60,9 +72,7 @@ func TestSumCountsMatchesParseInt(t *testing.T) {
 		for i, v := range c {
 			values[i] = []byte(v)
 		}
-		var got, want []records.Pair
-		SumCounts([]byte("k"), values, emitInto(&got))
-		sumCountsByParseInt([]byte("k"), values, emitInto(&want))
+		got, want := reduced(SumCounts, []byte("k"), values), reduced(sumCountsByParseInt, []byte("k"), values)
 		if len(got) != 1 || string(got[0].Key) != "k" || string(got[0].Value) != string(want[0].Value) {
 			t.Errorf("SumCounts(%q) = %v, ParseInt gives %q", c, got, want[0].Value)
 		}
@@ -76,24 +86,21 @@ func TestSumCountsIsAlgebraic(t *testing.T) {
 	// Summing partials must equal summing the whole — the contract the
 	// pane/merge decomposition relies on.
 	f := func(vals []uint16) bool {
-		var whole []records.Pair
 		all := make([][]byte, len(vals))
 		total := 0
 		for i, v := range vals {
 			all[i] = []byte(fmt.Sprintf("%d", v))
 			total += int(v)
 		}
-		SumCounts([]byte("k"), all, emitInto(&whole))
+		whole := reduced(SumCounts, []byte("k"), all)
 		// Split in half and merge the partials.
 		mid := len(all) / 2
-		var p1, p2, merged []records.Pair
-		SumCounts([]byte("k"), all[:mid], emitInto(&p1))
-		SumCounts([]byte("k"), all[mid:], emitInto(&p2))
+		p1, p2 := reduced(SumCounts, []byte("k"), all[:mid]), reduced(SumCounts, []byte("k"), all[mid:])
 		var partials [][]byte
 		for _, p := range append(p1, p2...) {
 			partials = append(partials, p.Value)
 		}
-		SumCounts([]byte("k"), partials, emitInto(&merged))
+		merged := reduced(SumCounts, []byte("k"), partials)
 		if len(vals) == 0 {
 			return true
 		}
@@ -110,14 +117,12 @@ func TestWCCAggregationMapExtractsObject(t *testing.T) {
 	if err := q.Validate(); err != nil {
 		t.Fatalf("query invalid: %v", err)
 	}
-	var out []records.Pair
-	q.Maps[0](0, []byte("c12,obj34,512,GET,200,IMAGE,srv1"), emitInto(&out))
+	out := mapped(q.Maps[0], []byte("c12,obj34,512,GET,200,IMAGE,srv1"))
 	if len(out) != 1 || string(out[0].Key) != "obj34" || string(out[0].Value) != "1" {
 		t.Errorf("map output = %v", out)
 	}
 	// Malformed lines are skipped.
-	out = nil
-	q.Maps[0](0, []byte("garbage-no-commas"), emitInto(&out))
+	out = mapped(q.Maps[0], []byte("garbage-no-commas"))
 	if len(out) != 0 {
 		t.Errorf("malformed line should emit nothing, got %v", out)
 	}
@@ -128,9 +133,7 @@ func TestFFGJoinTagging(t *testing.T) {
 	if err := q.Validate(); err != nil {
 		t.Fatalf("query invalid: %v", err)
 	}
-	var out []records.Pair
-	q.Maps[0](0, []byte("s042,1.0,2.0,3.0,4.0,5.0"), emitInto(&out))
-	q.Maps[1](0, []byte("s042,shot,55"), emitInto(&out))
+	out := append(mapped(q.Maps[0], []byte("s042,1.0,2.0,3.0,4.0,5.0")), mapped(q.Maps[1], []byte("s042,shot,55"))...)
 	if len(out) != 2 {
 		t.Fatalf("got %d tagged pairs", len(out))
 	}
@@ -143,12 +146,11 @@ func TestFFGJoinTagging(t *testing.T) {
 }
 
 func TestJoinReduceCrossProduct(t *testing.T) {
-	var out []records.Pair
-	JoinReduce([]byte("s1"), [][]byte{
+	out := reduced(JoinReduce, []byte("s1"), [][]byte{
 		[]byte("R|r1"), []byte("R|r2"),
 		[]byte("E|e1"), []byte("E|e2"), []byte("E|e3"),
 		[]byte("bogus"),
-	}, emitInto(&out))
+	})
 	if len(out) != 6 {
 		t.Fatalf("cross product of 2x3 should be 6, got %d", len(out))
 	}
@@ -158,8 +160,7 @@ func TestJoinReduceCrossProduct(t *testing.T) {
 }
 
 func TestJoinReduceNoMatch(t *testing.T) {
-	var out []records.Pair
-	JoinReduce([]byte("s1"), [][]byte{[]byte("R|r1")}, emitInto(&out))
+	out := reduced(JoinReduce, []byte("s1"), [][]byte{[]byte("R|r1")})
 	if len(out) != 0 {
 		t.Errorf("one-sided key should join to nothing, got %v", out)
 	}
@@ -186,7 +187,7 @@ func joinReduceNestedLoops(key []byte, values [][]byte, emit mapreduce.Emitter) 
 			out = append(out, r...)
 			out = append(out, ';')
 			out = append(out, e...)
-			emit(key, out)
+			emit.Emit(key, out)
 		}
 	}
 }
@@ -225,9 +226,7 @@ func TestJoinReduceMatchesNestedLoops(t *testing.T) {
 	}
 	key := []byte("sensor")
 	for name, values := range groups {
-		var got, want []records.Pair
-		JoinReduce(key, values, emitInto(&got))
-		joinReduceNestedLoops(key, values, emitInto(&want))
+		got, want := reduced(JoinReduce, key, values), reduced(joinReduceNestedLoops, key, values)
 		if len(got) != len(want) {
 			t.Errorf("%s: %d pairs, reference %d", name, len(got), len(want))
 			continue
@@ -241,25 +240,65 @@ func TestJoinReduceMatchesNestedLoops(t *testing.T) {
 	}
 }
 
-// TestJoinReduceAllocatesPerGroupNotPerOutput pins what the copying
-// emit buys: one allocation per key group — the value buffer every
-// output is written into in turn — however many pairs it yields; one
-// more when the two sides hold over 32 values; none for a one-sided group.
-func TestJoinReduceAllocatesPerGroupNotPerOutput(t *testing.T) {
-	n, key := 0, []byte("k")
-	count := func(_, _ []byte) { n++ }
+// TestJoinReduceAllocatesOnlyPastItsStack pins what the copying emit
+// buys: a key group allocates nothing however many pairs it yields —
+// every output is written in turn into one buffer on the stack — but the
+// sides' views when they hold over 32 values, and the buffer when an
+// "r;e" is over 256 bytes.
+func TestJoinReduceAllocatesOnlyPastItsStack(t *testing.T) {
+	key := []byte("k")
+	long := append([]byte("R|"), bytes.Repeat([]byte("r"), 300)...)
 	for _, c := range []struct {
-		nr, ne int
+		name   string
+		values [][]byte
+		pairs  int
 		want   float64
-	}{{1, 1, 1}, {20, 12, 1}, {30, 8, 2}, {300, 80, 2}, {30, 0, 0}, {0, 8, 0}} {
-		values := joinGroup(c.nr, c.ne, true)
-		n = 0
-		allocs := testing.AllocsPerRun(10, func() { JoinReduce(key, values, count) })
+	}{
+		{"1x1", joinGroup(1, 1, true), 1, 0},
+		{"20x12", joinGroup(20, 12, true), 240, 0},
+		{"30x8", joinGroup(30, 8, true), 240, 1},
+		{"300x80", joinGroup(300, 80, true), 24000, 1},
+		{"30x0", joinGroup(30, 0, true), 0, 0},
+		{"0x8", joinGroup(0, 8, true), 0, 0},
+		{"long r", [][]byte{long, []byte("E|e")}, 1, 1},
+	} {
+		var w colfmt.PairWriter
+		emit := mapreduce.EmitTo(&w)
+		allocs := testing.AllocsPerRun(10, func() { // warmed up once, so the writer has room
+			w.Reset()
+			JoinReduce(key, c.values, emit)
+		})
 		if allocs != c.want {
-			t.Errorf("%dx%d group: %v allocations, want %v", c.nr, c.ne, allocs, c.want)
+			t.Errorf("%s group: %v allocations, want %v", c.name, allocs, c.want)
 		}
-		if want := 11 * c.nr * c.ne; n != want { // AllocsPerRun warms up once
-			t.Errorf("%dx%d group emitted %d pairs over 11 runs, want %d", c.nr, c.ne, n, want)
+		if n := len(written(&w)); n != c.pairs {
+			t.Errorf("%s group emitted %d pairs, want %d", c.name, n, c.pairs)
+		}
+	}
+}
+
+// TestUserFunctionsDoNotAllocate: through a warmed writer, the paper's
+// map and reduce functions build what they emit on the stack — a call to
+// Emit is static, so the compiler sees it keeps nothing.
+func TestUserFunctionsDoNotAllocate(t *testing.T) {
+	var w colfmt.PairWriter
+	emit := mapreduce.EmitTo(&w)
+	key, counts := []byte("obj34"), [][]byte{[]byte("3"), []byte("4"), []byte("1000000")}
+	join := joinGroup(20, 12, false)
+	reading, event := []byte("s042,1.0,2.0,3.0,4.0,5.0"), []byte("s042,shot,55")
+	logLine := []byte("c12,obj34,512,GET,200,IMAGE,srv1")
+	for name, fn := range map[string]func(){
+		"JoinReduce":     func() { JoinReduce(key, join, emit) },
+		"SumCounts":      func() { SumCounts(key, counts, emit) },
+		"WCCMap":         func() { WCCMap(0, logLine, emit) },
+		"FFGTagReadings": func() { FFGTagReadings(0, reading, emit) },
+		"FFGTagEvents":   func() { FFGTagEvents(0, event, emit) },
+	} {
+		if allocs := testing.AllocsPerRun(20, func() { w.Reset(); fn() }); allocs != 0 {
+			t.Errorf("%s allocates %v times per call", name, allocs)
+		}
+		if len(written(&w)) == 0 {
+			t.Errorf("%s emitted nothing", name)
 		}
 	}
 }

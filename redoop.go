@@ -67,22 +67,20 @@ type Pair struct {
 	Value []byte
 }
 
-// Emitter receives one key/value pair from a user function. A map emit
-// retains the slices: a mapper must not reuse their backing arrays. A
-// reduce emit (Reduce, Combine, Merge) copies them before it returns,
-// like Hadoop's context.write: a reducer may reuse its buffers.
-type Emitter func(key, value []byte)
+// Emitter is where a user function emits its pairs with Emit. An emit
+// copies, so the caller may reuse its buffers at once: map, reduce,
+// combine and merge emits alike, as Hadoop's collect and context.write.
+type Emitter = mapreduce.Emitter
 
 // MapFunc is a user map function, invoked once per input record — the
-// same interface a Hadoop mapper implements (paper §5).
+// same interface a Hadoop mapper implements (paper §5). payload is valid
+// for the call and must not be written.
 type MapFunc func(ts int64, payload []byte, emit Emitter)
 
 // ReduceFunc is a user reduce function, invoked once per distinct key
-// with all of that key's values. The values slice itself is valid only
-// for the duration of the call, like Hadoop's value iterator; the byte
-// slices in it (and key) are immutable and stay valid to retain or emit.
-// Its emit copies, so what it emits may be a buffer it writes again for
-// the next pair.
+// with all of that key's values. key, values and their bytes are valid
+// only for the call, like Hadoop's value iterator, and must not be
+// written.
 type ReduceFunc func(key []byte, values [][]byte, emit Emitter)
 
 // Partitioner assigns a key to one of n reduce partitions. It must be
@@ -90,6 +88,25 @@ type ReduceFunc func(key []byte, values [][]byte, emit Emitter)
 // key: the runtime may call it only once per distinct key per executor
 // worker and give every pair of that key the answer.
 type Partitioner func(key []byte, n int) int
+
+// Collector gathers what a user function emits when no query runs it: a
+// test calling a MapFunc or ReduceFunc, or a Merge that applies its
+// Reduce to a key's values. The zero value is ready.
+type Collector struct{ w colfmt.PairWriter }
+
+// Emitter returns an Emitter that copies every pair it is given into c.
+func (c *Collector) Emitter() Emitter { return mapreduce.EmitTo(&c.w) }
+
+// Pairs returns the pairs emitted into c so far, in emit order: copies,
+// which later emits leave as they are.
+func (c *Collector) Pairs() []Pair {
+	_, run := c.w.Segment()
+	out := make([]Pair, run.Len())
+	for i := range out {
+		out[i] = Pair{Key: run.Key(i), Value: run.Value(i)}
+	}
+	return out
+}
 
 // CostModel parameterizes the virtual-time task cost model; all rates
 // are bytes per second of virtual time.
@@ -366,14 +383,11 @@ func toCoreQuery(q *Query) (*core.Query, error) {
 	}
 	cq := &core.Query{
 		Name:        q.Name,
-		Reduce:      wrapReduce(q.Reduce),
-		Combine:     wrapReduce(q.Combine),
-		Merge:       wrapReduce(q.Merge),
+		Reduce:      mapreduce.ReduceFunc(q.Reduce),
+		Combine:     mapreduce.ReduceFunc(q.Combine),
+		Merge:       mapreduce.ReduceFunc(q.Merge),
 		NumReducers: q.Reducers,
-	}
-	if q.Partition != nil {
-		p := q.Partition
-		cq.Partition = func(key []byte, n int) int { return p(key, n) }
+		Partition:   mapreduce.Partitioner(q.Partition),
 	}
 	for _, src := range q.Sources {
 		cq.Sources = append(cq.Sources, core.Source{
@@ -384,27 +398,9 @@ func toCoreQuery(q *Query) (*core.Query, error) {
 		})
 	}
 	for _, m := range q.Maps {
-		cq.Maps = append(cq.Maps, wrapMap(m))
+		cq.Maps = append(cq.Maps, mapreduce.MapFunc(m))
 	}
 	return cq, nil
-}
-
-func wrapMap(m MapFunc) mapreduce.MapFunc {
-	if m == nil {
-		return nil
-	}
-	return func(ts int64, payload []byte, emit mapreduce.Emitter) {
-		m(ts, payload, Emitter(emit))
-	}
-}
-
-func wrapReduce(r ReduceFunc) mapreduce.ReduceFunc {
-	if r == nil {
-		return nil
-	}
-	return func(key []byte, values [][]byte, emit mapreduce.Emitter) {
-		r(key, values, Emitter(emit))
-	}
 }
 
 // Register validates a recurring query and installs it on the system,

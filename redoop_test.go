@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,11 +19,11 @@ func sum(key []byte, values [][]byte, emit Emitter) {
 		n, _ := strconv.Atoi(string(v))
 		total += n
 	}
-	emit(key, []byte(strconv.Itoa(total)))
+	emit.Emit(key, []byte(strconv.Itoa(total)))
 }
 
 func countMap(_ int64, payload []byte, emit Emitter) {
-	emit(append([]byte(nil), payload...), []byte("1"))
+	emit.Emit(append([]byte(nil), payload...), []byte("1"))
 }
 
 func testQuery(name string, adaptive bool) *Query {
@@ -264,6 +266,66 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// firstByte partitions by a key's first byte: a Partitioner of its own,
+// so its symbol names it.
+func firstByte(key []byte, n int) int {
+	if len(key) == 0 {
+		return 0
+	}
+	return int(key[0]) % n
+}
+
+// TestToCoreQueryKeepsUserFunctions: the engine runs the user's own
+// functions, not wrappers, so a query's plan fingerprint names them.
+func TestToCoreQueryKeepsUserFunctions(t *testing.T) {
+	q := testQuery("direct", false)
+	q.Partition = firstByte
+	cq, err := toCoreQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := func(f any) uintptr { return reflect.ValueOf(f).Pointer() }
+	for name, fns := range map[string][2]any{
+		"map":       {q.Maps[0], cq.Maps[0]},
+		"reduce":    {q.Reduce, cq.Reduce},
+		"combine":   {q.Combine, cq.Combine},
+		"merge":     {q.Merge, cq.Merge},
+		"partition": {q.Partition, cq.Partition},
+	} {
+		if pc(fns[0]) != pc(fns[1]) {
+			t.Errorf("%s: the core query runs %s, not %s", name,
+				runtime.FuncForPC(pc(fns[1])).Name(), runtime.FuncForPC(pc(fns[0])).Name())
+		}
+	}
+	q.Combine, q.Partition = nil, nil
+	if cq, _ := toCoreQuery(q); cq.Combine != nil || cq.Partition != nil {
+		t.Error("an absent combiner or partitioner must stay absent")
+	}
+}
+
+// TestCollectorCopies: a Collector keeps what was emitted, not the
+// caller's buffer, and what Pairs returned does not move with later emits.
+func TestCollectorCopies(t *testing.T) {
+	var c Collector
+	if got := c.Pairs(); len(got) != 0 {
+		t.Fatalf("empty collector: %q", got)
+	}
+	buf := []byte("a1")
+	c.Emitter().Emit(buf[:1], buf[1:])
+	copy(buf, "b2")
+	c.Emitter().Emit(buf[:1], buf[1:])
+	first := c.Pairs()
+	copy(buf, "c3")
+	c.Emitter().Emit(buf[:1], buf[1:])
+	want := []Pair{{[]byte("a"), []byte("1")}, {[]byte("b"), []byte("2")}}
+	if !reflect.DeepEqual(first, want) {
+		t.Fatalf("Pairs = %q, want %q", first, want)
+	}
+	if got := c.Pairs(); len(got) != 3 || string(got[2].Key) != "c" || string(got[2].Value) != "3" {
+		t.Fatalf("after a third emit: %q", got)
+	}
+}
+
 func TestWindowSpecAccessors(t *testing.T) {
 	w := TimeWindow(60*time.Minute, 20*time.Minute)
 	if w.Pane() != int64(20*time.Minute) {
@@ -323,7 +385,7 @@ func joinTestQuery(name string) *Query {
 			}
 			key := append([]byte(nil), payload[:i]...)
 			val := append([]byte{prefix, '|'}, payload[i+1:]...)
-			emit(key, val)
+			emit.Emit(key, val)
 		}
 	}
 	return &Query{
@@ -348,7 +410,7 @@ func joinTestQuery(name string) *Query {
 			for _, l := range ls {
 				for _, r := range rs {
 					out := append(append(append([]byte(nil), l...), ','), r...)
-					emit(key, out)
+					emit.Emit(key, out)
 				}
 			}
 		},

@@ -12,16 +12,6 @@ import (
 	"redoop/internal/window"
 )
 
-// Applied records one action as it actually landed at runtime, with
-// runtime-resolved targets (node after clamping, corrupted file path).
-type Applied struct {
-	Recurrence int    `json:"recurrence"`
-	Kind       Kind   `json:"kind"`
-	Node       int    `json:"node,omitempty"`
-	Target     string `json:"target,omitempty"`
-	Detail     string `json:"detail,omitempty"`
-}
-
 // Injector replays a Schedule against one Redoop run: it composes the
 // schedule's task-attempt faults and straggler knobs into the
 // mapreduce engine at Bind time, gates batch delivery to realize
@@ -35,7 +25,6 @@ type Injector struct {
 
 	held     map[int][][]records.Record // delayed batches per source
 	consumed map[int]int                // batches held so far, per action index
-	applied  []Applied
 	// OnCorrupt, when set, receives every DFS path the injector
 	// mangles (the oracle uses it to skip header cross-checks on
 	// deliberately damaged files).
@@ -72,9 +61,6 @@ func NewInjector(s *Schedule, mr *mapreduce.Engine) *Injector {
 	return in
 }
 
-// Applied returns the log of actions as they landed.
-func (in *Injector) Applied() []Applied { return in.applied }
-
 // WrapIngest interposes the delay gate on an engine's ingest path:
 // batches selected by a DelayBatch action for the upcoming recurrence
 // are held and released — out of arrival order — by BeforeRecurrence,
@@ -108,12 +94,6 @@ func (in *Injector) releaseHeld(r int, inner func(src int, recs []records.Record
 				return fmt.Errorf("chaos: releasing delayed batch (src %d, recurrence %d): %w", src, r, err)
 			}
 		}
-		if n := len(batches); n > 0 {
-			in.applied = append(in.applied, Applied{
-				Recurrence: r, Kind: DelayBatch, Node: -1,
-				Detail: fmt.Sprintf("released %d delayed batch(es) for source %d", n, src),
-			})
-		}
 		delete(in.held, src)
 	}
 	return nil
@@ -135,15 +115,11 @@ func (in *Injector) BeforeRecurrence(r int, eng *core.Engine, ingest func(src in
 			if !in.mr.Cluster.Node(n).Alive() || in.aliveCount() <= 1 {
 				continue
 			}
-			moved := in.mr.DFS.FailNodeAt(n, in.triggerTime(eng, r))
+			in.mr.DFS.FailNodeAt(n, in.triggerTime(eng, r))
 			in.mr.Cluster.FailNode(n)
 			in.mr.Lineage.RecordFault(lineage.Fault{
 				Kind: string(NodeCrash), Node: n, Recurrence: r,
 				AtNS: int64(in.triggerTime(eng, r)),
-			})
-			in.applied = append(in.applied, Applied{
-				Recurrence: r, Kind: NodeCrash, Node: n,
-				Detail: fmt.Sprintf("re-replicated %d bytes", moved),
 			})
 		case NodeRevive:
 			n := a.Node % workers
@@ -152,20 +128,15 @@ func (in *Injector) BeforeRecurrence(r int, eng *core.Engine, ingest func(src in
 			}
 			in.mr.Cluster.ReviveNode(n, in.triggerTime(eng, r))
 			in.mr.DFS.ReviveNode(n)
-			in.applied = append(in.applied, Applied{Recurrence: r, Kind: NodeRevive, Node: n})
 		case CacheDrop:
 			n := a.Node % workers
 			if !in.mr.Cluster.Node(n).Alive() {
 				continue
 			}
-			dropped := in.mr.Cluster.DropLocal(n, "cache/")
+			in.mr.Cluster.DropLocal(n, "cache/")
 			in.mr.Lineage.RecordFault(lineage.Fault{
 				Kind: string(CacheDrop), Node: n, Recurrence: r,
 				AtNS: int64(in.triggerTime(eng, r)),
-			})
-			in.applied = append(in.applied, Applied{
-				Recurrence: r, Kind: CacheDrop, Node: n,
-				Detail: fmt.Sprintf("dropped %d cache entries", dropped),
 			})
 		case PaneCorrupt, PaneTruncate:
 			if err := in.corruptPane(r, eng, a); err != nil {
@@ -242,15 +213,12 @@ func (in *Injector) corruptPane(r int, eng *core.Engine, a Action) error {
 	// Read returns a view of the stored file, which decoded records and
 	// emitted pairs may still alias: damage a copy.
 	data = slices.Clone(data)
-	detail := ""
 	if a.Kind == PaneTruncate {
 		data = data[:len(data)/2]
-		detail = fmt.Sprintf("truncated to %d bytes", len(data))
 	} else {
 		for i := len(data) / 3; i < 2*len(data)/3; i++ {
 			data[i] ^= 0xA5
 		}
-		detail = fmt.Sprintf("flipped bytes %d..%d", len(data)/3, 2*len(data)/3)
 	}
 	if err := in.mr.DFS.Write(path, data); err != nil {
 		return err
@@ -261,9 +229,6 @@ func (in *Injector) corruptPane(r int, eng *core.Engine, a Action) error {
 	in.mr.Lineage.RecordFault(lineage.Fault{
 		Kind: string(a.Kind), Node: -1, Path: path, Recurrence: r,
 		AtNS: int64(in.triggerTime(eng, r)),
-	})
-	in.applied = append(in.applied, Applied{
-		Recurrence: r, Kind: a.Kind, Node: -1, Target: path, Detail: detail,
 	})
 	return nil
 }

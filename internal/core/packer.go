@@ -114,14 +114,6 @@ func NewPacker(d *dfs.DFS, sourceName, dir string, frame window.Frame, plan Part
 	return p, nil
 }
 
-// SetTimeOfUnit overrides the unit→instant mapping (needed for
-// count-based windows where record ordinals are not instants).
-func (p *Packer) SetTimeOfUnit(fn func(int64) simtime.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.timeOfUnit = fn
-}
-
 // SetObserver attaches the observability layer and the query name used
 // to label pane-ingest events; a nil observer detaches it.
 func (p *Packer) SetObserver(o *obs.Observer, query string) {

@@ -248,15 +248,12 @@ func MustNew(cfg Config) *DFS {
 // BlockSize returns the configured block size.
 func (d *DFS) BlockSize() int64 { return d.cfg.BlockSize }
 
-// Replication returns the configured replication factor.
-func (d *DFS) Replication() int { return d.cfg.Replication }
-
-// placeReplicas chooses up to d.cfg.Replication distinct alive nodes
-// (caller holds lock). Placement is uniform pseudo-random, standing in
-// for HDFS's rack-aware policy, which the experiments do not exercise.
-// The candidates, alive nodes in ascending order, are gathered on the
-// stack: one is placed per block written.
-func (d *DFS) placeReplicas(exclude map[int]bool, want int) []int {
+// placeReplicas appends up to want distinct alive nodes not in exclude to
+// dst, in ascending order (caller holds lock). Placement is uniform
+// pseudo-random, standing in for HDFS's rack-aware policy, which the
+// experiments do not exercise. The candidates, alive nodes in ascending
+// order, are gathered on the stack: one is placed per block written.
+func (d *DFS) placeReplicas(dst []int, exclude map[int]bool, want int) []int {
 	var buf [32]int
 	candidates := buf[:0]
 	for _, n := range d.cfg.Nodes {
@@ -267,12 +264,10 @@ func (d *DFS) placeReplicas(exclude map[int]bool, want int) []int {
 	d.rng.Shuffle(len(candidates), func(i, j int) {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
-	if want > len(candidates) {
-		want = len(candidates)
-	}
-	chosen := append([]int(nil), candidates[:want]...)
-	sort.Ints(chosen)
-	return chosen
+	want = min(want, len(candidates))
+	dst = append(dst, candidates[:want]...)
+	sort.Ints(dst[len(dst)-want:])
+	return dst
 }
 
 // Write stores data at path, splitting it into blocks and placing
@@ -303,22 +298,21 @@ func (d *DFS) write(path string, data []byte, at simtime.Time) error {
 	d.obs.Counter("redoop_dfs_write_bytes_total").Add(float64(len(data)))
 	d.obs.Gauge("redoop_dfs_bytes").Add(float64(int64(len(data)) - replaced))
 	d.acct.AddIO(d.accountFor(path), account.IODFSWrite, int64(len(data)))
-	f := &file{data: data}
+	// The blocks' replica lists are cut from one array, each capped at its
+	// length: FailNode's append must not run into the next block's. An
+	// empty file has no blocks, but an entry, so Exists/List see it.
+	n := int((int64(len(data)) + d.cfg.BlockSize - 1) / d.cfg.BlockSize)
+	f := &file{data: data, blocks: make([]Block, 0, n)}
+	replicas := make([]int, 0, n*d.cfg.Replication)
 	for off := int64(0); off < int64(len(data)); off += d.cfg.BlockSize {
-		size := d.cfg.BlockSize
-		if off+size > int64(len(data)) {
-			size = int64(len(data)) - off
-		}
+		at := len(replicas)
+		replicas = d.placeReplicas(replicas, nil, d.cfg.Replication)
 		f.blocks = append(f.blocks, Block{
 			Index:    len(f.blocks),
 			Offset:   off,
-			Size:     size,
-			Replicas: d.placeReplicas(nil, d.cfg.Replication),
+			Size:     min(d.cfg.BlockSize, int64(len(data))-off),
+			Replicas: replicas[at:len(replicas):len(replicas)],
 		})
-	}
-	if len(data) == 0 {
-		// An empty file still has an entry so Exists/List see it.
-		f.blocks = nil
 	}
 	d.files[path] = f
 	if d.lineageTracks(path) {
@@ -406,20 +400,21 @@ func (d *DFS) ReadBlock(path string, index int) ([]byte, error) {
 	return append([]byte(nil), f.data[b.Offset:b.Offset+b.Size]...), nil
 }
 
-// Blocks returns the block layout of a file.
-func (d *DFS) Blocks(path string) ([]Block, error) {
+// Layout appends a file's blocks to dst without their replica lists —
+// locality is HasLocalReplica's to answer — and returns them with the
+// file's size.
+func (d *DFS) Layout(dst []Block, path string) ([]Block, int64, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	f, ok := d.files[path]
 	if !ok {
-		return nil, fmt.Errorf("dfs: no such file %q", path)
+		return dst, 0, fmt.Errorf("dfs: no such file %q", path)
 	}
-	out := make([]Block, len(f.blocks))
-	for i, b := range f.blocks {
-		b.Replicas = append([]int(nil), b.Replicas...)
-		out[i] = b
+	for _, b := range f.blocks {
+		b.Replicas = nil
+		dst = append(dst, b)
 	}
-	return out, nil
+	return dst, int64(len(f.data)), nil
 }
 
 // Size returns the byte length of a file.
@@ -535,7 +530,7 @@ func (d *DFS) failNode(node int, at simtime.Time) int64 {
 			for _, r := range b.Replicas {
 				exclude[r] = true
 			}
-			add := d.placeReplicas(exclude, d.cfg.Replication-len(b.Replicas))
+			add := d.placeReplicas(nil, exclude, d.cfg.Replication-len(b.Replicas))
 			if len(add) > 0 {
 				b.Replicas = append(b.Replicas, add...)
 				sort.Ints(b.Replicas)

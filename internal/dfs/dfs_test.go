@@ -2,10 +2,29 @@ package dfs
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// stored is path's block table as the DFS holds it, replica lists included
+// (Layout leaves them out), copied, so that a later FailNode shows.
+func stored(d *DFS, path string) ([]Block, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	f, ok := d.files[path]
+	if !ok {
+		return nil, fmt.Errorf("dfs: no such file %q", path)
+	}
+	out := slices.Clone(f.blocks)
+	for i := range out {
+		out[i].Replicas = slices.Clone(out[i].Replicas)
+	}
+	return out, nil
+}
 
 func testConfig() Config {
 	return Config{BlockSize: 64, Replication: 3, Nodes: []int{0, 1, 2, 3, 4}, Seed: 1}
@@ -54,7 +73,7 @@ func TestBlockLayout(t *testing.T) {
 	if err := d.Write("/a", data); err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := d.Blocks("/a")
+	blocks, err := stored(d, "/a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +97,18 @@ func TestBlockLayout(t *testing.T) {
 			seen[r] = true
 		}
 		off += b.Size
+	}
+	geometry, size, err := d.Layout(nil, "/a")
+	if err != nil || size != 200 || len(geometry) != len(blocks) {
+		t.Fatalf("Layout gives %d blocks of a %d-byte file (%v), want %d of 200", len(geometry), size, err, len(blocks))
+	}
+	for i, b := range geometry {
+		if b.Replicas != nil || b.Index != blocks[i].Index || b.Offset != blocks[i].Offset || b.Size != blocks[i].Size {
+			t.Errorf("Layout block %d = %+v, want %+v without replicas", i, b, blocks[i])
+		}
+	}
+	if _, _, err := d.Layout(nil, "/missing"); err == nil {
+		t.Error("Layout of a missing file should fail")
 	}
 }
 
@@ -168,7 +199,7 @@ func TestEmptyFile(t *testing.T) {
 	if !d.Exists("/empty") {
 		t.Error("empty file should exist")
 	}
-	blocks, err := d.Blocks("/empty")
+	blocks, err := stored(d, "/empty")
 	if err != nil || len(blocks) != 0 {
 		t.Errorf("empty file should have no blocks, got %d (%v)", len(blocks), err)
 	}
@@ -203,7 +234,7 @@ func TestDeleteAndList(t *testing.T) {
 func TestHasLocalReplica(t *testing.T) {
 	d := MustNew(testConfig())
 	d.Write("/a", make([]byte, 10))
-	blocks, _ := d.Blocks("/a")
+	blocks, _ := stored(d, "/a")
 	onReplica := blocks[0].Replicas[0]
 	if !d.HasLocalReplica("/a", 0, onReplica) {
 		t.Error("replica node should report local")
@@ -232,7 +263,7 @@ func TestFailNodeRereplicates(t *testing.T) {
 	if d.Alive(2) {
 		t.Error("node 2 should be dead")
 	}
-	blocks, _ := d.Blocks("/a")
+	blocks, _ := stored(d, "/a")
 	for i, b := range blocks {
 		if len(b.Replicas) != 3 {
 			t.Errorf("block %d has %d replicas after failure, want 3", i, len(b.Replicas))
@@ -263,7 +294,7 @@ func TestFailureReducesReplicationWhenNodesExhausted(t *testing.T) {
 	d := MustNew(Config{BlockSize: 64, Replication: 3, Nodes: []int{0, 1, 2}, Seed: 7})
 	d.Write("/a", make([]byte, 64))
 	d.FailNode(0)
-	blocks, _ := d.Blocks("/a")
+	blocks, _ := stored(d, "/a")
 	if len(blocks[0].Replicas) != 2 {
 		t.Errorf("with only 2 alive nodes replication should degrade to 2, got %d", len(blocks[0].Replicas))
 	}
@@ -277,7 +308,7 @@ func TestNewWritesPlaceOnAliveNodesOnly(t *testing.T) {
 	d := MustNew(testConfig())
 	d.FailNode(0)
 	d.Write("/a", make([]byte, 128))
-	blocks, _ := d.Blocks("/a")
+	blocks, _ := stored(d, "/a")
 	for _, b := range blocks {
 		for _, r := range b.Replicas {
 			if r == 0 {
@@ -305,7 +336,7 @@ func TestBlockTilingProperty(t *testing.T) {
 		if err := d.Write("/f", data); err != nil {
 			return false
 		}
-		blocks, err := d.Blocks("/f")
+		blocks, err := stored(d, "/f")
 		if err != nil {
 			return false
 		}
@@ -324,5 +355,37 @@ func TestBlockTilingProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(3))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRereplicationLeavesNeighbouringBlocksAlone: a file's replica lists
+// are cut from one array. When FailNode re-replicates one block onto more
+// nodes than it was written to, the blocks on either side keep theirs.
+func TestRereplicationLeavesNeighbouringBlocksAlone(t *testing.T) {
+	d := MustNew(Config{BlockSize: 8, Replication: 3, Nodes: []int{0, 1, 2, 3, 4}, Seed: 1})
+	for _, n := range []int{2, 3, 4} {
+		d.FailNode(n)
+	}
+	d.Write("/a", make([]byte, 24)) // three blocks, each on nodes 0 and 1 only
+	for _, n := range []int{2, 3, 4} {
+		d.ReviveNode(n)
+	}
+	// Only the middle block keeps node 0: the outer two trade it for node
+	// 2, in the array the three share.
+	for _, i := range []int{0, 2} {
+		r := d.files["/a"].blocks[i].Replicas
+		r[0] = 2
+		sort.Ints(r)
+	}
+	before, _ := stored(d, "/a")
+	d.FailNode(0)
+	after, _ := stored(d, "/a")
+	for _, i := range []int{0, 2} {
+		if !slices.Equal(after[i].Replicas, before[i].Replicas) {
+			t.Errorf("block %d: replicas %v became %v as block 1 was re-replicated", i, before[i].Replicas, after[i].Replicas)
+		}
+	}
+	if r := after[1].Replicas; len(r) != 3 || slices.Contains(r, 0) || !slices.IsSorted(r) {
+		t.Errorf("block 1 was re-replicated onto %v, want three live nodes in order", r)
 	}
 }

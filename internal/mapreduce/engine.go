@@ -203,12 +203,9 @@ func (e *Engine) Splits(paths []string) ([]Split, error) {
 // split per overlapped block.
 func (e *Engine) SplitsOf(inputs []Input) ([]Split, error) {
 	var out []Split
+	var buf [8]dfs.Block // a file's blocks, geometry only
 	for _, in := range inputs {
-		blocks, err := e.DFS.Blocks(in.Path)
-		if err != nil {
-			return nil, err
-		}
-		size, err := e.DFS.Size(in.Path)
+		blocks, size, err := e.DFS.Layout(buf[:0], in.Path)
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +216,6 @@ func (e *Engine) SplitsOf(inputs []Input) ([]Split, error) {
 		for _, b := range blocks {
 			sp := Split{Path: in.Path, Block: b, Lo: max(b.Offset, lo), Hi: min(b.Offset+b.Size, hi)}
 			if sp.Lo < sp.Hi {
-				sp.id = sp.ID()
 				out = append(out, sp)
 			}
 		}
@@ -235,10 +231,11 @@ type MapPhaseResult struct {
 	// which RunReducePhase sorts in place.
 	Parts [][]records.Pair
 	// PartSrcBytes records, per partition, how many intermediate bytes
-	// each mapper node produced — the matrix the shuffle model charges
-	// network transfer from. A partition's entries sum to the encoded
-	// size of its Parts, which is where the reduce phase reads it.
-	PartSrcBytes []map[int]int64
+	// each mapper node produced, indexed by node ID — the matrix the
+	// shuffle model charges network transfer from, its rows on one array.
+	// A partition's entries sum to the encoded size of its Parts, which is
+	// where the reduce phase reads it.
+	PartSrcBytes [][]int64
 	// FirstMapEnd and LastMapEnd bound the map wave; reducers start
 	// copying at FirstMapEnd and cannot finish before LastMapEnd.
 	FirstMapEnd, LastMapEnd simtime.Time
@@ -294,20 +291,28 @@ func (mp *MapPhaseResult) Release() {
 	mp.out, mp.arenas, mp.Parts = nil, nil, nil
 }
 
-// newMapPhaseResult returns the result of a map wave with no task yet.
-func newMapPhaseResult(reducers int, ready simtime.Time) *MapPhaseResult {
+// newMapPhaseResult returns the result of a map wave with no task yet,
+// its source-byte matrix over node IDs 0 to nodes-1.
+func newMapPhaseResult(reducers, nodes int, ready simtime.Time) *MapPhaseResult {
 	res := &MapPhaseResult{
 		Parts:        make([][]records.Pair, reducers),
-		PartSrcBytes: make([]map[int]int64, reducers),
+		PartSrcBytes: srcMatrix(reducers, nodes),
 		FirstMapEnd:  ready,
 		LastMapEnd:   ready,
-	}
-	for r := range res.PartSrcBytes {
-		res.PartSrcBytes[r] = make(map[int]int64)
 	}
 	res.Stats.Start = ready
 	res.Stats.End = ready
 	return res
+}
+
+// srcMatrix is a zero source-byte matrix, a row per partition and a column
+// per node, its rows cut from one array.
+func srcMatrix(reducers, nodes int) [][]int64 {
+	rows, cells := make([][]int64, reducers), make([]int64, reducers*nodes)
+	for r := range rows {
+		rows[r] = cells[r*nodes : (r+1)*nodes : (r+1)*nodes]
+	}
+	return rows
 }
 
 // MergeMapPhases combines several map-phase results into one, as if a
@@ -319,7 +324,7 @@ func newMapPhaseResult(reducers int, ready simtime.Time) *MapPhaseResult {
 // phase that ran any task; otherwise each merged partition is sized first
 // and written once, unsorted, and the phases keep their arrays.
 func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *MapPhaseResult {
-	out := newMapPhaseResult(reducers, ready)
+	out, nodes := newMapPhaseResult(reducers, 0, ready), 0
 	var live []*MapPhaseResult
 	for _, mp := range rs {
 		if mp.Stats.MapTasks == 0 {
@@ -332,7 +337,7 @@ func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *Map
 			out.LastMapEnd = mp.LastMapEnd
 		}
 		out.Stats.Accumulate(mp.Stats)
-		live = append(live, mp)
+		live, nodes = append(live, mp), max(nodes, len(mp.PartSrcBytes[0]))
 	}
 	if len(live) == 1 {
 		out.Parts, out.PartSrcBytes, out.Spans = live[0].Parts, live[0].PartSrcBytes, live[0].Spans
@@ -340,6 +345,7 @@ func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *Map
 		live[0].out, live[0].arenas = nil, nil
 		return out
 	}
+	out.PartSrcBytes = srcMatrix(reducers, nodes)
 	for r := range out.Parts {
 		n := 0
 		for _, mp := range live {
@@ -488,7 +494,7 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 func (e *Engine) CommitMapPhase(prep *MapPhasePrep, ready simtime.Time) (*MapPhaseResult, error) {
 	job := prep.job
 	R := job.NumReducers
-	res := newMapPhaseResult(R, ready)
+	res := newMapPhaseResult(R, len(e.Cluster.Nodes()), ready)
 	if len(prep.splits) == 0 {
 		return res, nil
 	}
@@ -564,6 +570,12 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 	// prev chains retry attempts: each attempt's span depends on the
 	// failed attempt whose detection made it schedulable.
 	var prev obs.SpanID
+	// id names the task to jitter, faults, spans and provenance: formatted
+	// once, and only when one of them reads it.
+	var id string
+	if e.Jitter > 0 || e.Faults != nil || e.Obs != nil || e.Lineage != nil {
+		id = s.ID()
+	}
 	for attempt := 0; attempt < e.maxAttempts(); attempt++ {
 		node := e.placementFor(job).PlaceMap(e, s, ready)
 		if node == nil {
@@ -574,23 +586,23 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 			local = s.Size()
 		}
 		base := e.Cost.MapTask(s.Size(), local, outBytes)
-		dur := e.jittered(base, "map", job.Name, s.ID(), attempt)
+		dur := e.jittered(base, "map", job.Name, id, attempt)
 		start, end := node.Map.Acquire(ready, dur)
 		node.AddLoad(dur)
 		spent += dur
-		if e.Faults != nil && e.Faults.MapAttemptFails(job.Name, s.ID(), attempt) {
+		if e.Faults != nil && e.Faults.MapAttemptFails(job.Name, id, attempt) {
 			e.Obs.Counter("redoop_map_attempts_total", obs.L("result", "failed")).Inc()
 			prev = e.Obs.Task(obs.TaskSpan{
-				Track: obs.NodeTrack(node.ID), Cat: "map", Name: "map " + s.ID(),
+				Track: obs.NodeTrack(node.ID), Cat: "map", Name: "map " + id,
 				Start: start, End: end, Ready: ready,
 				Parent: e.SpanParent, Deps: []obs.SpanID{prev},
 				Args: []obs.Label{obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("result", "failed")},
 			})
 			e.Obs.Emit(end, eventlog.TaskRetry, job.Name, eventlog.TaskRetryData{
-				Job: job.Name, Task: s.ID(), Phase: "map", Attempt: attempt + 1,
+				Job: job.Name, Task: id, Phase: "map", Attempt: attempt + 1,
 			})
 			e.Lineage.RecordAttempt(lineage.Attempt{
-				Job: job.Name, Task: s.ID(), Phase: "map", Node: node.ID,
+				Job: job.Name, Task: id, Phase: "map", Node: node.ID,
 				Attempt: attempt + 1, StartNS: int64(start), EndNS: int64(end),
 			})
 			// The failed attempt occupied the slot for its full
@@ -602,13 +614,13 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 		e.Obs.Counter("redoop_map_attempts_total", obs.L("result", "ok")).Inc()
 		e.Obs.Histogram("redoop_map_task_seconds").Observe(dur.Seconds())
 		e.Lineage.RecordAttempt(lineage.Attempt{
-			Job: job.Name, Task: s.ID(), Phase: "map", Node: node.ID,
+			Job: job.Name, Task: id, Phase: "map", Node: node.ID,
 			Attempt: attempt + 1, OK: true, StartNS: int64(start), EndNS: int64(end),
 		})
 		var span obs.SpanID
 		if e.Obs != nil {
 			span = e.Obs.Task(obs.TaskSpan{
-				Track: obs.NodeTrack(node.ID), Cat: "map", Name: "map " + s.ID(),
+				Track: obs.NodeTrack(node.ID), Cat: "map", Name: "map " + id,
 				Start: start, End: end, Ready: ready,
 				Parent: e.SpanParent, Deps: []obs.SpanID{prev},
 				Args: []obs.Label{
@@ -630,17 +642,17 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 				// original attempt stands and its end time is final.
 				return node, end, attempt + 1, spent, span, nil
 			}
-			bdur := e.jittered(base, "backup", job.Name, s.ID(), attempt)
+			bdur := e.jittered(base, "backup", job.Name, id, attempt)
 			bstart, bend := backup.Map.Acquire(detect, bdur)
 			backup.AddLoad(bdur)
 			spent += bdur
 			e.Obs.Counter("redoop_map_attempts_total", obs.L("result", "speculative")).Inc()
 			e.Lineage.RecordAttempt(lineage.Attempt{
-				Job: job.Name, Task: s.ID(), Phase: "map-backup", Node: backup.ID,
+				Job: job.Name, Task: id, Phase: "map-backup", Node: backup.ID,
 				Attempt: attempt + 1, OK: bend < end, StartNS: int64(bstart), EndNS: int64(bend),
 			})
 			bspan := e.Obs.Task(obs.TaskSpan{
-				Track: obs.NodeTrack(backup.ID), Cat: "map", Name: "backup " + s.ID(),
+				Track: obs.NodeTrack(backup.ID), Cat: "map", Name: "backup " + id,
 				Start: bstart, End: bend, Ready: detect,
 				Parent: e.SpanParent, Deps: []obs.SpanID{prev},
 				Args: []obs.Label{obs.L("job", job.Name)},

@@ -260,9 +260,8 @@ type valRun struct {
 
 // add stages one pair: its key's number, and its value. A value with the
 // bytes of the one its worker kept last is that slice, not a new copy, so
-// a mapper's constant is one slice over all of a worker's splits, as it
-// was in the mapper, and the value-order checks of place and Group find
-// it equal to itself without reading it.
+// a mapper's constant is one slice over all of a worker's splits and
+// starts no value run: place lays such a phase out a key run at a time.
 func (st *stage) add(id uint32, v []byte, t *keyTable) {
 	if t.last == nil || !bytes.Equal(v, t.last) {
 		t.last = t.keep(v)
@@ -300,7 +299,8 @@ func (s *mapSink) emit(key, value []byte) {
 // and returns its partitions in SortPairs order: keys rank by partition,
 // then bytes, each pair goes to its rank's next position under the slice
 // the key's first split kept, and a rank's values, in emit order, are
-// sorted only when out of order. That is Group's result, without hashing
+// sorted only when out of order; a phase with one value fills each rank
+// where it ranks the key instead. That is Group's result, without hashing
 // again.
 func place(stages []stage, tabs []keyTable, R int, out []records.Pair) [][]records.Pair {
 	type ref struct {
@@ -313,7 +313,14 @@ func place(stages []stage, tabs []keyTable, R int, out []records.Pair) [][]recor
 		tabs[w].n = append(tabs[w].n[:0], make([]uint32, len(tabs[w].keys))...)
 	}
 	ents := make([]ref, 0, len(tabs[0].keys)) // all of them for one worker
+	// one is the phase's only value when it has one (WCCMap's "1", a copy
+	// per worker): no stage has a value run, every first has its bytes.
+	one, seen, single := []byte(nil), false, true
 	for _, st := range stages {
+		if len(st.ids) > 0 {
+			single = single && len(st.runs) == 0 && (!seen || bytes.Equal(st.first, one))
+			one, seen = st.first, true
+		}
 		n := tabs[st.worker].n
 		for _, id := range st.ids {
 			if n[id]++; n[id] == 1 {
@@ -331,6 +338,8 @@ func place(stages []stage, tabs []keyTable, R int, out []records.Pair) [][]recor
 	})
 	// The tables' counts become ranks, at each rank's first position, and
 	// every table's entry of a key takes the slice the first split kept.
+	// With one value a rank's pairs are alike: written here, they need no
+	// scatter and no value-order check.
 	at, parts, pos := make([]uint32, 0, len(ents)), make([][]records.Pair, R), 0
 	var first *keyed
 	for _, e := range ents {
@@ -339,7 +348,15 @@ func place(stages []stage, tabs []keyTable, R int, out []records.Pair) [][]recor
 			first, at = k, append(at, uint32(pos))
 		}
 		parts[e.part] = out[pos-len(parts[e.part]) : end : end] // the partition so far and this entry
+		if single {
+			for j := pos; j < end; j++ {
+				out[j] = records.Pair{Key: first.key, Value: one}
+			}
+		}
 		k.key, *e.n, pos = first.key, uint32(len(at)-1), end
+	}
+	if single {
+		return parts
 	}
 	for _, st := range stages {
 		t, v, next := &tabs[st.worker], st.first, 0

@@ -178,7 +178,6 @@ type Split struct {
 	// Lo and Hi bound the split's byte range within the file
 	// (clipped to both the block and the input range).
 	Lo, Hi int64
-	id     string // ID(), formatted once by SplitsOf; empty on a hand-built split
 }
 
 // Size returns the split's byte length.
@@ -186,9 +185,6 @@ func (s Split) Size() int64 { return s.Hi - s.Lo }
 
 // ID returns a stable identifier for fault plans and logs.
 func (s Split) ID() string {
-	if s.id != "" {
-		return s.id
-	}
 	return s.Path + "#" + strconv.Itoa(s.Block.Index) + "@" + strconv.FormatInt(s.Lo, 10)
 }
 

@@ -5,14 +5,15 @@
 //
 // Usage:
 //
-//	redoop-bench [-fig 6|7|8|9|all] [-windows N] [-records N]
+//	redoop-bench [-fig ID|all] [-windows N] [-records N]
 //	             [-nodes N] [-reducers N] [-seed N]
 //	             [-workers N] [-par-bench N] [-reuse]
 //	             [-chaos SEED[:profile]] [-chaos-report]
 //	             [-metrics-out FILE] [-trace-out FILE]
 //	             [-json-out FILE] [-serve ADDR]
-//	             [-bench-dir DIR] [-rev REV]
-//	             [-regress-soft PCT] [-regress-hard PCT]
+//
+// -fig names one entry of the figures table (redoop-bench -h lists
+// them) or all, the paper's four figures.
 //
 // -nodes sets the simulated cluster's worker node count. -workers sets
 // the host-side parallel compute pool each engine uses (0 = GOMAXPROCS,
@@ -54,20 +55,19 @@
 //
 // -json-out writes a machine-readable run summary (configuration,
 // per-figure series with per-window timings, makespans, shuffle
-// totals, the headline speedup, cache hit/shuffle aggregates, a
-// "costs" block with the resource-accounting ledger's per-query
-// attribution and conservation verdict, and a "lineage" block with
-// the provenance store's totals — derivation nodes, edges, distinct
-// plan fingerprints, rebuild count) so bench trajectories can
-// accumulate across commits.
+// totals, the headline speedup, cache hit/shuffle aggregates, per-query
+// SLO health, a "costs" block with the resource-accounting ledger's
+// per-query attribution and conservation verdict, and a "lineage" block
+// with the provenance store's totals — derivation nodes, edges,
+// distinct plan fingerprints, rebuild count). Every field but the
+// -par-bench wall-clock block is virtual, so the summary is
+// byte-identical across -workers settings. bench-trajectory/FIGS.json
+// is the checked-in summary of
 //
-// -bench-dir DIR enables trajectory mode: the run summary (with
-// per-query SLO health aggregates) is written to DIR/BENCH_<rev>.json
-// and compared against the newest prior BENCH_*.json in DIR. Series
-// that slowed by more than -regress-soft percent (default 5) are
-// flagged; more than -regress-hard percent (default 15) makes the
-// process exit 3 so CI can gate on hard regressions. -rev labels the
-// entry (default: git short hash, else a timestamp).
+//	redoop-bench -fig all -reuse -q -json-out bench-trajectory/FIGS.json
+//
+// and CI regenerates it at -workers 1 and 4 and diffs both against it:
+// any virtual change fails until the file is re-recorded on purpose.
 //
 // -serve ADDR starts the live introspection HTTP server (/metrics,
 // /debug/events, /debug/cache, /debug/panes, /debug/health,
@@ -75,16 +75,19 @@
 // build attaches to it, so the endpoints can be polled while a figure
 // is in flight.
 //
+// Exit codes: 0 success, 1 a failed run or artifact write, 2 a usage
+// error, 4 a chaos or reuse divergence.
+//
 // See EXPERIMENTS.md for how the printed numbers map onto the paper's
 // plots.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"strings"
 	"time"
 
@@ -97,31 +100,73 @@ import (
 	"redoop/internal/obsserver"
 )
 
-func main() {
+// figure is one -fig choice; cum figures print cumulative tables.
+type figure struct {
+	id  string
+	run func(experiments.Config) (*experiments.FigResult, error)
+	cum bool
+}
+
+// figures is every -fig choice, in the order -fig all and the help text
+// list them.
+var figures = []figure{
+	{"6", experiments.Fig6, false},
+	{"7", experiments.Fig7, false},
+	{"8", experiments.Fig8, false},
+	{"9", experiments.Fig9, true},
+	{"ablation-caching", experiments.AblationCaching, false},
+	{"ablation-scheduling", experiments.AblationScheduling, false},
+	{"ablation-speculation", experiments.AblationSpeculation, false},
+	{"sweep", experiments.OverlapSweep, false},
+	{"multiquery", experiments.MultiQuerySharing, false},
+}
+
+// paperFigures are the figures -fig all runs.
+var paperFigures = map[string]bool{"6": true, "7": true, "8": true, "9": true}
+
+// figureIDs lists every -fig choice for the help text and the
+// unknown-figure error.
+func figureIDs() string {
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return strings.Join(ids, ", ")
+}
+
+func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// realMain is main with its process boundary injected: the arguments
+// after the program name, the two output streams, and the exit code as
+// the return value.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("redoop-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 9, ablation-caching, ablation-scheduling, sweep, or all (= the paper's four figures)")
-		windows  = flag.Int("windows", 0, "windows per series (default 10)")
-		recs     = flag.Int("records", 0, "records per window (default 120000)")
-		nodes    = flag.Int("nodes", 0, "cluster worker nodes (default 10)")
-		reducers = flag.Int("reducers", 0, "reduce partitions (default 20)")
-		workers  = flag.Int("workers", 0, "parallel compute pool per engine: 0 = GOMAXPROCS, 1 = serial (virtual results are identical either way)")
-		parBench = flag.Int("par-bench", 0, "also measure wall-clock speedup of the Figure-6 workload at this many pool workers vs serial")
-		reuseRun = flag.Bool("reuse", false, "also run the cross-query reuse workload (two identical Figure-6 aggregations + a 2x tumbling roll-up over one shared stream) with the reuse index off and on, verify byte-identical outputs, and fold the comparison into -json-out")
-		chaosArg = flag.String("chaos", "", "run chaos verification instead of figures: SEED[:profile] seeds a deterministic fault schedule, the oracle verifies every window (profiles: mixed, crash, cacheloss, corrupt, delay, straggle, speculative, none)")
-		chaosRep = flag.Bool("chaos-report", false, "with -chaos and -json-out: include the fault schedule and every per-recurrence oracle verdict in the summary")
-		seed     = flag.Int64("seed", 0, "generator seed (default 42)")
-		quiet    = flag.Bool("q", false, "suppress progress lines")
-		csvPath  = flag.String("csv", "", "also append every series as tidy CSV to this file")
-		metrics  = flag.String("metrics-out", "", "write a Prometheus text exposition of the run's metrics to this file")
-		trace    = flag.String("trace-out", "", "write a Perfetto-loadable Chrome trace JSON of the run to this file")
-		jsonOut  = flag.String("json-out", "", "write a machine-readable JSON run summary to this file")
-		serve    = flag.String("serve", "", "serve the live introspection HTTP endpoints on this address (e.g. :8080) while figures run")
-		benchDir = flag.String("bench-dir", "", "trajectory mode: write BENCH_<rev>.json here and compare against the newest prior entry")
-		rev      = flag.String("rev", "", "revision label for the trajectory entry (default: git short hash, else a timestamp)")
-		softPct  = flag.Float64("regress-soft", 5, "trajectory: warn when a series slows by more than this percent")
-		hardPct  = flag.Float64("regress-hard", 15, "trajectory: exit 3 when a series slows by more than this percent")
+		fig      = fs.String("fig", "all", "figure to regenerate: "+figureIDs()+", or all (= the paper's four figures)")
+		windows  = fs.Int("windows", 0, "windows per series (default 10)")
+		recs     = fs.Int("records", 0, "records per window (default 120000)")
+		nodes    = fs.Int("nodes", 0, "cluster worker nodes (default 10)")
+		reducers = fs.Int("reducers", 0, "reduce partitions (default 20)")
+		workers  = fs.Int("workers", 0, "parallel compute pool per engine: 0 = GOMAXPROCS, 1 = serial (virtual results are identical either way)")
+		parBench = fs.Int("par-bench", 0, "also measure wall-clock speedup of the Figure-6 workload at this many pool workers vs serial")
+		reuseRun = fs.Bool("reuse", false, "also run the cross-query reuse workload (two identical Figure-6 aggregations + a 2x tumbling roll-up over one shared stream) with the reuse index off and on, verify byte-identical outputs, and fold the comparison into -json-out")
+		chaosArg = fs.String("chaos", "", "run chaos verification instead of figures: SEED[:profile] seeds a deterministic fault schedule, the oracle verifies every window (profiles: mixed, crash, cacheloss, corrupt, delay, straggle, speculative, none)")
+		chaosRep = fs.Bool("chaos-report", false, "with -chaos and -json-out: include the fault schedule and every per-recurrence oracle verdict in the summary")
+		seed     = fs.Int64("seed", 0, "generator seed (default 42)")
+		quiet    = fs.Bool("q", false, "suppress progress lines")
+		csvPath  = fs.String("csv", "", "also append every series as tidy CSV to this file")
+		metrics  = fs.String("metrics-out", "", "write a Prometheus text exposition of the run's metrics to this file")
+		trace    = fs.String("trace-out", "", "write a Perfetto-loadable Chrome trace JSON of the run to this file")
+		jsonOut  = fs.String("json-out", "", "write a machine-readable JSON run summary to this file")
+		serve    = fs.String("serve", "", "serve the live introspection HTTP endpoints on this address (e.g. :8080) while figures run")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cfg := experiments.Default()
 	if *windows > 0 {
@@ -141,12 +186,12 @@ func main() {
 		cfg.Seed = *seed
 	}
 	var ob *obs.Observer
-	if *metrics != "" || *trace != "" || *jsonOut != "" || *serve != "" || *benchDir != "" {
+	if *metrics != "" || *trace != "" || *jsonOut != "" || *serve != "" {
 		ob = obs.New()
 		cfg.Obs = ob
 	}
 	// One shared SLO monitor across every engine the figures build, so
-	// the trajectory entry carries per-query health aggregates.
+	// the summary carries per-query health aggregates.
 	var mon *health.Monitor
 	if ob != nil {
 		mon = health.NewMonitor(health.DefaultConfig())
@@ -157,10 +202,10 @@ func main() {
 		srv := obsserver.New(ob)
 		addr, err := srv.Start(*serve)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "redoop-bench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "redoop-bench: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "[introspection server on http://%s]\n", addr)
+		fmt.Fprintf(stderr, "[introspection server on http://%s]\n", addr)
 		cfg.OnEngine = func(e *core.Engine) { srv.Attach(e) }
 	}
 	// One shared cost ledger across every Redoop engine the run builds,
@@ -197,80 +242,70 @@ func main() {
 		ok := true
 		if *metrics != "" {
 			if err := ob.Metrics.WriteMetricsFile(*metrics); err != nil {
-				fmt.Fprintf(os.Stderr, "redoop-bench: metrics-out: %v\n", err)
+				fmt.Fprintf(stderr, "redoop-bench: metrics-out: %v\n", err)
 				ok = false
 			} else if !*quiet {
-				fmt.Fprintf(os.Stderr, "[metrics written to %s]\n", *metrics)
+				fmt.Fprintf(stderr, "[metrics written to %s]\n", *metrics)
 			}
 		}
 		if *trace != "" {
 			if err := ob.Tracer.WriteTraceFile(*trace); err != nil {
-				fmt.Fprintf(os.Stderr, "redoop-bench: trace-out: %v\n", err)
+				fmt.Fprintf(stderr, "redoop-bench: trace-out: %v\n", err)
 				ok = false
 			} else if !*quiet {
-				fmt.Fprintf(os.Stderr, "[trace written to %s; open at https://ui.perfetto.dev]\n", *trace)
+				fmt.Fprintf(stderr, "[trace written to %s; open at https://ui.perfetto.dev]\n", *trace)
 			}
 		}
 		return ok
 	}
+	// writeJSON folds the shared sidecars into sum and writes it to
+	// -json-out; false when the file could not be written.
+	writeJSON := func(sum summaryJSON) bool {
+		sum.Health = healthSummary(mon)
+		sum.Costs = costsSummary(acct, clusterBusyNS(engines))
+		warnConservation(stderr, sum.Costs)
+		sum.Lineage = lineageSummary(cfg.Lineage)
+		if err := obs.WriteFileAtomic(*jsonOut, func(w io.Writer) error {
+			return writeSummary(w, sum)
+		}); err != nil {
+			fmt.Fprintf(stderr, "redoop-bench: json-out: %v\n", err)
+			return false
+		}
+		if !*quiet {
+			fmt.Fprintf(stderr, "[run summary written to %s]\n", *jsonOut)
+		}
+		return true
+	}
 
 	if *chaosRep && *chaosArg == "" {
-		fmt.Fprintln(os.Stderr, "redoop-bench: -chaos-report needs -chaos SEED[:profile]")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "redoop-bench: -chaos-report needs -chaos SEED[:profile]")
+		return 2
 	}
 	if *chaosArg != "" {
-		cj, failed, err := runChaos(os.Stdout, cfg, *chaosArg, *chaosRep, *quiet)
+		cj, failed, err := runChaos(stdout, cfg, *chaosArg, *chaosRep, *quiet)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "redoop-bench: chaos: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "redoop-bench: chaos: %v\n", err)
+			return 2
 		}
 		if *jsonOut != "" {
 			sum := buildSummary(cfg, nil, nil, ob.Metrics)
-			sum.Health = healthSummary(mon)
 			sum.Profile = profileSummary(ob, nil)
-			sum.Costs = costsSummary(acct, clusterBusyNS(engines))
-			warnConservation(sum.Costs)
-			sum.Lineage = lineageSummary(cfg.Lineage)
 			sum.Chaos = cj
-			if err := obs.WriteFileAtomic(*jsonOut, func(w io.Writer) error {
-				return writeSummary(w, sum)
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "redoop-bench: json-out: %v\n", err)
-				os.Exit(1)
-			} else if !*quiet {
-				fmt.Fprintf(os.Stderr, "[run summary written to %s]\n", *jsonOut)
+			if !writeJSON(sum) {
+				return 1
 			}
 		}
 		if !writeArtifacts() {
-			os.Exit(1)
+			return 1
 		}
 		if failed {
-			os.Exit(4)
+			return 4
 		}
-		return
-	}
-
-	type figure struct {
-		id  string
-		run func(experiments.Config) (*experiments.FigResult, error)
-		cum bool
-	}
-	figures := []figure{
-		{"6", experiments.Fig6, false},
-		{"7", experiments.Fig7, false},
-		{"8", experiments.Fig8, false},
-		{"9", experiments.Fig9, true},
-		{"ablation-caching", experiments.AblationCaching, false},
-		{"ablation-scheduling", experiments.AblationScheduling, false},
-		{"ablation-speculation", experiments.AblationSpeculation, false},
-		{"sweep", experiments.OverlapSweep, false},
-		{"multiquery", experiments.MultiQuerySharing, false},
+		return 0
 	}
 
 	var fig6, fig7 *experiments.FigResult
 	var results []*experiments.FigResult
-	ran := false
-	paperFigures := map[string]bool{"6": true, "7": true, "8": true, "9": true}
 	for _, f := range figures {
 		if *fig == "all" && !paperFigures[f.id] {
 			continue
@@ -278,31 +313,30 @@ func main() {
 		if *fig != "all" && *fig != f.id {
 			continue
 		}
-		ran = true
 		start := time.Now()
 		res, err := f.run(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "redoop-bench: figure %s: %v\n", f.id, err)
+			fmt.Fprintf(stderr, "redoop-bench: figure %s: %v\n", f.id, err)
 			writeArtifacts()
-			os.Exit(1)
+			return 1
 		}
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "[figure %s regenerated in %v]\n", f.id, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stderr, "[figure %s regenerated in %v]\n", f.id, time.Since(start).Round(time.Millisecond))
 		}
 		if f.cum {
-			res.FormatCumulative(os.Stdout)
+			res.FormatCumulative(stdout)
 		} else {
-			res.Format(os.Stdout)
+			res.Format(stdout)
 		}
 		if *csvPath != "" {
 			out, err := os.OpenFile(*csvPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "redoop-bench: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "redoop-bench: %v\n", err)
+				return 1
 			}
 			if err := res.FormatCSV(out); err != nil {
-				fmt.Fprintf(os.Stderr, "redoop-bench: csv: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "redoop-bench: csv: %v\n", err)
+				return 1
 			}
 			out.Close()
 		}
@@ -314,37 +348,41 @@ func main() {
 			fig7 = res
 		}
 	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "redoop-bench: unknown figure %q (want 6, 7, 8, 9, ablation-caching, ablation-scheduling, sweep or all)\n", *fig)
-		os.Exit(2)
+	if len(results) == 0 {
+		fmt.Fprintf(stderr, "redoop-bench: unknown figure %q (want %s or all)\n", *fig, figureIDs())
+		return 2
 	}
 	var headline *float64
 	if fig6 != nil && fig7 != nil {
 		h := experiments.Headline(fig6, fig7)
 		headline = &h
-		fmt.Printf("headline: best steady-state speedup over plain Hadoop = %.1fx (paper: up to 9x)\n", h)
+		fmt.Fprintf(stdout, "headline: best steady-state speedup over plain Hadoop = %.1fx (paper: up to 9x)\n", h)
 	}
 	// The parallel-speedup report compares host wall-clock, so it runs
-	// with a clean config (no shared observer/monitor) to keep both
-	// modes' overheads identical.
+	// with a clean config (no shared observer, monitor, ledger or
+	// provenance store) to keep both modes' overheads identical. Its
+	// engines are not collected, so a shared ledger would meter compute
+	// the conservation check's busy total never sees.
 	var par *experiments.ParallelSpeedupResult
 	if *parBench > 0 {
 		parCfg := cfg
 		parCfg.Obs = nil
 		parCfg.Health = nil
 		parCfg.OnEngine = nil
+		parCfg.Account = nil
+		parCfg.Lineage = nil
 		start := time.Now()
 		p, err := parCfg.ParallelSpeedup(*parBench)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "redoop-bench: par-bench: %v\n", err)
+			fmt.Fprintf(stderr, "redoop-bench: par-bench: %v\n", err)
 			writeArtifacts()
-			os.Exit(1)
+			return 1
 		}
 		par = p
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "[parallel speedup measured in %v]\n", time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stderr, "[parallel speedup measured in %v]\n", time.Since(start).Round(time.Millisecond))
 		}
-		fmt.Printf("parallel: %d workers vs serial = %.2fx wall-clock speedup (%v vs %v; virtual results identical: %v)\n",
+		fmt.Fprintf(stdout, "parallel: %d workers vs serial = %.2fx wall-clock speedup (%v vs %v; virtual results identical: %v)\n",
 			par.Workers, par.Speedup,
 			par.SerialWall.Round(time.Millisecond), par.ParallelWall.Round(time.Millisecond),
 			par.VirtualEqual)
@@ -369,67 +407,43 @@ func main() {
 			reuseOn, err = experiments.RunCrossQueryReuse(rCfg, true)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "redoop-bench: reuse: %v\n", err)
+			fmt.Fprintf(stderr, "redoop-bench: reuse: %v\n", err)
 			writeArtifacts()
-			os.Exit(1)
+			return 1
 		}
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "[reuse comparison measured in %v]\n", time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stderr, "[reuse comparison measured in %v]\n", time.Since(start).Round(time.Millisecond))
 		}
 		for i := range reuseOff.Queries {
 			if reuseOff.Queries[i].OutputDigest != reuseOn.Queries[i].OutputDigest {
-				fmt.Fprintf(os.Stderr, "redoop-bench: reuse: query %s window outputs diverged between reuse off and on\n",
+				fmt.Fprintf(stderr, "redoop-bench: reuse: query %s window outputs diverged between reuse off and on\n",
 					reuseOff.Queries[i].Query)
 				writeArtifacts()
-				os.Exit(4)
+				return 4
 			}
 		}
 		if n := reuseOn.Queries[1].MapTasks; n != 0 {
-			fmt.Fprintf(os.Stderr, "redoop-bench: reuse: sibling %s ran %d map tasks with reuse enabled; want 0\n",
+			fmt.Fprintf(stderr, "redoop-bench: reuse: sibling %s ran %d map tasks with reuse enabled; want 0\n",
 				reuseOn.Queries[1].Query, n)
 			writeArtifacts()
-			os.Exit(4)
+			return 4
 		}
-		fmt.Printf("reuse: %d map tasks without index, %d with (sibling computes nothing; outputs byte-identical off/on)\n",
+		fmt.Fprintf(stdout, "reuse: %d map tasks without index, %d with (sibling computes nothing; outputs byte-identical off/on)\n",
 			reuseOff.TotalMapTasks(), reuseOn.TotalMapTasks())
 	}
-	if *jsonOut != "" || *benchDir != "" {
+	if *jsonOut != "" {
 		sum := buildSummary(cfg, results, headline, ob.Metrics)
 		sum.Reuse = reuseSummary(reuseOff, reuseOn)
-		sum.Health = healthSummary(mon)
 		sum.Parallel = parallelSummary(par)
 		sum.Profile = profileSummary(ob, par)
-		sum.Costs = costsSummary(acct, clusterBusyNS(engines))
-		warnConservation(sum.Costs)
-		sum.Lineage = lineageSummary(cfg.Lineage)
-		if *jsonOut != "" {
-			if err := obs.WriteFileAtomic(*jsonOut, func(w io.Writer) error {
-				return writeSummary(w, sum)
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "redoop-bench: json-out: %v\n", err)
-				os.Exit(1)
-			} else if !*quiet {
-				fmt.Fprintf(os.Stderr, "[run summary written to %s]\n", *jsonOut)
-			}
-		}
-		if *benchDir != "" {
-			hard, err := runTrajectory(os.Stdout, *benchDir, *rev, sum, *softPct, *hardPct, *quiet)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "redoop-bench: trajectory: %v\n", err)
-				os.Exit(1)
-			}
-			if !writeArtifacts() {
-				os.Exit(1)
-			}
-			if hard {
-				os.Exit(3)
-			}
-			return
+		if !writeJSON(sum) {
+			return 1
 		}
 	}
 	if !writeArtifacts() {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // clusterBusyNS totals Node.Load() across every engine the run built —
@@ -445,67 +459,24 @@ func clusterBusyNS(engines []*core.Engine) int64 {
 	return busy
 }
 
-// warnConservation makes a ledger-invariant violation loud even when
-// no trajectory comparison runs (e.g. plain -json-out).
-func warnConservation(c *costsJSON) {
+// warnConservation makes a ledger-invariant violation loud on stderr;
+// the summary records it as costs.conservationOK.
+func warnConservation(w io.Writer, c *costsJSON) {
 	if c != nil && !c.ConservationOK {
-		fmt.Fprintf(os.Stderr, "redoop-bench: WARNING: cost ledger conservation VIOLATED (slot compute %s > cluster busy %s)\n",
+		fmt.Fprintf(w, "redoop-bench: WARNING: cost ledger conservation VIOLATED (slot compute %s > cluster busy %s)\n",
 			fmtNS(c.SlotComputeNS), fmtNS(c.ClusterBusyNS))
 	}
 }
 
-// runTrajectory writes the BENCH_<rev>.json entry and compares it
-// against the newest prior entry. Returns whether a hard regression
-// was found.
-func runTrajectory(w io.Writer, dir, rev string, sum summaryJSON, softPct, hardPct float64, quiet bool) (bool, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return false, err
+func fmtNS(ns int64) string {
+	switch {
+	case ns >= 1e9:
+		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
+	case ns >= 1e6:
+		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
+	case ns >= 1e3:
+		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
+	default:
+		return fmt.Sprintf("%dns", ns)
 	}
-	if rev == "" {
-		rev = defaultRev()
-	}
-	sum.Rev = rev
-	path := benchFileFor(dir, rev)
-	// Find the prior entry before writing ours, so re-running the same
-	// revision compares against the previous revision, not itself.
-	prior, err := findPriorBench(dir, path)
-	if err != nil {
-		return false, err
-	}
-	if err := obs.WriteFileAtomic(path, func(w io.Writer) error {
-		return writeSummary(w, sum)
-	}); err != nil {
-		return false, err
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "[trajectory entry written to %s]\n", path)
-	}
-	if prior == "" {
-		fmt.Fprintf(w, "\ntrajectory: first entry (%s); nothing to compare against\n", rev)
-		return false, nil
-	}
-	old, err := readSummary(prior)
-	if err != nil {
-		return false, err
-	}
-	rows := compareSummaries(old, sum)
-	hrows := compareHealth(old, sum)
-	pnotes := compareProfile(old, sum)
-	cnotes := compareCosts(old, sum)
-	lnotes := compareLineage(old, sum)
-	rnotes := compareReuse(old, sum)
-	_, hard := regressReport(w, old.Rev, rev, rows, hrows, pnotes, cnotes, lnotes, rnotes, softPct, hardPct)
-	return hard, nil
-}
-
-// defaultRev labels a trajectory entry when -rev is not given: the git
-// short hash when available, else a wall-clock timestamp.
-func defaultRev() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err == nil {
-		if rev := strings.TrimSpace(string(out)); rev != "" {
-			return rev
-		}
-	}
-	return time.Now().UTC().Format("20060102T150405Z")
 }

@@ -1,9 +1,10 @@
 package main
 
 // The -json-out run summary: a stable, machine-readable record of one
-// bench invocation, designed so successive runs can accumulate into a
-// trajectory (one JSON document per commit) without parsing the text
-// tables.
+// bench invocation. bench-trajectory/FIGS.json is this record for
+// -fig all -reuse at the default scale, checked in and compared byte
+// for byte in CI, so it holds virtual quantities only (the -par-bench
+// block aside) and no host setting.
 
 import (
 	"encoding/json"
@@ -50,7 +51,6 @@ type figureJSON struct {
 
 type configJSON struct {
 	Workers          int   `json:"workers"`
-	ExecWorkers      int   `json:"execWorkers"`
 	MapSlots         int   `json:"mapSlots"`
 	ReduceSlots      int   `json:"reduceSlots"`
 	Reducers         int   `json:"reducers"`
@@ -76,9 +76,9 @@ type metricsJSON struct {
 }
 
 // queryHealthJSON is one query's SLO aggregate over the whole run —
-// the health monitor's end-of-run snapshot, folded into the bench
-// trajectory so regressions in deadline behaviour and forecast
-// quality are visible across commits, not just raw timings.
+// the health monitor's end-of-run snapshot, so changes in deadline
+// behaviour and forecast quality show in the record, not just raw
+// timings.
 type queryHealthJSON struct {
 	Query            string `json:"query"`
 	Status           string `json:"status"`
@@ -94,8 +94,8 @@ type queryHealthJSON struct {
 // parallelJSON records the -par-bench wall-clock comparison: the same
 // Figure-6-scale workload run serially and with a parallel compute
 // pool. Wall-clock numbers are host-dependent (noisy across machines),
-// so the trajectory comparison never gates on them; virtualEqual is
-// the invariant worth alarming on.
+// so no checked-in record carries this block; virtualEqual is the
+// invariant worth alarming on.
 type parallelJSON struct {
 	Workers        int     `json:"workers"`
 	SerialWallNS   int64   `json:"serialWallNS"`
@@ -111,7 +111,7 @@ type profileQueryJSON struct {
 	CritPathNS  int64  `json:"critPathNS"`
 }
 
-// profileJSON folds the critical-path profiler into the trajectory:
+// profileJSON folds the critical-path profiler into the summary:
 // total critical-path length across every recurrence the run executed
 // and — when -par-bench ran with more than one worker — the
 // Amdahl-style serial fraction implied by the measured wall-clock
@@ -137,12 +137,11 @@ type costQueryJSON struct {
 	CacheROI          float64 `json:"cacheROI"`
 }
 
-// costsJSON folds the resource-accounting ledger into the trajectory:
+// costsJSON folds the resource-accounting ledger into the summary:
 // per-query cost rows, per-tenant rollups, and the conservation check
 // (attributed slot compute must not exceed the clusters' busy time,
 // and every cache residency must be closed exactly once or still
-// open). ConservationOK=false in a new entry is surfaced loudly by the
-// trajectory comparison.
+// open). ConservationOK=false is also printed as a warning on stderr.
 type costsJSON struct {
 	ConservationOK bool                  `json:"conservationOK"`
 	ClusterBusyNS  int64                 `json:"clusterBusyNS"`
@@ -152,11 +151,10 @@ type costsJSON struct {
 }
 
 // lineageJSON folds the provenance store's end-of-run totals into the
-// trajectory: how many derivation nodes and input edges the run
-// recorded, how many distinct plan fingerprints it saw, and how many
-// cache entries had to be rebuilt after a fault. A rebuild count that
-// jumps between revisions on a clean (non-chaos) run is a recovery
-// path firing where none should.
+// summary: how many derivation nodes and input edges the run recorded,
+// how many distinct plan fingerprints it saw, and how many cache
+// entries had to be rebuilt after a lost cache (Figure 9 drops caches
+// on purpose, so -fig all records rebuilds with no faults).
 type lineageJSON struct {
 	Nodes                int `json:"nodes"`
 	Edges                int `json:"edges"`
@@ -183,11 +181,10 @@ type reuseQueryJSON struct {
 }
 
 // reuseJSON folds the -reuse cross-query reuse comparison into the
-// trajectory: the shared-stream workload's map-task totals with the
-// index off and on, the index counters, and per-query rows. Every
-// field is a virtual quantity metered at serial commit points, so the
-// block is byte-identical across -workers settings — the CI smoke step
-// diffs exactly that.
+// summary: the shared-stream workload's map-task totals with the index
+// off and on, the index counters, and per-query rows. Every field is a
+// virtual quantity metered at serial commit points, so the block is
+// byte-identical across -workers settings.
 type reuseJSON struct {
 	TotalMapTasksOff int              `json:"totalMapTasksOff"`
 	TotalMapTasksOn  int              `json:"totalMapTasksOn"`
@@ -231,10 +228,7 @@ func reuseSummary(off, on *experiments.ReuseReport) *reuseJSON {
 }
 
 type summaryJSON struct {
-	Tool string `json:"tool"`
-	// Rev identifies the revision a trajectory entry was measured at
-	// (set in trajectory mode; empty for plain -json-out).
-	Rev             string            `json:"rev,omitempty"`
+	Tool            string            `json:"tool"`
 	Config          configJSON        `json:"config"`
 	Figures         []figureJSON      `json:"figures"`
 	HeadlineSpeedup *float64          `json:"headlineSpeedup,omitempty"`
@@ -245,18 +239,11 @@ type summaryJSON struct {
 	// Chaos records a -chaos verification run: the seeded fault
 	// schedule and the oracle's per-regime verdicts (full detail with
 	// -chaos-report).
-	Chaos *chaosJSON `json:"chaos,omitempty"`
-	// Costs is the per-query resource-accounting block; absent in
-	// entries written before the ledger existed, which the trajectory
-	// comparison tolerates.
-	Costs *costsJSON `json:"costs,omitempty"`
-	// Lineage is the provenance-store block; absent in entries written
-	// before the store existed, which the trajectory comparison
-	// tolerates.
+	Chaos   *chaosJSON   `json:"chaos,omitempty"`
+	Costs   *costsJSON   `json:"costs,omitempty"`
 	Lineage *lineageJSON `json:"lineage,omitempty"`
 	// Reuse is the -reuse cross-query reuse block; absent unless the
-	// flag was set (and in entries written before the block existed,
-	// which the trajectory comparison tolerates).
+	// flag was set.
 	Reuse *reuseJSON `json:"reuse,omitempty"`
 }
 
@@ -284,7 +271,6 @@ func buildSummary(cfg experiments.Config, figs []*experiments.FigResult, headlin
 		Tool: "redoop-bench",
 		Config: configJSON{
 			Workers:          cfg.Workers,
-			ExecWorkers:      cfg.ExecWorkers,
 			MapSlots:         cfg.MapSlots,
 			ReduceSlots:      cfg.ReduceSlots,
 			Reducers:         cfg.Reducers,
@@ -458,7 +444,7 @@ func lineageSummary(lin *lineage.Store) *lineageJSON {
 }
 
 // healthSummary folds the monitor's end-of-run snapshot into the
-// trajectory schema.
+// summary schema.
 func healthSummary(mon *health.Monitor) []queryHealthJSON {
 	if mon == nil {
 		return nil

@@ -29,62 +29,51 @@ func (e *Engine) willMapPane(p window.PaneID) bool {
 }
 
 // prepareNewPanes returns, for the serial ladder asking in pane order,
-// each pane's map compute: nil for a pane to prepare in line (every pane
-// of a one-worker engine); for a pane of [lo, hi] that willMapPane, the
-// compute run ahead together with the next such panes, one per executor
-// worker. The ladder has released a group's map outputs before the next
-// group borrows their arrays, and commit records, slot acquisitions and
-// ledger charges fall exactly where they do when a pane prepares in line.
+// each pane's compute half: nil for a pane to prepare in line (every pane
+// of a one-worker or proactive engine); for a pane of [lo, hi] that
+// willMapPane, the compute run ahead in one pass over the pool, a Grouper
+// per worker. A prepared pane holds no map output, and commit records,
+// slot acquisitions and ledger charges fall where they do in line.
 func (e *Engine) prepareNewPanes(lo, hi window.PaneID) func(window.PaneID) *panePrep {
-	workers := e.mr.WorkerCount()
 	var fresh []window.PaneID
-	for p := lo; workers > 1 && p <= hi; p++ {
+	for p := lo; e.mr.WorkerCount() > 1 && !e.proactive && p <= hi; p++ {
 		if e.willMapPane(p) {
 			fresh = append(fresh, p)
 		}
 	}
-	var group []*panePrep // prepared, for fresh[:len(group)]
+	if len(fresh) == 0 {
+		return func(window.PaneID) *panePrep { return nil }
+	}
+	prepared := make([]*panePrep, len(fresh))
+	gs := e.mr.Groupers(nil)
+	parallel.ForWorker(len(gs), len(fresh), func(worker, i int) {
+		prepared[i] = e.preparePane(0, fresh[i], gs[worker:worker+1])
+	})
+	e.mr.PutGroupers(gs)
 	return func(p window.PaneID) *panePrep {
 		if len(fresh) == 0 || p != fresh[0] {
 			return nil
 		}
-		if len(group) == 0 {
-			next := fresh[:min(workers, len(fresh))]
-			group = make([]*panePrep, len(next))
-			parallel.For(workers, len(next), func(i int) { group[i] = e.preparePane(0, next[i]) })
-		}
-		pp := group[0]
-		fresh, group[0], group = fresh[1:], nil, group[1:] // garbage once committed
+		pp := prepared[0]
+		fresh, prepared = fresh[1:], prepared[1:]
 		return pp
 	}
 }
 
-// buildAggPane is the map rung of an aggregation pane: its prepared map
-// output is committed, shuffled and reduced per partition, and refs gets
-// the reduce-output caches, each registered after the reduce-input cache
-// it derives from.
+// buildAggPane is the commit half of an aggregation pane's map rung: its
+// tasks are scheduled, and refs gets the reduce-output caches, each
+// registered after the reduce-input cache it derives from.
 func (e *Engine) buildAggPane(p window.PaneID, trigger simtime.Time, pp *panePrep, refs []cacheRef, stats *mapreduce.Stats) error {
 	mp, err := e.commitPaneMapPhase(0, p, trigger, pp, stats)
 	if err != nil {
 		return err
 	}
 	job := e.paneJob(0)
-	rres, rstats, err := e.mr.RunReducePhase(job, mp, mp.FirstMapEnd)
+	rres, rstats, err := e.mr.CommitReducePhase(job, pp.red, mp, mp.FirstMapEnd)
 	if err != nil {
 		return err
 	}
 	stats.Accumulate(rstats)
-
-	// Encode the reduce-input caches in parallel (pure compute; the
-	// outputs were encoded as the reducers emitted them); cache
-	// registration below stays serial in partition order.
-	R := e.query.NumReducers
-	rinData, routData := make([][]byte, R), make([][]byte, R)
-	parallel.For(e.mr.WorkerCount(), len(rres), func(i int) {
-		rr := rres[i]
-		rinData[rr.Part], routData[rr.Part] = colfmt.EncodePairs(rr.Input), rr.OutData
-	})
-	mp.Release() // the caches exist: the map output, and every Input viewing it, is dead
 	// Recompute attribution for the cost ledger: the map phase (and
 	// shuffle) ran once for the whole pane, so each live partition's
 	// reduce-input entry carries an even share of it plus its own
@@ -94,7 +83,7 @@ func (e *Engine) buildAggPane(p window.PaneID, trigger simtime.Time, pp *panePre
 	if live := len(rres); live > 0 {
 		mapShare = (mp.Stats.MapTime + rstats.ShuffleTime) / simtime.Duration(live)
 	}
-	for part, next := 0, 0; part < R; part++ { // rres[next:] is in partition order
+	for part, next := 0, 0; part < e.query.NumReducers; part++ { // rres[next:] is in partition order
 		home, err := e.home(part)
 		if err != nil {
 			return err
@@ -102,17 +91,17 @@ func (e *Engine) buildAggPane(p window.PaneID, trigger simtime.Time, pp *panePre
 		node := home.ID
 		readyAt := simtime.Max(mp.LastMapEnd, trigger)
 		var rinMeta, routMeta cacheMeta
+		var routData []byte
 		if next < len(rres) && rres[next].Part == part {
 			rr := rres[next]
 			next++
-			node = rr.Node
-			readyAt = rr.End
-			rinBytes := int64(len(rinData[part]))
+			node, readyAt, routData = rr.Node, rr.End, rr.OutData
+			rinBytes := int64(len(pp.rin[part]))
 			rinMeta = cacheMeta{span: rr.Span,
 				recompute: mapShare + e.mr.Cost.Sort(rinBytes) + e.mr.Cost.DiskWrite(rinBytes)}
 			routMeta = cacheMeta{span: rr.Span, recompute: rr.End.Sub(rr.Start)}
 		}
-		refs[part] = e.registerAggPart(job.Name, p, part, node, readyAt, rinData[part], routData[part], rinMeta, routMeta)
+		refs[part] = e.registerAggPart(job.Name, p, part, node, readyAt, pp.rin[part], routData, rinMeta, routMeta)
 	}
 	return nil
 }

@@ -337,7 +337,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	for i, src := range q.Sources {
 		if cfg.Hub != nil && src.CacheKey != "" && cfg.Hub.Has(src.CacheKey) {
-			view, err := cfg.Hub.attach(src.CacheKey, frames[i].Pane)
+			view, err := cfg.Hub.attach(src.CacheKey, frames[i].Pane, cfg.MR.WorkerCount())
 			if err != nil {
 				return nil, err
 			}
@@ -362,6 +362,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		pk.SetObserver(e.obs, q.Name)
+		pk.workers = cfg.MR.WorkerCount()
 		e.plans = append(e.plans, plan)
 		e.packers = append(e.packers, pk)
 		e.srcs = append(e.srcs, pk)
@@ -779,7 +780,9 @@ func (e *Engine) ensurePane(src int, p window.PaneID, trigger simtime.Time, pp *
 		e.sched.MapTasks.Push(id, nil)
 		defer e.sched.MapTasks.Remove(id)
 		if pp == nil {
-			pp = e.preparePane(src, p)
+			gs := e.mr.Groupers(nil)
+			pp = e.preparePane(src, p, gs)
+			e.mr.PutGroupers(gs)
 		}
 		switch {
 		case !agg:
@@ -1113,30 +1116,54 @@ func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats
 	return output, nil
 }
 
-// panePrep is the compute half of one pane's map phase: its physical
-// segments and each one's prepared map output, or what went wrong.
+// panePrep is the compute half of one pane's map rung: its segments,
+// each one's prepared map phase, an aggregation's reducers and each
+// partition's reduce-input cache, or what went wrong. Only a proactive
+// aggregation over several segments keeps their map outputs.
 type panePrep struct {
 	ins   []PaneInput
 	preps []*mapreduce.MapPhasePrep
+	red   []mapreduce.ReducerResult
+	rin   [][]byte
 	err   error
 }
 
-// preparePane decodes and maps every physical segment of pane p of
-// source src, overlapped across segments: pure compute over the pane's
-// DFS files, so panes may be prepared at once and ahead of their commit.
-func (e *Engine) preparePane(src int, p window.PaneID) *panePrep {
+// preparePane maps every segment of pane p of source src, reduces an
+// aggregation's partitions with gs, a Grouper per goroutine, encodes each
+// partition, sorted, as its reduce-input cache, and hands the map outputs
+// back: pure compute, so panes may be prepared at once and ahead.
+func (e *Engine) preparePane(src int, p window.PaneID, gs []mapreduce.Grouper) *panePrep {
 	ins, ok := e.srcs[src].PaneInputs(p)
 	if !ok {
 		return &panePrep{err: fmt.Errorf("core: query %q: pane %d of source %d not flushed", e.query.Name, p, src)}
 	}
-	job := e.paneJob(src)
-	preps := make([]*mapreduce.MapPhasePrep, len(ins))
-	err := parallel.ForErr(e.mr.WorkerCount(), len(ins), func(i int) error {
+	job, agg := e.paneJob(src), len(e.query.Sources) == 1
+	pp := &panePrep{ins: ins, preps: make([]*mapreduce.MapPhasePrep, len(ins))}
+	pp.err = parallel.ForErr(e.mr.WorkerCount(), len(ins), func(i int) error {
 		var err error
-		preps[i], err = e.mr.PrepareMapPhase(job, []mapreduce.Input{ins[i].Input})
+		pp.preps[i], err = e.mr.PrepareMapPhase(job, []mapreduce.Input{ins[i].Input})
 		return err
 	})
-	return &panePrep{ins: ins, preps: preps, err: err}
+	if pp.err != nil || agg && e.proactive && len(ins) > 1 {
+		return pp
+	}
+	parts, sorted := mapreduce.PreparedParts(pp.preps, job.NumReducers)
+	if agg {
+		pp.red = e.mr.PrepareReducePhase(job, parts, sorted, gs) // grouping sorts in place
+	}
+	pp.rin = make([][]byte, job.NumReducers)
+	parallel.For(len(gs), len(parts), func(part int) {
+		if ps := parts[part]; len(ps) > 0 {
+			if !sorted && !agg {
+				mapreduce.SortPairs(ps)
+			}
+			pp.rin[part] = colfmt.EncodePairs(ps)
+		}
+	})
+	for _, prep := range pp.preps {
+		prep.Release()
+	}
+	return pp
 }
 
 // commitPaneMapPhase schedules a prepared pane's map tasks. In

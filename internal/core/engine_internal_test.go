@@ -94,7 +94,7 @@ func TestSegmentPhasesKeepTheSortedMark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp := eng.preparePane(0, res.WindowHi)
+	pp := eng.preparePane(0, res.WindowHi, nil)
 	if pp.err != nil || len(pp.preps) < 2 {
 		t.Fatalf("pane %d: %d segments (%v), want several", res.WindowHi, len(pp.preps), pp.err)
 	}
@@ -109,7 +109,7 @@ func TestSegmentPhasesKeepTheSortedMark(t *testing.T) {
 		mp.Release()
 	}
 	var stats mapreduce.Stats
-	merged, err := eng.commitPaneMapPhase(0, res.WindowHi, res.TriggerAt, eng.preparePane(0, res.WindowHi), &stats)
+	merged, err := eng.commitPaneMapPhase(0, res.WindowHi, res.TriggerAt, eng.preparePane(0, res.WindowHi, nil), &stats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,8 +128,8 @@ func (h *SourceHub) Ingest(key string, recs []records.Record) error {
 
 // attach registers a consumer reading the shared source at its own
 // pane granularity (which must be a multiple of the shared pane) and
-// returns its view.
-func (h *SourceHub) attach(key string, consumerPane int64) (*sharedView, error) {
+// returns its view; the packer encodes as wide as its widest consumer.
+func (h *SourceHub) attach(key string, consumerPane int64, workers int) (*sharedView, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	src, ok := h.sources[key]
@@ -140,6 +140,9 @@ func (h *SourceHub) attach(key string, consumerPane int64) (*sharedView, error) 
 		return nil, fmt.Errorf("core: consumer pane %d is not a multiple of shared source %q's pane %d",
 			consumerPane, key, src.pane)
 	}
+	src.packer.mu.Lock()
+	src.packer.workers = max(src.packer.workers, workers)
+	src.packer.mu.Unlock()
 	cid := src.nextCID
 	src.nextCID++
 	src.bounds[cid] = 0

@@ -46,13 +46,13 @@ func TestHubAttachGranularity(t *testing.T) {
 	if err := hub.Share("k", "s", hubSpec(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hub.attach("k", int64(20*simtime.Second)); err != nil {
+	if _, err := hub.attach("k", int64(20*simtime.Second), 1); err != nil {
 		t.Errorf("multiple of the shared pane should attach: %v", err)
 	}
-	if _, err := hub.attach("k", int64(15*simtime.Second)); err == nil {
+	if _, err := hub.attach("k", int64(15*simtime.Second), 1); err == nil {
 		t.Error("non-multiple pane should fail to attach")
 	}
-	if _, err := hub.attach("ghost", int64(10*simtime.Second)); err == nil {
+	if _, err := hub.attach("ghost", int64(10*simtime.Second), 1); err == nil {
 		t.Error("unknown key should fail to attach")
 	}
 }
@@ -61,7 +61,7 @@ func TestSharedViewRejectsDirectIngestAndReplan(t *testing.T) {
 	mr := internalRig(2, 7)
 	hub := NewSourceHub(mr.DFS, mr.DFS.BlockSize())
 	hub.Share("k", "s", hubSpec(), 0)
-	v, err := hub.attach("k", int64(10*simtime.Second))
+	v, err := hub.attach("k", int64(10*simtime.Second), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSharedViewAggregatesPanes(t *testing.T) {
 	hub.Share("k", "s", hubSpec(), 0)
 	// Consumer at double the shared granularity: its pane 0 covers
 	// shared panes 0 and 1.
-	v, err := hub.attach("k", int64(20*simtime.Second))
+	v, err := hub.attach("k", int64(20*simtime.Second), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +111,8 @@ func TestHubGCWaitsForAllConsumers(t *testing.T) {
 	mr := internalRig(2, 11)
 	hub := NewSourceHub(mr.DFS, mr.DFS.BlockSize())
 	hub.Share("k", "s", hubSpec(), 0)
-	v1, _ := hub.attach("k", int64(10*simtime.Second))
-	v2, _ := hub.attach("k", int64(10*simtime.Second))
+	v1, _ := hub.attach("k", int64(10*simtime.Second), 1)
+	v2, _ := hub.attach("k", int64(10*simtime.Second), 1)
 	hub.Ingest("k", []records.Record{{Ts: int64(simtime.Second), Data: []byte("x")}})
 	v1.FlushThrough(int64(10 * simtime.Second))
 

@@ -97,9 +97,9 @@ func forEachTupleRanges(los, his []window.PaneID, fn func(paneTuple)) {
 	rec(0)
 }
 
-// buildJoinInputs is the map rung of a join source pane: its prepared
-// map output is committed and each partition shuffled to its home node
-// and spilled there, sorted, as the reduce-input cache refs gets.
+// buildJoinInputs is the commit half of a join source pane's map rung:
+// each partition is shuffled to its home node and spilled there as the
+// reduce-input cache refs gets.
 func (e *Engine) buildJoinInputs(src int, p window.PaneID, trigger simtime.Time, pp *panePrep, refs []cacheRef, stats *mapreduce.Stats) error {
 	q := e.query
 	R := q.NumReducers
@@ -108,30 +108,14 @@ func (e *Engine) buildJoinInputs(src int, p window.PaneID, trigger simtime.Time,
 		return err
 	}
 
-	// The per-partition encode is pure compute; fan it out before the
-	// serial shuffle-accounting pass. The cache is stored sorted, as a pane
-	// of one segment is mapped, so pane-tuple joins merge sorted runs; a
-	// merge of segments is sorted here, in place (nothing reads mp after).
-	sortedData := make([][]byte, R)
-	inSizes := make([]int64, R)
-	parallel.For(e.mr.WorkerCount(), R, func(part int) {
-		input := mp.Parts[part]
-		inSizes[part] = records.PairsSize(input)
-		if inSizes[part] == 0 {
-			return
-		}
-		if !mp.PartsSorted() {
-			mapreduce.SortPairs(input)
-		}
-		sortedData[part] = colfmt.EncodePairs(input)
-	})
-	mp.Release() // the encodes are the caches; the matrix and wave bounds below stay
-
 	// Map cost is paid once for the whole pane; each live partition's
 	// reduce-input entry carries an even share of it in its ledger
 	// recompute, on top of its own shuffle and spill actuals.
-	live := 0
-	for part := 0; part < R; part++ {
+	inSizes, live := make([]int64, R), 0
+	for part, row := range mp.PartSrcBytes {
+		for _, b := range row {
+			inSizes[part] += b
+		}
 		if inSizes[part] > 0 {
 			live++
 		}
@@ -187,7 +171,7 @@ func (e *Engine) buildJoinInputs(src int, p window.PaneID, trigger simtime.Time,
 		})
 		rinMeta.span, rinMeta.recompute = spillSpan, mapShare+availAt.Sub(shuffleStart)+spill
 		refs[part] = e.registerCacheFor(q.rinPID(src, e.frames[src].Pane, p, part), ReduceInput, home.ID,
-			end, sortedData[part], e.rinUsers(src), rinMeta)
+			end, pp.rin[part], e.rinUsers(src), rinMeta)
 		if end > stats.End {
 			stats.End = end
 		}

@@ -14,6 +14,7 @@ import (
 	"redoop/internal/mapreduce"
 	"redoop/internal/obs"
 	"redoop/internal/obs/eventlog"
+	"redoop/internal/parallel"
 	"redoop/internal/records"
 	"redoop/internal/simtime"
 	"redoop/internal/window"
@@ -71,15 +72,16 @@ type Packer struct {
 	// is the sub-pane factor the pane was bound to by its first record.
 	pending map[window.PaneID][][]records.Record
 	flushed map[window.PaneID][]PaneInput
-	// group accumulates undersized panes awaiting a shared file.
+	// group accumulates undersized panes, encoded, awaiting a shared file.
 	groupPanes []window.PaneID
-	groupRecs  map[window.PaneID][]records.Record
+	groupData  map[window.PaneID][]byte
 	// flushedThrough is the unit bound below which all data has been
 	// flushed; late records are rejected.
 	flushedThrough int64
 	// maxTs is the newest record timestamp ever ingested (-1 before
 	// any); it backs the health monitor's window-lag watermark.
-	maxTs int64
+	maxTs   int64
+	workers int // a flush's encode width: its engine's executor width
 }
 
 // NewPacker builds a packer for one source. dir is the DFS directory
@@ -110,7 +112,7 @@ func NewPacker(d *dfs.DFS, sourceName, dir string, frame window.Frame, plan Part
 	} else {
 		p.timeOfUnit = func(int64) simtime.Time { return 0 }
 	}
-	p.groupRecs = make(map[window.PaneID][]records.Record)
+	p.groupData = make(map[window.PaneID][]byte)
 	return p, nil
 }
 
@@ -227,7 +229,8 @@ func (p *Packer) NewestUnit() int64 {
 // advances the flush bound. Oversize panes (and all sub-panes) become
 // their own files; undersized panes accumulate into shared group files
 // of up to PanesPerFile panes, force-flushed at the bound so windows
-// never wait on an incomplete group.
+// never wait on an incomplete group. Segments are encoded in parallel,
+// then written and announced in pane order.
 func (p *Packer) FlushThrough(unit int64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -256,8 +259,20 @@ func (p *Packer) FlushThrough(unit int64) error {
 		}
 	}
 	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
-	for _, pane := range due {
-		if err := p.flushPane(pane); err != nil {
+	start := make([]int, len(due)+1) // pane i's segments are enc[start[i]:start[i+1]]
+	for i, pane := range due {
+		start[i+1] = start[i] + len(p.pending[pane])
+	}
+	enc := make([][]byte, start[len(due)])
+	parallel.For(p.workers, len(due), func(i int) {
+		for s, recs := range p.pending[due[i]] {
+			if len(recs) > 0 {
+				enc[start[i]+s] = colfmt.EncodeRecords(sortByTs(recs))
+			}
+		}
+	})
+	for i, pane := range due {
+		if err := p.flushPane(pane, enc[start[i]:start[i+1]]); err != nil {
 			return err
 		}
 	}
@@ -269,26 +284,24 @@ func (p *Packer) FlushThrough(unit int64) error {
 	return nil
 }
 
-// flushPane routes one due pane to its physical representation.
-func (p *Packer) flushPane(pane window.PaneID) error {
-	bySub := p.pending[pane]
+// flushPane routes one due pane, its segments encoded (nil when empty),
+// to its physical representation.
+func (p *Packer) flushPane(pane window.PaneID, enc [][]byte) error {
 	delete(p.pending, pane)
-	sub := len(bySub)
+	sub := len(enc)
 
 	if p.plan.PanesPerFile <= 1 || sub > 1 {
 		// Oversize case (or adaptively subdivided): one file per pane
 		// segment, named S#P# — with a sub-pane suffix when split. Each
 		// exactly-sized encode is handed to WriteAt and becomes the file.
-		for s := 0; s < sub; s++ {
-			recs := sortByTs(bySub[s])
-			if len(recs) == 0 {
+		for s, data := range enc {
+			if data == nil {
 				continue
 			}
 			path := fmt.Sprintf("%s/%sP%d", p.dir, p.name, int64(pane))
 			if sub > 1 {
 				path = fmt.Sprintf("%s.%d", path, s)
 			}
-			data := colfmt.EncodeRecords(recs)
 			availUnit := p.frame.PaneStart(pane) + (int64(s)+1)*p.frame.Pane/int64(sub)
 			if s == sub-1 {
 				availUnit = p.frame.PaneEnd(pane)
@@ -310,7 +323,7 @@ func (p *Packer) flushPane(pane window.PaneID) error {
 	// accumulate the pane into the current group; emit the shared file
 	// when the group fills.
 	p.groupPanes = append(p.groupPanes, pane)
-	p.groupRecs[pane] = sortByTs(bySub[0])
+	p.groupData[pane] = enc[0]
 	if len(p.groupPanes) >= p.plan.PanesPerFile {
 		return p.flushGroup()
 	}
@@ -408,18 +421,17 @@ func (p *Packer) flushGroup() error {
 
 	// Each pane becomes one self-delimiting columnar segment of the
 	// shared body, so PaneSlice yields independently decodable bytes.
-	// The body is sized before it is encoded and handed to WriteAt.
+	// The body is sized before it is filled and handed to WriteAt.
 	size := 0
 	for _, pane := range panes {
-		size += colfmt.RecordsSize(p.groupRecs[pane])
+		size += len(p.groupData[pane])
 	}
 	body := make([]byte, 0, size)
 	var hdr []HeaderEntry
 	for _, pane := range panes {
-		recs := p.groupRecs[pane]
-		delete(p.groupRecs, pane)
 		start := int64(len(body))
-		body = colfmt.AppendRecords(body, recs)
+		body = append(body, p.groupData[pane]...)
+		delete(p.groupData, pane)
 		hdr = append(hdr, HeaderEntry{Pane: int64(pane), Offset: start, Length: int64(len(body)) - start})
 	}
 	// The shared file is complete when its newest pane's data is — its

@@ -3,12 +3,15 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 
 	"redoop/internal/colfmt"
 	"redoop/internal/dfs"
+	"redoop/internal/obs"
 	"redoop/internal/records"
 	"redoop/internal/simtime"
 	"redoop/internal/window"
@@ -460,5 +463,82 @@ func TestIngestNeverWritesTheBatch(t *testing.T) {
 	}
 	if want := []int64{0, 1, 2, 5, 7, 9}; !slices.Equal(ts, want) {
 		t.Fatalf("pane file holds timestamps %v, want %v", ts, want)
+	}
+}
+
+// TestFlushIdenticalAcrossWidths: a flush encodes its files on the pool
+// but writes and announces them in pane order, so at 1 and 4 workers the
+// DFS holds the same bytes on the same replicas, every pane resolves to
+// the same inputs and the pane-ingest events come in the same order —
+// for one file per pane, for sub-panes, and for shared group files.
+func TestFlushIdenticalAcrossWidths(t *testing.T) {
+	const pane = int64(10 * simtime.Second)
+	spec := window.NewTimeSpec(30*simtime.Second, 20*simtime.Second)
+	plan := PartitionPlan{PaneUnit: pane, FilesPerPane: 1, PanesPerFile: 1, SubPanes: 1}
+	subPanes, shared := plan, plan
+	subPanes.SubPanes, shared.PanesPerFile = 3, 3
+	type flushed struct {
+		Files  map[string][]byte
+		Blocks map[string][]dfs.Block
+		Inputs map[window.PaneID][]PaneInput
+		Events []string
+	}
+	flush := func(plan PartitionPlan, workers int) flushed {
+		d := packerDFS(t)
+		pk, err := NewPacker(d, "S1", "/data", window.FrameOf(spec), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := obs.New()
+		pk.SetObserver(o, "q")
+		pk.workers = workers
+		rng := rand.New(rand.NewSource(3))
+		from := int64(0)
+		for _, through := range []int64{3 * pane, 5 * pane, 9 * pane} {
+			var recs []records.Record // unsorted; pane 4 stays empty
+			for i := 0; i < 60*int(through-from)/int(pane); i++ {
+				if ts := from + rng.Int63n(through-from); ts/pane != 4 {
+					recs = append(recs, records.Record{Ts: ts, Data: []byte(fmt.Sprintf("r%d", rng.Intn(1000)))})
+				}
+			}
+			if err := pk.Ingest(recs); err != nil {
+				t.Fatal(err)
+			}
+			if err := pk.FlushThrough(through); err != nil {
+				t.Fatal(err)
+			}
+			from = through
+		}
+		got := flushed{Files: map[string][]byte{}, Blocks: map[string][]dfs.Block{}, Inputs: map[window.PaneID][]PaneInput{}}
+		for _, path := range d.List() {
+			data, err := d.Read(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Files[path] = data
+			got.Blocks[path], _, _ = d.Layout(nil, path)
+		}
+		for p := window.PaneID(0); p < 9; p++ {
+			got.Inputs[p], _ = pk.PaneInputs(p)
+		}
+		for _, ev := range o.Events.Events() {
+			got.Events = append(got.Events, fmt.Sprintf("%d %v %+v", ev.At, ev.Type, ev.Data))
+		}
+		return got
+	}
+	for _, tc := range []struct {
+		name  string
+		plan  PartitionPlan
+		files int
+	}{{"one file per pane", plan, 8}, {"sub-panes", subPanes, 24}, {"shared group", shared, 2 * 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial, wide := flush(tc.plan, 1), flush(tc.plan, 4)
+			if len(serial.Files) != tc.files || len(serial.Events) == 0 {
+				t.Fatalf("%d files and %d events, want %d files", len(serial.Files), len(serial.Events), tc.files)
+			}
+			if !reflect.DeepEqual(serial, wide) {
+				t.Fatalf("flushes differ across widths:\n1 worker:  %v\n4 workers: %v", serial.Events, wide.Events)
+			}
+		})
 	}
 }

@@ -27,14 +27,14 @@ import (
 // old blanket "not safe for concurrent use"):
 //
 //   - Phase-running methods (Run, RunMapPhase, CommitMapPhase,
-//     RunReducePhase) mutate node timelines and emit metrics/events on
-//     the virtual clock; call them from ONE goroutine at a time. One
-//     engine drives one virtual timeline.
-//   - PrepareMapPhase performs only DFS reads and pure user compute;
-//     distinct PrepareMapPhase calls may safely run concurrently with
-//     each other (the core engine overlaps per-segment prepares), but
-//     never concurrently with an accounting method on the same
-//     timeline's nodes.
+//     RunReducePhase, CommitReducePhase) mutate node timelines and emit
+//     metrics/events on the virtual clock; call them from ONE goroutine
+//     at a time. One engine drives one virtual timeline.
+//   - PrepareMapPhase and PrepareReducePhase perform only DFS reads and
+//     pure user compute; distinct prepares may safely run concurrently
+//     with each other (the core engine prepares a window's new panes at
+//     once), but never concurrently with an accounting method on the
+//     same timeline's nodes.
 //   - The engine itself fans CPU-heavy per-split and per-partition
 //     compute across up to Workers goroutines, so a Job's user
 //     functions (Map, Combine, Reduce, Partition) are invoked
@@ -367,11 +367,27 @@ func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *Map
 	return out
 }
 
+// PreparedParts returns the partitions of preps' map outputs and whether
+// they are sorted: a sole prep's own, or all concatenated, unsorted.
+func PreparedParts(preps []*MapPhasePrep, reducers int) ([][]records.Pair, bool) {
+	if len(preps) == 1 {
+		return preps[0].parts, true
+	}
+	parts := make([][]records.Pair, reducers)
+	for _, p := range preps {
+		for r, ps := range p.parts {
+			parts[r] = append(parts[r], ps...)
+		}
+	}
+	return parts, false
+}
+
 // MapPhasePrep is the compute half of a map phase: every split's user
 // map has run (and combined, partitioned), but no virtual time has been
 // charged and nothing has been scheduled. Feed it to CommitMapPhase,
 // once: the commit hands the partitions over to its result.
 type MapPhasePrep struct {
+	from   *Engine // whose free lists out and arenas go back to
 	job    *Job
 	splits []Split
 	parts  [][]records.Pair // per reduce partition in SortPairs order: views of out
@@ -402,7 +418,7 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 	if err != nil {
 		return nil, err
 	}
-	prep := &MapPhasePrep{job: job, splits: splits}
+	prep := &MapPhasePrep{from: e, job: job, splits: splits}
 	if len(splits) == 0 {
 		return prep, nil
 	}
@@ -484,6 +500,14 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 	e.scratch.ids.put(ids)
 	e.scratch.tables.put(tabs)
 	return prep, nil
+}
+
+// Release hands the map output back once nothing reads it; the commit
+// then schedules the same tasks over empty partitions.
+func (prep *MapPhasePrep) Release() {
+	(&MapPhaseResult{out: prep.out, arenas: prep.arenas, from: prep.from}).Release()
+	prep.out, prep.arenas = nil, nil
+	clear(prep.parts)
 }
 
 // CommitMapPhase runs phase 2: it replays scheduling, virtual-time
@@ -727,58 +751,70 @@ type ReducerResult struct {
 	// entries the reducer output feeds.
 	Span        obs.SpanID
 	ShuffleSpan obs.SpanID
+	worker      int // the pool worker that reduced it (observability only)
 }
 
 // RunReducePhase shuffles the map output to reducers, then sorts,
-// groups and reduces each non-empty partition. ready is the earliest
-// instant reduce tasks may be scheduled (normally the map phase's
-// ready time; slots and shuffle completion push actual starts later).
-// The sort/group/reduce compute fans out across Workers goroutines, one
-// Grouper each; placement, shuffle modelling, and slot accounting then
-// replay serially in partition order. Each partition of mp, sorted in
-// place unless PartsSorted, becomes its reducer's Input; the reducer's
-// emits are encoded as they come (Grouper.Reduce), its OutData.
+// groups and reduces each non-empty partition: PrepareReducePhase over
+// mp's partitions, one Grouper per pool worker, then CommitReducePhase.
+// ready is the earliest instant reduce tasks may be scheduled (normally
+// the map phase's ready time; slots and shuffle completion push actual
+// starts later). Each partition of mp, sorted in place unless
+// PartsSorted, becomes its reducer's Input.
 func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time) ([]ReducerResult, Stats, error) {
 	if err := job.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
-	var stats Stats
-	stats.Start = ready
-	stats.End = ready
+	groupers := e.Groupers(mp.Parts)
+	results := e.PrepareReducePhase(job, mp.Parts, mp.sorted, groupers)
+	e.PutGroupers(groupers)
+	return e.CommitReducePhase(job, results, mp, ready)
+}
 
-	// Phase 1: pure compute, parallel over non-empty partitions.
+// PrepareReducePhase is the compute half of a reduce phase: each
+// non-empty partition of parts grouped (in place, unless sorted) and
+// reduced (Grouper.Reduce), on len(gs) goroutines with a Grouper each.
+// It schedules nothing; hand the results to CommitReducePhase once.
+func (e *Engine) PrepareReducePhase(job *Job, parts [][]records.Pair, sorted bool, gs []Grouper) []ReducerResult {
 	var live []int
-	for r := 0; r < job.NumReducers; r++ {
-		if len(mp.Parts[r]) > 0 {
+	most := 0
+	for r, ps := range parts {
+		if len(ps) > 0 {
 			live = append(live, r)
 		}
+		most = max(most, len(ps))
 	}
 	results := make([]ReducerResult, len(live))
-	workers := make([]int, len(live)) // pool worker of each compute (observability only)
-	groupers := e.Groupers(mp.Parts)
-	parallel.ForWorker(len(groupers), len(live), func(worker, i int) {
-		rr, g := &results[i], &groupers[worker]
-		rr.Part, rr.Input = live[i], mp.Parts[live[i]]
+	parallel.ForWorker(len(gs), len(live), func(worker, i int) {
+		rr, g := &results[i], &gs[worker]
+		g.most = max(g.most, most) // sized for the largest partition (Groupers)
+		rr.Part, rr.worker = live[i], worker
 		group := g.Group
-		if mp.sorted {
+		if sorted {
 			group = g.Sorted
 		}
-		rr.OutData, rr.Output = g.Reduce(job.Reduce, group(rr.Input))
+		rr.OutData, rr.Output = g.Reduce(job.Reduce, group(parts[rr.Part]))
+		rr.OutBytes = records.PairsSize(rr.Output)
+	})
+	return results
+}
+
+// CommitReducePhase is the accounting half: each prepared reducer is
+// placed, shuffled from mp and attempted, serially in partition order,
+// its Input set to its partition of mp.
+func (e *Engine) CommitReducePhase(job *Job, results []ReducerResult, mp *MapPhaseResult, ready simtime.Time) ([]ReducerResult, Stats, error) {
+	stats := Stats{Start: ready, End: ready}
+	for i := range results {
+		rr := &results[i]
+		rr.Input = mp.Parts[rr.Part]
 		for _, b := range mp.PartSrcBytes[rr.Part] {
 			rr.InBytes += b
 		}
-		rr.OutBytes, workers[i] = records.PairsSize(rr.Output), worker
-	})
-	e.PutGroupers(groupers)
-
-	// Phase 2: deterministic accounting, serial in partition order.
-	for i := range results {
-		rr := &results[i]
 		node := e.placementFor(job).PlaceReduce(e, job, rr.Part, ready)
 		if node == nil {
 			return nil, stats, fmt.Errorf("mapreduce: job %q: no alive node for reduce %d", job.Name, rr.Part)
 		}
-		shuffleDur, spent, err := e.runReduceAttempts(job, rr, node, mp, workers[i], ready)
+		shuffleDur, spent, err := e.runReduceAttempts(job, rr, node, mp, ready)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -815,7 +851,7 @@ func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time
 // executed; attempts charge time only. spent sums every attempt's slot
 // occupancy — failed attempts burn slots too — matching the AddLoad
 // charges exactly.
-func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.Node, mp *MapPhaseResult, worker int, ready simtime.Time) (shuffle, spent simtime.Duration, err error) {
+func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.Node, mp *MapPhaseResult, ready simtime.Time) (shuffle, spent simtime.Duration, err error) {
 	part, inBytes, outBytes := rr.Part, rr.InBytes, rr.OutBytes
 	// task names the partition in spans, events and provenance.
 	var task string
@@ -904,7 +940,7 @@ func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.No
 				Parent: e.SpanParent, Deps: deps,
 				Args: []obs.Label{
 					obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("job", job.Name),
-					obs.L("worker", strconv.Itoa(worker)),
+					obs.L("worker", strconv.Itoa(rr.worker)),
 				},
 			})
 		}

@@ -57,6 +57,14 @@ func (p *scratchPool[T]) drop() {
 	p.mu.Unlock()
 }
 
+// SpareOutputs is how many map-output arrays the free list holds: once all
+// are back, the most borrowed at once since DropScratch.
+func (e *Engine) SpareOutputs() int {
+	e.scratch.outs.mu.Lock()
+	defer e.scratch.outs.mu.Unlock()
+	return len(e.scratch.outs.spare)
+}
+
 // DropScratch empties the engine's free lists, leaving their arrays to
 // the collector. core.Engine.RunNext calls it as it returns, so that
 // every recurrence starts from none and none is held between

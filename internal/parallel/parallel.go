@@ -31,7 +31,9 @@ func For(workers, n int, fn func(i int)) {
 // give each worker a scratch of its own and to attribute prepared work
 // to pool workers in profiles; which worker handles which index is
 // nondeterministic in parallel mode, so the index must never feed back
-// into results or virtual time.
+// into results or virtual time. A panicking body panics the caller at
+// any width; in parallel the other indexes run first, then the lowest
+// panicking index's value is re-raised on the calling goroutine.
 func ForWorker(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
@@ -45,22 +47,42 @@ func ForWorker(workers, n int, fn func(worker, i int)) {
 	if workers > n {
 		workers = n
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	var pool struct { // what the goroutines share, in one allocation
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first int // the lowest panicking index, and its value
+		value any
+	}
+	pool.first = n
+	pool.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(worker int) {
-			defer wg.Done()
+			defer pool.wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
+				i := int(pool.next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(worker, i)
+				func() {
+					defer func() {
+						if v := recover(); v != nil {
+							pool.mu.Lock()
+							if i < pool.first {
+								pool.first, pool.value = i, v
+							}
+							pool.mu.Unlock()
+						}
+					}()
+					fn(worker, i)
+				}()
 			}
 		}(w)
 	}
-	wg.Wait()
+	pool.wg.Wait()
+	if pool.first < n {
+		panic(pool.value)
+	}
 }
 
 // ForErr is For over a fallible body. Every index still runs (no

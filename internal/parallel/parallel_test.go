@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -45,6 +46,38 @@ func TestForErrReturnsLowestIndexError(t *testing.T) {
 		})
 		if err != errA {
 			t.Fatalf("workers=%d: got %v, want lowest-index error %v", workers, err, errA)
+		}
+	}
+}
+
+// TestForWorkerPanicReachesCaller: a panicking body panics the caller
+// with the lowest panicking index's value at every width; in parallel
+// every other index still runs first, serially none after it does.
+func TestForWorkerPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		const n = 40
+		var ran [n]atomic.Int32
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			ForWorker(workers, n, func(_, i int) {
+				ran[i].Add(1)
+				if i == 3 || i == 7 || i == n-1 {
+					panic(fmt.Sprintf("index %d", i))
+				}
+			})
+			return nil
+		}()
+		if got != "index 3" {
+			t.Fatalf("workers=%d: caller recovered %v, want the lowest index's value", workers, got)
+		}
+		for i := range ran {
+			want := int32(1)
+			if workers == 1 && i > 3 {
+				want = 0
+			}
+			if r := ran[i].Load(); r != want {
+				t.Fatalf("workers=%d: index %d ran %d times, want %d", workers, i, r, want)
+			}
 		}
 	}
 }

@@ -46,7 +46,9 @@ func TestUsageErrorsExit2(t *testing.T) {
 // the binary built at the commit before the run driver existed, when
 // redoopctl carried its own ingest chain and recurrence loop, except
 // chaos-failnode, recorded later: the injector's faults landing before
-// the scripted flags' (the order every figure uses).
+// the scripted flags' (the order every figure uses), and the explain
+// rows, which pin the flight recorder's consumer: every Equation 4
+// audit and the run's purge and rollback counts.
 func TestRunGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -59,6 +61,9 @@ func TestRunGolden(t *testing.T) {
 		{"spikewin", []string{"-spikewin", "2"}},
 		{"chaos", []string{"-chaos", "3"}},
 		{"chaos-failnode", []string{"-chaos", "3", "-failnode", "2", "-dropcaches"}},
+		{"explain-agg", []string{"explain", "-query", "agg"}},
+		{"explain-join", []string{"explain", "-query", "join"}},
+		{"explain-failnode-dropcaches", []string{"explain", "-failnode", "2", "-dropcaches"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden+".golden"))

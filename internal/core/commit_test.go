@@ -12,6 +12,7 @@ import (
 	"redoop/internal/lineage"
 	"redoop/internal/mapreduce"
 	"redoop/internal/obs"
+	"redoop/internal/obs/eventlog"
 	"redoop/internal/records"
 	"redoop/internal/reuse"
 	"redoop/internal/simtime"
@@ -75,10 +76,12 @@ type seamRun struct {
 }
 
 // recordCommits appends a fold that keeps a copy of every record. Span
-// IDs are zeroed: they are tracer state, not part of the transition.
+// IDs are zeroed: they are tracer state, not part of the transition. A
+// placement's candidates are copied out of the scheduler's scratch.
 func recordCommits(e *Engine, into *[]commit) {
 	e.folds = append(e.folds, func(c *commit) {
 		cp := *c
+		cp.place.Candidates = append([]Candidate(nil), c.place.Candidates...)
 		cp.inputs = append([]cacheRef(nil), c.inputs...)
 		for i := range cp.inputs {
 			cp.inputs[i].span = 0
@@ -286,6 +289,66 @@ func TestCommitExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestRecorderFollowsStream: the flight recorder hears a rollback, a
+// purge notice and an Equation 4 placement from the obs fold alone —
+// one cache.rollback per lost or evicted record, one cache.purge per
+// expired record, one placement per placed record — each emitted next
+// to the record's own events, and stamped with its query, recurrence
+// and instant.
+func TestRecorderFollowsStream(t *testing.T) {
+	var last []uint64 // the recorder's newest seq once each record was folded
+	r := seamScenarios[2].run(t, 1, func(e *Engine) {
+		e.folds = append(e.folds, func(*commit) { last = append(last, e.obs.Events.Seq()) })
+	})
+	rec := r.eng.obs.Events
+	if rec.Dropped() != 0 {
+		t.Fatalf("recorder dropped %d events; the scenario must fit its ring", rec.Dropped())
+	}
+	bySeq := make(map[uint64]eventlog.Event)
+	got := make(map[eventlog.Type]int)
+	for _, ev := range rec.Events() {
+		bySeq[ev.Seq] = ev
+		got[ev.Type]++
+	}
+	want := make(map[eventlog.Type]int)
+	at := func(seq uint64, typ eventlog.Type, c *commit) {
+		t.Helper()
+		ev := bySeq[seq]
+		if ev.Type != typ || ev.Query != r.eng.query.Name || ev.At != c.at || ev.Data != c.cacheData() {
+			t.Errorf("seq %d = %s %q at %d %+v, want %s of the %v record %+v", seq, ev.Type, ev.Query, ev.At, ev.Data, typ, c.kind, c.cacheData())
+		}
+	}
+	for i := range r.stream {
+		c, seq := &r.stream[i], last[i]
+		switch c.kind {
+		case kindLost: // the lookup, then the rollback it causes
+			want[eventlog.CacheRollback]++
+			at(seq-1, eventlog.CacheLost, c)
+			at(seq, eventlog.CacheRollback, c)
+		case kindEvicted: // the rollback, then the eviction
+			want[eventlog.CacheRollback]++
+			at(seq-1, eventlog.CacheRollback, c)
+			at(seq, eventlog.CacheEvict, c)
+		case kindExpired:
+			want[eventlog.CachePurge]++
+			at(seq, eventlog.CachePurge, c)
+		case kindPlaced:
+			want[eventlog.Placement]++
+			ev := bySeq[seq]
+			d, _ := ev.Data.(eventlog.PlacementData)
+			if ev.Type != eventlog.Placement || ev.At != c.at || d.Recurrence != c.rec || d.Chosen != c.place.Node.ID ||
+				d.Outcome != c.place.Outcome || len(d.Candidates) == 0 {
+				t.Errorf("seq %d = %s %+v, want the placement of %+v", seq, ev.Type, ev.Data, c.place)
+			}
+		}
+	}
+	for _, typ := range []eventlog.Type{eventlog.CacheRollback, eventlog.CachePurge, eventlog.Placement} {
+		if want[typ] == 0 || got[typ] != want[typ] {
+			t.Errorf("%d %s events, want %d (one per record)", got[typ], typ, want[typ])
+		}
+	}
+}
+
 // TestCommitFreeWithoutSidecars: with every Config sidecar nil the only
 // consumer is the engine's private health monitor, which looks at
 // nothing but the recurrence's final commit — a cache transition costs
@@ -360,7 +423,7 @@ func TestReplacementBookkeepingBounded(t *testing.T) {
 // String names the kind, for test failure messages.
 func (k commitKind) String() string {
 	names := [...]string{"ingested", "start", "registered", "hit", "miss", "lost",
-		"crosshit", "reused", "stale", "loaded", "charged", "expired", "evicted",
+		"crosshit", "reused", "stale", "loaded", "placed", "charged", "expired", "evicted",
 		"retired", "window", "replan", "finish"}
 	if int(k) < len(names) {
 		return names[k]

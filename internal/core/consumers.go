@@ -1,6 +1,8 @@
 package core
 
 import (
+	"log/slog"
+
 	"redoop/internal/account"
 	"redoop/internal/colfmt"
 	"redoop/internal/health"
@@ -19,9 +21,10 @@ import (
 // transitions. The engine describes each transition once, as a commit
 // record, at the serial point where it takes effect; every sidecar
 // (metrics + flight recorder, cost ledger, provenance store, reuse
-// index, SLO monitor) is a fold over that stream, and nothing else in
-// the package writes into one. DESIGN.md "Commit seam" has the
-// rationale and the calls that deliberately stay direct.
+// index, SLO monitor, logger) is a fold over that stream, and nothing
+// else in the package writes into one: the controller, the scheduler
+// and the status matrix hold no observer. DESIGN.md "Commit seam" has
+// the rationale and the calls that deliberately stay direct.
 
 // commitKind names one transition; the comments list the commit fields
 // that carry it beyond pid/typ/node/bytes/at.
@@ -37,7 +40,8 @@ const (
 	kindHit  // lookup found signature and bytes
 	kindMiss // lookup found no cache-available signature
 	// kindLost: lookup found the signature but not the bytes (§5);
-	// committed before the controller rolls the ready bit back.
+	// committed before the controller rolls the ready bit back, and
+	// recorded as the rollback too.
 	kindLost
 	kindCrossHit // another query's cache pid feeds a reuse copy/merge
 	// kindReused: own pane output pid, just registered, came from
@@ -45,9 +49,12 @@ const (
 	kindReused
 	kindStale   // a reuse advertisement of pid has no resident bytes behind it
 	kindLoaded  // cache task on node read pid ("" = uncached intermediate) at cost
+	kindPlaced  // Equation 4 chose place.Node for a cache task; at is when it became ready
 	kindCharged // cost of phase work; bytes of traffic on a phaseShuffle charge
-	kindExpired // controller purged pid: this query retired it, no consumer remains
-	kindEvicted // replacement removed unexpired pid; cost is the recompute it ranked on
+	kindExpired // controller purged pid (node, bytes): this query retired it, no consumer remains
+	// kindEvicted: replacement rolled back and removed unexpired pid;
+	// cost is the recompute it ranked on.
+	kindEvicted
 	kindRetired // panes [pane, paneHi) of source src left every window
 	kindWindow  // recurrence emitted its window (res, forecast)
 	kindReplan  // source src re-planned (subPanes, proactive, forecast, deadline)
@@ -83,6 +90,7 @@ type commit struct {
 	cost  simtime.Duration
 	local bool
 	phase phase
+	place Placement
 
 	// Provenance of a registration: the source pane and partition the
 	// bytes belong to, the job that built them, the caches they derive
@@ -130,13 +138,13 @@ func (e *Engine) commit(c commit) {
 }
 
 // attachConsumers wires the Config's sidecars to the engine and builds
-// the fold list. The order — observer, ledger, lineage, reuse, health —
-// is load-bearing: the flight recorder's sequence numbers are shared,
-// and a registration's cache.register precedes the lineage fold's
-// lineage.derived; the ledger has opened a residency before the reuse
-// index consults the query's cache ROI while publishing it, and has
-// advanced its accrual watermark before the health sample reads the
-// query's byte·seconds.
+// the fold list. The order — observer, ledger, lineage, reuse, health,
+// then the logger, which nothing reads — is load-bearing: the flight
+// recorder's sequence numbers are shared, and a registration's
+// cache.register precedes the lineage fold's lineage.derived; the
+// ledger has opened a residency before the reuse index consults the
+// query's cache ROI while publishing it, and has advanced its accrual
+// watermark before the health sample reads the query's byte·seconds.
 func (e *Engine) attachConsumers(cfg Config, dataDir string) {
 	q, mr := e.query, e.mr
 	if e.obs != nil {
@@ -210,6 +218,9 @@ func (e *Engine) attachConsumers(cfg Config, dataDir string) {
 	}
 	e.healthTrk = mon.Register(q.Name, deadline)
 	e.folds = append(e.folds, e.healthFold())
+	if cfg.Logger != nil {
+		e.folds = append(e.folds, e.logFold(cfg.Logger))
+	}
 }
 
 // residencyOf adapts the ledger's open-residency features — the
@@ -242,6 +253,11 @@ func (e *Engine) obsFold() func(*commit) {
 			obs.L("result", result), obs.L("type", c.typ.String())).Inc()
 		o.Emit(c.at, typ, qname, c.cacheData())
 	}
+	// The §5 rollback of a lost or evicted cache's ready bit, 2→1.
+	rollback := func(c *commit) {
+		o.Counter("redoop_cache_rollbacks_total", obs.L("type", c.typ.String())).Inc()
+		o.Emit(c.at, eventlog.CacheRollback, qname, c.cacheData())
+	}
 	return func(c *commit) {
 		switch c.kind {
 		case kindStart:
@@ -249,6 +265,8 @@ func (e *Engine) obsFold() func(*commit) {
 				Recurrence: c.rec, WindowLo: int64(c.pane), WindowHi: int64(c.paneHi),
 			})
 		case kindRegistered:
+			o.Counter("redoop_cache_registrations_total", obs.L("type", c.typ.String())).Inc()
+			o.Counter("redoop_cache_registered_bytes_total", obs.L("type", c.typ.String())).Add(float64(c.bytes))
 			o.Emit(c.at, eventlog.CacheRegister, qname, c.cacheData())
 		case kindHit:
 			lookup(c, "hit", eventlog.CacheHit)
@@ -256,6 +274,7 @@ func (e *Engine) obsFold() func(*commit) {
 			lookup(c, "miss", eventlog.CacheMiss)
 		case kindLost:
 			lookup(c, "lost", eventlog.CacheLost)
+			rollback(c)
 		case kindReused:
 			o.Counter("redoop_reuse_hits_total",
 				obs.L("query", qname), obs.L("kind", c.mode)).Inc()
@@ -266,7 +285,24 @@ func (e *Engine) obsFold() func(*commit) {
 				locality = "local"
 			}
 			o.Counter("redoop_cache_read_bytes_total", obs.L("locality", locality)).Add(float64(c.bytes))
+		case kindPlaced:
+			p := &c.place
+			o.Counter("redoop_placements_total", obs.L("outcome", p.Outcome)).Inc()
+			o.Histogram("redoop_placement_queue_seconds").Observe(p.Queue.Seconds())
+			if len(p.Candidates) > 0 {
+				audit := make([]eventlog.PlacementCandidate, len(p.Candidates))
+				for i, cd := range p.Candidates {
+					audit[i] = eventlog.PlacementCandidate{Node: cd.Node,
+						LoadNS: int64(cd.Load), CacheCostNS: int64(cd.CacheCost), TotalNS: int64(cd.Total)}
+				}
+				o.Emit(c.at, eventlog.Placement, qname, eventlog.PlacementData{Recurrence: c.rec,
+					Chosen: p.Node.ID, Outcome: p.Outcome, Caches: p.Caches, Candidates: audit})
+			}
+		case kindExpired:
+			o.Counter("redoop_cache_purge_notices_total", obs.L("type", c.typ.String())).Inc()
+			o.Emit(c.at, eventlog.CachePurge, qname, c.cacheData())
 		case kindEvicted:
+			rollback(c)
 			o.Counter("redoop_cache_evictions_total").Inc()
 			o.Emit(c.at, eventlog.CacheEvict, qname, c.cacheData())
 		case kindRetired:
@@ -545,5 +581,43 @@ func (e *Engine) healthFold() func(*commit) {
 			CoveredUnit:      c.covered,
 			CacheByteSeconds: e.acct.ByteSeconds(e.acctName),
 		})
+	}
+}
+
+// logFold writes the engine's operational log from the stream: each
+// recurrence and re-plan at Info, a Warn when the window rebuilt lost
+// caches, and each rollback, purge notice and placement at Debug.
+func (e *Engine) logFold(l *slog.Logger) func(*commit) {
+	qname := e.query.Name
+	return func(c *commit) {
+		switch c.kind {
+		case kindWindow:
+			res := c.res
+			l.Info("recurrence complete",
+				"query", qname, "recurrence", c.rec,
+				"response", res.ResponseTime,
+				"newPanes", res.NewPanes, "reusedPanes", res.ReusedPanes,
+				"newTuples", res.NewPairs, "reusedTuples", res.ReusedPairs,
+				"recoveries", res.CacheRecoveries, "proactive", res.Proactive)
+			if res.CacheRecoveries > 0 {
+				l.Warn("caches lost and rebuilt", "query", qname, "recurrence", c.rec, "count", res.CacheRecoveries)
+			}
+		case kindReplan:
+			l.Info("adaptive re-plan",
+				"query", qname, "source", c.src,
+				"forecast", c.forecast, "deadline", c.deadline,
+				"subPanes", c.subPanes, "proactive", c.proactive)
+		case kindLost, kindEvicted:
+			l.Debug("cache ready state rolled back",
+				"pid", c.pid, "type", c.typ.String(),
+				"from", CacheAvailable.String(), "to", HDFSAvailable.String(), "node", c.node)
+		case kindExpired:
+			l.Debug("cache purge notification sent",
+				"pid", c.pid, "type", c.typ.String(), "node", c.node, "bytes", c.bytes)
+		case kindPlaced:
+			l.Debug("cache task placed",
+				"node", c.place.Node.ID, "outcome", c.place.Outcome,
+				"caches", c.place.Caches, "queue_delay", c.place.Queue)
+		}
 	}
 }

@@ -2,12 +2,9 @@ package core
 
 import (
 	"fmt"
-	"log/slog"
 	"sort"
 	"sync"
 
-	"redoop/internal/obs"
-	"redoop/internal/obs/eventlog"
 	"redoop/internal/simtime"
 )
 
@@ -75,19 +72,14 @@ func (s *Signature) allDone() bool {
 // Controller is the window-aware cache controller housed on the master
 // node (paper §4.2): it consolidates all task nodes' local cache
 // registries, maintains cache signatures, and sends purge notifications
-// when a cache's doneQueryMask fills.
+// when a cache's doneQueryMask fills. It reports nothing itself: every
+// transition it makes is committed by the engine that asked for it.
 type Controller struct {
 	mu         sync.Mutex
 	queries    []string
 	groups     map[string][]int // cache-sharing groups: scope -> query indices
 	sigs       map[entryKey]*Signature
 	registries map[int]*Registry
-
-	// obs counts signature registrations, purge notifications, ready
-	// downgrades (cache loss rollbacks) and drops; log mirrors the purge
-	// and rollback events as Debug lines. Both may be nil.
-	obs *obs.Observer
-	log *slog.Logger
 
 	// onTransition, when set, observes every ready-state change of
 	// every signature (Register refreshes included). Invoked with the
@@ -96,11 +88,10 @@ type Controller struct {
 	onTransition func(pid string, typ CacheType, from, to Ready)
 
 	// onPurge, when set, observes every signature removal — the purge
-	// notification of MarkQueryDone and the silent Drop — so layers
-	// advertising caches by signature (the cross-query reuse index) can
-	// invalidate immediately. Invoked with the controller lock held:
-	// the hook must record and return, never call back into the
-	// controller.
+	// notification of MarkQueryDone — so layers advertising caches by
+	// signature (the cross-query reuse index) can invalidate
+	// immediately. Invoked with the controller lock held: the hook must
+	// record and return, never call back into the controller.
 	onPurge func(pid string, typ CacheType)
 }
 
@@ -126,29 +117,14 @@ func (c *Controller) SetTransitionHook(fn func(pid string, typ CacheType, from, 
 }
 
 // SetPurgeHook installs (or, with nil, removes) an observer of every
-// signature removal — MarkQueryDone's purge notification and Drop. The
-// hook runs under the controller lock and must not call back into the
+// signature removal — MarkQueryDone's purge notification. The hook
+// runs under the controller lock and must not call back into the
 // controller. Engines sharing one controller install equivalent hooks
 // (the last install wins), mirroring SetTransitionHook's semantics.
 func (c *Controller) SetPurgeHook(fn func(pid string, typ CacheType)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.onPurge = fn
-}
-
-// SetObserver attaches the observability layer; nil detaches it.
-func (c *Controller) SetObserver(o *obs.Observer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.obs = o
-}
-
-// SetLogger attaches a logger for cache lifecycle Debug events; nil
-// detaches it.
-func (c *Controller) SetLogger(l *slog.Logger) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.log = l
 }
 
 // AttachRegistry registers a task node's local cache registry with the
@@ -237,8 +213,6 @@ func (c *Controller) Register(pid string, typ CacheType, nid int, ready Ready, r
 		}
 		c.onTransition(pid, typ, from, ready)
 	}
-	c.obs.Counter("redoop_cache_registrations_total", obs.L("type", typ.String())).Inc()
-	c.obs.Counter("redoop_cache_registered_bytes_total", obs.L("type", typ.String())).Add(float64(bytes))
 	s.NID = nid
 	s.Ready = ready
 	s.ReadyAt = readyAt
@@ -311,20 +285,6 @@ func (c *Controller) SetReady(pid string, typ CacheType, ready Ready, at simtime
 		if c.onTransition != nil {
 			c.onTransition(pid, typ, s.Ready, ready)
 		}
-		if ready < s.Ready {
-			// A downgrade is the §5 failure-recovery rollback: the cache
-			// was lost and consumers must fall back to HDFS or recompute.
-			c.obs.Counter("redoop_cache_rollbacks_total", obs.L("type", typ.String())).Inc()
-			c.obs.Emit(at, eventlog.CacheRollback, "", eventlog.CacheData{
-				PID: pid, CacheType: typ.String(), Node: nid,
-				Bytes: s.Bytes, Recurrence: -1,
-			})
-			if c.log != nil {
-				c.log.Debug("cache ready state rolled back",
-					"pid", pid, "type", typ.String(),
-					"from", s.Ready.String(), "to", ready.String(), "node", nid)
-			}
-		}
 		s.Ready = ready
 		s.ReadyAt = at
 		s.NID = nid
@@ -342,15 +302,16 @@ func (c *Controller) MarkQueryDone(pid string, typ CacheType, q int) bool {
 	return c.markDoneLocked(c.sigs[entryKey{pid, typ}], q)
 }
 
-// markQueryDone is MarkQueryDone by the PID's bytes (see lookup); a
-// purged cache is reported by its stored PID.
-func (c *Controller) markQueryDone(pid []byte, typ CacheType, q int) (string, bool) {
+// markQueryDone is MarkQueryDone by the PID's bytes (see lookup). It
+// returns the purged signature, nil when no notification was sent; the
+// signature has left the controller, so its fields no longer change.
+func (c *Controller) markQueryDone(pid []byte, typ CacheType, q int) *Signature {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if s := c.sigs[entryKey{string(pid), typ}]; c.markDoneLocked(s, q) {
-		return s.PID, true
+		return s
 	}
-	return "", false
+	return nil
 }
 
 // markDoneLocked is MarkQueryDone on signature s, nil when there is none.
@@ -378,30 +339,5 @@ func (c *Controller) markDoneLocked(s *Signature, q int) bool {
 	if c.onPurge != nil {
 		c.onPurge(pid, typ)
 	}
-	c.obs.Counter("redoop_cache_purge_notices_total", obs.L("type", typ.String())).Inc()
-	if c.obs != nil { // the event escapes to the heap before Emit can see a nil observer
-		c.obs.Emit(s.ReadyAt, eventlog.CachePurge, "", eventlog.CacheData{
-			PID: pid, CacheType: typ.String(), Node: s.NID,
-			Bytes: s.Bytes, Recurrence: -1,
-		})
-	}
-	if c.log != nil {
-		c.log.Debug("cache purge notification sent",
-			"pid", pid, "type", typ.String(), "node", s.NID, "bytes", s.Bytes)
-	}
 	return true
-}
-
-// Drop removes a signature without notifying anyone — used when the
-// underlying node died and its registry is gone.
-func (c *Controller) Drop(pid string, typ CacheType) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.sigs[entryKey{pid, typ}]; ok {
-		c.obs.Counter("redoop_cache_drops_total", obs.L("type", typ.String())).Inc()
-		if c.onPurge != nil {
-			c.onPurge(pid, typ)
-		}
-	}
-	delete(c.sigs, entryKey{pid, typ})
 }

@@ -50,11 +50,10 @@ type Config struct {
 	// are placed on the earliest-available node regardless of where
 	// their caches live, disabling the C_task term of Equation 4.
 	CacheObliviousPlacement bool
-	// Logger receives the engine's operational events (recurrence
-	// summaries, cache recoveries, adaptive re-planning) at
-	// Debug/Info levels. Nil disables logging. The logger is also
-	// propagated to the scheduler and cache controller for their
-	// placement and purge Debug events.
+	// Logger receives the engine's operational events, one line per
+	// commit record: recurrence summaries, cache recoveries and adaptive
+	// re-planning at Info/Warn, rollbacks, purge notices and placements
+	// at Debug. Nil disables logging.
 	Logger *slog.Logger
 	// Obs receives the engine's metrics and trace spans (recurrence
 	// spans, cache hit/miss counters, Equation 4 placement outcomes).
@@ -178,7 +177,6 @@ type Engine struct {
 
 	frames []window.Frame // per-source window alignment
 
-	log *slog.Logger
 	obs *obs.Observer
 
 	// healthMon judges the query's SLO compliance; healthTrk is this
@@ -295,7 +293,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// vacuously exhausted and retire on the first pass.
 	e.expiredBound = make([]window.PaneID, len(q.Sources))
 	e.sched.CacheOblivious = cfg.CacheObliviousPlacement
-	e.log = cfg.Logger
 	e.obs = cfg.Obs
 	if e.obs == nil {
 		e.obs = cfg.MR.Obs
@@ -305,20 +302,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		// flow to the same registry as the engine's recurrence series.
 		cfg.MR.Obs = e.obs
 	}
-	e.sched.SetObserver(e.obs)
-	e.sched.SetLogger(cfg.Logger)
-	e.sched.SetQuery(q.Name)
-	// A shared controller keeps whatever observer/logger it already has;
-	// an engine only fills in a missing one so a later un-instrumented
-	// sibling cannot detach an earlier sibling's instrumentation.
-	if e.obs != nil {
-		ctrl.SetObserver(e.obs)
-	}
-	if cfg.Logger != nil {
-		ctrl.SetLogger(cfg.Logger)
-	}
 	e.attachConsumers(cfg, dataDir)
-	matrix.SetObserver(e.obs, q.Name)
 	e.qIdx = ctrl.RegisterQuery(q.Name)
 	for i, src := range q.Sources {
 		if src.CacheKey != "" {
@@ -525,7 +509,6 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	e.mu.Lock()
 	e.curTrigger = trigger
 	e.mu.Unlock()
-	e.sched.SetRecurrence(r)
 	// The forecast made for THIS recurrence at the end of the previous
 	// one, captured before the profiler moves on — paired with the
 	// realized response time in the window commit so forecast error is
@@ -566,18 +549,6 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 			obs.L("reusedPanes", fmt.Sprint(res.ReusedPanes))},
 	})
 	e.commit(commit{kind: kindWindow, at: res.CompletedAt, res: res, forecast: prevForecast})
-	if e.log != nil {
-		e.log.Info("recurrence complete",
-			"query", e.query.Name, "recurrence", r,
-			"response", res.ResponseTime,
-			"newPanes", res.NewPanes, "reusedPanes", res.ReusedPanes,
-			"newTuples", res.NewPairs, "reusedTuples", res.ReusedPairs,
-			"recoveries", res.CacheRecoveries, "proactive", res.Proactive)
-		if res.CacheRecoveries > 0 {
-			e.log.Warn("caches lost and rebuilt",
-				"query", e.query.Name, "recurrence", r, "count", res.CacheRecoveries)
-		}
-	}
 
 	e.retireExpired(r, res.CompletedAt)
 	purged := 0
@@ -585,12 +556,7 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 		purged += m.Tick()
 	}
 	e.obs.Counter("redoop_cache_purges_total").Add(float64(purged))
-	if e.log != nil && purged > 0 {
-		e.log.Debug("purged expired caches", "query", e.query.Name, "count", purged)
-	}
-	if evicted := e.evictOverCap(r, res.CompletedAt); evicted > 0 && e.log != nil {
-		e.log.Debug("evicted caches over disk limit", "query", e.query.Name, "count", evicted)
-	}
+	e.evictOverCap(r, res.CompletedAt)
 
 	// Profile and adapt for the next recurrence (§3.3).
 	var windowBytes int64
@@ -640,12 +606,6 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 					obs.L("proactive", fmt.Sprint(proactive)))
 				e.commit(commit{kind: kindReplan, at: res.CompletedAt, src: i,
 					subPanes: plan.SubPanes, proactive: proactive, forecast: forecast, deadline: deadline})
-				if e.log != nil {
-					e.log.Info("adaptive re-plan",
-						"query", e.query.Name, "source", i,
-						"forecast", forecast, "deadline", deadline,
-						"subPanes", plan.SubPanes, "proactive", proactive)
-				}
 				e.mu.Lock()
 				e.plans[i] = plan
 				e.mu.Unlock()
@@ -797,7 +757,9 @@ func (e *Engine) ensurePane(src int, p window.PaneID, trigger simtime.Time, pp *
 		return nil, false, recovered, err
 	}
 	if agg {
-		err = e.matrix.Update(p)
+		if err = e.matrix.Update(p); err == nil {
+			e.obs.Counter("redoop_statusmatrix_updates_total", obs.L("query", e.query.Name)).Inc()
+		}
 	}
 	return refs, reused, recovered, err
 }
@@ -955,12 +917,33 @@ func (e *Engine) probeParts(refs []cacheRef, typ CacheType, src int, t paneTuple
 }
 
 // home returns partition part's home node, where a pane's caches go
-// when no task placed them.
+// when no task placed them and a pane job's reducer runs (homes), and
+// counts a reassignment away from a dead home.
 func (e *Engine) home(part int) (*cluster.Node, error) {
-	if n := e.sched.HomeNode(part); n != nil {
-		return n, nil
+	n, reassigned := e.sched.HomeNode(part)
+	if reassigned {
+		e.obs.Counter("redoop_home_reassignments_total").Inc()
 	}
-	return nil, fmt.Errorf("core: no alive node to home partition %d", part)
+	if n == nil {
+		return nil, fmt.Errorf("core: no alive node to home partition %d", part)
+	}
+	return n, nil
+}
+
+// homes is a pane job's mapreduce.Placement. Its map tasks go where
+// Hadoop would put them (scheduling new data is "no different than in
+// Hadoop", §4.3); its reduce partitions are pinned to their home nodes,
+// so reduce-side caches accumulate where later recurrences can reuse
+// them locally.
+type homes struct{ e *Engine }
+
+func (homes) PlaceMap(mr *mapreduce.Engine, sp mapreduce.Split, ready simtime.Time) *cluster.Node {
+	return mapreduce.DefaultPlacement{}.PlaceMap(mr, sp, ready)
+}
+
+func (h homes) PlaceReduce(_ *mapreduce.Engine, _ *mapreduce.Job, part int, _ simtime.Time) *cluster.Node {
+	n, _ := h.e.home(part)
+	return n
 }
 
 // cacheBytes returns a cache's stored bytes on its node. Ownership:
@@ -1215,7 +1198,7 @@ func (e *Engine) paneJob(src int) *mapreduce.Job {
 		Partition:        e.query.Partition,
 		CacheReduceInput: true,
 		LocalOutput:      true, // pane outputs are reduce-output caches
-		Place:            e.sched,
+		Place:            homes{e},
 		Query:            e.acctName,
 	}
 }
@@ -1248,7 +1231,9 @@ func (e *Engine) runCacheTask(name func() string, ph phase, ready simtime.Time, 
 			ready = c.readyAt
 		}
 	}
-	node := e.sched.PickCacheTaskNode(ready, locs)
+	pl := e.sched.PickCacheTaskNode(ready, locs, e.obs.EmitEnabled())
+	e.commit(commit{kind: kindPlaced, at: ready, place: pl})
+	node := pl.Node
 	load := e.sched.CacheCost(node.ID, locs)
 	dur := load + work
 	start, end := node.Reduce.Acquire(ready, dur)
@@ -1293,8 +1278,8 @@ func (e *Engine) retireExpired(r int, at simtime.Time) {
 	n := len(e.query.Sources)
 	var buf pidBuf
 	retire := func(pid []byte, typ CacheType) {
-		if stored, ok := e.ctrl.markQueryDone(pid, typ, e.qIdx); ok {
-			e.commit(commit{kind: kindExpired, at: at, pid: stored, typ: typ})
+		if s := e.ctrl.markQueryDone(pid, typ, e.qIdx); s != nil {
+			e.commit(commit{kind: kindExpired, at: at, pid: s.PID, typ: typ, node: s.NID, bytes: s.Bytes})
 		}
 	}
 	for d := 0; d < n; d++ {
@@ -1336,7 +1321,11 @@ func (e *Engine) retireExpired(r int, at simtime.Time) {
 			e.mu.Unlock()
 		}
 	}
-	e.matrix.Shift(r + 1)
+	for _, panes := range e.matrix.Shift(r + 1) {
+		if len(panes) > 0 {
+			e.obs.Counter("redoop_statusmatrix_retired_panes_total", obs.L("query", e.query.Name)).Add(float64(len(panes)))
+		}
+	}
 }
 
 // forEachLifespanTuple enumerates the tuples with pane p pinned at

@@ -81,14 +81,13 @@ func rankVictims(cands []EvictCandidate) []EvictCandidate {
 
 // evictOverCap runs the replacement tier for recurrence r: for every
 // node still over its disk limit after the purge tick, evict ranked
-// victims until the node fits or no candidates remain. Returns the
-// number of caches evicted. Runs in RunNext's serial tail, so the
-// decision sequence is independent of the worker count.
-func (e *Engine) evictOverCap(r int, at simtime.Time) int {
+// victims until the node fits or no candidates remain. Runs in
+// RunNext's serial tail, so the decision sequence is independent of the
+// worker count.
+func (e *Engine) evictOverCap(r int, at simtime.Time) {
 	if e.cacheLimit <= 0 || len(e.query.Sources) != 1 {
-		return 0
+		return
 	}
-	evicted := 0
 	for _, m := range e.managers {
 		over := m.OverLimit()
 		if over <= 0 {
@@ -99,10 +98,8 @@ func (e *Engine) evictOverCap(r int, at simtime.Time) int {
 				break
 			}
 			over -= e.evictOne(r, c, at)
-			evicted++
 		}
 	}
-	return evicted
 }
 
 // candidatesOn collects the evictable caches resident on one node:

@@ -381,6 +381,7 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 		if err := e.matrix.Update(t...); err != nil {
 			return err
 		}
+		e.obs.Counter("redoop_statusmatrix_updates_total", obs.L("query", q.Name)).Inc()
 	}
 	return nil
 }
@@ -443,7 +444,9 @@ func (e *Engine) finalizeJoinWindow(trigger simtime.Time, tupleRefs [][]cacheRef
 	if err != nil {
 		return nil, err
 	}
-	node := e.sched.PickCacheTaskNode(ready, nil)
+	pl := e.sched.PickCacheTaskNode(ready, nil, e.obs.EmitEnabled())
+	e.commit(commit{kind: kindPlaced, at: ready, place: pl})
+	node := pl.Node
 	dur := e.mr.Cost.ConcatTask(manifestBytes)
 	start, end := node.Reduce.Acquire(ready, dur)
 	node.AddLoad(dur)

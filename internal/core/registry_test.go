@@ -206,7 +206,7 @@ func TestControllerClaimUser(t *testing.T) {
 	}
 }
 
-func TestControllerSetReadyAndDrop(t *testing.T) {
+func TestControllerSetReady(t *testing.T) {
 	ctrl := NewController()
 	q := ctrl.RegisterQuery("Q")
 	ctrl.Register("c", ReduceInput, 0, CacheAvailable, 10, 5, []int{q})
@@ -214,10 +214,6 @@ func TestControllerSetReadyAndDrop(t *testing.T) {
 	sig, _ := ctrl.Lookup("c", ReduceInput)
 	if sig.Ready != HDFSAvailable || sig.NID != 1 || sig.ReadyAt != 20 {
 		t.Errorf("SetReady not applied: %+v", sig)
-	}
-	ctrl.Drop("c", ReduceInput)
-	if _, ok := ctrl.Lookup("c", ReduceInput); ok {
-		t.Error("Drop should remove the signature")
 	}
 	// Late registration: new query's bit starts done on existing sigs.
 	ctrl.Register("d", ReduceInput, 0, CacheAvailable, 0, 1, []int{q})
@@ -285,8 +281,8 @@ func TestPurgeNotificationReachesSiblingCopies(t *testing.T) {
 }
 
 // TestControllerPurgeHook pins the invalidation seam the reuse index
-// hangs on: both the MarkQueryDone purge and the silent Drop must
-// report the removed (pid, type) to the installed hook.
+// hangs on: the MarkQueryDone purge must report the removed (pid, type)
+// to the installed hook.
 func TestControllerPurgeHook(t *testing.T) {
 	ctrl := NewController()
 	q := ctrl.RegisterQuery("Q1")
@@ -300,17 +296,14 @@ func TestControllerPurgeHook(t *testing.T) {
 	ctrl.Register("a", ReduceOutput, 0, CacheAvailable, 0, 1, []int{q})
 	ctrl.Register("b", ReduceInput, 0, CacheAvailable, 0, 1, []int{q})
 	ctrl.MarkQueryDone("a", ReduceOutput, q)
-	ctrl.Drop("b", ReduceInput)
-	ctrl.Drop("ghost", ReduceInput) // unknown pid must not fire the hook
+	ctrl.MarkQueryDone("ghost", ReduceInput, q) // unknown pid must not fire the hook
 
-	want := []rm{{"a", ReduceOutput}, {"b", ReduceInput}}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+	want := []rm{{"a", ReduceOutput}}
+	if len(got) != 1 || got[0] != want[0] {
 		t.Fatalf("purge hook observed %v, want %v", got, want)
 	}
 	ctrl.SetPurgeHook(nil)
-	ctrl.Register("c", ReduceOutput, 0, CacheAvailable, 0, 1, []int{q})
-	ctrl.Drop("c", ReduceOutput)
-	if len(got) != 2 {
+	if !ctrl.MarkQueryDone("b", ReduceInput, q) || len(got) != 1 {
 		t.Fatal("removed hook still fired")
 	}
 }

@@ -2,14 +2,10 @@ package core
 
 import (
 	"fmt"
-	"log/slog"
 	"sync"
 
 	"redoop/internal/cluster"
 	"redoop/internal/iocost"
-	"redoop/internal/mapreduce"
-	"redoop/internal/obs"
-	"redoop/internal/obs/eventlog"
 	"redoop/internal/simtime"
 )
 
@@ -33,10 +29,11 @@ type CacheLoc struct {
 // queueing delay before a reduce slot frees, which directly captures
 // "if all task slots of a node are taken, assign the task elsewhere
 // even if its cache is there" — and C_task,i is the I/O cost of loading
-// the task's caches from node i's perspective.
+// the task's caches from node i's perspective. It reports nothing
+// itself: the engine commits each decision it returns.
 type Scheduler struct {
-	// mu guards homes and the event labels so the debug server can read
-	// placements while the engine schedules.
+	// mu guards homes so the debug server can read placements while the
+	// engine schedules.
 	mu   sync.Mutex
 	cl   *cluster.Cluster
 	cost iocost.Model
@@ -47,16 +44,7 @@ type Scheduler struct {
 	CacheOblivious bool
 
 	homes map[int]int // reduce partition -> home node ID
-
-	// obs receives Equation 4 outcomes (cache-local vs. remote vs.
-	// load-balanced placements) and observed queueing delays; log
-	// mirrors them as Debug events. Both may be nil. obsQuery and
-	// recurrence label the flight-recorder placement events with the
-	// owning query and the recurrence in flight.
-	obs        *obs.Observer
-	log        *slog.Logger
-	obsQuery   string
-	recurrence int
+	cands []Candidate // PickCacheTaskNode's breakdown, reused call to call
 
 	// MapTasks and ReduceTasks are the two scheduling lists of
 	// Algorithm 2: entries enter MapTasks when a data partition's
@@ -78,48 +66,23 @@ func NewScheduler(cl *cluster.Cluster, cost iocost.Model) *Scheduler {
 	}
 }
 
-// SetObserver attaches the observability layer; nil detaches it.
-func (s *Scheduler) SetObserver(o *obs.Observer) { s.obs = o }
-
-// SetQuery labels the scheduler's flight-recorder events with the
-// owning query's name.
-func (s *Scheduler) SetQuery(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.obsQuery = name
-}
-
-// SetRecurrence labels subsequent placement events with the recurrence
-// currently in flight.
-func (s *Scheduler) SetRecurrence(r int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recurrence = r
-}
-
-// SetLogger attaches a logger for placement-decision Debug events; nil
-// detaches it.
-func (s *Scheduler) SetLogger(l *slog.Logger) { s.log = l }
-
 // HomeNode returns the node that hosts reduce partition part's caches,
 // assigning one on first use (least-loaded alive node) and reassigning
-// if the previous home died. The mapping is otherwise fixed across
-// recurrences, as §4.3 requires.
-func (s *Scheduler) HomeNode(part int) *cluster.Node {
+// if the previous home died, which it reports. The mapping is otherwise
+// fixed across recurrences, as §4.3 requires.
+func (s *Scheduler) HomeNode(part int) (n *cluster.Node, reassigned bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	reassigned := false
 	if id, ok := s.homes[part]; ok {
 		if n := s.cl.Node(id); n != nil && n.Alive() {
-			return n
+			return n, false
 		}
 		delete(s.homes, part) // home died; reassign below
 		reassigned = true
-		s.obs.Counter("redoop_home_reassignments_total").Inc()
 	}
 	alive := s.cl.AliveNodes()
 	if len(alive) == 0 {
-		return nil
+		return nil, reassigned
 	}
 	// Spread homes: fewest assigned partitions first, then least load.
 	counts := make(map[int]int)
@@ -136,11 +99,7 @@ func (s *Scheduler) HomeNode(part int) *cluster.Node {
 		}
 	}
 	s.homes[part] = best.ID
-	if s.log != nil {
-		s.log.Debug("home node assigned",
-			"partition", part, "node", best.ID, "reassigned", reassigned)
-	}
-	return best
+	return best, reassigned
 }
 
 // Homes returns a copy of the current partition→node mapping.
@@ -164,74 +123,65 @@ func (s *Scheduler) CacheCost(node int, caches []CacheLoc) simtime.Duration {
 	return d
 }
 
+// Placement is one Equation 4 decision.
+type Placement struct {
+	Node    *cluster.Node    // nil when no node is alive
+	Outcome string           // see classifyPlacement
+	Queue   simtime.Duration // the chosen node's Load_i
+	Caches  int              // caches the task loads
+	// Candidates holds every alive node's terms when the caller asked
+	// for them; it is valid until the next PickCacheTaskNode.
+	Candidates []Candidate
+}
+
+// Candidate is one alive node's Equation 4 terms: its queueing delay
+// (Load), the task's C_task on it (CacheCost) and their sum.
+type Candidate struct {
+	Node                   int
+	Load, CacheCost, Total simtime.Duration
+}
+
 // PickCacheTaskNode applies Equation 4 to choose the node for a
 // cache-fed reduce-style task that becomes ready at `ready` and must
-// load `caches`. Ties break toward the lower node ID for determinism.
-func (s *Scheduler) PickCacheTaskNode(ready simtime.Time, caches []CacheLoc) *cluster.Node {
-	nodes := s.cl.Nodes()
+// load `caches`, with each candidate's terms when audit is set. Ties
+// break toward the lower node ID for determinism.
+func (s *Scheduler) PickCacheTaskNode(ready simtime.Time, caches []CacheLoc, audit bool) Placement {
 	var best *cluster.Node
 	var bestCost, bestLoad simtime.Duration
-	loads := make(map[int]simtime.Duration, len(nodes))
-	var audit []eventlog.PlacementCandidate
-	if s.obs.EmitEnabled() {
-		audit = make([]eventlog.PlacementCandidate, 0, len(nodes))
-	}
-	for _, n := range nodes {
+	s.cands = s.cands[:0]
+	for _, n := range s.cl.Nodes() {
 		if !n.Alive() {
 			continue
 		}
 		load := n.Reduce.EarliestStart(ready).Sub(ready)
-		loads[n.ID] = load
 		cost := load
 		var cacheCost simtime.Duration
 		if !s.CacheOblivious {
 			cacheCost = s.CacheCost(n.ID, caches)
 			cost += cacheCost
 		}
-		if audit != nil {
-			audit = append(audit, eventlog.PlacementCandidate{
-				Node:        n.ID,
-				LoadNS:      int64(load),
-				CacheCostNS: int64(cacheCost),
-				TotalNS:     int64(cost),
-			})
-		}
+		s.cands = append(s.cands, Candidate{Node: n.ID, Load: load, CacheCost: cacheCost, Total: cost})
 		if best == nil || cost < bestCost || (cost == bestCost && n.ID < best.ID) {
 			best, bestCost, bestLoad = n, cost, load
 		}
 	}
 	if best == nil {
-		return nil
+		return Placement{}
 	}
-	outcome := s.classifyPlacement(best.ID, caches, loads)
-	s.obs.Counter("redoop_placements_total", obs.L("outcome", outcome)).Inc()
-	s.obs.Histogram("redoop_placement_queue_seconds").Observe(bestLoad.Seconds())
-	if audit != nil {
-		s.mu.Lock()
-		query, rec := s.obsQuery, s.recurrence
-		s.mu.Unlock()
-		s.obs.Emit(ready, eventlog.Placement, query, eventlog.PlacementData{
-			Recurrence: rec,
-			Chosen:     best.ID,
-			Outcome:    outcome,
-			Caches:     len(caches),
-			Candidates: audit,
-		})
+	p := Placement{Node: best, Outcome: s.classifyPlacement(best.ID, bestLoad, caches), Queue: bestLoad, Caches: len(caches)}
+	if audit {
+		p.Candidates = s.cands
 	}
-	if s.log != nil {
-		s.log.Debug("cache task placed",
-			"node", best.ID, "outcome", outcome,
-			"caches", len(caches), "queue_delay", bestLoad)
-	}
-	return best
+	return p
 }
 
 // classifyPlacement names the Equation 4 outcome for metrics: the task
 // had no caches to load ("no-cache"), landed where at least one of its
 // caches lives ("cache-local"), was pushed off a busier cache holder
 // ("load-balanced"), or simply ran remote from all its caches
-// ("remote").
-func (s *Scheduler) classifyPlacement(chosen int, caches []CacheLoc, loads map[int]simtime.Duration) string {
+// ("remote"). load is the chosen node's; the holders' are the
+// candidates' just computed.
+func (s *Scheduler) classifyPlacement(chosen int, load simtime.Duration, caches []CacheLoc) string {
 	if len(caches) == 0 {
 		return "no-cache"
 	}
@@ -240,28 +190,14 @@ func (s *Scheduler) classifyPlacement(chosen int, caches []CacheLoc, loads map[i
 		if c.Node == chosen {
 			return "cache-local"
 		}
-		if l, ok := loads[c.Node]; ok && l > loads[chosen] {
-			holderBusier = true
+		for _, cd := range s.cands {
+			holderBusier = holderBusier || cd.Node == c.Node && cd.Load > load
 		}
 	}
 	if holderBusier {
 		return "load-balanced"
 	}
 	return "remote"
-}
-
-// PlaceMap implements mapreduce.Placement: map tasks over newly arrived
-// pane files use Hadoop's locality-first policy (scheduling of new data
-// is "no different than in Hadoop", §4.3).
-func (s *Scheduler) PlaceMap(e *mapreduce.Engine, sp mapreduce.Split, ready simtime.Time) *cluster.Node {
-	return mapreduce.DefaultPlacement{}.PlaceMap(e, sp, ready)
-}
-
-// PlaceReduce implements mapreduce.Placement: reduce partitions are
-// pinned to their home nodes so reduce-side caches accumulate where
-// later recurrences can reuse them locally.
-func (s *Scheduler) PlaceReduce(_ *mapreduce.Engine, _ *mapreduce.Job, part int, _ simtime.Time) *cluster.Node {
-	return s.HomeNode(part)
 }
 
 // TaskEntry is one pending entry of a scheduling list.

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 
-	"redoop/internal/obs"
 	"redoop/internal/window"
 )
 
@@ -32,20 +31,6 @@ type StatusMatrix struct {
 	base   []window.PaneID // lowest tracked pane per dimension
 	n      []int           // tracked pane count per dimension
 	done   []bool          // row-major over the tracked ranges
-
-	// obs counts matrix updates and retired panes under the owning
-	// query's label; may be nil.
-	obs      *obs.Observer
-	obsQuery string
-}
-
-// SetObserver attaches the observability layer, labeling this matrix's
-// series with the owning query's name; nil detaches it.
-func (m *StatusMatrix) SetObserver(o *obs.Observer, query string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.obs = o
-	m.obsQuery = query
 }
 
 // NewStatusMatrix initializes a matrix for a query over `dims` sources
@@ -184,7 +169,6 @@ func (m *StatusMatrix) Update(coords ...window.PaneID) error {
 		return err
 	}
 	m.done[m.index(coords)] = true
-	m.obs.Counter("redoop_statusmatrix_updates_total", obs.L("query", m.obsQuery)).Inc()
 	return nil
 }
 
@@ -288,7 +272,6 @@ func (m *StatusMatrix) Shift(r int) [][]window.PaneID {
 			continue
 		}
 		m.shiftDim(d, k)
-		m.obs.Counter("redoop_statusmatrix_retired_panes_total", obs.L("query", m.obsQuery)).Add(float64(k))
 	}
 	return retired
 }

@@ -12,6 +12,7 @@ package explain
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -90,8 +91,8 @@ type Report struct {
 	// wraparound — when nonzero the earliest recurrences may be
 	// partial.
 	Dropped uint64
-	// Other counts events that carried no recurrence attribution (e.g.
-	// controller-side purges) and node failures observed.
+	// Run-wide counts: purge notices, ready-state rollbacks, node
+	// failures and retried task attempts.
 	Purges       int
 	Rollbacks    int
 	NodeFailures []int
@@ -342,8 +343,13 @@ func (rep *Report) Write(w io.Writer) error {
 			fmt.Fprintf(w, "  re-plan: source %d -> %d sub-panes (proactive=%v); forecast %s vs deadline %s\n",
 				rp.Source, rp.SubPanes, rp.Proactive, fmtNS(rp.ForecastNS), fmtNS(rp.DeadlineNS))
 		}
-		for src, panes := range r.RetiredPanes {
-			fmt.Fprintf(w, "  retired: source %d panes %v\n", src, panes)
+		srcs := make([]int, 0, len(r.RetiredPanes))
+		for src := range r.RetiredPanes {
+			srcs = append(srcs, src)
+		}
+		slices.Sort(srcs)
+		for _, src := range srcs {
+			fmt.Fprintf(w, "  retired: source %d panes %v\n", src, r.RetiredPanes[src])
 		}
 	}
 

@@ -301,3 +301,27 @@ func TestBuildHealthMarkers(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteRetiredInSourceOrder: a recurrence's retired panes print in
+// ascending source order, whatever order the sources retired in. The
+// report is rendered repeatedly because a map ranged in Go's random
+// order matches the sorted one by chance one time in six.
+func TestWriteRetiredInSourceOrder(t *testing.T) {
+	events := []eventlog.Event{
+		{Seq: 1, Type: eventlog.RecurrenceStart, Query: "q", Data: eventlog.RecurrenceStartData{Recurrence: 0}},
+		{Seq: 2, Type: eventlog.PaneRetire, Query: "q", Data: eventlog.PaneRetireData{Source: 2, Panes: []int64{4}}},
+		{Seq: 3, Type: eventlog.PaneRetire, Query: "q", Data: eventlog.PaneRetireData{Source: 0, Panes: []int64{0, 1}}},
+		{Seq: 4, Type: eventlog.PaneRetire, Query: "q", Data: eventlog.PaneRetireData{Source: 1, Panes: []int64{2}}},
+	}
+	want := "  retired: source 0 panes [0 1]\n  retired: source 1 panes [2]\n  retired: source 2 panes [4]\n"
+	rep := explain.Build(events, "q")
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		if err := rep.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("retired lines out of source order:\n%s", buf.String())
+		}
+	}
+}

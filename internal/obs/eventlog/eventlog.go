@@ -139,8 +139,7 @@ type CacheData struct {
 	CacheType string `json:"cacheType"`
 	Node      int    `json:"node"`
 	Bytes     int64  `json:"bytes,omitempty"`
-	// Recurrence is the recurrence during which the event fired; -1
-	// when unknown (controller-side purges).
+	// Recurrence is the recurrence during which the event fired.
 	Recurrence int `json:"recurrence"`
 }
 

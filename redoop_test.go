@@ -615,18 +615,36 @@ func TestLoggerAndHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed := 0
+	fed, dropped, recoveries := 0, 0, 0
 	for r := 0; r < 3; r++ {
 		for ; fed < 3+r; fed++ {
 			h.Ingest(0, testBatch(81, fed, 200))
 		}
-		if _, err := h.RunNext(); err != nil {
+		if r == 2 {
+			// Node 1 loses the caches of the window's two reused panes;
+			// the recurrence finds each lost and rebuilds it.
+			dropped = sys.DropCaches(1)
+		}
+		res, err := h.RunNext()
+		if err != nil {
 			t.Fatal(err)
 		}
+		recoveries += res.CacheRecoveries
 	}
 	out := buf.String()
 	if !strings.Contains(out, "recurrence complete") {
 		t.Errorf("log should record recurrences:\n%s", out)
+	}
+	if dropped == 0 || recoveries == 0 {
+		t.Fatalf("dropped %d caches and recovered %d panes; the loss check is vacuous", dropped, recoveries)
+	}
+	warn := fmt.Sprintf(`level=WARN msg="caches lost and rebuilt" query=q recurrence=2 count=%d`, recoveries)
+	if !strings.Contains(out, warn) {
+		t.Errorf("log lacks %s:\n%s", warn, out)
+	}
+	rollback := `level=DEBUG msg="cache ready state rolled back"`
+	if n := strings.Count(out, rollback); n != dropped {
+		t.Errorf("%d rollback lines, want one per lost and rebuilt cache (%d):\n%s", n, dropped, out)
 	}
 	hist := h.History()
 	if len(hist) != 2 { // cold first recurrence is not observed

@@ -233,14 +233,14 @@ func BenchmarkPanePacking(b *testing.B) {
 // BenchmarkStatusMatrix measures the cache status matrix's update,
 // lifespan-exhaustion and shift operations at a realistic window size.
 func BenchmarkStatusMatrix(b *testing.B) {
-	spec := window.NewTimeSpec(time.Hour, 6*time.Minute) // 10 panes/window
+	f := window.FrameOf(window.NewTimeSpec(time.Hour, 6*time.Minute)) // 10 panes/window
 	for i := 0; i < b.N; i++ {
-		m, err := core.NewStatusMatrix(2, spec)
+		m, err := core.NewStatusMatrix([]window.Frame{f, f})
 		if err != nil {
 			b.Fatal(err)
 		}
 		for r := 0; r < 10; r++ {
-			lo, hi := spec.WindowRange(r)
+			lo, hi := f.WindowRange(r)
 			for p1 := lo; p1 <= hi; p1++ {
 				for p2 := lo; p2 <= hi; p2++ {
 					if done, _ := m.Done(p1, p2); !done {
@@ -302,7 +302,7 @@ func newJoinHiOverlap(tb testing.TB) *joinHiOverlap {
 // panes per source before the first window, one after.
 func (j *joinHiOverlap) slide() [][2][]records.Record {
 	var out [][2][]records.Record
-	for p := j.fed; p*j.pane < j.eng.Query().Spec().WindowClose(j.eng.NextRecurrence()); p++ {
+	for p := j.fed; p*j.pane < j.eng.Frames()[0].WindowClose(j.eng.NextRecurrence()); p++ {
 		out = append(out, [2][]records.Record{
 			workload.FFGReadings(j.ffg, p*j.pane, (p+1)*j.pane, 3000),
 			workload.FFGEvents(j.ffg, p*j.pane, (p+1)*j.pane, 750),

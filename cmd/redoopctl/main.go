@@ -508,15 +508,16 @@ func run(w io.Writer, cfg experiments.Config, o runOpts) (*core.Engine, error) {
 	fmt.Fprintf(w, "%-7s %14s %12s %12s %12s %s\n", "window", "response", "shuffle", "reduce", "read(B)", "notes")
 	// The oversized-batch fault: the panes first consumed by window
 	// -spikewin carry -spikefactor times the volume.
+	wf := window.FrameOf(ws)
 	o.Rate = func(start int64) float64 {
-		if first, _ := ws.WindowsOfPane(ws.PaneOf(start)); first == o.spikeWin {
+		if first, _, _ := wf.WindowsOfPane(wf.PaneOf(start)); first == o.spikeWin {
 			return o.spikeFac
 		}
 		return 1
 	}
 	o.Before = func(r int, mr *mapreduce.Engine) {
 		if o.failNode >= 0 && r == 2 {
-			at := simtime.Time(ws.WindowClose(r - 1))
+			at := wf.At(wf.WindowClose(r - 1))
 			mr.DFS.FailNodeAt(o.failNode, at)
 			mr.Cluster.FailNode(o.failNode)
 			cfg.Obs.Emit(at, eventlog.NodeFailure, queryName(o.Kind), eventlog.NodeFailureData{Node: o.failNode})

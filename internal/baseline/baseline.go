@@ -148,12 +148,8 @@ func filteredMap(m mapreduce.MapFunc, startUnit, closeUnit int64) mapreduce.MapF
 func (d *Driver) RunNext() (*Result, error) {
 	r := d.next
 	q := d.query
-	spec := q.Spec()
 	closeUnit := d.frames[0].WindowClose(r) // shared trigger
-	trigger := simtime.Time(0)
-	if spec.Kind == window.TimeBased {
-		trigger = simtime.Time(closeUnit)
-	}
+	trigger := d.frames[0].At(closeUnit)
 
 	// Map every source's window files (with the window filter), fuse
 	// the waves, then reduce the whole window at once.

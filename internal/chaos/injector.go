@@ -9,7 +9,6 @@ import (
 	"redoop/internal/mapreduce"
 	"redoop/internal/records"
 	"redoop/internal/simtime"
-	"redoop/internal/window"
 )
 
 // Injector replays a Schedule against one Redoop run: it composes the
@@ -108,6 +107,8 @@ func (in *Injector) BeforeRecurrence(r int, eng *core.Engine, ingest func(src in
 		return err
 	}
 	workers := len(in.mr.Cluster.NodeIDs())
+	f := eng.Frames()[0]
+	at := f.At(f.WindowClose(r)) // the shared trigger of every source
 	for _, a := range in.sched.ActionsAt(r) {
 		switch a.Kind {
 		case NodeCrash:
@@ -115,18 +116,18 @@ func (in *Injector) BeforeRecurrence(r int, eng *core.Engine, ingest func(src in
 			if !in.mr.Cluster.Node(n).Alive() || in.aliveCount() <= 1 {
 				continue
 			}
-			in.mr.DFS.FailNodeAt(n, in.triggerTime(eng, r))
+			in.mr.DFS.FailNodeAt(n, at)
 			in.mr.Cluster.FailNode(n)
 			in.mr.Lineage.RecordFault(lineage.Fault{
 				Kind: string(NodeCrash), Node: n, Recurrence: r,
-				AtNS: int64(in.triggerTime(eng, r)),
+				AtNS: int64(at),
 			})
 		case NodeRevive:
 			n := a.Node % workers
 			if in.mr.Cluster.Node(n).Alive() {
 				continue
 			}
-			in.mr.Cluster.ReviveNode(n, in.triggerTime(eng, r))
+			in.mr.Cluster.ReviveNode(n, at)
 			in.mr.DFS.ReviveNode(n)
 		case CacheDrop:
 			n := a.Node % workers
@@ -136,10 +137,10 @@ func (in *Injector) BeforeRecurrence(r int, eng *core.Engine, ingest func(src in
 			in.mr.Cluster.DropLocal(n, "cache/")
 			in.mr.Lineage.RecordFault(lineage.Fault{
 				Kind: string(CacheDrop), Node: n, Recurrence: r,
-				AtNS: int64(in.triggerTime(eng, r)),
+				AtNS: int64(at),
 			})
 		case PaneCorrupt, PaneTruncate:
-			if err := in.corruptPane(r, eng, a); err != nil {
+			if err := in.corruptPane(r, at, eng, a); err != nil {
 				return err
 			}
 		case DelayBatch:
@@ -161,30 +162,17 @@ func (in *Injector) aliveCount() int {
 	return n
 }
 
-// triggerTime is recurrence r's window-close instant (zero for
-// count-based windows, whose units are not times).
-func (in *Injector) triggerTime(eng *core.Engine, r int) simtime.Time {
-	spec := eng.Query().Spec()
-	if spec.Kind != window.TimeBased {
-		return 0
-	}
-	return simtime.Time(spec.WindowClose(r))
-}
-
 // corruptPane mangles one already-mapped pane file that is still
 // inside the current window: a pane in the overlap region
 // [winLo(r), winHi(r-1)] was mapped (and its reduce-input cached)
 // during an earlier recurrence, so a correct engine serves the current
 // window from caches and never re-reads the damaged bytes. Requires
 // r ≥ 1 and overlapping windows; otherwise the action is a no-op.
-func (in *Injector) corruptPane(r int, eng *core.Engine, a Action) error {
+func (in *Injector) corruptPane(r int, at simtime.Time, eng *core.Engine, a Action) error {
 	if r < 1 {
 		return nil
 	}
-	frames, err := eng.Query().Frames()
-	if err != nil {
-		return err
-	}
+	frames := eng.Frames()
 	src := a.Source % len(frames)
 	lo, _ := frames[src].WindowRange(r)
 	_, prevHi := frames[src].WindowRange(r - 1)
@@ -228,7 +216,7 @@ func (in *Injector) corruptPane(r int, eng *core.Engine, a Action) error {
 	}
 	in.mr.Lineage.RecordFault(lineage.Fault{
 		Kind: string(a.Kind), Node: -1, Path: path, Recurrence: r,
-		AtNS: int64(in.triggerTime(eng, r)),
+		AtNS: int64(at),
 	})
 	return nil
 }

@@ -94,51 +94,14 @@ func NewAnalyzer(blockSize int64) (*Analyzer, error) {
 	return &Analyzer{BlockSize: blockSize, SpikeThreshold: 0.75, MaxSubPanes: 8}, nil
 }
 
-// Plan implements Algorithm 1. spec is the query's window constraint on
-// the source and rateBytesPerUnit the source's observed arrival rate in
-// bytes per window unit (bytes per nanosecond for time-based windows,
-// bytes per record for count-based ones).
-func (a *Analyzer) Plan(spec window.Spec, rateBytesPerUnit float64) (PartitionPlan, error) {
-	if err := spec.Validate(); err != nil {
-		return PartitionPlan{}, err
-	}
-	if rateBytesPerUnit < 0 {
-		return PartitionPlan{}, fmt.Errorf("core: negative arrival rate %v", rateBytesPerUnit)
-	}
-	// Line 1: pane <- GCD(win, slide); lines 2-8 in packPlan.
-	return a.packPlan(spec.PaneUnit(), rateBytesPerUnit), nil
-}
-
-// packPlan applies Algorithm 1's lines 2-8 to a pane unit: estimate
-// the pane file size from the arrival rate and choose the oversize
-// (one pane per file) or undersized (several panes per file)
-// representation against the block size.
-func (a *Analyzer) packPlan(pane int64, rateBytesPerUnit float64) PartitionPlan {
-	fileSize := int64(rateBytesPerUnit * float64(pane)) // line 2: filesize <- rate * pane
-	plan := PartitionPlan{PaneUnit: pane, FilesPerPane: 1, SubPanes: 1, ExpectedFileBytes: fileSize}
-	if fileSize >= a.BlockSize {
-		plan.PanesPerFile = 1 // oversize: one file for one pane
-	} else {
-		n := int(a.BlockSize / maxInt64(fileSize, 1)) // undersized: pack panes
-		if n < 1 {
-			n = 1
-		}
-		plan.PanesPerFile = n
-	}
-	return plan
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// PlanFrame is Plan against a source's effective window frame: the
-// pane unit comes from the frame (which accounts for heterogeneous
-// window sizes on a shared slide), and the oversize/undersized packing
-// decision follows Algorithm 1 lines 2-8 against it.
+// PlanFrame implements Algorithm 1 for one source. f is the source's
+// window frame, whose pane unit is line 1's GCD (refined for
+// heterogeneous windows on a shared slide, see window.Frame), and
+// rateBytesPerUnit the source's observed arrival rate in bytes per
+// window unit (bytes per nanosecond for time-based windows, bytes per
+// record for count-based ones). Lines 2-8 estimate the pane file size
+// and choose the oversize (one pane per file) or undersized (several
+// panes per file) representation against the block size.
 func (a *Analyzer) PlanFrame(f window.Frame, rateBytesPerUnit float64) (PartitionPlan, error) {
 	if err := f.Spec.Validate(); err != nil {
 		return PartitionPlan{}, err
@@ -146,39 +109,15 @@ func (a *Analyzer) PlanFrame(f window.Frame, rateBytesPerUnit float64) (Partitio
 	if rateBytesPerUnit < 0 {
 		return PartitionPlan{}, fmt.Errorf("core: negative arrival rate %v", rateBytesPerUnit)
 	}
-	return a.packPlan(f.Pane, rateBytesPerUnit), nil
-}
-
-// PlanMulti generalizes Algorithm 1 to a *sequence* of recurring
-// queries over one data source (§3.1: the Semantic Analyzer "takes as
-// input a sequence of recurring queries with different window
-// constraints"): the shared pane unit is the GCD of every query's
-// window and slide, so one physical partitioning serves all of them
-// without re-splitting. The oversize/undersized file-packing decision
-// then applies to the shared pane.
-func (a *Analyzer) PlanMulti(specs []window.Spec, rateBytesPerUnit float64) (PartitionPlan, error) {
-	if len(specs) == 0 {
-		return PartitionPlan{}, fmt.Errorf("core: PlanMulti needs at least one query")
+	fileSize := int64(rateBytesPerUnit * float64(f.Pane)) // line 2: filesize <- rate * pane
+	plan := PartitionPlan{PaneUnit: f.Pane, FilesPerPane: 1, PanesPerFile: 1, SubPanes: 1, ExpectedFileBytes: fileSize}
+	// Oversize: one file for one pane. An unknown rate (0) cannot size
+	// files either, so it also gets one pane per file until the
+	// profiler learns better. Undersized: pack panes.
+	if fileSize < a.BlockSize && rateBytesPerUnit > 0 {
+		plan.PanesPerFile = int(a.BlockSize / max(fileSize, 1))
 	}
-	if rateBytesPerUnit < 0 {
-		return PartitionPlan{}, fmt.Errorf("core: negative arrival rate %v", rateBytesPerUnit)
-	}
-	kind := specs[0].Kind
-	pane := int64(0)
-	for i, s := range specs {
-		if err := s.Validate(); err != nil {
-			return PartitionPlan{}, fmt.Errorf("core: query %d: %w", i, err)
-		}
-		if s.Kind != kind {
-			return PartitionPlan{}, fmt.Errorf("core: query %d mixes %v with %v windows", i, s.Kind, kind)
-		}
-		if pane == 0 {
-			pane = s.PaneUnit()
-		} else {
-			pane = window.GCD(pane, s.PaneUnit())
-		}
-	}
-	return a.packPlan(pane, rateBytesPerUnit), nil
+	return plan, nil
 }
 
 // Replan applies the adaptive strategy of §3.3 to an existing plan:

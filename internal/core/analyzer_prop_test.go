@@ -37,7 +37,7 @@ func TestPlanPaneIsGCD(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		spec := randSpec(rng)
-		plan, err := a.Plan(spec, rng.Float64()*1e-3)
+		plan, err := a.PlanFrame(window.FrameOf(spec), rng.Float64()*1e-3)
 		if err != nil {
 			t.Fatalf("%v: %v", spec, err)
 		}
@@ -69,37 +69,38 @@ func TestWindowCoverageGapFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
 		spec := randSpec(rng)
+		f := window.FrameOf(spec)
 		for r := 0; r < 6; r++ {
-			lo, hi := spec.WindowRange(r)
-			if got := spec.PaneStart(lo); got != int64(r)*spec.Slide {
+			lo, hi := f.WindowRange(r)
+			if got := f.PaneStart(lo); got != int64(r)*spec.Slide {
 				t.Fatalf("%v r=%d: window starts at %d, want %d", spec, r, got, int64(r)*spec.Slide)
 			}
-			if got := spec.PaneEnd(hi); got != int64(r)*spec.Slide+spec.Win {
+			if got := f.PaneEnd(hi); got != int64(r)*spec.Slide+spec.Win {
 				t.Fatalf("%v r=%d: window ends at %d, want %d", spec, r, got, int64(r)*spec.Slide+spec.Win)
 			}
-			if n := int64(hi-lo) + 1; n != spec.PanesPerWindow() {
-				t.Fatalf("%v r=%d: %d panes in range, want %d", spec, r, n, spec.PanesPerWindow())
+			if n := int64(hi-lo) + 1; n != f.PanesPerWindow() {
+				t.Fatalf("%v r=%d: %d panes in range, want %d", spec, r, n, f.PanesPerWindow())
 			}
 			// Consecutive panes tile the window with no gap or overlap
 			// by construction (PaneEnd(p) == PaneStart(p+1)); spot-check
 			// the contract anyway since the oracle leans on it.
 			for p := lo; p < hi; p++ {
-				if spec.PaneEnd(p) != spec.PaneStart(p+1) {
+				if f.PaneEnd(p) != f.PaneStart(p+1) {
 					t.Fatalf("%v: pane %d end %d != pane %d start %d",
-						spec, int64(p), spec.PaneEnd(p), int64(p+1), spec.PaneStart(p+1))
+						spec, int64(p), f.PaneEnd(p), int64(p+1), f.PaneStart(p+1))
 				}
 			}
 			// Window r+1 drops exactly PanesPerSlide panes and gains the
 			// same count: the sliding step in panes.
-			nlo, nhi := spec.WindowRange(r + 1)
-			if int64(nlo-lo) != spec.PanesPerSlide() || int64(nhi-hi) != spec.PanesPerSlide() {
+			nlo, nhi := f.WindowRange(r + 1)
+			if int64(nlo-lo) != f.PanesPerSlide() || int64(nhi-hi) != f.PanesPerSlide() {
 				t.Fatalf("%v r=%d: slide step lo %d hi %d, want %d panes",
-					spec, r, int64(nlo-lo), int64(nhi-hi), spec.PanesPerSlide())
+					spec, r, int64(nlo-lo), int64(nhi-hi), f.PanesPerSlide())
 			}
 			// Lifespan agreement: each pane in the window reports a
 			// recurrence span that includes r.
 			for p := lo; p <= hi; p++ {
-				rmin, rmax := spec.WindowsOfPane(p)
+				rmin, rmax, _ := f.WindowsOfPane(p)
 				if r < rmin || r > rmax {
 					t.Fatalf("%v: pane %d in window %d but lifespan is [%d,%d]",
 						spec, int64(p), r, rmin, rmax)
@@ -123,7 +124,7 @@ func TestPackPlanRespectsBlockSize(t *testing.T) {
 		}
 		spec := randSpec(rng)
 		rate := rng.Float64() * 1e-2
-		plan, err := a.Plan(spec, rate)
+		plan, err := a.PlanFrame(window.FrameOf(spec), rate)
 		if err != nil {
 			t.Fatalf("%v: %v", spec, err)
 		}
@@ -135,46 +136,14 @@ func TestPackPlanRespectsBlockSize(t *testing.T) {
 			}
 			continue
 		}
-		packed := int64(plan.PanesPerFile) * maxInt64(paneBytes, 1)
+		packed := int64(plan.PanesPerFile) * max(paneBytes, 1)
 		if packed > blockSize {
 			t.Fatalf("undersized plan overflows block: %d panes × %d B = %d > block %d",
 				plan.PanesPerFile, paneBytes, packed, blockSize)
 		}
-		if packed+maxInt64(paneBytes, 1) <= blockSize {
+		if packed+max(paneBytes, 1) <= blockSize {
 			t.Fatalf("undersized plan under-packs: %d panes × %d B leaves room in block %d",
 				plan.PanesPerFile, paneBytes, blockSize)
-		}
-	}
-}
-
-// TestPlanMultiSharedPaneProperty: the multi-query pane is the GCD across every
-// query's own pane and divides each query's win and slide, so one
-// physical partitioning serves all window constraints without
-// re-splitting (§3.1).
-func TestPlanMultiSharedPaneProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a, _ := NewAnalyzer(64 << 20)
-	for i := 0; i < 200; i++ {
-		n := 2 + rng.Intn(4)
-		specs := make([]window.Spec, n)
-		for j := range specs {
-			specs[j] = randSpec(rng)
-		}
-		plan, err := a.PlanMulti(specs, 1e-3)
-		if err != nil {
-			t.Fatalf("%v: %v", specs, err)
-		}
-		for _, s := range specs {
-			if s.Win%plan.PaneUnit != 0 || s.Slide%plan.PaneUnit != 0 {
-				t.Fatalf("shared pane %d does not divide %v", plan.PaneUnit, s)
-			}
-		}
-		want := specs[0].PaneUnit()
-		for _, s := range specs[1:] {
-			want = window.GCD(want, s.PaneUnit())
-		}
-		if plan.PaneUnit != want {
-			t.Fatalf("shared pane %d, want GCD %d", plan.PaneUnit, want)
 		}
 	}
 }

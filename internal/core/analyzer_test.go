@@ -27,7 +27,7 @@ func TestPlanPaperOversizeExample(t *testing.T) {
 	}
 	spec := window.NewTimeSpec(60*time.Minute, 20*time.Minute)
 	ratePerNs := 16.0 * (1 << 20) / float64(time.Minute) // 16 MB/min in bytes/ns
-	plan, err := a.Plan(spec, ratePerNs)
+	plan, err := a.PlanFrame(window.FrameOf(spec), ratePerNs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestPlanUndersizedCase(t *testing.T) {
 	a, _ := NewAnalyzer(64 << 20)
 	spec := window.NewTimeSpec(60*time.Minute, 20*time.Minute)
 	ratePerNs := 0.5 * (1 << 20) / float64(time.Minute) // 0.5 MB/min → 10 MB/pane
-	plan, err := a.Plan(spec, ratePerNs)
+	plan, err := a.PlanFrame(window.FrameOf(spec), ratePerNs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +60,30 @@ func TestPlanUndersizedCase(t *testing.T) {
 
 func TestPlanRejectsNegativeRate(t *testing.T) {
 	a, _ := NewAnalyzer(64)
-	if _, err := a.Plan(window.NewCountSpec(30, 20), -1); err == nil {
+	if _, err := a.PlanFrame(window.FrameOf(window.NewCountSpec(30, 20)), -1); err == nil {
 		t.Error("negative rate should be rejected")
+	}
+	if _, err := a.PlanFrame(window.FrameOf(window.Spec{Kind: window.CountBased, Slide: 1}), 1); err == nil {
+		t.Error("invalid window should be rejected")
+	}
+}
+
+// An unknown arrival rate cannot size files, so Algorithm 1 keeps one
+// pane per file until the profiler learns better.
+func TestPlanUnknownRateOnePanePerFile(t *testing.T) {
+	a, _ := NewAnalyzer(64 << 20)
+	frames, err := window.NewFrames([]window.Spec{window.NewCountSpec(30, 10), window.NewCountSpec(20, 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames {
+		plan, err := a.PlanFrame(f, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.PaneUnit != f.Pane || plan.PanesPerFile != 1 {
+			t.Errorf("%v: plan %s, want pane %d and one pane per file", f, plan, f.Pane)
+		}
 	}
 }
 
@@ -168,124 +190,5 @@ func TestProfilerHistoryIsBounded(t *testing.T) {
 func TestNewProfilerValidation(t *testing.T) {
 	if _, err := NewProfiler(0, 0.3); err == nil {
 		t.Error("invalid alpha should be rejected")
-	}
-}
-
-// PlanMulti: the shared pane unit across queries is the GCD of all
-// window constraints (§3.1's multi-query analyzer).
-func TestPlanMultiSharedPane(t *testing.T) {
-	a, _ := NewAnalyzer(64 << 20)
-	specs := []window.Spec{
-		window.NewCountSpec(60, 20), // pane 20
-		window.NewCountSpec(30, 15), // pane 15
-	}
-	plan, err := a.PlanMulti(specs, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.PaneUnit != 5 { // GCD(20, 15)
-		t.Errorf("shared pane = %d, want 5", plan.PaneUnit)
-	}
-	// A single query degenerates to Plan.
-	single, err := a.PlanMulti(specs[:1], 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if single.PaneUnit != 20 {
-		t.Errorf("single-query pane = %d, want 20", single.PaneUnit)
-	}
-}
-
-func TestPlanMultiValidation(t *testing.T) {
-	a, _ := NewAnalyzer(64 << 20)
-	if _, err := a.PlanMulti(nil, 100); err == nil {
-		t.Error("empty query list should fail")
-	}
-	if _, err := a.PlanMulti([]window.Spec{window.NewCountSpec(30, 20)}, -1); err == nil {
-		t.Error("negative rate should fail")
-	}
-	mixed := []window.Spec{
-		window.NewCountSpec(30, 20),
-		window.NewTimeSpec(time.Hour, time.Minute),
-	}
-	if _, err := a.PlanMulti(mixed, 100); err == nil {
-		t.Error("mixed window kinds should fail")
-	}
-	bad := []window.Spec{{Kind: window.CountBased, Win: 0, Slide: 1}}
-	if _, err := a.PlanMulti(bad, 100); err == nil {
-		t.Error("invalid spec should fail")
-	}
-}
-
-func TestPlanMultiFilePacking(t *testing.T) {
-	a, _ := NewAnalyzer(1000)
-	specs := []window.Spec{window.NewCountSpec(40, 10)} // pane 10
-	// 10 units × 20 B/unit = 200 B/pane < 1000 B block → 5 panes/file.
-	plan, err := a.PlanMulti(specs, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.PanesPerFile != 5 {
-		t.Errorf("panes per file = %d, want 5", plan.PanesPerFile)
-	}
-}
-
-// TestPlanMultiTable audits the §3.1 shared-pane path across
-// tumbling/overlapping mixes: the shared pane must divide every
-// query's window AND slide (one physical partitioning serves all
-// without re-splitting) and must be maximal — it equals the GCD over
-// all window constraints, not something finer.
-func TestPlanMultiTable(t *testing.T) {
-	a, _ := NewAnalyzer(64 << 20)
-	cases := []struct {
-		name  string
-		specs []window.Spec
-		pane  int64
-	}{
-		{"identical overlapping", []window.Spec{
-			window.NewCountSpec(60, 15), window.NewCountSpec(60, 15)}, 15},
-		{"tumbling pair", []window.Spec{
-			window.NewCountSpec(30, 30), window.NewCountSpec(45, 45)}, 15},
-		{"tumbling x overlapping", []window.Spec{
-			window.NewCountSpec(60, 15), window.NewCountSpec(30, 30)}, 15},
-		{"coarse multiple of fine", []window.Spec{
-			window.NewCountSpec(60, 15), window.NewCountSpec(120, 60)}, 15},
-		{"coprime slides", []window.Spec{
-			window.NewCountSpec(21, 7), window.NewCountSpec(10, 5)}, 1},
-		{"three queries", []window.Spec{
-			window.NewCountSpec(60, 20), window.NewCountSpec(60, 12), window.NewCountSpec(30, 30)}, 2},
-		{"reuse workload geometry (minutes)", []window.Spec{
-			window.NewTimeSpec(time.Hour, 15*time.Minute),
-			window.NewTimeSpec(time.Hour, 15*time.Minute),
-			window.NewTimeSpec(30*time.Minute, 30*time.Minute)}, int64(15 * time.Minute)},
-	}
-	for _, tc := range cases {
-		plan, err := a.PlanMulti(tc.specs, 1000)
-		if err != nil {
-			t.Errorf("%s: %v", tc.name, err)
-			continue
-		}
-		if plan.PaneUnit != tc.pane {
-			t.Errorf("%s: shared pane = %d, want %d", tc.name, plan.PaneUnit, tc.pane)
-		}
-		for i, s := range tc.specs {
-			if s.Win%plan.PaneUnit != 0 || s.Slide%plan.PaneUnit != 0 {
-				t.Errorf("%s: pane %d does not divide query %d (win %d slide %d)",
-					tc.name, plan.PaneUnit, i, s.Win, s.Slide)
-			}
-		}
-		if err := plan.Validate(); err != nil {
-			t.Errorf("%s: plan invalid: %v", tc.name, err)
-		}
-	}
-	// Degenerate slides must be rejected per-spec, not absorbed by GCD.
-	for _, slide := range []int64{0, -5} {
-		bad := []window.Spec{
-			window.NewCountSpec(60, 15),
-			{Kind: window.CountBased, Win: 30, Slide: slide},
-		}
-		if _, err := a.PlanMulti(bad, 100); err == nil {
-			t.Errorf("slide %d accepted", slide)
-		}
 	}
 }

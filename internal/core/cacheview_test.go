@@ -48,7 +48,7 @@ func TestRetainedOutputSurvivesCacheChurn(t *testing.T) {
 				var kept, want []records.Pair
 				recoveries, fed := 0, 0
 				for r := 0; r < 10; r++ {
-					for ; int64(fed)*int64(testSlide) < q.Spec().WindowClose(r); fed++ {
+					for ; int64(fed)*int64(testSlide) < eng.Frames()[0].WindowClose(r); fed++ {
 						for src := range q.Sources {
 							var batch []records.Record
 							if name == "join" {
@@ -191,7 +191,7 @@ func TestReduceInputsAreStoredSorted(t *testing.T) {
 			}
 			checked := 0
 			for r, fed := 0, 0; r < 4; r++ {
-				for ; int64(fed)*int64(testSlide) < c.q.Spec().WindowClose(r); fed++ {
+				for ; int64(fed)*int64(testSlide) < eng.Frames()[0].WindowClose(r); fed++ {
 					for src := range c.q.Sources {
 						if err := eng.Ingest(src, genKV(int64(src*1000+29), testSlide, fed, 200, 6)); err != nil {
 							t.Fatal(err)
@@ -243,7 +243,7 @@ func TestCachesOwnNothingOfTheirInputs(t *testing.T) {
 			twin := mustEngine(t, core.Config{MR: twinMR, Query: viewQuery("agg")}) // never disturbed
 			fed := 0
 			feed := func(r int) {
-				for ; int64(fed)*int64(testSlide) < q.Spec().WindowClose(r); fed++ {
+				for ; int64(fed)*int64(testSlide) < eng.Frames()[0].WindowClose(r); fed++ {
 					batch := genWords(23, testSlide, fed, 300, 20)
 					if err := twin.Ingest(0, slices.Clone(batch)); err != nil {
 						t.Fatal(err)

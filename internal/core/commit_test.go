@@ -114,7 +114,7 @@ func (r *seamRun) drive(t *testing.T, windows int, slide simtime.Duration, gen f
 	q := r.eng.query
 	fed := 0
 	for rec := 0; rec < windows; rec++ {
-		for ; int64(fed)*int64(slide) < q.Spec().WindowClose(rec); fed++ {
+		for ; int64(fed)*int64(slide) < r.eng.frames[0].WindowClose(rec); fed++ {
 			for src := range q.Sources {
 				if err := r.eng.Ingest(src, gen(src, fed)); err != nil {
 					t.Fatal(err)
@@ -392,7 +392,7 @@ func TestReplacementBookkeepingBounded(t *testing.T) {
 			eng := mustEngine(t, Config{MR: internalRig(3, 17), Query: q, CacheDiskLimit: limit})
 			fed := 0
 			for rec := 0; rec < 200; rec++ {
-				for ; int64(fed)*int64(slide) < q.Spec().WindowClose(rec); fed++ {
+				for ; int64(fed)*int64(slide) < eng.frames[0].WindowClose(rec); fed++ {
 					if err := eng.Ingest(0, internalWords(19, slide, fed, 40, 8)); err != nil {
 						t.Fatal(err)
 					}

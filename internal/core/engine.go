@@ -265,7 +265,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	matrix, err := NewStatusMatrixFrames(frames)
+	matrix, err := NewStatusMatrix(frames)
 	if err != nil {
 		return nil, err
 	}
@@ -331,15 +331,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 			e.plans = append(e.plans, view.Plan())
 			continue
 		}
-		rate := src.RateBytesPerUnit
-		plan, err := analyzer.PlanFrame(frames[i], rate)
+		plan, err := analyzer.PlanFrame(frames[i], src.RateBytesPerUnit)
 		if err != nil {
 			return nil, err
-		}
-		if rate == 0 {
-			// Unknown rate: Algorithm 1 cannot size files, so default
-			// to one pane per file until the profiler learns better.
-			plan.PanesPerFile = 1
 		}
 		pk, err := NewPacker(cfg.MR.DFS, src.Name, fmt.Sprintf("%s/%s", dataDir, src.Name), frames[i], plan)
 		if err != nil {
@@ -357,6 +351,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // Query returns the engine's query.
 func (e *Engine) Query() *Query { return e.query }
+
+// Frames returns the query's per-source window frames, index-aligned
+// with its sources; callers must not modify them.
+func (e *Engine) Frames() []window.Frame { return e.frames }
 
 // MR returns the underlying MapReduce runtime.
 func (e *Engine) MR() *mapreduce.Engine { return e.mr }
@@ -479,16 +477,6 @@ func (e *Engine) Ingest(src int, recs []records.Record) error {
 	return nil
 }
 
-// timeOfUnit converts a window-unit offset to a virtual instant:
-// identity for time-based windows; count-based windows have no
-// intrinsic arrival time, so they trigger immediately.
-func (e *Engine) timeOfUnit(u int64) simtime.Time {
-	if e.query.Spec().Kind == window.TimeBased {
-		return simtime.Time(u)
-	}
-	return 0
-}
-
 // RunNext executes the next recurrence of the query and advances the
 // engine. Recurrences must run in order — windows slide monotonically.
 // When several engines share one MapReduce runtime, their recurrences
@@ -505,7 +493,7 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 			return nil, err
 		}
 	}
-	trigger := e.timeOfUnit(closeUnit)
+	trigger := e.frames[0].At(closeUnit)
 	e.mu.Lock()
 	e.curTrigger = trigger
 	e.mu.Unlock()

@@ -152,7 +152,7 @@ func TestExpiredCachesArePurged(t *testing.T) {
 		}
 	}
 	// Recent panes' caches must still exist.
-	lo, hi := q.Spec().WindowRange(5)
+	lo, hi := eng.frames[0].WindowRange(5)
 	found := false
 	for p := lo; p <= hi; p++ {
 		for part := 0; part < q.NumReducers; part++ {

@@ -214,7 +214,7 @@ func TestLongRunBoundedCaches(t *testing.T) {
 	// volume stays bounded too (window data + a few unexpired panes).
 	total := eng.MR().DFS.TotalBytes()
 	var windowBytes int64
-	lo, hi := q.Spec().WindowRange(11)
+	lo, hi := eng.Frames()[0].WindowRange(11)
 	for p := lo; p <= hi; p++ {
 		windowBytes += eng.Packer(0).PaneBytes(p)
 	}

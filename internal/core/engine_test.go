@@ -430,8 +430,8 @@ func TestAdaptiveEngineSubdividesUnderSpike(t *testing.T) {
 	slow.SortBps /= 20000
 	slow.TaskOverhead = 10 * time.Millisecond
 	eng := mustEngine(t, core.Config{MR: newRigCost(2, 3, slow), Query: q, Adaptive: true})
-	spec := q.Spec()
-	slidesPerWin := int(spec.PanesPerWindow() / spec.PanesPerSlide())
+	f := eng.Frames()[0]
+	slidesPerWin := int(f.PanesPerWindow() / f.PanesPerSlide())
 	fed := 0
 	sawProactive := false
 	for r := 0; r < 5; r++ {

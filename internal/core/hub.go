@@ -71,14 +71,12 @@ func (h *SourceHub) Share(key, name string, spec window.Spec, rate float64) erro
 	if err != nil {
 		return err
 	}
-	plan, err := analyzer.Plan(spec, rate)
+	frame := window.FrameOf(spec)
+	plan, err := analyzer.PlanFrame(frame, rate)
 	if err != nil {
 		return err
 	}
-	if rate == 0 {
-		plan.PanesPerFile = 1
-	}
-	pk, err := NewPacker(h.dfs, name, "/redoop/shared/"+key, window.FrameOf(spec), plan)
+	pk, err := NewPacker(h.dfs, name, "/redoop/shared/"+key, frame, plan)
 	if err != nil {
 		return err
 	}

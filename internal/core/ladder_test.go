@@ -73,7 +73,7 @@ func ladderDriveErr(t *testing.T, eng *Engine, between func(*Engine), gen func(s
 	var res *RecurrenceResult
 	fed := 0
 	for rec := 0; rec < 2; rec++ {
-		for ; int64(fed)*int64(ladderSlide) < eng.query.Spec().WindowClose(rec); fed++ {
+		for ; int64(fed)*int64(ladderSlide) < eng.frames[0].WindowClose(rec); fed++ {
 			for src := range eng.query.Sources {
 				if err := eng.Ingest(src, gen(src, fed)); err != nil {
 					t.Fatal(err)
@@ -119,10 +119,10 @@ func ladderShared(t *testing.T, workers int, second *Query) (*RecurrenceResult, 
 	fed := 0
 	for {
 		i := 0
-		if second.Spec().WindowClose(engs[1].next) < first.Spec().WindowClose(engs[0].next) {
+		if engs[1].frames[0].WindowClose(engs[1].next) < engs[0].frames[0].WindowClose(engs[0].next) {
 			i = 1
 		}
-		for ; int64(fed)*int64(ladderSlide) < qs[i].Spec().WindowClose(engs[i].next); fed++ {
+		for ; int64(fed)*int64(ladderSlide) < engs[i].frames[0].WindowClose(engs[i].next); fed++ {
 			if err := hub.Ingest("words", internalWords(19, ladderSlide, fed, 300, 8)); err != nil {
 				t.Fatal(err)
 			}

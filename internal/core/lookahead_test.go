@@ -40,7 +40,7 @@ func freshWindow(t *testing.T, workers int) (eng *Engine, lo, hi window.PaneID) 
 // are ever borrowed at once.
 func TestLookaheadBorrowsOneOutputPerWorker(t *testing.T) {
 	eng, lo, hi := freshWindow(t, 2)
-	res, err := eng.runRecurrence(0, eng.timeOfUnit(eng.frames[0].WindowClose(0)))
+	res, err := eng.runRecurrence(0, eng.frames[0].At(eng.frames[0].WindowClose(0)))
 	if err != nil {
 		t.Fatal(err)
 	}

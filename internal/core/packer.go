@@ -63,11 +63,6 @@ type Packer struct {
 	obs      *obs.Observer
 	obsQuery string
 
-	// timeOfUnit maps a window-unit offset to a virtual instant. For
-	// time-based windows units are virtual nanoseconds (identity); for
-	// count-based windows the caller supplies the arrival mapping.
-	timeOfUnit func(int64) simtime.Time
-
 	// pending buffers each open pane's records per sub-pane; its length
 	// is the sub-pane factor the pane was bound to by its first record.
 	pending map[window.PaneID][][]records.Record
@@ -106,13 +101,9 @@ func NewPacker(d *dfs.DFS, sourceName, dir string, frame window.Frame, plan Part
 		pending: make(map[window.PaneID][][]records.Record),
 		flushed: make(map[window.PaneID][]PaneInput),
 		maxTs:   -1,
+
+		groupData: make(map[window.PaneID][]byte),
 	}
-	if frame.Spec.Kind == window.TimeBased {
-		p.timeOfUnit = func(u int64) simtime.Time { return simtime.Time(u) }
-	} else {
-		p.timeOfUnit = func(int64) simtime.Time { return 0 }
-	}
-	p.groupData = make(map[window.PaneID][]byte)
 	return p, nil
 }
 
@@ -306,7 +297,7 @@ func (p *Packer) flushPane(pane window.PaneID, enc [][]byte) error {
 			if s == sub-1 {
 				availUnit = p.frame.PaneEnd(pane)
 			}
-			availAt := p.timeOfUnit(availUnit)
+			availAt := p.frame.At(availUnit)
 			if err := p.dfs.WriteAt(path, data, availAt); err != nil {
 				return err
 			}
@@ -436,7 +427,7 @@ func (p *Packer) flushGroup() error {
 	}
 	// The shared file is complete when its newest pane's data is — its
 	// replication fan-out is stamped at that instant.
-	if err := p.dfs.WriteAt(path, body, p.timeOfUnit(p.frame.PaneEnd(hi))); err != nil {
+	if err := p.dfs.WriteAt(path, body, p.frame.At(p.frame.PaneEnd(hi))); err != nil {
 		return err
 	}
 	hdrBytes, err := json.Marshal(hdr)
@@ -456,7 +447,7 @@ func (p *Packer) flushGroup() error {
 		}
 		p.addSegment(PaneInput{
 			Input: mapreduce.Input{Path: path, Offset: h.Offset, Length: h.Length}, Pane: pane,
-			AvailableAt: p.timeOfUnit(p.frame.PaneEnd(pane)), HeaderBytes: int64(len(hdrBytes)),
+			AvailableAt: p.frame.At(p.frame.PaneEnd(pane)), HeaderBytes: int64(len(hdrBytes)),
 		}, h.Length)
 	}
 	return nil

@@ -116,7 +116,7 @@ func runEmitTrace(t *testing.T, q, qb *core.Query, subPanes, workers int, betwee
 	}
 	var tr emitTrace
 	for r, fed := 0, 0; r < 6; r++ {
-		for ; int64(fed)*int64(testSlide) < q.Spec().WindowClose(r); fed++ {
+		for ; int64(fed)*int64(testSlide) < eng.Frames()[0].WindowClose(r); fed++ {
 			for src := range q.Sources {
 				batch := genWords(23, testSlide, fed, 300, 20)
 				if len(q.Sources) > 1 {
@@ -378,18 +378,17 @@ func runReuseMerge(t *testing.T, rs reducers) (emitTrace, int) {
 		// The engine whose window closes first runs next; on a tie the
 		// fine query, so the roll-up finds its newest half-pane published.
 		i := 0
-		if c := roll.Spec().WindowClose(engs[1].NextRecurrence()); c < fine.Spec().WindowClose(engs[0].NextRecurrence()) {
+		if c := engs[1].Frames()[0].WindowClose(engs[1].NextRecurrence()); c < engs[0].Frames()[0].WindowClose(engs[0].NextRecurrence()) {
 			i = 1
 		}
-		q := engs[i].Query()
-		for ; int64(fed)*int64(testSlide) < q.Spec().WindowClose(engs[i].NextRecurrence()); fed++ {
+		for ; int64(fed)*int64(testSlide) < engs[i].Frames()[0].WindowClose(engs[i].NextRecurrence()); fed++ {
 			if err := hub.Ingest("words", genWords(23, testSlide, fed, 300, 20)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		res, err := engs[i].RunNext()
 		if err != nil {
-			t.Fatalf("%s recurrence %d: %v", q.Name, res.Recurrence, err)
+			t.Fatalf("%s recurrence %d: %v", engs[i].Query().Name, res.Recurrence, err)
 		}
 		tr.outputs = append(tr.outputs, records.EncodePairs(res.Output))
 		tr.baseline = append(tr.baseline, nil)

@@ -103,7 +103,7 @@ func TestSoakStaysFlat(t *testing.T) {
 			var at1000 soakSize
 			fed := 0
 			for rec := 0; rec < 2000; rec++ {
-				for ; int64(fed)*int64(slide) < c.q.Spec().WindowClose(rec); fed++ {
+				for ; int64(fed)*int64(slide) < eng.Frames()[0].WindowClose(rec); fed++ {
 					for src := range c.q.Sources {
 						if err := eng.Ingest(src, c.gen(fed)); err != nil {
 							t.Fatal(err)

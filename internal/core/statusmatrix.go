@@ -33,25 +33,10 @@ type StatusMatrix struct {
 	done   []bool          // row-major over the tracked ranges
 }
 
-// NewStatusMatrix initializes a matrix for a query over `dims` sources
-// sharing one window constraint. Per the paper, each dimension starts
-// sized to one window's worth of panes beginning at pane zero, all
-// entries zero.
-func NewStatusMatrix(dims int, spec window.Spec) (*StatusMatrix, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	frames := make([]window.Frame, dims)
-	for d := range frames {
-		frames[d] = window.FrameOf(spec)
-	}
-	return NewStatusMatrixFrames(frames)
-}
-
-// NewStatusMatrixFrames initializes a matrix whose dimensions carry
-// per-source window frames (heterogeneous window sizes on a shared
-// slide).
-func NewStatusMatrixFrames(frames []window.Frame) (*StatusMatrix, error) {
+// NewStatusMatrix initializes a matrix whose dimensions carry the
+// query's per-source window frames. Per the paper, each dimension
+// starts sized to its source's first window of panes, all entries zero.
+func NewStatusMatrix(frames []window.Frame) (*StatusMatrix, error) {
 	dims := len(frames)
 	if dims < 1 {
 		return nil, fmt.Errorf("core: status matrix needs at least one dimension, got %d", dims)

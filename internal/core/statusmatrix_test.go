@@ -17,17 +17,27 @@ func fig4Spec() window.Spec {
 	return window.NewTimeSpec(30*time.Minute, 20*time.Minute)
 }
 
+// sameFrames is the frame list of a query whose dims sources all carry
+// spec.
+func sameFrames(dims int, spec window.Spec) []window.Frame {
+	frames := make([]window.Frame, dims)
+	for d := range frames {
+		frames[d] = window.FrameOf(spec)
+	}
+	return frames
+}
+
 func TestNewStatusMatrixValidation(t *testing.T) {
-	if _, err := NewStatusMatrix(0, fig4Spec()); err == nil {
+	if _, err := NewStatusMatrix(nil); err == nil {
 		t.Error("zero dims should be rejected")
 	}
-	if _, err := NewStatusMatrix(2, window.Spec{}); err == nil {
+	if _, err := NewStatusMatrix(sameFrames(2, window.Spec{})); err == nil {
 		t.Error("invalid spec should be rejected")
 	}
 }
 
 func TestInitializationSizedToWindow(t *testing.T) {
-	m, err := NewStatusMatrix(2, fig4Spec())
+	m, err := NewStatusMatrix(sameFrames(2, fig4Spec()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +52,7 @@ func TestInitializationSizedToWindow(t *testing.T) {
 }
 
 func TestUpdateAndDone(t *testing.T) {
-	m, _ := NewStatusMatrix(2, fig4Spec())
+	m, _ := NewStatusMatrix(sameFrames(2, fig4Spec()))
 	if err := m.Update(3, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +72,7 @@ func TestUpdateAndDone(t *testing.T) {
 }
 
 func TestOneDimensionalMatrix(t *testing.T) {
-	m, _ := NewStatusMatrix(1, fig4Spec())
+	m, _ := NewStatusMatrix(sameFrames(1, fig4Spec()))
 	m.Update(1)
 	if !m.Exhausted(0, 1) {
 		t.Error("1-D pane is exhausted once its own entry is done")
@@ -76,7 +86,7 @@ func TestOneDimensionalMatrix(t *testing.T) {
 // spans partner panes 0..2; S1P1 is exhausted only when all of
 // (1,0),(1,1),(1,2) are done.
 func TestExhaustedFollowsLifespan(t *testing.T) {
-	m, _ := NewStatusMatrix(2, fig4Spec())
+	m, _ := NewStatusMatrix(sameFrames(2, fig4Spec()))
 	m.Update(1, 0)
 	m.Update(1, 1)
 	if m.Exhausted(0, 1) {
@@ -89,7 +99,7 @@ func TestExhaustedFollowsLifespan(t *testing.T) {
 }
 
 func TestExpiredRequiresWindowDeparture(t *testing.T) {
-	m, _ := NewStatusMatrix(2, fig4Spec())
+	m, _ := NewStatusMatrix(sameFrames(2, fig4Spec()))
 	for q := window.PaneID(0); q <= 2; q++ {
 		m.Update(1, q)
 	}
@@ -108,7 +118,7 @@ func TestExpiredRequiresWindowDeparture(t *testing.T) {
 // admits fresh ones, but an entry like (S1P5, S2P5) whose panes have
 // not exhausted their lifespans survives.
 func TestShiftPaperFigure4(t *testing.T) {
-	m, _ := NewStatusMatrix(2, fig4Spec())
+	m, _ := NewStatusMatrix(sameFrames(2, fig4Spec()))
 	// Complete everything pane pairs (p1,p2) for p1,p2 in [0,4] except
 	// those involving panes 5+.
 	for p1 := window.PaneID(0); p1 <= 4; p1++ {
@@ -151,7 +161,7 @@ func TestShiftPaperFigure4(t *testing.T) {
 // pane) is refused with an error, in either dimension, and leaves the
 // matrix as it was: the caller degrades, the process does not die.
 func TestUpdateBelowShiftedBaseIsAnError(t *testing.T) {
-	m, _ := NewStatusMatrix(2, fig4Spec())
+	m, _ := NewStatusMatrix(sameFrames(2, fig4Spec()))
 	for p1 := window.PaneID(0); p1 <= 4; p1++ {
 		for p2 := window.PaneID(0); p2 <= 4; p2++ {
 			m.Update(p1, p2)
@@ -174,7 +184,7 @@ func TestUpdateBelowShiftedBaseIsAnError(t *testing.T) {
 }
 
 func TestShiftDoesNotRetireUnfinishedLeader(t *testing.T) {
-	m, _ := NewStatusMatrix(2, fig4Spec())
+	m, _ := NewStatusMatrix(sameFrames(2, fig4Spec()))
 	// Pane 0's lifespan is [0,2]; leave (0,2) pending.
 	m.Update(0, 0)
 	m.Update(0, 1)
@@ -185,12 +195,12 @@ func TestShiftDoesNotRetireUnfinishedLeader(t *testing.T) {
 }
 
 func TestStringRendering(t *testing.T) {
-	m1, _ := NewStatusMatrix(1, fig4Spec())
+	m1, _ := NewStatusMatrix(sameFrames(1, fig4Spec()))
 	m1.Update(0)
 	if s := m1.String(); s == "" {
 		t.Error("1-D render empty")
 	}
-	m2, _ := NewStatusMatrix(2, fig4Spec())
+	m2, _ := NewStatusMatrix(sameFrames(2, fig4Spec()))
 	if s := m2.String(); s == "" {
 		t.Error("2-D render empty")
 	}
@@ -202,7 +212,7 @@ func TestStringRendering(t *testing.T) {
 func TestShiftPreservationProperty(t *testing.T) {
 	f := func(seed int64, rU uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m, _ := NewStatusMatrix(2, fig4Spec())
+		m, _ := NewStatusMatrix(sameFrames(2, fig4Spec()))
 		type c struct{ p1, p2 window.PaneID }
 		set := make(map[c]bool)
 		for i := 0; i < 40; i++ {

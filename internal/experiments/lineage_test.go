@@ -111,9 +111,8 @@ func auditCatchesBadSHA(t *testing.T, cfg Config, spec runSpec, kind string) {
 	}
 	ingest := ora.WrapIngest(eng.Ingest)
 	feed := cfg.paneFeed(spec)
-	winSpec := q.Spec()
 	for r := 0; r < spec.windows; r++ {
-		if err := feed(winSpec.WindowClose(r), ingest); err != nil {
+		if err := feed(eng.Frames()[0].WindowClose(r), ingest); err != nil {
 			t.Fatal(err)
 		}
 		res, err := eng.RunNext()

@@ -86,7 +86,7 @@ func (r *run) feedTo(unit int64) {
 // window feeds and runs recurrence i, returning its oracle verdict.
 func (r *run) window(i int) oracle.Verdict {
 	r.t.Helper()
-	r.feedTo(r.q.Spec().WindowClose(i))
+	r.feedTo(r.eng.Frames()[0].WindowClose(i))
 	res, err := r.eng.RunNext()
 	if err != nil {
 		r.t.Fatalf("window %d: %v", i+1, err)
@@ -198,7 +198,7 @@ func TestOracleFlagsIllegalTransition(t *testing.T) {
 func TestOracleFlagsPhantomCache(t *testing.T) {
 	r := startAgg(t, newMR(t, 4, 7), nil, "q-phantom", "")
 	requireOK(t, r.window(0))
-	r.feedTo(r.q.Spec().WindowClose(1))
+	r.feedTo(r.eng.Frames()[0].WindowClose(1))
 	res, err := r.eng.RunNext()
 	if err != nil {
 		t.Fatalf("window 2: %v", err)

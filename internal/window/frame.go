@@ -3,22 +3,24 @@ package window
 import (
 	"fmt"
 	"time"
+
+	"redoop/internal/simtime"
 )
 
-// Frame positions one source's windows on the shared unit axis when a
-// query's sources carry *different* window sizes (the paper's §2.1
-// model attaches a window constraint to each source; §4.2's matrix
-// derives each dimension "directly from the window constraints on each
-// source"). All sources of a query share the recurrence cadence — the
-// slide — and a recurrence triggers when the largest window has
-// filled; a smaller window then covers the most recent win_d units
-// before that trigger.
+// Frame positions one source's windows on the query's shared unit
+// axis, including when its sources carry *different* window sizes
+// (the paper's §2.1 model attaches a window constraint to each source;
+// §4.2's matrix derives each dimension "directly from the window
+// constraints on each source"). All sources of a query share the
+// recurrence cadence — the slide — and a recurrence triggers when the
+// largest window has filled; a smaller window then covers the most
+// recent win_d units before that trigger.
 //
 // The effective pane unit of a source divides its win, the slide, and
 // its trigger offset (winMax - win_d), so every window edge is
 // pane-aligned — a refinement of Algorithm 1's GCD for heterogeneous
-// windows. With equal windows the frame degenerates to the plain Spec
-// semantics (offset 0, pane = GCD(win, slide)).
+// windows. With equal windows the frame degenerates to Algorithm 1's
+// geometry (offset 0, pane = GCD(win, slide)); FrameOf builds that case.
 type Frame struct {
 	// Spec is the source's own window constraint.
 	Spec Spec
@@ -101,6 +103,16 @@ func (f Frame) PaneStart(p PaneID) int64 { return int64(p) * f.Pane }
 // PaneEnd returns the exclusive upper unit bound of pane p.
 func (f Frame) PaneEnd(p PaneID) int64 { return (int64(p) + 1) * f.Pane }
 
+// At converts unit offset u to a virtual instant: the identity for
+// time-based windows; count-based windows have no intrinsic arrival
+// time, so every unit maps to instant zero.
+func (f Frame) At(u int64) simtime.Time {
+	if f.Spec.Kind == TimeBased {
+		return simtime.Time(u)
+	}
+	return 0
+}
+
 // WindowClose returns the shared trigger instant of recurrence r:
 // r·slide + winMax (expressed through this frame as win + offset).
 func (f Frame) WindowClose(r int) int64 {
@@ -126,6 +138,8 @@ func (f Frame) WindowsOfPane(p PaneID) (rmin, rmax int, ok bool) {
 	if off < 0 {
 		return 0, -1, false
 	}
+	// Window r covers relative panes [r*pps, r*pps+ppw-1], so it holds
+	// off iff ceil((off-ppw+1)/pps) <= r <= floor(off/pps).
 	rmax = int(off / pps)
 	num := off - ppw + 1
 	if num <= 0 {
@@ -154,16 +168,4 @@ func (f Frame) LifespanIn(p PaneID, partner Frame) (lo, hi PaneID, ok bool) {
 func (f Frame) ExpiredAfter(p PaneID, r int) bool {
 	lo, _ := f.WindowRange(r)
 	return p < lo
-}
-
-// SubPaneUnit divides the frame's pane for adaptive sub-pane plans.
-func (f Frame) SubPaneUnit(factor int64) int64 {
-	if factor < 1 {
-		factor = 1
-	}
-	unit := f.Pane / factor
-	if unit < 1 {
-		unit = 1
-	}
-	return unit
 }

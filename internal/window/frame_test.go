@@ -4,25 +4,9 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-)
 
-func TestFrameOfMatchesSpec(t *testing.T) {
-	s := NewTimeSpec(30*time.Minute, 20*time.Minute)
-	f := FrameOf(s)
-	if f.Pane != s.PaneUnit() || f.Offset != 0 {
-		t.Fatalf("FrameOf = %+v", f)
-	}
-	for r := 0; r < 5; r++ {
-		slo, shi := s.WindowRange(r)
-		flo, fhi := f.WindowRange(r)
-		if slo != flo || shi != fhi {
-			t.Errorf("r=%d: frame range [%d,%d] != spec range [%d,%d]", r, flo, fhi, slo, shi)
-		}
-		if f.WindowClose(r) != s.WindowClose(r) {
-			t.Errorf("r=%d: closes differ", r)
-		}
-	}
-}
+	"redoop/internal/simtime"
+)
 
 func TestNewFramesValidation(t *testing.T) {
 	if _, err := NewFrames(nil); err == nil {
@@ -173,14 +157,8 @@ func TestFrameAccessors(t *testing.T) {
 	if f.PaneOf(0) != 0 || f.PaneOf(3) != 1 || f.PaneOf(-1) != -1 {
 		t.Error("Frame.PaneOf wrong")
 	}
-	if f.SubPaneUnit(2) != 1 {
-		t.Errorf("SubPaneUnit(2) = %d, want 1", f.SubPaneUnit(2))
-	}
-	if f.SubPaneUnit(0) != f.Pane {
-		t.Error("SubPaneUnit(0) should clamp to the whole pane")
-	}
-	if f.SubPaneUnit(100) != 1 {
-		t.Error("SubPaneUnit should floor at one unit")
+	if f.At(7) != 0 {
+		t.Error("count-based units have no arrival instant")
 	}
 	if f.String() == "" {
 		t.Error("count-based Frame.String empty")
@@ -188,6 +166,9 @@ func TestFrameAccessors(t *testing.T) {
 	tf := FrameOf(NewTimeSpec(time.Hour, time.Minute))
 	if tf.String() == "" {
 		t.Error("time-based Frame.String empty")
+	}
+	if tf.At(tf.WindowClose(1)) != simtime.Time(time.Hour+time.Minute) {
+		t.Error("time-based units are virtual nanoseconds")
 	}
 	if NewTimeSpec(time.Hour, time.Minute).String() == "" {
 		t.Error("Spec.String empty")

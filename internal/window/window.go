@@ -10,6 +10,10 @@
 // Windows may be time-based or count-based; both are expressed over an
 // abstract unit axis (nanoseconds for time, record ordinals for counts),
 // which is why most of this package works on int64 units.
+//
+// A Spec is one source's window constraint; a Frame places it on the
+// query's shared recurrence cadence and is the only pane and trigger
+// arithmetic (FrameOf for a single source, NewFrames for several).
 package window
 
 import (
@@ -44,8 +48,9 @@ func (k Kind) String() string {
 // zero: pane p covers the half-open unit range [p*pane, (p+1)*pane).
 type PaneID int64
 
-// Spec is a window specification. Win and Slide are expressed in the
-// units implied by Kind. The zero Spec is invalid.
+// Spec is a window constraint. Win and Slide are expressed in the
+// units implied by Kind. The zero Spec is invalid. Pane and window
+// positions are a Frame's (FrameOf).
 type Spec struct {
 	Kind  Kind
 	Win   int64
@@ -102,112 +107,8 @@ func GCD(a, b int64) int64 {
 // units (paper Algorithm 1, line 1).
 func (s Spec) PaneUnit() int64 { return GCD(s.Win, s.Slide) }
 
-// PanesPerWindow returns how many panes one window spans.
-func (s Spec) PanesPerWindow() int64 { return s.Win / s.PaneUnit() }
-
-// PanesPerSlide returns how many panes the window advances per slide.
-func (s Spec) PanesPerSlide() int64 { return s.Slide / s.PaneUnit() }
-
 // Overlap returns the paper's overlap factor (win-slide)/win: the
 // fraction of a window shared with its predecessor.
 func (s Spec) Overlap() float64 {
 	return float64(s.Win-s.Slide) / float64(s.Win)
-}
-
-// PaneOf returns the pane containing unit offset u (a timestamp for
-// time-based windows, a record ordinal for count-based ones). Negative
-// offsets precede the first pane and return a negative PaneID.
-func (s Spec) PaneOf(u int64) PaneID {
-	p := s.PaneUnit()
-	if u >= 0 {
-		return PaneID(u / p)
-	}
-	return PaneID((u - p + 1) / p) // floor division for negatives
-}
-
-// PaneStart returns the inclusive lower unit bound of pane p.
-func (s Spec) PaneStart(p PaneID) int64 { return int64(p) * s.PaneUnit() }
-
-// PaneEnd returns the exclusive upper unit bound of pane p; for
-// time-based windows this is also the instant at which the pane's data
-// is complete and available for (proactive) processing.
-func (s Spec) PaneEnd(p PaneID) int64 { return (int64(p) + 1) * s.PaneUnit() }
-
-// WindowRange returns the inclusive pane range [lo, hi] covered by
-// recurrence r (r counts from zero). Window r spans unit range
-// [r*slide, r*slide+win).
-func (s Spec) WindowRange(r int) (lo, hi PaneID) {
-	lo = PaneID(int64(r) * s.PanesPerSlide())
-	hi = lo + PaneID(s.PanesPerWindow()) - 1
-	return lo, hi
-}
-
-// WindowClose returns the unit offset at which recurrence r's window
-// closes (all of its data has arrived): r*slide + win.
-func (s Spec) WindowClose(r int) int64 {
-	return int64(r)*s.Slide + s.Win
-}
-
-// WindowsOfPane returns the inclusive recurrence range [rmin, rmax] of
-// windows that contain pane p. Every pane belongs to at least one
-// window, but early panes belong to fewer than PanesPerWindow /
-// PanesPerSlide windows.
-func (s Spec) WindowsOfPane(p PaneID) (rmin, rmax int) {
-	pps := s.PanesPerSlide()
-	ppw := s.PanesPerWindow()
-	// Window r covers panes [r*pps, r*pps+ppw-1]; p is inside iff
-	// r*pps <= p and p <= r*pps+ppw-1, i.e.
-	// ceil((p-ppw+1)/pps) <= r <= floor(p/pps).
-	rmax = int(int64(p) / pps)
-	num := int64(p) - ppw + 1
-	if num <= 0 {
-		rmin = 0
-	} else {
-		rmin = int((num + pps - 1) / pps)
-	}
-	return rmin, rmax
-}
-
-// Lifespan returns the inclusive pane range of the partner source that
-// pane p must be processed with (paper §4.2): the union of the partner's
-// pane ranges over every window that contains p. Redoop's binary
-// operators pair sources that share a recurrence cadence, so the partner
-// range is computed against the same spec's window sequence.
-func (s Spec) Lifespan(p PaneID) (lo, hi PaneID) {
-	rmin, rmax := s.WindowsOfPane(p)
-	lo, _ = s.WindowRange(rmin)
-	_, hi = s.WindowRange(rmax)
-	return lo, hi
-}
-
-// InLifespan reports whether partner pane q falls within pane p's
-// lifespan.
-func (s Spec) InLifespan(p, q PaneID) bool {
-	lo, hi := s.Lifespan(p)
-	return q >= lo && q <= hi
-}
-
-// ExpiredAfter reports whether pane p is no longer part of any window at
-// or after recurrence r, i.e. whether the current window of recurrence r
-// has slid completely past it (first condition of the paper's pane
-// expiration test; the second — lifespan completion — is tracked by the
-// cache status matrix).
-func (s Spec) ExpiredAfter(p PaneID, r int) bool {
-	lo, _ := s.WindowRange(r)
-	return p < lo
-}
-
-// SubSpec returns a spec whose pane unit is divided by factor (>1),
-// used by the adaptive analyzer to produce finer sub-pane plans. Win and
-// slide are unchanged; only the implied pane granularity differs, which
-// SubSpec encodes by returning the sub-pane unit alongside the spec.
-func (s Spec) SubPaneUnit(factor int64) int64 {
-	if factor < 1 {
-		factor = 1
-	}
-	unit := s.PaneUnit() / factor
-	if unit < 1 {
-		unit = 1
-	}
-	return unit
 }

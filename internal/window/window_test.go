@@ -41,9 +41,9 @@ func TestPaneUnitPaperExample(t *testing.T) {
 	if got := s.PaneUnit(); got != int64(20*time.Minute) {
 		t.Errorf("pane = %v, want 20m", time.Duration(got))
 	}
-	if s.PanesPerWindow() != 3 || s.PanesPerSlide() != 1 {
+	if f := FrameOf(s); f.PanesPerWindow() != 3 || f.PanesPerSlide() != 1 {
 		t.Errorf("panes/window=%d panes/slide=%d, want 3 and 1",
-			s.PanesPerWindow(), s.PanesPerSlide())
+			f.PanesPerWindow(), f.PanesPerSlide())
 	}
 }
 
@@ -76,32 +76,32 @@ func TestOverlap(t *testing.T) {
 }
 
 func TestWindowRange(t *testing.T) {
-	s := NewCountSpec(30, 20) // pane 10, 3 per window, 2 per slide
+	f := FrameOf(NewCountSpec(30, 20)) // pane 10, 3 per window, 2 per slide
 	for _, c := range []struct {
 		r      int
 		lo, hi PaneID
 	}{
 		{0, 0, 2}, {1, 2, 4}, {2, 4, 6}, {3, 6, 8},
 	} {
-		lo, hi := s.WindowRange(c.r)
+		lo, hi := f.WindowRange(c.r)
 		if lo != c.lo || hi != c.hi {
 			t.Errorf("WindowRange(%d) = [%d,%d], want [%d,%d]", c.r, lo, hi, c.lo, c.hi)
 		}
 	}
-	if got := s.WindowClose(2); got != 2*20+30 {
+	if got := f.WindowClose(2); got != 2*20+30 {
 		t.Errorf("WindowClose(2) = %d, want 70", got)
 	}
 }
 
 func TestPaneOfAndBounds(t *testing.T) {
-	s := NewCountSpec(30, 20) // pane 10
-	if s.PaneOf(0) != 0 || s.PaneOf(9) != 0 || s.PaneOf(10) != 1 {
+	f := FrameOf(NewCountSpec(30, 20)) // pane 10
+	if f.PaneOf(0) != 0 || f.PaneOf(9) != 0 || f.PaneOf(10) != 1 {
 		t.Error("PaneOf boundaries wrong")
 	}
-	if s.PaneOf(-1) != -1 || s.PaneOf(-10) != -1 || s.PaneOf(-11) != -2 {
+	if f.PaneOf(-1) != -1 || f.PaneOf(-10) != -1 || f.PaneOf(-11) != -2 {
 		t.Error("PaneOf negative offsets should floor")
 	}
-	if s.PaneStart(3) != 30 || s.PaneEnd(3) != 40 {
+	if f.PaneStart(3) != 30 || f.PaneEnd(3) != 40 {
 		t.Error("pane bounds wrong")
 	}
 }
@@ -111,12 +111,12 @@ func TestPaneOfAndBounds(t *testing.T) {
 // S2P2 and S2P3 are 3 and 5 panes; in our 0-based numbering those are
 // panes 1 and 2.
 func TestLifespanPaperFigure4(t *testing.T) {
-	s := NewTimeSpec(30*time.Minute, 20*time.Minute)
-	lo, hi := s.Lifespan(1)
+	f := FrameOf(NewTimeSpec(30*time.Minute, 20*time.Minute))
+	lo, hi, _ := f.LifespanIn(1, f)
 	if got := int64(hi - lo + 1); got != 3 {
 		t.Errorf("lifespan of pane 1 spans %d panes [%d,%d], want 3", got, lo, hi)
 	}
-	lo, hi = s.Lifespan(2)
+	lo, hi, _ = f.LifespanIn(2, f)
 	if got := int64(hi - lo + 1); got != 5 {
 		t.Errorf("lifespan of pane 2 spans %d panes [%d,%d], want 5", got, lo, hi)
 	}
@@ -125,17 +125,18 @@ func TestLifespanPaperFigure4(t *testing.T) {
 // Paper §4.3: with win = 30 min and slide = 20 min (pane = 10 min),
 // pane S2P4 pairs with S1P3 but not with S1P7.
 func TestInLifespanPaperExample(t *testing.T) {
-	s := NewTimeSpec(30*time.Minute, 20*time.Minute)
-	if !s.InLifespan(4, 3) {
+	f := FrameOf(NewTimeSpec(30*time.Minute, 20*time.Minute))
+	lo, hi, ok := f.LifespanIn(4, f)
+	if !ok || 3 < lo || 3 > hi {
 		t.Error("pane 3 should be within pane 4's lifespan")
 	}
-	if s.InLifespan(4, 7) {
+	if 7 >= lo && 7 <= hi {
 		t.Error("pane 7 should be beyond pane 4's lifespan")
 	}
 }
 
 func TestWindowsOfPane(t *testing.T) {
-	s := NewCountSpec(30, 20) // windows [0,2],[2,4],[4,6],...
+	f := FrameOf(NewCountSpec(30, 20)) // windows [0,2],[2,4],[4,6],...
 	cases := []struct {
 		p          PaneID
 		rmin, rmax int
@@ -143,31 +144,18 @@ func TestWindowsOfPane(t *testing.T) {
 		{0, 0, 0}, {1, 0, 0}, {2, 0, 1}, {3, 1, 1}, {4, 1, 2}, {5, 2, 2},
 	}
 	for _, c := range cases {
-		rmin, rmax := s.WindowsOfPane(c.p)
-		if rmin != c.rmin || rmax != c.rmax {
+		rmin, rmax, ok := f.WindowsOfPane(c.p)
+		if !ok || rmin != c.rmin || rmax != c.rmax {
 			t.Errorf("WindowsOfPane(%d) = [%d,%d], want [%d,%d]", c.p, rmin, rmax, c.rmin, c.rmax)
 		}
 	}
 }
 
 func TestExpiredAfter(t *testing.T) {
-	s := NewCountSpec(30, 20)
+	f := FrameOf(NewCountSpec(30, 20))
 	// Window 2 covers panes [4,6]; panes below 4 have slid out.
-	if !s.ExpiredAfter(3, 2) || s.ExpiredAfter(4, 2) {
+	if !f.ExpiredAfter(3, 2) || f.ExpiredAfter(4, 2) {
 		t.Error("ExpiredAfter wrong around window boundary")
-	}
-}
-
-func TestSubPaneUnit(t *testing.T) {
-	s := NewCountSpec(30, 20) // pane 10
-	if got := s.SubPaneUnit(2); got != 5 {
-		t.Errorf("SubPaneUnit(2) = %d, want 5", got)
-	}
-	if got := s.SubPaneUnit(0); got != 10 {
-		t.Errorf("SubPaneUnit(0) should clamp to the full pane, got %d", got)
-	}
-	if got := s.SubPaneUnit(100); got != 1 {
-		t.Errorf("SubPaneUnit(100) should clamp to 1 unit, got %d", got)
 	}
 }
 
@@ -196,14 +184,15 @@ func TestWindowTilingProperty(t *testing.T) {
 		if s.Validate() != nil {
 			return true
 		}
-		ppw, pps := s.PanesPerWindow(), s.PanesPerSlide()
+		f := FrameOf(s)
+		ppw, pps := f.PanesPerWindow(), f.PanesPerSlide()
 		if ppw*s.PaneUnit() != win || pps*s.PaneUnit() != slide {
 			return false
 		}
 		// Windows 0..9 cover the contiguous pane range [0, 9*pps+ppw).
 		covered := make(map[PaneID]bool)
 		for r := 0; r < 10; r++ {
-			lo, hi := s.WindowRange(r)
+			lo, hi := f.WindowRange(r)
 			if hi-lo+1 != PaneID(ppw) {
 				return false
 			}
@@ -224,7 +213,7 @@ func TestWindowTilingProperty(t *testing.T) {
 }
 
 // Property: WindowsOfPane inverts WindowRange — r contains p iff
-// rmin <= r <= rmax; and Lifespan(p) covers exactly the partner panes
+// rmin <= r <= rmax; and LifespanIn(p) covers exactly the partner panes
 // of those windows.
 func TestWindowsOfPaneInverseProperty(t *testing.T) {
 	f := func(winU, slideU, pU uint8) bool {
@@ -233,20 +222,23 @@ func TestWindowsOfPaneInverseProperty(t *testing.T) {
 		if slide > win {
 			win, slide = slide, win
 		}
-		s := NewCountSpec(win, slide)
+		f := FrameOf(NewCountSpec(win, slide))
 		p := PaneID(pU % 60)
-		rmin, rmax := s.WindowsOfPane(p)
+		rmin, rmax, ok := f.WindowsOfPane(p)
+		if !ok {
+			return false
+		}
 		for r := 0; r <= rmax+2; r++ {
-			lo, hi := s.WindowRange(r)
+			lo, hi := f.WindowRange(r)
 			in := lo <= p && p <= hi
 			want := r >= rmin && r <= rmax
 			if in != want {
 				return false
 			}
 		}
-		llo, lhi := s.Lifespan(p)
-		wlo, _ := s.WindowRange(rmin)
-		_, whi := s.WindowRange(rmax)
+		llo, lhi, _ := f.LifespanIn(p, f)
+		wlo, _ := f.WindowRange(rmin)
+		_, whi := f.WindowRange(rmax)
 		return llo == wlo && lhi == whi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -560,15 +560,15 @@ func (h *QueryHandle) RunNext() (*Result, error) {
 func (h *QueryHandle) NextRecurrence() int { return h.eng.NextRecurrence() }
 
 // InputPaths is the GetInputPaths analogue of the paper's API (§5): it
-// returns the DFS pane files covering the given recurrence's window —
-// both newly arrived panes and panes whose intermediate state is
-// cached. Panes not yet flushed are omitted.
+// returns the DFS pane files covering the given recurrence's window on
+// every source — both newly arrived panes and panes whose intermediate
+// state is cached. Panes not yet flushed, or already retired, are
+// omitted.
 func (h *QueryHandle) InputPaths(recurrence int) []string {
-	spec := h.query.Spec()
-	lo, hi := spec.WindowRange(recurrence)
 	seen := map[string]bool{}
 	var out []string
-	for src := range h.query.Sources {
+	for src, f := range h.eng.Frames() {
+		lo, hi := f.WindowRange(recurrence)
 		for p := lo; p <= hi; p++ {
 			ins, ok := h.eng.PaneInputs(src, p)
 			if !ok {

@@ -7,10 +7,13 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"redoop/internal/window"
 )
 
 func sum(key []byte, values [][]byte, emit Emitter) {
@@ -602,6 +605,55 @@ func TestHeterogeneousWindowsViaPublicAPI(t *testing.T) {
 		}
 		if len(res.Output) == 0 {
 			t.Errorf("window %d empty", r)
+		}
+	}
+}
+
+// TestInputPathsHeterogeneousWindows: with A keeping 20 s and B 30 s
+// on a 10 s slide, recurrence r reads A's last two panes and B's last
+// three before the shared trigger, and InputPaths lists the files of
+// each source's own frame window. Once r has run, the panes no later
+// window needs are retired, which leaves A's newest pane and B's newest
+// two.
+func TestInputPathsHeterogeneousWindows(t *testing.T) {
+	q := joinTestQuery("ip")
+	q.Sources[0].Window = TimeWindow(20*time.Second, 10*time.Second)
+	frames, err := window.NewFrames([]window.Spec{q.Sources[0].Window.spec, q.Sources[1].Window.spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, _ := NewSystem(smallCluster())
+	h, err := sys.Register(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := 0
+	for r := 0; r < 3; r++ {
+		for ; fed < 3+r; fed++ {
+			for src := 0; src < 2; src++ {
+				if err := h.Ingest(src, kvBatch(int64(src*50+3), fed, 40)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := h.RunNext(); err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for src, f := range frames {
+			lo, hi := f.WindowRange(r)
+			for p := lo; p <= hi; p++ {
+				ins, _ := h.eng.PaneInputs(src, p)
+				for _, in := range ins {
+					want = append(want, in.Input.Path)
+				}
+			}
+		}
+		got := h.InputPaths(r)
+		slices.Sort(got)
+		slices.Sort(want)
+		if len(want) != 3 || !slices.Equal(got, want) {
+			t.Errorf("window %d: InputPaths = %v, want the 1 + 2 live pane files %v", r, got, want)
 		}
 	}
 }

@@ -10,7 +10,7 @@
 //	             [-workers N] [-par-bench N] [-reuse]
 //	             [-chaos SEED[:profile]] [-chaos-report]
 //	             [-metrics-out FILE] [-trace-out FILE]
-//	             [-json-out FILE] [-serve ADDR]
+//	             [-json-out FILE]
 //
 // -fig names one entry of the figures table (redoop-bench -h lists
 // them) or all, the paper's four figures.
@@ -69,12 +69,6 @@
 // and CI regenerates it at -workers 1 and 4 and diffs both against it:
 // any virtual change fails until the file is re-recorded on purpose.
 //
-// -serve ADDR starts the live introspection HTTP server (/metrics,
-// /debug/events, /debug/cache, /debug/panes, /debug/health,
-// /debug/stream) before the figures run; every engine the experiments
-// build attaches to it, so the endpoints can be polled while a figure
-// is in flight.
-//
 // Exit codes: 0 success, 1 a failed run or artifact write, 2 a usage
 // error, 4 a chaos or reuse divergence.
 //
@@ -97,7 +91,6 @@ import (
 	"redoop/internal/health"
 	"redoop/internal/lineage"
 	"redoop/internal/obs"
-	"redoop/internal/obsserver"
 )
 
 // figure is one -fig choice; cum figures print cumulative tables.
@@ -159,7 +152,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		metrics  = fs.String("metrics-out", "", "write a Prometheus text exposition of the run's metrics to this file")
 		trace    = fs.String("trace-out", "", "write a Perfetto-loadable Chrome trace JSON of the run to this file")
 		jsonOut  = fs.String("json-out", "", "write a machine-readable JSON run summary to this file")
-		serve    = fs.String("serve", "", "serve the live introspection HTTP endpoints on this address (e.g. :8080) while figures run")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -186,7 +178,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		cfg.Seed = *seed
 	}
 	var ob *obs.Observer
-	if *metrics != "" || *trace != "" || *jsonOut != "" || *serve != "" {
+	if *metrics != "" || *trace != "" || *jsonOut != "" {
 		ob = obs.New()
 		cfg.Obs = ob
 	}
@@ -197,16 +189,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		mon = health.NewMonitor(health.DefaultConfig())
 		mon.SetObserver(ob)
 		cfg.Health = mon
-	}
-	if *serve != "" {
-		srv := obsserver.New(ob)
-		addr, err := srv.Start(*serve)
-		if err != nil {
-			fmt.Fprintf(stderr, "redoop-bench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "[introspection server on http://%s]\n", addr)
-		cfg.OnEngine = func(e *core.Engine) { srv.Attach(e) }
 	}
 	// One shared cost ledger across every Redoop engine the run builds,
 	// so the summary carries per-query resource attribution. Engines are
@@ -219,16 +201,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		acct = account.New()
 		cfg.Account = acct
 		// One shared provenance store too, so the summary's lineage
-		// block covers every engine and /debug/lineage (with -serve)
-		// shows the whole run's derivation DAG.
+		// block covers every engine.
 		cfg.Lineage = lineage.New(0)
-		attach := cfg.OnEngine
-		cfg.OnEngine = func(e *core.Engine) {
-			engines = append(engines, e)
-			if attach != nil {
-				attach(e)
-			}
-		}
+		cfg.OnEngine = func(e *core.Engine) { engines = append(engines, e) }
 	}
 	// Artifacts are flushed on every exit path — including figure
 	// failures — so a crashed or fault-injected run still leaves its

@@ -107,7 +107,7 @@ func writeLineageReport(w io.Writer, lin *lineage.Store, acct *account.Ledger, e
 // DAG: dotPath as a Graphviz digraph, jsonPath as a JSON envelope with
 // stats, plans and the graph. Empty paths are skipped.
 func writeLineageArtifacts(lin *lineage.Store, dotPath, jsonPath string) error {
-	graph := lin.Graph("", -1, "")
+	graph := lin.Graph()
 	if dotPath != "" {
 		if err := os.WriteFile(dotPath, []byte(graph.DOT()), 0o644); err != nil {
 			return fmt.Errorf("dot-out: %w", err)

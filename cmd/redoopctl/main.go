@@ -10,7 +10,7 @@
 //	          [-top K] [-seed N]
 //	          [-workers N] [-spikewin N] [-spikefactor F] [-deadline DUR]
 //	          [-cache-budget BYTESEC]
-//	          [-metrics-out FILE] [-trace-out FILE] [-serve ADDR]
+//	          [-metrics-out FILE] [-trace-out FILE]
 //	          [-folded-out FILE] [-critpath-out FILE]
 //	          [-dot-out FILE] [-lineage-out FILE]
 //
@@ -118,15 +118,10 @@
 // the run. Incompatible with -baseline (the oracle checks the Redoop
 // engine against the baseline semantics).
 //
-// -serve ADDR starts the live introspection HTTP server (endpoints:
-// /metrics, /debug/events, /debug/cache, /debug/panes, /debug/health,
-// /debug/stream) before the run and keeps the process alive after it
-// finishes, until interrupted, so the final state stays inspectable.
-//
-// Independently, -metrics-out and -trace-out write the exposition and
-// a Perfetto-loadable Chrome trace JSON to files; both are written
-// even when the run fails partway (e.g. under -failnode or
-// -dropcaches fault injection), so the partial run stays inspectable.
+// -metrics-out and -trace-out write the exposition and a
+// Perfetto-loadable Chrome trace JSON to files; both are written even
+// when the run fails partway (e.g. under -failnode or -dropcaches fault
+// injection), so the partial run stays inspectable.
 package main
 
 import (
@@ -135,10 +130,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"runtime"
 	"strings"
-	"syscall"
 	"time"
 
 	"redoop/internal/account"
@@ -151,7 +144,6 @@ import (
 	"redoop/internal/mapreduce"
 	"redoop/internal/obs"
 	"redoop/internal/obs/eventlog"
-	"redoop/internal/obsserver"
 	"redoop/internal/oracle"
 	"redoop/internal/profile"
 	"redoop/internal/queries"
@@ -202,7 +194,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		critpathOut = fs.String("critpath-out", "", "write a Chrome trace JSON with the critical-path overlay to this file")
 		dotOut      = fs.String("dot-out", "", "write the run's derivation DAG as a Graphviz digraph to this file (attaches a provenance store)")
 		lineageOut  = fs.String("lineage-out", "", "write the run's provenance store (stats, plans, derivation DAG) as JSON to this file")
-		serveAddr   = fs.String("serve", "", "serve the live introspection HTTP endpoints on this address (e.g. :8080) during the run, then until interrupted")
 	)
 	usage := func(format string, a ...any) int {
 		fmt.Fprintf(stderr, "redoopctl: "+format+"\n", a...)
@@ -256,10 +247,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 
 	// Lineage mode (and the standalone DAG artifacts) attach a shared
 	// provenance store; the subcommand's report additionally joins the
-	// DAG against the cost ledger, so it needs one. -serve attaches
-	// one too (baseline excepted — it records no provenance), so
-	// /debug/lineage has a live store to show.
-	if wantLineage || (*serveAddr != "" && !o.Baseline) {
+	// DAG against the cost ledger, so it needs one.
+	if wantLineage {
 		cfg.Lineage = lineage.New(0)
 	}
 	// The lineage report joins the DAG against the cost ledger, and the
@@ -271,13 +260,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 
 	var ob *obs.Observer
 	if mode == "metrics" || mode == "explain" || mode == "health" || mode == "profile" ||
-		*serveAddr != "" || *metricsOut != "" || *traceOut != "" || *foldedOut != "" || *critpathOut != "" {
+		*metricsOut != "" || *traceOut != "" || *foldedOut != "" || *critpathOut != "" {
 		ob = obs.New()
 		cfg.Obs = ob
 	}
 
-	// One shared SLO monitor so the health table survives the run and
-	// the introspection server's /debug/health sees the same trackers.
+	// One shared SLO monitor so the health table survives the run.
 	hcfg := health.DefaultConfig()
 	hcfg.DeadlineOverride = simtime.Duration(*deadline)
 	hcfg.CacheByteSecondBudget = *cacheBudget
@@ -286,18 +274,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		mon.SetObserver(ob)
 	}
 	cfg.Health = mon
-
-	var srv *obsserver.Server
-	if *serveAddr != "" {
-		srv = obsserver.New(ob)
-		addr, err := srv.Start(*serveAddr)
-		if err != nil {
-			fmt.Fprintf(stderr, "redoopctl: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "[introspection server on http://%s]\n", addr)
-		cfg.OnEngine = func(e *core.Engine) { srv.Attach(e) }
-	}
 
 	// Under a subcommand the report owns stdout; the table moves to
 	// stderr so both remain usable.
@@ -317,7 +293,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		scfg.ExecWorkers = 1
 		scfg.Obs = nil
 		scfg.Health = health.NewMonitor(hcfg)
-		scfg.OnEngine = nil
 		so := o
 		so.topK = 0
 		t0 := time.Now()
@@ -408,12 +383,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if artifactErr {
 		return 1
-	}
-	if srv != nil {
-		fmt.Fprintf(stderr, "[run finished; introspection server still up — Ctrl-C to exit]\n")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-		<-ch
 	}
 	return 0
 }

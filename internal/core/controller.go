@@ -54,11 +54,6 @@ type Signature struct {
 	doneQueryMask []bool
 }
 
-// DoneMask returns a copy of the signature's per-query done bits.
-func (s *Signature) DoneMask() []bool {
-	return append([]bool(nil), s.doneQueryMask...)
-}
-
 // allDone reports whether every query is finished with the cache.
 func (s *Signature) allDone() bool {
 	for _, d := range s.doneQueryMask {

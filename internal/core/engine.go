@@ -157,10 +157,10 @@ type paneSource interface {
 }
 
 type Engine struct {
-	// mu guards the engine state a concurrent debug server reads —
-	// plans, proactive, next, curTrigger, expiredBound and the forecast
-	// pair. RunNext is the sole writer; it takes the lock only around
-	// its writes, readers take it around every access.
+	// mu guards the engine state its accessors may read from another
+	// goroutine — plans, proactive, next, curTrigger, expiredBound and
+	// the forecast pair. RunNext is the sole writer; it takes the lock
+	// only around its writes, readers take it around every access.
 	mu       sync.Mutex
 	mr       *mapreduce.Engine
 	query    *Query
@@ -409,10 +409,6 @@ func (e *Engine) PlanFingerprint() string { return e.planFP }
 // fingerprint — the reuse index's matching key. Always available, even
 // without a reuse index.
 func (e *Engine) OpFingerprint() string { return e.opFP }
-
-// ReuseIndex returns the engine's cross-query reuse index (nil when
-// reuse is disabled).
-func (e *Engine) ReuseIndex() *reuse.Index { return e.reuseIdx }
 
 // Scheduler returns the query's cache-aware scheduler.
 func (e *Engine) Scheduler() *Scheduler { return e.sched }
@@ -753,7 +749,7 @@ func (e *Engine) ensurePane(src int, p window.PaneID, trigger simtime.Time, pp *
 }
 
 // Health returns the engine's SLO monitor (shared or private; never
-// nil after NewEngine) — the source of /debug/health snapshots.
+// nil after NewEngine) — the source of `redoopctl health`'s table.
 func (e *Engine) Health() *health.Monitor { return e.healthMon }
 
 // HealthStatus returns this query's current health snapshot.

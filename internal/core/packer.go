@@ -49,8 +49,8 @@ type PaneInput struct {
 // covered data has arrived, so the packer charges no query-time cost
 // beyond the per-pane header lookup for shared files.
 type Packer struct {
-	// mu guards all mutable state so the debug server can read pane
-	// inventories while the engine loads and flushes data.
+	// mu guards all mutable state so pane inventories can be read
+	// while the engine loads and flushes data.
 	mu    sync.Mutex
 	dfs   *dfs.DFS
 	name  string // source name used in paths, e.g. "S1"

@@ -129,7 +129,7 @@ func TestControllerRegisterLookup(t *testing.T) {
 	}
 
 	sig := ctrl.Register("S1P1/r0", ReduceInput, 3, CacheAvailable, simtime.Time(7), 100, []int{q1})
-	mask := sig.DoneMask()
+	mask := sig.doneQueryMask
 	if mask[q1] || !mask[q2] {
 		t.Errorf("mask = %v: used query bit must be 0, unused 1 (paper init)", mask)
 	}
@@ -150,7 +150,7 @@ func TestControllerReRegisterPreservesOtherClaims(t *testing.T) {
 	ctrl.Register("shared", ReduceInput, 0, CacheAvailable, 0, 10, []int{q1})
 	ctrl.Register("shared", ReduceInput, 1, CacheAvailable, 5, 20, []int{q2})
 	sig, _ := ctrl.Lookup("shared", ReduceInput)
-	mask := sig.DoneMask()
+	mask := sig.doneQueryMask
 	if mask[q1] || mask[q2] {
 		t.Errorf("both claims should persist across re-register, mask = %v", mask)
 	}
@@ -219,7 +219,7 @@ func TestControllerSetReady(t *testing.T) {
 	ctrl.Register("d", ReduceInput, 0, CacheAvailable, 0, 1, []int{q})
 	q2 := ctrl.RegisterQuery("Q2")
 	sig, _ = ctrl.Lookup("d", ReduceInput)
-	if !sig.DoneMask()[q2] {
+	if !sig.doneQueryMask[q2] {
 		t.Error("pre-existing caches owe nothing to late queries")
 	}
 }

@@ -32,8 +32,8 @@ type CacheLoc struct {
 // the task's caches from node i's perspective. It reports nothing
 // itself: the engine commits each decision it returns.
 type Scheduler struct {
-	// mu guards homes so the debug server can read placements while the
-	// engine schedules.
+	// mu guards homes so placements can be read while the engine
+	// schedules.
 	mu   sync.Mutex
 	cl   *cluster.Cluster
 	cost iocost.Model
@@ -100,17 +100,6 @@ func (s *Scheduler) HomeNode(part int) (n *cluster.Node, reassigned bool) {
 	}
 	s.homes[part] = best.ID
 	return best, reassigned
-}
-
-// Homes returns a copy of the current partition→node mapping.
-func (s *Scheduler) Homes() map[int]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[int]int, len(s.homes))
-	for p, n := range s.homes {
-		out[p] = n
-	}
-	return out
 }
 
 // CacheCost returns C_task,i: the cost for a task running on node to

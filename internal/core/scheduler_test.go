@@ -26,7 +26,7 @@ func TestHomeNodeStableAndSpread(t *testing.T) {
 	// Three partitions over three nodes spread one per node.
 	ids := map[int]bool{h0.ID: true, h1.ID: true, h2.ID: true}
 	if len(ids) != 3 {
-		t.Errorf("homes should spread across nodes, got %v", s.Homes())
+		t.Errorf("homes should spread across nodes, got %v", s.homes)
 	}
 	// Stability across calls.
 	if h, reassigned := s.HomeNode(0); h.ID != h0.ID || reassigned {

@@ -23,8 +23,8 @@ import (
 // case each dimension's pane unit and window ranges follow its own
 // frame (window.Frame).
 type StatusMatrix struct {
-	// mu guards base/n/done so the debug server can render the matrix
-	// while the engine updates and shifts it.
+	// mu guards base/n/done so the matrix can be rendered while the
+	// engine updates and shifts it.
 	mu     sync.Mutex
 	frames []window.Frame
 	dims   int

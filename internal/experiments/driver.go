@@ -133,6 +133,10 @@ func (c Config) run(d drive) error {
 		}
 	}
 
+	// A recurrence's chaos actions fire once per run, before the first
+	// lane to reach it; every lane reaches r-1 before r, so the first
+	// arrivals come in recurrence order.
+	fired := -1
 	for done := 0; done < len(d.lanes)*d.windows; done++ {
 		best := -1
 		var through int64
@@ -149,7 +153,8 @@ func (c Config) run(d drive) error {
 		if err := d.feed(through, ingest); err != nil {
 			return err
 		}
-		if inj != nil {
+		if inj != nil && r > fired {
+			fired = r
 			if err := inj.BeforeRecurrence(r, l.eng, inner); err != nil {
 				return failed(err)
 			}

@@ -70,18 +70,16 @@ type Config struct {
 	Obs *obs.Observer
 	// Health optionally shares one SLO monitor across every Redoop
 	// engine an experiment builds, so a whole figure's queries land in
-	// a single /debug/health snapshot; nil gives each engine a private
+	// one health table; nil gives each engine a private
 	// monitor.
 	Health *health.Monitor
 	// Account optionally shares one cost ledger across every Redoop
 	// engine an experiment builds, so a whole figure's queries roll up
-	// into a single /debug/costs snapshot; nil disables cost
-	// accounting.
+	// into one cost report; nil disables cost accounting.
 	Account *account.Ledger
 	// OnEngine, when non-nil, receives every Redoop engine an
-	// experiment builds, as soon as it exists — the hook a live
-	// introspection server uses to attach its /debug endpoints to
-	// runs in flight.
+	// experiment builds, as soon as it exists, so a caller can read
+	// end-of-run state off all of them.
 	OnEngine func(*core.Engine)
 	// Reuse optionally attaches a cross-query pane reuse index to
 	// every Redoop engine an experiment builds. Single-query runs
@@ -97,7 +95,7 @@ type Config struct {
 	Chaos *chaos.Schedule
 	// Lineage optionally shares one provenance store across every
 	// Redoop engine an experiment builds, so a whole figure's
-	// derivations land in a single /debug/lineage snapshot. When nil
+	// derivations land in one derivation DAG. When nil
 	// and OracleCheck is set, each Redoop run gets a private store so
 	// the oracle's lineage audit always has provenance to check.
 	Lineage *lineage.Store

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"redoop/internal/chaos"
+	"redoop/internal/lineage"
 	"redoop/internal/mapreduce"
 	"redoop/internal/reuse"
 	"redoop/internal/simtime"
@@ -195,5 +196,28 @@ func TestCrossQueryReuseReportsEngineFailure(t *testing.T) {
 	// The 2x tumbling roll-up's first window closes before fig6-a's.
 	if !strings.HasPrefix(err.Error(), "rollup-2x window 1:") {
 		t.Errorf("error %q does not name the failing query and window", err)
+	}
+}
+
+// TestMultiLaneChaosFiresOnce: a recurrence's chaos actions land once
+// per run, not once per lane. The three lanes of the shared-stream
+// workload all reach recurrence 2, and its one scheduled cache drop
+// must be applied, and recorded as a fault, exactly once.
+func TestMultiLaneChaosFiresOnce(t *testing.T) {
+	cfg := reuseTestConfig()
+	cfg.Lineage = lineage.New(0)
+	cfg.Chaos = &chaos.Schedule{Seed: 1, Profile: chaos.ProfileCacheLoss,
+		Actions: []chaos.Action{{Recurrence: 2, Kind: chaos.CacheDrop, Node: 1}}}
+	if _, err := RunCrossQueryReuse(cfg, true); err != nil {
+		t.Fatal(err)
+	}
+	drops := 0
+	for _, f := range cfg.Lineage.Snapshot().Faults {
+		if f.Kind == string(chaos.CacheDrop) {
+			drops++
+		}
+	}
+	if drops != 1 {
+		t.Errorf("%d cache-drop faults recorded for one scheduled drop over three lanes, want 1", drops)
 	}
 }

@@ -5,8 +5,8 @@
 // forecast that drives adaptive re-planning compared with reality.
 //
 // The report is derived purely from eventlog events, so it can be
-// built from a live run (via the observer's log), from a debug
-// server's /debug/events payload, or in tests from a synthetic stream.
+// built from a run (via the observer's log) or in tests from a
+// synthetic stream.
 package explain
 
 import (
@@ -254,8 +254,7 @@ func PanesOf(pid string) []int64 {
 }
 
 // maxPlacementsShown caps the per-recurrence placement audit in the
-// rendered report; the full list stays available in the Report struct
-// and on /debug/events.
+// rendered report; the full list stays available in the Report struct.
 const maxPlacementsShown = 4
 
 // Write renders the report as a human-readable text document.
@@ -334,6 +333,8 @@ func (rep *Report) Write(w io.Writer) error {
 				}
 			}
 			if len(r.Placements) > len(shown) {
+				// The hint names an endpoint that no longer exists; the
+				// explain goldens pin it until they are next re-recorded.
 				fmt.Fprintf(w, "    ... and %d more (see /debug/events?type=placement)\n",
 					len(r.Placements)-len(shown))
 			}

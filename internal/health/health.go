@@ -29,9 +29,9 @@
 // (redoop_health_status, redoop_deadline_headroom_seconds,
 // redoop_window_lag_units, redoop_deadline_misses_total,
 // redoop_health_anomalies_total, redoop_adaptivity_misses_total), so
-// the judgments flow through the same introspection surfaces as the
-// raw telemetry: /debug/health, /metrics, redoopctl health, and the
-// bench trajectory files.
+// the judgments flow through the same surfaces as the raw telemetry:
+// redoopctl health, the metrics exposition, and redoop-bench's
+// -json-out summary.
 //
 // Like the rest of the obs stack, a nil *Monitor or *Tracker is a
 // valid no-op, so the engine instruments unconditionally.
@@ -167,8 +167,8 @@ type Sample struct {
 	CacheByteSeconds float64
 }
 
-// QueryStatus is one query's health snapshot, JSON-shaped for
-// /debug/health and redoopctl health.
+// QueryStatus is one query's health snapshot, read by redoopctl health
+// and redoop-bench's -json-out summary.
 type QueryStatus struct {
 	Query       string `json:"query"`
 	Status      Status `json:"status"`

@@ -74,7 +74,7 @@ func TestStatusTransitions(t *testing.T) {
 
 	// Status transitions were recorded as events: OK->AT_RISK,
 	// AT_RISK->MISSING_DEADLINES, MISSING_DEADLINES->OK.
-	evs := o.Events.Select(eventlog.Filter{Type: eventlog.HealthStatus})
+	evs := eventsOf(o, eventlog.HealthStatus)
 	if len(evs) != 3 {
 		t.Fatalf("health.status events = %d, want 3", len(evs))
 	}
@@ -188,7 +188,7 @@ func TestAnomalyDetectionAndAdaptivityMiss(t *testing.T) {
 	if st.Anomalies != 1 || st.AdaptivityMisses != 1 {
 		t.Fatalf("anomaly not flagged: %+v", st)
 	}
-	anoms := o.Events.Select(eventlog.Filter{Type: eventlog.HealthAnomaly})
+	anoms := eventsOf(o, eventlog.HealthAnomaly)
 	if len(anoms) != 1 {
 		t.Fatalf("anomaly events = %d, want 1", len(anoms))
 	}
@@ -196,7 +196,7 @@ func TestAnomalyDetectionAndAdaptivityMiss(t *testing.T) {
 	if ad.ResidualNS != int64(100*simtime.Millisecond) || ad.EWMANS != int64(10*simtime.Millisecond) || ad.ReplanFired {
 		t.Fatalf("anomaly payload = %+v", ad)
 	}
-	if n := len(o.Events.Select(eventlog.Filter{Type: eventlog.AdaptivityMiss})); n != 1 {
+	if n := len(eventsOf(o, eventlog.AdaptivityMiss)); n != 1 {
 		t.Fatalf("adaptivity-miss events = %d, want 1", n)
 	}
 
@@ -456,4 +456,15 @@ func TestFirstRecurrenceColdStart(t *testing.T) {
 	if st.ResidualEWMANS != 0 || st.Anomalies != 0 {
 		t.Fatalf("residual state moved without a forecast: %+v", st)
 	}
+}
+
+// eventsOf returns the recorded events of one type, oldest first.
+func eventsOf(o *obs.Observer, typ eventlog.Type) []eventlog.Event {
+	var out []eventlog.Event
+	for _, e := range o.Events.Events() {
+		if e.Type == typ {
+			out = append(out, e)
+		}
+	}
+	return out
 }

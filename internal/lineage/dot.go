@@ -151,42 +151,25 @@ func derivLabel(d *Derivation) string {
 		d.Kind, d.Query, d.Recurrence, d.Pane, d.Part, d.Bytes, d.Builds, state)
 }
 
-// Graph renders the whole retained DAG as a Trace (no root), optionally
-// filtered: a non-empty query narrows to one query's derivations,
-// pane >= 0 to one pane's (windows carry no pane and are excluded), a
-// non-empty fp to one plan fingerprint's. Claimed batches of included
-// derivations appear as batch nodes; derivation-to-derivation edges are
-// kept only between included nodes.
-func (s *Store) Graph(query string, pane int64, fp string) Trace {
+// Graph renders the whole retained DAG as a Trace (no root): every
+// retained derivation, then the batches they claim as batch nodes.
+// Derivation-to-derivation edges are kept only between retained nodes.
+func (s *Store) Graph() Trace {
 	if s == nil {
 		return Trace{}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var tr Trace
-	included := map[string]bool{}
 	for _, id := range s.order {
 		d := s.derivs[id]
-		if query != "" && d.Query != query {
-			continue
-		}
-		if pane >= 0 && (d.Kind == "window" || d.Pane != pane) {
-			continue
-		}
-		if fp != "" && d.Fingerprint != fp {
-			continue
-		}
-		included[id] = true
 		tr.Nodes = append(tr.Nodes, TraceNode{ID: id, Kind: d.Kind, Label: derivLabel(d)})
 	}
 	seenBatch := map[string]bool{}
 	for _, id := range s.order {
-		if !included[id] {
-			continue
-		}
 		d := s.derivs[id]
 		for _, in := range d.Inputs {
-			if included[in.ID] {
+			if _, ok := s.derivs[in.ID]; ok {
 				tr.Edges = append(tr.Edges, TraceEdge{From: in.ID, To: id, CostNS: d.CostNS})
 			}
 		}

@@ -7,9 +7,8 @@
 //
 // Events carry virtual-clock timestamps (internal/simtime) and a
 // monotonically increasing sequence number, so a consumer can order
-// them, resume from where it left off (`Since`), or follow them live
-// (`Subscribe`, which backs the debug server's SSE stream). The buffer
-// is bounded: once capacity is reached the oldest events are
+// them and resume from where it left off (`Since`). The buffer is
+// bounded: once capacity is reached the oldest events are
 // overwritten and counted in Dropped, so a long-running recurring
 // query records forever in constant memory.
 //
@@ -260,10 +259,6 @@ type Log struct {
 	n       int     // retained count
 	seq     uint64  // last assigned sequence number
 	dropped uint64  // events overwritten by wraparound
-
-	subs    map[int]chan Event
-	nextSub int
-	subDrop uint64 // events not delivered to a slow subscriber
 }
 
 // NewLog returns an empty log retaining at most capacity events;
@@ -272,7 +267,7 @@ func NewLog(capacity int) *Log {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Log{buf: make([]Event, capacity), subs: make(map[int]chan Event)}
+	return &Log{buf: make([]Event, capacity)}
 }
 
 // Append records one event, stamping its sequence number, and returns
@@ -292,13 +287,6 @@ func (l *Log) Append(at simtime.Time, typ Type, query string, data any) Event {
 		l.buf[l.start] = e
 		l.start = (l.start + 1) % len(l.buf)
 		l.dropped++
-	}
-	for _, ch := range l.subs {
-		select {
-		case ch <- e:
-		default:
-			l.subDrop++ // slow subscriber: drop rather than block the run
-		}
 	}
 	l.mu.Unlock()
 	return e
@@ -364,76 +352,4 @@ func (l *Log) Since(seq uint64) []Event {
 		}
 	}
 	return out
-}
-
-// Filter selects events from the retained window.
-type Filter struct {
-	// Type keeps only events of this exact type ("" keeps all).
-	Type Type
-	// Query keeps only events labeled with this query ("" keeps all).
-	Query string
-	// SinceSeq keeps only events with Seq > SinceSeq.
-	SinceSeq uint64
-	// Limit truncates the result to the first Limit matches (0 = all).
-	Limit int
-}
-
-// Select returns the retained events matching f, oldest first.
-func (l *Log) Select(f Filter) []Event {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Event
-	for i := 0; i < l.n; i++ {
-		e := l.buf[(l.start+i)%len(l.buf)]
-		if e.Seq <= f.SinceSeq {
-			continue
-		}
-		if f.Type != "" && e.Type != f.Type {
-			continue
-		}
-		if f.Query != "" && e.Query != f.Query {
-			continue
-		}
-		out = append(out, e)
-		if f.Limit > 0 && len(out) >= f.Limit {
-			break
-		}
-	}
-	return out
-}
-
-// Subscribe registers a live event feed: every Append after this call
-// is delivered to the returned channel (best-effort: a subscriber that
-// falls behind its buffer loses events rather than stalling the
-// recorder — resync with Since). cancel unregisters and closes the
-// channel; it is safe to call more than once. A nil log returns a
-// closed channel.
-func (l *Log) Subscribe(buffer int) (<-chan Event, func()) {
-	if l == nil {
-		ch := make(chan Event)
-		close(ch)
-		return ch, func() {}
-	}
-	if buffer < 1 {
-		buffer = 64
-	}
-	ch := make(chan Event, buffer)
-	l.mu.Lock()
-	id := l.nextSub
-	l.nextSub++
-	l.subs[id] = ch
-	l.mu.Unlock()
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			l.mu.Lock()
-			delete(l.subs, id)
-			l.mu.Unlock()
-			close(ch)
-		})
-	}
-	return ch, cancel
 }

@@ -73,30 +73,6 @@ func TestSinceResumesFromSeq(t *testing.T) {
 	}
 }
 
-func TestSelectFilters(t *testing.T) {
-	l := NewLog(32)
-	l.Append(1, CacheHit, "q1", nil)
-	l.Append(2, CacheMiss, "q1", nil)
-	l.Append(3, CacheHit, "q2", nil)
-	l.Append(4, Placement, "q1", nil)
-
-	if got := l.Select(Filter{Type: CacheHit}); len(got) != 2 {
-		t.Errorf("Type filter: %d events, want 2", len(got))
-	}
-	if got := l.Select(Filter{Query: "q1"}); len(got) != 3 {
-		t.Errorf("Query filter: %d events, want 3", len(got))
-	}
-	if got := l.Select(Filter{Type: CacheHit, Query: "q2"}); len(got) != 1 || got[0].Seq != 3 {
-		t.Errorf("combined filter: %+v, want the one q2 hit", got)
-	}
-	if got := l.Select(Filter{Limit: 2}); len(got) != 2 || got[1].Seq != 2 {
-		t.Errorf("limit: %+v, want first two", got)
-	}
-	if got := l.Select(Filter{SinceSeq: 3}); len(got) != 1 || got[0].Seq != 4 {
-		t.Errorf("since: %+v, want just seq 4", got)
-	}
-}
-
 func TestConcurrentAppendAndRead(t *testing.T) {
 	l := NewLog(64)
 	const writers = 8
@@ -134,35 +110,6 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 	}
 }
 
-func TestSubscribeDeliversLiveEvents(t *testing.T) {
-	l := NewLog(8)
-	l.Append(0, CacheHit, "q", nil) // before subscribe: not delivered
-	ch, cancel := l.Subscribe(4)
-	defer cancel()
-	l.Append(1, CacheMiss, "q", nil)
-	l.Append(2, Placement, "q", nil)
-	e1 := <-ch
-	e2 := <-ch
-	if e1.Type != CacheMiss || e2.Type != Placement {
-		t.Fatalf("got %v, %v; want cache.miss, placement", e1.Type, e2.Type)
-	}
-	cancel()
-	if _, ok := <-ch; ok {
-		t.Error("channel should be closed after cancel")
-	}
-	// Appending after cancel must not panic or block.
-	l.Append(3, CacheHit, "q", nil)
-}
-
-func TestSubscribeSlowConsumerDropsNotBlocks(t *testing.T) {
-	l := NewLog(8)
-	_, cancel := l.Subscribe(1)
-	defer cancel()
-	for i := 0; i < 10; i++ {
-		l.Append(simtime.Time(i), CacheHit, "q", nil) // must not block
-	}
-}
-
 func TestNilLogIsNoop(t *testing.T) {
 	var l *Log
 	if e := l.Append(0, CacheHit, "q", nil); e.Seq != 0 {
@@ -171,12 +118,7 @@ func TestNilLogIsNoop(t *testing.T) {
 	if l.Len() != 0 || l.Cap() != 0 || l.Seq() != 0 || l.Dropped() != 0 {
 		t.Error("nil accessors should be zero")
 	}
-	if l.Events() != nil || l.Since(0) != nil || l.Select(Filter{}) != nil {
+	if l.Events() != nil || l.Since(0) != nil {
 		t.Error("nil queries should be nil")
-	}
-	ch, cancel := l.Subscribe(1)
-	cancel()
-	if _, ok := <-ch; ok {
-		t.Error("nil subscribe should return a closed channel")
 	}
 }

@@ -83,7 +83,7 @@ type Observer struct {
 	Tracer  *Tracer
 	// Events is the bounded flight recorder of structured decision
 	// events (cache lookups, Equation 4 placements, re-plans); the
-	// debug server's /debug/events and /debug/stream read from it.
+	// explain report (`redoopctl explain`) reads from it.
 	Events *eventlog.Log
 }
 

@@ -177,6 +177,65 @@ func EncodePairs(pairs []records.Pair) []byte {
 	return dst
 }
 
+// Group is one key and its values: the pairs of one key, a key group of
+// a map phase's output, one reduce invocation's input.
+type Group struct {
+	Key    []byte
+	Values [][]byte
+}
+
+// EncodeGroups encodes the groups' pairs, each group's key with each of
+// its values in order, as one exactly-sized columnar segment: byte for
+// byte what EncodePairs writes for those pairs. A key, and each run of
+// values that share one slice, is copied once and then doubled.
+func EncodeGroups(gs []Group) []byte {
+	n, kb, vb := 0, 0, 0
+	for _, g := range gs {
+		n, kb = n+len(g.Values), kb+len(g.Key)*len(g.Values)
+		for _, v := range g.Values {
+			vb += len(v)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	dst := make([]byte, 8+2*4*(n+1)+kb+vb+4)
+	copy(dst, magicPairs[:])
+	binary.LittleEndian.PutUint32(dst[4:], uint32(n))
+	ko, vo, kp, vp := 12, 16+4*n, 16+8*n, 16+8*n+kb // past koff[0] and voff[0], both 0
+	var koff, voff uint32
+	for _, g := range gs {
+		kp += repeat(dst[kp:], g.Key, len(g.Values))
+		for i, j := 0, 0; i < len(g.Values); i = j {
+			v := g.Values[i]
+			for j = i + 1; j < len(g.Values) && sameSlice(g.Values[j], v); j++ {
+			}
+			vp += repeat(dst[vp:], v, j-i)
+			for ; i < j; i++ {
+				koff, voff = koff+uint32(len(g.Key)), voff+uint32(len(v))
+				binary.LittleEndian.PutUint32(dst[ko:], koff)
+				binary.LittleEndian.PutUint32(dst[vo:], voff)
+				ko, vo = ko+4, vo+4
+			}
+		}
+	}
+	binary.LittleEndian.PutUint32(dst[vp:], crc32.ChecksumIEEE(dst[:vp]))
+	return dst
+}
+
+// sameSlice reports whether a and b are one slice: as long, at one address.
+func sameSlice(a, b []byte) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
+
+// repeat writes b n times at the start of dst, copying it once and then
+// doubling what is written, and returns the length written.
+func repeat(dst, b []byte, n int) int {
+	end := len(b) * n
+	for w := copy(dst[:end], b); w < end; {
+		w += copy(dst[w:end], dst[:w])
+	}
+	return end
+}
+
 // PairStream writes what EncodePairs returns a 4 KB chunk at a time, so
 // a caller that only hashes a segment never holds it. Keep one to reuse.
 type PairStream struct {

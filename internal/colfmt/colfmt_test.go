@@ -770,3 +770,53 @@ func FuzzPairWriter(f *testing.F) {
 		checkPairWriter(t, &w, pairs)
 	})
 }
+
+// FuzzEncodeGroups cuts arbitrary bytes into groups — per group a key, a
+// value count and per value a byte that makes it the last value's slice,
+// a copy of its bytes or new bytes, the last value carried from group to
+// group as a mapper's constant is — and holds EncodeGroups to
+// EncodePairs of the pairs they expand to, byte for byte.
+func FuzzEncodeGroups(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0})                                  // one empty key, no values
+	f.Add([]byte{0, 3, 2, 0})                            // an empty key, an empty value three times
+	f.Add([]byte{1, 'k', 40, 2, 1, '1'})                 // one group, one shared value forty times
+	f.Add([]byte{1, 'a', 2, 2, 1, '1', 0, 1, 'b', 3, 0}) // a shared value over two groups
+	f.Add([]byte{2, 'k', '1', 4, 2, 1, 'x', 1, 2, 2, 'y', 'z', 0, 0, 0, 1, 2, 1, 'q'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		cut := func() []byte {
+			n := min(next(), len(data))
+			b := data[:n:n]
+			data = data[n:]
+			return b
+		}
+		var gs []Group
+		var pairs []records.Pair
+		var last []byte
+		for len(data) > 0 {
+			g := Group{Key: cut()}
+			for n := next() % 64; n > 0; n-- { // past the input's end, the last value's slice
+				switch next() % 3 {
+				case 1:
+					last = slices.Clone(last)
+				case 2:
+					last = cut()
+				}
+				g.Values = append(g.Values, last)
+				pairs = append(pairs, records.Pair{Key: g.Key, Value: last})
+			}
+			gs = append(gs, g)
+		}
+		if got, want := EncodeGroups(gs), EncodePairs(pairs); !bytes.Equal(got, want) {
+			t.Fatalf("%d groups, %d pairs: EncodeGroups writes %d bytes, EncodePairs %d, or other bytes", len(gs), len(pairs), len(got), len(want))
+		}
+	})
+}

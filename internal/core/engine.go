@@ -1098,7 +1098,9 @@ type panePrep struct {
 // preparePane maps every segment of pane p of source src, reduces an
 // aggregation's partitions with gs, a Grouper per goroutine, encodes each
 // partition, sorted, as its reduce-input cache, and hands the map outputs
-// back: pure compute, so panes may be prepared at once and ahead.
+// back: pure compute, so panes may be prepared at once and ahead. A pane
+// of one segment is reduced and encoded off its key groups, its pairs
+// never laid out.
 func (e *Engine) preparePane(src int, p window.PaneID, gs []mapreduce.Grouper) *panePrep {
 	ins, ok := e.srcs[src].PaneInputs(p)
 	if !ok {
@@ -1114,17 +1116,20 @@ func (e *Engine) preparePane(src int, p window.PaneID, gs []mapreduce.Grouper) *
 	if pp.err != nil || agg && e.proactive && len(ins) > 1 {
 		return pp
 	}
-	parts, sorted := mapreduce.PreparedParts(pp.preps, job.NumReducers)
+	parts, groups := mapreduce.PreparedParts(pp.preps, job.NumReducers)
 	if agg {
-		pp.red = e.mr.PrepareReducePhase(job, parts, sorted, gs) // grouping sorts in place
+		pp.red = e.mr.PrepareReducePhase(job, parts, groups, gs) // grouping pairs sorts them in place
 	}
 	pp.rin = make([][]byte, job.NumReducers)
-	parallel.For(len(gs), len(parts), func(part int) {
-		if ps := parts[part]; len(ps) > 0 {
-			if !sorted && !agg {
-				mapreduce.SortPairs(ps)
+	parallel.For(len(gs), job.NumReducers, func(part int) {
+		switch {
+		case groups != nil:
+			pp.rin[part] = colfmt.EncodeGroups(groups[part])
+		case len(parts[part]) > 0:
+			if !agg {
+				mapreduce.SortPairs(parts[part])
 			}
-			pp.rin[part] = colfmt.EncodePairs(ps)
+			pp.rin[part] = colfmt.EncodePairs(parts[part])
 		}
 	})
 	for _, prep := range pp.preps {

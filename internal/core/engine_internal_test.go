@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"redoop/internal/cluster"
+	"redoop/internal/colfmt"
 	"redoop/internal/dfs"
 	"redoop/internal/iocost"
 	"redoop/internal/mapreduce"
@@ -117,6 +118,68 @@ func TestSegmentPhasesKeepTheSortedMark(t *testing.T) {
 		t.Fatal("the merge of a pane's segments kept the sorted mark")
 	}
 	merged.Release()
+}
+
+// TestRollUpPaneCachesMatchItsPairs: a 2x roll-up over a shared hub maps
+// each of its panes as two segments, whose pairs are laid out and
+// concatenated before the reduce. Pane 0's reduce-input caches, one-valued
+// (no combiner), must be EncodePairs of the segments' pairs in SortPairs
+// order, and its reduce outputs the reduce of them, at one and two
+// workers.
+func TestRollUpPaneCachesMatchItsPairs(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		mr := internalRig(3, 17)
+		mr.Workers = workers
+		hub := NewSourceHub(mr.DFS, mr.DFS.BlockSize())
+		if err := hub.Share("k", "s", hubSpec(), 0); err != nil {
+			t.Fatal(err)
+		}
+		q := internalCountQuery(20*simtime.Second, 20*simtime.Second)
+		q.Combine, q.Sources[0].CacheKey = nil, "k"
+		eng := mustEngine(t, Config{MR: mr, Query: q, Hub: hub})
+		for s := 0; s < 2; s++ {
+			if err := hub.Ingest("k", internalWords(23, 10*simtime.Second, s, 300, 12)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.srcs[0].FlushThrough(eng.frames[0].WindowClose(0)); err != nil {
+			t.Fatal(err)
+		}
+		gs := mr.Groupers(nil)
+		pp := eng.preparePane(0, 0, gs)
+		mr.PutGroupers(gs)
+		if pp.err != nil || len(pp.ins) != 2 {
+			t.Fatalf("workers %d: pane 0 has %d segments (%v), want two", workers, len(pp.ins), pp.err)
+		}
+		want := make([][]records.Pair, q.NumReducers)
+		for _, in := range pp.ins {
+			mp, err := mr.RunMapPhase(eng.paneJob(0), []mapreduce.Input{in.Input}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, ps := range mp.Parts {
+				want[r] = append(want[r], ps...)
+			}
+		}
+		pairs, outs := 0, map[int][]byte{}
+		for _, rr := range pp.red {
+			outs[rr.Part] = rr.OutData
+		}
+		for r, ps := range want {
+			mapreduce.SortPairs(ps)
+			pairs += len(ps)
+			if got := pp.rin[r]; string(got) != string(colfmt.EncodePairs(ps)) {
+				t.Fatalf("workers %d: partition %d's reduce-input cache is %d bytes, its %d pairs encode to %d", workers, r, len(got), len(ps), len(colfmt.EncodePairs(ps)))
+			}
+			out := mapreduce.ReduceGroups(q.Reduce, mapreduce.GroupPairs(ps))
+			if string(outs[r]) != string(colfmt.EncodePairs(out)) {
+				t.Fatalf("workers %d: partition %d's reduce output differs from the reduce of its pairs", workers, r)
+			}
+		}
+		if pairs != 600 {
+			t.Fatalf("workers %d: pane 0 maps to %d pairs, want one per record, 600", workers, pairs)
+		}
+	}
 }
 
 // Expired caches must actually leave the task nodes: run enough

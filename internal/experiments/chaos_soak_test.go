@@ -49,8 +49,8 @@ func soakSeeds(t *testing.T) []int64 {
 	return seeds
 }
 
-// TestChaosSoak drives every regime (agg, join, adaptive, speculative)
-// through a deterministic fault storm with the differential oracle
+// TestChaosSoak drives every regime (agg, join, adaptive, speculative,
+// shared-hub) through a deterministic fault storm with the differential oracle
 // checking every window: byte-identical results vs baseline
 // recomputation and zero structural-invariant violations, or the test
 // fails with the first divergence. Reproduce any CI failure locally
@@ -69,8 +69,12 @@ func TestChaosSoak(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s under %s: %v", regime, sched, err)
 				}
-				if len(verdicts) != cfg.Windows {
-					t.Fatalf("got %d verdicts for %d windows", len(verdicts), cfg.Windows)
+				lanes := 1 // a verdict per query per window: the shared hub runs the reuse trio
+				if regime == "shared-hub" {
+					lanes = len(reuseWorkloadQueries(cfg, cfg.SlideFor(0.75)))
+				}
+				if len(verdicts) != lanes*cfg.Windows {
+					t.Fatalf("got %d verdicts for %d windows of %d lanes", len(verdicts), cfg.Windows, lanes)
 				}
 				for _, v := range verdicts {
 					if !v.OK() {

@@ -14,9 +14,10 @@ import (
 )
 
 // ChaosRegimes lists the engine regimes the soak matrix verifies:
-// pane aggregation, the binary join, adaptive re-planning, and
-// speculative execution.
-var ChaosRegimes = []string{"agg", "join", "adaptive", "speculative"}
+// pane aggregation, the binary join, adaptive re-planning, speculative
+// execution, and the cross-query reuse trio over one shared hub (exact
+// reuse, and a roll-up whose panes are several segments).
+var ChaosRegimes = []string{"agg", "join", "adaptive", "speculative", "shared-hub"}
 
 // ProfileForRegime pairs a regime with the chaos profile that
 // exercises it: the speculative regime needs the straggler/speculation
@@ -30,11 +31,21 @@ func ProfileForRegime(regime string) string {
 }
 
 // RunChaosRegime runs one regime's Redoop series under c.Chaos with
-// the oracle enabled and returns every per-recurrence verdict. The
-// returned error is non-nil when any window diverged or violated an
-// invariant (the first failure aborts the series).
+// the oracle enabled and returns every per-recurrence verdict, one per
+// query per window. The returned error is non-nil when any window
+// diverged or violated an invariant (the first failure aborts the
+// series).
 func (c Config) RunChaosRegime(regime string) ([]oracle.Verdict, error) {
 	c = c.withDefaults()
+	var verdicts []oracle.Verdict
+	prev := c.OnVerdict
+	c.OracleCheck = true
+	c.OnVerdict = func(system string, v oracle.Verdict) {
+		verdicts = append(verdicts, v)
+		if prev != nil {
+			prev(system, v)
+		}
+	}
 	// The fixed verification workload of the regime, at the configured
 	// scale. Overlap 0.75 keeps several panes shared between
 	// consecutive windows, so cache reuse — the thing chaos attacks —
@@ -47,17 +58,11 @@ func (c Config) RunChaosRegime(regime string) ([]oracle.Verdict, error) {
 		spec.adaptive = regime == "adaptive"
 	case "join":
 		spec = c.joinSpec("qchaosj", overlap)
+	case "shared-hub":
+		_, err := c.crossQueryReuse(true, nil)
+		return verdicts, err
 	default:
 		return nil, fmt.Errorf("experiments: unknown chaos regime %q (want one of %v)", regime, ChaosRegimes)
-	}
-	var verdicts []oracle.Verdict
-	prev := c.OnVerdict
-	c.OracleCheck = true
-	c.OnVerdict = func(system string, v oracle.Verdict) {
-		verdicts = append(verdicts, v)
-		if prev != nil {
-			prev(system, v)
-		}
 	}
 	_, err := c.series(spec, redoop("Redoop/"+regime))
 	return verdicts, err

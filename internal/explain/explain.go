@@ -333,10 +333,7 @@ func (rep *Report) Write(w io.Writer) error {
 				}
 			}
 			if len(r.Placements) > len(shown) {
-				// The hint names an endpoint that no longer exists; the
-				// explain goldens pin it until they are next re-recorded.
-				fmt.Fprintf(w, "    ... and %d more (see /debug/events?type=placement)\n",
-					len(r.Placements)-len(shown))
+				fmt.Fprintf(w, "    ... and %d more placements\n", len(r.Placements)-len(shown))
 			}
 		}
 

@@ -246,14 +246,16 @@ type MapPhaseResult struct {
 	// Empty when no observer is attached.
 	Spans  []obs.SpanID
 	out    []records.Pair // the array Parts views, owned until Release or a merge takes it
+	groups [][]Group      // Parts' key groups (place), when the phase is one prep's: PartsSorted
+	vals   [][]byte       // the values array groups view, owned with out
 	arenas [][]byte       // the chunks its pairs' bytes are in, owned with out
-	from   *Engine        // whose free lists out and arenas go back to
-	sorted bool           // PartsSorted
+	from   *Engine        // whose free lists out, vals and arenas go back to
 }
 
 // PartsSorted reports whether every partition is in SortPairs order, as a
-// committed phase and a merge that took over a sole live phase leave it.
-func (mp *MapPhaseResult) PartsSorted() bool { return mp.sorted }
+// committed phase and a merge that took over a sole live phase leave it:
+// its reduce reads the prep's key groups, with no grouping pass.
+func (mp *MapPhaseResult) PartsSorted() bool { return mp.groups != nil }
 
 // Shuffle is partition part's copy to a reducer on node, which may not
 // start before ready: the copy starts when the first map ends, and the
@@ -273,10 +275,11 @@ func (mp *MapPhaseResult) Shuffle(cost iocost.Model, part, node int, ready simti
 	return local, remote, start, end
 }
 
-// Release hands the map-output array back, cleared, and the arena chunks
-// its keys and values were copied into, for a later PrepareMapPhase of
-// the same engine once nothing reads Parts or a view of them (a reducer's
-// Input). Parts becomes nil; optional, idempotent and nil-safe.
+// Release hands the map-output array and the values array back, cleared,
+// and the arena chunks its keys and values were copied into, for a later
+// PrepareMapPhase of the same engine once nothing reads Parts or a view
+// of them (a reducer's Input). Parts becomes nil; optional, idempotent
+// and nil-safe.
 func (mp *MapPhaseResult) Release() {
 	if mp == nil {
 		return
@@ -285,10 +288,14 @@ func (mp *MapPhaseResult) Release() {
 		clear(mp.out)
 		mp.from.scratch.outs.put(mp.out)
 	}
+	if mp.vals != nil {
+		clear(mp.vals)
+		mp.from.scratch.vals.put(mp.vals)
+	}
 	for _, a := range mp.arenas {
 		mp.from.scratch.arenas.put(a[:0])
 	}
-	mp.out, mp.arenas, mp.Parts = nil, nil, nil
+	mp.out, mp.groups, mp.vals, mp.arenas, mp.Parts = nil, nil, nil, nil, nil
 }
 
 // newMapPhaseResult returns the result of a map wave with no task yet,
@@ -320,9 +327,9 @@ func srcMatrix(reducers, nodes int) [][]int64 {
 // source-byte matrices summed, and the wave bounds widened. Redoop uses
 // it to fuse per-segment (proactive sub-pane) map phases; the baseline
 // driver uses it to fuse per-source map phases of a join. The result
-// takes over the array, partitions, matrix and PartsSorted of a sole
-// phase that ran any task; otherwise each merged partition is sized first
-// and written once, unsorted, and the phases keep their arrays.
+// takes over the arrays, partitions, groups and matrix of a sole phase
+// that ran any task; otherwise each merged partition is sized first and
+// written once, unsorted, and the phases keep their arrays.
 func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *MapPhaseResult {
 	out, nodes := newMapPhaseResult(reducers, 0, ready), 0
 	var live []*MapPhaseResult
@@ -341,8 +348,8 @@ func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *Map
 	}
 	if len(live) == 1 {
 		out.Parts, out.PartSrcBytes, out.Spans = live[0].Parts, live[0].PartSrcBytes, live[0].Spans
-		out.out, out.arenas, out.from, out.sorted = live[0].out, live[0].arenas, live[0].from, live[0].sorted
-		live[0].out, live[0].arenas = nil, nil
+		out.out, out.groups, out.vals, out.arenas, out.from = live[0].out, live[0].groups, live[0].vals, live[0].arenas, live[0].from
+		live[0].out, live[0].vals, live[0].arenas = nil, nil, nil
 		return out
 	}
 	out.PartSrcBytes = srcMatrix(reducers, nodes)
@@ -367,32 +374,44 @@ func MergeMapPhases(rs []*MapPhaseResult, reducers int, ready simtime.Time) *Map
 	return out
 }
 
-// PreparedParts returns the partitions of preps' map outputs and whether
-// they are sorted: a sole prep's own, or all concatenated, unsorted.
-func PreparedParts(preps []*MapPhasePrep, reducers int) ([][]records.Pair, bool) {
+// PreparedParts returns what a reduce over preps' map outputs reads: a
+// sole prep's key groups, per partition in key order, or the pairs of
+// several laid out one prep after another, unsorted.
+func PreparedParts(preps []*MapPhasePrep, reducers int) ([][]records.Pair, [][]Group) {
 	if len(preps) == 1 {
-		return preps[0].parts, true
+		return nil, preps[0].groups
 	}
 	parts := make([][]records.Pair, reducers)
 	for _, p := range preps {
-		for r, ps := range p.parts {
-			parts[r] = append(parts[r], ps...)
+		for r, gs := range p.groups {
+			parts[r] = appendPairs(parts[r], gs)
 		}
 	}
-	return parts, false
+	return parts, nil
+}
+
+// appendPairs appends the pairs of gs, each group's key with each of its
+// values, to dst.
+func appendPairs(dst []records.Pair, gs []Group) []records.Pair {
+	for _, g := range gs {
+		for _, v := range g.Values {
+			dst = append(dst, records.Pair{Key: g.Key, Value: v})
+		}
+	}
+	return dst
 }
 
 // MapPhasePrep is the compute half of a map phase: every split's user
 // map has run (and combined, partitioned), but no virtual time has been
 // charged and nothing has been scheduled. Feed it to CommitMapPhase,
-// once: the commit hands the partitions over to its result.
+// once: the commit hands the key groups over to its result.
 type MapPhasePrep struct {
-	from   *Engine // whose free lists out and arenas go back to
+	from   *Engine // whose free lists vals and arenas go back to
 	job    *Job
 	splits []Split
-	parts  [][]records.Pair // per reduce partition in SortPairs order: views of out
-	out    []records.Pair
-	arenas [][]byte // the chunks the pairs' keys and values are in
+	groups [][]Group // per reduce partition its key groups in key order (place); nil once released
+	vals   [][]byte  // the values array the groups view
+	arenas [][]byte  // the chunks the keys and values are in
 	// partBytes[i*R+r] is the encoded size of what split i emitted
 	// (after combining) into partition r.
 	partBytes []int64
@@ -406,8 +425,9 @@ type MapPhasePrep struct {
 // partition per split (parallel per split, up to Workers goroutines),
 // each record read off the file's columns as it is mapped, each key
 // looked up once in its worker's keyTable and staged as a number. Then the
-// output is borrowed as one array (see Release) and each pair placed where
-// it stays, in SortPairs order: Hadoop's map-side sort (place). It touches
+// output is laid out as key groups, partition by partition in key order,
+// their values on one borrowed array (see Release): Hadoop's map-side sort
+// (place), with no pair written. It touches
 // no node timeline and emits no metrics, so distinct prepares may overlap;
 // all scheduling happens later in CommitMapPhase.
 func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error) {
@@ -420,6 +440,7 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 	}
 	prep := &MapPhasePrep{from: e, job: job, splits: splits}
 	if len(splits) == 0 {
+		prep.groups = make([][]Group, job.NumReducers)
 		return prep, nil
 	}
 
@@ -467,12 +488,13 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 			raw := *st
 			raw.worker, *st = 0, stage{ids: st.ids[:0], worker: worker}
 			clear(sinks[i].size)
-			for _, part := range place([]stage{raw}, tabs[worker:worker+1], R, make([]records.Pair, len(raw.ids))) {
-				if len(part) == 1 { // a partition the split gave one pair keeps it as it is
-					emit.Emit(part[0].Key, part[0].Value)
+			parts, _ := place([]stage{raw}, tabs[worker:worker+1], R, func(n int) [][]byte { return make([][]byte, n) })
+			for _, gs := range parts {
+				if len(gs) == 1 && len(gs[0].Values) == 1 { // a partition the split gave one pair keeps it as it is
+					emit.Emit(gs[0].Key, gs[0].Values[0])
 					continue
 				}
-				for _, g := range GroupSorted(part) {
+				for _, g := range gs {
 					job.Combine(g.Key, g.Values, emit)
 				}
 			}
@@ -480,17 +502,12 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 		prep.workers[i] = worker
 	})
 
-	total := 0
-	for _, st := range stages {
-		total += len(st.ids)
-	}
-	prep.out = e.scratch.outs.get(total)
-	prep.parts = place(stages, tabs, R, prep.out)
+	prep.groups, prep.vals = place(stages, tabs, R, e.scratch.vals.get)
 	for w := range tabs { // recycled tables must not pin this phase's keys
 		clear(tabs[w].keys)
 		clear(tabs[w].slots)
 		tabs[w].keys = tabs[w].keys[:0]
-		if len(tabs[w].arena) > 0 { // the pairs view it: it goes back with them
+		if len(tabs[w].arena) > 0 { // the groups view it: it goes back with them
 			prep.arenas = append(prep.arenas, tabs[w].arena)
 		} else {
 			e.scratch.arenas.put(tabs[w].arena)
@@ -502,17 +519,19 @@ func (e *Engine) PrepareMapPhase(job *Job, inputs []Input) (*MapPhasePrep, error
 	return prep, nil
 }
 
-// Release hands the map output back once nothing reads it; the commit
-// then schedules the same tasks over empty partitions.
+// Release hands the map output back once nothing reads its groups; the
+// commit then schedules the same tasks over empty partitions and lays no
+// pair out.
 func (prep *MapPhasePrep) Release() {
-	(&MapPhaseResult{out: prep.out, arenas: prep.arenas, from: prep.from}).Release()
-	prep.out, prep.arenas = nil, nil
-	clear(prep.parts)
+	(&MapPhaseResult{vals: prep.vals, arenas: prep.arenas, from: prep.from}).Release()
+	prep.groups, prep.vals, prep.arenas = nil, nil, nil
 }
 
 // CommitMapPhase runs phase 2: it replays scheduling, virtual-time
 // accounting, and metric/event emission for the prepared splits,
-// serially and in split order, becoming schedulable at ready. Because
+// serially and in split order, becoming schedulable at ready. A prep not
+// released has its pairs laid out, partition by partition, on a borrowed
+// array as the result's Parts, which keeps the groups. Because
 // jitter streams are keyed by (seed, task id), the resulting timeline
 // is identical to what a fully serial run would have produced.
 func (e *Engine) CommitMapPhase(prep *MapPhasePrep, ready simtime.Time) (*MapPhaseResult, error) {
@@ -522,8 +541,23 @@ func (e *Engine) CommitMapPhase(prep *MapPhasePrep, ready simtime.Time) (*MapPha
 	if len(prep.splits) == 0 {
 		return res, nil
 	}
-	res.Parts, res.out, res.arenas, res.from, res.sorted = prep.parts, prep.out, prep.arenas, e, true
-	prep.out, prep.arenas = nil, nil
+	if prep.groups != nil {
+		total := 0
+		for _, gs := range prep.groups {
+			for _, g := range gs {
+				total += len(g.Values)
+			}
+		}
+		res.out = e.scratch.outs.get(total)
+		pos := 0
+		for r, gs := range prep.groups {
+			if ps := appendPairs(res.out[pos:pos], gs); len(ps) > 0 { // in place: out holds them all
+				res.Parts[r], pos = ps[:len(ps):len(ps)], pos+len(ps)
+			}
+		}
+		res.groups, res.vals, res.arenas, res.from = prep.groups, prep.vals, prep.arenas, e
+		prep.groups, prep.vals, prep.arenas = nil, nil, nil
+	}
 	for i, s := range prep.splits {
 		sizes := prep.partBytes[i*R : (i+1)*R]
 		var outBytes int64
@@ -756,44 +790,49 @@ type ReducerResult struct {
 
 // RunReducePhase shuffles the map output to reducers, then sorts,
 // groups and reduces each non-empty partition: PrepareReducePhase over
-// mp's partitions, one Grouper per pool worker, then CommitReducePhase.
-// ready is the earliest instant reduce tasks may be scheduled (normally
-// the map phase's ready time; slots and shuffle completion push actual
-// starts later). Each partition of mp, sorted in place unless
-// PartsSorted, becomes its reducer's Input.
+// mp's key groups when PartsSorted, else over its partitions, one Grouper
+// per pool worker, then CommitReducePhase. ready is the earliest instant
+// reduce tasks may be scheduled (normally the map phase's ready time;
+// slots and shuffle completion push actual starts later). Each partition
+// of mp, sorted in place unless PartsSorted, becomes its reducer's Input.
 func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time) ([]ReducerResult, Stats, error) {
 	if err := job.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
 	groupers := e.Groupers(mp.Parts)
-	results := e.PrepareReducePhase(job, mp.Parts, mp.sorted, groupers)
+	results := e.PrepareReducePhase(job, mp.Parts, mp.groups, groupers)
 	e.PutGroupers(groupers)
 	return e.CommitReducePhase(job, results, mp, ready)
 }
 
 // PrepareReducePhase is the compute half of a reduce phase: each
-// non-empty partition of parts grouped (in place, unless sorted) and
-// reduced (Grouper.Reduce), on len(gs) goroutines with a Grouper each.
+// non-empty partition reduced (Grouper.Reduce), on len(gs) goroutines
+// with a Grouper each — groups[r] as given when groups is not nil (a
+// prep's, in key order), else parts[r] grouped in place (Grouper.Group).
 // It schedules nothing; hand the results to CommitReducePhase once.
-func (e *Engine) PrepareReducePhase(job *Job, parts [][]records.Pair, sorted bool, gs []Grouper) []ReducerResult {
+func (e *Engine) PrepareReducePhase(job *Job, parts [][]records.Pair, groups [][]Group, gs []Grouper) []ReducerResult {
 	var live []int
-	most := 0
-	for r, ps := range parts {
-		if len(ps) > 0 {
+	most := 0 // the largest partition to group
+	for r := range max(len(parts), len(groups)) {
+		if groups != nil && len(groups[r]) > 0 || groups == nil && len(parts[r]) > 0 {
 			live = append(live, r)
 		}
-		most = max(most, len(ps))
+		if groups == nil {
+			most = max(most, len(parts[r]))
+		}
 	}
 	results := make([]ReducerResult, len(live))
 	parallel.ForWorker(len(gs), len(live), func(worker, i int) {
 		rr, g := &results[i], &gs[worker]
-		g.most = max(g.most, most) // sized for the largest partition (Groupers)
 		rr.Part, rr.worker = live[i], worker
-		group := g.Group
-		if sorted {
-			group = g.Sorted
+		var in []Group
+		if groups != nil {
+			in = groups[rr.Part]
+		} else {
+			g.most = max(g.most, most) // sized for the largest partition (Groupers)
+			in = g.Group(parts[rr.Part])
 		}
-		rr.OutData, rr.Output = g.Reduce(job.Reduce, group(parts[rr.Part]))
+		rr.OutData, rr.Output = g.Reduce(job.Reduce, in)
 		rr.OutBytes = records.PairsSize(rr.Output)
 	})
 	return results

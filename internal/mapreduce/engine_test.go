@@ -489,28 +489,67 @@ func TestMergeSortedRunsGroupsLikeGroupPairs(t *testing.T) {
 		if len(merged) != 1+len(concat) || string(merged[0].Key) != "a-prefix" {
 			t.Fatalf("trial %d: merged %d pairs onto a 1-pair dst, want %d with the prefix kept", trial, len(merged), 1+len(concat))
 		}
-		got := valueMultisets(t, GroupSorted(merged[1:]))
+		got := valueMultisets(t, groupKeyRuns(merged[1:]))
 		want := valueMultisets(t, GroupPairs(concat))
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (%d runs): merge+GroupSorted = %v, GroupPairs(concat) = %v", trial, len(runs), got, want)
+			t.Fatalf("trial %d (%d runs): merge+groupKeyRuns = %v, GroupPairs(concat) = %v", trial, len(runs), got, want)
 		}
 	}
-	if MergeSortedRuns(nil) != nil || GroupSorted(nil) != nil {
-		t.Error("no input should merge and group to nil")
+	if MergeSortedRuns(nil) != nil {
+		t.Error("no input should merge to nil")
 	}
 }
 
-// TestGroupSortedValuesDoNotOverlap pins that the groups' Values, views
-// of one shared array, are capacity-limited: a reducer appending to its
+// groupKeyRuns groups key-sorted pairs in one linear pass, each group's
+// values in the order they came: the reference for a merge of sorted runs.
+func groupKeyRuns(ps []records.Pair) []Group {
+	var gs []Group
+	for i, p := range ps {
+		if i == 0 || !bytes.Equal(p.Key, ps[i-1].Key) {
+			gs = append(gs, Group{Key: p.Key})
+		}
+		gs[len(gs)-1].Values = append(gs[len(gs)-1].Values, p.Value)
+	}
+	return gs
+}
+
+// TestGroupValuesDoNotOverlap pins that the groups' Values, views of one
+// shared array — a Grouper's scratch, a map phase's values, scattered or
+// one value filled in — are capacity-limited: a reducer appending to its
 // values cannot write into the next group's.
-func TestGroupSortedValuesDoNotOverlap(t *testing.T) {
-	groups := GroupSorted([]records.Pair{
+func TestGroupValuesDoNotOverlap(t *testing.T) {
+	groups := GroupPairs([]records.Pair{
 		{Key: []byte("a"), Value: []byte("1")},
 		{Key: []byte("b"), Value: []byte("2")},
 	})
 	_ = append(groups[0].Values, []byte("x"))
 	if string(groups[1].Values[0]) != "2" {
 		t.Errorf("append to group a's values clobbered group b: %q", groups[1].Values[0])
+	}
+	e := testRig(t, 3)
+	writeWords(t, e, "/w", []string{"ant", "bee", "cat"}, 90)
+	for name, value := range map[string][]byte{"scattered": nil, "one-valued": []byte("1")} {
+		job := &Job{Name: name, NumReducers: 1, Reduce: concatReduce, Map: func(ts int64, payload []byte, emit Emitter) {
+			v := value
+			if v == nil {
+				v = payload
+			}
+			emit.Emit(payload[:1], v)
+		}}
+		prep, err := e.PrepareMapPhase(job, WholeFiles([]string{"/w"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs := prep.groups[0]
+		if len(gs) != 3 {
+			t.Fatalf("%s: %d groups, want 3", name, len(gs))
+		}
+		next := string(gs[1].Values[0])
+		_ = append(gs[0].Values, []byte("x"))
+		if string(gs[1].Values[0]) != next {
+			t.Errorf("%s: append to group a's values clobbered group b: %q", name, gs[1].Values[0])
+		}
+		prep.Release()
 	}
 }
 

@@ -80,11 +80,14 @@ func (g *Grouper) Group(ps []records.Pair) []Group {
 	if len(g.ints) < 2*n {
 		g.ints = make([]uint32, 2*g.room(n))
 	}
+	if cap(g.vals) < n {
+		g.vals = make([][]byte, g.room(n))
+	}
 	if g.keys == nil { // room for a pane's few dozen keys without regrowing
 		g.keys, g.groups = make([]keyed, 0, min(n, 64)), make([]Group, 0, min(n, 64))
 	}
 	// A group number is below n, so n entries serve next as well.
-	gid, next, vals, keys := g.ints[:n], g.ints[n:2*n], g.values(n), g.keys[:0]
+	gid, next, vals, keys := g.ints[:n], g.ints[n:2*n], g.vals[:n], g.keys[:0]
 
 	// Number the groups and count their pairs.
 	for i := range ps {
@@ -143,14 +146,6 @@ func (g *Grouper) room(n int) int {
 		return g.most
 	}
 	return n + n/4
-}
-
-// values is the scratch's values array cut to n, regrown when too small.
-func (g *Grouper) values(n int) [][]byte {
-	if cap(g.vals) < n {
-		g.vals = make([][]byte, g.room(n))
-	}
-	return g.vals[:n]
 }
 
 // Groupers borrows one scratch per pool worker for grouping parts: a
@@ -261,7 +256,7 @@ type valRun struct {
 // add stages one pair: its key's number, and its value. A value with the
 // bytes of the one its worker kept last is that slice, not a new copy, so
 // a mapper's constant is one slice over all of a worker's splits and
-// starts no value run: place lays such a phase out a key run at a time.
+// starts no value run: place fills one values array with it for every group.
 func (st *stage) add(id uint32, v []byte, t *keyTable) {
 	if t.last == nil || !bytes.Equal(v, t.last) {
 		t.last = t.keep(v)
@@ -295,14 +290,15 @@ func (s *mapSink) emit(key, value []byte) {
 	s.size[s.tab.keys[id].part] += records.PairSize(records.Pair{Key: key, Value: value})
 }
 
-// place writes the stages' pairs to out, numbered by tabs[stage.worker],
-// and returns its partitions in SortPairs order: keys rank by partition,
-// then bytes, each pair goes to its rank's next position under the slice
-// the key's first split kept, and a rank's values, in emit order, are
-// sorted only when out of order; a phase with one value fills each rank
-// where it ranks the key instead. That is Group's result, without hashing
-// again.
-func place(stages []stage, tabs []keyTable, R int, out []records.Pair) [][]records.Pair {
+// place lays the stages' pairs out as key groups, numbered by
+// tabs[stage.worker], and returns each partition's groups in key order
+// and the values array they view, which alloc gives: keys rank by
+// partition, then bytes; a rank is one group under the slice the key's
+// first split kept; its values, in emit order, are sorted only when out of
+// order. In a phase with one value every group's values are a prefix of
+// one array filled with it. That is Group's result, without hashing again
+// or writing a pair.
+func place(stages []stage, tabs []keyTable, R int, alloc func(n int) [][]byte) ([][]Group, [][]byte) {
 	type ref struct {
 		part uint32
 		pre  uint64 // the key's first eight bytes, big-endian: most comparisons end here
@@ -336,70 +332,64 @@ func place(stages []stage, tabs []keyTable, R int, out []records.Pair) [][]recor
 		}
 		return cmp.Or(bytes.Compare(a.k.key, b.k.key), cmp.Compare(a.k.id, b.k.id))
 	})
-	// The tables' counts become ranks, at each rank's first position, and
-	// every table's entry of a key takes the slice the first split kept.
-	// With one value a rank's pairs are alike: written here, they need no
-	// scatter and no value-order check.
-	at, parts, pos := make([]uint32, 0, len(ents)), make([][]records.Pair, R), 0
+	// Equal keys of several tables become one rank, one group: at is each
+	// rank's first position among the phase's values, every table's entry
+	// of a key takes the slice the first split kept, and its count becomes
+	// the rank.
+	groups, at, parts := make([]Group, 0, len(ents)), make([]uint32, 0, len(ents)+1), make([][]Group, R)
+	pos, most := uint32(0), uint32(0)
 	var first *keyed
 	for _, e := range ents {
-		k, end := e.k, pos+int(*e.n)
-		if first == nil || k.part != first.part || !bytes.Equal(k.key, first.key) {
-			first, at = k, append(at, uint32(pos))
+		if k := e.k; first == nil || k.part != first.part || !bytes.Equal(k.key, first.key) {
+			first, at, groups = k, append(at, pos), append(groups, Group{Key: k.key})
+			n := len(groups) // groups never regrows: the partition's earlier groups stay its view
+			parts[e.part] = groups[n-1-len(parts[e.part]) : n : n]
 		}
-		parts[e.part] = out[pos-len(parts[e.part]) : end : end] // the partition so far and this entry
-		if single {
-			for j := pos; j < end; j++ {
-				out[j] = records.Pair{Key: first.key, Value: one}
-			}
+		e.k.key, pos, *e.n = first.key, pos+*e.n, uint32(len(at)-1)
+		most = max(most, pos-at[len(at)-1])
+	}
+	at = append(at, pos)
+	if pos == 0 {
+		return parts, nil
+	}
+	if single { // a rank's values are alike: no scatter, no value-order check
+		fill := alloc(int(most))
+		for i := range fill {
+			fill[i] = one
 		}
-		k.key, *e.n, pos = first.key, uint32(len(at)-1), end
+		for g := range groups {
+			n := at[g+1] - at[g]
+			groups[g].Values = fill[:n:n]
+		}
+		return parts, fill
 	}
-	if single {
-		return parts
-	}
+	all := alloc(int(pos))
 	for _, st := range stages {
 		t, v, next := &tabs[st.worker], st.first, 0
 		for j, id := range st.ids {
 			if next < len(st.runs) && st.runs[next].from == uint32(j) {
 				v, next = st.runs[next].v, next+1
 			}
-			out[at[t.n[id]]] = records.Pair{Key: t.keys[id].key, Value: v}
+			all[at[t.n[id]]] = v
 			at[t.n[id]]++
 		}
 	}
-	byValue := func(a, b records.Pair) int { return bytes.Compare(a.Value, b.Value) }
-	for g, lo := 0, uint32(0); g < len(at); lo, g = at[g], g+1 {
-		if ps := out[lo:at[g]]; !slices.IsSortedFunc(ps, byValue) {
-			slices.SortFunc(ps, byValue)
+	for g, lo := 0, uint32(0); g < len(groups); lo, g = at[g], g+1 { // at[g] is now where group g ends
+		vs := all[lo:at[g]:at[g]]
+		if !slices.IsSortedFunc(vs, bytes.Compare) {
+			slices.SortFunc(vs, bytes.Compare)
 		}
+		groups[g].Values = vs
 	}
-	return parts
-}
-
-// Sorted is Group for pairs already in key order — a merge of cached,
-// key-sorted runs: one linear pass, no hashing, nothing reordered, values
-// left in the order they came. The groups view the scratch likewise.
-func (g *Grouper) Sorted(ps []records.Pair) []Group {
-	vals, groups := g.values(len(ps)), g.groups[:0]
-	for i := 0; i < len(ps); {
-		j := i
-		for ; j < len(ps) && bytes.Equal(ps[j].Key, ps[i].Key); j++ {
-			vals[j] = ps[j].Value
-		}
-		groups = append(groups, Group{Key: ps[i].Key, Values: vals[i:j:j]})
-		i = j
-	}
-	g.groups = groups
-	return groups
+	return parts, all
 }
 
 // Reduce applies fn to each group in order with the Grouper's writer as
 // the emit, which copies (see Emitter), and returns the output as one
 // exactly-sized segment — what EncodePairs writes for the emitted pairs
 // — and the pairs as views of it; nil, nil when fn emitted nothing. The
-// groups may be this Grouper's own (Group, Sorted): the writer is
-// separate scratch.
+// groups may be this Grouper's own (Group): the writer is separate
+// scratch.
 func (g *Grouper) Reduce(fn ReduceFunc, groups []Group) ([]byte, []records.Pair) {
 	g.w.Reset()
 	emit := EmitTo(&g.w) // made per call: the free list copies Groupers, so a stored one would go stale
@@ -410,7 +400,7 @@ func (g *Grouper) Reduce(fn ReduceFunc, groups []Group) ([]byte, []records.Pair)
 	return seg, run.AppendTo(nil)
 }
 
-// ReduceRuns is MergeSortedRuns, Sorted and Reduce in one pass over the
+// ReduceRuns is MergeSortedRuns, grouping and Reduce in one pass over the
 // runs' columns, with no merged array: runs are key-sorted (SortedRun), a
 // key's values come run after run in run order, each run's in its own,
 // and fn is applied to each key as its group closes. It returns the
@@ -489,9 +479,6 @@ func keysSorted(r *colfmt.PairRun) bool {
 	}
 	return true
 }
-
-// GroupSorted is Sorted on a scratch of its own, for one-off callers.
-func GroupSorted(pairs []records.Pair) []Group { return new(Grouper).Sorted(pairs) }
 
 // GroupPairs is Group on a scratch of its own, for one-off callers: sized
 // exactly, since no second partition follows.

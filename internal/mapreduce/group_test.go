@@ -169,20 +169,9 @@ func TestGrouperReuseDoesNotLeak(t *testing.T) {
 				Value: []byte(fmt.Sprintf("r%d-v%d", round, rng.Intn(9))),
 			}
 		}
-		// Sorted shares the scratch: on odd rounds it goes first and grows
-		// the values array alone, which Group must cope with.
-		sorted := slices.Clone(input)
-		naiveSort(sorted)
-		if round%2 == 1 {
-			checkGrouped(t, fmt.Sprintf("round %d (n=%d) Sorted", round, n), input, sorted, g.Sorted(sorted))
-		}
 		got := slices.Clone(input)
 		groups := g.Group(got)
 		checkGrouped(t, fmt.Sprintf("round %d (n=%d)", round, n), input, got, groups)
-		if round%2 == 0 {
-			groups = g.Sorted(sorted)
-			checkGrouped(t, fmt.Sprintf("round %d (n=%d) Sorted", round, n), input, sorted, groups)
-		}
 		prefix := []byte(fmt.Sprintf("r%d-", round))
 		for _, grp := range groups {
 			for _, v := range grp.Values {
@@ -439,12 +428,13 @@ func storedRun(rng *rand.Rand, ps []records.Pair, shape int) []byte {
 // TestReduceRunsMatchesMergeThenSorted holds the join's columnar
 // merge-group (SortedRun + Grouper.ReduceRuns) to what it replaced:
 // decode each cache, sort it when its keys are out of order,
-// MergeSortedRuns, Grouper.Sorted, reduce, EncodePairs — over 1-4 runs
-// in every stored shape, empty runs and keys one run holds alone.
+// MergeSortedRuns, a linear grouping (groupKeyRuns), reduce, EncodePairs —
+// over 1-4 runs in every stored shape, empty runs and keys one run holds
+// alone.
 func TestReduceRunsMatchesMergeThenSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	byKey := func(a, b records.Pair) int { return bytes.Compare(a.Key, b.Key) }
-	var g, ref Grouper // reused across trials, as a worker's are
+	var g Grouper // reused across trials, as a worker's are
 	for trial := 0; trial < 400; trial++ {
 		datas := make([][]byte, 1+rng.Intn(4))
 		for r := range datas {
@@ -476,7 +466,7 @@ func TestReduceRunsMatchesMergeThenSorted(t *testing.T) {
 			}
 			runs = append(runs, run)
 		}
-		want := collect(freshReduce, ref.Sorted(MergeSortedRuns(nil, decoded...)))
+		want := collect(freshReduce, groupKeyRuns(MergeSortedRuns(nil, decoded...)))
 		got, view := g.ReduceRuns(reuseReduce, runs)
 		if !bytes.Equal(got, colfmt.EncodePairs(want)) {
 			t.Fatalf("trial %d (%d runs): ReduceRuns encodes %d bytes, the merge reference %d", trial, len(runs), len(got), len(colfmt.EncodePairs(want)))

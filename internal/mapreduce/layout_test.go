@@ -241,9 +241,10 @@ func samePairs(a, b []records.Pair) bool {
 // checkLayout maps c at one, two and four workers: each partition must
 // hold what the naive reference holds, in SortPairs order and marked so,
 // encoded to the same bytes, the pairs of a key under one copy of it
-// (Group's rule), with the same source-byte matrix and volume stats and
-// tasks committed in split order, and the results must be equal. It
-// returns how many partitions came out empty.
+// (Group's rule), its key groups in strictly ascending key order and
+// expanding to the same pairs, with the same source-byte matrix and
+// volume stats and tasks committed in split order, and the results must
+// be equal. It returns how many partitions came out empty.
 func checkLayout(t *testing.T, what string, c layoutCase) (emptyParts int) {
 	t.Helper()
 	var serial *MapPhaseResult
@@ -260,6 +261,15 @@ func checkLayout(t *testing.T, what string, c layoutCase) (emptyParts int) {
 			}
 			if len(want[r]) == 0 {
 				emptyParts++
+			}
+			gs := mp.groups[r]
+			if !samePairs(appendPairs(nil, gs), want[r]) || !bytes.Equal(colfmt.EncodeGroups(gs), colfmt.EncodePairs(want[r])) {
+				t.Fatalf("%s workers %d: partition %d's %d groups expand to other pairs than the reference's %d", what, workers, r, len(gs), len(want[r]))
+			}
+			for i := 1; i < len(gs); i++ {
+				if bytes.Compare(gs[i-1].Key, gs[i].Key) >= 0 {
+					t.Fatalf("%s workers %d: partition %d's groups %d and %d are out of key order", what, workers, r, i-1, i)
+				}
 			}
 			for i := 1; i < len(mp.Parts[r]); i++ {
 				a, b := mp.Parts[r][i-1].Key, mp.Parts[r][i].Key
@@ -344,6 +354,63 @@ func FuzzMapLayout(f *testing.F) {
 			checkLayout(t, fmt.Sprintf("seed %d", seed), c)
 		}
 	})
+}
+
+// TestOneValuedRunMapPhaseLaysPairsOut: a one-valued phase (WCCMap's
+// shape) holds its values as prefixes of one array of the largest group's
+// length; RunMapPhase still lays its pairs out as the naive reference
+// holds them, each key's under one copy of it; and a prep released before
+// its commit lays none out.
+func TestOneValuedRunMapPhaseLaysPairsOut(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c := randomLayoutCase(rng)
+	for len(c.inputs) == 0 {
+		c = randomLayoutCase(rng)
+	}
+	c.values, c.combine = 1, false
+	for _, workers := range []int{1, 4} {
+		_, place, e, job := c.run(t, workers)
+		mp, err := e.RunMapPhase(job, c.inputs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _, _ := naiveMapPhase(t, e, job, c.inputs, place.node)
+		pairs, most := 0, 0
+		for r := range want {
+			pairs += len(want[r])
+			if !samePairs(mp.Parts[r], want[r]) {
+				t.Fatalf("workers %d: partition %d holds %d pairs, reference %d (or another order)", workers, r, len(mp.Parts[r]), len(want[r]))
+			}
+			for i, p := range mp.Parts[r] {
+				if i > 0 && string(p.Key) == string(mp.Parts[r][i-1].Key) && unsafe.SliceData(p.Key) != unsafe.SliceData(mp.Parts[r][i-1].Key) {
+					t.Fatalf("workers %d: partition %d pair %d is not under its key's one copy", workers, r, i)
+				}
+			}
+			for _, g := range mp.groups[r] {
+				most = max(most, len(g.Values))
+			}
+		}
+		if len(mp.vals) != most || most >= pairs {
+			t.Fatalf("workers %d: %d pairs, the largest group %d, on a values array of %d", workers, pairs, most, len(mp.vals))
+		}
+		prep, err := e.PrepareMapPhase(job, c.inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep.Release()
+		released, err := e.CommitMapPhase(prep, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, ps := range released.Parts {
+			if len(ps) > 0 || released.out != nil {
+				t.Fatalf("workers %d: a released prep's commit laid out %d pairs of partition %d", workers, len(ps), r)
+			}
+		}
+		if released.Stats.MapTasks != mp.Stats.MapTasks || released.Stats.BytesSpilled != mp.Stats.BytesSpilled {
+			t.Fatalf("workers %d: a released prep commits %+v, the phase %+v", workers, released.Stats, mp.Stats)
+		}
+	}
 }
 
 // TestOverlappingInputsMapEveryRange: splits that overlap within a file

@@ -7,13 +7,15 @@ import (
 )
 
 // scratch is an engine's free lists of the arrays its phases borrow and
-// hand back: map outputs and the arena chunks their pairs' bytes are in
-// (Release), key numbers, key tables and Groupers.
+// hand back: map outputs, the values arrays their key groups view and
+// the arena chunks their bytes are in (Release), key numbers, key tables
+// and Groupers.
 // Unlike sync.Pool they keep what they are handed until DropScratch, so
 // what a recurrence allocates depends on neither the scheduler (a Put into
 // sync.Pool is private to its P) nor where a collection falls.
 type scratch struct {
 	outs     scratchPool[records.Pair]
+	vals     scratchPool[[]byte]
 	arenas   scratchPool[byte]
 	ids      scratchPool[uint32]
 	tables   scratchPool[keyTable]
@@ -57,12 +59,12 @@ func (p *scratchPool[T]) drop() {
 	p.mu.Unlock()
 }
 
-// SpareOutputs is how many map-output arrays the free list holds: once all
-// are back, the most borrowed at once since DropScratch.
+// SpareOutputs is how many map-output values arrays the free list holds:
+// once all are back, the most borrowed at once since DropScratch.
 func (e *Engine) SpareOutputs() int {
-	e.scratch.outs.mu.Lock()
-	defer e.scratch.outs.mu.Unlock()
-	return len(e.scratch.outs.spare)
+	e.scratch.vals.mu.Lock()
+	defer e.scratch.vals.mu.Unlock()
+	return len(e.scratch.vals.spare)
 }
 
 // DropScratch empties the engine's free lists, leaving their arrays to
@@ -72,6 +74,7 @@ func (e *Engine) SpareOutputs() int {
 // busiest moment.
 func (e *Engine) DropScratch() {
 	e.scratch.outs.drop()
+	e.scratch.vals.drop()
 	e.scratch.arenas.drop()
 	e.scratch.ids.drop()
 	e.scratch.tables.drop()

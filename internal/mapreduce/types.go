@@ -253,12 +253,11 @@ func (s *Stats) Accumulate(o Stats) {
 	s.BytesOutput += o.BytesOutput
 }
 
-// Group is one reduce invocation's input: a key and its values, a view of
-// its producer's array (a Grouper's scratch) under ReduceFunc's rule.
-type Group struct {
-	Key    []byte
-	Values [][]byte
-}
+// Group is one reduce invocation's input: a key and its values, views of
+// their producer's arrays (a Grouper's scratch, a map phase's key groups)
+// under ReduceFunc's rule. It is colfmt's, which encodes a partition's
+// groups as its cache (EncodeGroups).
+type Group = colfmt.Group
 
 // MergeSortedRuns merges key-sorted runs into dst (append-style) by an
 // n-way merge, ties going to the lower-numbered run, so the result is

@@ -29,11 +29,14 @@
 // p50/p90/p99 quantile table of every histogram follows on stderr.
 //
 // The "explain" subcommand runs the query and renders a per-recurrence
-// decision report from the flight recorder: the Equation 4 placement
-// audit (each candidate node's Load_i + C_task,i and the chosen node),
-// cache hit/miss/lost attribution per pane, and the Holt forecast vs.
-// actual response times with re-plan markers. The per-window table
-// moves to stderr.
+// decision report from the tracer's decision events: the Equation 4
+// placement audit (each candidate node's Load_i + C_task,i and the
+// chosen node), cache hit/miss/lost attribution per pane, retried task
+// attempts, and the Holt forecast vs. actual response times with
+// re-plan markers. The per-window table moves to stderr. The tracer
+// keeps each query's newest 16 recurrences, spans and decisions
+// together, so explain and profile report the same recurrences, and
+// explain's header names those that aged out.
 //
 // The "health" subcommand runs the query and prints the SLO monitor's
 // per-query status table: deadline headroom against the slide, the
@@ -119,9 +122,10 @@
 // engine against the baseline semantics).
 //
 // -metrics-out and -trace-out write the exposition and a
-// Perfetto-loadable Chrome trace JSON to files; both are written even
-// when the run fails partway (e.g. under -failnode or -dropcaches fault
-// injection), so the partial run stays inspectable.
+// Perfetto-loadable Chrome trace JSON to files (the trace marks every
+// retained decision as an instant on its query's track); both are
+// written even when the run fails partway (e.g. under -failnode or
+// -dropcaches fault injection), so the partial run stays inspectable.
 package main
 
 import (
@@ -334,7 +338,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr)
 		check("quantile table: ", ob.Metrics.WriteQuantileTable(stderr))
 	case "explain":
-		check("explain: ", explain.FromLog(ob.Events, queryName(o.Kind)).Write(stdout))
+		check("explain: ", explain.Build(ob.Tracer.Decisions(), queryName(o.Kind)).Write(stdout))
 	case "health":
 		if o.Baseline {
 			fmt.Fprintln(stderr, "redoopctl: the baseline driver has no health monitor; showing an empty table")

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -47,8 +49,10 @@ func TestUsageErrorsExit2(t *testing.T) {
 // redoopctl carried its own ingest chain and recurrence loop, except
 // chaos-failnode, recorded later: the injector's faults landing before
 // the scripted flags' (the order every figure uses), and the explain
-// rows, which pin the flight recorder's consumer: every Equation 4
-// audit and the run's purge and rollback counts.
+// rows, which pin the decision record's consumer: every Equation 4
+// audit and the run's purge and rollback counts. explain-join was
+// re-recorded when the decision record stopped losing the join's first
+// recurrence to a full ring.
 func TestRunGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -176,5 +180,67 @@ func TestSubcommandsMoveTableToStderr(t *testing.T) {
 	}
 	if !strings.HasPrefix(stdout.String(), "query") || strings.Contains(stdout.String(), "panes 10/0") {
 		t.Errorf("stdout is not the health table alone: %q", stdout.String())
+	}
+}
+
+// TestExplainAndProfileCoverTheSameRecurrences: explain and the
+// profiler read one record, so a run longer than the record keeps lists
+// the same recurrences in both — the newest 16 of 20 — and explain says
+// that the earlier ones aged out.
+func TestExplainAndProfileCoverTheSameRecurrences(t *testing.T) {
+	folded := filepath.Join(t.TempDir(), "profile.folded")
+	var stdout, stderr bytes.Buffer
+	args := []string{"explain", "-windows", "20", "-records", "6000", "-folded-out", folded}
+	if code := realMain(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+	}
+	var explained []int
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		var r int
+		if n, _ := fmt.Sscanf(line, "recurrence %d  window", &r); n == 1 {
+			explained = append(explained, r)
+		}
+	}
+	stacks, err := os.ReadFile(folded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var profiled []int
+	for _, line := range strings.Split(string(stacks), "\n") {
+		var r int
+		if frames := strings.Split(line, ";"); len(frames) > 1 {
+			if n, _ := fmt.Sscanf(frames[1], "recurrence %d", &r); n == 1 && !slices.Contains(profiled, r) {
+				profiled = append(profiled, r)
+			}
+		}
+	}
+	slices.Sort(profiled)
+	var want []int
+	for r := 4; r < 20; r++ {
+		want = append(want, r)
+	}
+	if !slices.Equal(explained, want) || !slices.Equal(profiled, want) {
+		t.Fatalf("explain lists recurrences %v and profile %v, want %v", explained, profiled, want)
+	}
+	if !strings.Contains(stdout.String(), "\nrecurrences 0..3 aged out of the record\n") {
+		t.Errorf("explain does not say recurrences 0..3 aged out:\n%s", stdout.String())
+	}
+}
+
+// TestExplainCountsRetries: a failed task attempt is recorded under its
+// query's name, so explain's query filter keeps it and the report
+// counts the retries a chaos schedule causes.
+func TestExplainCountsRetries(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"explain", "-chaos", "3:mixed", "-windows", "4", "-records", "6000"}
+	if code := realMain(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+	}
+	var retries int
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		fmt.Sscanf(line, "task attempts retried: %d", &retries)
+	}
+	if retries == 0 {
+		t.Fatalf("explain reports no retried task attempt under chaos:\n%s", stdout.String())
 	}
 }

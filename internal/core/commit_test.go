@@ -289,56 +289,54 @@ func TestCommitExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestRecorderFollowsStream: the flight recorder hears a rollback, a
-// purge notice and an Equation 4 placement from the obs fold alone —
-// one cache.rollback per lost or evicted record, one cache.purge per
-// expired record, one placement per placed record — each emitted next
-// to the record's own events, and stamped with its query, recurrence
-// and instant.
+// TestRecorderFollowsStream: the tracer's decision record hears a
+// rollback, a purge notice and an Equation 4 placement from the obs
+// fold alone — one cache.rollback per lost or evicted record, one
+// cache.purge per expired record, one placement per placed record —
+// each emitted next to the record's own events, and stamped with its
+// query, recurrence and instant.
 func TestRecorderFollowsStream(t *testing.T) {
-	var last []uint64 // the recorder's newest seq once each record was folded
+	var last []int // how many decisions were recorded once each record was folded
 	r := seamScenarios[2].run(t, 1, func(e *Engine) {
-		e.folds = append(e.folds, func(*commit) { last = append(last, e.obs.Events.Seq()) })
+		e.folds = append(e.folds, func(*commit) { last = append(last, len(e.obs.Tracer.Decisions())) })
 	})
-	rec := r.eng.obs.Events
-	if rec.Dropped() != 0 {
-		t.Fatalf("recorder dropped %d events; the scenario must fit its ring", rec.Dropped())
+	dec := r.eng.obs.Tracer.Decisions()
+	if len(dec) != last[len(last)-1] {
+		t.Fatalf("record holds %d decisions, %d were recorded; the scenario must fit it", len(dec), last[len(last)-1])
 	}
-	bySeq := make(map[uint64]eventlog.Event)
 	got := make(map[eventlog.Type]int)
-	for _, ev := range rec.Events() {
-		bySeq[ev.Seq] = ev
+	for _, ev := range dec {
 		got[ev.Type]++
 	}
 	want := make(map[eventlog.Type]int)
-	at := func(seq uint64, typ eventlog.Type, c *commit) {
+	at := func(n int, typ eventlog.Type, c *commit) {
 		t.Helper()
-		ev := bySeq[seq]
+		ev := dec[n-1]
 		if ev.Type != typ || ev.Query != r.eng.query.Name || ev.At != c.at || ev.Data != c.cacheData() {
-			t.Errorf("seq %d = %s %q at %d %+v, want %s of the %v record %+v", seq, ev.Type, ev.Query, ev.At, ev.Data, typ, c.kind, c.cacheData())
+			t.Errorf("decision %d = %s %q at %d %+v, want %s of the %v record %+v", n, ev.Type, ev.Query, ev.At, ev.Data, typ, c.kind, c.cacheData())
 		}
 	}
 	for i := range r.stream {
-		c, seq := &r.stream[i], last[i]
+		c, n := &r.stream[i], last[i]
 		switch c.kind {
 		case kindLost: // the lookup, then the rollback it causes
 			want[eventlog.CacheRollback]++
-			at(seq-1, eventlog.CacheLost, c)
-			at(seq, eventlog.CacheRollback, c)
+			at(n-1, eventlog.CacheLost, c)
+			at(n, eventlog.CacheRollback, c)
 		case kindEvicted: // the rollback, then the eviction
 			want[eventlog.CacheRollback]++
-			at(seq-1, eventlog.CacheRollback, c)
-			at(seq, eventlog.CacheEvict, c)
+			at(n-1, eventlog.CacheRollback, c)
+			at(n, eventlog.CacheEvict, c)
 		case kindExpired:
 			want[eventlog.CachePurge]++
-			at(seq, eventlog.CachePurge, c)
+			at(n, eventlog.CachePurge, c)
 		case kindPlaced:
 			want[eventlog.Placement]++
-			ev := bySeq[seq]
+			ev := dec[n-1]
 			d, _ := ev.Data.(eventlog.PlacementData)
 			if ev.Type != eventlog.Placement || ev.At != c.at || d.Recurrence != c.rec || d.Chosen != c.place.Node.ID ||
 				d.Outcome != c.place.Outcome || len(d.Candidates) == 0 {
-				t.Errorf("seq %d = %s %+v, want the placement of %+v", seq, ev.Type, ev.Data, c.place)
+				t.Errorf("decision %d = %s %+v, want the placement of %+v", n, ev.Type, ev.Data, c.place)
 			}
 		}
 	}

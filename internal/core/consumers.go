@@ -20,7 +20,7 @@ import (
 // on loss — and every observer wants to hear about exactly those
 // transitions. The engine describes each transition once, as a commit
 // record, at the serial point where it takes effect; every sidecar
-// (metrics + flight recorder, cost ledger, provenance store, reuse
+// (metrics + decision record, cost ledger, provenance store, reuse
 // index, SLO monitor, logger) is a fold over that stream, and nothing
 // else in the package writes into one: the controller, the scheduler
 // and the status matrix hold no observer. DESIGN.md "Commit seam" has
@@ -122,9 +122,9 @@ type commit struct {
 
 // commit hands one transition to every consumer, in the fixed order
 // attachConsumers built. It must only be called from the engine's
-// serial commit points: the order of calls is the order of flight-
-// recorder sequence numbers, ledger sums and lineage seqs, which is
-// what makes them independent of the worker count. The record is
+// serial commit points: the order of calls is the order of the
+// tracer's decisions, ledger sums and lineage seqs, which is what
+// makes them independent of the worker count. The record is
 // parked in the engine so handing its address to the folds does not
 // heap-allocate one per commit, and cleared afterwards so it does not
 // pin a window's output until the next one.
@@ -139,12 +139,12 @@ func (e *Engine) commit(c commit) {
 
 // attachConsumers wires the Config's sidecars to the engine and builds
 // the fold list. The order — observer, ledger, lineage, reuse, health,
-// then the logger, which nothing reads — is load-bearing: the flight
-// recorder's sequence numbers are shared, and a registration's
-// cache.register precedes the lineage fold's lineage.derived; the
-// ledger has opened a residency before the reuse index consults the
-// query's cache ROI while publishing it, and has advanced its accrual
-// watermark before the health sample reads the query's byte·seconds.
+// then the logger, which nothing reads — is load-bearing: the ledger
+// has opened a residency before the reuse index consults the query's
+// cache ROI while publishing it, and has advanced its accrual watermark
+// before the health sample reads the query's byte·seconds; the
+// observer's and the health monitor's decisions share the tracer's
+// record in this order.
 func (e *Engine) attachConsumers(cfg Config, dataDir string) {
 	q, mr := e.query, e.mr
 	if e.obs != nil {
@@ -234,7 +234,7 @@ func residencyOf(l *account.Ledger) func(pid string, typ CacheType) (recomputeNS
 	}
 }
 
-// cacheData renders a cache commit as the flight recorder's payload.
+// cacheData renders a cache commit as its decision event's payload.
 func (c *commit) cacheData() eventlog.CacheData {
 	return eventlog.CacheData{
 		PID: c.pid, CacheType: c.typ.String(), Node: c.node,
@@ -242,10 +242,10 @@ func (c *commit) cacheData() eventlog.CacheData {
 	}
 }
 
-// obsFold counts the transitions and writes them to the flight
-// recorder. Trace spans and instants are not here: span IDs are data
-// the engine threads through cacheRef, so the tracer is called
-// directly where the task is scheduled.
+// obsFold counts the transitions and records them as the tracer's
+// decisions. Trace spans are not here: span IDs are data the engine
+// threads through cacheRef, so the tracer is called directly where the
+// task is scheduled.
 func (e *Engine) obsFold() func(*commit) {
 	o, qname := e.obs, e.query.Name
 	lookup := func(c *commit, result string, typ eventlog.Type) {
@@ -394,7 +394,7 @@ func (e *Engine) ledgerFold(l *account.Ledger) func(*commit) {
 // here from the commit's source/pane/inputs, and a copy history that
 // follows the cache through hits, re-homes, losses and expiry.
 func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
-	q, o := e.query, e.obs
+	q := e.query
 	// Every partition of a pane claims the same batches; remember the
 	// last answer until ingestion (or another engine's, seen at the next
 	// trigger) can have changed it.
@@ -439,9 +439,8 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 			memoSrc = -1
 		case kindRegistered:
 			idBytes := lineage.AppendDerivID(buf[:0], c.pid, int(c.typ))
-			id := string(idBytes)
 			d := lineage.Derivation{
-				ID: id, Query: e.acctName, Fingerprint: e.planFP,
+				ID: string(idBytes), Query: e.acctName, Fingerprint: e.planFP,
 				Recurrence: c.rec, Pane: int64(c.pane), Part: c.part,
 				Bytes: c.bytes, SHA: lineage.SHA(c.data),
 				CostNS: int64(c.cost), Job: c.job,
@@ -460,25 +459,12 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 				input(lineage.AppendDerivID(inBuf[:0], in.pid, int(in.typ)))
 			}
 			d.Inputs = inputs
-			rebuilt, cause := s.RecordDerivation(d)
+			s.RecordDerivation(d)
 			ev := lineage.CopyEvent{Kind: "register", Node: c.node, AtNS: int64(c.at)}
 			if c.from >= 0 && c.from != c.node {
 				ev = lineage.CopyEvent{Kind: "rehome", Node: c.node, From: c.from, AtNS: int64(c.at)}
-				o.Emit(c.at, eventlog.LineageCopyRehome, q.Name, eventlog.LineageRehomeData{
-					ID: id, From: c.from, To: c.node,
-				})
 			}
 			s.AddCopy(idBytes, ev)
-			if rebuilt {
-				o.Emit(c.at, eventlog.LineageRebuild, q.Name, eventlog.LineageRebuildData{
-					ID: id, Kind: d.Kind, Cause: cause,
-				})
-			} else {
-				o.Emit(c.at, eventlog.LineageDerived, q.Name, eventlog.LineageDerivedData{
-					ID: id, Kind: d.Kind, Pane: d.Pane, Part: d.Part,
-					Bytes: d.Bytes, Fingerprint: e.planFP,
-				})
-			}
 		case kindHit:
 			s.AddCopy(lineage.AppendDerivID(buf[:0], c.pid, int(c.typ)),
 				lineage.CopyEvent{Kind: "hit", Node: c.node, AtNS: int64(c.at)})
@@ -518,17 +504,11 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 				los, his := e.windowRanges(c.rec)
 				forEachTupleRanges(los, his, tupleInputs)
 			}
-			size := int64(colfmt.PairsSize(res.Output))
-			wid := lineage.WindowID(e.acctName, c.rec)
 			s.RecordDerivation(lineage.Derivation{
-				ID: wid, Kind: "window", Query: e.acctName,
+				ID: lineage.WindowID(e.acctName, c.rec), Kind: "window", Query: e.acctName,
 				Fingerprint: e.planFP, Recurrence: c.rec, Pane: int64(res.WindowLo),
-				Bytes: size, SHA: windows.SHA(res.Output),
+				Bytes: int64(colfmt.PairsSize(res.Output)), SHA: windows.SHA(res.Output),
 				CostNS: int64(res.ResponseTime), Inputs: inputs, Expired: true,
-			})
-			o.Emit(c.at, eventlog.LineageDerived, q.Name, eventlog.LineageDerivedData{
-				ID: wid, Kind: "window",
-				Pane: int64(res.WindowLo), Bytes: size, Fingerprint: e.planFP,
 			})
 		}
 	}

@@ -516,22 +516,6 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	res.Proactive = e.proactive
 	res.SubPanes = e.plans[0].SubPanes
 	qname := e.query.Name
-	mode := "reactive"
-	if res.Proactive {
-		mode = "proactive"
-	}
-	// The query's tracks carry its account name, so queries sharing a
-	// name and a ledger (the Figure-6 panels) profile apart, as they
-	// are costed apart.
-	e.obs.Task(obs.TaskSpan{
-		Track: obs.QueryTrack(e.acctName), Cat: "recurrence",
-		Name:  fmt.Sprintf("recurrence %d", r),
-		Start: trigger, End: res.CompletedAt, Ready: trigger, ID: root,
-		Args: []obs.Label{
-			obs.L("mode", mode),
-			obs.L("newPanes", fmt.Sprint(res.NewPanes)),
-			obs.L("reusedPanes", fmt.Sprint(res.ReusedPanes))},
-	})
 	e.commit(commit{kind: kindWindow, at: res.CompletedAt, res: res, forecast: prevForecast})
 
 	e.retireExpired(r, res.CompletedAt)
@@ -584,10 +568,6 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 					return nil, err
 				}
 				replanned = true
-				e.obs.Instant(obs.QueryTrack(e.acctName), "adapt", "re-plan", res.CompletedAt,
-					obs.L("source", fmt.Sprint(i)),
-					obs.L("subPanes", fmt.Sprint(plan.SubPanes)),
-					obs.L("proactive", fmt.Sprint(proactive)))
 				e.commit(commit{kind: kindReplan, at: res.CompletedAt, src: i,
 					subPanes: plan.SubPanes, proactive: proactive, forecast: forecast, deadline: deadline})
 				e.mu.Lock()
@@ -610,6 +590,24 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	}
 	e.commit(commit{kind: kindFinish, at: res.CompletedAt, res: res, forecast: prevForecast,
 		replanned: replanned, newest: newest, covered: closeUnit})
+	// The root closes the recurrence's segment of the record, so it goes
+	// last: the segment then holds the whole recurrence, from its start
+	// to its health verdict. The query's tracks carry its account name,
+	// so queries sharing a name and a ledger (the Figure-6 panels)
+	// profile apart, as they are costed apart.
+	mode := "reactive"
+	if res.Proactive {
+		mode = "proactive"
+	}
+	e.obs.Task(obs.TaskSpan{
+		Track: obs.QueryTrack(e.acctName), Cat: "recurrence",
+		Name:  fmt.Sprintf("recurrence %d", r),
+		Start: trigger, End: res.CompletedAt, Ready: trigger, ID: root,
+		Args: []obs.Label{
+			obs.L("mode", mode),
+			obs.L("newPanes", fmt.Sprint(res.NewPanes)),
+			obs.L("reusedPanes", fmt.Sprint(res.ReusedPanes))},
+	})
 
 	e.mu.Lock()
 	e.next++
@@ -861,8 +859,6 @@ func (e *Engine) lookupCache(pidBytes []byte, typ CacheType) (ref cacheRef, ok, 
 		// tasks; the caller re-inserts the rebuild into the map list.
 		// The bytes stopped being resident when chaos destroyed them,
 		// but §5 discovers the loss lazily — here, at the trigger.
-		e.obs.Instant(obs.NodeTrack(sig.NID), "failure", "cache lost "+pid,
-			sig.ReadyAt, obs.L("type", typ.String()))
 		e.commit(commit{kind: kindLost, at: e.curTrigger, pid: pid, typ: typ, node: sig.NID, bytes: sig.Bytes})
 		e.ctrl.SetReady(pid, typ, HDFSAvailable, sig.ReadyAt, sig.NID)
 		e.sched.ReduceTasks.RemoveMatching(func(id string) bool {

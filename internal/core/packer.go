@@ -58,7 +58,7 @@ type Packer struct {
 	frame window.Frame
 	plan  PartitionPlan
 
-	// obs receives a flight-recorder PaneIngest event per pane segment
+	// obs records a PaneIngest decision event per pane segment
 	// written; obsQuery labels those events. Both may be zero.
 	obs      *obs.Observer
 	obsQuery string
@@ -454,7 +454,7 @@ func (p *Packer) flushGroup() error {
 }
 
 // addSegment records one written segment of a pane and announces it to
-// the flight recorder.
+// the decision record.
 func (p *Packer) addSegment(in PaneInput, size int64) {
 	p.flushed[in.Pane] = append(p.flushed[in.Pane], in)
 	p.obs.Emit(in.AvailableAt, eventlog.PaneIngest, p.obsQuery, eventlog.PaneIngestData{

@@ -521,7 +521,7 @@ func TestFlushIdenticalAcrossWidths(t *testing.T) {
 		for p := window.PaneID(0); p < 9; p++ {
 			got.Inputs[p], _ = pk.PaneInputs(p)
 		}
-		for _, ev := range o.Events.Events() {
+		for _, ev := range o.Tracer.Decisions() {
 			got.Events = append(got.Events, fmt.Sprintf("%d %v %+v", ev.At, ev.Type, ev.Data))
 		}
 		return got

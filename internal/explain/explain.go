@@ -1,12 +1,12 @@
-// Package explain turns the flight recorder's raw event stream into
-// per-recurrence decision reports: why each cache-fed task landed on
-// its node (the full Equation 4 cost breakdown per candidate), which
-// cached panes were reused and which recomputed, and how the Holt
-// forecast that drives adaptive re-planning compared with reality.
+// Package explain turns the run's decision events into per-recurrence
+// decision reports: why each cache-fed task landed on its node (the
+// full Equation 4 cost breakdown per candidate), which cached panes
+// were reused and which recomputed, and how the Holt forecast that
+// drives adaptive re-planning compared with reality.
 //
 // The report is derived purely from eventlog events, so it can be
-// built from a run (via the observer's log) or in tests from a
-// synthetic stream.
+// built from a run (the tracer's Decisions, which cover the same
+// recurrences as its spans) or in tests from a synthetic stream.
 package explain
 
 import (
@@ -87,10 +87,6 @@ type Recurrence struct {
 type Report struct {
 	Query       string
 	Recurrences []Recurrence
-	// Dropped counts events lost to the flight recorder's ring
-	// wraparound — when nonzero the earliest recurrences may be
-	// partial.
-	Dropped uint64
 	// Run-wide counts: purge notices, ready-state rollbacks, node
 	// failures and retried task attempts.
 	Purges       int
@@ -99,17 +95,9 @@ type Report struct {
 	TaskRetries  int
 }
 
-// FromLog builds a report for one query from a flight recorder.
-// An empty query matches every event (single-query runs).
-func FromLog(l *eventlog.Log, query string) *Report {
-	r := Build(l.Events(), query)
-	r.Dropped = l.Dropped()
-	return r
-}
-
 // Build assembles a report from an event slice, keeping only events of
-// the given query (empty = all). Events must be in sequence order, as
-// the recorder returns them.
+// the given query (empty = all). Events must be in record order, as
+// the tracer returns them.
 func Build(events []eventlog.Event, query string) *Report {
 	rep := &Report{Query: query}
 	recs := make(map[int]*Recurrence)
@@ -264,8 +252,8 @@ func (rep *Report) Write(w io.Writer) error {
 		name = "(all queries)"
 	}
 	fmt.Fprintf(w, "explain report — query %s, %d recurrences\n", name, len(rep.Recurrences))
-	if rep.Dropped > 0 {
-		fmt.Fprintf(w, "NOTE: %d events lost to ring wraparound; earliest recurrences may be partial\n", rep.Dropped)
+	if len(rep.Recurrences) > 0 && rep.Recurrences[0].Index > 0 {
+		fmt.Fprintf(w, "recurrences 0..%d aged out of the record\n", rep.Recurrences[0].Index-1)
 	}
 	if len(rep.NodeFailures) > 0 {
 		fmt.Fprintf(w, "node failures injected: %v\n", rep.NodeFailures)
@@ -295,7 +283,7 @@ func (rep *Report) Write(w io.Writer) error {
 			}
 			fmt.Fprintln(w)
 		} else {
-			fmt.Fprintf(w, "  (unfinished — run still in flight or events lost)\n")
+			fmt.Fprintf(w, "  (unfinished — run still in flight)\n")
 		}
 
 		fmt.Fprintf(w, "  cache lookups: %d hits, %d misses, %d lost; %d caches registered\n",

@@ -95,7 +95,7 @@ func runObserved(t *testing.T, n int, adaptive bool) (*obs.Observer, *core.Engin
 // must reproduce the node the scheduler actually chose.
 func TestPlacementAuditReproducesSchedulerChoice(t *testing.T) {
 	ob, _ := runObserved(t, 5, false)
-	rep := explain.FromLog(ob.Events, "q1")
+	rep := explain.Build(ob.Tracer.Decisions(), "q1")
 	total := 0
 	for _, r := range rep.Recurrences {
 		for _, p := range r.Placements {
@@ -122,7 +122,7 @@ func TestPlacementAuditReproducesSchedulerChoice(t *testing.T) {
 
 func TestReportFromRealRun(t *testing.T) {
 	ob, _ := runObserved(t, 4, false)
-	rep := explain.FromLog(ob.Events, "q1")
+	rep := explain.Build(ob.Tracer.Decisions(), "q1")
 	if len(rep.Recurrences) != 4 {
 		t.Fatalf("recurrences = %d, want 4", len(rep.Recurrences))
 	}
@@ -191,21 +191,21 @@ func TestPanesOf(t *testing.T) {
 
 func TestBuildSyntheticStream(t *testing.T) {
 	events := []eventlog.Event{
-		{Seq: 1, Type: eventlog.RecurrenceStart, Query: "q", Data: eventlog.RecurrenceStartData{Recurrence: 0, WindowLo: 0, WindowHi: 2}},
-		{Seq: 2, Type: eventlog.Placement, Query: "q", Data: eventlog.PlacementData{
+		{Type: eventlog.RecurrenceStart, Query: "q", Data: eventlog.RecurrenceStartData{Recurrence: 0, WindowLo: 0, WindowHi: 2}},
+		{Type: eventlog.Placement, Query: "q", Data: eventlog.PlacementData{
 			Recurrence: 0, Chosen: 1, Outcome: "cache-local", Caches: 1,
 			Candidates: []eventlog.PlacementCandidate{
 				{Node: 0, LoadNS: 5, CacheCostNS: 5, TotalNS: 10},
 				{Node: 1, LoadNS: 1, CacheCostNS: 2, TotalNS: 3},
 			},
 		}},
-		{Seq: 3, Type: eventlog.CacheMiss, Query: "q", Data: eventlog.CacheData{PID: "query/q/P0/r0", Node: -1, Recurrence: 0}},
-		{Seq: 4, Type: eventlog.PaneRetire, Query: "q", Data: eventlog.PaneRetireData{Source: 0, Panes: []int64{0, 1}}},
-		{Seq: 5, Type: eventlog.RecurrenceFinish, Query: "q", Data: eventlog.RecurrenceFinishData{Recurrence: 0, ResponseNS: 100, ForecastNS: -1, SubPanes: 1}},
-		{Seq: 6, Type: eventlog.NodeFailure, Query: "q", Data: eventlog.NodeFailureData{Node: 2}},
-		{Seq: 7, Type: eventlog.CachePurge, Data: eventlog.CacheData{PID: "x", Recurrence: -1}},
+		{Type: eventlog.CacheMiss, Query: "q", Data: eventlog.CacheData{PID: "query/q/P0/r0", Node: -1, Recurrence: 0}},
+		{Type: eventlog.PaneRetire, Query: "q", Data: eventlog.PaneRetireData{Source: 0, Panes: []int64{0, 1}}},
+		{Type: eventlog.RecurrenceFinish, Query: "q", Data: eventlog.RecurrenceFinishData{Recurrence: 0, ResponseNS: 100, ForecastNS: -1, SubPanes: 1}},
+		{Type: eventlog.NodeFailure, Query: "q", Data: eventlog.NodeFailureData{Node: 2}},
+		{Type: eventlog.CachePurge, Data: eventlog.CacheData{PID: "x", Recurrence: -1}},
 		// Another query's event must be filtered out.
-		{Seq: 8, Type: eventlog.CacheHit, Query: "other", Data: eventlog.CacheData{PID: "query/other/P1/r0", Recurrence: 0}},
+		{Type: eventlog.CacheHit, Query: "other", Data: eventlog.CacheData{PID: "query/other/P1/r0", Recurrence: 0}},
 	}
 	rep := explain.Build(events, "q")
 	if len(rep.Recurrences) != 1 {
@@ -250,7 +250,7 @@ func TestAdaptiveRunRecordsReplans(t *testing.T) {
 	// timing; the report must at minimum stay coherent and mark
 	// proactive recurrences consistently with the engine.
 	ob, eng := runObserved(t, 6, true)
-	rep := explain.FromLog(ob.Events, "q1")
+	rep := explain.Build(ob.Tracer.Decisions(), "q1")
 	if len(rep.Recurrences) != 6 {
 		t.Fatalf("recurrences = %d", len(rep.Recurrences))
 	}
@@ -273,13 +273,13 @@ func TestAdaptiveRunRecordsReplans(t *testing.T) {
 // recurrence and surface as forecast-table markers.
 func TestBuildHealthMarkers(t *testing.T) {
 	events := []eventlog.Event{
-		{Seq: 1, Type: eventlog.RecurrenceStart, Query: "q", Data: eventlog.RecurrenceStartData{Recurrence: 0}},
-		{Seq: 2, Type: eventlog.RecurrenceFinish, Query: "q", Data: eventlog.RecurrenceFinishData{Recurrence: 0, ResponseNS: 500, ForecastNS: 100, SubPanes: 1}},
-		{Seq: 3, Type: eventlog.HealthAnomaly, Query: "q", Data: eventlog.HealthAnomalyData{
+		{Type: eventlog.RecurrenceStart, Query: "q", Data: eventlog.RecurrenceStartData{Recurrence: 0}},
+		{Type: eventlog.RecurrenceFinish, Query: "q", Data: eventlog.RecurrenceFinishData{Recurrence: 0, ResponseNS: 500, ForecastNS: 100, SubPanes: 1}},
+		{Type: eventlog.HealthAnomaly, Query: "q", Data: eventlog.HealthAnomalyData{
 			Recurrence: 0, ForecastNS: 100, ActualNS: 500, ResidualNS: 400, EWMANS: 50, K: 3}},
-		{Seq: 4, Type: eventlog.AdaptivityMiss, Query: "q", Data: eventlog.AdaptivityMissData{
+		{Type: eventlog.AdaptivityMiss, Query: "q", Data: eventlog.AdaptivityMissData{
 			Recurrence: 0, ForecastNS: 100, ActualNS: 500, ResidualNS: 400}},
-		{Seq: 5, Type: eventlog.HealthStatus, Query: "q", Data: eventlog.HealthStatusData{
+		{Type: eventlog.HealthStatus, Query: "q", Data: eventlog.HealthStatusData{
 			Recurrence: 0, From: "OK", To: "AT_RISK", HeadroomNS: -100}},
 	}
 	rep := explain.Build(events, "q")
@@ -308,10 +308,10 @@ func TestBuildHealthMarkers(t *testing.T) {
 // order matches the sorted one by chance one time in six.
 func TestWriteRetiredInSourceOrder(t *testing.T) {
 	events := []eventlog.Event{
-		{Seq: 1, Type: eventlog.RecurrenceStart, Query: "q", Data: eventlog.RecurrenceStartData{Recurrence: 0}},
-		{Seq: 2, Type: eventlog.PaneRetire, Query: "q", Data: eventlog.PaneRetireData{Source: 2, Panes: []int64{4}}},
-		{Seq: 3, Type: eventlog.PaneRetire, Query: "q", Data: eventlog.PaneRetireData{Source: 0, Panes: []int64{0, 1}}},
-		{Seq: 4, Type: eventlog.PaneRetire, Query: "q", Data: eventlog.PaneRetireData{Source: 1, Panes: []int64{2}}},
+		{Type: eventlog.RecurrenceStart, Query: "q", Data: eventlog.RecurrenceStartData{Recurrence: 0}},
+		{Type: eventlog.PaneRetire, Query: "q", Data: eventlog.PaneRetireData{Source: 2, Panes: []int64{4}}},
+		{Type: eventlog.PaneRetire, Query: "q", Data: eventlog.PaneRetireData{Source: 0, Panes: []int64{0, 1}}},
+		{Type: eventlog.PaneRetire, Query: "q", Data: eventlog.PaneRetireData{Source: 1, Panes: []int64{2}}},
 	}
 	want := "  retired: source 0 panes [0 1]\n  retired: source 1 panes [2]\n  retired: source 2 panes [4]\n"
 	rep := explain.Build(events, "q")

@@ -24,7 +24,7 @@
 //     records an "adaptivity miss" — the signal that the §3.3 loop
 //     failed to respond to a regime change it should have seen.
 //
-// The monitor emits flight-recorder events (health.status,
+// The monitor records decision events (health.status,
 // health.anomaly, health.adaptivity_miss) and obs metrics
 // (redoop_health_status, redoop_deadline_headroom_seconds,
 // redoop_window_lag_units, redoop_deadline_misses_total,

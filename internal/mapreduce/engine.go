@@ -656,7 +656,7 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 				Parent: e.SpanParent, Deps: []obs.SpanID{prev},
 				Args: []obs.Label{obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("result", "failed")},
 			})
-			e.Obs.Emit(end, eventlog.TaskRetry, job.Name, eventlog.TaskRetryData{
+			e.Obs.Emit(end, eventlog.TaskRetry, job.Query, eventlog.TaskRetryData{
 				Job: job.Name, Task: id, Phase: "map", Attempt: attempt + 1,
 			})
 			e.Lineage.RecordAttempt(lineage.Attempt{
@@ -933,7 +933,7 @@ func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.No
 				Parent: e.SpanParent, Deps: append(append([]obs.SpanID{}, mp.Spans...), prev),
 				Args: []obs.Label{obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("result", "failed")},
 			})
-			e.Obs.Emit(end, eventlog.TaskRetry, job.Name, eventlog.TaskRetryData{
+			e.Obs.Emit(end, eventlog.TaskRetry, job.Query, eventlog.TaskRetryData{
 				Job: job.Name, Task: task, Phase: "reduce", Attempt: attempt + 1,
 			})
 			e.Lineage.RecordAttempt(lineage.Attempt{

@@ -1,26 +1,16 @@
-// Package eventlog is Redoop's flight recorder: a bounded,
-// concurrency-safe ring buffer of typed structured events describing
-// the system's adaptive decisions — recurrence lifecycles, pane
-// ingestion, cache registrations and lookups, Equation 4 placement
-// choices with their full per-candidate cost breakdown, adaptive
-// re-planning, and failures.
+// Package eventlog is the vocabulary of Redoop's decision record: the
+// typed structured events describing the system's adaptive decisions —
+// recurrence lifecycles, pane ingestion, cache registrations and
+// lookups, Equation 4 placement choices with their full per-candidate
+// cost breakdown, adaptive re-planning, and failures.
 //
-// Events carry virtual-clock timestamps (internal/simtime) and a
-// monotonically increasing sequence number, so a consumer can order
-// them and resume from where it left off (`Since`). The buffer is
-// bounded: once capacity is reached the oldest events are
-// overwritten and counted in Dropped, so a long-running recurring
-// query records forever in constant memory.
-//
-// Like the rest of the obs layer, a nil *Log is a valid no-op, so
-// emitting code instruments unconditionally.
+// Events carry virtual-clock timestamps (internal/simtime). They are
+// recorded by obs.Tracer next to the spans of the recurrence they
+// belong to (Tracer.Emit, Tracer.Decisions), so one retention rule
+// keeps or drops both together.
 package eventlog
 
-import (
-	"sync"
-
-	"redoop/internal/simtime"
-)
+import "redoop/internal/simtime"
 
 // Type names one kind of recorded event.
 type Type string
@@ -60,24 +50,10 @@ const (
 	// AdaptivityMiss is a forecast anomaly the adaptive re-planner did
 	// not react to — the §3.3 loop missed a regime change.
 	AdaptivityMiss Type = "health.adaptivity_miss"
-	// LineageDerived is one derivation node recorded in the provenance
-	// store: a pane cache or emitted window, with its plan fingerprint
-	// (LineageDerivedData).
-	LineageDerived Type = "lineage.derived"
-	// LineageCopyRehome is a cache copy re-homed to a different node by
-	// a rebuild (LineageRehomeData).
-	LineageCopyRehome Type = "lineage.copy_rehome"
-	// LineageRebuild is a derivation rebuilt after its cached bytes were
-	// lost, with the fault named as the cause when one matches
-	// (LineageRebuildData).
-	LineageRebuild Type = "lineage.rebuild"
 )
 
-// Event is one recorded entry of the flight recorder.
+// Event is one recorded decision.
 type Event struct {
-	// Seq is the event's global sequence number, 1-based and strictly
-	// increasing in record order.
-	Seq uint64 `json:"seq"`
 	// At is the event's virtual-clock instant.
 	At   simtime.Time `json:"at"`
 	Type Type         `json:"type"`
@@ -216,140 +192,4 @@ type AdaptivityMissData struct {
 	ForecastNS int64 `json:"forecastNS"`
 	ActualNS   int64 `json:"actualNS"`
 	ResidualNS int64 `json:"residualNS"`
-}
-
-// LineageDerivedData records one derivation node entering the
-// provenance store.
-type LineageDerivedData struct {
-	ID          string `json:"id"`
-	Kind        string `json:"kind"`
-	Pane        int64  `json:"pane"`
-	Part        int    `json:"part"`
-	Bytes       int64  `json:"bytes"`
-	Fingerprint string `json:"fingerprint"`
-}
-
-// LineageRehomeData records a cache copy re-homed across nodes by a
-// rebuild.
-type LineageRehomeData struct {
-	ID   string `json:"id"`
-	From int    `json:"from"`
-	To   int    `json:"to"`
-}
-
-// LineageRebuildData records a derivation rebuilt after loss; Cause
-// names the matched fault ("" when none matched).
-type LineageRebuildData struct {
-	ID    string `json:"id"`
-	Kind  string `json:"kind"`
-	Cause string `json:"cause,omitempty"`
-}
-
-// DefaultCapacity bounds the default flight recorder. At Redoop's
-// event rates (tens of events per recurrence) this covers hundreds of
-// recurrences while staying a few MiB at most.
-const DefaultCapacity = 8192
-
-// Log is the bounded event ring buffer. All methods are safe for
-// concurrent use; a nil *Log is a no-op.
-type Log struct {
-	mu      sync.Mutex
-	buf     []Event // ring storage, len == capacity
-	start   int     // index of the oldest retained event
-	n       int     // retained count
-	seq     uint64  // last assigned sequence number
-	dropped uint64  // events overwritten by wraparound
-}
-
-// NewLog returns an empty log retaining at most capacity events;
-// capacity <= 0 selects DefaultCapacity.
-func NewLog(capacity int) *Log {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Log{buf: make([]Event, capacity)}
-}
-
-// Append records one event, stamping its sequence number, and returns
-// it. When the buffer is full the oldest event is overwritten. A nil
-// log returns a zero Event.
-func (l *Log) Append(at simtime.Time, typ Type, query string, data any) Event {
-	if l == nil {
-		return Event{}
-	}
-	l.mu.Lock()
-	l.seq++
-	e := Event{Seq: l.seq, At: at, Type: typ, Query: query, Data: data}
-	if l.n < len(l.buf) {
-		l.buf[(l.start+l.n)%len(l.buf)] = e
-		l.n++
-	} else {
-		l.buf[l.start] = e
-		l.start = (l.start + 1) % len(l.buf)
-		l.dropped++
-	}
-	l.mu.Unlock()
-	return e
-}
-
-// Len returns the number of retained events.
-func (l *Log) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-// Cap returns the ring capacity (0 for nil).
-func (l *Log) Cap() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.buf)
-}
-
-// Seq returns the last assigned sequence number.
-func (l *Log) Seq() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
-// Dropped returns how many events were overwritten by wraparound.
-func (l *Log) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
-// Events returns the retained events, oldest first.
-func (l *Log) Events() []Event {
-	return l.Since(0)
-}
-
-// Since returns the retained events with Seq > seq, oldest first.
-// Passing the Seq of the last event a consumer saw resumes from there
-// (events older than the retention window are simply gone).
-func (l *Log) Since(seq uint64) []Event {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, 0, l.n)
-	for i := 0; i < l.n; i++ {
-		e := l.buf[(l.start+i)%len(l.buf)]
-		if e.Seq > seq {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -8,8 +8,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
+
+	"redoop/internal/simtime"
 )
 
 // --- Prometheus text exposition ---
@@ -226,49 +227,95 @@ type traceDoc struct {
 
 const tracePid = 1
 
-// WriteTraceJSON serializes the retained events as a Chrome trace
-// document: one metadata event names each track, then every span as a
-// complete ("X") event and every marker as an instant ("i") event on
-// its track's tid. A nil tracer writes an empty but valid document.
+// ChromeTrace builds one Chrome trace document: a metadata event names
+// the process and one names each track, in tid order, ahead of the
+// added events. The tracer's export and the profiler's critical-path
+// overlay both write through it.
+type ChromeTrace struct {
+	process string
+	tids    map[string]int
+	tracks  []string // tid order
+	events  []traceEventJSON
+}
+
+// NewChromeTrace returns an empty document for the named process.
+func NewChromeTrace(process string) *ChromeTrace {
+	return &ChromeTrace{process: process, tids: make(map[string]int)}
+}
+
+// Track returns a track's tid, giving a new track the next one.
+func (c *ChromeTrace) Track(name string) int {
+	id, ok := c.tids[name]
+	if !ok {
+		id = len(c.tracks)
+		c.tids[name] = id
+		c.tracks = append(c.tracks, name)
+	}
+	return id
+}
+
+// Span adds a complete ("X") event on a track.
+func (c *ChromeTrace) Span(track, cat, name string, start, end simtime.Time, args map[string]any) {
+	dur := float64(end.Sub(start)) / 1e3
+	c.events = append(c.events, traceEventJSON{Name: name, Cat: cat, Ph: "X",
+		Ts: float64(start) / 1e3, Dur: &dur, Pid: tracePid, Tid: c.Track(track), Args: args})
+}
+
+// Instant adds a thread-scoped instant ("i") event on a track.
+func (c *ChromeTrace) Instant(track, cat, name string, at simtime.Time, args map[string]any) {
+	c.events = append(c.events, traceEventJSON{Name: name, Cat: cat, Ph: "i",
+		Ts: float64(at) / 1e3, Pid: tracePid, Tid: c.Track(track), S: "t", Args: args})
+}
+
+// Encode writes the document as JSON.
+func (c *ChromeTrace) Encode(w io.Writer) error {
+	doc := traceDoc{TraceEvents: make([]traceEventJSON, 0, 1+len(c.tracks)+len(c.events)), DisplayTimeUnit: "ms"}
+	doc.TraceEvents = append(doc.TraceEvents, traceEventJSON{
+		Name: "process_name", Ph: "M", Pid: tracePid,
+		Args: map[string]any{"name": c.process},
+	})
+	for tid, track := range c.tracks {
+		doc.TraceEvents = append(doc.TraceEvents, traceEventJSON{
+			Name: "thread_name", Ph: "M", Pid: tracePid, Tid: tid,
+			Args: map[string]any{"name": track},
+		})
+	}
+	doc.TraceEvents = append(doc.TraceEvents, c.events...)
+	return json.NewEncoder(w).Encode(doc)
+}
+
+// WriteTraceJSON serializes the retained record as a Chrome trace
+// document: every track named, every span as a complete event on its
+// track, then every decision as an instant on its query's track. A nil
+// tracer writes a valid document with no spans or decisions.
 func (t *Tracer) WriteTraceJSON(w io.Writer) error {
-	doc := traceDoc{TraceEvents: []traceEventJSON{}, DisplayTimeUnit: "ms"}
+	doc := NewChromeTrace("redoop (virtual time)")
 	if t != nil {
 		t.mu.Lock()
-		doc.TraceEvents = append(doc.TraceEvents, traceEventJSON{
-			Name: "process_name", Ph: "M", Pid: tracePid,
-			Args: map[string]any{"name": "redoop (virtual time)"},
-		})
-		for tid, track := range t.tracks {
-			doc.TraceEvents = append(doc.TraceEvents, traceEventJSON{
-				Name: "thread_name", Ph: "M", Pid: tracePid, Tid: tid,
-				Args: map[string]any{"name": track},
-			})
+		for _, track := range t.tracks {
+			doc.Track(track)
 		}
-		for _, e := range append(slices.Concat(t.segs...), t.open...) {
-			ev := traceEventJSON{
-				Name: e.Name, Cat: e.Cat, Pid: tracePid, Tid: t.tids[e.Track],
-				Ts: float64(e.Start) / 1e3,
-			}
-			if e.Instant {
-				ev.Ph = "i"
-				ev.S = "t" // thread-scoped marker
-			} else {
-				ev.Ph = "X"
-				dur := float64(e.End.Sub(e.Start)) / 1e3
-				ev.Dur = &dur
-			}
-			if len(e.Args) > 0 {
-				ev.Args = make(map[string]any, len(e.Args))
-				for _, a := range e.Args {
-					ev.Args[a.Key] = a.Value
+		segs := t.segments()
+		for _, seg := range segs {
+			for _, e := range seg.spans {
+				var args map[string]any
+				if len(e.Args) > 0 {
+					args = make(map[string]any, len(e.Args))
+					for _, a := range e.Args {
+						args[a.Key] = a.Value
+					}
 				}
+				doc.Span(e.Track, e.Cat, e.Name, e.Start, e.End, args)
 			}
-			doc.TraceEvents = append(doc.TraceEvents, ev)
+		}
+		for _, seg := range segs {
+			for _, d := range seg.decisions {
+				doc.Instant(QueryTrack(d.Query), "decision", string(d.Type), d.At, map[string]any{"data": d.Data})
+			}
 		}
 		t.mu.Unlock()
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return doc.Encode(w)
 }
 
 // --- file helpers shared by the CLIs ---

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"redoop/internal/obs/eventlog"
 	"redoop/internal/simtime"
 )
 
@@ -140,7 +141,7 @@ func TestWriteFilesAtomicCreatesDirs(t *testing.T) {
 	}
 
 	tr := NewTracer()
-	tr.Instant("t", "c", "m", 0)
+	tr.Span("t", "c", "m", 0, 1)
 	tpath := filepath.Join(dir, "traces", "run.trace.json")
 	if err := tr.WriteTraceFile(tpath); err != nil {
 		t.Fatal(err)
@@ -232,8 +233,9 @@ func TestWriteJSONSnapshot(t *testing.T) {
 }
 
 // TestWriteTraceJSON checks the Chrome trace document: valid JSON,
-// track metadata, complete events with microsecond ts/dur, instant
-// events, and nesting-compatible timestamps.
+// track metadata, complete events with microsecond ts/dur, a decision
+// as an instant on its query's track, and nesting-compatible
+// timestamps.
 func TestWriteTraceJSON(t *testing.T) {
 	tr := NewTracer()
 	// recurrence span containing a phase span containing a task span,
@@ -242,7 +244,7 @@ func TestWriteTraceJSON(t *testing.T) {
 	tr.Span("query:q1", "phase", "map pane 3", simtime.Time(simtime.Millisecond), simtime.Time(4*simtime.Millisecond))
 	tr.Span("node:2", "task", "map S1P3", simtime.Time(simtime.Millisecond), simtime.Time(2*simtime.Millisecond),
 		L("attempt", "1"))
-	tr.Instant("query:q1", "adapt", "re-plan", simtime.Time(9*simtime.Millisecond))
+	tr.Emit(simtime.Time(9*simtime.Millisecond), eventlog.Replan, "q1", eventlog.ReplanData{SubPanes: 2})
 
 	var buf bytes.Buffer
 	if err := tr.WriteTraceJSON(&buf); err != nil {

@@ -1,8 +1,9 @@
 // Package obs is the simulation-time observability layer: a
 // concurrency-safe metrics registry (counters, gauges, histograms
-// keyed by name + labels), a lightweight span tracer that emits Chrome
-// trace-event JSON viewable in Perfetto / about:tracing, and exporters
-// for a Prometheus-style text exposition and a JSON snapshot.
+// keyed by name + labels), a lightweight tracer that is the run's one
+// record — spans and decision events, kept per recurrence — and emits
+// Chrome trace-event JSON viewable in Perfetto / about:tracing, and
+// exporters for a Prometheus-style text exposition and a JSON snapshot.
 //
 // All timestamps come from internal/simtime, so a simulated run
 // produces one coherent series on the virtual clock — the quantities
@@ -74,55 +75,33 @@ func NodeTrack(id int) string {
 // spans.
 func QueryTrack(name string) string { return "query:" + name }
 
-// Observer bundles the metrics registry, the span tracer and the
-// flight-recorder event log that instrumented components share. A nil
-// *Observer (or nil fields) disables the corresponding instrument with
-// ~zero overhead.
+// Observer bundles the metrics registry and the span tracer that
+// instrumented components share; the tracer is also the run's record
+// of decisions (Tracer.Emit). A nil *Observer (or nil fields) disables
+// the corresponding instrument with ~zero overhead.
 type Observer struct {
 	Metrics *Registry
 	Tracer  *Tracer
-	// Events is the bounded flight recorder of structured decision
-	// events (cache lookups, Equation 4 placements, re-plans); the
-	// explain report (`redoopctl explain`) reads from it.
-	Events *eventlog.Log
 }
 
-// New returns an Observer with a fresh registry, tracer, and a
-// default-capacity event log.
+// New returns an Observer with a fresh registry and tracer.
 func New() *Observer {
-	o := &Observer{
-		Metrics: NewRegistry(),
-		Tracer:  NewTracer(),
-		Events:  eventlog.NewLog(eventlog.DefaultCapacity),
-	}
-	// Pre-create the overflow counter so ring health is visible in
-	// every exposition from the first scrape, not only after the first
-	// drop.
-	o.Metrics.Counter("redoop_eventlog_dropped_total")
-	return o
+	return &Observer{Metrics: NewRegistry(), Tracer: NewTracer()}
 }
 
-// Emit appends a structured event to the bundled flight recorder;
-// nil-safe, returns the stamped event. Once the ring is full every
-// append overwrites (drops) exactly one retained event; that overflow
-// is surfaced as the redoop_eventlog_dropped_total counter so a
-// wrapped flight recorder is never silent.
-func (o *Observer) Emit(at simtime.Time, typ eventlog.Type, query string, data any) eventlog.Event {
+// Emit records a decision event via the bundled tracer; nil-safe.
+func (o *Observer) Emit(at simtime.Time, typ eventlog.Type, query string, data any) {
 	if o == nil {
-		return eventlog.Event{}
+		return
 	}
-	e := o.Events.Append(at, typ, query, data)
-	if e.Seq > uint64(o.Events.Cap()) {
-		o.Metrics.Counter("redoop_eventlog_dropped_total").Inc()
-	}
-	return e
+	o.Tracer.Emit(at, typ, query, data)
 }
 
-// EmitEnabled reports whether an event log is attached — emitters that
+// EmitEnabled reports whether decisions are recorded — emitters that
 // must build a payload (e.g. the per-candidate placement breakdown)
 // check it first to skip the work when recording is off.
 func (o *Observer) EmitEnabled() bool {
-	return o != nil && o.Events != nil
+	return o != nil && o.Tracer != nil
 }
 
 // Counter resolves a counter on the bundled registry; nil-safe.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"redoop/internal/obs/eventlog"
 )
 
 // TestRegistryConcurrency hammers one registry from many goroutines —
@@ -97,11 +99,11 @@ func TestNilSafety(t *testing.T) {
 	o.Gauge("g").Set(1)
 	o.Histogram("h").Observe(1)
 	o.Span("t", "cat", "s", 0, 10)
-	o.Instant("t", "cat", "i", 5)
+	o.Emit(5, eventlog.Replan, "q", nil)
 
 	tr.Span("t", "cat", "s", 0, 10)
-	tr.Instant("t", "cat", "i", 5)
-	if tr.Len() != 0 || tr.Events() != nil {
+	tr.Emit(5, eventlog.Replan, "q", nil)
+	if tr.Len() != 0 || tr.Events() != nil || tr.Decisions() != nil {
 		t.Error("nil tracer must be empty")
 	}
 
@@ -109,6 +111,10 @@ func TestNilSafety(t *testing.T) {
 	o2 := &Observer{}
 	o2.Counter("c").Inc()
 	o2.Span("t", "cat", "s", 0, 10)
+	o2.Emit(5, eventlog.Replan, "q", nil)
+	if o2.EmitEnabled() {
+		t.Error("an Observer without a tracer must not ask for payloads")
+	}
 }
 
 // TestGaugeSet checks last-write-wins semantics.

@@ -4,30 +4,42 @@ import (
 	"slices"
 	"sync"
 
+	"redoop/internal/obs/eventlog"
 	"redoop/internal/simtime"
 )
 
-// Tracer records completed spans and instant events on named tracks of
-// the virtual timeline and serializes them as Chrome trace-event JSON
-// (loadable in Perfetto or chrome://tracing). Because the simulation
-// knows every span's start and end when it is recorded, the API takes
-// closed spans rather than begin/end pairs: one call per span, safe
-// for concurrent use. A nil *Tracer is a no-op.
+// Tracer is the run's one record: completed spans on named tracks of
+// the virtual timeline, and the decision events (cache lookups,
+// Equation 4 placements, re-plans) made among them. It serializes the
+// record as Chrome trace-event JSON (loadable in Perfetto or
+// chrome://tracing), and the profile and explain reports read it.
+// Because the simulation knows every span's start and end when it is
+// recorded, the API takes closed spans rather than begin/end pairs:
+// one call per span, safe for concurrent use. A nil *Tracer is a
+// no-op.
 //
 // Tracks become trace "threads" (one tid per track, named via metadata
 // events); nesting inside a track follows virtual-time containment, so
 // a recurrence span contains its phase spans, which contain their task
 // spans when recorded on the same track.
 //
-// Retention is window-scoped (DESIGN.md, "Sidecar retention"): each
-// track keeps the segments of its newest KeepRecurrences recurrences.
+// Retention is window-scoped (DESIGN.md, "Sidecar retention"): a
+// segment is what is recorded up to a recurrence root, spans and
+// decisions, and each track keeps the segments of its newest
+// KeepRecurrences recurrences.
 type Tracer struct {
 	mu     sync.Mutex
 	tids   map[string]int
 	tracks []string  // tid order
-	segs   [][]Event // closed segments, oldest first
-	open   []Event   // recorded since the last root
+	segs   []segment // closed segments, oldest first
+	open   segment   // recorded since the last root
 	nextID SpanID    // last allocated task-span ID
+}
+
+// segment is one recurrence's share of the record.
+type segment struct {
+	spans     []Event
+	decisions []eventlog.Event
 }
 
 // KeepRecurrences is how many recurrences a Tracer keeps per track.
@@ -36,24 +48,21 @@ const KeepRecurrences = 16
 // SpanID identifies one recorded task span within a Tracer. IDs are
 // allocated in record order (serial accounting order), so they are
 // deterministic across runs regardless of the compute pool width. The
-// zero SpanID means "no span" — legacy Span/Instant events carry it,
+// zero SpanID means "no span" — spans recorded through Span carry it,
 // and a dependency on span 0 is never recorded.
 type SpanID uint64
 
-// Event is one recorded trace event.
+// Event is one recorded span.
 type Event struct {
 	Track string
 	Cat   string
 	Name  string
 	Start simtime.Time
-	// End is the span's end instant; for instant events End == Start
-	// and Instant is set.
-	End     simtime.Time
-	Instant bool
-	Args    []Label
+	End   simtime.Time
+	Args  []Label
 
-	// ID identifies this span for dependency edges; zero for events
-	// recorded through Span/Instant (which predate span identity).
+	// ID identifies this span for dependency edges; zero for spans
+	// recorded through Span (which predate span identity).
 	ID SpanID
 	// Parent is the enclosing span (a recurrence root for task spans);
 	// zero when the span has no recorded parent.
@@ -66,7 +75,8 @@ type Event struct {
 	Deps []SpanID
 	// Ready is the instant the task became eligible to run; Start−Ready
 	// is schedule wait (slot-queueing delay). Zero-valued Ready on a
-	// legacy event means "unknown" and profilers treat it as Start.
+	// Span-recorded event means "unknown" and profilers treat it as
+	// Start.
 	Ready simtime.Time
 }
 
@@ -153,29 +163,42 @@ func (t *Tracer) Task(ts TaskSpan) SpanID {
 // recordLocked gives a new track the next tid and appends ev to the
 // open segment, which a recurrence root closes as its track's: the root
 // and all recorded since the last one. A track's segments past
-// KeepRecurrences go oldest first, the cleared array becoming the next
-// open segment. Caller holds t.mu.
+// KeepRecurrences go oldest first, their cleared arrays becoming the
+// next open segment's. Caller holds t.mu.
 func (t *Tracer) recordLocked(ev Event) {
 	if _, ok := t.tids[ev.Track]; !ok {
 		t.tids[ev.Track] = len(t.tracks)
 		t.tracks = append(t.tracks, ev.Track)
 	}
-	t.open = append(t.open, ev)
+	t.open.spans = append(t.open.spans, ev)
 	if ev.Cat != "recurrence" {
 		return
 	}
-	t.segs, t.open = append(t.segs, t.open), nil
+	t.segs, t.open = append(t.segs, t.open), segment{}
 	oldest, owned := 0, 0
 	for i := len(t.segs) - 1; i >= 0; i-- {
-		if seg := t.segs[i]; seg[len(seg)-1].Track == ev.Track {
+		if spans := t.segs[i].spans; spans[len(spans)-1].Track == ev.Track {
 			oldest, owned = i, owned+1
 		}
 	}
 	if owned > KeepRecurrences {
-		t.open = t.segs[oldest][:0]
-		clear(t.segs[oldest])
+		old := t.segs[oldest]
+		clear(old.spans)
+		clear(old.decisions)
+		t.open = segment{old.spans[:0], old.decisions[:0]}
 		t.segs = slices.Delete(t.segs, oldest, oldest+1)
 	}
+}
+
+// Emit records a decision event in the open segment, so it is kept
+// and dropped with the recurrence it belongs to.
+func (t *Tracer) Emit(at simtime.Time, typ eventlog.Type, query string, data any) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.open.decisions = append(t.open.decisions, eventlog.Event{At: at, Type: typ, Query: query, Data: data})
+	t.mu.Unlock()
 }
 
 // Span records a completed span on a track. Spans whose end precedes
@@ -196,31 +219,42 @@ func (t *Tracer) Span(track, cat, name string, start, end simtime.Time, args ...
 	})
 }
 
-// Instant records a zero-duration marker (re-plan decisions, cache
-// losses, node failures) on a track.
-func (t *Tracer) Instant(track, cat, name string, at simtime.Time, args ...Label) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.recordLocked(Event{
-		Track: track, Cat: cat, Name: name,
-		Start: at, End: at, Instant: true, Args: args,
-	})
-}
-
-// Len returns the number of retained events.
+// Len returns the number of retained spans.
 func (t *Tracer) Len() int { return len(t.Events()) }
 
-// Events returns a snapshot of the retained events in record order.
+// Events returns a snapshot of the retained spans in record order.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append(slices.Concat(t.segs...), t.open...)
+	var out []Event
+	for _, seg := range t.segments() {
+		out = append(out, seg.spans...)
+	}
+	return out
+}
+
+// Decisions returns a snapshot of the retained decision events in
+// record order.
+func (t *Tracer) Decisions() []eventlog.Event {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []eventlog.Event
+	for _, seg := range t.segments() {
+		out = append(out, seg.decisions...)
+	}
+	return out
+}
+
+// segments returns the closed segments and the open one, oldest first.
+// Caller holds t.mu.
+func (t *Tracer) segments() []segment {
+	return append(t.segs[:len(t.segs):len(t.segs)], t.open)
 }
 
 // Span records a completed span via the bundled tracer; nil-safe.
@@ -229,14 +263,6 @@ func (o *Observer) Span(track, cat, name string, start, end simtime.Time, args .
 		return
 	}
 	o.Tracer.Span(track, cat, name, start, end, args...)
-}
-
-// Instant records an instant event via the bundled tracer; nil-safe.
-func (o *Observer) Instant(track, cat, name string, at simtime.Time, args ...Label) {
-	if o == nil {
-		return
-	}
-	o.Tracer.Instant(track, cat, name, at, args...)
 }
 
 // Task records a task span via the bundled tracer; nil-safe (returns 0).

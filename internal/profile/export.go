@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -36,7 +35,7 @@ func (p *Profile) WriteFolded(w io.Writer) error {
 	}
 	for i := range p.spans {
 		ev := &p.spans[i]
-		if ev.ID == 0 || ev.Cat == "recurrence" || ev.Instant {
+		if ev.ID == 0 || ev.Cat == "recurrence" {
 			continue
 		}
 		dur := ev.End.Sub(ev.Start)
@@ -64,24 +63,6 @@ func (p *Profile) WriteFoldedFile(path string) error {
 
 // --- critical-path Chrome trace overlay ---
 
-// critTraceEvent mirrors obs's on-the-wire Chrome trace event
-// (timestamps in microseconds, pid 1, one tid per track).
-type critTraceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  *float64       `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type critTraceDoc struct {
-	TraceEvents     []critTraceEvent `json:"traceEvents"`
-	DisplayTimeUnit string           `json:"displayTimeUnit"`
-}
-
 // WriteCritPathTrace writes a Chrome trace document containing every
 // task span on its original track plus one "critical-path" overlay
 // track per query, holding the recurrences' tiling segments. Loaded
@@ -89,32 +70,11 @@ type critTraceDoc struct {
 // by recurrence, exactly which task, wait or gap the wall-clock was
 // spent on.
 func (p *Profile) WriteCritPathTrace(w io.Writer) error {
-	doc := critTraceDoc{TraceEvents: []critTraceEvent{}, DisplayTimeUnit: "ms"}
-	const pid = 1
-	tids := map[string]int{}
-	var tracks []string
-	tid := func(track string) int {
-		id, ok := tids[track]
-		if !ok {
-			id = len(tracks)
-			tids[track] = id
-			tracks = append(tracks, track)
-		}
-		return id
-	}
-	var events []critTraceEvent
-	span := func(name, cat, track string, start, end simtime.Time, args map[string]any) {
-		dur := float64(end.Sub(start)) / 1e3
-		events = append(events, critTraceEvent{
-			Name: name, Cat: cat, Ph: "X", Pid: pid, Tid: tid(track),
-			Ts: float64(start) / 1e3, Dur: &dur, Args: args,
-		})
-	}
-
+	doc := obs.NewChromeTrace("redoop critical path (virtual time)")
 	// Overlay tracks first so they sort to the top of the viewer.
 	for _, rec := range p.Recurrences {
 		track := "critical-path:" + rec.Query
-		span(fmt.Sprintf("recurrence %d", rec.Index), "recurrence", track,
+		doc.Span(track, "recurrence", fmt.Sprintf("recurrence %d", rec.Index),
 			rec.Start, rec.End, map[string]any{
 				"wallNS": int64(rec.Wall),
 				"taskNS": int64(rec.CritTask),
@@ -126,30 +86,18 @@ func (p *Profile) WriteCritPathTrace(w io.Writer) error {
 			if name == "" {
 				name = s.Kind
 			}
-			span(name, "crit-"+s.Kind, track, s.Start, s.End,
+			doc.Span(track, "crit-"+s.Kind, name, s.Start, s.End,
 				map[string]any{"kind": s.Kind, "track": s.Track})
 		}
 	}
 	for i := range p.spans {
 		ev := &p.spans[i]
-		if ev.Instant || ev.End == ev.Start {
+		if ev.End == ev.Start {
 			continue
 		}
-		span(ev.Name, ev.Cat, ev.Track, ev.Start, ev.End, nil)
+		doc.Span(ev.Track, ev.Cat, ev.Name, ev.Start, ev.End, nil)
 	}
-
-	doc.TraceEvents = append(doc.TraceEvents, critTraceEvent{
-		Name: "process_name", Ph: "M", Pid: pid,
-		Args: map[string]any{"name": "redoop critical path (virtual time)"},
-	})
-	for id, track := range tracks {
-		doc.TraceEvents = append(doc.TraceEvents, critTraceEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: id,
-			Args: map[string]any{"name": track},
-		})
-	}
-	doc.TraceEvents = append(doc.TraceEvents, events...)
-	return json.NewEncoder(w).Encode(doc)
+	return doc.Encode(w)
 }
 
 // WriteCritPathTraceFile writes the overlay trace to a file atomically.

@@ -154,7 +154,7 @@ type costsJSON struct {
 // summary: how many derivation nodes and input edges the run recorded,
 // how many distinct plan fingerprints it saw, and how many cache
 // entries had to be rebuilt after a lost cache (Figure 9 drops caches
-// on purpose, so -fig all records rebuilds with no faults).
+// on purpose, so -fig all records rebuilds).
 type lineageJSON struct {
 	Nodes                int `json:"nodes"`
 	Edges                int `json:"edges"`
@@ -162,7 +162,6 @@ type lineageJSON struct {
 	DistinctFingerprints int `json:"distinctFingerprints"`
 	Rebuilds             int `json:"rebuilds"`
 	Evicted              int `json:"evicted"`
-	Faults               int `json:"faults"`
 }
 
 // reuseQueryJSON is one query's share of the -reuse comparison: map
@@ -439,7 +438,6 @@ func lineageSummary(lin *lineage.Store) *lineageJSON {
 		DistinctFingerprints: st.DistinctFingerprints,
 		Rebuilds:             st.Rebuilds,
 		Evicted:              st.Evicted,
-		Faults:               st.Faults,
 	}
 }
 

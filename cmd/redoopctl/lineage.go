@@ -41,8 +41,8 @@ func runLineage(tableW, reportW io.Writer, cfg experiments.Config, o runOpts) er
 	}
 
 	st := cfg.Lineage.Stats()
-	fmt.Fprintf(reportW, "provenance store: %d derivations, %d edges, %d batches, %d fingerprints, %d rebuilds, %d evicted, %d faults recorded\n",
-		st.Nodes, st.Edges, st.Batches, st.DistinctFingerprints, st.Rebuilds, st.Evicted, st.Faults)
+	fmt.Fprintf(reportW, "provenance store: %d derivations, %d edges, %d batches, %d fingerprints, %d rebuilds, %d evicted\n",
+		st.Nodes, st.Edges, st.Batches, st.DistinctFingerprints, st.Rebuilds, st.Evicted)
 	plans := cfg.Lineage.Plans()
 	fps := make([]string, 0, len(plans))
 	for fp := range plans {

@@ -493,7 +493,8 @@ func run(w io.Writer, cfg experiments.Config, o runOpts) (*core.Engine, error) {
 			at := wf.At(wf.WindowClose(r - 1))
 			mr.DFS.FailNodeAt(o.failNode, at)
 			mr.Cluster.FailNode(o.failNode)
-			cfg.Obs.Emit(at, eventlog.NodeFailure, queryName(o.Kind), eventlog.NodeFailureData{Node: o.failNode})
+			cfg.Obs.Emit(at, eventlog.Fault, queryName(o.Kind),
+				eventlog.FaultData{Kind: eventlog.FaultNodeCrash, Node: o.failNode})
 		}
 		if o.dropCache && r > 0 && !o.Baseline {
 			mr.Cluster.DropLocal(r%mr.Cluster.Config().Workers, "cache/")

@@ -8,8 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"redoop/internal/chaos"
+	"redoop/internal/experiments"
 )
 
 // TestUsageErrorsExit2: every rejected invocation exits 2 with a
@@ -242,5 +246,42 @@ func TestExplainCountsRetries(t *testing.T) {
 	}
 	if retries == 0 {
 		t.Fatalf("explain reports no retried task attempt under chaos:\n%s", stdout.String())
+	}
+}
+
+// TestExplainListsChaosCrashes: a node crash the chaos injector applies
+// is a fault decision in the run's one record, so explain lists it on
+// its "node failures injected" line like a -failnode crash.
+func TestExplainListsChaosCrashes(t *testing.T) {
+	const seed, windows = 4, 4
+	cfg := experiments.Default()
+	sched, err := chaos.Generate(seed, chaos.ProfileMixed, windows, cfg.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := -1 // the first scheduled crash always applies: every node is alive
+	for _, a := range sched.Actions {
+		if a.Kind == chaos.NodeCrash {
+			crashed = a.Node % cfg.Workers
+			break
+		}
+	}
+	if crashed < 0 {
+		t.Fatalf("chaos seed %d schedules no node crash: %s", seed, sched)
+	}
+	var stdout, stderr bytes.Buffer
+	args := []string{"explain", "-chaos", strconv.Itoa(seed), "-windows", strconv.Itoa(windows), "-records", "6000"}
+	if code := realMain(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+	}
+	var line string
+	for _, l := range strings.Split(stdout.String(), "\n") {
+		if strings.HasPrefix(l, "node failures injected: ") {
+			line = l
+		}
+	}
+	nodes := strings.Fields(strings.Trim(strings.TrimPrefix(line, "node failures injected: "), "[]"))
+	if !slices.Contains(nodes, strconv.Itoa(crashed)) {
+		t.Fatalf("explain does not list the crash of node %d:\n%s", crashed, stdout.String())
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"slices"
 
 	"redoop/internal/core"
-	"redoop/internal/lineage"
 	"redoop/internal/mapreduce"
+	"redoop/internal/obs/eventlog"
 	"redoop/internal/records"
 	"redoop/internal/simtime"
 )
@@ -118,10 +118,7 @@ func (in *Injector) BeforeRecurrence(r int, eng *core.Engine, ingest func(src in
 			}
 			in.mr.DFS.FailNodeAt(n, at)
 			in.mr.Cluster.FailNode(n)
-			in.mr.Lineage.RecordFault(lineage.Fault{
-				Kind: string(NodeCrash), Node: n, Recurrence: r,
-				AtNS: int64(at),
-			})
+			in.fault(at, a.Kind, n, "")
 		case NodeRevive:
 			n := a.Node % workers
 			if in.mr.Cluster.Node(n).Alive() {
@@ -135,10 +132,7 @@ func (in *Injector) BeforeRecurrence(r int, eng *core.Engine, ingest func(src in
 				continue
 			}
 			in.mr.Cluster.DropLocal(n, "cache/")
-			in.mr.Lineage.RecordFault(lineage.Fault{
-				Kind: string(CacheDrop), Node: n, Recurrence: r,
-				AtNS: int64(at),
-			})
+			in.fault(at, a.Kind, n, "")
 		case PaneCorrupt, PaneTruncate:
 			if err := in.corruptPane(r, at, eng, a); err != nil {
 				return err
@@ -214,9 +208,13 @@ func (in *Injector) corruptPane(r int, at simtime.Time, eng *core.Engine, a Acti
 	if in.OnCorrupt != nil {
 		in.OnCorrupt(path)
 	}
-	in.mr.Lineage.RecordFault(lineage.Fault{
-		Kind: string(a.Kind), Node: -1, Path: path, Recurrence: r,
-		AtNS: int64(at),
-	})
+	in.fault(at, a.Kind, -1, path)
 	return nil
+}
+
+// fault records an applied action in the run's decision record. A fault
+// belongs to the whole run, not to one query, so it carries no query
+// name and every query's explain report lists it.
+func (in *Injector) fault(at simtime.Time, kind Kind, node int, path string) {
+	in.mr.Obs.Emit(at, eventlog.Fault, "", eventlog.FaultData{Kind: string(kind), Node: node, Path: path})
 }

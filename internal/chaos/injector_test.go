@@ -6,7 +6,8 @@ import (
 	"redoop/internal/chaos"
 	"redoop/internal/core"
 	"redoop/internal/experiments"
-	"redoop/internal/lineage"
+	"redoop/internal/obs"
+	"redoop/internal/obs/eventlog"
 	"redoop/internal/queries"
 	"redoop/internal/simtime"
 	"redoop/internal/workload"
@@ -25,8 +26,8 @@ func TestCrashStampedAtSharedTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	mr := experiments.Default().NewRuntime(1)
-	lin := lineage.New(0)
-	eng, err := core.NewEngine(core.Config{MR: mr, Query: q, Lineage: lin})
+	mr.Obs = obs.New()
+	eng, err := core.NewEngine(core.Config{MR: mr, Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +57,16 @@ func TestCrashStampedAtSharedTrigger(t *testing.T) {
 		if r != crashAt {
 			continue
 		}
-		faults := lin.Snapshot().Faults
-		if len(faults) != 1 || faults[0].Kind != string(chaos.NodeCrash) {
+		var faults []eventlog.Event
+		for _, e := range mr.Obs.Tracer.Decisions() {
+			if e.Type == eventlog.Fault {
+				faults = append(faults, e)
+			}
+		}
+		if len(faults) != 1 || faults[0].Data.(eventlog.FaultData).Kind != string(chaos.NodeCrash) {
 			t.Fatalf("faults = %+v, want one %s", faults, chaos.NodeCrash)
 		}
-		if got := simtime.Time(faults[0].AtNS); got != res.TriggerAt {
+		if got := faults[0].At; got != res.TriggerAt {
 			t.Errorf("crash stamped at %v, want the recurrence's trigger %v", got, res.TriggerAt)
 		}
 	}

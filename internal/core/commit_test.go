@@ -360,7 +360,7 @@ func TestCommitFreeWithoutSidecars(t *testing.T) {
 	inputs := []cacheRef{{pid: "in", typ: ReduceInput}}
 	allocs := testing.AllocsPerRun(200, func() {
 		eng.commit(commit{kind: kindHit, at: 5, pid: "p", typ: ReduceOutput, node: 1, bytes: 7})
-		eng.commit(commit{kind: kindRegistered, at: 5, pid: "p", typ: ReduceOutput, node: 1, from: -1,
+		eng.commit(commit{kind: kindRegistered, at: 5, pid: "p", typ: ReduceOutput, node: 1,
 			bytes: 7, cost: 3, data: data, pane: 2, part: 1, inputs: inputs, publish: true})
 		eng.commit(commit{kind: kindCharged, phase: phaseReduce, cost: 9})
 	})

@@ -33,9 +33,8 @@ type commitKind uint8
 const (
 	kindIngested commitKind = iota // batch recs delivered to source src
 	kindStart                      // recurrence triggered over panes [pane, paneHi]
-	// kindRegistered: bytes stored on node, signature cache-available.
-	// from is the previous home (-1: no signature), so from != node is
-	// a re-home; cost is the recompute a later hit avoids.
+	// kindRegistered: bytes stored on node, signature cache-available;
+	// cost is the recompute a later hit avoids.
 	kindRegistered
 	kindHit  // lookup found signature and bytes
 	kindMiss // lookup found no cache-available signature
@@ -45,7 +44,7 @@ const (
 	kindLost
 	kindCrossHit // another query's cache pid feeds a reuse copy/merge
 	// kindReused: own pane output pid, just registered, came from
-	// inputs[0], another query's cache on node from; mode exact|subsume.
+	// inputs[0], another query's cache; mode exact|subsume.
 	kindReused
 	kindStale   // a reuse advertisement of pid has no resident bytes behind it
 	kindLoaded  // cache task on node read pid ("" = uncached intermediate) at cost
@@ -85,7 +84,6 @@ type commit struct {
 	pid   string
 	typ   CacheType
 	node  int
-	from  int
 	bytes int64
 	cost  simtime.Duration
 	local bool
@@ -170,21 +168,13 @@ func (e *Engine) attachConsumers(cfg Config, dataDir string) {
 		e.folds = append(e.folds, e.ledgerFold(l))
 	}
 	// The plan fingerprints are computed unconditionally — they are the
-	// reuse seam — but only recorded when a store is attached. The store
-	// is propagated to the MapReduce runtime (task-attempt provenance)
-	// and the DFS (pane-file replica history, bounded to this query's
-	// data directory).
+	// reuse seam — but only recorded when a store is attached.
 	plan := lineagePlan(q, e.frames)
 	e.planFP = lineage.Fingerprint(plan)
 	e.opFP = lineage.OpFingerprint(plan)
 	e.lin = cfg.Lineage
 	if s := e.lin; s != nil {
 		s.RecordPlan(e.planFP, plan)
-		if mr.Lineage == nil {
-			mr.Lineage = s
-		}
-		mr.DFS.SetLineage(s)
-		mr.DFS.LineagePrefix(dataDir + "/")
 		e.folds = append(e.folds, e.lineageFold(s))
 	}
 	// Engines sharing one controller share one index, and each install
@@ -391,8 +381,8 @@ func (e *Engine) ledgerFold(l *account.Ledger) func(*commit) {
 // lineageFold records provenance: a derivation node per cache
 // registration and emitted window, with the raw batches (reduce inputs)
 // or upstream derivations (everything else) it was built from resolved
-// here from the commit's source/pane/inputs, and a copy history that
-// follows the cache through hits, re-homes, losses and expiry.
+// here from the commit's source/pane/inputs, expired when its cache is
+// retired, evicted or lost.
 func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 	q := e.query
 	// Every partition of a pane claims the same batches; remember the
@@ -438,9 +428,9 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 		case kindStart:
 			memoSrc = -1
 		case kindRegistered:
-			idBytes := lineage.AppendDerivID(buf[:0], c.pid, int(c.typ))
 			d := lineage.Derivation{
-				ID: string(idBytes), Query: e.acctName, Fingerprint: e.planFP,
+				ID:    string(lineage.AppendDerivID(buf[:0], c.pid, int(c.typ))),
+				Query: e.acctName, Fingerprint: e.planFP,
 				Recurrence: c.rec, Pane: int64(c.pane), Part: c.part,
 				Bytes: c.bytes, SHA: lineage.SHA(c.data),
 				CostNS: int64(c.cost), Job: c.job,
@@ -460,29 +450,10 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 			}
 			d.Inputs = inputs
 			s.RecordDerivation(d)
-			ev := lineage.CopyEvent{Kind: "register", Node: c.node, AtNS: int64(c.at)}
-			if c.from >= 0 && c.from != c.node {
-				ev = lineage.CopyEvent{Kind: "rehome", Node: c.node, From: c.from, AtNS: int64(c.at)}
-			}
-			s.AddCopy(idBytes, ev)
-		case kindHit:
-			s.AddCopy(lineage.AppendDerivID(buf[:0], c.pid, int(c.typ)),
-				lineage.CopyEvent{Kind: "hit", Node: c.node, AtNS: int64(c.at)})
-		case kindReused:
-			// The derivation was just recorded by the registration, with
-			// the producer's derivation as its input; stamp both copy
-			// histories with the reuse.
-			prod := c.inputs[0]
-			s.AddCopy(lineage.AppendDerivID(buf[:0], c.pid, int(c.typ)),
-				lineage.CopyEvent{Kind: "reuse", Node: c.node, From: c.from, AtNS: int64(c.at)})
-			s.AddCopy(lineage.AppendDerivID(buf[:0], prod.pid, int(prod.typ)),
-				lineage.CopyEvent{Kind: "hit", Node: c.from, AtNS: int64(c.at)})
-		case kindLost:
-			// Matched against the most recent recorded fault so the
-			// rebuild that follows can name its cause.
-			s.MarkLost(lineage.AppendDerivID(buf[:0], c.pid, int(c.typ)), c.node, int64(c.at))
-		case kindExpired, kindEvicted:
-			s.MarkExpired(lineage.AppendDerivID(buf[:0], c.pid, int(c.typ)), int64(c.at))
+		case kindLost, kindExpired, kindEvicted:
+			// A lost cache's derivation expires like a retired one's: the
+			// rebuild that follows records it again.
+			s.MarkExpired(lineage.AppendDerivID(buf[:0], c.pid, int(c.typ)))
 		case kindWindow:
 			// The window consumes its pane (or pane-tuple) output
 			// caches. Window nodes are born expired: their bytes go to

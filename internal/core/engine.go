@@ -81,10 +81,8 @@ type Config struct {
 	// between engines so one store holds every query's derivation DAG.
 	// The engine records, through its commit seam, a derivation node
 	// for every pane cache and emitted window — input batches down to
-	// record-offset ranges, the plan fingerprint, cache copy history,
-	// and downstream consumers — and propagates the store to the
-	// MapReduce runtime (task attempts) and DFS (replica history). Nil
-	// disables provenance at ~zero cost.
+	// record-offset ranges, upstream derivations, the plan fingerprint
+	// and downstream consumers. Nil disables provenance at ~zero cost.
 	Lineage *lineage.Store
 	// Reuse optionally attaches a cross-query pane reuse index, shared
 	// between engines over the same controller. Eligible engines
@@ -807,19 +805,15 @@ func (e *Engine) registerCacheFor(pid string, typ CacheType, node int, readyAt s
 	// node's copy — the signature moves with the rebuild, so bytes
 	// left behind would otherwise be orphaned forever: unexpired,
 	// undiscoverable, and invisible to every future purge notice.
-	prevNode := -1
-	if old, ok := e.ctrl.Lookup(pid, typ); ok {
-		prevNode = old.NID
-		if old.NID != node {
-			if oldReg := e.ctrl.Registry(old.NID); oldReg != nil {
-				oldReg.MarkExpired(pid, typ)
-			}
+	if old, ok := e.ctrl.Lookup(pid, typ); ok && old.NID != node {
+		if oldReg := e.ctrl.Registry(old.NID); oldReg != nil {
+			oldReg.MarkExpired(pid, typ)
 		}
 	}
 	reg := e.ctrl.Registry(node)
 	reg.Add(pid, typ, data)
 	e.ctrl.Register(pid, typ, node, CacheAvailable, readyAt, int64(len(data)), usedBy)
-	e.commit(commit{kind: kindRegistered, at: readyAt, pid: pid, typ: typ, node: node, from: prevNode,
+	e.commit(commit{kind: kindRegistered, at: readyAt, pid: pid, typ: typ, node: node,
 		bytes: int64(len(data)), cost: meta.recompute, data: data,
 		src: meta.src, pane: meta.pane, part: meta.part, job: meta.job, inputs: meta.inputs, publish: meta.publish})
 	return cacheRef{pid: pid, typ: typ, node: node, readyAt: readyAt, bytes: int64(len(data)), span: meta.span}

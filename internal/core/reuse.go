@@ -191,7 +191,7 @@ func (e *Engine) composeReusedPane(p window.PaneID, trigger simtime.Time, rows [
 // prod, the producer it is attributed to. mode is "exact" or "subsume".
 func (e *Engine) registerReused(routPID string, prod cacheRef, node int, at simtime.Time, data []byte, meta cacheMeta, mode string) cacheRef {
 	ref := e.registerCache(routPID, ReduceOutput, node, at, data, meta)
-	e.commit(commit{kind: kindReused, at: at, pid: routPID, typ: ReduceOutput, node: node, from: prod.node,
+	e.commit(commit{kind: kindReused, at: at, pid: routPID, typ: ReduceOutput, node: node,
 		bytes: prod.bytes, inputs: []cacheRef{prod}, mode: mode})
 	return ref
 }

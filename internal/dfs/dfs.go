@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"redoop/internal/account"
-	"redoop/internal/lineage"
 	"redoop/internal/obs"
 	"redoop/internal/simtime"
 )
@@ -99,12 +98,6 @@ type DFS struct {
 	// prefix stay unattributed.
 	acct     *account.Ledger
 	prefixes []prefixRule
-	// lin optionally records replica history (initial placement and
-	// failure-driven re-replication) for paths under linPrefixes, so the
-	// provenance store can show where a derivation's bytes lived and how
-	// they survived node loss.
-	lin         *lineage.Store
-	linPrefixes []string
 }
 
 // prefixRule attributes paths under Prefix to ledger account Query.
@@ -138,42 +131,6 @@ func (d *DFS) SetAccount(l *account.Ledger) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.acct = l
-}
-
-// SetLineage attaches the provenance store replica history is recorded
-// to; nil detaches it (prefix registrations are kept).
-func (d *DFS) SetLineage(s *lineage.Store) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.lin = s
-}
-
-// LineagePrefix marks paths under prefix as provenance-tracked: their
-// block placements and re-replications are recorded as file events in
-// the attached lineage store. Registering a prefix twice is a no-op.
-func (d *DFS) LineagePrefix(prefix string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, p := range d.linPrefixes {
-		if p == prefix {
-			return
-		}
-	}
-	d.linPrefixes = append(d.linPrefixes, prefix)
-}
-
-// lineageTracks reports whether path's replica history should be
-// recorded; caller holds d.mu (read or write).
-func (d *DFS) lineageTracks(path string) bool {
-	if d.lin == nil {
-		return false
-	}
-	for _, p := range d.linPrefixes {
-		if strings.HasPrefix(path, p) {
-			return true
-		}
-	}
-	return false
 }
 
 // AttributePrefix routes IO on paths under prefix to the named ledger
@@ -277,12 +234,6 @@ func (d *DFS) placeReplicas(dst []int, exclude map[int]bool, want int) []int {
 // output path per recurrence" usage; HDFS itself is write-once, which the
 // higher layers respect by construction).
 func (d *DFS) Write(path string, data []byte) error {
-	return d.write(path, data, 0)
-}
-
-// write is Write with the virtual instant threaded through for lineage
-// file events (0 for unstamped writes).
-func (d *DFS) write(path string, data []byte, at simtime.Time) error {
 	if path == "" {
 		return fmt.Errorf("dfs: empty path")
 	}
@@ -315,28 +266,7 @@ func (d *DFS) write(path string, data []byte, at simtime.Time) error {
 		})
 	}
 	d.files[path] = f
-	if d.lineageTracks(path) {
-		d.lin.RecordFileEvent(path, lineage.FileEvent{
-			Kind: "place", Nodes: replicaUnion(f.blocks), AtNS: int64(at),
-		})
-	}
 	return nil
-}
-
-// replicaUnion returns the sorted union of all blocks' replica nodes.
-func replicaUnion(blocks []Block) []int {
-	seen := map[int]bool{}
-	for _, b := range blocks {
-		for _, r := range b.Replicas {
-			seen[r] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // WriteAt is Write (data handed over likewise) stamped with the virtual
@@ -345,7 +275,7 @@ func replicaUnion(blocks []Block) []int {
 // copies) is recorded as a span on the ReplicationTrack so unseen DFS
 // traffic shows up in traces. Virtual timelines are unaffected.
 func (d *DFS) WriteAt(path string, data []byte, at simtime.Time) error {
-	if err := d.write(path, data, at); err != nil {
+	if err := d.Write(path, data); err != nil {
 		return err
 	}
 	d.mu.RLock()
@@ -484,15 +414,9 @@ func (d *DFS) HasLocalReplica(path string, index, node int) bool {
 // FailNode marks a data node dead and re-replicates every block that
 // lost a replica onto other alive nodes, restoring the replication
 // factor where possible. It returns the number of bytes re-replicated.
-func (d *DFS) FailNode(node int) int64 {
-	return d.failNode(node, 0)
-}
-
-// failNode is FailNode with the virtual crash instant threaded through
-// for lineage file events (0 for unstamped failures). Paths are walked
-// in sorted order so re-replica placement and event recording are
+// Paths are walked in sorted order so re-replica placement is
 // deterministic.
-func (d *DFS) failNode(node int, at simtime.Time) int64 {
+func (d *DFS) FailNode(node int) int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.alive[node] {
@@ -508,8 +432,6 @@ func (d *DFS) failNode(node int, at simtime.Time) int64 {
 	for _, p := range paths {
 		f := d.files[p]
 		var pathMoved int64
-		var added []int
-		lostAny := false
 		for i := range f.blocks {
 			b := &f.blocks[i]
 			kept := b.Replicas[:0]
@@ -525,7 +447,6 @@ func (d *DFS) failNode(node int, at simtime.Time) int64 {
 			if !lost {
 				continue
 			}
-			lostAny = true
 			exclude := make(map[int]bool, len(b.Replicas))
 			for _, r := range b.Replicas {
 				exclude[r] = true
@@ -535,7 +456,6 @@ func (d *DFS) failNode(node int, at simtime.Time) int64 {
 				b.Replicas = append(b.Replicas, add...)
 				sort.Ints(b.Replicas)
 				pathMoved += b.Size * int64(len(add))
-				added = append(added, add...)
 			}
 		}
 		moved += pathMoved
@@ -543,12 +463,6 @@ func (d *DFS) failNode(node int, at simtime.Time) int64 {
 		// the resident bytes whose redundancy the query's data needed
 		// restoring.
 		d.acct.AddIO(d.accountFor(p), account.IODFSRepl, pathMoved)
-		if lostAny && d.lineageTracks(p) {
-			sort.Ints(added)
-			d.lin.RecordFileEvent(p, lineage.FileEvent{
-				Kind: "rereplicate", Nodes: added, Lost: node, AtNS: int64(at),
-			})
-		}
 	}
 	d.rereplicated += moved
 	d.obs.Counter("redoop_dfs_node_failures_total").Inc()
@@ -562,7 +476,7 @@ func (d *DFS) failNode(node int, at simtime.Time) int64 {
 // starting at the crash instant. Virtual timelines are unaffected — the
 // namenode restores the replication factor in the background.
 func (d *DFS) FailNodeAt(node int, at simtime.Time) int64 {
-	moved := d.failNode(node, at)
+	moved := d.FailNode(node)
 	d.mu.RLock()
 	cost, o := d.transferCost, d.obs
 	d.mu.RUnlock()

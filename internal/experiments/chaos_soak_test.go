@@ -50,7 +50,7 @@ func soakSeeds(t *testing.T) []int64 {
 }
 
 // TestChaosSoak drives every regime (agg, join, adaptive, speculative,
-// shared-hub) through a deterministic fault storm with the differential oracle
+// shared-hub, join-hetero) through a deterministic fault storm with the differential oracle
 // checking every window: byte-identical results vs baseline
 // recomputation and zero structural-invariant violations, or the test
 // fails with the first divergence. Reproduce any CI failure locally

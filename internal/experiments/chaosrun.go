@@ -10,14 +10,17 @@ import (
 	"fmt"
 
 	"redoop/internal/chaos"
+	"redoop/internal/core"
 	"redoop/internal/oracle"
+	"redoop/internal/simtime"
 )
 
 // ChaosRegimes lists the engine regimes the soak matrix verifies:
 // pane aggregation, the binary join, adaptive re-planning, speculative
-// execution, and the cross-query reuse trio over one shared hub (exact
-// reuse, and a roll-up whose panes are several segments).
-var ChaosRegimes = []string{"agg", "join", "adaptive", "speculative", "shared-hub"}
+// execution, the cross-query reuse trio over one shared hub (exact
+// reuse, and a roll-up whose panes are several segments), and the join
+// with its sources on different windows.
+var ChaosRegimes = []string{"agg", "join", "adaptive", "speculative", "shared-hub", "join-hetero"}
 
 // ProfileForRegime pairs a regime with the chaos profile that
 // exercises it: the speculative regime needs the straggler/speculation
@@ -58,6 +61,22 @@ func (c Config) RunChaosRegime(regime string) ([]oracle.Verdict, error) {
 		spec.adaptive = regime == "adaptive"
 	case "join":
 		spec = c.joinSpec("qchaosj", overlap)
+	case "join-hetero":
+		// The event source's window is shorter than the readings' and
+		// shares their slide: 1.5 to 3.5 slides in half-slide steps, by
+		// chaos seed, so some seeds give it half-slide panes.
+		spec = c.joinSpec("qchaosh", overlap)
+		var seed int64
+		if c.Chaos != nil {
+			seed = c.Chaos.Seed
+		}
+		query, slide := spec.query, c.SlideFor(overlap)
+		win := slide * simtime.Duration(3+(seed%5+5)%5) / 2
+		spec.query = func() *core.Query {
+			q := query()
+			q.Sources[1].Spec.Win = int64(win)
+			return q
+		}
 	case "shared-hub":
 		_, err := c.crossQueryReuse(true, nil)
 		return verdicts, err

@@ -7,8 +7,9 @@ import (
 	"testing"
 
 	"redoop/internal/chaos"
-	"redoop/internal/lineage"
 	"redoop/internal/mapreduce"
+	"redoop/internal/obs"
+	"redoop/internal/obs/eventlog"
 	"redoop/internal/reuse"
 	"redoop/internal/simtime"
 )
@@ -205,15 +206,15 @@ func TestCrossQueryReuseReportsEngineFailure(t *testing.T) {
 // must be applied, and recorded as a fault, exactly once.
 func TestMultiLaneChaosFiresOnce(t *testing.T) {
 	cfg := reuseTestConfig()
-	cfg.Lineage = lineage.New(0)
+	cfg.Obs = obs.New()
 	cfg.Chaos = &chaos.Schedule{Seed: 1, Profile: chaos.ProfileCacheLoss,
 		Actions: []chaos.Action{{Recurrence: 2, Kind: chaos.CacheDrop, Node: 1}}}
 	if _, err := RunCrossQueryReuse(cfg, true); err != nil {
 		t.Fatal(err)
 	}
 	drops := 0
-	for _, f := range cfg.Lineage.Snapshot().Faults {
-		if f.Kind == string(chaos.CacheDrop) {
+	for _, e := range cfg.Obs.Tracer.Decisions() {
+		if f, ok := e.Data.(eventlog.FaultData); ok && e.Type == eventlog.Fault && f.Kind == string(chaos.CacheDrop) {
 			drops++
 		}
 	}

@@ -202,8 +202,8 @@ func Build(events []eventlog.Event, query string) *Report {
 			if d, ok := e.Data.(eventlog.HealthStatusData); ok {
 				at(d.Recurrence).HealthTo = d.To
 			}
-		case eventlog.NodeFailure:
-			if d, ok := e.Data.(eventlog.NodeFailureData); ok {
+		case eventlog.Fault:
+			if d, ok := e.Data.(eventlog.FaultData); ok && d.Kind == eventlog.FaultNodeCrash {
 				rep.NodeFailures = append(rep.NodeFailures, d.Node)
 			}
 		case eventlog.TaskRetry:

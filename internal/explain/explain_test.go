@@ -202,8 +202,12 @@ func TestBuildSyntheticStream(t *testing.T) {
 		{Type: eventlog.CacheMiss, Query: "q", Data: eventlog.CacheData{PID: "query/q/P0/r0", Node: -1, Recurrence: 0}},
 		{Type: eventlog.PaneRetire, Query: "q", Data: eventlog.PaneRetireData{Source: 0, Panes: []int64{0, 1}}},
 		{Type: eventlog.RecurrenceFinish, Query: "q", Data: eventlog.RecurrenceFinishData{Recurrence: 0, ResponseNS: 100, ForecastNS: -1, SubPanes: 1}},
-		{Type: eventlog.NodeFailure, Query: "q", Data: eventlog.NodeFailureData{Node: 2}},
+		{Type: eventlog.Fault, Query: "q", Data: eventlog.FaultData{Kind: eventlog.FaultNodeCrash, Node: 2}},
 		{Type: eventlog.CachePurge, Data: eventlog.CacheData{PID: "x", Recurrence: -1}},
+		// Chaos faults belong to the whole run: kept under any query
+		// filter, and only node crashes are node failures.
+		{Type: eventlog.Fault, Data: eventlog.FaultData{Kind: "cache-drop", Node: 1}},
+		{Type: eventlog.Fault, Data: eventlog.FaultData{Kind: eventlog.FaultNodeCrash, Node: 3}},
 		// Another query's event must be filtered out.
 		{Type: eventlog.CacheHit, Query: "other", Data: eventlog.CacheData{PID: "query/other/P1/r0", Recurrence: 0}},
 	}
@@ -224,7 +228,7 @@ func TestBuildSyntheticStream(t *testing.T) {
 	if got := r.RetiredPanes[0]; fmt.Sprint(got) != "[0 1]" {
 		t.Errorf("retired = %v", got)
 	}
-	if len(rep.NodeFailures) != 1 || rep.NodeFailures[0] != 2 {
+	if fmt.Sprint(rep.NodeFailures) != "[2 3]" {
 		t.Errorf("node failures = %v", rep.NodeFailures)
 	}
 	if rep.Purges != 1 {

@@ -1,12 +1,14 @@
 // Package lineage is Redoop's provenance store: a concurrency-safe,
-// bounded record of how every cached pane and emitted window was
-// derived — which input batches (down to record-offset ranges) fed it,
-// which task attempts on which nodes produced it, where its cache
-// copies lived over time, and which downstream windows consumed it.
+// bounded derivation DAG of how every cached pane and emitted window
+// was derived — which input batches (down to record-offset ranges) fed
+// it, which upstream derivations it was built from, the SHA of its
+// bytes, and which downstream windows consumed it. How a run executed
+// (task attempts, cache copies, replicas, injected faults) is the
+// tracer's record, not the store's.
 //
-// The store is fed exclusively from the engines' serial commit points
-// (cache registration, window finalization, task-attempt accounting),
-// so its contents are byte-identical across -workers settings — the
+// The store is fed exclusively from the engines' serial commit fold
+// (cache registration, expiry, loss and window finalization), so its
+// contents are byte-identical across -workers settings — the
 // differential oracle asserts exactly that, along with structural
 // closure (every resident cache entry has a derivation, every
 // derivation's inputs exist or are marked expired/evicted) and a

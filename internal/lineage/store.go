@@ -60,53 +60,6 @@ type InputRef struct {
 	Seq uint64 `json:"seq"`
 }
 
-// Attempt is one task attempt's provenance: which job/task ran where,
-// when (virtual time), and whether it was the winning attempt.
-type Attempt struct {
-	Job     string `json:"job"`
-	Task    string `json:"task"`
-	Phase   string `json:"phase"`
-	Node    int    `json:"node"`
-	Attempt int    `json:"attempt"`
-	OK      bool   `json:"ok"`
-	StartNS int64  `json:"startNS"`
-	EndNS   int64  `json:"endNS"`
-}
-
-// CopyEvent is one step of a cache copy's history: registration,
-// re-homing to another node, a consumer hit, a cross-query reuse copy,
-// loss discovery, or retirement.
-type CopyEvent struct {
-	// Kind is register | rehome | hit | reuse | lost | expire.
-	Kind string `json:"kind"`
-	Node int    `json:"node"`
-	// From is the previous home on a rehome (0 otherwise).
-	From int   `json:"from,omitempty"`
-	AtNS int64 `json:"atNS"`
-}
-
-// FileEvent is one step of a DFS file's replica history: the initial
-// replica placement or a failure-driven re-replication.
-type FileEvent struct {
-	// Kind is place | rereplicate.
-	Kind string `json:"kind"`
-	// Nodes is the replica set after the event (block 0).
-	Nodes []int `json:"nodes"`
-	// Lost is the failed node on a rereplicate (0 otherwise).
-	Lost int   `json:"lost,omitempty"`
-	AtNS int64 `json:"atNS"`
-}
-
-// Fault is one applied chaos action, recorded so rebuilds can name
-// their cause.
-type Fault struct {
-	Kind       string `json:"kind"`
-	Node       int    `json:"node"`
-	Path       string `json:"path,omitempty"`
-	Recurrence int    `json:"recurrence"`
-	AtNS       int64  `json:"atNS"`
-}
-
 // Derivation is one provenance node: a cached pane segment (reduce
 // input or output), a join tuple output, or an emitted window.
 type Derivation struct {
@@ -130,18 +83,16 @@ type Derivation struct {
 	// same figure the account ledger credits on a cache hit.
 	CostNS int64 `json:"costNS"`
 	// Job names the mapreduce job whose attempts produced the node
-	// (empty for windows); join against Attempts.
+	// (empty for windows): the job label of its task spans.
 	Job string `json:"job,omitempty"`
 	// Batches are the raw-input claims; Inputs the upstream
 	// derivations; Consumers the downstream derivation IDs.
-	Batches   []BatchRef  `json:"batches,omitempty"`
-	Inputs    []InputRef  `json:"inputs,omitempty"`
-	Consumers []string    `json:"consumers,omitempty"`
-	Copies    []CopyEvent `json:"copies,omitempty"`
+	Batches   []BatchRef `json:"batches,omitempty"`
+	Inputs    []InputRef `json:"inputs,omitempty"`
+	Consumers []string   `json:"consumers,omitempty"`
 	// Builds counts how many times the node was built (1 = never
-	// rebuilt); Cause names the fault behind the latest rebuild.
-	Builds int    `json:"builds"`
-	Cause  string `json:"cause,omitempty"`
+	// rebuilt).
+	Builds int `json:"builds"`
 	// Seq is the insertion sequence (eviction watermark axis).
 	Seq uint64 `json:"seq"`
 	// Expired marks nodes whose cached bytes are gone (retired or
@@ -155,8 +106,7 @@ func DerivID(pid string, typ int) string { return string(AppendDerivID(nil, pid,
 
 // AppendDerivID appends DerivID(pid, typ) to b. Callers on a steady path
 // append into a stack buffer and hand the bytes to the by-ID methods
-// (Input, AddCopy, MarkExpired, MarkLost), which look them up without
-// making a string.
+// (Input, MarkExpired), which look them up without making a string.
 func AppendDerivID(b []byte, pid string, typ int) []byte {
 	return AppendDerivType(append(b, pid...), typ)
 }
@@ -190,7 +140,6 @@ type Stats struct {
 	DistinctFingerprints int `json:"distinctFingerprints"`
 	Rebuilds             int `json:"rebuilds"`
 	Evicted              int `json:"evicted"`
-	Faults               int `json:"faults"`
 }
 
 // Store is the bounded provenance store. All methods are safe for
@@ -208,10 +157,8 @@ type Store struct {
 	// retained one has Seq >= watermark.
 	watermark uint64
 
-	// The age axis: per query, the recurrence after its latest window,
-	// and the largest of them for file histories, which name no query.
-	next  map[string]int
-	clock int
+	// The age axis: per query, the recurrence after its latest window.
+	next map[string]int
 
 	batches    map[string]*Batch // key BatchID
 	batchOrder []stamped
@@ -222,14 +169,6 @@ type Store struct {
 	// bound, mirroring evictLocked's stop-at-resident rule.
 	batchClaims map[batchKey]int
 
-	attempts map[string][]Attempt // per job, bounded
-	jobOrder []string
-
-	files     map[string][]FileEvent // per DFS path, bounded
-	fileOrder []stamped
-
-	faults []Fault
-
 	plans     map[string]string // fingerprint -> canonical plan
 	collision string            // non-empty on fingerprint collision
 
@@ -237,7 +176,7 @@ type Store struct {
 	evicted  int
 }
 
-// stamped is a batch ID or file path and its age axis when recorded.
+// stamped is a batch ID and its query's age axis when recorded.
 type stamped struct {
 	key string
 	rec int
@@ -257,8 +196,6 @@ func New(cap int) *Store {
 		batchSeq:    map[srcKey]int{},
 		batchFloor:  map[srcKey]int{},
 		batchClaims: map[batchKey]int{},
-		attempts:    map[string][]Attempt{},
-		files:       map[string][]FileEvent{},
 		plans:       map[string]string{},
 	}
 }
@@ -384,9 +321,7 @@ func (s *Store) Plans() map[string]string {
 }
 
 // RecordDerivation inserts (or, for an existing ID, rebuilds) a
-// derivation. On a rebuild the store keeps the node's copy history and
-// consumers, bumps Builds, names the most recent fault touching the
-// node or its claimed paths as the cause, and reports rebuilt=true.
+// derivation. A rebuild keeps the node's consumers and bumps Builds.
 // Input derivations get the new node appended to their consumers.
 //
 // A write whose Query differs from the stored node's is an alias, not
@@ -394,17 +329,16 @@ func (s *Store) Plans() map[string]string {
 // with the same-named query sharing one store collide on ID while
 // keeping distinct accounting names. Nothing was lost or recomputed —
 // the node is re-homed to the latest writer (content and Query
-// replaced, copy history and consumers kept) without touching Builds,
-// the rebuild counter, or the fault matcher.
-func (s *Store) RecordDerivation(d Derivation) (rebuilt bool, cause string) {
+// replaced, consumers kept) without touching Builds or the rebuild
+// counter.
+func (s *Store) RecordDerivation(d Derivation) {
 	if s == nil {
-		return false, ""
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d.Kind == "window" && d.Recurrence >= s.next[d.Query] {
 		s.next[d.Query] = d.Recurrence + 1
-		s.clock = max(s.clock, d.Recurrence+1)
 	}
 	if old, ok := s.derivs[d.ID]; ok {
 		if !old.Expired {
@@ -421,15 +355,12 @@ func (s *Store) RecordDerivation(d Derivation) (rebuilt bool, cause string) {
 		s.adjustBatchClaimsLocked(d.Query, d.Batches, 1)
 		if old.Query != d.Query {
 			old.Query = d.Query
-			old.Cause = ""
-			s.linkConsumersLocked(d)
-			return false, ""
+		} else {
+			old.Builds++
+			s.rebuilds++
 		}
-		old.Builds++
-		old.Cause = s.matchFaultLocked(d)
-		s.rebuilds++
 		s.linkConsumersLocked(d)
-		return true, old.Cause
+		return
 	}
 	s.seq++
 	nd := d
@@ -437,7 +368,6 @@ func (s *Store) RecordDerivation(d Derivation) (rebuilt bool, cause string) {
 	nd.Builds = 1
 	nd.Batches = append([]BatchRef(nil), d.Batches...)
 	nd.Inputs = append([]InputRef(nil), d.Inputs...)
-	nd.Copies = append([]CopyEvent(nil), d.Copies...)
 	nd.Consumers = append([]string(nil), d.Consumers...)
 	s.derivs[d.ID] = &nd
 	s.order = append(s.order, d.ID)
@@ -446,7 +376,6 @@ func (s *Store) RecordDerivation(d Derivation) (rebuilt bool, cause string) {
 	}
 	s.linkConsumersLocked(d)
 	s.evictLocked()
-	return false, ""
 }
 
 // linkConsumersLocked appends d.ID to each retained input's consumer
@@ -511,21 +440,9 @@ func (s *Store) Input(id []byte) InputRef {
 	return InputRef{ID: d.ID, Seq: d.Seq}
 }
 
-// AddCopy appends a copy event to a retained derivation's history.
-func (s *Store) AddCopy(id []byte, ev CopyEvent) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d, ok := s.derivs[string(id)]; ok {
-		d.Copies = append(d.Copies, ev)
-	}
-}
-
-// MarkExpired closes a derivation's cache residency (retirement) with
-// an expire copy event.
-func (s *Store) MarkExpired(id []byte, atNS int64) {
+// MarkExpired closes a derivation's cache residency: the cache was
+// retired, evicted or lost, and a later registration rebuilds it.
+func (s *Store) MarkExpired(id []byte) {
 	if s == nil {
 		return
 	}
@@ -534,115 +451,6 @@ func (s *Store) MarkExpired(id []byte, atNS int64) {
 	if d, ok := s.derivs[string(id)]; ok && !d.Expired {
 		d.Expired = true
 		s.adjustBatchClaimsLocked(d.Query, d.Batches, -1)
-		d.Copies = append(d.Copies, CopyEvent{Kind: "expire", AtNS: atNS})
-	}
-}
-
-// MarkLost records a discovered cache loss (crash, drop, corruption):
-// the derivation is expired with a lost copy event and the most recent
-// fault touching its home node or claimed paths is returned as the
-// presumed cause ("" when no fault matches).
-func (s *Store) MarkLost(id []byte, node int, atNS int64) (cause string) {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.derivs[string(id)]
-	if !ok {
-		return ""
-	}
-	if !d.Expired {
-		s.adjustBatchClaimsLocked(d.Query, d.Batches, -1)
-	}
-	d.Expired = true
-	d.Copies = append(d.Copies, CopyEvent{Kind: "lost", Node: node, AtNS: atNS})
-	d.Cause = s.matchFaultLocked(*d)
-	if d.Cause == "" {
-		d.Cause = "lost on node " + strconv.Itoa(node)
-	}
-	return d.Cause
-}
-
-// matchFaultLocked names the most recent recorded fault plausibly
-// responsible for rebuilding d: one that hit the node of d's latest
-// copy, or a path-targeted fault whose path appears among d's claimed
-// inputs. Caller holds s.mu.
-func (s *Store) matchFaultLocked(d Derivation) string {
-	node := -1
-	cur := s.derivs[d.ID]
-	if cur != nil {
-		for i := len(cur.Copies) - 1; i >= 0; i-- {
-			if cur.Copies[i].Kind == "register" || cur.Copies[i].Kind == "rehome" {
-				node = cur.Copies[i].Node
-				break
-			}
-		}
-	}
-	for i := len(s.faults) - 1; i >= 0; i-- {
-		f := s.faults[i]
-		switch f.Kind {
-		case "node-crash", "cache-drop":
-			if f.Node == node {
-				return fmt.Sprintf("%s node %d @r%d", f.Kind, f.Node, f.Recurrence)
-			}
-		default:
-			if f.Path != "" {
-				return fmt.Sprintf("%s %s @r%d", f.Kind, f.Path, f.Recurrence)
-			}
-		}
-	}
-	return ""
-}
-
-// RecordAttempt appends one task attempt under its job, keeping the
-// newest attempts bounded per job.
-func (s *Store) RecordAttempt(a Attempt) {
-	if s == nil || a.Job == "" {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.attempts[a.Job]; !ok {
-		s.jobOrder = append(s.jobOrder, a.Job)
-	}
-	list := append(s.attempts[a.Job], a)
-	if len(list) > 256 {
-		list = list[len(list)-256:]
-	}
-	s.attempts[a.Job] = list
-}
-
-// RecordFileEvent appends one replica-history event for a DFS path.
-func (s *Store) RecordFileEvent(path string, ev FileEvent) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.files[path]; !ok {
-		s.fileOrder = append(s.fileOrder, stamped{path, s.clock})
-		n := 0
-		for ; len(s.fileOrder)-n > s.cap || s.clock-s.fileOrder[n].rec > KeepRecurrences; n++ {
-			delete(s.files, s.fileOrder[n].key)
-			s.evicted++
-		}
-		s.fileOrder = slices.Delete(s.fileOrder, 0, n)
-	}
-	ev.Nodes = append([]int(nil), ev.Nodes...)
-	s.files[path] = append(s.files[path], ev)
-}
-
-// RecordFault logs one applied chaos action for cause attribution.
-func (s *Store) RecordFault(f Fault) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.faults = append(s.faults, f)
-	if len(s.faults) > s.cap {
-		s.faults = s.faults[len(s.faults)-s.cap:]
 	}
 }
 
@@ -668,7 +476,6 @@ func copyDeriv(d *Derivation) Derivation {
 	}
 	out.Inputs = append([]InputRef(nil), d.Inputs...)
 	out.Consumers = append([]string(nil), d.Consumers...)
-	out.Copies = append([]CopyEvent(nil), d.Copies...)
 	return out
 }
 
@@ -696,7 +503,6 @@ func (s *Store) Stats() Stats {
 		DistinctFingerprints: len(s.plans),
 		Rebuilds:             s.rebuilds,
 		Evicted:              s.evicted,
-		Faults:               len(s.faults),
 	}
 	for _, id := range s.order {
 		d := s.derivs[id]
@@ -709,13 +515,10 @@ func (s *Store) Stats() Stats {
 // for DeepEqual comparison across -workers settings and for JSON
 // export.
 type Snapshot struct {
-	Derivations []Derivation           `json:"derivations"`
-	Batches     []Batch                `json:"batches"`
-	Attempts    map[string][]Attempt   `json:"attempts,omitempty"`
-	Files       map[string][]FileEvent `json:"files,omitempty"`
-	Faults      []Fault                `json:"faults,omitempty"`
-	Watermark   uint64                 `json:"watermark"`
-	Stats       Stats                  `json:"stats"`
+	Derivations []Derivation `json:"derivations"`
+	Batches     []Batch      `json:"batches"`
+	Watermark   uint64       `json:"watermark"`
+	Stats       Stats        `json:"stats"`
 }
 
 // Snapshot returns a deep copy of the store in insertion order.
@@ -735,36 +538,12 @@ func (s *Store) Snapshot() Snapshot {
 		b.Panes = append([]PaneRange(nil), b.Panes...)
 		snap.Batches = append(snap.Batches, b)
 	}
-	if len(s.attempts) > 0 {
-		snap.Attempts = map[string][]Attempt{}
-		for _, j := range s.jobOrder {
-			snap.Attempts[j] = append([]Attempt(nil), s.attempts[j]...)
-		}
-	}
-	if len(s.files) > 0 {
-		snap.Files = map[string][]FileEvent{}
-		for _, o := range s.fileOrder {
-			evs := make([]FileEvent, len(s.files[o.key]))
-			for i, ev := range s.files[o.key] {
-				ev.Nodes = append([]int(nil), ev.Nodes...)
-				evs[i] = ev
-			}
-			snap.Files[o.key] = evs
-		}
-	}
-	snap.Faults = append([]Fault(nil), s.faults...)
 	return snap
 }
 
-// ResidentRef names one cache entry the engine currently considers
-// resident; Closure checks each has a live derivation.
-type ResidentRef struct {
-	ID   string
-	Node int
-}
-
 // Closure verifies the store's structural invariants against the
-// engine's resident cache set and returns every violation found:
+// derivation IDs of the caches the engine holds resident and returns
+// every violation found:
 //
 //  1. every resident cache entry has a retained, unexpired derivation;
 //  2. every retained derivation's upstream inputs are retained, or
@@ -772,21 +551,21 @@ type ResidentRef struct {
 //  3. every claimed batch is retained or below its source's batch
 //     floor;
 //  4. plan fingerprints are injective over the recorded plans.
-func (s *Store) Closure(resident []ResidentRef) []string {
+func (s *Store) Closure(resident []string) []string {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var bad []string
-	for _, r := range resident {
-		d, ok := s.derivs[r.ID]
+	for _, id := range resident {
+		d, ok := s.derivs[id]
 		if !ok {
-			bad = append(bad, fmt.Sprintf("resident cache %s has no derivation", r.ID))
+			bad = append(bad, fmt.Sprintf("resident cache %s has no derivation", id))
 			continue
 		}
 		if d.Expired {
-			bad = append(bad, fmt.Sprintf("resident cache %s is marked expired in the store", r.ID))
+			bad = append(bad, fmt.Sprintf("resident cache %s is marked expired in the store", id))
 		}
 	}
 	for _, id := range s.order {

@@ -15,15 +15,10 @@ func TestNilStoreIsSafe(t *testing.T) {
 	}
 	s.RecordPlan("fp", Plan{})
 	s.RecordDerivation(Derivation{ID: "x"})
-	s.AddCopy([]byte("x"), CopyEvent{})
-	s.MarkExpired([]byte("x"), 0)
-	s.MarkLost([]byte("x"), 1, 0)
+	s.MarkExpired([]byte("x"))
 	if ref := s.Input([]byte("x")); ref != (InputRef{ID: "x"}) {
 		t.Fatalf("nil Input = %+v", ref)
 	}
-	s.RecordAttempt(Attempt{Job: "j"})
-	s.RecordFault(Fault{})
-	s.RecordFileEvent("p", FileEvent{})
 	if _, ok := s.Lookup("x"); ok {
 		t.Fatal("nil Lookup found something")
 	}
@@ -48,13 +43,12 @@ func TestDerivationLifecycleAndClosure(t *testing.T) {
 	if len(batches) != 1 || batches[0].Ranges[0] != (Range{0, 10}) {
 		t.Fatalf("BatchesForPane = %+v", batches)
 	}
-	rebuilt, _ := s.RecordDerivation(Derivation{
+	s.RecordDerivation(Derivation{
 		ID: rinID, Kind: "pane-rin", Query: "q", Pane: 0, Batches: batches,
 	})
-	if rebuilt {
-		t.Fatal("first build reported as rebuild")
+	if st := s.Stats(); st.Rebuilds != 0 {
+		t.Fatal("first build counted as rebuild")
 	}
-	s.AddCopy([]byte(rinID), CopyEvent{Kind: "register", Node: 2, AtNS: 100})
 
 	routID := DerivID("query/q/P0/r3", 1)
 	s.RecordDerivation(Derivation{
@@ -65,26 +59,25 @@ func TestDerivationLifecycleAndClosure(t *testing.T) {
 		t.Fatalf("consumer edge missing: %+v", d.Consumers)
 	}
 
-	resident := []ResidentRef{{ID: rinID, Node: 2}, {ID: routID, Node: 2}}
-	if bad := s.Closure(resident); len(bad) != 0 {
+	if bad := s.Closure([]string{rinID, routID}); len(bad) != 0 {
 		t.Fatalf("closure violations: %v", bad)
 	}
-	if bad := s.Closure([]ResidentRef{{ID: "ghost"}}); len(bad) != 1 ||
+	if bad := s.Closure([]string{"ghost"}); len(bad) != 1 ||
 		!strings.Contains(bad[0], "no derivation") {
 		t.Fatalf("ghost resident not flagged: %v", bad)
 	}
 
-	// Loss then rebuild: cause comes from the recorded fault.
-	s.RecordFault(Fault{Kind: "node-crash", Node: 2, Recurrence: 4, AtNS: 500})
-	cause := s.MarkLost([]byte(rinID), 2, 600)
-	if !strings.Contains(cause, "node-crash") {
-		t.Fatalf("MarkLost cause = %q", cause)
+	// Loss then rebuild: the lost cache's derivation expires, and the
+	// registration that rebuilds it counts a rebuild.
+	s.MarkExpired([]byte(rinID))
+	if bad := s.Closure([]string{rinID}); len(bad) != 1 || !strings.Contains(bad[0], "expired") {
+		t.Fatalf("lost cache still resident in the store: %v", bad)
 	}
-	rebuilt, cause2 := s.RecordDerivation(Derivation{
+	s.RecordDerivation(Derivation{
 		ID: rinID, Kind: "pane-rin", Query: "q", Pane: 0, Recurrence: 4, Batches: batches,
 	})
-	if !rebuilt || !strings.Contains(cause2, "node-crash") {
-		t.Fatalf("rebuild = %v cause = %q", rebuilt, cause2)
+	if d, _ := s.Lookup(rinID); d.Expired || d.Builds != 2 {
+		t.Fatalf("rebuilt derivation: expired %v, builds %d", d.Expired, d.Builds)
 	}
 	if st := s.Stats(); st.Rebuilds != 1 {
 		t.Fatalf("Rebuilds = %d, want 1", st.Rebuilds)
@@ -117,12 +110,8 @@ func TestAliasedWriteIsNotARebuild(t *testing.T) {
 	s := New(0)
 	id := DerivID("query/q1/P0/r0", 1)
 	s.RecordDerivation(Derivation{ID: id, Kind: "pane-rout", Query: "q1", Bytes: 10})
-	s.AddCopy([]byte(id), CopyEvent{Kind: "register", Node: 1, AtNS: 50})
 
-	rebuilt, cause := s.RecordDerivation(Derivation{ID: id, Kind: "pane-rout", Query: "q1#2", Bytes: 12})
-	if rebuilt || cause != "" {
-		t.Fatalf("alias write reported as rebuild (%v, %q)", rebuilt, cause)
-	}
+	s.RecordDerivation(Derivation{ID: id, Kind: "pane-rout", Query: "q1#2", Bytes: 12})
 	d, ok := s.Lookup(id)
 	if !ok {
 		t.Fatal("derivation lost after alias write")
@@ -133,18 +122,12 @@ func TestAliasedWriteIsNotARebuild(t *testing.T) {
 	if d.Builds != 1 {
 		t.Fatalf("Builds = %d after alias write, want 1", d.Builds)
 	}
-	if len(d.Copies) != 1 {
-		t.Fatalf("copy history dropped on re-home: %+v", d.Copies)
-	}
 	if st := s.Stats(); st.Rebuilds != 0 {
 		t.Fatalf("Rebuilds = %d after alias write, want 0", st.Rebuilds)
 	}
 
 	// A second write from the now-owning query IS a rebuild.
-	rebuilt, _ = s.RecordDerivation(Derivation{ID: id, Kind: "pane-rout", Query: "q1#2", Bytes: 12})
-	if !rebuilt {
-		t.Fatal("same-query re-record not counted as rebuild")
-	}
+	s.RecordDerivation(Derivation{ID: id, Kind: "pane-rout", Query: "q1#2", Bytes: 12})
 	if st := s.Stats(); st.Rebuilds != 1 {
 		t.Fatalf("Rebuilds = %d, want 1", st.Rebuilds)
 	}
@@ -156,7 +139,7 @@ func TestBoundedEvictionKeepsResidentNodes(t *testing.T) {
 		id := DerivID("p", i)
 		s.RecordDerivation(Derivation{ID: id, Kind: "pane-rin", Query: "q"})
 		if i < 8 {
-			s.MarkExpired([]byte(id), int64(i))
+			s.MarkExpired([]byte(id))
 		}
 	}
 	st := s.Stats()
@@ -200,9 +183,6 @@ func TestSnapshotDeepEqualAndIndependence(t *testing.T) {
 		s.RecordPlan("fp", Plan{Reduce: "r"})
 		s.RecordDerivation(Derivation{ID: "a", Kind: "pane-rin", Query: "q",
 			Batches: s.BatchesForPane("q", "S1", 0)})
-		s.AddCopy([]byte("a"), CopyEvent{Kind: "register", Node: 1, AtNS: 10})
-		s.RecordAttempt(Attempt{Job: "j", Task: "t", Phase: "map", Node: 1, OK: true})
-		s.RecordFileEvent("/data/f", FileEvent{Kind: "place", Nodes: []int{1, 2}})
 		return s
 	}
 	a, b := build().Snapshot(), build().Snapshot()
@@ -246,12 +226,12 @@ func TestBatchEvictionFloorHonorsLiveClaims(t *testing.T) {
 	if st.Batches != 11 {
 		t.Fatalf("Batches = %d, want all 11 retained while the claim is live", st.Batches)
 	}
-	if bad := s.Closure([]ResidentRef{{ID: "d0"}}); len(bad) != 0 {
+	if bad := s.Closure([]string{"d0"}); len(bad) != 0 {
 		t.Fatalf("closure violations with claimed batch retained: %v", bad)
 	}
 
 	// Once the claim expires the bound resumes on the next ingest.
-	s.MarkExpired([]byte("d0"), 100)
+	s.MarkExpired([]byte("d0"))
 	s.RecordBatch("q", "S1", 1, nil)
 	st = s.Stats()
 	if st.Batches != 4 {
@@ -267,7 +247,7 @@ func TestBatchEvictionFloorHonorsLiveClaims(t *testing.T) {
 	c2 := s.BatchesForPane("q2", "S1", 0)
 	s.RecordDerivation(Derivation{ID: "d2", Kind: "pane-rin", Query: "q2", Pane: 0, Batches: c2})
 	s.RecordDerivation(Derivation{ID: "d2", Kind: "pane-rin", Query: "q2", Pane: 0, Batches: c2})
-	s.MarkLost([]byte("d2"), 1, 200)
+	s.MarkExpired([]byte("d2"))
 	if n := s.batchClaims[batchKey{"q2", "S1", 0}]; n != 0 {
 		t.Fatalf("claim count leaked across rebuild: %d", n)
 	}
@@ -287,10 +267,10 @@ func TestBatchEvictionFloorHonorsLiveClaims(t *testing.T) {
 	if st := a.Stats(); st.Evicted != 1 || st.Batches != 2 {
 		t.Fatalf("age bound evicted %d, kept %d batches; want the unclaimed one gone, the claimed one kept", st.Evicted, st.Batches)
 	}
-	if bad := a.Closure([]ResidentRef{{ID: "d1"}}); len(bad) != 0 {
+	if bad := a.Closure([]string{"d1"}); len(bad) != 0 {
 		t.Fatalf("closure violations with an aged claimed batch retained: %v", bad)
 	}
-	a.MarkExpired([]byte("d1"), 100)
+	a.MarkExpired([]byte("d1"))
 	a.RecordBatch("q", "S1", 1, nil)
 	if st := a.Stats(); st.Evicted != 2 || st.Batches != 2 {
 		t.Fatalf("after the claim expired: evicted %d, kept %d batches; want 2 and 2", st.Evicted, st.Batches)
@@ -298,24 +278,18 @@ func TestBatchEvictionFloorHonorsLiveClaims(t *testing.T) {
 }
 
 // TestByIDCallsDoNotAllocate: the calls the engine's lineage fold makes
-// per hit, expiry and window input take the derivation ID as bytes
-// built on the caller's stack, and on a retained derivation make no
-// string. An input reference shares the stored ID string.
+// per expiry and window input take the derivation ID as bytes built on
+// the caller's stack, and on a retained derivation make no string. An
+// input reference shares the stored ID string.
 func TestByIDCallsDoNotAllocate(t *testing.T) {
 	const runs = 100
 	s := New(0)
-	// Each expiry retires a derivation of its own, whose copy history
-	// (register and two hits) has room for the expire event, as a
-	// resident cache's usually does; AllocsPerRun makes one extra,
-	// warm-up call.
+	// Each expiry retires a derivation of its own; AllocsPerRun makes
+	// one extra, warm-up call.
 	pids := make([]string, runs+1)
 	for i := range pids {
 		pids[i] = "query/q/P" + strconv.Itoa(i) + "/r0"
-		id := AppendDerivID(nil, pids[i], 1)
-		s.RecordDerivation(Derivation{ID: string(id), Kind: "pane-rout", Query: "q"})
-		for _, kind := range []string{"register", "hit", "hit"} {
-			s.AddCopy(id, CopyEvent{Kind: kind})
-		}
+		s.RecordDerivation(Derivation{ID: DerivID(pids[i], 1), Kind: "pane-rout", Query: "q"})
 	}
 	hot, next := pids[0], 0
 	var ref InputRef
@@ -327,13 +301,9 @@ func TestByIDCallsDoNotAllocate(t *testing.T) {
 			var buf [64]byte
 			ref = s.Input(AppendDerivID(buf[:0], hot, 1))
 		}},
-		{"AddCopy", func() {
-			var buf [64]byte
-			s.AddCopy(AppendDerivID(buf[:0], hot, 1), CopyEvent{Kind: "hit"})
-		}},
 		{"MarkExpired", func() {
 			var buf [64]byte
-			s.MarkExpired(AppendDerivID(buf[:0], pids[next], 1), 9)
+			s.MarkExpired(AppendDerivID(buf[:0], pids[next], 1))
 			next++
 		}},
 	} {
@@ -345,15 +315,15 @@ func TestByIDCallsDoNotAllocate(t *testing.T) {
 	if ref.ID != d.ID || unsafe.StringData(ref.ID) != unsafe.StringData(s.derivs[d.ID].ID) || ref.Seq != d.Seq {
 		t.Errorf("Input = %+v, want the stored ID string and seq %d", ref, d.Seq)
 	}
-	if !d.Expired || d.Copies[len(d.Copies)-1].Kind != "expire" {
-		t.Errorf("MarkExpired left %s resident: %+v", d.ID, d.Copies)
+	if !d.Expired {
+		t.Errorf("MarkExpired left %s resident", d.ID)
 	}
 }
 
 // A query recurring far past KeepRecurrences with a three-pane window:
 // what aged out is gone, and what is kept is either young or still
-// needed, with the store's structure closed. Derivations, batches and
-// file histories all follow the one rule.
+// needed, with the store's structure closed. Derivations and batches
+// both follow the one rule.
 func TestAgeEvictionKeepsClosure(t *testing.T) {
 	const win, recs = 3, 40
 	s := New(0)
@@ -363,7 +333,6 @@ func TestAgeEvictionKeepsClosure(t *testing.T) {
 		// Pane r arrives and is built; the window of panes r-2..r is
 		// emitted; pane r-2 then leaves every window.
 		s.RecordBatch("q", "S1", 4, []PaneRange{{Pane: int64(r), R: Range{0, 4}}})
-		s.RecordFileEvent("/redoop/q/S1/P"+strconv.Itoa(r), FileEvent{Kind: "place", Nodes: []int{1, 2}})
 		s.RecordDerivation(Derivation{ID: rin(r), Kind: "pane-rin", Query: "q", Recurrence: r,
 			Pane: int64(r), Batches: s.BatchesForPane("q", "S1", int64(r))})
 		s.RecordDerivation(Derivation{ID: rout(r), Kind: "pane-rout", Query: "q", Recurrence: r,
@@ -375,13 +344,13 @@ func TestAgeEvictionKeepsClosure(t *testing.T) {
 		s.RecordDerivation(Derivation{ID: WindowID("q", r), Kind: "window", Query: "q",
 			Recurrence: r, Inputs: inputs, Expired: true})
 		if p := r - win + 1; p >= 0 {
-			s.MarkExpired([]byte(rin(p)), int64(r))
-			s.MarkExpired([]byte(rout(p)), int64(r))
+			s.MarkExpired([]byte(rin(p)))
+			s.MarkExpired([]byte(rout(p)))
 		}
 	}
-	var resident []ResidentRef
+	var resident []string
 	for p := recs - win + 1; p < recs; p++ {
-		resident = append(resident, ResidentRef{ID: rin(p)}, ResidentRef{ID: rout(p)})
+		resident = append(resident, rin(p), rout(p))
 	}
 	if bad := s.Closure(resident); len(bad) != 0 {
 		t.Fatalf("closure violations after age eviction: %v", bad)
@@ -399,13 +368,10 @@ func TestAgeEvictionKeepsClosure(t *testing.T) {
 	if windows != KeepRecurrences {
 		t.Errorf("%d windows kept, want the newest %d", windows, KeepRecurrences)
 	}
-	// Batches and files are stamped when recorded, before their
-	// recurrence's window: one more of them is young enough.
+	// Batches are stamped when recorded, before their recurrence's
+	// window: one more of them is young enough.
 	if n := len(snap.Batches); n != KeepRecurrences+1 || snap.Batches[0].Seq != recs-KeepRecurrences-1 {
 		t.Errorf("%d batches kept from seq %d, want the newest %d", n, snap.Batches[0].Seq, KeepRecurrences+1)
-	}
-	if n := len(snap.Files); n != KeepRecurrences+1 {
-		t.Errorf("%d file histories kept, want the newest %d", n, KeepRecurrences+1)
 	}
 	if snap.Watermark == 0 || snap.Stats.Evicted == 0 {
 		t.Errorf("nothing evicted: watermark %d, evicted %d", snap.Watermark, snap.Stats.Evicted)
@@ -422,14 +388,14 @@ func TestResidentHeadBlocksAgeEviction(t *testing.T) {
 	for r := 0; r < recs; r++ {
 		id := DerivID("p", r)
 		s.RecordDerivation(Derivation{ID: id, Kind: "pane-rout", Query: "q", Recurrence: r})
-		s.MarkExpired([]byte(id), int64(r))
+		s.MarkExpired([]byte(id))
 		s.RecordDerivation(Derivation{ID: WindowID("q", r), Kind: "window", Query: "q",
 			Recurrence: r, Inputs: []InputRef{s.Input([]byte(id))}, Expired: true})
 	}
 	if st := s.Stats(); st.Evicted != 0 || st.Nodes != 1+2*recs {
 		t.Fatalf("evicted %d of %d past a resident head", st.Evicted, st.Nodes)
 	}
-	s.MarkExpired([]byte("pinned"), recs)
+	s.MarkExpired([]byte("pinned"))
 	s.RecordDerivation(Derivation{ID: WindowID("q", recs), Kind: "window", Query: "q", Recurrence: recs, Expired: true})
 	// Window recs makes recurrences 0..recs-KeepRecurrences old enough:
 	// the head and their derivation and window each.

@@ -12,7 +12,6 @@ import (
 	"redoop/internal/colfmt"
 	"redoop/internal/dfs"
 	"redoop/internal/iocost"
-	"redoop/internal/lineage"
 	"redoop/internal/obs"
 	"redoop/internal/obs/eventlog"
 	"redoop/internal/parallel"
@@ -101,13 +100,6 @@ type Engine struct {
 	// bytes attributed to that account from the serial accounting
 	// paths; nil (or an unnamed job) disables metering.
 	Account *account.Ledger
-
-	// Lineage is the optional provenance store. Every task attempt
-	// (winning, failed, speculative) is recorded under its job name from
-	// the serial accounting paths, so derivations carrying the job name
-	// join against the exact attempts that produced them. Nil disables
-	// attempt provenance.
-	Lineage *lineage.Store
 
 	scratch scratch // free lists of the arrays phases borrow (DropScratch)
 }
@@ -628,10 +620,10 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 	// prev chains retry attempts: each attempt's span depends on the
 	// failed attempt whose detection made it schedulable.
 	var prev obs.SpanID
-	// id names the task to jitter, faults, spans and provenance: formatted
-	// once, and only when one of them reads it.
+	// id names the task to jitter, faults and spans: formatted once, and
+	// only when one of them reads it.
 	var id string
-	if e.Jitter > 0 || e.Faults != nil || e.Obs != nil || e.Lineage != nil {
+	if e.Jitter > 0 || e.Faults != nil || e.Obs != nil {
 		id = s.ID()
 	}
 	for attempt := 0; attempt < e.maxAttempts(); attempt++ {
@@ -654,14 +646,13 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 				Track: obs.NodeTrack(node.ID), Cat: "map", Name: "map " + id,
 				Start: start, End: end, Ready: ready,
 				Parent: e.SpanParent, Deps: []obs.SpanID{prev},
-				Args: []obs.Label{obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("result", "failed")},
+				Args: []obs.Label{
+					obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("job", job.Name),
+					obs.L("result", "failed"),
+				},
 			})
 			e.Obs.Emit(end, eventlog.TaskRetry, job.Query, eventlog.TaskRetryData{
 				Job: job.Name, Task: id, Phase: "map", Attempt: attempt + 1,
-			})
-			e.Lineage.RecordAttempt(lineage.Attempt{
-				Job: job.Name, Task: id, Phase: "map", Node: node.ID,
-				Attempt: attempt + 1, StartNS: int64(start), EndNS: int64(end),
 			})
 			// The failed attempt occupied the slot for its full
 			// duration; the retry becomes schedulable when the
@@ -671,10 +662,6 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 		}
 		e.Obs.Counter("redoop_map_attempts_total", obs.L("result", "ok")).Inc()
 		e.Obs.Histogram("redoop_map_task_seconds").Observe(dur.Seconds())
-		e.Lineage.RecordAttempt(lineage.Attempt{
-			Job: job.Name, Task: id, Phase: "map", Node: node.ID,
-			Attempt: attempt + 1, OK: true, StartNS: int64(start), EndNS: int64(end),
-		})
 		var span obs.SpanID
 		if e.Obs != nil {
 			span = e.Obs.Task(obs.TaskSpan{
@@ -705,15 +692,11 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 			backup.AddLoad(bdur)
 			spent += bdur
 			e.Obs.Counter("redoop_map_attempts_total", obs.L("result", "speculative")).Inc()
-			e.Lineage.RecordAttempt(lineage.Attempt{
-				Job: job.Name, Task: id, Phase: "map-backup", Node: backup.ID,
-				Attempt: attempt + 1, OK: bend < end, StartNS: int64(bstart), EndNS: int64(bend),
-			})
 			bspan := e.Obs.Task(obs.TaskSpan{
 				Track: obs.NodeTrack(backup.ID), Cat: "map", Name: "backup " + id,
 				Start: bstart, End: bend, Ready: detect,
 				Parent: e.SpanParent, Deps: []obs.SpanID{prev},
-				Args: []obs.Label{obs.L("job", job.Name)},
+				Args: []obs.Label{obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("job", job.Name)},
 			})
 			if bend < end {
 				node, end, span = backup, bend, bspan
@@ -892,9 +875,9 @@ func (e *Engine) CommitReducePhase(job *Job, results []ReducerResult, mp *MapPha
 // charges exactly.
 func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.Node, mp *MapPhaseResult, ready simtime.Time) (shuffle, spent simtime.Duration, err error) {
 	part, inBytes, outBytes := rr.Part, rr.InBytes, rr.OutBytes
-	// task names the partition in spans, events and provenance.
+	// task names the partition in spans and events.
 	var task string
-	if e.Obs != nil || e.Lineage != nil {
+	if e.Obs != nil {
 		task = "p" + strconv.Itoa(part)
 	}
 	var prev obs.SpanID // failed-attempt chain, as in runMapAttempts
@@ -931,14 +914,13 @@ func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.No
 				Track: obs.NodeTrack(node.ID), Cat: "reduce", Name: "reduce " + task,
 				Start: start, End: end, Ready: shuffleEnd,
 				Parent: e.SpanParent, Deps: append(append([]obs.SpanID{}, mp.Spans...), prev),
-				Args: []obs.Label{obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("result", "failed")},
+				Args: []obs.Label{
+					obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("job", job.Name),
+					obs.L("result", "failed"),
+				},
 			})
 			e.Obs.Emit(end, eventlog.TaskRetry, job.Query, eventlog.TaskRetryData{
 				Job: job.Name, Task: task, Phase: "reduce", Attempt: attempt + 1,
-			})
-			e.Lineage.RecordAttempt(lineage.Attempt{
-				Job: job.Name, Task: task, Phase: "reduce", Node: node.ID,
-				Attempt: attempt + 1, StartNS: int64(start), EndNS: int64(end),
 			})
 			// A reduce failure entails retrieving the map outputs
 			// again and re-executing (paper §2.2): the retry is
@@ -948,10 +930,6 @@ func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.No
 			continue
 		}
 		e.Obs.Counter("redoop_reduce_attempts_total", obs.L("result", "ok")).Inc()
-		e.Lineage.RecordAttempt(lineage.Attempt{
-			Job: job.Name, Task: task, Phase: "reduce", Node: node.ID,
-			Attempt: attempt + 1, OK: true, StartNS: int64(start), EndNS: int64(end),
-		})
 		e.Obs.Counter("redoop_shuffle_bytes_total", obs.L("locality", "local")).Add(float64(local))
 		e.Obs.Counter("redoop_shuffle_bytes_total", obs.L("locality", "remote")).Add(float64(remote))
 		e.Obs.Histogram("redoop_shuffle_seconds").Observe(shuffleDur.Seconds())

@@ -3,7 +3,10 @@ package mapreduce
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
+
+	"redoop/internal/obs"
 )
 
 // jitterizeStragglers configures the engine so every attempt is a
@@ -130,5 +133,47 @@ func TestWorkerCount(t *testing.T) {
 	e.Workers = 3
 	if e.WorkerCount() != 3 {
 		t.Errorf("WorkerCount = %d, want 3", e.WorkerCount())
+	}
+}
+
+// TestEveryAttemptSpanNamesItsJobAndAttempt: a failed attempt, a
+// winning one and a speculative backup each leave a span labelled with
+// the job and the attempt number, so the trace alone says which job's
+// which attempt ran where.
+func TestEveryAttemptSpanNamesItsJobAndAttempt(t *testing.T) {
+	e := testRig(t, 3)
+	writeWords(t, e, "/in", []string{"a", "b"}, 1500)
+	jitterizeStragglers(e)
+	e.Faults = FailFirstAttempts{N: 1}
+	e.Obs = obs.New()
+	job := wordCountJob([]string{"/in"}, 2)
+	if _, err := e.Run(job, 0); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, ev := range e.Obs.Tracer.Events() {
+		if ev.Cat != "map" && ev.Cat != "reduce" {
+			continue
+		}
+		labels := map[string]string{}
+		for _, l := range ev.Args {
+			labels[l.Key] = l.Value
+		}
+		if labels["job"] != job.Name || labels["attempt"] == "" {
+			t.Errorf("%s span %q labelled %v, want job %q and an attempt", ev.Cat, ev.Name, labels, job.Name)
+		}
+		kind := ev.Cat
+		switch {
+		case labels["result"] == "failed":
+			kind += " failed"
+		case strings.HasPrefix(ev.Name, "backup "):
+			kind += " backup"
+		}
+		seen[kind]++
+	}
+	for _, kind := range []string{"map", "map failed", "map backup", "reduce", "reduce failed"} {
+		if seen[kind] == 0 {
+			t.Errorf("no %s span recorded: %v", kind, seen)
+		}
 	}
 }

@@ -2,7 +2,7 @@
 // typed structured events describing the system's adaptive decisions —
 // recurrence lifecycles, pane ingestion, cache registrations and
 // lookups, Equation 4 placement choices with their full per-candidate
-// cost breakdown, adaptive re-planning, and failures.
+// cost breakdown, adaptive re-planning, retries and injected faults.
 //
 // Events carry virtual-clock timestamps (internal/simtime). They are
 // recorded by obs.Tracer next to the spans of the recurrence they
@@ -39,8 +39,10 @@ const (
 	Placement Type = "placement"
 	Replan    Type = "replan"
 	// TaskRetry is a failed task attempt that will be retried.
-	TaskRetry   Type = "task.retry"
-	NodeFailure Type = "node.failure"
+	TaskRetry Type = "task.retry"
+	// Fault is one injected failure (FaultData): a chaos action or a
+	// scripted node crash.
+	Fault Type = "fault"
 	// HealthStatus is a query's SLO status transition
 	// (OK / AT_RISK / MISSING_DEADLINES).
 	HealthStatus Type = "health.status"
@@ -157,9 +159,16 @@ type TaskRetryData struct {
 	Attempt int    `json:"attempt"`
 }
 
-// NodeFailureData records a node death.
-type NodeFailureData struct {
-	Node int `json:"node"`
+// FaultNodeCrash is the FaultData kind of a node death; the others are
+// cache-drop, pane-corrupt and pane-truncate.
+const FaultNodeCrash = "node-crash"
+
+// FaultData records one injected failure: its kind, the node it hit
+// (-1 for a pane-file fault) and the DFS path it damaged, if any.
+type FaultData struct {
+	Kind string `json:"kind"`
+	Node int    `json:"node"`
+	Path string `json:"path,omitempty"`
 }
 
 // HealthStatusData records a query's SLO status transition.

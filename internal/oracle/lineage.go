@@ -33,7 +33,7 @@ func (o *Oracle) checkLineage(v *Verdict) {
 		return
 	}
 	ctrl := o.eng.Controller()
-	var resident []lineage.ResidentRef
+	var resident []string
 	for _, id := range o.eng.MR().Cluster.NodeIDs() {
 		reg := ctrl.Registry(id)
 		if reg == nil {
@@ -43,9 +43,7 @@ func (o *Oracle) checkLineage(v *Verdict) {
 			if e.Expired || !reg.Has(e.PID, e.Type) {
 				continue
 			}
-			resident = append(resident, lineage.ResidentRef{
-				ID: lineage.DerivID(e.PID, int(e.Type)), Node: id,
-			})
+			resident = append(resident, lineage.DerivID(e.PID, int(e.Type)))
 		}
 	}
 	for _, bad := range lin.Closure(resident) {

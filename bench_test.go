@@ -422,7 +422,7 @@ func BenchmarkObsDisabled(b *testing.B) {
 		o.Counter("redoop_map_tasks_total").Inc()
 		o.Counter("redoop_shuffle_bytes_total", obs.L("locality", "local")).Add(128)
 		o.Histogram("redoop_map_task_seconds").Observe(0.5)
-		o.Span("node:1", "map", "map S1P1", 0, 1)
+		o.Task(obs.TaskSpan{Kind: obs.SpanMap, Track: "node:1", Input: "S1", End: 1})
 	}
 }
 

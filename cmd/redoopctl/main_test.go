@@ -99,7 +99,11 @@ func TestRunGolden(t *testing.T) {
 // queries, and, as a sha256 because the file runs to megabytes, the
 // lineage subcommand's -lineage-out JSON. Each repeats byte for byte
 // across runs and -workers settings, so a diff means a fold changed
-// what it records, not only what it costs.
+// what it records, not only what it costs. The -trace-out of both
+// queries and the -critpath-out overlay are pinned as sha256s too, but
+// at -workers 1: a map or reduce span's "worker" arg names the host
+// pool worker that computed it, which the scheduler picks, so two runs
+// at a wider pool can write different trace bytes.
 func TestSidecarReportsGolden(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -113,6 +117,9 @@ func TestSidecarReportsGolden(t *testing.T) {
 		{golden: "metrics-agg", args: []string{"-query", "agg", "-metrics-out"}, file: "agg.prom"},
 		{golden: "metrics-join", args: []string{"-query", "join", "-metrics-out"}, file: "join.prom"},
 		{golden: "lineage-out.sha256", args: []string{"lineage", "-lineage-out"}, file: "lineage.json", sha: true},
+		{golden: "trace-agg.sha256", args: []string{"-query", "agg", "-workers", "1", "-trace-out"}, file: "agg.trace.json", sha: true},
+		{golden: "trace-join.sha256", args: []string{"-query", "join", "-workers", "1", "-trace-out"}, file: "join.trace.json", sha: true},
+		{golden: "critpath-out.sha256", args: []string{"-workers", "1", "-critpath-out"}, file: "critpath.json", sha: true},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			name := tc.golden

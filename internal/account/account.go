@@ -36,8 +36,10 @@ package account
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"redoop/internal/obs"
@@ -130,6 +132,9 @@ type queryAcct struct {
 	byteSeconds  float64 // closed residencies only; open ones accrue on read
 	curResident  int64
 	peakResident int64
+	// open are the query's open residencies in key order, the order
+	// byteSecondsLocked sums them in, kept as residencies open and close.
+	open []*residency
 
 	saved simtime.Duration // recompute saved by hits, net of load paid
 	// crossSaved is the subset of saved credited by cross-query reuse
@@ -144,6 +149,45 @@ type queryAcct struct {
 	// overrun is the first cache load that cost more than the recompute
 	// its hit credited; CheckConservation reports it.
 	overrun error
+
+	series acctSeries
+}
+
+// acctSeries are a query's series, each looked up on the ledger's
+// observer once (obs.Series), under the ledger's lock.
+type acctSeries struct {
+	compute                            *obs.SeriesSet[Phase, obs.Counter]
+	io                                 *obs.SeriesSet[IOKind, obs.Counter]
+	resident, peak, byteSeconds, saved obs.Series[obs.Gauge]
+	crossHits                          obs.Series[obs.Counter]
+}
+
+// newQueryAcct returns the empty account of query name.
+func newQueryAcct(name, tenant string) *queryAcct {
+	q := obs.L("query", name)
+	return &queryAcct{
+		name:    name,
+		tenant:  tenant,
+		compute: map[Phase]simtime.Duration{},
+		io:      map[IOKind]int64{},
+		series: acctSeries{
+			compute: obs.NewSeriesSet[Phase, obs.Counter]("redoop_query_compute_seconds_total",
+				func(p Phase) []obs.Label { return []obs.Label{q, obs.L("phase", string(p))} }),
+			io: obs.NewSeriesSet[IOKind, obs.Counter]("redoop_query_io_bytes_total",
+				func(k IOKind) []obs.Label { return []obs.Label{q, obs.L("kind", string(k))} }),
+			resident:    obs.NewSeries[obs.Gauge]("redoop_query_resident_bytes", q),
+			peak:        obs.NewSeries[obs.Gauge]("redoop_query_peak_resident_bytes", q),
+			byteSeconds: obs.NewSeries[obs.Gauge]("redoop_query_cache_byte_seconds", q),
+			saved:       obs.NewSeries[obs.Gauge]("redoop_query_saved_seconds", q),
+			crossHits:   obs.NewSeries[obs.Counter]("redoop_query_cross_reuse_hits_total", q),
+		},
+	}
+}
+
+// openAt returns where key is, or would go, in a's ordered open
+// residencies.
+func (a *queryAcct) openAt(key string) (int, bool) {
+	return slices.BinarySearchFunc(a.open, key, func(r *residency, key string) int { return strings.Compare(r.key, key) })
 }
 
 // pendingHit is an armed net-of-load adjustment: the consumer a hit
@@ -210,9 +254,6 @@ type Ledger struct {
 	// dropped when the residency expires; loads of caches never hit
 	// leave savings untouched.
 	pending map[string]pendingHit
-	// keys is byteSecondsLocked's sort scratch, kept because the
-	// health sample reads byte·seconds every recurrence.
-	keys []string
 	// watermark is the latest virtual instant the ledger has been
 	// advanced to; open residencies accrue byte·seconds up to it when
 	// read.
@@ -258,7 +299,7 @@ type keyBuf [128]byte
 // build it in a keyBuf and index open and pending with string(key),
 // which does not allocate; only a new residency makes it a string. The
 // keys stay strings rather than a struct because byteSecondsLocked sums
-// in their sorted order.
+// in their order.
 func resKey(b []byte, pid string, typ int) []byte {
 	return strconv.AppendInt(append(append(b, pid...), '|'), int64(typ), 10)
 }
@@ -280,12 +321,7 @@ func (l *Ledger) Register(query, tenant string) string {
 		}
 		name = fmt.Sprintf("%s#%d", query, i)
 	}
-	l.queries[name] = &queryAcct{
-		name:    name,
-		tenant:  tenant,
-		compute: map[Phase]simtime.Duration{},
-		io:      map[IOKind]int64{},
-	}
+	l.queries[name] = newQueryAcct(name, tenant)
 	l.order = append(l.order, name)
 	return name
 }
@@ -295,11 +331,7 @@ func (l *Ledger) Register(query, tenant string) string {
 func (l *Ledger) acct(query string) *queryAcct {
 	a, ok := l.queries[query]
 	if !ok {
-		a = &queryAcct{
-			name:    query,
-			compute: map[Phase]simtime.Duration{},
-			io:      map[IOKind]int64{},
-		}
+		a = newQueryAcct(query, "")
 		l.queries[query] = a
 		l.order = append(l.order, query)
 	}
@@ -316,10 +348,9 @@ func (l *Ledger) AddCompute(query string, p Phase, d simtime.Duration) {
 	l.mu.Lock()
 	a := l.acct(query)
 	a.compute[p] += d
-	o := l.obs
+	c := a.series.compute.On(l.obs, p)
 	l.mu.Unlock()
-	o.Counter("redoop_query_compute_seconds_total",
-		obs.L("query", query), obs.L("phase", string(p))).Add(d.Seconds())
+	c.Add(d.Seconds())
 }
 
 // AddIO attributes bytes of kind-k traffic to query. Integer and
@@ -332,10 +363,9 @@ func (l *Ledger) AddIO(query string, k IOKind, bytes int64) {
 	l.mu.Lock()
 	a := l.acct(query)
 	a.io[k] += bytes
-	o := l.obs
+	c := a.series.io.On(l.obs, k)
 	l.mu.Unlock()
-	o.Counter("redoop_query_io_bytes_total",
-		obs.L("query", query), obs.L("kind", string(k))).Add(float64(bytes))
+	c.Add(float64(bytes))
 }
 
 // closeLocked accrues and removes an open residency and returns its
@@ -347,14 +377,17 @@ func (l *Ledger) closeLocked(key []byte, at simtime.Time) string {
 	}
 	delete(l.open, r.key)
 	a := l.acct(r.owner)
+	if i, ok := a.openAt(r.key); ok {
+		a.open = slices.Delete(a.open, i, i+1)
+	}
 	if at.After(r.since) {
 		a.byteSeconds += float64(r.bytes) * at.Sub(r.since).Seconds()
 	}
 	a.curResident -= r.bytes
 	a.expired++
 	if o := l.obs; o != nil {
-		o.Gauge("redoop_query_resident_bytes", obs.L("query", r.owner)).Set(float64(a.curResident))
-		o.Gauge("redoop_query_cache_byte_seconds", obs.L("query", r.owner)).Set(a.byteSeconds)
+		a.series.resident.On(o).Set(float64(a.curResident))
+		a.series.byteSeconds.On(o).Set(a.byteSeconds)
 	}
 	return r.key
 }
@@ -373,11 +406,14 @@ func (l *Ledger) CacheRegistered(query, pid string, typ int, bytes int64, at sim
 	key := resKey(buf[:0], pid, typ)
 	l.closeLocked(key, at)
 	k := string(key)
-	l.open[k] = &residency{
+	r := &residency{
 		key: k, owner: query, pid: pid, typ: typ,
 		bytes: bytes, since: at, recompute: recompute,
 	}
+	l.open[k] = r
 	a := l.acct(query)
+	i, _ := a.openAt(k)
+	a.open = slices.Insert(a.open, i, r)
 	a.curResident += bytes
 	if a.curResident > a.peakResident {
 		a.peakResident = a.curResident
@@ -387,8 +423,8 @@ func (l *Ledger) CacheRegistered(query, pid string, typ int, bytes int64, at sim
 		l.watermark = at
 	}
 	if o := l.obs; o != nil {
-		o.Gauge("redoop_query_resident_bytes", obs.L("query", query)).Set(float64(a.curResident))
-		o.Gauge("redoop_query_peak_resident_bytes", obs.L("query", query)).Set(float64(a.peakResident))
+		a.series.resident.On(o).Set(float64(a.curResident))
+		a.series.peak.On(o).Set(float64(a.peakResident))
 	}
 }
 
@@ -452,7 +488,8 @@ func (l *Ledger) cacheHit(query, pid string, typ int, at simtime.Time, cross boo
 	l.mu.Lock()
 	var buf keyBuf
 	r, ok := l.open[string(resKey(buf[:0], pid, typ))]
-	var o *obs.Observer
+	var savedG *obs.Gauge
+	var crossC *obs.Counter
 	var saved simtime.Duration
 	if ok {
 		a := l.acct(query)
@@ -462,21 +499,18 @@ func (l *Ledger) cacheHit(query, pid string, typ int, at simtime.Time, cross boo
 		if cross {
 			a.crossSaved += r.recompute
 			a.crossHits++
+			crossC = a.series.crossHits.On(l.obs)
 		}
 		l.pending[r.key] = pendingHit{r.key, query, r.recompute}
 		saved = a.saved
-		o = l.obs
+		savedG = a.series.saved.On(l.obs)
 	}
 	if at.After(l.watermark) {
 		l.watermark = at
 	}
 	l.mu.Unlock()
-	if ok {
-		o.Gauge("redoop_query_saved_seconds", obs.L("query", query)).Set(saved.Seconds())
-		if cross {
-			o.Counter("redoop_query_cross_reuse_hits_total", obs.L("query", query)).Inc()
-		}
-	}
+	savedG.Set(saved.Seconds())
+	crossC.Inc()
 }
 
 // CacheLoaded nets the cost of reading cache pid/typ into its consumer
@@ -491,7 +525,7 @@ func (l *Ledger) CacheLoaded(pid string, typ int, load simtime.Duration) {
 	l.mu.Lock()
 	var buf keyBuf
 	key := resKey(buf[:0], pid, typ)
-	var o *obs.Observer
+	var savedG *obs.Gauge
 	var saved simtime.Duration
 	h, ok := l.pending[string(key)]
 	if ok {
@@ -503,12 +537,10 @@ func (l *Ledger) CacheLoaded(pid string, typ int, load simtime.Duration) {
 				h.query, pid, typ, load, h.recompute)
 		}
 		saved = a.saved
-		o = l.obs
+		savedG = a.series.saved.On(l.obs)
 	}
 	l.mu.Unlock()
-	if ok {
-		o.Gauge("redoop_query_saved_seconds", obs.L("query", h.query)).Set(saved.Seconds())
-	}
+	savedG.Set(saved.Seconds())
 }
 
 // Advance moves the accrual watermark forward; open residencies accrue
@@ -526,24 +558,17 @@ func (l *Ledger) Advance(at simtime.Time) {
 }
 
 // byteSecondsLocked returns a query's accrued byte·seconds including
-// open residencies up to the watermark. Open contributions sum in
-// sorted key order: float addition is order-sensitive in the last ulp,
-// and map iteration order would make the total nondeterministic.
-// Caller holds l.mu.
+// open residencies up to the watermark. Open contributions sum in key
+// order, which a.open keeps: float addition is order-sensitive in the
+// last ulp, and map iteration order would make the total
+// nondeterministic. Caller holds l.mu.
 func (l *Ledger) byteSecondsLocked(a *queryAcct) float64 {
-	keys := l.keys[:0]
-	for k, r := range l.open {
-		if r.owner == a.name && l.watermark.After(r.since) {
-			keys = append(keys, k)
+	bs := a.byteSeconds
+	for _, r := range a.open {
+		if l.watermark.After(r.since) {
+			bs += float64(r.bytes) * l.watermark.Sub(r.since).Seconds()
 		}
 	}
-	sort.Strings(keys)
-	bs := a.byteSeconds
-	for _, k := range keys {
-		r := l.open[k]
-		bs += float64(r.bytes) * l.watermark.Sub(r.since).Seconds()
-	}
-	l.keys = keys
 	return bs
 }
 

@@ -332,3 +332,53 @@ func TestSteadyFoldPathsDoNotAllocate(t *testing.T) {
 		t.Fatalf("expired %d of %d residencies, %d still open", next, len(pids), len(open))
 	}
 }
+
+// Open residencies sum in key order whatever order they opened and
+// closed in, two owners interleaved and keys re-registered across them,
+// so byte·seconds and the ROI read off them are the same float to the
+// bit as a sum over the sorted open keys.
+func TestByteSecondsSumInKeyOrder(t *testing.T) {
+	l := New()
+	queries := []string{"q", "r"}
+	for _, q := range queries {
+		l.Register(q, "")
+	}
+	// A fixed pseudo-random schedule: registrations of 40 keys with
+	// bytes and instants that make the sum order-sensitive, expiries of
+	// every third, and watermark moves.
+	x := uint64(1)
+	next := func(n uint64) uint64 { x = x*6364136223846793005 + 1442695040888963407; return (x >> 33) % n }
+	for i := 0; i < 400; i++ {
+		at := simtime.Time(int64(i)*int64(simtime.Millisecond) + int64(next(999)))
+		pid := "p" + strconv.Itoa(int(next(40)))
+		switch next(3) {
+		case 0:
+			l.CacheExpired(pid, 1, at)
+		default:
+			l.CacheRegistered(queries[next(2)], pid, 1+int(next(2)), int64(1+next(1<<20)), at, simtime.Duration(next(1e6)))
+		}
+		if i%50 == 0 {
+			l.CacheHit("q", pid, 1, at)
+			l.Advance(at)
+		}
+	}
+	l.Advance(simtime.Time(10 * simtime.Second))
+	for _, q := range queries {
+		want := l.queries[q].byteSeconds
+		for _, r := range l.OpenResidencies() { // sorted by key
+			if r.Query == q && l.watermark.After(r.Since) {
+				want += float64(r.Bytes) * l.watermark.Sub(r.Since).Seconds()
+			}
+		}
+		if got := l.ByteSeconds(q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: ByteSeconds = %v, want the sorted-key sum %v", q, got, want)
+		}
+		wantROI := 0.0
+		if want > 0 {
+			wantROI = float64(l.SavedNS(q)) / want
+		}
+		if got := l.CacheROI(q); math.Float64bits(got) != math.Float64bits(wantROI) {
+			t.Errorf("%s: CacheROI = %v, want %v", q, got, wantROI)
+		}
+	}
+}

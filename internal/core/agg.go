@@ -1,10 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"redoop/internal/colfmt"
 	"redoop/internal/mapreduce"
+	"redoop/internal/obs"
 	"redoop/internal/parallel"
 	"redoop/internal/records"
 	"redoop/internal/simtime"
@@ -191,7 +190,7 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 			continue
 		}
 		inBytes := records.PairsSize(subOut[part])
-		ct := e.runCacheTask(func() string { return fmt.Sprintf("combine pane %d p%d", int64(p), part) }, phaseCombine, readyAt[part],
+		ct := e.runCacheTask(obs.TaskSpan{Kind: obs.SpanCombine, Pane: int64(p), Part: part}, phaseCombine, readyAt[part],
 			[]cacheRef{{node: home.ID, bytes: inBytes, readyAt: readyAt[part]}},
 			e.mr.Cost.MergeTask(inBytes, int64(len(routData[part]))), stats)
 		stats.BytesCacheRead += inBytes
@@ -232,7 +231,7 @@ func (e *Engine) rebuildAggOutputs(p window.PaneID, trigger simtime.Time, rins, 
 			continue
 		}
 		outData := rebuilt[part].data
-		ct := e.runCacheTask(func() string { return fmt.Sprintf("rebuild pane %d p%d", int64(p), part) }, phaseReduce, trigger, caches[part],
+		ct := e.runCacheTask(obs.TaskSpan{Kind: obs.SpanRebuild, Pane: int64(p), Part: part}, phaseReduce, trigger, caches[part],
 			e.mr.Cost.ReduceTask(rin.bytes, int64(len(outData))), stats)
 		stats.ReduceTasks++
 		stats.BytesCacheRead += rin.bytes

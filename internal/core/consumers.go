@@ -155,6 +155,7 @@ func (e *Engine) attachConsumers(cfg Config, dataDir string) {
 	// task execution charges land on the same accounts.
 	e.acct = cfg.Account
 	e.acctName = e.acct.Register(q.Name, q.TenantID)
+	e.queryTrack = obs.QueryTrack(e.acctName)
 	e.residency = residencyOf(e.acct)
 	if l := e.acct; l != nil {
 		if l.Observer() == nil && e.obs != nil {
@@ -233,20 +234,43 @@ func (c *commit) cacheData() eventlog.CacheData {
 }
 
 // obsFold counts the transitions and records them as the tracer's
-// decisions. Trace spans are not here: span IDs are data the engine
-// threads through cacheRef, so the tracer is called directly where the
-// task is scheduled.
+// decisions, a cache decision's payload unboxed (Tracer.EmitCache).
+// Trace spans are not here: span IDs are data the engine threads
+// through cacheRef, so the tracer is called directly where the task is
+// scheduled.
 func (e *Engine) obsFold() func(*commit) {
 	o, qname := e.obs, e.query.Name
+	// The series touched per transition, each looked up on o once.
+	type lookupKey struct {
+		result string
+		typ    CacheType
+	}
+	byType := func(name string) *obs.SeriesSet[CacheType, obs.Counter] {
+		return obs.NewSeriesSet[CacheType, obs.Counter](name,
+			func(t CacheType) []obs.Label { return []obs.Label{obs.L("type", t.String())} })
+	}
+	var (
+		lookups = obs.NewSeriesSet[lookupKey, obs.Counter]("redoop_cache_lookups_total",
+			func(k lookupKey) []obs.Label {
+				return []obs.Label{obs.L("result", k.result), obs.L("type", k.typ.String())}
+			})
+		registrations, regBytes = byType("redoop_cache_registrations_total"), byType("redoop_cache_registered_bytes_total")
+		rollbacks, purges       = byType("redoop_cache_rollbacks_total"), byType("redoop_cache_purge_notices_total")
+		reuseHits               = obs.NewSeriesSet[string, obs.Counter]("redoop_reuse_hits_total",
+			func(mode string) []obs.Label { return []obs.Label{obs.L("query", qname), obs.L("kind", mode)} })
+		cacheRead      = obs.NewSeriesSet[string, obs.Counter]("redoop_cache_read_bytes_total", obs.LabelBy("locality"))
+		placements     = obs.NewSeriesSet[string, obs.Counter]("redoop_placements_total", obs.LabelBy("outcome"))
+		placementQueue = obs.NewSeries[obs.Histogram]("redoop_placement_queue_seconds")
+		evictions      = obs.NewSeries[obs.Counter]("redoop_cache_evictions_total")
+	)
 	lookup := func(c *commit, result string, typ eventlog.Type) {
-		o.Counter("redoop_cache_lookups_total",
-			obs.L("result", result), obs.L("type", c.typ.String())).Inc()
-		o.Emit(c.at, typ, qname, c.cacheData())
+		lookups.On(o, lookupKey{result, c.typ}).Inc()
+		o.EmitCache(c.at, typ, qname, c.cacheData())
 	}
 	// The §5 rollback of a lost or evicted cache's ready bit, 2→1.
 	rollback := func(c *commit) {
-		o.Counter("redoop_cache_rollbacks_total", obs.L("type", c.typ.String())).Inc()
-		o.Emit(c.at, eventlog.CacheRollback, qname, c.cacheData())
+		rollbacks.On(o, c.typ).Inc()
+		o.EmitCache(c.at, eventlog.CacheRollback, qname, c.cacheData())
 	}
 	return func(c *commit) {
 		switch c.kind {
@@ -255,9 +279,9 @@ func (e *Engine) obsFold() func(*commit) {
 				Recurrence: c.rec, WindowLo: int64(c.pane), WindowHi: int64(c.paneHi),
 			})
 		case kindRegistered:
-			o.Counter("redoop_cache_registrations_total", obs.L("type", c.typ.String())).Inc()
-			o.Counter("redoop_cache_registered_bytes_total", obs.L("type", c.typ.String())).Add(float64(c.bytes))
-			o.Emit(c.at, eventlog.CacheRegister, qname, c.cacheData())
+			registrations.On(o, c.typ).Inc()
+			regBytes.On(o, c.typ).Add(float64(c.bytes))
+			o.EmitCache(c.at, eventlog.CacheRegister, qname, c.cacheData())
 		case kindHit:
 			lookup(c, "hit", eventlog.CacheHit)
 		case kindMiss:
@@ -266,19 +290,18 @@ func (e *Engine) obsFold() func(*commit) {
 			lookup(c, "lost", eventlog.CacheLost)
 			rollback(c)
 		case kindReused:
-			o.Counter("redoop_reuse_hits_total",
-				obs.L("query", qname), obs.L("kind", c.mode)).Inc()
-			o.Emit(c.at, eventlog.CacheHit, qname, c.cacheData())
+			reuseHits.On(o, c.mode).Inc()
+			o.EmitCache(c.at, eventlog.CacheHit, qname, c.cacheData())
 		case kindLoaded:
 			locality := "remote"
 			if c.local {
 				locality = "local"
 			}
-			o.Counter("redoop_cache_read_bytes_total", obs.L("locality", locality)).Add(float64(c.bytes))
+			cacheRead.On(o, locality).Add(float64(c.bytes))
 		case kindPlaced:
 			p := &c.place
-			o.Counter("redoop_placements_total", obs.L("outcome", p.Outcome)).Inc()
-			o.Histogram("redoop_placement_queue_seconds").Observe(p.Queue.Seconds())
+			placements.On(o, p.Outcome).Inc()
+			placementQueue.On(o).Observe(p.Queue.Seconds())
 			if len(p.Candidates) > 0 {
 				audit := make([]eventlog.PlacementCandidate, len(p.Candidates))
 				for i, cd := range p.Candidates {
@@ -289,12 +312,12 @@ func (e *Engine) obsFold() func(*commit) {
 					Chosen: p.Node.ID, Outcome: p.Outcome, Caches: p.Caches, Candidates: audit})
 			}
 		case kindExpired:
-			o.Counter("redoop_cache_purge_notices_total", obs.L("type", c.typ.String())).Inc()
-			o.Emit(c.at, eventlog.CachePurge, qname, c.cacheData())
+			purges.On(o, c.typ).Inc()
+			o.EmitCache(c.at, eventlog.CachePurge, qname, c.cacheData())
 		case kindEvicted:
 			rollback(c)
-			o.Counter("redoop_cache_evictions_total").Inc()
-			o.Emit(c.at, eventlog.CacheEvict, qname, c.cacheData())
+			evictions.On(o).Inc()
+			o.EmitCache(c.at, eventlog.CacheEvict, qname, c.cacheData())
 		case kindRetired:
 			if o.EmitEnabled() {
 				panes := make([]int64, 0, int(c.paneHi-c.pane))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -187,6 +186,9 @@ type Engine struct {
 	// suffixed variant when several engines run same-named queries.
 	acct     *account.Ledger
 	acctName string
+	// queryTrack names the trace track of the query's recurrence and
+	// phase spans, made once from acctName.
+	queryTrack string
 
 	// lin is the (possibly shared, possibly nil) provenance store;
 	// planFP is the query's canonical plan fingerprint, computed even
@@ -593,18 +595,10 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	// to its health verdict. The query's tracks carry its account name,
 	// so queries sharing a name and a ledger (the Figure-6 panels)
 	// profile apart, as they are costed apart.
-	mode := "reactive"
-	if res.Proactive {
-		mode = "proactive"
-	}
 	e.obs.Task(obs.TaskSpan{
-		Track: obs.QueryTrack(e.acctName), Cat: "recurrence",
-		Name:  fmt.Sprintf("recurrence %d", r),
-		Start: trigger, End: res.CompletedAt, Ready: trigger, ID: root,
-		Args: []obs.Label{
-			obs.L("mode", mode),
-			obs.L("newPanes", fmt.Sprint(res.NewPanes)),
-			obs.L("reusedPanes", fmt.Sprint(res.ReusedPanes))},
+		Kind: obs.SpanRecurrence, Track: e.queryTrack,
+		Start: trigger, End: res.CompletedAt, Ready: trigger, ID: root, Index: r,
+		Count: int64(res.NewPanes), Reused: res.ReusedPanes, Proactive: res.Proactive,
 	})
 
 	e.mu.Lock()
@@ -1063,7 +1057,7 @@ func (e *Engine) finalizeMerged(caches [][]cacheRef, trigger simtime.Time, stats
 			continue
 		}
 		outBytes := cr.out.Size()
-		e.runCacheTask(func() string { return fmt.Sprintf("finalize p%d", part) }, phaseReduce, trigger, caches[part],
+		e.runCacheTask(obs.TaskSpan{Kind: obs.SpanFinalize, Part: part}, phaseReduce, trigger, caches[part],
 			e.mr.Cost.MergeTask(cr.inBytes, outBytes), stats)
 		stats.ReduceTasks++
 		stats.BytesCacheRead += cr.inBytes
@@ -1157,12 +1151,8 @@ func (e *Engine) commitPaneMapPhase(src int, p window.PaneID, trigger simtime.Ti
 	}
 	merged := mapreduce.MergeMapPhases(parts, e.query.NumReducers, earliest)
 	stats.Accumulate(merged.Stats)
-	if e.obs != nil {
-		e.obs.Span(obs.QueryTrack(e.acctName), "phase",
-			fmt.Sprintf("map %s pane %d", e.query.Sources[src].Name, p),
-			earliest, merged.LastMapEnd,
-			obs.L("segments", strconv.Itoa(len(pp.ins))))
-	}
+	e.obs.Task(obs.TaskSpan{Kind: obs.SpanPhase, Track: e.queryTrack, Start: earliest, End: merged.LastMapEnd,
+		Input: e.query.Sources[src].Name, Pane: int64(p), Count: int64(len(pp.ins))})
 	return merged, nil
 }
 
@@ -1193,8 +1183,9 @@ type cacheTask struct {
 
 // runCacheTask schedules one cache-fed reduce-style task: the node is
 // chosen by Equation 4, the caches are charged local/remote reads, and
-// work is the supplied extra duration. name labels the task's span and
-// is called only when an observer records one. The span depends on the
+// work is the supplied extra duration. label is the task's span, its
+// kind and what it names (pane, partition, group) filled in; the rest
+// is filled in here when an observer records it. The span depends on the
 // spans that produced the caches this recurrence (a carried-over cache
 // contributes no edge — the hit short-circuits the walk), and
 // each named cache's load cost is committed, for the cost ledger to net
@@ -1202,7 +1193,7 @@ type cacheTask struct {
 // the cache-load share under phaseCacheLoad, the supplied work under
 // the caller's phase, summing exactly to the node's AddLoad, and is
 // added to stats' ReduceTime; the task's end bounds stats' End.
-func (e *Engine) runCacheTask(name func() string, ph phase, ready simtime.Time, caches []cacheRef, work simtime.Duration, stats *mapreduce.Stats) cacheTask {
+func (e *Engine) runCacheTask(label obs.TaskSpan, ph phase, ready simtime.Time, caches []cacheRef, work simtime.Duration, stats *mapreduce.Stats) cacheTask {
 	locs := make([]CacheLoc, len(caches))
 	for i, c := range caches {
 		locs[i] = c.loc()
@@ -1228,16 +1219,17 @@ func (e *Engine) runCacheTask(name func() string, ph phase, ready simtime.Time, 
 	}
 	var span obs.SpanID
 	if e.obs != nil {
-		deps := make([]obs.SpanID, len(caches))
-		for i, c := range caches {
-			deps[i] = c.span
+		var buf [8]obs.SpanID
+		deps := buf[:0]
+		for _, c := range caches {
+			if c.span != 0 { // most caches were carried over: no edge
+				deps = append(deps, c.span)
+			}
 		}
-		span = e.obs.Task(obs.TaskSpan{
-			Track: obs.NodeTrack(node.ID), Cat: "cachetask", Name: name(),
-			Start: start, End: end, Ready: ready,
-			Parent: e.mr.SpanParent, Deps: deps,
-			Args: []obs.Label{obs.L("caches", strconv.Itoa(len(caches))), obs.L("query", e.query.Name)},
-		})
+		label.WaitOn(deps...)
+		label.Track, label.Start, label.End, label.Ready = obs.NodeTrack(node.ID), start, end, ready
+		label.Parent, label.Job, label.Count = e.mr.SpanParent, e.query.Name, int64(len(caches))
+		span = e.obs.Task(label)
 	}
 	return cacheTask{node: node.ID, end: end, dur: dur, span: span}
 }

@@ -155,20 +155,16 @@ func (e *Engine) buildJoinInputs(src int, p window.PaneID, trigger simtime.Time,
 		e.commit(commit{kind: kindCharged, phase: phaseShuffle, cost: availAt.Sub(shuffleStart), bytes: inBytes})
 		e.commit(commit{kind: kindCharged, phase: phaseSort, cost: e.mr.Cost.Sort(inBytes)})
 		e.commit(commit{kind: kindCharged, phase: phaseReduce, cost: spill - e.mr.Cost.Sort(inBytes)})
-		shuffleSpan := e.obs.Task(obs.TaskSpan{
-			Track: obs.NodeTrack(home.ID), Cat: "shuffle",
-			Name:  fmt.Sprintf("shuffle %s pane %d p%d", q.Sources[src].Name, int64(p), part),
+		span := obs.TaskSpan{
+			Kind: obs.SpanPaneShuffle, Track: obs.NodeTrack(home.ID),
 			Start: shuffleStart, End: availAt, Ready: shuffleStart,
-			Parent: e.mr.SpanParent, Deps: mp.Spans,
-			Args: []obs.Label{obs.L("query", q.Name)},
-		})
-		spillSpan := e.obs.Task(obs.TaskSpan{
-			Track: obs.NodeTrack(home.ID), Cat: "spill",
-			Name:  fmt.Sprintf("spill %s pane %d p%d", q.Sources[src].Name, int64(p), part),
-			Start: start, End: end, Ready: availAt,
-			Parent: e.mr.SpanParent, Deps: []obs.SpanID{shuffleSpan},
-			Args: []obs.Label{obs.L("query", q.Name)},
-		})
+			Parent: e.mr.SpanParent, Shared: mp.Spans,
+			Job: q.Name, Input: q.Sources[src].Name, Pane: int64(p), Part: part,
+		}
+		shuffleSpan := e.obs.Task(span)
+		span.Kind, span.Start, span.End, span.Ready = obs.SpanSpill, start, end, availAt
+		span.Shared, span.Deps = nil, [2]obs.SpanID{shuffleSpan}
+		spillSpan := e.obs.Task(span)
 		rinMeta.span, rinMeta.recompute = spillSpan, mapShare+availAt.Sub(shuffleStart)+spill
 		refs[part] = e.registerCacheFor(q.rinPID(src, e.frames[src].Pane, p, part), ReduceInput, home.ID,
 			end, pp.rin[part], e.rinUsers(src), rinMeta)
@@ -363,7 +359,7 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 			}
 			continue
 		}
-		ct := e.runCacheTask(func() string { return fmt.Sprintf("join %s p%d", id, part) }, phaseReduce, baseReady, caches,
+		ct := e.runCacheTask(obs.TaskSpan{Kind: obs.SpanJoin, Input: id, Part: part}, phaseReduce, baseReady, caches,
 			e.mr.Cost.CachedReduceTask(pc.inBytes, pc.outBytes), stats)
 		stats.ReduceTasks++
 		stats.BytesCacheRead += cacheBytes
@@ -453,11 +449,12 @@ func (e *Engine) finalizeJoinWindow(trigger simtime.Time, tupleRefs [][]cacheRef
 	stats.ReduceTime += dur
 	stats.End = simtime.Max(stats.End, end)
 	e.commit(commit{kind: kindCharged, phase: phaseReduce, cost: dur})
-	e.obs.Task(obs.TaskSpan{
-		Track: obs.NodeTrack(node.ID), Cat: "cachetask", Name: "publish manifest",
-		Start: start, End: end, Ready: ready,
-		Parent: e.mr.SpanParent, Deps: deps,
-		Args: []obs.Label{obs.L("query", q.Name), obs.L("tuples", fmt.Sprint(len(tupleRefs)))},
-	})
+	span := obs.TaskSpan{
+		Kind: obs.SpanManifest, Track: obs.NodeTrack(node.ID),
+		Start: start, End: end, Ready: ready, Parent: e.mr.SpanParent,
+		Job: q.Name, Count: int64(len(tupleRefs)),
+	}
+	span.WaitOn(deps...)
+	e.obs.Task(span)
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"redoop/internal/mapreduce"
+	"redoop/internal/obs"
 	"redoop/internal/reuse"
 	"redoop/internal/simtime"
 	"redoop/internal/window"
@@ -125,7 +126,7 @@ func (e *Engine) copyReusedPane(p window.PaneID, trigger simtime.Time, entries [
 			return fmt.Errorf("core: reused cache %s lost from node %d mid-recurrence", prod.pid, prod.node)
 		}
 		e.commit(commit{kind: kindCrossHit, at: e.curTrigger, pid: prod.pid, typ: prod.typ})
-		ct := e.runCacheTask(func() string { return fmt.Sprintf("reuse pane %d p%d", int64(p), part) }, phaseReduce,
+		ct := e.runCacheTask(obs.TaskSpan{Kind: obs.SpanReuse, Pane: int64(p), Part: part}, phaseReduce,
 			trigger, prods[part:part+1], e.mr.Cost.DiskWrite(prod.bytes), stats)
 		stats.BytesCacheRead += prod.bytes
 		routMeta.span = ct.span
@@ -177,7 +178,7 @@ func (e *Engine) composeReusedPane(p window.PaneID, trigger simtime.Time, rows [
 			continue
 		}
 		outData := composed[part].data
-		ct := e.runCacheTask(func() string { return fmt.Sprintf("reuse-merge pane %d p%d", int64(p), part) }, phaseReduce,
+		ct := e.runCacheTask(obs.TaskSpan{Kind: obs.SpanReuseMerge, Pane: int64(p), Part: part}, phaseReduce,
 			trigger, caches, e.mr.Cost.MergeTask(inBytes, int64(len(outData))), stats)
 		stats.BytesCacheRead += inBytes
 		routMeta.span = ct.span

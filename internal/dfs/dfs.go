@@ -289,9 +289,8 @@ func (d *DFS) WriteAt(path string, data []byte, at simtime.Time) error {
 		return nil
 	}
 	transferred := int64(len(data)) * copies
-	o.Span(ReplicationTrack, "replicate", "replicate "+path,
-		at, at.Add(cost(transferred)),
-		obs.L("bytes", fmt.Sprint(transferred)))
+	o.Task(obs.TaskSpan{Kind: obs.SpanReplicate, Track: ReplicationTrack,
+		Start: at, End: at.Add(cost(transferred)), Input: path, Count: transferred})
 	return nil
 }
 
@@ -483,9 +482,8 @@ func (d *DFS) FailNodeAt(node int, at simtime.Time) int64 {
 	if cost == nil || o == nil || moved == 0 {
 		return moved
 	}
-	o.Span(ReplicationTrack, "replicate", fmt.Sprintf("re-replicate node %d", node),
-		at, at.Add(cost(moved)),
-		obs.L("bytes", fmt.Sprint(moved)))
+	o.Task(obs.TaskSpan{Kind: obs.SpanRereplicate, Track: ReplicationTrack,
+		Start: at, End: at.Add(cost(moved)), Index: node, Count: moved})
 	return moved
 }
 

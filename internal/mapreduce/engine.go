@@ -102,6 +102,38 @@ type Engine struct {
 	Account *account.Ledger
 
 	scratch scratch // free lists of the arrays phases borrow (DropScratch)
+	series  *series // Obs's series the commit paths touch (metrics)
+}
+
+// series holds the series the commit paths touch per task, each looked
+// up on Obs once (obs.Series); the commit paths are serial.
+type series struct {
+	mapTasks, spillBytes, reduceTasks, outputBytes obs.Series[obs.Counter]
+	blockReads, mapInput, shuffleBytes             *obs.SeriesSet[string, obs.Counter] // by locality
+	mapAttempts, reduceAttempts                    *obs.SeriesSet[string, obs.Counter] // by result
+	mapSeconds, shuffleSeconds, reduceSeconds      obs.Series[obs.Histogram]
+}
+
+// metrics returns the engine's series, made at its first use.
+func (e *Engine) metrics() *series {
+	if e.series == nil {
+		locality, result := obs.LabelBy("locality"), obs.LabelBy("result")
+		e.series = &series{
+			mapTasks:       obs.NewSeries[obs.Counter]("redoop_map_tasks_total"),
+			spillBytes:     obs.NewSeries[obs.Counter]("redoop_spill_bytes_total"),
+			reduceTasks:    obs.NewSeries[obs.Counter]("redoop_reduce_tasks_total"),
+			outputBytes:    obs.NewSeries[obs.Counter]("redoop_output_bytes_total"),
+			blockReads:     obs.NewSeriesSet[string, obs.Counter]("redoop_dfs_block_reads_total", locality),
+			mapInput:       obs.NewSeriesSet[string, obs.Counter]("redoop_map_input_bytes_total", locality),
+			shuffleBytes:   obs.NewSeriesSet[string, obs.Counter]("redoop_shuffle_bytes_total", locality),
+			mapAttempts:    obs.NewSeriesSet[string, obs.Counter]("redoop_map_attempts_total", result),
+			reduceAttempts: obs.NewSeriesSet[string, obs.Counter]("redoop_reduce_attempts_total", result),
+			mapSeconds:     obs.NewSeries[obs.Histogram]("redoop_map_task_seconds"),
+			shuffleSeconds: obs.NewSeries[obs.Histogram]("redoop_shuffle_seconds"),
+			reduceSeconds:  obs.NewSeries[obs.Histogram]("redoop_reduce_task_seconds"),
+		}
+	}
+	return e.series
 }
 
 // New constructs an engine over the given substrates with default
@@ -234,8 +266,9 @@ type MapPhaseResult struct {
 	// Stats covers the map phase only.
 	Stats Stats
 	// Spans are the winning map attempts' span IDs, in split order —
-	// the dependency edges downstream shuffle/reduce spans record.
-	// Empty when no observer is attached.
+	// the dependency edges downstream shuffle/reduce spans record, by
+	// reference (obs.TaskSpan.Shared), so it never changes once
+	// committed. Empty when no observer is attached.
 	Spans  []obs.SpanID
 	out    []records.Pair // the array Parts views, owned until Release or a merge takes it
 	groups [][]Group      // Parts' key groups (place), when the phase is one prep's: PartsSorted
@@ -550,6 +583,9 @@ func (e *Engine) CommitMapPhase(prep *MapPhasePrep, ready simtime.Time) (*MapPha
 		res.groups, res.vals, res.arenas, res.from = prep.groups, prep.vals, prep.arenas, e
 		prep.groups, prep.vals, prep.arenas = nil, nil, nil
 	}
+	if e.Obs != nil {
+		res.Spans = make([]obs.SpanID, 0, len(prep.splits))
+	}
 	for i, s := range prep.splits {
 		sizes := prep.partBytes[i*R : (i+1)*R]
 		var outBytes int64
@@ -577,10 +613,11 @@ func (e *Engine) CommitMapPhase(prep *MapPhasePrep, ready simtime.Time) (*MapPha
 			locality = "local"
 		}
 		res.Stats.BytesSpilled += outBytes
-		e.Obs.Counter("redoop_map_tasks_total").Inc()
-		e.Obs.Counter("redoop_dfs_block_reads_total", obs.L("locality", locality)).Inc()
-		e.Obs.Counter("redoop_map_input_bytes_total", obs.L("locality", locality)).Add(float64(s.Size()))
-		e.Obs.Counter("redoop_spill_bytes_total").Add(float64(outBytes))
+		m := e.metrics()
+		m.mapTasks.On(e.Obs).Inc()
+		m.blockReads.On(e.Obs, locality).Inc()
+		m.mapInput.On(e.Obs, locality).Add(float64(s.Size()))
+		m.spillBytes.On(e.Obs).Add(float64(outBytes))
 		if i == 0 || end < res.FirstMapEnd {
 			res.FirstMapEnd = end
 		}
@@ -620,12 +657,13 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 	// prev chains retry attempts: each attempt's span depends on the
 	// failed attempt whose detection made it schedulable.
 	var prev obs.SpanID
-	// id names the task to jitter, faults and spans: formatted once, and
-	// only when one of them reads it.
+	// id names the task to jitter and faults: formatted once, and only
+	// when one of them reads it. Spans record the split's facts instead.
 	var id string
-	if e.Jitter > 0 || e.Faults != nil || e.Obs != nil {
+	if e.Jitter > 0 || e.Faults != nil {
 		id = s.ID()
 	}
+	m := e.metrics()
 	for attempt := 0; attempt < e.maxAttempts(); attempt++ {
 		node := e.placementFor(job).PlaceMap(e, s, ready)
 		if node == nil {
@@ -640,17 +678,19 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 		start, end := node.Map.Acquire(ready, dur)
 		node.AddLoad(dur)
 		spent += dur
+		// span is the attempt's span as recorded; only its node, times
+		// and outcome differ between attempts.
+		span := obs.TaskSpan{
+			Kind: obs.SpanMap, Track: obs.NodeTrack(node.ID),
+			Start: start, End: end, Ready: ready,
+			Parent: e.SpanParent, Deps: [2]obs.SpanID{prev},
+			Job: job.Name, Input: s.Path, Block: s.Block.Index, Offset: s.Lo,
+			Attempt: attempt + 1, Worker: worker,
+		}
 		if e.Faults != nil && e.Faults.MapAttemptFails(job.Name, id, attempt) {
-			e.Obs.Counter("redoop_map_attempts_total", obs.L("result", "failed")).Inc()
-			prev = e.Obs.Task(obs.TaskSpan{
-				Track: obs.NodeTrack(node.ID), Cat: "map", Name: "map " + id,
-				Start: start, End: end, Ready: ready,
-				Parent: e.SpanParent, Deps: []obs.SpanID{prev},
-				Args: []obs.Label{
-					obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("job", job.Name),
-					obs.L("result", "failed"),
-				},
-			})
+			m.mapAttempts.On(e.Obs, "failed").Inc()
+			span.Failed = true
+			prev = e.Obs.Task(span)
 			e.Obs.Emit(end, eventlog.TaskRetry, job.Query, eventlog.TaskRetryData{
 				Job: job.Name, Task: id, Phase: "map", Attempt: attempt + 1,
 			})
@@ -660,20 +700,9 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 			ready = end
 			continue
 		}
-		e.Obs.Counter("redoop_map_attempts_total", obs.L("result", "ok")).Inc()
-		e.Obs.Histogram("redoop_map_task_seconds").Observe(dur.Seconds())
-		var span obs.SpanID
-		if e.Obs != nil {
-			span = e.Obs.Task(obs.TaskSpan{
-				Track: obs.NodeTrack(node.ID), Cat: "map", Name: "map " + id,
-				Start: start, End: end, Ready: ready,
-				Parent: e.SpanParent, Deps: []obs.SpanID{prev},
-				Args: []obs.Label{
-					obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("job", job.Name),
-					obs.L("worker", strconv.Itoa(worker)),
-				},
-			})
-		}
+		m.mapAttempts.On(e.Obs, "ok").Inc()
+		m.mapSeconds.On(e.Obs).Observe(dur.Seconds())
+		won := e.Obs.Task(span)
 		if e.Speculative && float64(dur) > speculationThreshold*float64(base) {
 			// A straggler: launch a backup attempt once the original
 			// has clearly fallen behind; the earlier finisher wins,
@@ -685,24 +714,21 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 				// The straggler's node is the only alive node: a backup
 				// there would just queue behind the straggler, so the
 				// original attempt stands and its end time is final.
-				return node, end, attempt + 1, spent, span, nil
+				return node, end, attempt + 1, spent, won, nil
 			}
 			bdur := e.jittered(base, "backup", job.Name, id, attempt)
 			bstart, bend := backup.Map.Acquire(detect, bdur)
 			backup.AddLoad(bdur)
 			spent += bdur
-			e.Obs.Counter("redoop_map_attempts_total", obs.L("result", "speculative")).Inc()
-			bspan := e.Obs.Task(obs.TaskSpan{
-				Track: obs.NodeTrack(backup.ID), Cat: "map", Name: "backup " + id,
-				Start: bstart, End: bend, Ready: detect,
-				Parent: e.SpanParent, Deps: []obs.SpanID{prev},
-				Args: []obs.Label{obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("job", job.Name)},
-			})
+			m.mapAttempts.On(e.Obs, "speculative").Inc()
+			span.Kind, span.Track = obs.SpanBackup, obs.NodeTrack(backup.ID)
+			span.Start, span.End, span.Ready = bstart, bend, detect
+			bspan := e.Obs.Task(span)
 			if bend < end {
-				node, end, span = backup, bend, bspan
+				node, end, won = backup, bend, bspan
 			}
 		}
-		return node, end, attempt + 1, spent, span, nil
+		return node, end, attempt + 1, spent, won, nil
 	}
 	return nil, 0, 0, spent, 0, fmt.Errorf("mapreduce: job %q: map task %s failed %d attempts", job.Name, s.ID(), e.maxAttempts())
 }
@@ -857,8 +883,9 @@ func (e *Engine) CommitReducePhase(job *Job, results []ReducerResult, mp *MapPha
 		e.Account.AddCompute(job.Query, account.PhaseSort, sortShare)
 		e.Account.AddCompute(job.Query, account.PhaseReduce, spent-sortShare)
 		e.Account.AddIO(job.Query, account.IOShuffle, rr.InBytes)
-		e.Obs.Counter("redoop_reduce_tasks_total").Inc()
-		e.Obs.Counter("redoop_output_bytes_total").Add(float64(rr.OutBytes))
+		m := e.metrics()
+		m.reduceTasks.On(e.Obs).Inc()
+		m.outputBytes.On(e.Obs).Add(float64(rr.OutBytes))
 		if rr.End > stats.End {
 			stats.End = rr.End
 		}
@@ -875,11 +902,7 @@ func (e *Engine) CommitReducePhase(job *Job, results []ReducerResult, mp *MapPha
 // charges exactly.
 func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.Node, mp *MapPhaseResult, ready simtime.Time) (shuffle, spent simtime.Duration, err error) {
 	part, inBytes, outBytes := rr.Part, rr.InBytes, rr.OutBytes
-	// task names the partition in spans and events.
-	var task string
-	if e.Obs != nil {
-		task = "p" + strconv.Itoa(part)
-	}
+	m := e.metrics()
 	var prev obs.SpanID // failed-attempt chain, as in runMapAttempts
 	for attempt := 0; attempt < e.maxAttempts(); attempt++ {
 		if node == nil || !node.Alive() {
@@ -908,19 +931,21 @@ func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.No
 		start, end := node.Reduce.Acquire(shuffleEnd, dur)
 		node.AddLoad(dur)
 		spent += dur
+		// The attempt waited on every map span of the wave — sorting
+		// can't start before the last one — or, once its shuffle is
+		// recorded, on that.
+		span := obs.TaskSpan{
+			Kind: obs.SpanReduce, Track: obs.NodeTrack(node.ID),
+			Start: start, End: end, Ready: shuffleEnd,
+			Parent: e.SpanParent, Shared: mp.Spans, Deps: [2]obs.SpanID{prev},
+			Job: job.Name, Part: part, Attempt: attempt + 1, Worker: rr.worker,
+		}
 		if e.Faults != nil && e.Faults.ReduceAttemptFails(job.Name, part, attempt) {
-			e.Obs.Counter("redoop_reduce_attempts_total", obs.L("result", "failed")).Inc()
-			prev = e.Obs.Task(obs.TaskSpan{
-				Track: obs.NodeTrack(node.ID), Cat: "reduce", Name: "reduce " + task,
-				Start: start, End: end, Ready: shuffleEnd,
-				Parent: e.SpanParent, Deps: append(append([]obs.SpanID{}, mp.Spans...), prev),
-				Args: []obs.Label{
-					obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("job", job.Name),
-					obs.L("result", "failed"),
-				},
-			})
+			m.reduceAttempts.On(e.Obs, "failed").Inc()
+			span.Failed = true
+			prev = e.Obs.Task(span)
 			e.Obs.Emit(end, eventlog.TaskRetry, job.Query, eventlog.TaskRetryData{
-				Job: job.Name, Task: task, Phase: "reduce", Attempt: attempt + 1,
+				Job: job.Name, Task: "p" + strconv.Itoa(part), Phase: "reduce", Attempt: attempt + 1,
 			})
 			// A reduce failure entails retrieving the map outputs
 			// again and re-executing (paper §2.2): the retry is
@@ -929,39 +954,27 @@ func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.No
 			node = nil
 			continue
 		}
-		e.Obs.Counter("redoop_reduce_attempts_total", obs.L("result", "ok")).Inc()
-		e.Obs.Counter("redoop_shuffle_bytes_total", obs.L("locality", "local")).Add(float64(local))
-		e.Obs.Counter("redoop_shuffle_bytes_total", obs.L("locality", "remote")).Add(float64(remote))
-		e.Obs.Histogram("redoop_shuffle_seconds").Observe(shuffleDur.Seconds())
-		e.Obs.Histogram("redoop_reduce_task_seconds").Observe(dur.Seconds())
-		var shuffleSpan, span obs.SpanID
-		if e.Obs != nil {
-			if shuffleDur > 0 {
-				// The shuffle's readiness is when the first map finished (it
-				// can't copy earlier); it depends on every map span of the
-				// wave because sorting can't start before the last one.
-				shuffleSpan = e.Obs.Task(obs.TaskSpan{
-					Track: obs.NodeTrack(node.ID), Cat: "shuffle", Name: "shuffle " + task,
-					Start: shuffleStart, End: shuffleEnd, Ready: shuffleStart,
-					Parent: e.SpanParent, Deps: append(append([]obs.SpanID{}, mp.Spans...), prev),
-					Args: []obs.Label{obs.L("job", job.Name)},
-				})
-			}
-			deps := []obs.SpanID{shuffleSpan, prev}
-			if shuffleSpan == 0 {
-				deps = append(append([]obs.SpanID{}, mp.Spans...), prev)
-			}
-			span = e.Obs.Task(obs.TaskSpan{
-				Track: obs.NodeTrack(node.ID), Cat: "reduce", Name: "reduce " + task,
-				Start: start, End: end, Ready: shuffleEnd,
-				Parent: e.SpanParent, Deps: deps,
-				Args: []obs.Label{
-					obs.L("attempt", strconv.Itoa(attempt+1)), obs.L("job", job.Name),
-					obs.L("worker", strconv.Itoa(rr.worker)),
-				},
+		m.reduceAttempts.On(e.Obs, "ok").Inc()
+		m.shuffleBytes.On(e.Obs, "local").Add(float64(local))
+		m.shuffleBytes.On(e.Obs, "remote").Add(float64(remote))
+		m.shuffleSeconds.On(e.Obs).Observe(shuffleDur.Seconds())
+		m.reduceSeconds.On(e.Obs).Observe(dur.Seconds())
+		var shuffleSpan obs.SpanID
+		if shuffleDur > 0 {
+			// The shuffle's readiness is when the first map finished (it
+			// can't copy earlier).
+			shuffleSpan = e.Obs.Task(obs.TaskSpan{
+				Kind: obs.SpanShuffle, Track: span.Track,
+				Start: shuffleStart, End: shuffleEnd, Ready: shuffleStart,
+				Parent: e.SpanParent, Shared: mp.Spans, Deps: [2]obs.SpanID{prev},
+				Job: job.Name, Part: part,
 			})
 		}
-		rr.Node, rr.Start, rr.End, rr.Span, rr.ShuffleSpan = node.ID, start, end, span, shuffleSpan
+		if shuffleSpan != 0 {
+			span.Shared, span.Deps = nil, [2]obs.SpanID{shuffleSpan, prev}
+		}
+		rr.Node, rr.Start, rr.End, rr.ShuffleSpan = node.ID, start, end, shuffleSpan
+		rr.Span = e.Obs.Task(span)
 		return shuffleDur, spent, nil
 	}
 	return 0, spent, fmt.Errorf("mapreduce: job %q: reduce %d failed %d attempts", job.Name, part, e.maxAttempts())

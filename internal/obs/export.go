@@ -286,8 +286,9 @@ func (c *ChromeTrace) Encode(w io.Writer) error {
 
 // WriteTraceJSON serializes the retained record as a Chrome trace
 // document: every track named, every span as a complete event on its
-// track, then every decision as an instant on its query's track. A nil
-// tracer writes a valid document with no spans or decisions.
+// track, then every decision as an instant on its query's track, each
+// formatted from its recorded facts here. A nil tracer writes a valid
+// document with no spans or decisions.
 func (t *Tracer) WriteTraceJSON(w io.Writer) error {
 	doc := NewChromeTrace("redoop (virtual time)")
 	if t != nil {
@@ -297,7 +298,8 @@ func (t *Tracer) WriteTraceJSON(w io.Writer) error {
 		}
 		segs := t.segments()
 		for _, seg := range segs {
-			for _, e := range seg.spans {
+			for i := range seg.spans {
+				e := seg.spans[i].event()
 				var args map[string]any
 				if len(e.Args) > 0 {
 					args = make(map[string]any, len(e.Args))
@@ -309,7 +311,8 @@ func (t *Tracer) WriteTraceJSON(w io.Writer) error {
 			}
 		}
 		for _, seg := range segs {
-			for _, d := range seg.decisions {
+			for i := range seg.decisions {
+				d := t.decisionLocked(&seg.decisions[i])
 				doc.Instant(QueryTrack(d.Query), "decision", string(d.Type), d.At, map[string]any{"data": d.Data})
 			}
 		}

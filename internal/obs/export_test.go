@@ -141,7 +141,7 @@ func TestWriteFilesAtomicCreatesDirs(t *testing.T) {
 	}
 
 	tr := NewTracer()
-	tr.Span("t", "c", "m", 0, 1)
+	tr.Task(TaskSpan{Kind: SpanReplicate, Track: "t", Input: "m", End: 1})
 	tpath := filepath.Join(dir, "traces", "run.trace.json")
 	if err := tr.WriteTraceFile(tpath); err != nil {
 		t.Fatal(err)
@@ -240,10 +240,11 @@ func TestWriteTraceJSON(t *testing.T) {
 	tr := NewTracer()
 	// recurrence span containing a phase span containing a task span,
 	// all on one track — the containment Perfetto renders as nesting.
-	tr.Span("query:q1", "recurrence", "recurrence 0", 0, simtime.Time(10*simtime.Millisecond))
-	tr.Span("query:q1", "phase", "map pane 3", simtime.Time(simtime.Millisecond), simtime.Time(4*simtime.Millisecond))
-	tr.Span("node:2", "task", "map S1P3", simtime.Time(simtime.Millisecond), simtime.Time(2*simtime.Millisecond),
-		L("attempt", "1"))
+	tr.Task(TaskSpan{Kind: SpanRecurrence, Track: "query:q1", End: simtime.Time(10 * simtime.Millisecond)})
+	tr.Task(TaskSpan{Kind: SpanPhase, Track: "query:q1", Input: "S1", Pane: 3,
+		Start: simtime.Time(simtime.Millisecond), End: simtime.Time(4 * simtime.Millisecond)})
+	tr.Task(TaskSpan{Kind: SpanMap, Track: "node:2", Input: "S1", Block: 3, Attempt: 1,
+		Start: simtime.Time(simtime.Millisecond), End: simtime.Time(2 * simtime.Millisecond)})
 	tr.Emit(simtime.Time(9*simtime.Millisecond), eventlog.Replan, "q1", eventlog.ReplanData{SubPanes: 2})
 
 	var buf bytes.Buffer
@@ -302,7 +303,7 @@ func TestWriteTraceJSON(t *testing.T) {
 // producing a negative duration.
 func TestTraceBackwardsSpanClamped(t *testing.T) {
 	tr := NewTracer()
-	tr.Span("t", "c", "oops", 100, 50)
+	tr.Task(TaskSpan{Kind: SpanPhase, Track: "t", Start: 100, End: 50})
 	ev := tr.Events()[0]
 	if ev.End != ev.Start {
 		t.Errorf("span not clamped: %+v", ev)

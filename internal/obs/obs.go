@@ -97,6 +97,15 @@ func (o *Observer) Emit(at simtime.Time, typ eventlog.Type, query string, data a
 	o.Tracer.Emit(at, typ, query, data)
 }
 
+// EmitCache records a cache.* decision, its payload unboxed, via the
+// bundled tracer; nil-safe.
+func (o *Observer) EmitCache(at simtime.Time, typ eventlog.Type, query string, data eventlog.CacheData) {
+	if o == nil {
+		return
+	}
+	o.Tracer.EmitCache(at, typ, query, data)
+}
+
 // EmitEnabled reports whether decisions are recorded — emitters that
 // must build a payload (e.g. the per-candidate placement breakdown)
 // check it first to skip the work when recording is off.

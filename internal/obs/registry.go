@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -252,4 +253,77 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
+}
+
+// Series is one metric series — a Counter, Gauge or Histogram with
+// default buckets — whose name and labels are fixed when it is made
+// (NewSeries). On looks it up on an observer's registry at its first
+// use there and keeps it, so a path that counts per event pays a
+// pointer compare instead of a lookup; the series is created exactly
+// when a direct lookup would create it. Not safe for concurrent use:
+// keep one where its caller's calls are serial.
+type Series[M Counter | Gauge | Histogram] struct {
+	name   string
+	labels []Label
+	reg    *Registry
+	m      *M
+}
+
+// NewSeries makes the series of name and labels.
+func NewSeries[M Counter | Gauge | Histogram](name string, labels ...Label) Series[M] {
+	return Series[M]{name: name, labels: slices.Clone(labels)}
+}
+
+// On returns the series on o's registry: nil on a nil observer or
+// registry.
+func (s *Series[M]) On(o *Observer) *M {
+	if o == nil {
+		return nil
+	}
+	if s.m == nil || s.reg != o.Metrics {
+		s.reg = o.Metrics
+		switch m := any(&s.m).(type) {
+		case **Counter:
+			*m = o.Metrics.Counter(s.name, s.labels...)
+		case **Gauge:
+			*m = o.Metrics.Gauge(s.name, s.labels...)
+		case **Histogram:
+			*m = o.Metrics.Histogram(s.name, s.labels...)
+		}
+	}
+	return s.m
+}
+
+// SeriesSet is the series of one metric name whose labels follow a key:
+// a key's series is made at its first use, with the labels the set's
+// function gives that key. Not safe for concurrent use, as Series.
+type SeriesSet[K comparable, M Counter | Gauge | Histogram] struct {
+	name   string
+	labels func(K) []Label
+	byKey  map[K]*Series[M]
+}
+
+// NewSeriesSet makes the set of name's series labelled by labels.
+func NewSeriesSet[K comparable, M Counter | Gauge | Histogram](name string, labels func(K) []Label) *SeriesSet[K, M] {
+	return &SeriesSet[K, M]{name: name, labels: labels, byKey: map[K]*Series[M]{}}
+}
+
+// On returns key's series on o's registry: nil on a nil observer or
+// registry.
+func (s *SeriesSet[K, M]) On(o *Observer, key K) *M {
+	if o == nil {
+		return nil
+	}
+	ser := s.byKey[key]
+	if ser == nil {
+		made := NewSeries[M](s.name, s.labels(key)...)
+		ser = &made
+		s.byKey[key] = ser
+	}
+	return ser.On(o)
+}
+
+// LabelBy returns the labels of a SeriesSet keyed by one label's value.
+func LabelBy(key string) func(string) []Label {
+	return func(v string) []Label { return []Label{L(key, v)} }
 }

@@ -98,10 +98,10 @@ func TestNilSafety(t *testing.T) {
 	o.Counter("c").Inc()
 	o.Gauge("g").Set(1)
 	o.Histogram("h").Observe(1)
-	o.Span("t", "cat", "s", 0, 10)
+	o.Task(TaskSpan{Kind: SpanPhase, Track: "t", End: 10})
 	o.Emit(5, eventlog.Replan, "q", nil)
 
-	tr.Span("t", "cat", "s", 0, 10)
+	tr.Task(TaskSpan{Kind: SpanPhase, Track: "t", End: 10})
 	tr.Emit(5, eventlog.Replan, "q", nil)
 	if tr.Len() != 0 || tr.Events() != nil || tr.Decisions() != nil {
 		t.Error("nil tracer must be empty")
@@ -110,7 +110,7 @@ func TestNilSafety(t *testing.T) {
 	// An Observer with nil fields is likewise inert.
 	o2 := &Observer{}
 	o2.Counter("c").Inc()
-	o2.Span("t", "cat", "s", 0, 10)
+	o2.Task(TaskSpan{Kind: SpanPhase, Track: "t", End: 10})
 	o2.Emit(5, eventlog.Replan, "q", nil)
 	if o2.EmitEnabled() {
 		t.Error("an Observer without a tracer must not ask for payloads")
@@ -177,5 +177,38 @@ func TestNodeTrackDoesNotAllocate(t *testing.T) {
 	}
 	if got := NodeTrack(1234); got != "node:1234" {
 		t.Fatalf("NodeTrack(1234) = %q", got)
+	}
+}
+
+// A Series is created when first used, as a direct lookup would create
+// it, then returned without a lookup, and looked up again on another
+// registry; a SeriesSet makes each key's series with the key's labels.
+func TestSeriesResolvesOncePerRegistry(t *testing.T) {
+	s := NewSeries[Counter]("c", L("k", "v"))
+	if s.On(nil) != nil {
+		t.Fatal("a nil observer's series is not nil")
+	}
+	a, b := New(), New()
+	if len(a.Metrics.Counters()) != 0 {
+		t.Fatal("a series exists before its first use")
+	}
+	c := s.On(a)
+	c.Inc()
+	if s.On(a) != c || a.Metrics.Counter("c", L("k", "v")).Value() != 1 {
+		t.Fatal("the series is not the registry's")
+	}
+	if got := s.On(b); got == c || got != b.Metrics.Counter("c", L("k", "v")) {
+		t.Fatal("the series kept the first registry's instrument")
+	}
+	if n := testing.AllocsPerRun(100, func() { s.On(b).Inc() }); n != 0 {
+		t.Fatalf("a resolved series allocates %v times", n)
+	}
+
+	set := NewSeriesSet[string, Histogram]("h", LabelBy("phase"))
+	set.On(a, "map").Observe(1)
+	set.On(a, "reduce").Observe(2)
+	set.On(a, "map").Observe(3)
+	if a.Metrics.Histogram("h", L("phase", "map")).Count() != 2 || a.Metrics.Histogram("h", L("phase", "reduce")).Count() != 1 {
+		t.Fatal("a series set's keys do not reach their labelled series")
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -20,25 +22,44 @@ const decisionsPerRecurrence = 3
 
 // recordRecurrence records recurrence r of query q as an engine's
 // RunNext does: its start decision, parentless phase and replication
-// spans, two dependent tasks parented to a reserved root, a re-plan and
-// the finish decision, and the root last. Every span but the root is
-// named "<q> r<r>".
+// spans, two dependent tasks (a map and its spill) parented to a
+// reserved root, a re-plan and the finish decision, and the root last.
+// Every span but the root is read with "<q> r<r>" in its name.
 func recordRecurrence(tr *obs.Tracer, q string, r int) {
 	ms := simtime.Duration(simtime.Millisecond)
 	at := simtime.Time(int64(r) * int64(simtime.Second))
 	name := fmt.Sprintf("%s r%d", q, r)
 	root := tr.Reserve()
 	tr.Emit(at, eventlog.RecurrenceStart, q, eventlog.RecurrenceStartData{Recurrence: r})
-	tr.Span(obs.QueryTrack(q), "phase", name, at, at.Add(ms))
-	tr.Span("replication", "replicate", name, at, at.Add(ms))
-	m := tr.Task(obs.TaskSpan{Track: obs.NodeTrack(1), Cat: "map", Name: name,
+	tr.Task(obs.TaskSpan{Kind: obs.SpanPhase, Track: obs.QueryTrack(q), Input: name, Start: at, End: at.Add(ms)})
+	tr.Task(obs.TaskSpan{Kind: obs.SpanReplicate, Track: "replication", Input: name, Start: at, End: at.Add(ms)})
+	m := tr.Task(obs.TaskSpan{Kind: obs.SpanMap, Track: obs.NodeTrack(1), Input: name,
 		Start: at, End: at.Add(2 * ms), Parent: root})
-	tr.Task(obs.TaskSpan{Track: obs.NodeTrack(2), Cat: "reduce", Name: name,
-		Start: at.Add(2 * ms), End: at.Add(4 * ms), Parent: root, Deps: []obs.SpanID{m}})
+	tr.Task(obs.TaskSpan{Kind: obs.SpanSpill, Track: obs.NodeTrack(2), Input: name,
+		Start: at.Add(2 * ms), End: at.Add(4 * ms), Parent: root, Deps: [2]obs.SpanID{m}})
 	tr.Emit(at.Add(5*ms), eventlog.Replan, q, eventlog.ReplanData{Recurrence: r, SubPanes: 2})
 	tr.Emit(at.Add(5*ms), eventlog.RecurrenceFinish, q, eventlog.RecurrenceFinishData{Recurrence: r, ResponseNS: int64(5 * ms)})
-	tr.Task(obs.TaskSpan{Track: obs.QueryTrack(q), Cat: "recurrence", Name: fmt.Sprintf("recurrence %d", r),
+	tr.Task(obs.TaskSpan{Kind: obs.SpanRecurrence, Track: obs.QueryTrack(q), Index: r,
 		Start: at, End: at.Add(5 * ms), ID: root})
+}
+
+// recordedName matches the "<q> r<r>" a recordRecurrence span's name
+// carries.
+var recordedName = regexp.MustCompile(`(\S+) r(\d+)`)
+
+// spanRecurrence reads the query and recurrence a recordRecurrence span
+// belongs to.
+func spanRecurrence(e obs.Event) (q string, r int) {
+	if e.Cat == "recurrence" {
+		r, _ = strconv.Atoi(strings.TrimPrefix(e.Name, "recurrence "))
+		return strings.TrimPrefix(e.Track, "query:"), r
+	}
+	m := recordedName.FindStringSubmatch(e.Name)
+	if m == nil {
+		return "", -1
+	}
+	r, _ = strconv.Atoi(m[2])
+	return m[1], r
 }
 
 // decisionRecurrence reads the recurrence a recordRecurrence decision
@@ -69,14 +90,7 @@ func TestTracerKeepsNewestRecurrencesPerTrack(t *testing.T) {
 	evs := tr.Events()
 	kept := map[string]int{}
 	for _, e := range evs {
-		var q string
-		var r int
-		if e.Cat == "recurrence" {
-			q = strings.TrimPrefix(e.Track, "query:")
-			fmt.Sscanf(e.Name, "recurrence %d", &r)
-		} else {
-			fmt.Sscanf(e.Name, "%s r%d", &q, &r)
-		}
+		q, r := spanRecurrence(e)
 		if r < recs-obs.KeepRecurrences {
 			t.Errorf("%s %q of recurrence %d kept after %d", e.Cat, e.Name, r, recs-1)
 		}
@@ -194,9 +208,9 @@ func TestDecisionsLeaveWithTheirRecurrence(t *testing.T) {
 func TestTracerRecyclesDroppedSegments(t *testing.T) {
 	tr := obs.NewTracer()
 	rec := func() {
-		tr.Span("query:q", "phase", "map", 0, 1)
+		tr.Task(obs.TaskSpan{Kind: obs.SpanPhase, Track: "query:q", End: 1})
 		tr.Emit(1, eventlog.Replan, "q", nil)
-		tr.Task(obs.TaskSpan{Track: "query:q", Cat: "recurrence", Name: "recurrence", End: 2})
+		tr.Task(obs.TaskSpan{Kind: obs.SpanRecurrence, Track: "query:q", End: 2})
 	}
 	for i := 0; i <= obs.KeepRecurrences; i++ {
 		rec()

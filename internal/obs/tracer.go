@@ -2,6 +2,7 @@ package obs
 
 import (
 	"slices"
+	"strconv"
 	"sync"
 
 	"redoop/internal/obs/eventlog"
@@ -16,7 +17,10 @@ import (
 // Because the simulation knows every span's start and end when it is
 // recorded, the API takes closed spans rather than begin/end pairs:
 // one call per span, safe for concurrent use. A nil *Tracer is a
-// no-op.
+// no-op. What it records are facts — a span's kind and what it ran
+// over, a cache decision's fields — in fixed-size values, so recording
+// allocates nothing past its segment's growth; names, args and payloads
+// are formatted only when the record is read.
 //
 // Tracks become trace "threads" (one tid per track, named via metadata
 // events); nesting inside a track follows virtual-time containment, so
@@ -34,12 +38,33 @@ type Tracer struct {
 	segs   []segment // closed segments, oldest first
 	open   segment   // recorded since the last root
 	nextID SpanID    // last allocated task-span ID
+	// names holds the decision types, queries and cache types the
+	// decisions name, each once; a decision keeps their indexes.
+	names   []string
+	nameIdx map[string]int32
 }
 
-// segment is one recurrence's share of the record.
+// segment is one recurrence's share of the record: its spans and
+// decisions, facts that Events, Decisions and the trace export format
+// when they read them.
 type segment struct {
-	spans     []Event
-	decisions []eventlog.Event
+	spans     []TaskSpan
+	decisions []decision
+}
+
+// decision is one recorded decision event. A cache decision keeps its
+// payload's fields, so recording it allocates nothing; read, they
+// become an eventlog.CacheData. The strings decisions repeat are kept
+// as indexes into Tracer.names: a retained decision takes 72 bytes, not
+// the 120 its strings would.
+type decision struct {
+	at                    simtime.Time
+	data                  any // the payload of any other decision
+	pid                   string
+	bytes                 int64
+	node, rec             int32
+	typ, query, cacheType int32
+	isCache               bool
 }
 
 // KeepRecurrences is how many recurrences a Tracer keeps per track.
@@ -48,11 +73,12 @@ const KeepRecurrences = 16
 // SpanID identifies one recorded task span within a Tracer. IDs are
 // allocated in record order (serial accounting order), so they are
 // deterministic across runs regardless of the compute pool width. The
-// zero SpanID means "no span" — spans recorded through Span carry it,
-// and a dependency on span 0 is never recorded.
+// zero SpanID means "no span" — overlay spans (phases, replication)
+// carry it, and a dependency on span 0 is never recorded.
 type SpanID uint64
 
-// Event is one recorded span.
+// Event is one recorded span as a reader sees it: Tracer.Events builds
+// its Cat, Name and Args from the span's kind and facts.
 type Event struct {
 	Track string
 	Cat   string
@@ -61,8 +87,8 @@ type Event struct {
 	End   simtime.Time
 	Args  []Label
 
-	// ID identifies this span for dependency edges; zero for spans
-	// recorded through Span (which predate span identity).
+	// ID identifies this span for dependency edges; zero for an
+	// overlay span, which is outside the task DAG.
 	ID SpanID
 	// Parent is the enclosing span (a recurrence root for task spans);
 	// zero when the span has no recorded parent.
@@ -74,18 +100,70 @@ type Event struct {
 	// cache hit short-circuiting recomputation.
 	Deps []SpanID
 	// Ready is the instant the task became eligible to run; Start−Ready
-	// is schedule wait (slot-queueing delay). Zero-valued Ready on a
-	// Span-recorded event means "unknown" and profilers treat it as
-	// Start.
+	// is schedule wait (slot-queueing delay). Zero-valued Ready on an
+	// overlay span means "unknown" and profilers treat it as Start.
 	Ready simtime.Time
 }
 
-// TaskSpan describes one task span with identity, dependency edges and
-// readiness, recorded via Tracer.Task.
+// SpanKind says what a recorded span is: it fixes the span's category
+// and how its name and args are formatted from its facts when the
+// record is read.
+type SpanKind uint8
+
+// The span kinds, each with the name it is read as.
+const (
+	_               SpanKind = iota // no kind: read with no category and no name
+	SpanMap                         // "map <Input>#<Block>@<Offset>": a map attempt over a split
+	SpanBackup                      // "backup <split>": a speculative copy of a straggling map attempt
+	SpanShuffle                     // "shuffle p<Part>": a reduce partition's copy from the map wave
+	SpanReduce                      // "reduce p<Part>": a reduce attempt
+	SpanPaneShuffle                 // "shuffle <Input> pane <Pane> p<Part>": a source pane's partition copied to its home
+	SpanSpill                       // "spill <Input> pane <Pane> p<Part>": the copy spilled as the reduce-input cache
+	SpanCombine                     // "combine pane <Pane> p<Part>": sub-pane outputs combined into the pane's
+	SpanRebuild                     // "rebuild pane <Pane> p<Part>": a lost output rebuilt from its reduce input
+	SpanFinalize                    // "finalize p<Part>": a window's partition merged from its pane outputs
+	SpanJoin                        // "join <Input> p<Part>": a join's pane group reduced from cached inputs
+	SpanReuse                       // "reuse pane <Pane> p<Part>": another query's pane output copied
+	SpanReuseMerge                  // "reuse-merge pane <Pane> p<Part>": finer pane outputs merged into a coarser one
+	SpanManifest                    // "publish manifest": a join window's output listed
+	SpanPhase                       // "map <Input> pane <Pane>": a pane's map wave over its segments
+	SpanRecurrence                  // "recurrence <Index>": a recurrence root, which closes its segment
+	SpanReplicate                   // "replicate <Input>": a written file's replicas
+	SpanRereplicate                 // "re-replicate node <Index>": a dead node's blocks copied again
+)
+
+// spanKinds holds each kind's category, the verb its name starts with,
+// and whether it overlays the task DAG: a phase or replication span
+// takes no SpanID and no readiness, and nothing depends on it.
+var spanKinds = [...]struct {
+	cat, verb string
+	overlay   bool
+}{
+	SpanMap:         {"map", "map", false},
+	SpanBackup:      {"map", "backup", false},
+	SpanShuffle:     {"shuffle", "shuffle", false},
+	SpanReduce:      {"reduce", "reduce", false},
+	SpanPaneShuffle: {"shuffle", "shuffle", false},
+	SpanSpill:       {"spill", "spill", false},
+	SpanCombine:     {"cachetask", "combine", false},
+	SpanRebuild:     {"cachetask", "rebuild", false},
+	SpanFinalize:    {"cachetask", "finalize", false},
+	SpanJoin:        {"cachetask", "join", false},
+	SpanReuse:       {"cachetask", "reuse", false},
+	SpanReuseMerge:  {"cachetask", "reuse-merge", false},
+	SpanManifest:    {"cachetask", "publish manifest", false},
+	SpanPhase:       {"phase", "map", true},
+	SpanRecurrence:  {"recurrence", "recurrence", false},
+	SpanReplicate:   {"replicate", "replicate", true},
+	SpanRereplicate: {"replicate", "re-replicate node", true},
+}
+
+// TaskSpan is one span as recorded: a fixed-size value of facts,
+// formatted only when the record is read (Tracer.Task, Tracer.Events).
+// Recording one copies no string and allocates nothing.
 type TaskSpan struct {
+	Kind  SpanKind
 	Track string
-	Cat   string
-	Name  string
 	Start simtime.Time
 	End   simtime.Time
 	// Ready is when the task's inputs were available; defaults to Start
@@ -95,13 +173,126 @@ type TaskSpan struct {
 	// zero lets Task allocate the next ID.
 	ID     SpanID
 	Parent SpanID
-	Deps   []SpanID
-	Args   []Label
+	// Deps and Shared are the spans this one waited on: Shared, a list
+	// many spans depend on (a map wave's spans), is kept by reference and
+	// must not change afterwards; Deps follow it. Zero IDs are no edge.
+	Deps   [2]SpanID
+	Shared []SpanID
+
+	// The facts a kind is read from; each kind reads those its name
+	// (see SpanKind) and args name.
+	Job    string // map, backup, shuffle, reduce: the MapReduce job; the engine's kinds: the query
+	Input  string // map, backup: the split's file; pane shuffle, spill, phase: the source; join: the pane group; replicate: the file
+	Block  int    // map, backup: the split's DFS block
+	Offset int64  // map, backup: the split's first byte
+	Pane   int64
+	Part   int
+	Index  int // recurrence: its index; re-replicate: the node
+	// Attempt is a map, backup or reduce attempt's 1-based number;
+	// Failed marks one that failed and was retried, and Worker is the
+	// host pool worker that computed a winning one.
+	Attempt int
+	Worker  int
+	Failed  bool
+	// Count is the caches a cache task read (a manifest's tuples), the
+	// segments of a phase, the bytes of a replication or a recurrence's
+	// new panes; Reused its reused panes, Proactive its mode.
+	Count     int64
+	Reused    int
+	Proactive bool
+}
+
+// WaitOn sets the spans s waited on to ids: inline when two or fewer,
+// else in a copy, so the caller may reuse ids afterwards.
+func (s *TaskSpan) WaitOn(ids ...SpanID) {
+	s.Deps, s.Shared = [2]SpanID{}, nil
+	if len(ids) > len(s.Deps) {
+		s.Shared = slices.Clone(ids)
+		return
+	}
+	copy(s.Deps[:], ids)
+}
+
+// event formats the span as readers see it.
+func (s *TaskSpan) event() Event {
+	ev := Event{
+		Track: s.Track, Cat: spanKinds[s.Kind].cat, Name: s.name(), Args: s.labels(),
+		Start: s.Start, End: s.End, Ready: s.Ready, ID: s.ID, Parent: s.Parent,
+	}
+	for _, deps := range [2][]SpanID{s.Shared, s.Deps[:]} {
+		for _, d := range deps {
+			if d != 0 {
+				ev.Deps = append(ev.Deps, d)
+			}
+		}
+	}
+	return ev
+}
+
+// name formats a kind's span name from its facts.
+func (s *TaskSpan) name() string {
+	verb := spanKinds[s.Kind].verb
+	part := " p" + strconv.Itoa(s.Part)
+	pane := " pane " + strconv.FormatInt(s.Pane, 10)
+	switch s.Kind {
+	case SpanMap, SpanBackup:
+		return verb + " " + s.Input + "#" + strconv.Itoa(s.Block) + "@" + strconv.FormatInt(s.Offset, 10)
+	case SpanShuffle, SpanReduce, SpanFinalize:
+		return verb + part
+	case SpanPaneShuffle, SpanSpill:
+		return verb + " " + s.Input + pane + part
+	case SpanCombine, SpanRebuild, SpanReuse, SpanReuseMerge:
+		return verb + pane + part
+	case SpanJoin:
+		return verb + " " + s.Input + part
+	case SpanPhase:
+		return verb + " " + s.Input + pane
+	case SpanRecurrence, SpanRereplicate:
+		return verb + " " + strconv.Itoa(s.Index)
+	case SpanReplicate:
+		return verb + " " + s.Input
+	}
+	return verb
+}
+
+// labels formats a kind's span args from its facts.
+func (s *TaskSpan) labels() []Label {
+	count := strconv.FormatInt(s.Count, 10)
+	switch s.Kind {
+	case SpanMap, SpanBackup, SpanReduce:
+		args := []Label{L("attempt", strconv.Itoa(s.Attempt)), L("job", s.Job)}
+		switch {
+		case s.Failed:
+			return append(args, L("result", "failed"))
+		case s.Kind != SpanBackup:
+			return append(args, L("worker", strconv.Itoa(s.Worker)))
+		}
+		return args
+	case SpanShuffle:
+		return []Label{L("job", s.Job)}
+	case SpanPaneShuffle, SpanSpill:
+		return []Label{L("query", s.Job)}
+	case SpanManifest:
+		return []Label{L("query", s.Job), L("tuples", count)}
+	case SpanPhase:
+		return []Label{L("segments", count)}
+	case SpanRecurrence:
+		mode := "reactive"
+		if s.Proactive {
+			mode = "proactive"
+		}
+		return []Label{L("mode", mode), L("newPanes", count), L("reusedPanes", strconv.Itoa(s.Reused))}
+	case SpanReplicate, SpanRereplicate:
+		return []Label{L("bytes", count)}
+	case SpanCombine, SpanRebuild, SpanFinalize, SpanJoin, SpanReuse, SpanReuseMerge:
+		return []Label{L("caches", count), L("query", s.Job)}
+	}
+	return nil
 }
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer {
-	return &Tracer{tids: make(map[string]int)}
+	return &Tracer{tids: make(map[string]int), nameIdx: make(map[string]int32)}
 }
 
 // Reserve pre-allocates a SpanID without recording an event, so a
@@ -122,62 +313,46 @@ func (t *Tracer) Reserve() SpanID {
 // edges. When ts.ID is zero a fresh SpanID is allocated; a non-zero
 // ts.ID (from Reserve) records under that identity. Spans whose end
 // precedes their start are clamped to zero duration; Ready is clamped
-// to at most Start. Returns the span's ID (0 on a nil tracer).
+// to at most Start. An overlay kind (a phase or replication span) is
+// recorded without identity or readiness. Returns the span's ID (0 on a
+// nil tracer or for an overlay).
 func (t *Tracer) Task(ts TaskSpan) SpanID {
 	if t == nil {
 		return 0
 	}
-	if ts.End < ts.Start {
-		ts.End = ts.Start
-	}
-	if ts.Ready == 0 || ts.Ready > ts.Start {
+	ts.End = max(ts.Start, ts.End)
+	overlay := spanKinds[ts.Kind].overlay
+	if !overlay && (ts.Ready == 0 || ts.Ready > ts.Start) {
 		ts.Ready = ts.Start
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id := ts.ID
-	if id == 0 {
+	if ts.ID == 0 && !overlay {
 		t.nextID++
-		id = t.nextID
+		ts.ID = t.nextID
 	}
-	// Drop zero deps (a "no producing span" sentinel, e.g. a cache
-	// carried over from an earlier recurrence) so consumers never see
-	// edges to nowhere.
-	var deps []SpanID
-	for _, d := range ts.Deps {
-		if d != 0 {
-			if deps == nil {
-				deps = make([]SpanID, 0, len(ts.Deps))
-			}
-			deps = append(deps, d)
-		}
-	}
-	t.recordLocked(Event{
-		Track: ts.Track, Cat: ts.Cat, Name: ts.Name,
-		Start: ts.Start, End: ts.End, Ready: ts.Ready,
-		ID: id, Parent: ts.Parent, Deps: deps, Args: ts.Args,
-	})
-	return id
+	t.recordLocked(&ts)
+	return ts.ID
 }
 
-// recordLocked gives a new track the next tid and appends ev to the
+// recordLocked gives a new track the next tid and appends s to the
 // open segment, which a recurrence root closes as its track's: the root
 // and all recorded since the last one. A track's segments past
 // KeepRecurrences go oldest first, their cleared arrays becoming the
 // next open segment's. Caller holds t.mu.
-func (t *Tracer) recordLocked(ev Event) {
-	if _, ok := t.tids[ev.Track]; !ok {
-		t.tids[ev.Track] = len(t.tracks)
-		t.tracks = append(t.tracks, ev.Track)
+func (t *Tracer) recordLocked(s *TaskSpan) {
+	if _, ok := t.tids[s.Track]; !ok {
+		t.tids[s.Track] = len(t.tracks)
+		t.tracks = append(t.tracks, s.Track)
 	}
-	t.open.spans = append(t.open.spans, ev)
-	if ev.Cat != "recurrence" {
+	t.open.spans = append(t.open.spans, *s)
+	if s.Kind != SpanRecurrence {
 		return
 	}
 	t.segs, t.open = append(t.segs, t.open), segment{}
 	oldest, owned := 0, 0
 	for i := len(t.segs) - 1; i >= 0; i-- {
-		if spans := t.segs[i].spans; spans[len(spans)-1].Track == ev.Track {
+		if spans := t.segs[i].spans; spans[len(spans)-1].Track == s.Track {
 			oldest, owned = i, owned+1
 		}
 	}
@@ -197,32 +372,65 @@ func (t *Tracer) Emit(at simtime.Time, typ eventlog.Type, query string, data any
 		return
 	}
 	t.mu.Lock()
-	t.open.decisions = append(t.open.decisions, eventlog.Event{At: at, Type: typ, Query: query, Data: data})
+	t.open.decisions = append(t.open.decisions, decision{
+		at: at, data: data, typ: t.nameLocked(string(typ)), query: t.nameLocked(query)})
 	t.mu.Unlock()
 }
 
-// Span records a completed span on a track. Spans whose end precedes
-// their start are clamped to zero duration rather than dropped, so
-// bookkeeping bugs stay visible in the trace.
-func (t *Tracer) Span(track, cat, name string, start, end simtime.Time, args ...Label) {
+// EmitCache is Emit for a cache.* decision, whose payload stays unboxed
+// until the record is read.
+func (t *Tracer) EmitCache(at simtime.Time, typ eventlog.Type, query string, data eventlog.CacheData) {
 	if t == nil {
 		return
 	}
-	if end < start {
-		end = start
-	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.recordLocked(Event{
-		Track: track, Cat: cat, Name: name,
-		Start: start, End: end, Args: args,
+	t.open.decisions = append(t.open.decisions, decision{
+		at: at, pid: data.PID, bytes: data.Bytes, node: int32(data.Node), rec: int32(data.Recurrence),
+		typ: t.nameLocked(string(typ)), query: t.nameLocked(query), cacheType: t.nameLocked(data.CacheType),
+		isCache: true,
 	})
+	t.mu.Unlock()
+}
+
+// nameLocked returns s's index in t.names, adding it when new. Caller
+// holds t.mu.
+func (t *Tracer) nameLocked(s string) int32 {
+	i, ok := t.nameIdx[s]
+	if !ok {
+		i = int32(len(t.names))
+		t.nameIdx[s] = i
+		t.names = append(t.names, s)
+	}
+	return i
+}
+
+// decisionLocked returns the decision d records, its payload formed.
+// Caller holds t.mu.
+func (t *Tracer) decisionLocked(d *decision) eventlog.Event {
+	ev := eventlog.Event{At: d.at, Type: eventlog.Type(t.names[d.typ]), Query: t.names[d.query], Data: d.data}
+	if d.isCache {
+		ev.Data = eventlog.CacheData{PID: d.pid, CacheType: t.names[d.cacheType],
+			Node: int(d.node), Bytes: d.bytes, Recurrence: int(d.rec)}
+	}
+	return ev
 }
 
 // Len returns the number of retained spans.
-func (t *Tracer) Len() int { return len(t.Events()) }
+func (t *Tracer) Len() int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for _, seg := range t.segments() {
+		n += len(seg.spans)
+	}
+	return n
+}
 
-// Events returns a snapshot of the retained spans in record order.
+// Events returns the retained spans in record order, each formatted
+// from its facts.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
@@ -231,13 +439,14 @@ func (t *Tracer) Events() []Event {
 	defer t.mu.Unlock()
 	var out []Event
 	for _, seg := range t.segments() {
-		out = append(out, seg.spans...)
+		for i := range seg.spans {
+			out = append(out, seg.spans[i].event())
+		}
 	}
 	return out
 }
 
-// Decisions returns a snapshot of the retained decision events in
-// record order.
+// Decisions returns the retained decision events in record order.
 func (t *Tracer) Decisions() []eventlog.Event {
 	if t == nil {
 		return nil
@@ -246,7 +455,9 @@ func (t *Tracer) Decisions() []eventlog.Event {
 	defer t.mu.Unlock()
 	var out []eventlog.Event
 	for _, seg := range t.segments() {
-		out = append(out, seg.decisions...)
+		for i := range seg.decisions {
+			out = append(out, t.decisionLocked(&seg.decisions[i]))
+		}
 	}
 	return out
 }
@@ -255,14 +466,6 @@ func (t *Tracer) Decisions() []eventlog.Event {
 // Caller holds t.mu.
 func (t *Tracer) segments() []segment {
 	return append(t.segs[:len(t.segs):len(t.segs)], t.open)
-}
-
-// Span records a completed span via the bundled tracer; nil-safe.
-func (o *Observer) Span(track, cat, name string, start, end simtime.Time, args ...Label) {
-	if o == nil {
-		return
-	}
-	o.Tracer.Span(track, cat, name, start, end, args...)
 }
 
 // Task records a task span via the bundled tracer; nil-safe (returns 0).

@@ -363,7 +363,8 @@ func TestByteSecondsSumInKeyOrder(t *testing.T) {
 		}
 	}
 	l.Advance(simtime.Time(10 * simtime.Second))
-	for _, q := range queries {
+	snap := l.Snapshot()
+	for i, q := range queries {
 		want := l.queries[q].byteSeconds
 		for _, r := range l.OpenResidencies() { // sorted by key
 			if r.Query == q && l.watermark.After(r.Since) {
@@ -377,7 +378,7 @@ func TestByteSecondsSumInKeyOrder(t *testing.T) {
 		if want > 0 {
 			wantROI = float64(l.SavedNS(q)) / want
 		}
-		if got := l.CacheROI(q); math.Float64bits(got) != math.Float64bits(wantROI) {
+		if got := snap[i].CacheROI; snap[i].Query != q || math.Float64bits(got) != math.Float64bits(wantROI) {
 			t.Errorf("%s: CacheROI = %v, want %v", q, got, wantROI)
 		}
 	}

@@ -9,6 +9,8 @@ import (
 	"redoop/internal/colfmt"
 	"redoop/internal/core"
 	"redoop/internal/mapreduce"
+	"redoop/internal/obs"
+	"redoop/internal/obs/eventlog"
 	"redoop/internal/records"
 )
 
@@ -27,9 +29,10 @@ func deepCopyPairs(ps []records.Pair) []records.Pair {
 
 // TestRetainedOutputSurvivesCacheChurn keeps one window's Output — whose
 // pairs alias cache bytes — while later recurrences expire, evict under
-// CacheDiskLimit, drop, re-register and lose to a node crash the caches
-// it was decoded from. The retained pairs must read exactly as they did
-// when the window was returned. Run under -race in CI at both widths.
+// CacheDiskLimit (the aggregation; a join takes no limit), drop,
+// re-register and lose to a node crash the caches it was decoded from.
+// The retained pairs must read exactly as they did when the window was
+// returned. Run under -race in CI at both widths.
 func TestRetainedOutputSurvivesCacheChurn(t *testing.T) {
 	queries := map[string]func() *core.Query{
 		// Manifest path: the output's keys and values are cache views.
@@ -44,7 +47,11 @@ func TestRetainedOutputSurvivesCacheChurn(t *testing.T) {
 				q := mk()
 				mr := newRig(4, 1)
 				mr.Workers = workers
-				eng := mustEngine(t, core.Config{MR: mr, Query: q, CacheDiskLimit: 1})
+				cfg := core.Config{MR: mr, Query: q, Obs: obs.New()}
+				if name == "agg" {
+					cfg.CacheDiskLimit = 1
+				}
+				eng := mustEngine(t, cfg)
 				var kept, want []records.Pair
 				recoveries, fed := 0, 0
 				for r := 0; r < 10; r++ {
@@ -82,8 +89,14 @@ func TestRetainedOutputSurvivesCacheChurn(t *testing.T) {
 				if len(kept) == 0 || recoveries == 0 {
 					t.Fatalf("scenario is vacuous: %d retained pairs, %d cache recoveries", len(kept), recoveries)
 				}
-				if name == "agg" && len(eng.EvictionLog()) == 0 {
-					t.Fatal("scenario is vacuous: the disk limit evicted nothing")
+				evicted := 0
+				for _, d := range cfg.Obs.Tracer.Decisions() { // ten recurrences: all retained
+					if d.Type == eventlog.CacheEvict {
+						evicted++
+					}
+				}
+				if (name == "agg") != (evicted > 0) {
+					t.Fatalf("%d evictions; the aggregation's disk limit must evict and the join has none", evicted)
 				}
 				// By now window 1's panes have left every window: all its
 				// caches are expired as well.

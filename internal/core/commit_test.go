@@ -387,7 +387,8 @@ func TestReplacementBookkeepingBounded(t *testing.T) {
 	for _, limit := range []int64{0, 1 << 40} {
 		t.Run(fmt.Sprintf("limit%d", limit), func(t *testing.T) {
 			q := internalCountQuery(win, slide)
-			eng := mustEngine(t, Config{MR: internalRig(3, 17), Query: q, CacheDiskLimit: limit})
+			o := obs.New()
+			eng := mustEngine(t, Config{MR: internalRig(3, 17), Query: q, Obs: o, CacheDiskLimit: limit})
 			fed := 0
 			for rec := 0; rec < 200; rec++ {
 				for ; int64(fed)*int64(slide) < eng.frames[0].WindowClose(rec); fed++ {
@@ -398,11 +399,18 @@ func TestReplacementBookkeepingBounded(t *testing.T) {
 				if _, err := eng.RunNext(); err != nil {
 					t.Fatalf("recurrence %d: %v", rec, err)
 				}
+				// The tracer keeps the newest recurrences; looking after
+				// each one sees every decision.
+				for _, d := range o.Tracer.Decisions() {
+					if d.Type == eventlog.CacheEvict {
+						t.Fatalf("recurrence %d: limit %d evicted %+v; the scenario is meant never to hit it", rec, limit, d.Data)
+					}
+				}
 			}
 			live := panesPerWindow * q.NumReducers
 			candidates, rows := 0, 0
 			for _, m := range eng.managers {
-				candidates += len(eng.candidatesOn(m.Registry))
+				candidates += len(eng.victimsOn(m.Registry))
 				rows += len(m.Registry.Entries())
 			}
 			if candidates == 0 || candidates > live {
@@ -410,9 +418,6 @@ func TestReplacementBookkeepingBounded(t *testing.T) {
 			}
 			if sigs := len(eng.ctrl.Signatures()); sigs > 2*live || rows > 2*live {
 				t.Errorf("%d signatures and %d registry rows after 200 recurrences, want ≤ %d (rin+rout per live pane partition)", sigs, rows, 2*live)
-			}
-			if n := len(eng.EvictionLog()); n != 0 {
-				t.Errorf("limit %d evicted %d caches; the scenario is meant never to hit it", limit, n)
 			}
 		})
 	}

@@ -95,11 +95,12 @@ type Config struct {
 	// CacheDiskLimit bounds each node's local bytes (panes + caches).
 	// When a recurrence's periodic purge cannot bring a node under the
 	// limit with expired entries alone, the engine evicts unexpired
-	// reduce-input caches of single-source queries — the only caches
-	// rebuildable from retained pane files without violating the
-	// published window — ranked by ascending benefit density
-	// (recompute·(1+hits)/bytes) from the cost ledger. 0 disables the
-	// limit and keeps pure-expiry purging only.
+	// reduce-input caches — the only caches rebuildable from retained
+	// pane files without violating the published window — in the order
+	// of the one eviction policy (account.CompareVictims). A join's
+	// reduce inputs must stay resident, so NewEngine refuses a
+	// multi-source query with a limit. 0 disables the limit and keeps
+	// pure-expiry purging only.
 	CacheDiskLimit int64
 }
 
@@ -219,15 +220,6 @@ type Engine struct {
 	folds   []func(*commit)
 	pending commit
 
-	// cacheLimit mirrors Config.CacheDiskLimit; residency returns the
-	// ledger's features (recompute cost, hits) of a cache's open
-	// residency — zeros without a ledger — for ranking replacement
-	// victims; evictLog records every replacement decision in order,
-	// for determinism audits.
-	cacheLimit int64
-	residency  func(pid string, typ CacheType) (recomputeNS int64, hits int)
-	evictLog   []string
-
 	qIdx      int
 	adaptive  bool
 	proactive bool
@@ -249,6 +241,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	q := cfg.Query
+	if cfg.CacheDiskLimit > 0 && len(q.Sources) > 1 {
+		return nil, fmt.Errorf("core: query %s joins %d sources; a disk limit binds single-source queries only, a join's reduce inputs stay resident",
+			q.Name, len(q.Sources))
+	}
 	ctrl := cfg.Controller
 	if ctrl == nil {
 		ctrl = NewController()
@@ -284,8 +280,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		frames:   frames,
 		adaptive: cfg.Adaptive,
 		noReuse:  cfg.DisableCacheReuse,
-
-		cacheLimit: cfg.CacheDiskLimit,
 	}
 	// Retirement scans start at pane zero: a source whose window is
 	// smaller than the query's largest (positive frame offset) may
@@ -524,7 +518,7 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 		purged += m.Tick()
 	}
 	e.obs.Counter("redoop_cache_purges_total").Add(float64(purged))
-	e.evictOverCap(r, res.CompletedAt)
+	e.evictOverCap(res.CompletedAt)
 
 	// Profile and adapt for the next recurrence (§3.3).
 	var windowBytes int64

@@ -8,6 +8,8 @@ import (
 	"redoop/internal/account"
 	"redoop/internal/chaos"
 	"redoop/internal/core"
+	"redoop/internal/obs"
+	"redoop/internal/obs/eventlog"
 )
 
 // evictLimit is a per-node cache budget small enough that the steady
@@ -15,66 +17,65 @@ import (
 // unexpired reduce-input cache, so cost-based replacement must fire.
 const evictLimit = 24 << 10
 
+// evictions returns the replacement decisions o's tracer retains — the
+// record of evictions — in execution order.
+func evictions(o *obs.Observer) []eventlog.CacheData {
+	var out []eventlog.CacheData
+	for _, d := range o.Tracer.Decisions() {
+		if d.Type == eventlog.CacheEvict {
+			out = append(out, d.Data.(eventlog.CacheData))
+		}
+	}
+	return out
+}
+
 // TestEvictionFiresAndStaysCorrect pins the replacement tier's
 // end-to-end contract on the aggregation workload: with a tight disk
 // limit evictions actually happen, every evicted cache is rebuilt on
 // demand through the §5 ladder (the oracle byte-checks every window
-// against independent recomputation), and the decision log carries the
-// ledger's feature vector for each victim.
+// against independent recomputation), and the tracer records each
+// victim as a cache.evict decision of its recurrence.
 func TestEvictionFiresAndStaysCorrect(t *testing.T) {
 	cfg := detConfig()
 	cfg.RecordsPerWindow /= 4
 	cfg.Account = account.New()
+	cfg.Obs = obs.New()
 	cfg.CacheDiskLimit = evictLimit
 	cfg.OracleCheck = true
-	var engines []*core.Engine
-	cfg.OnEngine = func(e *core.Engine) { engines = append(engines, e) }
 	if _, err := cfg.series(aggSpec(cfg, 0.9), redoop("evict")); err != nil {
 		t.Fatal(err)
 	}
-	if len(engines) != 1 {
-		t.Fatalf("captured %d engines, want 1", len(engines))
-	}
-	log := engines[0].EvictionLog()
+	log := evictions(cfg.Obs)
 	if len(log) == 0 {
 		t.Fatalf("disk limit %d never triggered an eviction — the replacement tier is dead code at this scale", evictLimit)
 	}
-	for _, line := range log {
-		var r, node, bytes, recompute, hits int64
-		var pid string
-		if _, err := fmt.Sscanf(line, "r=%d node=%d pid=%s bytes=%d recompute=%d hits=%d",
-			&r, &node, &pid, &bytes, &recompute, &hits); err != nil {
-			t.Fatalf("malformed decision line %q: %v", line, err)
-		}
-		if bytes <= 0 {
-			t.Fatalf("evicted a zero-byte cache: %q", line)
+	for _, d := range log {
+		if d.Bytes <= 0 || d.PID == "" || d.CacheType != core.ReduceInput.String() ||
+			d.Recurrence < 0 || d.Recurrence >= cfg.Windows {
+			t.Fatalf("malformed eviction decision %+v", d)
 		}
 	}
 }
 
 // TestEvictionLogSerialParallelIdentical extends the two-phase
 // determinism contract to replacement decisions: the eviction sequence
-// — victims, order, features — must be byte-identical whether the
+// — victims, order, recurrences, bytes — must be identical whether the
 // engine computes with one worker or a wide pool, because every
 // decision runs in RunNext's serial tail over ledger state that is
 // itself worker-invariant.
 func TestEvictionLogSerialParallelIdentical(t *testing.T) {
-	run := func(workers int) ([]string, []account.QueryCosts) {
+	run := func(workers int) ([]eventlog.CacheData, []account.QueryCosts) {
 		cfg := detConfig()
 		cfg.RecordsPerWindow /= 4
 		cfg.ExecWorkers = workers
 		cfg.Account = account.New()
+		cfg.Obs = obs.New()
 		cfg.CacheDiskLimit = evictLimit
 		cfg.OracleCheck = true
-		var engines []*core.Engine
-		cfg.OnEngine = func(e *core.Engine) { engines = append(engines, e) }
 		if _, err := cfg.series(aggSpec(cfg, 0.9), redoop("det")); err != nil {
 			t.Fatal(err)
 		}
-		if len(engines) != 1 {
-			t.Fatalf("captured %d engines, want 1", len(engines))
-		}
-		return engines[0].EvictionLog(), cfg.Account.Snapshot()
+		return evictions(cfg.Obs), cfg.Account.Snapshot()
 	}
 	serialLog, serialCosts := run(1)
 	parLog, parCosts := run(parWorkers())
@@ -97,7 +98,7 @@ func TestEvictionLogSerialParallelIdentical(t *testing.T) {
 func TestEvictionUnderChaos(t *testing.T) {
 	for _, seed := range soakSeeds(t) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runOnce := func() []string {
+			runOnce := func() []eventlog.CacheData {
 				cfg := soakConfig(seed)
 				cfg.Windows = 4
 				sched, err := chaos.Generate(seed, chaos.ProfileMixed, cfg.Windows, cfg.Workers)
@@ -106,9 +107,8 @@ func TestEvictionUnderChaos(t *testing.T) {
 				}
 				cfg.Chaos = sched
 				cfg.Account = account.New()
+				cfg.Obs = obs.New()
 				cfg.CacheDiskLimit = evictLimit
-				var engines []*core.Engine
-				cfg.OnEngine = func(e *core.Engine) { engines = append(engines, e) }
 				verdicts, err := cfg.RunChaosRegime("agg")
 				if err != nil {
 					t.Fatalf("agg under %s: %v", sched, err)
@@ -118,11 +118,7 @@ func TestEvictionUnderChaos(t *testing.T) {
 						t.Errorf("window %d: match=%v violations=%v", v.Recurrence+1, v.Match, v.Violations)
 					}
 				}
-				var log []string
-				for _, e := range engines {
-					log = append(log, e.EvictionLog()...)
-				}
-				return log
+				return evictions(cfg.Obs)
 			}
 			a, b := runOnce(), runOnce()
 			if len(a) == 0 {

@@ -116,92 +116,6 @@ func round6(v float64) float64 {
 	return math.Round(v*scale) / scale
 }
 
-// --- JSON snapshot ---
-
-// SeriesSnapshot is one counter or gauge in the JSON snapshot.
-type SeriesSnapshot struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Value  float64           `json:"value"`
-}
-
-// HistogramSnapshot is one histogram in the JSON snapshot, with
-// pre-computed quantiles so downstream tooling needs no bucket math.
-type HistogramSnapshot struct {
-	Name    string            `json:"name"`
-	Labels  map[string]string `json:"labels,omitempty"`
-	Count   int64             `json:"count"`
-	Sum     float64           `json:"sum"`
-	Min     float64           `json:"min"`
-	Max     float64           `json:"max"`
-	P50     float64           `json:"p50"`
-	P90     float64           `json:"p90"`
-	P99     float64           `json:"p99"`
-	Buckets []BucketJSON      `json:"buckets"`
-}
-
-// BucketJSON is one cumulative bucket; Le is "+Inf" for the last.
-type BucketJSON struct {
-	Le    string `json:"le"`
-	Count int64  `json:"count"`
-}
-
-// Snapshot is the registry's full JSON snapshot document.
-type Snapshot struct {
-	Counters   []SeriesSnapshot    `json:"counters"`
-	Gauges     []SeriesSnapshot    `json:"gauges"`
-	Histograms []HistogramSnapshot `json:"histograms"`
-}
-
-func labelMap(labels []Label) map[string]string {
-	if len(labels) == 0 {
-		return nil
-	}
-	m := make(map[string]string, len(labels))
-	for _, l := range labels {
-		m[l.Key] = l.Value
-	}
-	return m
-}
-
-// Snapshot captures every registered series. A nil registry yields an
-// empty (but non-nil-fielded) snapshot.
-func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
-		Counters:   []SeriesSnapshot{},
-		Gauges:     []SeriesSnapshot{},
-		Histograms: []HistogramSnapshot{},
-	}
-	if r == nil {
-		return s
-	}
-	for _, c := range r.Counters() {
-		s.Counters = append(s.Counters, SeriesSnapshot{Name: c.Name(), Labels: labelMap(c.Labels()), Value: c.Value()})
-	}
-	for _, g := range r.Gauges() {
-		s.Gauges = append(s.Gauges, SeriesSnapshot{Name: g.Name(), Labels: labelMap(g.Labels()), Value: g.Value()})
-	}
-	for _, h := range r.Histograms() {
-		hs := HistogramSnapshot{
-			Name: h.Name(), Labels: labelMap(h.Labels()),
-			Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max(),
-			P50: h.Quantile(0.5), P90: h.Quantile(0.9), P99: h.Quantile(0.99),
-		}
-		for _, b := range h.Buckets() {
-			hs.Buckets = append(hs.Buckets, BucketJSON{Le: promFloat(b.UpperBound), Count: b.Count})
-		}
-		s.Histograms = append(s.Histograms, hs)
-	}
-	return s
-}
-
-// WriteJSON writes the registry snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
-
 // --- Chrome trace-event JSON ---
 
 // traceEventJSON is the on-the-wire Chrome trace event. Timestamps and

@@ -192,46 +192,6 @@ func TestWriteFileAtomicFailureKeepsOld(t *testing.T) {
 	}
 }
 
-// TestWriteJSONSnapshot checks the JSON exporter round-trips through
-// encoding/json and carries quantiles.
-func TestWriteJSONSnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c", L("k", "v")).Add(2)
-	r.Gauge("g").Set(-3)
-	h := r.HistogramBuckets("h", []float64{10, 100})
-	for v := 1; v <= 100; v++ {
-		h.Observe(float64(v))
-	}
-
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
-	}
-	if len(snap.Counters) != 1 || snap.Counters[0].Value != 2 || snap.Counters[0].Labels["k"] != "v" {
-		t.Errorf("counters = %+v", snap.Counters)
-	}
-	if len(snap.Gauges) != 1 || snap.Gauges[0].Value != -3 {
-		t.Errorf("gauges = %+v", snap.Gauges)
-	}
-	if len(snap.Histograms) != 1 {
-		t.Fatalf("histograms = %+v", snap.Histograms)
-	}
-	hs := snap.Histograms[0]
-	if hs.Count != 100 || hs.Min != 1 || hs.Max != 100 {
-		t.Errorf("histogram stats = %+v", hs)
-	}
-	if hs.P50 < 30 || hs.P50 > 70 {
-		t.Errorf("p50 = %v, want ~50", hs.P50)
-	}
-	if hs.Buckets[len(hs.Buckets)-1].Le != "+Inf" {
-		t.Errorf("last bucket le = %q", hs.Buckets[len(hs.Buckets)-1].Le)
-	}
-}
-
 // TestWriteTraceJSON checks the Chrome trace document: valid JSON,
 // track metadata, complete events with microsecond ts/dur, a decision
 // as an instant on its query's track, and nesting-compatible
@@ -321,14 +281,6 @@ func TestNilExporters(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Errorf("nil registry exposition = %q", buf.String())
-	}
-	buf.Reset()
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatal(err)
 	}
 	buf.Reset()
 	if err := tr.WriteTraceJSON(&buf); err != nil {

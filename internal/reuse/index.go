@@ -22,9 +22,10 @@
 //     engine's proactive sub-pane path already relies on.
 //
 // Keep/evict is cost-based rather than pure-expiry: when the index
-// exceeds its bound, the entry whose *producer* has the lowest cache
-// ROI (saved recompute per resident byte·second, from internal/account)
-// is dropped first, oldest-first within a tie.
+// exceeds its bound, it drops entries in the order of the engine's one
+// eviction policy (account.CompareVictims) over each entry's own
+// recompute cost, bytes and ready time — the lowest benefit density
+// first — and, among entries that policy ranks equal, the oldest.
 //
 // Determinism: all writes and probes come from the engines' serial
 // commit paths (pane registration on the core engine's recovery ladder,
@@ -37,6 +38,9 @@ package reuse
 import (
 	"sort"
 	"sync"
+
+	"redoop/internal/account"
+	"redoop/internal/simtime"
 )
 
 // DefaultCap bounds retained entries when New is given cap <= 0.
@@ -67,7 +71,8 @@ type Entry struct {
 	// modeled cost a hit avoids (the producer's build cost).
 	ReadyAtNS   int64 `json:"readyAtNS"`
 	RecomputeNS int64 `json:"recomputeNS"`
-	// Seq is the insertion sequence, the eviction tie-break axis.
+	// Seq is the insertion sequence; it orders entries the eviction
+	// policy ranks equal, as one cache published under two keys is.
 	Seq uint64 `json:"seq"`
 }
 
@@ -104,8 +109,6 @@ type Index struct {
 	// purge/loss notifications can drop them without a scan.
 	byPID map[pidKey][]key
 
-	roi func(query string) float64
-
 	published  int
 	exactHits  int
 	subsumHits int
@@ -126,18 +129,6 @@ func NewIndex(cap int) *Index {
 		units:   map[string]map[int64]bool{},
 		byPID:   map[pidKey][]key{},
 	}
-}
-
-// SetROI installs the cost signal the eviction policy ranks producers
-// by — account.Ledger.CacheROI in the engine wiring. Nil reverts to
-// pure oldest-first eviction.
-func (x *Index) SetROI(fn func(query string) float64) {
-	if x == nil {
-		return
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.roi = fn
 }
 
 // pidKey is a producer cache's identity, compared by value like the
@@ -190,10 +181,9 @@ func (x *Index) unlinkPIDLocked(e *Entry, k key) {
 	}
 }
 
-// evictOverCapLocked enforces the bound cost-first: while over
-// capacity, drop the entry whose producer has the lowest ROI (ties:
-// oldest Seq). With no ROI signal every producer ranks equal, so
-// eviction degrades to oldest-first. Caller holds x.mu.
+// evictOverCapLocked enforces the bound: while over capacity, drop the
+// entry the eviction policy ranks first (ties: oldest Seq). Caller
+// holds x.mu.
 func (x *Index) evictOverCapLocked() {
 	for len(x.entries) > x.cap {
 		var victim key
@@ -203,11 +193,7 @@ func (x *Index) evictOverCapLocked() {
 				victim, vic = k, e
 				continue
 			}
-			var er, vr float64
-			if x.roi != nil {
-				er, vr = x.roi(e.Query), x.roi(vic.Query)
-			}
-			if er < vr || (er == vr && e.Seq < vic.Seq) {
+			if c := account.CompareVictims(e.candidate(), vic.candidate()); c < 0 || c == 0 && e.Seq < vic.Seq {
 				victim, vic = k, e
 			}
 		}
@@ -215,6 +201,12 @@ func (x *Index) evictOverCapLocked() {
 		delete(x.entries, victim)
 		x.evicted++
 	}
+}
+
+// candidate is the entry as the eviction policy sees it, with no hits:
+// the index counts none per entry.
+func (e *Entry) candidate() account.EvictCandidate {
+	return account.EvictCandidate{PID: e.PID, Bytes: e.Bytes, ReadyAt: simtime.Time(e.ReadyAtNS), RecomputeNS: e.RecomputeNS}
 }
 
 // ProbeExact returns the published entries covering every partition of

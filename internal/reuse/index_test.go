@@ -2,6 +2,7 @@ package reuse
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -108,32 +109,44 @@ func TestPublishRefreshReplacesEntry(t *testing.T) {
 	}
 }
 
+// TestEvictionROIOrder: over its bound the index drops entries in the
+// eviction policy's order over their own recompute cost and bytes —
+// lowest benefit density first, whoever produced them — and the oldest
+// among entries the policy ranks equal.
 func TestEvictionROIOrder(t *testing.T) {
 	x := NewIndex(4)
-	roi := map[string]float64{"cheap": 0.1, "rich": 9.9}
-	x.SetROI(func(q string) float64 { return roi[q] })
-	publishPane(x, "cheap", 1, 0, 2, 10) // seq 1,2
-	publishPane(x, "rich", 1, 1, 2, 10)  // seq 3,4
-	// Fifth entry exceeds cap: the lowest-ROI producer's oldest entry
-	// (cheap, seq 1) must be the victim.
-	x.Publish(Entry{OpFP: "fp", Unit: 1, Pane: 2, Part: 0, Query: "rich", PID: "r2", Type: 1})
+	pub := func(pane int64, pid string, bytes, recompute, readyAt int64) {
+		x.Publish(Entry{OpFP: "fp", Unit: 1, Pane: pane, Query: "a", PID: pid, Type: 1,
+			Bytes: bytes, RecomputeNS: recompute, ReadyAtNS: readyAt})
+	}
+	pub(0, "small-expensive", 100, 8000, 1) // density 80
+	pub(1, "large-cheap", 1000, 8000, 2)    // density 8: the first victim
+	pub(2, "mid", 100, 2000, 3)             // density 20: the second
+	pub(3, "dense", 10, 8000, 4)            // density 800
+	pub(4, "newest", 100, 5000, 5)          // density 50
 	if s := x.Stats(); s.Evicted != 1 || s.Entries != 4 {
 		t.Fatalf("stats: %+v", s)
 	}
-	if _, ok := x.ProbeExact("fp", 1, 0, 2, "z"); ok {
-		t.Fatal("cheap producer's pane should be partially evicted")
+	if _, ok := x.ProbeExact("fp", 1, 1, 1, "z"); ok {
+		t.Fatal("the lowest-density entry survived")
 	}
-	if _, ok := x.ProbeExact("fp", 1, 1, 2, "z"); !ok {
-		t.Fatal("high-ROI producer's pane must survive")
+	pub(5, "newer", 100, 3000, 6) // density 30
+	var kept []string
+	for _, e := range x.Snapshot() {
+		kept = append(kept, e.PID)
 	}
-	// Without an ROI signal eviction is oldest-first.
+	if got := strings.Join(kept, ","); got != "small-expensive,dense,newest,newer" {
+		t.Fatalf("kept %s after two evictions", got)
+	}
+	// Entries the policy ranks equal go oldest-first, even one cache
+	// published under two keys.
 	y := NewIndex(2)
-	y.Publish(Entry{OpFP: "fp", Unit: 1, Pane: 0, Part: 0, Query: "a", PID: "p0", Type: 1})
-	y.Publish(Entry{OpFP: "fp", Unit: 1, Pane: 1, Part: 0, Query: "a", PID: "p1", Type: 1})
-	y.Publish(Entry{OpFP: "fp", Unit: 1, Pane: 2, Part: 0, Query: "a", PID: "p2", Type: 1})
+	y.Publish(Entry{OpFP: "fp", Unit: 1, Pane: 0, Part: 0, Query: "a", PID: "p", Type: 1})
+	y.Publish(Entry{OpFP: "fp", Unit: 1, Pane: 1, Part: 0, Query: "a", PID: "p", Type: 1})
+	y.Publish(Entry{OpFP: "fp", Unit: 1, Pane: 2, Part: 0, Query: "a", PID: "p", Type: 1})
 	snap := y.Snapshot()
 	if len(snap) != 2 || snap[0].Pane != 1 || snap[1].Pane != 2 {
-		t.Fatalf("oldest-first eviction broken: %+v", snap)
+		t.Fatalf("oldest-first tie-break broken: %+v", snap)
 	}
 }
 
@@ -160,7 +173,6 @@ func TestNilIndexSafe(t *testing.T) {
 	var x *Index
 	x.Publish(Entry{})
 	x.DropPID("p", 1)
-	x.SetROI(nil)
 	if _, ok := x.ProbeExact("fp", 1, 0, 1, "q"); ok {
 		t.Fatal("nil index hit")
 	}

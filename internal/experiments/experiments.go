@@ -99,10 +99,13 @@ type Config struct {
 	// and OracleCheck is set, each Redoop run gets a private store so
 	// the oracle's lineage audit always has provenance to check.
 	Lineage *lineage.Store
-	// CacheDiskLimit bounds each node's local bytes on every Redoop
-	// engine an experiment builds (core.Config.CacheDiskLimit): over
-	// the limit, cost-based replacement evicts the lowest benefit-
-	// density reduce-input caches after the purge tick. 0 disables it.
+	// CacheDiskLimit bounds each node's local bytes on the Redoop
+	// engines an experiment builds for single-source queries
+	// (core.Config.CacheDiskLimit): over the limit, the one eviction
+	// policy evicts the lowest benefit-density reduce-input caches
+	// after the purge tick. A join experiment given a limit > 0 fails
+	// at NewEngine, since a join's reduce inputs must stay resident.
+	// 0 disables it.
 	CacheDiskLimit int64
 	// OracleCheck runs the differential window oracle after every
 	// Redoop recurrence: a divergence from baseline recomputation or

@@ -7,7 +7,7 @@
 //
 //	redoop-bench [-fig ID|all] [-windows N] [-records N]
 //	             [-nodes N] [-reducers N] [-seed N]
-//	             [-workers N] [-par-bench N] [-reuse]
+//	             [-workers N] [-reuse]
 //	             [-chaos SEED[:profile]] [-chaos-report]
 //	             [-metrics-out FILE] [-trace-out FILE]
 //	             [-json-out FILE]
@@ -18,9 +18,8 @@
 // -nodes sets the simulated cluster's worker node count. -workers sets
 // the host-side parallel compute pool each engine uses (0 = GOMAXPROCS,
 // 1 = serial); it changes only wall-clock time — every virtual result
-// is byte-identical across settings. -par-bench N additionally runs the
-// Figure-6-scale workload serially and at N pool workers, prints the
-// measured wall-clock speedup, and records it in the run summary.
+// is byte-identical across settings. Host time is measured by the
+// benchmark module (benchmark/), not here.
 //
 // -reuse additionally runs the cross-query reuse workload — two
 // identical Figure-6 aggregations plus a 2x tumbling roll-up over one
@@ -59,10 +58,9 @@
 // SLO health, a "costs" block with the resource-accounting ledger's
 // per-query attribution and conservation verdict, and a "lineage" block
 // with the provenance store's totals — derivation nodes, edges,
-// distinct plan fingerprints, rebuild count). Every field but the
-// -par-bench wall-clock block is virtual, so the summary is
-// byte-identical across -workers settings. bench-trajectory/FIGS.json
-// is the checked-in summary of
+// distinct plan fingerprints, rebuild count). Every field is virtual,
+// so the summary is byte-identical across -workers settings.
+// bench-trajectory/FIGS.json is the checked-in summary of
 //
 //	redoop-bench -fig all -reuse -q -json-out bench-trajectory/FIGS.json
 //
@@ -142,7 +140,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		nodes    = fs.Int("nodes", 0, "cluster worker nodes (default 10)")
 		reducers = fs.Int("reducers", 0, "reduce partitions (default 20)")
 		workers  = fs.Int("workers", 0, "parallel compute pool per engine: 0 = GOMAXPROCS, 1 = serial (virtual results are identical either way)")
-		parBench = fs.Int("par-bench", 0, "also measure wall-clock speedup of the Figure-6 workload at this many pool workers vs serial")
 		reuseRun = fs.Bool("reuse", false, "also run the cross-query reuse workload (two identical Figure-6 aggregations + a 2x tumbling roll-up over one shared stream) with the reuse index off and on, verify byte-identical outputs, and fold the comparison into -json-out")
 		chaosArg = fs.String("chaos", "", "run chaos verification instead of figures: SEED[:profile] seeds a deterministic fault schedule, the oracle verifies every window (profiles: mixed, crash, cacheloss, corrupt, delay, straggle, speculative, none)")
 		chaosRep = fs.Bool("chaos-report", false, "with -chaos and -json-out: include the fault schedule and every per-recurrence oracle verdict in the summary")
@@ -264,7 +261,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		if *jsonOut != "" {
 			sum := buildSummary(cfg, nil, nil, ob.Metrics)
-			sum.Profile = profileSummary(ob, nil)
+			sum.Profile = profileSummary(ob)
 			sum.Chaos = cj
 			if !writeJSON(sum) {
 				return 1
@@ -333,35 +330,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		headline = &h
 		fmt.Fprintf(stdout, "headline: best steady-state speedup over plain Hadoop = %.1fx (paper: up to 9x)\n", h)
 	}
-	// The parallel-speedup report compares host wall-clock, so it runs
-	// with a clean config (no shared observer, monitor, ledger or
-	// provenance store) to keep both modes' overheads identical. Its
-	// engines are not collected, so a shared ledger would meter compute
-	// the conservation check's busy total never sees.
-	var par *experiments.ParallelSpeedupResult
-	if *parBench > 0 {
-		parCfg := cfg
-		parCfg.Obs = nil
-		parCfg.Health = nil
-		parCfg.OnEngine = nil
-		parCfg.Account = nil
-		parCfg.Lineage = nil
-		start := time.Now()
-		p, err := parCfg.ParallelSpeedup(*parBench)
-		if err != nil {
-			fmt.Fprintf(stderr, "redoop-bench: par-bench: %v\n", err)
-			writeArtifacts()
-			return 1
-		}
-		par = p
-		if !*quiet {
-			fmt.Fprintf(stderr, "[parallel speedup measured in %v]\n", time.Since(start).Round(time.Millisecond))
-		}
-		fmt.Fprintf(stdout, "parallel: %d workers vs serial = %.2fx wall-clock speedup (%v vs %v; virtual results identical: %v)\n",
-			par.Workers, par.Speedup,
-			par.SerialWall.Round(time.Millisecond), par.ParallelWall.Round(time.Millisecond),
-			par.VirtualEqual)
-	}
 	// The cross-query reuse comparison runs on a clean config (its own
 	// ledger, no shared observer) so its off/on runs do not bleed into
 	// the figures' shared accounting; the resulting block holds only
@@ -409,8 +377,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if *jsonOut != "" {
 		sum := buildSummary(cfg, results, headline, ob.Metrics)
 		sum.Reuse = reuseSummary(reuseOff, reuseOn)
-		sum.Parallel = parallelSummary(par)
-		sum.Profile = profileSummary(ob, par)
+		sum.Profile = profileSummary(ob)
 		if !writeJSON(sum) {
 			return 1
 		}

@@ -70,40 +70,3 @@ func TestUnknownFigureExit2(t *testing.T) {
 		t.Errorf("usage error wrote to stdout: %q", stdout.String())
 	}
 }
-
-// TestParBenchKeepsSummaryVirtual: -par-bench's extra runs stay out of
-// the shared ledger and provenance store, so apart from its wall-clock
-// block the summary equals a plain run's and conservation holds.
-func TestParBenchKeepsSummaryVirtual(t *testing.T) {
-	dir := t.TempDir()
-	read := func(name string, extra ...string) summaryJSON {
-		path := filepath.Join(dir, name)
-		args := append([]string{"-fig", "6", "-windows", "2", "-records", "6000", "-q", "-json-out", path}, extra...)
-		var stdout, stderr bytes.Buffer
-		if code := realMain(args, &stdout, &stderr); code != 0 {
-			t.Fatalf("%v: exit %d, stderr:\n%s", extra, code, stderr.String())
-		}
-		if strings.Contains(stderr.String(), "VIOLATED") {
-			t.Errorf("%v: %s", extra, stderr.String())
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum summaryJSON
-		if err := json.Unmarshal(data, &sum); err != nil {
-			t.Fatal(err)
-		}
-		return sum
-	}
-	plain, par := read("plain.json"), read("par.json", "-par-bench", "2")
-	if par.Parallel == nil {
-		t.Fatal("-par-bench wrote no parallel block")
-	}
-	par.Parallel, par.Profile.SerialFraction = nil, nil
-	a, _ := json.Marshal(plain)
-	b, _ := json.Marshal(par)
-	if !bytes.Equal(a, b) {
-		t.Errorf("-par-bench changed the virtual summary:\n%s\n---\n%s", a, b)
-	}
-}

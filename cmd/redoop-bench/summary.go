@@ -3,8 +3,8 @@ package main
 // The -json-out run summary: a stable, machine-readable record of one
 // bench invocation. bench-trajectory/FIGS.json is this record for
 // -fig all -reuse at the default scale, checked in and compared byte
-// for byte in CI, so it holds virtual quantities only (the -par-bench
-// block aside) and no host setting.
+// for byte in CI, so it holds virtual quantities only and no host
+// setting.
 
 import (
 	"encoding/json"
@@ -91,19 +91,6 @@ type queryHealthJSON struct {
 	LastLagUnits     int64  `json:"lastLagUnits"`
 }
 
-// parallelJSON records the -par-bench wall-clock comparison: the same
-// Figure-6-scale workload run serially and with a parallel compute
-// pool. Wall-clock numbers are host-dependent (noisy across machines),
-// so no checked-in record carries this block; virtualEqual is the
-// invariant worth alarming on.
-type parallelJSON struct {
-	Workers        int     `json:"workers"`
-	SerialWallNS   int64   `json:"serialWallNS"`
-	ParallelWallNS int64   `json:"parallelWallNS"`
-	Speedup        float64 `json:"speedup"`
-	VirtualEqual   bool    `json:"virtualEqual"`
-}
-
 // profileQueryJSON is one query's critical-path aggregate.
 type profileQueryJSON struct {
 	Query       string `json:"query"`
@@ -111,15 +98,12 @@ type profileQueryJSON struct {
 	CritPathNS  int64  `json:"critPathNS"`
 }
 
-// profileJSON folds the critical-path profiler into the summary:
-// total critical-path length across every recurrence the run executed
-// and — when -par-bench ran with more than one worker — the
-// Amdahl-style serial fraction implied by the measured wall-clock
-// speedup. The time cache reuse saved is the costs block's.
+// profileJSON folds the critical-path profiler into the summary: total
+// critical-path length across every recurrence the run executed, and
+// per query. The time cache reuse saved is the costs block's.
 type profileJSON struct {
-	CritPathNS     int64              `json:"critPathNS"`
-	SerialFraction *float64           `json:"serialFraction,omitempty"`
-	Queries        []profileQueryJSON `json:"queries,omitempty"`
+	CritPathNS int64              `json:"critPathNS"`
+	Queries    []profileQueryJSON `json:"queries,omitempty"`
 }
 
 // costQueryJSON is one query's cost-ledger aggregate over the whole
@@ -233,7 +217,6 @@ type summaryJSON struct {
 	HeadlineSpeedup *float64          `json:"headlineSpeedup,omitempty"`
 	Metrics         *metricsJSON      `json:"metrics,omitempty"`
 	Health          []queryHealthJSON `json:"health,omitempty"`
-	Parallel        *parallelJSON     `json:"parallel,omitempty"`
 	Profile         *profileJSON      `json:"profile,omitempty"`
 	// Chaos records a -chaos verification run: the seeded fault
 	// schedule and the oracle's per-regime verdicts (full detail with
@@ -327,26 +310,11 @@ func buildSummary(cfg experiments.Config, figs []*experiments.FigResult, headlin
 	return sum
 }
 
-// parallelSummary folds a -par-bench measurement into the summary
-// schema; nil in, nil out.
-func parallelSummary(par *experiments.ParallelSpeedupResult) *parallelJSON {
-	if par == nil {
-		return nil
-	}
-	return &parallelJSON{
-		Workers:        par.Workers,
-		SerialWallNS:   par.SerialWall.Nanoseconds(),
-		ParallelWallNS: par.ParallelWall.Nanoseconds(),
-		Speedup:        par.Speedup,
-		VirtualEqual:   par.VirtualEqual,
-	}
-}
-
 // profileSummary reconstructs the run's task DAG from the observer's
 // span stream and folds the profiler aggregates into the
 // summary schema. Returns nil when no recurrence spans were recorded
 // (e.g. an observer-less run).
-func profileSummary(ob *obs.Observer, par *experiments.ParallelSpeedupResult) *profileJSON {
+func profileSummary(ob *obs.Observer) *profileJSON {
 	if ob == nil {
 		return nil
 	}
@@ -355,10 +323,6 @@ func profileSummary(ob *obs.Observer, par *experiments.ParallelSpeedupResult) *p
 		return nil
 	}
 	pj := &profileJSON{CritPathNS: int64(p.CritPathTotal())}
-	if par != nil && par.Workers > 1 {
-		f := profile.SerialFraction(par.Speedup, par.Workers)
-		pj.SerialFraction = &f
-	}
 	names := make([]string, 0, len(p.Queries))
 	for q := range p.Queries {
 		names = append(names, q)

@@ -52,16 +52,13 @@
 // only, never masking a worse deadline-driven one, and applies to
 // deadline-less queries too.
 //
-// The "profile" subcommand runs the query twice — once on a serial
-// compute pool, once on the -workers pool (default GOMAXPROCS) — and
-// prints the critical-path profile of the parallel run: per-query
-// critical-path length, phase and wait breakdowns, the top-K
-// critical-path segments, and an Amdahl serial fraction inverted from
-// the two runs' host wall-clock speedup (the virtual results are
-// byte-identical by construction, so the comparison isolates host-side
-// parallelism). The run fails with a non-zero exit if a critical path
-// does not tile its recurrence's wall-clock exactly. The time cache
-// reuse saved is the "costs" subcommand's.
+// The "profile" subcommand runs the query once and prints its
+// critical-path profile: per-query critical-path length, phase and wait
+// breakdowns and the top-K critical-path segments, all in virtual time
+// (host time is the benchmark module's, benchmark/). The run fails
+// with a non-zero exit if a critical path does not tile its
+// recurrence's wall-clock exactly. The time cache reuse saved is the
+// "costs" subcommand's.
 // -folded-out writes the flamegraph folded stacks and -critpath-out
 // the Chrome-trace critical-path overlay (both also work outside the
 // profile subcommand, from the same instrumented run).
@@ -134,7 +131,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -286,28 +282,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		tableOut = stderr
 	}
 
-	// The profile subcommand measures an Amdahl reference point first: an
-	// identical run on a serial compute pool (own observer and monitor —
-	// its instrumentation must not mix into the profiled run). Virtual
-	// results are byte-identical across pool widths, so comparing the two
-	// host wall-clocks isolates parallel-execution speedup.
-	var serialElapsed time.Duration
-	if mode == "profile" {
-		scfg := cfg
-		scfg.ExecWorkers = 1
-		scfg.Obs = nil
-		scfg.Health = health.NewMonitor(hcfg)
-		so := o
-		so.topK = 0
-		t0 := time.Now()
-		if _, err := run(io.Discard, scfg, so); err != nil {
-			fmt.Fprintf(stderr, "redoopctl: serial reference run: %v\n", err)
-			return 1
-		}
-		serialElapsed = time.Since(t0)
-	}
-
-	t0 := time.Now()
 	var runErr error
 	switch mode {
 	case "costs":
@@ -319,7 +293,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	default:
 		_, runErr = run(tableOut, cfg, o)
 	}
-	parallelElapsed := time.Since(t0)
 
 	// Artifacts and the metrics dump are emitted even on failure so
 	// fault-injected runs leave their partial series behind. A failed
@@ -355,17 +328,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		p := profile.Analyze(ob.Tracer.Events())
 		if mode == "profile" {
 			check("profile report: ", p.Text(stdout, o.topK))
-			poolN := *workers
-			if poolN <= 0 {
-				poolN = runtime.GOMAXPROCS(0)
-			}
-			speedup := 0.0
-			if parallelElapsed > 0 {
-				speedup = float64(serialElapsed) / float64(parallelElapsed)
-			}
-			fmt.Fprintf(stdout, "parallel execution: serial %v vs %d-worker %v → speedup %.2fx, Amdahl serial fraction %.3f\n",
-				serialElapsed.Round(time.Millisecond), poolN, parallelElapsed.Round(time.Millisecond),
-				speedup, profile.SerialFraction(speedup, poolN))
 		}
 		if *foldedOut != "" {
 			check("folded-out: ", p.WriteFoldedFile(*foldedOut))

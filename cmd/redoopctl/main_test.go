@@ -156,9 +156,9 @@ func TestSidecarReportsGolden(t *testing.T) {
 	}
 }
 
-// TestProfileGolden pins the profile subcommand's report at the golden
-// geometry. The "parallel execution:" line measures host wall-clock, so
-// it is dropped before comparing.
+// TestProfileGolden pins the profile subcommand's whole report at the
+// golden geometry: every line is virtual, so stdout repeats byte for
+// byte.
 func TestProfileGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "profile.golden"))
 	if err != nil {
@@ -168,14 +168,35 @@ func TestProfileGolden(t *testing.T) {
 	if code := realMain([]string{"profile", "-windows", "3", "-records", "6000"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
 	}
-	var got strings.Builder
-	for _, line := range strings.SplitAfter(stdout.String(), "\n") {
-		if !strings.HasPrefix(line, "parallel execution:") {
-			got.WriteString(line)
-		}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Errorf("stdout diverges from testdata/profile.golden\n--- got ---\n%s\n--- want ---\n%s", stdout.String(), want)
 	}
-	if got.String() != string(want) {
-		t.Errorf("stdout diverges from testdata/profile.golden\n--- got ---\n%s\n--- want ---\n%s", got.String(), want)
+}
+
+// TestProfileLineageOutMatchesPlainRun: the profile subcommand runs the
+// query once, so the provenance store it writes with -lineage-out holds
+// the same batches, edges and rebuilds as a plain run's, to the byte.
+func TestProfileLineageOutMatchesPlainRun(t *testing.T) {
+	dir := t.TempDir()
+	var files [][]byte
+	for _, mode := range []string{"plain", "profile"} {
+		path := filepath.Join(dir, mode+".json")
+		args := []string{"-windows", "3", "-records", "6000", "-lineage-out", path}
+		if mode == "profile" {
+			args = append([]string{"profile"}, args...)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := realMain(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit code %d, stderr: %s", mode, code, stderr.String())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, data)
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Errorf("profile -lineage-out differs from a plain run's (%d and %d bytes)", len(files[1]), len(files[0]))
 	}
 }
 

@@ -246,3 +246,26 @@ func TestShiftPreservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkStatusMatrix measures the cache status matrix's update,
+// lifespan-exhaustion and shift operations at a realistic window size.
+func BenchmarkStatusMatrix(b *testing.B) {
+	f := window.FrameOf(window.NewTimeSpec(time.Hour, 6*time.Minute)) // 10 panes/window
+	for i := 0; i < b.N; i++ {
+		m, err := NewStatusMatrix([]window.Frame{f, f})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for r := 0; r < 10; r++ {
+			lo, hi := f.WindowRange(r)
+			for p1 := lo; p1 <= hi; p1++ {
+				for p2 := lo; p2 <= hi; p2++ {
+					if done, _ := m.Done(p1, p2); !done {
+						m.Update(p1, p2)
+					}
+				}
+			}
+			m.Shift(r + 1)
+		}
+	}
+}

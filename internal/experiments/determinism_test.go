@@ -147,21 +147,3 @@ func TestSerialParallelDeterminism(t *testing.T) {
 		})
 	}
 }
-
-// ParallelSpeedup's virtual-equality flag must hold on the bench
-// workload itself (small scale here; the CLI runs it full-size).
-func TestParallelSpeedupVirtualEqual(t *testing.T) {
-	cfg := detConfig()
-	cfg.Windows = 2
-	cfg.RecordsPerWindow = 20000
-	res, err := cfg.ParallelSpeedup(parWorkers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.VirtualEqual {
-		t.Error("serial and parallel runs must produce identical virtual series")
-	}
-	if res.Workers != parWorkers() {
-		t.Errorf("Workers = %d, want %d", res.Workers, parWorkers())
-	}
-}

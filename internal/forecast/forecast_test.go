@@ -134,3 +134,16 @@ func TestForecastStabilityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkHoltForecast measures the profiler's smoothing update and
+// forecast.
+func BenchmarkHoltForecast(b *testing.B) {
+	h, err := NewHolt(0.5, 0.3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		h.Observe(float64(100 + i%17))
+		_ = h.Forecast(1)
+	}
+}

@@ -360,21 +360,3 @@ func (p *Profile) CheckInvariants() error {
 	}
 	return nil
 }
-
-// SerialFraction inverts Amdahl's law: given the observed speedup S at
-// N workers, the implied serial fraction is f = (N/S − 1)/(N − 1).
-// Returns 0 for N ≤ 1 or S ≤ 0; the result is clamped to [0, 1]
-// (super-linear measurements clamp to 0).
-func SerialFraction(speedup float64, workers int) float64 {
-	if workers <= 1 || speedup <= 0 {
-		return 0
-	}
-	f := (float64(workers)/speedup - 1) / float64(workers-1)
-	if f < 0 {
-		return 0
-	}
-	if f > 1 {
-		return 1
-	}
-	return f
-}

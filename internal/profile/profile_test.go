@@ -249,27 +249,6 @@ func TestPhaseAndNodeAttribution(t *testing.T) {
 	}
 }
 
-func TestSerialFraction(t *testing.T) {
-	cases := []struct {
-		speedup float64
-		workers int
-		want    float64
-	}{
-		{1, 4, 1},       // no speedup → fully serial
-		{4, 4, 0},       // linear → fully parallel
-		{2, 4, 1.0 / 3}, // Amdahl inversion
-		{8, 4, 0},       // super-linear clamps to 0
-		{2, 1, 0},       // single worker → undefined, report 0
-		{0.5, 4, 1},     // slowdown clamps to 1
-	}
-	for _, c := range cases {
-		got := SerialFraction(c.speedup, c.workers)
-		if diff := got - c.want; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("SerialFraction(%v, %d) = %v, want %v", c.speedup, c.workers, got, c.want)
-		}
-	}
-}
-
 // TestWriteCritPathTrace exports overlapping tracks and checks the
 // Chrome trace document: every track named, the critical-path overlay
 // present, durations non-negative, and overlapping spans preserved.

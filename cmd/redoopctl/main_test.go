@@ -94,9 +94,9 @@ func TestRunGolden(t *testing.T) {
 	}
 }
 
-// TestSidecarReportsGolden pins what the sidecars report: the costs and
-// reuse subcommands' stdout, the -metrics-out exposition of both
-// queries, and, as a sha256 because the file runs to megabytes, the
+// TestSidecarReportsGolden pins what the sidecars report: the costs,
+// reuse, lineage and health subcommands' stdout, the -metrics-out
+// exposition of both queries, and, as a sha256 because the file runs to megabytes, the
 // lineage subcommand's -lineage-out JSON. Each repeats byte for byte
 // across runs and -workers settings, so a diff means a fold changed
 // what it records, not only what it costs. The -trace-out of both
@@ -114,6 +114,8 @@ func TestSidecarReportsGolden(t *testing.T) {
 	}{
 		{golden: "costs", args: []string{"costs"}},
 		{golden: "reuse", args: []string{"reuse"}},
+		{golden: "lineage", args: []string{"lineage"}},
+		{golden: "health", args: []string{"health"}},
 		{golden: "metrics-agg", args: []string{"-query", "agg", "-metrics-out"}, file: "agg.prom"},
 		{golden: "metrics-join", args: []string{"-query", "join", "-metrics-out"}, file: "join.prom"},
 		{golden: "lineage-out.sha256", args: []string{"lineage", "-lineage-out"}, file: "lineage.json", sha: true},

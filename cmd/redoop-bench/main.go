@@ -89,6 +89,7 @@ import (
 	"redoop/internal/health"
 	"redoop/internal/lineage"
 	"redoop/internal/obs"
+	"redoop/internal/simtime"
 )
 
 // figure is one -fig choice; cum figures print cumulative tables.
@@ -406,19 +407,6 @@ func clusterBusyNS(engines []*core.Engine) int64 {
 func warnConservation(w io.Writer, c *costsJSON) {
 	if c != nil && !c.ConservationOK {
 		fmt.Fprintf(w, "redoop-bench: WARNING: cost ledger conservation VIOLATED (slot compute %s > cluster busy %s)\n",
-			fmtNS(c.SlotComputeNS), fmtNS(c.ClusterBusyNS))
-	}
-}
-
-func fmtNS(ns int64) string {
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
+			simtime.FormatNS(c.SlotComputeNS), simtime.FormatNS(c.ClusterBusyNS))
 	}
 }

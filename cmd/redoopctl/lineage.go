@@ -4,18 +4,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"redoop/internal/account"
 	"redoop/internal/core"
 	"redoop/internal/experiments"
 	"redoop/internal/lineage"
+	"redoop/internal/obs"
 	"redoop/internal/simtime"
 )
 
 // maxTraceEdges bounds the per-window DAG rendering in the lineage
-// report; the full graph is available via -dot-out / -lineage-out.
+// report; the full graph is -lineage-out's.
 const maxTraceEdges = 24
 
 // runLineage is the lineage subcommand: both figure workloads with the
@@ -75,7 +75,7 @@ func writeLineageReport(w io.Writer, lin *lineage.Store, acct *account.Ledger, e
 	fmt.Fprintf(w, "  window %s derives from %d nodes over %d edges:\n", winID, len(tr.Nodes), len(tr.Edges))
 	for i, e := range tr.Edges {
 		if i == maxTraceEdges {
-			fmt.Fprintf(w, "    … and %d more edges (full DAG via -dot-out / -lineage-out)\n", len(tr.Edges)-maxTraceEdges)
+			fmt.Fprintf(w, "    … and %d more edges (full DAG via -lineage-out)\n", len(tr.Edges)-maxTraceEdges)
 			break
 		}
 		cost := ""
@@ -103,30 +103,17 @@ func writeLineageReport(w io.Writer, lin *lineage.Store, acct *account.Ledger, e
 	return nil
 }
 
-// writeLineageArtifacts exports the provenance store's whole derivation
-// DAG: dotPath as a Graphviz digraph, jsonPath as a JSON envelope with
-// stats, plans and the graph. Empty paths are skipped.
-func writeLineageArtifacts(lin *lineage.Store, dotPath, jsonPath string) error {
-	graph := lin.Graph()
-	if dotPath != "" {
-		if err := os.WriteFile(dotPath, []byte(graph.DOT()), 0o644); err != nil {
-			return fmt.Errorf("dot-out: %w", err)
-		}
-	}
-	if jsonPath != "" {
-		doc := map[string]any{
+// writeLineageOut writes the provenance store's whole derivation DAG
+// to path as a JSON envelope with stats, plans and the graph.
+func writeLineageOut(lin *lineage.Store, path string) error {
+	return obs.WriteFileAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(map[string]any{
 			"stats":     lin.Stats(),
 			"watermark": lin.Watermark(),
 			"plans":     lin.Plans(),
-			"graph":     graph,
-		}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return fmt.Errorf("lineage-out: %w", err)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("lineage-out: %w", err)
-		}
-	}
-	return nil
+			"graph":     lin.Graph(),
+		})
+	})
 }

@@ -11,8 +11,7 @@
 //	          [-workers N] [-spikewin N] [-spikefactor F] [-deadline DUR]
 //	          [-cache-budget BYTESEC]
 //	          [-metrics-out FILE] [-trace-out FILE]
-//	          [-folded-out FILE] [-critpath-out FILE]
-//	          [-dot-out FILE] [-lineage-out FILE]
+//	          [-critpath-out FILE] [-lineage-out FILE]
 //
 // -workers sets the host-side parallel compute pool the engine uses
 // (0 = GOMAXPROCS, 1 = serial). It changes only real elapsed time:
@@ -25,8 +24,8 @@
 //
 // The "metrics" subcommand runs the query and dumps the full
 // Prometheus text exposition of its metrics to stdout (the per-window
-// table moves to stderr), so `redoopctl metrics | grep cache` works; a
-// p50/p90/p99 quantile table of every histogram follows on stderr.
+// table moves to stderr), so `redoopctl metrics | grep cache` works;
+// each histogram's p50, p90 and p99 are its `_quantile` lines.
 //
 // The "explain" subcommand runs the query and renders a per-recurrence
 // decision report from the tracer's decision events: the Equation 4
@@ -59,9 +58,9 @@
 // with a non-zero exit if a critical path does not tile its
 // recurrence's wall-clock exactly. The time cache reuse saved is the
 // "costs" subcommand's.
-// -folded-out writes the flamegraph folded stacks and -critpath-out
-// the Chrome-trace critical-path overlay (both also work outside the
-// profile subcommand, from the same instrumented run).
+// -critpath-out writes the Chrome-trace critical-path overlay, which
+// speedscope and Perfetto load (it also works outside the profile
+// subcommand, from the same instrumented run).
 //
 // The "costs" subcommand runs BOTH figure workloads — the WCC
 // aggregation as tenant-a and the FFG join as tenant-b — against one
@@ -89,10 +88,10 @@
 // exit (the CI smoke step relies on this). The report prints the
 // per-query plan fingerprint, the final window's derivation DAG with
 // per-edge virtual-time build costs joined against the cost ledger's
-// attributed compute, and the store totals. -dot-out writes the whole
-// derivation DAG as a Graphviz digraph and -lineage-out as JSON; both
-// also work outside the subcommand (they attach a provenance store to
-// any Redoop run) and are written even when the run fails partway.
+// attributed compute, and the store totals. -lineage-out writes the
+// whole derivation DAG as JSON; it also works outside the subcommand
+// (it attaches a provenance store to any Redoop run) and is written
+// even when the run fails partway.
 //
 // The "reuse" subcommand runs the cross-query reuse workload — two
 // identical Figure-6 aggregations plus a coarser tumbling roll-up over
@@ -190,9 +189,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		cacheBudget = fs.Float64("cache-budget", 0, "flag queries whose cumulative cache occupancy exceeds this many byte·seconds as AT_RISK (0 disables)")
 		metricsOut  = fs.String("metrics-out", "", "write a Prometheus text exposition of the run's metrics to this file")
 		traceOut    = fs.String("trace-out", "", "write a Perfetto-loadable Chrome trace JSON of the run to this file")
-		foldedOut   = fs.String("folded-out", "", "write flamegraph folded stacks of the run's task spans to this file")
 		critpathOut = fs.String("critpath-out", "", "write a Chrome trace JSON with the critical-path overlay to this file")
-		dotOut      = fs.String("dot-out", "", "write the run's derivation DAG as a Graphviz digraph to this file (attaches a provenance store)")
 		lineageOut  = fs.String("lineage-out", "", "write the run's provenance store (stats, plans, derivation DAG) as JSON to this file")
 	)
 	usage := func(format string, a ...any) int {
@@ -237,7 +234,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	wantLineage := mode == "lineage" || *dotOut != "" || *lineageOut != ""
+	wantLineage := mode == "lineage" || *lineageOut != ""
 	if mode == "profile" && o.Baseline {
 		return usage("profile needs the instrumented Redoop engine; it cannot be combined with -baseline")
 	}
@@ -245,7 +242,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return usage("the baseline driver records no provenance; lineage cannot be combined with -baseline")
 	}
 
-	// Lineage mode (and the standalone DAG artifacts) attach a shared
+	// Lineage mode (and the standalone DAG artifact) attach a shared
 	// provenance store; the subcommand's report additionally joins the
 	// DAG against the cost ledger, so it needs one.
 	if wantLineage {
@@ -260,7 +257,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 
 	var ob *obs.Observer
 	if mode == "metrics" || mode == "explain" || mode == "health" || mode == "profile" ||
-		*metricsOut != "" || *traceOut != "" || *foldedOut != "" || *critpathOut != "" {
+		*metricsOut != "" || *traceOut != "" || *critpathOut != "" {
 		ob = obs.New()
 		cfg.Obs = ob
 	}
@@ -308,8 +305,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	switch mode {
 	case "metrics":
 		check("metrics dump: ", ob.Metrics.WritePrometheus(stdout))
-		fmt.Fprintln(stderr)
-		check("quantile table: ", ob.Metrics.WriteQuantileTable(stderr))
 	case "explain":
 		check("explain: ", explain.Build(ob.Tracer.Decisions(), queryName(o.Kind)).Write(stdout))
 	case "health":
@@ -324,13 +319,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if ob != nil && *traceOut != "" {
 		check("trace-out: ", ob.Tracer.WriteTraceFile(*traceOut))
 	}
-	if ob != nil && (mode == "profile" || *foldedOut != "" || *critpathOut != "") {
+	if ob != nil && (mode == "profile" || *critpathOut != "") {
 		p := profile.Analyze(ob.Tracer.Events())
 		if mode == "profile" {
 			check("profile report: ", p.Text(stdout, o.topK))
-		}
-		if *foldedOut != "" {
-			check("folded-out: ", p.WriteFoldedFile(*foldedOut))
 		}
 		if *critpathOut != "" {
 			check("critpath-out: ", p.WriteCritPathTraceFile(*critpathOut))
@@ -340,8 +332,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		// invocation.
 		check("", p.CheckInvariants())
 	}
-	if cfg.Lineage != nil && (*dotOut != "" || *lineageOut != "") {
-		check("", writeLineageArtifacts(cfg.Lineage, *dotOut, *lineageOut))
+	if cfg.Lineage != nil && *lineageOut != "" {
+		check("lineage-out: ", writeLineageOut(cfg.Lineage, *lineageOut))
 	}
 	if runErr != nil {
 		fmt.Fprintf(stderr, "redoopctl: %v\n", runErr)

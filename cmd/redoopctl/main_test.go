@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -222,9 +223,9 @@ func TestSubcommandsMoveTableToStderr(t *testing.T) {
 // the same recurrences in both — the newest 16 of 20 — and explain says
 // that the earlier ones aged out.
 func TestExplainAndProfileCoverTheSameRecurrences(t *testing.T) {
-	folded := filepath.Join(t.TempDir(), "profile.folded")
+	critpath := filepath.Join(t.TempDir(), "critpath.json")
 	var stdout, stderr bytes.Buffer
-	args := []string{"explain", "-windows", "20", "-records", "6000", "-folded-out", folded}
+	args := []string{"explain", "-windows", "20", "-records", "6000", "-critpath-out", critpath}
 	if code := realMain(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
 	}
@@ -235,15 +236,35 @@ func TestExplainAndProfileCoverTheSameRecurrences(t *testing.T) {
 			explained = append(explained, r)
 		}
 	}
-	stacks, err := os.ReadFile(folded)
+	// The profiled recurrences are the spans of q1's critical-path
+	// overlay track.
+	data, err := os.ReadFile(critpath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			Cat  string
+			Ph   string
+			Tid  int
+			Args struct{ Name string }
+		}
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	overlay := -1
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" && ev.Args.Name == "critical-path:q1" {
+			overlay = ev.Tid
+		}
+	}
 	var profiled []int
-	for _, line := range strings.Split(string(stacks), "\n") {
+	for _, ev := range doc.TraceEvents {
 		var r int
-		if frames := strings.Split(line, ";"); len(frames) > 1 {
-			if n, _ := fmt.Sscanf(frames[1], "recurrence %d", &r); n == 1 && !slices.Contains(profiled, r) {
+		if ev.Ph == "X" && ev.Tid == overlay && ev.Cat == "recurrence" {
+			if n, _ := fmt.Sscanf(ev.Name, "recurrence %d", &r); n == 1 {
 				profiled = append(profiled, r)
 			}
 		}

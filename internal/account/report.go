@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"redoop/internal/simtime"
 )
 
 // WriteReport renders a cost snapshot as a fixed-width table: the
@@ -34,8 +36,8 @@ func WriteReport(w io.Writer, snaps []QueryCosts, topK int) error {
 			tenant = "-"
 		}
 		if _, err := fmt.Fprintf(w, "%-10s %-10s %12s %12s %12d %12.1f %14d %12s %10.3f\n",
-			qc.Query, tenant, fmtNS(qc.TotalComputeNS), fmtNS(qc.SlotComputeNS),
-			ioBytes, qc.CacheByteSeconds, qc.PeakResidentBytes, fmtNS(qc.SavedNS), qc.CacheROI); err != nil {
+			qc.Query, tenant, simtime.FormatNS(qc.TotalComputeNS), simtime.FormatNS(qc.SlotComputeNS),
+			ioBytes, qc.CacheByteSeconds, qc.PeakResidentBytes, simtime.FormatNS(qc.SavedNS), qc.CacheROI); err != nil {
 			return err
 		}
 	}
@@ -71,7 +73,7 @@ func WriteReport(w io.Writer, snaps []QueryCosts, topK int) error {
 			return err
 		}
 		for _, qc := range shown {
-			if _, err := fmt.Fprintf(w, " %12s", fmtNS(qc.ComputeNS[string(p)])); err != nil {
+			if _, err := fmt.Fprintf(w, " %12s", simtime.FormatNS(qc.ComputeNS[string(p)])); err != nil {
 				return err
 			}
 		}
@@ -100,29 +102,10 @@ func WriteReport(w io.Writer, snaps []QueryCosts, topK int) error {
 			tenant = "-"
 		}
 		if _, err := fmt.Fprintf(w, "%-10s %7d %12s %12d %12.1f %12s %10.3f\n",
-			tenant, tc.Queries, fmtNS(tc.TotalComputeNS), tc.IOBytes,
-			tc.CacheByteSeconds, fmtNS(tc.SavedNS), tc.CacheROI); err != nil {
+			tenant, tc.Queries, simtime.FormatNS(tc.TotalComputeNS), tc.IOBytes,
+			tc.CacheByteSeconds, simtime.FormatNS(tc.SavedNS), tc.CacheROI); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// fmtNS renders a nanosecond quantity human-readably (mirrors the
-// explain and health packages' formatting so reports read alike).
-func fmtNS(ns int64) string {
-	neg := ""
-	if ns < 0 {
-		neg, ns = "-", -ns
-	}
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%s%.2fs", neg, float64(ns)/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%s%.2fms", neg, float64(ns)/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%s%.1fµs", neg, float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%s%dns", neg, ns)
-	}
 }

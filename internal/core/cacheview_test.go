@@ -47,7 +47,8 @@ func TestRetainedOutputSurvivesCacheChurn(t *testing.T) {
 				q := mk()
 				mr := newRig(4, 1)
 				mr.Workers = workers
-				cfg := core.Config{MR: mr, Query: q, Obs: obs.New()}
+				mr.Obs = obs.New()
+				cfg := core.Config{MR: mr, Query: q}
 				if name == "agg" {
 					cfg.CacheDiskLimit = 1
 				}
@@ -90,7 +91,7 @@ func TestRetainedOutputSurvivesCacheChurn(t *testing.T) {
 					t.Fatalf("scenario is vacuous: %d retained pairs, %d cache recoveries", len(kept), recoveries)
 				}
 				evicted := 0
-				for _, d := range cfg.Obs.Tracer.Decisions() { // ten recurrences: all retained
+				for _, d := range mr.Obs.Tracer.Decisions() { // ten recurrences: all retained
 					if d.Type == eventlog.CacheEvict {
 						evicted++
 					}

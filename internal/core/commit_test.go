@@ -93,8 +93,9 @@ func recordCommits(e *Engine, into *[]commit) {
 func newSeamRun(t testing.TB, q *Query, workers int, limit int64, withReuse bool, setup func(*Engine)) *seamRun {
 	mr := internalRig(3, 17)
 	mr.Workers = workers
+	mr.Obs = obs.New()
 	r := &seamRun{ledger: account.New()}
-	cfg := Config{MR: mr, Query: q, Obs: obs.New(), Account: r.ledger,
+	cfg := Config{MR: mr, Query: q, Account: r.ledger,
 		Lineage: lineage.New(0), CacheDiskLimit: limit}
 	if withReuse {
 		cfg.Reuse = reuse.NewIndex(0)
@@ -347,14 +348,13 @@ func TestRecorderFollowsStream(t *testing.T) {
 	}
 }
 
-// TestCommitFreeWithoutSidecars: with every Config sidecar nil the only
-// consumer is the engine's private health monitor, which looks at
-// nothing but the recurrence's final commit — a cache transition costs
-// a call and no allocation.
+// TestCommitFreeWithoutSidecars: with every Config sidecar nil the
+// engine has no consumer — a cache transition costs a call and no
+// allocation.
 func TestCommitFreeWithoutSidecars(t *testing.T) {
 	eng := mustEngine(t, Config{MR: internalRig(3, 17), Query: internalCountQuery(40*simtime.Second, 10*simtime.Second)})
-	if len(eng.folds) != 1 {
-		t.Fatalf("engine without sidecars has %d consumers, want only health", len(eng.folds))
+	if len(eng.folds) != 0 {
+		t.Fatalf("engine without sidecars has %d consumers, want none", len(eng.folds))
 	}
 	data := []byte("payload")
 	inputs := []cacheRef{{pid: "in", typ: ReduceInput}}
@@ -388,7 +388,9 @@ func TestReplacementBookkeepingBounded(t *testing.T) {
 		t.Run(fmt.Sprintf("limit%d", limit), func(t *testing.T) {
 			q := internalCountQuery(win, slide)
 			o := obs.New()
-			eng := mustEngine(t, Config{MR: internalRig(3, 17), Query: q, Obs: o, CacheDiskLimit: limit})
+			mr := internalRig(3, 17)
+			mr.Obs = o
+			eng := mustEngine(t, Config{MR: mr, Query: q, CacheDiskLimit: limit})
 			fed := 0
 			for rec := 0; rec < 200; rec++ {
 				for ; int64(fed)*int64(slide) < eng.frames[0].WindowClose(rec); fed++ {

@@ -191,20 +191,17 @@ func (e *Engine) attachConsumers(cfg Config, dataDir string) {
 	// The SLO monitor follows the same sharing rules. The deadline is
 	// the slide — the instant the next window is due — for time-based
 	// windows; count-based windows carry none.
-	mon := cfg.Health
-	if mon == nil {
-		mon = health.NewMonitor(health.DefaultConfig())
+	if mon := cfg.Health; mon != nil {
+		if mon.Observer() == nil && e.obs != nil {
+			mon.SetObserver(e.obs)
+		}
+		var deadline simtime.Duration
+		if q.Spec().Kind == window.TimeBased {
+			deadline = simtime.Duration(q.Spec().Slide)
+		}
+		e.healthTrk = mon.Register(q.Name, deadline)
+		e.folds = append(e.folds, e.healthFold())
 	}
-	if mon.Observer() == nil && e.obs != nil {
-		mon.SetObserver(e.obs)
-	}
-	e.healthMon = mon
-	var deadline simtime.Duration
-	if q.Spec().Kind == window.TimeBased {
-		deadline = simtime.Duration(q.Spec().Slide)
-	}
-	e.healthTrk = mon.Register(q.Name, deadline)
-	e.folds = append(e.folds, e.healthFold())
 	if cfg.Logger != nil {
 		e.folds = append(e.folds, e.logFold(cfg.Logger))
 	}

@@ -54,20 +54,15 @@ type Config struct {
 	// re-planning at Info/Warn, rollbacks, purge notices and placements
 	// at Debug. Nil disables logging.
 	Logger *slog.Logger
-	// Obs receives the engine's metrics and trace spans (recurrence
-	// spans, cache hit/miss counters, Equation 4 placement outcomes).
-	// Nil falls back to MR.Obs so one observer set on the MapReduce
-	// runtime covers the whole stack; if both are nil, instrumentation
-	// is disabled at ~zero cost.
-	Obs *obs.Observer
 	// Hub optionally provides shared sources: a source whose CacheKey
 	// names a source declared on the hub is packed once hub-side and
 	// ingested through the hub rather than through this engine.
 	Hub *SourceHub
-	// Health may be shared between engines so one monitor judges every
-	// query; nil creates a private monitor with default thresholds.
-	// The engine registers its query at construction (deadline = the
-	// slide for time-based windows) and reports every recurrence.
+	// Health optionally attaches an SLO monitor, usually shared between
+	// engines so one monitor judges every query. The engine registers
+	// its query at construction (deadline = the slide for time-based
+	// windows) and reports every recurrence. Nil disables health
+	// tracking.
 	Health *health.Monitor
 	// Account optionally attaches a cost ledger, usually shared between
 	// engines so per-query costs land in one place. The engine registers
@@ -177,9 +172,8 @@ type Engine struct {
 
 	obs *obs.Observer
 
-	// healthMon judges the query's SLO compliance; healthTrk is this
-	// query's registration on it. Always non-nil after NewEngine.
-	healthMon *health.Monitor
+	// healthTrk is this query's registration on the SLO monitor; nil
+	// without one.
 	healthTrk *health.Tracker
 
 	// acct is the (possibly shared, possibly nil) cost ledger;
@@ -287,15 +281,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// vacuously exhausted and retire on the first pass.
 	e.expiredBound = make([]window.PaneID, len(q.Sources))
 	e.sched.CacheOblivious = cfg.CacheObliviousPlacement
-	e.obs = cfg.Obs
-	if e.obs == nil {
-		e.obs = cfg.MR.Obs
-	}
-	if cfg.MR.Obs == nil {
-		// One observer covers the whole stack: map/reduce task metrics
-		// flow to the same registry as the engine's recurrence series.
-		cfg.MR.Obs = e.obs
-	}
+	// The runtime's observer covers the whole stack: the engine's
+	// recurrence series land in the registry its map/reduce task
+	// metrics do.
+	e.obs = cfg.MR.Obs
 	e.attachConsumers(cfg, dataDir)
 	e.qIdx = ctrl.RegisterQuery(q.Name)
 	for i, src := range q.Sources {
@@ -731,13 +720,6 @@ func (e *Engine) ensurePane(src int, p window.PaneID, trigger simtime.Time, pp *
 	}
 	return refs, reused, recovered, err
 }
-
-// Health returns the engine's SLO monitor (shared or private; never
-// nil after NewEngine) — the source of `redoopctl health`'s table.
-func (e *Engine) Health() *health.Monitor { return e.healthMon }
-
-// HealthStatus returns this query's current health snapshot.
-func (e *Engine) HealthStatus() health.QueryStatus { return e.healthTrk.Status() }
 
 // cacheRef locates one registered cache.
 type cacheRef struct {

@@ -41,6 +41,17 @@ func feedAndRun(t *testing.T, eng *core.Engine, q *core.Query, windows int,
 	return out
 }
 
+// healthOf returns query's status on mon, failing when the monitor does
+// not know the query.
+func healthOf(t *testing.T, mon *health.Monitor, query string) health.QueryStatus {
+	t.Helper()
+	st, ok := mon.Status(query)
+	if !ok {
+		t.Fatalf("monitor does not know query %s", query)
+	}
+	return st
+}
+
 func TestEngineHealthTracking(t *testing.T) {
 	mon := health.NewMonitor(health.DefaultConfig())
 	o := obs.New()
@@ -50,7 +61,7 @@ func TestEngineHealthTracking(t *testing.T) {
 	gen := func(_, s int) []records.Record { return genWords(50, testSlide, s, 400, 25) }
 	feedAndRun(t, eng, q, 5, gen)
 
-	st := eng.HealthStatus()
+	st := healthOf(t, mon, "hq")
 	if st.Query != "hq" {
 		t.Fatalf("status query = %q, want hq", st.Query)
 	}
@@ -80,7 +91,7 @@ func TestEngineHealthTracking(t *testing.T) {
 		t.Errorf("headroom = %d, want in (0, %d]", st.HeadroomNS, st.DeadlineNS)
 	}
 
-	// The same snapshot is reachable through the shared monitor.
+	// The snapshot lists the query once.
 	snap := mon.Snapshot()
 	if len(snap) != 1 || snap[0].Query != "hq" {
 		t.Fatalf("monitor snapshot = %+v, want one entry for hq", snap)
@@ -95,7 +106,8 @@ func TestEngineHealthTracking(t *testing.T) {
 func TestEngineHealthTumblingWindow(t *testing.T) {
 	// slide == win: every pane is new, none reused, deadline == win.
 	q := countQuery("tumble", testSlide, testSlide, "")
-	eng := mustEngine(t, core.Config{MR: newRig(4, 4), Query: q})
+	mon := health.NewMonitor(health.DefaultConfig())
+	eng := mustEngine(t, core.Config{MR: newRig(4, 4), Query: q, Health: mon})
 	gen := func(_, s int) []records.Record { return genWords(60, testSlide, s, 200, 20) }
 	rres := feedAndRun(t, eng, q, 4, gen)
 	for i, rr := range rres {
@@ -103,7 +115,7 @@ func TestEngineHealthTumblingWindow(t *testing.T) {
 			t.Errorf("window %d: reused %d panes, want 0 under tumbling", i, rr.ReusedPanes)
 		}
 	}
-	st := eng.HealthStatus()
+	st := healthOf(t, mon, "tumble")
 	if st.Recurrences != 4 {
 		t.Errorf("recurrences = %d, want 4", st.Recurrences)
 	}
@@ -120,7 +132,8 @@ func TestEngineHealthWindowLagBacklog(t *testing.T) {
 	// packed pane outruns the covered unit, so the watermark distance
 	// is positive after recurrence 0.
 	q := countQuery("lagq", testWin, testSlide, "")
-	eng := mustEngine(t, core.Config{MR: newRig(4, 5), Query: q})
+	mon := health.NewMonitor(health.DefaultConfig())
+	eng := mustEngine(t, core.Config{MR: newRig(4, 5), Query: q, Health: mon})
 	spec := q.Spec()
 	// 9 slides = 3 windows of data, but only window 0 runs.
 	for s := 0; s < 9; s++ {
@@ -131,7 +144,7 @@ func TestEngineHealthWindowLagBacklog(t *testing.T) {
 	if _, err := eng.RunNext(); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.HealthStatus()
+	st := healthOf(t, mon, "lagq")
 	// Window 0 covers units up to win; 9 slides of data reach 9·slide.
 	wantLag := 9*spec.Slide - spec.Win
 	if st.WindowLagUnits != wantLag {
@@ -139,23 +152,19 @@ func TestEngineHealthWindowLagBacklog(t *testing.T) {
 	}
 }
 
-func TestEngineHealthDefaultMonitor(t *testing.T) {
-	// Without a Config.Health the engine still tracks health on a
-	// private monitor reachable via Health().
+func TestEngineWithoutHealthMonitor(t *testing.T) {
+	// Without a Config.Health the engine tracks no health: the query
+	// runs, and its observer receives no health series.
 	q := countQuery("solo", testWin, testSlide, "")
-	eng := mustEngine(t, core.Config{MR: newRig(2, 6), Query: q})
+	mr := newRig(2, 6)
+	mr.Obs = obs.New()
+	eng := mustEngine(t, core.Config{MR: mr, Query: q})
 	gen := func(_, s int) []records.Record { return genWords(80, testSlide, s, 150, 10) }
 	feedAndRun(t, eng, q, 2, gen)
-	mon := eng.Health()
-	if mon == nil {
-		t.Fatal("engine has no health monitor")
-	}
-	st, ok := mon.Status("solo")
-	if !ok {
-		t.Fatal("private monitor does not know query solo")
-	}
-	if st.Recurrences != 2 {
-		t.Errorf("recurrences = %d, want 2", st.Recurrences)
+	for _, g := range mr.Obs.Metrics.Gauges() {
+		if g.Name() == "redoop_health_status" {
+			t.Fatalf("health series %s recorded without a monitor", g.Series())
+		}
 	}
 }
 
@@ -210,7 +219,7 @@ func TestEngineHealthSlowRecurrenceEscalates(t *testing.T) {
 		return genWords(int64(31+s), testSlide, s, n, 20)
 	}
 	feedAndRun(t, eng, q, 3, gen)
-	steady := eng.HealthStatus()
+	steady := healthOf(t, mon, "spiky")
 	if steady.Status != health.StatusOK {
 		t.Fatalf("pre-spike status = %s, want OK", steady.Status)
 	}
@@ -233,7 +242,7 @@ func TestEngineHealthSlowRecurrenceEscalates(t *testing.T) {
 		}
 	}
 
-	st := eng.HealthStatus()
+	st := healthOf(t, mon, "spiky")
 	if st.Anomalies == 0 {
 		t.Errorf("no anomalies recorded across a 200x input spike: %+v", st)
 	}
@@ -258,7 +267,8 @@ func TestEngineHealthCountBasedNoDeadline(t *testing.T) {
 		Merge:       sumReduce,
 		NumReducers: 1,
 	}
-	eng := mustEngine(t, core.Config{MR: newRig(2, 10), Query: q})
+	mon := health.NewMonitor(health.DefaultConfig())
+	eng := mustEngine(t, core.Config{MR: newRig(2, 10), Query: q, Health: mon})
 	// Count-based units are record indexes, not timestamps.
 	rec := func(i int) records.Record {
 		return records.Record{Ts: int64(i), Data: []byte("w" + string(rune('a'+i%5)))}
@@ -274,7 +284,7 @@ func TestEngineHealthCountBasedNoDeadline(t *testing.T) {
 			t.Fatalf("recurrence %d: %v", r, err)
 		}
 	}
-	st := eng.HealthStatus()
+	st := healthOf(t, mon, "cb")
 	if st.DeadlineNS != 0 {
 		t.Errorf("count-based deadline = %d, want 0", st.DeadlineNS)
 	}

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"redoop/internal/obs/eventlog"
+	"redoop/internal/simtime"
 )
 
 // Placement is one Equation 4 decision with its audit trail.
@@ -268,9 +269,9 @@ func (rep *Report) Write(w io.Writer) error {
 		fmt.Fprintf(w, "\nrecurrence %d  window panes [%d..%d]  %s\n",
 			r.Index, r.WindowLo, r.WindowHi, r.modeString())
 		if r.Finished {
-			fmt.Fprintf(w, "  response %s", fmtNS(r.ResponseNS))
+			fmt.Fprintf(w, "  response %s", simtime.FormatNS(r.ResponseNS))
 			if r.ForecastNS >= 0 {
-				fmt.Fprintf(w, "  forecast %s (error %+.1f%%)", fmtNS(r.ForecastNS), forecastErrPct(r.ForecastNS, r.ResponseNS))
+				fmt.Fprintf(w, "  forecast %s (error %+.1f%%)", simtime.FormatNS(r.ForecastNS), forecastErrPct(r.ForecastNS, r.ResponseNS))
 			} else {
 				fmt.Fprintf(w, "  forecast — (profiler warming up)")
 			}
@@ -317,7 +318,7 @@ func (rep *Report) Write(w io.Writer) error {
 						marker = " <-"
 					}
 					fmt.Fprintf(w, "      node %d: load %s + cache %s = %s%s\n",
-						c.Node, fmtNS(c.LoadNS), fmtNS(c.CacheCostNS), fmtNS(c.TotalNS), marker)
+						c.Node, simtime.FormatNS(c.LoadNS), simtime.FormatNS(c.CacheCostNS), simtime.FormatNS(c.TotalNS), marker)
 				}
 			}
 			if len(r.Placements) > len(shown) {
@@ -327,7 +328,7 @@ func (rep *Report) Write(w io.Writer) error {
 
 		for _, rp := range r.Replans {
 			fmt.Fprintf(w, "  re-plan: source %d -> %d sub-panes (proactive=%v); forecast %s vs deadline %s\n",
-				rp.Source, rp.SubPanes, rp.Proactive, fmtNS(rp.ForecastNS), fmtNS(rp.DeadlineNS))
+				rp.Source, rp.SubPanes, rp.Proactive, simtime.FormatNS(rp.ForecastNS), simtime.FormatNS(rp.DeadlineNS))
 		}
 		srcs := make([]int, 0, len(r.RetiredPanes))
 		for src := range r.RetiredPanes {
@@ -446,7 +447,7 @@ func (rep *Report) forecastRows() []string {
 			addMarker("status->" + r.HealthTo)
 		}
 		rows = append(rows, fmt.Sprintf("  %-4d %12s %12s %+8.1f%%  %s",
-			r.Index, fmtNS(r.ForecastNS), fmtNS(r.ResponseNS),
+			r.Index, simtime.FormatNS(r.ForecastNS), simtime.FormatNS(r.ResponseNS),
 			forecastErrPct(r.ForecastNS, r.ResponseNS), markers))
 	}
 	return rows
@@ -458,19 +459,6 @@ func forecastErrPct(forecast, actual int64) float64 {
 		return 0
 	}
 	return 100 * float64(forecast-actual) / float64(actual)
-}
-
-func fmtNS(ns int64) string {
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
-	}
 }
 
 func fmtBytes(b int64) string {

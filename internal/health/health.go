@@ -323,12 +323,12 @@ func (m *Monitor) WriteText(w io.Writer) error {
 	for _, s := range statuses {
 		deadline, headroom := "-", "-"
 		if s.DeadlineNS > 0 {
-			deadline = fmtNS(s.DeadlineNS)
-			headroom = fmtNS(s.HeadroomNS)
+			deadline = simtime.FormatNS(s.DeadlineNS)
+			headroom = simtime.FormatNS(s.HeadroomNS)
 		}
 		if _, err := fmt.Fprintf(w, "%-14s %-18s %5d %12s %12s %12s %10s %6d %6d %5d %6d\n",
-			s.Query, s.Status, s.Recurrences, deadline, fmtNS(s.LastResponseNS), headroom,
-			fmtNS(s.WindowLagUnits), s.MissStreak, s.DeadlineMisses, s.Anomalies, s.AdaptivityMisses); err != nil {
+			s.Query, s.Status, s.Recurrences, deadline, simtime.FormatNS(s.LastResponseNS), headroom,
+			simtime.FormatNS(s.WindowLagUnits), s.MissStreak, s.DeadlineMisses, s.Anomalies, s.AdaptivityMisses); err != nil {
 			return err
 		}
 	}
@@ -543,24 +543,5 @@ func (t *Tracker) Observe(s Sample) {
 			HeadroomNS: int64(headroom),
 			LagUnits:   lag,
 		})
-	}
-}
-
-// fmtNS renders a nanosecond quantity human-readably (mirrors the
-// explain package's formatting so reports read alike).
-func fmtNS(ns int64) string {
-	neg := ""
-	if ns < 0 {
-		neg, ns = "-", -ns
-	}
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%s%.2fs", neg, float64(ns)/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%s%.2fms", neg, float64(ns)/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%s%.1fµs", neg, float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%s%dns", neg, ns)
 	}
 }

@@ -87,17 +87,14 @@ func TestDerivationLifecycleAndClosure(t *testing.T) {
 	if !ok {
 		t.Fatal("Trace failed")
 	}
-	foundBatch := false
+	// The walk reaches back from the rout through its rin to the raw
+	// batch, one level of depth per hop.
+	depths := map[string]int{}
 	for _, n := range tr.Nodes {
-		if n.Kind == "batch" {
-			foundBatch = true
-		}
+		depths[n.Kind] = n.Depth
 	}
-	if !foundBatch {
-		t.Fatalf("trace misses raw batch ancestors: %+v", tr.Nodes)
-	}
-	if dot := tr.DOT(); !strings.Contains(dot, "digraph lineage") {
-		t.Fatalf("DOT output malformed: %s", dot)
+	if want := map[string]int{"pane-rout": 0, "pane-rin": -1, "batch": -2}; !reflect.DeepEqual(depths, want) {
+		t.Fatalf("trace node depths = %v, want %v: %+v", depths, want, tr.Nodes)
 	}
 }
 

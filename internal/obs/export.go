@@ -76,45 +76,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// exportQuantiles are the quantiles materialized in the exposition and
-// the CLI table.
+// exportQuantiles are the quantiles materialized in the exposition.
 var exportQuantiles = []struct {
 	label string
 	q     float64
 }{{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}}
-
-// WriteQuantileTable renders every histogram as one table row — count,
-// p50/p90/p99 and max — the human-readable companion the `redoopctl
-// metrics` subcommand prints to stderr. A nil registry writes nothing.
-func (r *Registry) WriteQuantileTable(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	hists := r.Histograms()
-	if len(hists) == 0 {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%-52s %8s %12s %12s %12s %12s\n", "histogram", "count", "p50", "p90", "p99", "max")
-	for _, h := range hists {
-		fmt.Fprintf(bw, "%-52s %8d %12s %12s %12s %12s\n",
-			h.Series(), h.Count(),
-			promFloat(round6(h.Quantile(0.5))),
-			promFloat(round6(h.Quantile(0.9))),
-			promFloat(round6(h.Quantile(0.99))),
-			promFloat(round6(h.Max())))
-	}
-	return bw.Flush()
-}
-
-// round6 trims quantile interpolation noise for display.
-func round6(v float64) float64 {
-	if v == 0 || math.IsInf(v, 0) || math.IsNaN(v) {
-		return v
-	}
-	scale := math.Pow(10, 6-math.Ceil(math.Log10(math.Abs(v))))
-	return math.Round(v*scale) / scale
-}
 
 // --- Chrome trace-event JSON ---
 

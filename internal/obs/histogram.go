@@ -95,32 +95,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
-
 // BucketCount is one exported bucket: the upper bound (inclusive) and
 // the cumulative count of samples at or below it, Prometheus `le`
 // semantics. The final bucket has UpperBound +Inf.

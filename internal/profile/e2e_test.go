@@ -37,7 +37,8 @@ func profCfg(seed int64) experiments.Config {
 // TestProfileRealRun analyzes a clean oracle-checked aggregation run:
 // every recurrence's critical path must tile its measured wall-clock
 // exactly, the cost ledger must show cache benefit, and the
-// report/flamegraph exporters must produce non-trivial output.
+// report and critical-path overlay exporters must produce non-trivial
+// output.
 func TestProfileRealRun(t *testing.T) {
 	cfg := profCfg(42)
 	if _, err := cfg.RunChaosRegime("agg"); err != nil {
@@ -76,12 +77,12 @@ func TestProfileRealRun(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, report.String())
 		}
 	}
-	var folded bytes.Buffer
-	if err := p.WriteFolded(&folded); err != nil {
-		t.Fatalf("WriteFolded: %v", err)
+	var overlay bytes.Buffer
+	if err := p.WriteCritPathTrace(&overlay); err != nil {
+		t.Fatalf("WriteCritPathTrace: %v", err)
 	}
-	if !strings.Contains(folded.String(), ";recurrence ") {
-		t.Fatalf("folded stacks look empty:\n%.400s", folded.String())
+	if !strings.Contains(overlay.String(), `"critical-path:`) {
+		t.Fatalf("critical-path overlay looks empty:\n%.400s", overlay.String())
 	}
 }
 

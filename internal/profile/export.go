@@ -9,58 +9,6 @@ import (
 	"redoop/internal/simtime"
 )
 
-// WriteFolded emits the profile as folded flamegraph stacks
-// (flamegraph.pl / speedscope / inferno input): one line per task
-// span, frames joined by semicolons, the value being the span's
-// duration in microseconds:
-//
-//	<query>;recurrence <N>;<cat>;<name> <µs>
-//
-// Spans not parented to a recurrence (DFS replication, for instance)
-// fold under their track name instead of a query.
-func (p *Profile) WriteFolded(w io.Writer) error {
-	rootOf := make(map[obs.SpanID]*Recurrence, len(p.Recurrences))
-	for _, rec := range p.Recurrences {
-		rootOf[rec.Root] = rec
-	}
-	// Aggregate identical stacks so repeated task names sum, like
-	// collapsed perf samples do.
-	totals := map[string]int64{}
-	var order []string
-	add := func(stack string, dur simtime.Duration) {
-		if _, ok := totals[stack]; !ok {
-			order = append(order, stack)
-		}
-		totals[stack] += int64(dur) / 1e3
-	}
-	for i := range p.spans {
-		ev := &p.spans[i]
-		if ev.ID == 0 || ev.Cat == "recurrence" {
-			continue
-		}
-		dur := ev.End.Sub(ev.Start)
-		if dur <= 0 {
-			continue
-		}
-		if rec, ok := rootOf[ev.Parent]; ok {
-			add(fmt.Sprintf("%s;recurrence %d;%s;%s", rec.Query, rec.Index, ev.Cat, ev.Name), dur)
-		} else {
-			add(fmt.Sprintf("%s;%s;%s", ev.Track, ev.Cat, ev.Name), dur)
-		}
-	}
-	for _, stack := range order {
-		if _, err := fmt.Fprintf(w, "%s %d\n", stack, totals[stack]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteFoldedFile writes the folded stacks to a file atomically.
-func (p *Profile) WriteFoldedFile(path string) error {
-	return obs.WriteFileAtomic(path, p.WriteFolded)
-}
-
 // --- critical-path Chrome trace overlay ---
 
 // WriteCritPathTrace writes a Chrome trace document containing every

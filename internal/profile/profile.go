@@ -9,9 +9,9 @@
 // The time cache reuse saves is not computed here: the cost ledger
 // (internal/account) is the one place that figure lives.
 //
-// Exporters (export.go) serialize the result as folded flamegraph
-// stacks, Chrome trace JSON with a critical-path overlay track, and a
-// human-readable top-k report for `redoopctl profile`.
+// Exporters (export.go) serialize the result as Chrome trace JSON with
+// a critical-path overlay track (which speedscope and Perfetto load)
+// and a human-readable top-k report for `redoopctl profile`.
 package profile
 
 import (

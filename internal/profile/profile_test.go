@@ -313,29 +313,3 @@ func TestWriteCritPathTrace(t *testing.T) {
 		t.Fatalf("trace has %d crit segments, profile has %d", critSegs, len(p.Recurrences[0].CritPath))
 	}
 }
-
-func TestWriteFolded(t *testing.T) {
-	spans := []obs.Event{
-		root(1, "q", 2, 0, 100),
-		span(2, 1, "map", "map s0", "node:0", 0, 0, 60_000),
-		span(3, 1, "map", "map s0", "node:1", 0, 0, 40_000), // same stack: sums
-		span(4, 1, "reduce", "reduce p0", "node:0", 60_000, 60_000, 100_000, 2, 3),
-	}
-	// An orphan span (no recurrence parent): folds under its track.
-	spans = append(spans, span(9, 0, "replication", "replicate /a", "dfs", 0, 0, 5_000))
-	p := Analyze(spans)
-	var buf bytes.Buffer
-	if err := p.WriteFolded(&buf); err != nil {
-		t.Fatalf("WriteFolded: %v", err)
-	}
-	got := buf.String()
-	for _, want := range []string{
-		"q;recurrence 2;map;map s0 100\n", // 60µs + 40µs
-		"q;recurrence 2;reduce;reduce p0 40\n",
-		"dfs;replication;replicate /a 5\n",
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("folded output missing %q; got:\n%s", want, got)
-		}
-	}
-}

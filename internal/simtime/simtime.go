@@ -64,6 +64,26 @@ func Min(a, b Time) Time {
 	return b
 }
 
+// FormatNS renders a nanosecond count in the largest unit it reaches
+// (s, ms, µs or ns), sign first: the one duration format every report
+// prints.
+func FormatNS(ns int64) string {
+	neg := ""
+	if ns < 0 {
+		neg, ns = "-", -ns
+	}
+	switch {
+	case ns >= 1e9:
+		return fmt.Sprintf("%s%.2fs", neg, float64(ns)/1e9)
+	case ns >= 1e6:
+		return fmt.Sprintf("%s%.2fms", neg, float64(ns)/1e6)
+	case ns >= 1e3:
+		return fmt.Sprintf("%s%.1fµs", neg, float64(ns)/1e3)
+	default:
+		return fmt.Sprintf("%s%dns", neg, ns)
+	}
+}
+
 // Timeline tracks the availability of a set of identical execution slots
 // (for example the map slots of one node). Acquire returns the earliest
 // instant at which a slot is free at-or-after a requested start time and

@@ -43,13 +43,10 @@ import (
 	"strings"
 	"sync"
 
-	"redoop/internal/obs"
 	"redoop/internal/simtime"
 )
 
-// Phase labels one compute-phase bucket. The set is closed and small,
-// keeping redoop_query_* metric cardinality bounded by
-// #queries × #phases.
+// Phase labels one compute-phase bucket. The set is closed and small.
 type Phase string
 
 const (
@@ -184,38 +181,15 @@ type queryAcct struct {
 	// overrun is the first cache load that cost more than the recompute
 	// its hit credited; CheckConservation reports it.
 	overrun error
-
-	series acctSeries
-}
-
-// acctSeries are a query's series, each looked up on the ledger's
-// observer once (obs.Series), under the ledger's lock.
-type acctSeries struct {
-	compute                            *obs.SeriesSet[Phase, obs.Counter]
-	io                                 *obs.SeriesSet[IOKind, obs.Counter]
-	resident, peak, byteSeconds, saved obs.Series[obs.Gauge]
-	crossHits                          obs.Series[obs.Counter]
 }
 
 // newQueryAcct returns the empty account of query name.
 func newQueryAcct(name, tenant string) *queryAcct {
-	q := obs.L("query", name)
 	return &queryAcct{
 		name:    name,
 		tenant:  tenant,
 		compute: map[Phase]simtime.Duration{},
 		io:      map[IOKind]int64{},
-		series: acctSeries{
-			compute: obs.NewSeriesSet[Phase, obs.Counter]("redoop_query_compute_seconds_total",
-				func(p Phase) []obs.Label { return []obs.Label{q, obs.L("phase", string(p))} }),
-			io: obs.NewSeriesSet[IOKind, obs.Counter]("redoop_query_io_bytes_total",
-				func(k IOKind) []obs.Label { return []obs.Label{q, obs.L("kind", string(k))} }),
-			resident:    obs.NewSeries[obs.Gauge]("redoop_query_resident_bytes", q),
-			peak:        obs.NewSeries[obs.Gauge]("redoop_query_peak_resident_bytes", q),
-			byteSeconds: obs.NewSeries[obs.Gauge]("redoop_query_cache_byte_seconds", q),
-			saved:       obs.NewSeries[obs.Gauge]("redoop_query_saved_seconds", q),
-			crossHits:   obs.NewSeries[obs.Counter]("redoop_query_cross_reuse_hits_total", q),
-		},
 	}
 }
 
@@ -280,7 +254,6 @@ type QueryCosts struct {
 // concurrent use and nil-safe, so call sites hook in unconditionally.
 type Ledger struct {
 	mu      sync.Mutex
-	obs     *obs.Observer
 	queries map[string]*queryAcct
 	order   []string
 	open    map[string]*residency // key: resKey(pid, typ)
@@ -303,28 +276,6 @@ func New() *Ledger {
 		open:    map[string]*residency{},
 		pending: map[string]pendingHit{},
 	}
-}
-
-// SetObserver attaches a metrics sink; nil-safe on both sides.
-func (l *Ledger) SetObserver(o *obs.Observer) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.obs = o
-}
-
-// Observer returns the attached metrics sink (nil-safe) so sharing
-// call sites can fill in a missing observer without detaching an
-// existing one.
-func (l *Ledger) Observer() *obs.Observer {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.obs
 }
 
 // keyBuf is the stack space a residency key is built in; a longer key
@@ -382,11 +333,8 @@ func (l *Ledger) AddCompute(query string, p Phase, d simtime.Duration) {
 		return
 	}
 	l.mu.Lock()
-	a := l.acct(query)
-	a.compute[p] += d
-	c := a.series.compute.On(l.obs, p)
-	l.mu.Unlock()
-	c.Add(d.Seconds())
+	defer l.mu.Unlock()
+	l.acct(query).compute[p] += d
 }
 
 // AddIO attributes bytes of kind-k traffic to query. Integer and
@@ -397,11 +345,8 @@ func (l *Ledger) AddIO(query string, k IOKind, bytes int64) {
 		return
 	}
 	l.mu.Lock()
-	a := l.acct(query)
-	a.io[k] += bytes
-	c := a.series.io.On(l.obs, k)
-	l.mu.Unlock()
-	c.Add(float64(bytes))
+	defer l.mu.Unlock()
+	l.acct(query).io[k] += bytes
 }
 
 // closeLocked accrues and removes an open residency and returns its
@@ -421,10 +366,6 @@ func (l *Ledger) closeLocked(key []byte, at simtime.Time) string {
 	}
 	a.curResident -= r.bytes
 	a.expired++
-	if o := l.obs; o != nil {
-		a.series.resident.On(o).Set(float64(a.curResident))
-		a.series.byteSeconds.On(o).Set(a.byteSeconds)
-	}
 	return r.key
 }
 
@@ -457,10 +398,6 @@ func (l *Ledger) CacheRegistered(query, pid string, typ int, bytes int64, at sim
 	a.registered++
 	if at.After(l.watermark) {
 		l.watermark = at
-	}
-	if o := l.obs; o != nil {
-		a.series.resident.On(o).Set(float64(a.curResident))
-		a.series.peak.On(o).Set(float64(a.peakResident))
 	}
 }
 
@@ -519,12 +456,9 @@ func (l *Ledger) cacheHit(query, pid string, typ int, at simtime.Time, cross boo
 		return
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	var buf keyBuf
-	r, ok := l.open[string(resKey(buf[:0], pid, typ))]
-	var savedG *obs.Gauge
-	var crossC *obs.Counter
-	var saved simtime.Duration
-	if ok {
+	if r, ok := l.open[string(resKey(buf[:0], pid, typ))]; ok {
 		a := l.acct(query)
 		a.saved += r.recompute
 		a.hits++
@@ -532,18 +466,12 @@ func (l *Ledger) cacheHit(query, pid string, typ int, at simtime.Time, cross boo
 		if cross {
 			a.crossSaved += r.recompute
 			a.crossHits++
-			crossC = a.series.crossHits.On(l.obs)
 		}
 		l.pending[r.key] = pendingHit{r.key, query, r.recompute}
-		saved = a.saved
-		savedG = a.series.saved.On(l.obs)
 	}
 	if at.After(l.watermark) {
 		l.watermark = at
 	}
-	l.mu.Unlock()
-	savedG.Set(saved.Seconds())
-	crossC.Inc()
 }
 
 // CacheLoaded nets the cost of reading cache pid/typ into its consumer
@@ -556,24 +484,19 @@ func (l *Ledger) CacheLoaded(pid string, typ int, load simtime.Duration) {
 		return
 	}
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	var buf keyBuf
-	key := resKey(buf[:0], pid, typ)
-	var savedG *obs.Gauge
-	var saved simtime.Duration
-	h, ok := l.pending[string(key)]
-	if ok {
-		delete(l.pending, h.key)
-		a := l.acct(h.query)
-		a.saved -= load
-		if load > h.recompute && a.overrun == nil {
-			a.overrun = fmt.Errorf("account: query %s: loading cache %s (type %d) cost %v, more than the %v recompute its hit avoided",
-				h.query, pid, typ, load, h.recompute)
-		}
-		saved = a.saved
-		savedG = a.series.saved.On(l.obs)
+	h, ok := l.pending[string(resKey(buf[:0], pid, typ))]
+	if !ok {
+		return
 	}
-	l.mu.Unlock()
-	savedG.Set(saved.Seconds())
+	delete(l.pending, h.key)
+	a := l.acct(h.query)
+	a.saved -= load
+	if load > h.recompute && a.overrun == nil {
+		a.overrun = fmt.Errorf("account: query %s: loading cache %s (type %d) cost %v, more than the %v recompute its hit avoided",
+			h.query, pid, typ, load, h.recompute)
+	}
 }
 
 // Advance moves the accrual watermark forward; open residencies accrue

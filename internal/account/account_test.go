@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"redoop/internal/obs"
 	"redoop/internal/simtime"
 )
 
@@ -296,11 +295,10 @@ func TestOpenResidenciesSorted(t *testing.T) {
 // makes on an open residency — a hit and the load that nets it, an
 // expiry, the replacement policy's feature read and the health
 // sample's byte·seconds — build their keys on the stack and allocate
-// nothing, observer attached.
+// nothing.
 func TestSteadyFoldPathsDoNotAllocate(t *testing.T) {
 	const runs = 100
 	l := New()
-	l.SetObserver(obs.New())
 	q := l.Register("q", "")
 	// Each expiry closes a residency of its own, so every one is open
 	// when it closes; AllocsPerRun makes one extra, warm-up call. The

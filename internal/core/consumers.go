@@ -148,18 +148,15 @@ func (e *Engine) attachConsumers(cfg Config, dataDir string) {
 	if e.obs != nil {
 		e.folds = append(e.folds, e.obsFold())
 	}
-	// A shared ledger keeps whatever observer it already has; an engine
-	// only fills in a missing one. The engine claims its DFS data
-	// directory so reads/writes/replication under it are attributed to
-	// this query, and propagates the ledger to the MapReduce runtime so
-	// task execution charges land on the same accounts.
+	// The engine claims its DFS data directory so reads/writes/
+	// replication under it are attributed to this query, and propagates
+	// the ledger to the MapReduce runtime so task execution charges land
+	// on the same accounts. The ledger reports through its Snapshot
+	// alone; it holds no observer.
 	e.acct = cfg.Account
 	e.acctName = e.acct.Register(q.Name, q.TenantID)
 	e.queryTrack = obs.QueryTrack(e.acctName)
 	if l := e.acct; l != nil {
-		if l.Observer() == nil && e.obs != nil {
-			l.SetObserver(e.obs)
-		}
 		if mr.Account == nil {
 			mr.Account = l
 		}
@@ -188,9 +185,10 @@ func (e *Engine) attachConsumers(cfg Config, dataDir string) {
 		})
 		e.folds = append(e.folds, e.reuseFold(idx))
 	}
-	// The SLO monitor follows the same sharing rules. The deadline is
-	// the slide — the instant the next window is due — for time-based
-	// windows; count-based windows carry none.
+	// A shared SLO monitor keeps whatever observer it already has; an
+	// engine only fills in a missing one. The deadline is the slide —
+	// the instant the next window is due — for time-based windows;
+	// count-based windows carry none.
 	if mon := cfg.Health; mon != nil {
 		if mon.Observer() == nil && e.obs != nil {
 			mon.SetObserver(e.obs)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
-	"strings"
 	"sync"
 
 	"redoop/internal/account"
@@ -31,9 +30,6 @@ type Config struct {
 	// Controller may be shared between engines so caches and purge
 	// masks span queries; nil creates a private controller.
 	Controller *Controller
-	// DataDir is the DFS directory pane files live under; default
-	// "/redoop/<query name>".
-	DataDir string
 	// Adaptive enables the §3.3 adaptive input partitioning and
 	// proactive execution. Non-adaptive Redoop still caches and
 	// schedules window-aware; it just never subdivides panes or starts
@@ -259,10 +255,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	dataDir := cfg.DataDir
-	if dataDir == "" {
-		dataDir = "/redoop/" + q.Name
-	}
+	dataDir := "/redoop/" + q.Name // the DFS directory pane files live under
 	e := &Engine{
 		mr:       cfg.MR,
 		query:    q,
@@ -693,9 +686,6 @@ func (e *Engine) ensurePane(src int, p window.PaneID, trigger simtime.Time, pp *
 		err = e.rebuildAggOutputs(p, trigger, rins, refs, stats)
 	default:
 		mapped = true
-		id := fmt.Sprintf("%sP%d", q.Sources[src].Name, int64(p))
-		e.sched.MapTasks.Push(id, nil)
-		defer e.sched.MapTasks.Remove(id)
 		if pp == nil {
 			gs := e.mr.Groupers(nil)
 			pp = e.preparePane(src, p, gs)
@@ -819,15 +809,12 @@ func (e *Engine) lookupCache(pidBytes []byte, typ CacheType) (ref cacheRef, ok, 
 	pid := sig.PID
 	reg := e.ctrl.Registry(sig.NID)
 	if reg == nil || !reg.Has(pid, typ) {
-		// Cache loss: roll back the ready bit and pull dependent
-		// tasks; the caller re-inserts the rebuild into the map list.
+		// Cache loss: roll back the ready bit; the caller's ladder
+		// rebuilds the pane on its lower rung.
 		// The bytes stopped being resident when chaos destroyed them,
 		// but §5 discovers the loss lazily — here, at the trigger.
 		e.commit(commit{kind: kindLost, at: e.curTrigger, pid: pid, typ: typ, node: sig.NID, bytes: sig.Bytes})
 		e.ctrl.SetReady(pid, typ, HDFSAvailable, sig.ReadyAt, sig.NID)
-		e.sched.ReduceTasks.RemoveMatching(func(id string) bool {
-			return containsPID(id, pid)
-		})
 		return cacheRef{}, false, true
 	}
 	e.ctrl.ClaimUser(pid, typ, e.qIdx)
@@ -1294,9 +1281,4 @@ func (e *Engine) forEachLifespanTuple(dim int, p window.PaneID, fn func(paneTupl
 		los[d], his[d] = lo, hi
 	}
 	forEachTupleRanges(los, his, fn)
-}
-
-// containsPID reports whether a task-list entry ID references the pid.
-func containsPID(id, pid string) bool {
-	return pid != "" && strings.Contains(id, pid)
 }

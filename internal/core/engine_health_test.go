@@ -197,24 +197,21 @@ func TestEngineHealthSharedMonitorAcrossEngines(t *testing.T) {
 }
 
 func TestEngineHealthSlowRecurrenceEscalates(t *testing.T) {
-	// An induced oversized batch (acceptance criterion): one slide
-	// carries far more data than the steady state, so the recurrence
-	// blows past a deadline tightened to sit just above the steady
-	// response. Status must leave OK and a deadline miss must be
-	// recorded.
-	mon := health.NewMonitor(health.Config{
-		AnomalyK:           2,
-		MinResidualSamples: 1,
-		MissStreak:         2,
-	})
+	// An induced oversized batch: from slide 8 on a slide carries far
+	// more data than the steady state, so the first recurrence that
+	// covers it misses its Holt forecast by far more than AnomalyK
+	// times the residual EWMA. The spike comes late enough that
+	// MinResidualSamples forecast residuals precede it, so the
+	// detector is armed when it arrives.
+	mon := health.NewMonitor(health.DefaultConfig())
 	o := obs.New()
 	mon.SetObserver(o)
 	q := countQuery("spiky", testWin, testSlide, "")
 	eng := mustEngine(t, core.Config{MR: newRig(2, 9), Query: q, Health: mon})
 	gen := func(_, s int) []records.Record {
 		n := 200
-		if s >= 6 {
-			n = 40000 // ~200x spike from slide 6 on
+		if s >= 8 {
+			n = 40000 // ~200x spike from slide 8 on
 		}
 		return genWords(int64(31+s), testSlide, s, n, 20)
 	}
@@ -231,7 +228,7 @@ func TestEngineHealthSlowRecurrenceEscalates(t *testing.T) {
 		t.Fatal(err)
 	}
 	fed := int(frames[0].WindowClose(2)/spec.Slide) + 1
-	for r := 3; r < 6; r++ {
+	for r := 3; r < 8; r++ {
 		for close := frames[0].WindowClose(r); int64(fed)*spec.Slide < close; fed++ {
 			if err := eng.Ingest(0, gen(0, fed)); err != nil {
 				t.Fatal(err)

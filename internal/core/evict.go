@@ -49,9 +49,6 @@ func (e *Engine) evictOverCap(at simtime.Time) {
 				break
 			}
 			e.ctrl.SetReady(c.PID, ReduceInput, HDFSAvailable, c.ReadyAt, node)
-			e.sched.ReduceTasks.RemoveMatching(func(id string) bool {
-				return containsPID(id, c.PID)
-			})
 			over -= reg.Evict(c.PID, ReduceInput)
 			e.commit(commit{kind: kindEvicted, at: at, pid: c.PID, typ: ReduceInput, node: node,
 				bytes: c.Bytes, cost: simtime.Duration(c.RecomputeNS)})

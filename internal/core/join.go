@@ -245,8 +245,6 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 		baseReady = 0 // gated only by the input caches' readiness
 	}
 	id := groupID(q, group)
-	e.sched.ReduceTasks.Push(id, nil)
-	defer e.sched.ReduceTasks.Remove(id)
 
 	// The batch's distinct input panes in order of first use, and each
 	// tuple's as indexes of them (at[i*n+d]): the same in every partition.
@@ -382,8 +380,8 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 	return nil
 }
 
-// groupID names a batched tuple task for the reduce task list, e.g.
-// "S1P3+S2P4" or "S1P3+8 tuples".
+// groupID names a batched tuple task's join span, e.g. "S1P3+S2P4" or
+// "S1P3+8 tuples".
 func groupID(q *Query, g tupleGroup) string {
 	if len(g.tuples) == 1 && len(g.tuples[0]) == 2 {
 		return fmt.Sprintf("%sP%d+%sP%d", q.Sources[0].Name, int64(g.tuples[0][0]),

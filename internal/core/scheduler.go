@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"redoop/internal/cluster"
@@ -19,9 +18,8 @@ type CacheLoc struct {
 
 // Scheduler is Redoop's window-aware, cache-aware task scheduler (paper
 // §4.3). It keeps the fixed partition→reducer ("home node") mapping
-// that makes reduce-side caches reusable across recurrences, maintains
-// the map and reduce task lists driven by the cache controller's ready
-// bits, and places cache-fed reduce tasks by the paper's Equation 4:
+// that makes reduce-side caches reusable across recurrences and places
+// cache-fed reduce tasks by the paper's Equation 4:
 //
 //	node = argmin_i ( Load_i + C_task,i )
 //
@@ -29,8 +27,11 @@ type CacheLoc struct {
 // queueing delay before a reduce slot frees, which directly captures
 // "if all task slots of a node are taken, assign the task elsewhere
 // even if its cache is there" — and C_task,i is the I/O cost of loading
-// the task's caches from node i's perspective. It reports nothing
-// itself: the engine commits each decision it returns.
+// the task's caches from node i's perspective. It keeps no task lists:
+// Algorithm 2's mapTaskList and reduceTaskList are the engine's
+// recovery ladder (ensurePane), which maps a pane when its caches'
+// ready bits say it must. It reports nothing itself: the engine
+// commits each decision it returns.
 type Scheduler struct {
 	// mu guards homes so placements can be read while the engine
 	// schedules.
@@ -45,25 +46,12 @@ type Scheduler struct {
 
 	homes map[int]int // reduce partition -> home node ID
 	cands []Candidate // PickCacheTaskNode's breakdown, reused call to call
-
-	// MapTasks and ReduceTasks are the two scheduling lists of
-	// Algorithm 2: entries enter MapTasks when a data partition's
-	// ready bit turns 1 (newly arrived in HDFS) and ReduceTasks when
-	// cached partitions pair up within their lifespans (ready bit 2).
-	MapTasks    *TaskList
-	ReduceTasks *TaskList
 }
 
 // NewScheduler builds a scheduler over the cluster with the given cost
 // model.
 func NewScheduler(cl *cluster.Cluster, cost iocost.Model) *Scheduler {
-	return &Scheduler{
-		cl:          cl,
-		cost:        cost,
-		homes:       make(map[int]int),
-		MapTasks:    NewTaskList(),
-		ReduceTasks: NewTaskList(),
-	}
+	return &Scheduler{cl: cl, cost: cost, homes: make(map[int]int)}
 }
 
 // HomeNode returns the node that hosts reduce partition part's caches,
@@ -188,84 +176,3 @@ func (s *Scheduler) classifyPlacement(chosen int, load simtime.Duration, caches 
 	}
 	return "remote"
 }
-
-// TaskEntry is one pending entry of a scheduling list.
-type TaskEntry struct {
-	// ID names the data partition(s) involved, e.g. "S1P3" for a map
-	// task or "S1P3+S2P4" for a paired reduce task.
-	ID string
-	// Payload carries engine-specific context.
-	Payload any
-}
-
-// TaskList is a FIFO task list (the paper's mapTaskList /
-// reduceTaskList). It is intentionally simple: entries are consumed in
-// arrival order; removal by ID supports the failure-recovery rollback
-// that pulls tasks whose caches were lost.
-type TaskList struct {
-	entries []TaskEntry
-}
-
-// NewTaskList returns an empty list.
-func NewTaskList() *TaskList { return &TaskList{} }
-
-// Len returns the number of pending entries.
-func (l *TaskList) Len() int { return len(l.entries) }
-
-// Push appends an entry.
-func (l *TaskList) Push(id string, payload any) {
-	l.entries = append(l.entries, TaskEntry{ID: id, Payload: payload})
-}
-
-// Pop removes and returns the oldest entry (FIFO order, as Algorithm 2
-// consumes the map task list). The vacated slot is zeroed so the
-// backing array stops referencing the popped payload (rolled-back
-// reduce payloads reference cached pane data that must stay GC-able).
-func (l *TaskList) Pop() (TaskEntry, bool) {
-	if len(l.entries) == 0 {
-		return TaskEntry{}, false
-	}
-	e := l.entries[0]
-	l.entries[0] = TaskEntry{}
-	l.entries = l.entries[1:]
-	return e, true
-}
-
-// Remove deletes all entries whose ID matches, returning how many were
-// removed — the rollback path when a cache underpinning a scheduled
-// task is lost (§5).
-func (l *TaskList) Remove(id string) int {
-	return l.RemoveMatching(func(eid string) bool { return eid == id })
-}
-
-// RemoveMatching deletes entries whose ID satisfies pred. Tail slots
-// vacated by the compaction are zeroed so removed payloads don't
-// linger in the backing array.
-func (l *TaskList) RemoveMatching(pred func(id string) bool) int {
-	kept := l.entries[:0]
-	n := 0
-	for _, e := range l.entries {
-		if pred(e.ID) {
-			n++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	for i := len(kept); i < len(l.entries); i++ {
-		l.entries[i] = TaskEntry{}
-	}
-	l.entries = kept
-	return n
-}
-
-// IDs returns the pending entry IDs in order.
-func (l *TaskList) IDs() []string {
-	out := make([]string, len(l.entries))
-	for i, e := range l.entries {
-		out[i] = e.ID
-	}
-	return out
-}
-
-// String summarizes the list.
-func (l *TaskList) String() string { return fmt.Sprintf("%v", l.IDs()) }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"redoop/internal/cluster"
@@ -110,35 +109,6 @@ func TestCacheCostLocalVsRemote(t *testing.T) {
 	}
 }
 
-func TestTaskListFIFO(t *testing.T) {
-	l := NewTaskList()
-	if _, ok := l.Pop(); ok {
-		t.Error("empty list should not pop")
-	}
-	l.Push("S1P1", nil)
-	l.Push("S1P2", "payload")
-	l.Push("S1P1", nil)
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	if got := l.IDs(); !reflect.DeepEqual(got, []string{"S1P1", "S1P2", "S1P1"}) {
-		t.Errorf("IDs = %v", got)
-	}
-	e, ok := l.Pop()
-	if !ok || e.ID != "S1P1" {
-		t.Errorf("Pop = %+v, want first S1P1", e)
-	}
-	if n := l.Remove("S1P1"); n != 1 {
-		t.Errorf("Remove = %d, want 1", n)
-	}
-	if n := l.RemoveMatching(func(id string) bool { return id == "S1P2" }); n != 1 {
-		t.Errorf("RemoveMatching = %d, want 1", n)
-	}
-	if l.Len() != 0 {
-		t.Errorf("list should be empty, got %v", l.String())
-	}
-}
-
 // Eq. 4's documented contract: ties break toward the lower node ID.
 // A fail/recover cycle must not let candidate ordering pick a higher
 // ID when costs are equal.
@@ -162,49 +132,6 @@ func TestPickCacheTaskNodeTieBreaksOnLowerID(t *testing.T) {
 	caches := []CacheLoc{{Node: 1, Bytes: 1 << 20}, {Node: 2, Bytes: 1 << 20}}
 	if n := s.PickCacheTaskNode(0, caches, false).Node; n.ID != 1 {
 		t.Errorf("symmetric cache tie should pick node 1, got %d", n.ID)
-	}
-}
-
-// Removed entries must not linger in the backing array: rolled-back
-// reduce payloads reference cached pane data the GC must reclaim.
-func TestTaskListClearsVacatedSlots(t *testing.T) {
-	check := func(t *testing.T, l *TaskList) {
-		t.Helper()
-		backing := l.entries[:cap(l.entries)]
-		for i := l.Len(); i < len(backing); i++ {
-			if backing[i] != (TaskEntry{}) {
-				t.Errorf("backing slot %d retains %+v after removal", i, backing[i])
-			}
-		}
-	}
-
-	l := NewTaskList()
-	l.Push("S1P1", "payload-1")
-	l.Push("S1P2", "payload-2")
-	l.Push("S1P3", "payload-3")
-	l.Push("S2P1", "payload-4")
-
-	if e, ok := l.Pop(); !ok || e.Payload != "payload-1" {
-		t.Fatalf("Pop = %+v, %v", e, ok)
-	}
-	if n := l.Remove("S1P3"); n != 1 {
-		t.Fatalf("Remove = %d, want 1", n)
-	}
-	check(t, l)
-	if n := l.RemoveMatching(func(id string) bool { return id == "S2P1" }); n != 1 {
-		t.Fatalf("RemoveMatching = %d, want 1", n)
-	}
-	check(t, l)
-
-	// Pop's vacated slot zeroes too: rebuild a fresh list and verify
-	// the popped head entry no longer exists in the backing array.
-	l2 := NewTaskList()
-	l2.Push("A", "head-payload")
-	l2.Push("B", "tail-payload")
-	head := l2.entries // aliases the backing array from its start
-	l2.Pop()
-	if head[0] != (TaskEntry{}) {
-		t.Errorf("popped head slot retains %+v", head[0])
 	}
 }
 

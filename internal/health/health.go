@@ -76,25 +76,29 @@ func (s Status) Level() int {
 	}
 }
 
-// Config tunes the monitor's thresholds. The zero Config is filled
-// with defaults by NewMonitor.
-type Config struct {
+// The monitor's fixed thresholds.
+const (
 	// AnomalyK flags a recurrence when its absolute Holt residual
-	// exceeds AnomalyK times the residual EWMA. Default 3.
-	AnomalyK float64
+	// exceeds AnomalyK times the residual EWMA.
+	AnomalyK = 3
 	// ResidualAlpha is the EWMA smoothing factor of the absolute
-	// residual scale, in (0, 1]. Default 0.3.
-	ResidualAlpha float64
+	// residual scale.
+	ResidualAlpha = 0.3
 	// MinResidualSamples is how many residuals must be absorbed before
 	// anomaly detection arms — a cold-start guard so the first noisy
-	// forecasts don't fire alerts. Default 3.
-	MinResidualSamples int
+	// forecasts don't fire alerts.
+	MinResidualSamples = 3
 	// AtRiskFraction: headroom below AtRiskFraction·slide marks the
-	// query AT_RISK even when the deadline was met. Default 0.2.
-	AtRiskFraction float64
+	// query AT_RISK even when the deadline was met.
+	AtRiskFraction = 0.2
 	// MissStreak is how many consecutive deadline misses escalate
-	// AT_RISK to MISSING_DEADLINES. Default 3.
-	MissStreak int
+	// AT_RISK to MISSING_DEADLINES.
+	MissStreak = 3
+)
+
+// Config holds the monitor's two operator settings; the zero Config
+// sets neither.
+type Config struct {
 	// DeadlineOverride, when positive, replaces every registered
 	// query's natural deadline (its slide). Simulated runs finish
 	// recurrences in virtual milliseconds against multi-minute slides,
@@ -106,37 +110,9 @@ type Config struct {
 	CacheByteSecondBudget float64
 }
 
-// DefaultConfig returns the default thresholds.
-func DefaultConfig() Config {
-	return Config{
-		AnomalyK:           3,
-		ResidualAlpha:      0.3,
-		MinResidualSamples: 3,
-		AtRiskFraction:     0.2,
-		MissStreak:         3,
-	}
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.AnomalyK <= 0 {
-		c.AnomalyK = d.AnomalyK
-	}
-	if c.ResidualAlpha <= 0 || c.ResidualAlpha > 1 {
-		c.ResidualAlpha = d.ResidualAlpha
-	}
-	if c.MinResidualSamples <= 0 {
-		c.MinResidualSamples = d.MinResidualSamples
-	}
-	if c.AtRiskFraction <= 0 {
-		c.AtRiskFraction = d.AtRiskFraction
-	}
-	if c.MissStreak <= 0 {
-		c.MissStreak = d.MissStreak
-	}
-	return c
-}
+// DefaultConfig returns the zero Config: no deadline override, no
+// cache budget.
+func DefaultConfig() Config { return Config{} }
 
 // Sample is what the engine reports at each recurrence boundary, after
 // the adaptive re-planning decision for the next recurrence has been
@@ -216,10 +192,9 @@ type Monitor struct {
 	names    map[string]int // base-name registrations, for suffixing
 }
 
-// NewMonitor returns a monitor with the given thresholds (zero fields
-// take defaults).
+// NewMonitor returns a monitor with the given settings.
 func NewMonitor(cfg Config) *Monitor {
-	return &Monitor{cfg: cfg.withDefaults(), names: make(map[string]int)}
+	return &Monitor{cfg: cfg, names: make(map[string]int)}
 }
 
 // SetObserver attaches the observability layer the monitor emits its
@@ -242,14 +217,6 @@ func (m *Monitor) Observer() *obs.Observer {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.obs
-}
-
-// Config returns the monitor's effective thresholds.
-func (m *Monitor) Config() Config {
-	if m == nil {
-		return DefaultConfig()
-	}
-	return m.cfg
 }
 
 // Register adds a query to the monitor and returns its tracker.
@@ -461,14 +428,14 @@ func (t *Tracker) Observe(s Sample) {
 	if s.HaveForecast {
 		residualNS = math.Abs(float64(s.Response - s.Forecast))
 		ewmaBefore = t.resEWMA
-		if t.resSamples >= cfg.MinResidualSamples && residualNS > cfg.AnomalyK*ewmaBefore {
+		if t.resSamples >= MinResidualSamples && residualNS > AnomalyK*ewmaBefore {
 			anomaly = true
 			t.anomalies++
 		}
 		if t.resSamples == 0 {
 			t.resEWMA = residualNS
 		} else {
-			t.resEWMA = cfg.ResidualAlpha*residualNS + (1-cfg.ResidualAlpha)*t.resEWMA
+			t.resEWMA = ResidualAlpha*residualNS + (1-ResidualAlpha)*t.resEWMA
 		}
 		t.resSamples++
 		t.lastForecastNS = int64(s.Forecast)
@@ -487,9 +454,9 @@ func (t *Tracker) Observe(s Sample) {
 	next := StatusOK
 	if t.deadline > 0 {
 		switch {
-		case t.streak >= cfg.MissStreak:
+		case t.streak >= MissStreak:
 			next = StatusMissingDeadlines
-		case missed || float64(t.headroom) < cfg.AtRiskFraction*float64(t.deadline):
+		case missed || float64(t.headroom) < AtRiskFraction*float64(t.deadline):
 			next = StatusAtRisk
 		}
 	}
@@ -521,7 +488,7 @@ func (t *Tracker) Observe(s Sample) {
 			ActualNS:    int64(s.Response),
 			ResidualNS:  int64(residualNS),
 			EWMANS:      int64(ewmaBefore),
-			K:           cfg.AnomalyK,
+			K:           AnomalyK,
 			ReplanFired: s.ReplanFired,
 		})
 	}

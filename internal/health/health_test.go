@@ -24,7 +24,7 @@ func sampleAt(r int, response, forecast simtime.Duration, haveForecast bool) Sam
 
 func TestStatusTransitions(t *testing.T) {
 	o := obs.New()
-	m := NewMonitor(Config{MissStreak: 2, AtRiskFraction: 0.2})
+	m := NewMonitor(Config{})
 	m.SetObserver(o)
 	trk := m.Register("q1", 100*simtime.Millisecond)
 
@@ -45,7 +45,7 @@ func TestStatusTransitions(t *testing.T) {
 		t.Fatalf("deadline misses = %d, want 0", st.DeadlineMisses)
 	}
 
-	// First miss: still AT_RISK (streak 1 < MissStreak 2).
+	// First miss: still AT_RISK (streak 1 < MissStreak 3).
 	trk.Observe(sampleAt(2, 150*simtime.Millisecond, 0, false))
 	st = trk.Status()
 	if st.Status != StatusAtRisk || st.MissStreak != 1 || st.DeadlineMisses != 1 {
@@ -55,20 +55,26 @@ func TestStatusTransitions(t *testing.T) {
 		t.Fatalf("headroom = %d, want -50ms", st.HeadroomNS)
 	}
 
-	// Second consecutive miss: MISSING_DEADLINES.
+	// Second consecutive miss: still AT_RISK.
 	trk.Observe(sampleAt(3, 180*simtime.Millisecond, 0, false))
-	st = trk.Status()
-	if st.Status != StatusMissingDeadlines || st.MissStreak != 2 {
+	if st = trk.Status(); st.Status != StatusAtRisk || st.MissStreak != 2 {
 		t.Fatalf("after two misses: %+v", st)
+	}
+
+	// Third consecutive miss: MISSING_DEADLINES.
+	trk.Observe(sampleAt(4, 170*simtime.Millisecond, 0, false))
+	st = trk.Status()
+	if st.Status != StatusMissingDeadlines || st.MissStreak != 3 {
+		t.Fatalf("after three misses: %+v", st)
 	}
 	if st.MinHeadroomNS != int64(-80*simtime.Millisecond) {
 		t.Fatalf("min headroom = %d, want -80ms", st.MinHeadroomNS)
 	}
 
 	// Recovery resets the streak and the status.
-	trk.Observe(sampleAt(4, 40*simtime.Millisecond, 0, false))
+	trk.Observe(sampleAt(5, 40*simtime.Millisecond, 0, false))
 	st = trk.Status()
-	if st.Status != StatusOK || st.MissStreak != 0 || st.MaxMissStreak != 2 {
+	if st.Status != StatusOK || st.MissStreak != 0 || st.MaxMissStreak != 3 {
 		t.Fatalf("after recovery: %+v", st)
 	}
 
@@ -84,8 +90,8 @@ func TestStatusTransitions(t *testing.T) {
 	}
 
 	// Counters and gauges reflect the history.
-	if v := o.Metrics.Counter("redoop_deadline_misses_total", obs.L("query", "q1")).Value(); v != 2 {
-		t.Fatalf("misses counter = %v, want 2", v)
+	if v := o.Metrics.Counter("redoop_deadline_misses_total", obs.L("query", "q1")).Value(); v != 3 {
+		t.Fatalf("misses counter = %v, want 3", v)
 	}
 	if v := o.Metrics.Gauge("redoop_health_status", obs.L("query", "q1")).Value(); v != 0 {
 		t.Fatalf("status gauge = %v, want 0", v)
@@ -120,12 +126,13 @@ func TestCacheByteSecondBudget(t *testing.T) {
 	}
 
 	// Over budget AND missing deadlines: the worse status wins.
-	miss := Config{CacheByteSecondBudget: 1000, MissStreak: 1}
-	m2 := NewMonitor(miss)
+	m2 := NewMonitor(Config{CacheByteSecondBudget: 1000})
 	trk2 := m2.Register("q2", 100*simtime.Millisecond)
-	s = sampleAt(0, 150*simtime.Millisecond, 0, false)
-	s.CacheByteSeconds = 2000
-	trk2.Observe(s)
+	for r := 0; r < MissStreak; r++ {
+		s = sampleAt(r, 150*simtime.Millisecond, 0, false)
+		s.CacheByteSeconds = 2000
+		trk2.Observe(s)
+	}
 	if st := trk2.Status(); st.Status != StatusMissingDeadlines || !st.OverCacheBudget {
 		t.Fatalf("budget must not mask missed deadlines: %+v", st)
 	}
@@ -154,7 +161,7 @@ func TestCacheByteSecondBudget(t *testing.T) {
 
 func TestAnomalyDetectionAndAdaptivityMiss(t *testing.T) {
 	o := obs.New()
-	m := NewMonitor(Config{AnomalyK: 3, ResidualAlpha: 0.5, MinResidualSamples: 2})
+	m := NewMonitor(Config{})
 	m.SetObserver(o)
 	trk := m.Register("q1", simtime.Second)
 
@@ -175,15 +182,18 @@ func TestAnomalyDetectionAndAdaptivityMiss(t *testing.T) {
 		t.Fatalf("single-sample EWMA = %d, want 10ms", st.ResidualEWMANS)
 	}
 
-	// Second residual (10ms): EWMA stays 10ms; still below min samples.
-	trk.Observe(sampleAt(2, 110*simtime.Millisecond, 100*simtime.Millisecond, true))
-	if st := trk.Status(); st.Anomalies != 0 || st.ResidualEWMANS != int64(10*simtime.Millisecond) {
-		t.Fatalf("second residual: %+v", st)
+	// Second and third residuals (10ms): EWMA stays 10ms; still below
+	// min samples.
+	for r := 2; r <= 3; r++ {
+		trk.Observe(sampleAt(r, 110*simtime.Millisecond, 100*simtime.Millisecond, true))
+		if st := trk.Status(); st.Anomalies != 0 || st.ResidualEWMANS != int64(10*simtime.Millisecond) {
+			t.Fatalf("residual %d: %+v", r, st)
+		}
 	}
 
-	// Detector armed (2 samples ≥ min). A 100ms residual > 3·10ms EWMA
+	// Detector armed (3 samples ≥ min). A 100ms residual > 3·10ms EWMA
 	// fires; no re-plan happened, so it is also an adaptivity miss.
-	trk.Observe(sampleAt(3, 200*simtime.Millisecond, 100*simtime.Millisecond, true))
+	trk.Observe(sampleAt(4, 200*simtime.Millisecond, 100*simtime.Millisecond, true))
 	st = trk.Status()
 	if st.Anomalies != 1 || st.AdaptivityMisses != 1 {
 		t.Fatalf("anomaly not flagged: %+v", st)
@@ -201,9 +211,9 @@ func TestAnomalyDetectionAndAdaptivityMiss(t *testing.T) {
 	}
 
 	// Another deviation (the EWMA absorbed the first anomaly, so the
-	// bar is now 3·55ms), but the re-planner reacted: an anomaly, not
+	// bar is now 3·37ms), but the re-planner reacted: an anomaly, not
 	// an adaptivity miss.
-	s := sampleAt(4, 300*simtime.Millisecond, 100*simtime.Millisecond, true)
+	s := sampleAt(5, 300*simtime.Millisecond, 100*simtime.Millisecond, true)
 	s.ReplanFired = true
 	trk.Observe(s)
 	st = trk.Status()
@@ -335,10 +345,12 @@ func TestSnapshotJSONShape(t *testing.T) {
 }
 
 func TestWriteText(t *testing.T) {
-	m := NewMonitor(Config{MissStreak: 1})
+	m := NewMonitor(Config{})
 	trk := m.Register("q1", 100*simtime.Millisecond)
 	m.Register("count-q", 0)
-	trk.Observe(sampleAt(0, 150*simtime.Millisecond, 0, false))
+	for r := 0; r < MissStreak; r++ {
+		trk.Observe(sampleAt(r, 150*simtime.Millisecond, 0, false))
+	}
 	var sb strings.Builder
 	if err := m.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -378,20 +390,6 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	m := NewMonitor(Config{})
-	cfg := m.Config()
-	if cfg.AnomalyK != 3 || cfg.ResidualAlpha != 0.3 || cfg.MinResidualSamples != 3 ||
-		cfg.AtRiskFraction != 0.2 || cfg.MissStreak != 3 {
-		t.Fatalf("defaults not applied: %+v", cfg)
-	}
-	// Explicit values survive.
-	m2 := NewMonitor(Config{AnomalyK: 5, MissStreak: 1})
-	if got := m2.Config(); got.AnomalyK != 5 || got.MissStreak != 1 {
-		t.Fatalf("explicit config overridden: %+v", got)
-	}
-}
-
 func TestDeadlineOverride(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DeadlineOverride = 5 * simtime.Millisecond
@@ -416,10 +414,9 @@ func TestDeadlineOverride(t *testing.T) {
 
 // TestResidualEWMASingleSample pins down the seeding rule: the first
 // residual becomes the EWMA exactly (no smoothing against a zero
-// prior), and a single sample never arms the detector when
-// MinResidualSamples > 1.
+// prior), and a single sample never arms the detector.
 func TestResidualEWMASingleSample(t *testing.T) {
-	m := NewMonitor(Config{AnomalyK: 3, ResidualAlpha: 0.3, MinResidualSamples: 2})
+	m := NewMonitor(Config{})
 	trk := m.Register("q", 0)
 
 	// First forecasted recurrence: residual 40ms seeds the EWMA.

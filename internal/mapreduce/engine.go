@@ -57,9 +57,6 @@ type Engine struct {
 	// spill/shuffle/read volumes) and per-attempt trace spans on the
 	// virtual timeline. Nil disables instrumentation at ~zero cost.
 	Obs *obs.Observer
-	// MaxAttempts bounds attempts per task before the job fails
-	// (Hadoop's mapred.map.max.attempts; default 4).
-	MaxAttempts int
 	// Workers bounds the goroutines used for the parallel compute
 	// phase (decode, user map/combine, sort/group, user reduce).
 	// Zero means GOMAXPROCS; 1 forces fully serial execution. Any
@@ -178,13 +175,6 @@ func (e *Engine) WorkerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (e *Engine) maxAttempts() int {
-	if e.MaxAttempts > 0 {
-		return e.MaxAttempts
-	}
-	return 4
-}
-
 // jittered scales a modelled duration by a jitter factor keyed by the
 // attempt's identity — kind, job, task, attempt number; with Jitter zero
 // it is the identity and formats nothing. Keying by task identity keeps
@@ -210,6 +200,10 @@ func (e *Engine) jittered(d simtime.Duration, kind, job, task string, attempt in
 	}
 	return simtime.Duration(float64(d) * factor)
 }
+
+// maxAttempts bounds attempts per task before the job fails (Hadoop's
+// mapred.map.max.attempts default).
+const maxAttempts = 4
 
 // speculationThreshold is how far past its modelled duration an
 // attempt runs before a backup launches (Hadoop's default heuristic
@@ -664,7 +658,7 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 		id = s.ID()
 	}
 	m := e.metrics()
-	for attempt := 0; attempt < e.maxAttempts(); attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		node := e.placementFor(job).PlaceMap(e, s, ready)
 		if node == nil {
 			return nil, 0, 0, spent, 0, fmt.Errorf("mapreduce: job %q: no alive node for map over %s", job.Name, s.ID())
@@ -730,7 +724,7 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 		}
 		return node, end, attempt + 1, spent, won, nil
 	}
-	return nil, 0, 0, spent, 0, fmt.Errorf("mapreduce: job %q: map task %s failed %d attempts", job.Name, s.ID(), e.maxAttempts())
+	return nil, 0, 0, spent, 0, fmt.Errorf("mapreduce: job %q: map task %s failed %d attempts", job.Name, s.ID(), maxAttempts)
 }
 
 // viewSplits reads every referenced file once, validates it whole
@@ -904,7 +898,7 @@ func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.No
 	part, inBytes, outBytes := rr.Part, rr.InBytes, rr.OutBytes
 	m := e.metrics()
 	var prev obs.SpanID // failed-attempt chain, as in runMapAttempts
-	for attempt := 0; attempt < e.maxAttempts(); attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if node == nil || !node.Alive() {
 			node = e.placementFor(job).PlaceReduce(e, job, part, ready)
 			if node == nil {
@@ -977,7 +971,7 @@ func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.No
 		rr.Span = e.Obs.Task(span)
 		return shuffleDur, spent, nil
 	}
-	return 0, spent, fmt.Errorf("mapreduce: job %q: reduce %d failed %d attempts", job.Name, part, e.maxAttempts())
+	return 0, spent, fmt.Errorf("mapreduce: job %q: reduce %d failed %d attempts", job.Name, part, maxAttempts)
 }
 
 // Result is the outcome of a complete job run.
@@ -992,8 +986,9 @@ type Result struct {
 
 // Run executes a complete job starting (at the earliest) at start: map
 // over all inputs, shuffle, sort, reduce, and optionally write the
-// output to DFS. This is the plain-Hadoop execution path the paper's
-// baseline uses for every recurrence.
+// output to DFS. The paper's baseline (internal/baseline) does not call
+// it: it runs one RunMapPhase per source, merges them with
+// MergeMapPhases and reduces with RunReducePhase.
 func (e *Engine) Run(job *Job, start simtime.Time) (*Result, error) {
 	mp, err := e.RunMapPhase(job, WholeFiles(job.Inputs), start)
 	if err != nil {

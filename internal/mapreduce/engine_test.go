@@ -365,7 +365,6 @@ func TestFaultExhaustionFailsJob(t *testing.T) {
 	e := testRig(t, 2)
 	writeWords(t, e, "/in", []string{"w"}, 100)
 	e.Faults = FailFirstAttempts{N: 100}
-	e.MaxAttempts = 3
 	if _, err := e.Run(wordCountJob([]string{"/in"}, 1), 0); err == nil {
 		t.Error("exhausting attempts should fail the job")
 	}

@@ -63,16 +63,16 @@ func writeLineageReport(w io.Writer, lin *lineage.Store, acct *account.Ledger, e
 	name := eng.AccountName()
 	fmt.Fprintf(w, "lineage %s: plan fingerprint %s\n", name, eng.PlanFingerprint())
 
-	winID := lineage.WindowID(name, lastRec)
-	tr, ok := lin.Trace(winID)
+	winKey := lineage.WindowKey(name, lastRec)
+	tr, ok := lin.Trace(winKey)
 	if !ok {
-		return fmt.Errorf("lineage: window derivation %s missing from the provenance store", winID)
+		return fmt.Errorf("lineage: window derivation %s missing from the provenance store", winKey.ID())
 	}
 	labels := make(map[string]string, len(tr.Nodes))
 	for _, n := range tr.Nodes {
 		labels[n.ID] = n.Label
 	}
-	fmt.Fprintf(w, "  window %s derives from %d nodes over %d edges:\n", winID, len(tr.Nodes), len(tr.Edges))
+	fmt.Fprintf(w, "  window %s derives from %d nodes over %d edges:\n", tr.Root, len(tr.Nodes), len(tr.Edges))
 	for i, e := range tr.Edges {
 		if i == maxTraceEdges {
 			fmt.Fprintf(w, "    … and %d more edges (full DAG via -lineage-out)\n", len(tr.Edges)-maxTraceEdges)
@@ -91,10 +91,10 @@ func writeLineageReport(w io.Writer, lin *lineage.Store, acct *account.Ledger, e
 	// windows keep the DAG sum well under fresh per-window compute.
 	var dagCost int64
 	for _, n := range tr.Nodes {
-		if n.Kind == "batch" || n.Kind == "evicted" || n.ID == winID {
+		if n.Kind == "batch" || n.Kind == "evicted" || n.Key == winKey {
 			continue
 		}
-		if d, ok := lin.Lookup(n.ID); ok {
+		if d, ok := lin.Lookup(n.Key); ok {
 			dagCost += d.CostNS
 		}
 	}

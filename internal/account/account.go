@@ -35,6 +35,7 @@
 package account
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -80,16 +81,11 @@ const (
 // IOKinds lists every kind in presentation order.
 var IOKinds = []IOKind{IODFSRead, IODFSWrite, IODFSRepl, IOShuffle}
 
-// residency is one open cache interval: pid/typ resident on behalf of
-// owner since `since`. recompute is the modeled cost to rebuild it,
-// credited to a consumer on hit.
+// residency is one open cache interval, a value under its cache's
+// resKey: resident on behalf of owner since `since`. recompute is the
+// modeled cost to rebuild it, credited to a consumer on hit.
 type residency struct {
-	// key is the interval's map key in open and pending, "<pid>|<typ>",
-	// made once when the interval opens.
-	key       string
 	owner     string
-	pid       string
-	typ       int
 	bytes     int64
 	since     simtime.Time
 	recompute simtime.Duration
@@ -164,9 +160,10 @@ type queryAcct struct {
 	byteSeconds  float64 // closed residencies only; open ones accrue on read
 	curResident  int64
 	peakResident int64
-	// open are the query's open residencies in key order, the order
-	// byteSecondsLocked sums them in, kept as residencies open and close.
-	open []*residency
+	// open are the keys of the query's open residencies in key order,
+	// the order byteSecondsLocked sums them in, kept as residencies open
+	// and close.
+	open []resKey
 
 	saved simtime.Duration // recompute saved by hits, net of load paid
 	// crossSaved is the subset of saved credited by cross-query reuse
@@ -193,17 +190,17 @@ func newQueryAcct(name, tenant string) *queryAcct {
 	}
 }
 
-// openAt returns where key is, or would go, in a's ordered open
+// openAt returns where k is, or would go, in a's ordered open
 // residencies.
-func (a *queryAcct) openAt(key string) (int, bool) {
-	return slices.BinarySearchFunc(a.open, key, func(r *residency, key string) int { return strings.Compare(r.key, key) })
+func (a *queryAcct) openAt(k resKey) (int, bool) {
+	return slices.BinarySearchFunc(a.open, k, resKey.compare)
 }
 
 // pendingHit is an armed net-of-load adjustment: the consumer a hit
 // credited and the recompute it was credited with.
 type pendingHit struct {
-	key, query string
-	recompute  simtime.Duration
+	query     string
+	recompute simtime.Duration
 }
 
 // QueryCosts is one query's ledger snapshot.
@@ -256,13 +253,13 @@ type Ledger struct {
 	mu      sync.Mutex
 	queries map[string]*queryAcct
 	order   []string
-	open    map[string]*residency // key: resKey(pid, typ)
+	open    map[resKey]residency
 	// pending maps a hit cache's key to the consumer whose saving must
 	// be netted by that cache's next load cost. Armed by CacheHit,
 	// consumed by the first subsequent CacheLoaded for the same key or
 	// dropped when the residency expires; loads of caches never hit
 	// leave savings untouched.
-	pending map[string]pendingHit
+	pending map[resKey]pendingHit
 	// watermark is the latest virtual instant the ledger has been
 	// advanced to; open residencies accrue byte·seconds up to it when
 	// read.
@@ -273,22 +270,29 @@ type Ledger struct {
 func New() *Ledger {
 	return &Ledger{
 		queries: map[string]*queryAcct{},
-		open:    map[string]*residency{},
-		pending: map[string]pendingHit{},
+		open:    map[resKey]residency{},
+		pending: map[resKey]pendingHit{},
 	}
 }
 
-// keyBuf is the stack space a residency key is built in; a longer key
-// spills to the heap and stays correct.
-type keyBuf [128]byte
+// resKey names a residency by value: its cache's pid and type. The key
+// shares the caller's pid string, so opening a residency makes none.
+type resKey struct {
+	pid string
+	typ int
+}
 
-// resKey appends pid/typ's residency key, "<pid>|<typ>", to b. Callers
-// build it in a keyBuf and index open and pending with string(key),
-// which does not allocate; only a new residency makes it a string. The
-// keys stay strings rather than a struct because byteSecondsLocked sums
-// in their order.
-func resKey(b []byte, pid string, typ int) []byte {
-	return strconv.AppendInt(append(append(b, pid...), '|'), int64(typ), 10)
+// appendTo appends the key's "<pid>|<typ>" form to b.
+func (k resKey) appendTo(b []byte) []byte {
+	return strconv.AppendInt(append(append(b, k.pid...), '|'), int64(k.typ), 10)
+}
+
+// compare orders keys as their "<pid>|<typ>" forms sort, the order open
+// residencies are summed in. The forms are built on the stack; a longer
+// one spills to the heap and stays correct.
+func (k resKey) compare(o resKey) int {
+	var a, b [128]byte
+	return bytes.Compare(k.appendTo(a[:0]), o.appendTo(b[:0]))
 }
 
 // Register adds a query to the ledger and returns the account name to
@@ -349,16 +353,16 @@ func (l *Ledger) AddIO(query string, k IOKind, bytes int64) {
 	l.acct(query).io[k] += bytes
 }
 
-// closeLocked accrues and removes an open residency and returns its
-// key, "" when none was open. Caller holds l.mu.
-func (l *Ledger) closeLocked(key []byte, at simtime.Time) string {
-	r, ok := l.open[string(key)]
+// closeLocked accrues and removes k's open residency and reports
+// whether one was open. Caller holds l.mu.
+func (l *Ledger) closeLocked(k resKey, at simtime.Time) bool {
+	r, ok := l.open[k]
 	if !ok {
-		return ""
+		return false
 	}
-	delete(l.open, r.key)
+	delete(l.open, k)
 	a := l.acct(r.owner)
-	if i, ok := a.openAt(r.key); ok {
+	if i, ok := a.openAt(k); ok {
 		a.open = slices.Delete(a.open, i, i+1)
 	}
 	if at.After(r.since) {
@@ -366,7 +370,7 @@ func (l *Ledger) closeLocked(key []byte, at simtime.Time) string {
 	}
 	a.curResident -= r.bytes
 	a.expired++
-	return r.key
+	return true
 }
 
 // CacheRegistered opens a residency interval for pid/typ, owned by
@@ -379,18 +383,12 @@ func (l *Ledger) CacheRegistered(query, pid string, typ int, bytes int64, at sim
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var buf keyBuf
-	key := resKey(buf[:0], pid, typ)
-	l.closeLocked(key, at)
-	k := string(key)
-	r := &residency{
-		key: k, owner: query, pid: pid, typ: typ,
-		bytes: bytes, since: at, recompute: recompute,
-	}
-	l.open[k] = r
+	k := resKey{pid, typ}
+	l.closeLocked(k, at)
+	l.open[k] = residency{owner: query, bytes: bytes, since: at, recompute: recompute}
 	a := l.acct(query)
 	i, _ := a.openAt(k)
-	a.open = slices.Insert(a.open, i, r)
+	a.open = slices.Insert(a.open, i, k)
 	a.curResident += bytes
 	if a.curResident > a.peakResident {
 		a.peakResident = a.curResident
@@ -414,8 +412,9 @@ func (l *Ledger) CacheExpired(pid string, typ int, at simtime.Time) {
 	if at.After(l.watermark) {
 		l.watermark = at
 	}
-	var buf keyBuf
-	delete(l.pending, l.closeLocked(resKey(buf[:0], pid, typ), at))
+	if k := (resKey{pid, typ}); l.closeLocked(k, at) {
+		delete(l.pending, k)
+	}
 }
 
 // Residency returns the feature vector of pid/typ's still-open
@@ -428,8 +427,7 @@ func (l *Ledger) Residency(pid string, typ int) (ResidencyFeatures, bool) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var buf keyBuf
-	r, ok := l.open[string(resKey(buf[:0], pid, typ))]
+	r, ok := l.open[resKey{pid, typ}]
 	if !ok {
 		return ResidencyFeatures{}, false
 	}
@@ -457,17 +455,18 @@ func (l *Ledger) cacheHit(query, pid string, typ int, at simtime.Time, cross boo
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var buf keyBuf
-	if r, ok := l.open[string(resKey(buf[:0], pid, typ))]; ok {
+	k := resKey{pid, typ}
+	if r, ok := l.open[k]; ok {
 		a := l.acct(query)
 		a.saved += r.recompute
 		a.hits++
 		r.hits++
+		l.open[k] = r
 		if cross {
 			a.crossSaved += r.recompute
 			a.crossHits++
 		}
-		l.pending[r.key] = pendingHit{r.key, query, r.recompute}
+		l.pending[k] = pendingHit{query, r.recompute}
 	}
 	if at.After(l.watermark) {
 		l.watermark = at
@@ -485,12 +484,12 @@ func (l *Ledger) CacheLoaded(pid string, typ int, load simtime.Duration) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var buf keyBuf
-	h, ok := l.pending[string(resKey(buf[:0], pid, typ))]
+	k := resKey{pid, typ}
+	h, ok := l.pending[k]
 	if !ok {
 		return
 	}
-	delete(l.pending, h.key)
+	delete(l.pending, k)
 	a := l.acct(h.query)
 	a.saved -= load
 	if load > h.recompute && a.overrun == nil {
@@ -520,8 +519,8 @@ func (l *Ledger) Advance(at simtime.Time) {
 // nondeterministic. Caller holds l.mu.
 func (l *Ledger) byteSecondsLocked(a *queryAcct) float64 {
 	bs := a.byteSeconds
-	for _, r := range a.open {
-		if l.watermark.After(r.since) {
+	for _, k := range a.open {
+		if r := l.open[k]; l.watermark.After(r.since) {
 			bs += float64(r.bytes) * l.watermark.Sub(r.since).Seconds()
 		}
 	}
@@ -621,7 +620,7 @@ func (l *Ledger) CheckConservation(busyNS int64, queries ...string) error {
 		}
 		for k, h := range l.pending {
 			if _, ok := l.open[k]; !ok && h.query == a.name {
-				return fmt.Errorf("account: query %s: the hit on cache %s waits for a load, but its residency is closed", a.name, k)
+				return fmt.Errorf("account: query %s: the hit on cache %s|%d waits for a load, but its residency is closed", a.name, k.pid, k.typ)
 			}
 		}
 		if a.registered != a.expired+openBy[a.name] {
@@ -656,16 +655,16 @@ func (l *Ledger) OpenResidencies() []Residency {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	keys := make([]string, 0, len(l.open))
+	keys := make([]resKey, 0, len(l.open))
 	for k := range l.open {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.SortFunc(keys, resKey.compare)
 	out := make([]Residency, 0, len(keys))
 	for _, k := range keys {
 		r := l.open[k]
 		out = append(out, Residency{
-			Query: r.owner, PID: r.pid, Type: r.typ,
+			Query: r.owner, PID: k.pid, Type: k.typ,
 			Bytes: r.bytes, Since: r.since,
 		})
 	}

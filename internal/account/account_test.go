@@ -248,7 +248,7 @@ func TestHitCreditClosesWithResidency(t *testing.T) {
 	}
 	// Simulate the leak: a hit left armed on a closed residency.
 	l.mu.Lock()
-	l.pending["query/q/gone|1"] = pendingHit{"query/q/gone|1", "q", 10}
+	l.pending[resKey{"query/q/gone", 1}] = pendingHit{"q", 10}
 	l.mu.Unlock()
 	if err := l.CheckConservation(1<<60, "q"); err == nil || !strings.Contains(err.Error(), "query/q/gone|1") {
 		t.Fatalf("a pending hit without a residency must fail conservation naming it, got %v", err)

@@ -244,7 +244,8 @@ func (c *commit) cacheData() eventlog.CacheData {
 }
 
 // obsFold counts the transitions and records them as the tracer's
-// decisions, a cache decision's payload unboxed (Tracer.EmitCache).
+// decisions, a cache decision's and a placement's payload unboxed
+// (Tracer.EmitCache, Tracer.EmitPlacement).
 // Trace spans are not here: span IDs are data the engine threads
 // through cacheRef, so the tracer is called directly where the task is
 // scheduled.
@@ -273,6 +274,9 @@ func (e *Engine) obsFold() func(*commit) {
 		placementQueue = obs.NewSeries[obs.Histogram]("redoop_placement_queue_seconds")
 		evictions      = obs.NewSeries[obs.Counter]("redoop_cache_evictions_total")
 	)
+	// A placement's candidates are converted in one scratch slice, which
+	// the tracer copies.
+	var audit []eventlog.PlacementCandidate
 	lookup := func(c *commit, result string, typ eventlog.Type) {
 		lookups.On(o, lookupKey{result, c.typ}).Inc()
 		o.EmitCache(c.at, typ, qname, c.cacheData())
@@ -313,12 +317,12 @@ func (e *Engine) obsFold() func(*commit) {
 			placements.On(o, p.Outcome).Inc()
 			placementQueue.On(o).Observe(p.Queue.Seconds())
 			if len(p.Candidates) > 0 {
-				audit := make([]eventlog.PlacementCandidate, len(p.Candidates))
-				for i, cd := range p.Candidates {
-					audit[i] = eventlog.PlacementCandidate{Node: cd.Node,
-						LoadNS: int64(cd.Load), CacheCostNS: int64(cd.CacheCost), TotalNS: int64(cd.Total)}
+				audit = audit[:0]
+				for _, cd := range p.Candidates {
+					audit = append(audit, eventlog.PlacementCandidate{Node: cd.Node,
+						LoadNS: int64(cd.Load), CacheCostNS: int64(cd.CacheCost), TotalNS: int64(cd.Total)})
 				}
-				o.Emit(c.at, eventlog.Placement, qname, eventlog.PlacementData{Recurrence: c.rec,
+				o.EmitPlacement(c.at, qname, eventlog.PlacementData{Recurrence: c.rec,
 					Chosen: p.Node.ID, Outcome: p.Outcome, Caches: p.Caches, Candidates: audit})
 			}
 		case kindExpired:
@@ -411,16 +415,18 @@ func (e *Engine) ledgerFold(l *account.Ledger) func(*commit) {
 	}
 }
 
-// lineageFold records provenance: a derivation node per cache
-// registration and emitted window, with the raw batches (reduce inputs)
-// or upstream derivations (everything else) it was built from resolved
-// here from the commit's source/pane/inputs, expired when its cache is
-// retired, evicted or lost.
+// lineageFold records provenance: a derivation per cache
+// registration and emitted window, keyed by the cache's pid and type
+// (the window's ID), with the raw batches (reduce inputs) or upstream
+// derivations (everything else) it was built from resolved here from
+// the commit's source/pane/inputs, expired when its cache is retired,
+// evicted or lost.
 func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 	q := e.query
 	// Every partition of a pane claims the same batches; remember the
 	// last answer until ingestion (or another engine's, seen at the next
-	// trigger) can have changed it.
+	// trigger) can have changed it. The store keeps the claims by
+	// reference, which is why each answer is a fresh slice.
 	var memo []lineage.BatchRef
 	memoSrc, memoPane := -1, window.PaneID(0)
 	batches := func(src int, p window.PaneID) []lineage.BatchRef {
@@ -430,29 +436,32 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 		}
 		return memo
 	}
-	// Derivation IDs are appended into a stack buffer and looked up as
-	// bytes; a registration makes the one string its derivation keeps.
-	// An input reference shares the stored ID and carries the input's
-	// insertion seq, so closure checks can tell a legitimately evicted
-	// input from a bookkeeping hole. RecordDerivation copies Inputs, so
-	// the references are gathered in one scratch slice.
-	var inputs []lineage.InputRef
-	input := func(id []byte) { inputs = append(inputs, s.Input(id)) }
-	var windows lineage.PairsHasher
+	// Input references are resolved by the PID appended into a stack
+	// buffer, so a retained input shares its stored key, and gathered in
+	// one scratch slice, which the store copies; so are a batch's runs.
+	var (
+		inputs  []lineage.InputRef
+		runs    []lineage.PaneRange
+		windows lineage.PairsHasher
+	)
+	input := func(pid []byte, typ CacheType) { inputs = append(inputs, s.Input(pid, int(typ))) }
 	return func(c *commit) {
-		var buf pidBuf
 		switch c.kind {
 		case kindIngested:
-			// Which contiguous record-index runs land in which pane.
-			// Ingest calls are serial per the data model, so the per-
-			// source batch sequence is deterministic.
+			// Which contiguous record-index runs land in which pane: a
+			// record is compared with the current pane's bounds, and
+			// placed by division only when it leaves them. Ingest calls
+			// are serial per the data model, so the per-source batch
+			// sequence is deterministic.
 			frame := e.frames[c.src]
-			var runs []lineage.PaneRange
+			runs = runs[:0]
 			start, cur := 0, frame.PaneOf(c.recs[0].Ts)
+			lo, hi := frame.PaneStart(cur), frame.PaneEnd(cur)
 			for i := 1; i < len(c.recs); i++ {
-				if p := frame.PaneOf(c.recs[i].Ts); p != cur {
+				if ts := c.recs[i].Ts; ts < lo || ts >= hi {
 					runs = append(runs, lineage.PaneRange{Pane: int64(cur), R: lineage.Range{Lo: start, Hi: i}})
-					start, cur = i, p
+					start, cur = i, frame.PaneOf(ts)
+					lo, hi = frame.PaneStart(cur), frame.PaneEnd(cur)
 				}
 			}
 			runs = append(runs, lineage.PaneRange{Pane: int64(cur), R: lineage.Range{Lo: start, Hi: len(c.recs)}})
@@ -462,7 +471,7 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 			memoSrc = -1
 		case kindRegistered:
 			d := lineage.Derivation{
-				ID:    string(lineage.AppendDerivID(buf[:0], c.pid, int(c.typ))),
+				Key:   lineage.Key{PID: c.pid, Type: int(c.typ)},
 				Query: e.acctName, Fingerprint: e.planFP,
 				Recurrence: c.rec, Pane: int64(c.pane), Part: c.part,
 				Bytes: c.bytes, SHA: lineage.SHA(c.data),
@@ -477,16 +486,16 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 				d.Kind = "tuple-rout"
 			}
 			inputs = inputs[:0]
-			var inBuf pidBuf
 			for _, in := range c.inputs {
-				input(lineage.AppendDerivID(inBuf[:0], in.pid, int(in.typ)))
+				var pid pidBuf
+				input(append(pid[:0], in.pid...), in.typ)
 			}
 			d.Inputs = inputs
 			s.RecordDerivation(d)
 		case kindLost, kindExpired, kindEvicted:
 			// A lost cache's derivation expires like a retired one's: the
 			// rebuild that follows records it again.
-			s.MarkExpired(lineage.AppendDerivID(buf[:0], c.pid, int(c.typ)))
+			s.MarkExpired(lineage.Key{PID: c.pid, Type: int(c.typ)})
 		case kindWindow:
 			// The window consumes its pane (or pane-tuple) output
 			// caches. Window nodes are born expired: their bytes go to
@@ -497,7 +506,7 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 			tupleInputs := func(t paneTuple) {
 				var pid pidBuf
 				for part := 0; part < q.NumReducers; part++ {
-					input(lineage.AppendDerivType(q.appendRoutTuplePID(pid[:0], t, part), int(ReduceOutput)))
+					input(q.appendRoutTuplePID(pid[:0], t, part), ReduceOutput)
 				}
 			}
 			if len(q.Sources) == 1 {
@@ -509,7 +518,7 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 				forEachTupleRanges(los, his, tupleInputs)
 			}
 			s.RecordDerivation(lineage.Derivation{
-				ID: lineage.WindowID(e.acctName, c.rec), Kind: "window", Query: e.acctName,
+				Key: lineage.WindowKey(e.acctName, c.rec), Kind: "window", Query: e.acctName,
 				Fingerprint: e.planFP, Recurrence: c.rec, Pane: int64(res.WindowLo),
 				Bytes: int64(colfmt.PairsSize(res.Output)), SHA: windows.SHA(res.Output),
 				CostNS: int64(res.ResponseTime), Inputs: inputs, Expired: true,

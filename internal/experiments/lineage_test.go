@@ -141,7 +141,8 @@ func auditCatchesBadSHA(t *testing.T, cfg Config, spec runSpec, kind string) {
 }
 
 // poisonNewestDerivation rewrites the newest unexpired derivation of
-// the audited kind with a SHA that cannot match any recompute.
+// the audited kind with a digest one bit off the one recorded, which no
+// recompute of its claimed inputs can match.
 func poisonNewestDerivation(t *testing.T, lin *lineage.Store, query, kind string) {
 	t.Helper()
 	snap := lin.Snapshot()
@@ -150,7 +151,7 @@ func poisonNewestDerivation(t *testing.T, lin *lineage.Store, query, kind string
 		if d.Kind != kind || d.Expired || d.Query != query {
 			continue
 		}
-		d.SHA = lineage.SHA([]byte("poison"))
+		d.SHA[0] ^= 1
 		lin.RecordDerivation(d)
 		return
 	}

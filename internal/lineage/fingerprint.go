@@ -1,10 +1,16 @@
 // Package lineage is Redoop's provenance store: a concurrency-safe,
 // bounded derivation DAG of how every cached pane and emitted window
 // was derived — which input batches (down to record-offset ranges) fed
-// it, which upstream derivations it was built from, the SHA of its
-// bytes, and which downstream windows consumed it. How a run executed
-// (task attempts, cache copies, replicas, injected faults) is the
-// tracer's record, not the store's.
+// it, which upstream derivations it was built from, and the SHA-256 of
+// its bytes. How a run executed (task attempts, cache copies,
+// replicas, injected faults) is the tracer's record, not the store's.
+//
+// A derivation is recorded as a fact: a fixed-size value under a value
+// Key (a cache's pid and type, or a window's ID), its SHA a 32-byte
+// Digest. What can be derived is not kept: a derivation's ID string
+// and its consumers — the retained derivations whose inputs name it —
+// are formatted and gathered when Lookup, Snapshot, Trace or Graph
+// reads them, so recording one allocates nothing of its own.
 //
 // The store is fed exclusively from the engines' serial commit fold
 // (cache registration, expiry, loss and window finalization), so its
@@ -94,37 +100,51 @@ func (p Plan) canonical() string {
 	return b.String()
 }
 
-// SHA returns the hex SHA-256 of a derivation's cached bytes ("" for
-// empty data) — the figure the oracle's recomputation pass matches.
-func SHA(data []byte) string {
-	if len(data) == 0 {
+// Digest is the SHA-256 of a derivation's cached bytes, kept as its 32
+// bytes; the zero Digest stands for no data. It reads, and marshals, as
+// the hex SHA ("" for no data), the figure the oracle's recomputation
+// pass matches.
+type Digest [sha256.Size]byte
+
+// String returns the hex SHA, or "" for no data.
+func (d Digest) String() string {
+	if d == (Digest{}) {
 		return ""
 	}
-	sum := sha256.Sum256(data)
-	var buf [2 * sha256.Size]byte
-	return string(hex.AppendEncode(buf[:0], sum[:]))
+	return hex.EncodeToString(d[:])
+}
+
+// MarshalText encodes the digest as String does.
+func (d Digest) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
+
+// SHA returns the digest of a derivation's cached bytes (zero for empty
+// data).
+func SHA(data []byte) Digest {
+	if len(data) == 0 {
+		return Digest{}
+	}
+	return sha256.Sum256(data)
 }
 
 // PairsHasher computes SHA(colfmt.EncodePairs(pairs)) without building
-// the segment; one kept across calls allocates only the SHA string.
+// the segment; one kept across calls allocates nothing.
 type PairsHasher struct {
 	h   hash.Hash
 	sum [sha256.Size]byte
 	s   colfmt.PairStream
 }
 
-// SHA returns the hex SHA-256 of pairs' encoded segment ("" for none).
-func (p *PairsHasher) SHA(pairs []records.Pair) string {
+// SHA returns the digest of pairs' encoded segment (zero for none).
+func (p *PairsHasher) SHA(pairs []records.Pair) Digest {
 	if len(pairs) == 0 {
-		return ""
+		return Digest{}
 	}
 	if p.h == nil {
 		p.h = sha256.New()
 	}
 	p.h.Reset()
 	p.s.WritePairs(p.h, pairs)
-	var buf [2 * sha256.Size]byte
-	return string(hex.AppendEncode(buf[:0], p.h.Sum(p.sum[:0])))
+	return Digest(p.h.Sum(p.sum[:0]))
 }
 
 // Fingerprint returns the canonical plan fingerprint: a hex SHA-256 of

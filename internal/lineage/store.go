@@ -54,18 +54,20 @@ type BatchRef struct {
 
 // InputRef points a derivation at an upstream derivation, carrying the
 // target's insertion sequence so closure checks can tell a legitimately
-// evicted input from a bookkeeping hole.
+// evicted input from a bookkeeping hole (Store.Input).
 type InputRef struct {
-	ID  string `json:"id"`
+	Key Key    `json:"key"`
 	Seq uint64 `json:"seq"`
 }
 
 // Derivation is one provenance node: a cached pane segment (reduce
-// input or output), a join tuple output, or an emitted window.
+// input or output), a join tuple output, or an emitted window. The
+// store keeps it as recorded, a fact of fixed-size fields keyed by
+// value; its ID and its consumers are derived when it is read.
 type Derivation struct {
-	// ID is the node's stable identity: DerivID(pid, typ) for caches,
-	// WindowID(query, recurrence) for windows.
-	ID string `json:"id"`
+	// Key is the node's stable identity: the cache's pid and type, or
+	// WindowKey(query, recurrence) for windows.
+	Key Key `json:"key"`
 	// Kind is pane-rin | pane-rout | tuple-rout | window.
 	Kind  string `json:"kind"`
 	Query string `json:"query"`
@@ -76,17 +78,21 @@ type Derivation struct {
 	Pane       int64 `json:"pane"`
 	Part       int   `json:"part"`
 	Bytes      int64 `json:"bytes"`
-	// SHA is the hex SHA-256 of the derived bytes at build time — the
+	// SHA is the digest of the derived bytes at build time — the
 	// oracle recomputes claimed inputs and matches it.
-	SHA string `json:"sha"`
+	SHA Digest `json:"sha"`
 	// CostNS is the modeled virtual cost of (re)building the node, the
 	// same figure the account ledger credits on a cache hit.
 	CostNS int64 `json:"costNS"`
 	// Job names the mapreduce job whose attempts produced the node
-	// (empty for windows): the job label of its task spans.
+	// (empty for windows and for outputs rebuilt from cached inputs):
+	// the job label of its task spans.
 	Job string `json:"job,omitempty"`
-	// Batches are the raw-input claims; Inputs the upstream
-	// derivations; Consumers the downstream derivation IDs.
+	// Batches are the raw-input claims, which the store keeps as given,
+	// so they must not change afterwards; Inputs the upstream
+	// derivations, which it copies; Consumers, filled in when read, the
+	// IDs of the retained derivations whose Inputs name this one, in
+	// insertion order.
 	Batches   []BatchRef `json:"batches,omitempty"`
 	Inputs    []InputRef `json:"inputs,omitempty"`
 	Consumers []string   `json:"consumers,omitempty"`
@@ -100,21 +106,29 @@ type Derivation struct {
 	Expired bool `json:"expired"`
 }
 
-// DerivID is the derivation ID of cache pid/typ (typ is the engine's
-// CacheType ordinal), "<pid>|<typ>".
-func DerivID(pid string, typ int) string { return string(AppendDerivID(nil, pid, typ)) }
-
-// AppendDerivID appends DerivID(pid, typ) to b. Callers on a steady path
-// append into a stack buffer and hand the bytes to the by-ID methods
-// (Input, MarkExpired), which look them up without making a string.
-func AppendDerivID(b []byte, pid string, typ int) []byte {
-	return AppendDerivType(append(b, pid...), typ)
+// Key names a derivation by value: a cache by its PID and CacheType
+// ordinal, a window by its whole ID (WindowKey). The store keeps the
+// key, sharing the caller's PID string, and formats the ID only when a
+// reader asks for it.
+type Key struct {
+	PID  string
+	Type int
 }
 
-// AppendDerivType appends the "|<typ>" that turns a cache PID already
-// in b into its derivation ID.
-func AppendDerivType(b []byte, typ int) []byte {
-	return strconv.AppendInt(append(b, '|'), int64(typ), 10)
+// windowType is the Type of a window's key, whose PID is its whole ID.
+const windowType = -1
+
+// WindowKey is the key of query's recurrence-r window output.
+func WindowKey(query string, r int) Key { return Key{WindowID(query, r), windowType} }
+
+// ID formats the key as its derivation ID: "<pid>|<typ>" for a cache,
+// WindowID(query, recurrence) for a window.
+func (k Key) ID() string {
+	if k.Type == windowType {
+		return k.PID
+	}
+	var buf [64]byte
+	return string(strconv.AppendInt(append(append(buf[:0], k.PID...), '|'), int64(k.Type), 10))
 }
 
 // WindowID is the derivation ID of query's recurrence-r window output.
@@ -150,9 +164,16 @@ type Store struct {
 	mu  sync.Mutex
 	cap int
 
-	seq    uint64
-	derivs map[string]*Derivation
-	order  []string // insertion order, eviction scan order
+	seq uint64
+	// nodes is a ring of the retained derivations in insertion order,
+	// by value: the i-th of live is nth(i), and eviction advances head.
+	// Their seqs are consecutive, so index, which maps each retained key
+	// to its seq, locates a node by its offset from the first (at).
+	nodes      []Derivation
+	head, live int
+	index      map[Key]uint64
+	// slab is where recorded inputs are copied to (keepInputs).
+	slab []InputRef
 	// watermark: every evicted derivation had Seq < watermark, every
 	// retained one has Seq >= watermark.
 	watermark uint64
@@ -190,7 +211,7 @@ func New(cap int) *Store {
 	}
 	return &Store{
 		cap:         cap,
-		derivs:      map[string]*Derivation{},
+		index:       map[Key]uint64{},
 		next:        map[string]int{},
 		batches:     map[string]*Batch{},
 		batchSeq:    map[srcKey]int{},
@@ -320,17 +341,18 @@ func (s *Store) Plans() map[string]string {
 	return out
 }
 
-// RecordDerivation inserts (or, for an existing ID, rebuilds) a
-// derivation. A rebuild keeps the node's consumers and bumps Builds.
-// Input derivations get the new node appended to their consumers.
+// RecordDerivation inserts (or, for a retained key, rebuilds) a
+// derivation; the store sets its Builds and Seq and ignores its
+// Consumers. A rebuild replaces the whole record, keeping only the
+// node's place in the insertion order and its build count, which it
+// bumps.
 //
 // A write whose Query differs from the stored node's is an alias, not
 // a rebuild: derivation IDs embed the raw query name, so two engines
 // with the same-named query sharing one store collide on ID while
 // keeping distinct accounting names. Nothing was lost or recomputed —
-// the node is re-homed to the latest writer (content and Query
-// replaced, consumers kept) without touching Builds or the rebuild
-// counter.
+// the node is re-homed to the latest writer without touching Builds or
+// the rebuild counter.
 func (s *Store) RecordDerivation(d Derivation) {
 	if s == nil {
 		return
@@ -340,134 +362,180 @@ func (s *Store) RecordDerivation(d Derivation) {
 	if d.Kind == "window" && d.Recurrence >= s.next[d.Query] {
 		s.next[d.Query] = d.Recurrence + 1
 	}
-	if old, ok := s.derivs[d.ID]; ok {
+	d.Inputs, d.Consumers = s.keepInputs(&d), nil
+	seq, rebuild := s.index[d.Key]
+	if rebuild {
+		old := s.at(seq)
 		if !old.Expired {
 			s.adjustBatchClaimsLocked(old.Query, old.Batches, -1)
 		}
-		old.Recurrence = d.Recurrence
-		old.Bytes = d.Bytes
-		old.SHA = d.SHA
-		old.CostNS = d.CostNS
-		old.Fingerprint = d.Fingerprint
-		old.Batches = append([]BatchRef(nil), d.Batches...)
-		old.Inputs = append([]InputRef(nil), d.Inputs...)
-		old.Expired = false
-		s.adjustBatchClaimsLocked(d.Query, d.Batches, 1)
-		if old.Query != d.Query {
-			old.Query = d.Query
-		} else {
-			old.Builds++
+		d.Builds, d.Seq = old.Builds, seq
+		if old.Query == d.Query {
+			d.Builds++
 			s.rebuilds++
 		}
-		s.linkConsumersLocked(d)
-		return
+		*old = d
+	} else {
+		if s.live == len(s.nodes) {
+			s.resize(max(2*s.live, 64))
+		}
+		s.seq++
+		d.Builds, d.Seq = 1, s.seq
+		*s.nth(s.live) = d
+		s.live++
+		s.index[d.Key] = s.seq
 	}
-	s.seq++
-	nd := d
-	nd.Seq = s.seq
-	nd.Builds = 1
-	nd.Batches = append([]BatchRef(nil), d.Batches...)
-	nd.Inputs = append([]InputRef(nil), d.Inputs...)
-	nd.Consumers = append([]string(nil), d.Consumers...)
-	s.derivs[d.ID] = &nd
-	s.order = append(s.order, d.ID)
-	if !nd.Expired {
-		s.adjustBatchClaimsLocked(nd.Query, nd.Batches, 1)
+	if !d.Expired {
+		s.adjustBatchClaimsLocked(d.Query, d.Batches, 1)
 	}
-	s.linkConsumersLocked(d)
-	s.evictLocked()
+	if !rebuild {
+		s.evictLocked()
+	}
 }
 
-// linkConsumersLocked appends d.ID to each retained input's consumer
-// list (deduplicated). Caller holds s.mu.
-func (s *Store) linkConsumersLocked(d Derivation) {
-	for _, in := range d.Inputs {
-		up, ok := s.derivs[in.ID]
-		if !ok {
-			continue
-		}
-		dup := false
-		for _, c := range up.Consumers {
-			if c == d.ID {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			up.Consumers = append(up.Consumers, d.ID)
-		}
+// slabRefs is how many input references one slab holds.
+const slabRefs = 128
+
+// keepInputs copies d's inputs for the store to keep. A cache's few go
+// into the store's slab, a new one started when it is full, so
+// recording them allocates once per slab; a slab is collected once no
+// retained derivation points into it. A window's, one per partition of
+// each of its panes, get an array of their own, which leaves no slab
+// part-empty. Caller holds s.mu.
+func (s *Store) keepInputs(d *Derivation) []InputRef {
+	refs := d.Inputs
+	switch {
+	case len(refs) == 0:
+		return nil
+	case d.Kind == "window" || len(refs) > slabRefs:
+		return slices.Clone(refs)
+	case cap(s.slab)-len(s.slab) < len(refs):
+		s.slab = make([]InputRef, 0, slabRefs)
 	}
+	n := len(s.slab)
+	s.slab = append(s.slab, refs...)
+	return s.slab[n:len(s.slab):len(s.slab)]
+}
+
+// resize moves the retained derivations, in order, into a ring of n
+// slots. Caller holds s.mu.
+func (s *Store) resize(n int) {
+	nodes := make([]Derivation, n)
+	for i := range s.live {
+		nodes[i] = *s.nth(i)
+	}
+	s.nodes, s.head = nodes, 0
+}
+
+// nth returns the i-th retained derivation in insertion order. Caller
+// holds s.mu.
+func (s *Store) nth(i int) *Derivation { return &s.nodes[(s.head+i)%len(s.nodes)] }
+
+// pos returns where the retained node of insertion sequence seq is in
+// insertion order. Caller holds s.mu.
+func (s *Store) pos(seq uint64) int { return int(seq - s.nth(0).Seq) }
+
+// at returns the retained node of insertion sequence seq. Caller holds
+// s.mu.
+func (s *Store) at(seq uint64) *Derivation { return s.nth(s.pos(seq)) }
+
+// lookupLocked returns the retained node k names. Caller holds s.mu.
+func (s *Store) lookupLocked(k Key) (*Derivation, bool) {
+	seq, ok := s.index[k]
+	if !ok {
+		return nil, false
+	}
+	return s.at(seq), true
 }
 
 // evictLocked drops the oldest expired derivations while over capacity
-// or past the age bound, advancing the watermark and moving the rest
-// down in place. Resident (unexpired) nodes are never evicted. Caller
-// holds s.mu.
+// or past the age bound, advancing the watermark, and halves a ring a
+// third full (a cold start's registrations leave one twice the steady
+// size). Resident (unexpired) nodes are never evicted. Caller holds
+// s.mu.
 func (s *Store) evictLocked() {
-	n := 0
-	for ; n < len(s.order); n++ {
-		d := s.derivs[s.order[n]]
-		if !d.Expired || len(s.order)-n <= s.cap && s.next[d.Query]-d.Recurrence <= KeepRecurrences {
+	for s.live > 0 {
+		d := s.nth(0)
+		if !d.Expired || s.live <= s.cap && s.next[d.Query]-d.Recurrence <= KeepRecurrences {
 			break
 		}
-		delete(s.derivs, d.ID)
+		delete(s.index, d.Key)
 		if d.Seq >= s.watermark {
 			s.watermark = d.Seq + 1
 		}
 		s.evicted++
+		*d = Derivation{}
+		s.head, s.live = (s.head+1)%len(s.nodes), s.live-1
 	}
-	s.order = slices.Delete(s.order, 0, n)
+	if n := len(s.nodes); n > 64 && s.live < n/3 {
+		s.resize(n / 2)
+	}
 }
 
-// The by-ID methods below take a derivation ID as bytes — typically
-// AppendDerivID into the caller's stack buffer — and index the store
-// with them directly, so a call on a retained derivation makes no
-// string.
-
-// Input returns the reference a consumer's Inputs carry to derivation
-// id: when retained, its stored ID string (shared, not copied) and its
-// insertion seq; otherwise a fresh string and seq 0.
-func (s *Store) Input(id []byte) InputRef {
-	if s == nil {
-		return InputRef{ID: string(id)}
+// Input returns the reference a consumer records to cache pid/typ, pid
+// given as bytes (typically built on the caller's stack): when retained,
+// the stored key (sharing its PID string) and insertion seq, so the call
+// makes no string; otherwise a fresh key and seq 0.
+func (s *Store) Input(pid []byte, typ int) InputRef {
+	if s != nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if seq, ok := s.index[Key{string(pid), typ}]; ok {
+			return InputRef{s.at(seq).Key, seq}
+		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.derivs[string(id)]
-	if !ok {
-		return InputRef{ID: string(id)}
-	}
-	return InputRef{ID: d.ID, Seq: d.Seq}
+	return InputRef{Key: Key{string(pid), typ}}
 }
 
 // MarkExpired closes a derivation's cache residency: the cache was
 // retired, evicted or lost, and a later registration rebuilds it.
-func (s *Store) MarkExpired(id []byte) {
+func (s *Store) MarkExpired(k Key) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if d, ok := s.derivs[string(id)]; ok && !d.Expired {
+	if d, ok := s.lookupLocked(k); ok && !d.Expired {
 		d.Expired = true
 		s.adjustBatchClaimsLocked(d.Query, d.Batches, -1)
 	}
 }
 
-// Lookup returns a deep copy of a retained derivation.
-func (s *Store) Lookup(id string) (Derivation, bool) {
+// Lookup returns a deep copy of a retained derivation, its consumers
+// derived.
+func (s *Store) Lookup(k Key) (Derivation, bool) {
 	if s == nil {
 		return Derivation{}, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d, ok := s.derivs[id]
+	n, ok := s.lookupLocked(k)
 	if !ok {
 		return Derivation{}, false
 	}
-	return copyDeriv(d), true
+	d := copyDeriv(n)
+	for i := range s.live {
+		c := s.nth(i)
+		for _, in := range c.Inputs {
+			if in.Key == k {
+				d.Consumers = appendConsumer(d.Consumers, c.Key.ID())
+			}
+		}
+	}
+	return d, true
 }
 
+// appendConsumer appends id to consumers unless it is already the last:
+// consumers are gathered in insertion order, so a consumer naming one
+// input twice would otherwise be listed twice.
+func appendConsumer(consumers []string, id string) []string {
+	if n := len(consumers); n > 0 && consumers[n-1] == id {
+		return consumers
+	}
+	return append(consumers, id)
+}
+
+// copyDeriv is a deep copy of a stored derivation.
 func copyDeriv(d *Derivation) Derivation {
 	out := *d
 	out.Batches = append([]BatchRef(nil), d.Batches...)
@@ -475,7 +543,6 @@ func copyDeriv(d *Derivation) Derivation {
 		out.Batches[i].Ranges = append([]Range(nil), b.Ranges...)
 	}
 	out.Inputs = append([]InputRef(nil), d.Inputs...)
-	out.Consumers = append([]string(nil), d.Consumers...)
 	return out
 }
 
@@ -498,14 +565,14 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Nodes:                len(s.order),
+		Nodes:                s.live,
 		Batches:              len(s.batchOrder),
 		DistinctFingerprints: len(s.plans),
 		Rebuilds:             s.rebuilds,
 		Evicted:              s.evicted,
 	}
-	for _, id := range s.order {
-		d := s.derivs[id]
+	for i := range s.live {
+		d := s.nth(i)
 		st.Edges += len(d.Batches) + len(d.Inputs)
 	}
 	return st
@@ -521,7 +588,8 @@ type Snapshot struct {
 	Stats       Stats        `json:"stats"`
 }
 
-// Snapshot returns a deep copy of the store in insertion order.
+// Snapshot returns a deep copy of the store in insertion order, each
+// derivation's consumers derived from the retained inputs.
 func (s *Store) Snapshot() Snapshot {
 	if s == nil {
 		return Snapshot{}
@@ -530,8 +598,20 @@ func (s *Store) Snapshot() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := Snapshot{Watermark: s.watermark, Stats: st}
-	for _, id := range s.order {
-		snap.Derivations = append(snap.Derivations, copyDeriv(s.derivs[id]))
+	for i := range s.live {
+		snap.Derivations = append(snap.Derivations, copyDeriv(s.nth(i)))
+	}
+	for i := range s.live {
+		var id string // formatted once per consumer
+		for _, in := range s.nth(i).Inputs {
+			if seq, ok := s.index[in.Key]; ok {
+				if id == "" {
+					id = snap.Derivations[i].Key.ID()
+				}
+				up := &snap.Derivations[s.pos(seq)]
+				up.Consumers = appendConsumer(up.Consumers, id)
+			}
+		}
 	}
 	for _, o := range s.batchOrder {
 		b := *s.batches[o.key]
@@ -542,7 +622,7 @@ func (s *Store) Snapshot() Snapshot {
 }
 
 // Closure verifies the store's structural invariants against the
-// derivation IDs of the caches the engine holds resident and returns
+// derivation keys of the caches the engine holds resident and returns
 // every violation found:
 //
 //  1. every resident cache entry has a retained, unexpired derivation;
@@ -551,33 +631,33 @@ func (s *Store) Snapshot() Snapshot {
 //  3. every claimed batch is retained or below its source's batch
 //     floor;
 //  4. plan fingerprints are injective over the recorded plans.
-func (s *Store) Closure(resident []string) []string {
+func (s *Store) Closure(resident []Key) []string {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var bad []string
-	for _, id := range resident {
-		d, ok := s.derivs[id]
+	for _, k := range resident {
+		d, ok := s.lookupLocked(k)
 		if !ok {
-			bad = append(bad, fmt.Sprintf("resident cache %s has no derivation", id))
+			bad = append(bad, fmt.Sprintf("resident cache %s has no derivation", k.ID()))
 			continue
 		}
 		if d.Expired {
-			bad = append(bad, fmt.Sprintf("resident cache %s is marked expired in the store", id))
+			bad = append(bad, fmt.Sprintf("resident cache %s is marked expired in the store", k.ID()))
 		}
 	}
-	for _, id := range s.order {
-		d := s.derivs[id]
+	for i := range s.live {
+		d := s.nth(i)
 		for _, in := range d.Inputs {
-			if _, ok := s.derivs[in.ID]; ok {
+			if _, ok := s.index[in.Key]; ok {
 				continue
 			}
 			if in.Seq < s.watermark {
 				continue // evicted
 			}
-			bad = append(bad, fmt.Sprintf("derivation %s input %s is neither retained nor evicted", id, in.ID))
+			bad = append(bad, fmt.Sprintf("derivation %s input %s is neither retained nor evicted", d.Key.ID(), in.Key.ID()))
 		}
 		for _, b := range d.Batches {
 			if _, ok := s.batches[BatchID(d.Query, b.Source, b.Seq)]; ok {
@@ -586,7 +666,7 @@ func (s *Store) Closure(resident []string) []string {
 			if b.Seq < s.batchFloor[srcKey{d.Query, b.Source}] {
 				continue // evicted
 			}
-			bad = append(bad, fmt.Sprintf("derivation %s claims missing batch %s/%d", id, b.Source, b.Seq))
+			bad = append(bad, fmt.Sprintf("derivation %s claims missing batch %s/%d", d.Key.ID(), b.Source, b.Seq))
 		}
 	}
 	if s.collision != "" {

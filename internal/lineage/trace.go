@@ -7,7 +7,9 @@ import (
 
 // TraceNode is one node of a rendered derivation DAG.
 type TraceNode struct {
-	ID    string `json:"id"`
+	ID string `json:"id"`
+	// Key is a derivation node's key (Store.Lookup); zero for a batch.
+	Key   Key    `json:"-"`
 	Kind  string `json:"kind"` // batch | evicted | pane-rin | pane-rout | tuple-rout | window
 	Label string `json:"label"`
 	// Depth is the BFS distance back from the trace root: 0 for the
@@ -32,44 +34,47 @@ type Trace struct {
 	Edges []TraceEdge `json:"edges"`
 }
 
-// Trace walks the DAG upstream from id, through Inputs and Batches,
-// with its edges ordered by producer and consumer ID. Returns ok=false
-// when id is not retained.
-func (s *Store) Trace(id string) (Trace, bool) {
+// Trace walks the DAG upstream from the derivation k names, through
+// Inputs and Batches, with its edges ordered by producer and consumer
+// ID. Returns ok=false when k is not retained.
+func (s *Store) Trace(k Key) (Trace, bool) {
 	if s == nil {
 		return Trace{}, false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	root, ok := s.derivs[id]
+	root, ok := s.lookupLocked(k)
 	if !ok {
 		return Trace{}, false
 	}
-	tr := Trace{Root: id, Nodes: []TraceNode{{ID: id, Kind: root.Kind, Label: derivLabel(root)}}}
+	id := k.ID()
+	tr := Trace{Root: id, Nodes: []TraceNode{{ID: id, Key: k, Kind: root.Kind, Label: derivLabel(root)}}}
 	seen := map[string]bool{id: true}
 	// Only retained derivations are queued, so each has a record.
 	type qe struct {
+		id    string
 		d     *Derivation
 		depth int
 	}
-	for queue := []qe{{root, 0}}; len(queue) > 0; queue = queue[1:] {
+	for queue := []qe{{id, root, 0}}; len(queue) > 0; queue = queue[1:] {
 		d, depth := queue[0].d, queue[0].depth-1
 		for _, in := range d.Inputs {
-			tr.Edges = append(tr.Edges, TraceEdge{From: in.ID, To: d.ID, CostNS: d.CostNS})
-			if seen[in.ID] {
+			inID := in.Key.ID()
+			tr.Edges = append(tr.Edges, TraceEdge{From: inID, To: queue[0].id, CostNS: d.CostNS})
+			if seen[inID] {
 				continue
 			}
-			seen[in.ID] = true
-			n := TraceNode{ID: in.ID, Kind: "evicted", Label: in.ID + " (evicted)", Depth: depth}
-			if up, ok := s.derivs[in.ID]; ok {
+			seen[inID] = true
+			n := TraceNode{ID: inID, Key: in.Key, Kind: "evicted", Label: inID + " (evicted)", Depth: depth}
+			if up, ok := s.lookupLocked(in.Key); ok {
 				n.Kind, n.Label = up.Kind, derivLabel(up)
-				queue = append(queue, qe{up, depth})
+				queue = append(queue, qe{inID, up, depth})
 			}
 			tr.Nodes = append(tr.Nodes, n)
 		}
 		for _, b := range d.Batches {
 			bid := BatchID(d.Query, b.Source, b.Seq)
-			tr.Edges = append(tr.Edges, TraceEdge{From: bid, To: d.ID, CostNS: d.CostNS})
+			tr.Edges = append(tr.Edges, TraceEdge{From: bid, To: queue[0].id, CostNS: d.CostNS})
 			if !seen[bid] {
 				seen[bid] = true
 				tr.Nodes = append(tr.Nodes, s.batchNodeLocked(bid, depth))
@@ -113,16 +118,18 @@ func (s *Store) Graph() Trace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var tr Trace
-	for _, id := range s.order {
-		d := s.derivs[id]
-		tr.Nodes = append(tr.Nodes, TraceNode{ID: id, Kind: d.Kind, Label: derivLabel(d)})
+	ids := make([]string, s.live)
+	for i := range s.live {
+		d := s.nth(i)
+		ids[i] = d.Key.ID()
+		tr.Nodes = append(tr.Nodes, TraceNode{ID: ids[i], Key: d.Key, Kind: d.Kind, Label: derivLabel(d)})
 	}
 	seenBatch := map[string]bool{}
-	for _, id := range s.order {
-		d := s.derivs[id]
+	for i := range s.live {
+		d := s.nth(i)
 		for _, in := range d.Inputs {
-			if _, ok := s.derivs[in.ID]; ok {
-				tr.Edges = append(tr.Edges, TraceEdge{From: in.ID, To: id, CostNS: d.CostNS})
+			if seq, ok := s.index[in.Key]; ok {
+				tr.Edges = append(tr.Edges, TraceEdge{From: ids[s.pos(seq)], To: ids[i], CostNS: d.CostNS})
 			}
 		}
 		for _, b := range d.Batches {
@@ -131,7 +138,7 @@ func (s *Store) Graph() Trace {
 				seenBatch[bid] = true
 				tr.Nodes = append(tr.Nodes, s.batchNodeLocked(bid, 0))
 			}
-			tr.Edges = append(tr.Edges, TraceEdge{From: bid, To: id, CostNS: d.CostNS})
+			tr.Edges = append(tr.Edges, TraceEdge{From: bid, To: ids[i], CostNS: d.CostNS})
 		}
 	}
 	return tr

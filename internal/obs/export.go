@@ -192,7 +192,7 @@ func (t *Tracer) WriteTraceJSON(w io.Writer) error {
 		}
 		for _, seg := range segs {
 			for i := range seg.decisions {
-				d := t.decisionLocked(&seg.decisions[i])
+				d := t.decisionLocked(&seg, &seg.decisions[i])
 				doc.Instant(QueryTrack(d.Query), "decision", string(d.Type), d.At, map[string]any{"data": d.Data})
 			}
 		}

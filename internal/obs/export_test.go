@@ -256,3 +256,31 @@ func TestNilExporters(t *testing.T) {
 		t.Error("nil tracer doc missing traceEvents")
 	}
 }
+
+// A dropped segment's arrays take the next recurrence's spans unless
+// they are more than twice what the closing one needed: a first
+// recurrence ten times the size of the rest is let go once it ages
+// out, not handed on for the whole run, and the steady recurrences
+// after it keep recycling theirs.
+func TestTracerLetsGoOfOversizedSegments(t *testing.T) {
+	tr := NewTracer()
+	rec := func(spans int) {
+		for i := 0; i < spans; i++ {
+			tr.Task(TaskSpan{Kind: SpanPhase, Track: "query:q", End: 1})
+		}
+		tr.Task(TaskSpan{Kind: SpanRecurrence, Track: "query:q", End: 2})
+	}
+	rec(1000)
+	for r := 0; r < KeepRecurrences; r++ {
+		rec(100)
+	}
+	if n := cap(tr.open.spans); n != 0 {
+		t.Fatalf("the first recurrence's %d-span array was handed on", n)
+	}
+	for r := 0; r <= KeepRecurrences; r++ {
+		rec(100)
+	}
+	if n := testing.AllocsPerRun(20, func() { rec(100) }); n != 0 {
+		t.Fatalf("a steady recurrence allocates %v times", n)
+	}
+}

@@ -106,6 +106,15 @@ func (o *Observer) EmitCache(at simtime.Time, typ eventlog.Type, query string, d
 	o.Tracer.EmitCache(at, typ, query, data)
 }
 
+// EmitPlacement records a placement decision, its payload unboxed, via
+// the bundled tracer; nil-safe.
+func (o *Observer) EmitPlacement(at simtime.Time, query string, data eventlog.PlacementData) {
+	if o == nil {
+		return
+	}
+	o.Tracer.EmitPlacement(at, query, data)
+}
+
 // EmitEnabled reports whether decisions are recorded — emitters that
 // must build a payload (e.g. the per-candidate placement breakdown)
 // check it first to skip the work when recording is off.

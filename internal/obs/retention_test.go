@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"regexp"
 	"slices"
 	"strconv"
@@ -223,5 +224,38 @@ func TestTracerRecyclesDroppedSegments(t *testing.T) {
 	}
 	if got, want := len(tr.Decisions()), obs.KeepRecurrences; got != want {
 		t.Fatalf("%d decisions kept, want %d", got, want)
+	}
+}
+
+// A placement decision keeps its payload unboxed, its candidates copied
+// out of the caller's scratch into its segment, so steady recording
+// allocates nothing; read, each is the PlacementData it was given.
+func TestPlacementsRecordUnboxed(t *testing.T) {
+	tr := obs.NewTracer()
+	scratch := make([]eventlog.PlacementCandidate, 0, 3)
+	place := func(r int) eventlog.PlacementData {
+		scratch = scratch[:0]
+		for n := 0; n < 1+r%3; n++ {
+			scratch = append(scratch, eventlog.PlacementCandidate{Node: n, LoadNS: int64(r), CacheCostNS: 2, TotalNS: int64(r) + 2})
+		}
+		return eventlog.PlacementData{Recurrence: r, Chosen: r % 3, Outcome: "cache-local", Caches: r, Candidates: scratch}
+	}
+	rec, r := func(r int) {
+		tr.EmitPlacement(1, "q", place(r))
+		tr.Task(obs.TaskSpan{Kind: obs.SpanRecurrence, Track: "query:q", End: 2})
+	}, 0
+	for ; r <= obs.KeepRecurrences; r++ {
+		rec(r)
+	}
+	if n := testing.AllocsPerRun(100, func() { rec(r); r++ }); n != 0 {
+		t.Fatalf("a steady placement allocates %v times", n)
+	}
+	dec := tr.Decisions()
+	for i, e := range dec {
+		want := place(r - len(dec) + i)
+		want.Candidates = slices.Clone(want.Candidates)
+		if e.Type != eventlog.Placement || e.Query != "q" || !reflect.DeepEqual(e.Data, want) {
+			t.Fatalf("decision %d = %s %s %+v, want a placement %+v", i, e.Type, e.Query, e.Data, want)
+		}
 	}
 }

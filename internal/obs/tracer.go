@@ -46,26 +46,45 @@ type Tracer struct {
 
 // segment is one recurrence's share of the record: its spans and
 // decisions, facts that Events, Decisions and the trace export format
-// when they read them.
+// when they read them, and what its placements weighed.
 type segment struct {
-	spans     []TaskSpan
-	decisions []decision
+	spans      []TaskSpan
+	decisions  []decision
+	placements []placed
+	cands      []eventlog.PlacementCandidate
 }
 
-// decision is one recorded decision event. A cache decision keeps its
-// payload's fields, so recording it allocates nothing; read, they
-// become an eventlog.CacheData. The strings decisions repeat are kept
-// as indexes into Tracer.names: a retained decision takes 72 bytes, not
-// the 120 its strings would.
+// decision is one recorded decision event. A cache decision and a
+// placement keep their payload's fields, so recording one allocates
+// nothing; read, they become an eventlog.CacheData or PlacementData.
+// The strings decisions repeat are kept as indexes into Tracer.names: a
+// retained decision takes 72 bytes, not the 120 its strings would.
 type decision struct {
-	at                    simtime.Time
-	data                  any // the payload of any other decision
-	pid                   string
-	bytes                 int64
-	node, rec             int32
-	typ, query, cacheType int32
-	isCache               bool
+	at   simtime.Time
+	data any // the payload of any other decision
+	pid  string
+	// bytes is a cache decision's bytes, a placement's index in its
+	// segment's placements; node a cache decision's node, a placement's
+	// chosen one.
+	bytes     int64
+	node, rec int32
+	// name is a cache decision's cache type, a placement's outcome.
+	typ, query, name int32
+	kind             decisionKind
 }
+
+// placed is what a placement weighed: the caches its task loads and
+// its candidates, its segment's cands[lo:hi].
+type placed struct{ caches, lo, hi int32 }
+
+// decisionKind says which payload a decision keeps unboxed.
+type decisionKind uint8
+
+const (
+	boxedDecision decisionKind = iota // data
+	cacheDecision
+	placementDecision
+)
 
 // KeepRecurrences is how many recurrences a Tracer keeps per track.
 const KeepRecurrences = 16
@@ -339,7 +358,7 @@ func (t *Tracer) Task(ts TaskSpan) SpanID {
 // open segment, which a recurrence root closes as its track's: the root
 // and all recorded since the last one. A track's segments past
 // KeepRecurrences go oldest first, their cleared arrays becoming the
-// next open segment's. Caller holds t.mu.
+// next open segment's (recycle). Caller holds t.mu.
 func (t *Tracer) recordLocked(s *TaskSpan) {
 	if _, ok := t.tids[s.Track]; !ok {
 		t.tids[s.Track] = len(t.tracks)
@@ -357,12 +376,23 @@ func (t *Tracer) recordLocked(s *TaskSpan) {
 		}
 	}
 	if owned > KeepRecurrences {
-		old := t.segs[oldest]
-		clear(old.spans)
-		clear(old.decisions)
-		t.open = segment{old.spans[:0], old.decisions[:0]}
+		old, closed := t.segs[oldest], t.segs[len(t.segs)-1]
+		t.open = segment{recycle(old.spans, len(closed.spans)), recycle(old.decisions, len(closed.decisions)),
+			recycle(old.placements, len(closed.placements)), recycle(old.cands, len(closed.cands))}
 		t.segs = slices.Delete(t.segs, oldest, oldest+1)
 	}
+}
+
+// recycle returns a dropped segment's array, cleared, for the next open
+// segment to fill, unless it holds more than twice what the segment
+// just closed needed: a cold start's, sized for every pane it built,
+// would otherwise be handed on for the whole run.
+func recycle[T any](old []T, used int) []T {
+	if cap(old) > max(2*used, 64) {
+		return nil
+	}
+	clear(old)
+	return old[:0]
 }
 
 // Emit records a decision event in the open segment, so it is kept
@@ -386,9 +416,29 @@ func (t *Tracer) EmitCache(at simtime.Time, typ eventlog.Type, query string, dat
 	t.mu.Lock()
 	t.open.decisions = append(t.open.decisions, decision{
 		at: at, pid: data.PID, bytes: data.Bytes, node: int32(data.Node), rec: int32(data.Recurrence),
-		typ: t.nameLocked(string(typ)), query: t.nameLocked(query), cacheType: t.nameLocked(data.CacheType),
-		isCache: true,
+		typ: t.nameLocked(string(typ)), query: t.nameLocked(query), name: t.nameLocked(data.CacheType),
+		kind: cacheDecision,
 	})
+	t.mu.Unlock()
+}
+
+// EmitPlacement is Emit for a placement decision, whose payload stays
+// unboxed until the record is read; its candidates are copied, so the
+// caller may reuse them.
+func (t *Tracer) EmitPlacement(at simtime.Time, query string, data eventlog.PlacementData) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	seg := &t.open
+	seg.decisions = append(seg.decisions, decision{
+		at: at, bytes: int64(len(seg.placements)), node: int32(data.Chosen), rec: int32(data.Recurrence),
+		typ: t.nameLocked(string(eventlog.Placement)), query: t.nameLocked(query), name: t.nameLocked(data.Outcome),
+		kind: placementDecision,
+	})
+	lo := int32(len(seg.cands))
+	seg.cands = append(seg.cands, data.Candidates...)
+	seg.placements = append(seg.placements, placed{int32(data.Caches), lo, int32(len(seg.cands))})
 	t.mu.Unlock()
 }
 
@@ -404,13 +454,18 @@ func (t *Tracer) nameLocked(s string) int32 {
 	return i
 }
 
-// decisionLocked returns the decision d records, its payload formed.
-// Caller holds t.mu.
-func (t *Tracer) decisionLocked(d *decision) eventlog.Event {
+// decisionLocked returns the decision d of segment seg records, its
+// payload formed. Caller holds t.mu.
+func (t *Tracer) decisionLocked(seg *segment, d *decision) eventlog.Event {
 	ev := eventlog.Event{At: d.at, Type: eventlog.Type(t.names[d.typ]), Query: t.names[d.query], Data: d.data}
-	if d.isCache {
-		ev.Data = eventlog.CacheData{PID: d.pid, CacheType: t.names[d.cacheType],
+	switch d.kind {
+	case cacheDecision:
+		ev.Data = eventlog.CacheData{PID: d.pid, CacheType: t.names[d.name],
 			Node: int(d.node), Bytes: d.bytes, Recurrence: int(d.rec)}
+	case placementDecision:
+		p := seg.placements[d.bytes]
+		ev.Data = eventlog.PlacementData{Recurrence: int(d.rec), Chosen: int(d.node),
+			Outcome: t.names[d.name], Caches: int(p.caches), Candidates: slices.Clone(seg.cands[p.lo:p.hi])}
 	}
 	return ev
 }
@@ -456,7 +511,7 @@ func (t *Tracer) Decisions() []eventlog.Event {
 	var out []eventlog.Event
 	for _, seg := range t.segments() {
 		for i := range seg.decisions {
-			out = append(out, t.decisionLocked(&seg.decisions[i]))
+			out = append(out, t.decisionLocked(&seg, &seg.decisions[i]))
 		}
 	}
 	return out

@@ -33,7 +33,7 @@ func (o *Oracle) checkLineage(v *Verdict) {
 		return
 	}
 	ctrl := o.eng.Controller()
-	var resident []string
+	var resident []lineage.Key
 	for _, id := range o.eng.MR().Cluster.NodeIDs() {
 		reg := ctrl.Registry(id)
 		if reg == nil {
@@ -43,7 +43,7 @@ func (o *Oracle) checkLineage(v *Verdict) {
 			if e.Expired || !reg.Has(e.PID, e.Type) {
 				continue
 			}
-			resident = append(resident, lineage.DerivID(e.PID, int(e.Type)))
+			resident = append(resident, lineage.Key{PID: e.PID, Type: int(e.Type)})
 		}
 	}
 	for _, bad := range lin.Closure(resident) {
@@ -76,7 +76,7 @@ func (o *Oracle) auditDerivations(lin *lineage.Store, v *Verdict) {
 		}
 		recs, skip, err := o.claimedRecords(batches)
 		if err != nil {
-			v.Violations = append(v.Violations, fmt.Sprintf("lineage: %s: %v", d.ID, err))
+			v.Violations = append(v.Violations, fmt.Sprintf("lineage: %s: %v", d.Key.ID(), err))
 			audited++
 			continue
 		}
@@ -89,7 +89,7 @@ func (o *Oracle) auditDerivations(lin *lineage.Store, v *Verdict) {
 		if got != d.SHA {
 			v.Violations = append(v.Violations, fmt.Sprintf(
 				"lineage: %s: bytes recomputed from claimed inputs hash %.12s but the store recorded %.12s",
-				d.ID, got, d.SHA))
+				d.Key.ID(), got, d.SHA))
 		}
 	}
 }
@@ -102,7 +102,7 @@ func (o *Oracle) claimsOf(lin *lineage.Store, d lineage.Derivation) ([]lineage.B
 		return d.Batches, true
 	}
 	for _, in := range d.Inputs {
-		up, ok := lin.Lookup(in.ID)
+		up, ok := lin.Lookup(in.Key)
 		if !ok {
 			return nil, false // evicted upstream: nothing to replay
 		}

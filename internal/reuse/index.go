@@ -36,6 +36,7 @@
 package reuse
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -101,13 +102,13 @@ type Index struct {
 	cap int
 	seq uint64
 
-	entries map[key]*Entry
+	entries map[key]Entry
 	// units tracks, per operator fingerprint, which pane units have
 	// ever been published — the subsumption probe's candidate set.
 	units map[string]map[int64]bool
 	// byPID indexes live entry keys by producer cache identity so
 	// purge/loss notifications can drop them without a scan.
-	byPID map[pidKey][]key
+	byPID map[pidKey]pidKeys
 
 	published  int
 	exactHits  int
@@ -125,9 +126,9 @@ func NewIndex(cap int) *Index {
 	}
 	return &Index{
 		cap:     cap,
-		entries: map[key]*Entry{},
+		entries: map[key]Entry{},
 		units:   map[string]map[int64]bool{},
-		byPID:   map[pidKey][]key{},
+		byPID:   map[pidKey]pidKeys{},
 	}
 }
 
@@ -137,6 +138,15 @@ func NewIndex(cap int) *Index {
 type pidKey struct {
 	pid string
 	typ int
+}
+
+// pidKeys are the entry keys one producer cache is published under:
+// first inline, since a cache is published under one key unless two
+// same-named queries with different operators share the index, and
+// the rest in more.
+type pidKeys struct {
+	first key
+	more  []key
 }
 
 // Publish inserts (or refreshes) one pane cache entry. Called only
@@ -154,9 +164,14 @@ func (x *Index) Publish(e Entry) {
 	}
 	x.seq++
 	e.Seq = x.seq
-	x.entries[k] = &e
+	x.entries[k] = e
 	pk := pidKey{e.PID, e.Type}
-	x.byPID[pk] = append(x.byPID[pk], k)
+	if ks, ok := x.byPID[pk]; ok {
+		ks.more = append(ks.more, k)
+		x.byPID[pk] = ks
+	} else {
+		x.byPID[pk] = pidKeys{first: k}
+	}
 	if x.units[e.OpFP] == nil {
 		x.units[e.OpFP] = map[int64]bool{}
 	}
@@ -167,18 +182,22 @@ func (x *Index) Publish(e Entry) {
 
 // unlinkPIDLocked removes k from the PID reverse index. Caller holds
 // x.mu.
-func (x *Index) unlinkPIDLocked(e *Entry, k key) {
+func (x *Index) unlinkPIDLocked(e Entry, k key) {
 	pk := pidKey{e.PID, e.Type}
-	keys := x.byPID[pk]
-	for i, kk := range keys {
-		if kk == k {
-			x.byPID[pk] = append(keys[:i:i], keys[i+1:]...)
-			break
+	ks, ok := x.byPID[pk]
+	if !ok {
+		return
+	}
+	if ks.first == k {
+		if len(ks.more) == 0 {
+			delete(x.byPID, pk)
+			return
 		}
+		ks.first, ks.more = ks.more[0], ks.more[1:]
+	} else if i := slices.Index(ks.more, k); i >= 0 {
+		ks.more = slices.Delete(ks.more, i, i+1)
 	}
-	if len(x.byPID[pk]) == 0 {
-		delete(x.byPID, pk)
-	}
+	x.byPID[pk] = ks
 }
 
 // evictOverCapLocked enforces the bound: while over capacity, drop the
@@ -187,10 +206,11 @@ func (x *Index) unlinkPIDLocked(e *Entry, k key) {
 func (x *Index) evictOverCapLocked() {
 	for len(x.entries) > x.cap {
 		var victim key
-		var vic *Entry
+		var vic Entry
+		first := true
 		for k, e := range x.entries {
-			if vic == nil {
-				victim, vic = k, e
+			if first {
+				victim, vic, first = k, e, false
 				continue
 			}
 			if c := account.CompareVictims(e.candidate(), vic.candidate()); c < 0 || c == 0 && e.Seq < vic.Seq {
@@ -219,14 +239,17 @@ func (x *Index) ProbeExact(opFP string, unit, pane int64, parts int, notQuery st
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	out := make([]Entry, parts)
+	var out []Entry // made once a partition matches: most probes miss at the first
 	for part := 0; part < parts; part++ {
 		e, ok := x.entries[key{opFP: opFP, unit: unit, pane: pane, part: part}]
 		if !ok || e.Query == notQuery {
 			x.misses++
 			return nil, false
 		}
-		out[part] = *e
+		if out == nil {
+			out = make([]Entry, parts)
+		}
+		out[part] = e
 	}
 	x.exactHits++
 	return out, true
@@ -263,7 +286,7 @@ func (x *Index) ProbeSubsume(opFP string, unit, pane int64, parts int, notQuery 
 					found = false
 					break
 				}
-				row = append(row, *e)
+				row = append(row, e)
 			}
 			out[part] = row
 		}
@@ -287,16 +310,20 @@ func (x *Index) DropPID(pid string, typ int) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	pk := pidKey{pid, typ}
-	keys := x.byPID[pk]
-	if len(keys) == 0 {
+	ks, ok := x.byPID[pk]
+	if !ok {
 		return
 	}
 	delete(x.byPID, pk)
-	for _, k := range keys {
+	drop := func(k key) {
 		if _, ok := x.entries[k]; ok {
 			delete(x.entries, k)
 			x.dropped++
 		}
+	}
+	drop(ks.first)
+	for _, k := range ks.more {
+		drop(k)
 	}
 }
 
@@ -329,7 +356,7 @@ func (x *Index) Snapshot() []Entry {
 	defer x.mu.Unlock()
 	out := make([]Entry, 0, len(x.entries))
 	for _, e := range x.entries {
-		out = append(out, *e)
+		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -61,8 +61,9 @@ func (e *Engine) prepareNewPanes(lo, hi window.PaneID) func(window.PaneID) *pane
 
 // buildAggPane is the commit half of an aggregation pane's map rung: its
 // tasks are scheduled, and refs gets the reduce-output caches, each
-// registered after the reduce-input cache it derives from.
-func (e *Engine) buildAggPane(p window.PaneID, trigger simtime.Time, pp *panePrep, refs []cacheRef, stats *mapreduce.Stats) error {
+// registered after the reduce-input cache it derives from, which rins
+// gets.
+func (e *Engine) buildAggPane(p window.PaneID, trigger simtime.Time, pp *panePrep, refs, rins []cacheRef, stats *mapreduce.Stats) error {
 	mp, err := e.commitPaneMapPhase(0, p, trigger, pp, stats)
 	if err != nil {
 		return err
@@ -82,6 +83,7 @@ func (e *Engine) buildAggPane(p window.PaneID, trigger simtime.Time, pp *panePre
 	if live := len(rres); live > 0 {
 		mapShare = (mp.Stats.MapTime + rstats.ShuffleTime) / simtime.Duration(live)
 	}
+	users := e.rinUsers(0)
 	for part, next := 0, 0; part < e.query.NumReducers; part++ { // rres[next:] is in partition order
 		home, err := e.home(part)
 		if err != nil {
@@ -89,29 +91,29 @@ func (e *Engine) buildAggPane(p window.PaneID, trigger simtime.Time, pp *panePre
 		}
 		node := home.ID
 		readyAt := simtime.Max(mp.LastMapEnd, trigger)
-		var rinMeta, routMeta cacheMeta
+		rinMeta, routMeta := cacheMeta{users: users}, cacheMeta{}
 		var routData []byte
 		if next < len(rres) && rres[next].Part == part {
 			rr := rres[next]
 			next++
 			node, readyAt, routData = rr.Node, rr.End, rr.OutData
 			rinBytes := int64(len(pp.rin[part]))
-			rinMeta = cacheMeta{span: rr.Span,
-				recompute: mapShare + e.mr.Cost.Sort(rinBytes) + e.mr.Cost.DiskWrite(rinBytes)}
+			rinMeta.span, rinMeta.recompute = rr.Span, mapShare+e.mr.Cost.Sort(rinBytes)+e.mr.Cost.DiskWrite(rinBytes)
 			routMeta = cacheMeta{span: rr.Span, recompute: rr.End.Sub(rr.Start)}
 		}
-		refs[part] = e.registerAggPart(job.Name, p, part, node, readyAt, pp.rin[part], routData, rinMeta, routMeta)
+		refs[part] = e.registerAggPart(job.Name, p, part, node, readyAt, pp.rin[part], routData, rinMeta, routMeta, rins)
 	}
 	return nil
 }
 
 // registerAggPart registers partition part of pane p, freshly built by
-// job: its reduce-input cache, claimed by every query sharing the
-// source, then the reduce-output cache derived from it.
-func (e *Engine) registerAggPart(job string, p window.PaneID, part, node int, readyAt simtime.Time, rinData, routData []byte, rinMeta, routMeta cacheMeta) cacheRef {
+// job: its reduce-input cache, claimed by rinMeta.users, into
+// rins[part], then the reduce-output cache derived from it.
+func (e *Engine) registerAggPart(job string, p window.PaneID, part, node int, readyAt simtime.Time, rinData, routData []byte, rinMeta, routMeta cacheMeta, rins []cacheRef) cacheRef {
 	rinMeta.pane, rinMeta.part, rinMeta.job = p, part, job
-	rin := e.registerCacheFor(e.query.rinPID(0, e.frames[0].Pane, p, part), ReduceInput, node, readyAt, rinData, e.rinUsers(0), rinMeta)
-	routMeta.job, routMeta.inputs = job, []cacheRef{rin}
+	var buf pidBuf
+	rins[part] = e.registerCache(e.query.appendRinPID(buf[:0], 0, e.frames[0].Pane, p, part), ReduceInput, node, readyAt, rinData, rinMeta)
+	routMeta.job, routMeta.inputs = job, rins[part:part+1]
 	return e.registerAggRout(p, part, node, readyAt, routData, routMeta)
 }
 
@@ -120,7 +122,8 @@ func (e *Engine) registerAggPart(job string, p window.PaneID, part, node int, re
 // advertised for cross-query reuse.
 func (e *Engine) registerAggRout(p window.PaneID, part, node int, readyAt simtime.Time, data []byte, meta cacheMeta) cacheRef {
 	meta.pane, meta.part, meta.publish = p, part, true
-	return e.registerCache(e.query.routPanePID(p, part), ReduceOutput, node, readyAt, data, meta)
+	var buf pidBuf
+	return e.registerCache(e.query.appendRoutTuplePID(buf[:0], paneTuple{p}, part), ReduceOutput, node, readyAt, data, meta)
 }
 
 // processAggPaneProactive executes one pane at sub-pane granularity
@@ -128,8 +131,9 @@ func (e *Engine) registerAggRout(p window.PaneID, part, node int, readyAt simtim
 // as soon as its data arrives, so only the last sub-pane's (smaller)
 // work remains after the window closes; a cheap pane-level combine of
 // the sub-pane partials then forms the pane's caches at the usual
-// pane granularity, keeping reuse and expiry unchanged.
-func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, pp *panePrep, refs []cacheRef, stats *mapreduce.Stats) error {
+// pane granularity, keeping reuse and expiry unchanged. refs and rins
+// get the pane's caches as buildAggPane's do.
+func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, pp *panePrep, refs, rins []cacheRef, stats *mapreduce.Stats) error {
 	if pp.err != nil {
 		return pp.err
 	}
@@ -180,30 +184,34 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 	})
 	e.mr.PutGroupers(groupers)
 
+	users := e.rinUsers(0)
 	for part := 0; part < R; part++ {
 		home, err := e.home(part)
 		if err != nil {
 			return err
 		}
 		if len(subOut[part]) == 0 {
-			refs[part] = e.registerAggPart(job.Name, p, part, home.ID, trigger, nil, nil, cacheMeta{}, cacheMeta{})
+			refs[part] = e.registerAggPart(job.Name, p, part, home.ID, trigger, nil, nil, cacheMeta{users: users}, cacheMeta{}, rins)
 			continue
 		}
+		// The combine reads the sub-pane partials where the reducers
+		// left them, at the home; rins[part] holds them until the
+		// reduce input registered below takes their place.
 		inBytes := records.PairsSize(subOut[part])
+		rins[part] = cacheRef{node: home.ID, bytes: inBytes, readyAt: readyAt[part]}
 		ct := e.runCacheTask(obs.TaskSpan{Kind: obs.SpanCombine, Pane: int64(p), Part: part}, phaseCombine, readyAt[part],
-			[]cacheRef{{node: home.ID, bytes: inBytes, readyAt: readyAt[part]}},
-			e.mr.Cost.MergeTask(inBytes, int64(len(routData[part]))), stats)
+			rins[part:part+1], e.mr.Cost.MergeTask(inBytes, int64(len(routData[part]))), stats)
 		stats.BytesCacheRead += inBytes
 		// A hit on these entries skips the modeled rebuild-from-inputs
 		// reduce (outputs) or the sub-pane sort+spill work (inputs); the
 		// sub-pane map/reduce actuals are not attributable per partition,
 		// so the ledger uses the iocost floor here.
 		rinBytes := int64(len(rinData[part]))
-		rinMeta := cacheMeta{span: ct.span,
+		rinMeta := cacheMeta{span: ct.span, users: users,
 			recompute: e.mr.Cost.Sort(rinBytes) + e.mr.Cost.DiskWrite(rinBytes)}
 		routMeta := cacheMeta{span: ct.span,
 			recompute: e.mr.Cost.ReduceTask(rinBytes, int64(len(routData[part])))}
-		refs[part] = e.registerAggPart(job.Name, p, part, ct.node, ct.end, rinData[part], routData[part], rinMeta, routMeta)
+		refs[part] = e.registerAggPart(job.Name, p, part, ct.node, ct.end, rinData[part], routData[part], rinMeta, routMeta, rins)
 	}
 	return nil
 }
@@ -242,12 +250,17 @@ func (e *Engine) rebuildAggOutputs(p window.PaneID, trigger simtime.Time, rins, 
 }
 
 // finalizeAggWindow runs the per-partition finalization merge over the
-// window's cached pane outputs; it usually lands on the partition's
-// home node, where every pane output is local.
-func (e *Engine) finalizeAggWindow(lo, hi window.PaneID, trigger simtime.Time, routRefs map[window.PaneID][]cacheRef, stats *mapreduce.Stats) ([]records.Pair, error) {
-	caches := make([][]cacheRef, e.query.NumReducers)
-	for p := lo; p <= hi; p++ {
-		for part, ref := range routRefs[p] {
+// window's cached pane outputs, routs; it usually lands on the
+// partition's home node, where every pane output is local. Each
+// partition's list of non-empty outputs is carved out of one slab.
+func (e *Engine) finalizeAggWindow(trigger simtime.Time, routs windowRefs, stats *mapreduce.Stats) ([]records.Pair, error) {
+	R, n := e.query.NumReducers, int(routs.hi-routs.lo)+1
+	caches, slab := make([][]cacheRef, R), make([]cacheRef, R*n)
+	for part := range caches {
+		caches[part] = slab[part*n : part*n : (part+1)*n]
+	}
+	for p := routs.lo; p <= routs.hi; p++ {
+		for part, ref := range routs.pane(p) {
 			if ref.bytes != 0 {
 				caches[part] = append(caches[part], ref)
 			}

@@ -188,7 +188,7 @@ func (c *Controller) Queries() []string {
 // existing signature (e.g. a shared source cache created by a sibling
 // query, or a cache rebuilt after loss) updates its location and state
 // and clears the usedBy queries' bits without disturbing other
-// queries' claims.
+// queries' claims. usedBy is read, not kept.
 func (c *Controller) Register(pid string, typ CacheType, nid int, ready Ready, readyAt simtime.Time, bytes int64, usedBy []int) *Signature {
 	c.mu.Lock()
 	defer c.mu.Unlock()

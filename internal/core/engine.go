@@ -210,7 +210,13 @@ type Engine struct {
 	folds   []func(*commit)
 	pending commit
 
-	qIdx      int
+	qIdx int
+	// self is the consumer set of a cache only this query reads: the
+	// controller reads a consumer set as it registers and keeps none.
+	self [1]int
+	// locs is runCacheTask's scratch: the commit half is serial.
+	locs []CacheLoc
+
 	adaptive  bool
 	proactive bool
 	noReuse   bool
@@ -280,6 +286,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.obs = cfg.MR.Obs
 	e.attachConsumers(cfg, dataDir)
 	e.qIdx = ctrl.RegisterQuery(q.Name)
+	e.self = [1]int{e.qIdx}
 	for i, src := range q.Sources {
 		if src.CacheKey != "" {
 			ctrl.JoinGroup(q.rinScope(i), e.qIdx)
@@ -593,16 +600,21 @@ func (e *Engine) runRecurrence(r int, trigger simtime.Time) (*RecurrenceResult, 
 	res := &RecurrenceResult{Recurrence: r, WindowLo: los[0], WindowHi: his[0], TriggerAt: trigger}
 	res.Stats.Start = trigger
 	res.Stats.End = trigger
-	panes := make([]map[window.PaneID][]cacheRef, len(los))
+	R := e.query.NumReducers
+	panes := make([]windowRefs, len(los))
 	for src := range los {
-		panes[src] = make(map[window.PaneID][]cacheRef, int(his[src]-los[src])+1)
+		// A row per pane, and the row an aggregation builds each pane's
+		// reduce inputs in (ensurePane).
+		n := int(his[src]-los[src]) + 1
+		slab := make([]cacheRef, (n+1)*R)
+		panes[src] = windowRefs{lo: los[src], hi: his[src], rows: slab[:n*R]}
+		rins := slab[n*R:]
 		ahead := e.prepareNewPanes(los[src], his[src])
 		for p := los[src]; p <= his[src]; p++ {
-			refs, reused, recovered, err := e.ensurePane(src, p, trigger, ahead(p), &res.Stats)
+			reused, recovered, err := e.ensurePane(src, p, trigger, ahead(p), panes[src].pane(p), rins, &res.Stats)
 			if err != nil {
 				return nil, err
 			}
-			panes[src][p] = refs
 			if reused {
 				res.ReusedPanes++
 			} else {
@@ -615,7 +627,7 @@ func (e *Engine) runRecurrence(r int, trigger simtime.Time) (*RecurrenceResult, 
 	}
 	var err error
 	if len(los) == 1 {
-		res.Output, err = e.finalizeAggWindow(los[0], his[0], trigger, panes[0], &res.Stats)
+		res.Output, err = e.finalizeAggWindow(trigger, panes[0], &res.Stats)
 	} else {
 		res.Output, err = e.joinWindow(res, los, his, panes)
 	}
@@ -645,8 +657,10 @@ func (e *Engine) runRecurrence(r int, trigger simtime.Time) (*RecurrenceResult, 
 // in the status matrix. recovered reports, for an aggregation, that an
 // output was lost; for a join, that a probed input had a signature, so
 // its bytes were lost. pp is the pane's map compute when
-// prepareNewPanes ran it ahead, nil otherwise.
-func (e *Engine) ensurePane(src int, p window.PaneID, trigger simtime.Time, pp *panePrep, stats *mapreduce.Stats) (refs []cacheRef, reused, recovered bool, err error) {
+// prepareNewPanes ran it ahead, nil otherwise. refs is the pane's row of
+// the window; rins is scratch an aggregation probes and builds the pane's
+// reduce inputs in, dead once the pane is settled.
+func (e *Engine) ensurePane(src int, p window.PaneID, trigger simtime.Time, pp *panePrep, refs, rins []cacheRef, stats *mapreduce.Stats) (reused, recovered bool, err error) {
 	q := e.query
 	agg := len(q.Sources) == 1 // only an aggregation has a pane output to probe and a reduce to redo
 	certain, mapped := pp != nil || e.willMapPane(p), false
@@ -655,23 +669,22 @@ func (e *Engine) ensurePane(src int, p window.PaneID, trigger simtime.Time, pp *
 			err = fmt.Errorf("core: pane %d was certain to be mapped, yet a cache rung served it", int64(p))
 		}
 	}()
-	refs = make([]cacheRef, q.NumReducers)
 	if agg && !e.noReuse {
 		if done, _ := e.matrix.Done(p); done {
 			if all, _ := e.probeParts(refs, ReduceOutput, src, paneTuple{p}); all {
-				return refs, true, false, nil
+				return true, false, nil
 			}
 			recovered = true
 		}
 	}
 	if reused, err = e.tryReuseAggPane(p, trigger, refs, stats); err != nil {
-		return nil, false, recovered, err
+		return false, recovered, err
 	}
-	rins, all := refs, false
+	if !agg {
+		rins = refs // a join pane's caches are its reduce inputs
+	}
+	all := false
 	if !reused && !e.noReuse {
-		if agg {
-			rins = make([]cacheRef, len(refs))
-		}
 		var known bool
 		all, known = e.probeParts(rins, ReduceInput, src, paneTuple{p})
 		if !agg {
@@ -681,7 +694,7 @@ func (e *Engine) ensurePane(src int, p window.PaneID, trigger simtime.Time, pp *
 	switch {
 	case reused: // by the reuse rung
 	case all && !agg:
-		return refs, true, false, nil
+		return true, false, nil
 	case all:
 		err = e.rebuildAggOutputs(p, trigger, rins, refs, stats)
 	default:
@@ -695,20 +708,35 @@ func (e *Engine) ensurePane(src int, p window.PaneID, trigger simtime.Time, pp *
 		case !agg:
 			err = e.buildJoinInputs(src, p, trigger, pp, refs, stats)
 		case e.proactive && len(pp.ins) > 1:
-			err = e.processAggPaneProactive(p, trigger, pp, refs, stats)
+			err = e.processAggPaneProactive(p, trigger, pp, refs, rins, stats)
 		default:
-			err = e.buildAggPane(p, trigger, pp, refs, stats)
+			err = e.buildAggPane(p, trigger, pp, refs, rins, stats)
 		}
 	}
 	if err != nil {
-		return nil, false, recovered, err
+		return false, recovered, err
 	}
 	if agg {
 		if err = e.matrix.Update(p); err == nil {
 			e.obs.Counter("redoop_statusmatrix_updates_total", obs.L("query", e.query.Name)).Inc()
 		}
 	}
-	return refs, reused, recovered, err
+	return reused, recovered, err
+}
+
+// windowRefs is one source's cache references for the panes of a
+// window, [lo, hi]: pane p's per-partition row is pane(p), each a row of
+// one slab.
+type windowRefs struct {
+	lo, hi window.PaneID
+	rows   []cacheRef
+}
+
+// pane returns pane p's row.
+func (w windowRefs) pane(p window.PaneID) []cacheRef {
+	R := len(w.rows) / (int(w.hi-w.lo) + 1)
+	i := int(p-w.lo) * R
+	return w.rows[i : i+R : i+R]
 }
 
 // cacheRef locates one registered cache.
@@ -736,7 +764,11 @@ func (c cacheRef) loc() CacheLoc { return CacheLoc{Node: c.node, Bytes: c.bytes}
 // and the caches it was derived from (none for a reduce input, which
 // derives from the pane's raw batches). publish marks a pane output
 // built from the query's own inputs, worth advertising for cross-query
-// reuse; copies of another query's output are not re-advertised.
+// reuse; copies of another query's output are not re-advertised. users
+// is the cache's consumer set, nil for this query alone: reduce-input
+// caches of shared sources are claimed by every query in the sharing
+// group (rinUsers), so one query's expiry cannot purge a cache a
+// sibling still needs.
 type cacheMeta struct {
 	span      obs.SpanID
 	recompute simtime.Duration
@@ -745,34 +777,33 @@ type cacheMeta struct {
 	part      int
 	job       string
 	inputs    []cacheRef
+	users     []int
 	publish   bool
 }
 
 // registerCache persists bytes as a cache on a node and registers its
-// signature, claiming it for this query.
-func (e *Engine) registerCache(pid string, typ CacheType, node int, readyAt simtime.Time, data []byte, meta cacheMeta) cacheRef {
-	return e.registerCacheFor(pid, typ, node, readyAt, data, []int{e.qIdx}, meta)
-}
-
-// registerCacheFor is registerCache with an explicit consumer set —
-// reduce-input caches of shared sources are claimed by every query in
-// the sharing group so one query's expiry cannot purge a cache a
-// sibling still needs.
-func (e *Engine) registerCacheFor(pid string, typ CacheType, node int, readyAt simtime.Time, data []byte, usedBy []int, meta cacheMeta) cacheRef {
+// signature, claiming it for meta.users. The PID comes as bytes the
+// caller builds on its stack; the registration makes one string, the
+// cache's node-local key, and names the cache by its suffix.
+func (e *Engine) registerCache(pidBytes []byte, typ CacheType, node int, readyAt simtime.Time, data []byte, meta cacheMeta) cacheRef {
+	key, pid := cacheKey(pidBytes, typ)
 	// Re-homing: when a rebuilt cache lands on a different node (one
 	// lost partition forces a whole-tuple recompute, but sibling
 	// partitions may still be resident elsewhere), expire the old
 	// node's copy — the signature moves with the rebuild, so bytes
 	// left behind would otherwise be orphaned forever: unexpired,
 	// undiscoverable, and invisible to every future purge notice.
-	if old, ok := e.ctrl.Lookup(pid, typ); ok && old.NID != node {
+	if old, ok := e.ctrl.lookup(pidBytes, typ); ok && old.NID != node {
 		if oldReg := e.ctrl.Registry(old.NID); oldReg != nil {
 			oldReg.MarkExpired(pid, typ)
 		}
 	}
-	reg := e.ctrl.Registry(node)
-	reg.Add(pid, typ, data)
-	e.ctrl.Register(pid, typ, node, CacheAvailable, readyAt, int64(len(data)), usedBy)
+	users := meta.users
+	if users == nil {
+		users = e.self[:]
+	}
+	e.ctrl.Registry(node).add(key, pid, typ, data)
+	e.ctrl.Register(pid, typ, node, CacheAvailable, readyAt, int64(len(data)), users)
 	e.commit(commit{kind: kindRegistered, at: readyAt, pid: pid, typ: typ, node: node,
 		bytes: int64(len(data)), cost: meta.recompute, data: data,
 		src: meta.src, pane: meta.pane, part: meta.part, job: meta.job, inputs: meta.inputs, publish: meta.publish})
@@ -781,15 +812,15 @@ func (e *Engine) registerCacheFor(pid string, typ CacheType, node int, readyAt s
 
 // rinUsers returns the consumer set of source src's reduce-input
 // caches: the full sharing group for shared sources, just this query
-// otherwise.
+// otherwise. A shared source's group is a copy, read once per pane.
 func (e *Engine) rinUsers(src int) []int {
 	if e.query.Sources[src].CacheKey == "" {
-		return []int{e.qIdx}
+		return e.self[:]
 	}
 	if g := e.ctrl.Group(e.query.rinScope(src)); len(g) > 0 {
 		return g
 	}
-	return []int{e.qIdx}
+	return e.self[:]
 }
 
 // lookupCache returns the cache's reference if its signature says it is
@@ -1157,7 +1188,8 @@ type cacheTask struct {
 // the caller's phase, summing exactly to the node's AddLoad, and is
 // added to stats' ReduceTime; the task's end bounds stats' End.
 func (e *Engine) runCacheTask(label obs.TaskSpan, ph phase, ready simtime.Time, caches []cacheRef, work simtime.Duration, stats *mapreduce.Stats) cacheTask {
-	locs := make([]CacheLoc, len(caches))
+	locs := slices.Grow(e.locs[:0], len(caches))[:len(caches)]
+	e.locs = locs
 	for i, c := range caches {
 		locs[i] = c.loc()
 		if c.readyAt > ready {

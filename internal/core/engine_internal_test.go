@@ -203,7 +203,7 @@ func TestExpiredCachesArePurged(t *testing.T) {
 	// Pane 0 slid out of every window long ago; its caches must be
 	// gone from every node and from the controller.
 	for part := 0; part < q.NumReducers; part++ {
-		pid := q.routPanePID(0, part)
+		pid := q.ReduceOutputPanePID(0, part)
 		if _, ok := eng.ctrl.Lookup(pid, ReduceOutput); ok {
 			t.Errorf("pane 0 output signature (part %d) should be purged", part)
 		}
@@ -219,7 +219,7 @@ func TestExpiredCachesArePurged(t *testing.T) {
 	found := false
 	for p := lo; p <= hi; p++ {
 		for part := 0; part < q.NumReducers; part++ {
-			if _, ok := eng.ctrl.Lookup(q.routPanePID(p, part), ReduceOutput); ok {
+			if _, ok := eng.ctrl.Lookup(q.ReduceOutputPanePID(p, part), ReduceOutput); ok {
 				found = true
 			}
 		}
@@ -255,19 +255,19 @@ func TestHomesAssignedByFirstRecurrence(t *testing.T) {
 // so that shared and private caches can never collide.
 func TestCachePIDNamespaces(t *testing.T) {
 	q := internalCountQuery(30*simtime.Second, 10*simtime.Second)
-	private := q.rinPID(0, q.Spec().PaneUnit(), 3, 1)
+	private := q.ReduceInputPID(0, q.Spec().PaneUnit(), 3, 1)
 	q.Sources[0].CacheKey = "clicks"
-	shared := q.rinPID(0, q.Spec().PaneUnit(), 3, 1)
+	shared := q.ReduceInputPID(0, q.Spec().PaneUnit(), 3, 1)
 	if private == shared {
 		t.Error("shared and private rin PIDs must differ")
 	}
 	if prefix := q.rinPrefix(0, q.Spec().PaneUnit()); !strings.HasPrefix(shared, prefix) || strings.HasPrefix(private, prefix) {
 		t.Errorf("rinPrefix %q must match exactly its own scope's rin PIDs (%q, not %q)", prefix, shared, private)
 	}
-	if got := q.routPanePID(3, 1); got == private || got == shared {
+	if got := q.ReduceOutputPanePID(3, 1); got == private || got == shared {
 		t.Error("output PIDs must not collide with input PIDs")
 	}
-	if q.routTuplePID(paneTuple{1, 2}, 0) == q.routTuplePID(paneTuple{2, 1}, 0) {
+	if q.ReduceOutputTuplePID(paneTuple{1, 2}, 0) == q.ReduceOutputTuplePID(paneTuple{2, 1}, 0) {
 		t.Error("pair PIDs must be order-sensitive")
 	}
 }
@@ -335,10 +335,10 @@ func TestPIDsMatchTheirFormatStrings(t *testing.T) {
 	q := &Query{Name: "join", Sources: []Source{{Name: "S1"}, {Name: "S2", CacheKey: "clicks"}}}
 	var sink string
 	for name, build := range map[string]func(){
-		"rinPID private": func() { sink = q.rinPID(0, 360e9, 1<<40, 19) },
-		"rinPID shared":  func() { sink = q.rinPID(1, 360e9, 1<<40, 19) },
-		"routPanePID":    func() { sink = q.routPanePID(1<<40, 19) },
-		"routTuplePID":   func() { sink = q.routTuplePID(paneTuple{1 << 40, 255, 9}, 19) },
+		"ReduceInputPID private": func() { sink = q.ReduceInputPID(0, 360e9, 1<<40, 19) },
+		"ReduceInputPID shared":  func() { sink = q.ReduceInputPID(1, 360e9, 1<<40, 19) },
+		"ReduceOutputPanePID":    func() { sink = q.ReduceOutputPanePID(1<<40, 19) },
+		"ReduceOutputTuplePID":   func() { sink = q.ReduceOutputTuplePID(paneTuple{1 << 40, 255, 9}, 19) },
 	} {
 		if n := testing.AllocsPerRun(100, build); n != 1 {
 			t.Errorf("%s: %v allocations, want 1 (%q)", name, n, sink)

@@ -32,7 +32,7 @@ type paneTuple []window.PaneID
 // tupleRefs are in forEachTupleRanges order: a tuple's index is its
 // ordinal. Their panes and their per-partition references are each one
 // array. The window's tuple outputs are then combined into its result.
-func (e *Engine) joinWindow(res *RecurrenceResult, los, his []window.PaneID, rins []map[window.PaneID][]cacheRef) ([]records.Pair, error) {
+func (e *Engine) joinWindow(res *RecurrenceResult, los, his []window.PaneID, rins []windowRefs) ([]records.Pair, error) {
 	n, R, count := len(los), e.query.NumReducers, 1
 	for d := range los {
 		count *= max(0, int(his[d]-los[d])+1)
@@ -125,6 +125,8 @@ func (e *Engine) buildJoinInputs(src int, p window.PaneID, trigger simtime.Time,
 		mapShare = mp.Stats.MapTime / simtime.Duration(live)
 	}
 	jobName := fmt.Sprintf("%s/%s", q.Name, q.Sources[src].Name)
+	users := e.rinUsers(src)
+	var buf pidBuf
 	for part := 0; part < R; part++ {
 		home, err := e.home(part)
 		if err != nil {
@@ -135,9 +137,10 @@ func (e *Engine) buildJoinInputs(src int, p window.PaneID, trigger simtime.Time,
 		if e.proactive {
 			readyAt = mp.LastMapEnd
 		}
-		rinMeta := cacheMeta{src: src, pane: p, part: part, job: jobName}
+		rinMeta := cacheMeta{src: src, pane: p, part: part, job: jobName, users: users}
+		pid := q.appendRinPID(buf[:0], src, e.frames[src].Pane, p, part)
 		if inBytes == 0 {
-			refs[part] = e.registerCacheFor(q.rinPID(src, e.frames[src].Pane, p, part), ReduceInput, home.ID, readyAt, nil, e.rinUsers(src), rinMeta)
+			refs[part] = e.registerCache(pid, ReduceInput, home.ID, readyAt, nil, rinMeta)
 			continue
 		}
 		// The reducer-side copy to the home; the spill to the
@@ -166,8 +169,7 @@ func (e *Engine) buildJoinInputs(src int, p window.PaneID, trigger simtime.Time,
 		span.Shared, span.Deps = nil, [2]obs.SpanID{shuffleSpan}
 		spillSpan := e.obs.Task(span)
 		rinMeta.span, rinMeta.recompute = spillSpan, mapShare+availAt.Sub(shuffleStart)+spill
-		refs[part] = e.registerCacheFor(q.rinPID(src, e.frames[src].Pane, p, part), ReduceInput, home.ID,
-			end, pp.rin[part], e.rinUsers(src), rinMeta)
+		refs[part] = e.registerCache(pid, ReduceInput, home.ID, end, pp.rin[part], rinMeta)
 		if end > stats.End {
 			stats.End = end
 		}
@@ -236,7 +238,7 @@ func groupTuples(tuples []paneTuple, needed []int) []tupleGroup {
 // are the tuple's output cache as they come (Grouper.ReduceRuns). Each
 // tuple's output is cached separately (tuple-granular reuse and expiry);
 // the status matrix is updated.
-func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []map[window.PaneID][]cacheRef, tupleRefs [][]cacheRef, stats *mapreduce.Stats) error {
+func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []windowRefs, tupleRefs [][]cacheRef, stats *mapreduce.Stats) error {
 	q := e.query
 	R := q.NumReducers
 	n := len(q.Sources)
@@ -290,7 +292,7 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 		ins := views[worker*stride : worker*stride+len(coords)]
 		runs := views[worker*stride+len(coords) : (worker+1)*stride : (worker+1)*stride]
 		for k, c := range coords {
-			ref := rins[c.dim][c.pane][part]
+			ref := rins[c.dim].pane(c.pane)[part]
 			if ref.bytes == 0 {
 				continue
 			}
@@ -308,7 +310,7 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 			runs = runs[:0]
 			var tupleIn int64
 			for d, p := range t {
-				if ref := rins[d][p][part]; ref.bytes != 0 {
+				if ref := rins[d].pane(p)[part]; ref.bytes != 0 {
 					tupleIn += ref.bytes
 					runs = append(runs, ins[at[i*n+d]])
 				}
@@ -332,16 +334,17 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 	tupleMeta := func(t paneTuple, part int) cacheMeta {
 		lo := len(inputs)
 		for d, p := range t {
-			inputs = append(inputs, rins[d][p][part])
+			inputs = append(inputs, rins[d].pane(p)[part])
 		}
 		return cacheMeta{pane: t[0], part: part, inputs: inputs[lo:len(inputs):len(inputs)]}
 	}
 	caches := make([]cacheRef, 0, len(coords)) // a partition's distinct non-empty inputs
+	var buf pidBuf
 	for part, pc := range computed {
 		caches = caches[:0]
 		var cacheBytes int64
 		for _, c := range coords {
-			if ref := rins[c.dim][c.pane][part]; ref.bytes != 0 {
+			if ref := rins[c.dim].pane(c.pane)[part]; ref.bytes != 0 {
 				caches, cacheBytes = append(caches, ref), cacheBytes+ref.bytes
 			}
 		}
@@ -352,7 +355,7 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 				return err
 			}
 			for i, t := range group.tuples {
-				tupleRefs[group.ords[i]][part] = e.registerCache(q.routTuplePID(t, part),
+				tupleRefs[group.ords[i]][part] = e.registerCache(q.appendRoutTuplePID(buf[:0], t, part),
 					ReduceOutput, home.ID, baseReady, nil, tupleMeta(t, part))
 			}
 			continue
@@ -367,7 +370,7 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []m
 			to := pc.outs[i]
 			meta := tupleMeta(t, part)
 			meta.span, meta.recompute = ct.span, e.mr.Cost.CachedReduceTask(to.inBytes, int64(len(to.data)))
-			tupleRefs[group.ords[i]][part] = e.registerCache(q.routTuplePID(t, part),
+			tupleRefs[group.ords[i]][part] = e.registerCache(q.appendRoutTuplePID(buf[:0], t, part),
 				ReduceOutput, ct.node, ct.end, to.data, meta)
 		}
 	}

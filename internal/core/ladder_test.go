@@ -29,7 +29,7 @@ const ladderSlide = 10 * simtime.Second
 // signature for the next lookup to find lost.
 func dropPID(eng *Engine, pid string, typ CacheType) {
 	for _, n := range eng.mr.Cluster.Nodes() {
-		n.DeleteLocal(localKey(pid, typ))
+		n.DeleteLocal(nodeKey(pid, typ))
 	}
 }
 
@@ -178,14 +178,14 @@ var ladderScenarios = []struct {
 	{"join pane input lost", func(t *testing.T, w int) *RecurrenceResult {
 		return ladderJoin(t, w, Config{}, func(e *Engine) {
 			for part := 0; part < e.query.NumReducers; part++ {
-				dropPID(e, e.query.rinPID(0, e.frames[0].Pane, 1, part), ReduceInput)
+				dropPID(e, e.query.ReduceInputPID(0, e.frames[0].Pane, 1, part), ReduceInput)
 			}
 		})
 	}},
 	{"join tuple output lost", func(t *testing.T, w int) *RecurrenceResult {
 		return ladderJoin(t, w, Config{}, func(e *Engine) {
 			for part := 0; part < e.query.NumReducers; part++ {
-				dropPID(e, e.query.routTuplePID(paneTuple{1, 2}, part), ReduceOutput)
+				dropPID(e, e.query.ReduceOutputTuplePID(paneTuple{1, 2}, part), ReduceOutput)
 			}
 		})
 	}},
@@ -252,7 +252,7 @@ func TestRebuildRungCorruptInputFailsTheRecurrence(t *testing.T) {
 			_, err := ladderDriveErr(t, eng, func(e *Engine) {
 				dropType(e, 1, ReduceOutput)
 				for i, part := range []int{1, 3} {
-					pid := q.rinPID(0, e.frames[0].Pane, 1, part)
+					pid := q.ReduceInputPID(0, e.frames[0].Pane, 1, part)
 					sig, ok := e.ctrl.Lookup(pid, ReduceInput)
 					if !ok {
 						t.Fatalf("no input cache %s", pid)
@@ -269,7 +269,7 @@ func TestRebuildRungCorruptInputFailsTheRecurrence(t *testing.T) {
 			}
 			for part := 0; part < q.NumReducers; part++ {
 				for _, n := range mr.Cluster.Nodes() {
-					if n.HasLocal(localKey(q.routPanePID(1, part), ReduceOutput)) {
+					if n.HasLocal(nodeKey(q.ReduceOutputPanePID(1, part), ReduceOutput)) {
 						t.Fatalf("%d workers: pane 1's output of partition %d was registered on node %d", workers, part, n.ID)
 					}
 				}

@@ -146,8 +146,9 @@ func (q *Query) partitioner() mapreduce.Partitioner {
 }
 
 // pidBuf is the stack space a cache identifier (PID) is appended into,
-// so that building one allocates only the returned string — or nothing,
-// for a lookup (Engine.lookupCache); a longer PID spills to the heap.
+// so that building one allocates only the string a registration keeps
+// (Engine.registerCache) — or nothing, for a lookup
+// (Engine.lookupCache); a longer PID spills to the heap.
 type pidBuf [128]byte
 
 // appendPart ends a PID with its partition, "/r<part>".
@@ -173,22 +174,16 @@ func (q *Query) rinScope(src int) string {
 }
 
 // appendRinPrefix appends "<scope>/<source>/u<unit>/P", the prefix
-// shared by every rinPID of one source at one pane unit.
+// shared by every reduce-input PID of one source at one pane unit.
 func (q *Query) appendRinPrefix(b []byte, src int, unit int64) []byte {
 	b = append(append(q.appendRinScope(b, src), '/'), q.Sources[src].Name...)
 	return append(strconv.AppendInt(append(b, "/u"...), unit, 10), "/P"...)
 }
 
-// rinPID identifies a reduce-input cache: one source pane's shuffled
-// partition, "<scope>/<source>/u<unit>/P<pane>/r<part>". The effective
-// pane unit is embedded so sources shared between queries with
-// different window constraints never collide.
-func (q *Query) rinPID(src int, unit int64, pane window.PaneID, part int) string {
-	var buf pidBuf
-	return string(q.appendRinPID(buf[:0], src, unit, pane, part))
-}
-
-// appendRinPID appends rinPID's bytes to b.
+// appendRinPID appends the PID of a reduce-input cache, one source
+// pane's shuffled partition, to b: "<scope>/<source>/u<unit>/P<pane>/r<part>".
+// The effective pane unit is embedded so sources shared between queries
+// with different window constraints never collide.
 func (q *Query) appendRinPID(b []byte, src int, unit int64, pane window.PaneID, part int) []byte {
 	return appendPart(strconv.AppendInt(q.appendRinPrefix(b, src, unit), int64(pane), 10), part)
 }
@@ -200,20 +195,9 @@ func (q *Query) rinPrefix(src int, unit int64) string {
 	return string(q.appendRinPrefix(buf[:0], src, unit))
 }
 
-// routPanePID identifies an aggregation pane's reduce-output cache,
-// "query/<name>/P<pane>/r<part>".
-func (q *Query) routPanePID(pane window.PaneID, part int) string {
-	return q.routTuplePID(paneTuple{pane}, part)
-}
-
-// routTuplePID identifies a join pane-tuple's reduce-output cache,
-// "query/<name>/P<p1>_<p2>.../r<part>".
-func (q *Query) routTuplePID(t paneTuple, part int) string {
-	var buf pidBuf
-	return string(q.appendRoutTuplePID(buf[:0], t, part))
-}
-
-// appendRoutTuplePID appends routTuplePID's bytes to b.
+// appendRoutTuplePID appends the PID of a pane tuple's reduce-output
+// cache to b: "query/<name>/P<p1>_<p2>.../r<part>", an aggregation
+// pane's being the one-pane tuple's, "query/<name>/P<pane>/r<part>".
 func (q *Query) appendRoutTuplePID(b []byte, t paneTuple, part int) []byte {
 	b = append(append(append(b, "query/"...), q.Name...), "/P"...)
 	for i, p := range t {
@@ -233,17 +217,19 @@ func (q *Query) appendRoutTuplePID(b []byte, t paneTuple, part int) []byte {
 // source pane's shuffled partition; unit is the source's effective
 // pane unit (window.Frame.Pane).
 func (q *Query) ReduceInputPID(src int, unit int64, pane window.PaneID, part int) string {
-	return q.rinPID(src, unit, pane, part)
+	var buf pidBuf
+	return string(q.appendRinPID(buf[:0], src, unit, pane, part))
 }
 
 // ReduceOutputPanePID returns an aggregation pane's reduce-output
 // cache identifier.
 func (q *Query) ReduceOutputPanePID(pane window.PaneID, part int) string {
-	return q.routPanePID(pane, part)
+	return q.ReduceOutputTuplePID([]window.PaneID{pane}, part)
 }
 
 // ReduceOutputTuplePID returns a join pane-tuple's reduce-output cache
 // identifier (one pane per source, source order).
 func (q *Query) ReduceOutputTuplePID(panes []window.PaneID, part int) string {
-	return q.routTuplePID(paneTuple(panes), part)
+	var buf pidBuf
+	return string(q.appendRoutTuplePID(buf[:0], paneTuple(panes), part))
 }

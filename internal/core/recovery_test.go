@@ -35,12 +35,12 @@ func dropType(eng *Engine, p int64, typ CacheType) int {
 	for part := 0; part < q.NumReducers; part++ {
 		var pid string
 		if typ == ReduceOutput {
-			pid = q.routPanePID(window.PaneID(p), part)
+			pid = q.ReduceOutputPanePID(window.PaneID(p), part)
 		} else {
-			pid = q.rinPID(0, q.Spec().PaneUnit(), window.PaneID(p), part)
+			pid = q.ReduceInputPID(0, q.Spec().PaneUnit(), window.PaneID(p), part)
 		}
 		for _, n := range eng.mr.Cluster.Nodes() {
-			key := localKey(pid, typ)
+			key := nodeKey(pid, typ)
 			if n.HasLocal(key) {
 				n.DeleteLocal(key)
 				dropped++
@@ -127,13 +127,13 @@ func TestRecoveryFullRemapWhenBothCachesLost(t *testing.T) {
 // lost (§5).
 func TestReadyBitRollback(t *testing.T) {
 	eng := primeAggEngine(t)
-	pid := eng.query.routPanePID(1, 0)
+	pid := eng.query.ReduceOutputPanePID(1, 0)
 	sig, ok := eng.ctrl.Lookup(pid, ReduceOutput)
 	if !ok || sig.Ready != CacheAvailable {
 		t.Fatalf("pane 1 output cache should be registered: %+v ok=%v", sig, ok)
 	}
 	// Lose just that one cache file.
-	eng.mr.Cluster.Node(sig.NID).DeleteLocal(localKey(pid, ReduceOutput))
+	eng.mr.Cluster.Node(sig.NID).DeleteLocal(nodeKey(pid, ReduceOutput))
 	if _, found, _ := eng.lookupCache([]byte(pid), ReduceOutput); found {
 		t.Fatal("lookup should detect the loss")
 	}

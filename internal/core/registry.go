@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"redoop/internal/cluster"
@@ -33,12 +34,20 @@ func (t CacheType) String() string {
 	}
 }
 
-// localKey is the node-local file-system key for a cache entry.
-func localKey(pid string, typ CacheType) string {
+// cacheKey builds a cache's node-local file-system key, "cache/rin/<pid>"
+// or "cache/rout/<pid>", as the one string its registration makes: the
+// PID it returns is the key's suffix and shares its bytes.
+func cacheKey(pid []byte, typ CacheType) (key, pidStr string) {
+	prefix := "cache/rout/"
 	if typ == ReduceInput {
-		return "cache/rin/" + pid
+		prefix = "cache/rin/"
 	}
-	return "cache/rout/" + pid
+	var b strings.Builder
+	b.Grow(len(prefix) + len(pid))
+	b.WriteString(prefix)
+	b.Write(pid)
+	key = b.String()
+	return key, key[len(prefix):]
 }
 
 // RegistryEntry is one row of the local cache registry (paper Table 1):
@@ -96,9 +105,15 @@ func (r *Registry) NodeID() int { return r.node.ID }
 // not write it again. The new entry starts unexpired; existing entries
 // are untouched (adding is append-only, §4.1).
 func (r *Registry) Add(pid string, typ CacheType, data []byte) {
+	var buf pidBuf
+	key, pid := cacheKey(append(buf[:0], pid...), typ)
+	r.add(key, pid, typ, data)
+}
+
+// add is Add with the key and PID cacheKey built.
+func (r *Registry) add(key, pid string, typ CacheType, data []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	key := localKey(pid, typ)
 	r.entries[entryKey{pid, typ}] = &registryRow{RegistryEntry{PID: pid, Type: typ}, key}
 	r.node.PutLocal(key, data)
 }

@@ -111,14 +111,12 @@ func (e *Engine) tryReuseAggPane(p window.PaneID, trigger simtime.Time, refs []c
 // CacheLoaded adjustment) and records the new derivation as a reuse
 // edge — its input is the producer's derivation, not raw batches.
 func (e *Engine) copyReusedPane(p window.PaneID, trigger simtime.Time, entries []reuse.Entry, prods, refs []cacheRef, stats *mapreduce.Stats) error {
-	q := e.query
 	for part := range refs {
 		en, prod := entries[part], prods[part]
-		routPID := q.routPanePID(p, part)
 		routMeta := cacheMeta{recompute: simtime.Duration(en.RecomputeNS),
 			pane: p, part: part, inputs: prods[part : part+1]}
 		if prod.bytes == 0 {
-			refs[part] = e.registerReused(routPID, prod, prod.node, simtime.Max(prod.readyAt, trigger), nil, routMeta, "exact")
+			refs[part] = e.registerReused(p, part, prods[part:part+1], prod.node, simtime.Max(prod.readyAt, trigger), nil, routMeta, "exact")
 			continue
 		}
 		data, ok := e.ctrl.Registry(prod.node).Get(prod.pid, ReduceOutput)
@@ -130,7 +128,7 @@ func (e *Engine) copyReusedPane(p window.PaneID, trigger simtime.Time, entries [
 			trigger, prods[part:part+1], e.mr.Cost.DiskWrite(prod.bytes), stats)
 		stats.BytesCacheRead += prod.bytes
 		routMeta.span = ct.span
-		refs[part] = e.registerReused(routPID, prod, ct.node, ct.end, data, routMeta, "exact")
+		refs[part] = e.registerReused(p, part, prods[part:part+1], ct.node, ct.end, data, routMeta, "exact")
 	}
 	return nil
 }
@@ -171,10 +169,9 @@ func (e *Engine) composeReusedPane(p window.PaneID, trigger simtime.Time, rows [
 			e.commit(commit{kind: kindCrossHit, at: e.curTrigger, pid: prod.pid, typ: prod.typ})
 			inBytes += prod.bytes
 		}
-		routPID := q.routPanePID(p, part)
 		routMeta := cacheMeta{recompute: recompute, pane: p, part: part, inputs: prods[part]}
 		if len(caches) == 0 {
-			refs[part] = e.registerReused(routPID, prods[part][0], prods[part][0].node, readyAt, nil, routMeta, "subsume")
+			refs[part] = e.registerReused(p, part, prods[part][:1], prods[part][0].node, readyAt, nil, routMeta, "subsume")
 			continue
 		}
 		outData := composed[part].data
@@ -182,17 +179,19 @@ func (e *Engine) composeReusedPane(p window.PaneID, trigger simtime.Time, rows [
 			trigger, caches, e.mr.Cost.MergeTask(inBytes, int64(len(outData))), stats)
 		stats.BytesCacheRead += inBytes
 		routMeta.span = ct.span
-		refs[part] = e.registerReused(routPID, caches[0], ct.node, ct.end, outData, routMeta, "subsume")
+		refs[part] = e.registerReused(p, part, caches[:1], ct.node, ct.end, outData, routMeta, "subsume")
 	}
 	return nil
 }
 
-// registerReused registers pane output routPID as materialized from
-// another query's caches (meta.inputs) and commits the reuse edge to
-// prod, the producer it is attributed to. mode is "exact" or "subsume".
-func (e *Engine) registerReused(routPID string, prod cacheRef, node int, at simtime.Time, data []byte, meta cacheMeta, mode string) cacheRef {
-	ref := e.registerCache(routPID, ReduceOutput, node, at, data, meta)
-	e.commit(commit{kind: kindReused, at: at, pid: routPID, typ: ReduceOutput, node: node,
-		bytes: prod.bytes, inputs: []cacheRef{prod}, mode: mode})
+// registerReused registers partition part of pane p's output as
+// materialized from another query's caches (meta.inputs) and commits the
+// reuse edge to prod, the one producer it is attributed to. mode is
+// "exact" or "subsume".
+func (e *Engine) registerReused(p window.PaneID, part int, prod []cacheRef, node int, at simtime.Time, data []byte, meta cacheMeta, mode string) cacheRef {
+	var buf pidBuf
+	ref := e.registerCache(e.query.appendRoutTuplePID(buf[:0], paneTuple{p}, part), ReduceOutput, node, at, data, meta)
+	e.commit(commit{kind: kindReused, at: at, pid: ref.pid, typ: ReduceOutput, node: node,
+		bytes: prod[0].bytes, inputs: prod, mode: mode})
 	return ref
 }

@@ -272,9 +272,7 @@ func (m *StatusMatrix) shiftDim(d, k int) {
 	rec = func(dim, idx int) {
 		if dim == m.dims {
 			// Entry at the new coords: shifted copy where available.
-			src := make([]window.PaneID, m.dims)
-			copy(src, coords)
-			oldIdx := m.indexWithBase(src, d, oldBase)
+			oldIdx := m.indexWithBase(coords, d, oldBase)
 			if oldIdx >= 0 {
 				fresh[idx] = m.done[oldIdx]
 			}

@@ -139,8 +139,9 @@ func BatchID(query, source string, seq int) string {
 	return "batch/" + query + "/" + source + "/" + strconv.Itoa(seq)
 }
 
-// batchKey names a batch by value, as BatchID does by string, so
-// counting a claim on it builds no string.
+// batchKey names a batch by value, as BatchID does by string: the store
+// keys its batches and their claims by it, and builds a BatchID only
+// for a report that names one (Trace, Graph).
 type batchKey struct {
 	query, source string
 	seq           int
@@ -181,7 +182,7 @@ type Store struct {
 	// The age axis: per query, the recurrence after its latest window.
 	next map[string]int
 
-	batches    map[string]*Batch // key BatchID
+	batches    map[batchKey]*Batch
 	batchOrder []stamped
 	batchSeq   map[srcKey]int // per query and source: next seq
 	batchFloor map[srcKey]int // per query and source: lowest retained seq
@@ -197,9 +198,9 @@ type Store struct {
 	evicted  int
 }
 
-// stamped is a batch ID and its query's age axis when recorded.
+// stamped is a batch and its query's age axis when recorded.
 type stamped struct {
-	key string
+	key batchKey
 	rec int
 }
 
@@ -213,7 +214,7 @@ func New(cap int) *Store {
 		cap:         cap,
 		index:       map[Key]uint64{},
 		next:        map[string]int{},
-		batches:     map[string]*Batch{},
+		batches:     map[batchKey]*Batch{},
 		batchSeq:    map[srcKey]int{},
 		batchFloor:  map[srcKey]int{},
 		batchClaims: map[batchKey]int{},
@@ -237,9 +238,9 @@ func (s *Store) RecordBatch(query, source string, records int, panes []PaneRange
 	s.batchSeq[k] = seq + 1
 	b := &Batch{Query: query, Source: source, Seq: seq, Records: records,
 		Panes: append([]PaneRange(nil), panes...)}
-	id := BatchID(query, source, seq)
-	s.batches[id] = b
-	s.batchOrder = append(s.batchOrder, stamped{id, s.next[query]})
+	bk := batchKey{query, source, seq}
+	s.batches[bk] = b
+	s.batchOrder = append(s.batchOrder, stamped{bk, s.next[query]})
 	n := 0
 	for ; n < len(s.batchOrder); n++ {
 		head := s.batchOrder[n]
@@ -247,7 +248,7 @@ func (s *Store) RecordBatch(query, source string, records int, panes []PaneRange
 		if len(s.batchOrder)-n <= s.cap && s.next[old.Query]-head.rec <= KeepRecurrences {
 			break
 		}
-		if s.batchClaims[batchKey{old.Query, old.Source, old.Seq}] > 0 {
+		if s.batchClaims[head.key] > 0 {
 			// The oldest batch is still claimed by a live derivation:
 			// evicting it would turn a provable claim into a silent
 			// hole the floor check masks as a legitimate eviction.
@@ -660,7 +661,7 @@ func (s *Store) Closure(resident []Key) []string {
 			bad = append(bad, fmt.Sprintf("derivation %s input %s is neither retained nor evicted", d.Key.ID(), in.Key.ID()))
 		}
 		for _, b := range d.Batches {
-			if _, ok := s.batches[BatchID(d.Query, b.Source, b.Seq)]; ok {
+			if _, ok := s.batches[batchKey{d.Query, b.Source, b.Seq}]; ok {
 				continue
 			}
 			if b.Seq < s.batchFloor[srcKey{d.Query, b.Source}] {

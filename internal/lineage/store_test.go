@@ -482,3 +482,29 @@ func TestRebuildReplacesTheRecord(t *testing.T) {
 		t.Fatalf("rebuilt derivation: builds %d, seq %d; want 2 and its first seq 1", d.Builds, d.Seq)
 	}
 }
+
+// TestCleanClosureAllocatesNothing: a Closure that finds no violation
+// builds no string. Claimed batches are looked up by value, and a
+// BatchID is made only for a report that names one. The query's name
+// is a real one's length: a shorter BatchID would be built on the stack.
+func TestCleanClosureAllocatesNothing(t *testing.T) {
+	const q = "agg-hi-overlap-observed"
+	s := New(0)
+	var resident []Key
+	for pane := range 4 {
+		s.RecordBatch(q, "S1", 10, []PaneRange{{Pane: int64(pane), R: Range{0, 10}}})
+		rin := Key{"query/q/S1/u900/P" + strconv.Itoa(pane) + "/r0", 1}
+		s.RecordDerivation(Derivation{Key: rin, Kind: "pane-rin", Query: q, Pane: int64(pane),
+			Batches: s.BatchesForPane(q, "S1", int64(pane))})
+		rout := Key{"query/q/P" + strconv.Itoa(pane) + "/r0", 2}
+		s.RecordDerivation(Derivation{Key: rout, Kind: "pane-rout", Query: q, Pane: int64(pane),
+			Inputs: []InputRef{inputRef(s, rin)}})
+		resident = append(resident, rin, rout)
+	}
+	if bad := s.Closure(resident); len(bad) != 0 {
+		t.Fatalf("closure violations: %v", bad)
+	}
+	if n := testing.AllocsPerRun(20, func() { s.Closure(resident) }); n != 0 {
+		t.Fatalf("a clean Closure over %d claims allocates %v times", len(resident)/2, n)
+	}
+}

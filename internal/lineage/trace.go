@@ -73,11 +73,12 @@ func (s *Store) Trace(k Key) (Trace, bool) {
 			tr.Nodes = append(tr.Nodes, n)
 		}
 		for _, b := range d.Batches {
+			bk := batchKey{d.Query, b.Source, b.Seq}
 			bid := BatchID(d.Query, b.Source, b.Seq)
 			tr.Edges = append(tr.Edges, TraceEdge{From: bid, To: queue[0].id, CostNS: d.CostNS})
 			if !seen[bid] {
 				seen[bid] = true
-				tr.Nodes = append(tr.Nodes, s.batchNodeLocked(bid, depth))
+				tr.Nodes = append(tr.Nodes, s.batchNodeLocked(bk, bid, depth))
 			}
 		}
 	}
@@ -98,11 +99,11 @@ func derivLabel(d *Derivation) string {
 		d.Kind, d.Query, d.Recurrence, d.Pane, d.Part, d.Bytes, d.Builds, state)
 }
 
-// batchNodeLocked is raw batch bid's node; a batch the store no longer
-// retains is labelled evicted.
-func (s *Store) batchNodeLocked(bid string, depth int) TraceNode {
+// batchNodeLocked is raw batch bk's node, bid its BatchID; a batch the
+// store no longer retains is labelled evicted.
+func (s *Store) batchNodeLocked(bk batchKey, bid string, depth int) TraceNode {
 	lbl := bid + " (evicted)"
-	if b, ok := s.batches[bid]; ok {
+	if b, ok := s.batches[bk]; ok {
 		lbl = fmt.Sprintf("batch %s/%s #%d (%d records)", b.Query, b.Source, b.Seq, b.Records)
 	}
 	return TraceNode{ID: bid, Kind: "batch", Label: lbl, Depth: depth}
@@ -133,10 +134,11 @@ func (s *Store) Graph() Trace {
 			}
 		}
 		for _, b := range d.Batches {
+			bk := batchKey{d.Query, b.Source, b.Seq}
 			bid := BatchID(d.Query, b.Source, b.Seq)
 			if !seenBatch[bid] {
 				seenBatch[bid] = true
-				tr.Nodes = append(tr.Nodes, s.batchNodeLocked(bid, 0))
+				tr.Nodes = append(tr.Nodes, s.batchNodeLocked(bk, bid, 0))
 			}
 			tr.Edges = append(tr.Edges, TraceEdge{From: bid, To: ids[i], CostNS: d.CostNS})
 		}

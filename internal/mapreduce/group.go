@@ -414,7 +414,7 @@ func (g *Grouper) ReduceRuns(fn ReduceFunc, runs []colfmt.PairRun) ([]byte, colf
 	clear(at)
 	g.w.Reset()
 	emit := EmitTo(&g.w)
-	vals, most := g.vals[:0], 0
+	vals, most := slices.Grow(g.vals[:0], len(runs)), 0 // a key has a value per run, unless a run repeats it
 	for {
 		lo, key := -1, []byte(nil)
 		for j := range runs {

@@ -214,7 +214,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		ok := true
 		if *metrics != "" {
-			if err := ob.Metrics.WriteMetricsFile(*metrics); err != nil {
+			if err := ob.Exposition().WriteMetricsFile(*metrics); err != nil {
 				fmt.Fprintf(stderr, "redoop-bench: metrics-out: %v\n", err)
 				ok = false
 			} else if !*quiet {
@@ -261,7 +261,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		if *jsonOut != "" {
-			sum := buildSummary(cfg, nil, nil, ob.Metrics)
+			sum := buildSummary(cfg, nil, nil, ob.Exposition())
 			sum.Profile = profileSummary(ob)
 			sum.Chaos = cj
 			if !writeJSON(sum) {
@@ -376,7 +376,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			reuseOff.TotalMapTasks(), reuseOn.TotalMapTasks())
 	}
 	if *jsonOut != "" {
-		sum := buildSummary(cfg, results, headline, ob.Metrics)
+		sum := buildSummary(cfg, results, headline, ob.Exposition())
 		sum.Reuse = reuseSummary(reuseOff, reuseOn)
 		sum.Profile = profileSummary(ob)
 		if !writeJSON(sum) {

@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"strings"
 
 	"redoop/internal/account"
 	"redoop/internal/experiments"
@@ -61,7 +60,7 @@ type configJSON struct {
 	Seed             int64 `json:"seed"`
 }
 
-// metricsJSON aggregates the run's registry across every series label:
+// metricsJSON aggregates the run's exposition across every series label:
 // the cache economy and the data-movement totals in one glance.
 type metricsJSON struct {
 	CacheHits     float64 `json:"cacheHits"`
@@ -248,7 +247,7 @@ func seriesSummary(s experiments.Series) seriesJSON {
 	return out
 }
 
-func buildSummary(cfg experiments.Config, figs []*experiments.FigResult, headline *float64, reg *obs.Registry) summaryJSON {
+func buildSummary(cfg experiments.Config, figs []*experiments.FigResult, headline *float64, x *obs.Exposition) summaryJSON {
 	sum := summaryJSON{
 		Tool: "redoop-bench",
 		Config: configJSON{
@@ -276,31 +275,16 @@ func buildSummary(cfg experiments.Config, figs []*experiments.FigResult, headlin
 		}
 		sum.Figures = append(sum.Figures, fj)
 	}
-	if reg != nil {
-		m := metricsJSON{}
-		for _, c := range reg.Counters() {
-			v := c.Value()
-			switch c.Name() {
-			case "redoop_cache_lookups_total":
-				switch labelValue(c.Labels(), "result") {
-				case "hit":
-					m.CacheHits += v
-				case "miss":
-					m.CacheMisses += v
-				case "lost":
-					m.CacheLost += v
-				}
-			case "redoop_shuffle_bytes_total":
-				m.ShuffleBytes += v
-			case "redoop_map_tasks_total":
-				m.MapTasks += v
-			case "redoop_reduce_tasks_total":
-				m.ReduceTasks += v
-			case "redoop_dfs_read_bytes_total":
-				m.DFSReadBytes += v
-			case "redoop_dfs_write_bytes_total":
-				m.DFSWriteBytes += v
-			}
+	if x != nil {
+		m := metricsJSON{
+			CacheHits:     x.Sum("redoop_cache_lookups_total", obs.L("result", "hit")),
+			CacheMisses:   x.Sum("redoop_cache_lookups_total", obs.L("result", "miss")),
+			CacheLost:     x.Sum("redoop_cache_lookups_total", obs.L("result", "lost")),
+			ShuffleBytes:  x.Sum("redoop_shuffle_bytes_total"),
+			MapTasks:      x.Sum("redoop_map_tasks_total"),
+			ReduceTasks:   x.Sum("redoop_reduce_tasks_total"),
+			DFSReadBytes:  x.Sum("redoop_dfs_read_bytes_total"),
+			DFSWriteBytes: x.Sum("redoop_dfs_write_bytes_total"),
 		}
 		if total := m.CacheHits + m.CacheMisses + m.CacheLost; total > 0 {
 			m.CacheHitRatio = m.CacheHits / total
@@ -426,15 +410,6 @@ func healthSummary(mon *health.Monitor) []queryHealthJSON {
 		})
 	}
 	return out
-}
-
-func labelValue(labels []obs.Label, key string) string {
-	for _, l := range labels {
-		if strings.EqualFold(l.Key, key) {
-			return l.Value
-		}
-	}
-	return ""
 }
 
 func writeSummary(w io.Writer, sum summaryJSON) error {

@@ -304,7 +304,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	switch mode {
 	case "metrics":
-		check("metrics dump: ", ob.Metrics.WritePrometheus(stdout))
+		check("metrics dump: ", ob.Exposition().WritePrometheus(stdout))
 	case "explain":
 		check("explain: ", explain.Build(ob.Tracer.Decisions(), queryName(o.Kind)).Write(stdout))
 	case "health":
@@ -314,7 +314,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		check("health: ", mon.WriteText(stdout))
 	}
 	if ob != nil && *metricsOut != "" {
-		check("metrics-out: ", ob.Metrics.WriteMetricsFile(*metricsOut))
+		check("metrics-out: ", ob.Exposition().WriteMetricsFile(*metricsOut))
 	}
 	if ob != nil && *traceOut != "" {
 		check("trace-out: ", ob.Tracer.WriteTraceFile(*traceOut))

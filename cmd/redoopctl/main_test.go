@@ -97,7 +97,10 @@ func TestRunGolden(t *testing.T) {
 
 // TestSidecarReportsGolden pins what the sidecars report: the costs,
 // reuse, lineage and health subcommands' stdout, the -metrics-out
-// exposition of both queries, and, as a sha256 because the file runs to megabytes, the
+// exposition of both queries, of a chaos run with a failed node and
+// dropped caches and of the reuse subcommand (both at the default
+// geometry: at three windows no forecast warms up, so neither forecast
+// error nor a health anomaly shows), and, as a sha256 because the file runs to megabytes, the
 // lineage subcommand's -lineage-out JSON. Each repeats byte for byte
 // across runs and -workers settings, so a diff means a fold changed
 // what it records, not only what it costs. The -trace-out of both
@@ -112,6 +115,7 @@ func TestSidecarReportsGolden(t *testing.T) {
 		args   []string
 		file   string // the artifact compared instead of stdout, if any
 		sha    bool   // compare the artifact's sha256, hex, newline-ended
+		full   bool   // run at the default geometry, not at three windows
 	}{
 		{golden: "costs", args: []string{"costs"}},
 		{golden: "reuse", args: []string{"reuse"}},
@@ -119,6 +123,9 @@ func TestSidecarReportsGolden(t *testing.T) {
 		{golden: "health", args: []string{"health"}},
 		{golden: "metrics-agg", args: []string{"-query", "agg", "-metrics-out"}, file: "agg.prom"},
 		{golden: "metrics-join", args: []string{"-query", "join", "-metrics-out"}, file: "join.prom"},
+		{golden: "metrics-chaos-failnode", args: []string{"-chaos", "3", "-failnode", "2", "-dropcaches", "-metrics-out"},
+			file: "chaos.prom", full: true},
+		{golden: "metrics-reuse", args: []string{"reuse", "-metrics-out"}, file: "reuse.prom", full: true},
 		{golden: "lineage-out.sha256", args: []string{"lineage", "-lineage-out"}, file: "lineage.json", sha: true},
 		{golden: "trace-agg.sha256", args: []string{"-query", "agg", "-workers", "1", "-trace-out"}, file: "agg.trace.json", sha: true},
 		{golden: "trace-join.sha256", args: []string{"-query", "join", "-workers", "1", "-trace-out"}, file: "join.trace.json", sha: true},
@@ -138,7 +145,9 @@ func TestSidecarReportsGolden(t *testing.T) {
 				args = append(args, filepath.Join(dir, tc.file))
 			}
 			var stdout, stderr bytes.Buffer
-			args = append(args, "-windows", "3", "-records", "6000")
+			if !tc.full {
+				args = append(args, "-windows", "3", "-records", "6000")
+			}
 			if code := realMain(args, &stdout, &stderr); code != 0 {
 				t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
 			}

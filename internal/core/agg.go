@@ -68,7 +68,7 @@ func (e *Engine) buildAggPane(p window.PaneID, trigger simtime.Time, pp *panePre
 	if err != nil {
 		return err
 	}
-	job := e.paneJob(0)
+	job := e.jobs[0]
 	rres, rstats, err := e.mr.CommitReducePhase(job, pp.red, mp, mp.FirstMapEnd)
 	if err != nil {
 		return err
@@ -139,7 +139,7 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 	}
 	q := e.query
 	R := q.NumReducers
-	job := e.paneJob(0)
+	job := e.jobs[0]
 
 	// Each segment's scheduling commits serially in arrival order;
 	// subIn collects, per partition, the sub-panes' sorted reduce inputs.

@@ -243,47 +243,19 @@ func (c *commit) cacheData() eventlog.CacheData {
 	}
 }
 
-// obsFold counts the transitions and records them as the tracer's
-// decisions, a cache decision's and a placement's payload unboxed
-// (Tracer.EmitCache, Tracer.EmitPlacement).
+// obsFold records the transitions as the tracer's decisions, a cache
+// decision's and a placement's payload unboxed (Tracer.EmitCache,
+// Tracer.EmitPlacement); the metrics exposition is folded from them.
 // Trace spans are not here: span IDs are data the engine threads
 // through cacheRef, so the tracer is called directly where the task is
 // scheduled.
 func (e *Engine) obsFold() func(*commit) {
 	o, qname := e.obs, e.query.Name
-	// The series touched per transition, each looked up on o once.
-	type lookupKey struct {
-		result string
-		typ    CacheType
-	}
-	byType := func(name string) *obs.SeriesSet[CacheType, obs.Counter] {
-		return obs.NewSeriesSet[CacheType, obs.Counter](name,
-			func(t CacheType) []obs.Label { return []obs.Label{obs.L("type", t.String())} })
-	}
-	var (
-		lookups = obs.NewSeriesSet[lookupKey, obs.Counter]("redoop_cache_lookups_total",
-			func(k lookupKey) []obs.Label {
-				return []obs.Label{obs.L("result", k.result), obs.L("type", k.typ.String())}
-			})
-		registrations, regBytes = byType("redoop_cache_registrations_total"), byType("redoop_cache_registered_bytes_total")
-		rollbacks, purges       = byType("redoop_cache_rollbacks_total"), byType("redoop_cache_purge_notices_total")
-		reuseHits               = obs.NewSeriesSet[string, obs.Counter]("redoop_reuse_hits_total",
-			func(mode string) []obs.Label { return []obs.Label{obs.L("query", qname), obs.L("kind", mode)} })
-		cacheRead      = obs.NewSeriesSet[string, obs.Counter]("redoop_cache_read_bytes_total", obs.LabelBy("locality"))
-		placements     = obs.NewSeriesSet[string, obs.Counter]("redoop_placements_total", obs.LabelBy("outcome"))
-		placementQueue = obs.NewSeries[obs.Histogram]("redoop_placement_queue_seconds")
-		evictions      = obs.NewSeries[obs.Counter]("redoop_cache_evictions_total")
-	)
 	// A placement's candidates are converted in one scratch slice, which
 	// the tracer copies.
 	var audit []eventlog.PlacementCandidate
-	lookup := func(c *commit, result string, typ eventlog.Type) {
-		lookups.On(o, lookupKey{result, c.typ}).Inc()
-		o.EmitCache(c.at, typ, qname, c.cacheData())
-	}
 	// The §5 rollback of a lost or evicted cache's ready bit, 2→1.
 	rollback := func(c *commit) {
-		rollbacks.On(o, c.typ).Inc()
 		o.EmitCache(c.at, eventlog.CacheRollback, qname, c.cacheData())
 	}
 	return func(c *commit) {
@@ -293,29 +265,20 @@ func (e *Engine) obsFold() func(*commit) {
 				Recurrence: c.rec, WindowLo: int64(c.pane), WindowHi: int64(c.paneHi),
 			})
 		case kindRegistered:
-			registrations.On(o, c.typ).Inc()
-			regBytes.On(o, c.typ).Add(float64(c.bytes))
 			o.EmitCache(c.at, eventlog.CacheRegister, qname, c.cacheData())
 		case kindHit:
-			lookup(c, "hit", eventlog.CacheHit)
+			o.EmitCache(c.at, eventlog.CacheHit, qname, c.cacheData())
 		case kindMiss:
-			lookup(c, "miss", eventlog.CacheMiss)
+			o.EmitCache(c.at, eventlog.CacheMiss, qname, c.cacheData())
 		case kindLost:
-			lookup(c, "lost", eventlog.CacheLost)
+			o.EmitCache(c.at, eventlog.CacheLost, qname, c.cacheData())
 			rollback(c)
 		case kindReused:
-			reuseHits.On(o, c.mode).Inc()
-			o.EmitCache(c.at, eventlog.CacheHit, qname, c.cacheData())
-		case kindLoaded:
-			locality := "remote"
-			if c.local {
-				locality = "local"
-			}
-			cacheRead.On(o, locality).Add(float64(c.bytes))
+			o.EmitReuse(c.at, qname, c.mode, c.cacheData())
 		case kindPlaced:
+			// Every placement has candidates when decisions are recorded
+			// (PickCacheTaskNode's audit), so each is a decision.
 			p := &c.place
-			placements.On(o, p.Outcome).Inc()
-			placementQueue.On(o).Observe(p.Queue.Seconds())
 			if len(p.Candidates) > 0 {
 				audit = audit[:0]
 				for _, cd := range p.Candidates {
@@ -326,11 +289,9 @@ func (e *Engine) obsFold() func(*commit) {
 					Chosen: p.Node.ID, Outcome: p.Outcome, Caches: p.Caches, Candidates: audit})
 			}
 		case kindExpired:
-			purges.On(o, c.typ).Inc()
 			o.EmitCache(c.at, eventlog.CachePurge, qname, c.cacheData())
 		case kindEvicted:
 			rollback(c)
-			evictions.On(o).Inc()
 			o.EmitCache(c.at, eventlog.CacheEvict, qname, c.cacheData())
 		case kindRetired:
 			if o.EmitEnabled() {
@@ -342,17 +303,6 @@ func (e *Engine) obsFold() func(*commit) {
 			}
 		case kindWindow:
 			res := c.res
-			mode := "reactive"
-			if res.Proactive {
-				mode = "proactive"
-			}
-			o.Counter("redoop_recurrences_total", obs.L("query", qname), obs.L("mode", mode)).Inc()
-			o.Histogram("redoop_recurrence_seconds", obs.L("query", qname)).Observe(res.ResponseTime.Seconds())
-			o.Counter("redoop_panes_total", obs.L("query", qname), obs.L("kind", "new")).Add(float64(res.NewPanes))
-			o.Counter("redoop_panes_total", obs.L("query", qname), obs.L("kind", "reused")).Add(float64(res.ReusedPanes))
-			o.Counter("redoop_pane_pairs_total", obs.L("query", qname), obs.L("kind", "new")).Add(float64(res.NewPairs))
-			o.Counter("redoop_pane_pairs_total", obs.L("query", qname), obs.L("kind", "reused")).Add(float64(res.ReusedPairs))
-			o.Counter("redoop_cache_recoveries_total", obs.L("query", qname)).Add(float64(res.CacheRecoveries))
 			o.Emit(c.at, eventlog.RecurrenceFinish, qname, eventlog.RecurrenceFinishData{
 				Recurrence:      c.rec,
 				ResponseNS:      int64(res.ResponseTime),
@@ -366,7 +316,6 @@ func (e *Engine) obsFold() func(*commit) {
 				SubPanes:        res.SubPanes,
 			})
 		case kindReplan:
-			o.Counter("redoop_replans_total", obs.L("query", qname)).Inc()
 			o.Emit(c.at, eventlog.Replan, qname, eventlog.ReplanData{
 				Recurrence: c.rec,
 				Source:     c.src,

@@ -216,6 +216,13 @@ type Engine struct {
 	self [1]int
 	// locs is runCacheTask's scratch: the commit half is serial.
 	locs []CacheLoc
+	// jobs are the sources' pane jobs, built once: nothing changes a
+	// Job after construction.
+	jobs []*mapreduce.Job
+	// root is the recurrence's root span in the making: the status
+	// matrix's updates and retired panes and the home reassignments are
+	// counted into it as they happen, and RunNext records it last.
+	root obs.TaskSpan
 
 	adaptive  bool
 	proactive bool
@@ -280,11 +287,24 @@ func NewEngine(cfg Config) (*Engine, error) {
 	// vacuously exhausted and retire on the first pass.
 	e.expiredBound = make([]window.PaneID, len(q.Sources))
 	e.sched.CacheOblivious = cfg.CacheObliviousPlacement
-	// The runtime's observer covers the whole stack: the engine's
-	// recurrence series land in the registry its map/reduce task
-	// metrics do.
+	// The runtime's observer covers the whole stack: the engine's spans
+	// and decisions land in the record its map/reduce tasks' do.
 	e.obs = cfg.MR.Obs
 	e.attachConsumers(cfg, dataDir)
+	for src := range q.Sources {
+		e.jobs = append(e.jobs, &mapreduce.Job{
+			Name:             q.Name + "/" + q.Sources[src].Name,
+			Map:              q.Maps[src],
+			Reduce:           q.Reduce,
+			Combine:          q.Combine,
+			NumReducers:      q.NumReducers,
+			Partition:        q.Partition,
+			CacheReduceInput: true,
+			LocalOutput:      true, // pane outputs are reduce-output caches
+			Place:            homes{e},
+			Query:            e.acctName,
+		})
+	}
 	e.qIdx = ctrl.RegisterQuery(q.Name)
 	e.self = [1]int{e.qIdx}
 	for i, src := range q.Sources {
@@ -491,6 +511,7 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	// at the end once CompletedAt is known.
 	root := e.obs.ReserveSpanID()
 	e.mr.SpanParent = root
+	e.root = obs.TaskSpan{}
 
 	res, err := e.runRecurrence(r, trigger)
 	if err != nil {
@@ -498,15 +519,12 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	}
 	res.Proactive = e.proactive
 	res.SubPanes = e.plans[0].SubPanes
-	qname := e.query.Name
 	e.commit(commit{kind: kindWindow, at: res.CompletedAt, res: res, forecast: prevForecast})
 
 	e.retireExpired(r, res.CompletedAt)
-	purged := 0
 	for _, m := range e.managers {
-		purged += m.Tick()
+		e.root.Purged += int32(m.Tick())
 	}
-	e.obs.Counter("redoop_cache_purges_total").Add(float64(purged))
 	e.evictOverCap(res.CompletedAt)
 
 	// Profile and adapt for the next recurrence (§3.3).
@@ -523,13 +541,6 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	// starts observing from the second recurrence.
 	if r > 0 {
 		e.profiler.Observe(r, res.ResponseTime, windowBytes)
-		if e.haveForecast {
-			errSec := (e.lastForecast - res.ResponseTime).Seconds()
-			if errSec < 0 {
-				errSec = -errSec
-			}
-			e.obs.Histogram("redoop_forecast_error_seconds", obs.L("query", qname)).Observe(errSec)
-		}
 	}
 	if e.profiler.Ready() {
 		e.mu.Lock()
@@ -578,11 +589,10 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	// to its health verdict. The query's tracks carry its account name,
 	// so queries sharing a name and a ledger (the Figure-6 panels)
 	// profile apart, as they are costed apart.
-	e.obs.Task(obs.TaskSpan{
-		Kind: obs.SpanRecurrence, Track: e.queryTrack,
-		Start: trigger, End: res.CompletedAt, Ready: trigger, ID: root, Index: r,
-		Count: int64(res.NewPanes), Reused: res.ReusedPanes, Proactive: res.Proactive,
-	})
+	e.root.Kind, e.root.Track, e.root.Job = obs.SpanRecurrence, e.queryTrack, e.query.Name
+	e.root.Start, e.root.End, e.root.Ready, e.root.ID, e.root.Index = trigger, res.CompletedAt, trigger, root, r
+	e.root.Count, e.root.Reused, e.root.Proactive = int64(res.NewPanes), res.ReusedPanes, res.Proactive
+	e.obs.Task(e.root)
 
 	e.mu.Lock()
 	e.next++
@@ -718,7 +728,7 @@ func (e *Engine) ensurePane(src int, p window.PaneID, trigger simtime.Time, pp *
 	}
 	if agg {
 		if err = e.matrix.Update(p); err == nil {
-			e.obs.Counter("redoop_statusmatrix_updates_total", obs.L("query", e.query.Name)).Inc()
+			e.root.Updates++
 		}
 	}
 	return reused, recovered, err
@@ -884,7 +894,7 @@ func (e *Engine) probeParts(refs []cacheRef, typ CacheType, src int, t paneTuple
 func (e *Engine) home(part int) (*cluster.Node, error) {
 	n, reassigned := e.sched.HomeNode(part)
 	if reassigned {
-		e.obs.Counter("redoop_home_reassignments_total").Inc()
+		e.root.Rehomed++
 	}
 	if n == nil {
 		return nil, fmt.Errorf("core: no alive node to home partition %d", part)
@@ -1084,7 +1094,7 @@ func (e *Engine) preparePane(src int, p window.PaneID, gs []mapreduce.Grouper) *
 	if !ok {
 		return &panePrep{err: fmt.Errorf("core: query %q: pane %d of source %d not flushed", e.query.Name, p, src)}
 	}
-	job, agg := e.paneJob(src), len(e.query.Sources) == 1
+	job, agg := e.jobs[src], len(e.query.Sources) == 1
 	pp := &panePrep{ins: ins, preps: make([]*mapreduce.MapPhasePrep, len(ins))}
 	pp.err = parallel.ForErr(e.mr.WorkerCount(), len(ins), func(i int) error {
 		var err error
@@ -1150,22 +1160,6 @@ func (e *Engine) commitPaneMapPhase(src int, p window.PaneID, trigger simtime.Ti
 	return merged, nil
 }
 
-// paneJob builds the per-pane MapReduce job spec for one source.
-func (e *Engine) paneJob(src int) *mapreduce.Job {
-	return &mapreduce.Job{
-		Name:             fmt.Sprintf("%s/%s", e.query.Name, e.query.Sources[src].Name),
-		Map:              e.query.Maps[src],
-		Reduce:           e.query.Reduce,
-		Combine:          e.query.Combine,
-		NumReducers:      e.query.NumReducers,
-		Partition:        e.query.Partition,
-		CacheReduceInput: true,
-		LocalOutput:      true, // pane outputs are reduce-output caches
-		Place:            homes{e},
-		Query:            e.acctName,
-	}
-}
-
 // cacheTask reports one scheduled cache-fed task: where it ran, when it
 // ended, its slot occupancy, and the task span recorded for it.
 type cacheTask struct {
@@ -1209,8 +1203,14 @@ func (e *Engine) runCacheTask(label obs.TaskSpan, ph phase, ready simtime.Time, 
 	e.commit(commit{kind: kindCharged, phase: ph, cost: work})
 	for _, c := range caches {
 		local := c.node == node.ID
-		e.commit(commit{kind: kindLoaded, at: start, pid: c.pid, typ: c.typ, node: node.ID, local: local,
+		e.commit(commit{kind: kindLoaded, at: start, pid: c.pid, typ: c.typ, node: node.ID,
 			bytes: c.bytes, cost: e.mr.Cost.CacheRead(c.bytes, local)})
+		if local {
+			label.LocalCaches++
+			label.LocalBytes += c.bytes
+		} else {
+			label.RemoteBytes += c.bytes
+		}
 	}
 	var span obs.SpanID
 	if e.obs != nil {
@@ -1288,9 +1288,7 @@ func (e *Engine) retireExpired(r int, at simtime.Time) {
 		}
 	}
 	for _, panes := range e.matrix.Shift(r + 1) {
-		if len(panes) > 0 {
-			e.obs.Counter("redoop_statusmatrix_retired_panes_total", obs.L("query", e.query.Name)).Add(float64(len(panes)))
-		}
+		e.root.Retired += int32(len(panes))
 	}
 }
 

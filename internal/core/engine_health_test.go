@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"redoop/internal/core"
@@ -98,8 +100,8 @@ func TestEngineHealthTracking(t *testing.T) {
 	}
 
 	// Metrics flowed through the attached observer.
-	if g := o.Metrics.Gauge("redoop_health_status", obs.L("query", "hq")); g.Value() != 0 {
-		t.Errorf("redoop_health_status gauge = %v, want 0 (OK)", g.Value())
+	if g := o.Exposition().Sum("redoop_health_status", obs.L("query", "hq")); g != 0 {
+		t.Errorf("redoop_health_status gauge = %v, want 0 (OK)", g)
 	}
 }
 
@@ -161,10 +163,12 @@ func TestEngineWithoutHealthMonitor(t *testing.T) {
 	eng := mustEngine(t, core.Config{MR: mr, Query: q})
 	gen := func(_, s int) []records.Record { return genWords(80, testSlide, s, 150, 10) }
 	feedAndRun(t, eng, q, 2, gen)
-	for _, g := range mr.Obs.Metrics.Gauges() {
-		if g.Name() == "redoop_health_status" {
-			t.Fatalf("health series %s recorded without a monitor", g.Series())
-		}
+	var buf bytes.Buffer
+	if err := mr.Obs.Exposition().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "redoop_health_status") {
+		t.Fatalf("health series recorded without a monitor:\n%s", buf.String())
 	}
 }
 
@@ -243,7 +247,7 @@ func TestEngineHealthSlowRecurrenceEscalates(t *testing.T) {
 	if st.Anomalies == 0 {
 		t.Errorf("no anomalies recorded across a 200x input spike: %+v", st)
 	}
-	if c := o.Metrics.Counter("redoop_health_anomalies_total", obs.L("query", "spiky")); c.Value() == 0 {
+	if c := o.Exposition().Sum("redoop_health_anomalies_total", obs.L("query", "spiky")); c == 0 {
 		t.Errorf("redoop_health_anomalies_total = 0, want > 0")
 	}
 }

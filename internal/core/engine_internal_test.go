@@ -153,7 +153,7 @@ func TestRollUpPaneCachesMatchItsPairs(t *testing.T) {
 		}
 		want := make([][]records.Pair, q.NumReducers)
 		for _, in := range pp.ins {
-			mp, err := mr.RunMapPhase(eng.paneJob(0), []mapreduce.Input{in.Input}, 0)
+			mp, err := mr.RunMapPhase(eng.jobs[0], []mapreduce.Input{in.Input}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -124,7 +124,6 @@ func (e *Engine) buildJoinInputs(src int, p window.PaneID, trigger simtime.Time,
 	if live > 0 {
 		mapShare = mp.Stats.MapTime / simtime.Duration(live)
 	}
-	jobName := fmt.Sprintf("%s/%s", q.Name, q.Sources[src].Name)
 	users := e.rinUsers(src)
 	var buf pidBuf
 	for part := 0; part < R; part++ {
@@ -137,7 +136,7 @@ func (e *Engine) buildJoinInputs(src int, p window.PaneID, trigger simtime.Time,
 		if e.proactive {
 			readyAt = mp.LastMapEnd
 		}
-		rinMeta := cacheMeta{src: src, pane: p, part: part, job: jobName, users: users}
+		rinMeta := cacheMeta{src: src, pane: p, part: part, job: e.jobs[src].Name, users: users}
 		pid := q.appendRinPID(buf[:0], src, e.frames[src].Pane, p, part)
 		if inBytes == 0 {
 			refs[part] = e.registerCache(pid, ReduceInput, home.ID, readyAt, nil, rinMeta)
@@ -378,7 +377,7 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []w
 		if err := e.matrix.Update(t...); err != nil {
 			return err
 		}
-		e.obs.Counter("redoop_statusmatrix_updates_total", obs.L("query", q.Name)).Inc()
+		e.root.Updates++
 	}
 	return nil
 }

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"redoop/internal/account"
 	"redoop/internal/obs"
@@ -82,9 +83,10 @@ type DFS struct {
 	// rereplicated accumulates the bytes copied by failure-driven
 	// re-replication, for experiment accounting.
 	rereplicated int64
-	// obs optionally receives file-operation metrics (read/write/delete
-	// counts and volumes, stored bytes, re-replication traffic).
-	obs *obs.Observer
+	// obs optionally records replication spans; counts is what the
+	// file system did since it was attached, which it reads at export.
+	obs    *obs.Observer
+	counts *fileCounts
 	// transferCost optionally models the virtual duration of moving n
 	// bytes between nodes; when set, time-stamped operations (WriteAt,
 	// FailNodeAt) record their replication traffic as spans on the
@@ -98,6 +100,46 @@ type DFS struct {
 	// prefix stay unattributed.
 	acct     *account.Ledger
 	prefixes []prefixRule
+}
+
+// fileCounts is what a DFS counts for the metrics exposition: file
+// operations and their volumes, the stored files and bytes they leave,
+// node failures and the bytes they re-replicated. SetObserver starts new
+// counts and hands the observer export, which holds the counts only, so
+// a finished runtime's files are not kept alive by them; an observer
+// the DFS was swapped away from keeps reading what it counted while
+// attached. Reads count under the read lock, so every count is atomic.
+type fileCounts struct {
+	created, deleted, writes, writeBytes, reads, readBytes atomic.Int64
+	bytes, failures, rereplicated                          atomic.Int64
+}
+
+// export adds the counts to x: a series each operation touches shows
+// once it happened, the stored files and bytes as gauges that sum over
+// the file systems an observer was attached to.
+func (c *fileCounts) export(x *obs.Exposition) {
+	created, deleted, writes := c.created.Load(), c.deleted.Load(), c.writes.Load()
+	if writes > 0 {
+		x.Add("redoop_dfs_writes_total", float64(writes))
+		x.Add("redoop_dfs_write_bytes_total", float64(c.writeBytes.Load()))
+	}
+	if reads := c.reads.Load(); reads > 0 {
+		x.Add("redoop_dfs_reads_total", float64(reads))
+		x.Add("redoop_dfs_read_bytes_total", float64(c.readBytes.Load()))
+	}
+	if deleted > 0 {
+		x.Add("redoop_dfs_deletes_total", float64(deleted))
+	}
+	if created > 0 || deleted > 0 {
+		x.AddGauge("redoop_dfs_files", float64(created-deleted))
+	}
+	if writes > 0 || deleted > 0 {
+		x.AddGauge("redoop_dfs_bytes", float64(c.bytes.Load()))
+	}
+	if failures := c.failures.Load(); failures > 0 {
+		x.Add("redoop_dfs_node_failures_total", float64(failures))
+		x.Add("redoop_dfs_rereplicated_bytes_total", float64(c.rereplicated.Load()))
+	}
 }
 
 // prefixRule attributes paths under Prefix to ledger account Query.
@@ -118,11 +160,14 @@ func (d *DFS) SetTransferCost(fn func(bytes int64) simtime.Duration) {
 	d.transferCost = fn
 }
 
-// SetObserver attaches the observability layer; nil detaches it.
+// SetObserver attaches the observability layer, which records the
+// replication spans and exports the counts kept from here on; nil
+// detaches it.
 func (d *DFS) SetObserver(o *obs.Observer) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.obs = o
+	d.obs, d.counts = o, &fileCounts{}
+	o.Attach(d.counts.export)
 }
 
 // SetAccount attaches the cost ledger IO bytes are attributed to; nil
@@ -185,10 +230,11 @@ func New(cfg Config) (*DFS, error) {
 	cfg.Nodes = append([]int(nil), cfg.Nodes...) // placement walks them in ascending order
 	sort.Ints(cfg.Nodes)
 	return &DFS{
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		files: make(map[string]*file),
-		alive: alive,
+		cfg:    cfg,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		files:  make(map[string]*file),
+		alive:  alive,
+		counts: &fileCounts{},
 	}, nil
 }
 
@@ -243,11 +289,11 @@ func (d *DFS) Write(path string, data []byte) error {
 	if old, ok := d.files[path]; ok {
 		replaced = int64(len(old.data))
 	} else {
-		d.obs.Gauge("redoop_dfs_files").Add(1)
+		d.counts.created.Add(1)
 	}
-	d.obs.Counter("redoop_dfs_writes_total").Inc()
-	d.obs.Counter("redoop_dfs_write_bytes_total").Add(float64(len(data)))
-	d.obs.Gauge("redoop_dfs_bytes").Add(float64(int64(len(data)) - replaced))
+	d.counts.writes.Add(1)
+	d.counts.writeBytes.Add(int64(len(data)))
+	d.counts.bytes.Add(int64(len(data)) - replaced)
 	d.acct.AddIO(d.accountFor(path), account.IODFSWrite, int64(len(data)))
 	// The blocks' replica lists are cut from one array, each capped at its
 	// length: FailNode's append must not run into the next block's. An
@@ -305,8 +351,8 @@ func (d *DFS) Read(path string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("dfs: no such file %q", path)
 	}
-	d.obs.Counter("redoop_dfs_reads_total").Inc()
-	d.obs.Counter("redoop_dfs_read_bytes_total").Add(float64(len(f.data)))
+	d.counts.reads.Add(1)
+	d.counts.readBytes.Add(int64(len(f.data)))
 	d.acct.AddIO(d.accountFor(path), account.IODFSRead, int64(len(f.data)))
 	return f.data[:len(f.data):len(f.data)], nil
 }
@@ -323,8 +369,8 @@ func (d *DFS) ReadBlock(path string, index int) ([]byte, error) {
 		return nil, fmt.Errorf("dfs: %q has no block %d", path, index)
 	}
 	b := f.blocks[index]
-	d.obs.Counter("redoop_dfs_reads_total").Inc()
-	d.obs.Counter("redoop_dfs_read_bytes_total").Add(float64(b.Size))
+	d.counts.reads.Add(1)
+	d.counts.readBytes.Add(b.Size)
 	d.acct.AddIO(d.accountFor(path), account.IODFSRead, b.Size)
 	return append([]byte(nil), f.data[b.Offset:b.Offset+b.Size]...), nil
 }
@@ -374,9 +420,8 @@ func (d *DFS) Delete(path string) error {
 	if !ok {
 		return fmt.Errorf("dfs: no such file %q", path)
 	}
-	d.obs.Counter("redoop_dfs_deletes_total").Inc()
-	d.obs.Gauge("redoop_dfs_files").Add(-1)
-	d.obs.Gauge("redoop_dfs_bytes").Add(-float64(len(f.data)))
+	d.counts.deleted.Add(1)
+	d.counts.bytes.Add(-int64(len(f.data)))
 	delete(d.files, path)
 	return nil
 }
@@ -464,8 +509,8 @@ func (d *DFS) FailNode(node int) int64 {
 		d.acct.AddIO(d.accountFor(p), account.IODFSRepl, pathMoved)
 	}
 	d.rereplicated += moved
-	d.obs.Counter("redoop_dfs_node_failures_total").Inc()
-	d.obs.Counter("redoop_dfs_rereplicated_bytes_total").Add(float64(moved))
+	d.counts.failures.Add(1)
+	d.counts.rereplicated.Add(moved)
 	return moved
 }
 

@@ -34,7 +34,10 @@ func evictions(o *obs.Observer) []eventlog.CacheData {
 // limit evictions actually happen, every evicted cache is rebuilt on
 // demand through the §5 ladder (the oracle byte-checks every window
 // against independent recomputation), and the tracer records each
-// victim as a cache.evict decision of its recurrence.
+// victim as a cache.evict decision of its recurrence, which the metrics
+// exposition counts. (No CLI flag sets a disk limit, so no golden
+// exposition shows redoop_cache_evictions_total; this run is where it
+// is pinned.)
 func TestEvictionFiresAndStaysCorrect(t *testing.T) {
 	cfg := detConfig()
 	cfg.RecordsPerWindow /= 4
@@ -54,6 +57,9 @@ func TestEvictionFiresAndStaysCorrect(t *testing.T) {
 			d.Recurrence < 0 || d.Recurrence >= cfg.Windows {
 			t.Fatalf("malformed eviction decision %+v", d)
 		}
+	}
+	if got := cfg.Obs.Exposition().Sum("redoop_cache_evictions_total"); got != float64(len(log)) {
+		t.Errorf("exposition counts %v evictions, the record holds %d", got, len(log))
 	}
 }
 

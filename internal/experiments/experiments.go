@@ -66,7 +66,8 @@ type Config struct {
 	// Seed drives all generators.
 	Seed int64
 	// Obs optionally instruments every runtime built by NewRuntime
-	// (metrics registry + trace spans); nil disables observability.
+	// (the span and decision record its metrics fold from, and the DFS
+	// counts); nil disables observability.
 	Obs *obs.Observer
 	// Health optionally shares one SLO monitor across every Redoop
 	// engine an experiment builds, so a whole figure's queries land in

@@ -23,7 +23,7 @@ func TestObservedRunProducesKeySeries(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := ob.Metrics.WritePrometheus(&buf); err != nil {
+	if err := ob.Exposition().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	exposition := buf.String()

@@ -25,9 +25,10 @@
 //     failed to respond to a regime change it should have seen.
 //
 // The monitor records decision events (health.status,
-// health.anomaly, health.adaptivity_miss) and obs metrics
-// (redoop_health_status, redoop_deadline_headroom_seconds,
-// redoop_window_lag_units, redoop_deadline_misses_total,
+// health.anomaly, health.adaptivity_miss), and its query statuses are
+// read into the metrics exposition at export (redoop_health_status,
+// redoop_deadline_headroom_seconds, redoop_window_lag_units,
+// redoop_miss_streak, redoop_deadline_misses_total,
 // redoop_health_anomalies_total, redoop_adaptivity_misses_total), so
 // the judgments flow through the same surfaces as the raw telemetry:
 // redoopctl health, the metrics exposition, and redoop-bench's
@@ -197,16 +198,54 @@ func NewMonitor(cfg Config) *Monitor {
 	return &Monitor{cfg: cfg, names: make(map[string]int)}
 }
 
-// SetObserver attaches the observability layer the monitor emits its
-// events and metrics through. Setting nil detaches it. Safe to call
+// SetObserver attaches the observability layer the monitor records its
+// events on and whose metrics exposition reads its query statuses, all
+// of them, at export (export). Setting nil detaches it from events; an
+// observer once attached keeps reading the statuses. Safe to call
 // concurrently with Observe.
 func (m *Monitor) SetObserver(o *obs.Observer) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
+	attach := o != nil && o != m.obs
 	m.obs = o
 	m.mu.Unlock()
+	if attach {
+		o.Attach(m.export)
+	}
+}
+
+// export adds each observed query's status to x: its level, window lag,
+// miss streak and, with a deadline, headroom as gauges, which a monitor
+// attached later overwrites for a query both observed; its deadline
+// misses, anomalies and adaptivity misses as counters, touched by the
+// first one.
+func (m *Monitor) export(x *obs.Exposition) {
+	for _, s := range m.Snapshot() {
+		if s.Recurrences == 0 {
+			continue
+		}
+		q := obs.L("query", s.Query)
+		x.Set("redoop_health_status", float64(s.Status.Level()), q)
+		x.Set("redoop_window_lag_units", float64(s.WindowLagUnits), q)
+		x.Set("redoop_miss_streak", float64(s.MissStreak), q)
+		if s.DeadlineNS > 0 {
+			x.Set("redoop_deadline_headroom_seconds", simtime.Duration(s.HeadroomNS).Seconds(), q)
+		}
+		for _, c := range []struct {
+			name string
+			n    int
+		}{
+			{"redoop_deadline_misses_total", s.DeadlineMisses},
+			{"redoop_health_anomalies_total", s.Anomalies},
+			{"redoop_adaptivity_misses_total", s.AdaptivityMisses},
+		} {
+			if c.n > 0 {
+				x.Add(c.name, float64(c.n), q)
+			}
+		}
+	}
 }
 
 // Observer returns the currently attached observer.
@@ -380,7 +419,7 @@ func (t *Tracker) statusLocked() QueryStatus {
 }
 
 // Observe absorbs one completed recurrence, updates the query's
-// health, and emits the resulting events and metrics. Nil-safe.
+// health, and records the resulting events. Nil-safe.
 func (t *Tracker) Observe(s Sample) {
 	if t == nil {
 		return
@@ -468,20 +507,10 @@ func (t *Tracker) Observe(s Sample) {
 	streak := t.streak
 	m.mu.Unlock()
 
-	// Metrics and events are emitted outside the monitor lock; the
-	// captured values keep the emission consistent with the transition.
+	// Events are recorded outside the monitor lock; the captured values
+	// keep them consistent with the transition.
 	name := t.name
-	o.Gauge("redoop_health_status", obs.L("query", name)).Set(float64(next.Level()))
-	o.Gauge("redoop_window_lag_units", obs.L("query", name)).Set(float64(lag))
-	o.Gauge("redoop_miss_streak", obs.L("query", name)).Set(float64(streak))
-	if t.deadline > 0 {
-		o.Gauge("redoop_deadline_headroom_seconds", obs.L("query", name)).Set(headroom.Seconds())
-	}
-	if missed {
-		o.Counter("redoop_deadline_misses_total", obs.L("query", name)).Inc()
-	}
 	if anomaly {
-		o.Counter("redoop_health_anomalies_total", obs.L("query", name)).Inc()
 		o.Emit(s.CompletedAt, eventlog.HealthAnomaly, name, eventlog.HealthAnomalyData{
 			Recurrence:  s.Recurrence,
 			ForecastNS:  int64(s.Forecast),
@@ -493,7 +522,6 @@ func (t *Tracker) Observe(s Sample) {
 		})
 	}
 	if adaptMiss {
-		o.Counter("redoop_adaptivity_misses_total", obs.L("query", name)).Inc()
 		o.Emit(s.CompletedAt, eventlog.AdaptivityMiss, name, eventlog.AdaptivityMissData{
 			Recurrence: s.Recurrence,
 			ForecastNS: int64(s.Forecast),

@@ -90,10 +90,10 @@ func TestStatusTransitions(t *testing.T) {
 	}
 
 	// Counters and gauges reflect the history.
-	if v := o.Metrics.Counter("redoop_deadline_misses_total", obs.L("query", "q1")).Value(); v != 3 {
+	if v := o.Exposition().Sum("redoop_deadline_misses_total", obs.L("query", "q1")); v != 3 {
 		t.Fatalf("misses counter = %v, want 3", v)
 	}
-	if v := o.Metrics.Gauge("redoop_health_status", obs.L("query", "q1")).Value(); v != 0 {
+	if v := o.Exposition().Sum("redoop_health_status", obs.L("query", "q1")); v != 0 {
 		t.Fatalf("status gauge = %v, want 0", v)
 	}
 }
@@ -220,10 +220,10 @@ func TestAnomalyDetectionAndAdaptivityMiss(t *testing.T) {
 	if st.Anomalies != 2 || st.AdaptivityMisses != 1 {
 		t.Fatalf("replan-covered anomaly: %+v", st)
 	}
-	if v := o.Metrics.Counter("redoop_health_anomalies_total", obs.L("query", "q1")).Value(); v != 2 {
+	if v := o.Exposition().Sum("redoop_health_anomalies_total", obs.L("query", "q1")); v != 2 {
 		t.Fatalf("anomaly counter = %v, want 2", v)
 	}
-	if v := o.Metrics.Counter("redoop_adaptivity_misses_total", obs.L("query", "q1")).Value(); v != 1 {
+	if v := o.Exposition().Sum("redoop_adaptivity_misses_total", obs.L("query", "q1")); v != 1 {
 		t.Fatalf("adaptivity-miss counter = %v, want 1", v)
 	}
 }
@@ -274,7 +274,7 @@ func TestWindowLagWatermark(t *testing.T) {
 	if st := trk.Status(); st.WindowLagUnits != 200 {
 		t.Fatalf("lag = %d, want 200", st.WindowLagUnits)
 	}
-	if v := o.Metrics.Gauge("redoop_window_lag_units", obs.L("query", "q1")).Value(); v != 200 {
+	if v := o.Exposition().Sum("redoop_window_lag_units", obs.L("query", "q1")); v != 200 {
 		t.Fatalf("lag gauge = %v, want 200", v)
 	}
 

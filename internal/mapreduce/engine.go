@@ -99,38 +99,6 @@ type Engine struct {
 	Account *account.Ledger
 
 	scratch scratch // free lists of the arrays phases borrow (DropScratch)
-	series  *series // Obs's series the commit paths touch (metrics)
-}
-
-// series holds the series the commit paths touch per task, each looked
-// up on Obs once (obs.Series); the commit paths are serial.
-type series struct {
-	mapTasks, spillBytes, reduceTasks, outputBytes obs.Series[obs.Counter]
-	blockReads, mapInput, shuffleBytes             *obs.SeriesSet[string, obs.Counter] // by locality
-	mapAttempts, reduceAttempts                    *obs.SeriesSet[string, obs.Counter] // by result
-	mapSeconds, shuffleSeconds, reduceSeconds      obs.Series[obs.Histogram]
-}
-
-// metrics returns the engine's series, made at its first use.
-func (e *Engine) metrics() *series {
-	if e.series == nil {
-		locality, result := obs.LabelBy("locality"), obs.LabelBy("result")
-		e.series = &series{
-			mapTasks:       obs.NewSeries[obs.Counter]("redoop_map_tasks_total"),
-			spillBytes:     obs.NewSeries[obs.Counter]("redoop_spill_bytes_total"),
-			reduceTasks:    obs.NewSeries[obs.Counter]("redoop_reduce_tasks_total"),
-			outputBytes:    obs.NewSeries[obs.Counter]("redoop_output_bytes_total"),
-			blockReads:     obs.NewSeriesSet[string, obs.Counter]("redoop_dfs_block_reads_total", locality),
-			mapInput:       obs.NewSeriesSet[string, obs.Counter]("redoop_map_input_bytes_total", locality),
-			shuffleBytes:   obs.NewSeriesSet[string, obs.Counter]("redoop_shuffle_bytes_total", locality),
-			mapAttempts:    obs.NewSeriesSet[string, obs.Counter]("redoop_map_attempts_total", result),
-			reduceAttempts: obs.NewSeriesSet[string, obs.Counter]("redoop_reduce_attempts_total", result),
-			mapSeconds:     obs.NewSeries[obs.Histogram]("redoop_map_task_seconds"),
-			shuffleSeconds: obs.NewSeries[obs.Histogram]("redoop_shuffle_seconds"),
-			reduceSeconds:  obs.NewSeries[obs.Histogram]("redoop_reduce_task_seconds"),
-		}
-	}
-	return e.series
 }
 
 // New constructs an engine over the given substrates with default
@@ -601,17 +569,10 @@ func (e *Engine) CommitMapPhase(prep *MapPhasePrep, ready simtime.Time) (*MapPha
 		// speculative included), matching the AddLoad charges exactly.
 		e.Account.AddCompute(job.Query, account.PhaseMap, spent)
 		res.Stats.BytesRead += s.Size()
-		locality := "remote"
 		if e.DFS.HasLocalReplica(s.Path, s.Block.Index, node.ID) {
 			res.Stats.BytesReadLocal += s.Size()
-			locality = "local"
 		}
 		res.Stats.BytesSpilled += outBytes
-		m := e.metrics()
-		m.mapTasks.On(e.Obs).Inc()
-		m.blockReads.On(e.Obs, locality).Inc()
-		m.mapInput.On(e.Obs, locality).Add(float64(s.Size()))
-		m.spillBytes.On(e.Obs).Add(float64(outBytes))
 		if i == 0 || end < res.FirstMapEnd {
 			res.FirstMapEnd = end
 		}
@@ -645,7 +606,9 @@ func (e *Engine) RunMapPhase(job *Job, inputs []Input, ready simtime.Time) (*Map
 // charging each attempt's duration to its node. It returns the node of
 // the successful attempt, its end time, the number of attempts, the
 // summed virtual time spent across attempts, and the winning attempt's
-// span ID (0 without an observer).
+// span ID (0 without an observer). The task's last attempt span settles
+// it: it carries the split's bytes, read where the winner ran, and the
+// map output spilled.
 func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime.Time, worker int) (*cluster.Node, simtime.Time, int, simtime.Duration, obs.SpanID, error) {
 	var spent simtime.Duration
 	// prev chains retry attempts: each attempt's span depends on the
@@ -657,7 +620,6 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 	if e.Jitter > 0 || e.Faults != nil {
 		id = s.ID()
 	}
-	m := e.metrics()
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		node := e.placementFor(job).PlaceMap(e, s, ready)
 		if node == nil {
@@ -682,7 +644,6 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 			Attempt: attempt + 1, Worker: worker,
 		}
 		if e.Faults != nil && e.Faults.MapAttemptFails(job.Name, id, attempt) {
-			m.mapAttempts.On(e.Obs, "failed").Inc()
 			span.Failed = true
 			prev = e.Obs.Task(span)
 			e.Obs.Emit(end, eventlog.TaskRetry, job.Query, eventlog.TaskRetryData{
@@ -694,33 +655,39 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 			ready = end
 			continue
 		}
-		m.mapAttempts.On(e.Obs, "ok").Inc()
-		m.mapSeconds.On(e.Obs).Observe(dur.Seconds())
-		won := e.Obs.Task(span)
+		// A straggler gets a backup attempt once the original has
+		// clearly fallen behind (the earlier finisher wins, but both
+		// occupy slots: the cost the paper avoided by disabling
+		// speculation), unless the straggler's node is the only alive
+		// node, where a backup would just queue behind it.
+		var backup *cluster.Node
+		var detect simtime.Time
 		if e.Speculative && float64(dur) > speculationThreshold*float64(base) {
-			// A straggler: launch a backup attempt once the original
-			// has clearly fallen behind; the earlier finisher wins,
-			// but both occupy slots (the cost the paper avoided by
-			// disabling speculation).
-			detect := start.Add(simtime.Duration(speculationThreshold * float64(base)))
-			backup := pickMapNode(e, s, detect, node.ID)
-			if backup == nil {
-				// The straggler's node is the only alive node: a backup
-				// there would just queue behind the straggler, so the
-				// original attempt stands and its end time is final.
-				return node, end, attempt + 1, spent, won, nil
+			detect = start.Add(simtime.Duration(speculationThreshold * float64(base)))
+			backup = pickMapNode(e, s, detect, node.ID)
+		}
+		span.Settles = backup == nil
+		span.LocalBytes, span.RemoteBytes, span.OutBytes = local, s.Size()-local, outBytes
+		won := e.Obs.Task(span)
+		if backup == nil {
+			return node, end, attempt + 1, spent, won, nil
+		}
+		bdur := e.jittered(base, "backup", job.Name, id, attempt)
+		bstart, bend := backup.Map.Acquire(detect, bdur)
+		backup.AddLoad(bdur)
+		spent += bdur
+		if bend < end {
+			node, end = backup, bend
+			span.LocalBytes = 0
+			if e.DFS.HasLocalReplica(s.Path, s.Block.Index, backup.ID) {
+				span.LocalBytes = s.Size()
 			}
-			bdur := e.jittered(base, "backup", job.Name, id, attempt)
-			bstart, bend := backup.Map.Acquire(detect, bdur)
-			backup.AddLoad(bdur)
-			spent += bdur
-			m.mapAttempts.On(e.Obs, "speculative").Inc()
-			span.Kind, span.Track = obs.SpanBackup, obs.NodeTrack(backup.ID)
-			span.Start, span.End, span.Ready = bstart, bend, detect
-			bspan := e.Obs.Task(span)
-			if bend < end {
-				node, end, won = backup, bend, bspan
-			}
+			span.RemoteBytes = s.Size() - span.LocalBytes
+		}
+		span.Kind, span.Track, span.Settles = obs.SpanBackup, obs.NodeTrack(backup.ID), true
+		span.Start, span.End, span.Ready = bstart, bend, detect
+		if bspan := e.Obs.Task(span); node == backup {
+			won = bspan
 		}
 		return node, end, attempt + 1, spent, won, nil
 	}
@@ -877,9 +844,6 @@ func (e *Engine) CommitReducePhase(job *Job, results []ReducerResult, mp *MapPha
 		e.Account.AddCompute(job.Query, account.PhaseSort, sortShare)
 		e.Account.AddCompute(job.Query, account.PhaseReduce, spent-sortShare)
 		e.Account.AddIO(job.Query, account.IOShuffle, rr.InBytes)
-		m := e.metrics()
-		m.reduceTasks.On(e.Obs).Inc()
-		m.outputBytes.On(e.Obs).Add(float64(rr.OutBytes))
 		if rr.End > stats.End {
 			stats.End = rr.End
 		}
@@ -896,7 +860,6 @@ func (e *Engine) CommitReducePhase(job *Job, results []ReducerResult, mp *MapPha
 // charges exactly.
 func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.Node, mp *MapPhaseResult, ready simtime.Time) (shuffle, spent simtime.Duration, err error) {
 	part, inBytes, outBytes := rr.Part, rr.InBytes, rr.OutBytes
-	m := e.metrics()
 	var prev obs.SpanID // failed-attempt chain, as in runMapAttempts
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if node == nil || !node.Alive() {
@@ -935,7 +898,6 @@ func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.No
 			Job: job.Name, Part: part, Attempt: attempt + 1, Worker: rr.worker,
 		}
 		if e.Faults != nil && e.Faults.ReduceAttemptFails(job.Name, part, attempt) {
-			m.reduceAttempts.On(e.Obs, "failed").Inc()
 			span.Failed = true
 			prev = e.Obs.Task(span)
 			e.Obs.Emit(end, eventlog.TaskRetry, job.Query, eventlog.TaskRetryData{
@@ -948,11 +910,6 @@ func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.No
 			node = nil
 			continue
 		}
-		m.reduceAttempts.On(e.Obs, "ok").Inc()
-		m.shuffleBytes.On(e.Obs, "local").Add(float64(local))
-		m.shuffleBytes.On(e.Obs, "remote").Add(float64(remote))
-		m.shuffleSeconds.On(e.Obs).Observe(shuffleDur.Seconds())
-		m.reduceSeconds.On(e.Obs).Observe(dur.Seconds())
 		var shuffleSpan obs.SpanID
 		if shuffleDur > 0 {
 			// The shuffle's readiness is when the first map finished (it
@@ -967,6 +924,7 @@ func (e *Engine) runReduceAttempts(job *Job, rr *ReducerResult, node *cluster.No
 		if shuffleSpan != 0 {
 			span.Shared, span.Deps = nil, [2]obs.SpanID{shuffleSpan, prev}
 		}
+		span.LocalBytes, span.RemoteBytes, span.OutBytes, span.Shuffle = local, remote, outBytes, shuffleDur
 		rr.Node, rr.Start, rr.End, rr.ShuffleSpan = node.ID, start, end, shuffleSpan
 		rr.Span = e.Obs.Task(span)
 		return shuffleDur, spent, nil

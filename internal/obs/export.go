@@ -2,18 +2,133 @@ package obs
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 
 	"redoop/internal/simtime"
 )
 
 // --- Prometheus text exposition ---
+
+// Exposition is a run's metrics as the Prometheus text exposition
+// writes them: counters, gauges and histograms keyed by name and
+// labels, each made at its first touch, so a series touched at 0 is
+// written. It is built at export from the run's record and state
+// (Observer.Exposition), never pushed to while the run goes; not safe
+// for concurrent use. A nil *Exposition writes nothing.
+type Exposition struct {
+	byKey map[string]*metric
+}
+
+// metric is one series: a counter's or gauge's value, or a histogram
+// over DefBuckets.
+type metric struct {
+	key, name string
+	labels    []Label
+	kind      metricKind
+	value     float64
+	hist      Histogram
+}
+
+// metricKind orders an exposition: counters, gauges, then histograms,
+// each by series key.
+type metricKind uint8
+
+const (
+	counterKind metricKind = iota
+	gaugeKind
+	histogramKind
+)
+
+// newExposition returns an empty exposition.
+func newExposition() *Exposition { return &Exposition{byKey: map[string]*metric{}} }
+
+// metric returns the series of name and labels, making it at its first
+// touch. Its key is built on the stack: only a new series allocates.
+func (x *Exposition) metric(kind metricKind, name string, labels []Label) *metric {
+	var buf [128]byte
+	key := appendLabels(append(buf[:0], name...), labels)
+	m := x.byKey[string(key)]
+	if m == nil {
+		m = &metric{key: string(key), name: name, labels: slices.Clone(labels), kind: kind}
+		if kind == histogramKind {
+			m.hist = newHistogram(nil)
+		}
+		x.byKey[m.key] = m
+	}
+	return m
+}
+
+// Add adds v to a counter; a negative v only touches it, so the counter
+// stays monotone.
+func (x *Exposition) Add(name string, v float64, labels ...Label) {
+	if m := x.metric(counterKind, name, labels); v > 0 {
+		m.value += v
+	}
+}
+
+// Set sets a gauge to v.
+func (x *Exposition) Set(name string, v float64, labels ...Label) {
+	x.metric(gaugeKind, name, labels).value = v
+}
+
+// AddGauge moves a gauge by v, which may be negative.
+func (x *Exposition) AddGauge(name string, v float64, labels ...Label) {
+	x.metric(gaugeKind, name, labels).value += v
+}
+
+// Observe adds one sample to a histogram.
+func (x *Exposition) Observe(name string, v float64, labels ...Label) {
+	x.metric(histogramKind, name, labels).hist.Observe(v)
+}
+
+// Sum returns the sum of name's counters and gauges whose labels
+// include every one of match, in exposition order: one series' value
+// when match names all its labels.
+func (x *Exposition) Sum(name string, match ...Label) float64 {
+	var sum float64
+	for _, m := range x.sorted() {
+		if m.name == name && m.kind != histogramKind &&
+			!slices.ContainsFunc(match, func(l Label) bool { return !slices.Contains(m.labels, l) }) {
+			sum += m.value
+		}
+	}
+	return sum
+}
+
+// clone returns a deep copy, for a reader to add to.
+func (x *Exposition) clone() *Exposition {
+	c := newExposition()
+	for k, m := range x.byKey {
+		cm := *m
+		cm.hist.counts = slices.Clone(m.hist.counts)
+		c.byKey[k] = &cm
+	}
+	return c
+}
+
+// sorted returns the series in exposition order.
+func (x *Exposition) sorted() []*metric {
+	if x == nil {
+		return nil
+	}
+	out := make([]*metric, 0, len(x.byKey))
+	for _, m := range x.byKey {
+		out = append(out, m)
+	}
+	slices.SortFunc(out, func(a, b *metric) int {
+		return cmp.Or(cmp.Compare(a.kind, b.kind), strings.Compare(a.key, b.key))
+	})
+	return out
+}
 
 // promFloat formats a value the way the Prometheus text format expects.
 func promFloat(v float64) string {
@@ -27,19 +142,13 @@ func promFloat(v float64) string {
 	}
 }
 
-// bucketLabels appends the `le` label to a histogram's label set.
-func bucketLabels(labels []Label, ub float64) string {
-	ls := append(append([]Label(nil), labels...), L("le", promFloat(ub)))
-	return labelString(ls)
-}
-
-// WritePrometheus writes every registered series in the Prometheus
-// text exposition format (sorted by series key; one # TYPE line per
-// metric name). A nil registry writes nothing.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
+// WritePrometheus writes every series in the Prometheus text exposition
+// format, in exposition order, with one # TYPE line per metric name. A
+// histogram is followed by its pre-computed quantiles as a companion
+// gauge, so `grep _quantile` answers latency questions without bucket
+// math (Prometheus derives them with histogram_quantile; the text
+// artifact has no query engine).
+func (x *Exposition) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	typed := make(map[string]bool)
 	writeType := func(name, typ string) {
@@ -48,39 +157,28 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			typed[name] = true
 		}
 	}
-	for _, c := range r.Counters() {
-		writeType(c.Name(), "counter")
-		fmt.Fprintf(bw, "%s%s %s\n", c.Name(), labelString(c.Labels()), promFloat(c.Value()))
-	}
-	for _, g := range r.Gauges() {
-		writeType(g.Name(), "gauge")
-		fmt.Fprintf(bw, "%s%s %s\n", g.Name(), labelString(g.Labels()), promFloat(g.Value()))
-	}
-	for _, h := range r.Histograms() {
-		writeType(h.Name(), "histogram")
-		for _, b := range h.Buckets() {
-			fmt.Fprintf(bw, "%s_bucket%s %d\n", h.Name(), bucketLabels(h.Labels(), b.UpperBound), b.Count)
+	for _, m := range x.sorted() {
+		ls, with := labelString(m.labels), func(l Label) string { return labelString(append(slices.Clip(m.labels), l)) }
+		if m.kind != histogramKind {
+			writeType(m.name, [...]string{"counter", "gauge"}[m.kind])
+			fmt.Fprintf(bw, "%s%s %s\n", m.name, ls, promFloat(m.value))
+			continue
 		}
-		fmt.Fprintf(bw, "%s_sum%s %s\n", h.Name(), labelString(h.Labels()), promFloat(h.Sum()))
-		fmt.Fprintf(bw, "%s_count%s %d\n", h.Name(), labelString(h.Labels()), h.Count())
-		// Pre-computed quantiles as a companion gauge series, so
-		// `grep _quantile` answers latency questions without bucket
-		// math. (Real Prometheus would derive these with
-		// histogram_quantile; the text artifact has no query engine.)
-		writeType(h.Name()+"_quantile", "gauge")
-		for _, q := range exportQuantiles {
-			ls := append(append([]Label(nil), h.Labels()...), L("quantile", q.label))
-			fmt.Fprintf(bw, "%s_quantile%s %s\n", h.Name(), labelString(ls), promFloat(h.Quantile(q.q)))
+		h := &m.hist
+		writeType(m.name, "histogram")
+		for _, b := range h.Buckets() {
+			fmt.Fprintf(bw, "%s_bucket%s %d\n", m.name, with(L("le", promFloat(b.UpperBound))), b.Count)
+		}
+		fmt.Fprintf(bw, "%s_sum%s %s\n", m.name, ls, promFloat(h.sum))
+		fmt.Fprintf(bw, "%s_count%s %d\n", m.name, ls, h.count)
+		writeType(m.name+"_quantile", "gauge")
+		for _, q := range []string{"0.5", "0.9", "0.99"} {
+			v, _ := strconv.ParseFloat(q, 64)
+			fmt.Fprintf(bw, "%s_quantile%s %s\n", m.name, with(L("quantile", q)), promFloat(h.Quantile(v)))
 		}
 	}
 	return bw.Flush()
 }
-
-// exportQuantiles are the quantiles materialized in the exposition.
-var exportQuantiles = []struct {
-	label string
-	q     float64
-}{{"0.5", 0.5}, {"0.9", 0.9}, {"0.99", 0.99}}
 
 // --- Chrome trace-event JSON ---
 
@@ -233,12 +331,12 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-// WriteMetricsFile writes the registry's Prometheus text exposition to
-// a file, atomically, creating parent directories. A nil registry
-// still produces the (empty) file, so callers can rely on the artifact
+// WriteMetricsFile writes the Prometheus text exposition to a file,
+// atomically, creating parent directories. A nil exposition still
+// produces the (empty) file, so callers can rely on the artifact
 // existing.
-func (r *Registry) WriteMetricsFile(path string) error {
-	return WriteFileAtomic(path, r.WritePrometheus)
+func (x *Exposition) WriteMetricsFile(path string) error {
+	return WriteFileAtomic(path, x.WritePrometheus)
 }
 
 // WriteTraceFile writes the Chrome trace JSON to a file, atomically,

@@ -18,17 +18,16 @@ import (
 // rendering, histogram _bucket/_sum/_count series, and deterministic
 // ordering.
 func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("redoop_cache_lookups_total", L("result", "hit")).Add(7)
-	r.Counter("redoop_cache_lookups_total", L("result", "miss")).Add(3)
-	r.Gauge("redoop_dfs_bytes").Set(1024)
-	h := r.HistogramBuckets("redoop_task_seconds", []float64{0.1, 1})
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
+	x := newExposition()
+	x.Add("redoop_cache_lookups_total", 7, L("result", "hit"))
+	x.Add("redoop_cache_lookups_total", 3, L("result", "miss"))
+	x.Set("redoop_dfs_bytes", 1024)
+	x.Observe("redoop_task_seconds", 0.05)
+	x.Observe("redoop_task_seconds", 0.5)
+	x.Observe("redoop_task_seconds", 5)
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := x.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -39,8 +38,8 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE redoop_dfs_bytes gauge",
 		"redoop_dfs_bytes 1024",
 		"# TYPE redoop_task_seconds histogram",
-		`redoop_task_seconds_bucket{le="0.1"} 1`,
-		`redoop_task_seconds_bucket{le="1"} 2`,
+		`redoop_task_seconds_bucket{le="` + promFloat(DefBuckets[8]) + `"} 1`,  // 0.066
+		`redoop_task_seconds_bucket{le="` + promFloat(DefBuckets[10]) + `"} 2`, // 1.05
 		`redoop_task_seconds_bucket{le="+Inf"} 3`,
 		"redoop_task_seconds_sum 5.55",
 		"redoop_task_seconds_count 3",
@@ -59,7 +58,7 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	// Deterministic: a second export matches byte-for-byte.
 	var buf2 bytes.Buffer
-	if err := r.WritePrometheus(&buf2); err != nil {
+	if err := x.WritePrometheus(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if buf2.String() != out {
@@ -70,8 +69,7 @@ func TestWritePrometheus(t *testing.T) {
 // TestQuantileLinesOrdered checks the exposed quantile estimates are
 // monotone (p50 <= p90 <= p99) and clamped to the observed range.
 func TestQuantileLinesOrdered(t *testing.T) {
-	r := NewRegistry()
-	h := r.HistogramBuckets("lat", []float64{1, 10, 100})
+	h := newHistogram([]float64{1, 10, 100})
 	for v := 1; v <= 1000; v++ {
 		h.Observe(float64(v % 90))
 	}
@@ -88,10 +86,10 @@ func TestQuantileLinesOrdered(t *testing.T) {
 // missing parent directories and leave no temp files behind.
 func TestWriteFilesAtomicCreatesDirs(t *testing.T) {
 	dir := t.TempDir()
-	r := NewRegistry()
-	r.Counter("c").Inc()
+	x := newExposition()
+	x.Add("c", 1)
 	mpath := filepath.Join(dir, "out", "nested", "metrics.prom")
-	if err := r.WriteMetricsFile(mpath); err != nil {
+	if err := x.WriteMetricsFile(mpath); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(mpath)
@@ -232,17 +230,17 @@ func TestTraceBackwardsSpanClamped(t *testing.T) {
 	}
 }
 
-// TestNilExporters checks nil registry/tracer still produce valid,
+// TestNilExporters checks a nil observer and tracer still produce valid,
 // empty documents.
 func TestNilExporters(t *testing.T) {
-	var r *Registry
+	var o *Observer
 	var tr *Tracer
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := o.Exposition().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
-		t.Errorf("nil registry exposition = %q", buf.String())
+		t.Errorf("nil observer exposition = %q", buf.String())
 	}
 	buf.Reset()
 	if err := tr.WriteTraceJSON(&buf); err != nil {

@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"sort"
-	"sync"
 )
 
 // DefBuckets are the default histogram bucket upper bounds: base-4
@@ -21,12 +20,10 @@ var DefBuckets = func() []float64 {
 // Histogram accumulates observations into fixed buckets and tracks
 // count, sum, min and max. Quantiles are estimated by linear
 // interpolation within the bucket containing the target rank, clamped
-// to the observed min/max. A nil *Histogram is a no-op.
+// to the observed min/max. Samples are added one at a time, so the sum
+// depends on their order: an exposition adds them in record order. Not
+// safe for concurrent use.
 type Histogram struct {
-	name   string
-	labels []Label
-
-	mu       sync.Mutex
 	bounds   []float64 // ascending upper bounds; +Inf implicit
 	counts   []int64   // len(bounds)+1, non-cumulative
 	count    int64
@@ -34,12 +31,15 @@ type Histogram struct {
 	min, max float64
 }
 
-func newHistogram(name string, labels []Label, bounds []float64) *Histogram {
+// newHistogram returns an empty histogram over bounds (DefBuckets when
+// nil).
+func newHistogram(bounds []float64) Histogram {
+	if bounds == nil {
+		bounds = DefBuckets
+	}
 	b := append([]float64(nil), bounds...)
 	sort.Float64s(b)
-	return &Histogram{
-		name:   name,
-		labels: append([]Label(nil), labels...),
+	return Histogram{
 		bounds: b,
 		counts: make([]int64, len(b)+1),
 		min:    math.Inf(1),
@@ -47,22 +47,8 @@ func newHistogram(name string, labels []Label, bounds []float64) *Histogram {
 	}
 }
 
-// Name returns the metric name.
-func (h *Histogram) Name() string { return h.name }
-
-// Labels returns the series' labels.
-func (h *Histogram) Labels() []Label { return h.labels }
-
-// Series returns the full series identity, name plus label string.
-func (h *Histogram) Series() string { return seriesKey(h.name, h.labels) }
-
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i]++
 	h.count++
@@ -75,26 +61,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of samples observed (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of all samples (0 for nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // BucketCount is one exported bucket: the upper bound (inclusive) and
 // the cumulative count of samples at or below it, Prometheus `le`
 // semantics. The final bucket has UpperBound +Inf.
@@ -105,11 +71,6 @@ type BucketCount struct {
 
 // Buckets returns the cumulative bucket counts.
 func (h *Histogram) Buckets() []BucketCount {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	out := make([]BucketCount, 0, len(h.counts))
 	var cum int64
 	for i, c := range h.counts {
@@ -129,14 +90,9 @@ func (h *Histogram) Buckets() []BucketCount {
 // min/max so estimates never leave the sampled range. With no samples
 // it returns 0; NaN is returned for q outside [0, 1].
 func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		return math.NaN()
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.count == 0 {
 		return 0
 	}

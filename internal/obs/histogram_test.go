@@ -8,8 +8,7 @@ import (
 // TestHistogramQuantiles checks interpolation against a uniform sample
 // set with known quantiles.
 func TestHistogramQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.HistogramBuckets("lat", []float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
+	h := newHistogram([]float64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
 	for v := 1; v <= 100; v++ {
 		h.Observe(float64(v))
 	}
@@ -34,8 +33,7 @@ func TestHistogramQuantiles(t *testing.T) {
 // TestHistogramSingleBucket checks quantiles clamp to the observed
 // min/max when all samples land in one bucket.
 func TestHistogramSingleBucket(t *testing.T) {
-	r := NewRegistry()
-	h := r.HistogramBuckets("lat", []float64{1000})
+	h := newHistogram([]float64{1000})
 	h.Observe(40)
 	h.Observe(60)
 	if got := h.Quantile(0); got != 40 {
@@ -49,8 +47,7 @@ func TestHistogramSingleBucket(t *testing.T) {
 // TestHistogramOverflowBucket checks samples above every bound land in
 // the +Inf bucket and quantiles stay within the observed range.
 func TestHistogramOverflowBucket(t *testing.T) {
-	r := NewRegistry()
-	h := r.HistogramBuckets("lat", []float64{1, 2})
+	h := newHistogram([]float64{1, 2})
 	h.Observe(1e9)
 	h.Observe(2e9)
 	bs := h.Buckets()
@@ -67,8 +64,7 @@ func TestHistogramOverflowBucket(t *testing.T) {
 
 // TestHistogramEmptyAndInvalid checks the degenerate cases.
 func TestHistogramEmptyAndInvalid(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat")
+	h := newHistogram(nil)
 	if got := h.Quantile(0.5); got != 0 {
 		t.Errorf("empty Quantile = %v, want 0", got)
 	}
@@ -84,8 +80,7 @@ func TestHistogramEmptyAndInvalid(t *testing.T) {
 // TestHistogramCumulativeBuckets checks Prometheus le semantics: bucket
 // counts are cumulative and a boundary value counts into its bucket.
 func TestHistogramCumulativeBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.HistogramBuckets("lat", []float64{10, 20})
+	h := newHistogram([]float64{10, 20})
 	h.Observe(10) // le="10"
 	h.Observe(15) // le="20"
 	h.Observe(25) // +Inf
@@ -96,7 +91,7 @@ func TestHistogramCumulativeBuckets(t *testing.T) {
 			t.Errorf("bucket[%d] = %d, want %d", i, bs[i].Count, w)
 		}
 	}
-	if h.Sum() != 50 || h.Count() != 3 {
-		t.Errorf("sum/count = %v/%v", h.Sum(), h.Count())
+	if h.sum != 50 || h.count != 3 {
+		t.Errorf("sum/count = %v/%v", h.sum, h.count)
 	}
 }

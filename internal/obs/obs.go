@@ -1,9 +1,9 @@
 // Package obs is the simulation-time observability layer: a
-// concurrency-safe metrics registry (counters, gauges, histograms
-// keyed by name + labels), a lightweight tracer that is the run's one
-// record — spans and decision events, kept per recurrence — and emits
-// Chrome trace-event JSON viewable in Perfetto / about:tracing, and
-// exporters for a Prometheus-style text exposition and a JSON snapshot.
+// lightweight tracer that is the run's one record — spans and decision
+// events, kept per recurrence — and emits Chrome trace-event JSON
+// viewable in Perfetto / about:tracing, and a Prometheus-style text
+// exposition of the run's metrics, folded from that record and from the
+// state attached components keep (Observer.Exposition).
 //
 // All timestamps come from internal/simtime, so a simulated run
 // produces one coherent series on the virtual clock — the quantities
@@ -12,15 +12,15 @@
 // error) become observable from a running system instead of living in
 // ad-hoc prints.
 //
-// Every type in the package is nil-safe: methods on a nil *Registry,
-// *Tracer, *Observer, *Counter, *Gauge or *Histogram are no-ops, so
-// library code instruments unconditionally and un-configured users pay
-// only a nil check (benchmark-verified in the repository root's
-// bench_test.go).
+// The recording types are nil-safe: methods on a nil *Tracer or
+// *Observer are no-ops, so library code instruments unconditionally
+// and un-configured users pay only a nil check.
 package obs
 
 import (
+	"slices"
 	"strconv"
+	"sync"
 
 	"redoop/internal/obs/eventlog"
 	"redoop/internal/simtime"
@@ -75,18 +75,51 @@ func NodeTrack(id int) string {
 // spans.
 func QueryTrack(name string) string { return "query:" + name }
 
-// Observer bundles the metrics registry and the span tracer that
-// instrumented components share; the tracer is also the run's record
-// of decisions (Tracer.Emit). A nil *Observer (or nil fields) disables
-// the corresponding instrument with ~zero overhead.
+// Observer is what instrumented components share: the tracer, which is
+// the run's record of spans and decisions (Tracer.Emit), and the state
+// components attach to be read when the metrics are exported. A nil
+// *Observer (or a nil Tracer) records nothing with ~zero overhead.
 type Observer struct {
-	Metrics *Registry
-	Tracer  *Tracer
+	Tracer *Tracer
+
+	mu    sync.Mutex
+	state []func(*Exposition) // attached (Attach), in attach order
 }
 
-// New returns an Observer with a fresh registry and tracer.
+// New returns an Observer with a fresh tracer.
 func New() *Observer {
-	return &Observer{Metrics: NewRegistry(), Tracer: NewTracer()}
+	return &Observer{Tracer: NewTracer()}
+}
+
+// Attach adds state a component keeps to every later exposition: add
+// is called at export, after the record is folded and after the state
+// attached before it, so of two components setting one gauge the later
+// attached wins. add should hold only the counts it reads, not the
+// component, so the observer keeps nothing else of it alive. Nil-safe.
+func (o *Observer) Attach(add func(*Exposition)) {
+	if o == nil {
+		return
+	}
+	o.mu.Lock()
+	o.state = append(o.state, add)
+	o.mu.Unlock()
+}
+
+// Exposition returns the run's metrics: the tracer's whole record
+// folded (Tracer.Exposition), then the attached state added. Nil on a
+// nil observer.
+func (o *Observer) Exposition() *Exposition {
+	if o == nil {
+		return nil
+	}
+	x := o.Tracer.Exposition()
+	o.mu.Lock()
+	state := slices.Clone(o.state)
+	o.mu.Unlock()
+	for _, add := range state {
+		add(x)
+	}
+	return x
 }
 
 // Emit records a decision event via the bundled tracer; nil-safe.
@@ -106,6 +139,15 @@ func (o *Observer) EmitCache(at simtime.Time, typ eventlog.Type, query string, d
 	o.Tracer.EmitCache(at, typ, query, data)
 }
 
+// EmitReuse records a cache.hit on another query's cache, reused by
+// mode, via the bundled tracer; nil-safe.
+func (o *Observer) EmitReuse(at simtime.Time, query, mode string, data eventlog.CacheData) {
+	if o == nil {
+		return
+	}
+	o.Tracer.EmitReuse(at, query, mode, data)
+}
+
 // EmitPlacement records a placement decision, its payload unboxed, via
 // the bundled tracer; nil-safe.
 func (o *Observer) EmitPlacement(at simtime.Time, query string, data eventlog.PlacementData) {
@@ -120,28 +162,4 @@ func (o *Observer) EmitPlacement(at simtime.Time, query string, data eventlog.Pl
 // check it first to skip the work when recording is off.
 func (o *Observer) EmitEnabled() bool {
 	return o != nil && o.Tracer != nil
-}
-
-// Counter resolves a counter on the bundled registry; nil-safe.
-func (o *Observer) Counter(name string, labels ...Label) *Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics.Counter(name, labels...)
-}
-
-// Gauge resolves a gauge on the bundled registry; nil-safe.
-func (o *Observer) Gauge(name string, labels ...Label) *Gauge {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics.Gauge(name, labels...)
-}
-
-// Histogram resolves a histogram on the bundled registry; nil-safe.
-func (o *Observer) Histogram(name string, labels ...Label) *Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics.Histogram(name, labels...)
 }

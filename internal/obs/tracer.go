@@ -30,14 +30,16 @@ import (
 // Retention is window-scoped (DESIGN.md, "Sidecar retention"): a
 // segment is what is recorded up to a recurrence root, spans and
 // decisions, and each track keeps the segments of its newest
-// KeepRecurrences recurrences.
+// KeepRecurrences recurrences. A segment is folded into the metrics
+// (fold.go) as it closes, so retention drops no count.
 type Tracer struct {
 	mu     sync.Mutex
 	tids   map[string]int
-	tracks []string  // tid order
-	segs   []segment // closed segments, oldest first
-	open   segment   // recorded since the last root
-	nextID SpanID    // last allocated task-span ID
+	tracks []string    // tid order
+	segs   []segment   // closed segments, oldest first
+	open   segment     // recorded since the last root
+	folded *Exposition // every closed segment, folded in record order
+	nextID SpanID      // last allocated task-span ID
 	// names holds the decision types, queries and cache types the
 	// decisions name, each once; a decision keeps their indexes.
 	names   []string
@@ -61,7 +63,7 @@ type segment struct {
 // retained decision takes 72 bytes, not the 120 its strings would.
 type decision struct {
 	at   simtime.Time
-	data any // the payload of any other decision
+	data any // the payload of any other decision; a reuse hit's mode
 	pid  string
 	// bytes is a cache decision's bytes, a placement's index in its
 	// segment's placements; node a cache decision's node, a placement's
@@ -83,6 +85,7 @@ type decisionKind uint8
 const (
 	boxedDecision decisionKind = iota // data
 	cacheDecision
+	reuseDecision // a cache decision: a hit on another query's cache
 	placementDecision
 )
 
@@ -207,18 +210,34 @@ type TaskSpan struct {
 	Pane   int64
 	Part   int
 	Index  int // recurrence: its index; re-replicate: the node
-	// Attempt is a map, backup or reduce attempt's 1-based number;
-	// Failed marks one that failed and was retried, and Worker is the
-	// host pool worker that computed a winning one.
+	// Attempt is a map, backup or reduce attempt's 1-based number, and
+	// Worker the host pool worker that computed a winning one.
 	Attempt int
 	Worker  int
-	Failed  bool
 	// Count is the caches a cache task read (a manifest's tuples), the
 	// segments of a phase, the bytes of a replication or a recurrence's
-	// new panes; Reused its reused panes, Proactive its mode.
-	Count     int64
-	Reused    int
-	Proactive bool
+	// new panes; Reused its reused panes.
+	Count  int64
+	Reused int
+	// Failed marks an attempt that failed and was retried, Proactive a
+	// recurrence's mode.
+	Failed, Proactive bool
+
+	// The facts the metrics fold reads (fold.go) and the trace does not
+	// print. LocalBytes and RemoteBytes are what a task read on its node
+	// and across the network: a map task's split, on the attempt span
+	// that Settles the task (its last); a winning reduce attempt's
+	// shuffle; a cache task's caches, LocalCaches of them on its node.
+	// OutBytes is what it wrote: a map task's spill, a reduce's output.
+	// Shuffle is a winning reduce attempt's copy time.
+	Settles                           bool
+	LocalCaches                       int32
+	LocalBytes, RemoteBytes, OutBytes int64
+	Shuffle                           simtime.Duration
+	// A recurrence root's: the caches its tick purged, its status-matrix
+	// updates and retired panes, and the partitions it re-homed off a
+	// dead node.
+	Purged, Updates, Retired, Rehomed int32
 }
 
 // WaitOn sets the spans s waited on to ids: inline when two or fewer,
@@ -311,7 +330,7 @@ func (s *TaskSpan) labels() []Label {
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer {
-	return &Tracer{tids: make(map[string]int), nameIdx: make(map[string]int32)}
+	return &Tracer{tids: make(map[string]int), nameIdx: make(map[string]int32), folded: newExposition()}
 }
 
 // Reserve pre-allocates a SpanID without recording an event, so a
@@ -356,9 +375,10 @@ func (t *Tracer) Task(ts TaskSpan) SpanID {
 
 // recordLocked gives a new track the next tid and appends s to the
 // open segment, which a recurrence root closes as its track's: the root
-// and all recorded since the last one. A track's segments past
-// KeepRecurrences go oldest first, their cleared arrays becoming the
-// next open segment's (recycle). Caller holds t.mu.
+// and all recorded since the last one, folded into the metrics as it
+// closes. A track's segments past KeepRecurrences go oldest first,
+// their cleared arrays becoming the next open segment's (recycle).
+// Caller holds t.mu.
 func (t *Tracer) recordLocked(s *TaskSpan) {
 	if _, ok := t.tids[s.Track]; !ok {
 		t.tids[s.Track] = len(t.tracks)
@@ -368,6 +388,7 @@ func (t *Tracer) recordLocked(s *TaskSpan) {
 	if s.Kind != SpanRecurrence {
 		return
 	}
+	t.fold(t.folded, &t.open)
 	t.segs, t.open = append(t.segs, t.open), segment{}
 	oldest, owned := 0, 0
 	for i := len(t.segs) - 1; i >= 0; i-- {
@@ -410,14 +431,30 @@ func (t *Tracer) Emit(at simtime.Time, typ eventlog.Type, query string, data any
 // EmitCache is Emit for a cache.* decision, whose payload stays unboxed
 // until the record is read.
 func (t *Tracer) EmitCache(at simtime.Time, typ eventlog.Type, query string, data eventlog.CacheData) {
+	t.emitCache(at, typ, query, data, nil)
+}
+
+// EmitReuse is EmitCache for a cache.hit on another query's cache,
+// reused by mode: read, it is a cache.hit like a lookup's; the metrics
+// count it as a reuse hit, not a lookup.
+func (t *Tracer) EmitReuse(at simtime.Time, query, mode string, data eventlog.CacheData) {
+	t.emitCache(at, eventlog.CacheHit, query, data, mode)
+}
+
+// emitCache records a cache decision, a reuse hit's when mode is set.
+func (t *Tracer) emitCache(at simtime.Time, typ eventlog.Type, query string, data eventlog.CacheData, mode any) {
 	if t == nil {
 		return
 	}
+	kind := cacheDecision
+	if mode != nil {
+		kind = reuseDecision
+	}
 	t.mu.Lock()
 	t.open.decisions = append(t.open.decisions, decision{
-		at: at, pid: data.PID, bytes: data.Bytes, node: int32(data.Node), rec: int32(data.Recurrence),
+		at: at, data: mode, pid: data.PID, bytes: data.Bytes, node: int32(data.Node), rec: int32(data.Recurrence),
 		typ: t.nameLocked(string(typ)), query: t.nameLocked(query), name: t.nameLocked(data.CacheType),
-		kind: cacheDecision,
+		kind: kind,
 	})
 	t.mu.Unlock()
 }
@@ -459,7 +496,7 @@ func (t *Tracer) nameLocked(s string) int32 {
 func (t *Tracer) decisionLocked(seg *segment, d *decision) eventlog.Event {
 	ev := eventlog.Event{At: d.at, Type: eventlog.Type(t.names[d.typ]), Query: t.names[d.query], Data: d.data}
 	switch d.kind {
-	case cacheDecision:
+	case cacheDecision, reuseDecision:
 		ev.Data = eventlog.CacheData{PID: d.pid, CacheType: t.names[d.name],
 			Node: int(d.node), Bytes: d.bytes, Recurrence: int(d.rec)}
 	case placementDecision:

@@ -222,7 +222,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if *trace != "" {
-			if err := ob.Tracer.WriteTraceFile(*trace); err != nil {
+			if err := ob.WriteTraceFile(*trace); err != nil {
 				fmt.Fprintf(stderr, "redoop-bench: trace-out: %v\n", err)
 				ok = false
 			} else if !*quiet {

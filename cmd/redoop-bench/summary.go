@@ -302,7 +302,7 @@ func profileSummary(ob *obs.Observer) *profileJSON {
 	if ob == nil {
 		return nil
 	}
-	p := profile.Analyze(ob.Tracer.Events())
+	p := profile.Analyze(ob.Events())
 	if len(p.Recurrences) == 0 {
 		return nil
 	}

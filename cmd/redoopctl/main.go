@@ -306,7 +306,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	case "metrics":
 		check("metrics dump: ", ob.Exposition().WritePrometheus(stdout))
 	case "explain":
-		check("explain: ", explain.Build(ob.Tracer.Decisions(), queryName(o.Kind)).Write(stdout))
+		check("explain: ", explain.Build(ob.Decisions(), queryName(o.Kind)).Write(stdout))
 	case "health":
 		if o.Baseline {
 			fmt.Fprintln(stderr, "redoopctl: the baseline driver has no health monitor; showing an empty table")
@@ -317,10 +317,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		check("metrics-out: ", ob.Exposition().WriteMetricsFile(*metricsOut))
 	}
 	if ob != nil && *traceOut != "" {
-		check("trace-out: ", ob.Tracer.WriteTraceFile(*traceOut))
+		check("trace-out: ", ob.WriteTraceFile(*traceOut))
 	}
 	if ob != nil && (mode == "profile" || *critpathOut != "") {
-		p := profile.Analyze(ob.Tracer.Events())
+		p := profile.Analyze(ob.Events())
 		if mode == "profile" {
 			check("profile report: ", p.Text(stdout, o.topK))
 		}

@@ -15,14 +15,25 @@ import (
 	"redoop/internal/window"
 )
 
-func rig(workers int) *mapreduce.Engine {
+func rig(t testing.TB, workers int) *mapreduce.Engine {
+	t.Helper()
 	ids := make([]int, workers)
 	for i := range ids {
 		ids[i] = i
 	}
-	cl := cluster.MustNew(cluster.Config{Workers: workers, MapSlots: 4, ReduceSlots: 2})
-	d := dfs.MustNew(dfs.Config{BlockSize: 64 << 10, Replication: 2, Nodes: ids, Seed: 4})
-	return mapreduce.MustNew(cl, d, iocost.Default())
+	cl, err := cluster.New(cluster.Config{Workers: workers, MapSlots: 4, ReduceSlots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dfs.New(dfs.Config{BlockSize: 64 << 10, Replication: 2, Nodes: ids, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := mapreduce.New(cl, d, iocost.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mr
 }
 
 func countQuery() *core.Query {
@@ -73,13 +84,13 @@ func TestDriverValidation(t *testing.T) {
 	}
 	bad := countQuery()
 	bad.Reduce = nil
-	if _, err := NewDriver(rig(2), bad); err == nil {
+	if _, err := NewDriver(rig(t, 2), bad); err == nil {
 		t.Error("invalid query should fail")
 	}
 }
 
 func TestWindowSelectionAndCounts(t *testing.T) {
-	drv := newDriver(t, rig(3), countQuery())
+	drv := newDriver(t, rig(t, 3), countQuery())
 	// Each slide batch holds 120 records; a window spans 3 slides.
 	for s := 0; s < 5; s++ {
 		if err := drv.Ingest(0, slideBatch(s, 120)); err != nil {
@@ -112,7 +123,7 @@ func TestWindowSelectionAndCounts(t *testing.T) {
 }
 
 func TestIngestValidation(t *testing.T) {
-	drv := newDriver(t, rig(2), countQuery())
+	drv := newDriver(t, rig(t, 2), countQuery())
 	if err := drv.Ingest(2, slideBatch(0, 5)); err == nil {
 		t.Error("bad source index should fail")
 	}
@@ -125,7 +136,7 @@ func TestIngestValidation(t *testing.T) {
 // volume per window stays constant while the window's data is
 // constant.
 func TestBaselineRereadsEverything(t *testing.T) {
-	drv := newDriver(t, rig(3), countQuery())
+	drv := newDriver(t, rig(t, 3), countQuery())
 	for s := 0; s < 6; s++ {
 		drv.Ingest(0, slideBatch(s, 200))
 	}
@@ -172,7 +183,7 @@ func TestMergeComposition(t *testing.T) {
 		}
 		emit.Emit(key, []byte(fmt.Sprintf("avg=%d/%d", sum, count)))
 	}
-	drv := newDriver(t, rig(2), q)
+	drv := newDriver(t, rig(t, 2), q)
 	for s := 0; s < 3; s++ {
 		drv.Ingest(0, slideBatch(s, 40))
 	}

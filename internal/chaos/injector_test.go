@@ -58,7 +58,7 @@ func TestCrashStampedAtSharedTrigger(t *testing.T) {
 			continue
 		}
 		var faults []eventlog.Event
-		for _, e := range mr.Obs.Tracer.Decisions() {
+		for _, e := range mr.Obs.Decisions() {
 			if e.Type == eventlog.Fault {
 				faults = append(faults, e)
 			}

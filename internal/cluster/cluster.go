@@ -187,15 +187,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// MustNew is New that panics on error.
-func MustNew(cfg Config) *Cluster {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Config returns the cluster's configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 

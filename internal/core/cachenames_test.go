@@ -26,7 +26,7 @@ func TestCacheNamesPinned(t *testing.T) {
 	agg.Sources[0].CacheKey = "words"
 	join := internalJoinQuery(win, slide)
 	join.Sources[1].CacheKey = "clicks"
-	mr := internalRig(3, 5)
+	mr := internalRig(t, 3, 5)
 	ctrl := NewController()
 	ea := mustEngine(t, Config{MR: mr, Query: agg, Controller: ctrl})
 	ej := mustEngine(t, Config{MR: mr, Query: join, Controller: ctrl})
@@ -102,7 +102,7 @@ func TestCacheNamesPinned(t *testing.T) {
 // the registry row and the signature with its done mask — 8 in all. The
 // PIDs are built on the stack and the consumer set is the engine's.
 func TestAggPartRegistrationAllocations(t *testing.T) {
-	eng := mustEngine(t, Config{MR: internalRig(3, 5), Query: internalCountQuery(20*simtime.Second, 10*simtime.Second)})
+	eng := mustEngine(t, Config{MR: internalRig(t, 3, 5), Query: internalCountQuery(20*simtime.Second, 10*simtime.Second)})
 	rins := make([]cacheRef, eng.query.NumReducers)
 	p := 0
 	allocs := testing.AllocsPerRun(200, func() {

@@ -45,7 +45,7 @@ func TestRetainedOutputSurvivesCacheChurn(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers%d", name, workers), func(t *testing.T) {
 				q := mk()
-				mr := newRig(4, 1)
+				mr := newRig(t, 4, 1)
 				mr.Workers = workers
 				mr.Obs = obs.New()
 				cfg := core.Config{MR: mr, Query: q}
@@ -91,7 +91,7 @@ func TestRetainedOutputSurvivesCacheChurn(t *testing.T) {
 					t.Fatalf("scenario is vacuous: %d retained pairs, %d cache recoveries", len(kept), recoveries)
 				}
 				evicted := 0
-				for _, d := range mr.Obs.Tracer.Decisions() { // ten recurrences: all retained
+				for _, d := range mr.Obs.Decisions() { // ten recurrences: all retained
 					if d.Type == eventlog.CacheEvict {
 						evicted++
 					}
@@ -199,7 +199,7 @@ func TestReduceInputsAreStoredSorted(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			eng := mustEngine(t, core.Config{MR: newRig(4, 1), Query: c.q})
+			eng := mustEngine(t, core.Config{MR: newRig(t, 4, 1), Query: c.q})
 			if err := eng.ForceProactive(c.subPanes); err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +250,7 @@ func TestCachesOwnNothingOfTheirInputs(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			mr, twinMR := newRig(4, 1), newRig(4, 1)
+			mr, twinMR := newRig(t, 4, 1), newRig(t, 4, 1)
 			mr.Workers, twinMR.Workers = workers, workers
 			q := viewQuery("agg")
 			eng := mustEngine(t, core.Config{MR: mr, Query: q})

@@ -91,7 +91,7 @@ func recordCommits(e *Engine, into *[]commit) {
 }
 
 func newSeamRun(t testing.TB, q *Query, workers int, limit int64, withReuse bool, setup func(*Engine)) *seamRun {
-	mr := internalRig(3, 17)
+	mr := internalRig(t, 3, 17)
 	mr.Workers = workers
 	mr.Obs = obs.New()
 	r := &seamRun{ledger: account.New()}
@@ -299,9 +299,9 @@ func TestCommitExactlyOnce(t *testing.T) {
 func TestRecorderFollowsStream(t *testing.T) {
 	var last []int // how many decisions were recorded once each record was folded
 	r := seamScenarios[2].run(t, 1, func(e *Engine) {
-		e.folds = append(e.folds, func(*commit) { last = append(last, len(e.obs.Tracer.Decisions())) })
+		e.folds = append(e.folds, func(*commit) { last = append(last, len(e.obs.Decisions())) })
 	})
-	dec := r.eng.obs.Tracer.Decisions()
+	dec := r.eng.obs.Decisions()
 	if len(dec) != last[len(last)-1] {
 		t.Fatalf("record holds %d decisions, %d were recorded; the scenario must fit it", len(dec), last[len(last)-1])
 	}
@@ -352,7 +352,7 @@ func TestRecorderFollowsStream(t *testing.T) {
 // engine has no consumer — a cache transition costs a call and no
 // allocation.
 func TestCommitFreeWithoutSidecars(t *testing.T) {
-	eng := mustEngine(t, Config{MR: internalRig(3, 17), Query: internalCountQuery(40*simtime.Second, 10*simtime.Second)})
+	eng := mustEngine(t, Config{MR: internalRig(t, 3, 17), Query: internalCountQuery(40*simtime.Second, 10*simtime.Second)})
 	if len(eng.folds) != 0 {
 		t.Fatalf("engine without sidecars has %d consumers, want none", len(eng.folds))
 	}
@@ -388,7 +388,7 @@ func TestReplacementBookkeepingBounded(t *testing.T) {
 		t.Run(fmt.Sprintf("limit%d", limit), func(t *testing.T) {
 			q := internalCountQuery(win, slide)
 			o := obs.New()
-			mr := internalRig(3, 17)
+			mr := internalRig(t, 3, 17)
 			mr.Obs = o
 			eng := mustEngine(t, Config{MR: mr, Query: q, CacheDiskLimit: limit})
 			fed := 0
@@ -403,7 +403,7 @@ func TestReplacementBookkeepingBounded(t *testing.T) {
 				}
 				// The tracer keeps the newest recurrences; looking after
 				// each one sees every decision.
-				for _, d := range o.Tracer.Decisions() {
+				for _, d := range o.Decisions() {
 					if d.Type == eventlog.CacheEvict {
 						t.Fatalf("recurrence %d: limit %d evicted %+v; the scenario is meant never to hit it", rec, limit, d.Data)
 					}

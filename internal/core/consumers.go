@@ -294,7 +294,7 @@ func (e *Engine) obsFold() func(*commit) {
 			rollback(c)
 			o.EmitCache(c.at, eventlog.CacheEvict, qname, c.cacheData())
 		case kindRetired:
-			if o.EmitEnabled() {
+			if o != nil {
 				panes := make([]int64, 0, int(c.paneHi-c.pane))
 				for p := c.pane; p < c.paneHi; p++ {
 					panes = append(panes, int64(p))

@@ -509,7 +509,7 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	// Reserve the recurrence's root span up front so every task span of
 	// this recurrence can parent-link to it; the root itself is recorded
 	// at the end once CompletedAt is known.
-	root := e.obs.ReserveSpanID()
+	root := e.obs.Reserve()
 	e.mr.SpanParent = root
 	e.root = obs.TaskSpan{}
 
@@ -1190,7 +1190,7 @@ func (e *Engine) runCacheTask(label obs.TaskSpan, ph phase, ready simtime.Time, 
 			ready = c.readyAt
 		}
 	}
-	pl := e.sched.PickCacheTaskNode(ready, locs, e.obs.EmitEnabled())
+	pl := e.sched.PickCacheTaskNode(ready, locs, e.obs != nil)
 	e.commit(commit{kind: kindPlaced, at: ready, place: pl})
 	node := pl.Node
 	load := e.sched.CacheCost(node.ID, locs)

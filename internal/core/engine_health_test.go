@@ -59,7 +59,7 @@ func TestEngineHealthTracking(t *testing.T) {
 	o := obs.New()
 	mon.SetObserver(o)
 	q := countQuery("hq", testWin, testSlide, "")
-	eng := mustEngine(t, core.Config{MR: newRig(4, 3), Query: q, Health: mon})
+	eng := mustEngine(t, core.Config{MR: newRig(t, 4, 3), Query: q, Health: mon})
 	gen := func(_, s int) []records.Record { return genWords(50, testSlide, s, 400, 25) }
 	feedAndRun(t, eng, q, 5, gen)
 
@@ -109,7 +109,7 @@ func TestEngineHealthTumblingWindow(t *testing.T) {
 	// slide == win: every pane is new, none reused, deadline == win.
 	q := countQuery("tumble", testSlide, testSlide, "")
 	mon := health.NewMonitor(health.DefaultConfig())
-	eng := mustEngine(t, core.Config{MR: newRig(4, 4), Query: q, Health: mon})
+	eng := mustEngine(t, core.Config{MR: newRig(t, 4, 4), Query: q, Health: mon})
 	gen := func(_, s int) []records.Record { return genWords(60, testSlide, s, 200, 20) }
 	rres := feedAndRun(t, eng, q, 4, gen)
 	for i, rr := range rres {
@@ -135,7 +135,7 @@ func TestEngineHealthWindowLagBacklog(t *testing.T) {
 	// is positive after recurrence 0.
 	q := countQuery("lagq", testWin, testSlide, "")
 	mon := health.NewMonitor(health.DefaultConfig())
-	eng := mustEngine(t, core.Config{MR: newRig(4, 5), Query: q, Health: mon})
+	eng := mustEngine(t, core.Config{MR: newRig(t, 4, 5), Query: q, Health: mon})
 	spec := q.Spec()
 	// 9 slides = 3 windows of data, but only window 0 runs.
 	for s := 0; s < 9; s++ {
@@ -158,7 +158,7 @@ func TestEngineWithoutHealthMonitor(t *testing.T) {
 	// Without a Config.Health the engine tracks no health: the query
 	// runs, and its observer receives no health series.
 	q := countQuery("solo", testWin, testSlide, "")
-	mr := newRig(2, 6)
+	mr := newRig(t, 2, 6)
 	mr.Obs = obs.New()
 	eng := mustEngine(t, core.Config{MR: mr, Query: q})
 	gen := func(_, s int) []records.Record { return genWords(80, testSlide, s, 150, 10) }
@@ -178,8 +178,8 @@ func TestEngineHealthSharedMonitorAcrossEngines(t *testing.T) {
 	mon := health.NewMonitor(health.DefaultConfig())
 	qa := countQuery("dup", testWin, testSlide, "")
 	qb := countQuery("dup", testWin, testSlide, "")
-	ea := mustEngine(t, core.Config{MR: newRig(2, 7), Query: qa, Health: mon})
-	eb := mustEngine(t, core.Config{MR: newRig(2, 8), Query: qb, Health: mon})
+	ea := mustEngine(t, core.Config{MR: newRig(t, 2, 7), Query: qa, Health: mon})
+	eb := mustEngine(t, core.Config{MR: newRig(t, 2, 8), Query: qb, Health: mon})
 	gen := func(_, s int) []records.Record { return genWords(90, testSlide, s, 120, 10) }
 	feedAndRun(t, ea, qa, 2, gen)
 	feedAndRun(t, eb, qb, 3, gen)
@@ -211,7 +211,7 @@ func TestEngineHealthSlowRecurrenceEscalates(t *testing.T) {
 	o := obs.New()
 	mon.SetObserver(o)
 	q := countQuery("spiky", testWin, testSlide, "")
-	eng := mustEngine(t, core.Config{MR: newRig(2, 9), Query: q, Health: mon})
+	eng := mustEngine(t, core.Config{MR: newRig(t, 2, 9), Query: q, Health: mon})
 	gen := func(_, s int) []records.Record {
 		n := 200
 		if s >= 8 {
@@ -269,7 +269,7 @@ func TestEngineHealthCountBasedNoDeadline(t *testing.T) {
 		NumReducers: 1,
 	}
 	mon := health.NewMonitor(health.DefaultConfig())
-	eng := mustEngine(t, core.Config{MR: newRig(2, 10), Query: q, Health: mon})
+	eng := mustEngine(t, core.Config{MR: newRig(t, 2, 10), Query: q, Health: mon})
 	// Count-based units are record indexes, not timestamps.
 	rec := func(i int) records.Record {
 		return records.Record{Ts: int64(i), Data: []byte("w" + string(rune('a'+i%5)))}

@@ -21,14 +21,39 @@ import (
 // PIDs, controller registries) that the black-box suite in
 // engine_test.go cannot see.
 
-func internalRig(workers int, seed int64) *mapreduce.Engine {
+func internalRig(t testing.TB, workers int, seed int64) *mapreduce.Engine {
+	t.Helper()
 	ids := make([]int, workers)
 	for i := range ids {
 		ids[i] = i
 	}
-	cl := cluster.MustNew(cluster.Config{Workers: workers, MapSlots: 4, ReduceSlots: 2})
-	d := dfs.MustNew(dfs.Config{BlockSize: 256 << 10, Replication: 2, Nodes: ids, Seed: seed})
-	return mapreduce.MustNew(cl, d, iocost.Default())
+	cl := newCluster(t, cluster.Config{Workers: workers, MapSlots: 4, ReduceSlots: 2})
+	d := newDFS(t, dfs.Config{BlockSize: 256 << 10, Replication: 2, Nodes: ids, Seed: seed})
+	mr, err := mapreduce.New(cl, d, iocost.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mr
+}
+
+// newCluster is cluster.New for a configuration the test knows is valid.
+func newCluster(t testing.TB, cfg cluster.Config) *cluster.Cluster {
+	t.Helper()
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// newDFS is dfs.New for a configuration the test knows is valid.
+func newDFS(t testing.TB, cfg dfs.Config) *dfs.DFS {
+	t.Helper()
+	d, err := dfs.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // mustEngine is NewEngine for a configuration the test knows is valid.
@@ -82,7 +107,7 @@ func internalWords(seed int64, slide simtime.Duration, slideIdx, n, vocab int) [
 // what the join's cache build and a whole-pane reduce read, drops it.
 func TestSegmentPhasesKeepTheSortedMark(t *testing.T) {
 	win, slide := 30*simtime.Second, 10*simtime.Second
-	eng := mustEngine(t, Config{MR: internalRig(3, 9), Query: internalCountQuery(win, slide)})
+	eng := mustEngine(t, Config{MR: internalRig(t, 3, 9), Query: internalCountQuery(win, slide)})
 	if err := eng.ForceProactive(3); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +153,7 @@ func TestSegmentPhasesKeepTheSortedMark(t *testing.T) {
 // workers.
 func TestRollUpPaneCachesMatchItsPairs(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		mr := internalRig(3, 17)
+		mr := internalRig(t, 3, 17)
 		mr.Workers = workers
 		hub := NewSourceHub(mr.DFS, mr.DFS.BlockSize())
 		if err := hub.Share("k", "s", hubSpec(), 0); err != nil {
@@ -188,7 +213,7 @@ func TestRollUpPaneCachesMatchItsPairs(t *testing.T) {
 func TestExpiredCachesArePurged(t *testing.T) {
 	win, slide := 30*simtime.Second, 10*simtime.Second
 	q := internalCountQuery(win, slide)
-	eng := mustEngine(t, Config{MR: internalRig(3, 9), Query: q})
+	eng := mustEngine(t, Config{MR: internalRig(t, 3, 9), Query: q})
 	fed := 0
 	for r := 0; r < 6; r++ {
 		for ; fed < 3+r; fed++ {
@@ -234,7 +259,7 @@ func TestExpiredCachesArePurged(t *testing.T) {
 func TestHomesAssignedByFirstRecurrence(t *testing.T) {
 	win, slide := 30*simtime.Second, 10*simtime.Second
 	q := internalCountQuery(win, slide)
-	eng := mustEngine(t, Config{MR: internalRig(2, 2), Query: q})
+	eng := mustEngine(t, Config{MR: internalRig(t, 2, 2), Query: q})
 	for s := 0; s < 3; s++ {
 		if err := eng.Ingest(0, internalWords(5, slide, s, 100, 6)); err != nil {
 			t.Fatal(err)

@@ -22,13 +22,13 @@ import (
 
 // newRig builds an isolated cluster+DFS+runtime for one system under
 // test so Redoop and baseline timelines never interfere.
-func newRig(workers int, seed int64) *mapreduce.Engine {
+func newRig(t testing.TB, workers int, seed int64) *mapreduce.Engine {
 	// Unit tests run at kilobyte scale, so shrink the fixed per-task
 	// overhead to keep timings data-dominated, as they are at the
 	// paper's gigabyte scale.
 	cost := iocost.Default()
 	cost.TaskOverhead = 200 * time.Microsecond
-	return newRigCost(workers, seed, cost)
+	return newRigCost(t, workers, seed, cost)
 }
 
 // mustEngine is core.NewEngine for a configuration the test knows is valid.
@@ -41,19 +41,30 @@ func mustEngine(t testing.TB, cfg core.Config) *core.Engine {
 	return eng
 }
 
-func newRigCost(workers int, seed int64, cost iocost.Model) *mapreduce.Engine {
+func newRigCost(t testing.TB, workers int, seed int64, cost iocost.Model) *mapreduce.Engine {
+	t.Helper()
 	// Two map and two reduce slots per worker with 32 KiB blocks keep
 	// the slot count well below the window's block count, so map waves
 	// scale with data volume as they do on a loaded production
 	// cluster.
-	cl := cluster.MustNew(cluster.Config{Workers: workers, MapSlots: 2, ReduceSlots: 2})
-	d := dfs.MustNew(dfs.Config{
+	cl, err := cluster.New(cluster.Config{Workers: workers, MapSlots: 2, ReduceSlots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dfs.New(dfs.Config{
 		BlockSize:   32 << 10,
 		Replication: 2,
 		Nodes:       nodeIDs(workers),
 		Seed:        seed,
 	})
-	return mapreduce.MustNew(cl, d, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := mapreduce.New(cl, d, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mr
 }
 
 func nodeIDs(n int) []int {
@@ -216,8 +227,8 @@ func runBoth(t *testing.T, q *core.Query, qb *core.Query, windows int, adaptive 
 	gen func(src, slideIdx int) []records.Record,
 	between func(r int, eng *core.Engine)) ([]*core.RecurrenceResult, []*baseline.Result) {
 	t.Helper()
-	eng := mustEngine(t, core.Config{MR: newRig(4, 1), Query: q, Adaptive: adaptive})
-	drv, err := baseline.NewDriver(newRig(4, 1), qb)
+	eng := mustEngine(t, core.Config{MR: newRig(t, 4, 1), Query: q, Adaptive: adaptive})
+	drv, err := baseline.NewDriver(newRig(t, 4, 1), qb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +440,7 @@ func TestAdaptiveEngineSubdividesUnderSpike(t *testing.T) {
 	slow.ReduceCPUBps /= 20000
 	slow.SortBps /= 20000
 	slow.TaskOverhead = 10 * time.Millisecond
-	eng := mustEngine(t, core.Config{MR: newRigCost(2, 3, slow), Query: q, Adaptive: true})
+	eng := mustEngine(t, core.Config{MR: newRigCost(t, 2, 3, slow), Query: q, Adaptive: true})
 	f := eng.Frames()[0]
 	slidesPerWin := int(f.PanesPerWindow() / f.PanesPerSlide())
 	fed := 0
@@ -475,7 +486,7 @@ func TestProactiveOutputStillCorrect(t *testing.T) {
 }
 
 func TestCrossQueryCacheSharing(t *testing.T) {
-	mr := newRig(4, 5)
+	mr := newRig(t, 4, 5)
 	ctrl := core.NewController()
 	q1 := countQuery("agg1", testWin, testSlide, "clicks")
 	q2 := countQuery("agg2", testWin, testSlide, "clicks")
@@ -517,18 +528,18 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := core.NewEngine(core.Config{}); err == nil {
 		t.Error("missing runtime should fail")
 	}
-	if _, err := core.NewEngine(core.Config{MR: newRig(2, 1)}); err == nil {
+	if _, err := core.NewEngine(core.Config{MR: newRig(t, 2, 1)}); err == nil {
 		t.Error("missing query should fail")
 	}
 	bad := countQuery("x", testWin, testSlide, "")
 	bad.Merge = nil
-	if _, err := core.NewEngine(core.Config{MR: newRig(2, 1), Query: bad}); err == nil {
+	if _, err := core.NewEngine(core.Config{MR: newRig(t, 2, 1), Query: bad}); err == nil {
 		t.Error("single-source query without Merge should fail")
 	}
 }
 
 func TestIngestValidation(t *testing.T) {
-	eng := mustEngine(t, core.Config{MR: newRig(2, 1), Query: countQuery("agg", testWin, testSlide, "")})
+	eng := mustEngine(t, core.Config{MR: newRig(t, 2, 1), Query: countQuery("agg", testWin, testSlide, "")})
 	if err := eng.Ingest(5, nil); err == nil {
 		t.Error("bad source index should fail")
 	}
@@ -536,7 +547,7 @@ func TestIngestValidation(t *testing.T) {
 
 func TestRecurrenceMetadata(t *testing.T) {
 	q := countQuery("agg", testWin, testSlide, "")
-	eng := mustEngine(t, core.Config{MR: newRig(2, 7), Query: q})
+	eng := mustEngine(t, core.Config{MR: newRig(t, 2, 7), Query: q})
 	for s := 0; s < 3; s++ {
 		eng.Ingest(0, genWords(3, testSlide, s, 100, 5))
 	}

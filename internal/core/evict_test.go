@@ -17,7 +17,7 @@ import (
 func TestResidencyJoinsLedger(t *testing.T) {
 	win, slide := 100*simtime.Second, 10*simtime.Second
 	for _, l := range []*account.Ledger{account.New(), nil} {
-		eng := mustEngine(t, Config{MR: internalRig(3, 17), Query: internalCountQuery(win, slide), Account: l})
+		eng := mustEngine(t, Config{MR: internalRig(t, 3, 17), Query: internalCountQuery(win, slide), Account: l})
 		fed := 0
 		for rec := 0; rec < 12; rec++ {
 			for ; int64(fed)*int64(slide) < eng.frames[0].WindowClose(rec); fed++ {
@@ -56,9 +56,9 @@ func TestResidencyJoinsLedger(t *testing.T) {
 // one is built as before.
 func TestNewEngineRefusesJoinDiskLimit(t *testing.T) {
 	win, slide := 100*simtime.Second, 10*simtime.Second
-	if _, err := NewEngine(Config{MR: internalRig(3, 17), Query: internalJoinQuery(win, slide), CacheDiskLimit: 1 << 20}); err == nil {
+	if _, err := NewEngine(Config{MR: internalRig(t, 3, 17), Query: internalJoinQuery(win, slide), CacheDiskLimit: 1 << 20}); err == nil {
 		t.Fatal("a join with a disk limit was built")
 	}
-	mustEngine(t, Config{MR: internalRig(3, 17), Query: internalJoinQuery(win, slide)})
-	mustEngine(t, Config{MR: internalRig(3, 17), Query: internalCountQuery(win, slide), CacheDiskLimit: 1 << 20})
+	mustEngine(t, Config{MR: internalRig(t, 3, 17), Query: internalJoinQuery(win, slide)})
+	mustEngine(t, Config{MR: internalRig(t, 3, 17), Query: internalCountQuery(win, slide), CacheDiskLimit: 1 << 20})
 }

@@ -20,7 +20,7 @@ import (
 // gauges report the last recurrence.
 func TestExpositionCountsEveryRecurrence(t *testing.T) {
 	q := countQuery("keep", testWin, testSlide, "")
-	mr := newRig(2, 9)
+	mr := newRig(t, 2, 9)
 	mr.Obs = obs.New()
 	mr.DFS.SetObserver(mr.Obs)
 	mon := health.NewMonitor(health.DefaultConfig())
@@ -30,7 +30,7 @@ func TestExpositionCountsEveryRecurrence(t *testing.T) {
 	results := feedAndRun(t, eng, q, windows, gen)
 
 	finished := 0
-	for _, d := range mr.Obs.Tracer.Decisions() {
+	for _, d := range mr.Obs.Decisions() {
 		if d.Type == eventlog.RecurrenceFinish {
 			finished++
 		}

@@ -95,7 +95,7 @@ func TestFinalizeByRunsMatchesGatherGroupMerge(t *testing.T) {
 			name string
 			fn   mapreduce.ReduceFunc
 		}{{"SumCounts", queries.SumCounts}, {"max", maxMerge}} {
-			mr := newRig(3, 5)
+			mr := newRig(t, 3, 5)
 			mr.Workers = workers
 			q := countQuery("finalize", testWin, testSlide, "")
 			q.Merge, q.NumReducers = merge.fn, parts
@@ -142,7 +142,7 @@ func TestCorruptPaneOutputFailsTheRecurrence(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		for _, order := range [][2]string{{"checksum", "magic"}, {"magic", "checksum"}} {
-			mr := newRig(3, 7)
+			mr := newRig(t, 3, 7)
 			mr.Workers = workers
 			q := countQuery("corrupt", testWin, testSlide, "")
 			q.NumReducers = 4

@@ -24,7 +24,7 @@ func TestCommitFoldsAllocatePerRecurrence(t *testing.T) {
 		q := internalCountQuery(win, slide)
 		q.NumReducers = reducers
 		q.Sources[0].CacheKey = "words" // makes the query's pane outputs reuse entries
-		mr := internalRig(3, 17)
+		mr := internalRig(t, 3, 17)
 		mr.Workers = 1
 		eng := mustEngine(t, Config{MR: mr, Query: q, Account: account.New(),
 			Lineage: lineage.New(0), Reuse: reuse.NewIndex(0)})

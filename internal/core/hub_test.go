@@ -15,7 +15,7 @@ func hubSpec() window.Spec {
 }
 
 func TestHubShareValidation(t *testing.T) {
-	mr := internalRig(2, 3)
+	mr := internalRig(t, 2, 3)
 	hub := NewSourceHub(mr.DFS, mr.DFS.BlockSize())
 	if err := hub.Share("", "s", hubSpec(), 0); err == nil {
 		t.Error("empty key should fail")
@@ -41,7 +41,7 @@ func TestHubShareValidation(t *testing.T) {
 }
 
 func TestHubAttachGranularity(t *testing.T) {
-	mr := internalRig(2, 5)
+	mr := internalRig(t, 2, 5)
 	hub := NewSourceHub(mr.DFS, mr.DFS.BlockSize())
 	if err := hub.Share("k", "s", hubSpec(), 0); err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestHubAttachGranularity(t *testing.T) {
 }
 
 func TestSharedViewRejectsDirectIngestAndReplan(t *testing.T) {
-	mr := internalRig(2, 7)
+	mr := internalRig(t, 2, 7)
 	hub := NewSourceHub(mr.DFS, mr.DFS.BlockSize())
 	hub.Share("k", "s", hubSpec(), 0)
 	v, err := hub.attach("k", int64(10*simtime.Second), 1)
@@ -74,7 +74,7 @@ func TestSharedViewRejectsDirectIngestAndReplan(t *testing.T) {
 }
 
 func TestSharedViewAggregatesPanes(t *testing.T) {
-	mr := internalRig(2, 9)
+	mr := internalRig(t, 2, 9)
 	hub := NewSourceHub(mr.DFS, mr.DFS.BlockSize())
 	hub.Share("k", "s", hubSpec(), 0)
 	// Consumer at double the shared granularity: its pane 0 covers
@@ -108,7 +108,7 @@ func TestSharedViewAggregatesPanes(t *testing.T) {
 }
 
 func TestHubGCWaitsForAllConsumers(t *testing.T) {
-	mr := internalRig(2, 11)
+	mr := internalRig(t, 2, 11)
 	hub := NewSourceHub(mr.DFS, mr.DFS.BlockSize())
 	hub.Share("k", "s", hubSpec(), 0)
 	v1, _ := hub.attach("k", int64(10*simtime.Second), 1)
@@ -139,7 +139,7 @@ func TestHubGCWaitsForAllConsumers(t *testing.T) {
 // Two engines over one shared source and hub: data ingested once, both
 // queries correct, each at its own window size.
 func TestSharedSourceTwoEngines(t *testing.T) {
-	mr := internalRig(4, 13)
+	mr := internalRig(t, 4, 13)
 	hub := NewSourceHub(mr.DFS, mr.DFS.BlockSize())
 	ctrl := NewController()
 	spec := hubSpec()

@@ -440,7 +440,7 @@ func (e *Engine) finalizeJoinWindow(trigger simtime.Time, tupleRefs [][]cacheRef
 	if err != nil {
 		return nil, err
 	}
-	pl := e.sched.PickCacheTaskNode(ready, nil, e.obs.EmitEnabled())
+	pl := e.sched.PickCacheTaskNode(ready, nil, e.obs != nil)
 	e.commit(commit{kind: kindPlaced, at: ready, place: pl})
 	node := pl.Node
 	dur := e.mr.Cost.ConcatTask(manifestBytes)

@@ -38,7 +38,7 @@ func dropPID(eng *Engine, pid string, typ CacheType) {
 // returns the second recurrence.
 func ladderAgg(t *testing.T, workers int, setup func(*Engine), between func(*Engine)) *RecurrenceResult {
 	t.Helper()
-	mr := internalRig(3, 17)
+	mr := internalRig(t, 3, 17)
 	mr.Workers = workers
 	eng := mustEngine(t, Config{MR: mr, Query: internalCountQuery(3*ladderSlide, ladderSlide)})
 	if setup != nil {
@@ -50,7 +50,7 @@ func ladderAgg(t *testing.T, workers int, setup func(*Engine), between func(*Eng
 // ladderJoin is ladderAgg for internalJoinQuery.
 func ladderJoin(t *testing.T, workers int, cfg Config, between func(*Engine)) *RecurrenceResult {
 	t.Helper()
-	cfg.MR = internalRig(3, 17)
+	cfg.MR = internalRig(t, 3, 17)
 	cfg.MR.Workers = workers
 	cfg.Query = internalJoinQuery(3*ladderSlide, ladderSlide)
 	return ladderDrive(t, mustEngine(t, cfg), between,
@@ -99,7 +99,7 @@ func ladderDriveErr(t *testing.T, eng *Engine, between func(*Engine), gen func(s
 // returns the second query's recurrence 1 and the index's counters.
 func ladderShared(t *testing.T, workers int, second *Query) (*RecurrenceResult, reuse.Stats) {
 	t.Helper()
-	mr := internalRig(3, 17)
+	mr := internalRig(t, 3, 17)
 	mr.Workers = workers
 	ctrl, hub, idx, acct := NewController(), NewSourceHub(mr.DFS, mr.DFS.BlockSize()), reuse.NewIndex(0), account.New()
 	first := internalCountQuery(3*ladderSlide, ladderSlide)
@@ -241,7 +241,7 @@ func TestRebuildRungCorruptInputFailsTheRecurrence(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		for _, order := range [][2]string{{"checksum", "magic"}, {"magic", "checksum"}} {
-			mr := internalRig(3, 17)
+			mr := internalRig(t, 3, 17)
 			mr.Workers = workers
 			q := internalCountQuery(3*ladderSlide, ladderSlide)
 			q.NumReducers = 4

@@ -16,7 +16,7 @@ import (
 func freshWindow(t *testing.T, workers int) (eng *Engine, lo, hi window.PaneID) {
 	t.Helper()
 	win, slide := 90*simtime.Second, 10*simtime.Second
-	mr := internalRig(3, 9)
+	mr := internalRig(t, 3, 9)
 	mr.Workers = workers
 	eng = mustEngine(t, Config{MR: mr, Query: internalCountQuery(win, slide)})
 	for fed := 0; fed < 9; fed++ {

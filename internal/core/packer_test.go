@@ -19,7 +19,7 @@ import (
 
 func packerDFS(t *testing.T) *dfs.DFS {
 	t.Helper()
-	return dfs.MustNew(dfs.Config{BlockSize: 1 << 20, Replication: 2, Nodes: []int{0, 1, 2}, Seed: 9})
+	return newDFS(t, dfs.Config{BlockSize: 1 << 20, Replication: 2, Nodes: []int{0, 1, 2}, Seed: 9})
 }
 
 func mkRecs(ts []int64) []records.Record {
@@ -521,7 +521,7 @@ func TestFlushIdenticalAcrossWidths(t *testing.T) {
 		for p := window.PaneID(0); p < 9; p++ {
 			got.Inputs[p], _ = pk.PaneInputs(p)
 		}
-		for _, ev := range o.Tracer.Decisions() {
+		for _, ev := range o.Decisions() {
 			got.Events = append(got.Events, fmt.Sprintf("%d %v %+v", ev.At, ev.Type, ev.Data))
 		}
 		return got

@@ -15,7 +15,7 @@ func primeAggEngine(t *testing.T) *Engine {
 	t.Helper()
 	win, slide := 30*simtime.Second, 10*simtime.Second
 	q := internalCountQuery(win, slide)
-	eng := mustEngine(t, Config{MR: internalRig(3, 17), Query: q})
+	eng := mustEngine(t, Config{MR: internalRig(t, 3, 17), Query: q})
 	for s := 0; s < 3; s++ {
 		if err := eng.Ingest(0, internalWords(19, slide, s, 300, 8)); err != nil {
 			t.Fatal(err)

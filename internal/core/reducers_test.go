@@ -100,7 +100,7 @@ func residentCaches(ctrl *core.Controller) map[string][]byte {
 // default). between runs before each trigger.
 func runEmitTrace(t *testing.T, q, qb *core.Query, subPanes, workers int, between func(r int, mr *mapreduce.Engine)) emitTrace {
 	t.Helper()
-	mr, mrb := newRig(4, 1), newRig(4, 1)
+	mr, mrb := newRig(t, 4, 1), newRig(t, 4, 1)
 	mr.Workers, mrb.Workers = workers, workers
 	eng := mustEngine(t, core.Config{MR: mr, Query: q, Lineage: lineage.New(0)})
 	if err := eng.ForceProactive(subPanes); err != nil {
@@ -273,7 +273,7 @@ func reusingTag(side string) mapreduce.MapFunc {
 // workers executor workers and returns its partitions encoded.
 func mappedParts(t *testing.T, q *core.Query, src, workers int, batches [][]records.Record) [][]byte {
 	t.Helper()
-	mr := newRig(4, 1)
+	mr := newRig(t, 4, 1)
 	mr.Workers = workers
 	var paths []string
 	for i, b := range batches {
@@ -357,7 +357,7 @@ func wordOnes(_ int64, payload []byte, emit mapreduce.Emitter) {
 // after each, and the index's subsumption hits.
 func runReuseMerge(t *testing.T, rs reducers) (emitTrace, int) {
 	t.Helper()
-	mr := newRig(4, 1)
+	mr := newRig(t, 4, 1)
 	ctrl, hub, idx := core.NewController(), core.NewSourceHub(mr.DFS, mr.DFS.BlockSize()), reuse.NewIndex(0)
 	acct := account.New() // names each query's entries: a query never reuses its own
 	fine := countQuery("fine", testWin, testSlide, "words")

@@ -9,7 +9,7 @@ import (
 
 func twoNodeCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()
-	return cluster.MustNew(cluster.Config{Workers: 2, MapSlots: 2, ReduceSlots: 1})
+	return newCluster(t, cluster.Config{Workers: 2, MapSlots: 2, ReduceSlots: 1})
 }
 
 func TestRegistryAddGetPurge(t *testing.T) {

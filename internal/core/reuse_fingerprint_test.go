@@ -27,7 +27,7 @@ func mkWCCSiteB(win, slide simtime.Duration) *core.Query {
 
 func opFPOf(t *testing.T, q *core.Query) string {
 	t.Helper()
-	eng, err := core.NewEngine(core.Config{MR: newRig(2, 1), Query: q})
+	eng, err := core.NewEngine(core.Config{MR: newRig(t, 2, 1), Query: q})
 	if err != nil {
 		t.Fatalf("engine for %s: %v", q.Name, err)
 	}

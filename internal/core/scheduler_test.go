@@ -10,7 +10,7 @@ import (
 
 func testScheduler(t *testing.T, workers int) (*Scheduler, *cluster.Cluster) {
 	t.Helper()
-	cl := cluster.MustNew(cluster.Config{Workers: workers, MapSlots: 2, ReduceSlots: 1})
+	cl := newCluster(t, cluster.Config{Workers: workers, MapSlots: 2, ReduceSlots: 1})
 	return NewScheduler(cl, iocost.Default()), cl
 }
 

@@ -95,7 +95,7 @@ func TestSoakStaysFlat(t *testing.T) {
 		{"join-observed", internalJoinQuery(win, slide), func(i int) []records.Record { return padded(internalKV(7, slide, i, 200, 8)) }, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := Config{MR: internalRig(3, 9), Query: c.q}
+			cfg := Config{MR: internalRig(t, 3, 9), Query: c.q}
 			if c.observed {
 				cfg = observed(cfg)
 			}

@@ -238,16 +238,6 @@ func New(cfg Config) (*DFS, error) {
 	}, nil
 }
 
-// MustNew is New that panics on error, for tests and examples with
-// constant configs.
-func MustNew(cfg Config) *DFS {
-	d, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // BlockSize returns the configured block size.
 func (d *DFS) BlockSize() int64 { return d.cfg.BlockSize }
 

@@ -30,6 +30,16 @@ func testConfig() Config {
 	return Config{BlockSize: 64, Replication: 3, Nodes: []int{0, 1, 2, 3, 4}, Seed: 1}
 }
 
+// newDFS is New for a configuration the test knows is valid.
+func newDFS(t testing.TB, cfg Config) *DFS {
+	t.Helper()
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{BlockSize: 0, Replication: 3, Nodes: []int{0}},
@@ -47,7 +57,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	d := MustNew(testConfig())
+	d := newDFS(t, testConfig())
 	data := bytes.Repeat([]byte("0123456789"), 20) // 200 bytes, 4 blocks of 64
 	if err := d.Write("/a", data); err != nil {
 		t.Fatal(err)
@@ -68,7 +78,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestBlockLayout(t *testing.T) {
-	d := MustNew(testConfig())
+	d := newDFS(t, testConfig())
 	data := make([]byte, 200)
 	if err := d.Write("/a", data); err != nil {
 		t.Fatal(err)
@@ -113,7 +123,7 @@ func TestBlockLayout(t *testing.T) {
 }
 
 func TestReadBlock(t *testing.T) {
-	d := MustNew(testConfig())
+	d := newDFS(t, testConfig())
 	data := make([]byte, 100)
 	for i := range data {
 		data[i] = byte(i)
@@ -140,7 +150,7 @@ func TestReadBlock(t *testing.T) {
 // the stored file — no copy is made on the way in, so the writer's
 // exactly-sized encode is the one array every reader views.
 func TestWriteTakesOwnership(t *testing.T) {
-	d := MustNew(testConfig())
+	d := newDFS(t, testConfig())
 	for i, write := range []func(string, []byte) error{
 		d.Write,
 		func(path string, data []byte) error { return d.WriteAt(path, data, 5) },
@@ -163,7 +173,7 @@ func TestWriteTakesOwnership(t *testing.T) {
 // them: rewriting the path or deleting it must leave an earlier view
 // intact.
 func TestReadViewSurvivesRewriteAndDelete(t *testing.T) {
-	d := MustNew(testConfig())
+	d := newDFS(t, testConfig())
 	if err := d.Write("/a", []byte("first contents")); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +202,7 @@ func TestReadViewSurvivesRewriteAndDelete(t *testing.T) {
 }
 
 func TestEmptyFile(t *testing.T) {
-	d := MustNew(testConfig())
+	d := newDFS(t, testConfig())
 	if err := d.Write("/empty", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -206,14 +216,14 @@ func TestEmptyFile(t *testing.T) {
 }
 
 func TestWriteErrors(t *testing.T) {
-	d := MustNew(testConfig())
+	d := newDFS(t, testConfig())
 	if err := d.Write("", []byte("x")); err == nil {
 		t.Error("empty path should fail")
 	}
 }
 
 func TestDeleteAndList(t *testing.T) {
-	d := MustNew(testConfig())
+	d := newDFS(t, testConfig())
 	d.Write("/b", []byte("b"))
 	d.Write("/a", []byte("a"))
 	got := d.List()
@@ -232,7 +242,7 @@ func TestDeleteAndList(t *testing.T) {
 }
 
 func TestHasLocalReplica(t *testing.T) {
-	d := MustNew(testConfig())
+	d := newDFS(t, testConfig())
 	d.Write("/a", make([]byte, 10))
 	blocks, _ := stored(d, "/a")
 	onReplica := blocks[0].Replicas[0]
@@ -257,7 +267,7 @@ func TestHasLocalReplica(t *testing.T) {
 }
 
 func TestFailNodeRereplicates(t *testing.T) {
-	d := MustNew(testConfig())
+	d := newDFS(t, testConfig())
 	d.Write("/a", make([]byte, 300)) // 5 blocks
 	moved := d.FailNode(2)
 	if d.Alive(2) {
@@ -291,7 +301,7 @@ func TestFailNodeRereplicates(t *testing.T) {
 }
 
 func TestFailureReducesReplicationWhenNodesExhausted(t *testing.T) {
-	d := MustNew(Config{BlockSize: 64, Replication: 3, Nodes: []int{0, 1, 2}, Seed: 7})
+	d := newDFS(t, Config{BlockSize: 64, Replication: 3, Nodes: []int{0, 1, 2}, Seed: 7})
 	d.Write("/a", make([]byte, 64))
 	d.FailNode(0)
 	blocks, _ := stored(d, "/a")
@@ -305,7 +315,7 @@ func TestFailureReducesReplicationWhenNodesExhausted(t *testing.T) {
 }
 
 func TestNewWritesPlaceOnAliveNodesOnly(t *testing.T) {
-	d := MustNew(testConfig())
+	d := newDFS(t, testConfig())
 	d.FailNode(0)
 	d.Write("/a", make([]byte, 128))
 	blocks, _ := stored(d, "/a")
@@ -319,7 +329,7 @@ func TestNewWritesPlaceOnAliveNodesOnly(t *testing.T) {
 }
 
 func TestTotalBytes(t *testing.T) {
-	d := MustNew(testConfig())
+	d := newDFS(t, testConfig())
 	d.Write("/a", make([]byte, 100))
 	d.Write("/b", make([]byte, 50))
 	if got := d.TotalBytes(); got != 150 {
@@ -331,7 +341,7 @@ func TestTotalBytes(t *testing.T) {
 // block has min(replication, nodes) distinct replicas.
 func TestBlockTilingProperty(t *testing.T) {
 	f := func(n uint16, seed int64) bool {
-		d := MustNew(Config{BlockSize: 64, Replication: 3, Nodes: []int{0, 1, 2, 3, 4}, Seed: seed})
+		d := newDFS(t, Config{BlockSize: 64, Replication: 3, Nodes: []int{0, 1, 2, 3, 4}, Seed: seed})
 		data := make([]byte, int(n)%5000)
 		if err := d.Write("/f", data); err != nil {
 			return false
@@ -362,7 +372,7 @@ func TestBlockTilingProperty(t *testing.T) {
 // are cut from one array. When FailNode re-replicates one block onto more
 // nodes than it was written to, the blocks on either side keep theirs.
 func TestRereplicationLeavesNeighbouringBlocksAlone(t *testing.T) {
-	d := MustNew(Config{BlockSize: 8, Replication: 3, Nodes: []int{0, 1, 2, 3, 4}, Seed: 1})
+	d := newDFS(t, Config{BlockSize: 8, Replication: 3, Nodes: []int{0, 1, 2, 3, 4}, Seed: 1})
 	for _, n := range []int{2, 3, 4} {
 		d.FailNode(n)
 	}

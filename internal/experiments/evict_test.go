@@ -21,7 +21,7 @@ const evictLimit = 24 << 10
 // record of evictions — in execution order.
 func evictions(o *obs.Observer) []eventlog.CacheData {
 	var out []eventlog.CacheData
-	for _, d := range o.Tracer.Decisions() {
+	for _, d := range o.Decisions() {
 		if d.Type == eventlog.CacheEvict {
 			out = append(out, d.Data.(eventlog.CacheData))
 		}

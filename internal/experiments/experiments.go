@@ -345,24 +345,34 @@ func (c Config) joinSpec(name string, overlap float64) runSpec {
 }
 
 // NewRuntime builds an isolated cluster+DFS+runtime for the
-// configuration (exported for the CLI tools).
+// configuration (exported for the CLI tools); it panics on one that
+// cluster.New, dfs.New or mapreduce.New refuses.
 func (c Config) NewRuntime(seedShift int64) *mapreduce.Engine {
 	ids := make([]int, c.Workers)
 	for i := range ids {
 		ids[i] = i
 	}
-	cl := cluster.MustNew(cluster.Config{
+	cl, err := cluster.New(cluster.Config{
 		Workers: c.Workers, MapSlots: c.MapSlots, ReduceSlots: c.ReduceSlots,
 	})
-	d := dfs.MustNew(dfs.Config{
+	if err != nil {
+		panic(err)
+	}
+	d, err := dfs.New(dfs.Config{
 		BlockSize:   c.BlockSize,
 		Replication: c.Replication,
 		Nodes:       ids,
 		Seed:        c.Seed + seedShift,
 	})
+	if err != nil {
+		panic(err)
+	}
 	d.SetObserver(c.Obs)
 	d.SetTransferCost(c.Cost.NetTransfer)
-	mr := mapreduce.MustNew(cl, d, c.Cost)
+	mr, err := mapreduce.New(cl, d, c.Cost)
+	if err != nil {
+		panic(err)
+	}
 	mr.Obs = c.Obs
 	mr.Workers = c.ExecWorkers
 	return mr

@@ -43,7 +43,7 @@ func TestFigure6WindowOneAttribution(t *testing.T) {
 		}
 		r := row{name: sys.name, response: res.ResponseTime,
 			sumMap: res.Stats.MapTime, sumShuffle: res.Stats.ShuffleTime, sumRed: res.Stats.ReduceTime}
-		events := cfg.Obs.Tracer.Events()
+		events := cfg.Obs.Events()
 		var lastMap simtime.Time
 		for _, ev := range events {
 			if ev.Cat == "map" {

@@ -46,7 +46,7 @@ func TestObservedRunProducesKeySeries(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := ob.Tracer.WriteTraceJSON(&buf); err != nil {
+	if err := ob.WriteTraceJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

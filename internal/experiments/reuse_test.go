@@ -213,7 +213,7 @@ func TestMultiLaneChaosFiresOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	drops := 0
-	for _, e := range cfg.Obs.Tracer.Decisions() {
+	for _, e := range cfg.Obs.Decisions() {
 		if f, ok := e.Data.(eventlog.FaultData); ok && e.Type == eventlog.Fault && f.Kind == string(chaos.CacheDrop) {
 			drops++
 		}

@@ -43,9 +43,18 @@ func runObserved(t *testing.T, n int, adaptive bool) (*obs.Observer, *core.Engin
 	ob := obs.New()
 	cost := iocost.Default()
 	cost.TaskOverhead = 200 * time.Microsecond
-	cl := cluster.MustNew(cluster.Config{Workers: 4, MapSlots: 2, ReduceSlots: 2})
-	d := dfs.MustNew(dfs.Config{BlockSize: 32 << 10, Replication: 2, Nodes: []int{0, 1, 2, 3}, Seed: 3})
-	mr := mapreduce.MustNew(cl, d, cost)
+	cl, err := cluster.New(cluster.Config{Workers: 4, MapSlots: 2, ReduceSlots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dfs.New(dfs.Config{BlockSize: 32 << 10, Replication: 2, Nodes: []int{0, 1, 2, 3}, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := mapreduce.New(cl, d, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mr.Obs = ob
 	q := &core.Query{
 		Name: "q1",
@@ -95,7 +104,7 @@ func runObserved(t *testing.T, n int, adaptive bool) (*obs.Observer, *core.Engin
 // must reproduce the node the scheduler actually chose.
 func TestPlacementAuditReproducesSchedulerChoice(t *testing.T) {
 	ob, _ := runObserved(t, 5, false)
-	rep := explain.Build(ob.Tracer.Decisions(), "q1")
+	rep := explain.Build(ob.Decisions(), "q1")
 	total := 0
 	for _, r := range rep.Recurrences {
 		for _, p := range r.Placements {
@@ -122,7 +131,7 @@ func TestPlacementAuditReproducesSchedulerChoice(t *testing.T) {
 
 func TestReportFromRealRun(t *testing.T) {
 	ob, _ := runObserved(t, 4, false)
-	rep := explain.Build(ob.Tracer.Decisions(), "q1")
+	rep := explain.Build(ob.Decisions(), "q1")
 	if len(rep.Recurrences) != 4 {
 		t.Fatalf("recurrences = %d, want 4", len(rep.Recurrences))
 	}
@@ -254,7 +263,7 @@ func TestAdaptiveRunRecordsReplans(t *testing.T) {
 	// timing; the report must at minimum stay coherent and mark
 	// proactive recurrences consistently with the engine.
 	ob, eng := runObserved(t, 6, true)
-	rep := explain.Build(ob.Tracer.Decisions(), "q1")
+	rep := explain.Build(ob.Decisions(), "q1")
 	if len(rep.Recurrences) != 6 {
 		t.Fatalf("recurrences = %d", len(rep.Recurrences))
 	}

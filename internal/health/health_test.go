@@ -458,7 +458,7 @@ func TestFirstRecurrenceColdStart(t *testing.T) {
 // eventsOf returns the recorded events of one type, oldest first.
 func eventsOf(o *obs.Observer, typ eventlog.Type) []eventlog.Event {
 	var out []eventlog.Event
-	for _, e := range o.Tracer.Decisions() {
+	for _, e := range o.Decisions() {
 		if e.Type == typ {
 			out = append(out, e)
 		}

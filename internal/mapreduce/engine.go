@@ -113,15 +113,6 @@ func New(c *cluster.Cluster, d *dfs.DFS, cost iocost.Model) (*Engine, error) {
 	return &Engine{Cluster: c, DFS: d, Cost: cost}, nil
 }
 
-// MustNew is New that panics on error.
-func MustNew(c *cluster.Cluster, d *dfs.DFS, cost iocost.Model) *Engine {
-	e, err := New(c, d, cost)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // placementFor resolves the effective placement for a job: the job's
 // override first, then the engine's, then the default.
 func (e *Engine) placementFor(job *Job) Placement {

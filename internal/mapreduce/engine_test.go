@@ -24,14 +24,27 @@ import (
 // testRig builds a small cluster + DFS + engine for runtime tests.
 func testRig(t *testing.T, workers int) *Engine {
 	t.Helper()
-	c := cluster.MustNew(cluster.Config{Workers: workers, MapSlots: 2, ReduceSlots: 1})
-	d := dfs.MustNew(dfs.Config{
-		BlockSize:   4 << 10,
-		Replication: 2,
-		Nodes:       rangeInts(workers),
-		Seed:        42,
-	})
-	return MustNew(c, d, iocost.Default())
+	return newRig(t, cluster.Config{Workers: workers, MapSlots: 2, ReduceSlots: 1},
+		dfs.Config{BlockSize: 4 << 10, Replication: 2, Nodes: rangeInts(workers), Seed: 42})
+}
+
+// newRig builds an engine over a cluster and a DFS of the given
+// configurations; a configuration New refuses fails the test.
+func newRig(t testing.TB, cc cluster.Config, dc dfs.Config) *Engine {
+	t.Helper()
+	c, err := cluster.New(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dfs.New(dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(c, d, iocost.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 func rangeInts(n int) []int {

@@ -13,7 +13,6 @@ import (
 	"redoop/internal/cluster"
 	"redoop/internal/colfmt"
 	"redoop/internal/dfs"
-	"redoop/internal/iocost"
 	"redoop/internal/records"
 	"redoop/internal/simtime"
 )
@@ -146,9 +145,9 @@ func layoutPartition(key []byte, r int) int {
 
 func (c layoutCase) run(t *testing.T, workers int) (*MapPhaseResult, *recordingPlacement, *Engine, *Job) {
 	t.Helper()
-	cl := cluster.MustNew(cluster.Config{Workers: 3, MapSlots: 2, ReduceSlots: 1})
-	d := dfs.MustNew(dfs.Config{BlockSize: c.blockSize, Replication: 2, Nodes: rangeInts(3), Seed: 7})
-	e := MustNew(cl, d, iocost.Default())
+	e := newRig(t, cluster.Config{Workers: 3, MapSlots: 2, ReduceSlots: 1},
+		dfs.Config{BlockSize: c.blockSize, Replication: 2, Nodes: rangeInts(3), Seed: 7})
+	d := e.DFS
 	e.Workers = workers
 	for f := 0; f < len(c.files); f++ { // in a fixed order: placement is seeded
 		path := fmt.Sprintf("/in/f%d", f)
@@ -449,10 +448,10 @@ func TestOverlappingInputsMapEveryRange(t *testing.T) {
 // of their own.
 func TestMapPhaseAllocationsFollowSplitsNotRecords(t *testing.T) {
 	allocs := func(files, recsPerSplit int) (perRun, cold, silentBytes float64, splits int) {
-		cl := cluster.MustNew(cluster.Config{Workers: 3, MapSlots: 2, ReduceSlots: 1})
 		// One block holds any of the files below: one split per file.
-		d := dfs.MustNew(dfs.Config{BlockSize: 1 << 20, Replication: 2, Nodes: rangeInts(3), Seed: 7})
-		e := MustNew(cl, d, iocost.Default())
+		e := newRig(t, cluster.Config{Workers: 3, MapSlots: 2, ReduceSlots: 1},
+			dfs.Config{BlockSize: 1 << 20, Replication: 2, Nodes: rangeInts(3), Seed: 7})
+		d := e.DFS
 		e.Workers = 1
 		var inputs, silent []Input // the same records, emitting one pair each and none
 		for f := 0; f < files; f++ {

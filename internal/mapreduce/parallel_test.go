@@ -151,7 +151,7 @@ func TestEveryAttemptSpanNamesItsJobAndAttempt(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]int{}
-	for _, ev := range e.Obs.Tracer.Events() {
+	for _, ev := range e.Obs.Events() {
 		if ev.Cat != "map" && ev.Cat != "reduce" {
 			continue
 		}

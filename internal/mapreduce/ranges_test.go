@@ -10,7 +10,6 @@ import (
 	"redoop/internal/cluster"
 	"redoop/internal/colfmt"
 	"redoop/internal/dfs"
-	"redoop/internal/iocost"
 	"redoop/internal/records"
 )
 
@@ -87,9 +86,9 @@ func rangeGeometry(block byte, lens, cuts []byte) (blockSize int64, file []byte,
 }
 
 // rangeRig is a serial engine over a three-node DFS of the given block size.
-func rangeRig(blockSize int64) *Engine {
-	e := MustNew(cluster.MustNew(cluster.Config{Workers: 3, MapSlots: 2, ReduceSlots: 1}),
-		dfs.MustNew(dfs.Config{BlockSize: blockSize, Replication: 2, Nodes: rangeInts(3), Seed: 7}), iocost.Default())
+func rangeRig(t testing.TB, blockSize int64) *Engine {
+	e := newRig(t, cluster.Config{Workers: 3, MapSlots: 2, ReduceSlots: 1},
+		dfs.Config{BlockSize: blockSize, Replication: 2, Nodes: rangeInts(3), Seed: 7})
 	e.Workers = 1
 	return e
 }
@@ -105,7 +104,7 @@ func checkSearchedRanges(t testing.TB, block byte, lens, cuts []byte) (nrecs, ns
 	if file == nil {
 		return 0, 0
 	}
-	e := rangeRig(blockSize)
+	e := rangeRig(t, blockSize)
 	if err := e.DFS.Write("/in/f", file); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +202,7 @@ func TestSearchedRangesMatchTheWalk(t *testing.T) {
 			continue
 		}
 		blockSize, file, _ := rangeGeometry(block, lens, nil)
-		e := rangeRig(blockSize)
+		e := rangeRig(t, blockSize)
 		calls := 0
 		job := &Job{Name: "corrupt", NumReducers: 1,
 			Map:    func(int64, []byte, Emitter) { calls++ },

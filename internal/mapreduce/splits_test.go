@@ -7,7 +7,6 @@ import (
 	"redoop/internal/cluster"
 	"redoop/internal/colfmt"
 	"redoop/internal/dfs"
-	"redoop/internal/iocost"
 	"redoop/internal/records"
 	"redoop/internal/simtime"
 )
@@ -212,9 +211,8 @@ func TestSpeculativeExecution(t *testing.T) {
 		// have to steal slots from queued tasks (with scarce slots the
 		// backups' slot pressure can win or lose — the very trade-off
 		// that led the paper to disable speculation).
-		cl := cluster.MustNew(cluster.Config{Workers: 8, MapSlots: 6, ReduceSlots: 2})
-		d := dfs.MustNew(dfs.Config{BlockSize: 32 << 10, Replication: 2, Nodes: rangeInts(8), Seed: 42})
-		e := MustNew(cl, d, iocost.Default())
+		e := newRig(t, cluster.Config{Workers: 8, MapSlots: 6, ReduceSlots: 2},
+			dfs.Config{BlockSize: 32 << 10, Replication: 2, Nodes: rangeInts(8), Seed: 42})
 		writeRanged(t, e, "/in", 20000)
 		e.Jitter = 0.3
 		e.StragglerProb = 0.15

@@ -22,7 +22,7 @@ import (
 // writes them: counters, gauges and histograms keyed by name and
 // labels, each made at its first touch, so a series touched at 0 is
 // written. It is built at export from the run's record and state
-// (Observer.Exposition), never pushed to while the run goes; not safe
+// (Tracer.Exposition), never pushed to while the run goes; not safe
 // for concurrent use. A nil *Exposition writes nothing.
 type Exposition struct {
 	byKey map[string]*metric

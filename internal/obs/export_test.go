@@ -100,7 +100,7 @@ func TestWriteFilesAtomicCreatesDirs(t *testing.T) {
 		t.Errorf("metrics file content = %q", data)
 	}
 
-	tr := NewTracer()
+	tr := New()
 	tr.Task(TaskSpan{Kind: SpanReplicate, Track: "t", Input: "m", End: 1})
 	tpath := filepath.Join(dir, "traces", "run.trace.json")
 	if err := tr.WriteTraceFile(tpath); err != nil {
@@ -157,7 +157,7 @@ func TestWriteFileAtomicFailureKeepsOld(t *testing.T) {
 // as an instant on its query's track, and nesting-compatible
 // timestamps.
 func TestWriteTraceJSON(t *testing.T) {
-	tr := NewTracer()
+	tr := New()
 	// recurrence span containing a phase span containing a task span,
 	// all on one track — the containment Perfetto renders as nesting.
 	tr.Task(TaskSpan{Kind: SpanRecurrence, Track: "query:q1", End: simtime.Time(10 * simtime.Millisecond)})
@@ -222,7 +222,7 @@ func TestWriteTraceJSON(t *testing.T) {
 // TestTraceBackwardsSpanClamped checks end<start clamps instead of
 // producing a negative duration.
 func TestTraceBackwardsSpanClamped(t *testing.T) {
-	tr := NewTracer()
+	tr := New()
 	tr.Task(TaskSpan{Kind: SpanPhase, Track: "t", Start: 100, End: 50})
 	ev := tr.Events()[0]
 	if ev.End != ev.Start {
@@ -261,7 +261,7 @@ func TestNilExporters(t *testing.T) {
 // out, not handed on for the whole run, and the steady recurrences
 // after it keep recycling theirs.
 func TestTracerLetsGoOfOversizedSegments(t *testing.T) {
-	tr := NewTracer()
+	tr := New()
 	rec := func(spans int) {
 		for i := 0; i < spans; i++ {
 			tr.Task(TaskSpan{Kind: SpanPhase, Track: "query:q", End: 1})

@@ -79,37 +79,16 @@ func TestCounterMonotone(t *testing.T) {
 	}
 }
 
-// TestNilSafety calls every recording method through nil receivers —
+// TestNilSafety calls every recording method through a nil tracer —
 // the no-op mode library users get without configuring observability.
 func TestNilSafety(t *testing.T) {
-	var o *Observer
-	var tr *Tracer
-
-	o.Task(TaskSpan{Kind: SpanPhase, Track: "t", End: 10})
-	o.Emit(5, eventlog.Replan, "q", nil)
-	o.EmitReuse(5, "q", "exact", eventlog.CacheData{})
-	o.Attach(func(x *Exposition) { x.Add("c", 1) })
-	if o.Exposition() != nil {
-		t.Error("nil observer must have no exposition")
-	}
-
+	var tr *Observer
 	tr.Task(TaskSpan{Kind: SpanPhase, Track: "t", End: 10})
 	tr.Emit(5, eventlog.Replan, "q", nil)
-	if tr.Len() != 0 || tr.Events() != nil || tr.Decisions() != nil || len(tr.Exposition().sorted()) != 0 {
+	tr.EmitReuse(5, "q", "exact", eventlog.CacheData{})
+	tr.Attach(func(x *Exposition) { x.Add("c", 1) })
+	if tr.Len() != 0 || tr.Events() != nil || tr.Decisions() != nil || tr.Exposition() != nil || tr.Reserve() != 0 {
 		t.Error("nil tracer must be empty")
-	}
-
-	// An Observer without a tracer records nothing, but exports what
-	// is attached.
-	o2 := &Observer{}
-	o2.Task(TaskSpan{Kind: SpanPhase, Track: "t", End: 10})
-	o2.Emit(5, eventlog.Replan, "q", nil)
-	if o2.EmitEnabled() {
-		t.Error("an Observer without a tracer must not ask for payloads")
-	}
-	o2.Attach(func(x *Exposition) { x.Add("c", 1) })
-	if got := o2.Exposition().Sum("c"); got != 1 {
-		t.Errorf("attached counter = %v, want 1", got)
 	}
 }
 
@@ -196,7 +175,7 @@ func TestNodeTrackDoesNotAllocate(t *testing.T) {
 // still counts every recurrence's record; reading it twice counts the
 // open segment once each time.
 func TestFoldKeepsDroppedSegments(t *testing.T) {
-	tr := NewTracer()
+	tr := New()
 	const recs = 3 * KeepRecurrences
 	for r := 0; r < recs; r++ {
 		tr.Task(TaskSpan{Kind: SpanMap, Track: "node:0", End: 1, Settles: true, LocalBytes: 10, OutBytes: 3})

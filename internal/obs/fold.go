@@ -1,22 +1,43 @@
 package obs
 
 import (
+	"slices"
+
 	"redoop/internal/obs/eventlog"
 	"redoop/internal/simtime"
 )
 
-// Exposition returns the metrics folded from the whole record: every
-// closed segment, kept when retention drops the segment, and the open
-// one, which holds what no recurrence root has closed yet (the baseline
-// driver records none). A nil tracer returns an empty exposition.
-func (t *Tracer) Exposition() *Exposition {
+// Attach adds state a component keeps to every later exposition: add
+// is called at export, after the record is folded and after the state
+// attached before it, so of two components setting one gauge the later
+// attached wins. add should hold only the counts it reads, not the
+// component, so the tracer keeps nothing else of it alive. Nil-safe.
+func (t *Tracer) Attach(add func(*Exposition)) {
 	if t == nil {
-		return newExposition()
+		return
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.state = append(t.state, add)
+	t.mu.Unlock()
+}
+
+// Exposition returns the run's metrics: the whole record folded — every
+// closed segment, kept when retention drops the segment, and the open
+// one, which holds what no recurrence root has closed yet (the baseline
+// driver records none) — then the attached state added. Nil on a nil
+// tracer.
+func (t *Tracer) Exposition() *Exposition {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
 	x := t.folded.clone()
 	t.fold(x, &t.open)
+	state := slices.Clone(t.state)
+	t.mu.Unlock()
+	for _, add := range state {
+		add(x)
+	}
 	return x
 }
 
@@ -25,7 +46,7 @@ func (t *Tracer) Exposition() *Exposition {
 // at a time in the order they were recorded, which fixes its sum to the
 // last digit. The two switches below are the exposition's family →
 // fact mapping; the families they do not name are state read at export
-// (Observer.Attach): dfs.DFS's file counts and health.Monitor's query
+// (Tracer.Attach): dfs.DFS's file counts and health.Monitor's query
 // statuses.
 func (t *Tracer) fold(x *Exposition, seg *segment) {
 	for i := range seg.spans {

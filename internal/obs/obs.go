@@ -3,7 +3,7 @@
 // events, kept per recurrence — and emits Chrome trace-event JSON
 // viewable in Perfetto / about:tracing, and a Prometheus-style text
 // exposition of the run's metrics, folded from that record and from the
-// state attached components keep (Observer.Exposition).
+// state attached components keep (Tracer.Exposition).
 //
 // All timestamps come from internal/simtime, so a simulated run
 // produces one coherent series on the virtual clock — the quantities
@@ -12,19 +12,12 @@
 // error) become observable from a running system instead of living in
 // ad-hoc prints.
 //
-// The recording types are nil-safe: methods on a nil *Tracer or
-// *Observer are no-ops, so library code instruments unconditionally
-// and un-configured users pay only a nil check.
+// The tracer is nil-safe: methods on a nil *Tracer are no-ops, so
+// library code instruments unconditionally and un-configured users pay
+// only a nil check.
 package obs
 
-import (
-	"slices"
-	"strconv"
-	"sync"
-
-	"redoop/internal/obs/eventlog"
-	"redoop/internal/simtime"
-)
+import "strconv"
 
 // Label is one name dimension of a metric or span attribute.
 type Label struct {
@@ -75,91 +68,6 @@ func NodeTrack(id int) string {
 // spans.
 func QueryTrack(name string) string { return "query:" + name }
 
-// Observer is what instrumented components share: the tracer, which is
-// the run's record of spans and decisions (Tracer.Emit), and the state
-// components attach to be read when the metrics are exported. A nil
-// *Observer (or a nil Tracer) records nothing with ~zero overhead.
-type Observer struct {
-	Tracer *Tracer
-
-	mu    sync.Mutex
-	state []func(*Exposition) // attached (Attach), in attach order
-}
-
-// New returns an Observer with a fresh tracer.
-func New() *Observer {
-	return &Observer{Tracer: NewTracer()}
-}
-
-// Attach adds state a component keeps to every later exposition: add
-// is called at export, after the record is folded and after the state
-// attached before it, so of two components setting one gauge the later
-// attached wins. add should hold only the counts it reads, not the
-// component, so the observer keeps nothing else of it alive. Nil-safe.
-func (o *Observer) Attach(add func(*Exposition)) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.state = append(o.state, add)
-	o.mu.Unlock()
-}
-
-// Exposition returns the run's metrics: the tracer's whole record
-// folded (Tracer.Exposition), then the attached state added. Nil on a
-// nil observer.
-func (o *Observer) Exposition() *Exposition {
-	if o == nil {
-		return nil
-	}
-	x := o.Tracer.Exposition()
-	o.mu.Lock()
-	state := slices.Clone(o.state)
-	o.mu.Unlock()
-	for _, add := range state {
-		add(x)
-	}
-	return x
-}
-
-// Emit records a decision event via the bundled tracer; nil-safe.
-func (o *Observer) Emit(at simtime.Time, typ eventlog.Type, query string, data any) {
-	if o == nil {
-		return
-	}
-	o.Tracer.Emit(at, typ, query, data)
-}
-
-// EmitCache records a cache.* decision, its payload unboxed, via the
-// bundled tracer; nil-safe.
-func (o *Observer) EmitCache(at simtime.Time, typ eventlog.Type, query string, data eventlog.CacheData) {
-	if o == nil {
-		return
-	}
-	o.Tracer.EmitCache(at, typ, query, data)
-}
-
-// EmitReuse records a cache.hit on another query's cache, reused by
-// mode, via the bundled tracer; nil-safe.
-func (o *Observer) EmitReuse(at simtime.Time, query, mode string, data eventlog.CacheData) {
-	if o == nil {
-		return
-	}
-	o.Tracer.EmitReuse(at, query, mode, data)
-}
-
-// EmitPlacement records a placement decision, its payload unboxed, via
-// the bundled tracer; nil-safe.
-func (o *Observer) EmitPlacement(at simtime.Time, query string, data eventlog.PlacementData) {
-	if o == nil {
-		return
-	}
-	o.Tracer.EmitPlacement(at, query, data)
-}
-
-// EmitEnabled reports whether decisions are recorded — emitters that
-// must build a payload (e.g. the per-candidate placement breakdown)
-// check it first to skip the work when recording is off.
-func (o *Observer) EmitEnabled() bool {
-	return o != nil && o.Tracer != nil
-}
+// Observer is the name instrumented components hold the tracer by
+// (Config.Obs, Engine.Obs, SetObserver).
+type Observer = Tracer

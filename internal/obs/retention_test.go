@@ -83,7 +83,7 @@ func decisionRecurrence(e eventlog.Event) int {
 // trace document and the profiler all see the same ones.
 func TestTracerKeepsNewestRecurrencesPerTrack(t *testing.T) {
 	const recs, perRecurrence = 40, 5
-	tr := obs.NewTracer()
+	tr := obs.New()
 	for r := 0; r < recs; r++ {
 		recordRecurrence(tr, "q1", r)
 		recordRecurrence(tr, "q2", r)
@@ -170,7 +170,7 @@ func TestTracerKeepsNewestRecurrencesPerTrack(t *testing.T) {
 // recurrences, each from its start to its finish.
 func TestDecisionsLeaveWithTheirRecurrence(t *testing.T) {
 	const recs = 20
-	tr := obs.NewTracer()
+	tr := obs.New()
 	for r := 0; r < recs; r++ {
 		recordRecurrence(tr, "q", r)
 	}
@@ -207,7 +207,7 @@ func TestDecisionsLeaveWithTheirRecurrence(t *testing.T) {
 // Once a track is full, the dropped recurrence's arrays take the next
 // one's spans and decisions: steady recording allocates nothing.
 func TestTracerRecyclesDroppedSegments(t *testing.T) {
-	tr := obs.NewTracer()
+	tr := obs.New()
 	rec := func() {
 		tr.Task(obs.TaskSpan{Kind: obs.SpanPhase, Track: "query:q", End: 1})
 		tr.Emit(1, eventlog.Replan, "q", nil)
@@ -231,7 +231,7 @@ func TestTracerRecyclesDroppedSegments(t *testing.T) {
 // out of the caller's scratch into its segment, so steady recording
 // allocates nothing; read, each is the PlacementData it was given.
 func TestPlacementsRecordUnboxed(t *testing.T) {
-	tr := obs.NewTracer()
+	tr := obs.New()
 	scratch := make([]eventlog.PlacementCandidate, 0, 3)
 	place := func(r int) eventlog.PlacementData {
 		scratch = scratch[:0]

@@ -44,6 +44,7 @@ type Tracer struct {
 	// decisions name, each once; a decision keeps their indexes.
 	names   []string
 	nameIdx map[string]int32
+	state   []func(*Exposition) // attached (Attach), in attach order
 }
 
 // segment is one recurrence's share of the record: its spans and
@@ -328,8 +329,8 @@ func (s *TaskSpan) labels() []Label {
 	return nil
 }
 
-// NewTracer returns an empty tracer.
-func NewTracer() *Tracer {
+// New returns an empty tracer.
+func New() *Tracer {
 	return &Tracer{tids: make(map[string]int), nameIdx: make(map[string]int32), folded: newExposition()}
 }
 
@@ -558,21 +559,4 @@ func (t *Tracer) Decisions() []eventlog.Event {
 // Caller holds t.mu.
 func (t *Tracer) segments() []segment {
 	return append(t.segs[:len(t.segs):len(t.segs)], t.open)
-}
-
-// Task records a task span via the bundled tracer; nil-safe (returns 0).
-func (o *Observer) Task(ts TaskSpan) SpanID {
-	if o == nil {
-		return 0
-	}
-	return o.Tracer.Task(ts)
-}
-
-// ReserveSpanID pre-allocates a span ID via the bundled tracer;
-// nil-safe (returns 0).
-func (o *Observer) ReserveSpanID() SpanID {
-	if o == nil {
-		return 0
-	}
-	return o.Tracer.Reserve()
 }

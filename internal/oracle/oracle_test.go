@@ -29,9 +29,19 @@ func newMR(t *testing.T, workers int, seed int64) *mapreduce.Engine {
 	for i := range ids {
 		ids[i] = i
 	}
-	cl := cluster.MustNew(cluster.Config{Workers: workers, MapSlots: 4, ReduceSlots: 2})
-	d := dfs.MustNew(dfs.Config{BlockSize: 8 << 10, Replication: 2, Nodes: ids, Seed: seed})
-	return mapreduce.MustNew(cl, d, iocost.Default())
+	cl, err := cluster.New(cluster.Config{Workers: workers, MapSlots: 4, ReduceSlots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dfs.New(dfs.Config{BlockSize: 8 << 10, Replication: 2, Nodes: ids, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := mapreduce.New(cl, d, iocost.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mr
 }
 
 // run drives one engine window by window with its oracle attached.

@@ -44,7 +44,7 @@ func TestProfileRealRun(t *testing.T) {
 	if _, err := cfg.RunChaosRegime("agg"); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	p := profile.Analyze(cfg.Obs.Tracer.Events())
+	p := profile.Analyze(cfg.Obs.Events())
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestLedgerInvariantChaosSoak(t *testing.T) {
 				if _, err := cfg.RunChaosRegime(regime); err != nil {
 					t.Fatalf("%s under %s: %v", regime, sched, err)
 				}
-				p := profile.Analyze(cfg.Obs.Tracer.Events())
+				p := profile.Analyze(cfg.Obs.Events())
 				if err := p.CheckInvariants(); err != nil {
 					t.Errorf("seed %d %s: %v", seed, regime, err)
 				}

@@ -98,9 +98,10 @@ func TestCacheNamesPinned(t *testing.T) {
 
 // TestAggPartRegistrationAllocations pins what registering one
 // partition of a new aggregation pane allocates: for its reduce input
-// and for its reduce output, the node-local key (the PID is its suffix),
-// the registry row and the signature with its done mask — 8 in all. The
-// PIDs are built on the stack and the consumer set is the engine's.
+// and for its reduce output, the node-local key (the PID is its suffix)
+// and one record holding the registry row and the signature with its
+// inline done mask — 4 in all. The PIDs are built on the stack and the
+// consumer set is the engine's.
 func TestAggPartRegistrationAllocations(t *testing.T) {
 	eng := mustEngine(t, Config{MR: internalRig(t, 3, 5), Query: internalCountQuery(20*simtime.Second, 10*simtime.Second)})
 	rins := make([]cacheRef, eng.query.NumReducers)
@@ -109,7 +110,28 @@ func TestAggPartRegistrationAllocations(t *testing.T) {
 		p++
 		eng.registerAggPart("agg/S1", window.PaneID(p), 0, p%3, 0, nil, nil, cacheMeta{}, cacheMeta{}, rins)
 	})
-	if allocs != 8 {
-		t.Fatalf("registering a new pane's partition allocates %v times, want 8", allocs)
+	if allocs != 4 {
+		t.Fatalf("registering a new pane's partition allocates %v times, want 4", allocs)
+	}
+}
+
+// TestJoinTupleRegistrationAllocations: registering one partition of a
+// pane tuple's join output allocates its key and its record, 2, as
+// joinTupleGroup registers it; the output segment is the reducer's.
+func TestJoinTupleRegistrationAllocations(t *testing.T) {
+	eng := mustEngine(t, Config{MR: internalRig(t, 3, 5), Query: internalJoinQuery(20*simtime.Second, 10*simtime.Second)})
+	data := []byte("tuple output")
+	inputs := make([]cacheRef, 2)
+	t2 := make(paneTuple, 2)
+	p := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		p++
+		t2[0], t2[1] = window.PaneID(p), window.PaneID(p+1)
+		var buf pidBuf
+		eng.registerCache(eng.query.appendRoutTuplePID(buf[:0], t2, 1), ReduceOutput, p%3, 0, data,
+			cacheMeta{pane: t2[0], part: 1, inputs: inputs})
+	})
+	if allocs != 2 {
+		t.Fatalf("registering a tuple output's partition allocates %v times, want 2", allocs)
 	}
 }

@@ -357,7 +357,7 @@ func TestCommitFreeWithoutSidecars(t *testing.T) {
 		t.Fatalf("engine without sidecars has %d consumers, want none", len(eng.folds))
 	}
 	data := []byte("payload")
-	inputs := []cacheRef{{pid: "in", typ: ReduceInput}}
+	inputs := []cacheRef{{key: "cache/rin/in", typ: ReduceInput}}
 	allocs := testing.AllocsPerRun(200, func() {
 		eng.commit(commit{kind: kindHit, at: 5, pid: "p", typ: ReduceOutput, node: 1, bytes: 7})
 		eng.commit(commit{kind: kindRegistered, at: 5, pid: "p", typ: ReduceOutput, node: 1,

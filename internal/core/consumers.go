@@ -437,7 +437,7 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 			inputs = inputs[:0]
 			for _, in := range c.inputs {
 				var pid pidBuf
-				input(append(pid[:0], in.pid...), in.typ)
+				input(append(pid[:0], in.pid()...), in.typ)
 			}
 			d.Inputs = inputs
 			s.RecordDerivation(d)

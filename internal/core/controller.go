@@ -50,9 +50,16 @@ type Signature struct {
 	// C_task cost term.
 	Bytes int64
 	// doneQueryMask has one bit per registered query; a set bit means
-	// that query no longer needs this cache.
+	// that query no longer needs this cache. It is a slice of inline
+	// until more queries register than inline holds.
 	doneQueryMask []bool
+	inline        [inlineQueries]bool
 }
+
+// inlineQueries is how many queries a signature's done mask holds
+// without an allocation of its own: sixteen fill a cacheRecord's size
+// class, 144 bytes.
+const inlineQueries = 16
 
 // allDone reports whether every query is finished with the cache.
 func (s *Signature) allDone() bool {
@@ -190,15 +197,23 @@ func (c *Controller) Queries() []string {
 // and clears the usedBy queries' bits without disturbing other
 // queries' claims. usedBy is read, not kept.
 func (c *Controller) Register(pid string, typ CacheType, nid int, ready Ready, readyAt simtime.Time, bytes int64, usedBy []int) *Signature {
+	return c.register(nil, pid, typ, nid, ready, readyAt, bytes, usedBy)
+}
+
+// register is Register with the zero signature a new cache takes, a
+// cacheRecord's; nil allocates one. A re-registration leaves it unused.
+func (c *Controller) register(fresh *Signature, pid string, typ CacheType, nid int, ready Ready, readyAt simtime.Time, bytes int64, usedBy []int) *Signature {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.sigs[entryKey{pid, typ}]
 	if !ok {
-		mask := make([]bool, len(c.queries))
-		for i := range mask {
-			mask[i] = true
+		if s = fresh; s == nil {
+			s = new(Signature)
 		}
-		s = &Signature{PID: pid, Type: typ, doneQueryMask: mask}
+		s.PID, s.Type, s.doneQueryMask = pid, typ, s.inline[:0]
+		for range c.queries {
+			s.doneQueryMask = append(s.doneQueryMask, true)
+		}
 		c.sigs[entryKey{pid, typ}] = s
 	}
 	if c.onTransition != nil {
@@ -213,9 +228,7 @@ func (c *Controller) Register(pid string, typ CacheType, nid int, ready Ready, r
 	s.ReadyAt = readyAt
 	s.Bytes = bytes
 	for _, q := range usedBy {
-		if q >= 0 && q < len(s.doneQueryMask) {
-			s.doneQueryMask[q] = false
-		}
+		claimLocked(s, q)
 	}
 	return s
 }
@@ -227,13 +240,26 @@ func (c *Controller) ClaimUser(pid string, typ CacheType, q int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.sigs[entryKey{pid, typ}]
-	if !ok {
-		return false
+	if ok {
+		claimLocked(s, q)
 	}
+	return ok
+}
+
+// claim is ClaimUser of a signature the caller has looked up: a hit
+// claims its cache without a second probe of the signatures. A claim on
+// a signature purged in between changes nothing anyone reads.
+func (c *Controller) claim(s *Signature, q int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	claimLocked(s, q)
+}
+
+// claimLocked clears query q's done bit on s.
+func claimLocked(s *Signature, q int) {
 	if q >= 0 && q < len(s.doneQueryMask) {
 		s.doneQueryMask[q] = false
 	}
-	return true
 }
 
 // Lookup returns the signature for a cache, if any.

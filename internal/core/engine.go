@@ -749,9 +749,12 @@ func (w windowRefs) pane(p window.PaneID) []cacheRef {
 	return w.rows[i : i+R : i+R]
 }
 
-// cacheRef locates one registered cache.
+// cacheRef locates one registered cache. key is the node-local key its
+// bytes are stored under, resolved once, when the cache is registered
+// or hit, so a read probes only the node's file system; its suffix is
+// the cache's PID.
 type cacheRef struct {
-	pid     string
+	key     string
 	typ     CacheType
 	node    int
 	readyAt simtime.Time
@@ -765,6 +768,14 @@ type cacheRef struct {
 
 // loc converts the reference into the scheduler's cost term.
 func (c cacheRef) loc() CacheLoc { return CacheLoc{Node: c.node, Bytes: c.bytes} }
+
+// pid returns the cache's PID, "" for a reference to no cache.
+func (c cacheRef) pid() string {
+	if c.key == "" {
+		return ""
+	}
+	return c.key[len(cacheDir(c.typ)):]
+}
 
 // cacheMeta is what a registration knows beyond the bytes and their
 // home: the task span that produced them, the recompute cost a future
@@ -794,7 +805,8 @@ type cacheMeta struct {
 // registerCache persists bytes as a cache on a node and registers its
 // signature, claiming it for meta.users. The PID comes as bytes the
 // caller builds on its stack; the registration makes one string, the
-// cache's node-local key, and names the cache by its suffix.
+// cache's node-local key, and names the cache by its suffix, and one
+// cacheRecord, the registry row and the signature.
 func (e *Engine) registerCache(pidBytes []byte, typ CacheType, node int, readyAt simtime.Time, data []byte, meta cacheMeta) cacheRef {
 	key, pid := cacheKey(pidBytes, typ)
 	// Re-homing: when a rebuilt cache lands on a different node (one
@@ -804,7 +816,7 @@ func (e *Engine) registerCache(pidBytes []byte, typ CacheType, node int, readyAt
 	// left behind would otherwise be orphaned forever: unexpired,
 	// undiscoverable, and invisible to every future purge notice.
 	if old, ok := e.ctrl.lookup(pidBytes, typ); ok && old.NID != node {
-		if oldReg := e.ctrl.Registry(old.NID); oldReg != nil {
+		if oldReg := e.registry(old.NID); oldReg != nil {
 			oldReg.MarkExpired(pid, typ)
 		}
 	}
@@ -812,12 +824,23 @@ func (e *Engine) registerCache(pidBytes []byte, typ CacheType, node int, readyAt
 	if users == nil {
 		users = e.self[:]
 	}
-	e.ctrl.Registry(node).add(key, pid, typ, data)
-	e.ctrl.Register(pid, typ, node, CacheAvailable, readyAt, int64(len(data)), users)
+	rec := &cacheRecord{row: registryRow{RegistryEntry{PID: pid, Type: typ}, key}}
+	e.registry(node).add(&rec.row, data)
+	e.ctrl.register(&rec.sig, pid, typ, node, CacheAvailable, readyAt, int64(len(data)), users)
 	e.commit(commit{kind: kindRegistered, at: readyAt, pid: pid, typ: typ, node: node,
 		bytes: int64(len(data)), cost: meta.recompute, data: data,
 		src: meta.src, pane: meta.pane, part: meta.part, job: meta.job, inputs: meta.inputs, publish: meta.publish})
-	return cacheRef{pid: pid, typ: typ, node: node, readyAt: readyAt, bytes: int64(len(data)), span: meta.span}
+	return cacheRef{key: key, typ: typ, node: node, readyAt: readyAt, bytes: int64(len(data)), span: meta.span}
+}
+
+// registry returns node's registry, nil for a node the engine's cluster
+// does not have. The engine's managers hold the controller's registries
+// in node order, so a probe takes no controller lock.
+func (e *Engine) registry(node int) *Registry {
+	if node < 0 || node >= len(e.managers) {
+		return nil
+	}
+	return e.managers[node].Registry
 }
 
 // rinUsers returns the consumer set of source src's reduce-input
@@ -839,8 +862,10 @@ func (e *Engine) rinUsers(src int) []int {
 // controller back to HDFS-available and removes any scheduled tasks
 // that depended on the cache, per §5. The PID comes as bytes the caller
 // may build on its stack; a found cache is named by its signature's
-// stored string, so only a miss copies them. known reports that the
-// signature exists, whatever its ready bit.
+// stored string, so only a miss copies them. A hit probes the
+// signatures, the node's registry and its file system once each and
+// carries the key it resolved, so reading it probes the node alone.
+// known reports that the signature exists, whatever its ready bit.
 func (e *Engine) lookupCache(pidBytes []byte, typ CacheType) (ref cacheRef, ok, known bool) {
 	sig, known := e.ctrl.lookup(pidBytes, typ)
 	if !known || sig.Ready != CacheAvailable {
@@ -848,8 +873,11 @@ func (e *Engine) lookupCache(pidBytes []byte, typ CacheType) (ref cacheRef, ok, 
 		return cacheRef{}, false, known
 	}
 	pid := sig.PID
-	reg := e.ctrl.Registry(sig.NID)
-	if reg == nil || !reg.Has(pid, typ) {
+	var key string
+	if reg := e.registry(sig.NID); reg != nil {
+		key, ok = reg.resident(pidBytes, typ)
+	}
+	if !ok {
 		// Cache loss: roll back the ready bit; the caller's ladder
 		// rebuilds the pane on its lower rung.
 		// The bytes stopped being resident when chaos destroyed them,
@@ -858,9 +886,9 @@ func (e *Engine) lookupCache(pidBytes []byte, typ CacheType) (ref cacheRef, ok, 
 		e.ctrl.SetReady(pid, typ, HDFSAvailable, sig.ReadyAt, sig.NID)
 		return cacheRef{}, false, true
 	}
-	e.ctrl.ClaimUser(pid, typ, e.qIdx)
+	e.ctrl.claim(sig, e.qIdx)
 	e.commit(commit{kind: kindHit, at: e.curTrigger, pid: pid, typ: typ, node: sig.NID, bytes: sig.Bytes})
-	return cacheRef{pid: pid, typ: typ, node: sig.NID, readyAt: sig.ReadyAt, bytes: sig.Bytes}, true, true
+	return cacheRef{key: key, typ: typ, node: sig.NID, readyAt: sig.ReadyAt, bytes: sig.Bytes}, true, true
 }
 
 // probeParts fills refs with the partition caches of one pane's reduce
@@ -924,11 +952,12 @@ func (h homes) PlaceReduce(_ *mapreduce.Engine, _ *mapreduce.Job, part int, _ si
 // bytes themselves and decoded pairs alias them. A view survives expiry,
 // eviction, re-registration and node loss of its cache unchanged, so a
 // window's Output may be kept across recurrences, its payload bytes
-// read-only.
+// read-only. The reference's key is all a read needs: only Registry.Add
+// writes a cache's bytes and every removal of its row deletes them.
 func (e *Engine) cacheBytes(ref cacheRef) ([]byte, error) {
-	data, ok := e.ctrl.Registry(ref.node).Get(ref.pid, ref.typ)
+	data, ok := e.registry(ref.node).node.GetLocal(ref.key)
 	if !ok {
-		return nil, fmt.Errorf("core: cache %s (%v) lost from node %d mid-recurrence", ref.pid, ref.typ, ref.node)
+		return nil, fmt.Errorf("core: cache %s (%v) lost from node %d mid-recurrence", ref.pid(), ref.typ, ref.node)
 	}
 	return data, nil
 }
@@ -1203,7 +1232,7 @@ func (e *Engine) runCacheTask(label obs.TaskSpan, ph phase, ready simtime.Time, 
 	e.commit(commit{kind: kindCharged, phase: ph, cost: work})
 	for _, c := range caches {
 		local := c.node == node.ID
-		e.commit(commit{kind: kindLoaded, at: start, pid: c.pid, typ: c.typ, node: node.ID,
+		e.commit(commit{kind: kindLoaded, at: start, pid: c.pid(), typ: c.typ, node: node.ID,
 			bytes: c.bytes, cost: e.mr.Cost.CacheRead(c.bytes, local)})
 		if local {
 			label.LocalCaches++

@@ -432,7 +432,7 @@ func (e *Engine) finalizeJoinWindow(trigger simtime.Time, tupleRefs [][]cacheRef
 			if ref.bytes == 0 {
 				continue
 			}
-			manifestBytes += int64(len(ref.pid)) + 16
+			manifestBytes += int64(len(ref.pid())) + 16
 			stats.BytesOutput += ref.bytes
 		}
 	}

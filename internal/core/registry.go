@@ -34,14 +34,19 @@ func (t CacheType) String() string {
 	}
 }
 
+// cacheDir is the node-local directory of a stage's caches.
+func cacheDir(typ CacheType) string {
+	if typ == ReduceInput {
+		return "cache/rin/"
+	}
+	return "cache/rout/"
+}
+
 // cacheKey builds a cache's node-local file-system key, "cache/rin/<pid>"
 // or "cache/rout/<pid>", as the one string its registration makes: the
 // PID it returns is the key's suffix and shares its bytes.
 func cacheKey(pid []byte, typ CacheType) (key, pidStr string) {
-	prefix := "cache/rout/"
-	if typ == ReduceInput {
-		prefix = "cache/rin/"
-	}
+	prefix := cacheDir(typ)
 	var b strings.Builder
 	b.Grow(len(prefix) + len(pid))
 	b.WriteString(prefix)
@@ -67,6 +72,10 @@ type Registry struct {
 	mu      sync.Mutex
 	node    *cluster.Node
 	entries map[entryKey]*registryRow
+	// expired holds the rows MarkExpired flipped since the last purge,
+	// the only rows PurgeExpired visits. A row replaced or evicted in
+	// the meantime is no longer its key's entry, and the purge skips it.
+	expired []*registryRow
 }
 
 // registryRow is a registry row and the node-local key of its bytes,
@@ -76,6 +85,17 @@ type Registry struct {
 type registryRow struct {
 	RegistryEntry
 	key string
+}
+
+// cacheRecord is what a registration allocates beside its key: the
+// node's registry row and the controller's signature, whose done mask
+// is inline, in one object (Engine.registerCache). The two tables keep
+// their own pointers into it, under their own locks, and the record
+// lives while either does. A re-registration that finds its signature
+// uses only the row.
+type cacheRecord struct {
+	row registryRow
+	sig Signature
 }
 
 // NewRegistry builds the registry for one node.
@@ -107,15 +127,30 @@ func (r *Registry) NodeID() int { return r.node.ID }
 func (r *Registry) Add(pid string, typ CacheType, data []byte) {
 	var buf pidBuf
 	key, pid := cacheKey(append(buf[:0], pid...), typ)
-	r.add(key, pid, typ, data)
+	r.add(&registryRow{RegistryEntry{PID: pid, Type: typ}, key}, data)
 }
 
-// add is Add with the key and PID cacheKey built.
-func (r *Registry) add(key, pid string, typ CacheType, data []byte) {
+// add is Add of a new row, its PID and key built by cacheKey.
+func (r *Registry) add(row *registryRow, data []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.entries[entryKey{pid, typ}] = &registryRow{RegistryEntry{PID: pid, Type: typ}, key}
-	r.node.PutLocal(key, data)
+	r.entries[entryKey{row.PID, row.Type}] = row
+	r.node.PutLocal(row.key, data)
+}
+
+// resident returns the node-local key a cache's bytes are stored
+// under, when its row exists and the bytes are on the node: what
+// Engine.lookupCache resolves a hit to, so that reading the bytes
+// (Engine.cacheBytes) probes the node alone. The PID's bytes may be on
+// the caller's stack: the map index converts them without a copy.
+func (r *Registry) resident(pid []byte, typ CacheType) (key string, ok bool) {
+	r.mu.Lock()
+	row := r.entries[entryKey{string(pid), typ}]
+	r.mu.Unlock()
+	if row == nil || !r.node.HasLocal(row.key) {
+		return "", false
+	}
+	return row.key, true
 }
 
 // Get loads a cached entry's bytes from the node's local file system.
@@ -141,23 +176,15 @@ func (r *Registry) Has(pid string, typ CacheType) bool {
 	return row != nil && r.node.HasLocal(row.key)
 }
 
-// Size returns the cached bytes' length, or -1 when absent.
-func (r *Registry) Size(pid string, typ CacheType) int64 {
-	row := r.row(pid, typ)
-	if row == nil {
-		return -1
-	}
-	return r.node.LocalSize(row.key)
-}
-
 // MarkExpired flips the expiration flag of an entry in response to a
 // purge notification from the window-aware cache controller. Unknown
 // entries are ignored (the notification may race a node failure).
 func (r *Registry) MarkExpired(pid string, typ CacheType) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.entries[entryKey{pid, typ}]; ok {
+	if e, ok := r.entries[entryKey{pid, typ}]; ok && !e.Expired {
 		e.Expired = true
+		r.expired = append(r.expired, e)
 	}
 }
 
@@ -182,18 +209,21 @@ func (r *Registry) Entries() []RegistryEntry {
 // PurgeExpired removes every expired entry's data and registry row,
 // returning the number of caches purged. This is the body of both
 // purge policies: the Local Cache Manager calls it on its periodic
-// PurgeCycle tick, and on demand when local disk runs short (§4.1).
+// PurgeCycle tick, and on demand when local disk runs short (§4.1). It
+// visits the rows expired since the last purge, not the registry.
 func (r *Registry) PurgeExpired() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
-	for k, e := range r.entries {
-		if e.Expired {
+	for _, e := range r.expired {
+		if k := (entryKey{e.PID, e.Type}); r.entries[k] == e {
 			r.node.DeleteLocal(e.key)
 			delete(r.entries, k)
 			n++
 		}
 	}
+	clear(r.expired) // a listed row would pin its record
+	r.expired = r.expired[:0]
 	return n
 }
 

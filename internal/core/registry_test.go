@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"redoop/internal/cluster"
@@ -26,9 +27,6 @@ func TestRegistryAddGetPurge(t *testing.T) {
 	}
 	if !reg.Has("S2P4/r0", ReduceInput) || reg.Has("S2P4/r0", ReduceOutput) {
 		t.Error("Has should distinguish cache types")
-	}
-	if reg.Size("S1P3/r0", ReduceOutput) != 3 || reg.Size("none", ReduceInput) != -1 {
-		t.Error("Size wrong")
 	}
 
 	// Paper Table 1: S1P3 expired as output cache, S2P4 live as input.
@@ -221,6 +219,91 @@ func TestControllerSetReady(t *testing.T) {
 	sig, _ = ctrl.Lookup("d", ReduceInput)
 	if !sig.doneQueryMask[q2] {
 		t.Error("pre-existing caches owe nothing to late queries")
+	}
+}
+
+// TestDoneMaskGrowsPastItsInlineBits: a signature's done mask is
+// inline until more queries register than it holds. Queries registered
+// after the engine's caches exist each give every signature a done bit,
+// past the inline capacity too, and a cache such a query claims is
+// purged only when every bit is done.
+func TestDoneMaskGrowsPastItsInlineBits(t *testing.T) {
+	eng := mustEngine(t, Config{MR: internalRig(t, 3, 5), Query: internalCountQuery(20*simtime.Second, 10*simtime.Second)})
+	ctrl := eng.ctrl
+	rins := make([]cacheRef, eng.query.NumReducers)
+	for part := range rins {
+		eng.registerAggPart("agg/S1", 1, part, part%3, 0, []byte("in"), []byte("out"), cacheMeta{}, cacheMeta{}, rins)
+	}
+	sigs := ctrl.Signatures()
+	if len(sigs) != 2*len(rins) {
+		t.Fatalf("%d signatures, want %d", len(sigs), 2*len(rins))
+	}
+	last := -1
+	for i := 0; i < inlineQueries+3; i++ {
+		last = ctrl.RegisterQuery(fmt.Sprintf("late%d", i))
+	}
+	for _, s := range sigs {
+		if len(s.doneQueryMask) != last+1 || s.doneQueryMask[eng.qIdx] {
+			t.Fatalf("%s: mask %v, want %d bits, the engine's clear", s.PID, s.doneQueryMask, last+1)
+		}
+		for q := eng.qIdx + 1; q <= last; q++ {
+			if !s.doneQueryMask[q] {
+				t.Fatalf("%s: late query %d's bit starts clear", s.PID, q)
+			}
+		}
+	}
+	claimed := rins[0].pid()
+	if !ctrl.ClaimUser(claimed, ReduceInput, last) {
+		t.Fatalf("claim on %s failed", claimed)
+	}
+	for _, s := range sigs {
+		purged := ctrl.MarkQueryDone(s.PID, s.Type, eng.qIdx)
+		if want := s.PID != claimed || s.Type != ReduceInput; purged != want {
+			t.Errorf("%s (%v): purged %v when the engine was done, want %v", s.PID, s.Type, purged, want)
+		}
+	}
+	if !ctrl.MarkQueryDone(claimed, ReduceInput, last) {
+		t.Error("the claiming late query's release did not purge")
+	}
+	purged := 0
+	for _, m := range eng.managers {
+		purged += m.Tick()
+	}
+	if purged != len(sigs) || len(ctrl.Signatures()) != 0 {
+		t.Errorf("purged %d caches, %d signatures left; want %d and none", purged, len(ctrl.Signatures()), len(sigs))
+	}
+	// A cache registered now starts with every query's bit, most done.
+	sig := ctrl.Register("after", ReduceOutput, 0, CacheAvailable, 0, 1, []int{last})
+	if len(sig.doneQueryMask) != last+1 || sig.doneQueryMask[last] || !sig.doneQueryMask[eng.qIdx] {
+		t.Errorf("a signature registered past the inline capacity has mask %v", sig.doneQueryMask)
+	}
+}
+
+// TestPurgeSkipsReplacedRows: a purge removes the rows expired since the
+// last one, and only while each is still its cache's row; a cache added
+// again or evicted in between keeps what it has now.
+func TestPurgeSkipsReplacedRows(t *testing.T) {
+	reg := NewRegistry(twoNodeCluster(t).Node(0))
+	for _, pid := range []string{"a", "b", "c"} {
+		reg.Add(pid, ReduceOutput, []byte(pid))
+		reg.MarkExpired(pid, ReduceOutput)
+		reg.MarkExpired(pid, ReduceOutput) // listed once
+	}
+	reg.Add("b", ReduceOutput, []byte("b2"))
+	if reg.Evict("c", ReduceOutput) != 1 {
+		t.Fatal("evicting c freed nothing")
+	}
+	if n := reg.PurgeExpired(); n != 1 {
+		t.Errorf("purged %d, want 1 (a)", n)
+	}
+	if got, ok := reg.Get("b", ReduceOutput); !ok || string(got) != "b2" {
+		t.Errorf("re-added b reads %q, %v after the purge", got, ok)
+	}
+	if reg.Has("a", ReduceOutput) || len(reg.Entries()) != 1 {
+		t.Errorf("after the purge: %+v", reg.Entries())
+	}
+	if n := reg.PurgeExpired(); n != 0 {
+		t.Errorf("a second purge removed %d", n)
 	}
 }
 

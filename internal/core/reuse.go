@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"redoop/internal/mapreduce"
 	"redoop/internal/obs"
 	"redoop/internal/reuse"
@@ -50,8 +48,11 @@ func (e *Engine) verifyReuseEntry(en reuse.Entry) (cacheRef, bool) {
 	typ := CacheType(en.Type)
 	sig, ok := e.ctrl.Lookup(en.PID, typ)
 	if ok && sig.Ready == CacheAvailable {
-		if reg := e.ctrl.Registry(sig.NID); reg != nil && reg.Has(en.PID, typ) {
-			return cacheRef{pid: en.PID, typ: typ, node: sig.NID, readyAt: sig.ReadyAt, bytes: sig.Bytes}, true
+		var buf pidBuf
+		if reg := e.registry(sig.NID); reg != nil {
+			if key, ok := reg.resident(append(buf[:0], en.PID...), typ); ok {
+				return cacheRef{key: key, typ: typ, node: sig.NID, readyAt: sig.ReadyAt, bytes: sig.Bytes}, true
+			}
 		}
 	}
 	e.commit(commit{kind: kindStale, at: e.curTrigger, pid: en.PID, typ: typ})
@@ -119,11 +120,11 @@ func (e *Engine) copyReusedPane(p window.PaneID, trigger simtime.Time, entries [
 			refs[part] = e.registerReused(p, part, prods[part:part+1], prod.node, simtime.Max(prod.readyAt, trigger), nil, routMeta, "exact")
 			continue
 		}
-		data, ok := e.ctrl.Registry(prod.node).Get(prod.pid, ReduceOutput)
-		if !ok {
-			return fmt.Errorf("core: reused cache %s lost from node %d mid-recurrence", prod.pid, prod.node)
+		data, err := e.cacheBytes(prod)
+		if err != nil {
+			return err
 		}
-		e.commit(commit{kind: kindCrossHit, at: e.curTrigger, pid: prod.pid, typ: prod.typ})
+		e.commit(commit{kind: kindCrossHit, at: e.curTrigger, pid: prod.pid(), typ: prod.typ})
 		ct := e.runCacheTask(obs.TaskSpan{Kind: obs.SpanReuse, Pane: int64(p), Part: part}, phaseReduce,
 			trigger, prods[part:part+1], e.mr.Cost.DiskWrite(prod.bytes), stats)
 		stats.BytesCacheRead += prod.bytes
@@ -166,7 +167,7 @@ func (e *Engine) composeReusedPane(p window.PaneID, trigger simtime.Time, rows [
 			if prod.bytes == 0 {
 				continue
 			}
-			e.commit(commit{kind: kindCrossHit, at: e.curTrigger, pid: prod.pid, typ: prod.typ})
+			e.commit(commit{kind: kindCrossHit, at: e.curTrigger, pid: prod.pid(), typ: prod.typ})
 			inBytes += prod.bytes
 		}
 		routMeta := cacheMeta{recompute: recompute, pane: p, part: part, inputs: prods[part]}
@@ -191,7 +192,7 @@ func (e *Engine) composeReusedPane(p window.PaneID, trigger simtime.Time, rows [
 func (e *Engine) registerReused(p window.PaneID, part int, prod []cacheRef, node int, at simtime.Time, data []byte, meta cacheMeta, mode string) cacheRef {
 	var buf pidBuf
 	ref := e.registerCache(e.query.appendRoutTuplePID(buf[:0], paneTuple{p}, part), ReduceOutput, node, at, data, meta)
-	e.commit(commit{kind: kindReused, at: at, pid: ref.pid, typ: ReduceOutput, node: node,
+	e.commit(commit{kind: kindReused, at: at, pid: ref.pid(), typ: ReduceOutput, node: node,
 		bytes: prod[0].bytes, inputs: prod, mode: mode})
 	return ref
 }

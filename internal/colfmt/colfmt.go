@@ -153,6 +153,17 @@ func EncodePairs(pairs []records.Pair) []byte {
 		return nil
 	}
 	dst := make([]byte, PairsSize(pairs))
+	PutPairs(dst, pairs)
+	return dst
+}
+
+// PutPairs writes the segment EncodePairs returns for pairs over dst,
+// PairsSize(pairs) bytes long: a caller packing several segments into
+// one buffer cuts it by their sizes and fills the pieces apart.
+func PutPairs(dst []byte, pairs []records.Pair) {
+	if len(pairs) == 0 {
+		return
+	}
 	copy(dst, magicPairs[:])
 	binary.LittleEndian.PutUint32(dst[4:], uint32(len(pairs)))
 	p, off := 12, uint32(0) // koff[0] == 0
@@ -174,7 +185,6 @@ func EncodePairs(pairs []records.Pair) []byte {
 		p += copy(dst[p:], pr.Value)
 	}
 	binary.LittleEndian.PutUint32(dst[p:], crc32.ChecksumIEEE(dst[:p]))
-	return dst
 }
 
 // Group is one key and its values: the pairs of one key, a key group of
@@ -184,22 +194,39 @@ type Group struct {
 	Values [][]byte
 }
 
-// EncodeGroups encodes the groups' pairs, each group's key with each of
-// its values in order, as one exactly-sized columnar segment: byte for
-// byte what EncodePairs writes for those pairs. A key, and each run of
-// values that share one slice, is copied once and then doubled.
-func EncodeGroups(gs []Group) []byte {
-	n, kb, vb := 0, 0, 0
+// GroupsSize returns the length of the segment PutGroups writes for gs.
+func GroupsSize(gs []Group) int {
+	n, kb := groupsShape(gs)
+	if n == 0 {
+		return 0
+	}
+	vb := 0
 	for _, g := range gs {
-		n, kb = n+len(g.Values), kb+len(g.Key)*len(g.Values)
 		for _, v := range g.Values {
 			vb += len(v)
 		}
 	}
-	if n == 0 {
-		return nil
+	return 8 + 2*4*(n+1) + kb + vb + 4
+}
+
+// groupsShape returns the pair count and the key bytes of gs's segment.
+func groupsShape(gs []Group) (n, kb int) {
+	for _, g := range gs {
+		n, kb = n+len(g.Values), kb+len(g.Key)*len(g.Values)
 	}
-	dst := make([]byte, 8+2*4*(n+1)+kb+vb+4)
+	return n, kb
+}
+
+// PutGroups writes the groups' pairs, each group's key with each of its
+// values in order, as one columnar segment over dst, GroupsSize(gs)
+// bytes long (see PutPairs): byte for byte what PutPairs writes for
+// those pairs. A key, and each run of values that share one slice, is
+// copied once and then doubled.
+func PutGroups(dst []byte, gs []Group) {
+	n, kb := groupsShape(gs)
+	if n == 0 {
+		return
+	}
 	copy(dst, magicPairs[:])
 	binary.LittleEndian.PutUint32(dst[4:], uint32(n))
 	ko, vo, kp, vp := 12, 16+4*n, 16+8*n, 16+8*n+kb // past koff[0] and voff[0], both 0
@@ -220,7 +247,6 @@ func EncodeGroups(gs []Group) []byte {
 		}
 	}
 	binary.LittleEndian.PutUint32(dst[vp:], crc32.ChecksumIEEE(dst[:vp]))
-	return dst
 }
 
 // sameSlice reports whether a and b are one slice: as long, at one address.

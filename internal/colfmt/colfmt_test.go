@@ -774,8 +774,8 @@ func FuzzPairWriter(f *testing.F) {
 // FuzzEncodeGroups cuts arbitrary bytes into groups — per group a key, a
 // value count and per value a byte that makes it the last value's slice,
 // a copy of its bytes or new bytes, the last value carried from group to
-// group as a mapper's constant is — and holds EncodeGroups to
-// EncodePairs of the pairs they expand to, byte for byte.
+// group as a mapper's constant is — and holds PutGroups to EncodePairs
+// of the pairs they expand to, byte for byte.
 func FuzzEncodeGroups(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})                                  // one empty key, no values
@@ -815,8 +815,10 @@ func FuzzEncodeGroups(f *testing.F) {
 			}
 			gs = append(gs, g)
 		}
-		if got, want := EncodeGroups(gs), EncodePairs(pairs); !bytes.Equal(got, want) {
-			t.Fatalf("%d groups, %d pairs: EncodeGroups writes %d bytes, EncodePairs %d, or other bytes", len(gs), len(pairs), len(got), len(want))
+		got := make([]byte, GroupsSize(gs))
+		PutGroups(got, gs)
+		if want := EncodePairs(pairs); !bytes.Equal(got, want) {
+			t.Fatalf("%d groups, %d pairs: PutGroups writes %d bytes, EncodePairs %d, or other bytes", len(gs), len(pairs), len(got), len(want))
 		}
 	})
 }

@@ -83,7 +83,7 @@ func (e *Engine) buildAggPane(p window.PaneID, trigger simtime.Time, pp *panePre
 	if live := len(rres); live > 0 {
 		mapShare = (mp.Stats.MapTime + rstats.ShuffleTime) / simtime.Duration(live)
 	}
-	users := e.rinUsers(0)
+	users, set := e.rinUsers(0), e.paneSet(0, paneTuple{p}, true, true)
 	for part, next := 0, 0; part < e.query.NumReducers; part++ { // rres[next:] is in partition order
 		home, err := e.home(part)
 		if err != nil {
@@ -101,29 +101,33 @@ func (e *Engine) buildAggPane(p window.PaneID, trigger simtime.Time, pp *panePre
 			rinMeta.span, rinMeta.recompute = rr.Span, mapShare+e.mr.Cost.Sort(rinBytes)+e.mr.Cost.DiskWrite(rinBytes)
 			routMeta = cacheMeta{span: rr.Span, recompute: rr.End.Sub(rr.Start)}
 		}
-		refs[part] = e.registerAggPart(job.Name, p, part, node, readyAt, pp.rin[part], routData, rinMeta, routMeta, rins)
+		refs[part] = e.registerAggPart(job.Name, p, part, node, readyAt, pp.rin[part], routData, rinMeta, routMeta, rins, &set)
 	}
 	return nil
 }
 
 // registerAggPart registers partition part of pane p, freshly built by
-// job: its reduce-input cache, claimed by rinMeta.users, into
-// rins[part], then the reduce-output cache derived from it.
-func (e *Engine) registerAggPart(job string, p window.PaneID, part, node int, readyAt simtime.Time, rinData, routData []byte, rinMeta, routMeta cacheMeta, rins []cacheRef) cacheRef {
+// job, from the pane's set: its reduce-input cache, claimed by
+// rinMeta.users, into rins[part], then the reduce-output cache derived
+// from it.
+func (e *Engine) registerAggPart(job string, p window.PaneID, part, node int, readyAt simtime.Time, rinData, routData []byte, rinMeta, routMeta cacheMeta, rins []cacheRef, set *cacheSet) cacheRef {
 	rinMeta.pane, rinMeta.part, rinMeta.job = p, part, job
-	var buf pidBuf
-	rins[part] = e.registerCache(e.query.appendRinPID(buf[:0], 0, e.frames[0].Pane, p, part), ReduceInput, node, readyAt, rinData, rinMeta)
+	rins[part] = e.registerCache(&set.rin[part], node, readyAt, rinData, rinMeta)
 	routMeta.job, routMeta.inputs = job, rins[part:part+1]
-	return e.registerAggRout(p, part, node, readyAt, routData, routMeta)
+	return e.registerAggRout(p, part, node, readyAt, routData, routMeta, &set.rout[part])
 }
 
 // registerAggRout registers pane p's reduce-output cache for one
 // partition, built from this query's own inputs (meta.inputs) and so
-// advertised for cross-query reuse.
-func (e *Engine) registerAggRout(p window.PaneID, part, node int, readyAt simtime.Time, data []byte, meta cacheMeta) cacheRef {
+// advertised for cross-query reuse, as rec, its set's record, or alone
+// when rec is nil.
+func (e *Engine) registerAggRout(p window.PaneID, part, node int, readyAt simtime.Time, data []byte, meta cacheMeta, rec *cacheRecord) cacheRef {
 	meta.pane, meta.part, meta.publish = p, part, true
-	var buf pidBuf
-	return e.registerCache(e.query.appendRoutTuplePID(buf[:0], paneTuple{p}, part), ReduceOutput, node, readyAt, data, meta)
+	if rec == nil {
+		var buf pidBuf
+		rec = newRecord(e.query.appendRoutTuplePID(buf[:0], paneTuple{p}, part), ReduceOutput)
+	}
+	return e.registerCache(rec, node, readyAt, data, meta)
 }
 
 // processAggPaneProactive executes one pane at sub-pane granularity
@@ -184,14 +188,14 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 	})
 	e.mr.PutGroupers(groupers)
 
-	users := e.rinUsers(0)
+	users, set := e.rinUsers(0), e.paneSet(0, paneTuple{p}, true, true)
 	for part := 0; part < R; part++ {
 		home, err := e.home(part)
 		if err != nil {
 			return err
 		}
 		if len(subOut[part]) == 0 {
-			refs[part] = e.registerAggPart(job.Name, p, part, home.ID, trigger, nil, nil, cacheMeta{users: users}, cacheMeta{}, rins)
+			refs[part] = e.registerAggPart(job.Name, p, part, home.ID, trigger, nil, nil, cacheMeta{users: users}, cacheMeta{}, rins, &set)
 			continue
 		}
 		// The combine reads the sub-pane partials where the reducers
@@ -211,7 +215,7 @@ func (e *Engine) processAggPaneProactive(p window.PaneID, trigger simtime.Time, 
 			recompute: e.mr.Cost.Sort(rinBytes) + e.mr.Cost.DiskWrite(rinBytes)}
 		routMeta := cacheMeta{span: ct.span,
 			recompute: e.mr.Cost.ReduceTask(rinBytes, int64(len(routData[part])))}
-		refs[part] = e.registerAggPart(job.Name, p, part, ct.node, ct.end, rinData[part], routData[part], rinMeta, routMeta, rins)
+		refs[part] = e.registerAggPart(job.Name, p, part, ct.node, ct.end, rinData[part], routData[part], rinMeta, routMeta, rins, &set)
 	}
 	return nil
 }
@@ -235,7 +239,7 @@ func (e *Engine) rebuildAggOutputs(p window.PaneID, trigger simtime.Time, rins, 
 		// MapReduce job's task attempts.
 		routMeta := cacheMeta{span: rin.span, inputs: rins[part : part+1]}
 		if rin.bytes == 0 {
-			refs[part] = e.registerAggRout(p, part, rin.node, simtime.Max(rin.readyAt, trigger), nil, routMeta)
+			refs[part] = e.registerAggRout(p, part, rin.node, simtime.Max(rin.readyAt, trigger), nil, routMeta, nil)
 			continue
 		}
 		outData := rebuilt[part].data
@@ -244,7 +248,7 @@ func (e *Engine) rebuildAggOutputs(p window.PaneID, trigger simtime.Time, rins, 
 		stats.ReduceTasks++
 		stats.BytesCacheRead += rin.bytes
 		routMeta.span, routMeta.recompute = ct.span, ct.dur
-		refs[part] = e.registerAggRout(p, part, ct.node, ct.end, outData, routMeta)
+		refs[part] = e.registerAggRout(p, part, ct.node, ct.end, outData, routMeta, nil)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"redoop/internal/simtime"
@@ -96,42 +97,178 @@ func TestCacheNamesPinned(t *testing.T) {
 	}
 }
 
-// TestAggPartRegistrationAllocations pins what registering one
-// partition of a new aggregation pane allocates: for its reduce input
-// and for its reduce output, the node-local key (the PID is its suffix)
-// and one record holding the registry row and the signature with its
-// inline done mask — 4 in all. The PIDs are built on the stack and the
-// consumer set is the engine's.
-func TestAggPartRegistrationAllocations(t *testing.T) {
-	eng := mustEngine(t, Config{MR: internalRig(t, 3, 5), Query: internalCountQuery(20*simtime.Second, 10*simtime.Second)})
-	rins := make([]cacheRef, eng.query.NumReducers)
-	p := 0
-	allocs := testing.AllocsPerRun(200, func() {
+// setAllocs is what registering one set of caches allocates, on average
+// over 200 sets, in an engine of query q at R reducers; rins is the
+// window's row of reduce inputs an aggregation pane registers into. The
+// sets name eight panes in turn, so the registry's and the controller's
+// maps stop growing after the first eight (a new key pays a table's
+// growth now and then, at any R) and what is counted is the sets'.
+func setAllocs(t *testing.T, q *Query, R int, register func(eng *Engine, p window.PaneID, rins []cacheRef)) float64 {
+	q.NumReducers = R
+	eng := mustEngine(t, Config{MR: internalRig(t, 3, 5), Query: q})
+	rins, p := make([]cacheRef, R), 0
+	return testing.AllocsPerRun(200, func() {
 		p++
-		eng.registerAggPart("agg/S1", window.PaneID(p), 0, p%3, 0, nil, nil, cacheMeta{}, cacheMeta{}, rins)
+		register(eng, window.PaneID(p%8), rins)
 	})
-	if allocs != 4 {
-		t.Fatalf("registering a new pane's partition allocates %v times, want 4", allocs)
+}
+
+// setRegistrar registers one set of caches of pane p: rins is the
+// window's row of reduce inputs an aggregation pane registers into.
+type setRegistrar struct {
+	name     string
+	q        func() *Query
+	register func(eng *Engine, p window.PaneID, rins []cacheRef)
+}
+
+// checkSetAllocs pins what registering each set allocates: the set's
+// record array (registry rows and signatures with their inline done
+// masks) and its one string of keys (each PID a key's suffix), 2,
+// whether the query has 4 reducers or 20. The keys are built in the
+// engine's scratch and the consumer sets are the engine's.
+func checkSetAllocs(t *testing.T, sets []setRegistrar) {
+	t.Helper()
+	for _, set := range sets {
+		small, large := setAllocs(t, set.q(), 4, set.register), setAllocs(t, set.q(), 20, set.register)
+		if small != 2 || large != 2 {
+			t.Errorf("registering a %s's caches allocates %v times at 4 reducers and %v at 20, want 2", set.name, small, large)
+		}
 	}
 }
 
-// TestJoinTupleRegistrationAllocations: registering one partition of a
-// pane tuple's join output allocates its key and its record, 2, as
-// joinTupleGroup registers it; the output segment is the reducer's.
-func TestJoinTupleRegistrationAllocations(t *testing.T) {
-	eng := mustEngine(t, Config{MR: internalRig(t, 3, 5), Query: internalJoinQuery(20*simtime.Second, 10*simtime.Second)})
-	data := []byte("tuple output")
-	inputs := make([]cacheRef, 2)
-	t2 := make(paneTuple, 2)
-	p := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		p++
-		t2[0], t2[1] = window.PaneID(p), window.PaneID(p+1)
-		var buf pidBuf
-		eng.registerCache(eng.query.appendRoutTuplePID(buf[:0], t2, 1), ReduceOutput, p%3, 0, data,
-			cacheMeta{pane: t2[0], part: 1, inputs: inputs})
+// TestAggPartRegistrationAllocations: registering the partitions of a
+// new aggregation pane, its reduce inputs and outputs as one set
+// (registerAggPart, as buildAggPane calls it), allocates 2 per pane at
+// any reducer count.
+func TestAggPartRegistrationAllocations(t *testing.T) {
+	data := []byte("segment")
+	checkSetAllocs(t, []setRegistrar{
+		{"aggregation pane", func() *Query { return internalCountQuery(20*simtime.Second, 10*simtime.Second) }, func(eng *Engine, p window.PaneID, rins []cacheRef) {
+			set := eng.paneSet(0, paneTuple{p}, true, true)
+			for part := range rins {
+				eng.registerAggPart("agg/S1", p, part, part%3, 0, data, data, cacheMeta{}, cacheMeta{}, rins, &set)
+			}
+		}},
 	})
-	if allocs != 2 {
-		t.Fatalf("registering a tuple output's partition allocates %v times, want 2", allocs)
+}
+
+// TestJoinTupleRegistrationAllocations: registering a join tuple's
+// outputs as one set (registerCache, as joinTupleGroup calls it), and a
+// join source pane's reduce inputs as one set (as buildJoinInputs calls
+// it), each allocates 2 per set at any reducer count; the output
+// segments are the reducers'.
+func TestJoinTupleRegistrationAllocations(t *testing.T) {
+	data := []byte("tuple output")
+	join := func() *Query { return internalJoinQuery(20*simtime.Second, 10*simtime.Second) }
+	checkSetAllocs(t, []setRegistrar{
+		{"join source pane", join, func(eng *Engine, p window.PaneID, rins []cacheRef) {
+			set := eng.paneSet(1, paneTuple{p}, true, false)
+			for part := range eng.query.NumReducers {
+				eng.registerCache(&set.rin[part], part%3, 0, data, cacheMeta{src: 1, pane: p, part: part, users: eng.rinUsers(1)})
+			}
+		}},
+		{"join tuple", join, func(eng *Engine, p window.PaneID, rins []cacheRef) {
+			tuple := paneTuple{p, p + 1}
+			set := eng.paneSet(0, tuple, false, true)
+			for part := range eng.query.NumReducers {
+				eng.registerCache(&set.rout[part], part%3, 0, data, cacheMeta{pane: p, part: part})
+			}
+		}},
+	})
+}
+
+// TestCacheSetSiblingsSurviveLoss: a new pane's caches share their
+// bytes' buffer and their records' array, so losing one must disturb no
+// sibling. One output, or an input and an output, of an aggregation pane
+// are deleted from their node (as Figure 9's cache loss does) and the
+// ladder rebuilds them, by the rebuild rung or by the map rung: every
+// view of the pane's caches taken before stays byte-identical, and what
+// the pane's caches hold afterwards is what they held. Once the pane has
+// left every window, the purge leaves no row and no byte of it.
+func TestCacheSetSiblingsSurviveLoss(t *testing.T) {
+	const slide = 10 * simtime.Second
+	type cache struct {
+		typ  CacheType
+		part int
+	}
+	for _, tc := range []struct {
+		name string
+		lose []cache
+	}{
+		{"one output", []cache{{ReduceOutput, 1}}},
+		{"an input and an output", []cache{{ReduceInput, 2}, {ReduceOutput, 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := internalCountQuery(3*slide, slide)
+			q.NumReducers = 4
+			eng := mustEngine(t, Config{MR: internalRig(t, 3, 17), Query: q})
+			fed := 0
+			run := func(rec int) *RecurrenceResult {
+				for ; int64(fed)*int64(slide) < eng.frames[0].WindowClose(rec); fed++ {
+					if err := eng.Ingest(0, internalWords(29, slide, fed, 300, 40)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := eng.RunNext()
+				if err != nil {
+					t.Fatalf("recurrence %d: %v", rec, err)
+				}
+				return res
+			}
+			const pane = window.PaneID(2) // in windows 0 to 2
+			keyOf := func(c cache) string {
+				if c.typ == ReduceInput {
+					return nodeKey(q.ReduceInputPID(0, eng.frames[0].Pane, pane, c.part), ReduceInput)
+				}
+				return nodeKey(q.ReduceOutputPanePID(pane, c.part), ReduceOutput)
+			}
+			stored := func(c cache) (node int, data []byte) {
+				for _, n := range eng.mr.Cluster.Nodes() {
+					if data, ok := n.GetLocal(keyOf(c)); ok {
+						return n.ID, data
+					}
+				}
+				return -1, nil
+			}
+			var all []cache
+			for part := range q.NumReducers {
+				all = append(all, cache{ReduceInput, part}, cache{ReduceOutput, part})
+			}
+			run(0)
+			views, copies := map[cache][]byte{}, map[cache][]byte{}
+			for _, c := range all {
+				node, data := stored(c)
+				if node < 0 {
+					t.Fatalf("pane %d's %v cache of partition %d is on no node", pane, c.typ, c.part)
+				}
+				views[c], copies[c] = data, slices.Clone(data)
+			}
+			for _, c := range tc.lose {
+				node, _ := stored(c)
+				eng.mr.Cluster.Node(node).DeleteLocal(keyOf(c))
+			}
+			if res := run(1); res.CacheRecoveries == 0 {
+				t.Fatal("no cache recovered after the loss")
+			}
+			for _, c := range all {
+				_, now := stored(c)
+				if !slices.Equal(views[c], copies[c]) || !slices.Equal(now, copies[c]) {
+					t.Errorf("%v cache of partition %d: view before %q, now %q, want %q", c.typ, c.part, views[c], now, copies[c])
+				}
+			}
+			run(2) // pane 2 leaves the windows and its caches are purged
+			for _, c := range all {
+				if node, _ := stored(c); node >= 0 {
+					t.Errorf("%v cache of partition %d outlives the purge on node %d", c.typ, c.part, node)
+				}
+			}
+			for _, n := range eng.mr.Cluster.Nodes() {
+				for _, en := range eng.ctrl.Registry(n.ID).Entries() {
+					if strings.Contains(en.PID, "/P2/") {
+						t.Errorf("node %d keeps the row of %q (%v) past the purge", n.ID, en.PID, en.Type)
+					}
+				}
+			}
+		})
 	}
 }

@@ -197,16 +197,21 @@ func (c *Controller) Queries() []string {
 // and clears the usedBy queries' bits without disturbing other
 // queries' claims. usedBy is read, not kept.
 func (c *Controller) Register(pid string, typ CacheType, nid int, ready Ready, readyAt simtime.Time, bytes int64, usedBy []int) *Signature {
-	return c.register(nil, pid, typ, nid, ready, readyAt, bytes, usedBy)
+	s, _ := c.register(nil, pid, typ, nid, ready, readyAt, bytes, usedBy)
+	return s
 }
 
 // register is Register with the zero signature a new cache takes, a
 // cacheRecord's; nil allocates one. A re-registration leaves it unused.
-func (c *Controller) register(fresh *Signature, pid string, typ CacheType, nid int, ready Ready, readyAt simtime.Time, bytes int64, usedBy []int) *Signature {
+// prevNID is the node the signature named before, -1 for a new one.
+func (c *Controller) register(fresh *Signature, pid string, typ CacheType, nid int, ready Ready, readyAt simtime.Time, bytes int64, usedBy []int) (sig *Signature, prevNID int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.sigs[entryKey{pid, typ}]
-	if !ok {
+	prevNID = -1
+	if ok {
+		prevNID = s.NID
+	} else {
 		if s = fresh; s == nil {
 			s = new(Signature)
 		}
@@ -230,7 +235,7 @@ func (c *Controller) register(fresh *Signature, pid string, typ CacheType, nid i
 	for _, q := range usedBy {
 		claimLocked(s, q)
 	}
-	return s
+	return s, prevNID
 }
 
 // ClaimUser marks query q as an active consumer of a cache (clears its

@@ -214,8 +214,11 @@ type Engine struct {
 	// self is the consumer set of a cache only this query reads: the
 	// controller reads a consumer set as it registers and keeps none.
 	self [1]int
-	// locs is runCacheTask's scratch: the commit half is serial.
-	locs []CacheLoc
+	// locs is runCacheTask's scratch, keys and keyEnds paneSet's: the
+	// commit half is serial.
+	locs    []CacheLoc
+	keys    []byte
+	keyEnds []int
 	// jobs are the sources' pane jobs, built once: nothing changes a
 	// Job after construction.
 	jobs []*mapreduce.Job
@@ -803,34 +806,63 @@ type cacheMeta struct {
 }
 
 // registerCache persists bytes as a cache on a node and registers its
-// signature, claiming it for meta.users. The PID comes as bytes the
-// caller builds on its stack; the registration makes one string, the
-// cache's node-local key, and names the cache by its suffix, and one
-// cacheRecord, the registry row and the signature.
-func (e *Engine) registerCache(pidBytes []byte, typ CacheType, node int, readyAt simtime.Time, data []byte, meta cacheMeta) cacheRef {
-	key, pid := cacheKey(pidBytes, typ)
+// signature, claiming it for meta.users. rec is the cache's record, its
+// row naming the cache: a cacheSet's, or newRecord's for a cache
+// registered alone.
+func (e *Engine) registerCache(rec *cacheRecord, node int, readyAt simtime.Time, data []byte, meta cacheMeta) cacheRef {
+	pid, typ, key := rec.row.PID, rec.row.Type, rec.row.key
+	users := meta.users
+	if users == nil {
+		users = e.self[:]
+	}
+	e.registry(node).add(&rec.row, data)
 	// Re-homing: when a rebuilt cache lands on a different node (one
 	// lost partition forces a whole-tuple recompute, but sibling
 	// partitions may still be resident elsewhere), expire the old
 	// node's copy — the signature moves with the rebuild, so bytes
 	// left behind would otherwise be orphaned forever: unexpired,
 	// undiscoverable, and invisible to every future purge notice.
-	if old, ok := e.ctrl.lookup(pidBytes, typ); ok && old.NID != node {
-		if oldReg := e.registry(old.NID); oldReg != nil {
+	if _, old := e.ctrl.register(&rec.sig, pid, typ, node, CacheAvailable, readyAt, int64(len(data)), users); old >= 0 && old != node {
+		if oldReg := e.registry(old); oldReg != nil {
 			oldReg.MarkExpired(pid, typ)
 		}
 	}
-	users := meta.users
-	if users == nil {
-		users = e.self[:]
-	}
-	rec := &cacheRecord{row: registryRow{RegistryEntry{PID: pid, Type: typ}, key}}
-	e.registry(node).add(&rec.row, data)
-	e.ctrl.register(&rec.sig, pid, typ, node, CacheAvailable, readyAt, int64(len(data)), users)
 	e.commit(commit{kind: kindRegistered, at: readyAt, pid: pid, typ: typ, node: node,
 		bytes: int64(len(data)), cost: meta.recompute, data: data,
 		src: meta.src, pane: meta.pane, part: meta.part, job: meta.job, inputs: meta.inputs, publish: meta.publish})
 	return cacheRef{key: key, typ: typ, node: node, readyAt: readyAt, bytes: int64(len(data)), span: meta.span}
+}
+
+// paneSet lays out the records of pane tuple t's caches that share its
+// lifetime: with rin, the reduce inputs of source src's pane t[0], with
+// rout, the tuple's reduce outputs, each by partition.
+func (e *Engine) paneSet(src int, t paneTuple, rin, rout bool) cacheSet {
+	q, R := e.query, e.query.NumReducers
+	b, ends := e.keys[:0], e.keyEnds[:0]
+	for part := 0; rin && part < R; part++ {
+		b = q.appendRinPID(append(b, cacheDir(ReduceInput)...), src, e.frames[src].Pane, t[0], part)
+		ends = append(ends, len(b))
+	}
+	for part := 0; rout && part < R; part++ {
+		b = q.appendRoutTuplePID(append(b, cacheDir(ReduceOutput)...), t, part)
+		ends = append(ends, len(b))
+	}
+	e.keys, e.keyEnds = b, ends
+	nrin := 0 // the reduce inputs come first
+	if rin {
+		nrin = R
+	}
+	keys, recs := string(b), make([]cacheRecord, len(ends))
+	for i, lo := 0, 0; i < len(ends); i++ {
+		typ := ReduceInput
+		if i >= nrin {
+			typ = ReduceOutput
+		}
+		key := keys[lo:ends[i]]
+		recs[i].row = registryRow{RegistryEntry{PID: key[len(cacheDir(typ)):], Type: typ}, key}
+		lo = ends[i]
+	}
+	return cacheSet{rin: recs[:nrin], rout: recs[nrin:]}
 }
 
 // registry returns node's registry, nil for a node the engine's cluster
@@ -1137,22 +1169,47 @@ func (e *Engine) preparePane(src int, p window.PaneID, gs []mapreduce.Grouper) *
 	if agg {
 		pp.red = e.mr.PrepareReducePhase(job, parts, groups, gs) // grouping pairs sorts them in place
 	}
-	pp.rin = make([][]byte, job.NumReducers)
+	pp.rin = rinSegments(job.NumReducers, parts, groups)
 	parallel.For(len(gs), job.NumReducers, func(part int) {
 		switch {
 		case groups != nil:
-			pp.rin[part] = colfmt.EncodeGroups(groups[part])
+			colfmt.PutGroups(pp.rin[part], groups[part])
 		case len(parts[part]) > 0:
 			if !agg {
 				mapreduce.SortPairs(parts[part])
 			}
-			pp.rin[part] = colfmt.EncodePairs(parts[part])
+			colfmt.PutPairs(pp.rin[part], parts[part])
 		}
 	})
 	for _, prep := range pp.preps {
 		prep.Release()
 	}
 	return pp
+}
+
+// rinSegments cuts one exactly-sized buffer into a pane's R reduce-input
+// segments, partition part's sized for groups[part] when groups is not
+// nil, else for parts[part]; an empty partition's is nil. Each is
+// capacity-limited, so its cache's bytes never reach a sibling's.
+func rinSegments(R int, parts [][]records.Pair, groups [][]mapreduce.Group) [][]byte {
+	var stack [64]int
+	sizes, total := stack[:0], 0
+	for part := range R {
+		n := 0
+		if groups != nil {
+			n = colfmt.GroupsSize(groups[part])
+		} else {
+			n = colfmt.PairsSize(parts[part])
+		}
+		sizes, total = append(sizes, n), total+n
+	}
+	buf, segs := make([]byte, total), make([][]byte, R)
+	for part, off := 0, 0; part < R; part++ {
+		if n := sizes[part]; n > 0 {
+			segs[part], off = buf[off:off+n:off+n], off+n
+		}
+	}
+	return segs
 }
 
 // commitPaneMapPhase schedules a prepared pane's map tasks. In

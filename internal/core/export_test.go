@@ -16,7 +16,7 @@ func FinalizeCaches(e *Engine, data [][][]byte) ([]records.Pair, mapreduce.Stats
 	for part, segs := range data {
 		for i, seg := range segs {
 			pid := fmt.Sprintf("finalize-test/p%d/c%d", part, i)
-			caches[part] = append(caches[part], e.registerCache([]byte(pid), ReduceOutput, nodes[(part+i)%len(nodes)], 0, seg, cacheMeta{}))
+			caches[part] = append(caches[part], e.registerCache(newRecord([]byte(pid), ReduceOutput), nodes[(part+i)%len(nodes)], 0, seg, cacheMeta{}))
 		}
 	}
 	var stats mapreduce.Stats

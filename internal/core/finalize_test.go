@@ -78,7 +78,8 @@ func gatherGroupMerge(t *testing.T, merge mapreduce.ReduceFunc, segs [][]byte) (
 		all = append(all, ps...)
 	}
 	var g mapreduce.Grouper
-	_, out = g.Reduce(merge, g.Group(all))
+	_, run := g.Reduce(merge, g.Group(all))
+	out = run.AppendTo(nil)
 	return out, records.PairsSize(all), records.PairsSize(out)
 }
 

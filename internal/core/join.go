@@ -124,8 +124,7 @@ func (e *Engine) buildJoinInputs(src int, p window.PaneID, trigger simtime.Time,
 	if live > 0 {
 		mapShare = mp.Stats.MapTime / simtime.Duration(live)
 	}
-	users := e.rinUsers(src)
-	var buf pidBuf
+	users, set := e.rinUsers(src), e.paneSet(src, paneTuple{p}, true, false)
 	for part := 0; part < R; part++ {
 		home, err := e.home(part)
 		if err != nil {
@@ -137,9 +136,8 @@ func (e *Engine) buildJoinInputs(src int, p window.PaneID, trigger simtime.Time,
 			readyAt = mp.LastMapEnd
 		}
 		rinMeta := cacheMeta{src: src, pane: p, part: part, job: e.jobs[src].Name, users: users}
-		pid := q.appendRinPID(buf[:0], src, e.frames[src].Pane, p, part)
 		if inBytes == 0 {
-			refs[part] = e.registerCache(pid, ReduceInput, home.ID, readyAt, nil, rinMeta)
+			refs[part] = e.registerCache(&set.rin[part], home.ID, readyAt, nil, rinMeta)
 			continue
 		}
 		// The reducer-side copy to the home; the spill to the
@@ -168,7 +166,7 @@ func (e *Engine) buildJoinInputs(src int, p window.PaneID, trigger simtime.Time,
 		span.Shared, span.Deps = nil, [2]obs.SpanID{shuffleSpan}
 		spillSpan := e.obs.Task(span)
 		rinMeta.span, rinMeta.recompute = spillSpan, mapShare+availAt.Sub(shuffleStart)+spill
-		refs[part] = e.registerCache(pid, ReduceInput, home.ID, end, pp.rin[part], rinMeta)
+		refs[part] = e.registerCache(&set.rin[part], home.ID, end, pp.rin[part], rinMeta)
 		if end > stats.End {
 			stats.End = end
 		}
@@ -337,8 +335,11 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []w
 		}
 		return cacheMeta{pane: t[0], part: part, inputs: inputs[lo:len(inputs):len(inputs)]}
 	}
-	caches := make([]cacheRef, 0, len(coords)) // a partition's distinct non-empty inputs
-	var buf pidBuf
+	caches := make([]cacheRef, 0, len(coords))  // a partition's distinct non-empty inputs
+	sets := make([]cacheSet, len(group.tuples)) // a tuple's outputs share a lifetime
+	for i, t := range group.tuples {
+		sets[i] = e.paneSet(0, t, false, true)
+	}
 	for part, pc := range computed {
 		caches = caches[:0]
 		var cacheBytes int64
@@ -354,8 +355,7 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []w
 				return err
 			}
 			for i, t := range group.tuples {
-				tupleRefs[group.ords[i]][part] = e.registerCache(q.appendRoutTuplePID(buf[:0], t, part),
-					ReduceOutput, home.ID, baseReady, nil, tupleMeta(t, part))
+				tupleRefs[group.ords[i]][part] = e.registerCache(&sets[i].rout[part], home.ID, baseReady, nil, tupleMeta(t, part))
 			}
 			continue
 		}
@@ -369,8 +369,7 @@ func (e *Engine) joinTupleGroup(group tupleGroup, trigger simtime.Time, rins []w
 			to := pc.outs[i]
 			meta := tupleMeta(t, part)
 			meta.span, meta.recompute = ct.span, e.mr.Cost.CachedReduceTask(to.inBytes, int64(len(to.data)))
-			tupleRefs[group.ords[i]][part] = e.registerCache(q.appendRoutTuplePID(buf[:0], t, part),
-				ReduceOutput, ct.node, ct.end, to.data, meta)
+			tupleRefs[group.ords[i]][part] = e.registerCache(&sets[i].rout[part], ct.node, ct.end, to.data, meta)
 		}
 	}
 	for _, t := range group.tuples {

@@ -43,8 +43,8 @@ func cacheDir(typ CacheType) string {
 }
 
 // cacheKey builds a cache's node-local file-system key, "cache/rin/<pid>"
-// or "cache/rout/<pid>", as the one string its registration makes: the
-// PID it returns is the key's suffix and shares its bytes.
+// or "cache/rout/<pid>", as the one string a registration of its own
+// makes: the PID it returns is the key's suffix and shares its bytes.
 func cacheKey(pid []byte, typ CacheType) (key, pidStr string) {
 	prefix := cacheDir(typ)
 	var b strings.Builder
@@ -87,8 +87,8 @@ type registryRow struct {
 	key string
 }
 
-// cacheRecord is what a registration allocates beside its key: the
-// node's registry row and the controller's signature, whose done mask
+// cacheRecord is a registration's record: the node's registry row,
+// which names the cache, and the controller's signature, whose done mask
 // is inline, in one object (Engine.registerCache). The two tables keep
 // their own pointers into it, under their own locks, and the record
 // lives while either does. A re-registration that finds its signature
@@ -96,6 +96,25 @@ type registryRow struct {
 type cacheRecord struct {
 	row registryRow
 	sig Signature
+}
+
+// newRecord is the record of a cache registered alone (a rebuild, a
+// reuse copy): two objects, its key string and the record.
+func newRecord(pid []byte, typ CacheType) *cacheRecord {
+	key, pidStr := cacheKey(pid, typ)
+	return &cacheRecord{row: registryRow{RegistryEntry{PID: pidStr, Type: typ}, key}}
+}
+
+// cacheSet holds the records of caches sharing one lifetime, by
+// partition: a new aggregation pane's reduce inputs and outputs, a join
+// source pane's reduce inputs, a join tuple's outputs. The records are
+// one array and their keys one string (Engine.paneSet), so a set of n
+// caches allocates two objects where n registrations of their own would
+// make 2n. A record and a key (a PID is its key's suffix) keep the whole
+// set alive until its last sibling is purged: after a partial loss, an
+// eviction or a re-registration, at most one pane's.
+type cacheSet struct {
+	rin, rout []cacheRecord
 }
 
 // NewRegistry builds the registry for one node.
@@ -130,7 +149,8 @@ func (r *Registry) Add(pid string, typ CacheType, data []byte) {
 	r.add(&registryRow{RegistryEntry{PID: pid, Type: typ}, key}, data)
 }
 
-// add is Add of a new row, its PID and key built by cacheKey.
+// add is Add of a new row, its PID and key built by cacheKey or laid
+// out in a cacheSet.
 func (r *Registry) add(row *registryRow, data []byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

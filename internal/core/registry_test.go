@@ -230,9 +230,9 @@ func TestControllerSetReady(t *testing.T) {
 func TestDoneMaskGrowsPastItsInlineBits(t *testing.T) {
 	eng := mustEngine(t, Config{MR: internalRig(t, 3, 5), Query: internalCountQuery(20*simtime.Second, 10*simtime.Second)})
 	ctrl := eng.ctrl
-	rins := make([]cacheRef, eng.query.NumReducers)
+	rins, set := make([]cacheRef, eng.query.NumReducers), eng.paneSet(0, paneTuple{1}, true, true)
 	for part := range rins {
-		eng.registerAggPart("agg/S1", 1, part, part%3, 0, []byte("in"), []byte("out"), cacheMeta{}, cacheMeta{}, rins)
+		eng.registerAggPart("agg/S1", 1, part, part%3, 0, []byte("in"), []byte("out"), cacheMeta{}, cacheMeta{}, rins, &set)
 	}
 	sigs := ctrl.Signatures()
 	if len(sigs) != 2*len(rins) {

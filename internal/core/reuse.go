@@ -191,7 +191,7 @@ func (e *Engine) composeReusedPane(p window.PaneID, trigger simtime.Time, rows [
 // "exact" or "subsume".
 func (e *Engine) registerReused(p window.PaneID, part int, prod []cacheRef, node int, at simtime.Time, data []byte, meta cacheMeta, mode string) cacheRef {
 	var buf pidBuf
-	ref := e.registerCache(e.query.appendRoutTuplePID(buf[:0], paneTuple{p}, part), ReduceOutput, node, at, data, meta)
+	ref := e.registerCache(newRecord(e.query.appendRoutTuplePID(buf[:0], paneTuple{p}, part), ReduceOutput), node, at, data, meta)
 	e.commit(commit{kind: kindReused, at: at, pid: ref.pid(), typ: ReduceOutput, node: node,
 		bytes: prod[0].bytes, inputs: prod, mode: mode})
 	return ref

@@ -42,7 +42,10 @@ func countMallocs(fn func()) uint64 {
 // on a private source, and with the ledger, the provenance store and the
 // reuse index attached, on a shared one. The query's own functions
 // format on the stack, so a count's width (a longer window sums higher)
-// shows in none of it.
+// shows in none of it. The counts are pinned from above: the new pane's
+// caches register as one set, its reduce-input segments are one buffer
+// and its reducers' pairs one array (157 and 162 while each partition
+// made its own of each).
 func TestSteadyRecurrenceAllocatesForNewPanes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
@@ -97,11 +100,15 @@ func TestSteadyRecurrenceAllocatesForNewPanes(t *testing.T) {
 		}
 		return least
 	}
+	ceiling := map[bool]uint64{false: 135, true: 140}
 	for _, sidecars := range []bool{false, true} {
 		short, long := runMallocs(10, sidecars), runMallocs(20, sidecars)
 		if short != long {
 			t.Errorf("sidecars %v: a steady recurrence allocates %d times over 10 panes and %d over 20", sidecars, short, long)
 			continue
+		}
+		if short > ceiling[sidecars] {
+			t.Errorf("sidecars %v: a steady recurrence allocates %d times, above its %d", sidecars, short, ceiling[sidecars])
 		}
 		t.Logf("sidecars %v: a steady recurrence allocates %d times", sidecars, short)
 	}

@@ -366,8 +366,8 @@ func (d *DFS) ReadBlock(path string, index int) ([]byte, error) {
 }
 
 // Layout appends a file's blocks to dst without their replica lists —
-// locality is HasLocalReplica's to answer — and returns them with the
-// file's size.
+// locality is AppendReplicas' to answer, at placement — and returns them
+// with the file's size.
 func (d *DFS) Layout(dst []Block, path string) ([]Block, int64, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -428,21 +428,18 @@ func (d *DFS) List() []string {
 	return out
 }
 
-// HasLocalReplica reports whether node holds a replica of the given
-// block; schedulers use it for locality-aware map placement.
-func (d *DFS) HasLocalReplica(path string, index, node int) bool {
+// AppendReplicas appends the nodes currently holding a replica of the
+// given block to dst, ascending: a placement reads the set once and
+// answers every locality question of one task from it. A missing file or
+// block appends none.
+func (d *DFS) AppendReplicas(dst []int, path string, index int) []int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	f, ok := d.files[path]
 	if !ok || index < 0 || index >= len(f.blocks) {
-		return false
+		return dst
 	}
-	for _, r := range f.blocks[index].Replicas {
-		if r == node {
-			return true
-		}
-	}
-	return false
+	return append(dst, f.blocks[index].Replicas...)
 }
 
 // FailNode marks a data node dead and re-replicates every block that

@@ -241,28 +241,23 @@ func TestDeleteAndList(t *testing.T) {
 	}
 }
 
-func TestHasLocalReplica(t *testing.T) {
+func TestAppendReplicas(t *testing.T) {
 	d := newDFS(t, testConfig())
 	d.Write("/a", make([]byte, 10))
 	blocks, _ := stored(d, "/a")
-	onReplica := blocks[0].Replicas[0]
-	if !d.HasLocalReplica("/a", 0, onReplica) {
-		t.Error("replica node should report local")
+	got := d.AppendReplicas([]int{-1}, "/a", 0)
+	if want := append([]int{-1}, blocks[0].Replicas...); !slices.Equal(got, want) {
+		t.Fatalf("AppendReplicas = %v, want %v", got, want)
 	}
-	// Find a node without a replica (5 nodes, 3 replicas).
-	for _, n := range []int{0, 1, 2, 3, 4} {
-		has := false
-		for _, r := range blocks[0].Replicas {
-			if r == n {
-				has = true
-			}
-		}
-		if got := d.HasLocalReplica("/a", 0, n); got != has {
-			t.Errorf("HasLocalReplica(node %d) = %v, want %v", n, got, has)
-		}
+	got[1] = -2 // a copy: the block keeps its replicas
+	if again := d.AppendReplicas(nil, "/a", 0); !slices.Equal(again, blocks[0].Replicas) || len(again) != 3 {
+		t.Errorf("after writing the copy, AppendReplicas = %v, want %v", again, blocks[0].Replicas)
 	}
-	if d.HasLocalReplica("/a", 9, onReplica) || d.HasLocalReplica("/zzz", 0, onReplica) {
-		t.Error("bad block/file should report false")
+	if got := d.AppendReplicas(nil, "/a", 9); got != nil {
+		t.Errorf("a missing block appends %v", got)
+	}
+	if got := d.AppendReplicas(nil, "/zzz", 0); got != nil {
+		t.Errorf("a missing file appends %v", got)
 	}
 }
 

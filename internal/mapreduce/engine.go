@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 
 	"redoop/internal/account"
@@ -546,7 +547,7 @@ func (e *Engine) CommitMapPhase(prep *MapPhasePrep, ready simtime.Time) (*MapPha
 			outBytes += b
 		}
 
-		node, end, attempts, spent, span, err := e.runMapAttempts(job, s, outBytes, ready, prep.workers[i])
+		node, end, attempts, spent, span, local, err := e.runMapAttempts(job, s, outBytes, ready, prep.workers[i])
 		if err != nil {
 			return nil, err
 		}
@@ -560,9 +561,7 @@ func (e *Engine) CommitMapPhase(prep *MapPhasePrep, ready simtime.Time) (*MapPha
 		// speculative included), matching the AddLoad charges exactly.
 		e.Account.AddCompute(job.Query, account.PhaseMap, spent)
 		res.Stats.BytesRead += s.Size()
-		if e.DFS.HasLocalReplica(s.Path, s.Block.Index, node.ID) {
-			res.Stats.BytesReadLocal += s.Size()
-		}
+		res.Stats.BytesReadLocal += local
 		res.Stats.BytesSpilled += outBytes
 		if i == 0 || end < res.FirstMapEnd {
 			res.FirstMapEnd = end
@@ -596,11 +595,11 @@ func (e *Engine) RunMapPhase(job *Job, inputs []Input, ready simtime.Time) (*Map
 // runMapAttempts schedules attempts of one map task until one succeeds,
 // charging each attempt's duration to its node. It returns the node of
 // the successful attempt, its end time, the number of attempts, the
-// summed virtual time spent across attempts, and the winning attempt's
-// span ID (0 without an observer). The task's last attempt span settles
-// it: it carries the split's bytes, read where the winner ran, and the
-// map output spilled.
-func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime.Time, worker int) (*cluster.Node, simtime.Time, int, simtime.Duration, obs.SpanID, error) {
+// summed virtual time spent across attempts, the winning attempt's
+// span ID (0 without an observer) and the bytes it read locally. The
+// task's last attempt span settles it: it carries the split's bytes,
+// read where the winner ran, and the map output spilled.
+func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime.Time, worker int) (*cluster.Node, simtime.Time, int, simtime.Duration, obs.SpanID, int64, error) {
 	var spent simtime.Duration
 	// prev chains retry attempts: each attempt's span depends on the
 	// failed attempt whose detection made it schedulable.
@@ -614,12 +613,19 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		node := e.placementFor(job).PlaceMap(e, s, ready)
 		if node == nil {
-			return nil, 0, 0, spent, 0, fmt.Errorf("mapreduce: job %q: no alive node for map over %s", job.Name, s.ID())
+			return nil, 0, 0, spent, 0, 0, fmt.Errorf("mapreduce: job %q: no alive node for map over %s", job.Name, s.ID())
 		}
-		local := int64(0)
-		if e.DFS.HasLocalReplica(s.Path, s.Block.Index, node.ID) {
-			local = s.Size()
+		// A second read, not the placement's list: one handed through the
+		// Placement interface would escape to the heap, once per attempt.
+		var buf [8]int
+		replicas := e.DFS.AppendReplicas(buf[:0], s.Path, s.Block.Index)
+		localOn := func(n *cluster.Node) int64 {
+			if slices.Contains(replicas, n.ID) {
+				return s.Size()
+			}
+			return 0
 		}
+		local := localOn(node)
 		base := e.Cost.MapTask(s.Size(), local, outBytes)
 		dur := e.jittered(base, "map", job.Name, id, attempt)
 		start, end := node.Map.Acquire(ready, dur)
@@ -655,34 +661,30 @@ func (e *Engine) runMapAttempts(job *Job, s Split, outBytes int64, ready simtime
 		var detect simtime.Time
 		if e.Speculative && float64(dur) > speculationThreshold*float64(base) {
 			detect = start.Add(simtime.Duration(speculationThreshold * float64(base)))
-			backup = pickMapNode(e, s, detect, node.ID)
+			backup = pickMapNode(e, replicas, detect, node.ID)
 		}
 		span.Settles = backup == nil
 		span.LocalBytes, span.RemoteBytes, span.OutBytes = local, s.Size()-local, outBytes
 		won := e.Obs.Task(span)
 		if backup == nil {
-			return node, end, attempt + 1, spent, won, nil
+			return node, end, attempt + 1, spent, won, local, nil
 		}
 		bdur := e.jittered(base, "backup", job.Name, id, attempt)
 		bstart, bend := backup.Map.Acquire(detect, bdur)
 		backup.AddLoad(bdur)
 		spent += bdur
 		if bend < end {
-			node, end = backup, bend
-			span.LocalBytes = 0
-			if e.DFS.HasLocalReplica(s.Path, s.Block.Index, backup.ID) {
-				span.LocalBytes = s.Size()
-			}
-			span.RemoteBytes = s.Size() - span.LocalBytes
+			node, end, local = backup, bend, localOn(backup)
+			span.LocalBytes, span.RemoteBytes = local, s.Size()-local
 		}
 		span.Kind, span.Track, span.Settles = obs.SpanBackup, obs.NodeTrack(backup.ID), true
 		span.Start, span.End, span.Ready = bstart, bend, detect
 		if bspan := e.Obs.Task(span); node == backup {
 			won = bspan
 		}
-		return node, end, attempt + 1, spent, won, nil
+		return node, end, attempt + 1, spent, won, local, nil
 	}
-	return nil, 0, 0, spent, 0, fmt.Errorf("mapreduce: job %q: map task %s failed %d attempts", job.Name, s.ID(), maxAttempts)
+	return nil, 0, 0, spent, 0, 0, fmt.Errorf("mapreduce: job %q: map task %s failed %d attempts", job.Name, s.ID(), maxAttempts)
 }
 
 // viewSplits reads every referenced file once, validates it whole
@@ -770,22 +772,29 @@ func (e *Engine) RunReducePhase(job *Job, mp *MapPhaseResult, ready simtime.Time
 // non-empty partition reduced (Grouper.Reduce), on len(gs) goroutines
 // with a Grouper each — groups[r] as given when groups is not nil (a
 // prep's, in key order), else parts[r] grouped in place (Grouper.Group).
-// It schedules nothing; hand the results to CommitReducePhase once.
+// The reducers' Outputs are capacity-limited views on one array. It
+// schedules nothing; hand the results to CommitReducePhase once.
 func (e *Engine) PrepareReducePhase(job *Job, parts [][]records.Pair, groups [][]Group, gs []Grouper) []ReducerResult {
-	var live []int
-	most := 0 // the largest partition to group
-	for r := range max(len(parts), len(groups)) {
-		if groups != nil && len(groups[r]) > 0 || groups == nil && len(parts[r]) > 0 {
-			live = append(live, r)
+	R := max(len(parts), len(groups))
+	live := func(r int) bool { return groups != nil && len(groups[r]) > 0 || groups == nil && len(parts[r]) > 0 }
+	n, most := 0, 0 // the live partitions, the largest to group
+	for r := range R {
+		if live(r) {
+			n++
 		}
 		if groups == nil {
 			most = max(most, len(parts[r]))
 		}
 	}
-	results := make([]ReducerResult, len(live))
-	parallel.ForWorker(len(gs), len(live), func(worker, i int) {
+	results, runs := make([]ReducerResult, 0, n), make([]colfmt.PairRun, n)
+	for r := range R {
+		if live(r) {
+			results = append(results, ReducerResult{Part: r})
+		}
+	}
+	parallel.ForWorker(len(gs), n, func(worker, i int) {
 		rr, g := &results[i], &gs[worker]
-		rr.Part, rr.worker = live[i], worker
+		rr.worker = worker
 		var in []Group
 		if groups != nil {
 			in = groups[rr.Part]
@@ -793,9 +802,20 @@ func (e *Engine) PrepareReducePhase(job *Job, parts [][]records.Pair, groups [][
 			g.most = max(g.most, most) // sized for the largest partition (Groupers)
 			in = g.Group(parts[rr.Part])
 		}
-		rr.OutData, rr.Output = g.Reduce(job.Reduce, in)
-		rr.OutBytes = records.PairsSize(rr.Output)
+		rr.OutData, runs[i] = g.Reduce(job.Reduce, in)
+		rr.OutBytes = runs[i].Size()
 	})
+	pairs := 0
+	for i := range runs {
+		pairs += runs[i].Len()
+	}
+	out := make([]records.Pair, 0, pairs)
+	for i := range runs {
+		if lo := len(out); runs[i].Len() > 0 {
+			out = runs[i].AppendTo(out)
+			results[i].Output = out[lo:len(out):len(out)]
+		}
+	}
 	return results
 }
 

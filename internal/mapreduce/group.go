@@ -387,17 +387,16 @@ func place(stages []stage, tabs []keyTable, R int, alloc func(n int) [][]byte) (
 // Reduce applies fn to each group in order with the Grouper's writer as
 // the emit, which copies (see Emitter), and returns the output as one
 // exactly-sized segment — what EncodePairs writes for the emitted pairs
-// — and the pairs as views of it; nil, nil when fn emitted nothing. The
-// groups may be this Grouper's own (Group): the writer is separate
-// scratch.
-func (g *Grouper) Reduce(fn ReduceFunc, groups []Group) ([]byte, []records.Pair) {
+// — and its view, the pairs in emit order; nil and the empty run when fn
+// emitted nothing. The groups may be this Grouper's own (Group): the
+// writer is separate scratch.
+func (g *Grouper) Reduce(fn ReduceFunc, groups []Group) ([]byte, colfmt.PairRun) {
 	g.w.Reset()
 	emit := EmitTo(&g.w) // made per call: the free list copies Groupers, so a stored one would go stale
 	for _, gr := range groups {
 		fn(gr.Key, gr.Values, emit)
 	}
-	seg, run := g.w.Segment()
-	return seg, run.AppendTo(nil)
+	return g.w.Segment()
 }
 
 // ReduceRuns is MergeSortedRuns, grouping and Reduce in one pass over the

@@ -387,7 +387,8 @@ func TestGrouperReduceCopiesEachEmit(t *testing.T) {
 	var g Grouper
 	for name, input := range groupingShapes(rng) {
 		want := collect(freshReduce, GroupPairs(slices.Clone(input)))
-		seg, pairs := g.Reduce(reuseReduce, g.Group(slices.Clone(input)))
+		seg, run := g.Reduce(reuseReduce, g.Group(slices.Clone(input)))
+		pairs := run.AppendTo(nil)
 		if !bytes.Equal(seg, colfmt.EncodePairs(want)) || !pairsEqual(pairs, want) {
 			t.Fatalf("%s: Grouper.Reduce differs from a copying collector", name)
 		}

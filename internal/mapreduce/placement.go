@@ -1,6 +1,8 @@
 package mapreduce
 
 import (
+	"slices"
+
 	"redoop/internal/cluster"
 	"redoop/internal/simtime"
 )
@@ -23,16 +25,17 @@ type Placement interface {
 // frees earliest.
 type DefaultPlacement struct{}
 
-// PlaceMap implements Placement.
+// PlaceMap implements Placement. It reads the split's replica set once.
 func (DefaultPlacement) PlaceMap(e *Engine, s Split, ready simtime.Time) *cluster.Node {
-	return pickMapNode(e, s, ready, -1)
+	var buf [8]int
+	return pickMapNode(e, e.DFS.AppendReplicas(buf[:0], s.Path, s.Block.Index), ready, -1)
 }
 
 // pickMapNode returns the alive node, other than exclude, whose map
-// slot frees earliest, preferring a holder of a local replica of the
-// split; nil when there is none. A speculative backup excludes its
+// slot frees earliest, preferring a holder of one of replicas, the
+// split's; nil when there is none. A speculative backup excludes its
 // straggler's node this way.
-func pickMapNode(e *Engine, s Split, ready simtime.Time, exclude int) *cluster.Node {
+func pickMapNode(e *Engine, replicas []int, ready simtime.Time, exclude int) *cluster.Node {
 	var bestLocal, bestAny *cluster.Node
 	var bestLocalT, bestAnyT simtime.Time
 	for _, n := range e.Cluster.Nodes() { // in place, ascending ID: one placement per split
@@ -43,7 +46,7 @@ func pickMapNode(e *Engine, s Split, ready simtime.Time, exclude int) *cluster.N
 		if bestAny == nil || t < bestAnyT {
 			bestAny, bestAnyT = n, t
 		}
-		if e.DFS.HasLocalReplica(s.Path, s.Block.Index, n.ID) {
+		if slices.Contains(replicas, n.ID) {
 			if bestLocal == nil || t < bestLocalT {
 				bestLocal, bestLocalT = n, t
 			}

@@ -256,7 +256,7 @@ func (s *Stats) Accumulate(o Stats) {
 // Group is one reduce invocation's input: a key and its values, views of
 // their producer's arrays (a Grouper's scratch, a map phase's key groups)
 // under ReduceFunc's rule. It is colfmt's, which encodes a partition's
-// groups as its cache (EncodeGroups).
+// groups as its cache (colfmt.PutGroups).
 type Group = colfmt.Group
 
 // MergeSortedRuns merges key-sorted runs into dst (append-style) by an
@@ -294,5 +294,5 @@ func MergeSortedRuns(dst []records.Pair, runs ...[]records.Pair) []records.Pair 
 // callers: the emitted pairs, views of one exactly-sized segment.
 func ReduceGroups(fn ReduceFunc, groups []Group) []records.Pair {
 	_, out := new(Grouper).Reduce(fn, groups)
-	return out
+	return out.AppendTo(nil)
 }

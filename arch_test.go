@@ -162,6 +162,12 @@ func calleeName(n ast.Node) string {
 	return ""
 }
 
+// isIdent reports whether n is the identifier name.
+func isIdent(n ast.Node, name string) bool {
+	id, ok := n.(*ast.Ident)
+	return ok && id.Name == name
+}
+
 // isPkgSel reports whether n is the selector pkg.name.
 func isPkgSel(n ast.Node, pkg, name string) bool {
 	s, ok := n.(*ast.SelectorExpr)
@@ -289,7 +295,7 @@ var archRules = []archRule{{
 				for _, l := range pathLits(f.ast, append(sidecars, "redoop/internal/obs/eventlog")...) {
 					bad = append(bad, at(l.Pos(), "an execution file imports a sidecar, %s", l.Value))
 				}
-			case "controller.go", "scheduler.go", "statusmatrix.go":
+			case "catalog.go", "scheduler.go", "statusmatrix.go":
 				for _, l := range pathLits(f.ast, "redoop/internal/obs", "redoop/internal/obs/eventlog", "log/slog") {
 					bad = append(bad, at(l.Pos(), "a state machine reports outside the commit seam, %s", l.Value))
 				}
@@ -314,6 +320,52 @@ var archRules = []archRule{{
 		plant("internal/core/scheduler.go", `package core; import "log/slog"; var _ = slog.Info`),
 		plant("internal/chaos/planted.go", `package chaos; import _ "redoop/internal/lineage"`),
 		plant("internal/account/planted.go", `package account; import _ "redoop/internal/obs"`),
+	},
+}, {
+	name:   "One cache catalog",
+	design: "§3 Cache identity",
+	// The controller's signatures and the nodes' registries are one
+	// table: only the catalog's file declares a map keyed by a cache's
+	// identity, and only the catalog holds a lock over cache records. A
+	// second map[entryKey], or a Registry or other holder of records
+	// with a mutex of its own, is a second table coming back.
+	check: func(tr srcTree) (bad []string) {
+		for _, f := range tr.goFiles(func(p string) bool { return inDir(p, "internal/core") && !isTest(p) }) {
+			catalog := path.Base(f.path) == "catalog.go"
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.MapType:
+					if isIdent(x.Key, "entryKey") && !catalog {
+						bad = append(bad, at(x.Pos(), "a map keyed by entryKey outside the catalog"))
+					}
+				case *ast.TypeSpec:
+					st, ok := x.Type.(*ast.StructType)
+					if !ok || x.Name.Name == "Controller" && catalog {
+						return true
+					}
+					var mutex token.Pos
+					holds := x.Name.Name == "Registry"
+					for _, fl := range st.Fields.List {
+						if isPkgSel(fl.Type, "sync", "Mutex") || isPkgSel(fl.Type, "sync", "RWMutex") {
+							mutex = fl.Pos()
+						}
+						ast.Inspect(fl.Type, func(m ast.Node) bool {
+							holds = holds || isIdent(m, "cacheRecord")
+							return true
+						})
+					}
+					if holds && mutex.IsValid() {
+						bad = append(bad, at(mutex, "%s locks cache records outside the catalog's lock", x.Name.Name))
+					}
+				}
+				return true
+			})
+		}
+		return bad
+	},
+	planted: []*srcFile{
+		plant("internal/core/planted.go", `package core; var rows = map[entryKey]*cacheRecord{}`),
+		plant("internal/core/catalog.go", `package core; import "sync"; type Registry struct { mu sync.Mutex; node int }`),
 	},
 }, {
 	name:   "Folds never format",

@@ -134,17 +134,18 @@ func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("redoop-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	cfg := experiments.Default()
 	var (
 		fig      = fs.String("fig", "all", "figure to regenerate: "+figureIDs()+", or all (= the paper's four figures)")
-		windows  = fs.Int("windows", 0, "windows per series (default 10)")
-		recs     = fs.Int("records", 0, "records per window (default 120000)")
-		nodes    = fs.Int("nodes", 0, "cluster worker nodes (default 10)")
-		reducers = fs.Int("reducers", 0, "reduce partitions (default 20)")
+		windows  = fs.Int("windows", 0, fmt.Sprintf("windows per series (default %d)", cfg.Windows))
+		recs     = fs.Int("records", 0, fmt.Sprintf("records per window (default %d; Figure 7 runs a quarter of it, Figure 8 a half)", cfg.RecordsPerWindow))
+		nodes    = fs.Int("nodes", 0, fmt.Sprintf("cluster worker nodes (default %d)", cfg.Workers))
+		reducers = fs.Int("reducers", 0, fmt.Sprintf("reduce partitions (default %d)", cfg.Reducers))
 		workers  = fs.Int("workers", 0, "parallel compute pool per engine: 0 = GOMAXPROCS, 1 = serial (virtual results are identical either way)")
 		reuseRun = fs.Bool("reuse", false, "also run the cross-query reuse workload (two identical Figure-6 aggregations + a 2x tumbling roll-up over one shared stream) with the reuse index off and on, verify byte-identical outputs, and fold the comparison into -json-out")
 		chaosArg = fs.String("chaos", "", "run chaos verification instead of figures: SEED[:profile] seeds a deterministic fault schedule, the oracle verifies every window (profiles: mixed, crash, cacheloss, corrupt, delay, straggle, speculative, none)")
 		chaosRep = fs.Bool("chaos-report", false, "with -chaos and -json-out: include the fault schedule and every per-recurrence oracle verdict in the summary")
-		seed     = fs.Int64("seed", 0, "generator seed (default 42)")
+		seed     = fs.Int64("seed", 0, fmt.Sprintf("generator seed (default %d)", cfg.Seed))
 		quiet    = fs.Bool("q", false, "suppress progress lines")
 		csvPath  = fs.String("csv", "", "also append every series as tidy CSV to this file")
 		metrics  = fs.String("metrics-out", "", "write a Prometheus text exposition of the run's metrics to this file")
@@ -158,7 +159,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cfg := experiments.Default()
 	if *windows > 0 {
 		cfg.Windows = *windows
 	}

@@ -13,7 +13,7 @@ import (
 // willMapPane reports that ensurePane is certain to take aggregation
 // pane p to its map rung: no sibling can offer the pane's output
 // (reuseEligible), and either caches are off or the status matrix has
-// not seen the pane and it has no reduce-input signature. These are
+// not seen the pane and its first reduce input is not resident. These are
 // side-effect-free reads that no other pane's commit changes; the ladder
 // checks its outcome against them on every pane. A join's panes are
 // never reported, so never prepared ahead.
@@ -23,8 +23,8 @@ func (e *Engine) willMapPane(p window.PaneID) bool {
 	}
 	done, _ := e.matrix.Done(p)
 	var buf pidBuf
-	_, known := e.ctrl.lookup(e.query.appendRinPID(buf[:0], 0, e.frames[0].Pane, p, 0), ReduceInput)
-	return e.noReuse || !(done || known)
+	_, cached := e.ctrl.resolve(e.query.appendRinPID(buf[:0], 0, e.frames[0].Pane, p, 0), ReduceInput)
+	return e.noReuse || !(done || cached)
 }
 
 // prepareNewPanes returns, for the serial ladder asking in pane order,

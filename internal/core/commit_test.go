@@ -411,9 +411,10 @@ func TestReplacementBookkeepingBounded(t *testing.T) {
 			}
 			live := panesPerWindow * q.NumReducers
 			candidates, rows := 0, 0
-			for _, m := range eng.managers {
-				candidates += len(eng.victimsOn(m.Registry))
-				rows += len(m.Registry.Entries())
+			for _, n := range eng.mr.Cluster.Nodes() {
+				reg := eng.ctrl.Registry(n.ID)
+				candidates += len(eng.victimsOn(reg))
+				rows += len(reg.Entries())
 			}
 			if candidates == 0 || candidates > live {
 				t.Errorf("%d replacement candidates after 200 recurrences, want 1..%d (live panes × reducers)", candidates, live)

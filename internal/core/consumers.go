@@ -41,7 +41,7 @@ const (
 	kindHit  // lookup found signature and bytes
 	kindMiss // lookup found no cache-available signature
 	// kindLost: lookup found the signature but not the bytes (§5);
-	// committed before the controller rolls the ready bit back, and
+	// committed once the catalog has rolled the ready bit back, and
 	// recorded as the rollback too.
 	kindLost
 	kindCrossHit // another query's cache pid feeds a reuse copy/merge
@@ -481,7 +481,7 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 // right after its registration, with the recompute figure the ledger
 // stores, and an advertisement is retracted as soon as its bytes are
 // known gone. (Signature removals reach the index through the
-// controller's purge hook, which also covers Drop.)
+// catalog's purge hook.)
 func (e *Engine) reuseFold(idx *reuse.Index) func(*commit) {
 	eligible := e.reuseEligible()
 	unit := int64(e.frames[0].Pane)

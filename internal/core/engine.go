@@ -161,8 +161,9 @@ type Engine struct {
 	packers  []*Packer // private packers; nil entries for shared sources
 	shared   []bool
 	plans    []PartitionPlan
-	managers []*CacheManager
 	matrix   *StatusMatrix
+	// diskLimit bounds each node's local bytes, 0 for no limit.
+	diskLimit int64
 
 	frames []window.Frame // per-source window alignment
 
@@ -308,7 +309,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			Query:            e.acctName,
 		})
 	}
-	e.qIdx = ctrl.RegisterQuery(q.Name)
+	e.qIdx = ctrl.addQuery()
 	e.self = [1]int{e.qIdx}
 	for i, src := range q.Sources {
 		if src.CacheKey != "" {
@@ -316,15 +317,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 	}
 	for _, n := range cfg.MR.Cluster.Nodes() {
-		reg := ctrl.Registry(n.ID)
-		if reg == nil {
-			reg = NewRegistry(n)
-			ctrl.AttachRegistry(reg)
-		}
-		m := NewCacheManager(reg)
-		m.DiskLimit = cfg.CacheDiskLimit
-		e.managers = append(e.managers, m)
+		ctrl.view(n)
 	}
+	e.diskLimit = cfg.CacheDiskLimit
 	for i, src := range q.Sources {
 		if cfg.Hub != nil && src.CacheKey != "" && cfg.Hub.Has(src.CacheKey) {
 			view, err := cfg.Hub.attach(src.CacheKey, frames[i].Pane, cfg.MR.WorkerCount())
@@ -525,8 +520,8 @@ func (e *Engine) RunNext() (*RecurrenceResult, error) {
 	e.commit(commit{kind: kindWindow, at: res.CompletedAt, res: res, forecast: prevForecast})
 
 	e.retireExpired(r, res.CompletedAt)
-	for _, m := range e.managers {
-		e.root.Purged += int32(m.Tick())
+	for _, n := range e.mr.Cluster.Nodes() {
+		e.root.Purged += int32(e.ctrl.Registry(n.ID).PurgeExpired())
 	}
 	e.evictOverCap(res.CompletedAt)
 
@@ -806,27 +801,16 @@ type cacheMeta struct {
 }
 
 // registerCache persists bytes as a cache on a node and registers its
-// signature, claiming it for meta.users. rec is the cache's record, its
-// row naming the cache: a cacheSet's, or newRecord's for a cache
-// registered alone.
+// signature, claiming it for meta.users (Controller.register). rec is
+// the cache's record, naming the cache: a cacheSet's, or newRecord's
+// for a cache registered alone.
 func (e *Engine) registerCache(rec *cacheRecord, node int, readyAt simtime.Time, data []byte, meta cacheMeta) cacheRef {
-	pid, typ, key := rec.row.PID, rec.row.Type, rec.row.key
+	pid, typ := rec.PID, rec.Type
 	users := meta.users
 	if users == nil {
 		users = e.self[:]
 	}
-	e.registry(node).add(&rec.row, data)
-	// Re-homing: when a rebuilt cache lands on a different node (one
-	// lost partition forces a whole-tuple recompute, but sibling
-	// partitions may still be resident elsewhere), expire the old
-	// node's copy — the signature moves with the rebuild, so bytes
-	// left behind would otherwise be orphaned forever: unexpired,
-	// undiscoverable, and invisible to every future purge notice.
-	if _, old := e.ctrl.register(&rec.sig, pid, typ, node, CacheAvailable, readyAt, int64(len(data)), users); old >= 0 && old != node {
-		if oldReg := e.registry(old); oldReg != nil {
-			oldReg.MarkExpired(pid, typ)
-		}
-	}
+	key := e.ctrl.register(node, rec, readyAt, data, users)
 	e.commit(commit{kind: kindRegistered, at: readyAt, pid: pid, typ: typ, node: node,
 		bytes: int64(len(data)), cost: meta.recompute, data: data,
 		src: meta.src, pane: meta.pane, part: meta.part, job: meta.job, inputs: meta.inputs, publish: meta.publish})
@@ -859,20 +843,10 @@ func (e *Engine) paneSet(src int, t paneTuple, rin, rout bool) cacheSet {
 			typ = ReduceOutput
 		}
 		key := keys[lo:ends[i]]
-		recs[i].row = registryRow{RegistryEntry{PID: key[len(cacheDir(typ)):], Type: typ}, key}
+		recs[i] = cacheRecord{Signature: Signature{PID: key[len(cacheDir(typ)):], Type: typ}, key: key}
 		lo = ends[i]
 	}
 	return cacheSet{rin: recs[:nrin], rout: recs[nrin:]}
-}
-
-// registry returns node's registry, nil for a node the engine's cluster
-// does not have. The engine's managers hold the controller's registries
-// in node order, so a probe takes no controller lock.
-func (e *Engine) registry(node int) *Registry {
-	if node < 0 || node >= len(e.managers) {
-		return nil
-	}
-	return e.managers[node].Registry
 }
 
 // rinUsers returns the consumer set of source src's reduce-input
@@ -890,37 +864,23 @@ func (e *Engine) rinUsers(src int) []int {
 
 // lookupCache returns the cache's reference if its signature says it is
 // cache-available AND its bytes are really present on the node (a lost
-// cache is the failure Figure 9 injects). On loss it rolls the
-// controller back to HDFS-available and removes any scheduled tasks
-// that depended on the cache, per §5. The PID comes as bytes the caller
-// may build on its stack; a found cache is named by its signature's
-// stored string, so only a miss copies them. A hit probes the
-// signatures, the node's registry and its file system once each and
-// carries the key it resolved, so reading it probes the node alone.
-// known reports that the signature exists, whatever its ready bit.
+// cache is the failure Figure 9 injects): Controller.acquire, which
+// rolls a lost cache back to HDFS-available, and the caller's ladder
+// rebuilds the pane on its lower rung (§5). The PID comes as bytes the
+// caller may build on its stack; only a miss copies them. known reports
+// that the signature exists, whatever its ready bit.
 func (e *Engine) lookupCache(pidBytes []byte, typ CacheType) (ref cacheRef, ok, known bool) {
-	sig, known := e.ctrl.lookup(pidBytes, typ)
-	if !known || sig.Ready != CacheAvailable {
+	ref, f := e.ctrl.acquire(pidBytes, typ, e.qIdx)
+	switch f {
+	case unknown, unready:
 		e.commit(commit{kind: kindMiss, at: e.curTrigger, pid: string(pidBytes), typ: typ, node: -1})
-		return cacheRef{}, false, known
-	}
-	pid := sig.PID
-	var key string
-	if reg := e.registry(sig.NID); reg != nil {
-		key, ok = reg.resident(pidBytes, typ)
-	}
-	if !ok {
-		// Cache loss: roll back the ready bit; the caller's ladder
-		// rebuilds the pane on its lower rung.
-		// The bytes stopped being resident when chaos destroyed them,
-		// but §5 discovers the loss lazily — here, at the trigger.
-		e.commit(commit{kind: kindLost, at: e.curTrigger, pid: pid, typ: typ, node: sig.NID, bytes: sig.Bytes})
-		e.ctrl.SetReady(pid, typ, HDFSAvailable, sig.ReadyAt, sig.NID)
+		return cacheRef{}, false, f == unready
+	case lost:
+		e.commit(commit{kind: kindLost, at: e.curTrigger, pid: ref.pid(), typ: typ, node: ref.node, bytes: ref.bytes})
 		return cacheRef{}, false, true
 	}
-	e.ctrl.claim(sig, e.qIdx)
-	e.commit(commit{kind: kindHit, at: e.curTrigger, pid: pid, typ: typ, node: sig.NID, bytes: sig.Bytes})
-	return cacheRef{key: key, typ: typ, node: sig.NID, readyAt: sig.ReadyAt, bytes: sig.Bytes}, true, true
+	e.commit(commit{kind: kindHit, at: e.curTrigger, pid: ref.pid(), typ: typ, node: ref.node, bytes: ref.bytes})
+	return ref, true, true
 }
 
 // probeParts fills refs with the partition caches of one pane's reduce
@@ -979,15 +939,15 @@ func (h homes) PlaceReduce(_ *mapreduce.Engine, _ *mapreduce.Job, part int, _ si
 }
 
 // cacheBytes returns a cache's stored bytes on its node. Ownership:
-// writers hand their buffer over (Registry.Add), stored bytes are
+// writers hand their buffer over to the catalog, stored bytes are
 // immutable from then on, and readers get views — these are the stored
 // bytes themselves and decoded pairs alias them. A view survives expiry,
 // eviction, re-registration and node loss of its cache unchanged, so a
 // window's Output may be kept across recurrences, its payload bytes
-// read-only. The reference's key is all a read needs: only Registry.Add
+// read-only. The reference's key is all a read needs: only the catalog
 // writes a cache's bytes and every removal of its row deletes them.
 func (e *Engine) cacheBytes(ref cacheRef) ([]byte, error) {
-	data, ok := e.registry(ref.node).node.GetLocal(ref.key)
+	data, ok := e.mr.Cluster.Node(ref.node).GetLocal(ref.key)
 	if !ok {
 		return nil, fmt.Errorf("core: cache %s (%v) lost from node %d mid-recurrence", ref.pid(), ref.typ, ref.node)
 	}

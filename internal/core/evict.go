@@ -30,27 +30,24 @@ import "redoop/internal/simtime"
 // evictOverCap runs the replacement tier after a recurrence: for every
 // node still over its disk limit after the purge tick, evict ranked
 // victims until the node fits or no candidates remain. Each victim
-// takes the §5-shaped transition: the signature rolls back to
-// HDFS-available (the pane files survive, so the cache is rebuildable,
-// not gone), the registry drops the bytes, and the eviction is
-// committed — the same sequence the lazy loss-discovery path runs,
-// minus the fault. Runs in RunNext's serial tail, so the decision
-// sequence is independent of the worker count.
+// takes the §5-shaped transition (Registry.Evict): the signature rolls
+// back to HDFS-available, the bytes go, and the eviction is committed —
+// the same sequence the lazy loss-discovery path runs, minus the fault.
+// Runs in RunNext's serial tail, so the decision sequence is
+// independent of the worker count.
 func (e *Engine) evictOverCap(at simtime.Time) {
-	for _, m := range e.managers {
-		over := m.OverLimit()
-		if over <= 0 {
+	for _, n := range e.mr.Cluster.Nodes() {
+		over := n.LocalBytes() - e.diskLimit
+		if e.diskLimit <= 0 || over <= 0 {
 			continue
 		}
-		reg := m.Registry
-		node := reg.NodeID()
+		reg := e.ctrl.Registry(n.ID)
 		for _, c := range e.victimsOn(reg) {
 			if over <= 0 {
 				break
 			}
-			e.ctrl.SetReady(c.PID, ReduceInput, HDFSAvailable, c.ReadyAt, node)
 			over -= reg.Evict(c.PID, ReduceInput)
-			e.commit(commit{kind: kindEvicted, at: at, pid: c.PID, typ: ReduceInput, node: node,
+			e.commit(commit{kind: kindEvicted, at: at, pid: c.PID, typ: ReduceInput, node: n.ID,
 				bytes: c.Bytes, cost: simtime.Duration(c.RecomputeNS)})
 		}
 	}

@@ -30,10 +30,11 @@ func TestResidencyJoinsLedger(t *testing.T) {
 			}
 		}
 		cands := 0
-		for _, m := range eng.managers {
-			ranked := eng.victimsOn(m.Registry)
+		for _, n := range eng.mr.Cluster.Nodes() {
+			reg := eng.ctrl.Registry(n.ID)
+			ranked := eng.victimsOn(reg)
 			if !slices.IsSortedFunc(ranked, account.CompareVictims) {
-				t.Errorf("node %d: candidates not in policy order", m.Registry.NodeID())
+				t.Errorf("node %d: candidates not in policy order", reg.NodeID())
 			}
 			for _, c := range ranked {
 				f, ok := l.Residency(c.PID, int(ReduceInput))

@@ -46,14 +46,9 @@ func (e *Engine) reuseEligible() bool {
 // back another query's signature.
 func (e *Engine) verifyReuseEntry(en reuse.Entry) (cacheRef, bool) {
 	typ := CacheType(en.Type)
-	sig, ok := e.ctrl.Lookup(en.PID, typ)
-	if ok && sig.Ready == CacheAvailable {
-		var buf pidBuf
-		if reg := e.registry(sig.NID); reg != nil {
-			if key, ok := reg.resident(append(buf[:0], en.PID...), typ); ok {
-				return cacheRef{key: key, typ: typ, node: sig.NID, readyAt: sig.ReadyAt, bytes: sig.Bytes}, true
-			}
-		}
+	var buf pidBuf
+	if ref, ok := e.ctrl.resolve(append(buf[:0], en.PID...), typ); ok {
+		return ref, true
 	}
 	e.commit(commit{kind: kindStale, at: e.curTrigger, pid: en.PID, typ: typ})
 	return cacheRef{}, false

@@ -175,7 +175,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	var ob *obs.Observer
+	var ob *obs.Tracer
 	if *metrics != "" || *trace != "" || *jsonOut != "" {
 		ob = obs.New()
 		cfg.Obs = ob

@@ -298,7 +298,7 @@ func buildSummary(cfg experiments.Config, figs []*experiments.FigResult, headlin
 // span stream and folds the profiler aggregates into the
 // summary schema. Returns nil when no recurrence spans were recorded
 // (e.g. an observer-less run).
-func profileSummary(ob *obs.Observer) *profileJSON {
+func profileSummary(ob *obs.Tracer) *profileJSON {
 	if ob == nil {
 		return nil
 	}

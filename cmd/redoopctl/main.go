@@ -255,7 +255,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		cfg.Account = account.New()
 	}
 
-	var ob *obs.Observer
+	var ob *obs.Tracer
 	if mode == "metrics" || mode == "explain" || mode == "health" || mode == "profile" ||
 		*metricsOut != "" || *traceOut != "" || *critpathOut != "" {
 		ob = obs.New()

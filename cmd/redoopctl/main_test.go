@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,8 +15,13 @@ import (
 	"strings"
 	"testing"
 
+	"redoop/internal/account"
 	"redoop/internal/chaos"
 	"redoop/internal/experiments"
+	"redoop/internal/explain"
+	"redoop/internal/health"
+	"redoop/internal/obs"
+	"redoop/internal/profile"
 )
 
 // TestUsageErrorsExit2: every rejected invocation exits 2 with a
@@ -343,5 +350,32 @@ func TestExplainListsChaosCrashes(t *testing.T) {
 	nodes := strings.Fields(strings.Trim(strings.TrimPrefix(line, "node failures injected: "), "[]"))
 	if !slices.Contains(nodes, strconv.Itoa(crashed)) {
 		t.Fatalf("explain does not list the crash of node %d:\n%s", crashed, stdout.String())
+	}
+}
+
+// errWriter fails every write, as a closed pipe or a full disk does.
+type errWriter struct{}
+
+var errClosed = errors.New("write on closed pipe")
+
+func (errWriter) Write([]byte) (int, error) { return 0, errClosed }
+
+// TestReportsReturnWriteErrors: each text report the subcommands print
+// returns its writer's error, so a report into a closed pipe or a full
+// disk fails the command instead of reporting success.
+func TestReportsReturnWriteErrors(t *testing.T) {
+	run := []obs.Event{{ID: 1, Cat: "recurrence", Track: obs.QueryTrack("q"), Name: "recurrence 0", End: 10}}
+	for _, tc := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"explain", explain.Build(nil, "q").Write},
+		{"profile", func(w io.Writer) error { return profile.Analyze(run).Text(w, 0) }},
+		{"costs", func(w io.Writer) error { return account.WriteReport(w, nil, 0) }},
+		{"health", health.NewMonitor(health.DefaultConfig()).WriteText},
+	} {
+		if err := tc.write(errWriter{}); !errors.Is(err, errClosed) {
+			t.Errorf("%s report into a failing writer returned %v, want %v", tc.name, err, errClosed)
+		}
 	}
 }

@@ -542,21 +542,6 @@ func (l *Ledger) ByteSeconds(query string) float64 {
 	return l.byteSecondsLocked(a)
 }
 
-// SavedNS returns query's net recompute saving; 0 for unknown queries
-// or a nil ledger.
-func (l *Ledger) SavedNS(query string) int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	a, ok := l.queries[query]
-	if !ok {
-		return 0
-	}
-	return int64(a.saved)
-}
-
 // SlotComputeNS sums slot-occupying compute (every phase except
 // shuffle) over the named queries, or over all queries when none are
 // named — the conservation numerator.

@@ -114,23 +114,23 @@ func TestSavedNetsOutLoadOnlyAfterHit(t *testing.T) {
 	l.CacheRegistered("q", "p1", 0, 100, 0, 10*simtime.Second)
 	// Load without a hit (fresh build) leaves savings untouched.
 	l.CacheLoaded("p1", 0, simtime.Second)
-	if got := l.SavedNS("q"); got != 0 {
+	if got := l.Snapshot()[0].SavedNS; got != 0 {
 		t.Fatalf("saved after unarmed load = %d, want 0", got)
 	}
 	// Hit credits the stored recompute; the next load nets out.
 	l.CacheHit("q", "p1", 0, simtime.Time(simtime.Second))
 	l.CacheLoaded("p1", 0, 2*simtime.Second)
-	if got, want := l.SavedNS("q"), int64(8*simtime.Second); got != want {
+	if got, want := l.Snapshot()[0].SavedNS, int64(8*simtime.Second); got != want {
 		t.Fatalf("saved = %d, want %d", got, want)
 	}
 	// Only the first load after the hit adjusts.
 	l.CacheLoaded("p1", 0, simtime.Second)
-	if got, want := l.SavedNS("q"), int64(8*simtime.Second); got != want {
+	if got, want := l.Snapshot()[0].SavedNS, int64(8*simtime.Second); got != want {
 		t.Fatalf("saved after second load = %d, want %d", got, want)
 	}
 	// A hit on an unknown (already expired) key credits nothing.
 	l.CacheHit("q", "gone", 0, 0)
-	if got, want := l.SavedNS("q"), int64(8*simtime.Second); got != want {
+	if got, want := l.Snapshot()[0].SavedNS, int64(8*simtime.Second); got != want {
 		t.Fatalf("saved after ghost hit = %d, want %d", got, want)
 	}
 }
@@ -229,18 +229,18 @@ func TestHitCreditClosesWithResidency(t *testing.T) {
 	if n := len(l.pending); n != 0 {
 		t.Fatalf("%d hits still pending after every residency closed", n)
 	}
-	if got, want := l.SavedNS("q"), int64(100*10); got != want {
+	if got, want := l.Snapshot()[0].SavedNS, int64(100*10); got != want {
 		t.Fatalf("saved = %d, want the %d credited by the hits", got, want)
 	}
 	l.CacheRegistered("q", "query/q/tuple0", 1, 100, 6, 10)
 	l.CacheLoaded("query/q/tuple0", 1, 4)
-	if got, want := l.SavedNS("q"), int64(100*10); got != want {
+	if got, want := l.Snapshot()[0].SavedNS, int64(100*10); got != want {
 		t.Fatalf("saved = %d after a rebuilt cache's load, want %d", got, want)
 	}
 	l.CacheHit("q", "query/q/tuple0", 1, 7)
 	l.CacheRegistered("q", "query/q/tuple0", 1, 100, 8, 10)
 	l.CacheLoaded("query/q/tuple0", 1, 4)
-	if got, want := l.SavedNS("q"), int64(101*10-4); got != want {
+	if got, want := l.Snapshot()[0].SavedNS, int64(101*10-4); got != want {
 		t.Fatalf("saved = %d after hit, re-home and load, want %d", got, want)
 	}
 	if err := l.CheckConservation(1<<60, "q"); err != nil {
@@ -374,7 +374,7 @@ func TestByteSecondsSumInKeyOrder(t *testing.T) {
 		}
 		wantROI := 0.0
 		if want > 0 {
-			wantROI = float64(l.SavedNS(q)) / want
+			wantROI = float64(int64(l.queries[q].saved)) / want
 		}
 		if got := snap[i].CacheROI; snap[i].Query != q || math.Float64bits(got) != math.Float64bits(wantROI) {
 			t.Errorf("%s: CacheROI = %v, want %v", q, got, wantROI)

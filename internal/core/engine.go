@@ -167,7 +167,7 @@ type Engine struct {
 
 	frames []window.Frame // per-source window alignment
 
-	obs *obs.Observer
+	obs *obs.Tracer
 
 	// healthTrk is this query's registration on the SLO monitor; nil
 	// without one.

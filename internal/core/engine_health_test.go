@@ -47,11 +47,13 @@ func feedAndRun(t *testing.T, eng *core.Engine, q *core.Query, windows int,
 // not know the query.
 func healthOf(t *testing.T, mon *health.Monitor, query string) health.QueryStatus {
 	t.Helper()
-	st, ok := mon.Status(query)
-	if !ok {
-		t.Fatalf("monitor does not know query %s", query)
+	for _, st := range mon.Snapshot() {
+		if st.Query == query {
+			return st
+		}
 	}
-	return st
+	t.Fatalf("monitor does not know query %s", query)
+	return health.QueryStatus{}
 }
 
 func TestEngineHealthTracking(t *testing.T) {

@@ -65,7 +65,7 @@ func TestExpositionCountsEveryRecurrence(t *testing.T) {
 	if want := fmt.Sprintf("redoop_recurrence_seconds_count{query=\"keep\"} %d\n", windows); !strings.Contains(buf.String(), want) {
 		t.Errorf("exposition lacks %q", want)
 	}
-	st, _ := mon.Status("keep")
+	st := mon.Snapshot()[0]
 	if got := x.Sum("redoop_window_lag_units", obs.L("query", "keep")); got != float64(st.WindowLagUnits) {
 		t.Errorf("window lag gauge = %v, want the last recurrence's %d", got, st.WindowLagUnits)
 	}

@@ -27,7 +27,7 @@ type SourceHub struct {
 	blockSize int64
 
 	mu      sync.Mutex
-	obs     *obs.Observer
+	obs     *obs.Tracer
 	sources map[string]*sharedSource
 }
 
@@ -95,7 +95,7 @@ func (h *SourceHub) Share(key, name string, spec window.Spec, rate float64) erro
 // SetObserver attaches the observability layer to the hub and every
 // shared source's packer (present and future); shared pane-ingest
 // events are labeled "shared/<key>" since no single query owns them.
-func (h *SourceHub) SetObserver(o *obs.Observer) {
+func (h *SourceHub) SetObserver(o *obs.Tracer) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.obs = o

@@ -60,7 +60,7 @@ type Packer struct {
 
 	// obs records a PaneIngest decision event per pane segment
 	// written; obsQuery labels those events. Both may be zero.
-	obs      *obs.Observer
+	obs      *obs.Tracer
 	obsQuery string
 
 	// pending buffers each open pane's records per sub-pane; its length
@@ -109,7 +109,7 @@ func NewPacker(d *dfs.DFS, sourceName, dir string, frame window.Frame, plan Part
 
 // SetObserver attaches the observability layer and the query name used
 // to label pane-ingest events; a nil observer detaches it.
-func (p *Packer) SetObserver(o *obs.Observer, query string) {
+func (p *Packer) SetObserver(o *obs.Tracer, query string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.obs = o

@@ -85,7 +85,7 @@ type DFS struct {
 	rereplicated int64
 	// obs optionally records replication spans; counts is what the
 	// file system did since it was attached, which it reads at export.
-	obs    *obs.Observer
+	obs    *obs.Tracer
 	counts *fileCounts
 	// transferCost optionally models the virtual duration of moving n
 	// bytes between nodes; when set, time-stamped operations (WriteAt,
@@ -163,7 +163,7 @@ func (d *DFS) SetTransferCost(fn func(bytes int64) simtime.Duration) {
 // SetObserver attaches the observability layer, which records the
 // replication spans and exports the counts kept from here on; nil
 // detaches it.
-func (d *DFS) SetObserver(o *obs.Observer) {
+func (d *DFS) SetObserver(o *obs.Tracer) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.obs, d.counts = o, &fileCounts{}

@@ -19,7 +19,7 @@ const evictLimit = 24 << 10
 
 // evictions returns the replacement decisions o's tracer retains — the
 // record of evictions — in execution order.
-func evictions(o *obs.Observer) []eventlog.CacheData {
+func evictions(o *obs.Tracer) []eventlog.CacheData {
 	var out []eventlog.CacheData
 	for _, d := range o.Decisions() {
 		if d.Type == eventlog.CacheEvict {

@@ -68,11 +68,10 @@ type Config struct {
 	// Obs optionally instruments every runtime built by NewRuntime
 	// (the span and decision record its metrics fold from, and the DFS
 	// counts); nil disables observability.
-	Obs *obs.Observer
+	Obs *obs.Tracer
 	// Health optionally shares one SLO monitor across every Redoop
 	// engine an experiment builds, so a whole figure's queries land in
-	// one health table; nil gives each engine a private
-	// monitor.
+	// one health table; nil disables health tracking.
 	Health *health.Monitor
 	// Account optionally shares one cost ledger across every Redoop
 	// engine an experiment builds, so a whole figure's queries roll up

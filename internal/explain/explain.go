@@ -10,6 +10,7 @@
 package explain
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"slices"
@@ -22,11 +23,7 @@ import (
 
 // Placement is one Equation 4 decision with its audit trail.
 type Placement struct {
-	At         int64
-	Chosen     int
-	Outcome    string
-	Caches     int
-	Candidates []eventlog.PlacementCandidate
+	eventlog.PlacementData
 }
 
 // Argmin returns the node a correct Equation 4 evaluation would choose
@@ -53,7 +50,6 @@ func (p Placement) Consistent() bool { return p.Chosen == p.Argmin() }
 // cache covers parsed out of its PID.
 type CacheEvent struct {
 	eventlog.CacheData
-	At    int64
 	Panes []int64
 }
 
@@ -61,7 +57,6 @@ type CacheEvent struct {
 type Recurrence struct {
 	Index              int
 	WindowLo, WindowHi int64
-	TriggerAt          int64
 	ResponseNS         int64
 	// ForecastNS is the Holt forecast made for this recurrence at the
 	// end of the previous one; -1 before the profiler warms up.
@@ -119,21 +114,12 @@ func Build(events []eventlog.Event, query string) *Report {
 		if query != "" && e.Query != "" && e.Query != query {
 			continue
 		}
-		switch e.Type {
-		case eventlog.RecurrenceStart:
-			d, ok := e.Data.(eventlog.RecurrenceStartData)
-			if !ok {
-				continue
-			}
+		switch d := e.Data.(type) {
+		case eventlog.RecurrenceStartData:
 			r := at(d.Recurrence)
 			r.WindowLo, r.WindowHi = d.WindowLo, d.WindowHi
-			r.TriggerAt = int64(e.At)
 			current = d.Recurrence
-		case eventlog.RecurrenceFinish:
-			d, ok := e.Data.(eventlog.RecurrenceFinishData)
-			if !ok {
-				continue
-			}
+		case eventlog.RecurrenceFinishData:
 			r := at(d.Recurrence)
 			r.ResponseNS = d.ResponseNS
 			r.ForecastNS = d.ForecastNS
@@ -142,72 +128,39 @@ func Build(events []eventlog.Event, query string) *Report {
 			r.CacheRecoveries = d.CacheRecoveries
 			r.Proactive, r.SubPanes = d.Proactive, d.SubPanes
 			r.Finished = true
-		case eventlog.Placement:
-			d, ok := e.Data.(eventlog.PlacementData)
-			if !ok {
-				continue
-			}
+		case eventlog.PlacementData:
 			r := at(d.Recurrence)
-			r.Placements = append(r.Placements, Placement{
-				At: int64(e.At), Chosen: d.Chosen, Outcome: d.Outcome,
-				Caches: d.Caches, Candidates: d.Candidates,
-			})
-		case eventlog.CacheHit, eventlog.CacheMiss, eventlog.CacheLost, eventlog.CacheRegister:
-			d, ok := e.Data.(eventlog.CacheData)
-			if !ok {
-				continue
-			}
-			ce := CacheEvent{CacheData: d, At: int64(e.At), Panes: PanesOf(d.PID)}
-			if d.Recurrence < 0 {
-				continue
-			}
-			r := at(d.Recurrence)
+			r.Placements = append(r.Placements, Placement{d})
+		case eventlog.CacheData:
 			switch e.Type {
-			case eventlog.CacheHit:
-				r.Hits = append(r.Hits, ce)
-			case eventlog.CacheMiss:
-				r.Misses = append(r.Misses, ce)
-			case eventlog.CacheLost:
-				r.Lost = append(r.Lost, ce)
-			case eventlog.CacheRegister:
-				r.Registered = append(r.Registered, ce)
+			case eventlog.CachePurge:
+				rep.Purges++
+			case eventlog.CacheRollback:
+				rep.Rollbacks++
+			case eventlog.CacheHit, eventlog.CacheMiss, eventlog.CacheLost, eventlog.CacheRegister:
+				if d.Recurrence >= 0 {
+					at(d.Recurrence).addCache(e.Type, CacheEvent{CacheData: d, Panes: PanesOf(d.PID)})
+				}
 			}
-		case eventlog.CachePurge:
-			rep.Purges++
-		case eventlog.CacheRollback:
-			rep.Rollbacks++
-		case eventlog.Replan:
-			d, ok := e.Data.(eventlog.ReplanData)
-			if !ok {
-				continue
-			}
-			at(d.Recurrence).Replans = append(at(d.Recurrence).Replans, d)
-		case eventlog.PaneRetire:
-			d, ok := e.Data.(eventlog.PaneRetireData)
-			if !ok {
-				continue
-			}
+		case eventlog.ReplanData:
+			r := at(d.Recurrence)
+			r.Replans = append(r.Replans, d)
+		case eventlog.PaneRetireData:
 			if current >= 0 {
 				r := at(current)
 				r.RetiredPanes[d.Source] = append(r.RetiredPanes[d.Source], d.Panes...)
 			}
-		case eventlog.HealthAnomaly:
-			if d, ok := e.Data.(eventlog.HealthAnomalyData); ok {
-				at(d.Recurrence).Anomaly = true
-			}
-		case eventlog.AdaptivityMiss:
-			if d, ok := e.Data.(eventlog.AdaptivityMissData); ok {
-				at(d.Recurrence).AdaptivityMiss = true
-			}
-		case eventlog.HealthStatus:
-			if d, ok := e.Data.(eventlog.HealthStatusData); ok {
-				at(d.Recurrence).HealthTo = d.To
-			}
-		case eventlog.Fault:
-			if d, ok := e.Data.(eventlog.FaultData); ok && d.Kind == eventlog.FaultNodeCrash {
+		case eventlog.HealthAnomalyData:
+			at(d.Recurrence).Anomaly = true
+		case eventlog.AdaptivityMissData:
+			at(d.Recurrence).AdaptivityMiss = true
+		case eventlog.HealthStatusData:
+			at(d.Recurrence).HealthTo = d.To
+		case eventlog.FaultData:
+			if d.Kind == eventlog.FaultNodeCrash {
 				rep.NodeFailures = append(rep.NodeFailures, d.Node)
 			}
-		case eventlog.TaskRetry:
+		case eventlog.TaskRetryData:
 			rep.TaskRetries++
 		}
 	}
@@ -215,6 +168,20 @@ func Build(events []eventlog.Event, query string) *Report {
 		rep.Recurrences = append(rep.Recurrences, *recs[idx])
 	}
 	return rep
+}
+
+// addCache files a cache lookup or registration under its kind.
+func (r *Recurrence) addCache(typ eventlog.Type, ce CacheEvent) {
+	switch typ {
+	case eventlog.CacheHit:
+		r.Hits = append(r.Hits, ce)
+	case eventlog.CacheMiss:
+		r.Misses = append(r.Misses, ce)
+	case eventlog.CacheLost:
+		r.Lost = append(r.Lost, ce)
+	case eventlog.CacheRegister:
+		r.Registered = append(r.Registered, ce)
+	}
 }
 
 // PanesOf parses the pane ids out of a cache PID. The PID grammar
@@ -246,8 +213,10 @@ func PanesOf(pid string) []int64 {
 // rendered report; the full list stays available in the Report struct.
 const maxPlacementsShown = 4
 
-// Write renders the report as a human-readable text document.
-func (rep *Report) Write(w io.Writer) error {
+// Write renders the report as a human-readable text document and
+// returns the first write error.
+func (rep *Report) Write(out io.Writer) error {
+	w := bufio.NewWriter(out)
 	name := rep.Query
 	if name == "" {
 		name = "(all queries)"
@@ -348,7 +317,7 @@ func (rep *Report) Write(w io.Writer) error {
 			fmt.Fprintln(w, row)
 		}
 	}
-	return nil
+	return w.Flush()
 }
 
 // summarizeByPane folds a recurrence's cache events into one line per
@@ -417,38 +386,25 @@ func (rep *Report) forecastRows() []string {
 		if !r.Finished || r.ForecastNS < 0 {
 			continue
 		}
-		markers := ""
-		if len(r.Replans) > 0 {
-			parts := make([]string, 0, len(r.Replans))
-			for _, rp := range r.Replans {
-				parts = append(parts, fmt.Sprintf("replan->sub=%d", rp.SubPanes))
-			}
-			markers = strings.Join(parts, " ")
+		var markers []string
+		for _, rp := range r.Replans {
+			markers = append(markers, fmt.Sprintf("replan->sub=%d", rp.SubPanes))
 		}
 		if r.Proactive {
-			if markers != "" {
-				markers += " "
-			}
-			markers += "proactive"
-		}
-		addMarker := func(m string) {
-			if markers != "" {
-				markers += " "
-			}
-			markers += m
+			markers = append(markers, "proactive")
 		}
 		if r.Anomaly {
-			addMarker("anomaly")
+			markers = append(markers, "anomaly")
 		}
 		if r.AdaptivityMiss {
-			addMarker("adapt-miss")
+			markers = append(markers, "adapt-miss")
 		}
 		if r.HealthTo != "" {
-			addMarker("status->" + r.HealthTo)
+			markers = append(markers, "status->"+r.HealthTo)
 		}
 		rows = append(rows, fmt.Sprintf("  %-4d %12s %12s %+8.1f%%  %s",
 			r.Index, simtime.FormatNS(r.ForecastNS), simtime.FormatNS(r.ResponseNS),
-			forecastErrPct(r.ForecastNS, r.ResponseNS), markers))
+			forecastErrPct(r.ForecastNS, r.ResponseNS), strings.Join(markers, " ")))
 	}
 	return rows
 }

@@ -38,7 +38,7 @@ func sumReduce(key []byte, values [][]byte, emit mapreduce.Emitter) {
 
 // runObserved drives a word-count query for n recurrences under a
 // fresh observer and returns the observer and engine.
-func runObserved(t *testing.T, n int, adaptive bool) (*obs.Observer, *core.Engine) {
+func runObserved(t *testing.T, n int, adaptive bool) (*obs.Tracer, *core.Engine) {
 	t.Helper()
 	ob := obs.New()
 	cost := iocost.Default()
@@ -246,13 +246,13 @@ func TestBuildSyntheticStream(t *testing.T) {
 }
 
 func TestArgminTieBreaksLowestNode(t *testing.T) {
-	p := explain.Placement{
+	p := explain.Placement{PlacementData: eventlog.PlacementData{
 		Chosen: 1,
 		Candidates: []eventlog.PlacementCandidate{
 			{Node: 1, TotalNS: 5},
 			{Node: 3, TotalNS: 5},
 		},
-	}
+	}}
 	if p.Argmin() != 1 || !p.Consistent() {
 		t.Errorf("argmin = %d, want tie broken to node 1", p.Argmin())
 	}

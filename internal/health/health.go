@@ -39,6 +39,7 @@
 package health
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -188,7 +189,7 @@ type QueryStatus struct {
 type Monitor struct {
 	mu       sync.Mutex
 	cfg      Config
-	obs      *obs.Observer
+	obs      *obs.Tracer
 	trackers []*Tracker
 	names    map[string]int // base-name registrations, for suffixing
 }
@@ -203,7 +204,7 @@ func NewMonitor(cfg Config) *Monitor {
 // of them, at export (export). Setting nil detaches it from events; an
 // observer once attached keeps reading the statuses. Safe to call
 // concurrently with Observe.
-func (m *Monitor) SetObserver(o *obs.Observer) {
+func (m *Monitor) SetObserver(o *obs.Tracer) {
 	if m == nil {
 		return
 	}
@@ -249,7 +250,7 @@ func (m *Monitor) export(x *obs.Exposition) {
 }
 
 // Observer returns the currently attached observer.
-func (m *Monitor) Observer() *obs.Observer {
+func (m *Monitor) Observer() *obs.Tracer {
 	if m == nil {
 		return nil
 	}
@@ -304,41 +305,23 @@ func (m *Monitor) Snapshot() []QueryStatus {
 	return out
 }
 
-// Status returns the named query's snapshot.
-func (m *Monitor) Status(query string) (QueryStatus, bool) {
-	if m == nil {
-		return QueryStatus{}, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, t := range m.trackers {
-		if t.name == query {
-			return t.statusLocked(), true
-		}
-	}
-	return QueryStatus{}, false
-}
-
-// WriteText renders the snapshot as a fixed-width status table.
-func (m *Monitor) WriteText(w io.Writer) error {
-	statuses := m.Snapshot()
-	if _, err := fmt.Fprintf(w, "%-14s %-18s %5s %12s %12s %12s %10s %6s %6s %5s %6s\n",
-		"query", "status", "recs", "deadline", "response", "headroom", "lag", "streak", "misses", "anom", "a-miss"); err != nil {
-		return err
-	}
-	for _, s := range statuses {
+// WriteText renders the snapshot as a fixed-width status table and
+// returns the first write error.
+func (m *Monitor) WriteText(out io.Writer) error {
+	w := bufio.NewWriter(out)
+	fmt.Fprintf(w, "%-14s %-18s %5s %12s %12s %12s %10s %6s %6s %5s %6s\n",
+		"query", "status", "recs", "deadline", "response", "headroom", "lag", "streak", "misses", "anom", "a-miss")
+	for _, s := range m.Snapshot() {
 		deadline, headroom := "-", "-"
 		if s.DeadlineNS > 0 {
 			deadline = simtime.FormatNS(s.DeadlineNS)
 			headroom = simtime.FormatNS(s.HeadroomNS)
 		}
-		if _, err := fmt.Fprintf(w, "%-14s %-18s %5d %12s %12s %12s %10s %6d %6d %5d %6d\n",
+		fmt.Fprintf(w, "%-14s %-18s %5d %12s %12s %12s %10s %6d %6d %5d %6d\n",
 			s.Query, s.Status, s.Recurrences, deadline, simtime.FormatNS(s.LastResponseNS), headroom,
-			simtime.FormatNS(s.WindowLagUnits), s.MissStreak, s.DeadlineMisses, s.Anomalies, s.AdaptivityMisses); err != nil {
-			return err
-		}
+			simtime.FormatNS(s.WindowLagUnits), s.MissStreak, s.DeadlineMisses, s.Anomalies, s.AdaptivityMisses)
 	}
-	return nil
+	return w.Flush()
 }
 
 // Tracker is one query's health state. Observe is driven by the
@@ -367,32 +350,6 @@ type Tracker struct {
 	lastForecastNS int64
 	cacheByteSec   float64
 	overBudget     bool
-}
-
-// Name returns the tracker's (possibly suffixed) query name.
-func (t *Tracker) Name() string {
-	if t == nil {
-		return ""
-	}
-	return t.name
-}
-
-// Deadline returns the tracker's per-recurrence deadline (0 = none).
-func (t *Tracker) Deadline() simtime.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.deadline
-}
-
-// Status returns the query's current snapshot.
-func (t *Tracker) Status() QueryStatus {
-	if t == nil {
-		return QueryStatus{}
-	}
-	t.m.mu.Lock()
-	defer t.m.mu.Unlock()
-	return t.statusLocked()
 }
 
 func (t *Tracker) statusLocked() QueryStatus {

@@ -30,14 +30,14 @@ func TestStatusTransitions(t *testing.T) {
 
 	// Comfortable headroom: OK.
 	trk.Observe(sampleAt(0, 50*simtime.Millisecond, 0, false))
-	if got := trk.Status(); got.Status != StatusOK {
+	if got := m.Snapshot()[0]; got.Status != StatusOK {
 		t.Fatalf("status = %v, want OK", got.Status)
 	}
 
 	// Met the deadline but inside the at-risk fraction (headroom 10ms
 	// < 0.2·100ms): AT_RISK without a miss.
 	trk.Observe(sampleAt(1, 90*simtime.Millisecond, 0, false))
-	st := trk.Status()
+	st := m.Snapshot()[0]
 	if st.Status != StatusAtRisk {
 		t.Fatalf("status = %v, want AT_RISK", st.Status)
 	}
@@ -47,7 +47,7 @@ func TestStatusTransitions(t *testing.T) {
 
 	// First miss: still AT_RISK (streak 1 < MissStreak 3).
 	trk.Observe(sampleAt(2, 150*simtime.Millisecond, 0, false))
-	st = trk.Status()
+	st = m.Snapshot()[0]
 	if st.Status != StatusAtRisk || st.MissStreak != 1 || st.DeadlineMisses != 1 {
 		t.Fatalf("after one miss: %+v", st)
 	}
@@ -57,13 +57,13 @@ func TestStatusTransitions(t *testing.T) {
 
 	// Second consecutive miss: still AT_RISK.
 	trk.Observe(sampleAt(3, 180*simtime.Millisecond, 0, false))
-	if st = trk.Status(); st.Status != StatusAtRisk || st.MissStreak != 2 {
+	if st = m.Snapshot()[0]; st.Status != StatusAtRisk || st.MissStreak != 2 {
 		t.Fatalf("after two misses: %+v", st)
 	}
 
 	// Third consecutive miss: MISSING_DEADLINES.
 	trk.Observe(sampleAt(4, 170*simtime.Millisecond, 0, false))
-	st = trk.Status()
+	st = m.Snapshot()[0]
 	if st.Status != StatusMissingDeadlines || st.MissStreak != 3 {
 		t.Fatalf("after three misses: %+v", st)
 	}
@@ -73,7 +73,7 @@ func TestStatusTransitions(t *testing.T) {
 
 	// Recovery resets the streak and the status.
 	trk.Observe(sampleAt(5, 40*simtime.Millisecond, 0, false))
-	st = trk.Status()
+	st = m.Snapshot()[0]
 	if st.Status != StatusOK || st.MissStreak != 0 || st.MaxMissStreak != 3 {
 		t.Fatalf("after recovery: %+v", st)
 	}
@@ -110,14 +110,14 @@ func TestCacheByteSecondBudget(t *testing.T) {
 	s := sampleAt(0, 50*simtime.Millisecond, 0, false)
 	s.CacheByteSeconds = 999
 	trk.Observe(s)
-	if st := trk.Status(); st.Status != StatusOK || st.OverCacheBudget {
+	if st := m.Snapshot()[0]; st.Status != StatusOK || st.OverCacheBudget {
 		t.Fatalf("under budget: %+v", st)
 	}
 
 	s = sampleAt(1, 50*simtime.Millisecond, 0, false)
 	s.CacheByteSeconds = 1001
 	trk.Observe(s)
-	st := trk.Status()
+	st := m.Snapshot()[0]
 	if st.Status != StatusAtRisk || !st.OverCacheBudget {
 		t.Fatalf("over budget: %+v", st)
 	}
@@ -133,7 +133,7 @@ func TestCacheByteSecondBudget(t *testing.T) {
 		s.CacheByteSeconds = 2000
 		trk2.Observe(s)
 	}
-	if st := trk2.Status(); st.Status != StatusMissingDeadlines || !st.OverCacheBudget {
+	if st := m2.Snapshot()[0]; st.Status != StatusMissingDeadlines || !st.OverCacheBudget {
 		t.Fatalf("budget must not mask missed deadlines: %+v", st)
 	}
 
@@ -144,7 +144,7 @@ func TestCacheByteSecondBudget(t *testing.T) {
 	s = sampleAt(0, 50*simtime.Millisecond, 0, false)
 	s.CacheByteSeconds = 5000
 	trk3.Observe(s)
-	if st := trk3.Status(); st.Status != StatusAtRisk || !st.OverCacheBudget {
+	if st := m3.Snapshot()[0]; st.Status != StatusAtRisk || !st.OverCacheBudget {
 		t.Fatalf("deadline-less over budget: %+v", st)
 	}
 
@@ -154,7 +154,7 @@ func TestCacheByteSecondBudget(t *testing.T) {
 	s = sampleAt(0, 50*simtime.Millisecond, 0, false)
 	s.CacheByteSeconds = 1e12
 	trk4.Observe(s)
-	if st := trk4.Status(); st.Status != StatusOK || st.OverCacheBudget {
+	if st := m4.Snapshot()[0]; st.Status != StatusOK || st.OverCacheBudget {
 		t.Fatalf("disabled budget still fired: %+v", st)
 	}
 }
@@ -167,14 +167,14 @@ func TestAnomalyDetectionAndAdaptivityMiss(t *testing.T) {
 
 	// Cold start: no forecast, no residual history — never anomalous.
 	trk.Observe(sampleAt(0, 100*simtime.Millisecond, 0, false))
-	if st := trk.Status(); st.Anomalies != 0 || st.ResidualEWMANS != 0 || st.LastForecastNS != -1 {
+	if st := m.Snapshot()[0]; st.Anomalies != 0 || st.ResidualEWMANS != 0 || st.LastForecastNS != -1 {
 		t.Fatalf("cold start: %+v", st)
 	}
 
 	// First residual (10ms) seeds the EWMA exactly — the single-sample
 	// case — and cannot itself be an anomaly (samples < min).
 	trk.Observe(sampleAt(1, 110*simtime.Millisecond, 100*simtime.Millisecond, true))
-	st := trk.Status()
+	st := m.Snapshot()[0]
 	if st.Anomalies != 0 {
 		t.Fatalf("anomaly on first residual: %+v", st)
 	}
@@ -186,7 +186,7 @@ func TestAnomalyDetectionAndAdaptivityMiss(t *testing.T) {
 	// min samples.
 	for r := 2; r <= 3; r++ {
 		trk.Observe(sampleAt(r, 110*simtime.Millisecond, 100*simtime.Millisecond, true))
-		if st := trk.Status(); st.Anomalies != 0 || st.ResidualEWMANS != int64(10*simtime.Millisecond) {
+		if st := m.Snapshot()[0]; st.Anomalies != 0 || st.ResidualEWMANS != int64(10*simtime.Millisecond) {
 			t.Fatalf("residual %d: %+v", r, st)
 		}
 	}
@@ -194,7 +194,7 @@ func TestAnomalyDetectionAndAdaptivityMiss(t *testing.T) {
 	// Detector armed (3 samples ≥ min). A 100ms residual > 3·10ms EWMA
 	// fires; no re-plan happened, so it is also an adaptivity miss.
 	trk.Observe(sampleAt(4, 200*simtime.Millisecond, 100*simtime.Millisecond, true))
-	st = trk.Status()
+	st = m.Snapshot()[0]
 	if st.Anomalies != 1 || st.AdaptivityMisses != 1 {
 		t.Fatalf("anomaly not flagged: %+v", st)
 	}
@@ -216,7 +216,7 @@ func TestAnomalyDetectionAndAdaptivityMiss(t *testing.T) {
 	s := sampleAt(5, 300*simtime.Millisecond, 100*simtime.Millisecond, true)
 	s.ReplanFired = true
 	trk.Observe(s)
-	st = trk.Status()
+	st = m.Snapshot()[0]
 	if st.Anomalies != 2 || st.AdaptivityMisses != 1 {
 		t.Fatalf("replan-covered anomaly: %+v", st)
 	}
@@ -236,7 +236,7 @@ func TestZeroDurationRecurrences(t *testing.T) {
 	for r := 0; r < 5; r++ {
 		trk.Observe(sampleAt(r, 0, 0, r > 0))
 	}
-	st := trk.Status()
+	st := m.Snapshot()[0]
 	if st.Status != StatusOK || st.DeadlineMisses != 0 || st.Anomalies != 0 {
 		t.Fatalf("zero-duration run: %+v", st)
 	}
@@ -252,7 +252,7 @@ func TestNoDeadlineQueries(t *testing.T) {
 	// permanent OK status; anomaly detection still runs.
 	trk.Observe(sampleAt(0, 5*simtime.Second, 0, false))
 	trk.Observe(sampleAt(1, 9*simtime.Second, simtime.Second, true))
-	st := trk.Status()
+	st := m.Snapshot()[0]
 	if st.Status != StatusOK || st.DeadlineMisses != 0 || st.HeadroomNS != 0 {
 		t.Fatalf("no-deadline query: %+v", st)
 	}
@@ -271,7 +271,7 @@ func TestWindowLagWatermark(t *testing.T) {
 	s.NewestPackedUnit = 500
 	s.CoveredUnit = 300
 	trk.Observe(s)
-	if st := trk.Status(); st.WindowLagUnits != 200 {
+	if st := m.Snapshot()[0]; st.WindowLagUnits != 200 {
 		t.Fatalf("lag = %d, want 200", st.WindowLagUnits)
 	}
 	if v := o.Exposition().Sum("redoop_window_lag_units", obs.L("query", "q1")); v != 200 {
@@ -283,7 +283,7 @@ func TestWindowLagWatermark(t *testing.T) {
 	s.NewestPackedUnit = 500
 	s.CoveredUnit = 600
 	trk.Observe(s)
-	if st := trk.Status(); st.WindowLagUnits != 0 {
+	if st := m.Snapshot()[0]; st.WindowLagUnits != 0 {
 		t.Fatalf("drained lag = %d, want 0", st.WindowLagUnits)
 	}
 }
@@ -291,17 +291,14 @@ func TestWindowLagWatermark(t *testing.T) {
 func TestRegisterDuplicateNames(t *testing.T) {
 	m := NewMonitor(Config{})
 	a := m.Register("q1", simtime.Second)
-	b := m.Register("q1", 2*simtime.Second)
-	if a.Name() != "q1" || b.Name() != "q1#2" {
-		t.Fatalf("names = %q, %q", a.Name(), b.Name())
-	}
+	m.Register("q1", 2*simtime.Second)
 	a.Observe(sampleAt(0, simtime.Millisecond, 0, false))
 	snap := m.Snapshot()
 	if len(snap) != 2 || snap[0].Recurrences != 1 || snap[1].Recurrences != 0 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	if _, ok := m.Status("q1#2"); !ok {
-		t.Fatalf("suffixed query not addressable")
+	if snap[0].Query != "q1" || snap[1].Query != "q1#2" || snap[1].DeadlineNS != int64(2*simtime.Second) {
+		t.Fatalf("names = %q, %q", snap[0].Query, snap[1].Query)
 	}
 }
 
@@ -316,15 +313,12 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil monitor register not nil")
 	}
 	trk.Observe(Sample{})
-	if trk.Name() != "" || trk.Deadline() != 0 {
-		t.Fatalf("nil tracker accessors")
-	}
 
 	// A monitor without an observer still tracks state.
 	m2 := NewMonitor(Config{})
 	trk2 := m2.Register("q", simtime.Second)
 	trk2.Observe(sampleAt(0, 2*simtime.Second, 0, false))
-	if st := trk2.Status(); st.DeadlineMisses != 1 {
+	if st := m2.Snapshot()[0]; st.DeadlineMisses != 1 {
 		t.Fatalf("observer-less tracking: %+v", st)
 	}
 }
@@ -396,7 +390,7 @@ func TestDeadlineOverride(t *testing.T) {
 	m := NewMonitor(cfg)
 	tk := m.Register("q", 10*simtime.Minute)
 	tk.Observe(Sample{Recurrence: 0, Response: 7 * simtime.Millisecond})
-	st := tk.Status()
+	st := m.Snapshot()[0]
 	if st.DeadlineNS != int64(5*simtime.Millisecond) {
 		t.Errorf("deadline = %d, want override %d", st.DeadlineNS, int64(5*simtime.Millisecond))
 	}
@@ -407,7 +401,7 @@ func TestDeadlineOverride(t *testing.T) {
 	// Override also applies to queries with no natural deadline.
 	tk2 := m.Register("cb", 0)
 	tk2.Observe(Sample{Recurrence: 0, Response: simtime.Millisecond})
-	if st2 := tk2.Status(); st2.DeadlineNS != int64(5*simtime.Millisecond) {
+	if st2 := m.Snapshot()[1]; st2.DeadlineNS != int64(5*simtime.Millisecond) {
 		t.Errorf("count-based deadline = %d, want override", st2.DeadlineNS)
 	}
 }
@@ -421,7 +415,7 @@ func TestResidualEWMASingleSample(t *testing.T) {
 
 	// First forecasted recurrence: residual 40ms seeds the EWMA.
 	trk.Observe(sampleAt(0, 100*simtime.Millisecond, 60*simtime.Millisecond, true))
-	st := trk.Status()
+	st := m.Snapshot()[0]
 	if st.ResidualEWMANS != int64(40*simtime.Millisecond) {
 		t.Fatalf("EWMA after one sample = %d, want seeded 40ms", st.ResidualEWMANS)
 	}
@@ -431,7 +425,7 @@ func TestResidualEWMASingleSample(t *testing.T) {
 
 	// Second sample smooths: 0.3·10ms + 0.7·40ms = 31ms.
 	trk.Observe(sampleAt(1, 70*simtime.Millisecond, 60*simtime.Millisecond, true))
-	if st := trk.Status(); st.ResidualEWMANS != int64(31*simtime.Millisecond) {
+	if st := m.Snapshot()[0]; st.ResidualEWMANS != int64(31*simtime.Millisecond) {
 		t.Fatalf("EWMA after two samples = %d, want 31ms", st.ResidualEWMANS)
 	}
 }
@@ -443,7 +437,7 @@ func TestFirstRecurrenceColdStart(t *testing.T) {
 	m := NewMonitor(DefaultConfig())
 	trk := m.Register("q", 50*simtime.Millisecond)
 	trk.Observe(sampleAt(0, 10*simtime.Millisecond, 0, false))
-	st := trk.Status()
+	st := m.Snapshot()[0]
 	if st.Recurrences != 1 || st.LastResponseNS != int64(10*simtime.Millisecond) {
 		t.Fatalf("cold start status: %+v", st)
 	}
@@ -456,7 +450,7 @@ func TestFirstRecurrenceColdStart(t *testing.T) {
 }
 
 // eventsOf returns the recorded events of one type, oldest first.
-func eventsOf(o *obs.Observer, typ eventlog.Type) []eventlog.Event {
+func eventsOf(o *obs.Tracer, typ eventlog.Type) []eventlog.Event {
 	var out []eventlog.Event
 	for _, e := range o.Decisions() {
 		if e.Type == typ {

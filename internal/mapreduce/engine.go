@@ -57,7 +57,7 @@ type Engine struct {
 	// Obs receives task-level metrics (attempt counts, durations,
 	// spill/shuffle/read volumes) and per-attempt trace spans on the
 	// virtual timeline. Nil disables instrumentation at ~zero cost.
-	Obs *obs.Observer
+	Obs *obs.Tracer
 	// Workers bounds the goroutines used for the parallel compute
 	// phase (decode, user map/combine, sort/group, user reduce).
 	// Zero means GOMAXPROCS; 1 forces fully serial execution. Any

@@ -230,17 +230,16 @@ func TestTraceBackwardsSpanClamped(t *testing.T) {
 	}
 }
 
-// TestNilExporters checks a nil observer and tracer still produce valid,
-// empty documents.
+// TestNilExporters checks a nil tracer still produces valid, empty
+// documents.
 func TestNilExporters(t *testing.T) {
-	var o *Observer
 	var tr *Tracer
 	var buf bytes.Buffer
-	if err := o.Exposition().WritePrometheus(&buf); err != nil {
+	if err := tr.Exposition().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
-		t.Errorf("nil observer exposition = %q", buf.String())
+		t.Errorf("nil tracer exposition = %q", buf.String())
 	}
 	buf.Reset()
 	if err := tr.WriteTraceJSON(&buf); err != nil {

@@ -82,7 +82,7 @@ func TestCounterMonotone(t *testing.T) {
 // TestNilSafety calls every recording method through a nil tracer —
 // the no-op mode library users get without configuring observability.
 func TestNilSafety(t *testing.T) {
-	var tr *Observer
+	var tr *Tracer
 	tr.Task(TaskSpan{Kind: SpanPhase, Track: "t", End: 10})
 	tr.Emit(5, eventlog.Replan, "q", nil)
 	tr.EmitReuse(5, "q", "exact", eventlog.CacheData{})

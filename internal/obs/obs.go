@@ -67,7 +67,3 @@ func NodeTrack(id int) string {
 // QueryTrack names the trace track of one query's recurrence/phase
 // spans.
 func QueryTrack(name string) string { return "query:" + name }
-
-// Observer is the name instrumented components hold the tracer by
-// (Config.Obs, Engine.Obs, SetObserver).
-type Observer = Tracer

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -57,8 +58,9 @@ func (p *Profile) WriteCritPathTraceFile(path string) error {
 
 // Text writes the `redoopctl profile` report: per query, the summed
 // critical path, phase breakdown, and the top-k critical-path segments
-// by duration across all recurrences.
-func (p *Profile) Text(w io.Writer, topK int) error {
+// by duration across all recurrences. It returns the first write error.
+func (p *Profile) Text(out io.Writer, topK int) error {
+	w := bufio.NewWriter(out)
 	if topK <= 0 {
 		topK = 10
 	}
@@ -118,5 +120,5 @@ func (p *Profile) Text(w io.Writer, topK int) error {
 				r.seg.Dur(), r.rec, r.seg.Kind, name, r.seg.Track)
 		}
 	}
-	return nil
+	return w.Flush()
 }

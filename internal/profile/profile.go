@@ -16,7 +16,6 @@ package profile
 
 import (
 	"fmt"
-	"sort"
 
 	"redoop/internal/obs"
 	"redoop/internal/simtime"
@@ -52,13 +51,11 @@ type Segment struct {
 // Dur returns the segment's duration.
 func (s Segment) Dur() simtime.Duration { return s.End.Sub(s.Start) }
 
-// Recurrence is the profile of one recurrence: its critical path, a
-// per-phase busy breakdown, per-node busy/idle attribution and per-worker
-// busy attribution.
+// Recurrence is the profile of one recurrence: its critical path and a
+// per-phase busy breakdown.
 type Recurrence struct {
 	Query string       `json:"query"`
 	Index int          `json:"index"`
-	Root  obs.SpanID   `json:"root"`
 	Start simtime.Time `json:"start"`
 	End   simtime.Time `json:"end"`
 	// Wall is End − Start, the recurrence's virtual wall-clock.
@@ -74,23 +71,12 @@ type Recurrence struct {
 	// recurrence — total busy time, not elapsed time, so phases
 	// running on parallel slots count in full.
 	Phases map[string]simtime.Duration `json:"phases"`
-	// ScheduleWait is the summed Start − Ready over all tasks: time
-	// tasks spent queued for slots.
-	ScheduleWait simtime.Duration `json:"scheduleWaitNS"`
-	// NodeBusy is merged span coverage per node track; NodeIdle is the
-	// complement against Wall for each node that ran at least one task.
-	NodeBusy map[string]simtime.Duration `json:"nodeBusy"`
-	NodeIdle map[string]simtime.Duration `json:"nodeIdle"`
-	// WorkerBusy sums task durations by the compute-pool worker that
-	// executed the winning attempt (observability-only attribution).
-	WorkerBusy map[string]simtime.Duration `json:"workerBusy,omitempty"`
 	// Tasks counts the recurrence's task spans.
 	Tasks int `json:"tasks"`
 }
 
 // QueryProfile rolls a query's recurrences up.
 type QueryProfile struct {
-	Query       string        `json:"query"`
 	Recurrences []*Recurrence `json:"recurrences"`
 	// CritPath is the summed wall-clock of all recurrences — equal to
 	// the summed critical-path lengths by the tiling invariant.
@@ -134,7 +120,7 @@ func Analyze(spans []obs.Event) *Profile {
 		p.Recurrences = append(p.Recurrences, rec)
 		q := p.Queries[rec.Query]
 		if q == nil {
-			q = &QueryProfile{Query: rec.Query, Phases: map[string]simtime.Duration{}}
+			q = &QueryProfile{Phases: map[string]simtime.Duration{}}
 			p.Queries[rec.Query] = q
 		}
 		q.Recurrences = append(q.Recurrences, rec)
@@ -158,40 +144,16 @@ func queryOf(root *obs.Event) string {
 
 func analyzeRecurrence(root *obs.Event, tasks []*obs.Event, byID map[obs.SpanID]*obs.Event) *Recurrence {
 	rec := &Recurrence{
-		Query:    queryOf(root),
-		Root:     root.ID,
-		Start:    root.Start,
-		End:      root.End,
-		Wall:     root.End.Sub(root.Start),
-		Phases:   map[string]simtime.Duration{},
-		NodeBusy: map[string]simtime.Duration{},
-		NodeIdle: map[string]simtime.Duration{},
-		Tasks:    len(tasks),
+		Query:  queryOf(root),
+		Start:  root.Start,
+		End:    root.End,
+		Wall:   root.End.Sub(root.Start),
+		Phases: map[string]simtime.Duration{},
+		Tasks:  len(tasks),
 	}
 	fmt.Sscanf(root.Name, "recurrence %d", &rec.Index)
-
-	perTrack := map[string][][2]simtime.Time{}
 	for _, t := range tasks {
 		rec.Phases[t.Cat] += t.End.Sub(t.Start)
-		rec.ScheduleWait += t.Start.Sub(t.Ready)
-		perTrack[t.Track] = append(perTrack[t.Track], [2]simtime.Time{t.Start, t.End})
-		for _, l := range t.Args {
-			if l.Key == "worker" {
-				if rec.WorkerBusy == nil {
-					rec.WorkerBusy = map[string]simtime.Duration{}
-				}
-				rec.WorkerBusy[l.Value] += t.End.Sub(t.Start)
-			}
-		}
-	}
-	for track, ivs := range perTrack {
-		busy := mergedCoverage(ivs)
-		rec.NodeBusy[track] = busy
-		if idle := rec.Wall - busy; idle > 0 {
-			rec.NodeIdle[track] = idle
-		} else {
-			rec.NodeIdle[track] = 0
-		}
 	}
 
 	rec.CritPath = criticalPath(root, tasks, byID)
@@ -206,32 +168,6 @@ func analyzeRecurrence(root *obs.Event, tasks []*obs.Event, byID map[obs.SpanID]
 		}
 	}
 	return rec
-}
-
-// mergedCoverage returns the total length of the union of intervals.
-func mergedCoverage(ivs [][2]simtime.Time) simtime.Duration {
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i][0] < ivs[j][0] })
-	var total simtime.Duration
-	var curLo, curHi simtime.Time
-	open := false
-	for _, iv := range ivs {
-		if !open {
-			curLo, curHi, open = iv[0], iv[1], true
-			continue
-		}
-		if iv[0] <= curHi {
-			if iv[1] > curHi {
-				curHi = iv[1]
-			}
-			continue
-		}
-		total += curHi.Sub(curLo)
-		curLo, curHi = iv[0], iv[1]
-	}
-	if open {
-		total += curHi.Sub(curLo)
-	}
-	return total
 }
 
 // criticalPath walks the dependency DAG backwards from the recurrence's

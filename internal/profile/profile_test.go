@@ -230,22 +230,11 @@ func TestPhaseAndNodeAttribution(t *testing.T) {
 		span(3, 1, "map", "map b", "node:0", 20, 20, 60), // overlaps a on node:0
 		span(4, 1, "reduce", "reduce", "node:1", 60, 70, 100, 2, 3),
 	}
-	spans[1].Args = []obs.Label{obs.L("worker", "0")}
-	spans[2].Args = []obs.Label{obs.L("worker", "1")}
 	p := Analyze(spans)
 	rec := p.Recurrences[0]
+	// Phases sum busy time: the overlapping maps count in full.
 	if rec.Phases["map"] != 80 || rec.Phases["reduce"] != 30 {
 		t.Fatalf("phases = %v, want map 80, reduce 30", rec.Phases)
-	}
-	// node:0 busy = union of [0,40] and [20,60] = 60; idle = 40.
-	if rec.NodeBusy["node:0"] != 60 || rec.NodeIdle["node:0"] != 40 {
-		t.Fatalf("node:0 busy/idle = %v/%v, want 60/40", rec.NodeBusy["node:0"], rec.NodeIdle["node:0"])
-	}
-	if rec.ScheduleWait != 10 {
-		t.Fatalf("ScheduleWait = %v, want 10 (reduce queued 60→70)", rec.ScheduleWait)
-	}
-	if rec.WorkerBusy["0"] != 40 || rec.WorkerBusy["1"] != 40 {
-		t.Fatalf("worker busy = %v, want 40 each", rec.WorkerBusy)
 	}
 }
 

@@ -346,29 +346,17 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		rCfg.Lineage = nil
 		rCfg.OracleCheck = true
 		start := time.Now()
-		var err error
-		if reuseOff, err = experiments.RunCrossQueryReuse(rCfg, false); err == nil {
-			reuseOn, err = experiments.RunCrossQueryReuse(rCfg, true)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "redoop-bench: reuse: %v\n", err)
+		var verdict, err error
+		if reuseOff, reuseOn, verdict, err = experiments.CompareCrossQueryReuse(rCfg); err != nil {
+			fmt.Fprintf(stderr, "redoop-bench: %v\n", err)
 			writeArtifacts()
 			return 1
 		}
 		if !*quiet {
 			fmt.Fprintf(stderr, "[reuse comparison measured in %v]\n", time.Since(start).Round(time.Millisecond))
 		}
-		for i := range reuseOff.Queries {
-			if reuseOff.Queries[i].OutputDigest != reuseOn.Queries[i].OutputDigest {
-				fmt.Fprintf(stderr, "redoop-bench: reuse: query %s window outputs diverged between reuse off and on\n",
-					reuseOff.Queries[i].Query)
-				writeArtifacts()
-				return 4
-			}
-		}
-		if n := reuseOn.Queries[1].MapTasks; n != 0 {
-			fmt.Fprintf(stderr, "redoop-bench: reuse: sibling %s ran %d map tasks with reuse enabled; want 0\n",
-				reuseOn.Queries[1].Query, n)
+		if verdict != nil {
+			fmt.Fprintf(stderr, "redoop-bench: %v\n", verdict)
 			writeArtifacts()
 			return 4
 		}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -26,7 +28,9 @@ const maxTraceEdges = 24
 // fingerprint and the final window's derivation DAG with per-edge
 // virtual-time build costs joined against the ledger's attributed
 // compute; the store totals close the report.
-func runLineage(tableW, reportW io.Writer, cfg experiments.Config, o runOpts) error {
+func runLineage(tableW, reportW io.Writer, cfg experiments.Config, o runOpts) (err error) {
+	w := bufio.NewWriter(reportW)
+	defer func() { err = cmp.Or(err, w.Flush()) }()
 	o.Baseline, o.topK, cfg.OracleCheck = false, 0, true
 	for _, wl := range figureWorkloads {
 		o.Kind, o.Tenant = wl.kind, wl.tenant
@@ -35,13 +39,13 @@ func runLineage(tableW, reportW io.Writer, cfg experiments.Config, o runOpts) er
 			return err
 		}
 		fmt.Fprintln(tableW)
-		if err := writeLineageReport(reportW, cfg.Lineage, cfg.Account, eng, cfg.Windows-1); err != nil {
+		if err := writeLineageReport(w, cfg.Lineage, cfg.Account, eng, cfg.Windows-1); err != nil {
 			return err
 		}
 	}
 
 	st := cfg.Lineage.Stats()
-	fmt.Fprintf(reportW, "provenance store: %d derivations, %d edges, %d batches, %d fingerprints, %d rebuilds, %d evicted\n",
+	fmt.Fprintf(w, "provenance store: %d derivations, %d edges, %d batches, %d fingerprints, %d rebuilds, %d evicted\n",
 		st.Nodes, st.Edges, st.Batches, st.DistinctFingerprints, st.Rebuilds, st.Evicted)
 	plans := cfg.Lineage.Plans()
 	fps := make([]string, 0, len(plans))
@@ -50,7 +54,7 @@ func runLineage(tableW, reportW io.Writer, cfg experiments.Config, o runOpts) er
 	}
 	sort.Strings(fps)
 	for _, fp := range fps {
-		fmt.Fprintf(reportW, "  plan %.12s… = %s\n", fp, plans[fp])
+		fmt.Fprintf(w, "  plan %.12s… = %s\n", fp, plans[fp])
 	}
 	return nil
 }

@@ -20,6 +20,7 @@ import (
 	"redoop/internal/experiments"
 	"redoop/internal/explain"
 	"redoop/internal/health"
+	"redoop/internal/lineage"
 	"redoop/internal/obs"
 	"redoop/internal/profile"
 )
@@ -365,6 +366,11 @@ func (errWriter) Write([]byte) (int, error) { return 0, errClosed }
 // disk fails the command instead of reporting success.
 func TestReportsReturnWriteErrors(t *testing.T) {
 	run := []obs.Event{{ID: 1, Cat: "recurrence", Track: obs.QueryTrack("q"), Name: "recurrence 0", End: 10}}
+	cfg := experiments.Default()
+	cfg.Windows, cfg.RecordsPerWindow = 3, 6000
+	lin := cfg
+	lin.Lineage, lin.Account = lineage.New(0), account.New()
+	o := runOpts{QueryRun: experiments.QueryRun{Overlap: 0.9}, failNode: -1, spikeWin: -1}
 	for _, tc := range []struct {
 		name  string
 		write func(io.Writer) error
@@ -373,6 +379,8 @@ func TestReportsReturnWriteErrors(t *testing.T) {
 		{"profile", func(w io.Writer) error { return profile.Analyze(run).Text(w, 0) }},
 		{"costs", func(w io.Writer) error { return account.WriteReport(w, nil, 0) }},
 		{"health", health.NewMonitor(health.DefaultConfig()).WriteText},
+		{"lineage", func(w io.Writer) error { return runLineage(io.Discard, w, lin, o) }},
+		{"reuse", func(w io.Writer) error { return runReuse(w, cfg) }},
 	} {
 		if err := tc.write(errWriter{}); !errors.Is(err, errClosed) {
 			t.Errorf("%s report into a failing writer returned %v, want %v", tc.name, err, errClosed)

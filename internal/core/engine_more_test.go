@@ -553,8 +553,8 @@ func TestEngineAccessors(t *testing.T) {
 		eng.Profiler() == nil || eng.Matrix() == nil {
 		t.Error("accessors should be wired")
 	}
-	if eng.Matrix().Dims() != 1 {
-		t.Error("single-source matrix should be 1-D")
+	if _, err := eng.Matrix().Done(0); err != nil {
+		t.Errorf("single-source matrix should be 1-D: %v", err)
 	}
 	for s := 0; s < 3; s++ {
 		eng.Ingest(0, genWords(5, testSlide, s, 60, 4))

@@ -28,9 +28,8 @@ func measureSoak(eng *Engine) soakSize {
 	for _, n := range eng.mr.Cluster.Nodes() {
 		s.entries += len(eng.ctrl.Registry(n.ID).Entries())
 	}
-	for d := 0; d < eng.matrix.Dims(); d++ {
-		lo, hi := eng.matrix.Range(d)
-		s.extents = append(s.extents, int64(hi-lo)+1)
+	for _, n := range eng.matrix.n {
+		s.extents = append(s.extents, int64(n))
 	}
 	runtime.GC()
 	runtime.GC()

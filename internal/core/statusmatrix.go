@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"redoop/internal/window"
@@ -23,8 +22,7 @@ import (
 // case each dimension's pane unit and window ranges follow its own
 // frame (window.Frame).
 type StatusMatrix struct {
-	// mu guards base/n/done so the matrix can be rendered while the
-	// engine updates and shifts it.
+	// mu guards base, n and done.
 	mu     sync.Mutex
 	frames []window.Frame
 	dims   int
@@ -61,16 +59,6 @@ func NewStatusMatrix(frames []window.Frame) (*StatusMatrix, error) {
 	}
 	m.done = make([]bool, size)
 	return m, nil
-}
-
-// Dims returns the number of dimensions.
-func (m *StatusMatrix) Dims() int { return m.dims }
-
-// Range returns the tracked pane range [lo, hi] of a dimension.
-func (m *StatusMatrix) Range(dim int) (lo, hi window.PaneID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.base[dim], m.base[dim] + window.PaneID(m.n[dim]) - 1
 }
 
 // index converts pane coordinates to a flat index, or -1 if any
@@ -224,16 +212,10 @@ func (m *StatusMatrix) exhaustedLocked(dim int, p window.PaneID) bool {
 	return rec(0)
 }
 
-// Expired reports whether pane p of dimension dim can be safely purged
-// as of recurrence r: it is no longer part of the current window and
-// every entry within its lifespan is done (the paper's two-condition
-// test).
-func (m *StatusMatrix) Expired(dim int, p window.PaneID, r int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.expiredLocked(dim, p, r)
-}
-
+// expiredLocked reports whether pane p of dimension dim can be safely
+// purged as of recurrence r: it is no longer part of the current window
+// and every entry within its lifespan is done (the paper's
+// two-condition test).
 func (m *StatusMatrix) expiredLocked(dim int, p window.PaneID, r int) bool {
 	return m.frames[dim].ExpiredAfter(p, r) && m.exhaustedLocked(dim, p)
 }
@@ -304,38 +286,4 @@ func (m *StatusMatrix) indexWithBase(coords []window.PaneID, d int, oldBase wind
 		idx = idx*m.n[dim] + off
 	}
 	return idx
-}
-
-// String renders a 1- or 2-dimensional matrix for debugging, in the
-// style of the paper's Table 3.
-func (m *StatusMatrix) String() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var b strings.Builder
-	switch m.dims {
-	case 1:
-		fmt.Fprintf(&b, "panes [%d..%d]: ", m.base[0], m.base[0]+window.PaneID(m.n[0])-1)
-		for i := 0; i < m.n[0]; i++ {
-			if m.done[i] {
-				b.WriteByte('1')
-			} else {
-				b.WriteByte('0')
-			}
-		}
-	case 2:
-		for i := 0; i < m.n[0]; i++ {
-			fmt.Fprintf(&b, "P%d: ", m.base[0]+window.PaneID(i))
-			for j := 0; j < m.n[1]; j++ {
-				if m.done[i*m.n[1]+j] {
-					b.WriteByte('1')
-				} else {
-					b.WriteByte('0')
-				}
-			}
-			b.WriteByte('\n')
-		}
-	default:
-		fmt.Fprintf(&b, "status matrix with %d dims", m.dims)
-	}
-	return b.String()
 }

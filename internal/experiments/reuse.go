@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -197,30 +198,38 @@ func (d *digestWriter) addWindow(out []records.Pair) {
 
 func (d *digestWriter) sum() string { return hex.EncodeToString(d.h[:]) }
 
-// CrossQueryReuse is the figure-style experiment: the shared-stream
-// workload runs twice — reuse index detached, then attached — and the
-// panel contrasts each query's response times. The run fails if any
-// query's window outputs differ between the two variants (byte-level,
-// canonical order) or, with reuse on, if the identical-geometry
-// sibling still ran map tasks of its own.
-func CrossQueryReuse(cfg Config) (*FigResult, error) {
-	off, err := RunCrossQueryReuse(cfg, false)
-	if err != nil {
-		return nil, err
+// CompareCrossQueryReuse runs the shared-stream workload twice, reuse
+// index detached, then attached, and checks the pair: every query's
+// window outputs must be byte-identical between the runs (canonical
+// order), and with reuse on the identical-geometry sibling must run no
+// map task of its own. err is a run's failure; verdict, returned with
+// both reports, is the first check that failed, nil when both hold.
+func CompareCrossQueryReuse(cfg Config) (off, on *ReuseReport, verdict, err error) {
+	if off, err = RunCrossQueryReuse(cfg, false); err != nil {
+		return nil, nil, nil, fmt.Errorf("reuse off: %w", err)
 	}
-	on, err := RunCrossQueryReuse(cfg, true)
-	if err != nil {
-		return nil, err
+	if on, err = RunCrossQueryReuse(cfg, true); err != nil {
+		return nil, nil, nil, fmt.Errorf("reuse on: %w", err)
 	}
 	for i := range off.Queries {
 		if off.Queries[i].OutputDigest != on.Queries[i].OutputDigest {
-			return nil, fmt.Errorf("reuse: query %s output digest diverged: off=%s on=%s",
-				off.Queries[i].Query, off.Queries[i].OutputDigest, on.Queries[i].OutputDigest)
+			return off, on, fmt.Errorf("reuse: query %s window outputs diverged between reuse off and on", off.Queries[i].Query), nil
 		}
 	}
 	if n := on.Queries[1].MapTasks; n != 0 {
-		return nil, fmt.Errorf("reuse: sibling %s ran %d map tasks with reuse enabled; want 0 (every shared pane computed once)",
-			on.Queries[1].Query, n)
+		return off, on, fmt.Errorf("reuse: sibling %s ran %d map tasks with reuse enabled; want 0 (every shared pane computed once)",
+			on.Queries[1].Query, n), nil
+	}
+	return off, on, nil, nil
+}
+
+// CrossQueryReuse is the figure-style experiment: the panel contrasts
+// each query's response times with the reuse index off and on. It fails
+// when CompareCrossQueryReuse's verdict does.
+func CrossQueryReuse(cfg Config) (*FigResult, error) {
+	off, on, verdict, err := CompareCrossQueryReuse(cfg)
+	if err = cmp.Or(err, verdict); err != nil {
+		return nil, err
 	}
 	res := &FigResult{
 		Name:  "Cross-query pane reuse",

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -52,6 +53,26 @@ var mutants = []mutant{{
 	name: "a re-homed cache leaves its old copy unexpired",
 	file: "internal/core/catalog.go", fn: "placeLocked",
 	from: "cur.NID != r.node.ID && cur.row == liveRow && old != nil", to: "false",
+	pkgs: []string{"./internal/core"},
+}, {
+	name: "a new query's bit starts not done on existing caches",
+	file: "internal/core/catalog.go", fn: "addQuery",
+	from: "true", to: "false",
+	pkgs: []string{"./internal/core"},
+}, {
+	name: "an evicted cache keeps its ready bit (no §5 rollback 2→1)",
+	file: "internal/core/catalog.go", fn: "Evict",
+	from: "HDFSAvailable", to: "CacheAvailable",
+	pkgs: []string{"./internal/core"},
+}, {
+	name: "a status matrix update marks the wrong entry",
+	file: "internal/core/statusmatrix.go", fn: "Update",
+	from: "m.index(coords)", to: "0",
+	pkgs: []string{"./internal/core"},
+}, {
+	name: "a shift moves a dimension's base by one pane too few",
+	file: "internal/core/statusmatrix.go", fn: "shiftDim",
+	from: "window.PaneID(k)", to: "window.PaneID(k - 1)",
 	pkgs: []string{"./internal/core"},
 }, {
 	name: "ensurePane maps a pane whose reduce inputs are cached",
@@ -156,9 +177,11 @@ func goTest(t *testing.T, dir string, args ...string) (bool, string) {
 }
 
 // TestMutants checks the mutant table; REDOOP_MUTANTS=1 runs it (a few
-// minutes: one go test of each row's packages).
+// minutes: one go test of each row's packages) and ends with, for each
+// test file that killed a row, the rows no other file's tests killed.
 func TestMutants(t *testing.T) {
 	run := os.Getenv("REDOOP_MUTANTS") == "1"
+	killers := map[string][]string{} // row -> the test files whose tests failed under it
 	for _, m := range mutants {
 		t.Run(strings.ReplaceAll(m.name, " ", "_"), func(t *testing.T) {
 			src, why := m.apply(".")
@@ -186,9 +209,82 @@ func TestMutants(t *testing.T) {
 				t.Errorf("marked a survivor (%s), but a test of %v now catches it:\n%s", m.survives, m.pkgs, failures(out))
 			default:
 				t.Logf("killed by:\n%s", failures(out))
+				killers[m.name] = testFiles(t, dir, m.pkgs, out)
 			}
 		})
 	}
+	if run {
+		t.Log(onlyKills(killers))
+	}
+}
+
+// testFiles returns the test files, relative to the module root dir, of
+// pkgs that declare a test go test output out reports failed.
+func testFiles(t *testing.T, dir string, pkgs []string, out string) []string {
+	t.Helper()
+	failed := map[string]bool{}
+	for _, line := range strings.Split(failures(out), "\n") {
+		if name, ok := strings.CutPrefix(strings.TrimSpace(line), "--- FAIL: "); ok {
+			name, _, _ = strings.Cut(name, " ")
+			name, _, _ = strings.Cut(name, "/")
+			failed[name] = true
+		}
+	}
+	var files []string
+	for _, pkg := range pkgs {
+		paths, err := filepath.Glob(filepath.Join(dir, filepath.FromSlash(pkg), "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && failed[fd.Name.Name] {
+					rel, _ := filepath.Rel(dir, path)
+					files = append(files, filepath.ToSlash(rel))
+					break
+				}
+			}
+		}
+	}
+	return files
+}
+
+// onlyKills renders, for each test file that killed a row, the rows that
+// only its tests killed: a file with none catches nothing the others
+// miss.
+func onlyKills(killers map[string][]string) string {
+	only := map[string][]string{}
+	for _, m := range mutants {
+		for _, f := range killers[m.name] {
+			if len(killers[m.name]) == 1 {
+				only[f] = append(only[f], m.name)
+			} else if only[f] == nil {
+				only[f] = []string{}
+			}
+		}
+	}
+	files := make([]string, 0, len(only))
+	for f := range only {
+		files = append(files, f)
+	}
+	sort.Strings(files)
+	var b strings.Builder
+	b.WriteString("rows only one test file kills:\n")
+	for _, f := range files {
+		b.WriteString("  " + f + ":")
+		if len(only[f]) == 0 {
+			b.WriteString(" none")
+		}
+		for _, row := range only[f] {
+			b.WriteString("\n    " + row)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // failures returns the lines of go test output that name a failed test.

@@ -176,11 +176,10 @@ type Controller struct {
 	recs    map[entryKey]*cacheRecord
 	nodes   []*Registry // the views, by node ID, each made once
 
-	// The hooks, when set, observe every ready-state change and every
-	// purge notice. They run under the catalog lock: a hook records and
-	// returns, never calling back into the catalog.
+	// The hook, when set, observes every ready-state change. It runs
+	// under the catalog lock: it records and returns, never calling back
+	// into the catalog.
 	onTransition func(pid string, typ CacheType, from, to Ready)
-	onPurge      func(pid string, typ CacheType)
 }
 
 // NewController builds an empty catalog.
@@ -247,16 +246,6 @@ func (c *Controller) SetTransitionHook(fn func(pid string, typ CacheType, from, 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.onTransition = fn
-}
-
-// SetPurgeHook installs (or, with nil, removes) an observer of every
-// signature removal, markQueryDone's purge notice, so the cross-query
-// reuse index stops advertising the cache at once. Engines sharing one
-// catalog install equivalent hooks; the last install wins.
-func (c *Controller) SetPurgeHook(fn func(pid string, typ CacheType)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onPurge = fn
 }
 
 // setReadyLocked moves r to ready, reporting the change to the hook.
@@ -473,17 +462,6 @@ func (c *Controller) Signatures() []*Signature {
 	return out
 }
 
-// SetReady transitions a cache's ready state (e.g. 2→1 when
-// replacement evicts it, §5). Unknown caches are ignored.
-func (c *Controller) SetReady(pid string, typ CacheType, ready Ready, at simtime.Time, nid int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r := c.recs[entryKey{pid, typ}]; r != nil && r.signed {
-		c.setReadyLocked(r, ready)
-		r.ReadyAt, r.NID = at, nid
-	}
-}
-
 // markQueryDone sets query q's bit on a cache's doneQueryMask. When the
 // mask fills, the catalog sends its purge notification: the signature
 // leaves the catalog and its row, expired, goes on its node's purge
@@ -511,9 +489,6 @@ func (c *Controller) markDoneLocked(r *cacheRecord, q int) bool {
 	if v := c.viewLocked(r.NID); r.row == liveRow && v != nil {
 		r.row = expiredRow
 		v.purge = append(v.purge, r)
-	}
-	if c.onPurge != nil {
-		c.onPurge(r.PID, r.Type)
 	}
 	return true
 }

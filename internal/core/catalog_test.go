@@ -125,18 +125,6 @@ func TestControllerClaimUser(t *testing.T) {
 	})
 }
 
-// TestControllerSetReady: SetReady moves a signature's ready state,
-// instant and node.
-func TestControllerSetReady(t *testing.T) {
-	p := newPair(seq{})
-	p.ctrl.addQuery()
-	p.ctrl.register(0, newRecord([]byte("c"), ReduceInput), 10, make([]byte, 5), []int{0})
-	p.ctrl.SetReady("c", ReduceInput, HDFSAvailable, 20, 1)
-	if sig, _ := p.ctrl.Lookup("c", ReduceInput); sig.Ready != HDFSAvailable || sig.NID != 1 || sig.ReadyAt != 20 {
-		t.Errorf("SetReady not applied: %+v", sig)
-	}
-}
-
 // TestDoneMaskGrowsPastItsInlineBits: a signature's done mask is inline
 // until more queries register than it holds. Queries added after the
 // caches exist each give every signature a done bit, past the inline
@@ -233,11 +221,11 @@ func TestPurgeNotificationReachesSiblingCopies(t *testing.T) {
 	})
 }
 
-// TestControllerPurgeHook pins the invalidation seam the reuse index
-// hangs on: a purge notice, and only a purge notice, reports the
-// removed cache to the installed hook (the driver appends what the hook
-// saw to each step's result).
-func TestControllerPurgeHook(t *testing.T) {
+// TestPurgeNoticeNamesItsCache: the notice markQueryDone returns, which
+// the engine commits as an expired record and the reuse index drops its
+// entries on, names the purged cache; releasing an unknown cache sends
+// none.
+func TestPurgeNoticeNamesItsCache(t *testing.T) {
 	replay(t, [4]uint8{}, []step{
 		addQuery,
 		{op{"register", 0, routS1P1, 1, 0}, "cache/rout/S1P1"},

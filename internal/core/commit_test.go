@@ -213,18 +213,17 @@ func TestCommitStreamIdenticalAcrossWorkers(t *testing.T) {
 
 // TestCommitExactlyOnce reconciles the stream against the two parties
 // that see cache transitions independently of it: the controller
-// (every ready-state change and purge, through its hooks) and the
-// ledger (every residency opened and closed).
+// (every ready-state change, through its hook, and the signatures a
+// purge removed) and the ledger (every residency opened and closed).
 func TestCommitExactlyOnce(t *testing.T) {
 	type key struct {
 		pid string
 		typ CacheType
 	}
-	for _, sc := range seamScenarios[1:] { // no reuse index: the purge hook is ours
+	for _, sc := range seamScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			available := make(map[key]int)
 			rollbacks := make(map[key]int)
-			purges := make(map[key]int)
 			r := sc.run(t, 1, func(e *Engine) {
 				e.ctrl.SetTransitionHook(func(pid string, typ CacheType, from, to Ready) {
 					switch {
@@ -234,12 +233,11 @@ func TestCommitExactlyOnce(t *testing.T) {
 						rollbacks[key{pid, typ}]++
 					}
 				})
-				e.ctrl.SetPurgeHook(func(pid string, typ CacheType) { purges[key{pid, typ}]++ })
 			})
 
 			registered := make(map[key]int)
 			rolled := make(map[key]int)
-			expired := make(map[key]int)
+			expired := make(map[key]bool) // expired since its last registration
 			open := make(map[key]bool)
 			opens, closes := 0, 0
 			for _, c := range r.stream {
@@ -247,6 +245,7 @@ func TestCommitExactlyOnce(t *testing.T) {
 				switch c.kind {
 				case kindRegistered:
 					registered[k]++
+					expired[k] = false
 					if open[k] {
 						closes++ // a refresh closes the old residency
 					}
@@ -255,7 +254,10 @@ func TestCommitExactlyOnce(t *testing.T) {
 				case kindLost, kindEvicted:
 					rolled[k]++
 				case kindExpired:
-					expired[k]++
+					if expired[k] {
+						t.Errorf("%v: a second expired record without a registration between", k)
+					}
+					expired[k] = true
 				}
 				if c.kind == kindLost || c.kind == kindEvicted || c.kind == kindExpired {
 					if open[k] {
@@ -270,8 +272,12 @@ func TestCommitExactlyOnce(t *testing.T) {
 			if !reflect.DeepEqual(rolled, rollbacks) {
 				t.Errorf("lost+evicted commits %v != controller 2→1 rollbacks %v", rolled, rollbacks)
 			}
-			if !reflect.DeepEqual(expired, purges) {
-				t.Errorf("expired commits %v != controller purges %v", expired, purges)
+			// Only a purge removes a signature: a key has none left
+			// exactly when its last registration was expired since.
+			for k := range registered {
+				if _, signed := r.eng.ctrl.Lookup(k.pid, k.typ); signed == expired[k] {
+					t.Errorf("%v: signature left %v, expired since its last registration %v", k, signed, expired[k])
+				}
 			}
 			costs := r.ledger.Snapshot()
 			if len(costs) != 1 {
@@ -287,6 +293,49 @@ func TestCommitExactlyOnce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReuseIndexesDropPurgedEntries: two engines share one catalog,
+// each with a reuse index of its own. Each index hears the purges of
+// its own engine's caches through its stream, so every entry either
+// index still advertises after a recurrence resolves to a signature,
+// past the panes that expired.
+func TestReuseIndexesDropPurgedEntries(t *testing.T) {
+	win, slide := 30*simtime.Second, 10*simtime.Second
+	mr, ctrl := internalRig(t, 3, 17), NewController()
+	var engs []*Engine
+	var idxs []*reuse.Index
+	for _, name := range []string{"a", "b"} {
+		q := internalCountQuery(win, slide)
+		q.Name, q.Sources[0].CacheKey = name, "k"+name
+		idxs = append(idxs, reuse.NewIndex(0))
+		engs = append(engs, mustEngine(t, Config{MR: mr, Query: q, Controller: ctrl, Reuse: idxs[len(idxs)-1]}))
+	}
+	fed := 0
+	for rec := 0; rec < 6; rec++ {
+		for ; int64(fed)*int64(slide) < engs[0].frames[0].WindowClose(rec); fed++ {
+			for _, e := range engs {
+				if err := e.Ingest(0, internalWords(19, slide, fed, 200, 8)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i, e := range engs {
+			if _, err := e.RunNext(); err != nil {
+				t.Fatalf("%s recurrence %d: %v", e.query.Name, rec, err)
+			}
+			if idxs[i].Stats().Published == 0 {
+				t.Fatalf("%s published nothing; the check is vacuous", e.query.Name)
+			}
+		}
+		for i, idx := range idxs {
+			for _, en := range idx.Snapshot() {
+				if _, ok := ctrl.Lookup(en.PID, CacheType(en.Type)); !ok {
+					t.Errorf("after recurrence %d, index %d advertises %s, which has no signature", rec, i, en.PID)
+				}
+			}
+		}
 	}
 }
 

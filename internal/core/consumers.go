@@ -174,15 +174,8 @@ func (e *Engine) attachConsumers(cfg Config, dataDir string) {
 		s.RecordPlan(e.planFP, plan)
 		e.folds = append(e.folds, e.lineageFold(s))
 	}
-	// Engines sharing one controller share one index, and each install
-	// of the purge hook replaces an equivalent closure. The hook keeps
-	// the index honest — a purged or dropped signature can never linger
-	// as an advertised reuse source.
 	if idx := cfg.Reuse; idx != nil {
 		e.reuseIdx = idx
-		e.ctrl.SetPurgeHook(func(pid string, typ CacheType) {
-			idx.DropPID(pid, int(typ))
-		})
 		e.folds = append(e.folds, e.reuseFold(idx))
 	}
 	// A shared SLO monitor keeps whatever observer it already has; an
@@ -479,9 +472,8 @@ func (e *Engine) lineageFold(s *lineage.Store) func(*commit) {
 // reuseFold keeps the cross-query index in step with the caches behind
 // it: a freshly built pane output of an eligible query is advertised
 // right after its registration, with the recompute figure the ledger
-// stores, and an advertisement is retracted as soon as its bytes are
-// known gone. (Signature removals reach the index through the
-// catalog's purge hook.)
+// stores, and an advertisement is retracted as soon as its signature or
+// its bytes are known gone, so the index never outlives its caches.
 func (e *Engine) reuseFold(idx *reuse.Index) func(*commit) {
 	eligible := e.reuseEligible()
 	unit := int64(e.frames[0].Pane)
@@ -495,9 +487,7 @@ func (e *Engine) reuseFold(idx *reuse.Index) func(*commit) {
 					Bytes: c.bytes, ReadyAtNS: int64(c.at), RecomputeNS: int64(c.cost),
 				})
 			}
-		case kindLost, kindEvicted, kindStale:
-			// The §5 rollback is not a signature removal, so the purge
-			// hook never fires for it.
+		case kindLost, kindExpired, kindEvicted, kindStale:
 			idx.DropPID(c.pid, int(c.typ))
 		}
 	}

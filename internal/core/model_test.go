@@ -298,13 +298,12 @@ const modelRecurrences = 4
 
 // pair is the implementation and the model under one sequence.
 type pair struct {
-	cl      *cluster.Cluster
-	ctrl    *Controller
-	regs    []*Registry
-	mat     *StatusMatrix
-	notices string // what the purge hook saw since the last op
-	span    []int  // per dimension, the panes matrix ops name
-	m       *model
+	cl   *cluster.Cluster
+	ctrl *Controller
+	regs []*Registry
+	mat  *StatusMatrix
+	span []int // per dimension, the panes matrix ops name
+	m    *model
 }
 
 func newPair(s seq) *pair {
@@ -326,7 +325,6 @@ func newPair(s seq) *pair {
 	for _, n := range cl.Nodes() {
 		p.regs = append(p.regs, p.ctrl.view(n))
 	}
-	p.ctrl.SetPurgeHook(func(pid string, typ CacheType) { p.notices += " notice " + keyName(entryKey{pid, typ}) })
 	for _, f := range frames {
 		_, hi := f.WindowRange(modelRecurrences)
 		p.span = append(p.span, int(hi)+2)
@@ -471,8 +469,8 @@ func (p *pair) step(i int, o op) (desc, got, want string) {
 		}
 	case "markDone":
 		got, want = "kept", "kept"
-		if p.ctrl.markQueryDone(pid, k.typ, q) != nil {
-			got = "purged"
+		if sig := p.ctrl.markQueryDone(pid, k.typ, q); sig != nil {
+			got = "purged notice " + keyName(entryKey{sig.PID, sig.Type})
 		}
 		if m.markDone(k, q) {
 			want = "purged notice " + keyName(k)
@@ -615,7 +613,6 @@ func run(s seq) (res []result, err error) {
 	}()
 	for ; i < len(s.ops); i++ {
 		desc, got, want := p.step(i, s.ops[i])
-		got, p.notices = got+p.notices, ""
 		if res = append(res, result{desc, got}); got != want {
 			return res, fmt.Errorf("step %d, %s: the implementation returned %q, the model %q", i, desc, got, want)
 		}

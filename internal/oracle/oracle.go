@@ -128,15 +128,20 @@ func New(eng *core.Engine) (*Oracle, error) {
 		batches:   make([][][]records.Record, len(q.Sources)),
 		batchBase: make([]int, len(q.Sources)),
 	}
-	eng.Controller().SetTransitionHook(func(pid string, typ core.CacheType, from, to core.Ready) {
-		if to < from && !(from == core.CacheAvailable && to == core.HDFSAvailable) {
-			o.mu.Lock()
-			o.illegal = append(o.illegal,
-				fmt.Sprintf("illegal ready transition %s→%s on %s (%s)", from, to, pid, typ))
-			o.mu.Unlock()
-		}
-	})
+	eng.Controller().SetTransitionHook(o.transition)
 	return o, nil
+}
+
+// transition is the catalog's transition hook: it keeps every downgrade
+// other than the §5 rollback CacheAvailable→HDFSAvailable for the next
+// verdict.
+func (o *Oracle) transition(pid string, typ core.CacheType, from, to core.Ready) {
+	if to < from && !(from == core.CacheAvailable && to == core.HDFSAvailable) {
+		o.mu.Lock()
+		o.illegal = append(o.illegal,
+			fmt.Sprintf("illegal ready transition %s→%s on %s (%s)", from, to, pid, typ))
+		o.mu.Unlock()
+	}
 }
 
 // Observe mirrors one ingested batch into the oracle's raw-record

@@ -173,8 +173,8 @@ func TestOracleCatchesBadRecovery(t *testing.T) {
 }
 
 // TestOracleFlagsIllegalTransition: a silent downgrade to NotAvailable
-// (anything other than the §5 rollback 2→1) must surface in the next
-// verdict.
+// (anything other than the §5 rollback 2→1), reported to the oracle's
+// transition hook, must surface in the next verdict.
 func TestOracleFlagsIllegalTransition(t *testing.T) {
 	r := startAgg(t, newMR(t, 4, 7), nil, "q-trans", "")
 	requireOK(t, r.window(0))
@@ -182,7 +182,7 @@ func TestOracleFlagsIllegalTransition(t *testing.T) {
 	var downgraded bool
 	for _, sig := range ctrl.Signatures() {
 		if sig.Ready == core.CacheAvailable {
-			ctrl.SetReady(sig.PID, sig.Type, core.NotAvailable, sig.ReadyAt, sig.NID)
+			r.ora.Transition(sig.PID, sig.Type, sig.Ready, core.NotAvailable)
 			downgraded = true
 			break
 		}

@@ -299,10 +299,10 @@ func (x *Index) ProbeSubsume(opFP string, unit, pane int64, parts int, notQuery 
 	return nil, 0, false
 }
 
-// DropPID removes every entry backed by cache pid/typ — called from
-// the controller's purge hook (retirement) and the engine's §5 loss
-// path, so the index never advertises bytes the controller no longer
-// vouches for.
+// DropPID removes every entry backed by cache pid/typ — called by the
+// engine's reuse fold on a purge, a §5 loss, an eviction or a stale
+// advertisement, so the index never advertises bytes the controller no
+// longer vouches for.
 func (x *Index) DropPID(pid string, typ int) {
 	if x == nil {
 		return

@@ -187,7 +187,7 @@ func TestNilIndexSafe(t *testing.T) {
 	}
 }
 
-// TestDropAbsentPIDDoesNotAllocate: the controller's purge hook calls
+// TestDropAbsentPIDDoesNotAllocate: the engine's reuse fold calls
 // DropPID for every purged cache, most of which were never published;
 // for those it is a lookup and nothing else. A published entry is still
 // found by its PID and dropped.

@@ -28,8 +28,8 @@ import (
 type mutant struct {
 	name     string
 	file     string // slash-separated, relative to the module root
-	fn       string // the function or method whose body holds from
-	from, to string // an expression occurring once in fn, and its replacement
+	fn       string // the function or methods whose bodies hold from
+	from, to string // an expression occurring once in them, and its replacement
 	pkgs     []string
 	survives string // for a known survivor: why no test catches it
 }
@@ -79,6 +79,31 @@ var mutants = []mutant{{
 	file: "internal/core/engine.go", fn: "ensurePane",
 	from: "!reused && !e.noReuse", to: "false",
 	pkgs: []string{"./internal/core"},
+}, {
+	name: "Equation 4 ranks nodes by load alone, blind to C_task",
+	file: "internal/core/scheduler.go", fn: "PickCacheTaskNode",
+	from: "cost < bestCost", to: "load < bestLoad",
+	pkgs: []string{"./internal/core"},
+}, {
+	name: "a record lands in the sub-pane before its own",
+	file: "internal/core/packer.go", fn: "cellOf",
+	from: "(ts - start) * n / width", to: "(ts - start) * (n - 1) / width",
+	pkgs: []string{"./internal/core"},
+}, {
+	name: "a window closes without its source's offset on the shared cadence",
+	file: "internal/window/frame.go", fn: "WindowClose",
+	from: "f.Offset", to: "0",
+	pkgs: []string{"./internal/window", "./internal/core"},
+}, {
+	name: "the finalization merge leaves the window's newest pane out",
+	file: "internal/core/agg.go", fn: "finalizeAggWindow",
+	from: "p <= routs.hi", to: "p < routs.hi",
+	pkgs: []string{"./internal/core"},
+}, {
+	name: "a derivation's digest skips its first byte",
+	file: "internal/lineage/fingerprint.go", fn: "SHA",
+	from: "sha256.Sum256(data)", to: "sha256.Sum256(data[1:])",
+	pkgs: []string{"./internal/lineage", "./internal/oracle"},
 }}
 
 // canonical returns an expression's source as go/format prints it.
@@ -111,23 +136,25 @@ func (m mutant) apply(root string) ([]byte, string) {
 		return nil, err.Error()
 	}
 	from := canonical(token.NewFileSet(), want)
-	var fn *ast.FuncDecl
+	var fns []*ast.FuncDecl // a function and methods may share the name
 	for _, d := range f.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == m.fn && fd.Body != nil {
-			fn = fd
+			fns = append(fns, fd)
 		}
 	}
-	if fn == nil {
+	if fns == nil {
 		return nil, "no function " + m.fn
 	}
 	var hits []ast.Expr
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if x, ok := n.(ast.Expr); ok && canonical(fset, x) == from {
-			hits = append(hits, x)
-			return false
-		}
-		return true
-	})
+	for _, fn := range fns {
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if x, ok := n.(ast.Expr); ok && canonical(fset, x) == from {
+				hits = append(hits, x)
+				return false
+			}
+			return true
+		})
+	}
 	if len(hits) != 1 {
 		return nil, fmt.Sprintf("%s occurs %d times in %s, want once", from, len(hits), m.fn)
 	}

@@ -32,9 +32,7 @@ func randSpec(rng *rand.Rand) window.Spec {
 func TestPlanPaneIsGCD(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a, err := NewAnalyzer(64 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	for i := 0; i < 500; i++ {
 		spec := randSpec(rng)
 		plan, err := a.PlanFrame(window.FrameOf(spec), rng.Float64()*1e-3)
@@ -119,14 +117,12 @@ func TestPackPlanRespectsBlockSize(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		blockSize := int64(1)<<uint(10+rng.Intn(12)) + rng.Int63n(1<<10)
 		a, err := NewAnalyzer(blockSize)
+		check(t, err)
+		f := window.FrameOf(randSpec(rng))
+		rate := rng.Float64() * 2 * float64(blockSize) / float64(f.Pane) // half the panes are undersized
+		plan, err := a.PlanFrame(f, rate)
 		if err != nil {
-			t.Fatal(err)
-		}
-		spec := randSpec(rng)
-		rate := rng.Float64() * 1e-2
-		plan, err := a.PlanFrame(window.FrameOf(spec), rate)
-		if err != nil {
-			t.Fatalf("%v: %v", spec, err)
+			t.Fatalf("%v: %v", f, err)
 		}
 		paneBytes := plan.ExpectedFileBytes
 		if paneBytes >= blockSize {
@@ -173,14 +169,7 @@ func TestReplanBounds(t *testing.T) {
 		}
 		switch {
 		case ratio > a.SpikeThreshold:
-			want := int(ratio + 0.999)
-			if want < 2 {
-				want = 2
-			}
-			if want > a.MaxSubPanes {
-				want = a.MaxSubPanes
-			}
-			if plan.SubPanes != want {
+			if want := min(max(int(ratio+0.999), 2), a.MaxSubPanes); plan.SubPanes != want {
 				t.Fatalf("ratio %.2f: SubPanes %d, want %d", ratio, plan.SubPanes, want)
 			}
 		case ratio < 0.5*a.SpikeThreshold:

@@ -9,11 +9,10 @@ import (
 )
 
 func TestNewAnalyzerValidation(t *testing.T) {
-	if _, err := NewAnalyzer(0); err == nil {
-		t.Error("zero block size should be rejected")
-	}
-	if _, err := NewAnalyzer(-5); err == nil {
-		t.Error("negative block size should be rejected")
+	for _, size := range []int64{0, -5} {
+		if _, err := NewAnalyzer(size); err == nil {
+			t.Errorf("block size %d should be rejected", size)
+		}
 	}
 }
 
@@ -22,23 +21,15 @@ func TestNewAnalyzerValidation(t *testing.T) {
 // 320 MB ≥ 64 MB, the oversize case: one file per pane.
 func TestPlanPaperOversizeExample(t *testing.T) {
 	a, err := NewAnalyzer(64 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	spec := window.NewTimeSpec(60*time.Minute, 20*time.Minute)
 	ratePerNs := 16.0 * (1 << 20) / float64(time.Minute) // 16 MB/min in bytes/ns
 	plan, err := a.PlanFrame(window.FrameOf(spec), ratePerNs)
-	if err != nil {
-		t.Fatal(err)
+	check(t, err)
+	if plan.PaneUnit != int64(20*time.Minute) || plan.PanesPerFile != 1 || plan.FilesPerPane != 1 {
+		t.Errorf("oversize case should be (20m,1,1), got %s", plan)
 	}
-	if plan.PaneUnit != int64(20*time.Minute) {
-		t.Errorf("pane unit = %v, want 20m", time.Duration(plan.PaneUnit))
-	}
-	if plan.PanesPerFile != 1 || plan.FilesPerPane != 1 {
-		t.Errorf("oversize case should be (pane,1,1), got %s", plan)
-	}
-	wantBytes := int64(320 << 20)
-	if diff := plan.ExpectedFileBytes - wantBytes; diff > 1<<20 || diff < -(1<<20) {
+	if diff := plan.ExpectedFileBytes - 320<<20; diff > 1<<20 || diff < -(1<<20) {
 		t.Errorf("expected file bytes ≈ 320MB, got %d", plan.ExpectedFileBytes)
 	}
 }
@@ -50,11 +41,9 @@ func TestPlanUndersizedCase(t *testing.T) {
 	spec := window.NewTimeSpec(60*time.Minute, 20*time.Minute)
 	ratePerNs := 0.5 * (1 << 20) / float64(time.Minute) // 0.5 MB/min → 10 MB/pane
 	plan, err := a.PlanFrame(window.FrameOf(spec), ratePerNs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.PanesPerFile < 6 || plan.PanesPerFile > 7 {
-		t.Errorf("panes per file = %d, want floor(64/10) ≈ 6", plan.PanesPerFile)
+	check(t, err)
+	if plan.PanesPerFile != 6 {
+		t.Errorf("panes per file = %d, want floor(64/10) = 6", plan.PanesPerFile)
 	}
 }
 
@@ -73,14 +62,10 @@ func TestPlanRejectsNegativeRate(t *testing.T) {
 func TestPlanUnknownRateOnePanePerFile(t *testing.T) {
 	a, _ := NewAnalyzer(64 << 20)
 	frames, err := window.NewFrames([]window.Spec{window.NewCountSpec(30, 10), window.NewCountSpec(20, 10)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	for _, f := range frames {
 		plan, err := a.PlanFrame(f, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		if plan.PaneUnit != f.Pane || plan.PanesPerFile != 1 {
 			t.Errorf("%v: plan %s, want pane %d and one pane per file", f, plan, f.Pane)
 		}
@@ -106,12 +91,8 @@ func TestReplanSubdividesOnForecastOverrun(t *testing.T) {
 	plan := PartitionPlan{PaneUnit: 100, FilesPerPane: 1, PanesPerFile: 1, SubPanes: 1}
 	// Forecast 2.5× the deadline ⇒ subdivide into ~3 sub-panes and go
 	// proactive.
-	got, proactive := a.Replan(plan, 25*simtime.Second, 10*simtime.Second)
-	if !proactive {
-		t.Error("overrun forecast should switch to proactive mode")
-	}
-	if got.SubPanes != 3 {
-		t.Errorf("SubPanes = %d, want 3 (ceil 2.5)", got.SubPanes)
+	if got, proactive := a.Replan(plan, 25*simtime.Second, 10*simtime.Second); !proactive || got.SubPanes != 3 {
+		t.Errorf("SubPanes = %d, proactive %v, want 3 (ceil 2.5) and proactive", got.SubPanes, proactive)
 	}
 }
 
@@ -119,8 +100,7 @@ func TestReplanCapsSubdivision(t *testing.T) {
 	a, _ := NewAnalyzer(64 << 20)
 	a.MaxSubPanes = 4
 	plan := PartitionPlan{PaneUnit: 100, FilesPerPane: 1, PanesPerFile: 1, SubPanes: 1}
-	got, _ := a.Replan(plan, 100*simtime.Second, 1*simtime.Second)
-	if got.SubPanes != 4 {
+	if got, _ := a.Replan(plan, 100*simtime.Second, 1*simtime.Second); got.SubPanes != 4 {
 		t.Errorf("SubPanes = %d, want cap 4", got.SubPanes)
 	}
 }
@@ -143,9 +123,7 @@ func TestReplanRevertsWithHysteresis(t *testing.T) {
 
 func TestProfilerForecastAndHistory(t *testing.T) {
 	p, err := NewProfiler(DefaultAlpha, DefaultBeta)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	if p.Ready() {
 		t.Error("fresh profiler should not be ready")
 	}
@@ -155,14 +133,12 @@ func TestProfilerForecastAndHistory(t *testing.T) {
 	if !p.Ready() {
 		t.Error("profiler should be ready after 5 observations")
 	}
-	f := p.Forecast(1)
 	// The series grows 1s per recurrence; the forecast should land
 	// near 15s.
-	if f < 14*simtime.Second || f > 16*simtime.Second {
+	if f := p.Forecast(1); f < 14*simtime.Second || f > 16*simtime.Second {
 		t.Errorf("forecast = %v, want ≈15s", f)
 	}
-	h := p.History()
-	if len(h) != 5 || h[0].Recurrence != 0 || h[4].InputBytes != 5000 {
+	if h := p.History(); len(h) != 5 || h[0].Recurrence != 0 || h[4].InputBytes != 5000 {
 		t.Errorf("history wrong: %+v", h)
 	}
 	p.Reset()

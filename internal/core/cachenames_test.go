@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"redoop/internal/records"
 	"redoop/internal/simtime"
 	"redoop/internal/window"
 )
@@ -23,17 +24,17 @@ func nodeKey(pid string, typ CacheType) string {
 // caches by the "cache/" prefix alone.
 func TestCacheNamesPinned(t *testing.T) {
 	win, slide := 20*simtime.Second, 10*simtime.Second
-	agg := internalCountQuery(win, slide)
+	agg := CountQuery("agg", win, slide, "")
 	agg.Sources[0].CacheKey = "words"
 	join := internalJoinQuery(win, slide)
 	join.Sources[1].CacheKey = "clicks"
 	mr := internalRig(t, 3, 5)
 	ctrl := NewController()
-	ea := mustEngine(t, Config{MR: mr, Query: agg, Controller: ctrl})
-	ej := mustEngine(t, Config{MR: mr, Query: join, Controller: ctrl})
+	ea := MustEngine(t, Config{MR: mr, Query: agg, Controller: ctrl})
+	ej := MustEngine(t, Config{MR: mr, Query: join, Controller: ctrl})
 	for fed := 0; fed < 2; fed++ {
 		for _, err := range []error{
-			ea.Ingest(0, internalWords(3, slide, fed, 50, 8)),
+			ea.Ingest(0, Words(3, slide, fed, 50, 8)),
 			ej.Ingest(0, internalKV(4, slide, fed, 50, 8)),
 			ej.Ingest(1, internalKV(5, slide, fed, 50, 8)),
 		} {
@@ -43,9 +44,8 @@ func TestCacheNamesPinned(t *testing.T) {
 		}
 	}
 	for _, e := range []*Engine{ea, ej} {
-		if _, err := e.RunNext(); err != nil {
-			t.Fatal(err)
-		}
+		_, err := e.RunNext()
+		check(t, err)
 	}
 	// Pane 0 has retired; pane 1's caches stay.
 	want := []string{
@@ -105,7 +105,7 @@ func TestCacheNamesPinned(t *testing.T) {
 // growth now and then, at any R) and what is counted is the sets'.
 func setAllocs(t *testing.T, q *Query, R int, register func(eng *Engine, p window.PaneID, rins []cacheRef)) float64 {
 	q.NumReducers = R
-	eng := mustEngine(t, Config{MR: internalRig(t, 3, 5), Query: q})
+	eng := MustEngine(t, Config{MR: internalRig(t, 3, 5), Query: q})
 	rins, p := make([]cacheRef, R), 0
 	return testing.AllocsPerRun(200, func() {
 		p++
@@ -143,7 +143,7 @@ func checkSetAllocs(t *testing.T, sets []setRegistrar) {
 func TestAggPartRegistrationAllocations(t *testing.T) {
 	data := []byte("segment")
 	checkSetAllocs(t, []setRegistrar{
-		{"aggregation pane", func() *Query { return internalCountQuery(20*simtime.Second, 10*simtime.Second) }, func(eng *Engine, p window.PaneID, rins []cacheRef) {
+		{"aggregation pane", func() *Query { return CountQuery("agg", 20*simtime.Second, 10*simtime.Second, "") }, func(eng *Engine, p window.PaneID, rins []cacheRef) {
 			set := eng.paneSet(0, paneTuple{p}, true, true)
 			for part := range rins {
 				eng.registerAggPart("agg/S1", p, part, part%3, 0, data, data, cacheMeta{}, cacheMeta{}, rins, &set)
@@ -199,21 +199,12 @@ func TestCacheSetSiblingsSurviveLoss(t *testing.T) {
 		{"an input and an output", []cache{{ReduceInput, 2}, {ReduceOutput, 1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			q := internalCountQuery(3*slide, slide)
+			q := CountQuery("agg", 3*slide, slide, "")
 			q.NumReducers = 4
-			eng := mustEngine(t, Config{MR: internalRig(t, 3, 17), Query: q})
+			eng := MustEngine(t, Config{MR: internalRig(t, 3, 17), Query: q})
 			fed := 0
-			run := func(rec int) *RecurrenceResult {
-				for ; int64(fed)*int64(slide) < eng.frames[0].WindowClose(rec); fed++ {
-					if err := eng.Ingest(0, internalWords(29, slide, fed, 300, 40)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				res, err := eng.RunNext()
-				if err != nil {
-					t.Fatalf("recurrence %d: %v", rec, err)
-				}
-				return res
+			run := func() *RecurrenceResult {
+				return Drive(t, eng, &fed, 1, func(_, s int) []records.Record { return Words(29, slide, s, 300, 40) }, nil)[0]
 			}
 			const pane = window.PaneID(2) // in windows 0 to 2
 			keyOf := func(c cache) string {
@@ -234,7 +225,7 @@ func TestCacheSetSiblingsSurviveLoss(t *testing.T) {
 			for part := range q.NumReducers {
 				all = append(all, cache{ReduceInput, part}, cache{ReduceOutput, part})
 			}
-			run(0)
+			run()
 			views, copies := map[cache][]byte{}, map[cache][]byte{}
 			for _, c := range all {
 				node, data := stored(c)
@@ -247,7 +238,7 @@ func TestCacheSetSiblingsSurviveLoss(t *testing.T) {
 				node, _ := stored(c)
 				eng.mr.Cluster.Node(node).DeleteLocal(keyOf(c))
 			}
-			if res := run(1); res.CacheRecoveries == 0 {
+			if res := run(); res.CacheRecoveries == 0 {
 				t.Fatal("no cache recovered after the loss")
 			}
 			for _, c := range all {
@@ -256,7 +247,7 @@ func TestCacheSetSiblingsSurviveLoss(t *testing.T) {
 					t.Errorf("%v cache of partition %d: view before %q, now %q, want %q", c.typ, c.part, views[c], now, copies[c])
 				}
 			}
-			run(2) // pane 2 leaves the windows and its caches are purged
+			run() // pane 2 leaves the windows and its caches are purged
 			for _, c := range all {
 				if node, _ := stored(c); node >= 0 {
 					t.Errorf("%v cache of partition %d outlives the purge on node %d", c.typ, c.part, node)

@@ -18,6 +18,8 @@ import (
 // encodings over, stored bytes are immutable, readers (and so window
 // outputs) hold views of them, and nothing cached is a view of an input.
 
+func byKey(a, b records.Pair) int { return bytes.Compare(a.Key, b.Key) }
+
 // deepCopyPairs copies headers and payload bytes.
 func deepCopyPairs(ps []records.Pair) []records.Pair {
 	out := make([]records.Pair, len(ps))
@@ -53,22 +55,16 @@ func TestRetainedOutputSurvivesCacheChurn(t *testing.T) {
 					cfg.CacheDiskLimit = 1
 				}
 				eng := mustEngine(t, cfg)
-				var kept, want []records.Pair
-				recoveries, fed := 0, 0
-				for r := 0; r < 10; r++ {
-					for ; int64(fed)*int64(testSlide) < eng.Frames()[0].WindowClose(r); fed++ {
-						for src := range q.Sources {
-							var batch []records.Record
-							if name == "join" {
-								batch = genKV(int64(src*1000+29), testSlide, fed, 60, 6)
-							} else {
-								batch = genWords(23, testSlide, fed, 300, 20)
-							}
-							if err := eng.Ingest(src, batch); err != nil {
-								t.Fatal(err)
-							}
-						}
+				gen := func(src, s int) []records.Record {
+					if name == "join" {
+						return genKV(int64(src*1000+29), testSlide, s, 60, 6)
 					}
+					return genWords(23, testSlide, s, 300, 20)
+				}
+				fed, recoveries := 0, 0
+				res := core.Drive(t, eng, &fed, 2, gen, nil)
+				kept, want := res[1].Output, deepCopyPairs(res[1].Output)
+				res = append(res, core.Drive(t, eng, &fed, 8, gen, func(r int) {
 					switch r {
 					case 2: // every cache window 1 was read from is dropped...
 						for _, id := range mr.Cluster.NodeIDs() {
@@ -78,14 +74,9 @@ func TestRetainedOutputSurvivesCacheChurn(t *testing.T) {
 						mr.DFS.FailNode(1)
 						mr.Cluster.FailNode(1)
 					}
-					res, err := eng.RunNext()
-					if err != nil {
-						t.Fatalf("recurrence %d: %v", r, err)
-					}
-					recoveries += res.CacheRecoveries
-					if r == 1 {
-						kept, want = res.Output, deepCopyPairs(res.Output)
-					}
+				})...)
+				for _, r := range res {
+					recoveries += r.CacheRecoveries
 				}
 				if len(kept) == 0 || recoveries == 0 {
 					t.Fatalf("scenario is vacuous: %d retained pairs, %d cache recoveries", len(kept), recoveries)
@@ -119,41 +110,25 @@ func TestRetainedOutputSurvivesCacheChurn(t *testing.T) {
 // input is re-registered reversed between recurrences; the join must
 // still equal the baseline.
 func TestJoinMergesUnsortedSharedInputs(t *testing.T) {
-	q := joinQuery("join", testWin, testSlide)
-	qb := joinQuery("join", testWin, testSlide)
+	mk := func() *core.Query { return joinQuery("join", testWin, testSlide) }
 	gen := func(src, s int) []records.Record {
 		return genKV(int64(src*1000+29), testSlide, s, 50, 6)
 	}
 	planted := 0
 	between := func(r int, eng *core.Engine) {
-		ctrl := eng.Controller()
-		for _, sig := range ctrl.Signatures() {
-			if sig.Type != core.ReduceInput || sig.Ready != core.CacheAvailable || sig.Bytes == 0 {
-				continue
-			}
-			reg := ctrl.Registry(sig.NID)
-			data, ok := reg.Get(sig.PID, sig.Type)
-			if !ok {
-				continue
-			}
-			pairs, err := colfmt.DecodePairs(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, j := 0, len(pairs)-1; i < j; i, j = i+1, j-1 {
-				pairs[i], pairs[j] = pairs[j], pairs[i]
-			}
-			if !slices.IsSortedFunc(pairs, func(a, b records.Pair) int { return bytes.Compare(a.Key, b.Key) }) {
+		for pid, pairs := range residentReduceInputs(t, eng) {
+			slices.Reverse(pairs)
+			if !slices.IsSortedFunc(pairs, byKey) {
 				planted++
 			}
-			reg.Add(sig.PID, sig.Type, colfmt.EncodePairs(pairs))
+			sig, _ := eng.Controller().Lookup(pid, core.ReduceInput)
+			eng.Controller().Registry(sig.NID).Add(pid, core.ReduceInput, colfmt.EncodePairs(pairs))
 		}
 	}
-	rres, bres := runBoth(t, q, qb, 6, false, gen, between)
+	runBoth(t, mk, 6, false, gen, between)
 	if planted == 0 {
 		t.Fatal("no reduce input was out of order after reversal")
 	}
-	assertSameOutputs(t, rres, bres)
 }
 
 // residentReduceInputs decodes every non-empty resident reduce-input
@@ -171,9 +146,7 @@ func residentReduceInputs(t *testing.T, eng *core.Engine) map[string][]records.P
 			continue
 		}
 		pairs, err := colfmt.DecodePairs(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		out[sig.PID] = pairs
 	}
 	return out
@@ -186,7 +159,6 @@ func residentReduceInputs(t *testing.T, eng *core.Engine) map[string][]records.P
 // merge, the join's pane shuffle — must store it key-sorted, and the
 // two whole-pane paths in the (key, value) order the oracle audits.
 func TestReduceInputsAreStoredSorted(t *testing.T) {
-	byKey := func(a, b records.Pair) int { return bytes.Compare(a.Key, b.Key) }
 	cases := []struct {
 		name      string
 		q         *core.Query
@@ -200,21 +172,10 @@ func TestReduceInputsAreStoredSorted(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			eng := mustEngine(t, core.Config{MR: newRig(t, 4, 1), Query: c.q})
-			if err := eng.ForceProactive(c.subPanes); err != nil {
-				t.Fatal(err)
-			}
-			checked := 0
-			for r, fed := 0, 0; r < 4; r++ {
-				for ; int64(fed)*int64(testSlide) < eng.Frames()[0].WindowClose(r); fed++ {
-					for src := range c.q.Sources {
-						if err := eng.Ingest(src, genKV(int64(src*1000+29), testSlide, fed, 200, 6)); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				if _, err := eng.RunNext(); err != nil {
-					t.Fatal(err)
-				}
+			check(t, eng.ForceProactive(c.subPanes))
+			checked, fed := 0, 0
+			for r := 0; r < 4; r++ {
+				core.Drive(t, eng, &fed, 1, func(src, s int) []records.Record { return genKV(int64(src*1000+29), testSlide, s, 200, 6) }, nil)
 				for pid, pairs := range residentReduceInputs(t, eng) {
 					checked++
 					if !slices.IsSortedFunc(pairs, byKey) {
@@ -255,26 +216,10 @@ func TestCachesOwnNothingOfTheirInputs(t *testing.T) {
 			q := viewQuery("agg")
 			eng := mustEngine(t, core.Config{MR: mr, Query: q})
 			twin := mustEngine(t, core.Config{MR: twinMR, Query: viewQuery("agg")}) // never disturbed
-			fed := 0
-			feed := func(r int) {
-				for ; int64(fed)*int64(testSlide) < eng.Frames()[0].WindowClose(r); fed++ {
-					batch := genWords(23, testSlide, fed, 300, 20)
-					if err := twin.Ingest(0, slices.Clone(batch)); err != nil {
-						t.Fatal(err)
-					}
-					if err := eng.Ingest(0, batch); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			feed(0)
-			res, err := eng.RunNext()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := twin.RunNext(); err != nil {
-				t.Fatal(err)
-			}
+			gen := func(_, s int) []records.Record { return genWords(23, testSlide, s, 300, 20) }
+			fed, twinFed := 0, 0
+			res := core.Drive(t, eng, &fed, 1, gen, nil)[0]
+			core.Drive(t, twin, &twinFed, 1, gen, nil)
 			wantOut := deepCopyPairs(res.Output)
 			views := residentReduceInputs(t, eng)
 			wantIn := map[string][]records.Pair{}
@@ -290,15 +235,9 @@ func TestCachesOwnNothingOfTheirInputs(t *testing.T) {
 				ins, _ := eng.PaneInputs(0, p)
 				for _, in := range ins {
 					size, err := mr.DFS.Size(in.Input.Path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := mr.DFS.Write(in.Input.Path, bytes.Repeat([]byte{0xA5}, int(size))); err != nil {
-						t.Fatal(err)
-					}
-					if err := mr.DFS.Delete(in.Input.Path); err != nil {
-						t.Fatal(err)
-					}
+					check(t, err)
+					check(t, mr.DFS.Write(in.Input.Path, bytes.Repeat([]byte{0xA5}, int(size))))
+					check(t, mr.DFS.Delete(in.Input.Path))
 					churned++
 				}
 			}
@@ -315,15 +254,7 @@ func TestCachesOwnNothingOfTheirInputs(t *testing.T) {
 				}
 			}
 			// The next window needs only its new pane's file.
-			feed(1)
-			got, err := eng.RunNext()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := twin.RunNext()
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, want := core.Drive(t, eng, &fed, 1, gen, nil)[0], core.Drive(t, twin, &twinFed, 1, gen, nil)[0]
 			if !pairsEqual(sortedClone(got.Output), sortedClone(want.Output)) {
 				t.Fatal("window after the churn differs from an undisturbed engine's")
 			}

@@ -100,35 +100,12 @@ func newSeamRun(t testing.TB, q *Query, workers int, limit int64, withReuse bool
 	if withReuse {
 		cfg.Reuse = reuse.NewIndex(0)
 	}
-	r.eng = mustEngine(t, cfg)
+	r.eng = MustEngine(t, cfg)
 	recordCommits(r.eng, &r.stream)
 	if setup != nil {
 		setup(r.eng)
 	}
 	return r
-}
-
-// drive runs windows recurrences, feeding every source one batch per
-// slide; before, when set, runs ahead of each trigger.
-func (r *seamRun) drive(t *testing.T, windows int, slide simtime.Duration, gen func(src, slideIdx int) []records.Record, before func(rec int)) {
-	t.Helper()
-	q := r.eng.query
-	fed := 0
-	for rec := 0; rec < windows; rec++ {
-		for ; int64(fed)*int64(slide) < r.eng.frames[0].WindowClose(rec); fed++ {
-			for src := range q.Sources {
-				if err := r.eng.Ingest(src, gen(src, fed)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if before != nil {
-			before(rec)
-		}
-		if _, err := r.eng.RunNext(); err != nil {
-			t.Fatalf("recurrence %d: %v", rec, err)
-		}
-	}
 }
 
 func kindCounts(stream []commit) map[commitKind]int {
@@ -152,8 +129,8 @@ var seamScenarios = []struct {
 		name: "agg",
 		run: func(t *testing.T, workers int, setup func(*Engine)) *seamRun {
 			win, slide := 40*simtime.Second, 10*simtime.Second
-			r := newSeamRun(t, internalCountQuery(win, slide), workers, 0, true, setup)
-			r.drive(t, 6, slide, func(_, s int) []records.Record { return internalWords(19, slide, s, 300, 8) }, nil)
+			r := newSeamRun(t, CountQuery("agg", win, slide, ""), workers, 0, true, setup)
+			Drive(t, r.eng, new(int), 6, func(_, s int) []records.Record { return Words(19, slide, s, 300, 8) }, nil)
 			return r
 		},
 		want: []commitKind{kindIngested, kindStart, kindRegistered, kindHit, kindMiss, kindLoaded,
@@ -164,7 +141,7 @@ var seamScenarios = []struct {
 		run: func(t *testing.T, workers int, setup func(*Engine)) *seamRun {
 			win, slide := 30*simtime.Second, 10*simtime.Second
 			r := newSeamRun(t, internalJoinQuery(win, slide), workers, 0, false, setup)
-			r.drive(t, 5, slide, func(src, s int) []records.Record { return internalKV(int64(23+src), slide, s, 120, 6) }, nil)
+			Drive(t, r.eng, new(int), 5, func(src, s int) []records.Record { return internalKV(int64(23+src), slide, s, 120, 6) }, nil)
 			return r
 		},
 		want: []commitKind{kindRegistered, kindHit, kindMiss, kindLoaded, kindCharged, kindExpired, kindWindow},
@@ -173,8 +150,8 @@ var seamScenarios = []struct {
 		name: "chaos",
 		run: func(t *testing.T, workers int, setup func(*Engine)) *seamRun {
 			win, slide := 40*simtime.Second, 10*simtime.Second
-			r := newSeamRun(t, internalCountQuery(win, slide), workers, 300, false, setup)
-			r.drive(t, 8, slide, func(_, s int) []records.Record { return internalWords(19, slide, s, 300, 8) },
+			r := newSeamRun(t, CountQuery("agg", win, slide, ""), workers, 300, false, setup)
+			Drive(t, r.eng, new(int), 8, func(_, s int) []records.Record { return Words(19, slide, s, 300, 8) },
 				func(rec int) {
 					if rec == 3 || rec == 5 {
 						r.eng.mr.Cluster.DropLocal(rec%3, "cache/")
@@ -307,18 +284,16 @@ func TestReuseIndexesDropPurgedEntries(t *testing.T) {
 	var engs []*Engine
 	var idxs []*reuse.Index
 	for _, name := range []string{"a", "b"} {
-		q := internalCountQuery(win, slide)
+		q := CountQuery("agg", win, slide, "")
 		q.Name, q.Sources[0].CacheKey = name, "k"+name
 		idxs = append(idxs, reuse.NewIndex(0))
-		engs = append(engs, mustEngine(t, Config{MR: mr, Query: q, Controller: ctrl, Reuse: idxs[len(idxs)-1]}))
+		engs = append(engs, MustEngine(t, Config{MR: mr, Query: q, Controller: ctrl, Reuse: idxs[len(idxs)-1]}))
 	}
 	fed := 0
 	for rec := 0; rec < 6; rec++ {
 		for ; int64(fed)*int64(slide) < engs[0].frames[0].WindowClose(rec); fed++ {
 			for _, e := range engs {
-				if err := e.Ingest(0, internalWords(19, slide, fed, 200, 8)); err != nil {
-					t.Fatal(err)
-				}
+				check(t, e.Ingest(0, Words(19, slide, fed, 200, 8)))
 			}
 		}
 		for i, e := range engs {
@@ -401,7 +376,7 @@ func TestRecorderFollowsStream(t *testing.T) {
 // engine has no consumer — a cache transition costs a call and no
 // allocation.
 func TestCommitFreeWithoutSidecars(t *testing.T) {
-	eng := mustEngine(t, Config{MR: internalRig(t, 3, 17), Query: internalCountQuery(40*simtime.Second, 10*simtime.Second)})
+	eng := MustEngine(t, Config{MR: internalRig(t, 3, 17), Query: CountQuery("agg", 40*simtime.Second, 10*simtime.Second, "")})
 	if len(eng.folds) != 0 {
 		t.Fatalf("engine without sidecars has %d consumers, want none", len(eng.folds))
 	}
@@ -435,21 +410,14 @@ func TestReplacementBookkeepingBounded(t *testing.T) {
 	const panesPerWindow = 10
 	for _, limit := range []int64{0, 1 << 40} {
 		t.Run(fmt.Sprintf("limit%d", limit), func(t *testing.T) {
-			q := internalCountQuery(win, slide)
+			q := CountQuery("agg", win, slide, "")
 			o := obs.New()
 			mr := internalRig(t, 3, 17)
 			mr.Obs = o
-			eng := mustEngine(t, Config{MR: mr, Query: q, CacheDiskLimit: limit})
+			eng := MustEngine(t, Config{MR: mr, Query: q, CacheDiskLimit: limit})
 			fed := 0
 			for rec := 0; rec < 200; rec++ {
-				for ; int64(fed)*int64(slide) < eng.frames[0].WindowClose(rec); fed++ {
-					if err := eng.Ingest(0, internalWords(19, slide, fed, 40, 8)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if _, err := eng.RunNext(); err != nil {
-					t.Fatalf("recurrence %d: %v", rec, err)
-				}
+				Drive(t, eng, &fed, 1, func(_, s int) []records.Record { return Words(19, slide, s, 40, 8) }, nil)
 				// The tracer keeps the newest recurrences; looking after
 				// each one sees every decision.
 				for _, d := range o.Decisions() {
@@ -493,9 +461,9 @@ func (k commitKind) String() string {
 // were never packed. Only an accepted batch is committed.
 func TestRejectedBatchLeavesNoProvenance(t *testing.T) {
 	win, slide := 40*simtime.Second, 10*simtime.Second
-	r := newSeamRun(t, internalCountQuery(win, slide), 1, 0, false, nil)
-	gen := func(_, s int) []records.Record { return internalWords(19, slide, s, 300, 8) }
-	r.drive(t, 2, slide, gen, nil)
+	r := newSeamRun(t, CountQuery("agg", win, slide, ""), 1, 0, false, nil)
+	gen := func(_, s int) []records.Record { return Words(19, slide, s, 300, 8) }
+	Drive(t, r.eng, new(int), 2, gen, nil)
 	batches, ingested := r.eng.lin.Stats().Batches, kindCounts(r.stream)[kindIngested]
 	if err := r.eng.Ingest(0, gen(0, 0)); err == nil || !strings.Contains(err.Error(), "after flush bound") {
 		t.Fatalf("late batch: err = %v, want a flush-bound rejection", err)
@@ -509,12 +477,9 @@ func TestRejectedBatchLeavesNoProvenance(t *testing.T) {
 	// The engine carries on: the next slide's batch is accepted and
 	// recorded, and the window over it closes over claims that resolve.
 	// (One source, one batch per slide: slides 0..batches-1 are in.)
-	if err := r.eng.Ingest(0, gen(0, batches)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.eng.RunNext(); err != nil {
-		t.Fatal(err)
-	}
+	check(t, r.eng.Ingest(0, gen(0, batches)))
+	_, err := r.eng.RunNext()
+	check(t, err)
 	if got := r.eng.lin.Stats().Batches; got != batches+1 {
 		t.Errorf("provenance store holds %d batches after one more slide, want %d", got, batches+1)
 	}

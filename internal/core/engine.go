@@ -158,7 +158,6 @@ type Engine struct {
 	analyzer *Analyzer
 	profiler *Profiler
 	srcs     []paneSource
-	packers  []*Packer // private packers; nil entries for shared sources
 	shared   []bool
 	plans    []PartitionPlan
 	matrix   *StatusMatrix
@@ -327,7 +326,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 				return nil, err
 			}
 			e.srcs = append(e.srcs, view)
-			e.packers = append(e.packers, nil)
 			e.shared = append(e.shared, true)
 			e.plans = append(e.plans, view.Plan())
 			continue
@@ -343,7 +341,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		pk.SetObserver(e.obs, q.Name)
 		pk.workers = cfg.MR.WorkerCount()
 		e.plans = append(e.plans, plan)
-		e.packers = append(e.packers, pk)
 		e.srcs = append(e.srcs, pk)
 		e.shared = append(e.shared, false)
 	}
@@ -406,23 +403,11 @@ func (e *Engine) Lineage() *lineage.Store { return e.lin }
 // store.
 func (e *Engine) PlanFingerprint() string { return e.planFP }
 
-// OpFingerprint returns the query's geometry-independent operator
-// fingerprint — the reuse index's matching key. Always available, even
-// without a reuse index.
-func (e *Engine) OpFingerprint() string { return e.opFP }
-
-// Scheduler returns the query's cache-aware scheduler.
-func (e *Engine) Scheduler() *Scheduler { return e.sched }
-
 // Profiler returns the execution profiler.
 func (e *Engine) Profiler() *Profiler { return e.profiler }
 
 // Matrix returns the query's cache status matrix.
 func (e *Engine) Matrix() *StatusMatrix { return e.matrix }
-
-// Packer returns source src's query-private dynamic data packer, or
-// nil when the source is shared through a SourceHub.
-func (e *Engine) Packer(src int) *Packer { return e.packers[src] }
 
 // PaneInputs returns pane p's physical segments for source src,
 // whether private or shared.

@@ -30,9 +30,7 @@ func internalRig(t testing.TB, workers int, seed int64) *mapreduce.Engine {
 	cl := newCluster(t, cluster.Config{Workers: workers, MapSlots: 4, ReduceSlots: 2})
 	d := newDFS(t, dfs.Config{BlockSize: 256 << 10, Replication: 2, Nodes: ids, Seed: seed})
 	mr, err := mapreduce.New(cl, d, iocost.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	return mr
 }
 
@@ -40,9 +38,7 @@ func internalRig(t testing.TB, workers int, seed int64) *mapreduce.Engine {
 func newCluster(t testing.TB, cfg cluster.Config) *cluster.Cluster {
 	t.Helper()
 	cl, err := cluster.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	return cl
 }
 
@@ -50,53 +46,108 @@ func newCluster(t testing.TB, cfg cluster.Config) *cluster.Cluster {
 func newDFS(t testing.TB, cfg dfs.Config) *dfs.DFS {
 	t.Helper()
 	d, err := dfs.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	return d
 }
 
-// mustEngine is NewEngine for a configuration the test knows is valid.
-func mustEngine(t testing.TB, cfg Config) *Engine {
+// check fails t on err, from a call the test knows succeeds.
+func check(t testing.TB, err error) {
 	t.Helper()
-	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// MustEngine is NewEngine for a configuration the test knows is valid.
+func MustEngine(t testing.TB, cfg Config) *Engine {
+	t.Helper()
+	eng, err := NewEngine(cfg)
+	check(t, err)
 	return eng
 }
 
-func internalCountQuery(win, slide simtime.Duration) *Query {
-	sum := func(key []byte, values [][]byte, emit mapreduce.Emitter) {
-		total := 0
-		for _, v := range values {
-			n, _ := strconv.Atoi(string(v))
-			total += n
-		}
-		emit.Emit(key, []byte(strconv.Itoa(total)))
+// SumReduce aggregates integer values; it doubles as the combiner and
+// the finalization merge (sums are algebraic).
+func SumReduce(key []byte, values [][]byte, emit mapreduce.Emitter) {
+	total := 0
+	for _, v := range values {
+		n, _ := strconv.Atoi(string(v))
+		total += n
 	}
+	emit.Emit(key, []byte(strconv.Itoa(total)))
+}
+
+// CountQuery is a recurring word-count aggregation over one source.
+func CountQuery(name string, win, slide simtime.Duration, cacheKey string) *Query {
 	return &Query{
-		Name:    "agg",
-		Sources: []Source{{Name: "S1", Spec: window.NewTimeSpec(win, slide)}},
+		Name:    name,
+		Sources: []Source{{Name: "S1", Spec: window.NewTimeSpec(win, slide), CacheKey: cacheKey}},
 		Maps: []mapreduce.MapFunc{func(_ int64, payload []byte, emit mapreduce.Emitter) {
 			emit.Emit(append([]byte(nil), payload...), []byte("1"))
 		}},
-		Reduce:      sum,
-		Combine:     sum,
-		Merge:       sum,
+		Reduce:      SumReduce,
+		Combine:     SumReduce,
+		Merge:       SumReduce,
 		NumReducers: 2,
 	}
 }
 
-func internalWords(seed int64, slide simtime.Duration, slideIdx, n, vocab int) []records.Record {
+// Words is one slide's batch of n words over vocab for slide slideIdx,
+// deterministic per seed.
+func Words(seed int64, slide simtime.Duration, slideIdx, n, vocab int) []records.Record {
 	rng := rand.New(rand.NewSource(seed + int64(slideIdx)))
 	base := int64(slideIdx) * int64(slide)
 	out := make([]records.Record, n)
 	for i := range out {
-		out[i] = records.Record{
-			Ts:   base + rng.Int63n(int64(slide)),
-			Data: []byte(fmt.Sprintf("w%02d", rng.Intn(vocab))),
+		out[i] = records.Record{Ts: base + rng.Int63n(int64(slide)), Data: []byte(fmt.Sprintf("w%02d", rng.Intn(vocab)))}
+	}
+	return out
+}
+
+// Damages corrupt a cache's bytes in place: a checksum, or a magic.
+var Damages = map[string]func([]byte){
+	"checksum": func(b []byte) { b[len(b)/2] ^= 0x40 },
+	"magic":    func(b []byte) { b[0] ^= 0x40 },
+}
+
+// Total sums a count query's output.
+func Total(out []records.Pair) int {
+	n := 0
+	for _, p := range out {
+		v, _ := strconv.Atoi(string(p.Value))
+		n += v
+	}
+	return n
+}
+
+// Feed ingests into every source of eng gen(src, s)'s batch of each
+// slide s that starts before its next recurrence's close; fed counts the
+// slides fed, across calls.
+func Feed(t testing.TB, eng *Engine, fed *int, gen func(src, s int) []records.Record) {
+	t.Helper()
+	for close := eng.frames[0].WindowClose(eng.NextRecurrence()); int64(*fed)*eng.query.Spec().Slide < close; *fed++ {
+		for src := range eng.query.Sources {
+			check(t, eng.Ingest(src, gen(src, *fed)))
 		}
+	}
+}
+
+// Drive runs eng's next n recurrences, each fed first (Feed) and then
+// handed to before, when set, and returns their results.
+func Drive(t testing.TB, eng *Engine, fed *int, n int, gen func(src, s int) []records.Record, before func(r int)) []*RecurrenceResult {
+	t.Helper()
+	var out []*RecurrenceResult
+	for range n {
+		r := eng.NextRecurrence()
+		Feed(t, eng, fed, gen)
+		if before != nil {
+			before(r)
+		}
+		res, err := eng.RunNext()
+		if err != nil {
+			t.Fatalf("recurrence %d: %v", r, err)
+		}
+		out = append(out, res)
 	}
 	return out
 }
@@ -107,28 +158,16 @@ func internalWords(seed int64, slide simtime.Duration, slideIdx, n, vocab int) [
 // what the join's cache build and a whole-pane reduce read, drops it.
 func TestSegmentPhasesKeepTheSortedMark(t *testing.T) {
 	win, slide := 30*simtime.Second, 10*simtime.Second
-	eng := mustEngine(t, Config{MR: internalRig(t, 3, 9), Query: internalCountQuery(win, slide)})
-	if err := eng.ForceProactive(3); err != nil {
-		t.Fatal(err)
-	}
-	for fed := 0; fed < 3; fed++ {
-		if err := eng.Ingest(0, internalWords(61, slide, fed, 200, 10)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := eng.RunNext()
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := MustEngine(t, Config{MR: internalRig(t, 3, 9), Query: CountQuery("agg", win, slide, "")})
+	check(t, eng.ForceProactive(3))
+	res := Drive(t, eng, new(int), 1, func(_, s int) []records.Record { return Words(61, slide, s, 200, 10) }, nil)[0]
 	pp := eng.preparePane(0, res.WindowHi, nil)
 	if pp.err != nil || len(pp.preps) < 2 {
 		t.Fatalf("pane %d: %d segments (%v), want several", res.WindowHi, len(pp.preps), pp.err)
 	}
 	for i, prep := range pp.preps {
 		mp, err := eng.mr.CommitMapPhase(prep, res.TriggerAt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		if !mp.PartsSorted() {
 			t.Fatalf("segment %d's map phase is not marked sorted", i)
 		}
@@ -136,9 +175,7 @@ func TestSegmentPhasesKeepTheSortedMark(t *testing.T) {
 	}
 	var stats mapreduce.Stats
 	merged, err := eng.commitPaneMapPhase(0, res.WindowHi, res.TriggerAt, eng.preparePane(0, res.WindowHi, nil), &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	if merged.PartsSorted() {
 		t.Fatal("the merge of a pane's segments kept the sorted mark")
 	}
@@ -156,20 +193,14 @@ func TestRollUpPaneCachesMatchItsPairs(t *testing.T) {
 		mr := internalRig(t, 3, 17)
 		mr.Workers = workers
 		hub := NewSourceHub(mr.DFS, mr.DFS.BlockSize())
-		if err := hub.Share("k", "s", hubSpec(), 0); err != nil {
-			t.Fatal(err)
-		}
-		q := internalCountQuery(20*simtime.Second, 20*simtime.Second)
+		check(t, hub.Share("k", "s", hubSpec(), 0))
+		q := CountQuery("agg", 20*simtime.Second, 20*simtime.Second, "")
 		q.Combine, q.Sources[0].CacheKey = nil, "k"
-		eng := mustEngine(t, Config{MR: mr, Query: q, Hub: hub})
+		eng := MustEngine(t, Config{MR: mr, Query: q, Hub: hub})
 		for s := 0; s < 2; s++ {
-			if err := hub.Ingest("k", internalWords(23, 10*simtime.Second, s, 300, 12)); err != nil {
-				t.Fatal(err)
-			}
+			check(t, hub.Ingest("k", Words(23, 10*simtime.Second, s, 300, 12)))
 		}
-		if err := eng.srcs[0].FlushThrough(eng.frames[0].WindowClose(0)); err != nil {
-			t.Fatal(err)
-		}
+		check(t, eng.srcs[0].FlushThrough(eng.frames[0].WindowClose(0)))
 		gs := mr.Groupers(nil)
 		pp := eng.preparePane(0, 0, gs)
 		mr.PutGroupers(gs)
@@ -179,9 +210,7 @@ func TestRollUpPaneCachesMatchItsPairs(t *testing.T) {
 		want := make([][]records.Pair, q.NumReducers)
 		for _, in := range pp.ins {
 			mp, err := mr.RunMapPhase(eng.jobs[0], []mapreduce.Input{in.Input}, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			check(t, err)
 			for r, ps := range mp.Parts {
 				want[r] = append(want[r], ps...)
 			}
@@ -207,90 +236,57 @@ func TestRollUpPaneCachesMatchItsPairs(t *testing.T) {
 	}
 }
 
-// Expired caches must actually leave the task nodes: run enough
-// windows and verify early panes' caches are purged while the current
-// window's survive.
-func TestExpiredCachesArePurged(t *testing.T) {
-	win, slide := 30*simtime.Second, 10*simtime.Second
-	q := internalCountQuery(win, slide)
-	eng := mustEngine(t, Config{MR: internalRig(t, 3, 9), Query: q})
-	fed := 0
-	for r := 0; r < 6; r++ {
-		for ; fed < 3+r; fed++ {
-			if err := eng.Ingest(0, internalWords(61, slide, fed, 200, 10)); err != nil {
-				t.Fatal(err)
-			}
+// Reduce partitions get their home nodes on the first recurrence that
+// reduces them, not before.
+func TestHomesAssignedByFirstRecurrence(t *testing.T) {
+	slide := 10 * simtime.Second
+	eng := MustEngine(t, Config{MR: internalRig(t, 2, 2), Query: CountQuery("agg", 3*slide, slide, "")})
+	Drive(t, eng, new(int), 1, func(_, s int) []records.Record { return Words(5, slide, s, 100, 6) }, func(int) {
+		if len(eng.sched.homes) != 0 {
+			t.Error("no homes before any reduce ran")
 		}
-		if _, err := eng.RunNext(); err != nil {
-			t.Fatal(err)
-		}
+	})
+	if len(eng.sched.homes) == 0 {
+		t.Error("homes should be assigned after a recurrence")
 	}
-	// Pane 0 slid out of every window long ago; its caches must be
-	// gone from every node and from the controller.
+}
+
+// TestExpiredCachesArePurged: expired caches must actually leave the
+// task nodes. After six windows pane 0's output caches are gone from the
+// controller and from every node, while the current window's survive.
+func TestExpiredCachesArePurged(t *testing.T) {
+	slide := 10 * simtime.Second
+	q := CountQuery("agg", 3*slide, slide, "")
+	eng := MustEngine(t, Config{MR: internalRig(t, 3, 9), Query: q})
+	Drive(t, eng, new(int), 6, func(_, s int) []records.Record { return Words(61, slide, s, 200, 10) }, nil)
 	for part := 0; part < q.NumReducers; part++ {
 		pid := q.ReduceOutputPanePID(0, part)
 		if _, ok := eng.ctrl.Lookup(pid, ReduceOutput); ok {
 			t.Errorf("pane 0 output signature (part %d) should be purged", part)
 		}
 		for _, n := range eng.mr.Cluster.Nodes() {
-			reg := eng.ctrl.Registry(n.ID)
-			if reg.Has(pid, ReduceOutput) {
+			if eng.ctrl.Registry(n.ID).Has(pid, ReduceOutput) {
 				t.Errorf("pane 0 output cache still on node %d", n.ID)
 			}
 		}
 	}
-	// Recent panes' caches must still exist.
-	lo, hi := eng.frames[0].WindowRange(5)
-	found := false
-	for p := lo; p <= hi; p++ {
-		for part := 0; part < q.NumReducers; part++ {
-			if _, ok := eng.ctrl.Lookup(q.ReduceOutputPanePID(p, part), ReduceOutput); ok {
-				found = true
-			}
-		}
-	}
-	if !found {
+	_, hi := eng.frames[0].WindowRange(5)
+	if _, ok := eng.ctrl.Lookup(q.ReduceOutputPanePID(hi, 0), ReduceOutput); !ok {
 		t.Error("current window's caches should be retained")
 	}
 }
 
-// Reduce partitions get their home nodes on the first recurrence that
-// reduces them, not before.
-func TestHomesAssignedByFirstRecurrence(t *testing.T) {
-	win, slide := 30*simtime.Second, 10*simtime.Second
-	q := internalCountQuery(win, slide)
-	eng := mustEngine(t, Config{MR: internalRig(t, 2, 2), Query: q})
-	for s := 0; s < 3; s++ {
-		if err := eng.Ingest(0, internalWords(5, slide, s, 100, 6)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(eng.sched.homes) != 0 {
-		t.Error("no homes before any reduce ran")
-	}
-	if _, err := eng.RunNext(); err != nil {
-		t.Fatal(err)
-	}
-	if len(eng.sched.homes) == 0 {
-		t.Error("homes should be assigned after a recurrence")
-	}
-}
-
-// Query PID helpers embed scope, source, pane unit, pane and partition
-// so that shared and private caches can never collide.
+// TestCachePIDNamespaces: the PID helpers embed scope, source, pane unit,
+// pane and partition, so shared and private caches, inputs and outputs,
+// and pane tuples in either order never collide, and a scope's rin prefix
+// matches its own PIDs alone.
 func TestCachePIDNamespaces(t *testing.T) {
-	q := internalCountQuery(30*simtime.Second, 10*simtime.Second)
+	q := CountQuery("agg", 30*simtime.Second, 10*simtime.Second, "")
 	private := q.ReduceInputPID(0, q.Spec().PaneUnit(), 3, 1)
 	q.Sources[0].CacheKey = "clicks"
-	shared := q.ReduceInputPID(0, q.Spec().PaneUnit(), 3, 1)
-	if private == shared {
-		t.Error("shared and private rin PIDs must differ")
-	}
-	if prefix := q.rinPrefix(0, q.Spec().PaneUnit()); !strings.HasPrefix(shared, prefix) || strings.HasPrefix(private, prefix) {
-		t.Errorf("rinPrefix %q must match exactly its own scope's rin PIDs (%q, not %q)", prefix, shared, private)
-	}
-	if got := q.ReduceOutputPanePID(3, 1); got == private || got == shared {
-		t.Error("output PIDs must not collide with input PIDs")
+	shared, prefix, out := q.ReduceInputPID(0, q.Spec().PaneUnit(), 3, 1), q.rinPrefix(0, q.Spec().PaneUnit()), q.ReduceOutputPanePID(3, 1)
+	if private == shared || !strings.HasPrefix(shared, prefix) || strings.HasPrefix(private, prefix) || out == private || out == shared {
+		t.Errorf("rin PIDs %q (private) and %q (shared, prefix %q) and rout %q collide", private, shared, prefix, out)
 	}
 	if q.ReduceOutputTuplePID(paneTuple{1, 2}, 0) == q.ReduceOutputTuplePID(paneTuple{2, 1}, 0) {
 		t.Error("pair PIDs must be order-sensitive")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"redoop/internal/account"
+	"redoop/internal/records"
 	"redoop/internal/simtime"
 )
 
@@ -17,18 +18,8 @@ import (
 func TestResidencyJoinsLedger(t *testing.T) {
 	win, slide := 100*simtime.Second, 10*simtime.Second
 	for _, l := range []*account.Ledger{account.New(), nil} {
-		eng := mustEngine(t, Config{MR: internalRig(t, 3, 17), Query: internalCountQuery(win, slide), Account: l})
-		fed := 0
-		for rec := 0; rec < 12; rec++ {
-			for ; int64(fed)*int64(slide) < eng.frames[0].WindowClose(rec); fed++ {
-				if err := eng.Ingest(0, internalWords(19, slide, fed, 40, 8)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := eng.RunNext(); err != nil {
-				t.Fatalf("recurrence %d: %v", rec, err)
-			}
-		}
+		eng := MustEngine(t, Config{MR: internalRig(t, 3, 17), Query: CountQuery("agg", win, slide, ""), Account: l})
+		Drive(t, eng, new(int), 12, func(_, s int) []records.Record { return Words(19, slide, s, 40, 8) }, nil)
 		cands := 0
 		for _, n := range eng.mr.Cluster.Nodes() {
 			reg := eng.ctrl.Registry(n.ID)
@@ -60,6 +51,6 @@ func TestNewEngineRefusesJoinDiskLimit(t *testing.T) {
 	if _, err := NewEngine(Config{MR: internalRig(t, 3, 17), Query: internalJoinQuery(win, slide), CacheDiskLimit: 1 << 20}); err == nil {
 		t.Fatal("a join with a disk limit was built")
 	}
-	mustEngine(t, Config{MR: internalRig(t, 3, 17), Query: internalJoinQuery(win, slide)})
-	mustEngine(t, Config{MR: internalRig(t, 3, 17), Query: internalCountQuery(win, slide), CacheDiskLimit: 1 << 20})
+	MustEngine(t, Config{MR: internalRig(t, 3, 17), Query: internalJoinQuery(win, slide)})
+	MustEngine(t, Config{MR: internalRig(t, 3, 17), Query: CountQuery("agg", win, slide, ""), CacheDiskLimit: 1 << 20})
 }

@@ -23,3 +23,10 @@ func FinalizeCaches(e *Engine, data [][][]byte) ([]records.Pair, mapreduce.Stats
 	out, err := e.finalizeMerged(caches, 0, &stats)
 	return out, stats, err
 }
+
+// OpFingerprint is e's geometry-independent operator fingerprint, the
+// reuse index's matching key.
+func OpFingerprint(e *Engine) string { return e.opFP }
+
+// Check is check, for the package's black-box tests.
+var Check = check

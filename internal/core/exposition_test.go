@@ -27,7 +27,7 @@ func TestExpositionCountsEveryRecurrence(t *testing.T) {
 	eng := mustEngine(t, core.Config{MR: mr, Query: q, Health: mon})
 	gen := func(_, s int) []records.Record { return genWords(40, testSlide, s, 150, 10) }
 	windows := 2*obs.KeepRecurrences + 3
-	results := feedAndRun(t, eng, q, windows, gen)
+	results := core.Drive(t, eng, new(int), windows, gen, nil)
 
 	finished := 0
 	for _, d := range mr.Obs.Decisions() {
@@ -59,9 +59,7 @@ func TestExpositionCountsEveryRecurrence(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := x.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
+	check(t, x.WritePrometheus(&buf))
 	if want := fmt.Sprintf("redoop_recurrence_seconds_count{query=\"keep\"} %d\n", windows); !strings.Contains(buf.String(), want) {
 		t.Errorf("exposition lacks %q", want)
 	}

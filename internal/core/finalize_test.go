@@ -72,9 +72,7 @@ func gatherGroupMerge(t *testing.T, merge mapreduce.ReduceFunc, segs [][]byte) (
 	var all []records.Pair
 	for _, seg := range segs {
 		ps, err := colfmt.DecodePairs(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		all = append(all, ps...)
 	}
 	var g mapreduce.Grouper
@@ -137,10 +135,6 @@ func TestFinalizeByRunsMatchesGatherGroupMerge(t *testing.T) {
 // colfmt.ErrCorrupt, and of two damaged partitions the error is the
 // lower one's, whichever worker met which first.
 func TestCorruptPaneOutputFailsTheRecurrence(t *testing.T) {
-	damages := map[string]func([]byte){
-		"checksum": func(b []byte) { b[len(b)/2] ^= 0x40 },
-		"magic":    func(b []byte) { b[0] ^= 0x40 },
-	}
 	for _, workers := range []int{1, 4} {
 		for _, order := range [][2]string{{"checksum", "magic"}, {"magic", "checksum"}} {
 			mr := newRig(t, 3, 7)
@@ -149,14 +143,10 @@ func TestCorruptPaneOutputFailsTheRecurrence(t *testing.T) {
 			q.NumReducers = 4
 			eng := mustEngine(t, core.Config{MR: mr, Query: q})
 			for s := 0; s < 4; s++ {
-				if err := eng.Ingest(0, genWords(31, testSlide, s, 300, 40)); err != nil {
-					t.Fatal(err)
-				}
+				check(t, eng.Ingest(0, genWords(31, testSlide, s, 300, 40)))
 			}
 			res, err := eng.RunNext()
-			if err != nil {
-				t.Fatal(err)
-			}
+			check(t, err)
 			// Pane WindowHi is in the next window too: damage its outputs
 			// in partitions 1 and 3.
 			for i, part := range []int{1, 3} {
@@ -169,7 +159,7 @@ func TestCorruptPaneOutputFailsTheRecurrence(t *testing.T) {
 				if !ok || len(data) == 0 {
 					t.Fatalf("output cache %s is empty", pid)
 				}
-				damages[order[i]](data)
+				core.Damages[order[i]](data)
 			}
 			_, err = eng.RunNext()
 			if !errors.Is(err, colfmt.ErrCorrupt) || !strings.Contains(err.Error(), order[0]) {

@@ -6,6 +6,7 @@ import (
 
 	"redoop/internal/account"
 	"redoop/internal/lineage"
+	"redoop/internal/records"
 	"redoop/internal/reuse"
 	"redoop/internal/simtime"
 )
@@ -21,12 +22,12 @@ func TestCommitFoldsAllocatePerRecurrence(t *testing.T) {
 	const warm, steady = 20, 6
 	win, slide := 40*simtime.Second, 10*simtime.Second
 	foldMallocs := func(reducers int) uint64 {
-		q := internalCountQuery(win, slide)
+		q := CountQuery("agg", win, slide, "")
 		q.NumReducers = reducers
 		q.Sources[0].CacheKey = "words" // makes the query's pane outputs reuse entries
 		mr := internalRig(t, 3, 17)
 		mr.Workers = 1
-		eng := mustEngine(t, Config{MR: mr, Query: q, Account: account.New(),
+		eng := MustEngine(t, Config{MR: mr, Query: q, Account: account.New(),
 			Lineage: lineage.New(0), Reuse: reuse.NewIndex(0)})
 		if len(eng.folds) != 3 {
 			t.Fatalf("%d folds attached, want the ledger's, the store's and the index's", len(eng.folds))
@@ -57,14 +58,7 @@ func TestCommitFoldsAllocatePerRecurrence(t *testing.T) {
 		fed := 0
 		for rec := 0; rec < warm+steady; rec++ {
 			measuring, total = rec >= warm, 0
-			for ; int64(fed)*int64(slide) < eng.frames[0].WindowClose(rec); fed++ {
-				if err := eng.Ingest(0, internalWords(19, slide, fed, 600, 64)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := eng.RunNext(); err != nil {
-				t.Fatalf("%d reducers, recurrence %d: %v", reducers, rec, err)
-			}
+			Drive(t, eng, &fed, 1, func(_, s int) []records.Record { return Words(19, slide, s, 600, 64) }, nil)
 			if measuring {
 				least = min(least, total)
 			}

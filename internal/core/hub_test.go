@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 
@@ -20,9 +19,7 @@ func TestHubShareValidation(t *testing.T) {
 	if err := hub.Share("", "s", hubSpec(), 0); err == nil {
 		t.Error("empty key should fail")
 	}
-	if err := hub.Share("k", "s", hubSpec(), 0); err != nil {
-		t.Fatal(err)
-	}
+	check(t, hub.Share("k", "s", hubSpec(), 0))
 	if !hub.Has("k") || hub.Has("other") {
 		t.Error("Has wrong")
 	}
@@ -43,9 +40,7 @@ func TestHubShareValidation(t *testing.T) {
 func TestHubAttachGranularity(t *testing.T) {
 	mr := internalRig(t, 2, 5)
 	hub := NewSourceHub(mr.DFS, mr.DFS.BlockSize())
-	if err := hub.Share("k", "s", hubSpec(), 0); err != nil {
-		t.Fatal(err)
-	}
+	check(t, hub.Share("k", "s", hubSpec(), 0))
 	if _, err := hub.attach("k", int64(20*simtime.Second), 1); err != nil {
 		t.Errorf("multiple of the shared pane should attach: %v", err)
 	}
@@ -62,9 +57,7 @@ func TestSharedViewRejectsDirectIngestAndReplan(t *testing.T) {
 	hub := NewSourceHub(mr.DFS, mr.DFS.BlockSize())
 	hub.Share("k", "s", hubSpec(), 0)
 	v, err := hub.attach("k", int64(10*simtime.Second), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	if err := v.Ingest(nil); err == nil {
 		t.Error("per-consumer ingest must be rejected")
 	}
@@ -80,19 +73,13 @@ func TestSharedViewAggregatesPanes(t *testing.T) {
 	// Consumer at double the shared granularity: its pane 0 covers
 	// shared panes 0 and 1.
 	v, err := hub.attach("k", int64(20*simtime.Second), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	recs := []records.Record{
 		{Ts: int64(2 * simtime.Second), Data: []byte("a")},
 		{Ts: int64(12 * simtime.Second), Data: []byte("b")},
 	}
-	if err := hub.Ingest("k", recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.FlushThrough(int64(20 * simtime.Second)); err != nil {
-		t.Fatal(err)
-	}
+	check(t, hub.Ingest("k", recs))
+	check(t, v.FlushThrough(int64(20*simtime.Second)))
 	ins, ok := v.PaneInputs(0)
 	if !ok || len(ins) != 2 {
 		t.Fatalf("consumer pane 0 should aggregate 2 shared segments: %v ok=%v", ins, ok)
@@ -142,52 +129,26 @@ func TestSharedSourceTwoEngines(t *testing.T) {
 	mr := internalRig(t, 4, 13)
 	hub := NewSourceHub(mr.DFS, mr.DFS.BlockSize())
 	ctrl := NewController()
-	spec := hubSpec()
-	if err := hub.Share("clicks", "clicks", spec, 0); err != nil {
-		t.Fatal(err)
-	}
+	check(t, hub.Share("clicks", "clicks", hubSpec(), 0))
 
-	mkQuery := func(name string, win simtime.Duration) *Query {
-		q := internalCountQuery(win, 10*simtime.Second)
-		q.Name = name
-		q.Sources[0].CacheKey = "clicks"
-		return q
-	}
-	e1 := mustEngine(t, Config{MR: mr, Query: mkQuery("q1", 30*simtime.Second), Controller: ctrl, Hub: hub})
-	e2 := mustEngine(t, Config{MR: mr, Query: mkQuery("q2", 50*simtime.Second), Controller: ctrl, Hub: hub})
-
+	e1 := MustEngine(t, Config{MR: mr, Query: CountQuery("q1", 30*simtime.Second, 10*simtime.Second, "clicks"), Controller: ctrl, Hub: hub})
+	e2 := MustEngine(t, Config{MR: mr, Query: CountQuery("q2", 50*simtime.Second, 10*simtime.Second, "clicks"), Controller: ctrl, Hub: hub})
 	if err := e1.Ingest(0, nil); err == nil {
 		t.Fatal("direct ingest into a shared source must fail")
 	}
-
-	// Feed 5 slides once, through the hub.
-	for s := 0; s < 5; s++ {
-		if err := hub.Ingest("clicks", internalWords(29, 10*simtime.Second, s, 100, 5)); err != nil {
-			t.Fatal(err)
+	for s := 0; s < 5; s++ { // 5 slides, fed once, through the hub
+		check(t, hub.Ingest("clicks", Words(29, 10*simtime.Second, s, 100, 5)))
+	}
+	var res []*RecurrenceResult
+	for i, e := range []*Engine{e1, e2} {
+		r, err := e.RunNext()
+		check(t, err)
+		res = append(res, r)
+		if got, want := Total(r.Output), []int{300, 500}[i]; got != want {
+			t.Errorf("q%d counted %d, want %d (%d panes)", i+1, got, want, want/100)
 		}
 	}
-	count := func(out []records.Pair) int {
-		total := 0
-		for _, p := range out {
-			n, _ := strconv.Atoi(string(p.Value))
-			total += n
-		}
-		return total
-	}
-	r1, err := e1.RunNext()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := count(r1.Output); got != 300 {
-		t.Errorf("q1 counted %d, want 300 (3 panes)", got)
-	}
-	r2, err := e2.RunNext()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := count(r2.Output); got != 500 {
-		t.Errorf("q2 counted %d, want 500 (5 panes)", got)
-	}
+	r1, r2 := res[0], res[1]
 	// q2 shares q1's reduce-input caches for panes 0-2 (group claims
 	// keep them alive past q1's own expiry), so it maps only its two
 	// extra panes — strictly less than q1's three.

@@ -15,6 +15,7 @@ import (
 	"redoop/internal/records"
 	"redoop/internal/reuse"
 	"redoop/internal/simtime"
+	"redoop/internal/window"
 )
 
 var updateLadder = flag.Bool("update-ladder", false, "rewrite testdata/ladder.golden from the current code")
@@ -33,18 +34,51 @@ func dropPID(eng *Engine, pid string, typ CacheType) {
 	}
 }
 
-// ladderAgg runs internalCountQuery's first recurrence on a workers-wide
+// dropType removes one cache type for pane p across all partitions and
+// nodes.
+func dropType(eng *Engine, p window.PaneID, typ CacheType) {
+	for part := 0; part < eng.query.NumReducers; part++ {
+		pid := eng.query.ReduceOutputPanePID(p, part)
+		if typ == ReduceInput {
+			pid = eng.query.ReduceInputPID(0, eng.query.Spec().PaneUnit(), p, part)
+		}
+		dropPID(eng, pid, typ)
+	}
+}
+
+// TestReadyBitRollback: the controller's ready bit must roll back 2→1
+// when a cache is found lost (§5).
+func TestReadyBitRollback(t *testing.T) {
+	eng := MustEngine(t, Config{MR: internalRig(t, 3, 17), Query: CountQuery("agg", 3*ladderSlide, ladderSlide, "")})
+	Drive(t, eng, new(int), 1, func(_, s int) []records.Record { return Words(19, ladderSlide, s, 300, 8) }, nil)
+	pid := eng.query.ReduceOutputPanePID(1, 0)
+	sig, ok := eng.ctrl.Lookup(pid, ReduceOutput)
+	if !ok || sig.Ready != CacheAvailable {
+		t.Fatalf("pane 1 output cache should be registered: %+v ok=%v", sig, ok)
+	}
+	eng.mr.Cluster.Node(sig.NID).DeleteLocal(nodeKey(pid, ReduceOutput)) // lose just that one cache file
+	if _, found, _ := eng.lookupCache([]byte(pid), ReduceOutput); found {
+		t.Fatal("lookup should detect the loss")
+	}
+	if sig, _ = eng.ctrl.Lookup(pid, ReduceOutput); sig.Ready != HDFSAvailable {
+		t.Errorf("ready bit should roll back to HDFS-available, got %v", sig.Ready)
+	}
+}
+
+// ladderAgg runs CountQuery's first recurrence on a workers-wide
 // engine (setup sees it first), calls between, feeds the next slide and
 // returns the second recurrence.
 func ladderAgg(t *testing.T, workers int, setup func(*Engine), between func(*Engine)) *RecurrenceResult {
 	t.Helper()
 	mr := internalRig(t, 3, 17)
 	mr.Workers = workers
-	eng := mustEngine(t, Config{MR: mr, Query: internalCountQuery(3*ladderSlide, ladderSlide)})
+	eng := MustEngine(t, Config{MR: mr, Query: CountQuery("agg", 3*ladderSlide, ladderSlide, "")})
 	if setup != nil {
 		setup(eng)
 	}
-	return ladderDrive(t, eng, between, func(_, s int) []records.Record { return internalWords(19, ladderSlide, s, 300, 8) })
+	res, err := ladderDriveErr(t, eng, between, func(_, s int) []records.Record { return Words(19, ladderSlide, s, 300, 8) })
+	check(t, err)
+	return res
 }
 
 // ladderJoin is ladderAgg for internalJoinQuery.
@@ -53,16 +87,9 @@ func ladderJoin(t *testing.T, workers int, cfg Config, between func(*Engine)) *R
 	cfg.MR = internalRig(t, 3, 17)
 	cfg.MR.Workers = workers
 	cfg.Query = internalJoinQuery(3*ladderSlide, ladderSlide)
-	return ladderDrive(t, mustEngine(t, cfg), between,
+	res, err := ladderDriveErr(t, MustEngine(t, cfg), between,
 		func(src, s int) []records.Record { return internalKV(int64(23+src), ladderSlide, s, 120, 6) })
-}
-
-func ladderDrive(t *testing.T, eng *Engine, between func(*Engine), gen func(src, slideIdx int) []records.Record) *RecurrenceResult {
-	t.Helper()
-	res, err := ladderDriveErr(t, eng, between, gen)
-	if err != nil {
-		t.Fatalf("recurrence 1: %v", err)
-	}
+	check(t, err)
 	return res
 }
 
@@ -70,28 +97,13 @@ func ladderDrive(t *testing.T, eng *Engine, between func(*Engine), gen func(src,
 // second, and returns the second's result or error.
 func ladderDriveErr(t *testing.T, eng *Engine, between func(*Engine), gen func(src, slideIdx int) []records.Record) (*RecurrenceResult, error) {
 	t.Helper()
-	var res *RecurrenceResult
 	fed := 0
-	for rec := 0; rec < 2; rec++ {
-		for ; int64(fed)*int64(ladderSlide) < eng.frames[0].WindowClose(rec); fed++ {
-			for src := range eng.query.Sources {
-				if err := eng.Ingest(src, gen(src, fed)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if rec == 1 && between != nil {
-			between(eng)
-		}
-		var err error
-		if res, err = eng.RunNext(); err != nil {
-			if rec == 0 {
-				t.Fatalf("recurrence 0: %v", err)
-			}
-			return nil, err
-		}
+	Drive(t, eng, &fed, 1, gen, nil)
+	Feed(t, eng, &fed, gen)
+	if between != nil {
+		between(eng)
 	}
-	return res, nil
+	return eng.RunNext()
 }
 
 // ladderShared runs two aggregations over one hub-shared stream with a
@@ -102,19 +114,17 @@ func ladderShared(t *testing.T, workers int, second *Query) (*RecurrenceResult, 
 	mr := internalRig(t, 3, 17)
 	mr.Workers = workers
 	ctrl, hub, idx, acct := NewController(), NewSourceHub(mr.DFS, mr.DFS.BlockSize()), reuse.NewIndex(0), account.New()
-	first := internalCountQuery(3*ladderSlide, ladderSlide)
+	first := CountQuery("agg", 3*ladderSlide, ladderSlide, "")
 	first.Name = "fine"
 	qs := []*Query{first, second}
 	for _, q := range qs {
 		q.Sources[0].CacheKey = "words"
 		q.Maps[0], q.Reduce, q.Combine, q.Merge = first.Maps[0], first.Reduce, first.Combine, first.Merge
 	}
-	if err := hub.Share("words", "words", first.Spec(), 0); err != nil {
-		t.Fatal(err)
-	}
+	check(t, hub.Share("words", "words", first.Spec(), 0))
 	var engs []*Engine
 	for _, q := range qs {
-		engs = append(engs, mustEngine(t, Config{MR: mr, Query: q, Controller: ctrl, Hub: hub, Reuse: idx, Account: acct}))
+		engs = append(engs, MustEngine(t, Config{MR: mr, Query: q, Controller: ctrl, Hub: hub, Reuse: idx, Account: acct}))
 	}
 	fed := 0
 	for {
@@ -123,9 +133,7 @@ func ladderShared(t *testing.T, workers int, second *Query) (*RecurrenceResult, 
 			i = 1
 		}
 		for ; int64(fed)*int64(ladderSlide) < engs[i].frames[0].WindowClose(engs[i].next); fed++ {
-			if err := hub.Ingest("words", internalWords(19, ladderSlide, fed, 300, 8)); err != nil {
-				t.Fatal(err)
-			}
+			check(t, hub.Ingest("words", Words(19, ladderSlide, fed, 300, 8)))
 		}
 		res, err := engs[i].RunNext()
 		if err != nil {
@@ -151,13 +159,11 @@ var ladderScenarios = []struct {
 	}},
 	{"agg proactive re-map", func(t *testing.T, w int) *RecurrenceResult {
 		return ladderAgg(t, w, func(e *Engine) {
-			if err := e.ForceProactive(3); err != nil {
-				t.Fatal(err)
-			}
+			check(t, e.ForceProactive(3))
 		}, func(e *Engine) { dropType(e, 1, ReduceOutput); dropType(e, 1, ReduceInput) })
 	}},
 	{"agg exact reuse", func(t *testing.T, w int) *RecurrenceResult {
-		q := internalCountQuery(3*ladderSlide, ladderSlide)
+		q := CountQuery("agg", 3*ladderSlide, ladderSlide, "")
 		q.Name = "twin"
 		res, st := ladderShared(t, w, q)
 		if st.ExactHits == 0 {
@@ -166,7 +172,7 @@ var ladderScenarios = []struct {
 		return res
 	}},
 	{"agg subsume reuse", func(t *testing.T, w int) *RecurrenceResult {
-		q := internalCountQuery(2*ladderSlide, 2*ladderSlide)
+		q := CountQuery("agg", 2*ladderSlide, 2*ladderSlide, "")
 		q.Name = "roll"
 		res, st := ladderShared(t, w, q)
 		if st.SubsumHits == 0 {
@@ -212,17 +218,11 @@ func TestLadderGolden(t *testing.T) {
 	}
 	path := filepath.Join("testdata", "ladder.golden")
 	if *updateLadder {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		check(t, os.MkdirAll("testdata", 0o755))
+		check(t, os.WriteFile(path, []byte(b.String()), 0o644))
 	}
 	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	if got := b.String(); got != string(want) {
 		t.Errorf("ladder results moved:\n got:\n%s\nwant:\n%s", got, want)
 	}
@@ -235,18 +235,14 @@ func TestLadderGolden(t *testing.T) {
 // output of the pane: the rung reads and validates every partition's
 // input before it registers any partition's output.
 func TestRebuildRungCorruptInputFailsTheRecurrence(t *testing.T) {
-	damages := map[string]func([]byte){
-		"checksum": func(b []byte) { b[len(b)/2] ^= 0x40 },
-		"magic":    func(b []byte) { b[0] ^= 0x40 },
-	}
 	for _, workers := range []int{1, 4} {
 		for _, order := range [][2]string{{"checksum", "magic"}, {"magic", "checksum"}} {
 			mr := internalRig(t, 3, 17)
 			mr.Workers = workers
-			q := internalCountQuery(3*ladderSlide, ladderSlide)
+			q := CountQuery("agg", 3*ladderSlide, ladderSlide, "")
 			q.NumReducers = 4
-			eng := mustEngine(t, Config{MR: mr, Query: q})
-			gen := func(_, s int) []records.Record { return internalWords(19, ladderSlide, s, 300, 40) }
+			eng := MustEngine(t, Config{MR: mr, Query: q})
+			gen := func(_, s int) []records.Record { return Words(19, ladderSlide, s, 300, 40) }
 			// Pane 1 is in both windows: lose its outputs and damage its
 			// inputs in partitions 1 and 3 before the second.
 			_, err := ladderDriveErr(t, eng, func(e *Engine) {
@@ -261,7 +257,7 @@ func TestRebuildRungCorruptInputFailsTheRecurrence(t *testing.T) {
 					if !ok || len(data) == 0 {
 						t.Fatalf("input cache %s is empty", pid)
 					}
-					damages[order[i]](data)
+					Damages[order[i]](data)
 				}
 			}, gen)
 			if !errors.Is(err, colfmt.ErrCorrupt) || !strings.Contains(err.Error(), order[0]) {

@@ -18,15 +18,11 @@ func freshWindow(t *testing.T, workers int) (eng *Engine, lo, hi window.PaneID) 
 	win, slide := 90*simtime.Second, 10*simtime.Second
 	mr := internalRig(t, 3, 9)
 	mr.Workers = workers
-	eng = mustEngine(t, Config{MR: mr, Query: internalCountQuery(win, slide)})
+	eng = MustEngine(t, Config{MR: mr, Query: CountQuery("agg", win, slide, "")})
 	for fed := 0; fed < 9; fed++ {
-		if err := eng.Ingest(0, internalWords(61, slide, fed, 200, 10)); err != nil {
-			t.Fatal(err)
-		}
+		check(t, eng.Ingest(0, Words(61, slide, fed, 200, 10)))
 	}
-	if err := eng.srcs[0].FlushThrough(eng.frames[0].WindowClose(0)); err != nil {
-		t.Fatal(err)
-	}
+	check(t, eng.srcs[0].FlushThrough(eng.frames[0].WindowClose(0)))
 	lo, hi = eng.frames[0].WindowRange(0)
 	if hi-lo+1 != 9 {
 		t.Fatalf("the first window has %d panes, want 9", hi-lo+1)
@@ -41,9 +37,7 @@ func freshWindow(t *testing.T, workers int) (eng *Engine, lo, hi window.PaneID) 
 func TestLookaheadBorrowsOneOutputPerWorker(t *testing.T) {
 	eng, lo, hi := freshWindow(t, 2)
 	res, err := eng.runRecurrence(0, eng.frames[0].At(eng.frames[0].WindowClose(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	if res.NewPanes != int(hi-lo+1) {
 		t.Fatalf("%d new panes, want %d", res.NewPanes, hi-lo+1)
 	}
@@ -65,9 +59,7 @@ func TestUnpreparablePaneFailsAlike(t *testing.T) {
 		if !ok || len(ins) != 1 {
 			t.Fatalf("pane %d: %d inputs, want one file", lo+3, len(ins))
 		}
-		if err := eng.mr.DFS.Delete(ins[0].Input.Path); err != nil {
-			t.Fatal(err)
-		}
+		check(t, eng.mr.DFS.Delete(ins[0].Input.Path))
 		_, err := eng.RunNext()
 		for _, c := range stream {
 			if c.kind == kindRegistered && c.pane >= lo+3 {

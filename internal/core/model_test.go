@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -40,12 +41,12 @@ type model struct {
 	frames  []window.Frame
 	base    []window.PaneID
 	n       []int
-	done    map[string]bool
+	done    map[[3]window.PaneID]bool // by coordinates: a matrix has at most three dimensions
 }
 
 func newModel(nodes int, frames []window.Frame) *model {
 	m := &model{groups: map[string][]int{}, recs: map[entryKey]*mrec{}, alive: make([]bool, nodes),
-		files: make([]map[entryKey]string, nodes), purge: make([][]entryKey, nodes), frames: frames, done: map[string]bool{}}
+		files: make([]map[entryKey]string, nodes), purge: make([][]entryKey, nodes), frames: frames, done: map[[3]window.PaneID]bool{}}
 	for i := range nodes {
 		m.lose(i, true)
 	}
@@ -190,7 +191,7 @@ func (m *model) below(c []window.PaneID) bool {
 
 // isDone reads an entry; ok is false for the wrong number of coordinates.
 func (m *model) isDone(c []window.PaneID) (done, ok bool) {
-	return m.below(c) || m.done[fmt.Sprint(c)], len(c) == len(m.base)
+	return m.below(c) || m.done[[3]window.PaneID(append(slices.Clip(c), 0, 0, 0))], len(c) == len(m.base)
 }
 
 // update marks an entry done, growing the matrix; below a base, refused.
@@ -201,7 +202,7 @@ func (m *model) update(c []window.PaneID) bool {
 	for d := range c {
 		m.n[d] = max(m.n[d], int(c[d]-m.base[d])+1)
 	}
-	m.done[fmt.Sprint(c)] = true
+	m.done[[3]window.PaneID(append(slices.Clip(c), 0, 0, 0))] = true
 	return true
 }
 
@@ -244,10 +245,12 @@ var modelKeys = func() (ks [8]entryKey) {
 	return ks
 }()
 
-// The caches by name, for fixed sequences: indexes of modelKeys.
-const rinS1P1, routS1P1, rinS1P3, routS1P3, rinS2P2, routS2P2, rinS2P4, routS2P4 = 0, 1, 2, 3, 4, 5, 6, 7
-
 func keyName(k entryKey) string { return k.pid + "/" + k.typ.String() }
+
+// cacheVar is k's name in a fixed sequence: rinS1P1, routS1P1, ...
+func cacheVar(k entryKey) string {
+	return strings.Trim(strings.TrimPrefix(cacheDir(k.typ), "cache"), "/") + k.pid
+}
 
 func fileOf(k entryKey) string { return cacheDir(k.typ) + k.pid }
 
@@ -488,20 +491,8 @@ func (p *pair) step(i int, o op) (desc, got, want string) {
 	case "drop":
 		got, want = fmt.Sprint(p.cl.DropLocal(n, "cache/")), fmt.Sprint(len(m.files[n]))
 		m.lose(n, m.alive[n])
-	case "lookup":
-		got, want = "none", "none"
-		if sig, ok := p.ctrl.Lookup(k.pid, k.typ); ok {
-			got = sigString(sig.Ready, sig.NID, sig.ReadyAt, sig.Bytes, sig.doneQueryMask)
-		}
-		if r := m.recs[k]; r != nil && r.signed {
-			want = sigString(r.ready, r.node, r.readyAt, r.bytes, m.mask(r))
-		}
-	case "entries":
-		got, want = p.registry(n), m.registry(n)
-	case "get":
-		d, ok := reg.Get(k.pid, k.typ)
-		md, mok := m.files[n][k]
-		got, want = fmt.Sprintf("%q %v %v", d, ok, reg.Has(k.pid, k.typ)), fmt.Sprintf("%q %v %v", md, mok, mok)
+	case "lookup", "entries", "get":
+		got, want = p.read(o.kind, n, k)
 	case "update":
 		desc, got, want = fmt.Sprint("update ", c), doneString(true, p.mat.Update(c...) == nil), doneString(true, m.update(c))
 	case "done":
@@ -520,51 +511,53 @@ func (p *pair) step(i int, o op) (desc, got, want string) {
 	return desc, got, want
 }
 
-// state renders each side's whole state, line by line.
+// read is what a read op sees of cache k, or of node n: its signature,
+// the node's registry, or the node's bytes of k.
+func (p *pair) read(kind string, n int, k entryKey) (got, want string) {
+	m, reg := p.m, p.regs[n]
+	switch kind {
+	case "lookup":
+		got, want = "none", "none"
+		if sig, ok := p.ctrl.Lookup(k.pid, k.typ); ok {
+			got = sigString(sig.Ready, sig.NID, sig.ReadyAt, sig.Bytes, sig.doneQueryMask)
+		}
+		if r := m.recs[k]; r != nil && r.signed {
+			want = sigString(r.ready, r.node, r.readyAt, r.bytes, m.mask(r))
+		}
+		return got, want
+	case "entries":
+		return p.registry(n), m.registry(n)
+	}
+	d, ok := reg.Get(k.pid, k.typ)
+	md, mok := m.files[n][k]
+	return fmt.Sprintf("%q %v %v", d, ok, reg.Has(k.pid, k.typ)), fmt.Sprintf("%q %v %v", md, mok, mok)
+}
+
+// state reads each side's whole state as the ops read it: every cache's
+// signature, and on every node its bytes of every cache and its
+// registry; then the catalog's signature list, in its report order, and
+// the matrix.
 func (p *pair) state() (got, want []string) {
-	c, m := p.ctrl, p.m
 	add := func(g, w string) { got, want = append(got, g), append(want, w) }
-	add(fmt.Sprint(c.queries, c.Group("g0"), c.Group("g1")), fmt.Sprint(m.queries, m.groups["g0"], m.groups["g1"]))
 	var sigs, mSigs []string
-	for _, s := range c.Signatures() {
+	for _, s := range p.ctrl.Signatures() {
 		sigs = append(sigs, keyName(entryKey{s.PID, s.Type}))
 	}
 	for _, k := range modelKeys {
-		g, w, line := "none", "none", "%s: signed %v, row %d, %s"
-		if r := c.recs[k]; r != nil {
-			g = fmt.Sprintf(line, keyName(k), r.signed, r.row, sigString(r.Ready, r.NID, r.ReadyAt, r.Bytes, r.doneQueryMask))
+		if r := p.m.recs[k]; r != nil && r.signed {
+			mSigs = append(mSigs, keyName(k))
 		}
-		if r := m.recs[k]; r != nil {
-			w = fmt.Sprintf(line, keyName(k), r.signed, r.row, sigString(r.ready, r.node, r.readyAt, r.bytes, m.mask(r)))
-			if r.signed {
-				mSigs = append(mSigs, keyName(k))
-			}
+		add(p.read("lookup", 0, k))
+		for n := range p.regs {
+			add(p.read("get", n, k))
 		}
-		add(g, w)
+	}
+	for n := range p.regs {
+		add(p.read("entries", n, entryKey{}))
 	}
 	add(fmt.Sprint(sigs), fmt.Sprint(mSigs))
-	for i, n := range p.cl.Nodes() {
-		var files, purge, mFiles, mPurge []string
-		for _, key := range n.LocalKeys("cache/") {
-			d, _ := n.GetLocal(key)
-			files = append(files, key+"="+string(d))
-		}
-		for k, d := range m.files[i] {
-			mFiles = append(mFiles, fileOf(k)+"="+d)
-		}
-		for _, cp := range p.regs[i].purge {
-			if cp.row == expiredRow {
-				purge = append(purge, keyName(entryKey{cp.PID, cp.Type}))
-			}
-		}
-		for _, k := range m.purge[i] {
-			mPurge = append(mPurge, keyName(k))
-		}
-		slices.Sort(mFiles)
-		add(fmt.Sprint(n.Alive(), files, purge, p.registry(i)), fmt.Sprint(m.alive[i], mFiles, mPurge, m.registry(i)))
-	}
 	add(matrixString(p.mat.base, p.mat.n, func(c []window.PaneID) bool { d, _ := p.mat.Done(c...); return d }),
-		matrixString(m.base, m.n, func(c []window.PaneID) bool { d, _ := m.isDone(c); return d }))
+		matrixString(p.m.base, p.m.n, func(c []window.PaneID) bool { d, _ := p.m.isDone(c); return d }))
 	return got, want
 }
 
@@ -646,39 +639,51 @@ func diverged(t *testing.T, s seq) {
 	res, err := run(s)
 	var b strings.Builder
 	for i, o := range s.ops {
-		fmt.Fprintf(&b, "\t{%q, %d, %d, %d, %d},", o.kind, o.a, o.b, o.c, o.d)
+		fmt.Fprintf(&b, "\t%-24s", fmt.Sprintf("%s %d %d %d %d;", o.kind, o.a, o.b, o.c, o.d))
 		if i < len(res) {
-			fmt.Fprintf(&b, " // %s -> %q", res[i].desc, res[i].got)
+			fmt.Fprintf(&b, " %s -> %q", res[i].desc, res[i].got)
 		}
 		b.WriteByte('\n')
 	}
-	t.Fatalf("%v\nshrunk to setup %v and %d ops:\n%s", err, s.setup, len(s.ops), b.String())
+	t.Fatalf("%v\nshrunk to setup %v and %d ops, a replay script and what each did:\n%s", err, s.setup, len(s.ops), b.String())
 }
 
-// step is an op of a fixed sequence and, when its result shows the rule
-// the sequence is an example of, that result.
-type step struct {
-	op
-	want string
+// script reads a fixed sequence: steps split by ';', each an op kind, up
+// to four arguments, a cache by its name (routS1P3) or any byte, and
+// after '=' the result the step must return, when it shows a rule.
+func script(setup [4]uint8, src string) (s seq, wants []string) {
+	s.setup = setup
+	for _, st := range strings.Split(src, ";") {
+		st, want, _ := strings.Cut(st, "=")
+		f := strings.Fields(st)
+		if len(f) == 0 {
+			continue
+		}
+		o := op{kind: f[0]}
+		for i, arg := range f[1:] {
+			n, err := strconv.Atoi(arg)
+			if err != nil {
+				n = slices.IndexFunc(modelKeys[:], func(k entryKey) bool { return cacheVar(k) == arg })
+			}
+			*[]*uint8{&o.a, &o.b, &o.c, &o.d}[i] = uint8(n)
+		}
+		s.ops, wants = append(s.ops, o), append(wants, strings.TrimSpace(want))
+	}
+	return s, wants
 }
-
-var addQuery = step{op: op{kind: "addQuery"}}
 
 // replay runs a fixed sequence, a worked example of a rule, through the
 // model and the implementation, and checks each step's result.
-func replay(t *testing.T, setup [4]uint8, steps []step) {
+func replay(t *testing.T, setup [4]uint8, src string) {
 	t.Helper()
-	s := seq{setup: setup}
-	for _, st := range steps {
-		s.ops = append(s.ops, st.op)
-	}
+	s, wants := script(setup, src)
 	res, err := run(s)
 	if err != nil {
 		diverged(t, s)
 	}
-	for i, st := range steps {
-		if st.want != "" && res[i].got != st.want {
-			t.Errorf("step %d, %s: %q, want %q", i, res[i].desc, res[i].got, st.want)
+	for i, want := range wants {
+		if want != "" && res[i].got != want {
+			t.Errorf("step %d, %s: %q, want %q", i, res[i].desc, res[i].got, want)
 		}
 	}
 }
@@ -702,7 +707,7 @@ func TestCatalogModel(t *testing.T) {
 				queries += inlineQueries
 			}
 			for range queries {
-				s.ops = append(s.ops, addQuery.op)
+				s.ops = append(s.ops, op{kind: "addQuery"})
 			}
 			for range 60 {
 				s.ops = append(s.ops, op{mix[rng.Intn(len(mix))], uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))})
@@ -720,14 +725,16 @@ func TestCatalogModel(t *testing.T) {
 // a node crashes and revives, or drops its caches, and the catalog finds
 // the loss, rolls back, rebuilds and purges.
 func FuzzCatalogModel(f *testing.F) {
-	f.Add(seq{ops: []op{{"addQuery", 0, 0, 0, 0}, {"addQuery", 0, 0, 0, 0},
-		{"register", 0, routS1P3, 3, 3}, {"register", 1, rinS2P4, 1, 2}, {"crash", 0, 0, 0, 0}, {"acquire", 0, routS1P3, 1, 0},
-		{"resolve", 0, rinS2P4, 0, 0}, {"register", 1, routS1P3, 1, 5}, {"revive", 0, 0, 0, 0}, {"purge", 0, 0, 0, 0},
-		{"markDone", 0, routS1P3, 0, 0}, {"markDone", 0, routS1P3, 1, 0}, {"purge", 1, 0, 0, 0}}}.bytes())
-	f.Add(seq{setup: [4]uint8{1}, ops: []op{{"addQuery", 0, 0, 0, 0}, {"joinGroup", 0, 0, 0, 0},
-		{"register", 0, rinS1P1, 0x80, 3}, {"register", 0, routS1P1, 1, 3}, {"register", 2, rinS2P2, 1, 1}, {"drop", 0, 0, 0, 0},
-		{"resolve", 0, routS1P1, 0, 0}, {"acquire", 0, rinS1P1, 0, 0}, {"evict", 0, routS1P1, 0, 0}, {"register", 1, rinS1P1, 1, 2},
-		{"acquire", 0, rinS1P1, 0, 0}, {"markDone", 0, rinS1P1, 0, 0}, {"markDone", 0, routS1P1, 0, 0}, {"purge", 0, 0, 0, 0}}}.bytes())
+	for i, src := range []string{
+		`addQuery; addQuery; register 0 routS1P3 3 3; register 1 rinS2P4 1 2; crash; acquire 0 routS1P3 1;
+		resolve 0 rinS2P4; register 1 routS1P3 1 5; revive; purge; markDone 0 routS1P3; markDone 0 routS1P3 1; purge 1`,
+		`addQuery; joinGroup; register 0 rinS1P1 128 3; register 0 routS1P1 1 3; register 2 rinS2P2 1 1; drop;
+		resolve 0 routS1P1; acquire 0 rinS1P1; evict 0 routS1P1; register 1 rinS1P1 1 2; acquire 0 rinS1P1;
+		markDone 0 rinS1P1; markDone 0 routS1P1; purge`,
+	} {
+		s, _ := script([4]uint8{uint8(i)}, src) // the second on three nodes
+		f.Add(s.bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := decode(data)
 		if _, err := run(s); err != nil {

@@ -140,9 +140,6 @@ func (p *Packer) SetPlan(plan PartitionPlan) error {
 	return nil
 }
 
-// SourceName returns the source's name.
-func (p *Packer) SourceName() string { return p.name }
-
 // Ingest buffers a batch of records, assigning each to its pane and
 // sub-pane by timestamp. Records at or below the flushed bound are
 // rejected: the data model (paper §2.1) guarantees in-order,

@@ -22,6 +22,15 @@ func packerDFS(t *testing.T) *dfs.DFS {
 	return newDFS(t, dfs.Config{BlockSize: 1 << 20, Replication: 2, Nodes: []int{0, 1, 2}, Seed: 9})
 }
 
+// testPacker is a packer of source S1 under /data, on a fresh packerDFS.
+func testPacker(t *testing.T, spec window.Spec, plan PartitionPlan) (*Packer, *dfs.DFS) {
+	t.Helper()
+	d := packerDFS(t)
+	pk, err := NewPacker(d, "S1", "/data", window.FrameOf(spec), plan)
+	check(t, err)
+	return pk, d
+}
+
 func mkRecs(ts []int64) []records.Record {
 	out := make([]records.Record, len(ts))
 	for i, t := range ts {
@@ -50,17 +59,9 @@ func TestNewPackerValidation(t *testing.T) {
 }
 
 func TestOversizePaneFiles(t *testing.T) {
-	d := packerDFS(t)
-	pk, err := NewPacker(d, "S1", "/data", window.FrameOf(packerSpec()), oversizePlan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pk.Ingest(mkRecs([]int64{0, 5, 9, 12, 15})); err != nil {
-		t.Fatal(err)
-	}
-	if err := pk.FlushThrough(30); err != nil {
-		t.Fatal(err)
-	}
+	pk, d := testPacker(t, packerSpec(), oversizePlan())
+	check(t, pk.Ingest(mkRecs([]int64{0, 5, 9, 12, 15})))
+	check(t, pk.FlushThrough(30))
 	// Pane 0 holds ts 0,5,9; pane 1 holds 12,15; pane 2 is empty.
 	ins, ok := pk.PaneInputs(0)
 	if !ok || len(ins) != 1 {
@@ -70,9 +71,7 @@ func TestOversizePaneFiles(t *testing.T) {
 		t.Errorf("pane 0 path = %s, want naming convention S1P0", ins[0].Input.Path)
 	}
 	data, err := d.Read(ins[0].Input.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	recs, err := colfmt.DecodeRecords(data)
 	if err != nil || len(recs) != 3 {
 		t.Errorf("pane 0 should hold 3 records, got %d (%v)", len(recs), err)
@@ -92,19 +91,11 @@ func TestOversizePaneFiles(t *testing.T) {
 }
 
 func TestUndersizedMultiPaneFileWithHeader(t *testing.T) {
-	d := packerDFS(t)
 	plan := oversizePlan()
 	plan.PanesPerFile = 3
-	pk, err := NewPacker(d, "S1", "/data", window.FrameOf(packerSpec()), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pk.Ingest(mkRecs([]int64{1, 11, 21, 22})); err != nil {
-		t.Fatal(err)
-	}
-	if err := pk.FlushThrough(30); err != nil {
-		t.Fatal(err)
-	}
+	pk, d := testPacker(t, packerSpec(), plan)
+	check(t, pk.Ingest(mkRecs([]int64{1, 11, 21, 22})))
+	check(t, pk.FlushThrough(30))
 	// Three panes share one file named S1P0_2 plus a header.
 	ins0, _ := pk.PaneInputs(0)
 	ins1, _ := pk.PaneInputs(1)
@@ -137,75 +128,55 @@ func TestUndersizedMultiPaneFileWithHeader(t *testing.T) {
 }
 
 func TestUndersizedPartialGroupForcedFlush(t *testing.T) {
-	d := packerDFS(t)
 	plan := oversizePlan()
 	plan.PanesPerFile = 3
-	pk, _ := NewPacker(d, "S1", "/data", window.FrameOf(packerSpec()), plan)
+	pk, _ := testPacker(t, packerSpec(), plan)
 	pk.Ingest(mkRecs([]int64{1, 11}))
 	// The first window (panes 0..2) closes at unit 30; the group has
 	// only 2 panes of data but must flush anyway.
-	if err := pk.FlushThrough(30); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := pk.PaneInputs(0); !ok {
-		t.Error("forced flush should make pane 0 available")
-	}
-	if _, ok := pk.PaneInputs(1); !ok {
-		t.Error("forced flush should make pane 1 available")
+	check(t, pk.FlushThrough(30))
+	for p := window.PaneID(0); p < 2; p++ {
+		if _, ok := pk.PaneInputs(p); !ok {
+			t.Errorf("forced flush should make pane %d available", p)
+		}
 	}
 }
 
 func TestSubPanePacking(t *testing.T) {
-	d := packerDFS(t)
 	plan := oversizePlan()
 	plan.SubPanes = 2
-	pk, _ := NewPacker(d, "S1", "/data", window.FrameOf(packerSpec()), plan)
+	pk, _ := testPacker(t, packerSpec(), plan)
 	pk.Ingest(mkRecs([]int64{0, 4, 5, 9})) // pane 0: subs [0,4] and [5,9]
-	if err := pk.FlushThrough(10); err != nil {
-		t.Fatal(err)
-	}
+	check(t, pk.FlushThrough(10))
 	ins, _ := pk.PaneInputs(0)
 	if len(ins) != 2 {
 		t.Fatalf("sub-pane plan should produce 2 segments, got %d", len(ins))
 	}
-	if ins[0].SubPane != 0 || ins[1].SubPane != 1 {
-		t.Error("segments should be ordered by sub-pane")
-	}
-	if ins[0].Input.Path == ins[1].Input.Path {
-		t.Error("sub-panes should be separate files")
+	if ins[0].SubPane != 0 || ins[1].SubPane != 1 || ins[0].Input.Path == ins[1].Input.Path {
+		t.Errorf("segments %+v should be separate files, in sub-pane order", ins)
 	}
 }
 
 func TestSubPaneAvailability(t *testing.T) {
-	d := packerDFS(t)
 	spec := window.NewTimeSpec(40*simtime.Second, 20*simtime.Second) // pane 20s
 	plan := PartitionPlan{PaneUnit: int64(20 * simtime.Second), FilesPerPane: 1, PanesPerFile: 1, SubPanes: 2}
-	pk, err := NewPacker(d, "S1", "/data", window.FrameOf(spec), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pk, _ := testPacker(t, spec, plan)
 	pk.Ingest([]records.Record{
 		{Ts: int64(2 * simtime.Second), Data: []byte("a")},
 		{Ts: int64(15 * simtime.Second), Data: []byte("b")},
 	})
-	if err := pk.FlushThrough(int64(20 * simtime.Second)); err != nil {
-		t.Fatal(err)
-	}
+	check(t, pk.FlushThrough(int64(20*simtime.Second)))
 	ins, _ := pk.PaneInputs(0)
 	if len(ins) != 2 {
 		t.Fatalf("want 2 segments, got %d", len(ins))
 	}
-	if ins[0].AvailableAt != simtime.Time(10*simtime.Second) {
-		t.Errorf("first sub-pane available at %v, want T+10s", ins[0].AvailableAt)
-	}
-	if ins[1].AvailableAt != simtime.Time(20*simtime.Second) {
-		t.Errorf("second sub-pane available at %v, want T+20s", ins[1].AvailableAt)
+	if ins[0].AvailableAt != simtime.Time(10*simtime.Second) || ins[1].AvailableAt != simtime.Time(20*simtime.Second) {
+		t.Errorf("sub-panes available at %v and %v, want T+10s and T+20s", ins[0].AvailableAt, ins[1].AvailableAt)
 	}
 }
 
 func TestIngestRejectsLateData(t *testing.T) {
-	d := packerDFS(t)
-	pk, _ := NewPacker(d, "S1", "/data", window.FrameOf(packerSpec()), oversizePlan())
+	pk, _ := testPacker(t, packerSpec(), oversizePlan())
 	pk.Ingest(mkRecs([]int64{5}))
 	pk.FlushThrough(10)
 	if err := pk.Ingest(mkRecs([]int64{7})); err == nil {
@@ -217,27 +188,18 @@ func TestIngestRejectsLateData(t *testing.T) {
 }
 
 func TestFlushThroughIdempotent(t *testing.T) {
-	d := packerDFS(t)
-	pk, _ := NewPacker(d, "S1", "/data", window.FrameOf(packerSpec()), oversizePlan())
+	pk, _ := testPacker(t, packerSpec(), oversizePlan())
 	pk.Ingest(mkRecs([]int64{5}))
-	if err := pk.FlushThrough(10); err != nil {
-		t.Fatal(err)
+	for _, bound := range []int64{10, 10, 5} { // a lower bound is a no-op
+		check(t, pk.FlushThrough(bound))
 	}
-	if err := pk.FlushThrough(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := pk.FlushThrough(5); err != nil {
-		t.Fatal(err) // lower bound is a no-op
-	}
-	ins, _ := pk.PaneInputs(0)
-	if len(ins) != 1 {
+	if ins, _ := pk.PaneInputs(0); len(ins) != 1 {
 		t.Errorf("idempotent flush should not duplicate segments: %d", len(ins))
 	}
 }
 
 func TestSetPlanValidates(t *testing.T) {
-	d := packerDFS(t)
-	pk, _ := NewPacker(d, "S1", "/data", window.FrameOf(packerSpec()), oversizePlan())
+	pk, _ := testPacker(t, packerSpec(), oversizePlan())
 	bad := oversizePlan()
 	bad.PaneUnit = 3
 	if err := pk.SetPlan(bad); err == nil {
@@ -245,24 +207,19 @@ func TestSetPlanValidates(t *testing.T) {
 	}
 	good := oversizePlan()
 	good.SubPanes = 4
-	if err := pk.SetPlan(good); err != nil {
-		t.Fatal(err)
-	}
+	check(t, pk.SetPlan(good))
 	if pk.Plan().SubPanes != 4 {
 		t.Error("plan not adopted")
 	}
 }
 
 func TestDropPaneFiles(t *testing.T) {
-	d := packerDFS(t)
-	pk, _ := NewPacker(d, "S1", "/data", window.FrameOf(packerSpec()), oversizePlan())
+	pk, d := testPacker(t, packerSpec(), oversizePlan())
 	pk.Ingest(mkRecs([]int64{5}))
 	pk.FlushThrough(10)
 	ins, _ := pk.PaneInputs(0)
 	path := ins[0].Input.Path
-	if err := pk.DropPaneFiles(0); err != nil {
-		t.Fatal(err)
-	}
+	check(t, pk.DropPaneFiles(0))
 	if d.Exists(path) {
 		t.Error("dropped pane file should be deleted")
 	}
@@ -326,9 +283,7 @@ func TestPaneSliceRoundTrip(t *testing.T) {
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	return b
 }
 
@@ -341,11 +296,7 @@ func TestIngestAllocatesPerRunNotPerRecord(t *testing.T) {
 	const pane = 1000
 	spec := window.NewCountSpec(3*pane, 2*pane)
 	allocs := func(perPane int) (n, bytes float64) {
-		pk, err := NewPacker(packerDFS(t), "S1", "/d", window.FrameOf(spec),
-			PartitionPlan{PaneUnit: pane, FilesPerPane: 1, PanesPerFile: 1, SubPanes: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pk, _ := testPacker(t, spec, PartitionPlan{PaneUnit: pane, FilesPerPane: 1, PanesPerFile: 1, SubPanes: 1})
 		payload := []byte("x")
 		batches := make([][]records.Record, 12)
 		for p := range batches {
@@ -367,13 +318,11 @@ func TestIngestAllocatesPerRunNotPerRecord(t *testing.T) {
 			}
 		}
 		// The same twelve panes again, into a fresh packer, bytes counted.
-		pk, _ = NewPacker(packerDFS(t), "S1", "/d", window.FrameOf(spec), pk.Plan())
+		pk, _ = testPacker(t, spec, pk.Plan())
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		for _, b := range batches {
-			if err := pk.Ingest(b); err != nil {
-				t.Fatal(err)
-			}
+			check(t, pk.Ingest(b))
 		}
 		runtime.ReadMemStats(&m1)
 		return n, float64(m1.TotalAlloc-m0.TotalAlloc) / float64(len(batches))
@@ -391,16 +340,10 @@ func TestIngestAllocatesPerRunNotPerRecord(t *testing.T) {
 			smallBytes, largeBytes)
 	}
 
-	pk, err := NewPacker(packerDFS(t), "S1", "/d", window.FrameOf(spec),
-		PartitionPlan{PaneUnit: pane, FilesPerPane: 1, PanesPerFile: 1, SubPanes: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pk, _ := testPacker(t, spec, PartitionPlan{PaneUnit: pane, FilesPerPane: 1, PanesPerFile: 1, SubPanes: 3})
 	// Sub-pane s of a pane holds the offsets w with w*3/1000 == s.
 	ts := []int64{0, 333, 334, 5, 666, 667, 999, 1000, 340, 1333, 1334}
-	if err := pk.Ingest(mkRecs(ts)); err != nil {
-		t.Fatal(err)
-	}
+	check(t, pk.Ingest(mkRecs(ts)))
 	for _, u := range ts {
 		p, s := window.PaneID(u/pane), int(u%pane*3/pane)
 		found := false
@@ -419,22 +362,14 @@ func TestIngestAllocatesPerRunNotPerRecord(t *testing.T) {
 // handed over, and a second batch for the same cell grows a copy, not
 // the first batch's spare capacity.
 func TestIngestNeverWritesTheBatch(t *testing.T) {
-	d := packerDFS(t)
-	pk, err := NewPacker(d, "S1", "/data", window.FrameOf(packerSpec()), oversizePlan())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pk, d := testPacker(t, packerSpec(), oversizePlan())
 	backing := mkRecs([]int64{7, 2, 9, 0, 100, 101}) // the last two: spare capacity of first
 	first, second := backing[:4], mkRecs([]int64{5, 1})
 	wantBacking, wantSecond := slices.Clone(backing), slices.Clone(second)
 	for _, b := range [][]records.Record{first, second} {
-		if err := pk.Ingest(b); err != nil {
-			t.Fatal(err)
-		}
+		check(t, pk.Ingest(b))
 	}
-	if err := pk.FlushThrough(10); err != nil {
-		t.Fatal(err)
-	}
+	check(t, pk.FlushThrough(10))
 	same := func(a, b records.Record) bool {
 		return a.Ts == b.Ts && &a.Data[0] == &b.Data[0] && len(a.Data) == len(b.Data)
 	}
@@ -447,13 +382,9 @@ func TestIngestNeverWritesTheBatch(t *testing.T) {
 		t.Fatalf("pane 0 inputs = %v, %v", ins, ok)
 	}
 	data, err := d.Read(ins[0].Input.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	recs, err := colfmt.DecodeRecords(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	var ts []int64
 	for _, r := range recs {
 		ts = append(ts, r.Ts)
@@ -484,11 +415,7 @@ func TestFlushIdenticalAcrossWidths(t *testing.T) {
 		Events []string
 	}
 	flush := func(plan PartitionPlan, workers int) flushed {
-		d := packerDFS(t)
-		pk, err := NewPacker(d, "S1", "/data", window.FrameOf(spec), plan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pk, d := testPacker(t, spec, plan)
 		o := obs.New()
 		pk.SetObserver(o, "q")
 		pk.workers = workers
@@ -501,20 +428,14 @@ func TestFlushIdenticalAcrossWidths(t *testing.T) {
 					recs = append(recs, records.Record{Ts: ts, Data: []byte(fmt.Sprintf("r%d", rng.Intn(1000)))})
 				}
 			}
-			if err := pk.Ingest(recs); err != nil {
-				t.Fatal(err)
-			}
-			if err := pk.FlushThrough(through); err != nil {
-				t.Fatal(err)
-			}
+			check(t, pk.Ingest(recs))
+			check(t, pk.FlushThrough(through))
 			from = through
 		}
 		got := flushed{Files: map[string][]byte{}, Blocks: map[string][]dfs.Block{}, Inputs: map[window.PaneID][]PaneInput{}}
 		for _, path := range d.List() {
 			data, err := d.Read(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			check(t, err)
 			got.Files[path] = data
 			got.Blocks[path], _, _ = d.Layout(nil, path)
 		}

@@ -103,17 +103,11 @@ func runEmitTrace(t *testing.T, q, qb *core.Query, subPanes, workers int, betwee
 	mr, mrb := newRig(t, 4, 1), newRig(t, 4, 1)
 	mr.Workers, mrb.Workers = workers, workers
 	eng := mustEngine(t, core.Config{MR: mr, Query: q, Lineage: lineage.New(0)})
-	if err := eng.ForceProactive(subPanes); err != nil {
-		t.Fatal(err)
-	}
+	check(t, eng.ForceProactive(subPanes))
 	orc, err := oracle.New(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	drv, err := baseline.NewDriver(mrb, qb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	var tr emitTrace
 	for r, fed := 0, 0; r < 6; r++ {
 		for ; int64(fed)*int64(testSlide) < eng.Frames()[0].WindowClose(r); fed++ {
@@ -123,12 +117,8 @@ func runEmitTrace(t *testing.T, q, qb *core.Query, subPanes, workers int, betwee
 					batch = genKV(int64(src*1000+29), testSlide, fed, 60, 6)
 				}
 				orc.Observe(src, batch)
-				if err := eng.Ingest(src, batch); err != nil {
-					t.Fatal(err)
-				}
-				if err := drv.Ingest(src, batch); err != nil {
-					t.Fatal(err)
-				}
+				check(t, eng.Ingest(src, batch))
+				check(t, drv.Ingest(src, batch))
 			}
 		}
 		if between != nil {
@@ -278,15 +268,11 @@ func mappedParts(t *testing.T, q *core.Query, src, workers int, batches [][]reco
 	var paths []string
 	for i, b := range batches {
 		paths = append(paths, fmt.Sprintf("/in/%d", i))
-		if err := mr.DFS.Write(paths[i], colfmt.EncodeRecords(b)); err != nil {
-			t.Fatal(err)
-		}
+		check(t, mr.DFS.Write(paths[i], colfmt.EncodeRecords(b)))
 	}
 	job := &mapreduce.Job{Name: "parts", Map: q.Maps[src], Reduce: q.Reduce, Combine: q.Combine, NumReducers: q.NumReducers}
 	mp, err := mr.RunMapPhase(job, mapreduce.WholeFiles(paths), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	parts := make([][]byte, len(mp.Parts))
 	for r, ps := range mp.Parts {
 		parts[r] = records.EncodePairs(ps)
@@ -365,9 +351,7 @@ func runReuseMerge(t *testing.T, rs reducers) (emitTrace, int) {
 	for _, q := range []*core.Query{fine, roll} {
 		q.Maps[0], q.Reduce, q.Combine, q.Merge = wordOnes, rs.sum, rs.sum, rs.sum
 	}
-	if err := hub.Share("words", "words", fine.Spec(), 0); err != nil {
-		t.Fatal(err)
-	}
+	check(t, hub.Share("words", "words", fine.Spec(), 0))
 	engs := []*core.Engine{
 		mustEngine(t, core.Config{MR: mr, Query: fine, Controller: ctrl, Hub: hub, Reuse: idx, Account: acct}),
 		mustEngine(t, core.Config{MR: mr, Query: roll, Controller: ctrl, Hub: hub, Reuse: idx, Account: acct}),
@@ -382,9 +366,7 @@ func runReuseMerge(t *testing.T, rs reducers) (emitTrace, int) {
 			i = 1
 		}
 		for ; int64(fed)*int64(testSlide) < engs[i].Frames()[0].WindowClose(engs[i].NextRecurrence()); fed++ {
-			if err := hub.Ingest("words", genWords(23, testSlide, fed, 300, 20)); err != nil {
-				t.Fatal(err)
-			}
+			check(t, hub.Ingest("words", genWords(23, testSlide, fed, 300, 20)))
 		}
 		res, err := engs[i].RunNext()
 		if err != nil {

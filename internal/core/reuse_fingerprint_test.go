@@ -31,7 +31,7 @@ func opFPOf(t *testing.T, q *core.Query) string {
 	if err != nil {
 		t.Fatalf("engine for %s: %v", q.Name, err)
 	}
-	fp := eng.OpFingerprint()
+	fp := core.OpFingerprint(eng)
 	if len(fp) != 64 {
 		t.Fatalf("%s: op fingerprint %q is not a hex sha256", q.Name, fp)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"redoop/internal/account"
@@ -23,7 +24,8 @@ type soakSize struct {
 	heap                uint64
 }
 
-func measureSoak(eng *Engine) soakSize {
+// counts is the size of eng's tables, without the heap.
+func counts(eng *Engine) soakSize {
 	s := soakSize{signatures: len(eng.ctrl.Signatures())}
 	for _, n := range eng.mr.Cluster.Nodes() {
 		s.entries += len(eng.ctrl.Registry(n.ID).Entries())
@@ -31,13 +33,17 @@ func measureSoak(eng *Engine) soakSize {
 	for _, n := range eng.matrix.n {
 		s.extents = append(s.extents, int64(n))
 	}
+	return s
+}
+
+// liveHeap is the heap in use with eng live, after two collections.
+func liveHeap(eng *Engine) uint64 {
 	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	s.heap = ms.HeapAlloc
 	runtime.KeepAlive(eng) // measured with the engine live, also after its last use
-	return s
+	return ms.HeapAlloc
 }
 
 // padded lengthens every payload to a log line's size, so that the pane
@@ -85,55 +91,50 @@ func TestSoakStaysFlat(t *testing.T) {
 	for _, c := range []struct {
 		name     string
 		q        *Query
-		gen      func(slideIdx int) []records.Record
+		gen      func(src, slideIdx int) []records.Record
 		observed bool
 	}{
-		{"agg", internalCountQuery(win, slide), func(i int) []records.Record { return padded(internalWords(7, slide, i, 300, 12)) }, false},
-		{"join", internalJoinQuery(win, slide), func(i int) []records.Record { return padded(internalKV(7, slide, i, 200, 8)) }, false},
-		{"agg-observed", internalCountQuery(win, slide), func(i int) []records.Record { return padded(internalWords(7, slide, i, 300, 12)) }, true},
-		{"join-observed", internalJoinQuery(win, slide), func(i int) []records.Record { return padded(internalKV(7, slide, i, 200, 8)) }, true},
+		{"agg", CountQuery("agg", win, slide, ""), func(_, i int) []records.Record { return padded(Words(7, slide, i, 300, 12)) }, false},
+		{"join", internalJoinQuery(win, slide), func(_, i int) []records.Record { return padded(internalKV(7, slide, i, 200, 8)) }, false},
+		{"agg-observed", CountQuery("agg", win, slide, ""), func(_, i int) []records.Record { return padded(Words(7, slide, i, 300, 12)) }, true},
+		{"join-observed", internalJoinQuery(win, slide), func(_, i int) []records.Record { return padded(internalKV(7, slide, i, 200, 8)) }, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{MR: internalRig(t, 3, 9), Query: c.q}
 			if c.observed {
 				cfg = observed(cfg)
 			}
-			eng := mustEngine(t, cfg)
+			eng := MustEngine(t, cfg)
 			var at1000 soakSize
 			fed := 0
-			for rec := 0; rec < 2000; rec++ {
-				for ; int64(fed)*int64(slide) < eng.Frames()[0].WindowClose(rec); fed++ {
-					for src := range c.q.Sources {
-						if err := eng.Ingest(src, c.gen(fed)); err != nil {
-							t.Fatal(err)
-						}
+			for n := 1; n <= 2000; n++ {
+				Drive(t, eng, &fed, 1, c.gen, nil)
+				switch {
+				case n == 1000:
+					at1000 = counts(eng)
+					at1000.heap = liveHeap(eng)
+					if at1000.signatures == 0 || at1000.entries == 0 {
+						t.Fatalf("nothing cached at recurrence 1000: %+v", at1000)
+					}
+				case n > 1000 && n%100 == 0:
+					// The tables are checked every 100 recurrences, so the
+					// first one to grow stops the run where it grew.
+					now := counts(eng)
+					if now.signatures != at1000.signatures {
+						t.Fatalf("controller signatures %d at recurrence 1000, %d at %d", at1000.signatures, now.signatures, n)
+					}
+					if now.entries != at1000.entries {
+						t.Fatalf("registry entries %d at recurrence 1000, %d at %d", at1000.entries, now.entries, n)
+					}
+					if !slices.Equal(now.extents, at1000.extents) {
+						t.Fatalf("status matrix tracks %v panes per dimension at recurrence 1000, %v at %d", at1000.extents, now.extents, n)
 					}
 				}
-				if _, err := eng.RunNext(); err != nil {
-					t.Fatalf("recurrence %d: %v", rec, err)
-				}
-				if rec+1 == 1000 {
-					at1000 = measureSoak(eng)
-				}
 			}
-			at2000 := measureSoak(eng)
-			t.Logf("at 1000: %+v; at 2000: %+v", at1000, at2000)
-			if at1000.signatures == 0 || at1000.entries == 0 {
-				t.Fatalf("nothing cached at recurrence 1000: %+v", at1000)
-			}
-			if at2000.signatures != at1000.signatures {
-				t.Errorf("controller signatures %d at recurrence 1000, %d at 2000", at1000.signatures, at2000.signatures)
-			}
-			if at2000.entries != at1000.entries {
-				t.Errorf("registry entries %d at recurrence 1000, %d at 2000", at1000.entries, at2000.entries)
-			}
-			for d := range at1000.extents {
-				if at2000.extents[d] != at1000.extents[d] {
-					t.Errorf("status matrix dim %d tracks %d panes at recurrence 1000, %d at 2000", d, at1000.extents[d], at2000.extents[d])
-				}
-			}
-			if lo, hi := at1000.heap-at1000.heap/20, at1000.heap+at1000.heap/20; at2000.heap < lo || at2000.heap > hi {
-				t.Errorf("live heap %d B at recurrence 1000, %d B at 2000: outside ±5 %%", at1000.heap, at2000.heap)
+			heap := liveHeap(eng)
+			t.Logf("at 1000: %+v; live heap at 2000: %d B", at1000, heap)
+			if lo, hi := at1000.heap-at1000.heap/20, at1000.heap+at1000.heap/20; heap < lo || heap > hi {
+				t.Errorf("live heap %d B at recurrence 1000, %d B at 2000: outside ±5 %%", at1000.heap, heap)
 			}
 		})
 	}

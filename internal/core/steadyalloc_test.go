@@ -62,7 +62,7 @@ func TestSteadyRecurrenceAllocatesForNewPanes(t *testing.T) {
 		emit.Emit(key, strconv.AppendInt(buf[:0], total, 10))
 	}
 	runMallocs := func(panes int, sidecars bool) uint64 {
-		q := internalCountQuery(simtime.Duration(panes)*slide, slide)
+		q := CountQuery("agg", simtime.Duration(panes)*slide, slide, "")
 		q.Maps[0] = func(_ int64, payload []byte, emit mapreduce.Emitter) { emit.Emit(payload, []byte("1")) }
 		q.Reduce, q.Combine, q.Merge, q.NumReducers = sum, sum, sum, 4
 		cfg := Config{MR: internalRig(t, 3, 17), Query: q}
@@ -71,7 +71,7 @@ func TestSteadyRecurrenceAllocatesForNewPanes(t *testing.T) {
 			q.Sources[0].CacheKey = "words" // makes the query's pane outputs reuse entries
 			cfg.Account, cfg.Lineage, cfg.Reuse = account.New(), lineage.New(0), reuse.NewIndex(0)
 		}
-		eng := mustEngine(t, cfg)
+		eng := MustEngine(t, cfg)
 		// The fewest over several steady recurrences: a map or slab that
 		// grows now and then lands in some recurrence, not in all. (A
 		// map whose keys come and go grows now and then too, when its
@@ -80,9 +80,7 @@ func TestSteadyRecurrenceAllocatesForNewPanes(t *testing.T) {
 		fed := 0
 		for rec := 0; rec < warm+steady; rec++ {
 			for ; int64(fed)*int64(slide) < eng.frames[0].WindowClose(rec); fed++ {
-				if err := eng.Ingest(0, internalWords(23, slide, fed, 600, 64)); err != nil {
-					t.Fatal(err)
-				}
+				check(t, eng.Ingest(0, Words(23, slide, fed, 600, 64)))
 			}
 			var res *RecurrenceResult
 			var err error

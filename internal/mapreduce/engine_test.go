@@ -28,22 +28,24 @@ func testRig(t *testing.T, workers int) *Engine {
 		dfs.Config{BlockSize: 4 << 10, Replication: 2, Nodes: rangeInts(workers), Seed: 42})
 }
 
+// check fails t on err, from a call the test knows succeeds.
+func check(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // newRig builds an engine over a cluster and a DFS of the given
 // configurations; a configuration New refuses fails the test.
 func newRig(t testing.TB, cc cluster.Config, dc dfs.Config) *Engine {
 	t.Helper()
 	c, err := cluster.New(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	d, err := dfs.New(dc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	e, err := New(c, d, iocost.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	return e
 }
 
@@ -66,9 +68,7 @@ func writeWords(t *testing.T, e *Engine, path string, vocab []string, count int)
 		recs[i] = records.Record{Ts: int64(i), Data: []byte(w)}
 		want[w]++
 	}
-	if err := e.DFS.Write(path, colfmt.EncodeRecords(recs)); err != nil {
-		t.Fatal(err)
-	}
+	check(t, e.DFS.Write(path, colfmt.EncodeRecords(recs)))
 	return want
 }
 
@@ -127,9 +127,7 @@ func TestWordCountEndToEnd(t *testing.T) {
 	want := writeWords(t, e, "/in/batch0", vocab, 5000)
 
 	res, err := e.Run(wordCountJob([]string{"/in/batch0"}, 3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	got := outputCounts(t, res.Output)
 	for w, n := range want {
 		if got[w] != n {
@@ -157,17 +155,13 @@ func TestMultipleInputsAndBlocks(t *testing.T) {
 	want2 := writeWords(t, e, "/in/b1", vocab, 2000)
 
 	splits, err := e.Splits([]string{"/in/b0", "/in/b1"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	if len(splits) < 3 {
 		t.Fatalf("expected multiple block splits, got %d", len(splits))
 	}
 
 	res, err := e.Run(wordCountJob([]string{"/in/b0", "/in/b1"}, 2), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	got := outputCounts(t, res.Output)
 	for w := range want1 {
 		if got[w] != want1[w]+want2[w] {
@@ -188,13 +182,9 @@ func TestCombinerPreservesResultAndShrinksShuffle(t *testing.T) {
 	combined.Combine = combined.Reduce
 
 	r1, err := e1.Run(plain, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	r2, err := e2.Run(combined, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	g1, g2 := outputCounts(t, r1.Output), outputCounts(t, r2.Output)
 	for w := range g1 {
 		if g1[w] != g2[w] {
@@ -209,13 +199,9 @@ func TestCombinerPreservesResultAndShrinksShuffle(t *testing.T) {
 
 func TestEmptyInput(t *testing.T) {
 	e := testRig(t, 2)
-	if err := e.DFS.Write("/in/empty", nil); err != nil {
-		t.Fatal(err)
-	}
+	check(t, e.DFS.Write("/in/empty", nil))
 	res, err := e.Run(wordCountJob([]string{"/in/empty"}, 2), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	if len(res.Output) != 0 {
 		t.Errorf("empty input should yield empty output, got %d pairs", len(res.Output))
 	}
@@ -242,9 +228,7 @@ func writeWordsColumnar(t *testing.T, e *Engine, path string, vocab []string, co
 		recs[i] = records.Record{Ts: int64(i), Data: []byte(w)}
 		want[w]++
 	}
-	if err := e.DFS.Write(path, colfmt.EncodeRecords(recs)); err != nil {
-		t.Fatal(err)
-	}
+	check(t, e.DFS.Write(path, colfmt.EncodeRecords(recs)))
 	return want
 }
 
@@ -258,13 +242,9 @@ func TestColumnarInputEndToEnd(t *testing.T) {
 	writeWords(t, e, "/in/row", vocab, 5000)
 
 	colRes, err := e.Run(wordCountJob([]string{"/in/col"}, 3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	rowRes, err := e.Run(wordCountJob([]string{"/in/row"}, 3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	got := outputCounts(t, colRes.Output)
 	for w, n := range want {
 		if got[w] != n {
@@ -287,9 +267,7 @@ func TestCorruptColumnarInputFailsDeterministically(t *testing.T) {
 		e := testRig(t, 3)
 		writeWordsColumnar(t, e, "/in/pane", []string{"alpha", "beta"}, 2000)
 		data, err := e.DFS.Read("/in/pane")
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		data = slices.Clone(data) // Read is a view of the stored file
 		if mode == "xor" {
 			for i := len(data) / 3; i < 2*len(data)/3; i++ {
@@ -298,9 +276,7 @@ func TestCorruptColumnarInputFailsDeterministically(t *testing.T) {
 		} else {
 			data = data[:len(data)/2]
 		}
-		if err := e.DFS.Write("/in/pane", data); err != nil {
-			t.Fatal(err)
-		}
+		check(t, e.DFS.Write("/in/pane", data))
 		_, err = e.Run(wordCountJob([]string{"/in/pane"}, 2), 0)
 		if err == nil {
 			t.Fatalf("%s-corrupted columnar pane produced output instead of an error", mode)
@@ -323,17 +299,11 @@ func TestOutputPathWritesToDFS(t *testing.T) {
 	job := wordCountJob([]string{"/in"}, 1)
 	job.OutputPath = "/out/r0"
 	res, err := e.Run(job, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	data, err := e.DFS.Read("/out/r0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	pairs, err := colfmt.DecodePairs(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	if len(pairs) != 1 || string(pairs[0].Key) != "k" || string(pairs[0].Value) != "100" {
 		t.Errorf("DFS output = %v", pairs)
 	}
@@ -348,9 +318,7 @@ func TestFaultInjectionRetriesAndSucceeds(t *testing.T) {
 	e.Faults = FailFirstAttempts{N: 2}
 
 	res, err := e.Run(wordCountJob([]string{"/in"}, 2), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	got := outputCounts(t, res.Output)
 	for w, n := range want {
 		if got[w] != n {
@@ -365,9 +333,7 @@ func TestFaultInjectionRetriesAndSucceeds(t *testing.T) {
 	clean := testRig(t, 4)
 	writeWords(t, clean, "/in", []string{"p", "q"}, 2000)
 	cleanRes, err := clean.Run(wordCountJob([]string{"/in"}, 2), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	if res.Stats.Makespan() <= cleanRes.Stats.Makespan() {
 		t.Errorf("retries should cost time: %v vs clean %v",
 			res.Stats.Makespan(), cleanRes.Stats.Makespan())
@@ -388,9 +354,7 @@ func TestDeadNodesAreAvoided(t *testing.T) {
 	want := writeWords(t, e, "/in", []string{"m", "n"}, 1000)
 	e.Cluster.FailNode(0)
 	res, err := e.Run(wordCountJob([]string{"/in"}, 2), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	got := outputCounts(t, res.Output)
 	for w, n := range want {
 		if got[w] != n {
@@ -419,9 +383,7 @@ func TestStartTimeShiftsSchedule(t *testing.T) {
 	writeWords(t, e, "/in", []string{"w"}, 500)
 	start := simtime.Time(10 * simtime.Minute)
 	res, err := e.Run(wordCountJob([]string{"/in"}, 1), start)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	if res.Stats.Start != start {
 		t.Errorf("Start = %v, want %v", res.Stats.Start, start)
 	}
@@ -549,9 +511,7 @@ func TestGroupValuesDoNotOverlap(t *testing.T) {
 			emit.Emit(payload[:1], v)
 		}}
 		prep, err := e.PrepareMapPhase(job, WholeFiles([]string{"/w"}))
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		gs := prep.groups[0]
 		if len(gs) != 3 {
 			t.Fatalf("%s: %d groups, want 3", name, len(gs))
@@ -662,9 +622,7 @@ func TestDeterministicTimings(t *testing.T) {
 		e := testRig(t, 4)
 		writeWords(t, e, "/in", []string{"a", "b", "c"}, 3000)
 		res, err := e.Run(wordCountJob([]string{"/in"}, 2), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		SortPairs(res.Output)
 		return res.Stats.Makespan(), res.Output
 	}

@@ -338,9 +338,7 @@ func TestPutGroupersPinsNothing(t *testing.T) {
 		writeRanged(t, e, "/in", 900)
 		job := &Job{Name: "pin", Map: stampMap, Reduce: concatReduce, Combine: combine, NumReducers: 3}
 		mp, err := e.RunMapPhase(job, WholeFiles([]string{"/in"}), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		encodedReduce(t, e, job, mp)
 		mp.Release()
 		checkScratchPinsNothing(t, e)
@@ -454,17 +452,13 @@ func TestReduceRunsMatchesMergeThenSorted(t *testing.T) {
 		runs := make([]colfmt.PairRun, 0, len(datas))
 		for _, data := range datas {
 			ps, err := colfmt.DecodePairs(data)
-			if err != nil {
-				t.Fatal(err)
-			}
+			check(t, err)
 			if !slices.IsSortedFunc(ps, byKey) {
 				SortPairs(ps)
 			}
 			decoded = append(decoded, ps)
 			run, err := SortedRun(data)
-			if err != nil {
-				t.Fatal(err)
-			}
+			check(t, err)
 			runs = append(runs, run)
 		}
 		want := collect(freshReduce, groupKeyRuns(MergeSortedRuns(nil, decoded...)))

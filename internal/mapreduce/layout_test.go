@@ -151,9 +151,7 @@ func (c layoutCase) run(t *testing.T, workers int) (*MapPhaseResult, *recordingP
 	e.Workers = workers
 	for f := 0; f < len(c.files); f++ { // in a fixed order: placement is seeded
 		path := fmt.Sprintf("/in/f%d", f)
-		if err := d.Write(path, c.files[path]); err != nil {
-			t.Fatal(err)
-		}
+		check(t, d.Write(path, c.files[path]))
 	}
 	place := &recordingPlacement{node: map[string]int{}}
 	job := &Job{
@@ -167,13 +165,9 @@ func (c layoutCase) run(t *testing.T, workers int) (*MapPhaseResult, *recordingP
 		job.Partition = layoutPartition
 	}
 	prep, err := e.PrepareMapPhase(job, c.inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	mp, err := e.CommitMapPhase(prep, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	return mp, place, e, job
 }
 
@@ -184,9 +178,7 @@ func (c layoutCase) run(t *testing.T, workers int) (*MapPhaseResult, *recordingP
 func naiveMapPhase(t *testing.T, e *Engine, job *Job, inputs []Input, nodeOf map[string]int) (parts [][]records.Pair, src [][]int64, splitIDs []string, stats Stats) {
 	t.Helper()
 	splits, err := e.SplitsOf(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	R := job.NumReducers
 	parts = make([][]records.Pair, R)
 	src = make([][]int64, R)
@@ -196,9 +188,7 @@ func naiveMapPhase(t *testing.T, e *Engine, job *Job, inputs []Input, nodeOf map
 	for _, s := range splits {
 		splitIDs = append(splitIDs, s.ID())
 		data, err := e.DFS.Read(s.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		mine := make([][]records.Pair, R)
 		var w colfmt.PairWriter
 		visitRecords(data, func(off int, ts int64, payload []byte) {
@@ -372,9 +362,7 @@ func TestOneValuedRunMapPhaseLaysPairsOut(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		_, place, e, job := c.run(t, workers)
 		mp, err := e.RunMapPhase(job, c.inputs, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		want, _, _, _ := naiveMapPhase(t, e, job, c.inputs, place.node)
 		pairs, most := 0, 0
 		for r := range want {
@@ -395,14 +383,10 @@ func TestOneValuedRunMapPhaseLaysPairsOut(t *testing.T) {
 			t.Fatalf("workers %d: %d pairs, the largest group %d, on a values array of %d", workers, pairs, most, len(mp.vals))
 		}
 		prep, err := e.PrepareMapPhase(job, c.inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		prep.Release()
 		released, err := e.CommitMapPhase(prep, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		for r, ps := range released.Parts {
 			if len(ps) > 0 || released.out != nil {
 				t.Fatalf("workers %d: a released prep's commit laid out %d pairs of partition %d", workers, len(ps), r)
@@ -463,9 +447,7 @@ func TestMapPhaseAllocationsFollowSplitsNotRecords(t *testing.T) {
 					recs[i] = records.Record{Ts: int64(i), Data: []byte(fmt.Sprintf("%d,k%d,x", emits, i%4))}
 				}
 				path := fmt.Sprintf("/in/f%d-%d", f, emits)
-				if err := d.Write(path, colfmt.EncodeRecords(recs)); err != nil {
-					t.Fatal(err)
-				}
+				check(t, d.Write(path, colfmt.EncodeRecords(recs)))
 				*ins = append(*ins, WholeFile(path))
 			}
 		}
@@ -476,9 +458,8 @@ func TestMapPhaseAllocationsFollowSplitsNotRecords(t *testing.T) {
 		var m0, m1 runtime.MemStats
 		for i := 0; i < 8; i++ {
 			runtime.ReadMemStats(&m0)
-			if _, err := e.PrepareMapPhase(job, silent); err != nil {
-				t.Fatal(err)
-			}
+			_, err := e.PrepareMapPhase(job, silent)
+			check(t, err)
 			runtime.ReadMemStats(&m1)
 			if b := float64(m1.TotalAlloc - m0.TotalAlloc); i == 1 || (i > 1 && b < silentBytes) {
 				silentBytes = b
@@ -486,13 +467,9 @@ func TestMapPhaseAllocationsFollowSplitsNotRecords(t *testing.T) {
 		}
 		run := func() {
 			prep, err := e.PrepareMapPhase(job, inputs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			check(t, err)
 			mp, err := e.CommitMapPhase(prep, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			check(t, err)
 			splits = mp.Stats.MapTasks
 		}
 		perRun = testing.AllocsPerRun(20, run)

@@ -29,9 +29,7 @@ func observedRig(t *testing.T, n int) (*Engine, []string) {
 // once a first call has resolved the metric series it touches.
 func commitAllocs(t *testing.T, commit func() error) float64 {
 	t.Helper()
-	if err := commit(); err != nil {
-		t.Fatal(err)
-	}
+	check(t, commit())
 	return testing.AllocsPerRun(50, func() {
 		if err := commit(); err != nil {
 			t.Fatal(err)
@@ -48,9 +46,7 @@ func TestObservedCommitAllocatesPerPhase(t *testing.T) {
 	mapPhase := func(splits int) float64 {
 		e, paths := observedRig(t, splits)
 		prep, err := e.PrepareMapPhase(wordCountJob(paths, 4), WholeFiles(paths))
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		if len(prep.splits) != splits {
 			t.Fatalf("%d splits, want %d", len(prep.splits), splits)
 		}
@@ -70,13 +66,9 @@ func TestObservedCommitAllocatesPerPhase(t *testing.T) {
 		e, paths := observedRig(t, 1)
 		job := wordCountJob(paths, parts)
 		mp, err := e.RunMapPhase(job, WholeFiles(paths), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		results, _, err := e.RunReducePhase(job, mp, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		if len(results) != parts {
 			t.Fatalf("%d reducers, want %d", len(results), parts)
 		}

@@ -30,9 +30,7 @@ func TestSpeculationSingleAliveNodeFallsBack(t *testing.T) {
 	jitterizeStragglers(e)
 
 	res, err := e.Run(wordCountJob([]string{"/in"}, 2), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	got := outputCounts(t, res.Output)
 	for w, n := range want {
 		if got[w] != n {
@@ -49,9 +47,7 @@ func TestSpeculationSingleAliveNodeFallsBack(t *testing.T) {
 	jitterizeStragglers(e2)
 	e2.Speculative = false
 	res2, err := e2.Run(wordCountJob([]string{"/in"}, 2), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	if res.Stats != res2.Stats {
 		t.Errorf("single-alive-node speculation must be a no-op:\n spec: %+v\nplain: %+v", res.Stats, res2.Stats)
 	}
@@ -67,9 +63,7 @@ func TestSpeculationStillRunsWithTwoNodes(t *testing.T) {
 		jitterizeStragglers(e)
 		e.Speculative = spec
 		res, err := e.Run(wordCountJob([]string{"/in"}, 2), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		return res.Stats
 	}
 	if spec, plain := run(true), run(false); spec.MapTime <= plain.MapTime {
@@ -91,13 +85,9 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		return e.Run(job, 0)
 	}
 	serial, err := run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	par, err := run(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	if !reflect.DeepEqual(serial.Stats, par.Stats) {
 		t.Errorf("stats diverge:\nserial:   %+v\nparallel: %+v", serial.Stats, par.Stats)
 	}
@@ -147,9 +137,8 @@ func TestEveryAttemptSpanNamesItsJobAndAttempt(t *testing.T) {
 	e.Faults = FailFirstAttempts{N: 1}
 	e.Obs = obs.New()
 	job := wordCountJob([]string{"/in"}, 2)
-	if _, err := e.Run(job, 0); err != nil {
-		t.Fatal(err)
-	}
+	_, err := e.Run(job, 0)
+	check(t, err)
 	seen := map[string]int{}
 	for _, ev := range e.Obs.Events() {
 		if ev.Cat != "map" && ev.Cat != "reduce" {

@@ -105,9 +105,7 @@ func checkSearchedRanges(t testing.TB, block byte, lens, cuts []byte) (nrecs, ns
 		return 0, 0
 	}
 	e := rangeRig(t, blockSize)
-	if err := e.DFS.Write("/in/f", file); err != nil {
-		t.Fatal(err)
-	}
+	check(t, e.DFS.Write("/in/f", file))
 	var offs []int
 	var payloads [][]byte
 	visitRecords(file, func(off int, ts int64, payload []byte) {
@@ -117,13 +115,9 @@ func checkSearchedRanges(t testing.TB, block byte, lens, cuts []byte) (nrecs, ns
 		offs, payloads = append(offs, off), append(payloads, payload)
 	})
 	splits, err := e.SplitsOf(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	spans, starts, err := e.viewSplits(splits)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	var wantCalls []int64
 	for i, s := range splits {
 		var got, want []int64
@@ -154,9 +148,8 @@ func checkSearchedRanges(t testing.TB, block byte, lens, cuts []byte) (nrecs, ns
 	job := &Job{Name: "ranges", NumReducers: 1,
 		Map:    func(ts int64, _ []byte, emit Emitter) { calls = append(calls, ts); emit.Emit([]byte("k"), nil) },
 		Reduce: func(k []byte, vs [][]byte, emit Emitter) { emit.Emit(k, vs[0]) }}
-	if _, err := e.PrepareMapPhase(job, inputs); err != nil {
-		t.Fatal(err)
-	}
+	_, err = e.PrepareMapPhase(job, inputs)
+	check(t, err)
 	if !slices.Equal(calls, wantCalls) {
 		t.Fatalf("the user map saw records %v, the splits hold %v", calls, wantCalls)
 	}
@@ -210,9 +203,7 @@ func TestSearchedRangesMatchTheWalk(t *testing.T) {
 		for p := range file {
 			bad := slices.Clone(file)
 			bad[p] ^= 0x5a
-			if err := e.DFS.Write("/in/f", bad); err != nil {
-				t.Fatal(err)
-			}
+			check(t, e.DFS.Write("/in/f", bad))
 			_, err := e.PrepareMapPhase(job, []Input{{Path: "/in/f", Offset: 0, Length: int64(len(file)+1) / 2}})
 			if !errors.Is(err, colfmt.ErrCorrupt) || calls != 0 {
 				t.Fatalf("trial %d: byte %d of %d damaged: error %v, %d Map calls; want ErrCorrupt and none", trial, p, len(file), err, calls)

@@ -34,9 +34,7 @@ func TestReleasedPhaseLeaksNothing(t *testing.T) {
 			}
 			phase := func(e *Engine, paths ...string) *MapPhaseResult {
 				mp, err := e.RunMapPhase(job, WholeFiles(paths), 0)
-				if err != nil {
-					t.Fatal(err)
-				}
+				check(t, err)
 				return mp
 			}
 			// What a fresh engine maps each file to, the headers copied out.
@@ -140,9 +138,7 @@ func TestFreeListsShareAcrossGoroutines(t *testing.T) {
 	want := make([][][]records.Pair, len(paths))
 	for i, p := range paths {
 		mp, err := e.RunMapPhase(job, WholeFiles([]string{p}), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		want[i] = cloneParts(mp.Parts) // never released: arrays of their own
 	}
 	for round := 0; round < 6; round++ {
@@ -163,9 +159,7 @@ func TestFreeListsShareAcrossGoroutines(t *testing.T) {
 				t.Fatal(errs[i])
 			}
 			mp, err := e.CommitMapPhase(preps[i], 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			check(t, err)
 			if !equalParts(mp.Parts, want[i]) {
 				t.Fatalf("round %d phase %d: partitions differ from a fresh engine's", round, i)
 			}

@@ -25,9 +25,7 @@ func stampMap(ts int64, payload []byte, emit Emitter) {
 func encodedReduce(t *testing.T, e *Engine, job *Job, mp *MapPhaseResult) map[int][2]string {
 	t.Helper()
 	rr, _, err := e.RunReducePhase(job, mp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	out := map[int][2]string{}
 	for _, r := range rr {
 		out[r.Part] = [2]string{string(colfmt.EncodePairs(r.Input)), string(r.OutData)}
@@ -58,9 +56,7 @@ func TestPartitionerCalledOncePerKeyPerWorker(t *testing.T) {
 			},
 		}
 		mp, err := e.RunMapPhase(job, WholeFiles([]string{"/w"}), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		if mp.Stats.MapTasks < 2*workers {
 			t.Fatalf("workers %d: %d splits are too few to share keys", workers, mp.Stats.MapTasks)
 		}
@@ -98,9 +94,7 @@ func TestMergedPhasesDropTheSortedMark(t *testing.T) {
 			job := &Job{Name: "merge", Map: stampMap, Reduce: concatReduce, NumReducers: 3}
 			phase := func(ins ...Input) *MapPhaseResult {
 				mp, err := e.RunMapPhase(job, ins, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
+				check(t, err)
 				return mp
 			}
 			half := int64(offs[700])

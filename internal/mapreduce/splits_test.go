@@ -24,9 +24,7 @@ func writeRanged(t *testing.T, e *Engine, path string, count int) []int {
 	offsets := make([]int, 0, count+1)
 	visitRecords(data, func(off int, _ int64, _ []byte) { offsets = append(offsets, off) })
 	offsets = append(offsets, len(data))
-	if err := e.DFS.Write(path, data); err != nil {
-		t.Fatal(err)
-	}
+	check(t, e.DFS.Write(path, data))
 	return offsets
 }
 
@@ -34,13 +32,9 @@ func TestSplitsOfWholeFileEqualsSplits(t *testing.T) {
 	e := testRig(t, 3)
 	writeRanged(t, e, "/in", 2000)
 	a, err := e.Splits([]string{"/in"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	b, err := e.SplitsOf(WholeFiles([]string{"/in"}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	if len(a) != len(b) {
 		t.Fatalf("whole-file splits differ: %d vs %d", len(a), len(b))
 	}
@@ -80,9 +74,7 @@ func TestRangedInputRestrictsRecords(t *testing.T) {
 		NumReducers: 1,
 	}
 	mp, err := e.RunMapPhase(job, []Input{in}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	for _, pairs := range mp.Parts {
 		for _, p := range pairs {
 			ts, _ := strconv.ParseInt(string(p.Value), 10, 64)
@@ -106,9 +98,7 @@ func TestRangedInputLengthClipping(t *testing.T) {
 	size, _ := e.DFS.Size("/in")
 	// Length beyond EOF clips; negative offset clips to zero.
 	splits, err := e.SplitsOf([]Input{{Path: "/in", Offset: -5, Length: size * 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	var covered int64
 	for _, s := range splits {
 		covered += s.Size()
@@ -129,13 +119,9 @@ func TestMergeMapPhases(t *testing.T) {
 	}
 	half := int64(offs[300])
 	mp1, err := e.RunMapPhase(job, []Input{{Path: "/in", Offset: 0, Length: half}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	mp2, err := e.RunMapPhase(job, []Input{{Path: "/in", Offset: half, Length: -1}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	merged := MergeMapPhases([]*MapPhaseResult{mp1, mp2}, 2, 0)
 	var pairs int
 	for r := range merged.Parts {
@@ -153,9 +139,7 @@ func TestMergeMapPhases(t *testing.T) {
 	// Reducing the merged phase gives the same totals as one phase
 	// over the whole file.
 	reducers, _, err := e.RunReducePhase(job, merged, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	check(t, err)
 	total := 0
 	for _, rr := range reducers {
 		for _, p := range rr.Output {
@@ -185,9 +169,7 @@ func TestJobCostFlags(t *testing.T) {
 			LocalOutput:      localOutput,
 		}
 		res, err := e.Run(job, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		return int64(res.Stats.ReduceTime)
 	}
 	plain := run(false, true)
@@ -229,9 +211,7 @@ func TestSpeculativeExecution(t *testing.T) {
 			NumReducers: 2,
 		}
 		mp, err := e.RunMapPhase(job, WholeFiles(job.Inputs), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		return mp.LastMapEnd
 	}
 	with := mapWave(true)
@@ -256,9 +236,7 @@ func TestNoJitterIsDeterministic(t *testing.T) {
 			NumReducers: 2,
 		}
 		res, err := e.Run(job, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		return res.Stats.Makespan()
 	}
 	if run() != run() {
@@ -283,9 +261,7 @@ func TestJitterSeedReproducible(t *testing.T) {
 			NumReducers: 2,
 		}
 		res, err := e.Run(job, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		check(t, err)
 		return res.Stats.Makespan()
 	}
 	if run(7) != run(7) {

@@ -1,6 +1,8 @@
 package oracle_test
 
 import (
+	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -59,10 +61,13 @@ type run struct {
 
 // startAgg builds a WCC aggregation engine (optionally on a shared
 // controller with a rin-sharing CacheKey) plus its oracle.
-func startAgg(t *testing.T, mr *mapreduce.Engine, ctrl *core.Controller, name, cacheKey string) *run {
+func startAgg(t *testing.T, mr *mapreduce.Engine, ctrl *core.Controller, name, cacheKey string, tune ...func(*core.Query)) *run {
 	t.Helper()
 	q := queries.WCCAggregation(name, testWin, testSlide, 4)
 	q.Sources[0].CacheKey = cacheKey
+	for _, f := range tune {
+		f(q)
+	}
 	eng, err := core.NewEngine(core.Config{MR: mr, Query: q, Controller: ctrl})
 	if err != nil {
 		t.Fatalf("engine %s: %v", name, err)
@@ -230,5 +235,61 @@ func TestOracleFlagsPhantomCache(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("phantom cache not flagged; violations: %v", v.Violations)
+	}
+}
+
+// TestOracleFlagsEachInvariant plants one violation of each remaining
+// structural invariant between a recurrence and its check, on a plan
+// that packs panes into shared files, and the verdict must name it.
+func TestOracleFlagsEachInvariant(t *testing.T) {
+	for _, c := range []struct {
+		want  string
+		plant func(r *run, res *core.RecurrenceResult) *core.RecurrenceResult
+	}{
+		{"coverage: window has 4 panes but engine accounted 3", func(_ *run, res *core.RecurrenceResult) *core.RecurrenceResult {
+			bad := *res
+			bad.NewPanes--
+			return &bad
+		}},
+		{"has no controller signature (orphaned bytes)", func(r *run, res *core.RecurrenceResult) *core.RecurrenceResult {
+			r.eng.Controller().Registry(0).Add("planted", core.ReduceInput, []byte("x"))
+			return res
+		}},
+		{"still resident after purge tick", func(r *run, res *core.RecurrenceResult) *core.RecurrenceResult {
+			// Moved to another node after the purge tick: the copy left
+			// behind is expired, and still resident.
+			pid := r.q.ReduceOutputPanePID(res.WindowHi, 0)
+			sig, _ := r.eng.Controller().Lookup(pid, core.ReduceOutput)
+			data, _ := r.eng.Controller().Registry(sig.NID).Get(pid, core.ReduceOutput)
+			r.eng.Controller().Registry((sig.NID+1)%4).Add(pid, core.ReduceOutput, data)
+			return res
+		}},
+		{"but engine read", func(r *run, res *core.RecurrenceResult) *core.RecurrenceResult {
+			ins, _ := r.eng.PaneInputs(0, res.WindowHi-1) // in window 1's shared file, panes 0 to 3
+			path := ins[0].Input.Path + ".hdr"
+			hdr, _ := r.mr.DFS.Read(path)
+			var es []core.HeaderEntry
+			if err := json.Unmarshal(hdr, &es); err != nil || len(es) != 4 || es[2].Length == es[3].Length {
+				t.Fatalf("%s: %s, err %v, want four panes, the last two of different lengths", path, hdr, err)
+			}
+			es[2].Length, es[3].Length = es[3].Length, es[2].Length // panes 2 and 3 trade lengths
+			es[3].Offset = es[2].Offset + es[2].Length
+			hdr, _ = json.Marshal(es)
+			if err := errors.Join(r.mr.DFS.Delete(path), r.mr.DFS.Write(path, hdr)); err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}},
+	} {
+		r := startAgg(t, newMR(t, 4, 7), nil, "q-inv", "", func(q *core.Query) { q.Sources[0].RateBytesPerUnit = 2e-9 })
+		requireOK(t, r.window(0))
+		r.feedTo(r.eng.Frames()[0].WindowClose(1))
+		res, err := r.eng.RunNext()
+		if err != nil {
+			t.Fatalf("window 2: %v", err)
+		}
+		if v := r.ora.Check(c.plant(r, res)); !strings.Contains(strings.Join(v.Violations, "\n"), c.want) {
+			t.Errorf("%q not flagged; violations: %v", c.want, v.Violations)
+		}
 	}
 }
